@@ -14,9 +14,9 @@ RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/clock/ ./internal/fabric/ ./internal/core/ ./internal/reliability/ \
 	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/
 
-.PHONY: ci vet build test race bench bench-kernels bench-json bench-par smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos
+.PHONY: ci vet build test race bench bench-kernels bench-json bench-par smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench
 
-ci: vet build race test smoke-perftest smoke-trace smoke-chaos
+ci: vet build race test smoke-perftest smoke-trace smoke-chaos smoke-bench
 
 vet:
 	$(GO) vet ./...
@@ -34,10 +34,11 @@ race:
 test:
 	$(GO) test ./...
 
-# Kernel micro-benchmarks: gf256 word kernels, EC serial-vs-parallel
-# encode, bitmap polling — the hot paths tracked by the bench trajectory.
+# Kernel micro-benchmarks: gf256 word kernels and the fused multi-row
+# kernel, EC serial-vs-parallel encode, bitmap polling — the hot paths
+# tracked by the bench trajectory.
 bench-kernels:
-	$(GO) test -run xxx -bench 'BenchmarkXORSlice|BenchmarkMulAddSlice' ./internal/gf256/
+	$(GO) test -run xxx -bench 'BenchmarkXORSlice|BenchmarkMulAddSlice|BenchmarkMulRows|BenchmarkRowTablesSet' ./internal/gf256/
 	$(GO) test -run xxx -bench 'Encode|Reconstruct' ./internal/ec/
 	$(GO) test -run xxx -bench 'BenchmarkBitmap|BenchmarkFirstZero|BenchmarkMarkPacket' ./internal/bitmap/
 
@@ -51,6 +52,7 @@ bench: bench-kernels
 # op -> {ns/op, allocs/op, ...} JSON so per-PR performance is diffable.
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkSimnet' -benchmem ./internal/simnet/ > bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkRSEncode32x8_64KiB|BenchmarkRSReconstruct32x8_64KiB' -benchmem ./internal/ec/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkCampaign|BenchmarkDES' -benchmem ./internal/protosim/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkDESValidation|BenchmarkGBNBaseline' -benchtime 2x -benchmem . >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkVirtualHandoff|BenchmarkVirtualSleepChurn|BenchmarkRealWaitNotify' -benchmem ./internal/clock/ >> bench-json.tmp
@@ -115,3 +117,10 @@ smoke-trace:
 # leases; the report is byte-identical across sweep-worker counts.
 smoke-chaos:
 	$(GO) test -count=1 -run 'TestChaosSmoke|TestChaosWorkerDeterminism' -v ./internal/chaos/
+
+# Repo-benchmark smoke: a 2-second wan_ec run of the declared benchmark
+# (BENCHMARK.json) — EC(32,8) encode + reconstruct under 1% loss. Exits
+# non-zero if the verification rep receives a wrong byte or any timed
+# rep's simulated tuple diverges from it.
+smoke-bench:
+	bash benchmark/run.sh --workload wan_ec --seed 1 --seconds 2 --trace 0

@@ -115,7 +115,9 @@ type Result struct {
 	Bytes int64
 	Msgs  int
 	// SimElapsed is the transfer span in the session clock's domain
-	// (virtual time under -clock virtual); WallElapsed is host time.
+	// (virtual time under -clock virtual); WallElapsed is host time
+	// spent on the data path — the Verify pattern check and digest are
+	// the harness checking its own output and are timed out of it.
 	SimElapsed, WallElapsed time.Duration
 	// GoodputGbps is payload throughput at the simulated clock.
 	GoodputGbps float64
@@ -308,6 +310,7 @@ func Run(o Options) (Result, error) {
 	digest := fnv.New64a()
 	var sendErr, recvErr error
 	var completions stats.Sketch
+	var verifyWall time.Duration // host time inside the verify block
 	transferTrack := int32(-1)
 	if rec != nil {
 		transferTrack = rec.Track("transfers")
@@ -359,18 +362,20 @@ func Run(o Options) (Result, error) {
 						transferTrack, int64(o.Size), dur.Nanoseconds(), 0, 0)
 				}
 				if verify {
+					v0 := time.Now()
 					region := recvBuf[off : off+uint64(o.Size)]
 					if !patternEqual(region, o.Seed, w) {
 						recvErr = fmt.Errorf("msg %d: received data corrupted", i)
 						return
 					}
 					digest.Write(region)
+					verifyWall += time.Since(v0)
 				}
 			}
 		}},
 	)
 	simElapsed := clk.Since(startSim)
-	wallElapsed := time.Since(startWall)
+	wallElapsed := time.Since(startWall) - verifyWall
 	if rec != nil {
 		o.Trace.CellFinish(0, clock.NowNanos(clk))
 	}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"sdrrdma/internal/gf256"
 )
@@ -52,15 +53,15 @@ func checkShardGeometry(data, parity [][]byte, k, m int) (int, error) {
 		return 0, fmt.Errorf("ec: got %d data + %d parity shards, want %d + %d",
 			len(data), len(parity), k, m)
 	}
-	size := -1
-	for _, s := range append(append([][]byte{}, data...), parity...) {
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return 0, fmt.Errorf("ec: shard size mismatch: %d vs %d", len(s), size)
+	size := len(data[0])
+	for _, group := range [2][][]byte{data, parity} {
+		for _, s := range group {
+			if len(s) != size {
+				return 0, fmt.Errorf("ec: shard size mismatch: %d vs %d", len(s), size)
+			}
 		}
 	}
-	if size <= 0 {
+	if size == 0 {
 		return 0, errors.New("ec: empty shards")
 	}
 	return size, nil
@@ -88,26 +89,29 @@ func (c *XORCode) M() int       { return c.m }
 func (c *XORCode) Name() string { return "xor" }
 
 // Encode computes parity[i] = XOR of data[j] for j mod m == i. Above
-// the parallel threshold the m parity rows and their byte ranges are
-// sharded across the package worker pool; the output is identical to
-// the serial path.
+// the parallel threshold byte ranges are sharded across the package
+// worker pool; the output is identical to the serial path.
 func (c *XORCode) Encode(data, parity [][]byte) error {
 	size, err := checkShardGeometry(data, parity, c.k, c.m)
 	if err != nil {
 		return err
 	}
-	forEachRowRange(seqRows(c.m), size, func(i, lo, hi int) {
-		c.encodeRow(data, parity, i, lo, hi)
-	})
+	if useParallel(size) {
+		forEachRange(size, func(lo, hi int) { c.encodeRange(data, parity, lo, hi) })
+	} else {
+		c.encodeRange(data, parity, 0, size)
+	}
 	return nil
 }
 
-// encodeRow computes bytes [lo,hi) of parity row i.
-func (c *XORCode) encodeRow(data, parity [][]byte, i, lo, hi int) {
-	p := parity[i][lo:hi]
-	copy(p, data[i][lo:hi])
-	for j := i + c.m; j < c.k; j += c.m {
-		gf256.XORSlice(p, data[j][lo:hi])
+// encodeRange computes bytes [lo,hi) of every parity row.
+func (c *XORCode) encodeRange(data, parity [][]byte, lo, hi int) {
+	for i, p := range parity {
+		p = p[lo:hi]
+		copy(p, data[i][lo:hi])
+		for j := i + c.m; j < c.k; j += c.m {
+			gf256.XORSlice(p, data[j][lo:hi])
+		}
 	}
 }
 
@@ -142,8 +146,8 @@ func (c *XORCode) CanRecover(present []bool) bool {
 }
 
 // Reconstruct repairs at most one missing data block per modulo group.
-// Groups (and byte ranges within them) decode independently, so large
-// shards are repaired across the worker pool.
+// Byte ranges decode independently, so large shards are repaired across
+// the worker pool.
 func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 	if len(shards) != c.k+c.m || len(present) != c.k+c.m {
 		return fmt.Errorf("ec: XOR Reconstruct wants %d shards", c.k+c.m)
@@ -163,25 +167,28 @@ func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 	if len(repairs) == 0 {
 		return nil // no data loss (maybe only parity lost)
 	}
-	size := len(shards[repairs[0]])
-	forEachRowRange(repairs, size, func(missing, lo, hi int) {
-		c.repairBlock(shards, missing, lo, hi)
-	})
+	if size := len(shards[repairs[0]]); useParallel(size) {
+		forEachRange(size, func(lo, hi int) { c.repairRange(shards, repairs, lo, hi) })
+	} else {
+		c.repairRange(shards, repairs, 0, size)
+	}
 	for _, missing := range repairs {
 		present[missing] = true
 	}
 	return nil
 }
 
-// repairBlock rebuilds bytes [lo,hi) of the missing data block from
+// repairRange rebuilds bytes [lo,hi) of each missing data block from
 // its group's parity and surviving data blocks.
-func (c *XORCode) repairBlock(shards [][]byte, missing, lo, hi int) {
-	g := missing % c.m
-	out := shards[missing][lo:hi]
-	copy(out, shards[c.k+g][lo:hi]) // start from parity
-	for j := g; j < c.k; j += c.m {
-		if j != missing {
-			gf256.XORSlice(out, shards[j][lo:hi])
+func (c *XORCode) repairRange(shards [][]byte, repairs []int, lo, hi int) {
+	for _, missing := range repairs {
+		g := missing % c.m
+		out := shards[missing][lo:hi]
+		copy(out, shards[c.k+g][lo:hi]) // start from parity
+		for j := g; j < c.k; j += c.m {
+			if j != missing {
+				gf256.XORSlice(out, shards[j][lo:hi])
+			}
 		}
 	}
 }
@@ -189,54 +196,72 @@ func (c *XORCode) repairBlock(shards [][]byte, missing, lo, hi int) {
 // --- Reed–Solomon (MDS) code ---------------------------------------------
 
 // RSCode is a systematic Reed–Solomon code: any k of the k+m shards
-// reconstruct the data.
+// reconstruct the data. One RSCode is safe for concurrent Encode and
+// Reconstruct calls.
 type RSCode struct {
 	k, m int
 	// enc is the (k+m)×k systematic encoding matrix: identity on top,
 	// parity rows below.
 	enc *gf256.Matrix
+	// encTabs is the parity rows of enc packed for the fused kernel.
+	encTabs gf256.RowTables
+	// scratch recycles the per-call decode workspace, which depends on
+	// the erasure pattern and so cannot live on the shared code.
+	scratch sync.Pool // of *decodeScratch
 }
 
-// NewRS builds an RS(k, m) code. k+m must not exceed 256 (field size).
+// decodeScratch is the workspace of one Reconstruct call.
+type decodeScratch struct {
+	sub, inv  *gf256.Matrix   // rows of enc for the k shards used, and its inverse
+	tabs      gf256.RowTables // the decode rows, packed
+	avail     [][]byte        // the k shards used
+	rows, out [][]byte        // decode rows of the lost data shards, and those shards
+}
+
+// NewRS builds an RS(k, m) code. k+m must not exceed 255: shard r is
+// the evaluation at α^r, and α has order 255, so a 256th shard would
+// repeat the first and the code would no longer be MDS.
 func NewRS(k, m int) (*RSCode, error) {
-	if k <= 0 || m < 0 || k+m > 256 {
-		return nil, fmt.Errorf("ec: RS requires 0<k, 0<=m, k+m<=256; got k=%d m=%d", k, m)
+	if k <= 0 || m < 0 || k+m > 255 {
+		return nil, fmt.Errorf("ec: RS requires 0<k, 0<=m, k+m<=255; got k=%d m=%d", k, m)
 	}
 	v := gf256.Vandermonde(k+m, k)
 	topInv, err := v.SubMatrix(0, k, 0, k).Invert()
 	if err != nil {
 		return nil, fmt.Errorf("ec: building systematic matrix: %w", err)
 	}
-	return &RSCode{k: k, m: m, enc: v.Mul(topInv)}, nil
+	c := &RSCode{k: k, m: m, enc: v.Mul(topInv)}
+	rows := make([][]byte, m)
+	for i := range rows {
+		rows[i] = c.enc.Row(k + i)
+	}
+	c.encTabs.Set(rows)
+	c.scratch.New = func() any {
+		return &decodeScratch{sub: gf256.NewMatrix(k, k), inv: gf256.NewMatrix(k, k),
+			avail: make([][]byte, 0, k)}
+	}
+	return c, nil
 }
 
 func (c *RSCode) K() int       { return c.k }
 func (c *RSCode) M() int       { return c.m }
 func (c *RSCode) Name() string { return "mds" }
 
-// Encode computes the m parity shards. Above the parallel threshold
-// the m parity rows and their byte ranges are sharded across the
-// package worker pool; the output is identical to the serial path.
+// Encode computes the m parity shards — the GF(2^8) product of the
+// parity rows of enc with the data columns, 8 rows per pass over the
+// data. Above the parallel threshold byte ranges are sharded across
+// the package worker pool; the output is identical to the serial path.
 func (c *RSCode) Encode(data, parity [][]byte) error {
 	size, err := checkShardGeometry(data, parity, c.k, c.m)
 	if err != nil {
 		return err
 	}
-	forEachRowRange(seqRows(c.m), size, func(i, lo, hi int) {
-		c.encodeRow(data, parity, i, lo, hi)
-	})
-	return nil
-}
-
-// encodeRow computes bytes [lo,hi) of parity row i as the GF(2^8) dot
-// product of the encoding row with the data columns.
-func (c *RSCode) encodeRow(data, parity [][]byte, i, lo, hi int) {
-	row := c.enc.Row(c.k + i)
-	p := parity[i][lo:hi]
-	gf256.MulSlice(row[0], p, data[0][lo:hi])
-	for j := 1; j < c.k; j++ {
-		gf256.MulAddSlice(row[j], p, data[j][lo:hi])
+	if useParallel(size) {
+		forEachRange(size, func(lo, hi int) { c.encTabs.MulRows(parity, data, lo, hi) })
+	} else {
+		c.encTabs.MulRows(parity, data, 0, size)
 	}
+	return nil
 }
 
 // CanRecover reports true iff at least k of the k+m shards are present.
@@ -253,7 +278,9 @@ func (c *RSCode) CanRecover(present []bool) bool {
 	return n >= c.k
 }
 
-// Reconstruct recovers missing data shards from any k present shards.
+// Reconstruct recovers missing data shards from any k present shards:
+// the rows of enc for those k shards are inverted, and the inverse's
+// rows for the lost shards are applied to the k shards, 8 per pass.
 func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
 	if len(shards) != c.k+c.m || len(present) != c.k+c.m {
 		return fmt.Errorf("ec: RS Reconstruct wants %d shards", c.k+c.m)
@@ -261,57 +288,39 @@ func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
 	if !c.CanRecover(present) {
 		return ErrUnrecoverable
 	}
-	anyMissingData := false
+	s := c.scratch.Get().(*decodeScratch)
+	defer c.scratch.Put(s)
+	s.rows, s.out = s.rows[:0], s.out[:0]
 	for j := 0; j < c.k; j++ {
 		if !present[j] {
-			anyMissingData = true
-			break
+			s.rows = append(s.rows, s.inv.Row(j)) // a view: filled by InvertInto below
+			s.out = append(s.out, shards[j])
 		}
 	}
-	if !anyMissingData {
+	if len(s.out) == 0 {
 		return nil
 	}
-	// Collect k present shards and the matching rows of the encoding
-	// matrix; invert to obtain the decode matrix.
-	sub := gf256.NewMatrix(c.k, c.k)
-	avail := make([][]byte, 0, c.k)
-	got := 0
-	for r := 0; r < c.k+c.m && got < c.k; r++ {
+	s.avail = s.avail[:0]
+	for r := 0; len(s.avail) < c.k; r++ {
 		if present[r] {
-			copy(sub.Row(got), c.enc.Row(r))
-			avail = append(avail, shards[r])
-			got++
+			copy(s.sub.Row(len(s.avail)), c.enc.Row(r))
+			s.avail = append(s.avail, shards[r])
 		}
 	}
-	dec, err := sub.Invert()
-	if err != nil {
+	if err := s.sub.InvertInto(s.inv); err != nil {
 		// Cannot happen for an MDS matrix; report rather than panic.
 		return fmt.Errorf("ec: decode matrix singular: %w", err)
 	}
-	var missing []int
-	for j := 0; j < c.k; j++ {
-		if !present[j] {
-			missing = append(missing, j)
-		}
+	s.tabs.Set(s.rows)
+	if size := len(s.out[0]); useParallel(size) {
+		forEachRange(size, func(lo, hi int) { s.tabs.MulRows(s.out, s.avail, lo, hi) })
+	} else {
+		s.tabs.MulRows(s.out, s.avail, 0, size)
 	}
-	size := len(shards[missing[0]])
-	forEachRowRange(missing, size, func(j, lo, hi int) {
-		decodeShard(dec.Row(j), shards[j], avail, lo, hi)
-	})
-	for _, j := range missing {
+	for j := 0; j < c.k; j++ {
 		present[j] = true
 	}
 	return nil
-}
-
-// decodeShard recomputes bytes [lo,hi) of a lost data shard as the dot
-// product of its decode-matrix row with the k surviving shards.
-func decodeShard(row []byte, out []byte, avail [][]byte, lo, hi int) {
-	o := out[lo:hi]
-	gf256.MulSlice(row[0], o, avail[0][lo:hi])
-	for i := 1; i < len(avail); i++ {
-		gf256.MulAddSlice(row[i], o, avail[i][lo:hi])
-	}
 }
 
 // --- Appendix B success probabilities ------------------------------------

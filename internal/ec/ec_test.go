@@ -2,6 +2,7 @@ package ec
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -127,6 +128,9 @@ func TestRSRejectsBadGeometry(t *testing.T) {
 	}
 	if _, err := NewRS(0, 4); err == nil {
 		t.Fatal("NewRS(0,4) should fail")
+	}
+	if _, err := NewRS(223, 33); err == nil {
+		t.Fatal("NewRS(223,33) should fail: shard 255 would duplicate shard 0")
 	}
 }
 
@@ -443,6 +447,131 @@ func TestConcurrentEncodes(t *testing.T) {
 	})
 }
 
+// TestConcurrentReconstructs is the decode twin: one shared RSCode
+// repairs different erasure patterns from many goroutines at once, so
+// the per-call decode workspace must not be shared state on the code.
+func TestConcurrentReconstructs(t *testing.T) {
+	c := mustRS(16, 4)
+	const size = 32 << 10
+	const goroutines = 8
+	for _, workers := range []int{1, 4} {
+		withParallelism(workers, func() {
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					data := makeShards(rng, c.K(), size)
+					parity := makeShards(rng, c.M(), size)
+					if err := c.Encode(data, parity); err != nil {
+						t.Error(err)
+						return
+					}
+					shards := append(append([][]byte{}, data...), parity...)
+					for iter := 0; iter < 4; iter++ {
+						present := make([]bool, len(shards))
+						for i := range present {
+							present[i] = true
+						}
+						lose := rng.Perm(len(shards))[:1+(g+iter)%c.M()]
+						want := map[int][]byte{}
+						for _, l := range lose {
+							present[l] = false
+							if l < c.K() {
+								want[l] = append([]byte(nil), shards[l]...)
+								clear(shards[l])
+							}
+						}
+						if err := c.Reconstruct(shards, present); err != nil {
+							t.Error(err)
+							return
+						}
+						for l, w := range want {
+							if !bytes.Equal(shards[l], w) {
+								t.Errorf("concurrent reconstruct diverged (goroutine %d, shard %d)", g, l)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestRSParityGolden pins the RS(32,8) parity bytes of a fixed pattern
+// to the FNV-64a the row-at-a-time encoder of PR 11 produced: the code
+// matrix, and with it every wire byte and verification digest, is
+// unchanged by the fused kernel.
+func TestRSParityGolden(t *testing.T) {
+	c := mustRS(32, 8)
+	const size = 4096 + 3
+	data, parity := make([][]byte, 32), make([][]byte, 8)
+	for i := range data {
+		data[i] = make([]byte, size)
+		for j := range data[i] {
+			data[i][j] = byte(i*131 + j*7 + j>>8)
+		}
+	}
+	for i := range parity {
+		parity[i] = make([]byte, size)
+	}
+	if err := c.Encode(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, p := range parity {
+		h.Write(p)
+	}
+	if got, want := h.Sum64(), uint64(0x33b52b7ce9d1bfed); got != want {
+		t.Fatalf("RS(32,8) parity digest = %#x, want %#x: the wire bytes changed", got, want)
+	}
+}
+
+// TestRSRowGroups covers codes whose parity (and decode) rows span
+// several fused passes, up to the limit k+m = 255 (the order of α; a
+// 256th evaluation point would repeat the first): every loss count
+// 0..m round-trips, m+1 does not.
+func TestRSRowGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, km := range [][2]int{{16, 12}, {222, 33}} {
+		c := mustRS(km[0], km[1])
+		for nLose := 0; nLose <= km[1]; nLose++ {
+			// data shards only: exactly nLose decode rows, parity as input
+			roundTrip(t, c, rng.Perm(km[0])[:nLose], 600, false)
+		}
+		roundTrip(t, c, rng.Perm(km[0] + km[1])[:km[1]+1], 600, true)
+	}
+}
+
+// TestRSAllocs holds the serial hot calls to their allocation budget:
+// Encode allocates nothing, Reconstruct recycles its decode workspace.
+func TestRSAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer ForceParallelism(1)()
+	c := mustRS(32, 8)
+	rng := rand.New(rand.NewSource(3))
+	data, parity := makeShards(rng, 32, 4096), makeShards(rng, 8, 4096)
+	if n := testing.AllocsPerRun(20, func() { _ = c.Encode(data, parity) }); n != 0 {
+		t.Fatalf("Encode allocates %v times per call, want 0", n)
+	}
+	shards := append(append([][]byte{}, data...), parity...)
+	present := make([]bool, 40)
+	n := testing.AllocsPerRun(20, func() {
+		for i := range present {
+			present[i] = i != 3 && i != 17 && i != 35
+		}
+		_ = c.Reconstruct(shards, present)
+	})
+	if n > 2 {
+		t.Fatalf("steady-state Reconstruct allocates %v times per call, want ≤ 2", n)
+	}
+}
+
 func BenchmarkRSEncode32x8_64KiB(b *testing.B) {
 	benchEncode(b, mustRS(32, 8), 64<<10)
 }
@@ -451,8 +580,8 @@ func BenchmarkXOREncode32x8_64KiB(b *testing.B) {
 	benchEncode(b, mustXOR(32, 8), 64<<10)
 }
 
-func mustRS(k, m int) Code  { c, _ := NewRS(k, m); return c }
-func mustXOR(k, m int) Code { c, _ := NewXOR(k, m); return c }
+func mustRS(k, m int) *RSCode   { c, _ := NewRS(k, m); return c }
+func mustXOR(k, m int) *XORCode { c, _ := NewXOR(k, m); return c }
 
 func benchEncode(b *testing.B, c Code, chunk int) {
 	rng := rand.New(rand.NewSource(1))

@@ -1,9 +1,11 @@
 // Worker-pool parallelism for the EC hot kernels. The paper hides
 // encoding behind injection by spreading the XOR/RS kernels over spare
 // cores (§5.1.1, Fig 11); here a process-wide pool of GOMAXPROCS
-// workers shards parity rows × byte ranges of a submessage. Small
-// submessages stay on the caller's goroutine — the crossover where
-// handoff overhead is paid back is parallelMinShardBytes per shard.
+// workers shards the byte ranges of a submessage (the kernels compute
+// every parity row of a range in one pass, so rows are not a unit of
+// work). Small submessages stay on the caller's goroutine — the
+// crossover where handoff overhead is paid back is
+// parallelMinShardBytes per shard.
 
 package ec
 
@@ -21,9 +23,16 @@ const parallelMinShardBytes = 16 << 10
 // never read-modify-write bytes of the same line of a parity shard.
 const segAlign = 64
 
+// rangeTask is one byte range of a forEachRange call.
+type rangeTask struct {
+	fn     func(lo, hi int)
+	lo, hi int
+	wg     *sync.WaitGroup
+}
+
 var (
 	poolOnce    sync.Once
-	poolTasks   chan func()
+	poolTasks   chan rangeTask
 	poolWorkers int
 )
 
@@ -32,11 +41,13 @@ var (
 // (callers fall back to inline execution when the queue is full).
 func startPool() {
 	poolWorkers = runtime.GOMAXPROCS(0)
-	poolTasks = make(chan func(), 4*poolWorkers)
+	// Room for a few concurrent callers' segments before they run inline.
+	poolTasks = make(chan rangeTask, 4*poolWorkers)
 	for i := 0; i < poolWorkers; i++ {
 		go func() {
-			for task := range poolTasks {
-				task()
+			for t := range poolTasks {
+				t.fn(t.lo, t.hi)
+				t.wg.Done()
 			}
 		}()
 	}
@@ -67,94 +78,33 @@ func parallelism() int {
 	return poolWorkers
 }
 
-// useParallel reports whether a (shardBytes × rows) unit of kernel work
-// is worth sharding across the pool.
+// useParallel reports whether kernel work over shards of shardBytes is
+// worth sharding across the pool. Callers run the serial path directly
+// (no closure, no allocation) when it is not.
 func useParallel(shardBytes int) bool {
 	return shardBytes >= parallelMinShardBytes && parallelism() > 1
 }
 
-// runUnits executes the units across the pool and waits for all of
-// them. Units must be independent. If the pool queue is full the
-// caller runs the unit inline, so progress never depends on pool
-// capacity (no deadlock when many codes encode concurrently).
-func runUnits(units []func()) {
+// forEachRange splits [0,size) into one cache-line-aligned byte range
+// per worker (no range below parallelMinShardBytes), runs fn over them
+// on the pool and waits. Ranges must be independent. If the pool queue
+// is full the caller runs the range inline, so progress never depends
+// on pool capacity (no deadlock when many codes encode concurrently).
+// Call only when useParallel(size).
+func forEachRange(size int, fn func(lo, hi int)) {
+	nseg := min(parallelism(), size/parallelMinShardBytes)
+	seg := (size/nseg + segAlign - 1) &^ (segAlign - 1)
 	poolOnce.Do(startPool)
 	var wg sync.WaitGroup
-	wg.Add(len(units))
-	for _, u := range units {
-		u := u
-		wrapped := func() {
-			u()
-			wg.Done()
-		}
+	for lo := 0; lo < size; lo += seg {
+		hi := min(lo+seg, size)
+		wg.Add(1)
 		select {
-		case poolTasks <- wrapped:
+		case poolTasks <- rangeTask{fn, lo, hi, &wg}:
 		default:
-			wrapped()
+			fn(lo, hi)
+			wg.Done()
 		}
 	}
 	wg.Wait()
-}
-
-// byteSegments splits [0,size) into roughly nseg cache-line-aligned
-// ranges (the last takes the remainder).
-func byteSegments(size, nseg int) [][2]int {
-	if nseg < 1 {
-		nseg = 1
-	}
-	seg := (size/nseg + segAlign - 1) &^ (segAlign - 1)
-	if seg < segAlign {
-		seg = segAlign
-	}
-	var out [][2]int
-	for lo := 0; lo < size; lo += seg {
-		hi := lo + seg
-		if hi > size {
-			hi = size
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// segmentsFor picks the byte segmentation so that rows × segments
-// gives every worker a unit while keeping units above the minimum
-// profitable size.
-func segmentsFor(size, rows int) [][2]int {
-	nseg := (parallelism() + rows - 1) / rows
-	if maxSeg := size / parallelMinShardBytes; nseg > maxSeg {
-		nseg = maxSeg
-	}
-	return byteSegments(size, nseg)
-}
-
-// forEachRowRange runs fn over every (row, byte-range) combination:
-// sharded across the worker pool when the shard size makes it
-// profitable, serial whole-row calls otherwise. This is the single
-// dispatch point for both codes' Encode and Reconstruct.
-func forEachRowRange(rows []int, size int, fn func(row, lo, hi int)) {
-	if !useParallel(size) {
-		for _, r := range rows {
-			fn(r, 0, size)
-		}
-		return
-	}
-	segs := segmentsFor(size, len(rows))
-	units := make([]func(), 0, len(rows)*len(segs))
-	for _, r := range rows {
-		for _, s := range segs {
-			r, lo, hi := r, s[0], s[1]
-			units = append(units, func() { fn(r, lo, hi) })
-		}
-	}
-	runUnits(units)
-}
-
-// seqRows returns [0, n) — the parity-row index set for Encode.
-func seqRows(n int) []int {
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
 }

@@ -1,12 +1,14 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§5). Each Fig* function returns a Result whose
 // rows mirror the series the paper plots; the cmd/sdr-experiments
-// binary prints them and EXPERIMENTS.md records paper-vs-measured.
+// binary prints them, and each Result's notes record the paper's
+// value next to the measured one.
 //
 // Figures 2, 3 and 9–13 use the model path (the paper produced them
 // with its Python framework, §5.1.1); Figures 14–16 run the real Go
 // SDR stack over the in-memory fabric and report the actual pipeline
-// packet rates (shape-comparable, not absolute, per DESIGN.md).
+// packet rates (shape-comparable, not absolute: the host is a
+// simulator core, not a NIC — see README "Benchmarks").
 package experiments
 
 import (

@@ -2,7 +2,9 @@
 // with the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D), the
 // field used by Reed–Solomon codes such as those in Intel ISA-L that
 // the paper benchmarks against (§5.1.1). It provides scalar and vector
-// operations plus the matrix routines needed by a systematic MDS code.
+// operations, the matrix routines needed by a systematic MDS code, and
+// the fused multi-row kernel (RowTables) that applies such a matrix to
+// shard data.
 package gf256
 
 import "encoding/binary"
@@ -63,57 +65,29 @@ func Inv(a byte) byte {
 // Exp returns α^n for n >= 0.
 func Exp(n int) byte { return expTable[n%255] }
 
-// MulSlice sets dst[i] = c·src[i]. dst and src must have equal length.
+// MulSlice sets dst[i] = c·src[i]; dst and src must have equal length
+// and may be the same slice. It scales matrix rows, which are short, so
+// it is the plain byte loop.
 func MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
 	}
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
 	mt := mulTableRow(c)
-	n := len(src)
-	i := 0
-	// Same word-assembled lookup as MulAddSlice, minus the dst read.
-	for ; i+8 <= n; i += 8 {
-		w := binary.NativeEndian.Uint64(src[i:])
-		p := uint64(mt[byte(w)]) |
-			uint64(mt[byte(w>>8)])<<8 |
-			uint64(mt[byte(w>>16)])<<16 |
-			uint64(mt[byte(w>>24)])<<24 |
-			uint64(mt[byte(w>>32)])<<32 |
-			uint64(mt[byte(w>>40)])<<40 |
-			uint64(mt[byte(w>>48)])<<48 |
-			uint64(mt[byte(w>>56)])<<56
-		binary.NativeEndian.PutUint64(dst[i:], p)
-	}
-	for ; i < n; i++ {
-		dst[i] = mt[src[i]]
+	for i, s := range src {
+		dst[i] = mt[s]
 	}
 }
 
-// MulAddSlice sets dst[i] ^= c·src[i], the core kernel of RS encoding.
+// MulAddSlice sets dst[i] ^= c·src[i], one row operation of the matrix
+// algebra (Matrix.Mul, Matrix.InvertInto). Bulk shard data does not go
+// through it: a matrix–vector product over shards is RowTables.MulRows,
+// which reads each input once for up to 8 output rows.
 //
 // The word path loads 8 source bytes as one uint64 (encoding/binary
 // view), looks each byte up in the constant's 256-entry product row,
 // assembles the 8 products into a word, and folds it into dst with a
 // single 64-bit read-modify-write — one memory round trip per 8 bytes
 // instead of 8 byte-sized ones.
-//
-// Two word-parallel alternatives were benchmarked and rejected: the
-// split low/high-nibble table kernel (product = lo[x&0xF]^hi[x>>4],
-// the scalar analogue of the PSHUFB trick ISA-L uses) needs 16 lookups
-// per word and lands at ~0.6x of this kernel, and the bit-plane SWAR
-// multiply (kept as a tested reference in gf256_test.go) at ~0.95x —
-// without SIMD byte shuffles, the full-row lookup is the fastest pure
-// Go form.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulAddSlice length mismatch")

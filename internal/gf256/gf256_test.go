@@ -2,7 +2,6 @@ package gf256
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -278,60 +277,6 @@ func TestWordKernelsUnalignedViews(t *testing.T) {
 	}
 }
 
-// lanesLSB has the least-significant bit of every byte lane set.
-const lanesLSB = 0x0101010101010101
-
-// mulAddSliceNibbleSWAR is the split low/high-nibble bit-plane SWAR
-// multiply: c·x is GF(2)-linear in the bits of x, so the product
-// splits as c·x = ⊕_{i<4} x_i·(c·α^i) ⊕ ⊕_{4≤i<8} x_i·(c·α^i); each
-// bit-plane of a uint64 word (8 lanes) is extracted and multiplied by
-// the broadcast per-plane product. Kept as a tested, benchmarked
-// reference: it is branch- and table-load-free but measures ~0.95x of
-// the shipped full-row lookup kernel in pure Go.
-func mulAddSliceNibbleSWAR(c byte, dst, src []byte) {
-	mt := mulTableRow(c)
-	lo0, lo1 := uint64(mt[1]), uint64(mt[2])
-	lo2, lo3 := uint64(mt[4]), uint64(mt[8])
-	hi0, hi1 := uint64(mt[16]), uint64(mt[32])
-	hi2, hi3 := uint64(mt[64]), uint64(mt[128])
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		w := binary.NativeEndian.Uint64(src[i:])
-		// low-nibble planes
-		p := (w & lanesLSB) * lo0
-		p ^= (w >> 1 & lanesLSB) * lo1
-		p ^= (w >> 2 & lanesLSB) * lo2
-		p ^= (w >> 3 & lanesLSB) * lo3
-		// high-nibble planes
-		p ^= (w >> 4 & lanesLSB) * hi0
-		p ^= (w >> 5 & lanesLSB) * hi1
-		p ^= (w >> 6 & lanesLSB) * hi2
-		p ^= (w >> 7 & lanesLSB) * hi3
-		binary.NativeEndian.PutUint64(dst[i:], binary.NativeEndian.Uint64(dst[i:])^p)
-	}
-	mulAddSliceTable(c, dst[i:], src[i:])
-}
-
-// TestNibbleSWARMatchesTable keeps the SWAR reference honest across
-// every constant.
-func TestNibbleSWARMatchesTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	src := make([]byte, 1003)
-	orig := make([]byte, 1003)
-	rng.Read(src)
-	rng.Read(orig)
-	for c := 0; c < 256; c++ {
-		want := append([]byte(nil), orig...)
-		mulAddSliceTable(byte(c), want, src)
-		got := append([]byte(nil), orig...)
-		mulAddSliceNibbleSWAR(byte(c), got, src)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("nibble SWAR diverges from table reference at c=%d", c)
-		}
-	}
-}
-
 func benchKernelSizes(b *testing.B, run func(dst, src []byte)) {
 	for _, n := range []int{64, 4 << 10, 64 << 10, 1 << 20} {
 		b.Run(sizeName(n), func(b *testing.B) {
@@ -374,10 +319,6 @@ func BenchmarkMulAddSlice(b *testing.B) {
 
 func BenchmarkMulAddSliceTable(b *testing.B) {
 	benchKernelSizes(b, func(dst, src []byte) { mulAddSliceTable(0x57, dst, src) })
-}
-
-func BenchmarkMulAddSliceNibbleSWAR(b *testing.B) {
-	benchKernelSizes(b, func(dst, src []byte) { mulAddSliceNibbleSWAR(0x57, dst, src) })
 }
 
 // Legacy names kept so the bench trajectory stays comparable.

@@ -83,15 +83,31 @@ func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
 	return out
 }
 
-// Invert returns the inverse of the square matrix m via Gauss–Jordan
-// elimination, or an error if m is singular.
+// Invert returns the inverse of the square matrix m, or an error if m
+// is singular.
 func (m *Matrix) Invert() (*Matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("gf256: cannot invert non-square %dx%d matrix", m.Rows, m.Cols)
 	}
-	n := m.Rows
-	work := m.Clone()
-	inv := Identity(n)
+	inv := NewMatrix(m.Rows, m.Rows)
+	if err := m.Clone().InvertInto(inv); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// InvertInto writes the inverse of the square matrix m into inv (same
+// shape) via Gauss–Jordan elimination, using m itself as the work area:
+// m is destroyed. It allocates nothing, for callers that recycle both.
+func (m *Matrix) InvertInto(inv *Matrix) error {
+	work, n := m, m.Rows
+	if work.Cols != n || inv.Rows != n || inv.Cols != n {
+		panic("gf256: InvertInto wants two square matrices of one size")
+	}
+	clear(inv.Data)
+	for i := 0; i < n; i++ {
+		inv.Set(i, i, 1)
+	}
 	for col := 0; col < n; col++ {
 		// find pivot
 		pivot := -1
@@ -102,7 +118,7 @@ func (m *Matrix) Invert() (*Matrix, error) {
 			}
 		}
 		if pivot < 0 {
-			return nil, fmt.Errorf("gf256: singular matrix (column %d)", col)
+			return fmt.Errorf("gf256: singular matrix (column %d)", col)
 		}
 		if pivot != col {
 			swapRows(work, pivot, col)
@@ -125,7 +141,7 @@ func (m *Matrix) Invert() (*Matrix, error) {
 			}
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 func swapRows(m *Matrix, a, b int) {
