@@ -1,0 +1,186 @@
+package reliability
+
+import (
+	"bytes"
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"sdrrdma/internal/clock"
+	"sdrrdma/internal/fabric"
+)
+
+// goldenTuple is everything a transfer's simulated schedule determines:
+// any change to what goes on the wire, or when, moves at least one
+// field.
+type goldenTuple struct {
+	ElapsedNs   int64 // virtual time when the last transfer returned
+	PacketsSent uint64
+	Retransmits uint64
+	NacksSent   uint64
+	LateReAcks  uint64
+	Switches    int
+	RecvFNV     uint64 // FNV-1a over every received buffer, in order
+}
+
+// goldenCase is one pinned scenario: msgs sequential transfers of size
+// bytes (never a chunk multiple, so the partial tail chunk is always
+// exercised) on one session over a link dropping `drop` of the packets
+// in both directions, data and control alike.
+type goldenCase struct {
+	name   string
+	scheme string // sr | ec | adaptive
+	nack   bool
+	k, m   int
+	size   int
+	msgs   int
+	drop   float64
+	seed   int64
+	// shortLinger cuts the final-ACK linger to two ACK intervals so
+	// random control loss swallows it whole now and then and the late
+	// re-ACK path joins the pinned schedule. SR only: an EC sender has
+	// no RTO, so nothing would ever pull the re-ACK out of the table.
+	shortLinger bool
+	want        goldenTuple
+}
+
+// TestReliabilityGoldenTuples pins the simulated behaviour of every
+// scheme ACROSS COMMITS. TestVirtualDeterminism and the perftest
+// determinism tests only compare runs inside one process, so a refactor
+// that changes the wire schedule consistently passes them; these
+// literals were recorded on the pre-segment-mechanism code (PR 12) and
+// a behaviour-preserving change must leave them untouched. The cases
+// are chosen so that NACK-mode hole repair, the RTO sweep with backoff,
+// in-place EC decode, the EC NACK fallback, a late re-ACK and adaptive
+// ladder switches all fire (see the non-zero columns).
+func TestReliabilityGoldenTuples(t *testing.T) {
+	cases := []goldenCase{
+		{name: "sr/1", scheme: "sr", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 1,
+			want: goldenTuple{ElapsedNs: 54502641, PacketsSent: 0x2c4, Retransmits: 0x1e, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xc1077ac09622865}},
+		{name: "sr/2", scheme: "sr", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
+			want: goldenTuple{ElapsedNs: 80369267, PacketsSent: 0x2cc, Retransmits: 0x20, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x1706b97648427be5}},
+		{name: "sr-nack/1", scheme: "sr", shortLinger: true, nack: true, size: 200_000, msgs: 3, drop: 0.05, seed: 1,
+			want: goldenTuple{ElapsedNs: 39267633, PacketsSent: 0x2fc, Retransmits: 0x2c, NacksSent: 0x0, LateReAcks: 0x3, Switches: 0, RecvFNV: 0xc1077ac09622865}},
+		{name: "sr-nack/2", scheme: "sr", shortLinger: true, nack: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
+			want: goldenTuple{ElapsedNs: 44202353, PacketsSent: 0x35c, Retransmits: 0x44, NacksSent: 0x0, LateReAcks: 0x2, Switches: 0, RecvFNV: 0x1706b97648427be5}},
+		// One submessage: 16 real chunks of a (16,4) code, partial tail.
+		{name: "ec-L1/1", scheme: "ec", k: 16, m: 4, size: 16*4096 - 1234, msgs: 3, drop: 0.03, seed: 1,
+			want: goldenTuple{ElapsedNs: 19343892, PacketsSent: 0xed, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x232ecd3cae7e85c2}},
+		{name: "ec-L1/2", scheme: "ec", k: 16, m: 4, size: 16*4096 - 1234, msgs: 3, drop: 0.03, seed: 2,
+			want: goldenTuple{ElapsedNs: 19186860, PacketsSent: 0xed, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xc2d42919fcbe2942}},
+		// Four submessages of a (4,2) code; the tail submessage holds 3
+		// real chunks (one partial) plus one virtual zero chunk.
+		{name: "ec-L4/1", scheme: "ec", k: 4, m: 2, size: 60_000, msgs: 3, drop: 0.05, seed: 1,
+			want: goldenTuple{ElapsedNs: 19079580, PacketsSent: 0x111, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xd7d1ff6cc63361c5}},
+		{name: "ec-L4/2", scheme: "ec", k: 4, m: 2, size: 60_000, msgs: 3, drop: 0.05, seed: 2,
+			want: goldenTuple{ElapsedNs: 27487536, PacketsSent: 0x119, Retransmits: 0x2, NacksSent: 0x1, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x878bace32cc1b585}},
+		// Weak code under heavy loss: the NACK fallback must fire.
+		{name: "ec-weak/1", scheme: "ec", k: 4, m: 1, size: 100_000, msgs: 2, drop: 0.15, seed: 1,
+			want: goldenTuple{ElapsedNs: 36849996, PacketsSent: 0x166, Retransmits: 0x1b, NacksSent: 0x3, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x6ed1b8d1a8807a5}},
+		{name: "ec-weak/2", scheme: "ec", k: 4, m: 1, size: 100_000, msgs: 2, drop: 0.15, seed: 2,
+			want: goldenTuple{ElapsedNs: 48344520, PacketsSent: 0x160, Retransmits: 0x19, NacksSent: 0x4, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xbdb0d91cc63a52e5}},
+		{name: "adaptive/1", scheme: "adaptive", size: 1<<20 + 777, msgs: 2, drop: 0.12, seed: 1,
+			want: goldenTuple{ElapsedNs: 123105811, PacketsSent: 0xd86, Retransmits: 0xb5, NacksSent: 0x15, LateReAcks: 0x0, Switches: 6, RecvFNV: 0x93a18232bcb77178}},
+		{name: "adaptive/2", scheme: "adaptive", size: 1<<20 + 777, msgs: 2, drop: 0.12, seed: 2,
+			want: goldenTuple{ElapsedNs: 116236024, PacketsSent: 0xeda, Retransmits: 0x10a, NacksSent: 0x1c, LateReAcks: 0x0, Switches: 6, RecvFNV: 0xd524e7e8d969a038}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := runGolden(t, c); got != c.want {
+				t.Fatalf("simulated behaviour changed\n  got  %#v\n  want %#v", got, c.want)
+			}
+		})
+	}
+}
+
+// goldenBps serializes both directions at 2 Gbit/s (≈4 µs per 1 KiB
+// packet), so the elapsed column resolves packet order and control
+// message sizes instead of rounding to the poll cadence.
+const goldenBps = 2e9
+
+func runGolden(t *testing.T, c goldenCase) goldenTuple {
+	t.Helper()
+	vc := clock.NewVirtual()
+	relCfg := testRelCfg()
+	relCfg.NACK = c.nack
+	if c.shortLinger {
+		relCfg.Linger = 2 * time.Millisecond
+	}
+	if c.k > 0 {
+		relCfg.K, relCfg.M = c.k, c.m
+	}
+	lat := 2 * time.Millisecond
+	s, err := NewSession(testCoreCfg(vc), relCfg,
+		fabric.Config{Latency: lat, BandwidthBps: goldenBps, DropProb: c.drop, Seed: c.seed},
+		fabric.Config{Latency: lat, BandwidthBps: goldenBps, DropProb: c.drop, Seed: c.seed + 1000},
+		lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	acfg := testAdaptorCfg()
+	ad, err := NewAdaptor(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunkBytes := s.Pair.B.Ctx.Config().ChunkBytes
+	sum := fnv.New64a()
+	for i := 0; i < c.msgs; i++ {
+		// Fresh buffers per message: a late duplicate must carry the
+		// bytes of the message it belongs to.
+		data := pattern(c.size, byte(int(c.seed)*16+i))
+		recvBuf := make([]byte, c.size)
+		mr := s.Pair.B.Ctx.RegMR(recvBuf)
+		scratchBytes := 1 // SR needs none; RegMR wants a non-empty region
+		switch c.scheme {
+		case "ec":
+			scratchBytes = relCfg.ECScratchBytes(chunkBytes, c.size)
+		case "adaptive":
+			scratchBytes = AdaptiveScratchBytes(acfg, chunkBytes, c.size)
+		}
+		scratch := s.Pair.B.Ctx.RegMR(make([]byte, scratchBytes))
+		var sendErr, recvErr error
+		clock.Join(vc,
+			func() {
+				switch c.scheme {
+				case "sr":
+					sendErr = s.A.WriteSR(data)
+				case "ec":
+					sendErr = s.A.WriteEC(data)
+				case "adaptive":
+					sendErr = s.A.WriteAdaptive(acfg, data)
+				}
+			},
+			func() {
+				switch c.scheme {
+				case "sr":
+					recvErr = s.B.ReceiveSR(mr, 0, c.size)
+				case "ec":
+					recvErr = s.B.ReceiveEC(mr, 0, c.size, scratch)
+				case "adaptive":
+					recvErr = s.B.ReceiveAdaptive(ad, mr, 0, c.size, scratch)
+				}
+			})
+		if sendErr != nil || recvErr != nil {
+			t.Fatalf("message %d: send=%v recv=%v", i, sendErr, recvErr)
+		}
+		if !bytes.Equal(recvBuf, data) {
+			t.Fatalf("message %d corrupted", i)
+		}
+		sum.Write(recvBuf)
+	}
+	elapsed := vc.Elapsed()
+	// Let the last background linger run out so its re-sends and any
+	// late re-ACK are counted.
+	clock.Join(vc, func() { vc.Sleep(relCfg.Linger + 2*relCfg.AckInterval) })
+	return goldenTuple{
+		ElapsedNs:   elapsed.Nanoseconds(),
+		PacketsSent: s.Pair.A.QP.Stats().PacketsSent,
+		Retransmits: s.A.Retransmits.Load(),
+		NacksSent:   s.B.NacksSent.Load(),
+		LateReAcks:  s.B.LateReAcks.Load(),
+		Switches:    len(ad.Switches()),
+		RecvFNV:     sum.Sum64(),
+	}
+}
