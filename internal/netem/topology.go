@@ -530,24 +530,6 @@ func (t *Topology) NewFlow(from, to int, coreCfg core.Config, relCfg reliability
 	if relCfg.RTT == 0 && oneWay > 0 {
 		relCfg.RTT = 2 * oneWay
 	}
-	// Burst channels break the independent-ACK-loss assumption behind
-	// the receiver's linger window: one bad-state episode spanning
-	// burstLen packets can wipe out every final ACK of the linger.
-	// That used to force WAN flows onto a denser, longer final-ACK
-	// schedule (RTT/8 cadence, 2×RTO linger) so at least one ACK
-	// outlived the burst; since the receiver re-ACKs late data for
-	// recently retired slots (reliability/reack.go), a swallowed
-	// linger only costs the sender one extra RTO round-trip, and flows
-	// run the protocol's own defaults. The workaround survives solely
-	// for deployments that opt out of the re-ACK.
-	if relCfg.NoLateReAck && relCfg.RTT > 0 {
-		if relCfg.AckInterval == 0 {
-			relCfg.AckInterval = relCfg.RTT / 8
-		}
-		if relCfg.Linger == 0 {
-			relCfg.Linger = 2 * relCfg.WithDefaults().RTO()
-		}
-	}
 	pool, err := t.flowPool(coreCfg)
 	if err != nil {
 		return nil, err

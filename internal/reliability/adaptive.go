@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sdrrdma/internal/core"
-	"sdrrdma/internal/ec"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/telemetry"
 )
@@ -185,8 +183,6 @@ type SegStats struct {
 	// wire (recovered from parity or NACK fallback); DataChunks the
 	// segment's real data chunk count.
 	MissingData, DataChunks int
-	// Decoded reports whether the segment needed a parity decode.
-	Decoded bool
 }
 
 // lossSignal condenses the stats into the scalar the hysteresis
@@ -296,48 +292,25 @@ func (a *Adaptor) Observe(s SegStats) {
 // operation sequence numbers (which never reach the top bit).
 const planBit = uint64(1) << 63
 
-// adaptiveGeom is the common segment arithmetic of both sides.
-type adaptiveGeom struct {
-	chunkBytes int
-	segBytes   int
-	total      int
-	nsegs      int
+// segmentation cuts a message of total bytes into the adaptive
+// protocol's segments. It is ecGeometry's submessage arithmetic with
+// k = SegmentChunks and no parity: g.L segments, segment i spanning
+// g.subBytes(i, total) bytes from g.subOffset(i).
+func segmentation(acfg AdaptorConfig, chunkBytes, total int) ecGeometry {
+	return newECGeometry(total, chunkBytes, acfg.SegmentChunks, 0)
 }
 
-func newAdaptiveGeom(acfg AdaptorConfig, chunkBytes, total int) adaptiveGeom {
-	segBytes := acfg.SegmentChunks * chunkBytes
-	nsegs := (total + segBytes - 1) / segBytes
-	if nsegs == 0 {
-		nsegs = 1
-	}
-	return adaptiveGeom{chunkBytes: chunkBytes, segBytes: segBytes, total: total, nsegs: nsegs}
-}
-
-// segSize returns the real byte size of segment i.
-func (g adaptiveGeom) segSize(i int) int {
-	lo := i * g.segBytes
-	hi := lo + g.segBytes
-	if hi > g.total {
-		hi = g.total
-	}
-	return hi - lo
-}
-
-// segParityBytes is the per-segment parity region size: the worst case
-// over the ladder's EC rungs (each segment is one submessage, so the
-// region holds M chunks).
+// segParityBytes is the per-segment parity region size: each segment
+// is one submessage (Validate pins K = SegmentChunks), so the region
+// holds the M chunks of the ladder's most protective rung.
 func segParityBytes(acfg AdaptorConfig, chunkBytes int) int {
-	max := 0
+	maxM := 0
 	for _, m := range acfg.Ladder {
-		if m.Scheme != SchemeEC {
-			continue
-		}
-		g := newECGeometry(acfg.SegmentChunks*chunkBytes, chunkBytes, m.K, m.M)
-		if b := g.L * g.parityBytes(); b > max {
-			max = b
+		if m.Scheme == SchemeEC {
+			maxM = max(maxM, m.M)
 		}
 	}
-	return max
+	return maxM * chunkBytes
 }
 
 // AdaptiveScratchBytes returns the parity scratch ReceiveAdaptive
@@ -347,26 +320,18 @@ func segParityBytes(acfg AdaptorConfig, chunkBytes int) int {
 // protective rung.
 func AdaptiveScratchBytes(acfg AdaptorConfig, chunkBytes, msgBytes int) int {
 	acfg = acfg.WithDefaults()
-	g := newAdaptiveGeom(acfg, chunkBytes, msgBytes)
-	return g.nsegs * segParityBytes(acfg, chunkBytes)
+	return segmentation(acfg, chunkBytes, msgBytes).L * segParityBytes(acfg, chunkBytes)
 }
 
 // --- sender ----------------------------------------------------------------
 
-// adaptiveSegSender is one open segment on the sender.
-type adaptiveSegSender struct {
-	idx  int
-	mode Mode
-	data []byte
-	opID uint64
-	acks chan ctrlMsg
-
-	// SR state (and the EC fallback stream shares stream/chunks).
-	stream *core.SendStream
-	chunks []chunkState
-	acked  int
-
-	done bool
+// segGeometry is the geometry a segment of size bytes runs under mode:
+// plain for SR, one (K, M) submessage for EC.
+func segGeometry(mode Mode, size, chunkBytes int) ecGeometry {
+	if mode.Scheme == SchemeSR {
+		return plainGeometry(size, chunkBytes)
+	}
+	return newECGeometry(size, chunkBytes, mode.K, mode.M)
 }
 
 // WriteAdaptive reliably writes data under the adaptive segment
@@ -383,181 +348,91 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 	cfg := e.Cfg
 	clk := e.clock()
 	chunkBytes := e.QP.Config().ChunkBytes
-	g := newAdaptiveGeom(acfg, chunkBytes, len(data))
+	g := segmentation(acfg, chunkBytes, len(data))
 
-	// Erasure codes per distinct EC rung, built once.
-	codes := e.cachedModeCodes()
-	for _, m := range acfg.Ladder {
-		if m.Scheme != SchemeEC {
-			continue
-		}
-		if _, ok := codes[m]; ok {
-			continue
-		}
-		code, err := ecCodeFor(cfg, m)
-		if err != nil {
-			return err
-		}
-		codes[m] = code
+	// A segment's plan is its geometry: segs[i].g stays zero (k = 0)
+	// until the scheme of segment i is known.
+	segs := scratchSlice(&e.scr.sendSegs, g.L)
+	streams := scratchSlice(&e.scr.streams, g.L)
+	chunks := scratchSlice(&e.scr.srChunks, g.L*acfg.SegmentChunks)
+	e.scr.reserveParity(g.L * segParityBytes(acfg, chunkBytes))
+	plan := func(i int, mode Mode) {
+		segs[i].g = segGeometry(mode, g.subBytes(i, len(data)), chunkBytes)
 	}
 
-	segs := make([]*adaptiveSegSender, g.nsegs)
-	plans := make([]Mode, g.nsegs)
-	planKnown := make([]bool, g.nsegs)
-	plans[0], planKnown[0] = acfg.Ladder[0], true
-
-	start := func(i int) (*adaptiveSegSender, error) {
-		lo := i * g.segBytes
-		seg := &adaptiveSegSender{idx: i, mode: plans[i], data: data[lo : lo+g.segSize(i)]}
-		st, err := e.QP.SendStreamStartTimeout(len(seg.data), 0, cfg.GlobalTimeout)
-		if err != nil {
-			return nil, startErr(fmt.Sprintf("adaptive segment %d stream", i), err)
-		}
-		seg.stream = st
-		seg.opID = st.Seq()
-		seg.acks = e.CP.register(seg.opID)
-		if err := st.Continue(0, seg.data); err != nil {
-			return nil, err
-		}
-		now := clk.Now()
-		nchunks := (len(seg.data) + chunkBytes - 1) / chunkBytes
-		seg.chunks = make([]chunkState, nchunks)
-		for c := range seg.chunks {
-			seg.chunks[c].lastSent = now
-		}
-		if seg.mode.Scheme == SchemeEC {
-			parity, err := encodeSegParity(codes[seg.mode], seg.mode, seg.data, chunkBytes)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := e.QP.SendPostTimeout(parity, 0, cfg.GlobalTimeout); err != nil {
-				return nil, startErr(fmt.Sprintf("adaptive segment %d parity", i), err)
-			}
-		}
-		return seg, nil
-	}
-
-	// Segment 0 starts unconditionally (the receiver posts it on entry)
-	// and anchors the plan stream's opID on both sides.
-	seg0, err := start(0)
-	if err != nil {
-		return err
-	}
-	segs[0] = seg0
-	started := 1
-	planID := planBit | seg0.opID
-	planCh := e.CP.register(planID)
-	defer e.CP.unregister(planID)
+	started := 0
 	defer func() {
-		for _, s := range segs {
-			if s != nil && !s.done {
-				e.CP.unregister(s.opID)
-			}
+		for i := range segs[:started] {
+			segs[i].end()
 		}
 	}()
+	start := func() error {
+		i := started
+		s := &segs[i]
+		*s = sendSeg{
+			e: e, data: data[g.subOffset(i):][:g.subBytes(i, len(data))], g: s.g, sub0: i,
+			streams: streams[i : i+1],
+			chunks:  chunks[i*acfg.SegmentChunks:][:s.g.nchunks],
+		}
+		started++
+		return s.start()
+	}
+
+	// Segment 0 runs Ladder[0] and starts unconditionally (the receiver
+	// posts it on entry); it anchors the plan stream's opID on both
+	// sides.
+	plan(0, acfg.Ladder[0])
+	if err := start(); err != nil {
+		return err
+	}
+	planID := planBit | segs[0].opID
+	planCh := e.CP.register(planID)
+	defer e.CP.unregister(planID)
 
 	applyPlan := func(m ctrlMsg) {
-		if m.typ != msgPlan {
-			return
-		}
 		i := int(m.planSeg)
-		if i >= g.nsegs || i < started {
+		if m.typ != msgPlan || i >= g.L || i < started {
 			return // stale or already committed
 		}
 		mode := Mode{Scheme: Scheme(m.planScheme)}
 		if mode.Scheme == SchemeEC {
 			mode.K, mode.M = int(m.planK), int(m.planM)
-			if _, ok := codes[mode]; !ok {
-				code, err := ecCodeFor(cfg, mode)
-				if err != nil {
-					return // unusable plan: keep waiting for a sane one
-				}
-				codes[mode] = code
+			if mode.K != acfg.SegmentChunks {
+				return // not one submessage per segment
+			}
+			if _, err := e.codeFor(mode.K, mode.M); err != nil {
+				return // unusable plan: keep waiting for a sane one
 			}
 		}
-		plans[i], planKnown[i] = mode, true
-	}
-
-	resend := func(s *adaptiveSegSender, chunk int, cause int64) error {
-		lo := chunk * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(s.data) {
-			hi = len(s.data)
-		}
-		s.chunks[chunk].lastSent = clk.Now()
-		e.Retransmits.Add(1)
-		e.probe(telemetry.EvRetransmit, int64(chunk), cause, int64(s.idx), 0)
-		return s.stream.Continue(lo, s.data[lo:hi])
-	}
-
-	applyAck := func(s *adaptiveSegSender) func(ctrlMsg) {
-		return func(m ctrlMsg) {
-			switch m.typ {
-			case msgSRAck:
-				if s.mode.Scheme != SchemeSR {
-					return
-				}
-				for c := 0; c < int(m.cumAck) && c < len(s.chunks); c++ {
-					if !s.chunks[c].acked {
-						s.chunks[c].acked = true
-						s.acked++
-					}
-				}
-				for c := 0; c < len(s.chunks) && c/8 < len(m.sack); c++ {
-					if m.sack[c/8]&(1<<uint(c%8)) != 0 && !s.chunks[c].acked {
-						s.chunks[c].acked = true
-						s.acked++
-					}
-				}
-				if s.acked >= len(s.chunks) {
-					s.done = true
-				}
-			case msgECAck:
-				if s.mode.Scheme == SchemeEC {
-					s.done = true
-				}
-			case msgECNack:
-				if s.mode.Scheme != SchemeEC || s.done {
-					return
-				}
-				// Parity was not enough: selective repeat of the missing
-				// data chunks through the still-open segment stream.
-				for _, entry := range m.nackSubmsgs {
-					if entry.submsg != 0 {
-						continue // one submessage per segment
-					}
-					for _, c := range entry.missing {
-						if int(c) < len(s.chunks) {
-							resend(s, int(c), telemetry.CauseNack)
-						}
-					}
-				}
-			}
-		}
+		plan(i, mode)
 	}
 
 	rto := cfg.RTO()
 	deadline := clk.Now().Add(cfg.GlobalTimeout)
 	completed := 0
-	for completed < g.nsegs {
+	for {
 		epoch := clk.Epoch()
 		if err := e.abortErr(); err != nil {
 			return fmt.Errorf("adaptive write %d B: %w", len(data), err)
 		}
-		drain(planCh, applyPlan)
+		for more := true; more; {
+			select {
+			case m := <-planCh:
+				applyPlan(m)
+			default:
+				more = false
+			}
+		}
 		// Start every segment whose plan is known and whose receive is
 		// already posted: SendReady keeps this loop non-blocking, so a
 		// stalled head segment can still be pumped below.
-		for started < g.nsegs && planKnown[started] && e.QP.SendReady() {
-			s, err := start(started)
-			if err != nil {
+		for started < g.L && segs[started].g.k > 0 && e.QP.SendReady() {
+			if err := start(); err != nil {
 				return err
 			}
-			segs[started] = s
-			started++
 		}
 		now := clk.Now()
-		// Drain every segment's acks first, so repair below sees one
+		// Pump every segment's acks first, so repair below sees one
 		// consistent ack snapshot. First transmissions are injected
 		// strictly in segment order, so ack evidence from segment j
 		// proves every chunk of segments i < j crossed the network once
@@ -569,86 +444,65 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 		// and turns every standing queue into spurious retransmissions.
 		maxAcked := -1
 		for i := completed; i < started; i++ {
-			s := segs[i]
-			if s.done {
-				maxAcked = i
-				continue
-			}
-			drain(s.acks, applyAck(s))
-			if s.done {
-				s.stream.End()
-				e.CP.unregister(s.opID)
+			s := &segs[i]
+			if !s.done {
+				if _, err := s.pump(); err != nil {
+					return err
+				}
+				if s.done {
+					if err := s.end(); err != nil {
+						return err
+					}
+				}
 			}
 			if s.done || s.acked > 0 {
 				maxAcked = i
 			}
 		}
+		outstanding := 0
 		for i := completed; i < started; i++ {
-			s := segs[i]
-			if s.done || s.mode.Scheme != SchemeSR {
+			s := &segs[i]
+			if s.done {
 				continue
+			}
+			outstanding += len(s.chunks) - s.acked
+			if s.g.m > 0 {
+				continue // coded segments repair on the receiver's NACK
 			}
 			// Evidence frontier: every chunk below the segment's own
 			// highest acked chunk is provably lost — or the whole
 			// segment is, when a later segment has acked anything.
 			limit := len(s.chunks)
 			if i >= maxAcked {
-				limit = -1
-				for c := len(s.chunks) - 1; c >= 0; c-- {
-					if s.chunks[c].acked {
-						limit = c
-						break
-					}
-				}
+				limit = s.highestAcked()
 			}
 			for c := 0; c < limit; c++ {
-				if !s.chunks[c].acked && !s.chunks[c].repaired {
-					s.chunks[c].repaired = true
-					if err := resend(s, c, telemetry.CauseHole); err != nil {
+				if ch := &s.chunks[c]; !ch.acked && !ch.repaired {
+					ch.repaired = true
+					if err := s.resend(0, c, telemetry.CauseHole); err != nil {
 						return err
 					}
 				}
 			}
 			// RTO sweep: the last resort for repairs that were
 			// themselves lost and for tail holes with no later evidence.
-			// The per-chunk deadline backs off exponentially with
-			// deterministic jitter (retryRTO).
-			for c := range s.chunks {
-				if s.chunks[c].acked {
-					continue
-				}
-				if now.Sub(s.chunks[c].lastSent) >= retryRTO(rto, s.chunks[c].retries, s.opID<<16+uint64(c)) {
-					if s.chunks[c].retries < maxBackoffShift {
-						s.chunks[c].retries++
-					}
-					if err := resend(s, c, telemetry.CauseRTO); err != nil {
-						return err
-					}
-				}
+			if err := s.sweepRTO(now, rto); err != nil {
+				return err
 			}
 		}
 		for completed < started && segs[completed].done {
 			completed++
 		}
-		if completed >= g.nsegs {
-			break
+		if completed >= g.L {
+			return nil
 		}
 		if now.After(deadline) {
 			return fmt.Errorf("%w: adaptive write %d B, %d/%d segments done",
-				ErrGlobalTimeout, len(data), completed, g.nsegs)
+				ErrGlobalTimeout, len(data), completed, g.L)
 		}
-		if e.tel.inflight != nil {
-			out := 0
-			for i := completed; i < started; i++ {
-				if s := segs[i]; !s.done {
-					out += len(s.chunks) - s.acked
-				}
-			}
-			e.noteInflight(out)
-		}
+		e.noteInflight(outstanding)
 		clk.WaitNotify(epoch, cfg.PollInterval)
 	}
-	return nil
 }
 
 // rungOf returns mode's index on the ladder (-1 when absent).
@@ -661,68 +515,47 @@ func rungOf(acfg AdaptorConfig, m Mode) int {
 	return -1
 }
 
-// ecCodeFor instantiates cfg's code family with the mode's split.
-func ecCodeFor(cfg Config, m Mode) (ec.Code, error) {
-	c := cfg
-	c.K, c.M = m.K, m.M
-	return c.NewCode()
-}
-
-// encodeSegParity encodes one segment's parity submessage (the segment
-// is exactly one (K, M) submessage; virtual zero chunks pad the tail).
-func encodeSegParity(code ec.Code, m Mode, data []byte, chunkBytes int) ([]byte, error) {
-	g := newECGeometry(len(data), chunkBytes, m.K, m.M)
-	real := g.realChunks(0)
-	dataShards := make([][]byte, g.k)
-	zeroChunk := make([]byte, chunkBytes)
-	var tail []byte
-	for j := 0; j < g.k; j++ {
-		if j >= real {
-			dataShards[j] = zeroChunk
-			continue
-		}
-		lo := j * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(data) {
-			tail = make([]byte, chunkBytes)
-			copy(tail, data[lo:])
-			dataShards[j] = tail
-			continue
-		}
-		dataShards[j] = data[lo:hi]
-	}
-	parityBuf := make([]byte, g.parityBytes())
-	parityShards := make([][]byte, g.m)
-	for j := range parityShards {
-		parityShards[j] = parityBuf[j*chunkBytes : (j+1)*chunkBytes]
-	}
-	if err := code.Encode(dataShards, parityShards); err != nil {
-		return nil, fmt.Errorf("reliability: adaptive parity encode: %w", err)
-	}
-	return parityBuf, nil
-}
-
 // --- receiver --------------------------------------------------------------
 
-// adaptiveSegRecv is one posted segment on the receiver.
+// adaptiveSegRecv is one posted segment on the receiver: the segment
+// mechanism plus the adaptive policy's per-segment timing state.
 type adaptiveSegRecv struct {
-	idx  int
+	recvSeg
 	mode Mode
-	size int
-
-	dataH   *core.RecvHandle
-	parityH *core.RecvHandle // SchemeEC only
-
-	code      ec.Code
-	g         ecGeometry
-	recovered bool
-	decoded   bool
-	missing   int // data chunks absent at recovery time
 
 	sawData  bool
 	seen     uint64 // packets observed at last tick (progress gate)
 	nextNack time.Time
-	sackBuf  []byte
+}
+
+// packets counts the packets accepted so far across the segment's
+// receives.
+func (s *adaptiveSegRecv) packets() uint64 {
+	sub := s.subs[0]
+	n := uint64(sub.dataH.PacketBitmap().Count())
+	if sub.parityH != nil {
+		n += uint64(sub.parityH.PacketBitmap().Count())
+	}
+	return n
+}
+
+// stats condenses what the receiver observed over the completed segment.
+func (s *adaptiveSegRecv) stats() SegStats {
+	sub := s.subs[0]
+	st := SegStats{
+		Seg:         s.idx,
+		Mode:        s.mode,
+		Arrived:     s.packets(),
+		Dups:        sub.dataH.DuplicatePackets(),
+		Marked:      sub.dataH.MarkedPackets(),
+		DataChunks:  sub.dataH.NumChunks(),
+		MissingData: s.missing,
+	}
+	if sub.parityH != nil {
+		st.Dups += sub.parityH.DuplicatePackets()
+		st.Marked += sub.parityH.MarkedPackets()
+	}
+	return st
 }
 
 // ReceiveAdaptive receives one adaptive Write into
@@ -736,51 +569,23 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 	acfg := ad.cfg
 	clk := e.clock()
 	chunkBytes := e.QP.Config().ChunkBytes
-	g := newAdaptiveGeom(acfg, chunkBytes, size)
+	g := segmentation(acfg, chunkBytes, size)
 	perSegScratch := segParityBytes(acfg, chunkBytes)
-	if need := uint64(g.nsegs * perSegScratch); scratch.Span() < need {
+	if need := uint64(g.L * perSegScratch); scratch.Span() < need {
 		return fmt.Errorf("reliability: adaptive scratch %d B, need %d", scratch.Span(), need)
 	}
 
-	codes := e.cachedModeCodes()
-	segs := make([]*adaptiveSegRecv, g.nsegs)
+	segs := scratchSlice(&e.scr.recvSegs, g.L)
+	subs := scratchSlice(&e.scr.subs, g.L)
 	var planID uint64
-	fto := cfg.FTO()
-
-	post := func(i int) (*adaptiveSegRecv, error) {
-		mode := ad.Mode()
-		if i == 0 {
-			mode = acfg.Ladder[0] // the no-rendezvous convention
+	head, posted := 0, 0
+	// fail retires every receive still posted before an error exit, so
+	// the endpoint's next operation finds its slots free.
+	fail := func(err error) error {
+		for i := head; i < posted; i++ {
+			segs[i].abandon()
 		}
-		s := &adaptiveSegRecv{idx: i, mode: mode, size: g.segSize(i)}
-		var err error
-		s.dataH, err = e.QP.RecvPost(mr, offset+uint64(i*g.segBytes), s.size)
-		if err != nil {
-			return nil, fmt.Errorf("reliability: adaptive segment %d recv: %w", i, err)
-		}
-		if mode.Scheme == SchemeEC {
-			s.g = newECGeometry(s.size, chunkBytes, mode.K, mode.M)
-			code, ok := codes[mode]
-			if !ok {
-				if code, err = ecCodeFor(cfg, mode); err != nil {
-					return nil, err
-				}
-				codes[mode] = code
-			}
-			s.code = code
-			s.parityH, err = e.QP.RecvPost(scratch, uint64(i*perSegScratch), s.g.parityBytes())
-			if err != nil {
-				return nil, fmt.Errorf("reliability: adaptive segment %d parity recv: %w", i, err)
-			}
-			// The first fallback deadline must cover the posting-ahead
-			// pipeline lag — this segment is posted up to Window segments
-			// before the sender's stream reaches it — not just the
-			// injection estimate, or it NACKs data that is still queued
-			// behind its predecessors. Once packets arrive, the progress
-			// gate in tick re-arms the timer from observed deliveries.
-			s.nextNack = clk.Now().Add(fto + cfg.RTO())
-		}
-		return s, nil
+		return err
 	}
 
 	sendPlan := func(s *adaptiveSegRecv) {
@@ -791,162 +596,52 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 		e.CP.send(m)
 	}
 
-	posted := 0
-	postAhead := func(head int) error {
-		for posted < g.nsegs && posted < head+acfg.Window {
-			s, err := post(posted)
-			if err != nil {
-				return err
+	// postAhead keeps up to Window segments posted beyond the head, each
+	// under the adaptor's current rung, announcing the choice to the
+	// sender. Segment 0 runs Ladder[0] unannounced (the no-rendezvous
+	// convention) and its receive's sequence number anchors the plan
+	// stream's opID, which every later plan needs.
+	postAhead := func() error {
+		for ; posted < g.L && posted < head+acfg.Window; posted++ {
+			i := posted
+			mode := ad.Mode()
+			if i == 0 {
+				mode = acfg.Ladder[0]
 			}
-			segs[posted] = s
-			if posted > 0 {
+			s := &segs[i]
+			*s = adaptiveSegRecv{mode: mode, recvSeg: recvSeg{
+				e: e, idx: i, g: segGeometry(mode, g.subBytes(i, size), chunkBytes),
+				mr: mr, base: offset + uint64(g.subOffset(i)), size: g.subBytes(i, size),
+				scratch: scratch, pbase: uint64(i * perSegScratch),
+				subs: subs[i : i+1],
+			}}
+			if err := s.post(); err != nil {
+				return fmt.Errorf("reliability: adaptive segment %d: %w", i, err)
+			}
+			// The first fallback deadline must cover the posting-ahead
+			// pipeline lag — this segment is posted up to Window segments
+			// before the sender's stream reaches it — not just the
+			// injection estimate, or it NACKs data that is still queued
+			// behind its predecessors. Once packets arrive, the progress
+			// gate in tick re-arms the timer from observed deliveries.
+			s.nextNack = clk.Now().Add(cfg.FTO() + cfg.RTO())
+			if i == 0 {
+				planID = planBit | s.opID()
+			} else {
 				sendPlan(s)
 			}
-			e.probe(telemetry.EvSegPlan, int64(s.idx), int64(rungOf(acfg, s.mode)), 0, 0)
-			posted++
+			e.probe(telemetry.EvSegPlan, int64(i), int64(rungOf(acfg, mode)), 0, 0)
 		}
 		return nil
 	}
-	// Segment 0 goes first alone: its receive's sequence number anchors
-	// the plan stream's opID, which every later plan needs.
-	seg0, err := post(0)
-	if err != nil {
-		return err
-	}
-	segs[0] = seg0
-	posted = 1
-	planID = planBit | seg0.dataH.Seq()
-	e.probe(telemetry.EvSegPlan, 0, int64(rungOf(acfg, seg0.mode)), 0, 0)
-	if err := postAhead(0); err != nil {
-		return err
+	if err := postAhead(); err != nil {
+		return fail(err)
 	}
 
-	scratchBuf := scratch.Bytes()
-	buf := mr.Bytes()
-	zeroChunk := make([]byte, chunkBytes)
-	tailScratch := make([]byte, chunkBytes)
-	var present, presentCopy []bool
-	var shards [][]byte
-	var missBuf []int
-
-	// tryRecover reports whether segment s is fully delivered (SR) or
-	// recoverable/recovered (EC), decoding in place on first success.
-	tryRecover := func(s *adaptiveSegRecv) bool {
-		if s.recovered {
-			return true
-		}
-		if s.mode.Scheme == SchemeSR {
-			if s.dataH.Done() {
-				s.recovered = true
-			}
-			return s.recovered
-		}
-		eg := s.g
-		real := eg.realChunks(0)
-		dataBM := s.dataH.Bitmap()
-		arrived := 0
-		for j := 0; j < real; j++ {
-			if dataBM.Test(j) {
-				arrived++
-			}
-		}
-		if arrived == real {
-			s.recovered = true
-			s.missing = 0
-			return true
-		}
-		if n := eg.k + eg.m; len(present) < n {
-			present = make([]bool, n)
-			presentCopy = make([]bool, n)
-			shards = make([][]byte, n)
-		}
-		for j := 0; j < real; j++ {
-			present[j] = dataBM.Test(j)
-		}
-		for j := real; j < eg.k; j++ {
-			present[j] = true
-		}
-		parityBM := s.parityH.Bitmap()
-		for j := 0; j < eg.m; j++ {
-			present[eg.k+j] = parityBM.Test(j)
-		}
-		if !s.code.CanRecover(present[:eg.k+eg.m]) {
-			return false
-		}
-		subBase := int(offset) + s.idx*g.segBytes
-		var tailShard []byte
-		tailChunk := -1
-		for j := 0; j < eg.k; j++ {
-			if j >= real {
-				shards[j] = zeroChunk
-				continue
-			}
-			lo := j * chunkBytes
-			hi := lo + chunkBytes
-			if hi > s.size {
-				tailShard = tailScratch
-				n := copy(tailShard, buf[subBase+lo:subBase+s.size])
-				for b := n; b < chunkBytes; b++ {
-					tailShard[b] = 0
-				}
-				shards[j] = tailShard
-				tailChunk = j
-				continue
-			}
-			shards[j] = buf[subBase+lo : subBase+hi]
-		}
-		for j := 0; j < eg.m; j++ {
-			lo := s.idx*perSegScratch + j*chunkBytes
-			shards[eg.k+j] = scratchBuf[lo : lo+chunkBytes]
-		}
-		copy(presentCopy[:eg.k+eg.m], present[:eg.k+eg.m])
-		if err := s.code.Reconstruct(shards[:eg.k+eg.m], presentCopy[:eg.k+eg.m]); err != nil {
-			return false
-		}
-		if tailShard != nil && !present[tailChunk] {
-			lo := tailChunk * chunkBytes
-			copy(buf[subBase+lo:subBase+s.size], tailShard[:s.size-lo])
-		}
-		s.recovered = true
-		s.decoded = true
-		s.missing = real - arrived
-		return true
-	}
-
-	// finalize sends the segment's final control message and hands its
-	// slots to the background retire, then feeds the adaptor.
+	// finalize completes the head segment and feeds the adaptor.
 	finalize := func(s *adaptiveSegRecv) {
-		var final ctrlMsg
-		handles := []*core.RecvHandle{s.dataH}
-		if s.mode.Scheme == SchemeSR {
-			bm := s.dataH.Bitmap()
-			final = ctrlMsg{
-				typ:    msgSRAck,
-				opID:   s.dataH.Seq(),
-				cumAck: uint32(bm.CumulativeCount()),
-				sack:   bm.Snapshot(nil),
-			}
-		} else {
-			final = ctrlMsg{typ: msgECAck, opID: s.dataH.Seq()}
-			handles = append(handles, s.parityH)
-		}
-		e.CP.send(final)
-		e.retire(final, handles...)
-		stats := SegStats{
-			Seg:         s.idx,
-			Mode:        s.mode,
-			Arrived:     uint64(s.dataH.PacketBitmap().Count()),
-			Dups:        s.dataH.DuplicatePackets(),
-			Marked:      s.dataH.MarkedPackets(),
-			DataChunks:  s.dataH.NumChunks(),
-			MissingData: s.missing,
-			Decoded:     s.decoded,
-		}
-		if s.parityH != nil {
-			stats.Arrived += uint64(s.parityH.PacketBitmap().Count())
-			stats.Dups += s.parityH.DuplicatePackets()
-			stats.Marked += s.parityH.MarkedPackets()
-		}
+		s.finish()
+		stats := s.stats()
 		before := ad.Rung()
 		ad.Observe(stats)
 		e.noteGoodput(int64(s.size))
@@ -964,109 +659,73 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 	// fallback NACKs, and plan re-sends while the sender may not have
 	// heard the plan yet.
 	tick := func(s *adaptiveSegRecv, now time.Time) {
-		if !s.sawData && s.dataH.PacketBitmap().Count() > 0 {
+		if !s.sawData && s.subs[0].dataH.PacketBitmap().Count() > 0 {
 			s.sawData = true
 		}
 		if s.idx > 0 && !s.sawData {
 			sendPlan(s) // plan may have been lost; data cannot flow without it
 		}
-		switch s.mode.Scheme {
-		case SchemeSR:
-			bm := s.dataH.Bitmap()
-			s.sackBuf = bm.Snapshot(s.sackBuf)
-			e.CP.send(ctrlMsg{
-				typ:    msgSRAck,
-				opID:   s.dataH.Seq(),
-				cumAck: uint32(bm.CumulativeCount()),
-				sack:   s.sackBuf,
-			})
-		case SchemeEC:
-			// Recoverable segments need no repair traffic: parity already
-			// covers the losses, and the decode happens when the head
-			// reaches them. Without this check a parity-covered segment
-			// parked behind a stalled head NACKs its missing data chunks
-			// every round, and every resend is a pure duplicate.
-			if tryRecover(s) {
-				return
-			}
-			if n := uint64(s.dataH.PacketBitmap().Count()) + uint64(s.parityH.PacketBitmap().Count()); n > s.seen {
-				// The stream is still making progress; a gap now is
-				// indistinguishable from in-flight data, so re-arm the
-				// fallback from the latest delivery instead of NACKing
-				// into the pipe. Half an RTT of silence on a segment the
-				// sender has already reached means loss, not reordering:
-				// the stream is strictly windowed, so nothing legitimate
-				// arrives that far behind the frontier.
-				s.seen = n
-				s.nextNack = now.Add(cfg.RTT / 2)
-				return
-			}
-			if now.After(s.nextNack) {
-				bm := s.dataH.Bitmap()
-				missBuf = bm.Missing(missBuf[:0], 0, bm.Len())
-				if len(missBuf) > 0 {
-					missing := make([]uint32, len(missBuf))
-					for j, c := range missBuf {
-						missing[j] = uint32(c)
-					}
-					e.NacksSent.Add(1)
-					e.probe(telemetry.EvNack, int64(len(missBuf)), int64(s.idx), 0, 0)
-					e.CP.send(ctrlMsg{
-						typ:         msgECNack,
-						opID:        s.dataH.Seq(),
-						nackSubmsgs: []ecNackEntry{{submsg: 0, missing: missing}},
-					})
-				}
-				s.nextNack = now.Add(cfg.RTT)
-			}
+		if s.mode.Scheme == SchemeSR {
+			e.CP.send(s.ackMsg(false))
+			return
+		}
+		// Recoverable segments need no repair traffic: parity already
+		// covers the losses, and the decode happens when the head
+		// reaches them. Without this check a parity-covered segment
+		// parked behind a stalled head NACKs its missing data chunks
+		// every round, and every resend is a pure duplicate.
+		if s.recoverAll() {
+			return
+		}
+		if n := s.packets(); n > s.seen {
+			// The stream is still making progress; a gap now is
+			// indistinguishable from in-flight data, so re-arm the
+			// fallback from the latest delivery instead of NACKing
+			// into the pipe. Half an RTT of silence on a segment the
+			// sender has already reached means loss, not reordering:
+			// the stream is strictly windowed, so nothing legitimate
+			// arrives that far behind the frontier.
+			s.seen = n
+			s.nextNack = now.Add(cfg.RTT / 2)
+			return
+		}
+		if now.After(s.nextNack) {
+			s.nack()
+			s.nextNack = now.Add(cfg.RTT)
 		}
 	}
 
-	head := 0
 	start := clk.Now()
 	deadline := start.Add(cfg.GlobalTimeout)
 	nextAck := start.Add(cfg.AckInterval)
-	for head < g.nsegs {
+	for {
 		epoch := clk.Epoch()
 		// Advance the completion head in order: observation order is
 		// what keeps the adaptation trajectory deterministic.
-		for head < g.nsegs && segs[head] != nil && tryRecover(segs[head]) {
-			finalize(segs[head])
+		for head < posted && segs[head].recoverAll() {
+			finalize(&segs[head])
 			head++
-			if err := postAhead(head); err != nil {
-				return err
+			if err := postAhead(); err != nil {
+				return fail(err)
 			}
 		}
-		if head >= g.nsegs {
-			break
+		if head >= g.L {
+			return nil
 		}
 		if err := e.abortErr(); err != nil {
-			for i := head; i < posted; i++ {
-				segs[i].dataH.Complete()
-				if segs[i].parityH != nil {
-					segs[i].parityH.Complete()
-				}
-			}
-			return fmt.Errorf("adaptive receive %d B: %w", size, err)
+			return fail(fmt.Errorf("adaptive receive %d B: %w", size, err))
 		}
 		now := clk.Now()
 		if now.After(deadline) {
-			for i := head; i < posted; i++ {
-				segs[i].dataH.Complete()
-				if segs[i].parityH != nil {
-					segs[i].parityH.Complete()
-				}
-			}
-			return fmt.Errorf("%w: adaptive receive %d B, %d/%d segments",
-				ErrGlobalTimeout, size, head, g.nsegs)
+			return fail(fmt.Errorf("%w: adaptive receive %d B, %d/%d segments",
+				ErrGlobalTimeout, size, head, g.L))
 		}
 		if !now.Before(nextAck) {
 			for i := head; i < posted; i++ {
-				tick(segs[i], now)
+				tick(&segs[i], now)
 			}
 			nextAck = now.Add(cfg.AckInterval)
 		}
 		clk.WaitNotify(epoch, nextAck.Sub(now))
 	}
-	return nil
 }

@@ -47,18 +47,6 @@ type Config struct {
 	// GlobalTimeout aborts an operation outright (§4.1.2's deadlock
 	// guard).
 	GlobalTimeout time.Duration
-	// NoLateReAck disables the receiver's late-data re-ACK of recently
-	// retired slots (reack.go). With it set, a loss burst on the
-	// control path that outlives the final-ACK linger strands the
-	// sender until GlobalTimeout — the PR-4 pathology the re-ACK
-	// exists to fix; the flag is for regression tests and A/B
-	// measurements of that behaviour.
-	NoLateReAck bool
-	// SyncRetire restores the pre-elastic-fabric behaviour of blocking
-	// a completed receive through the whole final-ACK linger window
-	// instead of retiring in the background (retire.go). Kept for A/B
-	// regression measurements of the async retire path.
-	SyncRetire bool
 
 	// K and M are the erasure-code split (data and parity chunks per
 	// submessage; paper's balanced choice is 32, 8).

@@ -3,9 +3,7 @@ package reliability
 import (
 	"fmt"
 
-	"sdrrdma/internal/core"
 	"sdrrdma/internal/nicsim"
-	"sdrrdma/internal/telemetry"
 )
 
 // ecGeometry captures how a message decomposes into erasure-coded
@@ -31,25 +29,17 @@ func newECGeometry(size, chunkBytes, k, m int) ecGeometry {
 
 // realChunks returns how many real data chunks submessage i holds.
 func (g ecGeometry) realChunks(i int) int {
-	r := g.nchunks - i*g.k
-	if r > g.k {
-		r = g.k
-	}
-	if r < 0 {
-		r = 0
-	}
-	return r
+	return max(0, min(g.k, g.nchunks-i*g.k))
 }
+
+// subOffset returns the byte offset of data submessage i within the
+// message.
+func (g ecGeometry) subOffset(i int) int { return i * g.k * g.chunkBytes }
 
 // subBytes returns the real byte size of data submessage i within a
 // message of size total bytes.
 func (g ecGeometry) subBytes(i, total int) int {
-	lo := i * g.k * g.chunkBytes
-	hi := lo + g.k*g.chunkBytes
-	if hi > total {
-		hi = total
-	}
-	return hi - lo
+	return min(g.subOffset(i+1), total) - g.subOffset(i)
 }
 
 // parityBytes is the wire size of each parity submessage.
@@ -66,148 +56,39 @@ func (c Config) ECScratchBytes(chunkBytes, msgBytes int) int {
 }
 
 // WriteEC reliably writes data using the erasure-coding scheme of
-// §4.1.2: each data submessage goes out as a streaming SDR send (kept
-// open for fallback retransmission), its parity as a one-shot send.
-// The sender finishes on the receiver's positive ACK; an EC NACK
-// triggers Selective-Repeat-style retransmission of the listed missing
-// chunks through the open streams.
+// §4.1.2: one coded segment of L submessages — each data submessage a
+// streaming SDR send (kept open for fallback retransmission), its
+// parity a one-shot send. The sender finishes on the receiver's
+// positive ACK; an EC NACK triggers Selective-Repeat-style
+// retransmission of the listed missing chunks through the open streams.
 func (e *Endpoint) WriteEC(data []byte) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
 	cfg := e.Cfg
-	code, err := e.cachedCode(cfg.Code, cfg.K, cfg.M)
-	if err != nil {
+	clk := e.clock()
+	g := newECGeometry(len(data), e.QP.Config().ChunkBytes, cfg.K, cfg.M)
+	e.scr.reserveParity(g.L * g.parityBytes())
+	seg := sendSeg{
+		e: e, data: data, g: g,
+		streams: scratchSlice(&e.scr.streams, g.L),
+		chunks:  scratchSlice(&e.scr.srChunks, g.nchunks),
+	}
+	defer seg.end()
+	if err := seg.start(); err != nil {
 		return err
 	}
-	chunkBytes := e.QP.Config().ChunkBytes
-	g := newECGeometry(len(data), chunkBytes, cfg.K, cfg.M)
 
-	streams := scratchSlice(&e.scr.streams, g.L)
-	parity := scratchSlice(&e.scr.parity, g.L)
-
-	// Encode all parity up front (§4.1.2 notes encoding can overlap
-	// injection on spare cores; the simulator encodes inline — Fig 11
-	// measures the cost separately). Parity lives in one endpoint-pooled
-	// slab: the wire aliases it until the message is acknowledged, which
-	// this operation awaits, so the next message may reuse it.
-	dataShards := scratchSlice(&e.scr.dataShards, g.k)
-	scratchTail := scratchBytesN(&e.scr.tailScratch, chunkBytes)
-	paritySlab := scratchBytesN(&e.scr.paritySlab, g.L*g.parityBytes())
-	parityShards := scratchSlice(&e.scr.parityShards, g.m)
-	// Virtual zero chunks are read-only during Encode, so every
-	// submessage can share one buffer instead of allocating per slot.
-	zeroChunk := e.scr.scratchZero(chunkBytes)
-	for i := 0; i < g.L; i++ {
-		real := g.realChunks(i)
-		for j := 0; j < g.k; j++ {
-			if j >= real {
-				dataShards[j] = zeroChunk // virtual zero chunk
-				continue
-			}
-			lo := (i*g.k + j) * chunkBytes
-			hi := lo + chunkBytes
-			if hi > len(data) {
-				// partial tail chunk: zero-pad into scratch
-				for b := range scratchTail {
-					scratchTail[b] = 0
-				}
-				copy(scratchTail, data[lo:])
-				dataShards[j] = scratchTail
-				continue
-			}
-			dataShards[j] = data[lo:hi]
-		}
-		parityBuf := paritySlab[i*g.parityBytes() : (i+1)*g.parityBytes()]
-		for j := range parityShards {
-			parityShards[j] = parityBuf[j*chunkBytes : (j+1)*chunkBytes]
-		}
-		if err := code.Encode(dataShards, parityShards); err != nil {
-			return fmt.Errorf("reliability: EC encode submessage %d: %w", i, err)
-		}
-		parity[i] = parityBuf
-	}
-
-	// Interleaved injection: data_i (streaming) then parity_i
-	// (one-shot), matching the receiver's posting order. Every stream
-	// start is bounded by GlobalTimeout: a crashed receiver surfaces as
-	// ErrPeerDead instead of stalling the sender forever.
-	var opID uint64
-	for i := 0; i < g.L; i++ {
-		sb := g.subBytes(i, len(data))
-		st, err := e.QP.SendStreamStartTimeout(sb, 0, cfg.GlobalTimeout)
-		if err != nil {
-			return startErr(fmt.Sprintf("EC data stream %d", i), err)
-		}
-		if i == 0 {
-			opID = st.Seq()
-		}
-		streams[i] = st
-		lo := i * g.k * chunkBytes
-		if err := st.Continue(0, data[lo:lo+sb]); err != nil {
-			return err
-		}
-		if _, err := e.QP.SendPostTimeout(parity[i], 0, cfg.GlobalTimeout); err != nil {
-			return startErr(fmt.Sprintf("EC parity send %d", i), err)
-		}
-	}
-
-	acks := e.CP.register(opID)
-	defer e.CP.unregister(opID)
-
-	clk := e.clock()
 	deadline := clk.Now().Add(cfg.GlobalTimeout)
-	var done bool
-	var nackErr error
-	apply := func(m ctrlMsg) {
-		switch m.typ {
-		case msgECAck:
-			done = true
-		case msgECNack:
-			if done || nackErr != nil {
-				return
-			}
-			// Fallback: selective repeat of the reported missing
-			// chunks through the still-open streams (§4.1.2).
-			for _, entry := range m.nackSubmsgs {
-				i := int(entry.submsg)
-				if i >= g.L {
-					continue
-				}
-				sb := g.subBytes(i, len(data))
-				base := i * g.k * chunkBytes
-				for _, cIdx := range entry.missing {
-					lo := int(cIdx) * chunkBytes
-					hi := lo + chunkBytes
-					if hi > sb {
-						hi = sb
-					}
-					if lo >= sb {
-						continue
-					}
-					e.Retransmits.Add(1)
-					e.probe(telemetry.EvRetransmit, int64(cIdx), telemetry.CauseNack, int64(i), 0)
-					if err := streams[i].Continue(lo, data[base+lo:base+hi]); err != nil {
-						nackErr = err
-						return
-					}
-				}
-			}
-		}
-	}
 	for {
 		epoch := clk.Epoch()
 		if err := e.abortErr(); err != nil {
 			return fmt.Errorf("EC write %d B: %w", len(data), err)
 		}
-		drain(acks, apply)
-		if nackErr != nil {
-			return nackErr
+		if _, err := seg.pump(); err != nil {
+			return err
 		}
-		if done {
-			for _, st := range streams {
-				st.End()
-			}
-			return nil
+		if seg.done {
+			return seg.end()
 		}
 		if clk.Now().After(deadline) {
 			return fmt.Errorf("%w: EC write %d B", ErrGlobalTimeout, len(data))
@@ -216,223 +97,53 @@ func (e *Endpoint) WriteEC(data []byte) error {
 	}
 }
 
-// ecRecvState tracks one submessage on the receiver.
-type ecRecvState struct {
-	dataH     *core.RecvHandle
-	parityH   *core.RecvHandle
-	recovered bool
-}
-
 // ReceiveEC receives one erasure-coded Write into
 // mr[offset:offset+size], using scratch for parity submessages
 // (scratch must hold L·m·chunk bytes). The receiver polls the
 // bitmaps, decodes submessages in place as soon as they are
 // recoverable, and on fallback-timeout expiry NACKs the missing
-// chunks of unrecoverable submessages (§4.1.2).
+// chunks of unrecoverable submessages (§4.1.2), then again every RTO.
 func (e *Endpoint) ReceiveEC(mr *nicsim.MR, offset uint64, size int, scratch *nicsim.MR) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
 	cfg := e.Cfg
-	code, err := e.cachedCode(cfg.Code, cfg.K, cfg.M)
-	if err != nil {
-		return err
-	}
-	chunkBytes := e.QP.Config().ChunkBytes
-	g := newECGeometry(size, chunkBytes, cfg.K, cfg.M)
+	clk := e.clock()
+	g := newECGeometry(size, e.QP.Config().ChunkBytes, cfg.K, cfg.M)
 	if need := uint64(g.L * g.parityBytes()); scratch.Span() < need {
 		return fmt.Errorf("reliability: parity scratch %d B, need %d", scratch.Span(), need)
 	}
-
-	subs := scratchSlice(&e.scr.subs, g.L)
-	for i := 0; i < g.L; i++ {
-		dataH, err := e.QP.RecvPost(mr, offset+uint64(i*g.k*chunkBytes), g.subBytes(i, size))
-		if err != nil {
-			return fmt.Errorf("reliability: EC data recv %d: %w", i, err)
-		}
-		parityH, err := e.QP.RecvPost(scratch, uint64(i*g.parityBytes()), g.parityBytes())
-		if err != nil {
-			return fmt.Errorf("reliability: EC parity recv %d: %w", i, err)
-		}
-		subs[i] = ecRecvState{dataH: dataH, parityH: parityH}
+	seg := recvSeg{
+		e: e, idx: -1, g: g,
+		mr: mr, base: offset, size: size, scratch: scratch,
+		subs: scratchSlice(&e.scr.subs, g.L),
 	}
-	opID := subs[0].dataH.Seq()
-
-	buf := mr.Bytes()
-	scratchBuf := scratch.Bytes()
-	present := scratchSlice(&e.scr.present, g.k+g.m)
-	presentCopy := scratchSlice(&e.scr.presentCopy, g.k+g.m)
-	shards := scratchSlice(&e.scr.shards, g.k+g.m)
-	// Scratch buffers shared across poll ticks and submessages: virtual
-	// zero chunks are read-only during Reconstruct (always marked
-	// present), and at most one partial tail chunk exists per message.
-	zeroChunk := e.scr.scratchZero(chunkBytes)
-	tailScratch := scratchBytesN(&e.scr.tailScratch, chunkBytes)
-
-	// tryRecover decodes submessage i in place if possible.
-	tryRecover := func(i int) bool {
-		s := &subs[i]
-		if s.recovered {
-			return true
-		}
-		real := g.realChunks(i)
-		dataBM := s.dataH.Bitmap()
-		allData := true
-		for j := 0; j < real; j++ {
-			present[j] = dataBM.Test(j)
-			if !present[j] {
-				allData = false
-			}
-		}
-		if allData {
-			s.recovered = true
-			return true
-		}
-		for j := real; j < g.k; j++ {
-			present[j] = true // virtual zero chunks never travel
-		}
-		parityBM := s.parityH.Bitmap()
-		for j := 0; j < g.m; j++ {
-			present[g.k+j] = parityBM.Test(j)
-		}
-		if !code.CanRecover(present) {
-			return false
-		}
-		// Build shards over the real buffers; padded temporaries for
-		// the partial tail chunk and virtual chunks.
-		subBase := int(offset) + i*g.k*chunkBytes
-		sb := g.subBytes(i, size)
-		var tailShard []byte
-		tailChunk := -1
-		for j := 0; j < g.k; j++ {
-			if j >= real {
-				shards[j] = zeroChunk
-				continue
-			}
-			lo := j * chunkBytes
-			hi := lo + chunkBytes
-			if hi > sb {
-				tailShard = tailScratch
-				n := copy(tailShard, buf[subBase+lo:subBase+sb])
-				for b := n; b < chunkBytes; b++ {
-					tailShard[b] = 0 // zero-pad: buffer is reused
-				}
-				shards[j] = tailShard
-				tailChunk = j
-				continue
-			}
-			shards[j] = buf[subBase+lo : subBase+hi]
-		}
-		for j := 0; j < g.m; j++ {
-			lo := i*g.parityBytes() + j*chunkBytes
-			shards[g.k+j] = scratchBuf[lo : lo+chunkBytes]
-		}
-		copy(presentCopy, present)
-		if err := code.Reconstruct(shards, presentCopy); err != nil {
-			return false
-		}
-		if tailShard != nil && !present[tailChunk] {
-			// write back only the real bytes of the recovered tail
-			lo := tailChunk * chunkBytes
-			copy(buf[subBase+lo:subBase+sb], tailShard[:sb-lo])
-		}
-		s.recovered = true
-		return true
-	}
-
-	var missBuf []int // reused across NACK rounds
-	sendNack := func() {
-		var entries []ecNackEntry
-		for i := range subs {
-			if subs[i].recovered {
-				continue
-			}
-			bm := subs[i].dataH.Bitmap()
-			missBuf = bm.Missing(missBuf[:0], 0, bm.Len())
-			missing := make([]uint32, len(missBuf))
-			for j, c := range missBuf {
-				missing[j] = uint32(c)
-			}
-			entries = append(entries, ecNackEntry{submsg: uint32(i), missing: missing})
-		}
-		if len(entries) > 0 {
-			miss := 0
-			for _, en := range entries {
-				miss += len(en.missing)
-			}
-			e.NacksSent.Add(1)
-			e.probe(telemetry.EvNack, int64(miss), -1, 0, 0)
-			e.CP.send(ctrlMsg{typ: msgECNack, opID: opID, nackSubmsgs: entries})
-		}
-	}
-
-	clk := e.clock()
-	complete := func() error {
-		// Positive ACK at the completion instant; the linger against
-		// control loss runs in the background (retire.go). Late fallback
-		// retransmissions into any retired slot of this message re-pull
-		// the positive ACK (see reack.go): the whole operation — every
-		// data and parity slot — is one table entry, so even an L≫1
-		// message cannot evict its own slots.
-		final := ctrlMsg{typ: msgECAck, opID: opID}
-		e.CP.send(final)
-		handles := make([]*core.RecvHandle, 0, 2*len(subs))
-		for i := range subs {
-			handles = append(handles, subs[i].dataH, subs[i].parityH)
-		}
-		if cfg.SyncRetire {
-			lingerEnd := clk.Now().Add(cfg.Linger)
-			for {
-				clk.Sleep(cfg.AckInterval)
-				if !clk.Now().Before(lingerEnd) {
-					break
-				}
-				e.CP.send(final)
-			}
-			e.rememberRetired(final, handles...)
-			for _, h := range handles {
-				h.Complete()
-			}
-			return nil
-		}
-		e.retire(final, handles...)
-		return nil
+	if err := seg.post(); err != nil {
+		return fmt.Errorf("reliability: EC receive: %w", err)
 	}
 
 	start := clk.Now()
-	fto := cfg.FTO()
-	nextNack := start.Add(fto) // FTO armed at posting (§4.1.2)
+	nextNack := start.Add(cfg.FTO()) // FTO armed at posting (§4.1.2)
 	deadline := start.Add(cfg.GlobalTimeout)
 	for {
 		// Snapshot BEFORE probing recoverability: submessage
 		// completions notify the clock, so the wait below wakes at the
 		// exact delivery that makes recovery possible.
 		epoch := clk.Epoch()
-		allOK := true
-		for i := range subs {
-			if !tryRecover(i) {
-				allOK = false
-			}
-		}
-		if allOK {
-			return complete()
+		if seg.recoverAll() {
+			seg.finish()
+			return nil
 		}
 		if err := e.abortErr(); err != nil {
-			for i := range subs {
-				subs[i].dataH.Complete()
-				subs[i].parityH.Complete()
-			}
+			seg.abandon()
 			return fmt.Errorf("EC receive %d B: %w", size, err)
 		}
 		now := clk.Now()
 		if now.After(deadline) {
-			for i := range subs {
-				subs[i].dataH.Complete()
-				subs[i].parityH.Complete()
-			}
+			seg.abandon()
 			return fmt.Errorf("%w: EC receive %d B", ErrGlobalTimeout, size)
 		}
 		if now.After(nextNack) {
-			sendNack()
+			seg.nack()
 			nextNack = now.Add(cfg.RTO())
 		}
 		clk.WaitNotify(epoch, cfg.PollInterval)

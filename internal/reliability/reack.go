@@ -51,9 +51,6 @@ type reackTable struct {
 // rememberRetired records one operation's final control message for
 // the given handles, just before their slots retire.
 func (e *Endpoint) rememberRetired(msg ctrlMsg, hs ...*core.RecvHandle) {
-	if e.Cfg.NoLateReAck {
-		return
-	}
 	t := &e.reack
 	t.mu.Lock()
 	op := &t.ops[t.next]

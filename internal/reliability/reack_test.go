@@ -17,8 +17,9 @@ import (
 // receiver's linger window (the interceptor drops the first
 // `burst` completion ACKs), the receiver retires the slot, and the
 // sender keeps RTO-retransmitting into it. With the late re-ACK the
-// sender completes once the burst clears; without it (NoLateReAck) it
-// is stranded until GlobalTimeout — the regression this test pins.
+// sender completes once the burst clears; without it (the test unhooks
+// the receiver QP's late sink) it is stranded until GlobalTimeout — the
+// regression this test pins.
 func runSwallowedLinger(t *testing.T, noReAck bool, burst int) (sendErr error) {
 	t.Helper()
 	clk := clock.NewVirtual()
@@ -35,7 +36,6 @@ func runSwallowedLinger(t *testing.T, noReAck bool, burst int) (sendErr error) {
 		Linger:        2 * time.Millisecond, // ~4 final ACKs, all eaten by the burst
 		GlobalTimeout: 120 * time.Millisecond,
 		K:             4, M: 2, Code: "mds",
-		NoLateReAck: noReAck,
 	}
 	fabCfg := fabric.Config{Latency: time.Millisecond, Clock: clk}
 	s, err := NewSession(coreCfg, relCfg, fabCfg, fabCfg, time.Millisecond)
@@ -43,6 +43,9 @@ func runSwallowedLinger(t *testing.T, noReAck bool, burst int) (sendErr error) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if noReAck {
+		s.Pair.B.QP.SetLateSink(nil)
+	}
 
 	const size = 16 * 4096 // 16 chunks
 	nchunks := size / coreCfg.ChunkBytes

@@ -7,21 +7,20 @@ import (
 	"sdrrdma/internal/core"
 )
 
-// Async receive retire: a completed receive used to block its caller
-// through the whole final-ACK linger window (re-sending the final ACK
-// so a lost one cannot strand the sender) before retiring its slots.
-// On the collective critical path that serialized ~one linger per
-// stage — the receiver could not post the next stage's buffer, so its
-// CTS (and with it the sender) waited out the linger too.
+// Receive retire: the final-ACK linger of a completed segment. A
+// receive that blocked its caller through the whole linger window
+// (re-sending the final ACK so a lost one cannot strand the sender)
+// would serialize ~one linger per stage on the collective critical
+// path — the receiver could not post the next stage's buffer, so its
+// CTS (and with it the sender) would wait out the linger too.
 //
-// The linger now runs in the background: ReceiveSR/ReceiveEC send the
-// final control message once and return at the completion instant; a
-// clock timer keeps re-sending it every AckInterval until the linger
-// window elapses, then arms the late re-ACK table and retires the
-// slots. Session.Close joins the pending retires (flushRetires), so
-// teardown or a pooled release never leaves armed timers or live slots
-// behind. Config.SyncRetire restores the old blocking behaviour for
-// A/B regression measurements.
+// So the linger runs in the background, and this is its only
+// implementation: recvSeg.finish sends the final control message once
+// and returns at the completion instant; a clock timer keeps re-sending
+// it every AckInterval until the linger window elapses, then arms the
+// late re-ACK table and retires the slots. Session.Close joins the
+// pending retires (flushRetires), so teardown or a pooled release never
+// leaves armed timers or live slots behind.
 
 // pendingRetire is one receive whose linger is still running.
 type pendingRetire struct {

@@ -1,0 +1,490 @@
+package reliability
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"sdrrdma/internal/core"
+	"sdrrdma/internal/ec"
+	"sdrrdma/internal/nicsim"
+	"sdrrdma/internal/telemetry"
+)
+
+// The segment mechanism: the one implementation of every protocol step
+// the reliability schemes share. A segment is a contiguous byte range
+// of a message carried as g.L data submessages — each on its own SDR
+// stream, kept open so chunks can be re-injected — and, when g.m > 0,
+// one parity submessage per data submessage. The plain (Selective
+// Repeat) segment is the degenerate geometry L = 1, m = 0.
+//
+// The three schemes are policies over it (§4.1: reliability is software
+// written against the partial-completion bitmap): static SR is one
+// plain segment spanning the message, static EC one coded segment of L
+// submessages, adaptive a window of single-submessage segments plus the
+// plan stream. What stays in their loops is what differs between them:
+// when a hole is repaired, when a NACK goes out, the ACK cadence and
+// the windowing.
+
+// plainGeometry is the geometry of a segment without parity: one
+// submessage holding every chunk.
+func plainGeometry(size, chunkBytes int) ecGeometry {
+	nchunks := (size + chunkBytes - 1) / chunkBytes
+	return newECGeometry(size, chunkBytes, max(nchunks, 1), 0)
+}
+
+// chunkState tracks one chunk on the sender.
+type chunkState struct {
+	acked bool
+	// repaired marks a chunk already resent once on ack-hole evidence
+	// (adaptive sender); further repairs fall back to the RTO sweep.
+	repaired bool
+	// retries counts RTO retransmissions taken, driving the capped
+	// exponential backoff (retryRTO).
+	retries  uint8
+	lastSent time.Time
+}
+
+// sendSeg is the sender half of a segment. The caller fills e, data, g,
+// sub0, streams (g.L entries) and chunks (g.nchunks entries), then
+// calls start.
+type sendSeg struct {
+	e    *Endpoint
+	data []byte
+	g    ecGeometry
+	code ec.Code // the (g.k, g.m) code; nil on a plain segment
+	// sub0 is the message-wide index of the segment's first submessage,
+	// the coordinate telemetry and error text report.
+	sub0    int
+	streams []*core.SendStream
+	chunks  []chunkState
+	parity  []byte // g.L parity submessages, aliased by the wire
+
+	// opID is the first data stream's sequence number: the control
+	// stream both sides key this segment's ACK/NACK traffic by.
+	opID  uint64
+	acks  chan ctrlMsg
+	acked int
+	// done is set by apply: every chunk acknowledged (plain) or the
+	// receiver's positive ACK arrived (coded).
+	done bool
+}
+
+// start opens the segment and performs the initial injection, in the
+// receiver's posting order: data_i (streaming) then parity_i
+// (one-shot). Every stream start is bounded by GlobalTimeout: a crashed
+// receiver surfaces as ErrPeerDead instead of stalling the sender
+// forever. Parity is encoded as each submessage goes out (§4.1.2 notes
+// encoding can overlap injection; Fig 11 measures its cost separately).
+func (s *sendSeg) start() error {
+	e, g := s.e, s.g
+	timeout := e.Cfg.GlobalTimeout
+	if g.m > 0 {
+		var err error
+		if s.code, err = e.codeFor(g.k, g.m); err != nil {
+			return err
+		}
+		s.parity = e.scr.parityAlloc(g.L * g.parityBytes())
+	}
+	for i := 0; i < g.L; i++ {
+		sb := g.subBytes(i, len(s.data))
+		st, err := e.QP.SendStreamStartTimeout(sb, 0, timeout)
+		if err != nil {
+			return startErr(fmt.Sprintf("submessage %d data stream", s.sub0+i), err)
+		}
+		if i == 0 {
+			s.opID = st.Seq()
+			s.acks = e.CP.register(s.opID)
+		}
+		s.streams[i] = st
+		sub := s.data[g.subOffset(i):][:sb]
+		if err := st.Continue(0, sub); err != nil {
+			return err
+		}
+		now := e.clock().Now()
+		for c := i * g.k; c < i*g.k+g.realChunks(i); c++ {
+			s.chunks[c].lastSent = now
+		}
+		if g.m == 0 {
+			continue
+		}
+		parity := s.parity[i*g.parityBytes():][:g.parityBytes()]
+		shards, _ := e.scr.shardView(g, i, sub, parity)
+		if err := s.code.Encode(shards[:g.k], shards[g.k:]); err != nil {
+			return fmt.Errorf("reliability: EC encode submessage %d: %w", s.sub0+i, err)
+		}
+		if _, err := e.QP.SendPostTimeout(parity, 0, timeout); err != nil {
+			return startErr(fmt.Sprintf("submessage %d parity send", s.sub0+i), err)
+		}
+	}
+	return nil
+}
+
+// shardView points the endpoint's pooled shard table (k data entries,
+// then m parity entries) at submessage i's chunks: real data chunks
+// alias sub (the submessage's real bytes), a partial tail chunk is
+// copied zero-padded into scratch, the virtual zero chunks that pad a
+// short tail submessage share one read-only buffer, and parity chunks
+// alias parity — so the (k, m) code applies uniformly (§4.1.2). It
+// returns the index of the tail copy, -1 when no chunk is partial.
+func (scr *opScratch) shardView(g ecGeometry, i int, sub, parity []byte) (shards [][]byte, tailChunk int) {
+	cb := g.chunkBytes
+	shards = scratchSlice(&scr.shards, g.k+g.m)
+	tailChunk = -1
+	for j := 0; j < g.k; j++ {
+		lo := j * cb
+		switch {
+		case j >= g.realChunks(i):
+			shards[j] = scratchBytesN(&scr.zeroChunk, cb)
+		case lo+cb > len(sub):
+			tail := scratchBytesN(&scr.tailScratch, cb)
+			clear(tail[copy(tail, sub[lo:]):]) // zero-pad: buffer is reused
+			shards[j], tailChunk = tail, j
+		default:
+			shards[j] = sub[lo : lo+cb]
+		}
+	}
+	for j := 0; j < g.m; j++ {
+		shards[g.k+j] = parity[j*cb : (j+1)*cb]
+	}
+	return shards, tailChunk
+}
+
+// pump applies every queued control message of the segment and reports
+// whether any arrived.
+func (s *sendSeg) pump() (progressed bool, err error) {
+	for {
+		select {
+		case m := <-s.acks:
+			progressed = true
+			if err := s.apply(m); err != nil {
+				return progressed, err
+			}
+		default:
+			return progressed, nil
+		}
+	}
+}
+
+// apply folds one control message into the segment's state. Messages of
+// the other scheme's vocabulary are ignored.
+func (s *sendSeg) apply(m ctrlMsg) error {
+	coded := s.g.m > 0
+	switch {
+	case m.typ == msgSRAck && !coded:
+		for c := 0; c < int(m.cumAck) && c < len(s.chunks); c++ {
+			s.ack(c)
+		}
+		// Selective portion: bitmap over all chunks (§4.1.1 sends it
+		// from the cumulative frontier; we snapshot from zero, which
+		// carries the same information).
+		for c := 0; c < len(s.chunks) && c/8 < len(m.sack); c++ {
+			if m.sack[c/8]&(1<<uint(c%8)) != 0 {
+				s.ack(c)
+			}
+		}
+		s.done = s.acked >= len(s.chunks)
+	case m.typ == msgECAck && coded:
+		s.done = true
+	case m.typ == msgECNack && coded && !s.done:
+		// Parity was not enough: selective repeat of the reported
+		// missing chunks through the still-open streams (§4.1.2).
+		for _, entry := range m.nackSubmsgs {
+			sub := int(entry.submsg)
+			if sub >= s.g.L {
+				continue
+			}
+			for _, c := range entry.missing {
+				if int(c) >= s.g.realChunks(sub) {
+					continue
+				}
+				if err := s.resend(sub, int(c), telemetry.CauseNack); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func (s *sendSeg) ack(c int) {
+	if !s.chunks[c].acked {
+		s.chunks[c].acked = true
+		s.acked++
+	}
+}
+
+// highestAcked returns the index of the last acknowledged chunk (-1
+// when none): the receiver has seen past every chunk below it.
+func (s *sendSeg) highestAcked() int {
+	for c := len(s.chunks) - 1; c >= 0; c-- {
+		if s.chunks[c].acked {
+			return c
+		}
+	}
+	return -1
+}
+
+// resend re-injects chunk c of submessage sub through its open stream.
+func (s *sendSeg) resend(sub, c int, cause int64) error {
+	cb := s.g.chunkBytes
+	chunk := sub*s.g.k + c
+	lo := chunk * cb
+	hi := min(lo+cb, len(s.data))
+	s.chunks[chunk].lastSent = s.e.clock().Now()
+	s.e.Retransmits.Add(1)
+	s.e.probe(telemetry.EvRetransmit, int64(c), cause, int64(s.sub0+sub), 0)
+	return s.streams[sub].Continue(c*cb, s.data[lo:hi])
+}
+
+// sweepRTO re-injects every unacknowledged chunk whose retransmission
+// timeout has expired. The deadline backs off exponentially per attempt
+// with a deterministic jitter (retryRTO), so a dead stretch of network
+// does not grind out fixed-cadence retransmission storms.
+func (s *sendSeg) sweepRTO(now time.Time, rto time.Duration) error {
+	for c := range s.chunks {
+		ch := &s.chunks[c]
+		if ch.acked || now.Sub(ch.lastSent) < retryRTO(rto, ch.retries, s.opID<<16+uint64(c)) {
+			continue
+		}
+		if ch.retries < maxBackoffShift {
+			ch.retries++
+		}
+		if err := s.resend(c/s.g.k, c%s.g.k, telemetry.CauseRTO); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// end closes the segment on the sender: its control stream unregisters
+// and every opened data stream ends. Idempotent (and a no-op on a
+// segment that never started), so error exits can defer it; returns
+// the streams' errors.
+func (s *sendSeg) end() error {
+	if s.acks == nil {
+		return nil
+	}
+	s.e.CP.unregister(s.opID)
+	s.acks = nil
+	var err error
+	for _, st := range s.streams {
+		if st != nil {
+			err = errors.Join(err, st.End())
+		}
+	}
+	return err
+}
+
+// ecRecvState tracks one submessage on the receiver.
+type ecRecvState struct {
+	dataH     *core.RecvHandle
+	parityH   *core.RecvHandle // g.m > 0 only
+	recovered bool
+}
+
+// recvSeg is the receiver half of a segment: it lands in
+// mr[base:base+size], parity submessages in scratch[pbase:]. The caller
+// fills everything but the recovery outputs, then calls post.
+type recvSeg struct {
+	e *Endpoint
+	// idx is the adaptive segment index telemetry reports; -1 on the
+	// static schemes.
+	idx     int
+	g       ecGeometry
+	code    ec.Code // the (g.k, g.m) code; nil on a plain segment
+	mr      *nicsim.MR
+	base    uint64
+	size    int
+	scratch *nicsim.MR
+	pbase   uint64
+	subs    []ecRecvState // g.L entries
+
+	// missing counts the real data chunks parity decodes had to
+	// reconstruct — the adaptor's erasure signal.
+	missing int
+}
+
+// post posts the segment's receives, data_i then parity_i, matching
+// the sender's injection order. On failure every receive it already
+// posted is retired again, so the slots are free for the endpoint's
+// next operation.
+func (r *recvSeg) post() error {
+	g, qp := r.g, r.e.QP
+	if g.m > 0 {
+		var err error
+		if r.code, err = r.e.codeFor(g.k, g.m); err != nil {
+			return err
+		}
+	}
+	for i := range r.subs {
+		h, err := qp.RecvPost(r.mr, r.base+uint64(g.subOffset(i)), g.subBytes(i, r.size))
+		if err != nil {
+			r.abandon()
+			return fmt.Errorf("submessage %d data recv: %w", i, err)
+		}
+		r.subs[i].dataH = h
+		if g.m == 0 {
+			continue
+		}
+		h, err = qp.RecvPost(r.scratch, r.pbase+uint64(i*g.parityBytes()), g.parityBytes())
+		if err != nil {
+			r.abandon()
+			return fmt.Errorf("submessage %d parity recv: %w", i, err)
+		}
+		r.subs[i].parityH = h
+	}
+	return nil
+}
+
+// abandon retires every posted receive of an unfinished segment (abort,
+// timeout and post-failure exits). Late packets are absorbed by the
+// NULL key.
+func (r *recvSeg) abandon() {
+	for _, s := range r.subs {
+		if s.dataH != nil {
+			s.dataH.Complete()
+		}
+		if s.parityH != nil {
+			s.parityH.Complete()
+		}
+	}
+}
+
+// opID is the segment's control-stream key (see sendSeg.opID).
+func (r *recvSeg) opID() uint64 { return r.subs[0].dataH.Seq() }
+
+// recoverAll decodes every submessage that has become recoverable and
+// reports whether the whole segment is delivered. It never short-
+// circuits: each submessage is decoded at the first wake that allows it.
+func (r *recvSeg) recoverAll() bool {
+	all := true
+	for i := range r.subs {
+		if !r.tryRecover(i) {
+			all = false
+		}
+	}
+	return all
+}
+
+// tryRecover reports whether submessage i is delivered: every data
+// chunk arrived, or (coded segments) enough data and parity chunks did
+// and the missing data was reconstructed in place.
+func (r *recvSeg) tryRecover(i int) bool {
+	s := &r.subs[i]
+	if s.recovered {
+		return true
+	}
+	if s.dataH.Done() {
+		s.recovered = true
+		return true
+	}
+	g, scr := r.g, &r.e.scr
+	if g.m == 0 {
+		return false
+	}
+	real := g.realChunks(i)
+	present := scratchSlice(&scr.present, g.k+g.m)
+	dataBM, parityBM := s.dataH.Bitmap(), s.parityH.Bitmap()
+	arrived := 0
+	for j := 0; j < g.k; j++ {
+		switch {
+		case j >= real:
+			present[j] = true // virtual zero chunks never travel
+		case dataBM.Test(j):
+			present[j] = true
+			arrived++
+		}
+	}
+	for j := 0; j < g.m; j++ {
+		present[g.k+j] = parityBM.Test(j)
+	}
+	if !r.code.CanRecover(present) {
+		return false
+	}
+	sub := r.mr.Bytes()[int(r.base)+g.subOffset(i):][:g.subBytes(i, r.size)]
+	parity := r.scratch.Bytes()[int(r.pbase)+i*g.parityBytes():]
+	shards, tailChunk := scr.shardView(g, i, sub, parity)
+	// Reconstruct marks repaired shards present, so note first whether
+	// the tail chunk is among the lost.
+	tailLost := tailChunk >= 0 && !present[tailChunk]
+	if err := r.code.Reconstruct(shards, present); err != nil {
+		return false
+	}
+	if tailLost {
+		// write back only the real bytes of the recovered tail
+		copy(sub[tailChunk*g.chunkBytes:], shards[tailChunk])
+	}
+	s.recovered = true
+	r.missing += real - arrived
+	return true
+}
+
+// ackMsg builds the segment's acknowledgement: the cumulative +
+// selective ACK of a plain segment, the positive ACK of a coded one.
+// A progress ACK snapshots the bitmap into the endpoint's pooled buffer
+// (CP.send serializes the payload before returning, so the next
+// snapshot may overwrite it); the final one owns its snapshot, because
+// the linger and the re-ACK table keep re-sending it.
+func (r *recvSeg) ackMsg(final bool) ctrlMsg {
+	if r.g.m > 0 {
+		return ctrlMsg{typ: msgECAck, opID: r.opID()}
+	}
+	bm := r.subs[0].dataH.Bitmap()
+	var sack []byte
+	if final {
+		sack = bm.Snapshot(nil)
+	} else {
+		r.e.scr.sackBuf = bm.Snapshot(r.e.scr.sackBuf)
+		sack = r.e.scr.sackBuf
+	}
+	return ctrlMsg{typ: msgSRAck, opID: r.opID(), cumAck: uint32(bm.CumulativeCount()), sack: sack}
+}
+
+// nack asks the sender to re-inject the missing data chunks of every
+// submessage parity could not cover (§4.1.2's fallback).
+func (r *recvSeg) nack() {
+	e := r.e
+	var entries []ecNackEntry
+	total := 0
+	for i, s := range r.subs {
+		if s.recovered {
+			continue
+		}
+		bm := s.dataH.Bitmap()
+		e.scr.missBuf = bm.Missing(e.scr.missBuf[:0], 0, bm.Len())
+		missing := make([]uint32, len(e.scr.missBuf))
+		for j, c := range e.scr.missBuf {
+			missing[j] = uint32(c)
+		}
+		entries = append(entries, ecNackEntry{submsg: uint32(i), missing: missing})
+		total += len(missing)
+	}
+	if len(entries) == 0 {
+		return
+	}
+	e.NacksSent.Add(1)
+	e.probe(telemetry.EvNack, int64(total), int64(r.idx), 0, 0)
+	e.CP.send(ctrlMsg{typ: msgECNack, opID: r.opID(), nackSubmsgs: entries})
+}
+
+// finish completes a delivered segment: the final acknowledgement goes
+// out at the completion instant, and the linger — re-sending it so a
+// lost ACK cannot strand the sender — runs in the background
+// (retire.go), so the caller can post its next receive immediately.
+// The slots stay live until the linger elapses; once retired, late
+// retransmissions into any of them re-pull the final ACK (reack.go).
+// The whole segment is one re-ACK table entry, so even an L≫1 message
+// cannot evict its own slots.
+func (r *recvSeg) finish() {
+	final := r.ackMsg(true)
+	r.e.CP.send(final)
+	handles := make([]*core.RecvHandle, 0, 2*len(r.subs))
+	for _, s := range r.subs {
+		handles = append(handles, s.dataH)
+		if s.parityH != nil {
+			handles = append(handles, s.parityH)
+		}
+	}
+	r.e.retire(final, handles...)
+}

@@ -3,7 +3,6 @@ package reliability
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"sdrrdma/internal/clock"
 	"sdrrdma/internal/core"
@@ -124,45 +123,61 @@ func (e *Endpoint) noteGoodput(bytes int64) {
 }
 
 // opScratch is the endpoint's pooled chunk staging: every slice here
-// would otherwise be a per-message allocation on the send/receive hot
-// path, re-made thousands of times in a line-rate run. Reuse is safe
-// because opMu serializes operations and every buffer's lifetime ends
-// with its operation (UD control sends copy payloads; parity slabs are
-// only aliased by the wire until the message completes, which the
-// operation awaits before returning).
+// would otherwise be a per-message (or per-segment) allocation on the
+// send/receive hot path, re-made thousands of times in a line-rate run.
+// Reuse is safe because opMu serializes operations and every buffer's
+// lifetime ends with its operation (UD control sends copy payloads;
+// parity slabs are only aliased by the wire until the message
+// completes, which the operation awaits before returning).
 type opScratch struct {
-	srChunks     []chunkState
-	streams      []*core.SendStream
-	parity       [][]byte
-	paritySlab   []byte
-	parityShards [][]byte
-	dataShards   [][]byte
-	shards       [][]byte
-	present      []bool
-	presentCopy  []bool
-	subs         []ecRecvState
+	srChunks    []chunkState
+	streams     []*core.SendStream
+	sendSegs    []sendSeg
+	subs        []ecRecvState
+	recvSegs    []adaptiveSegRecv
+	shards      [][]byte
+	present     []bool
+	missBuf     []int
+	sackBuf     []byte
+	tailScratch []byte
 	// zeroChunk is all-zero and only ever read (it stands in for the
 	// virtual zero chunks of a padded tail submessage), so reuse never
 	// re-clears it.
-	zeroChunk   []byte
-	tailScratch []byte
+	zeroChunk []byte
+	// paritySlab backs the operation's parity submessages; parityUsed
+	// is the bump cursor parityAlloc advances.
+	paritySlab []byte
+	parityUsed int
 
-	// One-entry erasure-code cache: RS construction builds the encode
-	// and repair matrices, far too expensive to redo per message.
-	code         ec.Code
-	codeName     string
-	codeK, codeM int
-	// codes caches the adaptive ladder's per-rung codes the same way.
-	codes map[Mode]ec.Code
+	// codes caches instantiated erasure codes: RS construction builds
+	// the encode and repair matrices, far too expensive to redo per
+	// message, and codes are stateless once built.
+	codes map[codeKey]ec.Code
 }
 
-// cachedModeCodes returns the endpoint's persistent rung→code cache
-// (codes are stateless once built, so messages share them).
-func (e *Endpoint) cachedModeCodes() map[Mode]ec.Code {
-	if e.scr.codes == nil {
-		e.scr.codes = map[Mode]ec.Code{}
+type codeKey struct {
+	name string
+	k, m int
+}
+
+// codeFor returns the endpoint's code family instantiated with the
+// (k, m) split, building it on first use.
+func (e *Endpoint) codeFor(k, m int) (ec.Code, error) {
+	key := codeKey{e.Cfg.Code, k, m}
+	if code, ok := e.scr.codes[key]; ok {
+		return code, nil
 	}
-	return e.scr.codes
+	c := e.Cfg
+	c.K, c.M = k, m
+	code, err := c.NewCode()
+	if err != nil {
+		return nil, err
+	}
+	if e.scr.codes == nil {
+		e.scr.codes = map[codeKey]ec.Code{}
+	}
+	e.scr.codes[key] = code
+	return code, nil
 }
 
 // scratchSlice returns (*s)[:n] with reused capacity, zeroing the
@@ -177,16 +192,9 @@ func scratchSlice[T any](s *[]T, n int) []T {
 	return out
 }
 
-// scratchZero returns the shared n-byte all-zero chunk.
-func (s *opScratch) scratchZero(n int) []byte {
-	if cap(s.zeroChunk) < n {
-		s.zeroChunk = make([]byte, n)
-	}
-	return s.zeroChunk[:n]
-}
-
-// scratchBytesN returns an n-byte scratch slice with undefined
-// contents (callers fully overwrite it).
+// scratchBytesN returns an n-byte scratch slice holding whatever its
+// last user left there: callers either fully overwrite it or, like the
+// all-zero chunk, never write it at all.
 func scratchBytesN(s *[]byte, n int) []byte {
 	if cap(*s) < n {
 		*s = make([]byte, n)
@@ -194,234 +202,132 @@ func scratchBytesN(s *[]byte, n int) []byte {
 	return (*s)[:n]
 }
 
-// cachedCode returns the endpoint's erasure code for (name, k, m),
-// rebuilding only when the tuple changes.
-func (e *Endpoint) cachedCode(name string, k, m int) (ec.Code, error) {
-	s := &e.scr
-	if s.code != nil && s.codeName == name && s.codeK == k && s.codeM == m {
-		return s.code, nil
+// reserveParity sizes the parity slab for an operation expected to
+// carve n bytes out of it and rewinds the cursor.
+func (s *opScratch) reserveParity(n int) {
+	s.paritySlab = scratchBytesN(&s.paritySlab, n)
+	s.parityUsed = 0
+}
+
+// parityAlloc carves one segment's n parity bytes out of the slab.
+// Regions are never reused within an operation — the wire aliases a
+// segment's parity until it is acknowledged. A request beyond the
+// reservation (a plan naming a rung the sender's ladder lacks) gets its
+// own allocation.
+func (s *opScratch) parityAlloc(n int) []byte {
+	if s.parityUsed+n > len(s.paritySlab) {
+		return make([]byte, n)
 	}
-	c := e.Cfg
-	c.Code, c.K, c.M = name, k, m
-	code, err := c.NewCode()
-	if err != nil {
-		return nil, err
-	}
-	s.code, s.codeName, s.codeK, s.codeM = code, name, k, m
-	return code, nil
+	p := s.paritySlab[s.parityUsed : s.parityUsed+n]
+	s.parityUsed += n
+	return p
 }
 
 // NewEndpoint bundles a connected SDR QP and control plane.
 func NewEndpoint(qp *core.QP, cp *ControlPlane, cfg Config) *Endpoint {
 	e := &Endpoint{QP: qp, CP: cp, Cfg: cfg.WithDefaults()}
-	if !e.Cfg.NoLateReAck {
-		qp.SetLateSink(e.handleLate)
-	}
+	qp.SetLateSink(e.handleLate)
 	return e
 }
 
 // clock returns the deployment clock.
 func (e *Endpoint) clock() clock.Clock { return e.QP.Clock() }
 
-// drain empties the control channel without blocking, invoking apply
-// on each message, and reports whether anything arrived.
-func drain(acks <-chan ctrlMsg, apply func(ctrlMsg)) bool {
-	got := false
-	for {
-		select {
-		case m := <-acks:
-			apply(m)
-			got = true
-		default:
-			return got
-		}
-	}
-}
-
-// chunkState tracks one chunk on the SR sender.
-type chunkState struct {
-	acked bool
-	// repaired marks a chunk already resent once on ack-hole evidence
-	// (adaptive sender); further repairs fall back to the RTO sweep.
-	repaired bool
-	// retries counts RTO retransmissions taken, driving the capped
-	// exponential backoff (retryRTO).
-	retries  uint8
-	lastSent time.Time
-}
-
-// WriteSR reliably writes data using Selective Repeat (§4.1.1):
-// streaming SDR send for the initial injection, per-chunk RTO
-// retransmission, cumulative+selective ACKs from the receiver, and —
-// in NACK mode — fast retransmission of holes behind the ACK frontier
-// after ~1 RTT.
+// WriteSR reliably writes data using Selective Repeat (§4.1.1): one
+// plain segment spanning the message — streaming SDR send for the
+// initial injection, per-chunk RTO retransmission, cumulative+selective
+// ACKs from the receiver — and, in NACK mode, fast retransmission of
+// holes behind the ACK frontier after ~1 RTT.
 func (e *Endpoint) WriteSR(data []byte) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
 	cfg := e.Cfg
 	clk := e.clock()
 
-	stream, err := e.QP.SendStreamStartTimeout(len(data), 0, cfg.GlobalTimeout)
-	if err != nil {
-		return startErr("SR stream start", err)
+	g := plainGeometry(len(data), e.QP.Config().ChunkBytes)
+	seg := sendSeg{
+		e: e, data: data, g: g,
+		streams: scratchSlice(&e.scr.streams, 1),
+		chunks:  scratchSlice(&e.scr.srChunks, g.nchunks),
 	}
-	opID := stream.Seq()
-	acks := e.CP.register(opID)
-	defer e.CP.unregister(opID)
-
-	chunkBytes := e.QP.Config().ChunkBytes
-	nchunks := (len(data) + chunkBytes - 1) / chunkBytes
-	chunks := scratchSlice(&e.scr.srChunks, nchunks)
-
-	// Initial injection of the whole message.
-	if err := stream.Continue(0, data); err != nil {
+	defer seg.end()
+	if err := seg.start(); err != nil {
 		return err
 	}
+
 	now := clk.Now()
-	for i := range chunks {
-		chunks[i].lastSent = now
-	}
-
-	resend := func(chunk int, cause int64) error {
-		lo := chunk * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(data) {
-			hi = len(data)
-		}
-		chunks[chunk].lastSent = clk.Now()
-		e.Retransmits.Add(1)
-		e.probe(telemetry.EvRetransmit, int64(chunk), cause, 0, 0)
-		return stream.Continue(lo, data[lo:hi])
-	}
-
-	ackedCount := 0
-	applyAck := func(m ctrlMsg) {
-		if m.typ != msgSRAck {
-			return
-		}
-		for i := 0; i < int(m.cumAck) && i < nchunks; i++ {
-			if !chunks[i].acked {
-				chunks[i].acked = true
-				ackedCount++
-			}
-		}
-		// Selective portion: bitmap over all chunks (§4.1.1 sends it
-		// from the cumulative frontier; we snapshot from zero, which
-		// carries the same information).
-		for i := 0; i < nchunks && i/8 < len(m.sack); i++ {
-			if m.sack[i/8]&(1<<uint(i%8)) != 0 && !chunks[i].acked {
-				chunks[i].acked = true
-				ackedCount++
-			}
-		}
-	}
-
 	rto := cfg.RTO()
 	nackDelay := cfg.RTT // NACK-mode hole resend delay (§5.1.1: 1 RTT)
 	deadline := now.Add(cfg.GlobalTimeout)
-
-	for ackedCount < nchunks {
+	for {
 		// Snapshot BEFORE draining: an ACK that lands after the drain
 		// wakes the wait below immediately (no lost wakeup).
 		epoch := clk.Epoch()
 		if err := e.abortErr(); err != nil {
 			return fmt.Errorf("SR write %d B: %w", len(data), err)
 		}
-		progressed := drain(acks, applyAck)
-		if ackedCount >= nchunks {
-			break
+		progressed, err := seg.pump()
+		if err != nil {
+			return err
+		}
+		if seg.done {
+			return seg.end()
 		}
 		now = clk.Now()
 		if now.After(deadline) {
 			return fmt.Errorf("%w: SR write %d B, %d/%d chunks acked",
-				ErrGlobalTimeout, len(data), ackedCount, nchunks)
+				ErrGlobalTimeout, len(data), seg.acked, g.nchunks)
 		}
 		if cfg.NACK && progressed {
 			// Fast retransmit: a hole is an unacked chunk below the
 			// highest acked chunk — the receiver has seen past it, so
-			// it was dropped, not merely in flight.
-			frontier := -1
-			for i := nchunks - 1; i >= 0; i-- {
-				if chunks[i].acked {
-					frontier = i
-					break
-				}
-			}
-			for i := 0; i < frontier; i++ {
-				if !chunks[i].acked && now.Sub(chunks[i].lastSent) >= nackDelay {
-					if err := resend(i, telemetry.CauseHole); err != nil {
+			// it was dropped, not merely in flight. Age-gated: on a
+			// dedicated link one RTT bounds the in-flight ambiguity.
+			for c, frontier := 0, seg.highestAcked(); c < frontier; c++ {
+				if ch := seg.chunks[c]; !ch.acked && now.Sub(ch.lastSent) >= nackDelay {
+					if err := seg.resend(0, c, telemetry.CauseHole); err != nil {
 						return err
 					}
 				}
 			}
 		}
-		// Per-chunk RTO retransmission (checked on every wake). The
-		// deadline backs off exponentially per attempt with a
-		// deterministic jitter (retryRTO), so a dead stretch of network
-		// does not grind out fixed-cadence retransmission storms.
-		for i := range chunks {
-			if chunks[i].acked {
-				continue
-			}
-			if now.Sub(chunks[i].lastSent) >= retryRTO(rto, chunks[i].retries, opID<<16+uint64(i)) {
-				if chunks[i].retries < maxBackoffShift {
-					chunks[i].retries++
-				}
-				if err := resend(i, telemetry.CauseRTO); err != nil {
-					return err
-				}
-			}
+		// Per-chunk RTO retransmission, checked on every wake.
+		if err := seg.sweepRTO(now, rto); err != nil {
+			return err
 		}
-		e.noteInflight(nchunks - ackedCount)
+		e.noteInflight(g.nchunks - seg.acked)
 		clk.WaitNotify(epoch, cfg.PollInterval)
 	}
-	return stream.End()
 }
 
-// ReceiveSR receives one reliable SR Write into mr[offset:offset+size].
-// It polls the SDR chunk bitmap (§3.1.1) and reports progress through
-// cumulative+selective ACKs until the message completes, then lingers
-// re-ACKing before retiring the slot (ACKs ride the lossy control
-// path).
+// ReceiveSR receives one reliable SR Write into mr[offset:offset+size]:
+// one plain segment. It polls the SDR chunk bitmap (§3.1.1) and reports
+// progress through cumulative+selective ACKs every AckInterval until
+// the message completes.
 func (e *Endpoint) ReceiveSR(mr *nicsim.MR, offset uint64, size int) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
 	cfg := e.Cfg
 	clk := e.clock()
 
-	h, err := e.QP.RecvPost(mr, offset, size)
-	if err != nil {
-		return fmt.Errorf("reliability: SR recv post: %w", err)
+	chunkBytes := e.QP.Config().ChunkBytes
+	seg := recvSeg{
+		e: e, idx: -1, g: plainGeometry(size, chunkBytes),
+		mr: mr, base: offset, size: size,
+		subs: scratchSlice(&e.scr.subs, 1),
 	}
-	opID := h.Seq()
+	if err := seg.post(); err != nil {
+		return fmt.Errorf("reliability: SR receive: %w", err)
+	}
+	h := seg.subs[0].dataH
 
-	// The selective-ACK bitmap buffer is reused across ticks: CP.send
-	// serializes the payload before returning, so the snapshot can be
-	// overwritten by the next poll without racing the wire.
-	var sackBuf []byte
 	// goodput is fed from the cumulative frontier's byte watermark, so
 	// the series integrates to exactly the message size.
 	lastCumBytes := int64(0)
-	chunkBytes := int64(e.QP.Config().ChunkBytes)
-	feedGoodput := func(cum int) {
-		b := int64(cum) * chunkBytes
-		if b > int64(size) {
-			b = int64(size)
-		}
+	feedGoodput := func(cumChunks int) {
+		b := min(int64(cumChunks)*int64(chunkBytes), int64(size))
 		e.noteGoodput(b - lastCumBytes)
 		lastCumBytes = b
-	}
-	sendAck := func() {
-		bm := h.Bitmap()
-		sackBuf = bm.Snapshot(sackBuf)
-		cum := bm.CumulativeCount()
-		feedGoodput(cum)
-		e.CP.send(ctrlMsg{
-			typ:    msgSRAck,
-			opID:   opID,
-			cumAck: uint32(cum),
-			sack:   sackBuf,
-		})
 	}
 
 	start := clk.Now()
@@ -432,53 +338,28 @@ func (e *Endpoint) ReceiveSR(mr *nicsim.MR, offset uint64, size int) error {
 		// completes the message notifies the clock, so the wait below
 		// cannot sleep past it.
 		epoch := clk.Epoch()
-		if h.Done() {
+		if seg.recoverAll() {
 			break
 		}
 		if err := e.abortErr(); err != nil {
-			h.Complete()
+			seg.abandon()
 			return fmt.Errorf("SR receive %d B: %w", size, err)
 		}
 		now := clk.Now()
 		if now.After(deadline) {
-			h.Complete()
+			seg.abandon()
 			return fmt.Errorf("%w: SR receive %d B, %d/%d chunks",
 				ErrGlobalTimeout, size, h.Bitmap().Count(), h.NumChunks())
 		}
 		if !now.Before(nextAck) {
-			sendAck()
+			ack := seg.ackMsg(false)
+			feedGoodput(int(ack.cumAck))
+			e.CP.send(ack)
 			nextAck = now.Add(cfg.AckInterval)
 		}
 		clk.WaitNotify(epoch, nextAck.Sub(now))
 	}
-	// Completion: the final ACK goes out at the completion instant; the
-	// linger — re-sending it so a lost ACK cannot strand the sender —
-	// runs in the background (retire.go), so the caller can post its
-	// next receive immediately instead of paying the linger on the
-	// collective critical path. The slot stays live until the linger
-	// elapses; once retired, the re-ACK table answers any still-later
-	// retransmission with a fresh copy of this final ACK.
-	bm := h.Bitmap()
-	feedGoodput(bm.CumulativeCount())
-	final := ctrlMsg{
-		typ:    msgSRAck,
-		opID:   opID,
-		cumAck: uint32(bm.CumulativeCount()),
-		sack:   bm.Snapshot(nil),
-	}
-	e.CP.send(final)
-	if cfg.SyncRetire {
-		lingerEnd := clk.Now().Add(cfg.Linger)
-		for {
-			clk.Sleep(cfg.AckInterval)
-			if !clk.Now().Before(lingerEnd) {
-				break
-			}
-			e.CP.send(final)
-		}
-		e.rememberRetired(final, h)
-		return h.Complete()
-	}
-	e.retire(final, h)
+	feedGoodput(h.NumChunks())
+	seg.finish()
 	return nil
 }
