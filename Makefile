@@ -14,9 +14,9 @@ RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/clock/ ./internal/fabric/ ./internal/core/ ./internal/reliability/ \
 	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/
 
-.PHONY: ci vet build test race bench bench-kernels bench-json bench-par smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench
+.PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden
 
-ci: vet build race test smoke-perftest smoke-trace smoke-chaos smoke-bench
+ci: vet build race test smoke-golden smoke-perftest smoke-trace smoke-chaos smoke-bench
 
 vet:
 	$(GO) vet ./...
@@ -80,6 +80,15 @@ bench-par:
 	      END { if (s && p) printf "sweep serial/parallel speedup: %.2fx (serial %.0f ns/op, parallel %.0f ns/op)\n", s/p, s, p }' bench-par.tmp
 	@rm -f bench-par.tmp
 
+# Code size per package: non-blank, non-comment lines of the non-test
+# .go files under each internal/* directory — the number ROADMAP's
+# "least code" aim (and every simplicity issue) is judged by.
+loc:
+	@for d in internal/*/; do \
+		ls $$d*.go | grep -v _test.go | xargs cat | \
+		awk -v d=$$d '{ sub(/^[ \t]+/, "") } $$0 == "" || /^\/\// { next } { n++ } END { printf "%6d %s\n", n, d }'; \
+	done
+
 # Thousand-flow smoke: the elastic session fabric must sustain 1000
 # sequential + 100 concurrent dumbbell flows from its deployment pool.
 smoke-flows:
@@ -117,6 +126,15 @@ smoke-trace:
 # leases; the report is byte-identical across sweep-worker counts.
 smoke-chaos:
 	$(GO) test -count=1 -run 'TestChaosSmoke|TestChaosWorkerDeterminism' -v ./internal/chaos/
+
+# Golden-behaviour smoke: the per-scheme simulated tuples pinned across
+# commits (virtual elapsed, packets, retransmits, NACKs, late re-ACKs,
+# ladder switches, receive-buffer hash) and the cross-scheme perftest
+# digest. A refactor of the reliability layer must pass with the
+# recorded literals untouched.
+smoke-golden:
+	$(GO) test -count=1 -run 'TestReliabilityGoldenTuples' -v ./internal/reliability/
+	$(GO) test -count=1 -run 'TestPerftestCrossSchemeDigest' -v ./cmd/sdr-perftest/
 
 # Repo-benchmark smoke: a 2-second wan_ec run of the declared benchmark
 # (BENCHMARK.json) — EC(32,8) encode + reconstruct under 1% loss. Exits

@@ -52,7 +52,8 @@ func BenchmarkFig14(b *testing.B)  { benchFig(b, "14") }
 func BenchmarkFig15(b *testing.B)  { benchFig(b, "15") }
 func BenchmarkFig16(b *testing.B)  { benchFig(b, "16") }
 
-// Ablation benches cover the design choices DESIGN.md calls out.
+// Ablation benches cover the design choices the ablation figures
+// sweep: generation count, RTO multiplier and chunk size.
 func BenchmarkAblationGenerations(b *testing.B) { benchFig(b, "ablation-gen") }
 func BenchmarkAblationRTO(b *testing.B)         { benchFig(b, "ablation-rto") }
 func BenchmarkAblationChunk(b *testing.B)       { benchFig(b, "ablation-chunk") }

@@ -1,6 +1,7 @@
 // Command sdr-experiments regenerates the paper's evaluation figures
-// (§5). Each figure prints the same rows/series the paper plots;
-// EXPERIMENTS.md records paper-vs-measured.
+// (§5). Each figure prints the same rows/series the paper plots, with
+// the paper's reading of it as a note; README.md records
+// paper-vs-measured for the functional figures.
 //
 // Usage:
 //

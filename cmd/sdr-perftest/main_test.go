@@ -122,34 +122,40 @@ func TestPerftestDeterminism(t *testing.T) {
 }
 
 // TestPerftestSteadyStateAllocs is the allocation regression guard for
-// the hot data path. It measures MARGINAL heap allocations per host
-// packet — the allocation delta between a short and a long run divided
-// by the packet delta — which cancels out per-run setup (session
-// construction, window slabs, pattern fill) and isolates what the
-// steady-state receive/send loop allocates per packet. After the
-// pooled-staging and batched-polling work this sits near 0.1; a single
-// new unconditional per-packet allocation adds ≥1.0, so the 0.5
+// the hot data path of every scheme. It measures MARGINAL heap
+// allocations per host packet — the allocation delta between a short
+// and a long run divided by the packet delta — which cancels out
+// per-run setup (session construction, window slabs, pattern fill) and
+// isolates what the steady-state receive/send loop allocates per
+// packet. After the pooled-staging and batched-polling work SR sits
+// near 0.1; EC and adaptive stage shard tables, parity and per-segment
+// state in the endpoint's pooled scratch and land in the same class. A
+// single new unconditional per-packet allocation adds ≥1.0, so the 0.5
 // ceiling catches any such regression with wide noise margin.
 func TestPerftestSteadyStateAllocs(t *testing.T) {
-	measure := func(msgs int) (float64, uint64) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := Run(Options{Scheme: "sr", Size: 1 << 20, Msgs: msgs, Window: 2, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs - before.Mallocs), res.HostPackets
-	}
-	measure(4) // warm process-wide lazy state (pools, type metadata)
-	aShort, pShort := measure(8)
-	aLong, pLong := measure(40)
-	marginal := (aLong - aShort) / float64(pLong-pShort)
-	t.Logf("steady-state allocs/packet: %.3f (short %v/%v pkts, long %v/%v pkts)",
-		marginal, aShort, pShort, aLong, pLong)
-	if marginal > 0.5 {
-		t.Fatalf("hot-path allocation regression: %.3f allocs/packet (ceiling 0.5) — "+
-			"a per-packet allocation crept back into the receive/send loop", marginal)
+	for _, scheme := range []string{"sr", "ec", "adaptive"} {
+		t.Run(scheme, func(t *testing.T) {
+			measure := func(msgs int) (float64, uint64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res, err := Run(Options{Scheme: scheme, Size: 1 << 20, Msgs: msgs, Window: 2, Seed: 9})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.Mallocs - before.Mallocs), res.HostPackets
+			}
+			measure(4) // warm process-wide lazy state (pools, type metadata)
+			aShort, pShort := measure(8)
+			aLong, pLong := measure(40)
+			marginal := (aLong - aShort) / float64(pLong-pShort)
+			t.Logf("steady-state allocs/packet: %.3f (short %v/%v pkts, long %v/%v pkts)",
+				marginal, aShort, pShort, aLong, pLong)
+			if marginal > 0.5 {
+				t.Fatalf("hot-path allocation regression: %.3f allocs/packet (ceiling 0.5) — "+
+					"a per-packet allocation crept back into the receive/send loop", marginal)
+			}
+		})
 	}
 }
 

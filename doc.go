@@ -44,6 +44,6 @@
 // tuned to roughly a tenth of an allocation per packet — see the
 // "Line-rate perftest" README section).
 //
-// See README.md for a tour and EXPERIMENTS.md for paper-vs-measured
-// results. Benchmarks in bench_test.go regenerate each figure.
+// See README.md for a tour and the paper-vs-measured tables.
+// Benchmarks in bench_test.go regenerate each figure.
 package sdrrdma

@@ -9,6 +9,12 @@
 //     traverse the same lossy fabric and can be dropped, so the
 //     protocols must tolerate ACK loss.
 //
+// All three schemes are policy loops over one mechanism, the segment
+// (segment.go): start/inject, ACK application, chunk resend, the RTO
+// sweep, the EC shard view with encode and in-place recover, SACK and
+// NACK construction, the final ACK with its background linger
+// (retire.go) and the clean-up on error exits each exist once.
+//
 // The adaptive layer (Adaptor, WriteAdaptive/ReceiveAdaptive) makes
 // the scheme choice itself dynamic: one transfer is split into
 // segments, the receiver observes per-segment loss, duplicate and ECN

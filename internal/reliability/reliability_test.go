@@ -365,3 +365,65 @@ func TestFTOAndRTOValues(t *testing.T) {
 		t.Fatalf("FTO = %v, want 15ms", cfg.FTO())
 	}
 }
+
+// A receive that fails while posting — here core.ErrRecvQueueFull,
+// because the message needs more slots than the QP has — must retire
+// the receives it already posted; otherwise they hold their slots
+// forever and the endpoint's next receive fails too.
+func TestReceiveErrorReleasesPostedSlots(t *testing.T) {
+	for _, scheme := range []string{"ec", "adaptive"} {
+		t.Run(scheme, func(t *testing.T) {
+			vc := clock.NewVirtual()
+			coreCfg := testCoreCfg(vc)
+			coreCfg.MsgIDBits = 2 // 4 slots
+			coreCfg.PktOffsetBits = 26
+			lat := time.Millisecond
+			fab := fabric.Config{Latency: lat}
+			s, err := NewSession(coreCfg, testRelCfg(), fab, fab, lat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			slots := coreCfg.Slots()
+
+			// ec: 3 submessages of the (4,2) code want 6 slots;
+			// adaptive: 6 plain segments want the whole 6-segment window.
+			acfg := testAdaptorCfg()
+			size := 3 * 4 * coreCfg.ChunkBytes
+			if scheme == "adaptive" {
+				size = 6 * acfg.SegmentChunks * coreCfg.ChunkBytes
+			}
+			mr := s.Pair.B.Ctx.RegMR(make([]byte, size))
+			scratch := s.Pair.B.Ctx.RegMR(make([]byte, 1<<20))
+			var recvErr error
+			clock.Join(vc, func() {
+				if scheme == "ec" {
+					recvErr = s.B.ReceiveEC(mr, 0, size, scratch)
+					return
+				}
+				ad, err := NewAdaptor(acfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				recvErr = s.B.ReceiveAdaptive(ad, mr, 0, size, scratch)
+			})
+			if !errors.Is(recvErr, core.ErrRecvQueueFull) {
+				t.Fatalf("receive error = %v, want ErrRecvQueueFull", recvErr)
+			}
+
+			// The failed receive announced one sequence number per slot
+			// before giving up. Burn them on the sender (as the peer's own
+			// failing write would) so order-based matching lines up again;
+			// the junk lands in retired slots and is absorbed.
+			clock.Join(vc, func() {
+				for i := 0; i < slots; i++ {
+					if _, err := s.A.QP.SendPost(make([]byte, coreCfg.MTU), 0); err != nil {
+						t.Errorf("burn send %d: %v", i, err)
+					}
+				}
+			})
+			runTransfer(t, s, vc, coreCfg.ChunkBytes, 50, "sr")
+		})
+	}
+}
