@@ -365,6 +365,7 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 		for i := range segs[:started] {
 			segs[i].end()
 		}
+		clear(segs) // the pooled table must not pin the caller's payload
 	}()
 	start := func() error {
 		i := started
@@ -608,10 +609,10 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 			if i == 0 {
 				mode = acfg.Ladder[0]
 			}
-			s := &segs[i]
+			s, segSize := &segs[i], g.subBytes(i, size)
 			*s = adaptiveSegRecv{mode: mode, recvSeg: recvSeg{
-				e: e, idx: i, g: segGeometry(mode, g.subBytes(i, size), chunkBytes),
-				mr: mr, base: offset + uint64(g.subOffset(i)), size: g.subBytes(i, size),
+				e: e, idx: i, g: segGeometry(mode, segSize, chunkBytes),
+				mr: mr, base: offset + uint64(g.subOffset(i)), size: segSize,
 				scratch: scratch, pbase: uint64(i * perSegScratch),
 				subs: subs[i : i+1],
 			}}

@@ -128,13 +128,13 @@ func (s *sendSeg) start() error {
 // alias parity — so the (k, m) code applies uniformly (§4.1.2). It
 // returns the index of the tail copy, -1 when no chunk is partial.
 func (scr *opScratch) shardView(g ecGeometry, i int, sub, parity []byte) (shards [][]byte, tailChunk int) {
-	cb := g.chunkBytes
+	cb, real := g.chunkBytes, g.realChunks(i)
 	shards = scratchSlice(&scr.shards, g.k+g.m)
 	tailChunk = -1
 	for j := 0; j < g.k; j++ {
 		lo := j * cb
 		switch {
-		case j >= g.realChunks(i):
+		case j >= real:
 			shards[j] = scratchBytesN(&scr.zeroChunk, cb)
 		case lo+cb > len(sub):
 			tail := scratchBytesN(&scr.tailScratch, cb)
