@@ -59,7 +59,7 @@ bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkSessionChurn' -benchmem ./internal/session/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkWANVirtual|BenchmarkWANReal' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkWANFunctionalSweep|BenchmarkMultiDCSweep|BenchmarkAdaptiveSweep' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
-	$(GO) test -run xxx -bench 'BenchmarkNetemQueue' -benchmem ./internal/netem/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkNetemQueue|BenchmarkNetemCrossTraffic' -benchmem ./internal/netem/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkFunctionalAllreduceVirtual' -benchtime 5x -benchmem ./internal/collective/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkMultiDCVirtual|BenchmarkMultiDCReal' -benchtime 2x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkPerftestSR|BenchmarkPerftestEC|BenchmarkPerftestAdaptive' -benchtime 5x -benchmem ./cmd/sdr-perftest/ >> bench-json.tmp

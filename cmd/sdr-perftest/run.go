@@ -156,10 +156,11 @@ func (r Result) String() string {
 	return s
 }
 
-// drain is the cross-traffic sink: a terminal Deliverer that discards.
+// drain is the cross-traffic sink: a terminal Deliverer that discards,
+// returning the generator's pooled envelope like any terminal stage.
 type drain struct{}
 
-func (drain) Deliver(*nicsim.Packet) {}
+func (drain) Deliver(p *nicsim.Packet) { nicsim.ReleasePacket(p) }
 
 // Run executes one perftest measurement.
 func Run(o Options) (Result, error) {

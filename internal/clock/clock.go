@@ -46,7 +46,9 @@ type Timer interface {
 // the blocking operations (Sleep, WaitNotify) must be called from an
 // actor goroutine started with Go; Now, Notify, AfterFunc and Epoch may
 // additionally be called from timer callbacks and, before Run, from the
-// goroutine constructing the simulation.
+// goroutine constructing the simulation — and AfterFunc, like every
+// other scheduling call, from nowhere else (see Virtual, "The baton is
+// the lock").
 type Clock interface {
 	// Now returns the current time. Virtual clocks report a fixed
 	// epoch plus the engine's virtual offset, never the wall clock.

@@ -49,6 +49,44 @@ import (
 //     actor: one cond signal per switch. The scheduler goroutine wakes
 //     only when no actor is runnable (to fire engine events) — the
 //     park-self/grant-next switch no longer round-trips through Run.
+//   - An engine event costs no lock at all (next section).
+//
+// # The baton is the lock
+//
+// At every instant exactly one goroutine may touch the simulation: the
+// baton holder. That is the running actor; or, while every actor is
+// parked, the scheduler goroutine inside Run, firing engine events and
+// their callbacks; or, with no Run active, the one goroutine that
+// builds the simulation and calls Run. The baton changes hands only
+// under mu (park, grant, an actor finishing, Run waking up), and that
+// lock hand-over is the happens-before edge that orders everything the
+// previous holder did before everything the next one does — which is
+// what lets go test -race check the rule.
+//
+// So state that only baton holders touch needs no lock of its own, and
+// none is taken:
+//
+//   - the engine: RunAfter, RunAfterLane, AfterFunc and a Timer's Stop
+//     and Reset schedule and cancel without mu, and Run fires events
+//     back to back without it, re-taking mu only when an event made an
+//     actor runnable (a wake-up, a Notify, a Go) or the queue ran dry;
+//   - the AfterFunc timer pool;
+//   - everything the stack builds on a virtual clock and drives from
+//     actors and callbacks: a netem.Queue, a fabric.Direction and its
+//     DeliveryPool, a serial nicsim.Device. Each decides once, from
+//     IsVirtual, to leave its own mutex alone.
+//
+// These calls are therefore legal only from the baton holder. A plain
+// goroutine that wants to schedule on a running Virtual must become an
+// actor (Go) first.
+//
+// What mu still guards is the hand-over state itself — the actor table,
+// the ready FIFO, the WaitNotify waiter list, current, running, the
+// event log — and with it the calls that are safe from any goroutine
+// while Run is active: Go and GoNamed, CurrentActorName, SetEventLog,
+// Idle. Now, NowNanos, Elapsed and Epoch are atomic reads and safe
+// anywhere. Sleep, WaitNotify and Notify are baton-holder calls that
+// take mu because they hand the baton over or edit the lists above.
 //
 // # Reuse
 //
@@ -76,6 +114,11 @@ type Virtual struct {
 	actors   int           // registered and not yet finished
 	current  *actor        // actor holding the baton (nil: scheduler owns it)
 	running  bool
+	// runnable is raised whenever an actor joins the ready FIFO. Run
+	// polls it between engine events instead of taking mu to look at
+	// the FIFO; it is atomic because Go may ready an actor from a
+	// goroutine that does not hold the baton.
+	runnable atomic.Bool
 
 	// ready is an intrusive FIFO of runnable actors.
 	readyHead, readyTail *actor
@@ -161,7 +204,8 @@ func NewVirtual() *Virtual {
 
 // HandleEvent dispatches typed engine events (actor wakeups). It runs
 // on the scheduler goroutine with v.mu released (engine callbacks are
-// invoked outside the lock).
+// invoked outside the lock); readying the actor edits the ready FIFO,
+// so it takes mu.
 func (v *Virtual) HandleEvent(kind, a, _ int32) {
 	if kind != evWake {
 		return
@@ -229,6 +273,7 @@ func (v *Virtual) readyLocked(a *actor) {
 		return
 	}
 	a.queued = true
+	v.runnable.Store(true)
 	a.nextReady = nil
 	if v.readyTail == nil {
 		v.readyHead = a
@@ -386,11 +431,17 @@ func (v *Virtual) Run() {
 		if v.actors == 0 {
 			break
 		}
-		// Every actor is parked and none is ready: fire the next
-		// event. Callbacks may ready actors, schedule events, or call
-		// Notify; they take v.mu themselves, so release it.
+		// Every actor is parked and none is ready: the scheduler holds
+		// the baton. Fire events back to back without mu until one of
+		// them makes an actor runnable (its callback woke a sleeper,
+		// called Notify or Go) — that actor must run before the next
+		// event does — or the queue runs dry.
+		v.runnable.Store(false)
 		v.mu.Unlock()
-		progressed := v.eng.Step()
+		progressed := true
+		for progressed && !v.runnable.Load() {
+			progressed = v.eng.Step()
+		}
 		v.mu.Lock()
 		if !progressed && v.readyHead == nil && v.current == nil {
 			diag := v.deadlockLocked()
@@ -510,9 +561,7 @@ func (v *Virtual) removeWaiterLocked(a *actor) {
 // Timer allocation. It is the cheap path packet pipelines use for
 // fire-and-forget deliveries (see clock.After).
 func (v *Virtual) RunAfter(d time.Duration, fn func()) {
-	v.mu.Lock()
 	v.eng.After(max(0, d.Seconds()), fn)
-	v.mu.Unlock()
 }
 
 // NewEventLane allocates a monotone FIFO scheduling lane on the
@@ -534,9 +583,7 @@ func (v *Virtual) NewEventLane() int {
 // RunAfterLane is RunAfter through the monotone FIFO lane ln (see
 // NewEventLane).
 func (v *Virtual) RunAfterLane(ln int, d time.Duration, fn func()) {
-	v.mu.Lock()
 	v.eng.AfterLane(int32(ln), max(0, d.Seconds()), fn)
-	v.mu.Unlock()
 }
 
 // virtualTimer implements Timer on the engine. The objects are pooled:
@@ -553,15 +600,13 @@ type virtualTimer struct {
 // AfterFunc implements Clock. fn runs on the scheduler goroutine while
 // every actor is parked, serialized with actors and other callbacks.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
-	v.mu.Lock()
-	t := v.allocTimerLocked()
+	t := v.allocTimer()
 	t.fn = fn
 	t.t = v.eng.After(max(0, d.Seconds()), t.fire)
-	v.mu.Unlock()
 	return t
 }
 
-func (v *Virtual) allocTimerLocked() *virtualTimer {
+func (v *Virtual) allocTimer() *virtualTimer {
 	var t *virtualTimer
 	if n := len(v.timerPool); n > 0 {
 		t = v.timerPool[n-1]
@@ -574,14 +619,11 @@ func (v *Virtual) allocTimerLocked() *virtualTimer {
 	return t
 }
 
-// doFire runs on the scheduler goroutine (engine callback); the
-// callback itself may take v.mu, so doFire must not hold it.
+// doFire runs on the scheduler goroutine (engine callback).
 func (t *virtualTimer) doFire() { t.fn() }
 
 // Stop implements Timer.
 func (t *virtualTimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
 	active := t.t.Active()
 	t.t.Cancel()
 	return active
@@ -589,8 +631,6 @@ func (t *virtualTimer) Stop() bool {
 
 // Reset implements Timer.
 func (t *virtualTimer) Reset(d time.Duration) bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
 	active := t.t.Active()
 	t.t.Cancel()
 	t.t = t.v.eng.After(max(0, d.Seconds()), t.fire)

@@ -67,17 +67,22 @@ type Config struct {
 
 // Direction is one half of a link; it implements nicsim.Wire.
 type Direction struct {
-	cfg  Config
-	clk  clock.Clock
-	nano clock.NanoClock // non-nil when clk exposes the integer fast path
-	dst  nicsim.Deliverer
-	rmu  sync.Mutex
-	rng  *rand.Rand
-	icpt atomic.Pointer[Interceptor]
+	// params is the per-lease parameterization. Send loads it once per
+	// packet; Reconfigure publishes a fresh one, so a straggler of the
+	// previous lease (a late re-ACK still running on a free-running
+	// worker of a real-clock deployment) sends under the old or the new
+	// parameters but never reads a half-written set.
+	params atomic.Pointer[params]
+	dst    nicsim.Deliverer
+	rmu    sync.Mutex
+	rng    *rand.Rand
+	icpt   atomic.Pointer[Interceptor]
 
-	// freeAt is when the serializing wire next becomes idle (guarded
-	// by rmu; only used when BandwidthBps > 0). freeAtNanos is the
-	// same booking kept in integer nanoseconds on NanoClock clocks.
+	// freeAt is when the serializing wire next becomes idle (only used
+	// when BandwidthBps > 0). freeAtNanos is the same booking kept in
+	// integer nanoseconds on NanoClock clocks. rng, freeAt and
+	// freeAtNanos are guarded by rmu on a real clock and by the
+	// scheduler baton on a virtual one (params.serial).
 	freeAt      time.Time
 	freeAtNanos int64
 
@@ -96,6 +101,24 @@ type Direction struct {
 	HeldCount  atomic.Uint64
 }
 
+// params is one immutable parameterization of a Direction.
+type params struct {
+	cfg  Config
+	clk  clock.Clock
+	nano clock.NanoClock // non-nil when clk exposes the integer fast path
+	// serial: clk is virtual, so every Send runs under the scheduler
+	// baton (see clock.Virtual, "The baton is the lock") and rmu is not
+	// taken.
+	serial bool
+}
+
+func newParams(cfg Config) *params {
+	p := &params{cfg: cfg, clk: clock.Or(cfg.Clock)}
+	p.nano, _ = p.clk.(clock.NanoClock)
+	p.serial = p.clk.IsVirtual()
+	return p
+}
+
 // NewDirection builds a standalone direction toward dst (links are
 // made of two).
 func NewDirection(dst *nicsim.Device, cfg Config) *Direction {
@@ -107,12 +130,10 @@ func NewDirection(dst *nicsim.Device, cfg Config) *Direction {
 // impairment pipeline composes with multi-hop topologies.
 func NewDirectionTo(dst nicsim.Deliverer, cfg Config) *Direction {
 	d := &Direction{
-		cfg: cfg,
-		clk: clock.Or(cfg.Clock),
 		dst: dst,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	d.nano, _ = d.clk.(clock.NanoClock)
+	d.params.Store(newParams(cfg))
 	return d
 }
 
@@ -121,13 +142,13 @@ func NewDirectionTo(dst nicsim.Deliverer, cfg Config) *Direction {
 // serialization booking, held packets and counters reset, and any
 // interceptor is cleared. The destination is fixed at construction —
 // pooled deployments re-lease the same device pair, which is what
-// makes the envelope reusable at all. Only call between leases, with
-// no packets in flight.
+// makes the envelope reusable at all. Only call between leases; a
+// straggling control packet of the previous lease may still be in
+// Send on a real clock, which is why the parameters are published
+// whole and the rng is reseeded under rmu.
 func (d *Direction) Reconfigure(cfg Config) {
 	d.rmu.Lock()
-	d.cfg = cfg
-	d.clk = clock.Or(cfg.Clock)
-	d.nano, _ = d.clk.(clock.NanoClock)
+	d.params.Store(newParams(cfg))
 	d.rng.Seed(cfg.Seed)
 	d.freeAt = time.Time{}
 	d.freeAtNanos = 0
@@ -169,38 +190,44 @@ func (d *Direction) Send(pkt *nicsim.Packet) {
 			return
 		}
 	}
+	p := d.params.Load()
+	cfg := &p.cfg
 	var dup bool
 	var extra, serDelay, dupSerDelay time.Duration
-	needRNG := d.cfg.DropProb > 0 || d.cfg.DuplicateProb > 0 || d.cfg.ReorderProb > 0
-	if needRNG || d.cfg.BandwidthBps > 0 {
-		d.rmu.Lock()
+	needRNG := cfg.DropProb > 0 || cfg.DuplicateProb > 0 || cfg.ReorderProb > 0
+	if needRNG || cfg.BandwidthBps > 0 {
+		if !p.serial {
+			d.rmu.Lock()
+		}
 		var tx time.Duration
-		if d.cfg.BandwidthBps > 0 {
+		if cfg.BandwidthBps > 0 {
 			// The sender uplink serializes every offered packet —
 			// including ones the downstream ISP channel will drop — so
 			// wire time is booked before the loss draw.
 			bits := float64(len(pkt.Payload)+nicsim.HeaderBytes) * 8
-			tx = time.Duration(bits / d.cfg.BandwidthBps * float64(time.Second))
-			serDelay = d.occupyLocked(tx)
+			tx = time.Duration(bits / cfg.BandwidthBps * float64(time.Second))
+			serDelay = d.occupyLocked(p, tx)
 		}
-		if d.cfg.DropProb > 0 && d.rng.Float64() < d.cfg.DropProb {
+		dropped := cfg.DropProb > 0 && d.rng.Float64() < cfg.DropProb
+		if !dropped && needRNG {
+			dup = cfg.DuplicateProb > 0 && d.rng.Float64() < cfg.DuplicateProb
+			if cfg.ReorderProb > 0 && d.rng.Float64() < cfg.ReorderProb {
+				extra = cfg.ReorderExtra
+			}
+		}
+		if dup && cfg.BandwidthBps > 0 {
+			// The duplicate serializes separately, one transmission
+			// time behind its original.
+			dupSerDelay = d.occupyLocked(p, tx)
+		}
+		if !p.serial {
 			d.rmu.Unlock()
+		}
+		if dropped {
 			d.Dropped.Add(1)
 			nicsim.ReleasePacket(pkt)
 			return
 		}
-		if needRNG {
-			dup = d.cfg.DuplicateProb > 0 && d.rng.Float64() < d.cfg.DuplicateProb
-			if d.cfg.ReorderProb > 0 && d.rng.Float64() < d.cfg.ReorderProb {
-				extra = d.cfg.ReorderExtra
-			}
-		}
-		if dup && d.cfg.BandwidthBps > 0 {
-			// The duplicate serializes separately, one transmission
-			// time behind its original.
-			dupSerDelay = d.occupyLocked(tx)
-		}
-		d.rmu.Unlock()
 	}
 	// Clone the duplicate before the first delivery: at zero delay the
 	// first deliver runs synchronously and recycles a pooled envelope.
@@ -208,21 +235,21 @@ func (d *Direction) Send(pkt *nicsim.Packet) {
 	if dup {
 		dupPkt = pkt.Clone()
 	}
-	d.deliver(pkt, d.cfg.Latency+extra+serDelay)
+	d.pool.DeliverAfter(p.clk, cfg.Latency+extra+serDelay, d.dst, pkt)
 	if dup {
 		d.Duplicated.Add(1)
-		d.deliver(dupPkt, d.cfg.Latency+extra+dupSerDelay)
+		d.pool.DeliverAfter(p.clk, cfg.Latency+extra+dupSerDelay, d.dst, dupPkt)
 	}
 }
 
 // occupyLocked books tx of wire time starting when the link is next
 // free and returns the queueing + transmission delay experienced
-// before propagation starts. Caller holds rmu.
-func (d *Direction) occupyLocked(tx time.Duration) time.Duration {
-	if d.nano != nil {
+// before propagation starts. Caller holds rmu (or the baton).
+func (d *Direction) occupyLocked(p *params, tx time.Duration) time.Duration {
+	if p.nano != nil {
 		// Integer fast path: identical arithmetic at nanosecond
 		// resolution, minus the per-packet time.Time construction.
-		now := d.nano.NowNanos()
+		now := p.nano.NowNanos()
 		start := d.freeAtNanos
 		if start < now {
 			start = now
@@ -230,7 +257,7 @@ func (d *Direction) occupyLocked(tx time.Duration) time.Duration {
 		d.freeAtNanos = start + int64(tx)
 		return time.Duration(d.freeAtNanos - now)
 	}
-	now := d.clk.Now()
+	now := p.clk.Now()
 	start := d.freeAt
 	if start.Before(now) {
 		start = now
@@ -239,16 +266,19 @@ func (d *Direction) occupyLocked(tx time.Duration) time.Duration {
 	return d.freeAt.Sub(now)
 }
 
-func (d *Direction) deliver(pkt *nicsim.Packet, delay time.Duration) {
-	d.pool.DeliverAfter(d.clk, delay, d.dst, pkt)
-}
-
 // DeliveryPool schedules fire-and-forget clocked packet deliveries
 // through pooled envelopes whose run closures are bound once at
 // allocation: scheduling a delivery allocates neither a closure nor
 // (on a virtual clock, via clock.After) a Timer — per-packet wire
 // latency is pure engine-slot traffic. The zero value is ready to
 // use; fabric Directions and netem Queues each embed one.
+//
+// The pool has no constructor — its clock arrives with every call — so
+// it decides how to guard its free list from that clock: a
+// LaneScheduler is a virtual clock, where every DeliverAfter and every
+// delivery runs under the scheduler baton (see clock.Virtual, "The
+// baton is the lock") and mu is never taken; on any other clock timer
+// goroutines race the senders and mu guards the list.
 type DeliveryPool struct {
 	mu   sync.Mutex
 	free *delivery
@@ -258,10 +288,7 @@ type DeliveryPool struct {
 	// nondecreasing time order (fixed latency plus monotone
 	// serialization booking), so they ride an O(1) engine lane instead
 	// of the event heap; reorder extras simply fall back to the heap
-	// inside the lane push. Only virtual clocks implement
-	// LaneScheduler, and there every DeliverAfter is serialized under
-	// the scheduler baton, so the lazily-initialized pair needs no
-	// lock.
+	// inside the lane push. Virtual clocks only, so baton-guarded.
 	lane    int
 	laneClk clock.Clock
 }
@@ -273,8 +300,9 @@ func (p *DeliveryPool) DeliverAfter(clk clock.Clock, delay time.Duration, dst ni
 		dst.Deliver(pkt)
 		return
 	}
-	env := p.get(dst, pkt)
-	if ls, ok := clk.(clock.LaneScheduler); ok {
+	ls, serial := clk.(clock.LaneScheduler)
+	env := p.get(dst, pkt, serial)
+	if serial {
 		if p.laneClk != clk {
 			p.lane = ls.NewEventLane()
 			p.laneClk = clk
@@ -287,11 +315,12 @@ func (p *DeliveryPool) DeliverAfter(clk clock.Clock, delay time.Duration, dst ni
 
 // delivery is one pooled in-flight envelope.
 type delivery struct {
-	pool *DeliveryPool
-	dst  nicsim.Deliverer
-	pkt  *nicsim.Packet
-	run  func() // == doRun, bound once
-	next *delivery
+	pool   *DeliveryPool
+	dst    nicsim.Deliverer
+	pkt    *nicsim.Packet
+	run    func() // == doRun, bound once
+	next   *delivery
+	serial bool // scheduled on a virtual clock: recycle without mu
 }
 
 func (env *delivery) doRun() {
@@ -301,26 +330,34 @@ func (env *delivery) doRun() {
 	// a response send through the same pool, which can then reuse the
 	// slot.
 	p := env.pool
-	p.mu.Lock()
+	if !env.serial {
+		p.mu.Lock()
+	}
 	env.next = p.free
 	p.free = env
-	p.mu.Unlock()
+	if !env.serial {
+		p.mu.Unlock()
+	}
 	dst.Deliver(pkt)
 }
 
-func (p *DeliveryPool) get(dst nicsim.Deliverer, pkt *nicsim.Packet) *delivery {
-	p.mu.Lock()
+func (p *DeliveryPool) get(dst nicsim.Deliverer, pkt *nicsim.Packet, serial bool) *delivery {
+	if !serial {
+		p.mu.Lock()
+	}
 	env := p.free
 	if env != nil {
 		p.free = env.next
 		env.next = nil
 	}
-	p.mu.Unlock()
+	if !serial {
+		p.mu.Unlock()
+	}
 	if env == nil {
 		env = &delivery{pool: p}
 		env.run = env.doRun
 	}
-	env.dst, env.pkt = dst, pkt
+	env.dst, env.pkt, env.serial = dst, pkt, serial
 	return env
 }
 

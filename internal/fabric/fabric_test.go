@@ -355,7 +355,54 @@ func TestOOBFIFOVirtual(t *testing.T) {
 func TestSymmetricLinkSeeds(t *testing.T) {
 	a, b := nicsim.NewDevice("a"), nicsim.NewDevice("b")
 	l := Symmetric(a, b, Config{DropProb: 0.5, Seed: 42})
-	if l.AB.cfg.Seed == l.BA.cfg.Seed {
+	if l.AB.params.Load().cfg.Seed == l.BA.params.Load().cfg.Seed {
 		t.Fatal("symmetric link directions share a seed")
+	}
+}
+
+// discardSink is a terminal Deliverer that counts what it is handed.
+type discardSink struct{ n atomic.Uint64 }
+
+func (s *discardSink) Deliver(p *nicsim.Packet) {
+	s.n.Add(1)
+	nicsim.ReleasePacket(p)
+}
+
+// On a real clock a straggler of the previous lease (a late re-ACK on a
+// free-running worker) can still be inside Send while the pool
+// re-parameterizes the direction for the next lease. Send must see the
+// old or the new parameters whole; run under -race this fails on a
+// Direction whose Send reads cfg and clk field by field.
+func TestReconfigureDuringSendRealClock(t *testing.T) {
+	clk := clock.NewReal()
+	sink := &discardSink{}
+	cfg := func(seed int64) Config {
+		return Config{BandwidthBps: 400e9, DropProb: 0.1, Seed: seed, Clock: clk}
+	}
+	d := NewDirectionTo(sink, cfg(1))
+	const senders, perSender = 4, 2000
+	done := make(chan struct{})
+	for s := 0; s < senders; s++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < perSender; i++ {
+				d.Send(&nicsim.Packet{Opcode: nicsim.OpSend, Payload: []byte("x"), First: true, Last: true})
+			}
+		}()
+	}
+	for seed := int64(2); seed < 200; seed++ {
+		d.Reconfigure(cfg(seed))
+		runtime.Gosched()
+	}
+	for s := 0; s < senders; s++ {
+		<-done
+	}
+	// The serialization booking is at most a few packet times deep.
+	deadline := time.Now().Add(5 * time.Second)
+	for sink.n.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if sink.n.Load() == 0 {
+		t.Fatal("nothing delivered")
 	}
 }

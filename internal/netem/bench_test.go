@@ -8,10 +8,22 @@ import (
 	"sdrrdma/internal/nicsim"
 )
 
-// counter is a minimal terminal Deliverer.
+// counter is a minimal terminal Deliverer: it ends the packet's life,
+// so it returns the envelope to the nicsim pool like a device does.
 type counter struct{ n int }
 
-func (c *counter) Deliver(*nicsim.Packet) { c.n++ }
+func (c *counter) Deliver(p *nicsim.Packet) {
+	c.n++
+	nicsim.ReleasePacket(p)
+}
+
+// leased builds the benchmark's packet on a pooled envelope, as the
+// nicsim QPs do, so allocs/op is the queue's and not the harness's.
+func leased(psn uint32, payload []byte) *nicsim.Packet {
+	p := nicsim.LeasePacket()
+	p.Opcode, p.PSN, p.Payload = nicsim.OpWriteImm, psn, payload
+	return p
+}
 
 // BenchmarkNetemQueue measures the per-packet cost of the full queue
 // pipeline on the virtual clock — enqueue, head-of-line departure
@@ -42,7 +54,7 @@ func BenchmarkNetemQueue(b *testing.B) {
 	b.ResetTimer()
 	clock.Join(clk, func() {
 		for i := 0; i < b.N; i++ {
-			port.Send(&nicsim.Packet{Opcode: nicsim.OpWriteImm, PSN: uint32(i), Payload: payload})
+			port.Send(leased(uint32(i), payload))
 			if i%128 == 127 {
 				// Let the buffer drain so the benchmark measures the
 				// steady pipeline, not tail-drop of an ever-full queue.
@@ -82,7 +94,7 @@ func BenchmarkNetemQueueECN(b *testing.B) {
 	b.ResetTimer()
 	clock.Join(clk, func() {
 		for i := 0; i < b.N; i++ {
-			port.Send(&nicsim.Packet{Opcode: nicsim.OpWriteImm, PSN: uint32(i), Payload: payload})
+			port.Send(leased(uint32(i), payload))
 			if i%128 == 127 {
 				clk.Sleep(20 * time.Microsecond)
 			}
@@ -97,5 +109,50 @@ func BenchmarkNetemQueueECN(b *testing.B) {
 	// must actually mark.
 	if b.N >= 128 && q.Marked.Load() == 0 {
 		b.Fatal("no packets marked: threshold never engaged")
+	}
+}
+
+// BenchmarkNetemCrossTraffic measures one background packet end to
+// end: a Poisson TrafficGen offering half the line rate to a
+// bottleneck Queue whose port ends in a releasing sink — emission
+// timer, enqueue, departure event, loss draw, propagation event,
+// delivery. ns/op and allocs/op are per cross packet; the contended
+// perftest and benchmark workloads pay this about six times per
+// foreground packet. Tracked in BENCH_protosim.json.
+func BenchmarkNetemCrossTraffic(b *testing.B) {
+	clk := clock.NewVirtual()
+	loss, err := LossSpec{P: 0.005}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := NewQueue(QueueConfig{
+		BandwidthBps:       100e9,
+		BufferBytes:        4 << 20,
+		MarkThresholdBytes: 2 << 20,
+		Latency:            500 * time.Microsecond,
+		Loss:               loss,
+		Seed:               1,
+		Clock:              clk,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink := &counter{}
+	gen, err := NewTrafficGen(TrafficConfig{
+		Bps: 50e9, PacketBytes: 4096, Poisson: true, Seed: 2, Clock: clk,
+	}, q.Port(sink))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Mean gap of a 4160-byte wire packet at 50 Gbit/s.
+	const gap = 4160 * 8 * time.Second / 50e9
+	b.ReportAllocs()
+	b.ResetTimer()
+	gen.Start()
+	clock.Join(clk, func() { clk.Sleep(time.Duration(b.N) * gap) })
+	gen.Stop()
+	b.StopTimer()
+	if b.N >= 128 && (sink.n == 0 || gen.Sent() < uint64(b.N)/2) {
+		b.Fatalf("sent %d, delivered %d of ~%d", gen.Sent(), sink.n, b.N)
 	}
 }

@@ -103,13 +103,22 @@ func (c QueueConfig) Validate() error {
 // Ports, contending for the same buffer. That is what lets a dumbbell
 // bottleneck reproduce multi-tenant tail-drop bursts no single-link
 // model shows.
+//
+// Locking follows the clock the queue was built on. On a real clock
+// enqueues, departures (timer goroutines) and the setters race, and mu
+// guards every field below it. On a virtual clock every caller runs
+// under the scheduler baton (see clock.Virtual, "The baton is the
+// lock"), so the queue takes no lock at all: the choice is made once,
+// in NewQueue, from Clock.IsVirtual.
 type Queue struct {
 	cfg QueueConfig
 	clk clock.Clock
+	// serial: built on a virtual clock, mu is never taken.
+	serial bool
 
 	mu   sync.Mutex
 	rng  *rand.Rand
-	q    []queued
+	fifo fifo
 	used int  // buffered wire bytes
 	busy bool // head-of-line transmission in progress
 	high int  // buffer occupancy high-watermark
@@ -151,6 +160,52 @@ type queued struct {
 	size int
 }
 
+// fifo is the queue's packet buffer: a power-of-two ring that doubles
+// when full and is never pre-sized or shrunk, so a queue in steady
+// state does not allocate, and a popped slot is cleared so the buffer
+// pins no departed packet.
+type fifo struct {
+	buf     []queued // len is zero or a power of two
+	head, n int
+}
+
+func (f *fifo) push(e queued) {
+	if f.n == len(f.buf) {
+		grown := make([]queued, max(8, 2*len(f.buf)))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = e
+	f.n++
+}
+
+// pop removes and returns the oldest entry; the fifo must not be empty.
+func (f *fifo) pop() queued {
+	e := f.buf[f.head]
+	f.buf[f.head] = queued{}
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return e
+}
+
+// front returns the oldest entry without removing it.
+func (f *fifo) front() *queued { return &f.buf[f.head] }
+
+// lock and unlock guard the queue's state on a real clock and are
+// no-ops under the virtual clock's baton.
+func (q *Queue) lock() {
+	if !q.serial {
+		q.mu.Lock()
+	}
+}
+
+func (q *Queue) unlock() {
+	if !q.serial {
+		q.mu.Unlock()
+	}
+}
+
 // NewQueue builds a queue direction.
 func NewQueue(cfg QueueConfig) (*Queue, error) {
 	if err := cfg.Validate(); err != nil {
@@ -161,6 +216,7 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 		clk: clock.Or(cfg.Clock),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
+	q.serial = q.clk.IsVirtual()
 	q.departFn = q.depart
 	return q, nil
 }
@@ -171,9 +227,9 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 // per-device and collide across tenants. Experiments use the hook to
 // map drops onto bitmap chunks.
 func (q *Queue) SetDropHook(fn func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)) {
-	q.mu.Lock()
+	q.lock()
 	q.onDrop = fn
-	q.mu.Unlock()
+	q.unlock()
 }
 
 // SetTelemetry attaches a flight-recorder sink: every admission and
@@ -181,9 +237,9 @@ func (q *Queue) SetDropHook(fn func(pkt *nicsim.Packet, reason DropReason, dst n
 // queue-depth series), and drops and ECN marks become instant events
 // on track. A nil sink detaches — the default, zero-overhead state.
 func (q *Queue) SetTelemetry(sink telemetry.Sink, track int32) {
-	q.mu.Lock()
+	q.lock()
 	q.sink, q.track = sink, track
-	q.mu.Unlock()
+	q.unlock()
 }
 
 // probe emits one event when a sink is attached. The nil check is the
@@ -207,15 +263,15 @@ func (q *Queue) Drops() uint64 {
 // (packets that already left the queue) is unaffected, exactly like a
 // real fiber cut that strands photons already past the break.
 func (q *Queue) SetDown(down bool) {
-	q.mu.Lock()
+	q.lock()
 	q.down = down
-	q.mu.Unlock()
+	q.unlock()
 }
 
 // Down reports whether the direction is administratively down.
 func (q *Queue) Down() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+	q.lock()
+	defer q.unlock()
 	return q.down
 }
 
@@ -226,9 +282,9 @@ func (q *Queue) SetBandwidth(bps float64) error {
 	if bps <= 0 {
 		return fmt.Errorf("netem: queue bandwidth %g <= 0", bps)
 	}
-	q.mu.Lock()
+	q.lock()
 	q.cfg.BandwidthBps = bps
-	q.mu.Unlock()
+	q.unlock()
 	return nil
 }
 
@@ -238,9 +294,9 @@ func (q *Queue) SetLatency(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("netem: queue latency %v < 0", d)
 	}
-	q.mu.Lock()
+	q.lock()
 	q.cfg.Latency = d
-	q.mu.Unlock()
+	q.unlock()
 	return nil
 }
 
@@ -249,15 +305,15 @@ func (q *Queue) SetLatency(d time.Duration) error {
 // previous process left off, so a scheduled loss change stays
 // deterministic per seed regardless of when it fires.
 func (q *Queue) SetLoss(p LossProcess) {
-	q.mu.Lock()
+	q.lock()
 	q.cfg.Loss = p
-	q.mu.Unlock()
+	q.unlock()
 }
 
 // HighWatermark returns the peak buffered wire bytes observed.
 func (q *Queue) HighWatermark() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+	q.lock()
+	defer q.unlock()
 	return q.high
 }
 
@@ -288,12 +344,12 @@ func (q *Queue) txTime(size int) time.Duration {
 }
 
 func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
-	q.mu.Lock()
+	q.lock()
 	size := wireBytes(pkt)
 	sink, track := q.sink, q.track
 	if q.down {
 		hook := q.onDrop
-		q.mu.Unlock()
+		q.unlock()
 		q.LinkDownDrops.Add(1)
 		q.probe(sink, track, telemetry.EvLinkDownDrop, 0, int64(size))
 		if hook != nil {
@@ -306,7 +362,7 @@ func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	if q.cfg.BufferBytes > 0 && q.used+size > q.cfg.BufferBytes {
 		hook := q.onDrop
 		used := q.used
-		q.mu.Unlock()
+		q.unlock()
 		q.TailDrops.Add(1)
 		q.probe(sink, track, telemetry.EvTailDrop, int64(used), int64(size))
 		if hook != nil {
@@ -316,7 +372,7 @@ func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		}
 		return
 	}
-	q.q = append(q.q, queued{pkt: pkt, dst: dst, size: size})
+	q.fifo.push(queued{pkt: pkt, dst: dst, size: size})
 	q.used += size
 	if q.used > q.high {
 		q.high = q.used
@@ -336,7 +392,7 @@ func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	}
 	used := q.used
 	d := q.txTime(size)
-	q.mu.Unlock()
+	q.unlock()
 	q.Enqueued.Add(1)
 	if sink != nil {
 		at := clock.NowNanos(q.clk)
@@ -357,18 +413,14 @@ func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 // propagates to its destination. The next packet, if any, starts
 // transmitting immediately.
 func (q *Queue) depart() {
-	q.mu.Lock()
-	if len(q.q) == 0 {
+	q.lock()
+	if q.fifo.n == 0 {
 		// Cannot happen: busy is only set with a queued head.
 		q.busy = false
-		q.mu.Unlock()
+		q.unlock()
 		return
 	}
-	head := q.q[0]
-	q.q = q.q[1:]
-	if len(q.q) == 0 {
-		q.q = nil // let the backing array go once drained
-	}
+	head := q.fifo.pop()
 	q.used -= head.size
 	down := q.down
 	dropped := !down && q.cfg.Loss != nil && q.cfg.Loss.Drop(q.rng)
@@ -376,13 +428,13 @@ func (q *Queue) depart() {
 	hook := q.onDrop
 	sink, track := q.sink, q.track
 	used := q.used
-	if len(q.q) > 0 {
-		d := q.txTime(q.q[0].size)
-		q.mu.Unlock()
+	if q.fifo.n > 0 {
+		d := q.txTime(q.fifo.front().size)
+		q.unlock()
 		clock.After(q.clk, d, q.departFn)
 	} else {
 		q.busy = false
-		q.mu.Unlock()
+		q.unlock()
 	}
 	q.probe(sink, track, telemetry.EvDepart, int64(used), 0)
 	if down {

@@ -1,0 +1,7 @@
+//go:build race
+
+package netem
+
+// raceEnabled reports whether the race detector is active (build-tag
+// probe, mirrored in race_off_test.go).
+const raceEnabled = true

@@ -40,7 +40,11 @@ type TrafficConfig struct {
 // The generator is open-loop by design: it never backs off, so tail
 // drops under overload land on whoever loses the buffer race, exactly
 // like unmanaged datacenter cross-traffic. All packets share one
-// read-only payload; the per-packet envelope is the only allocation.
+// read-only payload and ride envelopes leased from the nicsim packet
+// pool: a destination chain that ends in nicsim.ReleasePacket (the
+// queue's own drop paths, a releasing sink) recycles them, so the
+// steady-state source allocates nothing; a sink that keeps or forgets
+// the packet costs one envelope per packet.
 type TrafficGen struct {
 	cfg     TrafficConfig
 	clk     clock.Clock
@@ -119,7 +123,9 @@ func (g *TrafficGen) tick() {
 		return
 	}
 	g.sent.Add(1)
-	g.dst.Deliver(&nicsim.Packet{Opcode: nicsim.OpWrite, Payload: g.payload})
+	pkt := nicsim.LeasePacket()
+	pkt.Opcode, pkt.Payload = nicsim.OpWrite, g.payload
+	g.dst.Deliver(pkt)
 	if g.stopped.Load() {
 		return
 	}

@@ -96,8 +96,12 @@ type Packet struct {
 // that is the single largest per-packet allocation in the stack.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// getPacket leases a cleared pooled envelope (buf storage retained).
-func getPacket() *Packet {
+// LeasePacket leases a cleared pooled envelope (buf storage retained):
+// the QPs' per-fragment send path, and packet sources outside the
+// device (netem cross traffic). Whichever stage ends the packet's life
+// returns it with ReleasePacket; a lease that is never released is
+// ordinary garbage.
+func LeasePacket() *Packet {
 	p := packetPool.Get().(*Packet)
 	p.pooled = true
 	return p

@@ -125,7 +125,7 @@ func (qp *UCQP) write(rkey uint32, offset uint64, payload []byte, imm uint32, ha
 		if hi > len(payload) {
 			hi = len(payload)
 		}
-		pkt := getPacket()
+		pkt := LeasePacket()
 		pkt.Opcode = op
 		pkt.SrcQPN = qp.qpn
 		pkt.DstQPN = qp.peer

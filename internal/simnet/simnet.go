@@ -86,6 +86,22 @@ type lane struct {
 	lastAt float64 // timestamp of the most recent push
 }
 
+// push appends idx. A lane that fully drains rewinds in peek; one that
+// never does — a delivery lane under standing load — would otherwise
+// drag its popped prefix along and regrow forever, so when the storage
+// is full and the popped prefix is at least as long as the live part,
+// the live part slides to the front instead of growing. Each popped
+// entry is copied over at most once, so the push stays amortized O(1)
+// and a lane in steady state never reallocates.
+func (l *lane) push(idx int32) {
+	if len(l.ring) == cap(l.ring) && l.head > 0 && 2*l.head >= len(l.ring) {
+		n := copy(l.ring, l.ring[l.head:])
+		l.ring = l.ring[:n]
+		l.head = 0
+	}
+	l.ring = append(l.ring, idx)
+}
+
 // Engine is a single-threaded discrete-event scheduler.
 type Engine struct {
 	now float64
@@ -254,7 +270,7 @@ func (e *Engine) ScheduleLane(ln int32, at float64, kind, a, b int32) Timer {
 	s.fn = nil
 	s.kind, s.a, s.b = kind, a, b
 	l.lastAt = at
-	l.ring = append(l.ring, idx)
+	l.push(idx)
 	return Timer{e, idx, s.gen}
 }
 
@@ -280,7 +296,7 @@ func (e *Engine) AtLane(ln int32, at float64, fn Event) Timer {
 	s := &e.slots[idx]
 	s.fn = fn
 	l.lastAt = at
-	l.ring = append(l.ring, idx)
+	l.push(idx)
 	return Timer{e, idx, s.gen}
 }
 

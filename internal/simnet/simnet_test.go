@@ -317,6 +317,42 @@ func TestLaneCancelAndReset(t *testing.T) {
 	}
 }
 
+// A lane that never fully drains — a delivery lane under standing load
+// — must not drag its popped prefix along: storage stays bounded by the
+// standing depth (it used to grow by one entry per event, forever) and
+// the firing order survives every compaction.
+func TestLaneStandingLoadStaysBounded(t *testing.T) {
+	e := New()
+	r := &recorder{}
+	e.SetHandler(r)
+	const standing, rounds = 100, 5000
+	at, next := 0.0, int32(0)
+	push := func() {
+		at++
+		e.ScheduleLane(0, at, 0, next, 0)
+		next++
+	}
+	for i := 0; i < standing; i++ {
+		push()
+	}
+	for i := 0; i < rounds; i++ {
+		push()
+		e.Step()
+	}
+	if c := cap(e.lanes[0].ring); c > 4*standing {
+		t.Fatalf("lane storage grew to %d entries for a standing depth of %d", c, standing)
+	}
+	e.Run()
+	if len(r.events) != standing+rounds {
+		t.Fatalf("fired %d of %d", len(r.events), standing+rounds)
+	}
+	for i, ev := range r.events {
+		if ev[1] != int32(i) {
+			t.Fatalf("event %d fired as %d: lane order broken by compaction", i, ev[1])
+		}
+	}
+}
+
 // Property: events always fire in non-decreasing time order regardless
 // of insertion order.
 func TestMonotoneFiringProperty(t *testing.T) {
