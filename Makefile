@@ -59,7 +59,7 @@ bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkSessionChurn' -benchmem ./internal/session/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkWANVirtual|BenchmarkWANReal' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkWANFunctionalSweep|BenchmarkMultiDCSweep|BenchmarkAdaptiveSweep' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
-	$(GO) test -run xxx -bench 'BenchmarkNetemQueue|BenchmarkNetemCrossTraffic' -benchmem ./internal/netem/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkNetemQueue|BenchmarkNetemCrossTraffic|BenchmarkNetemFlowChurn' -benchmem ./internal/netem/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkFunctionalAllreduceVirtual' -benchtime 5x -benchmem ./internal/collective/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkMultiDCVirtual|BenchmarkMultiDCReal' -benchtime 2x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkPerftestSR|BenchmarkPerftestEC|BenchmarkPerftestAdaptive' -benchtime 5x -benchmem ./cmd/sdr-perftest/ >> bench-json.tmp
@@ -136,9 +136,12 @@ smoke-golden:
 	$(GO) test -count=1 -run 'TestReliabilityGoldenTuples' -v ./internal/reliability/
 	$(GO) test -count=1 -run 'TestPerftestCrossSchemeDigest' -v ./cmd/sdr-perftest/
 
-# Repo-benchmark smoke: a 2-second wan_ec run of the declared benchmark
-# (BENCHMARK.json) — EC(32,8) encode + reconstruct under 1% loss. Exits
-# non-zero if the verification rep receives a wrong byte or any timed
-# rep's simulated tuple diverges from it.
+# Repo-benchmark smoke: 2-second runs of two workloads of the declared
+# benchmark (BENCHMARK.json) — wan_ec, EC(32,8) encode + reconstruct
+# under 1% loss, and flow_churn, 2000 leases of one pooled dumbbell
+# deployment. Each exits non-zero if the verification rep receives a
+# wrong byte or any timed rep's simulated tuple diverges from it, so the
+# lease path's behaviour is checked on every `make ci`.
 smoke-bench:
 	bash benchmark/run.sh --workload wan_ec --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload flow_churn --seed 1 --seconds 2 --trace 0

@@ -71,6 +71,9 @@ func (c *Context) Clock() clock.Clock { return *c.clk.Load() }
 // straggler late packet from the previous lease may still deliver,
 // which is why the clock swap itself is atomic.
 func (c *Context) SetClock(clk clock.Clock) {
+	if clock.Or(clk) == c.Clock() {
+		return // a re-lease on the clock the context already runs on
+	}
 	cc := clock.Or(clk)
 	c.clk.Store(&cc)
 	c.pool.SetSynchronous(cc.IsVirtual())

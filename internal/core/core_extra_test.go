@@ -265,3 +265,98 @@ func TestStreamContinueOffsetOverflowRejected(t *testing.T) {
 		t.Fatalf("valid Continue rejected: %v", err)
 	}
 }
+
+// QP.Reset retires only the receives the lease left live, not every
+// root entry. The observable contract is unchanged: after Reset every
+// slot of every generation absorbs a write into the NULL key, and no
+// write reaches a buffer the lease had posted — across wraparound (more
+// postings than slots in one lease), across generations, and on a
+// second lease that starts mid-table.
+func TestResetRetiresEveryLiveSlot(t *testing.T) {
+	cfg := Config{
+		MTU: 1024, ChunkBytes: 1024, MaxMsgBytes: 4096,
+		MsgIDBits: 3, PktOffsetBits: 25, UserImmBits: 4,
+		Generations: 2, Channels: 1,
+	}
+	p := newTestPair(t, cfg, fabric.Config{}, fabric.Config{})
+	qp := p.B.QP
+	slots := cfg.Slots()
+	recvBuf := make([]byte, slots*cfg.MaxMsgBytes)
+	mr := p.B.Ctx.RegMR(recvBuf)
+	payload := bytes.Repeat([]byte{0x5A}, cfg.MTU)
+
+	checkAllRetired := func(label string) {
+		t.Helper()
+		clear(recvBuf)
+		before := p.B.Ctx.NullDiscarded()
+		for g := 0; g < cfg.Generations; g++ {
+			for s := 0; s < slots; s++ {
+				if err := qp.rootMRs[g].DMAWrite(uint64(s)*uint64(cfg.MaxMsgBytes), payload); err != nil {
+					t.Fatalf("%s: gen %d slot %d: %v", label, g, s, err)
+				}
+			}
+		}
+		if got, want := p.B.Ctx.NullDiscarded()-before, uint64(cfg.Generations*slots*cfg.MTU); got != want {
+			t.Fatalf("%s: NULL key absorbed %d B, want %d", label, got, want)
+		}
+		for i, b := range recvBuf {
+			if b != 0 {
+				t.Fatalf("%s: write reached the lease's MR at byte %d", label, i)
+			}
+		}
+	}
+	post := func(n int) []*RecvHandle {
+		t.Helper()
+		hs := make([]*RecvHandle, n)
+		for i := range hs {
+			h, err := qp.RecvPost(mr, uint64(i%slots)*uint64(cfg.MaxMsgBytes), cfg.MaxMsgBytes)
+			if err != nil {
+				t.Fatalf("post %d: %v", i, err)
+			}
+			hs[i] = h
+		}
+		return hs
+	}
+
+	// Lease 1: k < slots receives, all left live.
+	post(3)
+	qp.Reset()
+	checkAllRetired("lease 1")
+
+	// Lease 2 starts at seq 3: fill the table past the generation
+	// boundary, complete the first wave, post a second wave into
+	// generation 1, and leave handles live in both generations.
+	first := post(slots)
+	for _, h := range first[:slots-2] {
+		if err := h.Complete(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post(slots - 2)
+	live := 0
+	for i := range qp.slots {
+		if qp.slots[i].handle.Load() != nil {
+			live++
+		}
+	}
+	if live != slots {
+		t.Fatalf("lease 2 left %d live slots, want %d", live, slots)
+	}
+	qp.Reset()
+	checkAllRetired("lease 2")
+	for i := range qp.slots {
+		if qp.slots[i].handle.Load() != nil {
+			t.Fatalf("slot %d still holds a handle after Reset", i)
+		}
+	}
+
+	// Lease 3: nothing posted — Reset must be a no-op that keeps all
+	// slots retired and the table postable.
+	qp.Reset()
+	checkAllRetired("lease 3")
+	for _, h := range post(slots) {
+		if err := h.Complete(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

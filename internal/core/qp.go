@@ -104,7 +104,10 @@ type QP struct {
 	// receiver state
 	recvMu  sync.Mutex
 	recvSeq uint64
-	slots   []recvSlot
+	// leaseSeq is recvSeq at the last Reset: receives posted since then
+	// are the only ones that can still hold a slot.
+	leaseSeq uint64
+	slots    []recvSlot
 
 	// sender state. CTS waiters block on the context clock's epoch
 	// notification (not a sync.Cond): under the virtual clock a
@@ -125,8 +128,20 @@ type QP struct {
 	// lateSink, when set, observes every data packet absorbed by the
 	// late-packet protection (§3.3.2): the slot and generation the
 	// packet addressed. Reliability layers use it to re-ACK senders
-	// still retransmitting into recently retired receives.
-	lateSink atomic.Pointer[func(slot int, gen uint32)]
+	// still retransmitting into recently retired receives. Only the
+	// late path reads it, so a mutex (not an atomic box that every
+	// lease of a pooled deployment would have to allocate) guards it.
+	lateMu   sync.Mutex
+	lateSink func(slot int, gen uint32)
+
+	// deliverCTS is the bound DeliverCTS, and oobSend the bound send
+	// side of oob, the channel the QP was last connected over: a pooled
+	// deployment reconnects over the same OOB every lease, and binding
+	// a method value allocates.
+	deliverCTS func([]byte)
+	oob        *fabric.OOB
+	oobSideA   bool
+	oobSend    func([]byte)
 
 	// abortCause, when set, cancels every blocked and future operation
 	// on this QP: CTS waiters wake and return ErrQPAborted wrapping the
@@ -167,11 +182,19 @@ func (qp *QP) AbortErr() error {
 // the packet-delivery path (the scheduler goroutine under a virtual
 // clock, a fabric timer goroutine otherwise) and must not block.
 func (qp *QP) SetLateSink(fn func(slot int, gen uint32)) {
-	if fn == nil {
-		qp.lateSink.Store(nil)
-		return
+	qp.lateMu.Lock()
+	qp.lateSink = fn
+	qp.lateMu.Unlock()
+}
+
+// noteLate hands one absorbed late packet to the registered sink.
+func (qp *QP) noteLate(slot int, gen uint32) {
+	qp.lateMu.Lock()
+	sink := qp.lateSink
+	qp.lateMu.Unlock()
+	if sink != nil {
+		sink(slot, gen)
 	}
-	qp.lateSink.Store(&fn)
 }
 
 // NewQP creates an SDR QP within the context, allocating its internal
@@ -207,6 +230,7 @@ func (c *Context) NewQP() *QP {
 		qp.rootMRs[g].Fill(c.nullMR, 0)
 	}
 	qp.info = qp.buildInfo()
+	qp.deliverCTS = qp.DeliverCTS
 	return qp
 }
 
@@ -256,19 +280,21 @@ func (qp *QP) Connect(wire nicsim.Wire, remote QPInfo, sendCTS func([]byte)) err
 // ConnectViaOOB is a convenience wrapper using a fabric.OOB channel:
 // side A registers HandleA/SendToB, side B the reverse.
 func (qp *QP) ConnectViaOOB(wire nicsim.Wire, oob *fabric.OOB, sideA bool, remote QPInfo) error {
-	var send func([]byte)
-	if sideA {
-		send = oob.SendToB
-	} else {
-		send = oob.SendToA
+	if qp.oob != oob || qp.oobSideA != sideA {
+		qp.oob, qp.oobSideA = oob, sideA
+		if sideA {
+			qp.oobSend = oob.SendToB
+		} else {
+			qp.oobSend = oob.SendToA
+		}
 	}
-	if err := qp.Connect(wire, remote, send); err != nil {
+	if err := qp.Connect(wire, remote, qp.oobSend); err != nil {
 		return err
 	}
 	if sideA {
-		oob.HandleA(qp.DeliverCTS)
+		oob.HandleA(qp.deliverCTS)
 	} else {
-		oob.HandleB(qp.DeliverCTS)
+		oob.HandleB(qp.deliverCTS)
 	}
 	return nil
 }
@@ -292,10 +318,15 @@ func (qp *QP) Stats() Stats {
 }
 
 // Reset prepares the QP for a new session lease on the same hardware:
-// outstanding receives are force-retired (every generation's root table
-// re-points at the NULL key in bulk), pending CTS matches are dropped,
-// the late sink is cleared, the channel QPs abandon any half-delivered
-// message, and the counters zero.
+// outstanding receives are force-retired, pending CTS matches are
+// dropped, the late sink is cleared, the channel QPs abandon any
+// half-delivered message, and the counters zero.
+//
+// Retiring costs what the lease posted, not what the QP holds: a root
+// entry points at user memory only from RecvPost until Complete puts it
+// back on the NULL key, so the only entries left to retire are those of
+// receives posted since the last Reset whose handle is still live, each
+// in the one generation it delivers under.
 //
 // Sequence numbers, CTS high-water mark and channel PSNs are
 // deliberately preserved: message IDs and control opIDs stay unique
@@ -304,22 +335,22 @@ func (qp *QP) Stats() Stats {
 // datagrams — lands in NULL-retired slots or unmatched routing tables
 // instead of colliding with the next session's operations.
 func (qp *QP) Reset() {
-	qp.lateSink.Store(nil)
+	qp.SetLateSink(nil)
 	qp.abortCause.Store(nil)
 	qp.recvMu.Lock()
-	live := false
-	for i := range qp.slots {
-		if h := qp.slots[i].handle.Load(); h != nil {
+	first := qp.leaseSeq
+	if n := uint64(len(qp.slots)); qp.recvSeq-first > n {
+		first = qp.recvSeq - n // older postings already gave their slot up
+	}
+	for seq := first; seq < qp.recvSeq; seq++ {
+		s := &qp.slots[qp.slotFor(seq)]
+		if h := s.handle.Load(); h != nil {
 			h.completed.Store(true)
-			qp.slots[i].handle.Store(nil)
-			live = true
+			qp.rootMRs[h.gen].SetEntry(h.slot, qp.ctx.nullMR, 0)
+			s.handle.Store(nil)
 		}
 	}
-	if live || qp.recvSeq > 0 {
-		for g := range qp.rootMRs {
-			qp.rootMRs[g].Fill(qp.ctx.nullMR, 0)
-		}
-	}
+	qp.leaseSeq = qp.recvSeq
 	qp.recvMu.Unlock()
 	qp.sendMu.Lock()
 	clear(qp.ctsSize)

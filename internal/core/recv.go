@@ -213,9 +213,7 @@ func (qp *QP) backendHandleBatch(gen uint32, cqes []nicsim.CQE) {
 			// timeout.
 			if h == nil || s.gen.Load() != gen || h.gen != gen {
 				qp.lateDiscarded.Add(1)
-				if sink := qp.lateSink.Load(); sink != nil {
-					(*sink)(int(msgID), gen)
-				}
+				qp.noteLate(int(msgID), gen)
 				continue
 			}
 			lastMsgID, lastHandle = msgID, h

@@ -73,15 +73,24 @@ type Direction struct {
 	// worker of a real-clock deployment) sends under the old or the new
 	// parameters but never reads a half-written set.
 	params atomic.Pointer[params]
-	dst    nicsim.Deliverer
 	rmu    sync.Mutex
-	rng    *rand.Rand
 	icpt   atomic.Pointer[Interceptor]
+
+	// rng is the impairment draw stream. It is seeded lazily: seeded
+	// says whether rng already runs on the published Config.Seed.
+	// Seeding a math/rand source costs ~12 µs and 5 KB, and most
+	// directions of a pooled deployment (every netem flow's, whose
+	// impairments live in the shared queues) never draw, so construction
+	// and Reconfigure only mark the stream stale and the first Send that
+	// draws pays for it — the drawn sequence is the one an eagerly
+	// seeded generator would produce.
+	rng    *rand.Rand
+	seeded bool
 
 	// freeAt is when the serializing wire next becomes idle (only used
 	// when BandwidthBps > 0). freeAtNanos is the same booking kept in
-	// integer nanoseconds on NanoClock clocks. rng, freeAt and
-	// freeAtNanos are guarded by rmu on a real clock and by the
+	// integer nanoseconds on NanoClock clocks. The rng fields, freeAt
+	// and freeAtNanos are guarded by rmu on a real clock and by the
 	// scheduler baton on a virtual one (params.serial).
 	freeAt      time.Time
 	freeAtNanos int64
@@ -104,6 +113,7 @@ type Direction struct {
 // params is one immutable parameterization of a Direction.
 type params struct {
 	cfg  Config
+	dst  nicsim.Deliverer
 	clk  clock.Clock
 	nano clock.NanoClock // non-nil when clk exposes the integer fast path
 	// serial: clk is virtual, so every Send runs under the scheduler
@@ -112,8 +122,8 @@ type params struct {
 	serial bool
 }
 
-func newParams(cfg Config) *params {
-	p := &params{cfg: cfg, clk: clock.Or(cfg.Clock)}
+func newParams(dst nicsim.Deliverer, cfg Config) *params {
+	p := &params{cfg: cfg, dst: dst, clk: clock.Or(cfg.Clock)}
 	p.nano, _ = p.clk.(clock.NanoClock)
 	p.serial = p.clk.IsVirtual()
 	return p
@@ -129,27 +139,26 @@ func NewDirection(dst *nicsim.Device, cfg Config) *Direction {
 // — a device, or a forwarding hop such as a netem queue port — so the
 // impairment pipeline composes with multi-hop topologies.
 func NewDirectionTo(dst nicsim.Deliverer, cfg Config) *Direction {
-	d := &Direction{
-		dst: dst,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-	}
-	d.params.Store(newParams(cfg))
+	d := &Direction{}
+	d.params.Store(newParams(dst, cfg))
 	return d
 }
 
 // Reconfigure re-parameterizes an idle direction in place for a new
-// lease: impairments, clock and rng stream come from cfg, the
-// serialization booking, held packets and counters reset, and any
-// interceptor is cleared. The destination is fixed at construction —
-// pooled deployments re-lease the same device pair, which is what
-// makes the envelope reusable at all. Only call between leases; a
-// straggling control packet of the previous lease may still be in
-// Send on a real clock, which is why the parameters are published
-// whole and the rng is reseeded under rmu.
-func (d *Direction) Reconfigure(cfg Config) {
+// lease: destination, impairments, clock and rng stream come from dst
+// and cfg, the serialization booking, held packets and counters reset,
+// and any interceptor is cleared. A lease that repeats the previous
+// one's destination and config — flow churn on a pooled deployment —
+// keeps the published parameters and allocates nothing. Only call
+// between leases; a straggling control packet of the previous lease
+// may still be in Send on a real clock, which is why the parameters
+// are published whole and the rng stream is restarted under rmu.
+func (d *Direction) Reconfigure(dst nicsim.Deliverer, cfg Config) {
 	d.rmu.Lock()
-	d.params.Store(newParams(cfg))
-	d.rng.Seed(cfg.Seed)
+	if p := d.params.Load(); p.dst != dst || p.cfg != cfg {
+		d.params.Store(newParams(dst, cfg))
+	}
+	d.seeded = false
 	d.freeAt = time.Time{}
 	d.freeAtNanos = 0
 	d.rmu.Unlock()
@@ -208,11 +217,15 @@ func (d *Direction) Send(pkt *nicsim.Packet) {
 			tx = time.Duration(bits / cfg.BandwidthBps * float64(time.Second))
 			serDelay = d.occupyLocked(p, tx)
 		}
-		dropped := cfg.DropProb > 0 && d.rng.Float64() < cfg.DropProb
-		if !dropped && needRNG {
-			dup = cfg.DuplicateProb > 0 && d.rng.Float64() < cfg.DuplicateProb
-			if cfg.ReorderProb > 0 && d.rng.Float64() < cfg.ReorderProb {
-				extra = cfg.ReorderExtra
+		dropped := false
+		if needRNG {
+			rng := d.drawsLocked()
+			dropped = cfg.DropProb > 0 && rng.Float64() < cfg.DropProb
+			if !dropped {
+				dup = cfg.DuplicateProb > 0 && rng.Float64() < cfg.DuplicateProb
+				if cfg.ReorderProb > 0 && rng.Float64() < cfg.ReorderProb {
+					extra = cfg.ReorderExtra
+				}
 			}
 		}
 		if dup && cfg.BandwidthBps > 0 {
@@ -235,11 +248,29 @@ func (d *Direction) Send(pkt *nicsim.Packet) {
 	if dup {
 		dupPkt = pkt.Clone()
 	}
-	d.pool.DeliverAfter(p.clk, cfg.Latency+extra+serDelay, d.dst, pkt)
+	d.pool.DeliverAfter(p.clk, cfg.Latency+extra+serDelay, p.dst, pkt)
 	if dup {
 		d.Duplicated.Add(1)
-		d.pool.DeliverAfter(p.clk, cfg.Latency+extra+dupSerDelay, d.dst, dupPkt)
+		d.pool.DeliverAfter(p.clk, cfg.Latency+extra+dupSerDelay, p.dst, dupPkt)
 	}
+}
+
+// drawsLocked returns the draw stream, first putting it on the
+// published seed if construction or a Reconfigure left it stale.
+// Caller holds rmu (or the baton), under which Reconfigure publishes
+// and marks together — so the seed read here is the lease's, even in a
+// straggler Send that loaded the previous lease's params.
+func (d *Direction) drawsLocked() *rand.Rand {
+	if !d.seeded {
+		seed := d.params.Load().cfg.Seed
+		if d.rng == nil {
+			d.rng = rand.New(rand.NewSource(seed))
+		} else {
+			d.rng.Seed(seed)
+		}
+		d.seeded = true
+	}
+	return d.rng
 }
 
 // occupyLocked books tx of wire time starting when the link is next
@@ -368,8 +399,9 @@ func (d *Direction) ReleaseHeld() int {
 	held := d.held
 	d.held = nil
 	d.heldMu.Unlock()
+	dst := d.params.Load().dst
 	for _, pkt := range held {
-		d.dst.Deliver(pkt)
+		dst.Deliver(pkt)
 	}
 	return len(held)
 }
@@ -417,8 +449,10 @@ type oobEnd struct {
 	// backlog holds messages whose latency elapsed before a handler
 	// registered.
 	backlog [][]byte
-	// queue holds in-flight messages in send (= sequence) order.
+	// queue[qhead:] holds in-flight messages in send (= sequence) order;
+	// a drained queue rewinds to the front of its storage.
 	queue []oobPending
+	qhead int
 	// timerArmed: a delivery timer for queue[0] is pending.
 	timerArmed bool
 	// dispatching: a drain loop is live; it re-checks the queue before
@@ -442,17 +476,19 @@ func NewOOB(clk clock.Clock, latency time.Duration) *OOB {
 
 // Reset re-parameterizes an idle OOB channel for a new lease: clock
 // and latency are replaced, handlers, backlogs and queues dropped. The
-// bound pump callbacks survive, so a reset channel still arms timers
-// without allocating. Only call between leases, with no messages in
-// flight.
+// bound pump callbacks and the queues' storage survive, so a reset
+// channel still sends and arms timers without allocating. Only call
+// between leases, with no messages in flight.
 func (o *OOB) Reset(clk clock.Clock, latency time.Duration) {
 	o.mu.Lock()
 	o.clk = clock.Or(clk)
 	o.latency = latency
 	for _, e := range [...]*oobEnd{&o.a, &o.b} {
 		e.handler = nil
-		e.backlog = nil
-		e.queue = nil
+		clear(e.backlog)
+		e.backlog = e.backlog[:0]
+		clear(e.queue)
+		e.queue, e.qhead = e.queue[:0], 0
 		e.timerArmed = false
 		e.dispatching = false
 	}
@@ -526,18 +562,21 @@ func (o *OOB) drainLocked(e *oobEnd) {
 		case len(e.backlog) > 0 && e.handler != nil:
 			msg = e.backlog[0]
 			e.backlog = e.backlog[1:]
-		case len(e.queue) > 0 && !e.queue[0].due.After(o.clk.Now()):
-			msg = e.queue[0].msg
-			e.queue = e.queue[1:]
+		case e.qhead < len(e.queue) && !e.queue[e.qhead].due.After(o.clk.Now()):
+			msg = e.queue[e.qhead].msg
+			e.queue[e.qhead] = oobPending{}
+			if e.qhead++; e.qhead == len(e.queue) {
+				e.queue, e.qhead = e.queue[:0], 0
+			}
 			if e.handler == nil {
 				e.backlog = append(e.backlog, msg)
 				continue
 			}
 		default:
 			e.dispatching = false
-			if len(e.queue) > 0 && !e.timerArmed {
+			if e.qhead < len(e.queue) && !e.timerArmed {
 				e.timerArmed = true
-				delay := e.queue[0].due.Sub(o.clk.Now())
+				delay := e.queue[e.qhead].due.Sub(o.clk.Now())
 				if delay < time.Nanosecond {
 					delay = time.Nanosecond
 				}

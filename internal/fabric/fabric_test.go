@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -391,7 +392,7 @@ func TestReconfigureDuringSendRealClock(t *testing.T) {
 		}()
 	}
 	for seed := int64(2); seed < 200; seed++ {
-		d.Reconfigure(cfg(seed))
+		d.Reconfigure(sink, cfg(seed))
 		runtime.Gosched()
 	}
 	for s := 0; s < senders; s++ {
@@ -405,4 +406,73 @@ func TestReconfigureDuringSendRealClock(t *testing.T) {
 	if sink.n.Load() == 0 {
 		t.Fatal("nothing delivered")
 	}
+}
+
+// dropRecorder is a terminal Deliverer that records which PSNs arrive.
+type dropRecorder struct{ got []bool }
+
+func (r *dropRecorder) Deliver(p *nicsim.Packet) {
+	r.got[p.PSN] = true
+	nicsim.ReleasePacket(p)
+}
+
+// A Direction seeds its generator on the first Send that draws, not at
+// construction or Reconfigure. The drop pattern must still be the one
+// an eagerly seeded generator produces — from construction, after a
+// lossy → lossy Reconfigure (an already built generator restarts), and
+// after a lossless lease in between (sends that never draw must not
+// consume or seed the stream).
+func TestLazySeedMatchesEagerReference(t *testing.T) {
+	const n, prob = 10000, 0.1
+	rec := &dropRecorder{}
+	check := func(d *Direction, seed int64, label string) {
+		t.Helper()
+		rec.got = make([]bool, n)
+		for i := 0; i < n; i++ {
+			d.Send(&nicsim.Packet{Opcode: nicsim.OpSend, PSN: uint32(i), Payload: []byte("x"), First: true, Last: true})
+		}
+		ref := rand.New(rand.NewSource(seed))
+		dropped := 0
+		for i := 0; i < n; i++ {
+			want := ref.Float64() < prob
+			if want {
+				dropped++
+			}
+			if rec.got[i] == want {
+				t.Fatalf("%s: packet %d delivered=%v, eager reference dropped=%v", label, i, rec.got[i], want)
+			}
+		}
+		if got := d.Dropped.Load(); got != uint64(dropped) || dropped == 0 {
+			t.Fatalf("%s: Dropped=%d, reference %d", label, got, dropped)
+		}
+	}
+	lossy := func(seed int64) Config { return Config{DropProb: prob, Seed: seed} }
+
+	d := NewDirectionTo(rec, lossy(7))
+	if d.rng != nil {
+		t.Fatal("construction seeded the generator")
+	}
+	check(d, 7, "constructed lossy")
+
+	d.Reconfigure(rec, lossy(8))
+	check(d, 8, "lossy -> lossy")
+
+	d.Reconfigure(rec, Config{Seed: 9})
+	rec.got = make([]bool, n)
+	for i := 0; i < 100; i++ {
+		d.Send(&nicsim.Packet{Opcode: nicsim.OpSend, PSN: uint32(i), Payload: []byte("x"), First: true, Last: true})
+	}
+	if d.seeded || d.Dropped.Load() != 0 {
+		t.Fatalf("lossless lease drew: seeded=%v dropped=%d", d.seeded, d.Dropped.Load())
+	}
+	d.Reconfigure(rec, lossy(10))
+	check(d, 10, "lossless -> lossy")
+
+	fresh := NewDirectionTo(rec, Config{Seed: 11})
+	fresh.Send(&nicsim.Packet{Opcode: nicsim.OpSend, Payload: []byte("x"), First: true, Last: true})
+	if fresh.rng != nil {
+		t.Fatal("a lossless direction built a generator")
+	}
+	fresh.Reconfigure(rec, lossy(12))
+	check(fresh, 12, "never-drawn lossless -> lossy")
 }

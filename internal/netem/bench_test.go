@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"sdrrdma/internal/clock"
+	"sdrrdma/internal/core"
 	"sdrrdma/internal/nicsim"
+	"sdrrdma/internal/reliability"
 )
 
 // counter is a minimal terminal Deliverer: it ends the packet's life,
@@ -154,5 +156,61 @@ func BenchmarkNetemCrossTraffic(b *testing.B) {
 	b.StopTimer()
 	if b.N >= 128 && (sink.n == 0 || gen.Sent() < uint64(b.N)/2) {
 		b.Fatalf("sent %d, delivered %d of ~%d", gen.Sent(), sink.n, b.N)
+	}
+}
+
+// BenchmarkNetemFlowChurn measures one short flow end to end on the
+// virtual clock: NewFlow (a lease of the dumbbell's one pooled
+// deployment), one 64 KiB SR-NACK message across leaf → agg →
+// bottleneck → agg → leaf, Close. ns/op and allocs/op are per flow —
+// the control-path cost the repo benchmark's flow_churn workload pays
+// 2000 times per rep. Tracked in BENCH_protosim.json.
+func BenchmarkNetemFlowChurn(b *testing.B) {
+	const size = 64 << 10
+	clk := clock.NewVirtual()
+	access := EdgeConfig{DistanceKm: 50, BandwidthBps: 10e9, BufferBytes: 1 << 20}
+	bottleneck := EdgeConfig{DistanceKm: 800, BandwidthBps: 5e9, BufferBytes: 1 << 20}
+	d, err := Dumbbell(clk, 1, access, bottleneck, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coreCfg := core.Config{
+		MTU: 4096, ChunkBytes: 64 << 10, MaxMsgBytes: size,
+		MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
+		Generations: 2, Channels: 4, CQDepth: 1 << 12,
+	}
+	relCfg := reliability.Config{Alpha: 2, NACK: true}
+	data, recvBuf := make([]byte, size), make([]byte, size)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	flow := func() {
+		s, err := d.NewFlow(d.Left[0], d.Right[0], coreCfg, relCfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mr := s.Pair.B.Ctx.RegMR(recvBuf)
+		var sendErr, recvErr error
+		clock.Join(clk,
+			func() { sendErr = s.A.WriteSR(data) },
+			func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
+		)
+		if sendErr != nil || recvErr != nil {
+			b.Fatalf("transfer failed: send=%v recv=%v", sendErr, recvErr)
+		}
+		s.Close()
+	}
+	flow() // the pool's one cold build
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flow()
+	}
+	b.StopTimer()
+	if built, leased := d.PoolStats(); built != 1 || leased != 0 {
+		b.Fatalf("built=%d leased=%d, want 1/0", built, leased)
+	}
+	if err := d.ClosePools(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -26,13 +26,14 @@ type Path struct {
 	// means no route exists (the path blackholes until an edge returns).
 	head atomic.Pointer[pathHead]
 	// hops pins the route the head was built from, so a reroute that
-	// resolves to the identical route does not disturb the chain.
-	// Accessed only under the topology's pathMu.
+	// resolves to the identical route does not disturb the chain. reg is
+	// 1 + the path's index in the topology's registry (0 while
+	// unregistered). Both are accessed only under the topology's pathMu.
 	hops []Hop
+	reg  int
 
 	// Blackholed counts packets dropped because no route existed;
-	// Reroutes counts head re-pointings after the initial build. Both
-	// register on the topology's telemetry recorder when one is attached.
+	// Reroutes counts head re-pointings after the initial build.
 	Blackholed telemetry.Counter
 	Reroutes   telemetry.Counter
 }
@@ -46,12 +47,27 @@ func (t *Topology) NewPath(from, to int, dst nicsim.Deliverer) (*Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Path{t: t, from: from, to: to, dst: dst, hops: hops}
-	p.head.Store(&pathHead{d: chain(hops, dst)})
-	t.pathMu.Lock()
-	t.paths = append(t.paths, p)
-	t.pathMu.Unlock()
+	p := &Path{t: t}
+	t.addPath(p, from, to, dst, hops)
 	return p, nil
+}
+
+// addPath points p — a fresh path, or a retired one of a closed flow —
+// at the route hops from→to ending at dst, with zero counters, and
+// registers it. A path re-pointed along the route and to the
+// destination it last served keeps its port chain: flow churn between
+// one pair of datacenters on a pooled deployment builds nothing.
+func (t *Topology) addPath(p *Path, from, to int, dst nicsim.Deliverer, hops []Hop) {
+	t.pathMu.Lock()
+	if p.dst != dst || !sameRoute(hops, p.hops) {
+		p.head.Store(&pathHead{d: chain(hops, dst)})
+	}
+	p.from, p.to, p.dst, p.hops = from, to, dst, hops
+	p.Blackholed.Store(0)
+	p.Reroutes.Store(0)
+	t.paths = append(t.paths, p)
+	p.reg = len(t.paths)
+	t.pathMu.Unlock()
 }
 
 // Send implements nicsim.Wire.
@@ -63,6 +79,7 @@ func (p *Path) Deliver(pkt *nicsim.Packet) {
 	h := p.head.Load()
 	if h == nil || h.d == nil {
 		p.Blackholed.Add(1)
+		nicsim.ReleasePacket(pkt)
 		return
 	}
 	h.d.Deliver(pkt)
@@ -124,19 +141,20 @@ func (t *Topology) ReroutePaths() {
 	t.pathMu.Unlock()
 }
 
-// removePaths unregisters paths when their flow closes.
+// removePaths unregisters paths when their flow closes: the last
+// registered path takes the freed registry slot.
 func (t *Topology) removePaths(paths ...*Path) {
 	t.pathMu.Lock()
 	for _, p := range paths {
-		for i, q := range t.paths {
-			if q == p {
-				last := len(t.paths) - 1
-				t.paths[i] = t.paths[last]
-				t.paths[last] = nil
-				t.paths = t.paths[:last]
-				break
-			}
+		if p.reg == 0 {
+			continue
 		}
+		last := len(t.paths) - 1
+		moved := t.paths[last]
+		t.paths[p.reg-1], moved.reg = moved, p.reg
+		t.paths[last] = nil
+		t.paths = t.paths[:last]
+		p.reg = 0
 	}
 	t.pathMu.Unlock()
 }

@@ -172,6 +172,12 @@ type Topology struct {
 	// adj[n] lists (edge index) incident to node n, in insertion
 	// order — which makes BFS routes deterministic.
 	adj map[int][]int
+	// routeVia and routeQueue are Route's search scratch and routeLast
+	// the last route it resolved per (from, to); guarded by routeMu.
+	routeMu    sync.Mutex
+	routeVia   []int
+	routeQueue []int
+	routeLast  map[[2]int][]Hop
 
 	// pools leases flow deployments, one pool per distinct SDR config:
 	// a closed flow's devices, QPs and control planes are reset and
@@ -184,6 +190,9 @@ type Topology struct {
 	// ReroutePaths re-points them after edge state changes.
 	pathMu sync.Mutex
 	paths  []*Path
+	// wires holds, per pooled flow deployment, the paths its flows run
+	// through (see flowWires). Guarded by pathMu.
+	wires map[*session.Deployment]*flowWires
 
 	// telMu guards the telemetry attachment. sink doubles as the
 	// enable flag: nil means every probe in the topology is dark.
@@ -261,6 +270,10 @@ func (t *Topology) AddEdge(from, to int, cfg EdgeConfig) (*Edge, error) {
 
 // Route returns a shortest hop sequence from→to (BFS over hop count;
 // ties broken by edge insertion order, so routes are deterministic).
+// The search runs on scratch the topology keeps, and a route that comes
+// out as it did the last time from→to was resolved is returned as that
+// same slice, so resolving a stable route allocates nothing. The result
+// is therefore shared with other callers: do not modify it.
 func (t *Topology) Route(from, to int) ([]Hop, error) {
 	if from == to {
 		return nil, fmt.Errorf("netem: route from node %d to itself", from)
@@ -268,47 +281,57 @@ func (t *Topology) Route(from, to int) ([]Hop, error) {
 	if from < 0 || from >= len(t.nodes) || to < 0 || to >= len(t.nodes) {
 		return nil, fmt.Errorf("netem: route %d→%d outside %d nodes", from, to, len(t.nodes))
 	}
-	type arrival struct {
-		prevNode int
-		viaEdge  int
+	t.routeMu.Lock()
+	defer t.routeMu.Unlock()
+	// via[n] is 1 + the index of the edge n was first reached over (0 =
+	// not reached); queue holds the reached nodes in discovery order.
+	if cap(t.routeVia) < len(t.nodes) {
+		t.routeVia = make([]int, len(t.nodes))
 	}
-	seen := map[int]arrival{from: {prevNode: -1, viaEdge: -1}}
-	frontier := []int{from}
-	for len(frontier) > 0 {
-		if _, ok := seen[to]; ok {
-			break
-		}
-		var next []int
-		for _, n := range frontier {
-			for _, ei := range t.adj[n] {
-				e := t.edges[ei]
-				if e.down.Load() {
-					continue // flapped link: route around it
-				}
-				peer := e.From + e.To - n
-				if _, ok := seen[peer]; ok {
-					continue
-				}
-				seen[peer] = arrival{prevNode: n, viaEdge: ei}
-				next = append(next, peer)
+	via := t.routeVia[:len(t.nodes)]
+	clear(via)
+	via[from] = -1
+	queue := append(t.routeQueue[:0], from)
+	for head := 0; head < len(queue) && via[to] == 0; head++ {
+		n := queue[head]
+		for _, ei := range t.adj[n] {
+			e := t.edges[ei]
+			if e.down.Load() {
+				continue // flapped link: route around it
+			}
+			if peer := e.From + e.To - n; via[peer] == 0 {
+				via[peer] = ei + 1
+				queue = append(queue, peer)
 			}
 		}
-		frontier = next
 	}
-	if _, ok := seen[to]; !ok {
+	t.routeQueue = queue
+	if via[to] == 0 {
 		return nil, fmt.Errorf("netem: no route %s→%s", t.nodes[from], t.nodes[to])
 	}
-	var hops []Hop
-	for n := to; n != from; {
-		a := seen[n]
-		e := t.edges[a.viaEdge]
-		hops = append(hops, Hop{Edge: e, Forward: e.From == a.prevNode})
-		n = a.prevNode
+	last := t.routeLast[[2]int{from, to}]
+	depth, same := 0, true
+	for n := to; n != from; depth++ {
+		e := t.edges[via[n]-1]
+		n = e.From + e.To - n
+		if i := len(last) - 1 - depth; same && (i < 0 || last[i] != Hop{Edge: e, Forward: e.From == n}) {
+			same = false
+		}
 	}
-	// hops were collected destination-first; reverse in place.
-	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-		hops[i], hops[j] = hops[j], hops[i]
+	if same && depth == len(last) {
+		return last, nil
 	}
+	hops := make([]Hop, depth)
+	for n, i := to, depth-1; n != from; i-- {
+		e := t.edges[via[n]-1]
+		prev := e.From + e.To - n
+		hops[i] = Hop{Edge: e, Forward: e.From == prev}
+		n = prev
+	}
+	if t.routeLast == nil {
+		t.routeLast = map[[2]int][]Hop{}
+	}
+	t.routeLast[[2]int{from, to}] = hops
 	return hops, nil
 }
 
@@ -501,6 +524,9 @@ func (t *Topology) ClosePools() error {
 	pools := t.pools
 	t.pools = nil
 	t.poolMu.Unlock()
+	t.pathMu.Lock()
+	t.wires = nil
+	t.pathMu.Unlock()
 	var firstErr error
 	for _, p := range pools {
 		if err := p.Close(); err != nil && firstErr == nil {
@@ -517,11 +543,17 @@ func (t *Topology) ClosePools() error {
 // overridden with the topology clock; relCfg.RTT, when zero, defaults
 // to the route's propagation RTT.
 //
-// Deployments are leased from the topology's per-config pool: closing
-// the returned session resets the deployment and returns it for the
-// next flow, so flow churn costs a rebind, not a rebuild.
+// Everything a flow is made of is leased: the deployment from the
+// topology's per-config pool, with the link and OOB envelopes it
+// carries, and the two re-routable paths the topology keeps for it.
+// Closing the returned session resets and returns all of it, so flow
+// churn costs a rebind, not a rebuild.
 func (t *Topology) NewFlow(from, to int, coreCfg core.Config, relCfg reliability.Config) (*reliability.Session, error) {
 	fwd, err := t.Route(from, to)
+	if err != nil {
+		return nil, err
+	}
+	rev, err := t.Route(to, from)
 	if err != nil {
 		return nil, err
 	}
@@ -540,43 +572,62 @@ func (t *Topology) NewFlow(from, to int, coreCfg core.Config, relCfg reliability
 	}
 	// Each direction delivers through a re-routable Path rather than a
 	// frozen port chain: when an edge flaps, ReroutePaths re-points the
-	// flow around the failure mid-transfer. The per-flow fabric
-	// Directions carry no impairments of their own — latency, bandwidth,
-	// buffers and loss all live in the shared queues — but keep the
-	// interceptor hooks and Tx accounting.
-	pAB, err := t.NewPath(from, to, dep.DevB())
+	// flow around the failure mid-transfer. The deployment's fabric
+	// Directions in front of them carry no impairments of their own —
+	// latency, bandwidth, buffers and loss all live in the shared queues
+	// — but keep the interceptor hooks and Tx accounting.
+	w := t.wiresFor(dep)
+	t.addPath(w.pAB, from, to, dep.DevB(), fwd)
+	t.addPath(w.pBA, to, from, dep.DevA(), rev)
+	sess, err := dep.Bind(relCfg, w.pAB, w.pBA, fabric.Config{}, fabric.Config{}, oneWay)
 	if err != nil {
-		dep.Release()
+		w.releaseFn()
 		return nil, err
 	}
-	pBA, err := t.NewPath(to, from, dep.DevA())
-	if err != nil {
-		t.removePaths(pAB)
-		dep.Release()
-		return nil, err
-	}
-	ab := fabric.NewDirectionTo(pAB, fabric.Config{Clock: t.clk})
-	ba := fabric.NewDirectionTo(pBA, fabric.Config{Clock: t.clk})
-	link := &fabric.Link{AB: ab, BA: ba}
-	oob := fabric.NewOOB(t.clk, oneWay)
-	sess, err := dep.Bind(link, oob, relCfg)
-	if err != nil {
-		t.removePaths(pAB, pBA)
-		dep.Release()
-		return nil, err
-	}
+	sess.SetRelease(w.releaseFn)
+	sess.SetQuarantine(w.quarantineFn)
+	return sess, nil
+}
+
+// flowWires is the topology's share of a pooled deployment: the two
+// paths its flows are routed through and the close hooks of their
+// sessions, built on the deployment's first flow and re-pointed by
+// every later one. The paths stay with their deployment for life, so
+// whatever still trickles through them after a flow closed — a late
+// re-ACK of the previous lease — ends at that deployment's own devices,
+// whose reset state absorbs it, never at another tenant's.
+type flowWires struct {
+	pAB, pBA *Path
 	// Closing the flow retires its paths from the reroute registry
 	// before the deployment goes back to the pool; quarantining does
 	// the same but retires the deployment from circulation entirely.
-	sess.SetRelease(func() {
-		t.removePaths(pAB, pBA)
-		dep.Release()
-	})
-	sess.SetQuarantine(func() {
-		t.removePaths(pAB, pBA)
-		dep.Quarantine()
-	})
-	return sess, nil
+	releaseFn, quarantineFn func()
+}
+
+// wiresFor returns dep's wires, building them on its first flow.
+func (t *Topology) wiresFor(dep *session.Deployment) *flowWires {
+	t.pathMu.Lock()
+	defer t.pathMu.Unlock()
+	w := t.wires[dep]
+	if w == nil {
+		w = &flowWires{pAB: &Path{t: t}, pBA: &Path{t: t}}
+		w.releaseFn = func() {
+			t.removePaths(w.pAB, w.pBA)
+			dep.Release()
+		}
+		w.quarantineFn = func() {
+			t.removePaths(w.pAB, w.pBA)
+			t.pathMu.Lock()
+			delete(t.wires, dep)
+			t.pathMu.Unlock()
+			dep.Quarantine()
+		}
+		if t.wires == nil {
+			t.wires = map[*session.Deployment]*flowWires{}
+		}
+		t.wires[dep] = w
+	}
+	return w
 }
 
 // --- shape constructors ---------------------------------------------------

@@ -77,14 +77,14 @@ func (d *Device) SetSerial(serial bool) { d.serial = serial }
 // RegMR registers buf and returns the memory region handle.
 func (d *Device) RegMR(buf []byte) *MR {
 	mr := &MR{buf: buf}
-	mr.key = d.mem.register(mr)
+	d.mem.register(&mr.registration, mr)
 	return mr
 }
 
 // AllocNullMR allocates a payload-discarding region (§3.3.2).
 func (d *Device) AllocNullMR() *NullMR {
 	n := &NullMR{}
-	n.key = d.mem.register(n)
+	d.mem.register(&n.registration, n)
 	return n
 }
 
@@ -96,7 +96,7 @@ func (d *Device) AllocIndirectMR(entries int, entryBytes uint64) *IndirectMR {
 	}
 	ix := &IndirectMR{entryBytes: entryBytes,
 		entries: make([]atomic.Pointer[indirectEntry], entries)}
-	ix.key = d.mem.register(ix)
+	d.mem.register(&ix.registration, ix)
 	return ix
 }
 

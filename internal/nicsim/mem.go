@@ -23,7 +23,7 @@ type MemoryTarget interface {
 
 // MR is a registered memory region backed by a user buffer.
 type MR struct {
-	key uint32
+	registration
 	buf []byte
 }
 
@@ -53,7 +53,7 @@ func (m *MR) DMAWrite(offset uint64, data []byte) error {
 // NullMR discards payloads while still letting the NIC generate
 // completions — the simulator's ibv_alloc_null_mr() (§3.3.2 stage 1).
 type NullMR struct {
-	key uint32
+	registration
 	// Discarded counts bytes dropped, for observability in tests.
 	Discarded atomic.Uint64
 }
@@ -75,16 +75,19 @@ func (n *NullMR) DMAWrite(_ uint64, data []byte) error {
 // memory targets. Message i of an SDR QP occupies the offset range
 // [i·M, i·M + M).
 type IndirectMR struct {
-	key        uint32
+	registration
 	entryBytes uint64
 	entries    []atomic.Pointer[indirectEntry]
-	// lastSet caches the most recently stored entry. Entry values are
-	// immutable once published, so identical consecutive stores — the
-	// retire-to-NULL storm that re-points every slot of every
-	// generation at the same (NullMR, 0) pair on QP construction and
-	// on each recv_complete — share one object instead of allocating
-	// per slot.
-	lastSet atomic.Pointer[indirectEntry]
+	// recent caches the two most recently used distinct entries; mru
+	// is the index of the newer. Entry values are immutable once
+	// published, so repeated stores share one object instead of
+	// allocating per slot: the retire-to-NULL storm that points every
+	// slot at the same (NullMR, 0) pair on QP construction, and the
+	// steady alternation of a posted buffer and the NULL key that
+	// recv_post / recv_complete put a slot through, where a one-entry
+	// cache would miss both ways. Racing stores can only cost a miss.
+	recent [2]atomic.Pointer[indirectEntry]
+	mru    atomic.Uint32
 }
 
 type indirectEntry struct {
@@ -111,18 +114,27 @@ func (ix *IndirectMR) SetEntry(i int, target MemoryTarget, base uint64) {
 		ix.entries[i].Store(nil)
 		return
 	}
-	if e := ix.lastSet.Load(); e != nil && e.target == target && e.base == base {
-		ix.entries[i].Store(e)
-		return
-	}
-	e := &indirectEntry{target: target, base: base}
-	ix.lastSet.Store(e)
-	ix.entries[i].Store(e)
+	ix.entries[i].Store(ix.entryFor(target, base))
 }
 
-// Fill points every entry at target — the bulk form of SetEntry used
-// to retire all slots at once, on QP construction and when a pooled
-// deployment is reset between session leases. All entries share one
+// entryFor returns the shared entry object for (target, base), from the
+// cache when one of the last two pairs used is the same.
+func (ix *IndirectMR) entryFor(target MemoryTarget, base uint64) *indirectEntry {
+	for i := range ix.recent {
+		if e := ix.recent[i].Load(); e != nil && e.target == target && e.base == base {
+			ix.mru.Store(uint32(i))
+			return e
+		}
+	}
+	e := &indirectEntry{target: target, base: base}
+	victim := 1 - ix.mru.Load()
+	ix.recent[victim].Store(e)
+	ix.mru.Store(victim)
+	return e
+}
+
+// Fill points every entry at target — the bulk form of SetEntry, used
+// on QP construction to start all slots retired. All entries share one
 // immutable entry object, so a Fill is len(entries) pointer stores and
 // at most one allocation.
 func (ix *IndirectMR) Fill(target MemoryTarget, base uint64) {
@@ -132,11 +144,7 @@ func (ix *IndirectMR) Fill(target MemoryTarget, base uint64) {
 		}
 		return
 	}
-	e := ix.lastSet.Load()
-	if e == nil || e.target != target || e.base != base {
-		e = &indirectEntry{target: target, base: base}
-		ix.lastSet.Store(e)
-	}
+	e := ix.entryFor(target, base)
 	for i := range ix.entries {
 		ix.entries[i].Store(e)
 	}
@@ -160,54 +168,99 @@ func (ix *IndirectMR) DMAWrite(offset uint64, data []byte) error {
 	return e.target.DMAWrite(e.base+inner, data)
 }
 
-// memTable is a device's key → target registry. Keys are handed out
-// sequentially from 1, so the registry is a copy-on-write slice
-// indexed by key: the per-packet lookup on the DMA path is one atomic
-// load plus a bounds check, while register/deregister (rare, session
-// setup/teardown) publish fresh copies under the writer lock.
+// registration is one live entry of a device's memory table: the key
+// the entry answers to and the region behind it. Every region type
+// embeds one, so registering allocates nothing.
+type registration struct {
+	key    uint32
+	target MemoryTarget
+}
+
+// A memory key is a table index in the low memIndexBits plus, above it,
+// the generation of that index at registration time — the variant byte
+// a real mkey carries. Deregistering bumps the index's generation
+// before the index is reused, so the next tenant of the slot answers to
+// a different key and a stale RC write still aimed at the old one
+// misses instead of landing in the new tenant's memory. An index whose
+// generations are used up is retired for good: no key ever resolves
+// twice.
+const (
+	memIndexBits = 20
+	memIndexMask = 1<<memIndexBits - 1
+	memMaxGen    = 1<<(32-memIndexBits) - 1
+)
+
+// memTable is a device's key → target registry. The per-packet lookup
+// on the DMA path is lock-free: one atomic load of the table, a bounds
+// check, one atomic load of the slot and a key compare. Register and
+// deregister run under the writer lock in O(1) — a slot store plus
+// free-list bookkeeping, with the table copied only when it has to
+// double — so its footprint follows the peak of live registrations, not
+// how many there have ever been. Index 0 is never handed out (no valid
+// key is 0); first-time keys are 1, 2, 3, ….
 type memTable struct {
-	mu      sync.Mutex
-	nextKey uint32
-	regions atomic.Pointer[[]MemoryTarget]
-	live    int
+	mu    sync.Mutex
+	slots atomic.Pointer[[]atomic.Pointer[registration]]
+	// gens[i] is the generation index i's next registration gets; free
+	// lists the deregistered indices that still have one. Writer-only.
+	gens []uint32
+	free []uint32
+	live int
 }
 
 func newMemTable() *memTable {
-	t := &memTable{nextKey: 1}
-	empty := make([]MemoryTarget, 1)
-	t.regions.Store(&empty)
+	t := &memTable{gens: make([]uint32, 1, 8)}
+	slots := make([]atomic.Pointer[registration], 8)
+	t.slots.Store(&slots)
 	return t
 }
 
-func (t *memTable) register(target MemoryTarget) uint32 {
+// register publishes r (embedded in target) under a fresh key.
+func (t *memTable) register(r *registration, target MemoryTarget) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := t.nextKey
-	t.nextKey++
-	old := *t.regions.Load()
-	next := make([]MemoryTarget, len(old))
-	copy(next, old)
-	for uint32(len(next)) <= key {
-		next = append(next, nil)
+	slots := *t.slots.Load()
+	var idx uint32
+	if n := len(t.free); n > 0 {
+		idx = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		idx = uint32(len(t.gens))
+		if idx > memIndexMask {
+			panic("nicsim: memory table full")
+		}
+		t.gens = append(t.gens, 0)
+		if int(idx) == len(slots) {
+			grown := make([]atomic.Pointer[registration], 2*len(slots))
+			for i := range slots {
+				grown[i].Store(slots[i].Load())
+			}
+			slots = grown
+			t.slots.Store(&grown)
+		}
 	}
-	next[key] = target
-	t.regions.Store(&next)
+	r.key, r.target = t.gens[idx]<<memIndexBits|idx, target
+	slots[idx].Store(r)
 	t.live++
-	return key
 }
 
 func (t *memTable) deregister(key uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := *t.regions.Load()
-	if key >= uint32(len(old)) || old[key] == nil {
+	slots := *t.slots.Load()
+	idx := key & memIndexMask
+	if int(idx) >= len(slots) {
 		return
 	}
-	next := make([]MemoryTarget, len(old))
-	copy(next, old)
-	next[key] = nil
-	t.regions.Store(&next)
+	if r := slots[idx].Load(); r == nil || r.key != key {
+		return
+	}
+	slots[idx].Store(nil)
 	t.live--
+	if t.gens[idx] < memMaxGen {
+		t.gens[idx]++
+		t.free = append(t.free, idx)
+	}
 }
 
 func (t *memTable) size() int {
@@ -217,10 +270,14 @@ func (t *memTable) size() int {
 }
 
 func (t *memTable) lookup(key uint32) (MemoryTarget, bool) {
-	regions := *t.regions.Load()
-	if key >= uint32(len(regions)) {
+	slots := *t.slots.Load()
+	idx := key & memIndexMask
+	if int(idx) >= len(slots) {
 		return nil, false
 	}
-	target := regions[key]
-	return target, target != nil
+	r := slots[idx].Load()
+	if r == nil || r.key != key {
+		return nil, false
+	}
+	return r.target, true
 }

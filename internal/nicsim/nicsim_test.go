@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -320,5 +321,142 @@ func TestDMAWriteOffsetOverflowRejected(t *testing.T) {
 	}
 	if err := mr.DMAWrite(90, make([]byte, 10)); err != nil {
 		t.Fatalf("valid tail write rejected: %v", err)
+	}
+}
+
+// The memory table reuses the slots of deregistered regions, yet a
+// deregistered key must never resolve again — a stale RC write still
+// aimed at it would otherwise land in the slot's next tenant. Over
+// 10 000 register/deregister cycles around a resident working set,
+// every key ever retired keeps missing (including after its slot's
+// generations wrap and the slot is withdrawn), every live key resolves
+// to its own region, and the table stays as small as the peak of live
+// registrations.
+func TestMemTableDeregisteredKeyNeverResolves(t *testing.T) {
+	const cycles, resident, perCycle = 10000, 5, 3
+	d := NewDevice("t")
+	var residents []*MR
+	for i := 0; i < resident; i++ {
+		residents = append(residents, d.RegMR(make([]byte, 8)))
+	}
+	peak := resident + perCycle
+	seen := map[uint32]bool{}
+	for _, mr := range residents {
+		seen[mr.Key()] = true
+	}
+	var dead []uint32
+	for c := 0; c < cycles; c++ {
+		var lease []*MR
+		for i := 0; i < perCycle; i++ {
+			mr := d.RegMR(make([]byte, 8))
+			if mr.Key() == 0 || seen[mr.Key()] {
+				t.Fatalf("cycle %d: key %#x handed out twice (or zero)", c, mr.Key())
+			}
+			seen[mr.Key()] = true
+			lease = append(lease, mr)
+		}
+		for _, mr := range append(lease, residents...) {
+			got, ok := d.mem.lookup(mr.Key())
+			if !ok || got != MemoryTarget(mr) {
+				t.Fatalf("cycle %d: live key %#x resolves to %v (ok=%v)", c, mr.Key(), got, ok)
+			}
+		}
+		for _, mr := range lease {
+			d.DeregMR(mr.Key())
+			d.DeregMR(mr.Key()) // double deregister is a no-op
+			dead = append(dead, mr.Key())
+		}
+		if d.NumMRs() != resident {
+			t.Fatalf("cycle %d: %d live registrations, want %d", c, d.NumMRs(), resident)
+		}
+		// Probe a sample of the graveyard every cycle, all of it at the end.
+		for i := c % 97; i < len(dead); i += 97 {
+			if _, ok := d.mem.lookup(dead[i]); ok {
+				t.Fatalf("cycle %d: deregistered key %#x resolves again", c, dead[i])
+			}
+		}
+	}
+	for _, key := range dead {
+		if err := d.dmaWrite(key, 0, []byte{1}); !errors.Is(err, ErrMkeyViolation) {
+			t.Fatalf("write through deregistered key %#x: %v", key, err)
+		}
+	}
+	// Each slot serves memMaxGen+1 registrations before it is withdrawn.
+	withdrawn := cycles*perCycle/(memMaxGen+1) + 1
+	if used := len(d.mem.gens) - 1; used > peak+withdrawn {
+		t.Fatalf("table handed out %d slots for a peak of %d live registrations", used, peak)
+	}
+	if n := len(*d.mem.slots.Load()); n > 2*(peak+withdrawn+1) {
+		t.Fatalf("table holds %d slots for a peak of %d live registrations", n, peak)
+	}
+}
+
+// Lookups are lock-free against register/deregister, including across
+// the table's growth: writers churn registrations (pushing the table
+// through several doublings) while readers look up a resident key,
+// which must resolve every time, and a key already retired,
+// which must miss every time. Run under -race.
+func TestMemTableConcurrentChurn(t *testing.T) {
+	d := NewDevice("t")
+	resident := d.RegMR(make([]byte, 8))
+	retired := d.RegMR(make([]byte, 8))
+	d.DeregMR(retired.Key())
+
+	const writers, readers, rounds = 4, 4, 2000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got, ok := d.mem.lookup(resident.Key()); !ok || got != MemoryTarget(resident) {
+					t.Errorf("resident key resolves to %v (ok=%v)", got, ok)
+					return
+				}
+				if _, ok := d.mem.lookup(retired.Key()); ok {
+					t.Error("retired key resolved")
+					return
+				}
+			}
+		}()
+	}
+	var ww sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ww.Add(1)
+		go func(w int) {
+			defer ww.Done()
+			var held []*MR
+			for i := 0; i < rounds; i++ {
+				mr := d.RegMR(make([]byte, 8))
+				if err := d.dmaWrite(mr.Key(), 0, []byte{2}); err != nil {
+					t.Errorf("fresh key missed: %v", err)
+					return
+				}
+				held = append(held, mr)
+				if len(held) > 8+w*8 { // staggered working sets force growth
+					d.DeregMR(held[0].Key())
+					if err := d.dmaWrite(held[0].Key(), 0, []byte{3}); err == nil {
+						t.Error("deregistered key resolved")
+						return
+					}
+					held = held[1:]
+				}
+			}
+			for _, mr := range held {
+				d.DeregMR(mr.Key())
+			}
+		}(w)
+	}
+	ww.Wait()
+	close(stop)
+	wg.Wait()
+	if n := d.NumMRs(); n != 1 {
+		t.Fatalf("%d registrations left, want the resident one", n)
 	}
 }

@@ -31,7 +31,7 @@ var (
 
 // Abort cancels the endpoint: the blocked (or next) operation unwinds
 // and returns ErrAborted wrapping cause. The first cause sticks until
-// the underlying QP is Reset (i.e. until the deployment is re-leased);
+// the deployment is re-leased (QP.Reset and Endpoint.rebind clear it);
 // later calls are no-ops. Safe from any goroutine, including clock
 // timer callbacks — it never blocks.
 func (e *Endpoint) Abort(cause error) {
@@ -58,10 +58,6 @@ func (e *Endpoint) abortErr() error {
 	}
 	return fmt.Errorf("%w: %w", ErrAborted, cause)
 }
-
-// clearAbort forgets a previous abort; called when the endpoint is
-// rebound to a fresh lease (the QP Reset clears its half).
-func (e *Endpoint) clearAbort() { e.aborted.Store(nil) }
 
 // startErr maps a stream-start failure onto the typed taxonomy:
 // an aborted QP is a local cancellation, a CTS timeout means the peer

@@ -60,8 +60,12 @@ type ControlPlane struct {
 
 	mu       sync.Mutex
 	handlers map[uint64]chan ctrlMsg
-	bufs     [][]byte
-	stopped  bool
+	// idle holds the control streams of finished operations, drained,
+	// for the next register: a stream's 64-message buffer is 6 KB, more
+	// than everything else a short operation allocates.
+	idle    []chan ctrlMsg
+	bufs    [][]byte
+	stopped bool
 
 	// sendMu serializes senders over encBuf, the reused wire-encoding
 	// scratch. UDQP.Send copies the payload into the packet's own
@@ -183,16 +187,30 @@ func (cp *ControlPlane) Close() {
 
 // register claims the control stream for operation opID.
 func (cp *ControlPlane) register(opID uint64) chan ctrlMsg {
-	ch := make(chan ctrlMsg, 64)
 	cp.mu.Lock()
+	var ch chan ctrlMsg
+	if n := len(cp.idle); n > 0 {
+		ch, cp.idle = cp.idle[n-1], cp.idle[:n-1]
+	} else {
+		ch = make(chan ctrlMsg, 64)
+	}
 	cp.handlers[opID] = ch
 	cp.mu.Unlock()
 	return ch
 }
 
+// unregister closes operation opID's control stream; the operation must
+// not read it afterwards. handleCQE routes under mu, so once the stream
+// is off the table nothing can write to it and it is drained for reuse.
 func (cp *ControlPlane) unregister(opID uint64) {
 	cp.mu.Lock()
-	delete(cp.handlers, opID)
+	if ch, ok := cp.handlers[opID]; ok {
+		delete(cp.handlers, opID)
+		for len(ch) > 0 {
+			<-ch
+		}
+		cp.idle = append(cp.idle, ch)
+	}
 	cp.mu.Unlock()
 }
 
@@ -212,12 +230,14 @@ func (cp *ControlPlane) handleCQE(cqe nicsim.CQE) {
 		return
 	}
 	ch := cp.handlers[msg.opID]
-	cp.mu.Unlock()
 	if ch != nil {
 		select {
 		case ch <- msg:
 		default: // slow consumer: control is best-effort anyway
 		}
+	}
+	cp.mu.Unlock()
+	if ch != nil {
 		cp.clk.Notify()
 	}
 }

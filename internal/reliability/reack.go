@@ -48,6 +48,20 @@ type reackTable struct {
 	ops  [reackOps]retiredOp
 }
 
+// resetLocked forgets every retired operation, touching only the
+// entries in use (they run contiguously back from the cursor). The
+// slot lists keep their backing arrays. Caller holds t.mu.
+func (t *reackTable) resetLocked() {
+	for k := 1; k <= reackOps; k++ {
+		op := &t.ops[(t.next-k+reackOps)%reackOps]
+		if !op.used {
+			break
+		}
+		op.used = false
+		op.msg = ctrlMsg{}
+	}
+}
+
 // rememberRetired records one operation's final control message for
 // the given handles, just before their slots retire.
 func (e *Endpoint) rememberRetired(msg ctrlMsg, hs ...*core.RecvHandle) {
@@ -71,6 +85,12 @@ func (e *Endpoint) rememberRetired(msg ctrlMsg, hs ...*core.RecvHandle) {
 // burst of late retransmissions does not turn into an ACK storm. It
 // runs on the packet-delivery path and must not block (it only takes
 // its own table lock and transmits one unreliable datagram).
+//
+// Everything it reads of the endpoint it reads under the table lock,
+// which rebind holds while it re-initialises the endpoint: on a real
+// clock a delivery of the previous lease can still be in here when the
+// pooled deployment is re-leased. It then finds an empty ring — a
+// re-leased endpoint never answers with the previous lease's ACK.
 func (e *Endpoint) handleLate(slot int, gen uint32) {
 	t := &e.reack
 	now := e.clock().Now()
@@ -100,10 +120,12 @@ scan:
 			break scan
 		}
 	}
-	t.mu.Unlock()
 	if found {
 		e.LateReAcks.Add(1)
 		e.probe(telemetry.EvLateReAck, int64(slot), int64(gen), 0, 0)
+	}
+	t.mu.Unlock()
+	if found {
 		e.CP.send(msg)
 	}
 }

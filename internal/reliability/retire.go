@@ -24,20 +24,31 @@ import (
 
 // pendingRetire is one receive whose linger is still running.
 type pendingRetire struct {
-	msg      ctrlMsg
-	handles  []*core.RecvHandle
+	msg     ctrlMsg
+	handles []*core.RecvHandle
+	// inline backs handles for a plain segment (one data handle) and a
+	// coded one of a single submessage, sparing them a second allocation.
+	inline   [2]*core.RecvHandle
 	deadline time.Time
 	timer    clock.Timer
 	done     bool
 }
 
-// retire schedules the background linger for a completed receive whose
-// final control message msg has already been sent once. The handles'
-// slots stay live until the linger elapses (or the session closes), so
-// retransmissions keep landing as duplicates rather than late packets.
-func (e *Endpoint) retire(msg ctrlMsg, handles ...*core.RecvHandle) {
+// retire schedules the background linger for a completed receive of
+// submessages subs whose final control message msg has already been
+// sent once. The handles' slots stay live until the linger elapses (or
+// the session closes), so retransmissions keep landing as duplicates
+// rather than late packets.
+func (e *Endpoint) retire(msg ctrlMsg, subs []ecRecvState) {
 	clk := e.clock()
-	r := &pendingRetire{msg: msg, handles: handles, deadline: clk.Now().Add(e.Cfg.Linger)}
+	r := &pendingRetire{msg: msg, deadline: clk.Now().Add(e.Cfg.Linger)}
+	r.handles = r.inline[:0]
+	for _, s := range subs {
+		r.handles = append(r.handles, s.dataH)
+		if s.parityH != nil {
+			r.handles = append(r.handles, s.parityH)
+		}
+	}
 	e.retMu.Lock()
 	e.retires = append(e.retires, r)
 	// Arm under retMu: retireTick locks it before touching r, so the

@@ -479,12 +479,5 @@ func (r *recvSeg) nack() {
 func (r *recvSeg) finish() {
 	final := r.ackMsg(true)
 	r.e.CP.send(final)
-	handles := make([]*core.RecvHandle, 0, 2*len(r.subs))
-	for _, s := range r.subs {
-		handles = append(handles, s.dataH)
-		if s.parityH != nil {
-			handles = append(handles, s.parityH)
-		}
-	}
-	r.e.retire(final, handles...)
+	r.e.retire(final, r.subs)
 }

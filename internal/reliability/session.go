@@ -56,22 +56,23 @@ func NewSessionOn(pair *core.Pair, relCfg Config) *Session {
 	mtu := pair.A.Ctx.Config().MTU
 	cpA := NewControlPlane(pair.A.Dev, pair.Link.AB, mtu, clk)
 	cpB := NewControlPlane(pair.B.Dev, pair.Link.BA, mtu, clk)
-	return NewSessionOnCPs(pair, cpA, cpB, relCfg)
+	return NewSessionOver(pair, NewEndpoint(pair.A.QP, cpA, relCfg), NewEndpoint(pair.B.QP, cpB, relCfg), relCfg)
 }
 
-// NewSessionOnCPs layers fresh endpoints over an existing pair and
-// prebuilt control planes — the pooled-deployment path, where the
-// control planes (and their receive slabs) outlive individual
-// sessions. The control planes must already transmit on the pair's
-// current link directions (see ControlPlane.Rebind).
-func NewSessionOnCPs(pair *core.Pair, cpA, cpB *ControlPlane, relCfg Config) *Session {
-	cpA.ConnectCtrl(cpB.QPN())
-	cpB.ConnectCtrl(cpA.QPN())
-	return &Session{
-		Pair: pair,
-		A:    NewEndpoint(pair.A.QP, cpA, relCfg),
-		B:    NewEndpoint(pair.B.QP, cpB, relCfg),
-	}
+// NewSessionOver starts a session on an existing pair and existing
+// endpoints — the pooled-deployment path, where the endpoints (with
+// their control planes and receive slabs, operation scratch and code
+// cache) outlive individual sessions. Both endpoints are rebound to
+// relCfg: each session starts with an empty re-ACK ring, zero counters
+// and no abort or telemetry state, whatever the previous one left. The
+// control planes must already transmit on the pair's current link
+// directions (see ControlPlane.Rebind).
+func NewSessionOver(pair *core.Pair, a, b *Endpoint, relCfg Config) *Session {
+	a.CP.ConnectCtrl(b.CP.QPN())
+	b.CP.ConnectCtrl(a.CP.QPN())
+	a.rebind(relCfg)
+	b.rebind(relCfg)
+	return &Session{Pair: pair, A: a, B: b}
 }
 
 // SetRelease registers fn to run on Close instead of tearing the
@@ -118,7 +119,7 @@ func (s *Session) teardown() {
 // SetTelemetry attaches both endpoints to a flight recorder: nameA and
 // nameB become their track names (see Endpoint.SetTelemetry). Pass a
 // nil recorder to detach — pooled deployments do this implicitly on
-// the next lease, since endpoints are rebuilt per Bind.
+// the next lease, since endpoints are rebound per Bind.
 func (s *Session) SetTelemetry(rec *telemetry.Recorder, nameA, nameB string) {
 	s.A.SetTelemetry(rec, nameA)
 	s.B.SetTelemetry(rec, nameB)

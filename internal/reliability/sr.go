@@ -51,10 +51,17 @@ type Endpoint struct {
 	// Retransmits counts chunk resends (all causes), NacksSent the
 	// EC-mode NACK control messages, LateReAcks the re-ACK answers to
 	// late retransmissions. They count whether or not a telemetry
-	// recorder is attached; SetTelemetry registers them on one.
-	Retransmits telemetry.Counter
-	NacksSent   telemetry.Counter
-	LateReAcks  telemetry.Counter
+	// recorder is attached; SetTelemetry registers them on one. They are
+	// pointers because a recorder keeps what it registered: a lease that
+	// attached one leaves its counters to it, and the next lease counts
+	// on fresh ones (see rebind).
+	Retransmits *telemetry.Counter
+	NacksSent   *telemetry.Counter
+	LateReAcks  *telemetry.Counter
+
+	// lateFn is the bound handleLate, installed as the QP's late sink
+	// on every rebind.
+	lateFn func(slot int, gen uint32)
 
 	// aborted holds the first Abort cause (abort.go); protocol loops
 	// check it once per wake and unwind with ErrAborted.
@@ -93,9 +100,9 @@ func (e *Endpoint) SetTelemetry(rec *telemetry.Recorder, name string) {
 		goodput:  rec.NewSeries(name+" goodput_bytes", track, telemetry.SeriesSum),
 		inflight: rec.NewSeries(name+" inflight_chunks", track, telemetry.SeriesMax),
 	}
-	rec.RegisterCounter(name+" retransmits", &e.Retransmits)
-	rec.RegisterCounter(name+" nacks_sent", &e.NacksSent)
-	rec.RegisterCounter(name+" late_reacks", &e.LateReAcks)
+	rec.RegisterCounter(name+" retransmits", e.Retransmits)
+	rec.RegisterCounter(name+" nacks_sent", e.NacksSent)
+	rec.RegisterCounter(name+" late_reacks", e.LateReAcks)
 }
 
 // probe records one protocol event when a recorder is attached.
@@ -223,11 +230,42 @@ func (s *opScratch) parityAlloc(n int) []byte {
 	return p
 }
 
-// NewEndpoint bundles a connected SDR QP and control plane.
+// NewEndpoint bundles an SDR QP and control plane.
 func NewEndpoint(qp *core.QP, cp *ControlPlane, cfg Config) *Endpoint {
-	e := &Endpoint{QP: qp, CP: cp, Cfg: cfg.WithDefaults()}
-	qp.SetLateSink(e.handleLate)
+	e := &Endpoint{QP: qp, CP: cp}
+	e.lateFn = e.handleLate
+	e.rebind(cfg)
 	return e
+}
+
+// rebind puts the endpoint in its just-constructed state under cfg —
+// the one initialisation path, run by NewEndpoint and again for every
+// lease of a pooled deployment, whose endpoints outlive their sessions.
+// What a lease could have left behind is erased: the re-ACK ring (only
+// the entries it used), the counters, the abort cause, the telemetry
+// attachment. The working storage stays — operation scratch and the
+// code cache, which every operation re-initialises before use, and the
+// ring's slot lists. Only call between leases: Session.Close has
+// flushed the retires and core.QP.Reset cleared the late sink. A
+// delivery that loaded the sink before that may still be inside
+// handleLate on a real clock, which is why the wipe runs under the
+// ring's lock.
+func (e *Endpoint) rebind(cfg Config) {
+	e.reack.mu.Lock()
+	defer e.reack.mu.Unlock()
+	e.Cfg = cfg.WithDefaults()
+	e.reack.resetLocked()
+	if e.Retransmits == nil || e.tel.sink != nil {
+		ctrs := new([3]telemetry.Counter)
+		e.Retransmits, e.NacksSent, e.LateReAcks = &ctrs[0], &ctrs[1], &ctrs[2]
+	} else {
+		e.Retransmits.Store(0)
+		e.NacksSent.Store(0)
+		e.LateReAcks.Store(0)
+	}
+	e.aborted.Store(nil)
+	e.tel = endpointTel{}
+	e.QP.SetLateSink(e.lateFn)
 }
 
 // clock returns the deployment clock.

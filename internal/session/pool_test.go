@@ -11,6 +11,7 @@ import (
 	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/reliability"
 	"sdrrdma/internal/session"
+	"sdrrdma/internal/telemetry"
 )
 
 func poolCoreCfg(clk clock.Clock) core.Config {
@@ -374,4 +375,67 @@ func TestQuarantineNotLeasedPanics(t *testing.T) {
 		}
 	}()
 	d.Quarantine()
+}
+
+// The reliability endpoints are part of the pooled deployment and are
+// rebound, not rebuilt, per lease. What the previous lease left in them
+// must not show: a re-leased endpoint starts with zero counters and no
+// abort cause, never answers a late packet of the previous lease with
+// that lease's final ACK (its re-ACK ring starts empty), and the
+// counters a flight recorder registered stay that recorder's.
+func TestReleasedEndpointCarriesNothingOver(t *testing.T) {
+	vc := clock.NewVirtual()
+	pool, err := session.NewPool(session.Config{Core: poolCoreCfg(vc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	lossy := fabric.Config{Latency: time.Millisecond, DropProb: 0.05, Seed: 42, Clock: vc}
+	s1, err := pool.LeaseLinked(poolRelCfg(), lossy, lossy, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.NewRecorder("lease1")
+	s1.SetTelemetry(rec, "l1/A", "l1/B")
+	// No quiesce: lease 1's retransmission tail is still on the wire at
+	// Close, which retires its receive into the re-ACK ring.
+	runLeaseTransfer(t, vc, s1, 64<<10)
+	epA, epB := s1.A, s1.B
+	retx1 := epA.Retransmits
+	if retx1.Load() == 0 {
+		t.Fatal("lease 1 never retransmitted — the scenario has nothing to carry over")
+	}
+	want := retx1.Load()
+	s1.Abort(fmt.Errorf("lease 1 is over"))
+	s1.Close()
+
+	clean := fabric.Config{Latency: time.Millisecond, Clock: vc}
+	s2, err := pool.LeaseLinked(poolRelCfg(), clean, clean, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.A != epA || s2.B != epB {
+		t.Fatal("lease 2 did not get the deployment's retained endpoints")
+	}
+	for _, e := range []*reliability.Endpoint{s2.A, s2.B} {
+		if r, n, l := e.Retransmits.Load(), e.NacksSent.Load(), e.LateReAcks.Load(); r|n|l != 0 {
+			t.Fatalf("re-leased endpoint starts with counters %d/%d/%d", r, n, l)
+		}
+	}
+	if s2.A.Retransmits == retx1 || retx1.Load() != want {
+		t.Fatalf("lease 1's recorder lost its counter: shared=%v value %d, want %d",
+			s2.A.Retransmits == retx1, retx1.Load(), want)
+	}
+	// Let lease 1's stragglers deliver into lease 2's reset QP.
+	clock.Join(vc, func() { vc.Sleep(50 * time.Millisecond) })
+	if s2.Pair.B.QP.Stats().LateDiscarded == 0 {
+		t.Fatal("no stale packet arrived — the re-ACK ring was never consulted")
+	}
+	if n := s2.B.LateReAcks.Load(); n != 0 {
+		t.Fatalf("re-leased endpoint answered %d late packets with the previous lease's final ACK", n)
+	}
+	// The abort did not stick either: the lease transfers normally.
+	runLeaseTransfer(t, vc, s2, 64<<10)
 }

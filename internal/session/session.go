@@ -5,28 +5,53 @@
 // virtual engines to sweep cells.
 //
 // Construction is the expensive half of a deployment: per-channel CQ
-// rings, the root-key retire pass, DPA workers, and the control
-// planes' receive slabs. A Pool pays it once per deployment; a lease
-// costs only the per-session rebind — connecting the QPs over the
-// flow's link and OOB channel, re-attaching the control planes, and
-// fresh reliability endpoints. That is what lets one netem dumbbell
-// host thousands of sequential and hundreds of live concurrent flows
-// without rebuilding the world per flow.
+// rings, the root-key retire pass, DPA workers, the control planes'
+// receive slabs, the reliability endpoints with their re-ACK rings and
+// operation scratch. A Pool pays it once per deployment; a lease costs
+// what the lease touches — reconnecting the QPs over the deployment's
+// own link and OOB envelopes, re-attaching the control planes,
+// rebinding the endpoints, and on release retiring the receive slots
+// and memory registrations the flow actually used. Nothing on that path
+// scales with the size of the deployment (slots × generations, memory
+// table, generator state) or with how many leases came before. That is
+// what lets one netem dumbbell host thousands of sequential and
+// hundreds of live concurrent flows without rebuilding the world per
+// flow.
 //
-// Stale traffic from a previous lease is harmless by construction:
-// message sequence numbers, UC PSNs and control opIDs are monotonic
-// over the deployment lifetime (core.Pair.Reset deliberately preserves
-// them), so late data packets land in NULL-retired root-table slots
-// and late control datagrams route to unregistered operation IDs.
+// What survives a reset, and why none of it can poison the next lease:
+//
+//   - The monotonic sequence space. Message sequence numbers, UC PSNs
+//     and control opIDs run on over the deployment lifetime
+//     (core.Pair.Reset deliberately preserves them), so late data
+//     packets land in NULL-retired root-table slots and late control
+//     datagrams route to unregistered operation IDs.
+//   - The envelopes: the fabric link and OOB channel (and, for netem
+//     flows, the re-routable paths the topology keeps per deployment).
+//     They are re-parameterized whole per lease — impairments, clock,
+//     destination, draw stream restarted from the lease's seed, queues,
+//     bookings and counters emptied — and they only ever lead to this
+//     deployment's own devices, so a straggler still travelling through
+//     them ends where the first point absorbs it.
+//   - The reliability endpoints. Rebinding wipes everything a late
+//     packet or a caller could observe — the re-ACK ring (a re-leased
+//     endpoint never answers a late packet with the previous lease's
+//     final ACK), counters, abort cause, telemetry attachment — and
+//     keeps only working storage that every operation initialises
+//     before use: chunk and shard scratch, parity slab, the cache of
+//     instantiated erasure codes, control-stream buffers (drained when
+//     their operation ends).
+//   - Memory-table slots. A deregistered region's slot is reused, but
+//     under a new key generation, so a key of a previous lease never
+//     resolves again.
 //
 // Determinism: a pool is deterministic state. The first lease of each
 // deployment is exactly a cold build, and later leases reset all
 // protocol-visible state, so a figure cell that leases instead of
 // building stays byte-identical per seed. Even a pool shared across
 // concurrently running sweep cells — where lease order depends on
-// worker scheduling — cannot leak into figure output: the only state
-// that survives a reset is the monotonic sequence space (PSNs, message
-// seqs, control opIDs), whose absolute values affect no timing and no
+// worker scheduling — cannot leak into figure output: of the state
+// listed above only the sequence space and the key generations carry
+// values forward, their absolute values affect no timing and no
 // counter, and LeaseLinkedOn re-homes each lease onto the cell's own
 // clock. Cells on different lanes may draw different deployments on
 // different runs and still produce identical bytes.
@@ -120,18 +145,20 @@ func NewPool(cfg Config) (*Pool, error) {
 // delivery chains at DevA/DevB; Bind then produces the lease's
 // session, whose Close releases the deployment back to the pool.
 type Deployment struct {
-	pool     *Pool
-	pair     *core.Pair
-	cpA, cpB *reliability.ControlPlane
+	pool *Pool
+	pair *core.Pair
+	// epA and epB are the reliability endpoints (each owning its control
+	// plane), rebound per lease by Bind.
+	epA, epB *reliability.Endpoint
 	leased   bool
 	// releaseFn and quarantineFn cache the method values so per-lease
 	// Bind does not allocate fresh closures.
 	releaseFn    func()
 	quarantineFn func()
-	// link and oob are the pooled fabric envelopes of the LeaseLinked
-	// path: built on the deployment's first linked lease and
-	// Reconfigure/Reset per lease afterwards, so link churn costs no
-	// Direction, rng or OOB construction.
+	// link and oob are the pooled fabric envelopes every lease is wired
+	// across: built on the deployment's first Bind and Reconfigure/Reset
+	// per lease afterwards, so flow churn costs no Direction, rng or OOB
+	// construction.
 	link *fabric.Link
 	oob  *fabric.OOB
 }
@@ -194,7 +221,11 @@ func (p *Pool) build(idx int) (*Deployment, error) {
 	// accumulate across leases; track them so Reset deregisters.
 	pair.A.Ctx.SetMRTracking(true)
 	pair.B.Ctx.SetMRTracking(true)
-	d := &Deployment{pool: p, pair: pair, cpA: cpA, cpB: cpB}
+	d := &Deployment{
+		pool: p, pair: pair,
+		epA: reliability.NewEndpoint(pair.A.QP, cpA, reliability.Config{}),
+		epB: reliability.NewEndpoint(pair.B.QP, cpB, reliability.Config{}),
+	}
 	d.releaseFn = d.release
 	d.quarantineFn = d.quarantineLeased
 	return d, nil
@@ -207,29 +238,34 @@ func (d *Deployment) DevA() *nicsim.Device { return d.pair.A.Dev }
 // DevB returns the B-side device (terminal for the A→B chain).
 func (d *Deployment) DevB() *nicsim.Device { return d.pair.B.Dev }
 
-// Bind wires the leased deployment across link and oob and returns the
-// lease's reliability session: QPs reconnect over the new data path,
-// control planes re-attach, endpoints (with fresh re-ACK tables) layer
-// on top. Closing the session resets the deployment and releases it
-// back to the pool.
-func (d *Deployment) Bind(link *fabric.Link, oob *fabric.OOB, relCfg reliability.Config) (*reliability.Session, error) {
+// Bind wires the leased deployment for one session and returns it. The
+// data path is the deployment's pooled link — AB delivering into toB
+// under impairments ab, BA into toA under ba — and its pooled OOB
+// channel of oobLatency, all on the deployment's current clock (see
+// Rehome). toB and toA are the heads of the lease's delivery chains,
+// which must end at DevB and DevA; nil means the device itself, a
+// standalone link. QPs reconnect over the link, control planes
+// re-attach, and the retained endpoints are rebound to relCfg. Closing
+// the session resets the deployment and releases it back to the pool.
+func (d *Deployment) Bind(relCfg reliability.Config, toB, toA nicsim.Deliverer, ab, ba fabric.Config, oobLatency time.Duration) (*reliability.Session, error) {
 	if !d.leased {
 		return nil, fmt.Errorf("session: Bind on a deployment that is not leased")
 	}
 	if err := relCfg.WithDefaults().Validate(); err != nil {
 		return nil, err
 	}
+	link, oob := d.envelopes(toB, toA, ab, ba, oobLatency)
 	if err := d.pair.Bind(link, oob); err != nil {
 		return nil, err
 	}
-	d.cpA.Rebind(link.AB)
-	d.cpB.Rebind(link.BA)
+	d.epA.CP.Rebind(link.AB)
+	d.epB.CP.Rebind(link.BA)
 	p := d.pool
 	p.mu.Lock()
 	sink, track := p.sink, p.track
 	p.mu.Unlock()
 	p.probe(sink, track, telemetry.EvRebind, 0)
-	s := reliability.NewSessionOnCPs(d.pair, d.cpA, d.cpB, relCfg)
+	s := reliability.NewSessionOver(d.pair, d.epA, d.epB, relCfg)
 	s.SetRelease(d.releaseFn)
 	s.SetQuarantine(d.quarantineFn)
 	return s, nil
@@ -302,8 +338,8 @@ func (d *Deployment) quarantineLeased() {
 
 // teardown permanently destroys the deployment's resources.
 func (d *Deployment) teardown() {
-	d.cpA.Close()
-	d.cpB.Close()
+	d.epA.CP.Close()
+	d.epB.CP.Close()
 	d.pair.Close()
 }
 
@@ -317,13 +353,21 @@ func (d *Deployment) teardown() {
 func (d *Deployment) Rehome(clk clock.Clock) {
 	d.pair.A.Ctx.SetClock(clk)
 	d.pair.B.Ctx.SetClock(clk)
-	d.cpA.SetClock(clk)
-	d.cpB.SetClock(clk)
+	d.epA.CP.SetClock(clk)
+	d.epB.CP.SetClock(clk)
 }
 
-// linked returns the deployment's pooled fabric envelopes, built on
-// first use and re-parameterized in place on every later lease.
-func (d *Deployment) linked(clk clock.Clock, ab, ba fabric.Config, oobLatency time.Duration) (*fabric.Link, *fabric.OOB) {
+// envelopes returns the deployment's pooled link and OOB channel,
+// built on first use and re-parameterized in place on every later
+// lease.
+func (d *Deployment) envelopes(toB, toA nicsim.Deliverer, ab, ba fabric.Config, oobLatency time.Duration) (*fabric.Link, *fabric.OOB) {
+	clk := d.pair.A.Ctx.Clock()
+	if toB == nil {
+		toB = d.DevB()
+	}
+	if toA == nil {
+		toA = d.DevA()
+	}
 	if ab.Clock == nil {
 		ab.Clock = clk
 	}
@@ -331,12 +375,12 @@ func (d *Deployment) linked(clk clock.Clock, ab, ba fabric.Config, oobLatency ti
 		ba.Clock = clk
 	}
 	if d.link == nil {
-		d.link = fabric.NewLink(d.DevA(), d.DevB(), ab, ba)
+		d.link = &fabric.Link{AB: fabric.NewDirectionTo(toB, ab), BA: fabric.NewDirectionTo(toA, ba)}
 		d.oob = fabric.NewOOB(clk, oobLatency)
 		return d.link, d.oob
 	}
-	d.link.AB.Reconfigure(ab)
-	d.link.BA.Reconfigure(ba)
+	d.link.AB.Reconfigure(toB, ab)
+	d.link.BA.Reconfigure(toA, ba)
 	d.oob.Reset(clk, oobLatency)
 	return d.link, d.oob
 }
@@ -345,9 +389,8 @@ func (d *Deployment) linked(clk clock.Clock, ab, ba fabric.Config, oobLatency ti
 // fabric link with per-direction impairment configs ab/ba and an OOB
 // channel of oobLatency — the pooled counterpart of
 // reliability.NewSession, for harnesses whose data path is a single
-// link rather than a netem route. The link and OOB envelopes are
-// themselves pooled per deployment, so steady-state churn builds no
-// fabric objects at all.
+// link rather than a netem route (netem.Topology.NewFlow is the same
+// lease with its route's heads in place of the devices).
 func (p *Pool) LeaseLinked(relCfg reliability.Config, ab, ba fabric.Config, oobLatency time.Duration) (*reliability.Session, error) {
 	return p.LeaseLinkedOn(nil, relCfg, ab, ba, oobLatency)
 }
@@ -369,8 +412,7 @@ func (p *Pool) LeaseLinkedOn(clk clock.Clock, relCfg reliability.Config, ab, ba 
 		clk = p.cfg.Core.Clock
 	}
 	d.Rehome(clk)
-	link, oob := d.linked(clk, ab, ba, oobLatency)
-	s, err := d.Bind(link, oob, relCfg)
+	s, err := d.Bind(relCfg, nil, nil, ab, ba, oobLatency)
 	if err != nil {
 		d.release()
 		return nil, err
