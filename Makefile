@@ -14,7 +14,7 @@ RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/clock/ ./internal/fabric/ ./internal/core/ ./internal/reliability/ \
 	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/
 
-.PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden
+.PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc api identity smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden
 
 ci: vet build race test smoke-golden smoke-perftest smoke-trace smoke-chaos smoke-bench
 
@@ -87,6 +87,39 @@ loc:
 	@for d in internal/*/; do \
 		ls $$d*.go | grep -v _test.go | xargs cat | \
 		awk -v d=$$d '{ sub(/^[ \t]+/, "") } $$0 == "" || /^\/\// { next } { n++ } END { printf "%6d %s\n", n, d }'; \
+	done
+
+# Exported surface per package: exported funcs, methods on exported
+# types and exported types as `go doc -all` lists them — the yardstick
+# for surface-collapse issues, beside `make loc`.
+api:
+	@for d in internal/*/; do \
+		printf "%6d %s\n" $$($(GO) doc -all ./$$d | grep -cE '^func [A-Z]|^func \([a-z]+ \*?[A-Z][A-Za-z]*(\[[^]]*\])?\) [A-Z]|^type [A-Z]') $$d; \
+	done
+
+# Behaviour-preservation check against a parent revision: build
+# sdr-experiments and sdr-perftest from `git archive $(PARENT)` and from
+# this tree, then cmp the four functional figures and every simulated
+# field + digest of the perftest runs (wall-clock columns stripped).
+# Not part of `make ci` — it needs a parent to compare against.
+IDENTITY_PERF = "-scheme sr" "-scheme sr-nack" "-scheme ec" "-scheme adaptive" \
+	"-scheme adaptive -cross-bps 5e10 -cross-poisson"
+identity:
+	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir $$tmp/parent; \
+	git archive $(PARENT) | tar -x -C $$tmp/parent; \
+	for c in sdr-experiments sdr-perftest; do \
+		(cd $$tmp/parent && $(GO) build -o $$tmp/parent-$$c ./cmd/$$c); \
+		$(GO) build -o $$tmp/head-$$c ./cmd/$$c; \
+	done; \
+	strip='s/ +[0-9.]+ ms wall//; s/ +[0-9]+ pkts\/s(\/core)?//g'; \
+	for fig in wan multidc adaptive chaos; do \
+		for side in parent head; do $$tmp/$$side-sdr-experiments -fig $$fig-functional -seed 42 > $$tmp/$$side.out; done; \
+		cmp $$tmp/parent.out $$tmp/head.out; echo "identical: -fig $$fig-functional -seed 42"; \
+	done; \
+	for args in $(IDENTITY_PERF); do \
+		for side in parent head; do $$tmp/$$side-sdr-perftest $$args -drop 0.01 -seed 1 | sed -E "$$strip" > $$tmp/$$side.out; done; \
+		cmp $$tmp/parent.out $$tmp/head.out; echo "identical: sdr-perftest $$args -drop 0.01 -seed 1"; \
 	done
 
 # Thousand-flow smoke: the elastic session fabric must sustain 1000

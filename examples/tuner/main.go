@@ -10,9 +10,13 @@ import (
 
 	"sdrrdma/internal/model"
 	"sdrrdma/internal/stats"
-	"sdrrdma/internal/trace"
 	"sdrrdma/internal/wan"
 )
+
+// bucketBytes is the message the links are provisioned for: one full
+// gradient bucket of data-parallel training (PyTorch DDP flushes
+// gradients in 25 MiB buckets by default).
+const bucketBytes = 25 << 20
 
 type site struct {
 	name       string
@@ -30,7 +34,6 @@ func main() {
 		{"us-cross", 3750, 1e-5, 400},
 		{"eu-north", 2900, 1e-3, 100},
 	}
-	workload := trace.NewTrainingBuckets()
 	fmt.Println("per-connection reliability provisioning for DDP gradient buckets (~25 MiB):")
 	fmt.Printf("%-10s %9s %9s %8s  %-14s %12s %12s\n",
 		"peer", "dist", "P_drop", "RTT", "chosen scheme", "mean [ms]", "vs SR RTO")
@@ -43,14 +46,13 @@ func main() {
 			MTUBytes:     4096,
 			ChunkBytes:   4096,
 		}
-		size := workload.BucketBytes
 		schemes := []model.Scheme{
 			model.NewSRRTO(ch), model.NewSRNACK(ch), model.NewMDS(ch), model.NewXOR(ch),
 		}
 		var best model.Scheme
 		bestMean, srMean := 0.0, 0.0
 		for i, sc := range schemes {
-			mean := stats.Mean(model.Sample(sc, size, 3000, int64(i)+1))
+			mean := stats.Mean(model.Sample(sc, bucketBytes, 3000, int64(i)+1))
 			if i == 0 {
 				srMean = mean
 			}

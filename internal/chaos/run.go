@@ -11,7 +11,6 @@ import (
 
 	"sdrrdma/internal/clock"
 	"sdrrdma/internal/core"
-	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/netem"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/reliability"
@@ -423,40 +422,14 @@ func runRC(clk *clock.Virtual, p Program, o *Outcome) {
 	}
 	devA := nicsim.NewDevice("chaos-rcA")
 	devB := nicsim.NewDevice("chaos-rcB")
-	pAB, err := topo.NewPath(src, dst, devB)
+	link, rtt, err := topo.NewLink(src, dst, devA, devB)
 	if err != nil {
 		o.viol("path: %v", err)
 		return
 	}
-	pBA, err := topo.NewPath(dst, src, devA)
-	if err != nil {
-		o.viol("path: %v", err)
-		return
-	}
-	ab := fabric.NewDirectionTo(pAB, fabric.Config{Clock: clk})
-	ba := fabric.NewDirectionTo(pBA, fabric.Config{Clock: clk})
-	hops, err := topo.Route(src, dst)
-	if err != nil {
-		o.viol("route: %v", err)
-		return
-	}
-	rtt := 2 * netem.PathDelay(hops)
 
-	recvCQ := nicsim.NewCQ(1<<12, true)
-	sendCQ := nicsim.NewCQ(1<<12, true)
-	var completed atomic.Int64
-	recvCQ.SetSink(func(nicsim.CQE) {})
-	sendCQ.SetSink(func(nicsim.CQE) {
-		completed.Add(1)
-		clk.Notify()
-	})
-	qpA := nicsim.NewRCQP(devA, clk, 1024, nicsim.NewCQ(16, false), sendCQ, 3*rtt, 16)
-	qpA.SetSendWindow(512)
-	qpB := nicsim.NewRCQP(devB, clk, 1024, recvCQ, nil, 3*rtt, 16)
-	defer qpA.Close()
-	defer qpB.Close()
-	qpA.Connect(ab, qpB.QPN())
-	qpB.Connect(ba, qpA.QPN())
+	rc := nicsim.NewRCPair(clk, devA, devB, link.AB, link.BA, 1024, 3*rtt, 16, 512)
+	defer rc.Close()
 
 	sched, _ := compile(p)
 	if _, err := sched.Apply(topo); err != nil {
@@ -472,17 +445,9 @@ func runRC(clk *clock.Virtual, p Program, o *Outcome) {
 	var elapsed time.Duration
 	clock.JoinNamed(clk, clock.NamedFunc{Name: "chaos-rc-send", Fn: func() {
 		xferErr = safeCall(func() error {
-			qpA.WriteImm(mr.Key(), 0, data, 0, 1)
-			deadline := start.Add(GlobalTimeout)
-			for completed.Load() == 0 {
-				epoch := clk.Epoch()
-				if completed.Load() != 0 {
-					break
-				}
-				if !clk.Now().Before(deadline) {
-					return fmt.Errorf("%w: rc-gbn transfer of %d B", reliability.ErrTimeout, p.Size)
-				}
-				clk.WaitNotify(epoch, rtt)
+			rc.A.WriteImm(mr.Key(), 0, data, 0, 1)
+			if !rc.Wait(1, rtt, start.Add(GlobalTimeout)) {
+				return fmt.Errorf("%w: rc-gbn transfer of %d B", reliability.ErrTimeout, p.Size)
 			}
 			return nil
 		})

@@ -73,8 +73,16 @@ import (
 //   - the AfterFunc timer pool;
 //   - everything the stack builds on a virtual clock and drives from
 //     actors and callbacks: a netem.Queue, a fabric.Direction and its
-//     DeliveryPool, a serial nicsim.Device. Each decides once, from
-//     IsVirtual, to leave its own mutex alone.
+//     DeliveryPool, a serial nicsim.Device, a synchronous dpa.Pool, a
+//     CQ's serial sink. Each decides once, from IsVirtual, where its
+//     clock is bound, to leave its own mutex alone — the first three in
+//     their constructors; for the device, the DPA pool and the channel
+//     CQs core.NewContext decides, the one in-tree caller of
+//     Device.SetSerial and Pool.SetSynchronous (they stay methods only
+//     because benchmark/drives.go sets them for its isolated layer
+//     drives). The decision is never revisited: a pooled deployment is
+//     re-homed between clocks of one kind only, and core.Context.SetClock
+//     refuses the other with core.ErrClockKind.
 //
 // These calls are therefore legal only from the baton holder. A plain
 // goroutine that wants to schedule on a running Virtual must become an

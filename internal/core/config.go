@@ -9,7 +9,7 @@
 //	ctx = context_create(...)      → NewContext(dev, cfg)
 //	qp = qp_create(ctx, ...)       → ctx.NewQP(...)
 //	qp_info_get(qp, info)          → qp.Info()
-//	qp_connect(qp, remote)         → qp.Connect(wire, oob, info)
+//	qp_connect(qp, remote)         → qp.Connect(wire, oob, sideA, info)
 //	mr = mr_reg(ctx, addr, len)    → ctx.RegMR(buf)
 //	send_stream_start(qp, wr, &h)  → qp.SendStreamStart(size, imm)
 //	send_stream_continue(h, wr)    → h.Continue(offset, data)

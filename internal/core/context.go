@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -42,11 +43,13 @@ func NewContext(dev *nicsim.Device, cfg Config) (*Context, error) {
 	}
 	clk := clock.Or(cfg.Clock)
 	pool := dpa.NewPool()
-	// A virtual deployment must not run free-running poller
-	// goroutines: completions are processed inside the delivery event.
-	// The same scheduler baton that mandates synchronous completion
-	// processing also serializes every QP send and delivery, so the
-	// device can drop its per-packet locking.
+	// The delivery mode is a function of the clock kind, decided here,
+	// where the clock is bound, and never again (SetClock refuses to
+	// cross kinds). A virtual deployment must not run free-running
+	// poller goroutines: completions are processed inside the delivery
+	// event. The same scheduler baton that mandates synchronous
+	// completion processing also serializes every QP send and delivery,
+	// so the device can drop its per-packet locking.
 	pool.SetSynchronous(clk.IsVirtual())
 	dev.SetSerial(clk.IsVirtual())
 	c := &Context{
@@ -63,21 +66,32 @@ func NewContext(dev *nicsim.Device, cfg Config) (*Context, error) {
 // runs on.
 func (c *Context) Clock() clock.Clock { return *c.clk.Load() }
 
+// ErrClockKind is returned by SetClock for a re-home between a real
+// and a virtual clock.
+var ErrClockKind = errors.New("sdr: re-home across clock kinds")
+
 // SetClock re-homes the context (and every QP created from it) onto
 // clk. The session fabric uses this to move a pooled deployment onto a
 // sweep lane's virtual clock so cells can lease instead of cold-
-// building a per-lane session. Must only be called while the context
-// is quiescent — no in-flight data operations or scheduled timers; a
-// straggler late packet from the previous lease may still deliver,
-// which is why the clock swap itself is atomic.
-func (c *Context) SetClock(clk clock.Clock) {
-	if clock.Or(clk) == c.Clock() {
-		return // a re-lease on the clock the context already runs on
+// building a per-lane session. clk must be of the kind the context was
+// built on: the DPA workers and the device took their delivery mode
+// from it at construction, so a virtual deployment on a real clock (or
+// the reverse) is refused with ErrClockKind and the context stays where
+// it was. Must only be called while the context is quiescent — no
+// in-flight data operations or scheduled timers; a straggler late
+// packet from the previous lease may still deliver, which is why the
+// clock swap itself is atomic.
+func (c *Context) SetClock(clk clock.Clock) error {
+	cur := c.Clock()
+	if clock.Or(clk) == cur {
+		return nil // a re-lease on the clock the context already runs on
 	}
-	cc := clock.Or(clk)
+	cc := clock.Or(clk) // escapes into the atomic below: declared past the common return
+	if cc.IsVirtual() != cur.IsVirtual() {
+		return fmt.Errorf("%w: %s was built with IsVirtual() = %t", ErrClockKind, c.dev.Name(), cur.IsVirtual())
+	}
 	c.clk.Store(&cc)
-	c.pool.SetSynchronous(cc.IsVirtual())
-	c.dev.SetSerial(cc.IsVirtual())
+	return nil
 }
 
 // Config returns the context configuration (with defaults applied).

@@ -151,10 +151,10 @@ func TestTwoQPsIndependent(t *testing.T) {
 	qpA2 := p.A.Ctx.NewQP()
 	qpB2 := p.B.Ctx.NewQP()
 	oob2 := fabric.NewOOB(nil, 0)
-	if err := qpA2.ConnectViaOOB(p.Link.AB, oob2, true, qpB2.Info()); err != nil {
+	if err := qpA2.Connect(p.Link.AB, oob2, true, qpB2.Info()); err != nil {
 		t.Fatal(err)
 	}
-	if err := qpB2.ConnectViaOOB(p.Link.BA, oob2, false, qpA2.Info()); err != nil {
+	if err := qpB2.Connect(p.Link.BA, oob2, false, qpA2.Info()); err != nil {
 		t.Fatal(err)
 	}
 	defer qpA2.Close()

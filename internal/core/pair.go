@@ -98,10 +98,10 @@ func NewPairDetached(cfg Config, devA, devB *nicsim.Device) (*Pair, error) {
 // (after Reset) re-routes the pair onto a new data path — the
 // per-lease rebind of a pooled deployment.
 func (p *Pair) Bind(link *fabric.Link, oob *fabric.OOB) error {
-	if err := p.A.QP.ConnectViaOOB(link.AB, oob, true, p.B.QP.Info()); err != nil {
+	if err := p.A.QP.Connect(link.AB, oob, true, p.B.QP.Info()); err != nil {
 		return err
 	}
-	if err := p.B.QP.ConnectViaOOB(link.BA, oob, false, p.A.QP.Info()); err != nil {
+	if err := p.B.QP.Connect(link.BA, oob, false, p.A.QP.Info()); err != nil {
 		return err
 	}
 	p.Link = link

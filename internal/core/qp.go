@@ -95,7 +95,6 @@ type QP struct {
 
 	connected atomic.Bool
 	peer      QPInfo
-	sendCTS   func([]byte)
 	// info is the connection blob, computed once at construction — keys
 	// and QPNs never change, and caching it keeps the per-lease rebind
 	// of a pooled deployment allocation-free on this path.
@@ -134,14 +133,14 @@ type QP struct {
 	lateMu   sync.Mutex
 	lateSink func(slot int, gen uint32)
 
-	// deliverCTS is the bound DeliverCTS, and oobSend the bound send
-	// side of oob, the channel the QP was last connected over: a pooled
+	// ctsIn is the bound deliverCTS, and sendCTS the bound send side of
+	// oob, the channel the QP was last connected over: a pooled
 	// deployment reconnects over the same OOB every lease, and binding
 	// a method value allocates.
-	deliverCTS func([]byte)
-	oob        *fabric.OOB
-	oobSideA   bool
-	oobSend    func([]byte)
+	ctsIn    func([]byte)
+	oob      *fabric.OOB
+	oobSideA bool
+	sendCTS  func([]byte)
 
 	// abortCause, when set, cancels every blocked and future operation
 	// on this QP: CTS waiters wake and return ErrQPAborted wrapping the
@@ -230,7 +229,7 @@ func (c *Context) NewQP() *QP {
 		qp.rootMRs[g].Fill(c.nullMR, 0)
 	}
 	qp.info = qp.buildInfo()
-	qp.deliverCTS = qp.DeliverCTS
+	qp.ctsIn = qp.deliverCTS
 	return qp
 }
 
@@ -254,10 +253,10 @@ func (qp *QP) buildInfo() QPInfo {
 func (qp *QP) Info() QPInfo { return qp.info }
 
 // Connect establishes the data path toward the remote QP (Table 1:
-// qp_connect): wire carries data packets, sendCTS transmits
-// clear-to-send messages on the application's out-of-band channel, and
-// inbound CTS messages must be forwarded to DeliverCTS.
-func (qp *QP) Connect(wire nicsim.Wire, remote QPInfo, sendCTS func([]byte)) error {
+// qp_connect): wire carries data packets and oob the clear-to-send
+// messages — side A sends toward B and receives on A's handler, side B
+// the reverse.
+func (qp *QP) Connect(wire nicsim.Wire, oob *fabric.OOB, sideA bool, remote QPInfo) error {
 	if len(remote.ChannelQPNs) != qp.cfg.Generations || len(remote.RootKeys) != qp.cfg.Generations {
 		return fmt.Errorf("sdr: remote has %d generations, local %d",
 			len(remote.ChannelQPNs), qp.cfg.Generations)
@@ -272,29 +271,19 @@ func (qp *QP) Connect(wire nicsim.Wire, remote QPInfo, sendCTS func([]byte)) err
 		}
 	}
 	qp.peer = remote
-	qp.sendCTS = sendCTS
-	qp.connected.Store(true)
-	return nil
-}
-
-// ConnectViaOOB is a convenience wrapper using a fabric.OOB channel:
-// side A registers HandleA/SendToB, side B the reverse.
-func (qp *QP) ConnectViaOOB(wire nicsim.Wire, oob *fabric.OOB, sideA bool, remote QPInfo) error {
 	if qp.oob != oob || qp.oobSideA != sideA {
 		qp.oob, qp.oobSideA = oob, sideA
 		if sideA {
-			qp.oobSend = oob.SendToB
+			qp.sendCTS = oob.SendToB
 		} else {
-			qp.oobSend = oob.SendToA
+			qp.sendCTS = oob.SendToA
 		}
 	}
-	if err := qp.Connect(wire, remote, qp.oobSend); err != nil {
-		return err
-	}
+	qp.connected.Store(true)
 	if sideA {
-		oob.HandleA(qp.deliverCTS)
+		oob.HandleA(qp.ctsIn)
 	} else {
-		oob.HandleB(qp.deliverCTS)
+		oob.HandleB(qp.ctsIn)
 	}
 	return nil
 }
@@ -410,11 +399,11 @@ func encodeCTS(seq, size uint64) []byte {
 	return buf
 }
 
-// DeliverCTS ingests one clear-to-send message from the out-of-band
+// deliverCTS ingests one clear-to-send message from the out-of-band
 // channel (§3.2.3: the receiver announces a posted buffer; the sender
 // may then write message seq). Messages with a bad length or checksum
 // are treated as wire loss.
-func (qp *QP) DeliverCTS(msg []byte) {
+func (qp *QP) deliverCTS(msg []byte) {
 	if len(msg) != ctsMsgLen {
 		return
 	}

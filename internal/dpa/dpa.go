@@ -17,15 +17,11 @@ import (
 	"sdrrdma/internal/nicsim"
 )
 
-// Handler processes one completion. Implementations must be
-// thread-safe across workers (SDR's bitmap updates are atomic).
-type Handler func(cqe *nicsim.CQE)
-
 // BatchHandler processes a whole poll drain at once, letting the
 // packet-processing layer amortize per-packet bookkeeping (counter
 // flushes, slot resolution) over the batch. The slice is only valid
 // for the duration of the call. Implementations must be thread-safe
-// across workers.
+// across workers (SDR's bitmap updates are atomic).
 type BatchHandler func(cqes []nicsim.CQE)
 
 // batchSize is how many CQEs a worker drains per poll, mirroring the
@@ -35,8 +31,7 @@ const batchSize = 256
 // Worker is one emulated DPA hardware thread bound to a CQ.
 type Worker struct {
 	cq      *nicsim.CQ
-	handler Handler
-	batch   BatchHandler
+	handler BatchHandler
 	done    chan struct{}
 	// Processed counts completions handled by this worker.
 	Processed atomic.Uint64
@@ -56,13 +51,7 @@ func (w *Worker) run() {
 			}
 			continue
 		}
-		if w.batch != nil {
-			w.batch(buf)
-		} else {
-			for i := range buf {
-				w.handler(&buf[i])
-			}
-		}
+		w.handler(buf)
 		w.Processed.Add(uint64(n))
 	}
 }
@@ -81,58 +70,44 @@ type Pool struct {
 // NewPool creates an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// SetSynchronous switches subsequently spawned workers to synchronous
-// mode: instead of a poller goroutine, the worker installs itself as
-// the CQ's sink and processes each completion inline in the producer's
-// call. Virtual-clock deployments require this — packet processing
-// must happen inside the delivery event, not on a free-running
-// goroutine the discrete-event scheduler cannot see.
+// SetSynchronous selects the pool's delivery mode, the deployment's
+// clock kind: true (a virtual clock) makes every spawned worker the
+// CQ's inline sink, processing each completion in the producer's call —
+// packet processing must happen inside the delivery event, not on a
+// free-running goroutine the discrete-event scheduler cannot see — and
+// false (a real clock) gives each worker a poller goroutine. It is a
+// construction-time input: call it once, before the first SpawnBatch.
+// core.NewContext is the one in-tree caller; it stays a method because
+// benchmark/drives.go sets it for its isolated dpa drive.
 func (p *Pool) SetSynchronous(sync bool) {
 	p.mu.Lock()
 	p.sync = sync
 	p.mu.Unlock()
 }
 
-// Spawn starts a worker draining cq with handler and returns it.
-func (p *Pool) Spawn(cq *nicsim.CQ, handler Handler) *Worker {
-	return p.spawn(cq, handler, nil)
-}
-
 // SpawnBatch starts a worker handing whole poll drains to handler —
 // the batched-completion shape the line-rate data path uses. In
 // synchronous (sink) mode each delivery is a batch of one.
 func (p *Pool) SpawnBatch(cq *nicsim.CQ, handler BatchHandler) *Worker {
-	return p.spawn(cq, nil, handler)
-}
-
-func (p *Pool) spawn(cq *nicsim.CQ, handler Handler, batch BatchHandler) *Worker {
-	w := &Worker{cq: cq, handler: handler, batch: batch, done: make(chan struct{})}
+	w := &Worker{cq: cq, handler: handler, done: make(chan struct{})}
 	p.mu.Lock()
 	p.workers = append(p.workers, w)
 	sync := p.sync
 	p.mu.Unlock()
-	if sync {
-		close(w.done) // nothing to join at Stop time
-		// The CQ stages the CQE in its own scratch slot, so the sink is
-		// allocation-free end to end: no poller goroutine, no heap-boxed
-		// completion, just a direct call into the packet handler. The
-		// serial variant is sound here: synchronous mode is only enabled
-		// on virtual-clock deployments (core.Context gates it on
-		// clk.IsVirtual()), where every producer runs under the
-		// scheduler baton.
-		cq.SetSinkBatchSerial(func(cqes []nicsim.CQE) {
-			if w.batch != nil {
-				w.batch(cqes)
-			} else {
-				for i := range cqes {
-					w.handler(&cqes[i])
-				}
-			}
-			w.Processed.Add(uint64(len(cqes)))
-		})
+	if !sync {
+		go w.run()
 		return w
 	}
-	go w.run()
+	close(w.done) // nothing to join at Stop time
+	// The CQ stages the CQE in its own scratch slot, so the sink is
+	// allocation-free end to end: no poller goroutine, no heap-boxed
+	// completion, just a direct call into the packet handler. Synchronous
+	// mode is the virtual-clock mode, where every producer runs under the
+	// scheduler baton, so the sink is a serial one.
+	cq.SetSink(func(cqes []nicsim.CQE) {
+		handler(cqes)
+		w.Processed.Add(uint64(len(cqes)))
+	}, true)
 	return w
 }
 

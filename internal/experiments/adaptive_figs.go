@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sdrrdma/internal/clock"
-	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/netem"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/reliability"
@@ -279,63 +278,15 @@ const adaptiveRCWindow = 1024
 // through re-routable paths like every other scheme so the flap
 // reroutes it too.
 func runAdaptiveRC(topo *netem.Topology, clk clock.Clock, src, dst, size int, seed int64) (time.Duration, uint64, error) {
-	route, err := topo.Route(src, dst)
-	if err != nil {
-		return 0, 0, err
-	}
-	rtt := 2 * netem.PathDelay(route)
 	devA := nicsim.NewDevice("adaptive-rcA")
 	devB := nicsim.NewDevice("adaptive-rcB")
-	pAB, err := topo.NewPath(src, dst, devB)
+	link, rtt, err := topo.NewLink(src, dst, devA, devB)
 	if err != nil {
 		return 0, 0, err
 	}
-	pBA, err := topo.NewPath(dst, src, devA)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Wrap the paths in accounting-only fabric directions (as NewFlow
-	// does) so injected packets are countable.
-	ab := fabric.NewDirectionTo(pAB, fabric.Config{Clock: clk})
-	ba := fabric.NewDirectionTo(pBA, fabric.Config{Clock: clk})
-
-	recvCQ := nicsim.NewCQ(1<<12, true)
-	sendCQ := nicsim.NewCQ(1<<12, true)
-	var completed atomic.Int64
-	recvCQ.SetSink(func(nicsim.CQE) {})
-	sendCQ.SetSink(func(nicsim.CQE) {
-		completed.Add(1)
-		clk.Notify()
-	})
-	qpA := nicsim.NewRCQP(devA, clk, 4096, nicsim.NewCQ(16, false), sendCQ, 3*rtt, 16)
-	qpA.SetSendWindow(adaptiveRCWindow)
-	qpB := nicsim.NewRCQP(devB, clk, 4096, recvCQ, nil, 3*rtt, 16)
-	defer qpA.Close()
-	defer qpB.Close()
-	qpA.Connect(ab, qpB.QPN())
-	qpB.Connect(ba, qpA.QPN())
-
-	data := wanPattern(size, byte(seed))
-	recvBuf := make([]byte, size)
-	mr := devB.RegMR(recvBuf)
-
-	start := clk.Now()
-	var elapsed time.Duration
-	clock.Join(clk, func() {
-		qpA.WriteImm(mr.Key(), 0, data, 0, 1)
-		for completed.Load() == 0 {
-			epoch := clk.Epoch()
-			if completed.Load() != 0 {
-				break
-			}
-			clk.WaitNotify(epoch, rtt)
-		}
-		elapsed = clk.Since(start)
-	})
-	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
-		return 0, 0, fmt.Errorf("rc-gbn: received data corrupted")
-	}
-	return elapsed, ab.Tx.Load(), nil
+	rc := nicsim.NewRCPair(clk, devA, devB, link.AB, link.BA, 4096, 3*rtt, 16, adaptiveRCWindow)
+	elapsed, err := runRCWrite(clk, rc, devB, size, seed, rtt)
+	return elapsed, link.AB.Tx.Load(), err
 }
 
 // AdaptiveFunctional runs the adaptive mid-flight reliability figure:

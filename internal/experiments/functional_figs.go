@@ -189,8 +189,11 @@ func runRCBaseline(mtu, msgSize, msgs, inflight int) (throughputResult, error) {
 	link := fabric.NewLink(devA, devB, fabric.Config{}, fabric.Config{})
 	recvCQ := nicsim.NewCQ(1<<16, false)
 	sendCQ := nicsim.NewCQ(1<<16, false)
-	qpA := nicsim.NewRCQP(devA, nil, mtu, nicsim.NewCQ(16, false), sendCQ, time.Second, 16)
-	qpB := nicsim.NewRCQP(devB, nil, mtu, recvCQ, nil, time.Second, 16)
+	// The loop below keeps at most inflight writes outstanding; the send
+	// window is that budget in packets, so it never paces.
+	window := inflight * ((msgSize + mtu - 1) / mtu)
+	qpA := nicsim.NewRCQP(devA, nil, mtu, nicsim.NewCQ(16, false), sendCQ, time.Second, 16, window)
+	qpB := nicsim.NewRCQP(devB, nil, mtu, recvCQ, nil, time.Second, 16, window)
 	defer qpA.Close()
 	defer qpB.Close()
 	qpA.Connect(link.AB, qpB.QPN())
@@ -335,10 +338,9 @@ func wanCoreCfg(clk clock.Clock) core.Config {
 // runWANReliability runs one reliable 25 ms-RTT transfer of the SDR
 // reliability stack (scheme "sr", "sr-nack" or "ec") over the impaired
 // 400 Gbit/s fabric on clk, returning the sender's completion time in
-// that clock's domain. With a pool, the session is leased from it and
-// re-homed onto clk — sweep cells stop cold-building deployments and
-// pay only the rebind; nil pool keeps the cold build (the wall-clock
-// churn benchmarks measure exactly that difference).
+// that clock's domain. The session is leased from pool and re-homed
+// onto clk (which must be of the kind of the pool's template clock), so
+// sweep cells stop cold-building deployments and pay only the rebind.
 func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop float64, size int, seed int64) (wanResult, error) {
 	coreCfg := wanCoreCfg(clk)
 	relCfg := reliability.Config{
@@ -353,13 +355,7 @@ func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop 
 			DropProb: drop, Seed: s, Clock: clk,
 		}
 	}
-	var s *reliability.Session
-	var err error
-	if pool != nil {
-		s, err = pool.LeaseLinkedOn(clk, relCfg, fabCfg(seed), fabCfg(seed+1000), wanOneWay)
-	} else {
-		s, err = reliability.NewSession(coreCfg, relCfg, fabCfg(seed), fabCfg(seed+1000), wanOneWay)
-	}
+	s, err := pool.LeaseLinkedOn(clk, relCfg, fabCfg(seed), fabCfg(seed+1000), wanOneWay)
 	if err != nil {
 		return wanResult{}, err
 	}
@@ -413,11 +409,10 @@ func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop 
 // wanRCWindow is the outstanding-packet cap the WAN RC baseline runs
 // with: a real ASIC paces against a bounded WQE/PSN window instead of
 // keeping a whole message in flight. 4096 packets (16 MiB at the 4 KiB
-// MTU) does not throttle the 8 MiB transfers here, but enabling the
-// windowed mode also enables the sender's NAK-storm filter — one
-// Go-Back-N restart per loss event rather than per duplicate NAK —
-// which is what makes the red-region rows (P ≥ 1e-2) feasible at tens
-// of thousands of packets instead of tens of millions.
+// MTU) does not throttle the 8 MiB transfers here; what makes the
+// red-region rows (P ≥ 1e-2) feasible at tens of thousands of packets
+// instead of tens of millions is the sender's NAK-storm filter — one
+// Go-Back-N restart per loss event rather than per duplicate NAK.
 const wanRCWindow = 4096
 
 // runWANRC runs the commodity RC Go-Back-N baseline over the same WAN
@@ -434,22 +429,19 @@ func runWANRC(clk clock.Clock, drop float64, size int, seed int64) (wanResult, e
 	devA := nicsim.NewDevice("rcWanA")
 	devB := nicsim.NewDevice("rcWanB")
 	link := fabric.NewLink(devA, devB, fabCfg(seed), fabCfg(seed+1000))
-	recvCQ := nicsim.NewCQ(1<<12, true)
-	sendCQ := nicsim.NewCQ(1<<12, true)
-	var completed atomic.Int64
-	recvCQ.SetSink(func(nicsim.CQE) {})
-	sendCQ.SetSink(func(nicsim.CQE) {
-		completed.Add(1)
-		clk.Notify()
-	})
-	qpA := nicsim.NewRCQP(devA, clk, 4096, nicsim.NewCQ(16, false), sendCQ, 3*rtt, 16)
-	qpA.SetSendWindow(wanRCWindow)
-	qpB := nicsim.NewRCQP(devB, clk, 4096, recvCQ, nil, 3*rtt, 16)
-	defer qpA.Close()
-	defer qpB.Close()
-	qpA.Connect(link.AB, qpB.QPN())
-	qpB.Connect(link.BA, qpA.QPN())
+	rc := nicsim.NewRCPair(clk, devA, devB, link.AB, link.BA, 4096, 3*rtt, 16, wanRCWindow)
+	elapsed, err := runRCWrite(clk, rc, devB, size, seed, rtt)
+	if err != nil {
+		return wanResult{}, err
+	}
+	return wanResult{completion: elapsed, packets: link.AB.Tx.Load()}, nil
+}
 
+// runRCWrite times the transfer every RC baseline row measures — one
+// size-byte Write-with-immediate through rc into a fresh buffer on devB,
+// the sender re-checking for its completion every rtt — and closes rc.
+func runRCWrite(clk clock.Clock, rc *nicsim.RCPair, devB *nicsim.Device, size int, seed int64, rtt time.Duration) (time.Duration, error) {
+	defer rc.Close()
 	data := wanPattern(size, byte(seed))
 	recvBuf := make([]byte, size)
 	mr := devB.RegMR(recvBuf)
@@ -457,22 +449,16 @@ func runWANRC(clk clock.Clock, drop float64, size int, seed int64) (wanResult, e
 	start := clk.Now()
 	var elapsed time.Duration
 	clock.Join(clk, func() {
-		qpA.WriteImm(mr.Key(), 0, data, 0, 1)
-		for completed.Load() == 0 {
-			epoch := clk.Epoch()
-			if completed.Load() != 0 {
-				break
-			}
-			clk.WaitNotify(epoch, rtt)
-		}
+		rc.A.WriteImm(mr.Key(), 0, data, 0, 1)
+		rc.Wait(1, rtt, time.Time{})
 		elapsed = clk.Since(start)
 	})
 	// See runWANReliability: buffer reads are only race-free on the
 	// virtual clock (RC retransmissions may still be in flight here).
 	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
-		return wanResult{}, fmt.Errorf("rc-gbn: received data corrupted")
+		return 0, fmt.Errorf("rc-gbn: received data corrupted")
 	}
-	return wanResult{completion: elapsed, packets: link.AB.Tx.Load()}, nil
+	return elapsed, nil
 }
 
 // WANFunctional runs the §5.1-style WAN scenarios on the real
@@ -538,9 +524,15 @@ func WANFunctional(o Options) (*Result, error) {
 	// One session pool serves every SDR cell of the sweep: deployments
 	// cold-build at most once per concurrent lane and each cell leases
 	// one re-homed onto its lane's clock (session.Pool.LeaseLinkedOn
-	// documents why lease order cannot leak into the figure).
+	// documents why lease order cannot leak into the figure). The
+	// template clock never runs; it only has to be of the run's kind,
+	// which fixes the deployments' delivery mode.
+	var template clock.Clock = clock.NewVirtual()
+	if o.RealClock {
+		template = clock.NewReal()
+	}
 	pool, err := session.NewPool(session.Config{
-		Core: wanCoreCfg(clock.NewVirtual()), Name: "wan-functional",
+		Core: wanCoreCfg(template), Name: "wan-functional",
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sdrrdma/internal/clock"
+	"sdrrdma/internal/session"
 )
 
 // The virtual-vs-real pair below is the headline wall-clock number for
@@ -12,10 +13,19 @@ import (
 // and P_drop = 1e-2 through the full functional stack — measured on
 // each clock backend. The real clock pays the genuine RTTs, RTO waits
 // and ACK linger; the virtual clock pays only the CPU cost of the
-// packet events.
-func benchWANScenario(b *testing.B, clk func() clock.Clock) {
+// packet events. A one-shot pool per iteration keeps the deployment's
+// cold build inside the measurement.
+func benchWANScenario(b *testing.B, newClock func() clock.Clock) {
 	for i := 0; i < b.N; i++ {
-		if _, err := runWANReliability(nil, clk(), "sr", 1e-2, wanMsgBytes, 42); err != nil {
+		clk := newClock()
+		pool, err := session.NewPool(session.Config{Core: wanCoreCfg(clk)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := runWANReliability(pool, clk, "sr", 1e-2, wanMsgBytes, 42); err != nil {
+			b.Fatal(err)
+		}
+		if err := pool.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -189,9 +189,9 @@ func newTraceSink(vc *clock.Virtual) *traceSink {
 	for i := 0; i < 1<<12; i++ {
 		ud.PostRecv(buf, uint64(i))
 	}
-	cq.SetSink(func(cqe nicsim.CQE) {
-		ts.rows = append(ts.rows, fmt.Sprintf("%v:%d", vc.Elapsed(), cqe.Imm))
-	})
+	cq.SetSink(func(cqes []nicsim.CQE) {
+		ts.rows = append(ts.rows, fmt.Sprintf("%v:%d", vc.Elapsed(), cqes[0].Imm))
+	}, true)
 	ts.qpn = ud.QPN()
 	return ts
 }

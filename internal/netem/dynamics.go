@@ -59,7 +59,7 @@ type Drift struct {
 // Schedule is the declarative fault program of a dynamic-network run:
 // edge re-parameterizations, link flaps, and RTT drifts, all inside a
 // run horizon. Validate rejects malformed programs before any timer is
-// armed (mirroring wan.NewGilbertElliottChecked's fail-fast stance);
+// armed (mirroring wan.NewGilbertElliott's fail-fast stance);
 // Apply arms everything on the topology's clock.
 type Schedule struct {
 	// Horizon bounds the program: every event, flap window, and drift

@@ -30,29 +30,17 @@ package netem
 
 import (
 	"fmt"
-	"math/rand"
 
 	"sdrrdma/internal/wan"
 )
 
-// LossProcess decides the fate of each packet leaving a queue. It is
-// the packet-level twin of wan.LossModel — wan.IIDLoss and
-// *wan.GilbertElliott satisfy it directly — but stated here so the
-// emulator does not prescribe the statistical library. Implementations
-// are stateful (burst channels carry their Markov state) and are
-// driven under the owning queue's lock, in wire-serialization order,
-// so one instance must never be shared between queues.
-type LossProcess interface {
-	// Drop reports whether the packet about to leave the queue is lost.
-	Drop(rng *rand.Rand) bool
-	// Name identifies the process for experiment output.
-	Name() string
-}
-
 // LossSpec is the declarative form topology configs use: a stationary
 // loss rate plus an optional mean burst length. It exists so scenario
-// tables stay plain data — Build turns one spec into a fresh stateful
-// LossProcess per queue direction.
+// tables stay plain data — Build turns one spec into a fresh
+// wan.LossModel per queue direction. Models are stateful (burst
+// channels carry their Markov state) and are driven under the owning
+// queue's lock, in wire-serialization order, so one instance must never
+// be shared between queues.
 type LossSpec struct {
 	// P is the stationary packet loss rate. Zero means lossless (the
 	// queue still tail-drops on buffer overflow).
@@ -79,9 +67,9 @@ func (s LossSpec) Validate() error {
 	return nil
 }
 
-// Build returns a fresh LossProcess for one queue direction, or nil
+// Build returns a fresh loss model for one queue direction, or nil
 // for a lossless spec.
-func (s LossSpec) Build() (LossProcess, error) {
+func (s LossSpec) Build() (wan.LossModel, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -89,7 +77,7 @@ func (s LossSpec) Build() (LossProcess, error) {
 	case s.P == 0:
 		return nil, nil
 	case s.BurstLen > 1:
-		return wan.NewGilbertElliottChecked(s.P, s.BurstLen)
+		return wan.NewGilbertElliott(s.P, s.BurstLen)
 	default:
 		return wan.IIDLoss{P: s.P}, nil
 	}

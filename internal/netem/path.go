@@ -2,7 +2,9 @@ package netem
 
 import (
 	"sync/atomic"
+	"time"
 
+	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/telemetry"
 )
@@ -50,6 +52,30 @@ func (t *Topology) NewPath(from, to int, dst nicsim.Deliverer) (*Path, error) {
 	p := &Path{t: t}
 	t.addPath(p, from, to, dst, hops)
 	return p, nil
+}
+
+// NewLink wires a transport that is not a pooled flow (the RC
+// baseline) between two datacenters the way NewFlow wires its
+// deployments: a re-routable path per direction, AB ending at devB and
+// BA at devA, each behind an accounting-only fabric direction so
+// injected packets are countable. It also returns the route's
+// propagation RTT.
+func (t *Topology) NewLink(from, to int, devA, devB nicsim.Deliverer) (*fabric.Link, time.Duration, error) {
+	route, err := t.Route(from, to)
+	if err != nil {
+		return nil, 0, err
+	}
+	pAB, err := t.NewPath(from, to, devB)
+	if err != nil {
+		return nil, 0, err
+	}
+	pBA, err := t.NewPath(to, from, devA)
+	if err != nil {
+		return nil, 0, err
+	}
+	cfg := fabric.Config{Clock: t.clk}
+	link := &fabric.Link{AB: fabric.NewDirectionTo(pAB, cfg), BA: fabric.NewDirectionTo(pBA, cfg)}
+	return link, 2 * PathDelay(route), nil
 }
 
 // addPath points p — a fresh path, or a retired one of a closed flow —

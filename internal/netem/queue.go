@@ -10,6 +10,7 @@ import (
 	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/telemetry"
+	"sdrrdma/internal/wan"
 )
 
 // DropReason classifies why a queue discarded a packet.
@@ -22,7 +23,7 @@ const (
 	// consecutive wire packets (and therefore packets of the same
 	// bitmap chunk) cluster into one loss event.
 	TailDrop DropReason = iota
-	// ChannelLoss: the configured LossProcess dropped the packet on the
+	// ChannelLoss: the configured loss model dropped the packet on the
 	// wire after it left the buffer.
 	ChannelLoss
 	// LinkDown: the link was administratively down — a flap event. The
@@ -58,7 +59,7 @@ type QueueConfig struct {
 	// Loss is the wire loss process applied to packets leaving the
 	// buffer, in serialization order — so burst channels correlate
 	// drops across consecutive wire packets. nil = lossless wire.
-	Loss LossProcess
+	Loss wan.LossModel
 	// MarkThresholdBytes enables ECN/RED-style congestion marking: an
 	// arrival that pushes buffered wire bytes to or past this threshold
 	// has its Marked bit set instead of being dropped, giving receivers
@@ -304,7 +305,7 @@ func (q *Queue) SetLatency(d time.Duration) error {
 // random stream is deliberately kept: draws continue from where the
 // previous process left off, so a scheduled loss change stays
 // deterministic per seed regardless of when it fires.
-func (q *Queue) SetLoss(p LossProcess) {
+func (q *Queue) SetLoss(p wan.LossModel) {
 	q.lock()
 	q.cfg.Loss = p
 	q.unlock()

@@ -584,8 +584,7 @@ func (t *Topology) NewFlow(from, to int, coreCfg core.Config, relCfg reliability
 		w.releaseFn()
 		return nil, err
 	}
-	sess.SetRelease(w.releaseFn)
-	sess.SetQuarantine(w.quarantineFn)
+	sess.SetPooled(w.releaseFn, w.quarantineFn)
 	return sess, nil
 }
 

@@ -39,12 +39,11 @@ type CQ struct {
 	// falls back to a heap-boxed single CQE.
 	sinkBusy    atomic.Bool
 	sinkScratch [1]CQE
-	// sinkSerial declares the producers externally serialized (the
-	// virtual-clock regime: every delivery runs under the scheduler
-	// baton, one at a time), downgrading the scratch claim from an
-	// atomic CAS to a plain bool — the CAS was measurable at line rate.
-	// serialBusy still catches a reentrant push from inside the handler,
-	// which falls back to a boxed CQE.
+	// sinkSerial declares the producers externally serialized (see
+	// SetSink), downgrading the scratch claim from an atomic CAS to a
+	// plain bool — the CAS was measurable at line rate. serialBusy still
+	// catches a reentrant push from inside the handler, which falls back
+	// to a boxed CQE.
 	sinkSerial bool
 	serialBusy bool
 }
@@ -69,34 +68,20 @@ func NewCQ(capacity int, overrun bool) *CQ {
 
 // SetSink switches the queue to synchronous delivery: every subsequent
 // Push invokes fn inline (in the producer's goroutine) and nothing is
-// buffered, so Poll/Wait see an always-empty queue. Install the sink
-// before traffic starts; it cannot be combined with concurrent
-// Poll-based consumption.
-func (q *CQ) SetSink(fn func(CQE)) {
-	q.SetSinkBatch(func(cqes []CQE) {
-		for i := range cqes {
-			fn(cqes[i])
-		}
-	})
-}
-
-// SetSinkBatch is SetSink for batch handlers: fn observes each
-// synchronous delivery as a (usually one-element) slice that is only
-// valid for the duration of the call. This is the allocation-free
-// spelling — Push stages the CQE in a per-queue scratch slot instead
-// of heap-boxing it per completion.
-func (q *CQ) SetSinkBatch(fn func([]CQE)) {
-	q.sink.Store(&fn)
-}
-
-// SetSinkBatchSerial is SetSinkBatch for callers that guarantee
-// producers never push concurrently (virtual-clock deployments, where
-// each delivery holds the scheduler baton). The scratch handoff then
-// needs no atomic claim. The write to sinkSerial is published by the
-// atomic sink store, so producers that observe the sink observe the
-// mode.
-func (q *CQ) SetSinkBatchSerial(fn func([]CQE)) {
-	q.sinkSerial = true
+// buffered, so Poll/Wait see an always-empty queue. fn observes each
+// delivery as a one-element slice that is only valid for the duration
+// of the call: Push stages the CQE in a per-queue scratch slot instead
+// of heap-boxing it per completion. Install the sink before traffic
+// starts; it cannot be combined with concurrent Poll-based consumption.
+//
+// serial is the owner's clock kind, clk.IsVirtual(): on a virtual clock
+// every producer runs under the scheduler baton, one at a time, and the
+// scratch hand-off needs no atomic claim; on a real clock producers may
+// push concurrently and it does. The write to sinkSerial is published
+// by the atomic sink store, so producers that observe the sink observe
+// the mode.
+func (q *CQ) SetSink(fn func([]CQE), serial bool) {
+	q.sinkSerial = serial
 	q.sink.Store(&fn)
 }
 

@@ -68,10 +68,13 @@ func (d *Device) Name() string { return d.name }
 // inbound deliveries alike — are serialized by an external scheduler,
 // letting QPs skip their per-packet mutexes. Only sound on
 // virtual-clock deployments, where every producer runs under the
-// discrete-event scheduler baton (the same argument that makes
-// CQ.SetSinkBatchSerial safe). Set it before any traffic flows, from
-// the goroutine constructing the deployment; toggling mid-flight is a
-// data race.
+// discrete-event scheduler baton (the same argument that makes a CQ's
+// serial sink safe). It is a construction-time input — the kind of the
+// clock the device's deployment is built on — set once, before any
+// traffic flows, from the goroutine constructing the deployment;
+// toggling mid-flight is a data race. core.NewContext is the one
+// in-tree caller; it stays a method because benchmark/drives.go sets it
+// for its isolated UC-delivery drive.
 func (d *Device) SetSerial(serial bool) { d.serial = serial }
 
 // RegMR registers buf and returns the memory region handle.

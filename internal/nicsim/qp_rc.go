@@ -35,7 +35,9 @@ type RCQP struct {
 
 	// window caps the outstanding (transmitted, unacknowledged)
 	// packets, modeling the bounded WQE/PSN window a real ASIC paces
-	// against; 0 = unlimited (the legacy fire-hose behaviour).
+	// against. Fragments beyond it wait in pending and are paced out as
+	// ACKs arrive, which keeps a WAN loss event from resending an
+	// unbounded in-flight tail.
 	window int
 	// NAK recovery state: real HCAs restart Go-Back-N once per loss
 	// event, not once per duplicate NAK, or a single gap in a deep
@@ -75,32 +77,27 @@ type rcWR struct {
 
 // NewRCQP creates an RC queue pair. clk drives the retransmission
 // timer (nil = shared real clock); rto is the retransmission timeout;
-// ackEvery coalesces receiver ACKs (1 acks every packet).
-func NewRCQP(dev *Device, clk clock.Clock, mtu int, recvCQ, sendCQ *CQ, rto time.Duration, ackEvery int) *RCQP {
+// ackEvery coalesces receiver ACKs (1 acks every packet); window is the
+// send window in packets. The sender's NAK filter assumes the wire
+// delivers in order, as the paced WAN paths do.
+func NewRCQP(dev *Device, clk clock.Clock, mtu int, recvCQ, sendCQ *CQ, rto time.Duration, ackEvery, window int) *RCQP {
 	if recvCQ == nil {
 		panic("nicsim: RC QP requires a receive CQ")
+	}
+	if window <= 0 {
+		panic("nicsim: RC QP requires a positive send window")
 	}
 	if ackEvery <= 0 {
 		ackEvery = 1
 	}
 	qp := &RCQP{dev: dev, clk: clock.Or(clk), mtu: mtu, recvCQ: recvCQ, sendCQ: sendCQ,
-		rto: rto, ackEvery: ackEvery}
+		rto: rto, ackEvery: ackEvery, window: window}
 	qp.qpn = dev.addQP(qp)
 	return qp
 }
 
 // QPN returns the queue pair number.
 func (qp *RCQP) QPN() uint32 { return qp.qpn }
-
-// SetSendWindow caps the transmitted-and-unacknowledged packets at
-// pkts (0 = unlimited). Fragments beyond the window wait in the QP and
-// are paced out as ACKs arrive — the ASIC behaviour that keeps a WAN
-// loss event from resending an unbounded in-flight tail.
-func (qp *RCQP) SetSendWindow(pkts int) {
-	qp.mu.Lock()
-	qp.window = pkts
-	qp.mu.Unlock()
-}
 
 // Connect attaches the QP to its wire and peer.
 func (qp *RCQP) Connect(wire Wire, peerQPN uint32) {
@@ -169,15 +166,7 @@ func (qp *RCQP) WriteImm(rkey uint32, offset uint64, payload []byte, imm uint32,
 // the pacing cap allows, returning the batch to transmit. Caller holds
 // qp.mu and sends the batch after unlocking.
 func (qp *RCQP) pumpLocked() []*Packet {
-	if len(qp.pending) == 0 {
-		return nil
-	}
-	n := len(qp.pending)
-	if qp.window > 0 {
-		if room := qp.window - len(qp.unacked); room < n {
-			n = room
-		}
-	}
+	n := min(len(qp.pending), qp.window-len(qp.unacked))
 	if n <= 0 {
 		return nil
 	}
@@ -268,13 +257,10 @@ func (qp *RCQP) handleAck(cum uint32) {
 
 func (qp *RCQP) handleNak(from uint32) {
 	qp.mu.Lock()
-	if qp.window > 0 && qp.recovering && qp.ackHigh == qp.recoverAck {
+	if qp.recovering && qp.ackHigh == qp.recoverAck {
 		// Duplicate evidence for the loss event already being repaired:
 		// every late packet behind one gap NAKs the same expected PSN,
 		// and resending the tail once more only multiplies the storm.
-		// Only the ASIC-mode (windowed) sender filters: the filter
-		// assumes order-preserving delivery, which the paced WAN paths
-		// provide but free-running test wires need not.
 		qp.NaksSuppressed.Add(1)
 		qp.mu.Unlock()
 		return
@@ -350,4 +336,57 @@ func (qp *RCQP) handleData(pkt *Packet) {
 		qp.rxMu.Unlock()
 		qp.wire.Send(&Packet{Opcode: OpAck, SrcQPN: qp.qpn, DstQPN: pkt.SrcQPN, PSN: ePSN})
 	}
+}
+
+// RCPair is the RC go-back-N baseline every figure, chaos and test
+// driver runs: a sender A and a receiver B, connected, with their
+// completions consumed by inline sinks — B's receive completions
+// discarded, A's send completions counted and announced on the clock
+// for Wait. Callers keep their own devices, wires, actors and
+// invariants.
+type RCPair struct {
+	A, B *RCQP
+	clk  clock.Clock
+	done atomic.Int64
+}
+
+// NewRCPair builds A on devA transmitting on toB and B on devB
+// transmitting on toA, both with NewRCQP's remaining parameters.
+func NewRCPair(clk clock.Clock, devA, devB *Device, toB, toA Wire, mtu int, rto time.Duration, ackEvery, window int) *RCPair {
+	p := &RCPair{clk: clock.Or(clk)}
+	serial := p.clk.IsVirtual()
+	// Sink-mode queues never buffer, so their depth is immaterial.
+	recvCQ, sendCQ := NewCQ(1, true), NewCQ(1, true)
+	recvCQ.SetSink(func([]CQE) {}, serial)
+	sendCQ.SetSink(func(cqes []CQE) {
+		p.done.Add(int64(len(cqes)))
+		p.clk.Notify()
+	}, serial)
+	p.A = NewRCQP(devA, p.clk, mtu, NewCQ(1, true), sendCQ, rto, ackEvery, window)
+	p.B = NewRCQP(devB, p.clk, mtu, recvCQ, nil, rto, ackEvery, window)
+	p.A.Connect(toB, p.B.QPN())
+	p.B.Connect(toA, p.A.QPN())
+	return p
+}
+
+// Wait blocks the calling actor until n of A's writes have completed
+// (every fragment acknowledged), re-checking at least every poll. A
+// non-zero deadline bounds the wait: Wait reports false once it passed.
+func (p *RCPair) Wait(n int, poll time.Duration, deadline time.Time) bool {
+	for {
+		epoch := p.clk.Epoch()
+		if p.done.Load() >= int64(n) {
+			return true
+		}
+		if !deadline.IsZero() && !p.clk.Now().Before(deadline) {
+			return false
+		}
+		p.clk.WaitNotify(epoch, poll)
+	}
+}
+
+// Close stops both QPs' retransmission machinery.
+func (p *RCPair) Close() {
+	p.A.Close()
+	p.B.Close()
 }

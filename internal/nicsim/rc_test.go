@@ -10,36 +10,56 @@ import (
 	"sdrrdma/internal/clock"
 )
 
-// lossyWire drops packets with probability p (seeded) and delivers the
-// rest synchronously.
-type lossyWire struct {
-	dst *Device
-	mu  sync.Mutex
-	rng *rand.Rand
-	p   float64
+// asyncWire delivers from a goroutine per packet — asynchronously, so
+// the two RC endpoints never recurse into each other's locks (data
+// triggers ACK triggers completion) — but in send order, each delivery
+// waiting for the one before it: the order-preserving path the sender's
+// NAK filter assumes. drop, when set, decides which packets are lost.
+type asyncWire struct {
+	dst  *Device
+	drop func(*Packet) bool
+	mu   sync.Mutex
+	tail chan struct{} // closed when the last accepted packet has been delivered
 }
 
-func (w *lossyWire) Send(pkt *Packet) {
+func (w *asyncWire) Send(pkt *Packet) {
 	w.mu.Lock()
-	drop := w.rng.Float64() < w.p
-	w.mu.Unlock()
-	if drop {
+	if w.drop != nil && w.drop(pkt) {
+		w.mu.Unlock()
 		return
 	}
-	// Deliver asynchronously to avoid lock recursion between the two
-	// RC endpoints (data triggers ACK triggers completion).
-	go w.dst.Deliver(pkt)
+	prev, done := w.tail, make(chan struct{})
+	w.tail = done
+	w.mu.Unlock()
+	go func() {
+		if prev != nil {
+			<-prev
+		}
+		w.dst.Deliver(pkt)
+		close(done)
+	}()
 }
+
+// lossy drops packets with probability p from a seeded stream (drawn
+// under the wire's lock).
+func lossy(seed int64, p float64) func(*Packet) bool {
+	rng := rand.New(rand.NewSource(seed))
+	return func(*Packet) bool { return rng.Float64() < p }
+}
+
+// rcTestWindow is wider than anything these tests keep in flight: they
+// exercise loss recovery, not pacing.
+const rcTestWindow = 1 << 10
 
 func rcPair(t *testing.T, mtu int, loss float64, rto time.Duration) (*Device, *Device, *RCQP, *RCQP, *CQ, *CQ) {
 	t.Helper()
 	devA, devB := NewDevice("a"), NewDevice("b")
 	recvCQB := NewCQ(1<<14, false)
 	sendCQA := NewCQ(1<<14, false)
-	qpA := NewRCQP(devA, nil, mtu, NewCQ(16, false), sendCQA, rto, 4)
-	qpB := NewRCQP(devB, nil, mtu, recvCQB, nil, rto, 4)
-	qpA.Connect(&lossyWire{dst: devB, rng: rand.New(rand.NewSource(1)), p: loss}, qpB.QPN())
-	qpB.Connect(&lossyWire{dst: devA, rng: rand.New(rand.NewSource(2)), p: loss}, qpA.QPN())
+	qpA := NewRCQP(devA, nil, mtu, NewCQ(16, false), sendCQA, rto, 4, rcTestWindow)
+	qpB := NewRCQP(devB, nil, mtu, recvCQB, nil, rto, 4, rcTestWindow)
+	qpA.Connect(&asyncWire{dst: devB, drop: lossy(1, loss)}, qpB.QPN())
+	qpB.Connect(&asyncWire{dst: devA, drop: lossy(2, loss)}, qpA.QPN())
 	t.Cleanup(func() { qpA.Close(); qpB.Close() })
 	return devA, devB, qpA, qpB, recvCQB, sendCQA
 }
@@ -125,26 +145,19 @@ func TestRCNakTriggersFastResend(t *testing.T) {
 	// should trigger resend well before the (long) RTO.
 	devA, devB := NewDevice("a"), NewDevice("b")
 	recvCQB := NewCQ(64, false)
-	qpA := NewRCQP(devA, nil, 8, NewCQ(16, false), nil, 10*time.Second, 1)
-	qpB := NewRCQP(devB, nil, 8, recvCQB, nil, 10*time.Second, 1)
+	qpA := NewRCQP(devA, nil, 8, NewCQ(16, false), nil, 10*time.Second, 1, rcTestWindow)
+	qpB := NewRCQP(devB, nil, 8, recvCQB, nil, 10*time.Second, 1, rcTestWindow)
 	defer qpA.Close()
 	defer qpB.Close()
 
 	first := true
-	var mu sync.Mutex
-	filter := func(p *Packet) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if first && p.Opcode == OpWriteImm {
-			first = false
-			return false
-		}
-		return true
+	dropFirst := func(p *Packet) bool {
+		drop := first && p.Opcode == OpWriteImm
+		first = first && !drop
+		return drop
 	}
-	wAB := &filteredAsyncWire{dst: devB, filter: filter}
-	wBA := &filteredAsyncWire{dst: devA}
-	qpA.Connect(wAB, qpB.QPN())
-	qpB.Connect(wBA, qpA.QPN())
+	qpA.Connect(&asyncWire{dst: devB, drop: dropFirst}, qpB.QPN())
+	qpB.Connect(&asyncWire{dst: devA}, qpA.QPN())
 
 	buf := make([]byte, 32)
 	mr := devB.RegMR(buf)
@@ -157,18 +170,6 @@ func TestRCNakTriggersFastResend(t *testing.T) {
 	if qpB.NaksSent.Load() == 0 {
 		t.Fatal("no NAK sent on PSN gap")
 	}
-}
-
-type filteredAsyncWire struct {
-	dst    *Device
-	filter func(*Packet) bool
-}
-
-func (w *filteredAsyncWire) Send(pkt *Packet) {
-	if w.filter != nil && !w.filter(pkt) {
-		return
-	}
-	go w.dst.Deliver(pkt)
 }
 
 // orderedLossyWire delivers in FIFO order on a virtual clock (equal
@@ -198,28 +199,18 @@ func (w *orderedLossyWire) Send(pkt *Packet) {
 }
 
 // runWindowedRC pushes one size-byte message across the deterministic
-// lossy wire with the given outstanding-packet window (0 = legacy
-// unlimited) and returns (data sends, retransmits, suppressed NAKs).
+// lossy wire through the RC harness with the given send window and
+// returns (data sends, retransmits, suppressed NAKs).
 func runWindowedRC(t *testing.T, window, size int) (int, uint64, uint64) {
 	t.Helper()
 	clk := clock.NewVirtual()
 	lat := time.Millisecond
 	rto := 6 * lat // 3×RTT
 	devA, devB := NewDevice("wa"), NewDevice("wb")
-	sendCQ := NewCQ(1<<12, true)
-	recvCQ := NewCQ(1<<12, true)
-	var completed int
-	recvCQ.SetSink(func(CQE) {})
-	sendCQ.SetSink(func(CQE) { completed++; clk.Notify() })
-	qpA := NewRCQP(devA, clk, 4096, NewCQ(16, false), sendCQ, rto, 4)
-	qpB := NewRCQP(devB, clk, 4096, recvCQ, nil, rto, 4)
-	defer qpA.Close()
-	defer qpB.Close()
-	qpA.SetSendWindow(window)
 	wAB := &orderedLossyWire{clk: clk, dst: devB, lat: lat, every: 37}
 	wBA := &orderedLossyWire{clk: clk, dst: devA, lat: lat}
-	qpA.Connect(wAB, qpB.QPN())
-	qpB.Connect(wBA, qpA.QPN())
+	rc := NewRCPair(clk, devA, devB, wAB, wBA, 4096, rto, 4, window)
+	defer rc.Close()
 
 	data := make([]byte, size)
 	for i := range data {
@@ -228,28 +219,21 @@ func runWindowedRC(t *testing.T, window, size int) (int, uint64, uint64) {
 	recvBuf := make([]byte, size)
 	mr := devB.RegMR(recvBuf)
 	clock.Join(clk, func() {
-		qpA.WriteImm(mr.Key(), 0, data, 0, 1)
-		if window > 0 && wAB.sends != window {
+		rc.A.WriteImm(mr.Key(), 0, data, 0, 1)
+		if wAB.sends != window {
 			t.Errorf("window %d: %d packets in flight after post, want exactly the window", window, wAB.sends)
 		}
-		for completed == 0 {
-			epoch := clk.Epoch()
-			if completed != 0 {
-				break
-			}
-			clk.WaitNotify(epoch, rto)
-		}
+		rc.Wait(1, rto, time.Time{})
 	})
 	if !bytes.Equal(recvBuf, data) {
 		t.Fatal("windowed RC delivered corrupt data")
 	}
-	return wAB.sends, qpA.Retransmits.Load(), qpA.NaksSuppressed.Load()
+	return wAB.sends, rc.A.Retransmits.Load(), rc.A.NaksSuppressed.Load()
 }
 
-// The ASIC-mode sender (outstanding window + one Go-Back-N restart
-// per loss event) must complete lossy transfers with a bounded packet
-// cost, where the legacy fire-hose sender's NAK storm multiplies
-// every loss into a full-tail resend cascade.
+// The sender (send window + one Go-Back-N restart per loss event) must
+// complete lossy transfers with a bounded packet cost: without the NAK
+// filter every loss multiplies into a full-tail resend cascade.
 func TestRCWindowBoundsLossRecovery(t *testing.T) {
 	const size = 1 << 20 // 256 packets
 	ideal := size / 4096
@@ -263,20 +247,18 @@ func TestRCWindowBoundsLossRecovery(t *testing.T) {
 	if sends > 6*ideal {
 		t.Fatalf("windowed sender injected %d packets for a %d-packet message — storm not contained", sends, ideal)
 	}
-	legacySends, _, legacySuppressed := runWindowedRC(t, 0, size)
-	if legacySuppressed != 0 {
-		t.Fatalf("legacy (unwindowed) sender suppressed %d NAKs — filter must stay off", legacySuppressed)
-	}
-	if legacySends < 2*sends {
-		t.Fatalf("legacy sender injected %d vs windowed %d — expected the storm the window prevents", legacySends, sends)
-	}
 }
 
-// Determinism: the windowed virtual-clock run replays bit-identically.
+// Determinism: the windowed virtual-clock run replays bit-identically,
+// and through the harness it is the run recorded before the harness
+// existed (sends, retransmits, suppressed NAKs).
 func TestRCWindowDeterministic(t *testing.T) {
 	s1, r1, n1 := runWindowedRC(t, 32, 1<<20)
 	s2, r2, n2 := runWindowedRC(t, 32, 1<<20)
 	if s1 != s2 || r1 != r2 || n1 != n2 {
 		t.Fatalf("windowed RC diverged: (%d,%d,%d) vs (%d,%d,%d)", s1, r1, n1, s2, r2, n2)
+	}
+	if s1 != 1024 || r1 != 768 || n1 != 714 {
+		t.Fatalf("windowed RC tuple (%d,%d,%d), want the recorded (1024,768,714)", s1, r1, n1)
 	}
 }

@@ -104,7 +104,7 @@ func (c Config) WithDefaults() Config {
 }
 
 // Validate rejects configurations that cannot make progress, mirroring
-// wan.NewGilbertElliottChecked's fail-fast stance: a GlobalTimeout at
+// wan.NewGilbertElliott's fail-fast stance: a GlobalTimeout at
 // or below 2·RTT expires before a single request/response round trip
 // can complete, so every transfer would die with ErrGlobalTimeout no
 // matter how healthy the network is. Call after WithDefaults.

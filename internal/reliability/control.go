@@ -7,7 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sdrrdma/internal/clock"
+	"sdrrdma/internal/core"
 	"sdrrdma/internal/nicsim"
 )
 
@@ -51,9 +51,12 @@ type ecNackEntry struct {
 // clock this removes a goroutine hop, on the virtual clock it is what
 // makes a blocked protocol loop wake at the exact delivery instant.
 type ControlPlane struct {
-	ud  *nicsim.UDQP
-	cq  *nicsim.CQ
-	clk clock.Clock
+	ud *nicsim.UDQP
+	cq *nicsim.CQ
+	// ctx is the side's SDR context: its clock — read per wake-up, so a
+	// re-homed deployment's control plane follows it — is the one the
+	// side's protocol loops wait on.
+	ctx *core.Context
 
 	peer uint32
 	mtu  int
@@ -100,8 +103,8 @@ const (
 type CtrlFault func(payload []byte) CtrlFaultAction
 
 // SetFault registers fn (nil clears) on the outbound control path.
-// Rebind clears it, so a pooled deployment never carries an old
-// lease's fault injection into the next one.
+// Every new session clears it, so a pooled deployment never carries an
+// old lease's fault injection into the next one.
 func (cp *ControlPlane) SetFault(fn CtrlFault) {
 	if fn == nil {
 		cp.fault.Store(nil)
@@ -110,28 +113,21 @@ func (cp *ControlPlane) SetFault(fn CtrlFault) {
 	cp.fault.Store(&fn)
 }
 
-// NewControlPlane creates the control endpoint on dev transmitting via
-// wire, waking clock waiters (nil = shared real clock) as messages
-// arrive. Call ConnectCtrl with the peer's QPN before use.
-func NewControlPlane(dev *nicsim.Device, wire nicsim.Wire, mtu int, clk clock.Clock) *ControlPlane {
-	return NewControlPlaneBufs(dev, wire, mtu, clk, 0)
-}
-
-// NewControlPlaneBufs is NewControlPlane with an explicit receive-slab
-// size (nbufs <= 0 selects the default of 1024 buffers). The session
-// fabric builds pooled control planes with wire == nil — detached, to
-// be attached per lease via Rebind — and topologies hosting hundreds
-// of concurrent deployments size the slab down to keep memory bounded.
-func NewControlPlaneBufs(dev *nicsim.Device, wire nicsim.Wire, mtu int, clk clock.Clock, nbufs int) *ControlPlane {
+// newControlPlane creates the control endpoint of ctx's side, detached:
+// attach gives it a wire and a peer. nbufs sizes the receive slab
+// (<= 0 selects the default of 1024 buffers; topologies hosting
+// hundreds of concurrent deployments size it down to keep memory
+// bounded).
+func newControlPlane(ctx *core.Context, nbufs int) *ControlPlane {
+	mtu := ctx.Config().MTU
 	cq := nicsim.NewCQ(4096, false)
 	cp := &ControlPlane{
-		ud:       nicsim.NewUDQP(dev, mtu, cq),
+		ud:       nicsim.NewUDQP(ctx.Device(), mtu, cq),
 		cq:       cq,
-		clk:      clock.Or(clk),
+		ctx:      ctx,
 		mtu:      mtu,
 		handlers: make(map[uint64]chan ctrlMsg),
 	}
-	cp.ud.Attach(wire)
 	// Keep a pool of receive buffers posted, carved from one slab (a
 	// control plane per session side makes per-buffer allocations the
 	// dominant construction cost of a multi-session sweep otherwise).
@@ -145,22 +141,17 @@ func NewControlPlaneBufs(dev *nicsim.Device, wire nicsim.Wire, mtu int, clk cloc
 		cp.bufs[i] = buf
 		cp.ud.PostRecv(buf, uint64(i))
 	}
-	cq.SetSink(cp.handleCQE)
+	cq.SetSink(cp.handleCQEs, ctx.Clock().IsVirtual())
 	return cp
 }
 
-// QPN returns the control UD QP number for the peer's ConnectCtrl.
-func (cp *ControlPlane) QPN() uint32 { return cp.ud.QPN() }
-
-// ConnectCtrl sets the peer control QPN.
-func (cp *ControlPlane) ConnectCtrl(peerQPN uint32) { cp.peer = peerQPN }
-
-// Rebind attaches the control plane to a new wire and drops all
-// per-operation routing state — the per-lease reset of a pooled
-// deployment. The receive slab stays posted and the UD QPN is stable
-// across leases; control datagrams still in flight from a previous
-// lease route to unregistered opIDs and are dropped.
-func (cp *ControlPlane) Rebind(wire nicsim.Wire) {
+// attach points the control plane at wire and at peer's control QP and
+// drops all per-operation routing state — the start of every session,
+// the first on a deployment like any later lease. The receive slab
+// stays posted and the UD QPN is stable across sessions; control
+// datagrams still in flight from a previous lease route to unregistered
+// opIDs and are dropped.
+func (cp *ControlPlane) attach(wire nicsim.Wire, peer *ControlPlane) {
 	cp.mu.Lock()
 	clear(cp.handlers)
 	cp.stopped = false
@@ -168,13 +159,7 @@ func (cp *ControlPlane) Rebind(wire nicsim.Wire) {
 	cp.fault.Store(nil)
 	cp.ud.ResetCounters()
 	cp.ud.Attach(wire)
-}
-
-// SetClock moves the control plane's wake-up domain to clk (nil =
-// shared real clock) — the re-homing half of leasing a pooled
-// deployment onto a sweep lane's clock. Only call between leases.
-func (cp *ControlPlane) SetClock(clk clock.Clock) {
-	cp.clk = clock.Or(clk)
+	cp.peer = peer.ud.QPN()
 }
 
 // Close stops dispatch: completions arriving afterwards are dropped.
@@ -200,7 +185,7 @@ func (cp *ControlPlane) register(opID uint64) chan ctrlMsg {
 }
 
 // unregister closes operation opID's control stream; the operation must
-// not read it afterwards. handleCQE routes under mu, so once the stream
+// not read it afterwards. handleCQEs routes under mu, so once the stream
 // is off the table nothing can write to it and it is drained for reuse.
 func (cp *ControlPlane) unregister(opID uint64) {
 	cp.mu.Lock()
@@ -214,31 +199,33 @@ func (cp *ControlPlane) unregister(opID uint64) {
 	cp.mu.Unlock()
 }
 
-// handleCQE is the CQ sink: it decodes one inbound control datagram,
-// reposts its buffer, routes it, and wakes clock waiters.
-func (cp *ControlPlane) handleCQE(cqe nicsim.CQE) {
-	buf := cp.bufs[cqe.WRID%uint64(len(cp.bufs))]
-	msg, err := decodeCtrl(buf[:cqe.ByteLen])
-	// Repost the buffer immediately (UD consumes one per datagram).
-	cp.ud.PostRecv(buf, cqe.WRID)
-	if err != nil {
-		return // malformed control packets are dropped
-	}
-	cp.mu.Lock()
-	if cp.stopped {
-		cp.mu.Unlock()
-		return
-	}
-	ch := cp.handlers[msg.opID]
-	if ch != nil {
-		select {
-		case ch <- msg:
-		default: // slow consumer: control is best-effort anyway
+// handleCQEs is the CQ sink: per inbound control datagram it decodes,
+// reposts the buffer, routes the message and wakes clock waiters.
+func (cp *ControlPlane) handleCQEs(cqes []nicsim.CQE) {
+	for _, cqe := range cqes {
+		buf := cp.bufs[cqe.WRID%uint64(len(cp.bufs))]
+		msg, err := decodeCtrl(buf[:cqe.ByteLen])
+		// Repost the buffer immediately (UD consumes one per datagram).
+		cp.ud.PostRecv(buf, cqe.WRID)
+		if err != nil {
+			continue // malformed control packets are dropped
 		}
-	}
-	cp.mu.Unlock()
-	if ch != nil {
-		cp.clk.Notify()
+		cp.mu.Lock()
+		if cp.stopped {
+			cp.mu.Unlock()
+			continue
+		}
+		ch := cp.handlers[msg.opID]
+		if ch != nil {
+			select {
+			case ch <- msg:
+			default: // slow consumer: control is best-effort anyway
+			}
+		}
+		cp.mu.Unlock()
+		if ch != nil {
+			cp.ctx.Clock().Notify()
+		}
 	}
 }
 

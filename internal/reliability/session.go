@@ -16,14 +16,12 @@ type Session struct {
 	Pair *core.Pair
 	A, B *Endpoint
 
-	// release, when set, runs on Close in place of teardown — the hook
-	// the session fabric uses to return a pooled deployment to its
-	// pool. See SetRelease.
-	release func()
-	// quarantine, when set, runs on Quarantine in place of teardown —
-	// the pooled-deployment hook that permanently retires a lease whose
-	// post-failure state cannot be trusted.
-	quarantine func()
+	// release and quarantine, when set (see SetPooled), run on Close
+	// and on Quarantine in place of teardown: the session is a lease of
+	// a pooled deployment, which Close returns to its pool and
+	// Quarantine — for a lease whose post-failure state cannot be
+	// trusted — permanently retires.
+	release, quarantine func()
 	// closed makes Close/Quarantine idempotent: an abort path and a
 	// deferred Close racing each other must not double-release the
 	// pooled deployment.
@@ -52,38 +50,47 @@ func NewSession(coreCfg core.Config, relCfg Config, ab, ba fabric.Config, oobLat
 // link directions, so ACK/NACK traffic crosses the same impaired path
 // as the data (§4.1).
 func NewSessionOn(pair *core.Pair, relCfg Config) *Session {
-	clk := pair.A.Ctx.Clock()
-	mtu := pair.A.Ctx.Config().MTU
-	cpA := NewControlPlane(pair.A.Dev, pair.Link.AB, mtu, clk)
-	cpB := NewControlPlane(pair.B.Dev, pair.Link.BA, mtu, clk)
-	return NewSessionOver(pair, NewEndpoint(pair.A.QP, cpA, relCfg), NewEndpoint(pair.B.QP, cpB, relCfg), relCfg)
+	a, b := NewEndpoints(pair, 0)
+	return NewSessionOver(pair, a, b, relCfg)
 }
 
-// NewSessionOver starts a session on an existing pair and existing
-// endpoints — the pooled-deployment path, where the endpoints (with
-// their control planes and receive slabs, operation scratch and code
-// cache) outlive individual sessions. Both endpoints are rebound to
-// relCfg: each session starts with an empty re-ACK ring, zero counters
-// and no abort or telemetry state, whatever the previous one left. The
-// control planes must already transmit on the pair's current link
-// directions (see ControlPlane.Rebind).
+// NewEndpoints builds the reliability half of a deployment on pair: per
+// side a detached control plane, with ctrlRecvBufs receive buffers (0 =
+// the default 1024), and the endpoint that owns it — everything that
+// outlives a session: receive slabs, operation scratch, code cache.
+// NewSessionOver starts a session on them; a pooled deployment keeps
+// them and starts one per lease.
+func NewEndpoints(pair *core.Pair, ctrlRecvBufs int) (a, b *Endpoint) {
+	side := func(s *core.Endpoint) *Endpoint {
+		e := &Endpoint{QP: s.QP, CP: newControlPlane(s.Ctx, ctrlRecvBufs)}
+		e.lateFn = e.handleLate
+		return e
+	}
+	return side(pair.A), side(pair.B)
+}
+
+// NewSessionOver starts a session on pair with its endpoints a and b
+// (from NewEndpoints): the control planes attach to the directions of
+// the link the pair is currently bound to and to each other, and both
+// endpoints are rebound to relCfg, so each session starts with an empty
+// re-ACK ring, zero counters and no abort, fault or telemetry state,
+// whatever the previous one left.
 func NewSessionOver(pair *core.Pair, a, b *Endpoint, relCfg Config) *Session {
-	a.CP.ConnectCtrl(b.CP.QPN())
-	b.CP.ConnectCtrl(a.CP.QPN())
+	a.CP.attach(pair.Link.AB, b.CP)
+	b.CP.attach(pair.Link.BA, a.CP)
 	a.rebind(relCfg)
 	b.rebind(relCfg)
 	return &Session{Pair: pair, A: a, B: b}
 }
 
-// SetRelease registers fn to run on Close instead of tearing the
-// deployment down. The session fabric uses it so a leased session's
-// Close transparently resets and releases the pooled deployment.
-func (s *Session) SetRelease(fn func()) { s.release = fn }
-
-// SetQuarantine registers fn to run on Quarantine instead of teardown
-// — the pooled-deployment hook (session.Pool) that retires the lease
-// from circulation instead of returning it to the free list.
-func (s *Session) SetQuarantine(fn func()) { s.quarantine = fn }
+// SetPooled makes the session a lease of a pooled deployment: Close
+// runs release and Quarantine runs quarantine instead of tearing the
+// deployment down. The session fabric sets them so a leased session's
+// Close transparently resets the deployment and returns it to the free
+// list, and its Quarantine retires it from circulation.
+func (s *Session) SetPooled(release, quarantine func()) {
+	s.release, s.quarantine = release, quarantine
+}
 
 // Abort cancels both endpoints: whichever operations are blocked (on
 // either side) unwind and return ErrAborted wrapping cause. The

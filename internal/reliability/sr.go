@@ -230,19 +230,11 @@ func (s *opScratch) parityAlloc(n int) []byte {
 	return p
 }
 
-// NewEndpoint bundles an SDR QP and control plane.
-func NewEndpoint(qp *core.QP, cp *ControlPlane, cfg Config) *Endpoint {
-	e := &Endpoint{QP: qp, CP: cp}
-	e.lateFn = e.handleLate
-	e.rebind(cfg)
-	return e
-}
-
-// rebind puts the endpoint in its just-constructed state under cfg —
-// the one initialisation path, run by NewEndpoint and again for every
-// lease of a pooled deployment, whose endpoints outlive their sessions.
-// What a lease could have left behind is erased: the re-ACK ring (only
-// the entries it used), the counters, the abort cause, the telemetry
+// rebind puts the endpoint in its initial state under cfg — the one
+// initialisation path, run by NewSessionOver for the only session of a
+// cold-built deployment and for every lease of a pooled one, whose
+// endpoints outlive their sessions. What a lease could have left
+// behind is erased: the re-ACK ring (only the entries it used), the counters, the abort cause, the telemetry
 // attachment. The working storage stays — operation scratch and the
 // code cache, which every operation re-initialises before use, and the
 // ring's slot lists. Only call between leases: Session.Close has

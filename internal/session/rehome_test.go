@@ -1,10 +1,12 @@
 package session_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"sdrrdma/internal/clock"
+	"sdrrdma/internal/core"
 	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/reliability"
 	"sdrrdma/internal/session"
@@ -52,6 +54,66 @@ func TestLeaseLinkedOnRehomesAcrossClocks(t *testing.T) {
 	}
 	if built, leased := pool.Stats(); built != 1 || leased != 0 {
 		t.Fatalf("pool built=%d leased=%d, want 1/0 (one deployment re-homed three times)", built, leased)
+	}
+}
+
+// A deployment's delivery mode — poller goroutines or inline serial
+// sinks, device locks or none — is fixed by the kind of the clock it was
+// built on. Leasing it onto a clock of the other kind must be refused
+// outright, not half-applied: on a real-built deployment re-homed to a
+// virtual clock, pollers the scheduler cannot see would process
+// completions and same-seed runs diverge. The refused lease goes back
+// on the free list and the pool keeps serving its own kind.
+func TestLeaseLinkedOnRefusesCrossKindRehome(t *testing.T) {
+	lossless := func(clk clock.Clock) fabric.Config {
+		return fabric.Config{Latency: time.Millisecond, Clock: clk}
+	}
+	for _, tc := range []struct {
+		name            string
+		template, other clock.Clock
+	}{
+		{"real pool, virtual lease", clock.NewReal(), clock.NewVirtual()},
+		{"virtual pool, real lease", clock.NewVirtual(), clock.NewReal()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := session.NewPool(session.Config{Core: poolCoreCfg(tc.template)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			s, err := pool.LeaseLinkedOn(tc.other, poolRelCfg(), lossless(tc.other), lossless(tc.other), time.Millisecond)
+			if !errors.Is(err, core.ErrClockKind) {
+				if s != nil {
+					s.Close()
+				}
+				t.Fatalf("cross-kind lease returned err = %v, want core.ErrClockKind", err)
+			}
+			if built, leased := pool.Stats(); built != 1 || leased != 0 {
+				t.Fatalf("after the refused lease: built=%d leased=%d, want 1/0 (deployment back on the free list)", built, leased)
+			}
+
+			// The same deployment still serves a lease of its own kind.
+			clk := tc.template
+			s, err = pool.LeaseLinked(poolRelCfg(), lossless(clk), lossless(clk), time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const size = 16 << 10
+			data := make([]byte, size)
+			mr := s.Pair.B.Ctx.RegMR(make([]byte, size))
+			var sendErr, recvErr error
+			clock.Join(clk,
+				func() { sendErr = s.A.WriteSR(data) },
+				func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
+			)
+			s.Close()
+			if sendErr != nil || recvErr != nil {
+				t.Fatalf("same-kind lease after the refusal: send=%v recv=%v", sendErr, recvErr)
+			}
+			if built, leased := pool.Stats(); built != 1 || leased != 0 {
+				t.Fatalf("after the same-kind lease: built=%d leased=%d, want 1/0 (no second build)", built, leased)
+			}
+		})
 	}
 }
 

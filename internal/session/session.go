@@ -4,19 +4,28 @@
 // individual flows and reset on release, the way clock.Lanes leases
 // virtual engines to sweep cells.
 //
-// Construction is the expensive half of a deployment: per-channel CQ
-// rings, the root-key retire pass, DPA workers, the control planes'
-// receive slabs, the reliability endpoints with their re-ACK rings and
-// operation scratch. A Pool pays it once per deployment; a lease costs
-// what the lease touches — reconnecting the QPs over the deployment's
-// own link and OOB envelopes, re-attaching the control planes,
-// rebinding the endpoints, and on release retiring the receive slots
-// and memory registrations the flow actually used. Nothing on that path
-// scales with the size of the deployment (slots × generations, memory
-// table, generator state) or with how many leases came before. That is
-// what lets one netem dumbbell host thousands of sequential and
-// hundreds of live concurrent flows without rebuilding the world per
-// flow.
+// There is one way to build a deployment and one way to start a session
+// on it, and a pooled lease and a cold reliability.NewSession are the
+// same two steps. Build: core.NewPairDetached makes the SDR contexts and
+// QPs, reliability.NewEndpoints the detached control planes and
+// endpoints. Bind: core.Pair.Bind connects the QPs over a link and OOB
+// channel, reliability.NewSessionOver attaches the control planes to
+// that link and rebinds the endpoints. NewSession does both once and
+// tears down on Close; a Pool builds once per deployment and binds once
+// per lease.
+//
+// Construction is the expensive half: per-channel CQ rings, the
+// root-key retire pass, DPA workers, the control planes' receive slabs,
+// the reliability endpoints with their re-ACK rings and operation
+// scratch. A lease costs what the lease touches — reconnecting the QPs
+// over the deployment's own link and OOB envelopes, re-attaching the
+// control planes, rebinding the endpoints, and on release retiring the
+// receive slots and memory registrations the flow actually used. Nothing
+// on that path scales with the size of the deployment (slots ×
+// generations, memory table, generator state) or with how many leases
+// came before. That is what lets one netem dumbbell host thousands of
+// sequential and hundreds of live concurrent flows without rebuilding
+// the world per flow.
 //
 // What survives a reset, and why none of it can poison the next lease:
 //
@@ -45,16 +54,23 @@
 //     resolves again.
 //
 // Determinism: a pool is deterministic state. The first lease of each
-// deployment is exactly a cold build, and later leases reset all
-// protocol-visible state, so a figure cell that leases instead of
-// building stays byte-identical per seed. Even a pool shared across
-// concurrently running sweep cells — where lease order depends on
-// worker scheduling — cannot leak into figure output: of the state
-// listed above only the sequence space and the key generations carry
-// values forward, their absolute values affect no timing and no
-// counter, and LeaseLinkedOn re-homes each lease onto the cell's own
-// clock. Cells on different lanes may draw different deployments on
-// different runs and still produce identical bytes.
+// deployment is a cold build by construction — the same calls — and
+// later leases reset all protocol-visible state, so a figure cell that
+// leases instead of building stays byte-identical per seed
+// (TestColdBuildFirstLeaseAndReLeaseEquivalent, per scheme). Even a
+// pool shared across concurrently running sweep cells — where lease
+// order depends on worker scheduling — cannot leak into figure output:
+// of the state listed above only the sequence space and the key
+// generations carry values forward, their absolute values affect no
+// timing and no counter, and LeaseLinkedOn re-homes each lease onto the
+// cell's own clock. Cells on different lanes may draw different
+// deployments on different runs and still produce identical bytes.
+//
+// A deployment's
+// delivery mode (inline serial sinks and no device locks on a virtual
+// clock, poller goroutines and locks on a real one) is fixed by the kind
+// of the pool's template clock, so a lease never crosses kinds:
+// LeaseLinkedOn refuses with core.ErrClockKind.
 package session
 
 import (
@@ -202,8 +218,9 @@ func (p *Pool) Acquire() (*Deployment, error) {
 	return d, nil
 }
 
-// build constructs one deployment: the cold path every lease of it
-// afterwards amortizes.
+// build constructs one deployment, detached — what reliability.NewSession
+// builds before it binds, under pooled device names: the cold path
+// every lease of it afterwards amortizes.
 func (p *Pool) build(idx int) (*Deployment, error) {
 	devA := nicsim.NewDevice(fmt.Sprintf("%s/pool%da", p.cfg.Name, idx))
 	devB := nicsim.NewDevice(fmt.Sprintf("%s/pool%db", p.cfg.Name, idx))
@@ -211,21 +228,12 @@ func (p *Pool) build(idx int) (*Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session: deployment %d: %w", idx, err)
 	}
-	mtu := pair.A.Ctx.Config().MTU
-	clk := pair.A.Ctx.Clock()
-	// Control planes are built detached (nil wire) and re-attached per
-	// lease; their receive slabs survive across leases.
-	cpA := reliability.NewControlPlaneBufs(devA, nil, mtu, clk, p.cfg.CtrlRecvBufs)
-	cpB := reliability.NewControlPlaneBufs(devB, nil, mtu, clk, p.cfg.CtrlRecvBufs)
 	// Per-flow registrations (staging buffers, parity scratch) must not
 	// accumulate across leases; track them so Reset deregisters.
 	pair.A.Ctx.SetMRTracking(true)
 	pair.B.Ctx.SetMRTracking(true)
-	d := &Deployment{
-		pool: p, pair: pair,
-		epA: reliability.NewEndpoint(pair.A.QP, cpA, reliability.Config{}),
-		epB: reliability.NewEndpoint(pair.B.QP, cpB, reliability.Config{}),
-	}
+	d := &Deployment{pool: p, pair: pair}
+	d.epA, d.epB = reliability.NewEndpoints(pair, p.cfg.CtrlRecvBufs)
 	d.releaseFn = d.release
 	d.quarantineFn = d.quarantineLeased
 	return d, nil
@@ -244,9 +252,10 @@ func (d *Deployment) DevB() *nicsim.Device { return d.pair.B.Dev }
 // channel of oobLatency, all on the deployment's current clock (see
 // Rehome). toB and toA are the heads of the lease's delivery chains,
 // which must end at DevB and DevA; nil means the device itself, a
-// standalone link. QPs reconnect over the link, control planes
-// re-attach, and the retained endpoints are rebound to relCfg. Closing
-// the session resets the deployment and releases it back to the pool.
+// standalone link. The QPs connect over the link and
+// reliability.NewSessionOver starts the session on the retained
+// endpoints, exactly as for a cold build. Closing the session resets
+// the deployment and releases it back to the pool.
 func (d *Deployment) Bind(relCfg reliability.Config, toB, toA nicsim.Deliverer, ab, ba fabric.Config, oobLatency time.Duration) (*reliability.Session, error) {
 	if !d.leased {
 		return nil, fmt.Errorf("session: Bind on a deployment that is not leased")
@@ -258,16 +267,13 @@ func (d *Deployment) Bind(relCfg reliability.Config, toB, toA nicsim.Deliverer, 
 	if err := d.pair.Bind(link, oob); err != nil {
 		return nil, err
 	}
-	d.epA.CP.Rebind(link.AB)
-	d.epB.CP.Rebind(link.BA)
 	p := d.pool
 	p.mu.Lock()
 	sink, track := p.sink, p.track
 	p.mu.Unlock()
 	p.probe(sink, track, telemetry.EvRebind, 0)
 	s := reliability.NewSessionOver(d.pair, d.epA, d.epB, relCfg)
-	s.SetRelease(d.releaseFn)
-	s.SetQuarantine(d.quarantineFn)
+	s.SetPooled(d.releaseFn, d.quarantineFn)
 	return s, nil
 }
 
@@ -343,18 +349,21 @@ func (d *Deployment) teardown() {
 	d.pair.Close()
 }
 
-// Rehome moves the deployment's clock domain — both SDR contexts and
-// both control planes — onto clk (nil = shared real clock). It is the
-// mechanism that lets a pool built on one template clock serve sweep
-// lanes running their own virtual engines: deployments carry no other
-// clock state between leases, and the per-lease reset already erases
-// everything output-visible, so a re-homed lease behaves exactly like
-// a cold build on clk. Only call between leases.
-func (d *Deployment) Rehome(clk clock.Clock) {
-	d.pair.A.Ctx.SetClock(clk)
-	d.pair.B.Ctx.SetClock(clk)
-	d.epA.CP.SetClock(clk)
-	d.epB.CP.SetClock(clk)
+// Rehome moves the deployment's clock domain — both SDR contexts, and
+// with them the QPs and control planes — onto clk (nil = shared real
+// clock). It is the mechanism that lets a pool built on one template
+// clock serve sweep lanes running their own virtual engines:
+// deployments carry no other clock state between leases, and the
+// per-lease reset already erases everything output-visible, so a
+// re-homed lease behaves exactly like a cold build on clk. clk must be
+// of the template clock's kind — a deployment's delivery mode was fixed
+// by it at build time — or Rehome fails with core.ErrClockKind and
+// moves nothing. Only call between leases.
+func (d *Deployment) Rehome(clk clock.Clock) error {
+	if err := d.pair.A.Ctx.SetClock(clk); err != nil {
+		return err
+	}
+	return d.pair.B.Ctx.SetClock(clk)
 }
 
 // envelopes returns the deployment's pooled link and OOB channel,
@@ -402,7 +411,8 @@ func (p *Pool) LeaseLinked(relCfg reliability.Config, ab, ba fabric.Config, oobL
 // on whatever lane — pays only the rebind. The preserved monotonic
 // state (PSNs, message seqs, control opIDs) is timing-transparent and
 // every counter resets per lease, so cells stay byte-identical per
-// seed no matter which deployment they draw.
+// seed no matter which deployment they draw. A clk of the other kind
+// than the pool's Core.Clock fails with core.ErrClockKind (see Rehome).
 func (p *Pool) LeaseLinkedOn(clk clock.Clock, relCfg reliability.Config, ab, ba fabric.Config, oobLatency time.Duration) (*reliability.Session, error) {
 	d, err := p.Acquire()
 	if err != nil {
@@ -411,7 +421,10 @@ func (p *Pool) LeaseLinkedOn(clk clock.Clock, relCfg reliability.Config, ab, ba 
 	if clk == nil {
 		clk = p.cfg.Core.Clock
 	}
-	d.Rehome(clk)
+	if err := d.Rehome(clk); err != nil {
+		d.release()
+		return nil, err
+	}
 	s, err := d.Bind(relCfg, nil, nil, ab, ba, oobLatency)
 	if err != nil {
 		d.release()

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// mustGE builds a Gilbert–Elliott channel from parameters the test
+// knows to be valid.
+func mustGE(t *testing.T, pAvg, burstLen float64) *GilbertElliott {
+	t.Helper()
+	g, err := NewGilbertElliott(pAvg, burstLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // §3.1.1's burst-masking claim, quantified: at equal average packet
 // loss, bursty drops produce far fewer lost chunks than i.i.d. drops,
 // because a 16-packet chunk absorbs a whole burst as one bitmap bit.
@@ -17,7 +28,7 @@ func TestBurstMaskingByChunks(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(1))
 	iid := MeasureChunkLoss(IIDLoss{P: pAvg}, rng, chunks, pktsPerChunk)
-	ge := MeasureChunkLoss(NewGilbertElliott(pAvg, 8), rng, chunks, pktsPerChunk)
+	ge := MeasureChunkLoss(mustGE(t, pAvg, 8), rng, chunks, pktsPerChunk)
 
 	// both hit the configured average packet loss
 	if math.Abs(iid.PacketLossRate-pAvg) > 0.002 {
@@ -52,7 +63,7 @@ func TestBurstMaskingGrowsWithChunkSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	prevRatio := 0.0
 	for _, ppc := range []int{1, 4, 16, 64} {
-		ge := MeasureChunkLoss(NewGilbertElliott(0.01, 8), rng, 100000, ppc)
+		ge := MeasureChunkLoss(mustGE(t, 0.01, 8), rng, 100000, ppc)
 		iidChunk := ChunkDropProb(0.01, ppc)
 		ratio := iidChunk / math.Max(ge.ChunkLossRate, 1e-9)
 		if ppc > 1 && ratio < prevRatio*0.8 {
@@ -86,8 +97,8 @@ func TestGilbertElliottValidation(t *testing.T) {
 		if err := ValidateGilbertElliott(c.pAvg, c.burstLen); err == nil {
 			t.Errorf("ValidateGilbertElliott(%g, %g) accepted", c.pAvg, c.burstLen)
 		}
-		if _, err := NewGilbertElliottChecked(c.pAvg, c.burstLen); err == nil {
-			t.Errorf("NewGilbertElliottChecked(%g, %g) accepted", c.pAvg, c.burstLen)
+		if _, err := NewGilbertElliott(c.pAvg, c.burstLen); err == nil {
+			t.Errorf("NewGilbertElliott(%g, %g) accepted", c.pAvg, c.burstLen)
 		}
 	}
 	good := []struct{ pAvg, burstLen float64 }{
@@ -97,9 +108,9 @@ func TestGilbertElliottValidation(t *testing.T) {
 		if err := ValidateGilbertElliott(c.pAvg, c.burstLen); err != nil {
 			t.Errorf("ValidateGilbertElliott(%g, %g) rejected: %v", c.pAvg, c.burstLen, err)
 		}
-		g, err := NewGilbertElliottChecked(c.pAvg, c.burstLen)
+		g, err := NewGilbertElliott(c.pAvg, c.burstLen)
 		if err != nil || g == nil {
-			t.Errorf("NewGilbertElliottChecked(%g, %g) failed: %v", c.pAvg, c.burstLen, err)
+			t.Errorf("NewGilbertElliott(%g, %g) failed: %v", c.pAvg, c.burstLen, err)
 			continue
 		}
 		if math.IsNaN(g.PGoodToBad) || g.PGoodToBad <= 0 || g.PBadToGood <= 0 {
@@ -107,7 +118,7 @@ func TestGilbertElliottValidation(t *testing.T) {
 		}
 	}
 	// A checked chain must realize its configured average.
-	g, err := NewGilbertElliottChecked(0.02, 4)
+	g, err := NewGilbertElliott(0.02, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,34 +165,23 @@ func ValidateGilbertElliott(pAvg, burstLen float64) error {
 	return nil
 }
 
-// NewGilbertElliottChecked is NewGilbertElliott with parameter
-// validation: it rejects configurations ValidateGilbertElliott rejects
-// instead of clamping or degenerating.
-func NewGilbertElliottChecked(pAvg, burstLen float64) (*GilbertElliott, error) {
+// NewGilbertElliott builds a burst channel whose stationary loss rate is
+// pAvg with mean burst length burstLen units, rejecting the parameters
+// ValidateGilbertElliott rejects.
+func NewGilbertElliott(pAvg, burstLen float64) (*GilbertElliott, error) {
 	if err := ValidateGilbertElliott(pAvg, burstLen); err != nil {
 		return nil, err
-	}
-	return NewGilbertElliott(pAvg, burstLen), nil
-}
-
-// NewGilbertElliott builds a burst channel whose stationary loss rate is
-// pAvg with mean burst length burstLen units. Out-of-range burst
-// lengths are clamped for backward compatibility; use
-// NewGilbertElliottChecked to reject them instead.
-func NewGilbertElliott(pAvg float64, burstLen float64) *GilbertElliott {
-	if burstLen < 1 {
-		burstLen = 1
 	}
 	// In the bad state everything drops; dwell time sets burst length.
 	pBadToGood := 1 / burstLen
 	// stationary P(bad) = pGB / (pGB + pBG) = pAvg (with PBad=1, PGood=0)
-	pGoodToBad := pAvg * pBadToGood / math.Max(1e-300, 1-pAvg)
+	pGoodToBad := pAvg * pBadToGood / (1 - pAvg)
 	return &GilbertElliott{
 		PGoodToBad: pGoodToBad,
 		PBadToGood: pBadToGood,
 		PGood:      0,
 		PBad:       1,
-	}
+	}, nil
 }
 
 func (g *GilbertElliott) Drop(rng *rand.Rand) bool {

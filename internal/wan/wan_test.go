@@ -108,7 +108,7 @@ func TestIIDLossRate(t *testing.T) {
 
 func TestGilbertElliottStationaryRateAndBursts(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := NewGilbertElliott(0.01, 8)
+	g := mustGE(t, 0.01, 8)
 	const n = 2000000
 	drops, bursts, inBurst := 0, 0, false
 	for i := 0; i < n; i++ {
