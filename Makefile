@@ -81,13 +81,15 @@ bench-par:
 	@rm -f bench-par.tmp
 
 # Code size per package: non-blank, non-comment lines of the non-test
-# .go files under each internal/* directory — the number ROADMAP's
-# "least code" aim (and every simplicity issue) is judged by.
+# .go files under each internal/*, cmd/* and examples/* directory, and
+# their total — the number ROADMAP's "least code" aim (and every
+# simplicity issue) is judged by. The drivers under cmd/ and examples/
+# count: a line moved out of internal/ into them is not a line removed.
 loc:
-	@for d in internal/*/; do \
+	@for d in internal/*/ cmd/*/ examples/*/; do \
 		ls $$d*.go | grep -v _test.go | xargs cat | \
 		awk -v d=$$d '{ sub(/^[ \t]+/, "") } $$0 == "" || /^\/\// { next } { n++ } END { printf "%6d %s\n", n, d }'; \
-	done
+	done | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
 
 # Exported surface per package: exported funcs, methods on exported
 # types and exported types as `go doc -all` lists them — the yardstick

@@ -165,10 +165,9 @@ func (drain) Deliver(p *nicsim.Packet) { nicsim.ReleasePacket(p) }
 // Run executes one perftest measurement.
 func Run(o Options) (Result, error) {
 	o = o.withDefaults()
-	switch o.Scheme {
-	case "sr", "sr-nack", "ec", "adaptive":
-	default:
-		return Result{}, fmt.Errorf("perftest: unknown scheme %q", o.Scheme)
+	relCfg, err := reliability.Config{RTT: o.RTT, K: 32, M: 8}.ForScheme(o.Scheme)
+	if err != nil {
+		return Result{}, fmt.Errorf("perftest: %w", err)
 	}
 	var clk clock.Clock
 	switch o.Clock {
@@ -195,22 +194,14 @@ func Run(o Options) (Result, error) {
 
 	coreCfg := core.Config{
 		MTU: o.MTU, ChunkBytes: o.Chunk, MaxMsgBytes: o.Size,
-		MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 		Generations: 2, Channels: o.Channels, CQDepth: 1 << 12,
 		Clock: clk,
-	}
-	relCfg := reliability.Config{
-		RTT:   o.RTT,
-		Alpha: 2,
-		NACK:  o.Scheme == "sr-nack",
-		K:     32, M: 8, Code: "mds",
 	}
 
 	var (
 		sess *reliability.Session
 		topo *netem.Topology
 		gen  *netem.TrafficGen
-		err  error
 	)
 	oneWay := o.RTT / 2
 	if o.CrossBps > 0 {
@@ -284,27 +275,10 @@ func Run(o Options) (Result, error) {
 	defer putBuf(recvBuf)
 	mr := sess.Pair.B.Ctx.RegMR(recvBuf)
 
-	var scratch []*nicsim.MR
-	var acfg reliability.AdaptorConfig
-	var ad *reliability.Adaptor
-	scratchBytes := 0
-	switch o.Scheme {
-	case "ec":
-		scratchBytes = relCfg.ECScratchBytes(o.Chunk, o.Size)
-	case "adaptive":
-		ad, err = reliability.NewAdaptor(acfg)
-		if err != nil {
-			return Result{}, err
-		}
-		scratchBytes = reliability.AdaptiveScratchBytes(acfg, o.Chunk, o.Size)
-	}
-	if scratchBytes > 0 {
-		scratch = make([]*nicsim.MR, o.Window)
-		for w := range scratch {
-			buf := getBuf(scratchBytes)
-			defer putBuf(buf)
-			scratch[w] = sess.Pair.B.Ctx.RegMR(buf)
-		}
+	// The scheme's parity scratch rotates with the receive regions.
+	tr, err := sess.NewTransfer(o.Scheme, reliability.AdaptorConfig{}, o.Size, o.Window)
+	if err != nil {
+		return Result{}, err
 	}
 
 	verify := o.Verify && clk.IsVirtual()
@@ -324,16 +298,7 @@ func Run(o Options) (Result, error) {
 	clock.JoinNamed(clk,
 		clock.NamedFunc{Name: "perftest-send", Fn: func() {
 			for i := 0; i < o.Msgs; i++ {
-				data := sendBufs[i%o.Window]
-				switch o.Scheme {
-				case "ec":
-					sendErr = sess.A.WriteEC(data)
-				case "adaptive":
-					sendErr = sess.A.WriteAdaptive(acfg, data)
-				default:
-					sendErr = sess.A.WriteSR(data)
-				}
-				if sendErr != nil {
+				if sendErr = tr.Write(sendBufs[i%o.Window]); sendErr != nil {
 					sendErr = fmt.Errorf("msg %d: %w", i, sendErr)
 					return
 				}
@@ -344,15 +309,7 @@ func Run(o Options) (Result, error) {
 				w := i % o.Window
 				off := uint64(w * o.Size)
 				t0 := clk.Now()
-				switch o.Scheme {
-				case "ec":
-					recvErr = sess.B.ReceiveEC(mr, off, o.Size, scratch[w])
-				case "adaptive":
-					recvErr = sess.B.ReceiveAdaptive(ad, mr, off, o.Size, scratch[w])
-				default:
-					recvErr = sess.B.ReceiveSR(mr, off, o.Size)
-				}
-				if recvErr != nil {
+				if recvErr = tr.Receive(mr, off, o.Size, w); recvErr != nil {
 					recvErr = fmt.Errorf("msg %d: %w", i, recvErr)
 					return
 				}

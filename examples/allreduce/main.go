@@ -24,15 +24,13 @@ func main() {
 	)
 	coreCfg := core.Config{
 		MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20,
-		MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 		Generations: 4, Channels: 2,
 	}
 	relCfg := reliability.Config{
 		RTT:          2 * time.Millisecond,
-		Alpha:        2,
 		PollInterval: 300 * time.Microsecond,
 		AckInterval:  600 * time.Microsecond,
-		K:            4, M: 2, Code: "mds",
+		K:            4, M: 2,
 	}
 
 	rng := rand.New(rand.NewSource(2024))

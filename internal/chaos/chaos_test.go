@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sdrrdma/internal/clock"
+	"sdrrdma/internal/reliability"
 )
 
 // The smoke seed is pinned: `make smoke-chaos` and CI run exactly this
@@ -149,6 +152,56 @@ func TestCrashRecvSenderSurvives(t *testing.T) {
 	}
 	if o.Send == "ok" || strings.HasPrefix(o.Send, "UNTYPED") {
 		t.Fatalf("sender against a dead peer classified %q, want a typed failure", o.Send)
+	}
+}
+
+// TestPanickingSideIsUntypedViolation pins the per-side panic guard: a
+// side that panics (here the receiver, inside its first control send)
+// is recovered into an UNTYPED(panic: …) classification and an
+// invariant-1 violation, the other side still unwinds typed, and the
+// run goes on — the lease is quarantined and the follow-up flow on the
+// same clock and topology runs clean — instead of taking the sweep's
+// worker goroutine down.
+func TestPanickingSideIsUntypedViolation(t *testing.T) {
+	clk := clock.NewVirtual()
+	topo, src, dst, err := diamond(clk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Program{Seed: 7, Index: 4, Scheme: SchemeSRNACK, Size: 64 << 10}
+	relCfg, err := reliability.Config{K: 4, M: 2, GlobalTimeout: GlobalTimeout}.ForScheme(p.Scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() (*reliability.Session, error) { return topo.NewFlow(src, dst, chaosCoreCfg(), relCfg) }
+	flow, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	flow.B.CP.SetFault(func([]byte) reliability.CtrlFaultAction {
+		if !fired {
+			fired = true
+			panic("boom")
+		}
+		return reliability.CtrlPass
+	})
+	o := Outcome{Program: p}
+	judgeFlow(clk, topo, dial, flow, p, &o)
+	if !fired {
+		t.Fatal("the injected panic never fired")
+	}
+	if !strings.HasPrefix(o.Recv, "UNTYPED(panic: boom") {
+		t.Fatalf("panicking receiver classified %q, want UNTYPED(panic: boom…)", o.Recv)
+	}
+	if o.Send == "ok" || strings.HasPrefix(o.Send, "UNTYPED") {
+		t.Fatalf("sender against a panicked peer classified %q, want a typed failure", o.Send)
+	}
+	if len(o.Violations) != 1 || !strings.Contains(o.Violations[0], "receiver error outside the typed taxonomy") {
+		t.Fatalf("violations %q, want exactly the receiver's untyped error", o.Violations)
+	}
+	if o.FollowUp != "ok-cold" {
+		t.Fatalf("follow-up %q, want ok-cold", o.FollowUp)
 	}
 }
 

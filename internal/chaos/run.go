@@ -44,15 +44,7 @@ func chaosEdge() netem.EdgeConfig {
 func chaosCoreCfg() core.Config {
 	return core.Config{
 		MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20,
-		MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 		Generations: 2, Channels: 2, CQDepth: 1 << 10,
-	}
-}
-
-func chaosRelCfg(scheme string) reliability.Config {
-	return reliability.Config{
-		Alpha: 2, NACK: scheme != SchemeSR, K: 4, M: 2, Code: "mds",
-		GlobalTimeout: GlobalTimeout,
 	}
 }
 
@@ -202,14 +194,6 @@ func classify(err error) string {
 	}
 }
 
-// xferResult is one driven transfer: both sides' errors, byte
-// verification, and the slower side's elapsed virtual time.
-type xferResult struct {
-	sendErr, recvErr error
-	bytesOK          bool
-	elapsed          time.Duration
-}
-
 func pattern(size int, seed byte) []byte {
 	b := make([]byte, size)
 	for i := range b {
@@ -230,52 +214,28 @@ func safeCall(fn func() error) (err error) {
 	return fn()
 }
 
-// transfer drives one scheme transfer A→B over the flow and verifies
-// the received payload.
-func transfer(clk *clock.Virtual, flow *reliability.Session, scheme string, size int, seed byte) xferResult {
-	data := pattern(size, seed)
-	recvBuf := make([]byte, size)
-	mr := flow.Pair.B.Ctx.RegMR(recvBuf)
-	chunk := flow.Pair.B.Ctx.Config().ChunkBytes
-
-	var send, recv func() error
-	switch scheme {
-	case SchemeSR, SchemeSRNACK:
-		send = func() error { return flow.A.WriteSR(data) }
-		recv = func() error { return flow.B.ReceiveSR(mr, 0, size) }
-	case SchemeEC:
-		scratch := flow.Pair.B.Ctx.RegMR(make([]byte, flow.A.Cfg.ECScratchBytes(chunk, size)))
-		send = func() error { return flow.A.WriteEC(data) }
-		recv = func() error { return flow.B.ReceiveEC(mr, 0, size, scratch) }
-	case SchemeAdaptive:
-		acfg := reliability.AdaptorConfig{}.WithDefaults()
-		ad, err := reliability.NewAdaptor(acfg)
-		if err != nil {
-			return xferResult{sendErr: err}
+// guarded wraps one side's actor in safeCall: a panic becomes that
+// side's error, and the other side runs on to its own typed timeout.
+func guarded(side clock.NamedFunc, errp *error) clock.NamedFunc {
+	fn := side.Fn
+	side.Fn = func() {
+		if err := safeCall(func() error { fn(); return nil }); err != nil {
+			*errp = err
 		}
-		scratch := flow.Pair.B.Ctx.RegMR(make([]byte, reliability.AdaptiveScratchBytes(acfg, chunk, size)))
-		send = func() error { return flow.A.WriteAdaptive(acfg, data) }
-		recv = func() error { return flow.B.ReceiveAdaptive(ad, mr, 0, size, scratch) }
-	default:
-		return xferResult{sendErr: fmt.Errorf("chaos: unknown scheme %q", scheme)}
 	}
+	return side
+}
 
-	var res xferResult
-	start := clk.Now()
-	var tSend, tRecv time.Duration
-	clock.JoinNamed(clk,
-		clock.NamedFunc{Name: "chaos-send", Fn: func() {
-			res.sendErr = safeCall(send)
-			tSend = clk.Since(start)
-		}},
-		clock.NamedFunc{Name: "chaos-recv", Fn: func() {
-			res.recvErr = safeCall(recv)
-			tRecv = clk.Since(start)
-		}},
-	)
-	res.elapsed = max(tSend, tRecv)
-	res.bytesOK = bytes.Equal(recvBuf, data)
-	return res
+// transfer drives one scheme transfer A→B over the flow; the Outcome
+// carries both sides' errors, return times and the byte verification.
+func transfer(clk *clock.Virtual, flow *reliability.Session, scheme string, size int, seed byte) *reliability.Outcome {
+	tr, err := flow.NewTransfer(scheme, reliability.AdaptorConfig{}, size, 1)
+	if err != nil {
+		return &reliability.Outcome{SendErr: err}
+	}
+	send, recv, out := tr.Actors("chaos", pattern(size, seed))
+	clock.JoinNamed(clk, guarded(send, &out.SendErr), guarded(recv, &out.RecvErr))
+	return out
 }
 
 // RunProgram executes one scenario on a fresh virtual clock and
@@ -306,9 +266,13 @@ func runSDR(clk *clock.Virtual, p Program, o *Outcome) {
 		return
 	}
 	sched, eps := compile(p)
-	coreCfg := chaosCoreCfg()
-	relCfg := chaosRelCfg(p.Scheme)
-	flow, err := topo.NewFlow(src, dst, coreCfg, relCfg)
+	relCfg, err := reliability.Config{K: 4, M: 2, GlobalTimeout: GlobalTimeout}.ForScheme(p.Scheme)
+	if err != nil {
+		o.viol("config: %v", err)
+		return
+	}
+	dial := func() (*reliability.Session, error) { return topo.NewFlow(src, dst, chaosCoreCfg(), relCfg) }
+	flow, err := dial()
 	if err != nil {
 		o.viol("lease: %v", err)
 		return
@@ -318,15 +282,21 @@ func runSDR(clk *clock.Virtual, p Program, o *Outcome) {
 		o.viol("schedule: %v", err)
 		return
 	}
+	judgeFlow(clk, topo, dial, flow, p, o)
+}
 
+// judgeFlow drives p's transfer over flow, the faults already armed,
+// and checks invariants 1 and 3 — the second on a follow-up flow from
+// dial once the fault program has drained.
+func judgeFlow(clk *clock.Virtual, topo *netem.Topology, dial func() (*reliability.Session, error), flow *reliability.Session, p Program, o *Outcome) {
 	res := transfer(clk, flow, p.Scheme, p.Size, byte(p.Index))
-	o.Send, o.Recv = classify(res.sendErr), classify(res.recvErr)
-	o.Elapsed = res.elapsed
+	o.Send, o.Recv = classify(res.SendErr), classify(res.RecvErr)
+	o.Elapsed = max(res.SendDone, res.RecvDone)
 
 	// Invariant 1: byte-verified completion or a typed error, within a
 	// bounded multiple of GlobalTimeout.
-	ok := res.sendErr == nil && res.recvErr == nil
-	if ok && !res.bytesOK {
+	ok := res.SendErr == nil && res.RecvErr == nil
+	if ok && !res.BytesOK() {
 		o.viol("transfer completed but payload mismatched")
 	}
 	if strings.HasPrefix(o.Send, "UNTYPED") {
@@ -335,8 +305,8 @@ func runSDR(clk *clock.Virtual, p Program, o *Outcome) {
 	if strings.HasPrefix(o.Recv, "UNTYPED") {
 		o.viol("receiver error outside the typed taxonomy: %s", o.Recv)
 	}
-	if res.elapsed > 2*GlobalTimeout+elapsedSlack {
-		o.viol("transfer overran: %v > 2×GlobalTimeout+%v", res.elapsed, elapsedSlack)
+	if o.Elapsed > 2*GlobalTimeout+elapsedSlack {
+		o.viol("transfer overran: %v > 2×GlobalTimeout+%v", o.Elapsed, elapsedSlack)
 	}
 
 	// Drain the fault program: advance past the horizon so link-death
@@ -363,26 +333,26 @@ func runSDR(clk *clock.Virtual, p Program, o *Outcome) {
 	// follow-up flow must run byte-clean — re-leased from the pool
 	// after Close, cold-built after Quarantine — and the pool must
 	// account for exactly that.
-	clean := ok && res.bytesOK
+	clean := ok && res.BytesOK()
 	if clean {
 		flow.Close()
 	} else {
 		flow.Quarantine()
 	}
-	flow2, err := topo.NewFlow(src, dst, coreCfg, relCfg)
+	flow2, err := dial()
 	if err != nil {
 		o.FollowUp = "FAIL(lease: " + err.Error() + ")"
 		o.viol("follow-up lease failed: %v", err)
 	} else {
 		res2 := transfer(clk, flow2, p.Scheme, followUpSize, byte(p.Index)+1)
 		switch {
-		case res2.sendErr != nil:
+		case res2.SendErr != nil:
 			o.FollowUp = "FAIL(send)"
-			o.viol("follow-up send on a clean network: %v", res2.sendErr)
-		case res2.recvErr != nil:
+			o.viol("follow-up send on a clean network: %v", res2.SendErr)
+		case res2.RecvErr != nil:
 			o.FollowUp = "FAIL(recv)"
-			o.viol("follow-up receive on a clean network: %v", res2.recvErr)
-		case !res2.bytesOK:
+			o.viol("follow-up receive on a clean network: %v", res2.RecvErr)
+		case !res2.BytesOK():
 			o.FollowUp = "FAIL(bytes)"
 			o.viol("follow-up payload mismatched — lease poisoned")
 		case clean:

@@ -34,18 +34,42 @@ type FunctionalRing struct {
 	N        int
 	clk      clock.Clock
 	sessions []*reliability.Session
-	nodes    []*ringNode
+	// staging[i] is node i's receive segment buffer, on the receive
+	// device of its inbound link (i-1 → i).
+	staging []*nicsim.MR
+	links   linkTransfers
 	// pool, when the ring owns one (BuildFunctionalRing), leases the
 	// per-link deployments; Close returns and tears them down.
 	pool *session.Pool
 }
 
-type ringNode struct {
-	idx     int
-	sendEP  *reliability.Endpoint
-	recvEP  *reliability.Endpoint
-	staging *nicsim.MR // receive segment buffer (on the recv device)
-	parity  *nicsim.MR // EC parity scratch (on the recv device)
+// linkTransfers binds reliability protocols to a collective's sessions:
+// one Transfer per session, made the first time a protocol is used and
+// kept for every later call, so the parity scratch a coded protocol
+// needs is registered once per link and an unknown protocol fails
+// before any actor starts.
+type linkTransfers struct {
+	maxBytes int
+	bound    map[string][]*reliability.Transfer
+}
+
+func (l *linkTransfers) bind(sessions []*reliability.Session, protocol string) ([]*reliability.Transfer, error) {
+	if trs, ok := l.bound[protocol]; ok {
+		return trs, nil
+	}
+	trs := make([]*reliability.Transfer, len(sessions))
+	for i, s := range sessions {
+		tr, err := s.NewTransfer(protocol, reliability.AdaptorConfig{}, l.maxBytes, 1)
+		if err != nil {
+			return nil, fmt.Errorf("collective: %w", err)
+		}
+		trs[i] = tr
+	}
+	if l.bound == nil {
+		l.bound = map[string][]*reliability.Transfer{}
+	}
+	l.bound[protocol] = trs
+	return trs, nil
 }
 
 // BuildFunctionalRing wires n datacenters with per-link fabric
@@ -85,7 +109,7 @@ func BuildFunctionalRingWith(n int, clk clock.Clock, dial SessionDialer, maxSegm
 	if n < 2 {
 		return nil, fmt.Errorf("collective: ring needs >=2 nodes, got %d", n)
 	}
-	r := &FunctionalRing{N: n, clk: clock.Or(clk)}
+	r := &FunctionalRing{N: n, clk: clock.Or(clk), links: linkTransfers{maxBytes: maxSegmentBytes}}
 	for i := 0; i < n; i++ {
 		s, err := dial(i)
 		if err != nil {
@@ -95,15 +119,8 @@ func BuildFunctionalRingWith(n int, clk clock.Clock, dial SessionDialer, maxSegm
 		r.sessions = append(r.sessions, s)
 	}
 	for i := 0; i < n; i++ {
-		recvSession := r.sessions[(i-1+n)%n]
-		node := &ringNode{
-			idx:     i,
-			sendEP:  r.sessions[i].A,
-			recvEP:  recvSession.B,
-			staging: recvSession.Pair.B.Ctx.RegMR(make([]byte, maxSegmentBytes)),
-			parity:  recvSession.Pair.B.Ctx.RegMR(make([]byte, 4*maxSegmentBytes+1<<20)),
-		}
-		r.nodes = append(r.nodes, node)
+		inbound := r.sessions[(i-1+n)%n]
+		r.staging = append(r.staging, inbound.Pair.B.Ctx.RegMR(make([]byte, maxSegmentBytes)))
 	}
 	return r, nil
 }
@@ -122,20 +139,6 @@ func (r *FunctionalRing) Close() {
 // Sessions returns the ring's per-link sessions (link i connects node
 // i to node (i+1) mod N) for stats inspection.
 func (r *FunctionalRing) Sessions() []*reliability.Session { return r.sessions }
-
-func send(ep *reliability.Endpoint, data []byte, protocol string) error {
-	if protocol == "ec" {
-		return ep.WriteEC(data)
-	}
-	return ep.WriteSR(data)
-}
-
-func recv(ep *reliability.Endpoint, staging, parity *nicsim.MR, size int, protocol string) error {
-	if protocol == "ec" {
-		return ep.ReceiveEC(staging, 0, size, parity)
-	}
-	return ep.ReceiveSR(staging, 0, size)
-}
 
 // gate is the collective's cross-actor synchronization primitive: a
 // monotone counter posted by one actor and awaited by another, built
@@ -197,7 +200,8 @@ func ringStep(i, t, n int) (sendIdx, recvIdx int, reduce bool) {
 
 // Allreduce sums the per-node float64 vectors with the ring algorithm
 // (§5.3: reduce-scatter + allgather, 2N−2 stages) using the given
-// reliability protocol ("sr" or "ec") for every point-to-point stage.
+// reliability protocol (a reliability.Transfer scheme name: "sr",
+// "sr-nack", "ec", "adaptive") for every point-to-point stage.
 // All inputs must have equal length divisible by N. It returns the
 // reduced vector (identical on every node) or the first error.
 //
@@ -224,8 +228,12 @@ func (r *FunctionalRing) Allreduce(inputs [][]float64, protocol string) ([]float
 	}
 	seg := vlen / n
 	segBytes := seg * 8
-	if uint64(segBytes) > r.nodes[0].staging.Span() {
+	if uint64(segBytes) > r.staging[0].Span() {
 		return nil, fmt.Errorf("collective: segment %d B exceeds staging buffer", segBytes)
+	}
+	links, err := r.links.bind(r.sessions, protocol)
+	if err != nil {
+		return nil, err
 	}
 
 	// local working copies
@@ -240,7 +248,7 @@ func (r *FunctionalRing) Allreduce(inputs [][]float64, protocol string) ([]float
 	actors := make([]clock.NamedFunc, 0, 2*n)
 	for i := 0; i < n; i++ {
 		i := i
-		node := r.nodes[i]
+		out, in, staging := links[i], links[(i-1+n)%n], r.staging[i]
 		buf := work[i]
 		rxDone := &gate{clk: r.clk}
 		actors = append(actors, clock.NamedFunc{Name: fmt.Sprintf("ring-node%d/tx", i), Fn: func() { // sender
@@ -260,7 +268,7 @@ func (r *FunctionalRing) Allreduce(inputs [][]float64, protocol string) ([]float
 					binary.LittleEndian.PutUint64(payload[j*8:],
 						math.Float64bits(buf[sendIdx*seg+j]))
 				}
-				if err := send(node.sendEP, payload, protocol); err != nil {
+				if err := out.Write(payload); err != nil {
 					txErrs[i] = fmt.Errorf("node %d step %d send: %w", i, t, err)
 					return
 				}
@@ -268,13 +276,13 @@ func (r *FunctionalRing) Allreduce(inputs [][]float64, protocol string) ([]float
 		}})
 		actors = append(actors, clock.NamedFunc{Name: fmt.Sprintf("ring-node%d/rx", i), Fn: func() { // receiver
 			for t := 0; t < steps; t++ {
-				if err := recv(node.recvEP, node.staging, node.parity, segBytes, protocol); err != nil {
+				if err := in.Receive(staging, 0, segBytes, 0); err != nil {
 					rxErrs[i] = fmt.Errorf("node %d step %d recv: %w", i, t, err)
 					rxDone.abort()
 					return
 				}
 				_, recvIdx, reduce := ringStep(i, t, n)
-				raw := node.staging.Bytes()
+				raw := staging.Bytes()
 				for j := 0; j < seg; j++ {
 					v := math.Float64frombits(binary.LittleEndian.Uint64(raw[j*8:]))
 					if reduce {
@@ -321,15 +329,16 @@ type FunctionalTree struct {
 	clk      clock.Clock
 	sessions []*reliability.Session
 	nodes    []*treeNode
+	links    linkTransfers
 }
 
+// treeNode names a node's edges by their index into the tree's
+// sessions (and so into a protocol's bound transfers).
 type treeNode struct {
-	idx     int
-	parent  *reliability.Session // nil at the root
+	parent  int // inbound edge; -1 at the root
 	staging *nicsim.MR
-	parity  *nicsim.MR
-	// children holds this node's outbound sessions in schedule order.
-	children []*reliability.Session
+	// children holds this node's outbound edges in schedule order.
+	children []int
 }
 
 // BuildFunctionalTreeWith assembles the binomial broadcast tree over
@@ -340,10 +349,10 @@ func BuildFunctionalTreeWith(n int, clk clock.Clock, dial TreeDialer, maxBytes i
 	if n < 2 {
 		return nil, fmt.Errorf("collective: tree needs >=2 nodes, got %d", n)
 	}
-	t := &FunctionalTree{N: n, clk: clock.Or(clk)}
+	t := &FunctionalTree{N: n, clk: clock.Or(clk), links: linkTransfers{maxBytes: maxBytes}}
 	t.nodes = make([]*treeNode, n)
 	for i := range t.nodes {
-		t.nodes[i] = &treeNode{idx: i}
+		t.nodes[i] = &treeNode{parent: -1}
 	}
 	for dist := 1; dist < n; dist <<= 1 {
 		for i := 0; i < dist && i+dist < n; i++ {
@@ -352,12 +361,12 @@ func BuildFunctionalTreeWith(n int, clk clock.Clock, dial TreeDialer, maxBytes i
 				t.Close()
 				return nil, fmt.Errorf("collective: tree edge %d→%d: %w", i, i+dist, err)
 			}
+			edge := len(t.sessions)
 			t.sessions = append(t.sessions, s)
-			t.nodes[i].children = append(t.nodes[i].children, s)
+			t.nodes[i].children = append(t.nodes[i].children, edge)
 			child := t.nodes[i+dist]
-			child.parent = s
+			child.parent = edge
 			child.staging = s.Pair.B.Ctx.RegMR(make([]byte, maxBytes))
-			child.parity = s.Pair.B.Ctx.RegMR(make([]byte, 4*maxBytes+1<<20))
 		}
 	}
 	return t, nil
@@ -382,9 +391,13 @@ func (t *FunctionalTree) Sessions() []*reliability.Session { return t.sessions }
 func (t *FunctionalTree) Broadcast(data []byte, protocol string) ([][]byte, error) {
 	n := t.N
 	for _, node := range t.nodes {
-		if node.parent != nil && uint64(len(data)) > node.staging.Span() {
+		if node.parent >= 0 && uint64(len(data)) > node.staging.Span() {
 			return nil, fmt.Errorf("collective: payload %d B exceeds staging buffer", len(data))
 		}
+	}
+	links, err := t.links.bind(t.sessions, protocol)
+	if err != nil {
+		return nil, err
 	}
 	out := make([][]byte, n)
 	out[0] = data
@@ -395,16 +408,16 @@ func (t *FunctionalTree) Broadcast(data []byte, protocol string) ([][]byte, erro
 		node := t.nodes[i]
 		actors[i] = clock.NamedFunc{Name: fmt.Sprintf("tree-node%d", i), Fn: func() {
 			buf := data
-			if node.parent != nil {
-				if err := recv(node.parent.B, node.staging, node.parity, len(data), protocol); err != nil {
+			if node.parent >= 0 {
+				if err := links[node.parent].Receive(node.staging, 0, len(data), 0); err != nil {
 					errs[i] = fmt.Errorf("node %d recv: %w", i, err)
 					return
 				}
 				buf = append([]byte(nil), node.staging.Bytes()[:len(data)]...)
 				out[i] = buf
 			}
-			for c, s := range node.children {
-				if err := send(s.A, buf, protocol); err != nil {
+			for c, edge := range node.children {
+				if err := links[edge].Write(buf); err != nil {
 					errs[i] = fmt.Errorf("node %d child %d send: %w", i, c, err)
 					return
 				}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,6 +157,53 @@ func TestFunctionalAllreduceValidation(t *testing.T) {
 	if _, err := BuildFunctionalRing(1, funcCoreCfg(nil), funcRelCfg(), fabric.Config{}, 0, 1024); err == nil {
 		t.Fatal("1-node ring accepted")
 	}
+	// A misspelt protocol is an error before any actor starts, not a
+	// silent SR run.
+	ok := [][]float64{make([]float64, 9), make([]float64, 9), make([]float64, 9)}
+	if _, err := ring.Allreduce(ok, "ecc"); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Fatalf(`Allreduce(_, "ecc") = %v, want the unknown-scheme error`, err)
+	}
+	for _, s := range ring.Sessions() {
+		if n := s.Pair.A.QP.Stats().PacketsSent; n != 0 {
+			t.Fatalf("a link sent %d packets under an unknown protocol", n)
+		}
+	}
+}
+
+// The ring binds a protocol once: SR registers no parity scratch at
+// all, EC exactly one region per link (sized from the geometry by
+// reliability.NewTransfer — TestTransferSchemes checks the span), and a
+// second Allreduce on the same ring registers nothing more.
+func TestFunctionalRingScratchByGeometry(t *testing.T) {
+	const n, vlen = 3, 3 * 1024
+	inputs := make([][]float64, n)
+	for i := range inputs {
+		inputs[i] = make([]float64, vlen)
+	}
+	for _, tc := range []struct {
+		protocol string
+		extra    int
+	}{{"sr", 0}, {"sr-nack", 0}, {"ec", 1}} {
+		ring := buildRing(t, clock.NewVirtual(), n, 0.02, vlen/n*8)
+		mrs := func() (counts []int) {
+			for _, s := range ring.Sessions() {
+				counts = append(counts, s.Pair.B.Dev.NumMRs())
+			}
+			return counts
+		}
+		before := mrs()
+		for round := 1; round <= 2; round++ {
+			if _, err := ring.Allreduce(inputs, tc.protocol); err != nil {
+				t.Fatalf("%s round %d: %v", tc.protocol, round, err)
+			}
+			for link, got := range mrs() {
+				if got != before[link]+tc.extra {
+					t.Fatalf("%s round %d: link %d holds %d MRs, want %d+%d", tc.protocol, round, link, got, before[link], tc.extra)
+				}
+			}
+		}
+		ring.Close()
+	}
 }
 
 // --- tree broadcast -------------------------------------------------------
@@ -220,5 +268,11 @@ func TestFunctionalTreeValidation(t *testing.T) {
 	defer tree.Close()
 	if _, err := tree.Broadcast(make([]byte, 8192), "sr"); err == nil {
 		t.Fatal("payload exceeding staging buffer accepted")
+	}
+	if _, err := tree.Broadcast(make([]byte, 4096), "ecc"); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Fatalf(`Broadcast(_, "ecc") = %v, want the unknown-scheme error`, err)
+	}
+	if _, err := tree.Broadcast(make([]byte, 4096), "sr-nack"); err != nil {
+		t.Fatalf(`Broadcast(_, "sr-nack"): %v`, err)
 	}
 }

@@ -32,17 +32,12 @@ func AblationGenerations(o Options) (*Result, error) {
 	for _, gens := range []int{1, 2, 4, 8} {
 		cfg := core.Config{
 			MTU: 4096, ChunkBytes: 64 << 10, MaxMsgBytes: 4 << 20,
-			MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 			Generations: gens, Channels: 8, CQDepth: 1 << 14,
 		}
 		run := func(msgs int) (throughputResult, error) {
 			return runThroughput(cfg, 1<<20, msgs, 16, 2)
 		}
-		msgs, err := calibrateMsgs(run, o.DurationSec/2)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(msgs)
+		r, err := measure(run, o.DurationSec/2)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"sdrrdma/internal/clock"
@@ -181,16 +179,14 @@ func runAdaptiveScenario(clk clock.Clock, scheme string, size int, acfg reliabil
 // runAdaptiveFlow drives one SDR reliability transfer (adaptive, sr,
 // sr-nack or static ec) over the diamond.
 func runAdaptiveFlow(topo *netem.Topology, clk clock.Clock, src, dst int, scheme string, size int, acfg reliability.AdaptorConfig, seed int64, rec *telemetry.Recorder) (adaptiveStats, error) {
-	coreCfg := multidcCoreCfg(clk)
-	relCfg := reliability.Config{
-		Alpha: 2,
-		NACK:  scheme == "sr-nack",
-		// The static EC comparator matches the adaptive ladder's middle
-		// rung geometry (one submessage per 16 chunks, 25% overhead).
-		K: 16, M: 4, Code: "mds",
-		// RTT derives from the primary route's propagation delay.
+	// The static EC comparator matches the adaptive ladder's middle
+	// rung geometry (one submessage per 16 chunks, 25% overhead). RTT
+	// derives from the primary route's propagation delay.
+	relCfg, err := reliability.Config{K: 16, M: 4}.ForScheme(scheme)
+	if err != nil {
+		return adaptiveStats{}, err
 	}
-	s, err := topo.NewFlow(src, dst, coreCfg, relCfg)
+	s, err := topo.NewFlow(src, dst, multidcCoreCfg(clk), relCfg)
 	if err != nil {
 		return adaptiveStats{}, err
 	}
@@ -198,70 +194,21 @@ func runAdaptiveFlow(topo *netem.Topology, clk clock.Clock, src, dst int, scheme
 	if rec != nil {
 		s.SetTelemetry(rec, "flow/"+scheme+"/A", "flow/"+scheme+"/B")
 	}
-
-	data := wanPattern(size, byte(seed))
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-
-	var (
-		ad       *reliability.Adaptor
-		scratch  *nicsim.MR
-		sendErr  error
-		recvErr  error
-		sendDone time.Duration
-	)
-	switch scheme {
-	case "adaptive":
-		if ad, err = reliability.NewAdaptor(acfg); err != nil {
-			return adaptiveStats{}, err
-		}
-		scratch = s.Pair.B.Ctx.RegMR(make([]byte,
-			reliability.AdaptiveScratchBytes(acfg, coreCfg.ChunkBytes, size)))
-	case "ec":
-		scratch = s.Pair.B.Ctx.RegMR(make([]byte, relCfg.ECScratchBytes(coreCfg.ChunkBytes, size)))
+	tr, err := s.NewTransfer(scheme, acfg, size, 1)
+	if err != nil {
+		return adaptiveStats{}, err
 	}
-
-	start := clk.Now()
-	clock.JoinNamed(clk,
-		clock.NamedFunc{Name: "adaptive-fig/" + scheme + "/send", Fn: func() {
-			switch scheme {
-			case "adaptive":
-				sendErr = s.A.WriteAdaptive(acfg, data)
-			case "ec":
-				sendErr = s.A.WriteEC(data)
-			default:
-				sendErr = s.A.WriteSR(data)
-			}
-			sendDone = clk.Since(start)
-		}},
-		clock.NamedFunc{Name: "adaptive-fig/" + scheme + "/recv", Fn: func() {
-			switch scheme {
-			case "adaptive":
-				recvErr = s.B.ReceiveAdaptive(ad, mr, 0, size, scratch)
-			case "ec":
-				recvErr = s.B.ReceiveEC(mr, 0, size, scratch)
-			default:
-				recvErr = s.B.ReceiveSR(mr, 0, size)
-			}
-		}})
-	if sendErr != nil {
-		return adaptiveStats{}, fmt.Errorf("%s write: %w", scheme, sendErr)
-	}
-	if recvErr != nil {
-		return adaptiveStats{}, fmt.Errorf("%s receive: %w", scheme, recvErr)
-	}
-	// Byte verification is race-free only on the virtual clock (see
-	// runWANReliability: late retransmit DMA on the wall clock).
-	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
-		return adaptiveStats{}, fmt.Errorf("%s: received data corrupted", scheme)
+	out := tr.Drive("adaptive-fig/"+scheme, wanPattern(size, byte(seed)))
+	if err := out.Err(); err != nil {
+		return adaptiveStats{}, err
 	}
 	st := adaptiveStats{
-		completion: sendDone,
+		completion: out.SendDone,
 		packets:    s.Pair.A.QP.Stats().PacketsSent,
 		reroutes:   topo.PathReroutes(), // before Close retires the paths
 		trajectory: "-",
 	}
-	if ad != nil {
+	if ad := tr.Adaptor(); ad != nil {
 		st.trajectory = adaptiveTrajectory(ad)
 	}
 	return st, nil
@@ -300,10 +247,6 @@ func runAdaptiveRC(topo *netem.Topology, clk clock.Clock, src, dst, size int, se
 // On the default virtual clock the whole figure is a deterministic
 // function of the seed for any sweep worker count.
 func AdaptiveFunctional(o Options) (*Result, error) {
-	clockLabel := "virtual"
-	if o.RealClock {
-		clockLabel = "real"
-	}
 	// Segments stay fine-grained (4 chunks = 256 KiB) so the window
 	// covers the 2.5 MB BDP while adaptation lag — plans freeze when a
 	// segment is posted, window segments ahead of the head — stays a
@@ -328,7 +271,7 @@ func AdaptiveFunctional(o Options) (*Result, error) {
 	res := &Result{
 		Name: "Adaptive functional",
 		Title: fmt.Sprintf("Mid-flight adaptive reliability through a dynamic-fault regime sweep (%s transfers, %s clock)",
-			sizeLabel(int64(size)), clockLabel),
+			sizeLabel(int64(size)), o.clockLabel()),
 		Header: []string{"scheme", "completion [ms]", "packets", "overhead", "wire-drop", "down-drop", "marked", "reroutes", "trajectory"},
 		Notes: []string{
 			"diamond topology: 1500 km primary (10 ms RTT) + 2500 km backup, 2 Gbit/s edges, packet-level runs of the real Go stack",
@@ -341,32 +284,21 @@ func AdaptiveFunctional(o Options) (*Result, error) {
 	}
 	schemes := []string{"adaptive", "sr", "sr-nack", "ec", "rc-gbn"}
 	idealPkts := uint64((size + 4095) / 4096)
-	rows := make([][]string, len(schemes))
-	errs := make([]error, len(schemes))
-	var failed atomic.Bool
-	runSweep(o, len(schemes), func(clk clock.Clock, i int) {
-		if failed.Load() {
-			return
-		}
+	var err error
+	res.Rows, err = sweepRows(o, len(schemes), func(clk clock.Clock, i int) ([]string, error) {
 		var rec *telemetry.Recorder
 		if o.Trace != nil {
 			rec = o.Trace.Cell(i)
 		}
-		seed := clock.CellSeed(o.Seed, i)
-		st, err := runAdaptiveScenario(multidcClock(o, clk), schemes[i], size, acfg, seed, rec)
+		st, err := runAdaptiveScenario(multidcClock(o, clk), schemes[i], size, acfg, clock.CellSeed(o.Seed, i), rec)
 		if err != nil {
-			errs[i] = fmt.Errorf("adaptive-functional %s: %w", schemes[i], err)
-			failed.Store(true)
-			return
+			return nil, fmt.Errorf("adaptive-functional %s: %w", schemes[i], err)
 		}
-		rows[i] = st.row(schemes[i], idealPkts)
+		return st.row(schemes[i], idealPkts), nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	res.Rows = rows
 	if o.Trace != nil {
 		res.Notes = append(res.Notes, adaptiveTimeline(o.Trace.Cell(0), acfg)...)
 	}

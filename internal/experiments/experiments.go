@@ -114,6 +114,14 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// clockLabel names the clock backend in functional-figure titles.
+func (o Options) clockLabel() string {
+	if o.RealClock {
+		return "real"
+	}
+	return "virtual"
+}
+
 // registry maps figure IDs to their runners.
 var registry = map[string]func(Options) (*Result, error){
 	"2":   Fig2,

@@ -241,22 +241,16 @@ func runRCBaseline(mtu, msgSize, msgs, inflight int) (throughputResult, error) {
 	}, nil
 }
 
-// calibrateMsgs picks a message count that should take roughly
-// durationSec given a quick probe run.
-func calibrateMsgs(run func(msgs int) (throughputResult, error), durationSec float64) (int, error) {
+// measure times run at a message count calibrated to take roughly
+// seconds: a 16-message probe fixes the rate, clamped to [32, 200000]
+// messages.
+func measure(run func(msgs int) (throughputResult, error), seconds float64) (throughputResult, error) {
 	probe, err := run(16)
 	if err != nil {
-		return 0, err
+		return throughputResult{}, err
 	}
 	rate := float64(probe.msgs) / probe.elapsed.Seconds()
-	n := int(rate * durationSec)
-	if n < 32 {
-		n = 32
-	}
-	if n > 200000 {
-		n = 200000
-	}
-	return n, nil
+	return run(min(max(int(rate*seconds), 32), 200000))
 }
 
 // --- WAN functional figures (virtual clock) --------------------------------
@@ -321,12 +315,34 @@ func runSweep(o Options, n int, cell func(clk clock.Clock, i int)) {
 	})
 }
 
+// sweepRows runs n cells through runSweep and collects one table row
+// per cell. It fails fast: cells that start after a failure are
+// skipped, and the error returned is the lowest-numbered failed cell's.
+func sweepRows(o Options, n int, cell func(clk clock.Clock, i int) ([]string, error)) ([][]string, error) {
+	rows := make([][]string, n)
+	errs := make([]error, n)
+	var failed atomic.Bool
+	runSweep(o, n, func(clk clock.Clock, i int) {
+		if failed.Load() {
+			return
+		}
+		if rows[i], errs[i] = cell(clk, i); errs[i] != nil {
+			failed.Store(true)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
 // wanCoreCfg is the WAN deployment shape every wan-functional cell
 // shares (the pool key: one deployment build serves the whole sweep).
 func wanCoreCfg(clk clock.Clock) core.Config {
 	return core.Config{
 		MTU: 4096, ChunkBytes: 64 << 10, MaxMsgBytes: 16 << 20,
-		MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 		// CQ depth covers a whole message per channel; deeper rings
 		// only add per-cell allocation (unused entirely in the virtual
 		// clock's synchronous sink mode).
@@ -342,12 +358,9 @@ func wanCoreCfg(clk clock.Clock) core.Config {
 // onto clk (which must be of the kind of the pool's template clock), so
 // sweep cells stop cold-building deployments and pay only the rebind.
 func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop float64, size int, seed int64) (wanResult, error) {
-	coreCfg := wanCoreCfg(clk)
-	relCfg := reliability.Config{
-		RTT:   2 * wanOneWay,
-		Alpha: 2,
-		NACK:  scheme == "sr-nack",
-		K:     32, M: 8, Code: "mds",
+	relCfg, err := reliability.Config{RTT: 2 * wanOneWay, K: 32, M: 8}.ForScheme(scheme)
+	if err != nil {
+		return wanResult{}, err
 	}
 	fabCfg := func(s int64) fabric.Config {
 		return fabric.Config{
@@ -360,50 +373,15 @@ func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop 
 		return wanResult{}, err
 	}
 	defer s.Close()
-
-	data := wanPattern(size, byte(seed))
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-	var scratch *nicsim.MR
-	if scheme == "ec" {
-		scratch = s.Pair.B.Ctx.RegMR(make([]byte, relCfg.ECScratchBytes(coreCfg.ChunkBytes, size)))
+	tr, err := s.NewTransfer(scheme, reliability.AdaptorConfig{}, size, 1)
+	if err != nil {
+		return wanResult{}, err
 	}
-
-	start := clk.Now()
-	var sendDone time.Duration
-	var sendErr, recvErr error
-	clock.Join(clk,
-		func() {
-			if scheme == "ec" {
-				sendErr = s.A.WriteEC(data)
-			} else {
-				sendErr = s.A.WriteSR(data)
-			}
-			sendDone = clk.Since(start)
-		},
-		func() {
-			if scheme == "ec" {
-				recvErr = s.B.ReceiveEC(mr, 0, size, scratch)
-			} else {
-				recvErr = s.B.ReceiveSR(mr, 0, size)
-			}
-		})
-	if sendErr != nil {
-		return wanResult{}, fmt.Errorf("%s write: %w", scheme, sendErr)
+	out := tr.Drive("wan/"+scheme, wanPattern(size, byte(seed)))
+	if err := out.Err(); err != nil {
+		return wanResult{}, err
 	}
-	if recvErr != nil {
-		return wanResult{}, fmt.Errorf("%s receive: %w", scheme, recvErr)
-	}
-	// Content verification is sound only on the virtual clock, where
-	// deliveries are serialized events: on the wall clock a
-	// retransmitted (or parity-decoded-then-superseded) chunk's DMA
-	// can still be in flight when both sides return, so reading the
-	// buffer here would itself be the race. The same scenarios are
-	// byte-verified on the virtual path.
-	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
-		return wanResult{}, fmt.Errorf("%s: received data corrupted", scheme)
-	}
-	return wanResult{completion: sendDone, packets: s.Pair.A.QP.Stats().PacketsSent}, nil
+	return wanResult{completion: out.SendDone, packets: s.Pair.A.QP.Stats().PacketsSent}, nil
 }
 
 // wanRCWindow is the outstanding-packet cap the WAN RC baseline runs
@@ -453,8 +431,8 @@ func runRCWrite(clk clock.Clock, rc *nicsim.RCPair, devB *nicsim.Device, size in
 		rc.Wait(1, rtt, time.Time{})
 		elapsed = clk.Since(start)
 	})
-	// See runWANReliability: buffer reads are only race-free on the
-	// virtual clock (RC retransmissions may still be in flight here).
+	// As reliability.Outcome.BytesOK: buffer reads are only race-free on
+	// the virtual clock (RC retransmissions may still be in flight here).
 	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
 		return 0, fmt.Errorf("rc-gbn: received data corrupted")
 	}
@@ -470,10 +448,6 @@ func runRCWrite(clk clock.Clock, rc *nicsim.RCPair, devB *nicsim.Device, size in
 // RealClock runs the identical scenarios against the wall clock (the
 // before/after the README quotes).
 func WANFunctional(o Options) (*Result, error) {
-	clockLabel := "virtual"
-	if o.RealClock {
-		clockLabel = "real"
-	}
 	res := &Result{
 		Name:   "WAN functional", // Title set below, after quick-mode sizing
 		Header: []string{"scheme", "P_drop", "completion [ms]", "packets", "overhead"},
@@ -500,7 +474,7 @@ func WANFunctional(o Options) (*Result, error) {
 		rcDrops = []float64{0, 1e-4}
 	}
 	res.Title = fmt.Sprintf("Functional SDR stack at 25 ms RTT, 400 Gbit/s, %s transfers (%s clock)",
-		sizeLabel(int64(size)), clockLabel)
+		sizeLabel(int64(size)), o.clockLabel())
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"rc-gbn runs windowed (%d outstanding packets + one GBN restart per loss event, the ASIC pacing behaviour) — without it the P>=1e-2 red region injects tens of millions of packets (the §2.2 pathology; protosim's gbn figure sweeps the unwindowed variant in the chunk-level DES); sweep capped at P=%.0e",
 		wanRCWindow, rcDrops[len(rcDrops)-1]))
@@ -539,47 +513,34 @@ func WANFunctional(o Options) (*Result, error) {
 	}
 	defer pool.Close()
 	idealData := uint64((size + 4095) / 4096)
-	rows := make([][]string, len(cells))
-	errs := make([]error, len(cells))
-	var failed atomic.Bool // fail fast: skip remaining cells after the first error
-	runSweep(o, len(cells), func(clk clock.Clock, i int) {
-		if failed.Load() {
-			return
-		}
+	res.Rows, err = sweepRows(o, len(cells), func(clk clock.Clock, i int) ([]string, error) {
 		c := cells[i]
 		seed := clock.CellSeed(o.Seed, i)
-		var (
-			r   wanResult
-			err error
-		)
+		var r wanResult
+		var err error
 		if c.scheme == "rc-gbn" {
 			r, err = runWANRC(clk, c.drop, size, seed)
 		} else {
 			r, err = runWANReliability(pool, clk, c.scheme, c.drop, size, seed)
 		}
 		if err != nil {
-			errs[i] = fmt.Errorf("wan-functional %s @%g: %w", c.scheme, c.drop, err)
-			failed.Store(true)
-			return
+			return nil, fmt.Errorf("wan-functional %s @%g: %w", c.scheme, c.drop, err)
 		}
 		ideal := idealData
 		if c.scheme == "ec" {
 			ideal = idealData + idealData/4 // + m/k = 8/32 parity
 		}
-		rows[i] = []string{
+		return []string{
 			c.scheme,
 			fmt.Sprintf("%.0e", c.drop),
 			fmt.Sprintf("%.3f", float64(r.completion)/float64(time.Millisecond)),
 			fmt.Sprintf("%d", r.packets),
 			fmt.Sprintf("%.3fx", float64(r.packets)/float64(ideal)),
-		}
+		}, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	res.Rows = rows
 	return res, nil
 }
 
@@ -598,7 +559,6 @@ func Fig14(o Options) (*Result, error) {
 	cfgFor := func(channels int) core.Config {
 		return core.Config{
 			MTU: 4096, ChunkBytes: 64 << 10, MaxMsgBytes: 16 << 20,
-			MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 			Generations: 1, Channels: channels, CQDepth: 1 << 14,
 		}
 	}
@@ -607,11 +567,7 @@ func Fig14(o Options) (*Result, error) {
 		run := func(msgs int) (throughputResult, error) {
 			return runThroughput(cfgFor(16), size, msgs, 16, 2)
 		}
-		msgs, err := calibrateMsgs(run, o.DurationSec)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(msgs)
+		r, err := measure(run, o.DurationSec)
 		if err != nil {
 			return nil, err
 		}
@@ -626,11 +582,7 @@ func Fig14(o Options) (*Result, error) {
 		run := func(msgs int) (throughputResult, error) {
 			return runRCBaseline(4096, size, msgs, 16)
 		}
-		msgs, err := calibrateMsgs(run, o.DurationSec)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(msgs)
+		r, err := measure(run, o.DurationSec)
 		if err != nil {
 			return nil, err
 		}
@@ -645,11 +597,7 @@ func Fig14(o Options) (*Result, error) {
 		run := func(msgs int) (throughputResult, error) {
 			return runThroughput(cfgFor(workers), 4<<20, msgs, 8, 2)
 		}
-		msgs, err := calibrateMsgs(run, o.DurationSec/2)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(msgs)
+		r, err := measure(run, o.DurationSec/2)
 		if err != nil {
 			return nil, err
 		}
@@ -679,17 +627,12 @@ func Fig15(o Options) (*Result, error) {
 	for _, chunkPkts := range []int{1, 2, 4, 8, 16, 32, 64} {
 		cfg := core.Config{
 			MTU: 64, ChunkBytes: 64 * chunkPkts, MaxMsgBytes: 64 * pktsPerMsg,
-			MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 			Generations: 1, Channels: 16, CQDepth: 1 << 14,
 		}
 		run := func(msgs int) (throughputResult, error) {
 			return runThroughput(cfg, 64*pktsPerMsg, msgs, 16, 2)
 		}
-		msgs, err := calibrateMsgs(run, o.DurationSec/2)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(msgs)
+		r, err := measure(run, o.DurationSec/2)
 		if err != nil {
 			return nil, err
 		}
@@ -720,17 +663,12 @@ func Fig16(o Options) (*Result, error) {
 	for _, workers := range []int{1, 2, 4, 8, 16, 32} {
 		cfg := core.Config{
 			MTU: 64, ChunkBytes: 64 * 16, MaxMsgBytes: 64 * pktsPerMsg,
-			MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 			Generations: 1, Channels: workers, CQDepth: 1 << 14,
 		}
 		run := func(msgs int) (throughputResult, error) {
 			return runThroughput(cfg, 64*pktsPerMsg, msgs, 16, 4)
 		}
-		msgs, err := calibrateMsgs(run, o.DurationSec/2)
-		if err != nil {
-			return nil, err
-		}
-		r, err := run(msgs)
+		r, err := measure(run, o.DurationSec/2)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdrrdma/internal/clock"
@@ -35,27 +34,9 @@ func multidcClock(o Options, clk clock.Clock) clock.Clock {
 func multidcCoreCfg(clk clock.Clock) core.Config {
 	return core.Config{
 		MTU: 4096, ChunkBytes: 64 << 10, MaxMsgBytes: 16 << 20,
-		MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
 		Generations: 2, Channels: 2, CQDepth: 1 << 12,
 		Clock: clk,
 	}
-}
-
-func multidcRelCfg(scheme string) reliability.Config {
-	return reliability.Config{
-		Alpha: 2,
-		NACK:  scheme == "sr-nack",
-		K:     4, M: 2, Code: "mds",
-		// RTT stays zero: netem derives it per flow from the route's
-		// propagation delay.
-	}
-}
-
-func multidcProto(scheme string) string {
-	if scheme == "ec" {
-		return "ec"
-	}
-	return "sr"
 }
 
 // chunkTally maps every dropped data packet back onto its bitmap
@@ -83,6 +64,7 @@ type chunkKey struct {
 }
 
 func newChunkTally(cfg core.Config) *chunkTally {
+	cfg = cfg.WithDefaults() // the immediate split DecodeImm reads
 	return &chunkTally{
 		cfg:   cfg,
 		ppc:   uint32(cfg.PacketsPerChunk()),
@@ -159,7 +141,7 @@ func sessionsPacketsSent(ss []*reliability.Session) uint64 {
 // runMultiDCRing runs a ring allreduce across nDC datacenters joined
 // by bursty long-haul edges (Gilbert–Elliott wire loss), the
 // functional counterpart of the Fig 13 ring model on a real topology.
-func runMultiDCRing(clk clock.Clock, scheme string, nDC, vlen int, seed int64) (multidcStats, error) {
+func runMultiDCRing(clk clock.Clock, scheme string, relCfg reliability.Config, nDC, vlen int, seed int64) (multidcStats, error) {
 	edge := netem.EdgeConfig{
 		DistanceKm: 3000, BandwidthBps: 50e9, BufferBytes: 4 << 20,
 		Loss: netem.LossSpec{P: 0.05, BurstLen: 8},
@@ -169,7 +151,6 @@ func runMultiDCRing(clk clock.Clock, scheme string, nDC, vlen int, seed int64) (
 		return multidcStats{}, err
 	}
 	coreCfg := multidcCoreCfg(clk)
-	relCfg := multidcRelCfg(scheme)
 	tally := newChunkTally(coreCfg)
 	tally.observe(topo)
 	ring, err := collective.BuildFunctionalRingWith(nDC, clk, func(link int) (*reliability.Session, error) {
@@ -190,7 +171,7 @@ func runMultiDCRing(clk clock.Clock, scheme string, nDC, vlen int, seed int64) (
 		}
 	}
 	start := clk.Now()
-	got, err := ring.Allreduce(inputs, multidcProto(scheme))
+	got, err := ring.Allreduce(inputs, scheme)
 	if err != nil {
 		return multidcStats{}, err
 	}
@@ -212,7 +193,7 @@ func runMultiDCRing(clk clock.Clock, scheme string, nDC, vlen int, seed int64) (
 // runMultiDCTree broadcasts across a binary-tree physical topology
 // with the binomial logical schedule: several logical edges share
 // physical links, so their packets interleave in the same queues.
-func runMultiDCTree(clk clock.Clock, scheme string, nDC, size int, seed int64) (multidcStats, error) {
+func runMultiDCTree(clk clock.Clock, scheme string, relCfg reliability.Config, nDC, size int, seed int64) (multidcStats, error) {
 	edge := netem.EdgeConfig{
 		DistanceKm: 1800, BandwidthBps: 50e9, BufferBytes: 4 << 20,
 		Loss: netem.LossSpec{P: 0.05, BurstLen: 8},
@@ -222,7 +203,6 @@ func runMultiDCTree(clk clock.Clock, scheme string, nDC, size int, seed int64) (
 		return multidcStats{}, err
 	}
 	coreCfg := multidcCoreCfg(clk)
-	relCfg := multidcRelCfg(scheme)
 	tally := newChunkTally(coreCfg)
 	tally.observe(topo)
 	tree, err := collective.BuildFunctionalTreeWith(nDC, clk, func(parent, child int) (*reliability.Session, error) {
@@ -235,14 +215,14 @@ func runMultiDCTree(clk clock.Clock, scheme string, nDC, size int, seed int64) (
 
 	data := wanPattern(size, byte(seed))
 	start := clk.Now()
-	out, err := tree.Broadcast(data, multidcProto(scheme))
+	out, err := tree.Broadcast(data, scheme)
 	if err != nil {
 		return multidcStats{}, err
 	}
 	completion := clk.Since(start)
 	if clk.IsVirtual() {
 		// Content checks are race-free only under the virtual clock
-		// (same caveat as wan-functional: late retransmit DMA).
+		// (reliability.Outcome.BytesOK's caveat: late retransmit DMA).
 		for i, buf := range out {
 			if !bytes.Equal(buf, data) {
 				return multidcStats{}, fmt.Errorf("broadcast: node %d corrupted", i)
@@ -263,7 +243,7 @@ func runMultiDCTree(clk clock.Clock, scheme string, nDC, size int, seed int64) (
 // long-haul edge, so the bottleneck buffer overflows and tail-drops in
 // bursts — §2.1's ISP congestion — which the chunk bitmap then masks
 // (several consecutive packet drops per lost chunk).
-func runMultiDCDumbbell(clk clock.Clock, scheme string, size int, seed int64) (multidcStats, error) {
+func runMultiDCDumbbell(clk clock.Clock, scheme string, relCfg reliability.Config, size int, seed int64) (multidcStats, error) {
 	access := netem.EdgeConfig{DistanceKm: 100, BandwidthBps: 100e9, BufferBytes: 8 << 20}
 	bottleneck := netem.EdgeConfig{DistanceKm: 3000, BandwidthBps: 80e9, BufferBytes: 512 << 10}
 	d, err := netem.Dumbbell(clk, 2, access, bottleneck, seed)
@@ -271,74 +251,36 @@ func runMultiDCDumbbell(clk clock.Clock, scheme string, size int, seed int64) (m
 		return multidcStats{}, err
 	}
 	coreCfg := multidcCoreCfg(clk)
-	relCfg := multidcRelCfg(scheme)
 	tally := newChunkTally(coreCfg)
 	tally.observe(d.Topology)
 
-	type flow struct {
-		s        *reliability.Session
-		data     []byte
-		recvBuf  []byte
-		mr       *nicsim.MR
-		scratch  *nicsim.MR
-		sendErr  error
-		recvErr  error
-		sendDone time.Duration
-	}
-	flows := make([]*flow, 2)
-	for i := range flows {
+	var (
+		st       multidcStats
+		sessions []*reliability.Session
+		outs     []*reliability.Outcome
+		actors   []clock.NamedFunc
+	)
+	for i := 0; i < 2; i++ {
 		s, err := d.NewFlow(d.Left[i], d.Right[i], coreCfg, relCfg)
 		if err != nil {
 			return multidcStats{}, err
 		}
 		defer s.Close()
-		f := &flow{s: s, data: wanPattern(size, byte(seed+int64(i)))}
-		f.recvBuf = make([]byte, size)
-		f.mr = s.Pair.B.Ctx.RegMR(f.recvBuf)
-		if scheme == "ec" {
-			f.scratch = s.Pair.B.Ctx.RegMR(make([]byte, relCfg.ECScratchBytes(coreCfg.ChunkBytes, size)))
+		tr, err := s.NewTransfer(scheme, reliability.AdaptorConfig{}, size, 1)
+		if err != nil {
+			return multidcStats{}, err
 		}
-		flows[i] = f
-	}
-
-	start := clk.Now()
-	var actors []clock.NamedFunc
-	for fi, f := range flows {
-		f := f
-		actors = append(actors,
-			clock.NamedFunc{Name: fmt.Sprintf("dumbbell-flow%d/send", fi), Fn: func() {
-				if scheme == "ec" {
-					f.sendErr = f.s.A.WriteEC(f.data)
-				} else {
-					f.sendErr = f.s.A.WriteSR(f.data)
-				}
-				f.sendDone = clk.Since(start)
-			}},
-			clock.NamedFunc{Name: fmt.Sprintf("dumbbell-flow%d/recv", fi), Fn: func() {
-				if scheme == "ec" {
-					f.recvErr = f.s.B.ReceiveEC(f.mr, 0, size, f.scratch)
-				} else {
-					f.recvErr = f.s.B.ReceiveSR(f.mr, 0, size)
-				}
-			}})
+		send, recv, out := tr.Actors(fmt.Sprintf("dumbbell-flow%d", i), wanPattern(size, byte(seed+int64(i))))
+		sessions = append(sessions, s)
+		outs = append(outs, out)
+		actors = append(actors, send, recv)
 	}
 	clock.JoinNamed(clk, actors...)
-	var st multidcStats
-	var sessions []*reliability.Session
-	for i, f := range flows {
-		if f.sendErr != nil {
-			return multidcStats{}, fmt.Errorf("flow %d send: %w", i, f.sendErr)
+	for i, out := range outs {
+		if err := out.Err(); err != nil {
+			return multidcStats{}, fmt.Errorf("flow %d: %w", i, err)
 		}
-		if f.recvErr != nil {
-			return multidcStats{}, fmt.Errorf("flow %d recv: %w", i, f.recvErr)
-		}
-		if clk.IsVirtual() && !bytes.Equal(f.recvBuf, f.data) {
-			return multidcStats{}, fmt.Errorf("flow %d: received data corrupted", i)
-		}
-		if f.sendDone > st.completion {
-			st.completion = f.sendDone
-		}
-		sessions = append(sessions, f.s)
+		st.completion = max(st.completion, out.SendDone)
 	}
 	st.packets = sessionsPacketsSent(sessions)
 	st.tail, st.wire = d.TailDrops(), d.ChannelDrops()
@@ -354,10 +296,6 @@ func runMultiDCDumbbell(clk clock.Clock, scheme string, size int, seed int64) (m
 // of the seed and runs at simulation speed; -clock real pays the
 // genuine WAN latencies.
 func MultiDCFunctional(o Options) (*Result, error) {
-	clockLabel := "virtual"
-	if o.RealClock {
-		clockLabel = "real"
-	}
 	// Full fidelity: 4-DC ring with 4 MiB vectors, 6-DC tree pushing
 	// 2 MiB, dumbbell flows of 4 MiB. Quick mode (tests, Samples < 500)
 	// shrinks every dimension.
@@ -372,7 +310,7 @@ func MultiDCFunctional(o Options) (*Result, error) {
 	res := &Result{
 		Name: "Multi-DC functional",
 		Title: fmt.Sprintf("SDR reliability across emulated multi-datacenter topologies (%s clock)",
-			clockLabel),
+			o.clockLabel()),
 		Header: []string{"scenario", "scheme", "completion [ms]", "packets", "tail-drop", "wire-drop", "drops/lost chunk"},
 		Notes: []string{
 			"packet-level runs of the real Go stack over internal/netem finite-buffer queues — every flow shares edge buffers with its neighbours",
@@ -396,44 +334,39 @@ func MultiDCFunctional(o Options) (*Result, error) {
 			cells = append(cells, dcCell{kind: kind, scheme: scheme})
 		}
 	}
-	rows := make([][]string, len(cells))
-	errs := make([]error, len(cells))
-	var failed atomic.Bool // fail fast: skip remaining cells after the first error
-	runSweep(o, len(cells), func(clk clock.Clock, i int) {
-		if failed.Load() {
-			return
-		}
+	var err error
+	res.Rows, err = sweepRows(o, len(cells), func(clk clock.Clock, i int) ([]string, error) {
 		c := cells[i]
 		seed := clock.CellSeed(o.Seed, i)
 		sclk := multidcClock(o, clk)
+		// RTT stays zero: netem derives it per flow from the route's
+		// propagation delay.
+		relCfg, err := reliability.Config{K: 4, M: 2}.ForScheme(c.scheme)
+		if err != nil {
+			return nil, err
+		}
 		var (
 			st       multidcStats
 			scenario string
-			err      error
 		)
 		switch c.kind {
 		case "ring":
 			scenario = fmt.Sprintf("ring-%d", ringN)
-			st, err = runMultiDCRing(sclk, c.scheme, ringN, ringVlen, seed)
+			st, err = runMultiDCRing(sclk, c.scheme, relCfg, ringN, ringVlen, seed)
 		case "tree":
 			scenario = fmt.Sprintf("tree-%d", treeN)
-			st, err = runMultiDCTree(sclk, c.scheme, treeN, treeBytes, seed)
+			st, err = runMultiDCTree(sclk, c.scheme, relCfg, treeN, treeBytes, seed)
 		default:
 			scenario = "dumbbell"
-			st, err = runMultiDCDumbbell(sclk, c.scheme, dumbbellBytes, seed)
+			st, err = runMultiDCDumbbell(sclk, c.scheme, relCfg, dumbbellBytes, seed)
 		}
 		if err != nil {
-			errs[i] = fmt.Errorf("multidc %s %s: %w", c.kind, c.scheme, err)
-			failed.Store(true)
-			return
+			return nil, fmt.Errorf("multidc %s %s: %w", c.kind, c.scheme, err)
 		}
-		rows[i] = st.row(scenario, c.scheme)
+		return st.row(scenario, c.scheme), nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	res.Rows = rows
 	return res, nil
 }

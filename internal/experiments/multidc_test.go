@@ -5,6 +5,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"sdrrdma/internal/clock"
+	"sdrrdma/internal/reliability"
+	"sdrrdma/internal/session"
 )
 
 // The multidc figure on the virtual clock is a pure function of its
@@ -82,4 +86,26 @@ func TestMultiDCRingSeesBurstLoss(t *testing.T) {
 		return
 	}
 	t.Fatal("figure has no ring rows")
+}
+
+// A misspelt scheme fails every functional driver with the value's
+// error; none of them falls back to SR.
+func TestFunctionalDriversRejectUnknownScheme(t *testing.T) {
+	clk := clock.NewVirtual()
+	pool, err := session.NewPool(session.Config{Core: wanCoreCfg(clk)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	relCfg := reliability.Config{K: 4, M: 2}
+	_, wanErr := runWANReliability(pool, clk, "ecc", 0, 1<<20, 1)
+	_, adaptiveErr := runAdaptiveScenario(clk, "ecc", 1<<20, reliability.AdaptorConfig{}, 1, nil)
+	_, ringErr := runMultiDCRing(clk, "ecc", relCfg, 3, 3*1024, 1)
+	_, treeErr := runMultiDCTree(clk, "ecc", relCfg, 3, 64<<10, 1)
+	_, dumbbellErr := runMultiDCDumbbell(clk, "ecc", relCfg, 64<<10, 1)
+	for name, err := range map[string]error{"wan": wanErr, "adaptive": adaptiveErr, "ring": ringErr, "tree": treeErr, "dumbbell": dumbbellErr} {
+		if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+			t.Errorf("%s driver under scheme \"ecc\": err = %v, want the unknown-scheme error", name, err)
+		}
+	}
 }

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+
+	"sdrrdma/internal/clock"
 )
 
 // renderFig runs one figure with an explicit lane count and returns
@@ -36,6 +41,41 @@ func sweepDeterminism(t *testing.T, id string) {
 		if got := renderFig(t, id, 0); got != serial {
 			t.Fatalf("%s: GOMAXPROCS=%d diverged from serial:\n%s\n---\n%s", id, procs, got, serial)
 		}
+	}
+}
+
+// sweepRows returns rows in cell order; after a failure it skips the
+// cells that have not started and reports the lowest-numbered failed
+// cell, whatever else failed alongside it.
+func TestSweepRowsFailsFast(t *testing.T) {
+	var ran atomic.Int32
+	cell := func(failing ...int) func(clock.Clock, int) ([]string, error) {
+		return func(_ clock.Clock, i int) ([]string, error) {
+			ran.Add(1)
+			if slices.Contains(failing, i) {
+				return nil, fmt.Errorf("cell %d", i)
+			}
+			return []string{fmt.Sprint(i)}, nil
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		rows, err := sweepRows(Options{SweepWorkers: workers}, 8, cell())
+		if err != nil || len(rows) != 8 || rows[7][0] != "7" {
+			t.Fatalf("workers=%d clean sweep: rows=%v err=%v", workers, rows, err)
+		}
+	}
+	ran.Store(0)
+	rows, err := sweepRows(Options{SweepWorkers: 1}, 8, cell(2, 5))
+	if rows != nil || err == nil || err.Error() != "cell 2" {
+		t.Fatalf("serial failing sweep: rows=%v err=%v, want cell 2's error", rows, err)
+	}
+	if got := ran.Load(); got != 3 {
+		t.Fatalf("%d cells ran, want 3 (cells after the failure skipped)", got)
+	}
+	// On several lanes which cells start before the first failure is
+	// scheduling; that the sweep fails with no rows is not.
+	if rows, err := sweepRows(Options{SweepWorkers: 4}, 8, cell(2, 5)); rows != nil || err == nil {
+		t.Fatalf("parallel failing sweep: rows=%v err=%v", rows, err)
 	}
 }
 

@@ -189,11 +189,17 @@ func BenchmarkNetemFlowChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// The two per-side calls, not Drive: the flow lands in one
+		// reused buffer so the row stays the control-path cost of a flow.
+		tr, err := s.NewTransfer("sr", reliability.AdaptorConfig{}, size, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		mr := s.Pair.B.Ctx.RegMR(recvBuf)
 		var sendErr, recvErr error
 		clock.Join(clk,
-			func() { sendErr = s.A.WriteSR(data) },
-			func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
+			func() { sendErr = tr.Write(data) },
+			func() { recvErr = tr.Receive(mr, 0, size, 0) },
 		)
 		if sendErr != nil || recvErr != nil {
 			b.Fatalf("transfer failed: send=%v recv=%v", sendErr, recvErr)

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -306,19 +305,7 @@ func TestFlapRerouteInFlightTransfer(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i*31 + i>>9)
 	}
-	recvBuf := make([]byte, size)
-	mr := flow.Pair.B.Ctx.RegMR(recvBuf)
-	var sendErr, recvErr error
-	clock.Join(clk,
-		func() { sendErr = flow.A.WriteSR(data) },
-		func() { recvErr = flow.B.ReceiveSR(mr, 0, size) },
-	)
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("transfer through flap failed: send=%v recv=%v", sendErr, recvErr)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatal("data corrupted across flap + reroute")
-	}
+	driveFlow(t, flow, "sr", data)
 	if got := ap.Flapped.Load(); got != 1 {
 		t.Fatalf("Flapped = %d, want 1", got)
 	}
@@ -354,8 +341,7 @@ func TestFlapDuringECDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relCfg := flowRelCfg()
-	flow, err := topo.NewFlow(s, d, flowCoreCfg(), relCfg)
+	flow, err := topo.NewFlow(s, d, flowCoreCfg(), flowRelCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,21 +350,7 @@ func TestFlapDuringECDecode(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i*37 + i>>10)
 	}
-	recvBuf := make([]byte, size)
-	mr := flow.Pair.B.Ctx.RegMR(recvBuf)
-	chunk := flow.Pair.B.Ctx.Config().ChunkBytes
-	scratch := flow.Pair.B.Ctx.RegMR(make([]byte, relCfg.ECScratchBytes(chunk, size)))
-	var sendErr, recvErr error
-	clock.Join(clk,
-		func() { sendErr = flow.A.WriteEC(data) },
-		func() { recvErr = flow.B.ReceiveEC(mr, 0, size, scratch) },
-	)
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("EC transfer through flap failed: send=%v recv=%v", sendErr, recvErr)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatal("EC decode corrupted data across flap + reroute")
-	}
+	driveFlow(t, flow, "ec", data)
 	if got := ap.Flapped.Load(); got != 1 {
 		t.Fatalf("Flapped = %d, want 1", got)
 	}
@@ -422,19 +394,7 @@ func TestDoubleFlapTransfer(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i*41 + i>>8)
 	}
-	recvBuf := make([]byte, size)
-	mr := flow.Pair.B.Ctx.RegMR(recvBuf)
-	var sendErr, recvErr error
-	clock.Join(clk,
-		func() { sendErr = flow.A.WriteSR(data) },
-		func() { recvErr = flow.B.ReceiveSR(mr, 0, size) },
-	)
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("transfer through double flap failed: send=%v recv=%v", sendErr, recvErr)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatal("data corrupted across double flap")
-	}
+	driveFlow(t, flow, "sr", data)
 	if got := ap.Flapped.Load(); got != 2 {
 		t.Fatalf("Flapped = %d, want 2", got)
 	}

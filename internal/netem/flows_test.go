@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -25,27 +24,29 @@ func smokeDumbbell(t *testing.T, clk clock.Clock, pairs int) *DumbbellTopo {
 	return d
 }
 
+// driveFlow moves data across an open flow under scheme through the
+// shared verified-transfer driver: both sides' errors and the received
+// bytes are checked by Outcome.Err.
+func driveFlow(t *testing.T, s *reliability.Session, scheme string, data []byte) {
+	t.Helper()
+	tr, err := s.NewTransfer(scheme, reliability.AdaptorConfig{}, len(data), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Drive("flow", data).Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runSmokeTransfer pushes size bytes across an open flow and verifies
 // delivery.
-func runSmokeTransfer(t *testing.T, clk clock.Clock, s *reliability.Session, size int, tag byte) {
+func runSmokeTransfer(t *testing.T, s *reliability.Session, size int, tag byte) {
 	t.Helper()
 	data := make([]byte, size)
 	for i := range data {
 		data[i] = tag ^ byte(i*13)
 	}
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-	var sendErr, recvErr error
-	clock.Join(clk,
-		func() { sendErr = s.A.WriteSR(data) },
-		func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
-	)
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("transfer failed: send=%v recv=%v", sendErr, recvErr)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatal("data corrupted")
-	}
+	driveFlow(t, s, "sr", data)
 }
 
 // A dumbbell must sustain a thousand sequential flows on ONE pooled
@@ -65,7 +66,7 @@ func TestDumbbellThousandSequentialFlows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flow %d: %v", i, err)
 		}
-		runSmokeTransfer(t, clk, s, 16<<10, byte(i))
+		runSmokeTransfer(t, s, 16<<10, byte(i))
 		s.Close()
 	}
 	built, leased := d.PoolStats()
@@ -101,35 +102,25 @@ func TestDumbbellHundredConcurrentFlows(t *testing.T) {
 			t.Fatalf("%d flows open but %d deployments leased", flows, leased)
 		}
 		const size = 8 << 10
-		datas := make([][]byte, flows)
-		recvs := make([][]byte, flows)
+		outs := make([]*reliability.Outcome, flows)
 		actors := make([]clock.NamedFunc, 0, 2*flows)
-		errs := make([]error, 2*flows)
 		for i, s := range sessions {
-			i, s := i, s
-			datas[i] = make([]byte, size)
-			for j := range datas[i] {
-				datas[i][j] = tag ^ byte(i) ^ byte(j*13)
+			data := make([]byte, size)
+			for j := range data {
+				data[j] = tag ^ byte(i) ^ byte(j*13)
 			}
-			recvs[i] = make([]byte, size)
-			mr := s.Pair.B.Ctx.RegMR(recvs[i])
-			actors = append(actors,
-				clock.NamedFunc{Name: fmt.Sprintf("flow%d/tx", i), Fn: func() {
-					errs[2*i] = s.A.WriteSR(datas[i])
-				}},
-				clock.NamedFunc{Name: fmt.Sprintf("flow%d/rx", i), Fn: func() {
-					errs[2*i+1] = s.B.ReceiveSR(mr, 0, size)
-				}})
+			tr, err := s.NewTransfer("sr", reliability.AdaptorConfig{}, size, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			send, recv, out := tr.Actors(fmt.Sprintf("flow%d", i), data)
+			outs[i] = out
+			actors = append(actors, send, recv)
 		}
 		clock.JoinNamed(clk, actors...)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("concurrent flow actor %d: %v", i, err)
-			}
-		}
-		for i := range sessions {
-			if !bytes.Equal(recvs[i], datas[i]) {
-				t.Fatalf("flow %d corrupted under bottleneck sharing", i)
+		for i, out := range outs {
+			if err := out.Err(); err != nil {
+				t.Fatalf("flow %d under bottleneck sharing: %v", i, err)
 			}
 			sessions[i].Close()
 		}

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -169,19 +168,7 @@ func runDumbbellFlow(t *testing.T, seed int64) string {
 	for i := range data {
 		data[i] = byte(i*13 + i>>8)
 	}
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-	var sendErr, recvErr error
-	clock.Join(clk,
-		func() { sendErr = s.A.WriteSR(data) },
-		func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
-	)
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("transfer failed: send=%v recv=%v", sendErr, recvErr)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatal("data corrupted across the dumbbell path")
-	}
+	driveFlow(t, s, "sr", data)
 	if d.Bottleneck.Fwd.ChannelDrops.Load() == 0 {
 		t.Fatal("bursty bottleneck never dropped — loss process not exercised")
 	}

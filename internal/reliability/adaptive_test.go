@@ -1,7 +1,6 @@
 package reliability
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -147,56 +146,25 @@ func TestAdaptorCongestionDeescalates(t *testing.T) {
 	}
 }
 
-// runAdaptiveTransfer performs one adaptive Write A→B and verifies the
-// received bytes; returns the receiver's adaptor for inspection.
-func runAdaptiveTransfer(t *testing.T, s *Session, clk clock.Clock, size int, seed byte, acfg AdaptorConfig) *Adaptor {
-	t.Helper()
-	acfg = acfg.WithDefaults()
-	ad, err := NewAdaptor(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := pattern(size, seed)
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-	chunkBytes := s.Pair.B.Ctx.Config().ChunkBytes
-	scratch := s.Pair.B.Ctx.RegMR(make([]byte, AdaptiveScratchBytes(acfg, chunkBytes, size)))
-
-	var sendErr, recvErr error
-	clock.Join(clk,
-		func() { sendErr = s.A.WriteAdaptive(acfg, data) },
-		func() { recvErr = s.B.ReceiveAdaptive(ad, mr, 0, size, scratch) })
-	if sendErr != nil {
-		t.Fatalf("adaptive write: %v", sendErr)
-	}
-	if recvErr != nil {
-		t.Fatalf("adaptive receive: %v", recvErr)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatalf("adaptive: data corrupted (size %d)", size)
-	}
-	return ad
-}
-
 func TestAdaptiveLossless(t *testing.T) {
-	s, vc := newVirtualSession(t, testRelCfg(), 0, 21)
-	ad := runAdaptiveTransfer(t, s, vc, 512<<10, 3, testAdaptorCfg())
+	s, _ := newVirtualSession(t, testRelCfg(), 0, 21)
+	ad := runTransfer(t, s, 512<<10, 3, "adaptive").Adaptor()
 	if n := len(ad.Switches()); n != 0 {
 		t.Fatalf("%d switches on a lossless link", n)
 	}
 }
 
 func TestAdaptiveUnderLoss(t *testing.T) {
-	s, vc := newVirtualSession(t, testRelCfg(), 0.05, 22)
-	ad := runAdaptiveTransfer(t, s, vc, 1<<20, 4, testAdaptorCfg())
+	s, _ := newVirtualSession(t, testRelCfg(), 0.05, 22)
+	ad := runTransfer(t, s, 1<<20, 4, "adaptive").Adaptor()
 	if ad.Rung() == 0 && len(ad.Switches()) == 0 {
 		t.Log("note: 5% loss produced no escalation (signal below threshold)")
 	}
 }
 
 func TestAdaptiveHeavyLossEscalates(t *testing.T) {
-	s, vc := newVirtualSession(t, testRelCfg(), 0.15, 23)
-	ad := runAdaptiveTransfer(t, s, vc, 1<<20, 5, testAdaptorCfg())
+	s, _ := newVirtualSession(t, testRelCfg(), 0.15, 23)
+	ad := runTransfer(t, s, 1<<20, 5, "adaptive").Adaptor()
 	if len(ad.Switches()) == 0 {
 		t.Fatal("15% loss never escalated the ladder")
 	}
@@ -207,43 +175,26 @@ func TestAdaptiveHeavyLossEscalates(t *testing.T) {
 
 func TestAdaptiveTinyMessage(t *testing.T) {
 	// Smaller than one segment: degenerate single-segment transfer.
-	s, vc := newVirtualSession(t, testRelCfg(), 0.02, 24)
-	runAdaptiveTransfer(t, s, vc, 10_000, 6, testAdaptorCfg())
+	s, _ := newVirtualSession(t, testRelCfg(), 0.02, 24)
+	runTransfer(t, s, 10_000, 6, "adaptive")
 }
 
 func TestAdaptivePartialTailSegment(t *testing.T) {
 	cfgA := testAdaptorCfg()
-	s, vc := newVirtualSession(t, testRelCfg(), 0.08, 25)
+	s, _ := newVirtualSession(t, testRelCfg(), 0.08, 25)
 	// 2.5 segments plus a partial tail chunk.
 	size := cfgA.SegmentChunks*4096*5/2 + 777
-	runAdaptiveTransfer(t, s, vc, size, 7, cfgA)
+	runTransfer(t, s, size, 7, "adaptive")
 }
 
 func TestAdaptiveSequentialTransfers(t *testing.T) {
 	// The adaptor persists across transfers on one session: state from
 	// transfer 1 carries into transfer 2's first posting decisions.
-	s, vc := newVirtualSession(t, testRelCfg(), 0.12, 26)
-	acfg := testAdaptorCfg()
-	ad, err := NewAdaptor(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := newVirtualSession(t, testRelCfg(), 0.12, 26)
+	const size = 512 << 10
+	tr := newTransfer(t, s, "adaptive", size)
 	for round := 0; round < 3; round++ {
-		size := 512 << 10
-		data := pattern(size, byte(round+40))
-		recvBuf := make([]byte, size)
-		mr := s.Pair.B.Ctx.RegMR(recvBuf)
-		scratch := s.Pair.B.Ctx.RegMR(make([]byte, AdaptiveScratchBytes(acfg, 4096, size)))
-		var sendErr, recvErr error
-		clock.Join(vc,
-			func() { sendErr = s.A.WriteAdaptive(acfg, data) },
-			func() { recvErr = s.B.ReceiveAdaptive(ad, mr, 0, size, scratch) })
-		if sendErr != nil || recvErr != nil {
-			t.Fatalf("round %d: send=%v recv=%v", round, sendErr, recvErr)
-		}
-		if !bytes.Equal(recvBuf, data) {
-			t.Fatalf("round %d: corrupted", round)
-		}
+		driveMsg(t, tr, pattern(size, byte(round+40)))
 	}
 }
 
@@ -264,28 +215,13 @@ func adaptiveFingerprint(t *testing.T, seed int64) string {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	acfg := testAdaptorCfg()
-	ad, err := NewAdaptor(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := 1 << 20
-	data := pattern(size, 9)
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-	scratch := s.Pair.B.Ctx.RegMR(make([]byte, AdaptiveScratchBytes(acfg, 4096, size)))
-	var sendErr, recvErr error
-	clock.Join(vc,
-		func() { sendErr = s.A.WriteAdaptive(acfg, data) },
-		func() { recvErr = s.B.ReceiveAdaptive(ad, mr, 0, size, scratch) })
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("seed %d: send=%v recv=%v", seed, sendErr, recvErr)
-	}
+	const size = 1 << 20
+	tr := newTransfer(t, s, "adaptive", size)
 	sum := byte(0)
-	for _, b := range recvBuf {
+	for _, b := range driveMsg(t, tr, pattern(size, 9)).Buf {
 		sum ^= b
 	}
-	return fmt.Sprintf("xor=%02x t=%v switches=%v", sum, vc.Now().UnixNano(), ad.Switches())
+	return fmt.Sprintf("xor=%02x t=%v switches=%v", sum, vc.Now().UnixNano(), tr.Adaptor().Switches())
 }
 
 // TestAdaptiveSwitchoverDeterministic pins the adaptive trajectory

@@ -22,6 +22,22 @@
 // (with hysteresis and a dwell floor), and the sender follows the
 // plans mid-flight — the "software-defined" half of the paper's
 // title, exercised against the netem fault programs.
+//
+// A harness chooses a scheme by name and holds it as one value
+// (transfer.go):
+//
+//	relCfg, err := Config{RTT: rtt}.ForScheme(scheme)     // the NACK bit
+//	s, err := NewSession(coreCfg, relCfg, ab, ba, oob)
+//	tr, err := s.NewTransfer(scheme, AdaptorConfig{}, maxMsgBytes, 1)
+//	err = tr.Drive("flow", data).Err()                     // one verified message
+//
+// NewTransfer is the only place that maps "sr", "sr-nack", "ec" or
+// "adaptive" to a loop pair, sizes and registers the receiver's parity
+// scratch and owns the Adaptor; Drive (or Actors, under the caller's
+// own Join) runs a message's sender and receiver and returns their
+// Outcome. Harnesses that loop over messages themselves call
+// tr.Write(data) and tr.Receive(mr, off, size, slot). The six Endpoint
+// loops stay exported as the primitives the value dispatches to.
 package reliability
 
 import (
@@ -59,13 +75,6 @@ type Config struct {
 	K, M int
 	// Code selects "mds" or "xor".
 	Code string
-	// Beta sets the EC fallback timeout slack: FTO = T_inj_estimate +
-	// Beta·RTT (§4.1.2 halves the SR coefficient: Beta = Alpha/2).
-	Beta float64
-	// InjectionEstimate approximates the time to inject one full
-	// message (data+parity) for the FTO computation. Zero derives a
-	// loose default from RTT.
-	InjectionEstimate time.Duration
 }
 
 // WithDefaults fills zero fields.
@@ -97,9 +106,6 @@ func (c Config) WithDefaults() Config {
 	if c.Code == "" {
 		c.Code = "mds"
 	}
-	if c.Beta == 0 {
-		c.Beta = c.Alpha / 2
-	}
 	return c
 }
 
@@ -125,13 +131,10 @@ func (c Config) RTO() time.Duration {
 	return time.Duration(float64(c.RTT) * (1 + c.Alpha))
 }
 
-// FTO returns the EC fallback timeout (§4.1.2).
+// FTO returns the EC fallback timeout (§4.1.2): a loose injection
+// estimate of RTT/2 plus half the SR slack, RTT·Alpha/2.
 func (c Config) FTO() time.Duration {
-	inj := c.InjectionEstimate
-	if inj == 0 {
-		inj = c.RTT / 2
-	}
-	return inj + time.Duration(float64(c.RTT)*c.Beta)
+	return c.RTT/2 + time.Duration(float64(c.RTT)*(c.Alpha/2))
 }
 
 // NewCode instantiates the configured erasure code.

@@ -47,8 +47,8 @@ func (g ecGeometry) parityBytes() int { return g.m * g.chunkBytes }
 
 // ECScratchBytes returns the parity scratch size ReceiveEC requires
 // for a message of msgBytes under this config and chunk size — the
-// single source of truth harnesses should size their scratch MRs
-// with, instead of re-deriving the L·m·chunk geometry.
+// L·m·chunk geometry Session.NewTransfer sizes the scratch it
+// registers with.
 func (c Config) ECScratchBytes(chunkBytes, msgBytes int) int {
 	cfg := c.WithDefaults()
 	g := newECGeometry(msgBytes, chunkBytes, cfg.K, cfg.M)

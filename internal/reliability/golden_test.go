@@ -1,7 +1,6 @@
 package reliability
 
 import (
-	"bytes"
 	"hash/fnv"
 	"testing"
 	"time"
@@ -29,8 +28,7 @@ type goldenTuple struct {
 // in both directions, data and control alike.
 type goldenCase struct {
 	name   string
-	scheme string // sr | ec | adaptive
-	nack   bool
+	scheme string // a Transfer scheme name
 	k, m   int
 	size   int
 	msgs   int
@@ -59,9 +57,9 @@ func TestReliabilityGoldenTuples(t *testing.T) {
 			want: goldenTuple{ElapsedNs: 54502641, PacketsSent: 0x2c4, Retransmits: 0x1e, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xc1077ac09622865}},
 		{name: "sr/2", scheme: "sr", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
 			want: goldenTuple{ElapsedNs: 80369267, PacketsSent: 0x2cc, Retransmits: 0x20, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x1706b97648427be5}},
-		{name: "sr-nack/1", scheme: "sr", shortLinger: true, nack: true, size: 200_000, msgs: 3, drop: 0.05, seed: 1,
+		{name: "sr-nack/1", scheme: "sr-nack", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 1,
 			want: goldenTuple{ElapsedNs: 39267633, PacketsSent: 0x2fc, Retransmits: 0x2c, NacksSent: 0x0, LateReAcks: 0x3, Switches: 0, RecvFNV: 0xc1077ac09622865}},
-		{name: "sr-nack/2", scheme: "sr", shortLinger: true, nack: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
+		{name: "sr-nack/2", scheme: "sr-nack", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
 			want: goldenTuple{ElapsedNs: 44202353, PacketsSent: 0x35c, Retransmits: 0x44, NacksSent: 0x0, LateReAcks: 0x2, Switches: 0, RecvFNV: 0x1706b97648427be5}},
 		// One submessage: 16 real chunks of a (16,4) code, partial tail.
 		{name: "ec-L1/1", scheme: "ec", k: 16, m: 4, size: 16*4096 - 1234, msgs: 3, drop: 0.03, seed: 1,
@@ -101,8 +99,10 @@ const goldenBps = 2e9
 func runGolden(t *testing.T, c goldenCase) goldenTuple {
 	t.Helper()
 	vc := clock.NewVirtual()
-	relCfg := testRelCfg()
-	relCfg.NACK = c.nack
+	relCfg, err := testRelCfg().ForScheme(c.scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.shortLinger {
 		relCfg.Linger = 2 * time.Millisecond
 	}
@@ -119,68 +119,28 @@ func runGolden(t *testing.T, c goldenCase) goldenTuple {
 	}
 	defer s.Close()
 
-	acfg := testAdaptorCfg()
-	ad, err := NewAdaptor(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunkBytes := s.Pair.B.Ctx.Config().ChunkBytes
+	tr := newTransfer(t, s, c.scheme, c.size)
 	sum := fnv.New64a()
 	for i := 0; i < c.msgs; i++ {
 		// Fresh buffers per message: a late duplicate must carry the
 		// bytes of the message it belongs to.
-		data := pattern(c.size, byte(int(c.seed)*16+i))
-		recvBuf := make([]byte, c.size)
-		mr := s.Pair.B.Ctx.RegMR(recvBuf)
-		scratchBytes := 1 // SR needs none; RegMR wants a non-empty region
-		switch c.scheme {
-		case "ec":
-			scratchBytes = relCfg.ECScratchBytes(chunkBytes, c.size)
-		case "adaptive":
-			scratchBytes = AdaptiveScratchBytes(acfg, chunkBytes, c.size)
-		}
-		scratch := s.Pair.B.Ctx.RegMR(make([]byte, scratchBytes))
-		var sendErr, recvErr error
-		clock.Join(vc,
-			func() {
-				switch c.scheme {
-				case "sr":
-					sendErr = s.A.WriteSR(data)
-				case "ec":
-					sendErr = s.A.WriteEC(data)
-				case "adaptive":
-					sendErr = s.A.WriteAdaptive(acfg, data)
-				}
-			},
-			func() {
-				switch c.scheme {
-				case "sr":
-					recvErr = s.B.ReceiveSR(mr, 0, c.size)
-				case "ec":
-					recvErr = s.B.ReceiveEC(mr, 0, c.size, scratch)
-				case "adaptive":
-					recvErr = s.B.ReceiveAdaptive(ad, mr, 0, c.size, scratch)
-				}
-			})
-		if sendErr != nil || recvErr != nil {
-			t.Fatalf("message %d: send=%v recv=%v", i, sendErr, recvErr)
-		}
-		if !bytes.Equal(recvBuf, data) {
-			t.Fatalf("message %d corrupted", i)
-		}
-		sum.Write(recvBuf)
+		sum.Write(driveMsg(t, tr, pattern(c.size, byte(int(c.seed)*16+i))).Buf)
 	}
 	elapsed := vc.Elapsed()
 	// Let the last background linger run out so its re-sends and any
 	// late re-ACK are counted.
 	clock.Join(vc, func() { vc.Sleep(relCfg.Linger + 2*relCfg.AckInterval) })
+	switches := 0
+	if ad := tr.Adaptor(); ad != nil {
+		switches = len(ad.Switches())
+	}
 	return goldenTuple{
 		ElapsedNs:   elapsed.Nanoseconds(),
 		PacketsSent: s.Pair.A.QP.Stats().PacketsSent,
 		Retransmits: s.A.Retransmits.Load(),
 		NacksSent:   s.B.NacksSent.Load(),
 		LateReAcks:  s.B.LateReAcks.Load(),
-		Switches:    len(ad.Switches()),
+		Switches:    switches,
 		RecvFNV:     sum.Sum64(),
 	}
 }

@@ -1,7 +1,6 @@
 package reliability
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -11,6 +10,34 @@ import (
 	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/nicsim"
 )
+
+// newReackSession builds the lossless 2 ms-RTT virtual session both
+// re-ACK scenarios run on. Its linger is short — about four final ACKs —
+// so a pinned control-path burst can swallow it whole.
+func newReackSession(t *testing.T) (*Session, *clock.Virtual, core.Config, Config) {
+	t.Helper()
+	clk := clock.NewVirtual()
+	coreCfg := core.Config{
+		MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20,
+		Generations: 2, Channels: 2, CQDepth: 1 << 12,
+		Clock: clk,
+	}
+	relCfg := Config{
+		RTT:           2 * time.Millisecond,
+		PollInterval:  250 * time.Microsecond,
+		AckInterval:   500 * time.Microsecond,
+		Linger:        2 * time.Millisecond,
+		GlobalTimeout: 120 * time.Millisecond,
+		K:             4, M: 2,
+	}
+	fabCfg := fabric.Config{Latency: time.Millisecond, Clock: clk}
+	s, err := NewSession(coreCfg, relCfg, fabCfg, fabCfg, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s, clk, coreCfg, relCfg
+}
 
 // runSwallowedLinger reproduces the PR-4 netem pathology in isolation:
 // a loss burst on the control path swallows every final ACK of the
@@ -22,27 +49,7 @@ import (
 // regression this test pins.
 func runSwallowedLinger(t *testing.T, noReAck bool, burst int) (sendErr error) {
 	t.Helper()
-	clk := clock.NewVirtual()
-	coreCfg := core.Config{
-		MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20,
-		MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
-		Generations: 2, Channels: 2, CQDepth: 1 << 12,
-		Clock: clk,
-	}
-	relCfg := Config{
-		RTT: 2 * time.Millisecond, Alpha: 2,
-		PollInterval:  250 * time.Microsecond,
-		AckInterval:   500 * time.Microsecond,
-		Linger:        2 * time.Millisecond, // ~4 final ACKs, all eaten by the burst
-		GlobalTimeout: 120 * time.Millisecond,
-		K:             4, M: 2, Code: "mds",
-	}
-	fabCfg := fabric.Config{Latency: time.Millisecond, Clock: clk}
-	s, err := NewSession(coreCfg, relCfg, fabCfg, fabCfg, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _, coreCfg, _ := newReackSession(t)
 	if noReAck {
 		s.Pair.B.QP.SetLateSink(nil)
 	}
@@ -73,24 +80,17 @@ func runSwallowedLinger(t *testing.T, noReAck bool, burst int) (sendErr error) {
 	for i := range data {
 		data[i] = byte(i*13 + i>>8)
 	}
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-
-	var recvErr error
-	clock.JoinNamed(clk,
-		clock.NamedFunc{Name: "sender", Fn: func() { sendErr = s.A.WriteSR(data) }},
-		clock.NamedFunc{Name: "receiver", Fn: func() { recvErr = s.B.ReceiveSR(mr, 0, size) }},
-	)
-	if recvErr != nil {
-		t.Fatalf("receiver failed: %v", recvErr)
+	out := newTransfer(t, s, "sr", size).Drive("linger", data)
+	if out.RecvErr != nil {
+		t.Fatalf("receiver failed: %v", out.RecvErr)
 	}
 	if dropped < 4 {
 		t.Fatalf("interceptor ate %d completion ACKs — burst never covered the linger window", dropped)
 	}
-	if !bytes.Equal(recvBuf, data) {
+	if !out.BytesOK() {
 		t.Fatal("received data corrupted")
 	}
-	return sendErr
+	return out.SendErr
 }
 
 // Without the re-ACK, the swallowed linger strands the sender until
@@ -119,27 +119,7 @@ func TestLateReAckRescuesSwallowedLinger(t *testing.T) {
 // recovery completes the receive and retires every slot, and
 // releasing the held packets afterwards must re-emit msgECAck.
 func TestLateDataIntoRetiredECSlotReAcks(t *testing.T) {
-	clk := clock.NewVirtual()
-	coreCfg := core.Config{
-		MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20,
-		MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4,
-		Generations: 2, Channels: 2, CQDepth: 1 << 12,
-		Clock: clk,
-	}
-	relCfg := Config{
-		RTT: 2 * time.Millisecond, Alpha: 2,
-		PollInterval:  250 * time.Microsecond,
-		AckInterval:   500 * time.Microsecond,
-		Linger:        2 * time.Millisecond,
-		GlobalTimeout: 120 * time.Millisecond,
-		K:             4, M: 2, Code: "mds",
-	}
-	fabCfg := fabric.Config{Latency: time.Millisecond, Clock: clk}
-	s, err := NewSession(coreCfg, relCfg, fabCfg, fabCfg, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, clk, coreCfg, relCfg := newReackSession(t)
 
 	const size = 16 * 4096
 	// Hold the four MTU packets of the first data chunk; parity (m=2)
@@ -167,23 +147,10 @@ func TestLateDataIntoRetiredECSlotReAcks(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-	scratch := s.Pair.B.Ctx.RegMR(make([]byte, relCfg.ECScratchBytes(coreCfg.ChunkBytes, size)))
-
-	var sendErr, recvErr error
-	clock.JoinNamed(clk,
-		clock.NamedFunc{Name: "ec-sender", Fn: func() { sendErr = s.A.WriteEC(data) }},
-		clock.NamedFunc{Name: "ec-receiver", Fn: func() { recvErr = s.B.ReceiveEC(mr, 0, size, scratch) }},
-	)
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("exchange failed: send=%v recv=%v", sendErr, recvErr)
-	}
+	// Err covers both sides and the parity-recovered bytes.
+	driveMsg(t, newTransfer(t, s, "ec", size), data)
 	if held != pktsPerChunk {
 		t.Fatalf("held %d packets, want %d", held, pktsPerChunk)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatal("received (parity-recovered) data corrupted")
 	}
 	// The receive returned at its completion instant; the final-ACK
 	// linger runs in the background (retire.go). Sleep out the linger

@@ -1,0 +1,126 @@
+package reliability
+
+import (
+	"testing"
+	"time"
+
+	"sdrrdma/internal/clock"
+	"sdrrdma/internal/fabric"
+)
+
+// Every scheme name moves three verified messages over a lossy virtual
+// link through one Transfer, and the value holds exactly what the name
+// calls for: no scratch and no Adaptor for the SR pair, geometry-sized
+// scratch per rotation slot for the coded schemes, one Adaptor for the
+// life of the adaptive binding.
+func TestTransferSchemes(t *testing.T) {
+	const size, slots = 150_000, 3
+	acfg := testAdaptorCfg()
+	for _, tc := range []struct {
+		scheme  string
+		nack    bool
+		scratch func(c Config) int
+	}{
+		{"sr", false, nil},
+		{"sr-nack", true, nil},
+		{"ec", false, func(c Config) int { return c.ECScratchBytes(4096, size) }},
+		{"adaptive", false, func(Config) int { return AdaptiveScratchBytes(acfg, 4096, size) }},
+	} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			relCfg, err := testRelCfg().ForScheme(tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if relCfg.NACK != tc.nack {
+				t.Fatalf("ForScheme(%q).NACK = %v, want %v", tc.scheme, relCfg.NACK, tc.nack)
+			}
+			s, _ := newVirtualSession(t, relCfg, 0.05, 31)
+			tr, err := s.NewTransfer(tc.scheme, acfg, size, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.scratch == nil {
+				if len(tr.scratch) != 0 {
+					t.Fatalf("%d scratch regions for an SR scheme, want none", len(tr.scratch))
+				}
+			} else {
+				if len(tr.scratch) != slots {
+					t.Fatalf("%d scratch regions, want %d", len(tr.scratch), slots)
+				}
+				seen := map[uint32]bool{}
+				for _, mr := range tr.scratch {
+					if got, want := mr.Span(), uint64(tc.scratch(s.B.Cfg)); got != want {
+						t.Fatalf("scratch region spans %d B, geometry says %d", got, want)
+					}
+					if seen[mr.Key()] {
+						t.Fatal("two rotation slots share one scratch region")
+					}
+					seen[mr.Key()] = true
+				}
+			}
+			ad := tr.Adaptor()
+			if (ad != nil) != (tc.scheme == "adaptive") {
+				t.Fatalf("Adaptor() = %v for scheme %s", ad, tc.scheme)
+			}
+			for i := 0; i < 3; i++ {
+				out := tr.Drive("test", pattern(size, byte(i)))
+				if err := out.Err(); err != nil {
+					t.Fatalf("message %d: %v", i, err)
+				}
+				if !out.BytesOK() || out.SendDone <= 0 || out.RecvDone <= 0 {
+					t.Fatalf("message %d: bytesOK=%v send=%v recv=%v", i, out.BytesOK(), out.SendDone, out.RecvDone)
+				}
+				if tr.Adaptor() != ad {
+					t.Fatal("the Adaptor changed between messages of one Transfer")
+				}
+			}
+		})
+	}
+}
+
+// A misspelt scheme is an error at both places a name enters, never a
+// silent SR.
+func TestUnknownSchemeRejected(t *testing.T) {
+	if _, err := testRelCfg().ForScheme("ecc"); err == nil {
+		t.Error(`ForScheme("ecc") accepted`)
+	}
+	s, _ := newVirtualSession(t, testRelCfg(), 0, 32)
+	if tr, err := s.NewTransfer("ecc", AdaptorConfig{}, 4096, 1); err == nil {
+		t.Errorf(`NewTransfer("ecc") = %v, want an error`, tr)
+	}
+	if _, err := s.NewTransfer("adaptive", AdaptorConfig{Window: -1}, 4096, 1); err == nil {
+		t.Error("NewTransfer accepted an invalid adaptor config")
+	}
+}
+
+// On a real clock under loss a retransmitted chunk's DMA can still be in
+// flight when both sides return, so the driver must not read the receive
+// buffer: under -race this test fails if Drive, Err or BytesOK does. SR
+// only — a coded receive's in-place decode races the late DMA inside the
+// stack itself, which is why lossy EC coverage lives on the virtual
+// clock.
+func TestDriveRealClockLeavesBufferAlone(t *testing.T) {
+	for _, scheme := range []string{"sr", "sr-nack"} {
+		relCfg, err := testRelCfg().ForScheme(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relCfg.RTT = 2 * time.Millisecond
+		lat := time.Millisecond
+		s, err := NewSession(testCoreCfg(clock.NewReal()), relCfg,
+			fabric.Config{Latency: lat, DropProb: 0.03, Seed: 33},
+			fabric.Config{Latency: lat, DropProb: 0.03, Seed: 1033},
+			lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := newTransfer(t, s, scheme, 64<<10).Drive("real", pattern(64<<10, 7))
+		if err := out.Err(); err != nil {
+			t.Errorf("%s: %v", scheme, err)
+		}
+		if !out.BytesOK() {
+			t.Errorf("%s: BytesOK compared on a real clock", scheme)
+		}
+		s.Close()
+	}
+}

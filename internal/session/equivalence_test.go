@@ -1,7 +1,6 @@
 package session_test
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -17,51 +16,21 @@ import (
 // s with the given scheme and returns everything its simulated schedule
 // determines: elapsed virtual time, both QPs' counters, retransmits,
 // NACKs, ladder switches and a hash of the received bytes.
-func runSchemeTransfer(t *testing.T, vc *clock.Virtual, s *reliability.Session, scheme string, relCfg reliability.Config) string {
+func runSchemeTransfer(t *testing.T, vc *clock.Virtual, s *reliability.Session, scheme string) string {
 	t.Helper()
 	const size = 96<<10 - 321
 	data := make([]byte, size)
 	for i := range data {
 		data[i] = byte(i*13 + i>>8)
 	}
-	recvBuf := make([]byte, size)
-	ctxB := s.Pair.B.Ctx
-	mr := ctxB.RegMR(recvBuf)
-	acfg := reliability.AdaptorConfig{SegmentChunks: 4, Window: 3}.WithDefaults()
-	ad, err := reliability.NewAdaptor(acfg)
+	tr, err := s.NewTransfer(scheme, reliability.AdaptorConfig{SegmentChunks: 4, Window: 3}, size, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := ctxB.Config().ChunkBytes
-	scratch := ctxB.RegMR(make([]byte, max(relCfg.ECScratchBytes(chunk, size), reliability.AdaptiveScratchBytes(acfg, chunk, size))))
 	start := vc.Elapsed()
-	var sendErr, recvErr error
-	clock.Join(vc,
-		func() {
-			switch scheme {
-			case "ec":
-				sendErr = s.A.WriteEC(data)
-			case "adaptive":
-				sendErr = s.A.WriteAdaptive(acfg, data)
-			default:
-				sendErr = s.A.WriteSR(data)
-			}
-		},
-		func() {
-			switch scheme {
-			case "ec":
-				recvErr = s.B.ReceiveEC(mr, 0, size, scratch)
-			case "adaptive":
-				recvErr = s.B.ReceiveAdaptive(ad, mr, 0, size, scratch)
-			default:
-				recvErr = s.B.ReceiveSR(mr, 0, size)
-			}
-		})
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("%s transfer failed: send=%v recv=%v", scheme, sendErr, recvErr)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatalf("%s: received data corrupted", scheme)
+	out := tr.Drive("equiv", data)
+	if err := out.Err(); err != nil {
+		t.Fatal(err)
 	}
 	// The engine keeps time in float64 seconds, so the same interval
 	// measured from a later origin (a re-lease) can convert to a
@@ -73,10 +42,14 @@ func runSchemeTransfer(t *testing.T, vc *clock.Virtual, s *reliability.Session, 
 	// the deployment starts from an empty wire.
 	clock.Join(vc, func() { vc.Sleep(50 * time.Millisecond) })
 	sum := fnv.New64a()
-	sum.Write(recvBuf)
+	sum.Write(out.Buf)
+	switches := 0
+	if ad := tr.Adaptor(); ad != nil {
+		switches = len(ad.Switches())
+	}
 	return fmt.Sprintf("dt=%v a=%+v b=%+v retx=%d nacks=%d switches=%d fnv=%#x", dt,
 		s.Pair.A.QP.Stats(), s.Pair.B.QP.Stats(),
-		s.A.Retransmits.Load(), s.B.NacksSent.Load(), len(ad.Switches()), sum.Sum64())
+		s.A.Retransmits.Load(), s.B.NacksSent.Load(), switches, sum.Sum64())
 }
 
 // There is one way to build a deployment, so a cold reliability.NewSession,
@@ -87,8 +60,10 @@ func runSchemeTransfer(t *testing.T, vc *clock.Virtual, s *reliability.Session, 
 func TestColdBuildFirstLeaseAndReLeaseEquivalent(t *testing.T) {
 	for _, scheme := range []string{"sr", "sr-nack", "ec", "adaptive"} {
 		t.Run(scheme, func(t *testing.T) {
-			relCfg := poolRelCfg()
-			relCfg.NACK = scheme == "sr-nack"
+			relCfg, err := poolRelCfg().ForScheme(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
 			// A coded sender has no RTO: keep the final-ACK linger above
 			// it so control loss cannot swallow the whole linger.
 			relCfg.Linger = 8 * time.Millisecond
@@ -102,7 +77,7 @@ func TestColdBuildFirstLeaseAndReLeaseEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := runSchemeTransfer(t, coldClk, cold, scheme, relCfg)
+			want := runSchemeTransfer(t, coldClk, cold, scheme)
 			cold.Close()
 
 			vc := clock.NewVirtual()
@@ -116,7 +91,7 @@ func TestColdBuildFirstLeaseAndReLeaseEquivalent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := runSchemeTransfer(t, vc, s, scheme, relCfg)
+				got := runSchemeTransfer(t, vc, s, scheme)
 				s.Close()
 				if got != want {
 					t.Fatalf("lease %d diverged from the cold build:\n  got  %s\n  want %s", lease, got, want)

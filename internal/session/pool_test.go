@@ -1,7 +1,6 @@
 package session_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -33,6 +32,16 @@ func poolRelCfg() reliability.Config {
 	}
 }
 
+// driveSR moves data A→B over s through the shared verified-transfer
+// driver, on the SR loops (NACK mode per the session's config).
+func driveSR(s *reliability.Session, data []byte) error {
+	tr, err := s.NewTransfer("sr", reliability.AdaptorConfig{}, len(data), 1)
+	if err != nil {
+		return err
+	}
+	return tr.Drive("lease", data).Err()
+}
+
 // runLeaseTransfer performs one lossy SR transfer over a leased session
 // on vc and returns a trace of its protocol-visible behaviour: elapsed
 // virtual time and both QPs' counters. Identical traces mean identical
@@ -43,19 +52,9 @@ func runLeaseTransfer(t *testing.T, vc *clock.Virtual, s *reliability.Session, s
 	for i := range data {
 		data[i] = byte(i*13 + i>>8)
 	}
-	recvBuf := make([]byte, size)
-	mr := s.Pair.B.Ctx.RegMR(recvBuf)
 	start := vc.Elapsed()
-	var sendErr, recvErr error
-	clock.Join(vc,
-		func() { sendErr = s.A.WriteSR(data) },
-		func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
-	)
-	if sendErr != nil || recvErr != nil {
-		t.Fatalf("transfer failed: send=%v recv=%v", sendErr, recvErr)
-	}
-	if !bytes.Equal(recvBuf, data) {
-		t.Fatal("received data corrupted")
+	if err := driveSR(s, data); err != nil {
+		t.Fatal(err)
 	}
 	return fmt.Sprintf("dt=%v a=%+v b=%+v", vc.Elapsed()-start,
 		s.Pair.A.QP.Stats(), s.Pair.B.QP.Stats())
@@ -246,17 +245,10 @@ func TestConcurrentLeaseChurnRaces(t *testing.T) {
 					errs <- err
 					return
 				}
-				const size = 16 << 10
-				data := make([]byte, size)
-				mr := s.Pair.B.Ctx.RegMR(make([]byte, size))
-				var sendErr, recvErr error
-				clock.Join(clk,
-					func() { sendErr = s.A.WriteSR(data) },
-					func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
-				)
+				err = driveSR(s, make([]byte, 16<<10))
 				s.Close()
-				if sendErr != nil || recvErr != nil {
-					errs <- fmt.Errorf("send=%v recv=%v", sendErr, recvErr)
+				if err != nil {
+					errs <- err
 					return
 				}
 			}

@@ -98,17 +98,10 @@ func TestLeaseLinkedOnRefusesCrossKindRehome(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const size = 16 << 10
-			data := make([]byte, size)
-			mr := s.Pair.B.Ctx.RegMR(make([]byte, size))
-			var sendErr, recvErr error
-			clock.Join(clk,
-				func() { sendErr = s.A.WriteSR(data) },
-				func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
-			)
+			err = driveSR(s, make([]byte, 16<<10))
 			s.Close()
-			if sendErr != nil || recvErr != nil {
-				t.Fatalf("same-kind lease after the refusal: send=%v recv=%v", sendErr, recvErr)
+			if err != nil {
+				t.Fatalf("same-kind lease after the refusal: %v", err)
 			}
 			if built, leased := pool.Stats(); built != 1 || leased != 0 {
 				t.Fatalf("after the same-kind lease: built=%d leased=%d, want 1/0 (no second build)", built, leased)
