@@ -18,8 +18,11 @@ RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 
 ci: vet build race test smoke-golden smoke-perftest smoke-trace smoke-chaos smoke-bench
 
+# The second line compiles the non-amd64 side of internal/gf256's file
+# split (the stubs behind the assembly kernels) and its only importer.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/gf256/ ./internal/ec/
 
 build:
 	$(GO) build ./...
@@ -35,8 +38,9 @@ test:
 	$(GO) test ./...
 
 # Kernel micro-benchmarks: gf256 word kernels and the fused multi-row
-# kernel, EC serial-vs-parallel encode, bitmap polling — the hot paths
-# tracked by the bench trajectory.
+# kernel (BenchmarkMulRows* and BenchmarkRowTablesSet* once per tier the
+# host can run), EC serial-vs-parallel encode, bitmap polling — the hot
+# paths tracked by the bench trajectory.
 bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkXORSlice|BenchmarkMulAddSlice|BenchmarkMulRows|BenchmarkRowTablesSet' ./internal/gf256/
 	$(GO) test -run xxx -bench 'Encode|Reconstruct' ./internal/ec/
@@ -52,7 +56,8 @@ bench: bench-kernels
 # op -> {ns/op, allocs/op, ...} JSON so per-PR performance is diffable.
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkSimnet' -benchmem ./internal/simnet/ > bench-json.tmp
-	$(GO) test -run xxx -bench 'BenchmarkRSEncode32x8_64KiB|BenchmarkRSReconstruct32x8_64KiB' -benchmem ./internal/ec/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkMulRows32x8|BenchmarkRowTablesSet32x8' -benchmem ./internal/gf256/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkRSEncode32x8_64KiB|BenchmarkRSReconstruct32x8_64KiB|BenchmarkXOREncode32x8_64KiB' -benchmem ./internal/ec/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkCampaign|BenchmarkDES' -benchmem ./internal/protosim/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkDESValidation|BenchmarkGBNBaseline' -benchtime 2x -benchmem . >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkVirtualHandoff|BenchmarkVirtualSleepChurn|BenchmarkRealWaitNotify' -benchmem ./internal/clock/ >> bench-json.tmp
@@ -81,13 +86,14 @@ bench-par:
 	@rm -f bench-par.tmp
 
 # Code size per package: non-blank, non-comment lines of the non-test
-# .go files under each internal/*, cmd/* and examples/* directory, and
-# their total — the number ROADMAP's "least code" aim (and every
+# .go files and the .s files (assembly comments start with // too)
+# under each internal/*, cmd/* and examples/* directory, and their
+# total — the number ROADMAP's "least code" aim (and every
 # simplicity issue) is judged by. The drivers under cmd/ and examples/
 # count: a line moved out of internal/ into them is not a line removed.
 loc:
 	@for d in internal/*/ cmd/*/ examples/*/; do \
-		ls $$d*.go | grep -v _test.go | xargs cat | \
+		ls $$d*.go $$d*.s 2>/dev/null | grep -v _test.go | xargs cat | \
 		awk -v d=$$d '{ sub(/^[ \t]+/, "") } $$0 == "" || /^\/\// { next } { n++ } END { printf "%6d %s\n", n, d }'; \
 	done | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
 

@@ -7,9 +7,15 @@
 //     group but encodes at near-memory-bandwidth speed.
 //   - RSCode: a systematic Reed–Solomon (Maximum Distance Separable)
 //     code over GF(2^8) that recovers from any m lost blocks among the
-//     k+m total, the stand-in for Intel ISA-L used in Fig 11.
+//     k+m total, the stand-in for Intel ISA-L used in Fig 11 — with
+//     ISA-L's kernel shape where the CPU allows: shard bytes go through
+//     gf256.RowTables.MulRows, a GFNI or AVX2 assembly body on amd64
+//     and portable Go elsewhere (gf256.Kernel says which), all three
+//     producing the same parity.
 //
-// Both operate on equal-length byte shards, matching SDR chunks.
+// Both operate on equal-length byte shards, matching SDR chunks. XOR
+// shard bytes go through gf256.XORSlice, the standard library's SIMD
+// XOR.
 package ec
 
 import (

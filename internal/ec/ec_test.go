@@ -8,7 +8,29 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	_ "unsafe" // go:linkname
+
+	"sdrrdma/internal/gf256"
 )
+
+// gfTier is gf256's kernel tier: 0 the portable body, up to the one
+// CPUID chose at init. gf256 exports no way to set it — product code
+// must not — so the tests that pin RS bytes on every body the host can
+// run reach the unexported variable by linkname.
+//
+//go:linkname gfTier sdrrdma/internal/gf256.active
+var gfTier uint8
+
+// forEachKernel runs fn as one subtest per gf256 kernel body this host
+// can run. fn must build its codes itself: NewRS packs tables for the
+// tier in force.
+func forEachKernel(t *testing.T, fn func(t *testing.T)) {
+	best := gfTier
+	defer func() { gfTier = best }()
+	for gfTier = 0; gfTier <= best; gfTier++ {
+		t.Run(gf256.Kernel(), fn)
+	}
+}
 
 func makeShards(rng *rand.Rand, n, size int) [][]byte {
 	shards := make([][]byte, n)
@@ -138,6 +160,10 @@ func TestRSRejectsBadGeometry(t *testing.T) {
 // recovers iff no modulo group loses 2+ blocks. CanRecover must agree
 // with Reconstruct success.
 func TestRecoveryProperty(t *testing.T) {
+	forEachKernel(t, testRecoveryProperty)
+}
+
+func testRecoveryProperty(t *testing.T) {
 	rsCode, _ := NewRS(6, 3)
 	xorCode, _ := NewXOR(6, 3)
 	check := func(seed int64, lossMask uint16) bool {
@@ -312,6 +338,10 @@ func withParallelism(n int, fn func()) {
 // serial path, for both codes, at sizes above the parallel threshold
 // (including a non-segment-aligned one).
 func TestParallelEncodeMatchesSerial(t *testing.T) {
+	forEachKernel(t, testParallelEncodeMatchesSerial)
+}
+
+func testParallelEncodeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range []Code{mustRS(32, 8), mustXOR(32, 8), mustRS(8, 4), mustXOR(8, 2)} {
 		for _, size := range []int{64 << 10, 64<<10 + 24, 192 << 10} {
@@ -342,6 +372,10 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 // repair the same loss pattern on serial and sharded paths and compare
 // every recovered byte.
 func TestParallelReconstructMatchesSerial(t *testing.T) {
+	forEachKernel(t, testParallelReconstructMatchesSerial)
+}
+
+func testParallelReconstructMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const size = 96<<10 + 8
 	for _, tc := range []struct {
@@ -504,8 +538,12 @@ func TestConcurrentReconstructs(t *testing.T) {
 // TestRSParityGolden pins the RS(32,8) parity bytes of a fixed pattern
 // to the FNV-64a the row-at-a-time encoder of PR 11 produced: the code
 // matrix, and with it every wire byte and verification digest, is
-// unchanged by the fused kernel.
+// unchanged by the fused kernel, whichever of its bodies runs.
 func TestRSParityGolden(t *testing.T) {
+	forEachKernel(t, testRSParityGolden)
+}
+
+func testRSParityGolden(t *testing.T) {
 	c := mustRS(32, 8)
 	const size = 4096 + 3
 	data, parity := make([][]byte, 32), make([][]byte, 8)
@@ -544,6 +582,43 @@ func TestRSRowGroups(t *testing.T) {
 		}
 		roundTrip(t, c, rng.Perm(km[0] + km[1])[:km[1]+1], 600, true)
 	}
+}
+
+// TestReconstructUndersizedShard hands Reconstruct a buffer for a lost
+// shard that is shorter than the shards it is rebuilt from. Reconstruct
+// does not compare shard lengths, so gf256.MulRows' range check is what
+// stands between that caller bug and the assembly kernels writing past
+// the buffer: it must fail loudly with nothing written, on every body.
+func TestReconstructUndersizedShard(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		const size, short = 512, 500
+		c := mustRS(8, 4)
+		rng := rand.New(rand.NewSource(5))
+		data, parity := makeShards(rng, 8, size), makeShards(rng, 4, size)
+		if err := c.Encode(data, parity); err != nil {
+			t.Fatal(err)
+		}
+		shards := append(append([][]byte{}, data...), parity...)
+		present := make([]bool, 12)
+		for i := range present {
+			present[i] = i != 2 && i != 5
+		}
+		// Lost shard 5's buffer is the front of a larger array whose
+		// rest must survive.
+		back := makeShards(rng, 1, size)[0]
+		orig := append([]byte(nil), back...)
+		shards[5] = back[:short:short]
+		failed := func() (failed bool) {
+			defer func() { failed = failed || recover() != nil }()
+			return c.Reconstruct(shards, present) != nil
+		}()
+		if !failed {
+			t.Fatal("Reconstruct accepted a lost-shard buffer shorter than the other shards")
+		}
+		if !bytes.Equal(back, orig) {
+			t.Fatal("Reconstruct wrote into or past the undersized buffer before failing")
+		}
+	})
 }
 
 // TestRSAllocs holds the serial hot calls to their allocation budget:

@@ -107,9 +107,10 @@ func TestFig11CoreCounts(t *testing.T) {
 	res := runFig(t, "11")
 	// XOR must encode faster per core than MDS (Fig 11: ~half the
 	// cores), hence need fewer cores. The core counts come from measured
-	// wall-clock encode throughput, and race instrumentation slows the
-	// XOR word loop more than the fused table-driven MDS kernel, so the
-	// comparison inverts under -race and is only made without it.
+	// wall-clock encode throughput, and where the portable Go bodies run
+	// (no assembly tier), race instrumentation slows the XOR word loop
+	// more than the fused table-driven MDS kernel, so the comparison can
+	// invert under -race and is only made without it.
 	mdsCores := cell(t, res, 0, 2)
 	xorCores := cell(t, res, 1, 2)
 	if !raceEnabled && xorCores >= mdsCores {

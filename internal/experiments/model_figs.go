@@ -6,6 +6,7 @@ import (
 
 	"sdrrdma/internal/collective"
 	"sdrrdma/internal/ec"
+	"sdrrdma/internal/gf256"
 	"sdrrdma/internal/model"
 	"sdrrdma/internal/stats"
 	"sdrrdma/internal/wan"
@@ -297,7 +298,8 @@ func Fig10d(o Options) (*Result, error) {
 
 // Fig11 combines the encoding-throughput comparison (real CPU
 // measurement of this repo's codecs, stand-ins for ISA-L and the
-// AVX-512 XOR kernel) with the fallback-onset analysis.
+// AVX-512 XOR kernel; the note names the gf256 kernel body the host
+// ran) with the fallback-onset analysis.
 func Fig11(o Options) (*Result, error) {
 	const (
 		chunk = 64 << 10
@@ -318,7 +320,7 @@ func Fig11(o Options) (*Result, error) {
 			"fallback@1e-3", "fallback@1e-2"},
 		Notes: []string{
 			"paper: XOR hides encoding with ~4 cores, MDS needs ~2x more; XOR falls back to SR at ~1e-3 chunk drop while MDS holds past 1e-2",
-			"single-core encode throughput measured on this machine's CPU (shape-comparable; the paper used AVX-512/ISA-L on Xeon 8580); the runtime encoder additionally shards across cores",
+			"single-core encode throughput measured on this machine's CPU, MDS through the " + gf256.Kernel() + " kernel of internal/gf256 (shape-comparable; the paper used AVX-512/ISA-L on Xeon 8580); the runtime encoder additionally shards across cores",
 		},
 	}
 	const L = 64 // 128 MiB / (32 × 64 KiB)

@@ -3,36 +3,108 @@ package gf256
 import "encoding/binary"
 
 // fusedRows is the number of output rows one pass of the fused kernel
-// produces: one byte lane of a uint64 per row.
+// produces: one byte lane of a uint64 (portable body) or one ymm
+// accumulator (assembly bodies) per row.
 const fusedRows = 8
 
-// fusedBlock is the number of byte positions accumulated before the
-// scatter. 512 uint64 accumulators (4 KiB) plus the 2 KiB tables of the
-// columns being folded in stay L1-resident.
+// fusedBlock is the number of byte positions the portable body
+// accumulates before the scatter. 512 uint64 accumulators (4 KiB) plus
+// the 2 KiB tables of the columns being folded in stay L1-resident.
 const fusedBlock = 512
 
+// tier names a body of the mulGroup kernel. They are ordered: a host
+// that can run one can run every tier below it.
+type tier uint8
+
+const (
+	portable tier = iota // the Go body in this file; every architecture
+	avx2                 // amd64: VPSHUFB against two 16-entry nibble tables per coefficient
+	gfni                 // amd64: VGF2P8AFFINEQB against one 8×8 bit matrix per coefficient (VEX, ymm)
+)
+
+// active is the tier Set packs tables for, chosen once from CPUID.
+// Nothing but tests assigns it again: they run portable..active.
+var active = detect()
+
+// Kernel names the body shard bytes go through on this host: "gfni",
+// "avx2" or "portable".
+func Kernel() string { return [...]string{"portable", "avx2", "gfni"}[active] }
+
+const (
+	// simdBlock is the bytes one ymm register holds: the assembly
+	// bodies load and store whole blocks only.
+	simdBlock = 32
+	// simdCallBytes bounds the input one assembly call reads. Assembly
+	// cannot be preempted, so this bounds what a call adds to a GC
+	// stop-the-world (≈ 10–20 µs at the measured GB/s).
+	simdCallBytes = 128 << 10
+)
+
+// simdCoef[k] holds, for SIMD tier k, one entry of simdEntry[k] bytes
+// per coefficient c, so Set copies entries instead of multiplying.
+// avx2: c·x for x = 0..15, then c·(x<<4) — the product of an input byte
+// is the XOR of one lookup per nibble. gfni: the matrix of the
+// GF(2)-linear map x ↦ c·x, byte 7-i holding the input bits that feed
+// output bit i, as VGF2P8AFFINEQB reads it.
+var (
+	simdEntry = [...]int{avx2: 32, gfni: 8}
+	simdCoef  = [...][]byte{avx2: make([]byte, 256*32), gfni: make([]byte, 256*8)}
+)
+
+// initSIMDTables fills simdCoef where a SIMD tier can run. It is called
+// once the log/exp tables Mul needs are built.
+func initSIMDTables() {
+	for c := 0; c < 256 && active != portable; c++ {
+		nib, mat := simdCoef[avx2][c*32:], simdCoef[gfni][c*8:]
+		for x := 0; x < 16; x++ {
+			nib[x], nib[16+x] = Mul(byte(c), byte(x)), Mul(byte(c), byte(x<<4))
+		}
+		for j := 0; j < 8; j++ {
+			for i, p := 0, Mul(byte(c), 1<<j); i < 8; i++ {
+				mat[7-i] |= p >> i & 1 << j
+			}
+		}
+	}
+}
+
 // RowTables is an r×n coefficient matrix in the form the fused kernel
-// consumes: for each group of up to 8 rows and each input column j, a
-// 256-entry table whose entry x packs the group's products coef[i][j]·x
-// into the byte lanes of one word. One lookup per input byte then
-// yields that byte's contribution to 8 output rows, so a matrix–vector
-// product reads its inputs once per 8 rows instead of once per row.
-// The zero value is ready for Set.
+// consumes: per group of up to 8 rows and per input column j, what the
+// active tier needs to turn one input byte (portable) or one 32-byte
+// block (avx2, gfni) of column j into its contribution to all 8 output
+// rows, so a matrix–vector product reads its inputs once per 8 rows
+// instead of once per row. The zero value is ready for Set.
 type RowTables struct {
 	rows, cols int
-	tabs       [][256]uint64 // group g, column j at tabs[g*cols+j]
+	// tier is the form Set packed; MulRows dispatches on it, so tables
+	// and body always agree.
+	tier tier
+	// portable: group g, column j at tabs[g*cols+j], a 256-entry table
+	// whose entry x packs the group's products coef[i][j]·x into the
+	// byte lanes of one word.
+	tabs [][256]uint64
+	// avx2, gfni: group g, column j, row i at simd[((g*cols+j)*8+i)*entry:],
+	// rows past the last of a short group zero; and the coefficients
+	// themselves, row-major, for ranges shorter than one block.
+	simd, coef []byte
 }
 
 // Set packs the coefficient rows coef[0..r), each of length n, reusing
-// t's storage. Multiplication by a constant is GF(2)-linear in the bits
-// of x, so each table is filled by doubling — T[2^b ^ x] = T[2^b] ^ T[x]
-// — from 8 field multiplications per row instead of 256.
+// t's storage. Only the active tier's form is built: the SIMD forms are
+// copied per coefficient from simdCoef; the portable tables are filled
+// by doubling — multiplication by a constant is GF(2)-linear in the
+// bits of x, so T[2^b ^ x] = T[2^b] ^ T[x] — from 8 field
+// multiplications per row instead of 256.
 func (t *RowTables) Set(coef [][]byte) {
-	t.rows, t.cols = len(coef), 0
+	t.rows, t.cols, t.tier = len(coef), 0, active
 	if len(coef) > 0 {
 		t.cols = len(coef[0])
 	}
-	n := (t.rows + fusedRows - 1) / fusedRows * t.cols
+	groups := (t.rows + fusedRows - 1) / fusedRows
+	if t.tier != portable {
+		t.setSIMD(coef, groups)
+		return
+	}
+	n := groups * t.cols
 	if cap(t.tabs) < n {
 		t.tabs = make([][256]uint64, n)
 	}
@@ -52,19 +124,91 @@ func (t *RowTables) Set(coef [][]byte) {
 	}
 }
 
+func (t *RowTables) setSIMD(coef [][]byte, groups int) {
+	entry, src := simdEntry[t.tier], simdCoef[t.tier]
+	n := groups * t.cols * fusedRows * entry
+	if cap(t.simd) < n {
+		t.simd = make([]byte, n)
+	}
+	t.simd, t.coef = t.simd[:n], t.coef[:0]
+	for _, row := range coef {
+		t.coef = append(t.coef, row[:t.cols]...)
+	}
+	dst := t.simd
+	for g := 0; g < t.rows; g += fusedRows {
+		for j := 0; j < t.cols; j++ {
+			for i := g; i < g+fusedRows; i, dst = i+1, dst[entry:] {
+				var c byte
+				if i < t.rows {
+					c = coef[i][j]
+				}
+				copy(dst[:entry], src[int(c)*entry:])
+			}
+		}
+	}
+}
+
 // MulRows sets out[i][p] = Σ_j coef[i][j]·in[j][p] for p in [lo,hi):
 // bytes [lo,hi) of all r output rows, in one pass over the n inputs per
-// 8 rows. Outputs are overwritten and must not alias inputs.
+// 8 rows. Outputs are overwritten and must not alias inputs. MulRows
+// panics, before writing anything, unless 0 ≤ lo ≤ hi ≤ len(s) for
+// every input and output s: the assembly bodies check no bounds, so
+// this is the only guard between a short shard and a write past it.
 func (t *RowTables) MulRows(out, in [][]byte, lo, hi int) {
 	if len(out) != t.rows || len(out) > 0 && len(in) != t.cols {
 		panic("gf256: MulRows shape mismatch")
 	}
-	for g := 0; g < t.rows; g += fusedRows {
-		mulGroup(t.tabs[g/fusedRows*t.cols:][:t.cols], out[g:min(g+fusedRows, t.rows)], in, lo, hi)
+	if lo < 0 || lo > hi {
+		panic("gf256: MulRows range inverted")
+	}
+	for _, shards := range [2][][]byte{in, out} {
+		for _, s := range shards {
+			if hi > len(s) {
+				panic("gf256: MulRows shard shorter than range")
+			}
+		}
+	}
+	switch {
+	case t.tier == portable:
+		for g := 0; g < t.rows; g += fusedRows {
+			mulGroup(t.tabs[g/fusedRows*t.cols:][:t.cols], out[g:min(g+fusedRows, t.rows)], in, lo, hi)
+		}
+	case hi-lo < simdBlock || t.cols == 0:
+		// No block fits (or nothing to sum), and the SIMD tiers carry no
+		// byte-wise tables: the matrix algebra's row operation instead.
+		for i, o := range out {
+			clear(o[lo:hi])
+			for j, s := range in {
+				MulAddSlice(t.coef[i*t.cols+j], o[lo:hi], s[lo:hi])
+			}
+		}
+	default:
+		// One bounded assembly call per sub-range and group. A tail
+		// shorter than a block joins the sub-range before it, so every
+		// call holds a whole block for its overlapped final store.
+		stride := t.cols * fusedRows * simdEntry[t.tier]
+		span := max(simdBlock, simdCallBytes/t.cols&^(simdBlock-1))
+		for p := lo; p < hi; {
+			q := p + span
+			if hi-q < simdBlock {
+				q = hi
+			}
+			for g := 0; g < t.rows; g += fusedRows {
+				tab, o := &t.simd[g/fusedRows*stride], out[g:min(g+fusedRows, t.rows)]
+				if t.tier == gfni {
+					mulGroupGFNI(tab, o, in, p, q)
+				} else {
+					mulGroupAVX2(tab, o, in, p, q)
+				}
+			}
+			p = q
+		}
 	}
 }
 
-// mulGroup is MulRows for one group of ≤ 8 rows with column tables tabs.
+// mulGroup is MulRows for one group of ≤ 8 rows with column tables
+// tabs: the portable body, and the reference the assembly bodies
+// (mulGroupAVX2, mulGroupGFNI) are tested against.
 func mulGroup(tabs [][256]uint64, out, in [][]byte, lo, hi int) {
 	var acc [fusedBlock]uint64
 	for ; lo < hi; lo += fusedBlock {

@@ -3,8 +3,58 @@ package gf256
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
+
+// eachTier calls run once per mulGroup body this host can run, portable
+// first, with Set packing that tier's tables and name as Kernel names it.
+func eachTier(run func(name string)) {
+	best := active
+	defer func() { active = best }()
+	for active = portable; active <= best; active++ {
+		run(Kernel())
+	}
+}
+
+// forEachTier runs fn as one subtest per tier.
+func forEachTier(t *testing.T, fn func(t *testing.T)) {
+	eachTier(func(name string) { t.Run(name, fn) })
+}
+
+// TestKernelDetection compares the tier CPUID chose with the flags the
+// OS reports. A detection bug that leaves the host on the portable body
+// passes every correctness test and loses the whole speed-up.
+func TestKernelDetection(t *testing.T) {
+	t.Logf("gf256 kernel: %s", Kernel())
+	if detect() != active {
+		t.Fatalf("detect() = %d now, %d at init", detect(), active)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip("no /proc/cpuinfo to compare with")
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(list) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	want := "portable"
+	switch {
+	case flags["avx2"] && flags["gfni"]:
+		want = "gfni"
+	case flags["avx2"]:
+		want = "avx2"
+	}
+	if Kernel() != want {
+		t.Fatalf("CPUID chose %q, /proc/cpuinfo flags say %q", Kernel(), want)
+	}
+}
 
 // mulRowsScalar is the Mul-by-Mul reference for RowTables.MulRows.
 func mulRowsScalar(coef, out, in [][]byte, lo, hi int) {
@@ -17,6 +67,14 @@ func mulRowsScalar(coef, out, in [][]byte, lo, hi int) {
 			out[i][p] = s
 		}
 	}
+}
+
+func cloneRows(rows [][]byte) [][]byte {
+	out := make([][]byte, len(rows))
+	for i, r := range rows {
+		out[i] = append([]byte(nil), r...)
+	}
+	return out
 }
 
 func randRows(rng *rand.Rand, rows, n int) [][]byte {
@@ -41,24 +99,24 @@ func TestMulRowsMatchesScalar(t *testing.T) {
 			coef := randRows(rng, rows, cols)
 			coef[0][0], coef[rows-1][cols-1] = 0, 1
 			in := randRows(rng, cols, n)
-			got := randRows(rng, rows, n)
-			want := make([][]byte, rows)
-			for i := range want {
-				want[i] = append([]byte(nil), got[i]...)
-			}
+			orig := randRows(rng, rows, n)
 			lo, hi := 0, n
 			if n > 16 {
 				lo, hi = 3, n-5
 			}
-			var tabs RowTables
-			tabs.Set(coef)
-			tabs.MulRows(got, in, lo, hi)
+			want := cloneRows(orig)
 			mulRowsScalar(coef, want, in, lo, hi)
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("rows=%d n=%d: output row %d diverges from scalar reference", rows, n, i)
+			eachTier(func(tier string) {
+				got := cloneRows(orig)
+				var tabs RowTables
+				tabs.Set(coef)
+				tabs.MulRows(got, in, lo, hi)
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("%s rows=%d n=%d: output row %d diverges from scalar reference", tier, rows, n, i)
+					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -67,76 +125,169 @@ func TestMulRowsMatchesScalar(t *testing.T) {
 // offset 0..15 of larger backing arrays, as callers do with shards of a
 // chunk, and checks nothing outside the views is written.
 func TestMulRowsUnalignedViews(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const rows, cols, n = 3, 4, 700
-	coef := randRows(rng, rows, cols)
-	var tabs RowTables
-	tabs.Set(coef)
-	for off := 0; off < 16; off++ {
-		inBack := randRows(rng, cols, n+32)
-		outBack := randRows(rng, rows, n+32)
-		in, got, want, orig := make([][]byte, cols), make([][]byte, rows), make([][]byte, rows), make([][]byte, rows)
-		for j := range in {
-			in[j] = inBack[j][off : off+n]
-		}
-		for i := range got {
-			orig[i] = append([]byte(nil), outBack[i]...)
-			got[i] = outBack[i][off : off+n]
-			want[i] = make([]byte, n)
-		}
-		tabs.MulRows(got, in, 0, n)
-		mulRowsScalar(coef, want, in, 0, n)
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("offset %d: row %d diverges", off, i)
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(6))
+		const rows, cols, n = 3, 4, 700
+		coef := randRows(rng, rows, cols)
+		var tabs RowTables
+		tabs.Set(coef)
+		for off := 0; off < 16; off++ {
+			inBack := randRows(rng, cols, n+32)
+			outBack := randRows(rng, rows, n+32)
+			in, got, want, orig := make([][]byte, cols), make([][]byte, rows), make([][]byte, rows), make([][]byte, rows)
+			for j := range in {
+				in[j] = inBack[j][off : off+n]
 			}
-			if !bytes.Equal(outBack[i][:off], orig[i][:off]) || !bytes.Equal(outBack[i][off+n:], orig[i][off+n:]) {
-				t.Fatalf("offset %d: row %d wrote outside its view", off, i)
+			for i := range got {
+				orig[i] = append([]byte(nil), outBack[i]...)
+				got[i] = outBack[i][off : off+n]
+				want[i] = make([]byte, n)
+			}
+			tabs.MulRows(got, in, 0, n)
+			mulRowsScalar(coef, want, in, 0, n)
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("offset %d: row %d diverges", off, i)
+				}
+				if !bytes.Equal(outBack[i][:off], orig[i][:off]) || !bytes.Equal(outBack[i][off+n:], orig[i][off+n:]) {
+					t.Fatalf("offset %d: row %d wrote outside its view", off, i)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestRowTablesReuse re-packs one RowTables with a different shape, the
 // per-Reconstruct pattern, and checks no stale entries leak through.
 func TestRowTablesReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var tabs RowTables
-	for _, shape := range [][2]int{{8, 12}, {2, 5}, {11, 3}, {5, 12}} {
-		rows, cols := shape[0], shape[1]
-		coef, in := randRows(rng, rows, cols), randRows(rng, cols, 100)
-		got, want := randRows(rng, rows, 100), randRows(rng, rows, 100)
-		tabs.Set(coef)
-		tabs.MulRows(got, in, 0, 100)
-		mulRowsScalar(coef, want, in, 0, 100)
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("shape %v: row %d diverges after reuse", shape, i)
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		var tabs RowTables
+		for _, shape := range [][2]int{{8, 12}, {2, 5}, {11, 3}, {5, 12}} {
+			rows, cols := shape[0], shape[1]
+			coef, in := randRows(rng, rows, cols), randRows(rng, cols, 100)
+			got, want := randRows(rng, rows, 100), randRows(rng, rows, 100)
+			tabs.Set(coef)
+			tabs.MulRows(got, in, 0, 100)
+			mulRowsScalar(coef, want, in, 0, 100)
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("shape %v: row %d diverges after reuse", shape, i)
+				}
 			}
 		}
-	}
+	})
 }
 
+// TestMulRowsShapePanics pins the only guard in front of the assembly:
+// a wrong shard count, a shard shorter than hi or an inverted range
+// panics with the package's message on every tier, before a byte is
+// written.
 func TestMulRowsShapePanics(t *testing.T) {
-	var tabs RowTables
-	tabs.Set([][]byte{{1, 2}, {3, 4}})
-	for _, fn := range []func(){
-		func() { tabs.MulRows(make([][]byte, 1), make([][]byte, 2), 0, 0) },
-		func() { tabs.MulRows(make([][]byte, 2), make([][]byte, 3), 0, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic on shape mismatch")
-				}
+	forEachTier(t, func(t *testing.T) {
+		var tabs RowTables
+		tabs.Set([][]byte{{1, 2}, {3, 4}})
+		const n = 100
+		shards := func(rows int, short int) [][]byte {
+			s := randRows(rand.New(rand.NewSource(8)), rows, n)
+			if short >= 0 {
+				s[short] = s[short][:n-1]
+			}
+			return s
+		}
+		for name, tc := range map[string]struct {
+			out, in [][]byte
+			lo, hi  int
+		}{
+			"one output short of the rows": {make([][]byte, 1), make([][]byte, 2), 0, 0},
+			"one input beyond the columns": {make([][]byte, 2), make([][]byte, 3), 0, 0},
+			"short input":                  {shards(2, -1), shards(2, 1), 0, n},
+			"short output":                 {shards(2, 1), shards(2, -1), 0, n},
+			"short output, last block":     {shards(2, 0), shards(2, -1), n - 40, n},
+			"inverted range":               {shards(2, -1), shards(2, -1), 40, 39},
+			"negative lo":                  {shards(2, -1), shards(2, -1), -1, n},
+		} {
+			before := cloneRows(tc.out)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "gf256: ") {
+						t.Fatalf("%s: recovered %q, want a gf256: panic", name, msg)
+					}
+				}()
+				tabs.MulRows(tc.out, tc.in, tc.lo, tc.hi)
 			}()
-			fn()
-		}()
+			for i, o := range tc.out {
+				if !bytes.Equal(o, before[i]) {
+					t.Fatalf("%s: output row %d written before the panic", name, i)
+				}
+			}
+		}
+	})
+}
+
+// FuzzMulRows compares every tier with the scalar reference on shard
+// views at arbitrary offsets of larger arrays, over arbitrary
+// sub-ranges, with 64 guard bytes either side of every output; no byte
+// outside [lo,hi) of an output and no byte of an input may change. The
+// seed corpus, which plain `go test` runs, covers 1–19 rows, 1–40
+// columns, view offsets 0–63 and the lengths around the assembly's
+// block, the per-call sub-range and a 64 KiB chunk.
+func FuzzMulRows(f *testing.F) {
+	lengths := []int{0, 1, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097, 64<<10 + 3}
+	for i := 0; i < 64; i++ {
+		n := lengths[i%len(lengths)]
+		lo, hi := 0, n
+		if (i+i/len(lengths))%3 != 0 && n > 0 { // two in three over a strict sub-range
+			lo = i % n
+			hi = lo + (n-lo)*(i%7+1)/8
+		}
+		f.Add(uint8(1+i%19), uint8(1+i%40), uint8(i%64), n, lo, hi, int64(i))
 	}
+	f.Fuzz(func(t *testing.T, rows, cols, off uint8, n, lo, hi int, seed int64) {
+		if rows == 0 || cols == 0 || n < 0 || n > 1<<17 || lo < 0 || lo > hi || hi > n {
+			t.Skip()
+		}
+		const guard = 64
+		rng := rand.New(rand.NewSource(seed))
+		coef := randRows(rng, int(rows), int(cols))
+		// Shard j is a view at offset off+j of its backing array, so the
+		// shards of one call are not mutually aligned either.
+		view := func(back []byte, j int) []byte { return back[guard+int(off)+j:][:n:n] }
+		inBack := randRows(rng, int(cols), 2*guard+int(off)+int(cols)+n)
+		outBack := randRows(rng, int(rows), 2*guard+int(off)+int(rows)+n)
+		views := func(backs [][]byte) [][]byte {
+			v := make([][]byte, len(backs))
+			for j, back := range backs {
+				v[j] = view(back, j)
+			}
+			return v
+		}
+		in, inOrig := views(inBack), cloneRows(inBack)
+		want := cloneRows(outBack)
+		mulRowsScalar(coef, views(want), in, lo, hi)
+		eachTier(func(tier string) {
+			got := cloneRows(outBack)
+			var tabs RowTables
+			tabs.Set(coef)
+			tabs.MulRows(views(got), in, lo, hi)
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%s: output row %d (array of %d B, view at %d) differs from the scalar reference inside or outside [%d,%d)",
+						tier, i, len(got[i]), guard+int(off)+i, lo, hi)
+				}
+			}
+			for j := range in {
+				if !bytes.Equal(inBack[j], inOrig[j]) {
+					t.Fatalf("%s: input column %d was written", tier, j)
+				}
+			}
+		})
+	})
 }
 
 // BenchmarkMulRows32x8 is the RS(32,8) encode shape: 32 input columns
-// of 64 KiB into 8 fused output rows; bytes/s counts input bytes.
+// of 64 KiB into 8 fused output rows, once per tier; bytes/s counts
+// input bytes.
 func BenchmarkMulRows32x8(b *testing.B) {
 	benchMulRows(b, 8)
 }
@@ -150,21 +301,31 @@ func benchMulRows(b *testing.B, rows int) {
 	rng := rand.New(rand.NewSource(1))
 	const cols, n = 32, 64 << 10
 	coef, in, out := randRows(rng, rows, cols), randRows(rng, cols, n), randRows(rng, rows, n)
-	var tabs RowTables
-	tabs.Set(coef)
-	b.SetBytes(cols * n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tabs.MulRows(out, in, 0, n)
-	}
+	eachTier(func(name string) {
+		b.Run(name, func(b *testing.B) {
+			var tabs RowTables
+			tabs.Set(coef)
+			b.SetBytes(cols * n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tabs.MulRows(out, in, 0, n)
+			}
+		})
+	})
 }
 
+// BenchmarkRowTablesSet32x8 is what ec.NewRS and every Reconstruct pay
+// to pack a matrix, in each tier's form.
 func BenchmarkRowTablesSet32x8(b *testing.B) {
 	coef := randRows(rand.New(rand.NewSource(1)), 8, 32)
-	var tabs RowTables
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tabs.Set(coef)
-	}
+	eachTier(func(name string) {
+		b.Run(name, func(b *testing.B) {
+			var tabs RowTables
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tabs.Set(coef)
+			}
+		})
+	})
 }

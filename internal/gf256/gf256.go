@@ -5,9 +5,19 @@
 // operations, the matrix routines needed by a systematic MDS code, and
 // the fused multi-row kernel (RowTables) that applies such a matrix to
 // shard data.
+//
+// That kernel has three bodies behind one seam, chosen once at package
+// init from CPUID and reported by Kernel: GFNI (one VGF2P8AFFINEQB per
+// 32 input bytes and output row — ISA-L's kernel shape), AVX2 (two
+// VPSHUFB nibble lookups), both amd64 assembly, and the portable Go
+// body every other build runs and the other two are tested against.
+// All three produce the same bytes. There is nothing to configure.
 package gf256
 
-import "encoding/binary"
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
 
 // Polynomial is the primitive reduction polynomial of the field.
 const Polynomial = 0x11D
@@ -119,48 +129,15 @@ func MulAddSlice(c byte, dst, src []byte) {
 	}
 }
 
-// mulAddSliceTable is the byte-at-a-time table kernel, kept as the
-// reference implementation for equivalence tests and benchmarks.
-func mulAddSliceTable(c byte, dst, src []byte) {
-	mt := mulTableRow(c)
-	for i, s := range src {
-		dst[i] ^= mt[s]
-	}
-}
-
-// XORSlice sets dst[i] ^= src[i] using word-wide operations — the
-// paper's "≈100 lines of C++ with AVX-512" XOR kernel equivalent.
-// It XORs four uint64 words (32 bytes) per iteration via
-// encoding/binary views instead of byte-at-a-time.
+// XORSlice sets dst[i] ^= src[i] — the paper's "≈100 lines of C++ with
+// AVX-512" XOR kernel. The body is the standard library's, which is
+// SIMD assembly on amd64, arm64, ppc64 and loong64 and a word loop
+// elsewhere; dst overlapping itself exactly is within its contract.
 func XORSlice(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: XORSlice length mismatch")
 	}
-	n := len(dst)
-	i := 0
-	for ; i+32 <= n; i += 32 {
-		w0 := binary.NativeEndian.Uint64(dst[i:]) ^ binary.NativeEndian.Uint64(src[i:])
-		w1 := binary.NativeEndian.Uint64(dst[i+8:]) ^ binary.NativeEndian.Uint64(src[i+8:])
-		w2 := binary.NativeEndian.Uint64(dst[i+16:]) ^ binary.NativeEndian.Uint64(src[i+16:])
-		w3 := binary.NativeEndian.Uint64(dst[i+24:]) ^ binary.NativeEndian.Uint64(src[i+24:])
-		binary.NativeEndian.PutUint64(dst[i:], w0)
-		binary.NativeEndian.PutUint64(dst[i+8:], w1)
-		binary.NativeEndian.PutUint64(dst[i+16:], w2)
-		binary.NativeEndian.PutUint64(dst[i+24:], w3)
-	}
-	for ; i+8 <= n; i += 8 {
-		binary.NativeEndian.PutUint64(dst[i:],
-			binary.NativeEndian.Uint64(dst[i:])^binary.NativeEndian.Uint64(src[i:]))
-	}
-	xorSliceScalar(dst[i:], src[i:])
-}
-
-// xorSliceScalar is the byte-at-a-time XOR, kept as the reference
-// implementation and the sub-word tail.
-func xorSliceScalar(dst, src []byte) {
-	for i := range src {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }
 
 // mulTables caches the 256-entry product row for each constant c, so
@@ -175,6 +152,7 @@ func init() {
 		}
 		mulTables[c] = &row
 	}
+	initSIMDTables()
 }
 
 func mulTableRow(c byte) *[256]byte { return mulTables[c] }

@@ -213,6 +213,21 @@ func TestVandermondeSubmatricesInvertible(t *testing.T) {
 	}
 }
 
+// mulAddSliceTable and xorSliceScalar are the byte-at-a-time references
+// the word and SIMD kernels are compared with.
+func mulAddSliceTable(c byte, dst, src []byte) {
+	mt := mulTableRow(c)
+	for i, s := range src {
+		dst[i] ^= mt[s]
+	}
+}
+
+func xorSliceScalar(dst, src []byte) {
+	for i := range src {
+		dst[i] ^= src[i]
+	}
+}
+
 func TestMatrixShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
