@@ -14,9 +14,9 @@ RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/clock/ ./internal/fabric/ ./internal/core/ ./internal/reliability/ \
 	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/
 
-.PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc api identity smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden
+.PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc api api-unused identity smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden smoke-examples
 
-ci: vet build race test smoke-golden smoke-perftest smoke-trace smoke-chaos smoke-bench
+ci: vet build race test smoke-golden smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-examples
 
 # The second line compiles the non-amd64 side of internal/gf256's file
 # split (the stubs behind the assembly kernels) and its only importer.
@@ -66,7 +66,7 @@ bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkWANFunctionalSweep|BenchmarkMultiDCSweep|BenchmarkAdaptiveSweep' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkNetemQueue|BenchmarkNetemCrossTraffic|BenchmarkNetemFlowChurn' -benchmem ./internal/netem/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkFunctionalAllreduceVirtual' -benchtime 5x -benchmem ./internal/collective/ >> bench-json.tmp
-	$(GO) test -run xxx -bench 'BenchmarkMultiDCVirtual|BenchmarkMultiDCReal' -benchtime 2x -benchmem ./internal/experiments/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkMultiDCVirtual' -benchtime 2x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkPerftestSR|BenchmarkPerftestEC|BenchmarkPerftestAdaptive' -benchtime 5x -benchmem ./cmd/sdr-perftest/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkTelemetryProbe|BenchmarkTelemetryDepthFold' -benchmem ./internal/telemetry/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkChaosScenario' -benchtime 3x -benchmem ./internal/chaos/ >> bench-json.tmp
@@ -98,12 +98,20 @@ loc:
 	done | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
 
 # Exported surface per package: exported funcs, methods on exported
-# types and exported types as `go doc -all` lists them — the yardstick
-# for surface-collapse issues, beside `make loc`.
+# types and exported types as `go doc -all` lists them, and their
+# total — the yardstick for surface-collapse issues, beside `make loc`.
 api:
 	@for d in internal/*/; do \
 		printf "%6d %s\n" $$($(GO) doc -all ./$$d | grep -cE '^func [A-Z]|^func \([a-z]+ \*?[A-Z][A-Za-z]*(\[[^]]*\])?\) [A-Z]|^type [A-Z]') $$d; \
-	done
+	done | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
+
+# Who calls what: the exported-surface census (surface_test.go) with its
+# per-class listing — identifiers whose only outside caller is
+# benchmark/, types exported through a signature, struct fields and
+# interface methods (listed, not gated), the allow-listed ones. The
+# gate itself runs with `go test ./...`.
+api-unused:
+	$(GO) test -count=1 -run TestExportedSurface -v .
 
 # Behaviour-preservation check against a parent revision: build
 # sdr-experiments and sdr-perftest from `git archive $(PARENT)` and from
@@ -186,3 +194,16 @@ smoke-golden:
 smoke-bench:
 	bash benchmark/run.sh --workload wan_ec --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload flow_churn --seed 1 --seconds 2 --trace 0
+
+# Examples smoke: the four shipped examples build, run and exit 0, and
+# the two that run the lossy functional stack — on a virtual clock, so
+# they byte-verify what they receive — print the same bytes twice.
+smoke-examples:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for e in quickstart tuner allreduce wanreliability; do \
+		$(GO) build -o $$tmp/$$e ./examples/$$e; \
+		$$tmp/$$e > $$tmp/$$e.out; echo "ok: examples/$$e"; \
+	done; \
+	for e in allreduce wanreliability; do \
+		$$tmp/$$e | cmp - $$tmp/$$e.out; echo "identical across runs: examples/$$e"; \
+	done

@@ -45,5 +45,9 @@
 // "Line-rate perftest" README section).
 //
 // See README.md for a tour and the paper-vs-measured tables.
-// Benchmarks in bench_test.go regenerate each figure.
+// Benchmarks in bench_test.go regenerate each figure, and
+// surface_test.go holds the exported surface to the used one: an
+// exported identifier under internal/ needs a product caller in another
+// directory (cmd/, examples/ and benchmark/ count) or a reasoned entry
+// in that file's allow-list.
 package sdrrdma

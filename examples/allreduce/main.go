@@ -3,6 +3,12 @@
 // layer (§4) → SDR bitmap middleware (§3) → simulated UC NICs over
 // lossy long-haul links. Every point-to-point stage is a reliable
 // Write; the example compares SR and EC end to end.
+//
+// Each ring runs on its own virtual clock: the times printed are
+// simulated completion times, identical on every run, and a
+// retransmission can never land in a staging buffer the next stage is
+// already reading (on the wall clock it can — the hazard ROADMAP item 3
+// closes).
 package main
 
 import (
@@ -11,6 +17,7 @@ import (
 	"math/rand"
 	"time"
 
+	"sdrrdma/internal/clock"
 	"sdrrdma/internal/collective"
 	"sdrrdma/internal/core"
 	"sdrrdma/internal/fabric"
@@ -22,10 +29,6 @@ func main() {
 		nDCs = 4
 		vlen = 8192 // float64 gradient elements (divisible by nDCs)
 	)
-	coreCfg := core.Config{
-		MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20,
-		Generations: 4, Channels: 2,
-	}
 	relCfg := reliability.Config{
 		RTT:          2 * time.Millisecond,
 		PollInterval: 300 * time.Microsecond,
@@ -45,16 +48,18 @@ func main() {
 	}
 
 	for _, proto := range []string{"sr", "ec"} {
+		vc := clock.NewVirtual()
+		coreCfg := core.Config{
+			MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20,
+			Generations: 4, Channels: 2, Clock: vc,
+		}
 		ring, err := collective.BuildFunctionalRing(nDCs, coreCfg, relCfg,
-			fabric.Config{Latency: time.Millisecond, DropProb: 0.02, Seed: 99},
+			fabric.Config{Latency: time.Millisecond, DropProb: 0.02, Seed: 99, Clock: vc},
 			time.Millisecond, vlen*8)
 		if err != nil {
 			log.Fatal(err)
 		}
-		start := time.Now()
 		got, err := ring.Allreduce(inputs, proto)
-		elapsed := time.Since(start)
-		ring.Close()
 		if err != nil {
 			log.Fatalf("%s allreduce: %v", proto, err)
 		}
@@ -64,6 +69,7 @@ func main() {
 			}
 		}
 		fmt.Printf("%-3s ring allreduce over %d DCs (2%% loss, %d stages): %7.2f ms — result verified\n",
-			proto, nDCs, 2*nDCs-2, elapsed.Seconds()*1e3)
+			proto, nDCs, 2*nDCs-2, vc.Elapsed().Seconds()*1e3)
+		ring.Close()
 	}
 }

@@ -1,14 +1,14 @@
 // wanreliability races the reliability layers of §4 — Selective Repeat
 // (RTO- and NACK-driven) and Erasure Coding — over the same simulated
-// lossy WAN and reports wall-clock completion times plus packets sent.
+// lossy WAN and reports simulated completion times plus packets sent.
 //
 // The link models a 4 ms-RTT inter-site channel with 3% packet loss in
 // both directions; ACKs/NACKs ride a UD control path over the same
-// lossy fabric. On the wall clock a retransmitted chunk's DMA can still
-// be in flight when both sides return, so the example does not read the
-// receive buffer; the same three schemes are byte-verified under loss
-// on the virtual clock (internal/reliability's TestTransferSchemes and
-// golden tuples, `sdr-experiments -fig wan-functional`).
+// lossy fabric. Each scheme runs on its own virtual clock, so the
+// output is identical on every run and Outcome.Err compares the
+// received bytes with the sent ones (on the wall clock a retransmitted
+// chunk's DMA can still be in flight when both sides return, and the
+// check has to stand down).
 package main
 
 import (
@@ -16,13 +16,13 @@ import (
 	"log"
 	"time"
 
+	"sdrrdma/internal/clock"
 	"sdrrdma/internal/core"
 	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/reliability"
 )
 
 func main() {
-	coreCfg := core.Config{MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20}
 	const size = 256 << 10
 	for _, scheme := range []string{"sr", "sr-nack", "ec"} {
 		// Alpha defaults to 2: RTO = 3·RTT, the paper's SR RTO scenario.
@@ -35,14 +35,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		elapsed, sent := run(coreCfg, relCfg, scheme, size)
-		fmt.Printf("%-8s  completed %3d KiB in %8.2f ms  (packets sent: %d)\n",
+		elapsed, sent := run(relCfg, scheme, size)
+		fmt.Printf("%-8s  completed and verified %3d KiB in %8.2f ms  (packets sent: %d)\n",
 			scheme, size>>10, elapsed.Seconds()*1e3, sent)
 	}
 }
 
-func run(coreCfg core.Config, relCfg reliability.Config, scheme string, size int) (time.Duration, uint64) {
+func run(relCfg reliability.Config, scheme string, size int) (time.Duration, uint64) {
 	lat := 2 * time.Millisecond
+	coreCfg := core.Config{MTU: 1024, ChunkBytes: 4096, MaxMsgBytes: 1 << 20, Clock: clock.NewVirtual()}
 	sess, err := reliability.NewSession(coreCfg, relCfg,
 		fabric.Config{Latency: lat, DropProb: 0.03, Seed: 11},
 		fabric.Config{Latency: lat, DropProb: 0.03, Seed: 12},

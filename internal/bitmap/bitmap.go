@@ -21,11 +21,10 @@ import (
 //
 // Completion queries are taken off the per-poll critical path: Full
 // and Count are O(1) via an atomic remaining-bits counter, and
-// FirstZero/CumulativeCount carry a monotonic word hint so repeated
+// firstZero/CumulativeCount carry a monotonic word hint so repeated
 // polls resume where the previous scan stopped instead of rescanning
 // from word 0. The hint assumes the write side only *sets* bits while
-// scanners run (the SDR delivery pattern); Clear lowers it again, but
-// a Clear racing a FirstZero scan needs external synchronization.
+// scanners run (the SDR delivery pattern); Reset rewinds it.
 type Bitmap struct {
 	words []atomic.Uint64
 	nbits int
@@ -62,8 +61,7 @@ func (b *Bitmap) Set(i int) bool {
 	w := &b.words[i/64]
 	// CAS loop instead of Or(mask): go1.24.0 miscompiles the
 	// value-returning atomic Or on amd64 (golang/go#71600, fixed in
-	// 1.24.1 — same family as the And workaround in Clear), and we
-	// need the old value to keep `remaining` exact.
+	// 1.24.1), and we need the old value to keep `remaining` exact.
 	for {
 		old := w.Load()
 		if old&mask != 0 {
@@ -82,29 +80,6 @@ func (b *Bitmap) Test(i int) bool {
 		panic("bitmap: Test out of range")
 	}
 	return b.words[i/64].Load()&(uint64(1)<<(uint(i)%64)) != 0
-}
-
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) {
-	if i < 0 || i >= b.nbits {
-		panic("bitmap: Clear out of range")
-	}
-	mask := uint64(1) << (uint(i) % 64)
-	w := &b.words[i/64]
-	// CAS loop instead of And(^mask): go1.24.0 miscompiles the
-	// value-returning atomic And on amd64 (golang/go#71600, fixed in
-	// 1.24.1), and we need the old value to keep `remaining` exact.
-	for {
-		old := w.Load()
-		if old&mask == 0 {
-			break // already clear
-		}
-		if w.CompareAndSwap(old, old&^mask) {
-			b.remaining.Add(1)
-			break
-		}
-	}
-	b.lowerHint(i / 64)
 }
 
 // Reset clears every bit. Not atomic with respect to concurrent setters;
@@ -129,17 +104,6 @@ func (b *Bitmap) Count() int {
 // scan the words.
 func (b *Bitmap) Full() bool { return b.remaining.Load() == 0 }
 
-// lowerHint drops the scan hint to at most w after a bit in word w was
-// cleared.
-func (b *Bitmap) lowerHint(w int) {
-	for {
-		cur := b.scanHint.Load()
-		if cur <= uint64(w) || b.scanHint.CompareAndSwap(cur, uint64(w)) {
-			return
-		}
-	}
-}
-
 // raiseHint records that every word below w has been observed all-ones.
 func (b *Bitmap) raiseHint(w int) {
 	for {
@@ -150,13 +114,13 @@ func (b *Bitmap) raiseHint(w int) {
 	}
 }
 
-// FirstZero returns the index of the lowest clear bit, or -1 if the
+// firstZero returns the index of the lowest clear bit, or -1 if the
 // bitmap is full. Reliability layers use this to locate the first
 // missing chunk (the cumulative-ACK point). The scan starts at the
 // monotonic word hint and advances it past words it saw full, so a
 // poll loop over a message delivered mostly in order does O(1) work
 // per poll instead of rescanning the whole prefix.
-func (b *Bitmap) FirstZero() int {
+func (b *Bitmap) firstZero() int {
 	nw := len(b.words)
 	start := int(b.scanHint.Load())
 	if start > nw {
@@ -185,7 +149,7 @@ func (b *Bitmap) FirstZero() int {
 // n such that bits [0,n) are all set. This is the paper's cumulative-ACK
 // value (§4.1.1).
 func (b *Bitmap) CumulativeCount() int {
-	fz := b.FirstZero()
+	fz := b.firstZero()
 	if fz < 0 {
 		return b.nbits
 	}
@@ -250,37 +214,6 @@ func (b *Bitmap) Snapshot(dst []byte) []byte {
 	return dst
 }
 
-// LoadFrom overwrites the bitmap from a Snapshot byte-view. Extra bytes
-// are ignored; missing bytes leave high bits clear. Like Reset, it is
-// not atomic with respect to concurrent setters.
-func (b *Bitmap) LoadFrom(src []byte) {
-	set := 0
-	for w := range b.words {
-		var v uint64
-		if (w+1)*8 <= len(src) {
-			v = binary.LittleEndian.Uint64(src[w*8:])
-		} else {
-			for byteIdx := 0; byteIdx < 8; byteIdx++ {
-				off := w*8 + byteIdx
-				if off < len(src) {
-					v |= uint64(src[off]) << (8 * uint(byteIdx))
-				}
-			}
-		}
-		// mask padding bits beyond nbits
-		if (w+1)*64 > b.nbits {
-			valid := uint(b.nbits - w*64)
-			if valid < 64 {
-				v &= (uint64(1) << valid) - 1
-			}
-		}
-		set += bits.OnesCount64(v)
-		b.words[w].Store(v)
-	}
-	b.remaining.Store(int64(b.nbits - set))
-	b.scanHint.Store(0)
-}
-
 // Message is the two-level (packet, chunk) completion structure for one
 // in-flight SDR message. The packet level is the "backend" bitmap that
 // DPA workers update per CQE; the chunk level is the "frontend" bitmap
@@ -322,9 +255,6 @@ func NewMessage(totalPackets, packetsPerChunk int) *Message {
 
 // NumChunks returns the number of chunks in the message.
 func (m *Message) NumChunks() int { return m.Chunks.Len() }
-
-// PacketsPerChunk returns the chunk resolution in packets.
-func (m *Message) PacketsPerChunk() int { return m.packetsPerChunk }
 
 // MarkPacket records arrival of packet pkt and returns
 // (newlySet, chunkCompleted): newlySet is false for duplicate packets

@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -25,9 +26,11 @@ func TestSetTestClear(t *testing.T) {
 		if !b.Test(i) {
 			t.Fatalf("bit %d not set after Set", i)
 		}
-		b.Clear(i)
+	}
+	b.Reset()
+	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		if b.Test(i) {
-			t.Fatalf("bit %d still set after Clear", i)
+			t.Fatalf("bit %d still set after Reset", i)
 		}
 	}
 }
@@ -54,34 +57,39 @@ func TestFullEmptyBitmap(t *testing.T) {
 	if !b.Full() {
 		t.Fatal("zero-length bitmap should be trivially Full")
 	}
-	if b.FirstZero() != -1 {
+	if b.firstZero() != -1 {
 		t.Fatal("zero-length bitmap FirstZero should be -1")
 	}
 }
 
 func TestFirstZeroAndCumulative(t *testing.T) {
 	b := New(70)
-	if b.FirstZero() != 0 {
-		t.Fatalf("FirstZero of empty = %d", b.FirstZero())
+	if b.firstZero() != 0 {
+		t.Fatalf("FirstZero of empty = %d", b.firstZero())
 	}
 	for i := 0; i < 66; i++ {
 		b.Set(i)
 	}
-	if got := b.FirstZero(); got != 66 {
+	if got := b.firstZero(); got != 66 {
 		t.Fatalf("FirstZero = %d, want 66", got)
 	}
 	if got := b.CumulativeCount(); got != 66 {
 		t.Fatalf("CumulativeCount = %d, want 66", got)
 	}
 	// a hole before the frontier
-	b.Clear(3)
-	if got := b.CumulativeCount(); got != 3 {
+	holed := New(70)
+	for i := 0; i < 66; i++ {
+		if i != 3 {
+			holed.Set(i)
+		}
+	}
+	if got := holed.CumulativeCount(); got != 3 {
 		t.Fatalf("CumulativeCount with hole at 3 = %d", got)
 	}
 	for i := 0; i < 70; i++ {
 		b.Set(i)
 	}
-	if got := b.FirstZero(); got != -1 {
+	if got := b.firstZero(); got != -1 {
 		t.Fatalf("FirstZero of full = %d", got)
 	}
 	if got := b.CumulativeCount(); got != 70 {
@@ -89,13 +97,13 @@ func TestFirstZeroAndCumulative(t *testing.T) {
 	}
 }
 
-// FirstZero must ignore the padding bits of the last word.
+// firstZero must ignore the padding bits of the last word.
 func TestFirstZeroPadding(t *testing.T) {
 	b := New(65)
 	for i := 0; i < 65; i++ {
 		b.Set(i)
 	}
-	if got := b.FirstZero(); got != -1 {
+	if got := b.firstZero(); got != -1 {
 		t.Fatalf("FirstZero with only padding clear = %d, want -1", got)
 	}
 }
@@ -137,14 +145,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 		snap := b.Snapshot(nil)
-		b2 := New(nbits)
-		b2.LoadFrom(snap)
 		for i := 0; i < nbits; i++ {
-			if b.Test(i) != b2.Test(i) {
+			if b.Test(i) != (snap[i/8]>>(uint(i)%8)&1 == 1) {
 				return false
 			}
 		}
-		return true
+		return len(snap) == (nbits+7)/8
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -153,10 +159,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotMasksPadding(t *testing.T) {
 	b := New(10)
-	// Feed a snapshot with high garbage bits; LoadFrom must mask them.
-	b.LoadFrom([]byte{0xFF, 0xFF})
-	if got := b.Count(); got != 10 {
-		t.Fatalf("Count after LoadFrom(all ones) = %d, want 10", got)
+	for i := 0; i < 10; i++ {
+		b.Set(i)
+	}
+	// A recycled destination full of garbage must come back with the
+	// padding bits beyond nbits clear.
+	if got := b.Snapshot([]byte{0xFF, 0xFF, 0xFF}); !bytes.Equal(got, []byte{0xFF, 0x03}) {
+		t.Fatalf("Snapshot of full 10-bit bitmap = %x, want ff03", got)
 	}
 }
 
@@ -195,9 +204,6 @@ func TestMessageGeometry(t *testing.T) {
 	m := NewMessage(33, 16) // 3 chunks: 16, 16, 1
 	if m.NumChunks() != 3 {
 		t.Fatalf("NumChunks = %d, want 3", m.NumChunks())
-	}
-	if m.PacketsPerChunk() != 16 {
-		t.Fatalf("PacketsPerChunk = %d", m.PacketsPerChunk())
 	}
 	// filling the short tail chunk completes it alone
 	fresh, done := m.MarkPacket(32)
@@ -299,7 +305,6 @@ func TestPanics(t *testing.T) {
 		func() { b.Set(-1) },
 		func() { b.Set(8) },
 		func() { b.Test(9) },
-		func() { b.Clear(-2) },
 		func() { New(-1) },
 		func() { NewMessage(4, 0) },
 	} {
@@ -314,8 +319,8 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-// TestCounterConsistency drives random Set/Clear/duplicate traffic and
-// cross-checks the O(1) Full/Count and the hinted FirstZero against a
+// TestCounterConsistency drives random Set/Reset/duplicate traffic and
+// cross-checks the O(1) Full/Count and the hinted firstZero against a
 // brute-force reference after every operation.
 func TestCounterConsistency(t *testing.T) {
 	check := func(seed int64, nbitsRaw uint16) bool {
@@ -325,9 +330,9 @@ func TestCounterConsistency(t *testing.T) {
 		ref := make([]bool, nbits)
 		for op := 0; op < 300; op++ {
 			i := rng.Intn(nbits)
-			if rng.Intn(3) == 0 {
-				b.Clear(i)
-				ref[i] = false
+			if rng.Intn(40) == 0 {
+				b.Reset()
+				clear(ref)
 			} else {
 				if b.Set(i) == ref[i] {
 					return false // newly-set report disagrees with reference
@@ -345,7 +350,7 @@ func TestCounterConsistency(t *testing.T) {
 			if b.Count() != count || b.Full() != (count == nbits) {
 				return false
 			}
-			if b.FirstZero() != firstZero {
+			if b.firstZero() != firstZero {
 				return false
 			}
 			cum := firstZero
@@ -364,15 +369,15 @@ func TestCounterConsistency(t *testing.T) {
 }
 
 // TestFirstZeroHintAdvancesAndLowers exercises the monotonic word hint
-// directly: repeated polls of an in-order delivery, then a Clear below
-// the frontier, which must lower the hint so the new hole is found.
+// directly: repeated polls of an in-order delivery, then a Reset, which
+// must lower the hint so the reopened holes are found.
 func TestFirstZeroHintAdvancesAndLowers(t *testing.T) {
 	b := New(300)
 	for i := 0; i < 192; i++ {
 		b.Set(i)
 		want := i + 1
 		for poll := 0; poll < 3; poll++ { // repeated polls hit the hint path
-			if got := b.FirstZero(); got != want {
+			if got := b.firstZero(); got != want {
 				t.Fatalf("after Set(%d) poll %d: FirstZero = %d, want %d", i, poll, got, want)
 			}
 		}
@@ -380,18 +385,14 @@ func TestFirstZeroHintAdvancesAndLowers(t *testing.T) {
 	if got := b.scanHint.Load(); got == 0 {
 		t.Fatal("hint never advanced past word 0 during in-order delivery")
 	}
-	b.Clear(5) // hole far below the hinted frontier
-	if got := b.FirstZero(); got != 5 {
-		t.Fatalf("FirstZero after Clear(5) = %d, want 5", got)
+	b.Reset() // every bit far below the hinted frontier is a hole again
+	if got := b.firstZero(); got != 0 {
+		t.Fatalf("FirstZero after Reset = %d, want 0", got)
 	}
-	b.Set(5)
-	if got := b.FirstZero(); got != 192 {
-		t.Fatalf("FirstZero after re-Set(5) = %d, want 192", got)
-	}
-	for i := 192; i < 300; i++ {
+	for i := 0; i < 300; i++ {
 		b.Set(i)
 	}
-	if got := b.FirstZero(); got != -1 {
+	if got := b.firstZero(); got != -1 {
 		t.Fatalf("FirstZero on full bitmap = %d, want -1", got)
 	}
 	if !b.Full() {
@@ -422,40 +423,6 @@ func TestMissingWordSkipping(t *testing.T) {
 	// sub-word from/to clamping across the skip path
 	if got := b.Missing(nil, 1, 191); len(got) != 2 || got[0] != 63 || got[1] != 64 {
 		t.Fatalf("Missing[1,191) = %v, want [63 64]", got)
-	}
-}
-
-// TestSnapshotLoadFromRestoresCounters locks in that LoadFrom rebuilds
-// the O(1) counters at non-multiple-of-64 sizes — a Full()/FirstZero
-// after a round trip must agree with a brute-force scan.
-func TestSnapshotLoadFromRestoresCounters(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, nbits := range []int{1, 63, 64, 65, 127, 130, 300, 1000 + 17} {
-		b := New(nbits)
-		for i := 0; i < nbits; i++ {
-			if rng.Intn(4) != 0 {
-				b.Set(i)
-			}
-		}
-		// load into a previously-full bitmap to catch stale counters
-		b2 := New(nbits)
-		for i := 0; i < nbits; i++ {
-			b2.Set(i)
-		}
-		b2.LoadFrom(b.Snapshot(nil))
-		if b2.Count() != b.Count() || b2.Full() != b.Full() {
-			t.Fatalf("nbits=%d: counters diverge after round trip (count %d vs %d)",
-				nbits, b2.Count(), b.Count())
-		}
-		if b2.FirstZero() != b.FirstZero() {
-			t.Fatalf("nbits=%d: FirstZero %d vs %d after round trip",
-				nbits, b2.FirstZero(), b.FirstZero())
-		}
-		gotMissing := b2.Missing(nil, 0, nbits)
-		wantMissing := b.Missing(nil, 0, nbits)
-		if len(gotMissing) != len(wantMissing) {
-			t.Fatalf("nbits=%d: Missing lengths diverge after round trip", nbits)
-		}
 	}
 }
 
@@ -530,7 +497,7 @@ func TestMessageConcurrentMarkWithDuplicates(t *testing.T) {
 	if !m.Complete() || !m.Packets.Full() {
 		t.Fatal("message incomplete after concurrent duplicate-heavy delivery")
 	}
-	if got := m.Packets.FirstZero(); got != -1 {
+	if got := m.Packets.firstZero(); got != -1 {
 		t.Fatalf("FirstZero = %d on complete message", got)
 	}
 }
@@ -582,7 +549,7 @@ func BenchmarkFirstZeroHinted(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if bm.FirstZero() != nbits/2 {
+		if bm.firstZero() != nbits/2 {
 			b.Fatal("wrong frontier")
 		}
 	}

@@ -19,7 +19,7 @@
 //
 // Every scenario is a pure function of (seed, index): the report is
 // byte-identical across sweep-worker counts, so a violation elsewhere
-// is reproducible from the printed program alone (see Shrink).
+// is reproducible from the printed program alone (see shrink).
 package chaos
 
 import (
@@ -34,34 +34,34 @@ import (
 type FaultKind uint8
 
 const (
-	// FaultFlap takes one edge down for Dur, forcing a mid-transfer
+	// faultFlap takes one edge down for Dur, forcing a mid-transfer
 	// reroute (the diamond topology always has a backup arm).
-	FaultFlap FaultKind = iota
-	// FaultLinkDeath blackholes the source: both of its uplinks go
+	faultFlap FaultKind = iota
+	// faultLinkDeath blackholes the source: both of its uplinks go
 	// down at At and stay down past the end of every transfer window
 	// (they are only restored at the schedule horizon).
-	FaultLinkDeath
-	// FaultBurstLoss runs a Gilbert–Elliott loss episode on one edge
+	faultLinkDeath
+	// faultBurstLoss runs a Gilbert–Elliott loss episode on one edge
 	// for Dur: Pct percent stationary loss with a multi-packet mean
 	// burst length.
-	FaultBurstLoss
-	// FaultDrift recedes one edge at a constant rate for Dur — the
+	faultBurstLoss
+	// faultDrift recedes one edge at a constant rate for Dur — the
 	// LEO-style RTT drift ramp.
-	FaultDrift
-	// FaultCtrlDrop drops Pct percent of one side's control-plane
+	faultDrift
+	// faultCtrlDrop drops Pct percent of one side's control-plane
 	// packets (ACKs/NACKs) while active.
-	FaultCtrlDrop
-	// FaultCtrlDup duplicates Pct percent of one side's control-plane
+	faultCtrlDrop
+	// faultCtrlDup duplicates Pct percent of one side's control-plane
 	// packets while active.
-	FaultCtrlDup
-	// FaultCtrlCorrupt flips a byte in Pct percent of one side's
+	faultCtrlDup
+	// faultCtrlCorrupt flips a byte in Pct percent of one side's
 	// control-plane packets; the CRC32-C trailer must catch every one.
-	FaultCtrlCorrupt
-	// FaultCrashRecv aborts the receiver endpoint at At — a crashed
+	faultCtrlCorrupt
+	// faultCrashRecv aborts the receiver endpoint at At — a crashed
 	// peer from the sender's point of view.
-	FaultCrashRecv
-	// FaultKillSession aborts both endpoints at At — deployment kill.
-	FaultKillSession
+	faultCrashRecv
+	// faultKillSession aborts both endpoints at At — deployment kill.
+	faultKillSession
 
 	faultKindCount
 )
@@ -81,13 +81,13 @@ func (k FaultKind) String() string {
 
 // endpoint reports whether the fault acts on the flow endpoints
 // rather than compiling into the netem schedule.
-func (k FaultKind) endpoint() bool { return k >= FaultCtrlDrop }
+func (k FaultKind) endpoint() bool { return k >= faultCtrlDrop }
 
 // Fault is one injected failure. The fields are overloaded per kind:
 // Edge indexes the diamond's edges for link faults and selects the
 // side (0 = A/sender, 1 = B/receiver) for control-plane faults; Pct is
 // the loss/drop/dup/corrupt percentage for stochastic kinds and the
-// drift-rate scale for FaultDrift.
+// drift-rate scale for faultDrift.
 type Fault struct {
 	Kind FaultKind
 	Edge int
@@ -100,15 +100,15 @@ func (f Fault) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s(", f.Kind)
 	switch f.Kind {
-	case FaultCrashRecv, FaultKillSession:
+	case faultCrashRecv, faultKillSession:
 		fmt.Fprintf(&b, "@%v", f.At)
-	case FaultCtrlDrop, FaultCtrlDup, FaultCtrlCorrupt:
+	case faultCtrlDrop, faultCtrlDup, faultCtrlCorrupt:
 		side := "A"
 		if f.Edge != 0 {
 			side = "B"
 		}
 		fmt.Fprintf(&b, "cp%s,@%v,+%v,%d%%", side, f.At, f.Dur, f.Pct)
-	case FaultLinkDeath:
+	case faultLinkDeath:
 		fmt.Fprintf(&b, "@%v", f.At)
 	default:
 		fmt.Fprintf(&b, "e%d,@%v,+%v", f.Edge, f.At, f.Dur)
@@ -122,20 +122,20 @@ func (f Fault) String() string {
 
 // Scheme names match the sdr-experiments figure vocabulary.
 const (
-	SchemeSR       = "sr"
-	SchemeSRNACK   = "sr-nack"
-	SchemeEC       = "ec"
-	SchemeRCGBN    = "rc-gbn"
-	SchemeAdaptive = "adaptive"
+	schemeSR       = "sr"
+	schemeSRNACK   = "sr-nack"
+	schemeEC       = "ec"
+	schemeRCGBN    = "rc-gbn"
+	schemeAdaptive = "adaptive"
 )
 
 // Schemes lists every reliability scheme the harness drives, in the
-// order Generate cycles through them.
-var Schemes = []string{SchemeSR, SchemeSRNACK, SchemeEC, SchemeAdaptive, SchemeRCGBN}
+// order generate cycles through them.
+var Schemes = []string{schemeSR, schemeSRNACK, schemeEC, schemeAdaptive, schemeRCGBN}
 
 // Program is one complete fuzz scenario: a scheme, a transfer size,
 // and a composed fault list, all derived deterministically from
-// (seed, index) by Generate.
+// (seed, index) by generate.
 type Program struct {
 	Seed   uint64
 	Index  int
@@ -190,12 +190,12 @@ func splitAt(stream, n uint64) uint64 {
 // cheap; the horizon bounds every fault window with slack for
 // link-death restoration.
 const (
-	// GlobalTimeout is the per-operation abort deadline every chaos
+	// globalTimeout is the per-operation abort deadline every chaos
 	// flow runs with (reliability.Config.GlobalTimeout).
-	GlobalTimeout = 120 * time.Millisecond
-	// Horizon bounds every fault program; link-death edges are
+	globalTimeout = 120 * time.Millisecond
+	// horizon bounds every fault program; link-death edges are
 	// restored exactly here.
-	Horizon = 250 * time.Millisecond
+	horizon = 250 * time.Millisecond
 
 	// Transfers on the healthy diamond complete in 4–10 ms, so fault
 	// activations draw from [0, 6 ms] — inside the CTS exchange and
@@ -205,18 +205,18 @@ const (
 	maxFaultDur = 40 * time.Millisecond
 )
 
-// sizes are the transfer sizes Generate draws from (all within the
+// sizes are the transfer sizes generate draws from (all within the
 // 1 MiB message budget of the chaos core config).
 var sizes = [...]int{16 << 10, 64 << 10, 256 << 10}
 
-// Generate derives scenario i of a seed's fuzz corpus: scheme chosen
+// generate derives scenario i of a seed's fuzz corpus: scheme chosen
 // round-robin (so any contiguous run of len(Schemes) scenarios covers
 // every scheme), size and 1–3 composed faults drawn from the
 // scenario's own SplitMix64 stream. rc-gbn scenarios only receive
 // link-level faults — the baseline has no control plane or session to
 // fault. Pure: same (seed, i) → same Program, regardless of worker
 // count or call order.
-func Generate(seed uint64, i int) Program {
+func generate(seed uint64, i int) Program {
 	r := rng{s: seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15}
 	p := Program{
 		Seed:   seed,
@@ -224,40 +224,40 @@ func Generate(seed uint64, i int) Program {
 		Scheme: Schemes[i%len(Schemes)],
 		Size:   sizes[r.intn(len(sizes))],
 	}
-	linkOnly := p.Scheme == SchemeRCGBN
+	linkOnly := p.Scheme == schemeRCGBN
 	n := 1 + r.intn(3)
 	for len(p.Faults) < n {
 		var f Fault
 		if linkOnly {
-			f.Kind = FaultKind(r.intn(int(FaultDrift) + 1))
+			f.Kind = FaultKind(r.intn(int(faultDrift) + 1))
 		} else {
 			f.Kind = FaultKind(r.intn(int(faultKindCount)))
 		}
 		f.At = r.dur(0, maxFaultAt)
 		f.Dur = r.dur(minFaultDur, maxFaultDur)
 		switch f.Kind {
-		case FaultFlap:
+		case faultFlap:
 			f.Edge = r.intn(4)
-		case FaultLinkDeath:
+		case faultLinkDeath:
 			// At most one blackhole per program: a second adds nothing
 			// and would push the restore bookkeeping past the horizon.
-			if hasKind(p.Faults, FaultLinkDeath) {
+			if hasKind(p.Faults, faultLinkDeath) {
 				continue
 			}
-		case FaultBurstLoss:
+		case faultBurstLoss:
 			f.Edge = r.intn(4)
 			f.Pct = 5 + r.intn(25)
-		case FaultDrift:
+		case faultDrift:
 			f.Edge = r.intn(4)
 			f.Pct = 1 + r.intn(5) // ×1000 km/s rate scale
-		case FaultCtrlDrop, FaultCtrlDup, FaultCtrlCorrupt:
+		case faultCtrlDrop, faultCtrlDup, faultCtrlCorrupt:
 			f.Edge = r.intn(2) // side selector
 			f.Pct = 10 + r.intn(60)
-		case FaultCrashRecv, FaultKillSession:
+		case faultCrashRecv, faultKillSession:
 			f.Dur = 0
 			// One endpoint kill per program: aborts are first-wins, so
 			// stacking them only shadows the earlier cause.
-			if hasKind(p.Faults, FaultCrashRecv) || hasKind(p.Faults, FaultKillSession) {
+			if hasKind(p.Faults, faultCrashRecv) || hasKind(p.Faults, faultKillSession) {
 				continue
 			}
 		}

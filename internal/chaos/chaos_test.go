@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -16,12 +17,12 @@ const smokeSeed = 0xC0FFEE
 
 func TestGenerateIsPure(t *testing.T) {
 	for i := 0; i < 64; i++ {
-		a, b := Generate(smokeSeed, i), Generate(smokeSeed, i)
+		a, b := generate(smokeSeed, i), generate(smokeSeed, i)
 		if a.String() != b.String() {
 			t.Fatalf("scenario %d not reproducible:\n%s\n%s", i, a, b)
 		}
 	}
-	if Generate(smokeSeed, 0).String() == Generate(smokeSeed+1, 0).String() {
+	if generate(smokeSeed, 0).String() == generate(smokeSeed+1, 0).String() {
 		t.Fatal("different seeds produced identical scenario 0")
 	}
 }
@@ -29,7 +30,7 @@ func TestGenerateIsPure(t *testing.T) {
 func TestGenerateCoversSchemes(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < len(Schemes); i++ {
-		seen[Generate(smokeSeed, i).Scheme] = true
+		seen[generate(smokeSeed, i).Scheme] = true
 	}
 	for _, s := range Schemes {
 		if !seen[s] {
@@ -40,8 +41,8 @@ func TestGenerateCoversSchemes(t *testing.T) {
 
 func TestGenerateRCGBNLinkFaultsOnly(t *testing.T) {
 	for i := 0; i < 200; i++ {
-		p := Generate(smokeSeed, i)
-		if p.Scheme != SchemeRCGBN {
+		p := generate(smokeSeed, i)
+		if p.Scheme != schemeRCGBN {
 			continue
 		}
 		for _, f := range p.Faults {
@@ -86,9 +87,8 @@ func TestChaosSmoke(t *testing.T) {
 func TestChaosWorkerDeterminism(t *testing.T) {
 	serial := Run(smokeSeed, 15, 1)
 	parallel := Run(smokeSeed, 15, 4)
-	if serial.String() != parallel.String() {
-		t.Fatalf("report differs between 1 and 4 workers:\n--- serial ---\n%s--- parallel ---\n%s",
-			serial, parallel)
+	if s, p := fmt.Sprintf("%+v", serial), fmt.Sprintf("%+v", parallel); s != p {
+		t.Fatalf("report differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
 	}
 }
 
@@ -97,10 +97,10 @@ func TestChaosWorkerDeterminism(t *testing.T) {
 // (never re-leased), and the cold follow-up runs clean.
 func TestKillSessionTypedAbort(t *testing.T) {
 	p := Program{
-		Seed: 7, Index: 1, Scheme: SchemeSRNACK, Size: 256 << 10,
-		Faults: []Fault{{Kind: FaultKillSession, At: 2 * time.Millisecond}},
+		Seed: 7, Index: 1, Scheme: schemeSRNACK, Size: 256 << 10,
+		Faults: []Fault{{Kind: faultKillSession, At: 2 * time.Millisecond}},
 	}
-	o := RunProgram(p)
+	o := runProgram(p)
 	if len(o.Violations) != 0 {
 		t.Fatalf("violations: %v", o.Violations)
 	}
@@ -117,10 +117,10 @@ func TestKillSessionTypedAbort(t *testing.T) {
 // peer-dead, if the CTS never made it) instead of hanging.
 func TestLinkDeathTimesOut(t *testing.T) {
 	p := Program{
-		Seed: 7, Index: 0, Scheme: SchemeSR, Size: 256 << 10,
-		Faults: []Fault{{Kind: FaultLinkDeath, At: time.Millisecond}},
+		Seed: 7, Index: 0, Scheme: schemeSR, Size: 256 << 10,
+		Faults: []Fault{{Kind: faultLinkDeath, At: time.Millisecond}},
 	}
-	o := RunProgram(p)
+	o := runProgram(p)
 	if len(o.Violations) != 0 {
 		t.Fatalf("violations: %v", o.Violations)
 	}
@@ -140,10 +140,10 @@ func TestLinkDeathTimesOut(t *testing.T) {
 // serves a clean follow-up.
 func TestCrashRecvSenderSurvives(t *testing.T) {
 	p := Program{
-		Seed: 7, Index: 2, Scheme: SchemeEC, Size: 256 << 10,
-		Faults: []Fault{{Kind: FaultCrashRecv, At: 1 * time.Millisecond}},
+		Seed: 7, Index: 2, Scheme: schemeEC, Size: 256 << 10,
+		Faults: []Fault{{Kind: faultCrashRecv, At: 1 * time.Millisecond}},
 	}
-	o := RunProgram(p)
+	o := runProgram(p)
 	if len(o.Violations) != 0 {
 		t.Fatalf("violations: %v", o.Violations)
 	}
@@ -168,8 +168,8 @@ func TestPanickingSideIsUntypedViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Program{Seed: 7, Index: 4, Scheme: SchemeSRNACK, Size: 64 << 10}
-	relCfg, err := reliability.Config{K: 4, M: 2, GlobalTimeout: GlobalTimeout}.ForScheme(p.Scheme)
+	p := Program{Seed: 7, Index: 4, Scheme: schemeSRNACK, Size: 64 << 10}
+	relCfg, err := reliability.Config{K: 4, M: 2, GlobalTimeout: globalTimeout}.ForScheme(p.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,46 +210,46 @@ func TestPanickingSideIsUntypedViolation(t *testing.T) {
 func TestCleanProgramCompletes(t *testing.T) {
 	for _, scheme := range Schemes {
 		p := Program{Seed: 7, Index: 3, Scheme: scheme, Size: 64 << 10}
-		o := RunProgram(p)
+		o := runProgram(p)
 		if len(o.Violations) != 0 {
 			t.Fatalf("%s: violations: %v", scheme, o.Violations)
 		}
 		if o.Send != "ok" || o.Recv != "ok" {
 			t.Fatalf("%s: clean run classified send=%s recv=%s", scheme, o.Send, o.Recv)
 		}
-		if scheme != SchemeRCGBN && o.FollowUp != "ok-reused" {
+		if scheme != schemeRCGBN && o.FollowUp != "ok-reused" {
 			t.Fatalf("%s: follow-up %q, want ok-reused", scheme, o.FollowUp)
 		}
 	}
 }
 
 // TestShrinkMinimizes: from a program whose failure is caused by one
-// fault among several, Shrink must isolate exactly that fault.
+// fault among several, shrink must isolate exactly that fault.
 func TestShrinkMinimizes(t *testing.T) {
 	p := Program{
-		Seed: 7, Index: 4, Scheme: SchemeSR, Size: 16 << 10,
+		Seed: 7, Index: 4, Scheme: schemeSR, Size: 16 << 10,
 		Faults: []Fault{
-			{Kind: FaultFlap, Edge: 3, At: 10 * time.Millisecond, Dur: 20 * time.Millisecond},
-			{Kind: FaultKillSession, At: 2 * time.Millisecond},
-			{Kind: FaultBurstLoss, Edge: 1, At: 5 * time.Millisecond, Dur: 20 * time.Millisecond, Pct: 10},
-			{Kind: FaultDrift, Edge: 0, At: 20 * time.Millisecond, Dur: 20 * time.Millisecond, Pct: 1},
+			{Kind: faultFlap, Edge: 3, At: 10 * time.Millisecond, Dur: 20 * time.Millisecond},
+			{Kind: faultKillSession, At: 2 * time.Millisecond},
+			{Kind: faultBurstLoss, Edge: 1, At: 5 * time.Millisecond, Dur: 20 * time.Millisecond, Pct: 10},
+			{Kind: faultDrift, Edge: 0, At: 20 * time.Millisecond, Dur: 20 * time.Millisecond, Pct: 1},
 		},
 	}
 	// Synthetic predicate: "fails" iff a kill-session fault is present
 	// (a pure, cheap stand-in for a real invariant breach).
-	failing := func(q Program) bool { return hasKind(q.Faults, FaultKillSession) }
-	m := Shrink(p, failing)
-	if len(m.Faults) != 1 || m.Faults[0].Kind != FaultKillSession {
+	failing := func(q Program) bool { return hasKind(q.Faults, faultKillSession) }
+	m := shrink(p, failing)
+	if len(m.Faults) != 1 || m.Faults[0].Kind != faultKillSession {
 		t.Fatalf("shrink left %v, want exactly the kill-session fault", m.Faults)
 	}
 	// A passing program is returned untouched.
-	ok := Shrink(p, func(Program) bool { return false })
+	ok := shrink(p, func(Program) bool { return false })
 	if len(ok.Faults) != len(p.Faults) {
 		t.Fatalf("shrink mutated a passing program: %v", ok.Faults)
 	}
 }
 
-// TestShrinkOnRealInvariants runs Shrink with the real RunProgram
+// TestShrinkOnRealInvariants runs shrink with the real runProgram
 // predicate against a composed program whose only real failure cause
 // is the session kill — the end-to-end counterexample-minimization
 // path a deliberately-broken build would exercise.
@@ -258,21 +258,21 @@ func TestShrinkOnRealInvariants(t *testing.T) {
 		t.Skip("multi-run shrink in -short mode")
 	}
 	p := Program{
-		Seed: 7, Index: 5, Scheme: SchemeSRNACK, Size: 16 << 10,
+		Seed: 7, Index: 5, Scheme: schemeSRNACK, Size: 16 << 10,
 		Faults: []Fault{
-			{Kind: FaultFlap, Edge: 3, At: 10 * time.Millisecond, Dur: 20 * time.Millisecond},
-			{Kind: FaultKillSession, At: 2 * time.Millisecond},
+			{Kind: faultFlap, Edge: 3, At: 10 * time.Millisecond, Dur: 20 * time.Millisecond},
+			{Kind: faultKillSession, At: 2 * time.Millisecond},
 		},
 	}
 	// Predicate: the scenario does NOT end in ok/ok (stand-in for "the
 	// property my bisection chases"). The flap of the backup arm is
 	// irrelevant; shrink must drop it.
 	failing := func(q Program) bool {
-		o := RunProgram(q)
+		o := runProgram(q)
 		return o.Send != "ok" || o.Recv != "ok"
 	}
-	m := Shrink(p, failing)
-	if len(m.Faults) != 1 || m.Faults[0].Kind != FaultKillSession {
+	m := shrink(p, failing)
+	if len(m.Faults) != 1 || m.Faults[0].Kind != faultKillSession {
 		t.Fatalf("shrink left %v, want exactly the kill-session fault", m.Faults)
 	}
 }
@@ -280,7 +280,7 @@ func TestShrinkOnRealInvariants(t *testing.T) {
 func BenchmarkChaosScenario(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o := RunProgram(Generate(smokeSeed, i%50))
+		o := runProgram(generate(smokeSeed, i%50))
 		if len(o.Violations) != 0 {
 			b.Fatalf("scenario %d: %v", i%50, o.Violations)
 		}

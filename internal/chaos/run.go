@@ -69,23 +69,23 @@ func diamond(clk clock.Clock, seed int64) (t *netem.Topology, src, dst int, err 
 // returns the endpoint faults for separate wiring. Link death is two
 // flaps (both source uplinks) restored exactly at the horizon.
 func compile(p Program) (netem.Schedule, []Fault) {
-	sched := netem.Schedule{Horizon: Horizon}
+	sched := netem.Schedule{Horizon: horizon}
 	var eps []Fault
 	for _, f := range p.Faults {
 		switch f.Kind {
-		case FaultFlap:
+		case faultFlap:
 			sched.Flaps = append(sched.Flaps, netem.Flap{Edge: f.Edge, Down: f.At, Up: f.At + f.Dur})
-		case FaultLinkDeath:
+		case faultLinkDeath:
 			for _, e := range []int{0, 2} {
-				sched.Flaps = append(sched.Flaps, netem.Flap{Edge: e, Down: f.At, Up: Horizon})
+				sched.Flaps = append(sched.Flaps, netem.Flap{Edge: e, Down: f.At, Up: horizon})
 			}
-		case FaultBurstLoss:
+		case faultBurstLoss:
 			on := netem.LossSpec{P: float64(f.Pct) / 100, BurstLen: 4}
 			off := netem.LossSpec{}
 			sched.Events = append(sched.Events,
 				netem.Event{At: f.At, Edge: f.Edge, Loss: &on},
 				netem.Event{At: f.At + f.Dur, Edge: f.Edge, Loss: &off})
-		case FaultDrift:
+		case faultDrift:
 			sched.Drifts = append(sched.Drifts, netem.Drift{
 				Edge: f.Edge, Start: f.At, Duration: f.Dur,
 				RateKmPerSec: float64(f.Pct) * 1000, Step: f.Dur / 4,
@@ -106,11 +106,11 @@ func installEndpointFaults(clk *clock.Virtual, flow *reliability.Session, p Prog
 	var sides [2][]Fault
 	for _, f := range eps {
 		switch f.Kind {
-		case FaultCtrlDrop, FaultCtrlDup, FaultCtrlCorrupt:
+		case faultCtrlDrop, faultCtrlDup, faultCtrlCorrupt:
 			sides[f.Edge&1] = append(sides[f.Edge&1], f)
-		case FaultCrashRecv:
+		case faultCrashRecv:
 			clock.After(clk, f.At, func() { flow.B.Abort(errInjectedCrash) })
-		case FaultKillSession:
+		case faultKillSession:
 			clock.After(clk, f.At, func() { flow.Abort(errInjectedKill) })
 		}
 	}
@@ -136,9 +136,9 @@ func installEndpointFaults(clk *clock.Virtual, flow *reliability.Session, p Prog
 					continue
 				}
 				switch f.Kind {
-				case FaultCtrlDrop:
+				case faultCtrlDrop:
 					return reliability.CtrlDrop
-				case FaultCtrlDup:
+				case faultCtrlDup:
 					return reliability.CtrlDup
 				default: // corrupt: the CRC32-C trailer must catch it
 					if len(payload) > 0 {
@@ -238,11 +238,11 @@ func transfer(clk *clock.Virtual, flow *reliability.Session, scheme string, size
 	return out
 }
 
-// RunProgram executes one scenario on a fresh virtual clock and
+// runProgram executes one scenario on a fresh virtual clock and
 // checks every invariant. A virtual-clock deadlock (or any other
 // panic) is recovered into the outcome as a counterexample — the
 // poisoned engine is simply discarded, never reused.
-func RunProgram(p Program) (o Outcome) {
+func runProgram(p Program) (o Outcome) {
 	o = Outcome{Index: p.Index, Program: p, Send: "-", Recv: "-", FollowUp: "skipped"}
 	defer func() {
 		if r := recover(); r != nil {
@@ -251,7 +251,7 @@ func RunProgram(p Program) (o Outcome) {
 		}
 	}()
 	clk := clock.NewVirtual()
-	if p.Scheme == SchemeRCGBN {
+	if p.Scheme == schemeRCGBN {
 		runRC(clk, p, &o)
 	} else {
 		runSDR(clk, p, &o)
@@ -266,7 +266,7 @@ func runSDR(clk *clock.Virtual, p Program, o *Outcome) {
 		return
 	}
 	sched, eps := compile(p)
-	relCfg, err := reliability.Config{K: 4, M: 2, GlobalTimeout: GlobalTimeout}.ForScheme(p.Scheme)
+	relCfg, err := reliability.Config{K: 4, M: 2, GlobalTimeout: globalTimeout}.ForScheme(p.Scheme)
 	if err != nil {
 		o.viol("config: %v", err)
 		return
@@ -305,7 +305,7 @@ func judgeFlow(clk *clock.Virtual, topo *netem.Topology, dial func() (*reliabili
 	if strings.HasPrefix(o.Recv, "UNTYPED") {
 		o.viol("receiver error outside the typed taxonomy: %s", o.Recv)
 	}
-	if o.Elapsed > 2*GlobalTimeout+elapsedSlack {
+	if o.Elapsed > 2*globalTimeout+elapsedSlack {
 		o.viol("transfer overran: %v > 2×GlobalTimeout+%v", o.Elapsed, elapsedSlack)
 	}
 
@@ -313,7 +313,7 @@ func judgeFlow(clk *clock.Virtual, topo *netem.Topology, dial func() (*reliabili
 	// flaps restore and stray crash timers fire against the old lease,
 	// then force the fabric back to a clean room for the follow-up.
 	clock.Join(clk, func() {
-		if rem := Horizon + time.Millisecond - clk.Elapsed(); rem > 0 {
+		if rem := horizon + time.Millisecond - clk.Elapsed(); rem > 0 {
 			clk.Sleep(rem)
 		}
 	})
@@ -416,7 +416,7 @@ func runRC(clk *clock.Virtual, p Program, o *Outcome) {
 	clock.JoinNamed(clk, clock.NamedFunc{Name: "chaos-rc-send", Fn: func() {
 		xferErr = safeCall(func() error {
 			rc.A.WriteImm(mr.Key(), 0, data, 0, 1)
-			if !rc.Wait(1, rtt, start.Add(GlobalTimeout)) {
+			if !rc.Wait(1, rtt, start.Add(globalTimeout)) {
 				return fmt.Errorf("%w: rc-gbn transfer of %d B", reliability.ErrTimeout, p.Size)
 			}
 			return nil
@@ -432,14 +432,14 @@ func runRC(clk *clock.Virtual, p Program, o *Outcome) {
 	if strings.HasPrefix(o.Send, "UNTYPED") {
 		o.viol("rc-gbn error outside the typed taxonomy: %s", o.Send)
 	}
-	if elapsed > GlobalTimeout+rtt+elapsedSlack {
+	if elapsed > globalTimeout+rtt+elapsedSlack {
 		o.viol("rc-gbn overran: %v", elapsed)
 	}
 }
 
-// Report is one sweep's verdict: outcomes in scenario order. Its
-// String is byte-identical for any worker count — each scenario runs
-// on its own virtual clock and touches nothing shared.
+// Report is one sweep's verdict: outcomes in scenario order,
+// byte-identical for any worker count — each scenario runs on its own
+// virtual clock and touches nothing shared.
 type Report struct {
 	Seed     uint64
 	Outcomes []Outcome
@@ -455,7 +455,7 @@ func (r *Report) NumViolations() int {
 }
 
 // Counterexamples returns the violating outcomes: each carries the
-// full triggering fault program (see Shrink for minimization).
+// full triggering fault program (see shrink for minimization).
 func (r *Report) Counterexamples() []Outcome {
 	var bad []Outcome
 	for _, o := range r.Outcomes {
@@ -464,20 +464,6 @@ func (r *Report) Counterexamples() []Outcome {
 		}
 	}
 	return bad
-}
-
-func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos seed=%#x scenarios=%d violations=%d\n",
-		r.Seed, len(r.Outcomes), r.NumViolations())
-	for _, o := range r.Outcomes {
-		fmt.Fprintf(&b, "[%3d] %-64s send=%-9s recv=%-9s t=%-10v follow=%s\n",
-			o.Index, o.Program.String(), o.Send, o.Recv, o.Elapsed, o.FollowUp)
-		for _, v := range o.Violations {
-			fmt.Fprintf(&b, "      VIOLATION: %s\n", v)
-		}
-	}
-	return b.String()
 }
 
 // Run generates and executes n scenarios of seed's corpus across
@@ -500,7 +486,7 @@ func Run(seed uint64, n, workers int) *Report {
 				if i >= n {
 					return
 				}
-				outs[i] = RunProgram(Generate(seed, i))
+				outs[i] = runProgram(generate(seed, i))
 			}
 		}()
 	}

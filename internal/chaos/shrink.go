@@ -1,15 +1,15 @@
 package chaos
 
-// Shrink greedily minimizes a failing program: as long as `failing`
+// shrink greedily minimizes a failing program: as long as `failing`
 // still reproduces, it removes one fault at a time until no single
 // removal preserves the failure. The result is the minimal fault
 // program to print in a counterexample report — small enough to read,
-// deterministic enough to replay with RunProgram.
+// deterministic enough to replay with runProgram.
 //
 // failing must be a pure function of the program (run it through
-// RunProgram on a fresh clock and report whether invariants broke);
+// runProgram on a fresh clock and report whether invariants broke);
 // if p itself does not fail, it is returned unchanged.
-func Shrink(p Program, failing func(Program) bool) Program {
+func shrink(p Program, failing func(Program) bool) Program {
 	if !failing(p) {
 		return p
 	}
@@ -28,11 +28,4 @@ func Shrink(p Program, failing func(Program) bool) Program {
 		}
 	}
 	return p
-}
-
-// FailsInvariants is the canonical Shrink predicate: run the program
-// on a fresh virtual clock and report whether any invariant broke.
-func FailsInvariants(p Program) bool {
-	o := RunProgram(p)
-	return len(o.Violations) > 0
 }

@@ -22,28 +22,28 @@ func TestVirtualEventHandsBatonBeforeNextEvent(t *testing.T) {
 	// callback, the sleeper's wake-up, a Notify, a Go, a plain callback;
 	// then one later event.
 	v.AfterFunc(time.Millisecond, func() { log("e0") })
-	v.GoNamed("sleeper", func() {
+	v.spawnNamed("sleeper", func() {
 		v.Sleep(time.Millisecond)
 		log("sleeper-woke")
 		v.Sleep(time.Millisecond)
 		log("sleeper-done")
 	})
-	v.GoNamed("waiter", func() {
+	v.spawnNamed("waiter", func() {
 		v.WaitNotify(v.Epoch(), -1)
 		log("waiter-notified")
 	})
-	v.GoNamed("setup", func() {
+	v.spawnNamed("setup", func() {
 		// Runs after sleeper and waiter parked, so these three events
 		// are sequenced after the sleeper's wake-up.
 		v.AfterFunc(time.Millisecond, func() { log("e-notify"); v.Notify() })
 		v.AfterFunc(time.Millisecond, func() {
 			log("e-go")
-			v.GoNamed("spawned", func() { log("spawned-ran") })
+			v.spawnNamed("spawned", func() { log("spawned-ran") })
 		})
 		v.AfterFunc(time.Millisecond, func() { log("e-last") })
 		v.AfterFunc(1500*time.Microsecond, func() { log("e-later") })
 	})
-	v.Run()
+	v.run()
 
 	want := "e0@1ms sleeper-woke@1ms e-notify@1ms waiter-notified@1ms e-go@1ms spawned-ran@1ms " +
 		"e-last@1ms e-later@1.5ms sleeper-done@2ms"
@@ -76,7 +76,7 @@ func TestVirtualDeadlockAfterEventRunNamesActors(t *testing.T) {
 			tm.Reset(time.Microsecond)
 		}
 	})
-	v.GoNamed("stuck-a", func() { v.WaitNotify(v.Epoch(), -1) })
-	v.GoNamed("stuck-b", func() { v.WaitNotify(v.Epoch(), -1) })
-	v.Run()
+	v.spawnNamed("stuck-a", func() { v.WaitNotify(v.Epoch(), -1) })
+	v.spawnNamed("stuck-b", func() { v.WaitNotify(v.Epoch(), -1) })
+	v.run()
 }

@@ -15,7 +15,7 @@
 //     goroutine executes at a time, in an order fixed by the engine's
 //     (time, seq) event order, independent of GOMAXPROCS.
 //
-// Beyond Sleep/AfterFunc, the interface carries the one synchronization
+// Beyond AfterFunc, the interface carries the one synchronization
 // primitive the stack needs to block *on protocol progress* rather than
 // on time: an epoch-counted notification. A waiter snapshots Epoch,
 // re-checks its condition, then calls WaitNotify(epoch, d); any Notify
@@ -43,9 +43,9 @@ type Timer interface {
 // Clock is the time source and scheduler abstraction.
 //
 // Real clocks are safe for arbitrary goroutines. On a Virtual clock,
-// the blocking operations (Sleep, WaitNotify) must be called from an
-// actor goroutine started with Go; Now, Notify, AfterFunc and Epoch may
-// additionally be called from timer callbacks and, before Run, from the
+// the blocking operations (Virtual.Sleep, WaitNotify) must be called
+// from an actor goroutine (see Join); Now, Notify, AfterFunc and Epoch may
+// additionally be called from timer callbacks and, before Join, from the
 // goroutine constructing the simulation — and AfterFunc, like every
 // other scheduling call, from nowhere else (see Virtual, "The baton is
 // the lock").
@@ -55,16 +55,14 @@ type Clock interface {
 	Now() time.Time
 	// Since returns Now().Sub(t).
 	Since(t time.Time) time.Duration
-	// Sleep pauses the calling actor for d.
-	Sleep(d time.Duration)
 	// AfterFunc schedules fn to run after d. Under the virtual clock
 	// fn executes on the scheduler goroutine while all actors are
 	// blocked, so it is serialized with every other callback and actor.
 	AfterFunc(d time.Duration, fn func()) Timer
-	// Go starts fn on this clock: a plain goroutine under Real, a
-	// registered actor under Virtual (Virtual.Run returns once every
+	// spawn starts fn on this clock: a plain goroutine under Real, a
+	// registered actor under Virtual (Virtual.run returns once every
 	// actor has finished).
-	Go(fn func())
+	spawn(fn func())
 	// Epoch snapshots the notification counter. Take the snapshot
 	// BEFORE checking the condition you are about to wait on.
 	Epoch() uint64
@@ -118,7 +116,7 @@ func Or(c Clock) Clock {
 // (implemented by Virtual.RunAfter): schedule fn after d with no
 // cancellable handle and no Timer allocation.
 type oneShot interface {
-	RunAfter(d time.Duration, fn func())
+	runAfter(d time.Duration, fn func())
 }
 
 // After schedules fn to run once after d. Callers that never Stop or
@@ -128,7 +126,7 @@ type oneShot interface {
 // back to AfterFunc.
 func After(c Clock, d time.Duration, fn func()) {
 	if o, ok := c.(oneShot); ok {
-		o.RunAfter(d, fn)
+		o.runAfter(d, fn)
 		return
 	}
 	c.AfterFunc(d, fn)
@@ -175,13 +173,6 @@ func (r *Real) Now() time.Time { return time.Now() }
 // Since implements Clock.
 func (r *Real) Since(t time.Time) time.Duration { return time.Since(t) }
 
-// Sleep implements Clock.
-func (r *Real) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // realTimer adapts *time.Timer.
 type realTimer struct{ t *time.Timer }
 
@@ -193,8 +184,8 @@ func (r *Real) AfterFunc(d time.Duration, fn func()) Timer {
 	return realTimer{time.AfterFunc(d, fn)}
 }
 
-// Go implements Clock.
-func (r *Real) Go(fn func()) { go fn() }
+// spawn implements Clock.
+func (r *Real) spawn(fn func()) { go fn() }
 
 // Epoch implements Clock.
 func (r *Real) Epoch() uint64 {

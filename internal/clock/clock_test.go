@@ -45,12 +45,12 @@ func TestVirtualSleepAdvancesVirtualTimeOnly(t *testing.T) {
 	v := NewVirtual()
 	wallStart := time.Now()
 	var elapsed time.Duration
-	v.Go(func() {
+	v.spawn(func() {
 		start := v.Now()
 		v.Sleep(10 * time.Second)
 		elapsed = v.Since(start)
 	})
-	v.Run()
+	v.run()
 	if elapsed != 10*time.Second {
 		t.Fatalf("virtual elapsed = %v, want exactly 10s", elapsed)
 	}
@@ -65,14 +65,14 @@ func TestVirtualActorsInterleaveDeterministically(t *testing.T) {
 		var trace []string
 		for i := 0; i < 4; i++ {
 			i := i
-			v.Go(func() {
+			v.spawn(func() {
 				for step := 0; step < 3; step++ {
 					v.Sleep(time.Duration(i+1) * time.Millisecond)
 					trace = append(trace, fmt.Sprintf("a%d@%v", i, v.Elapsed()))
 				}
 			})
 		}
-		v.Run()
+		v.run()
 		return trace
 	}
 	first := run()
@@ -88,17 +88,17 @@ func TestVirtualNotifyWakesBeforeTimeout(t *testing.T) {
 	v := NewVirtual()
 	var waiterWoke, notified bool
 	var wokeAt time.Duration
-	v.Go(func() {
+	v.spawn(func() {
 		epoch := v.Epoch()
 		notified = v.WaitNotify(epoch, time.Hour)
 		waiterWoke = true
 		wokeAt = v.Elapsed()
 	})
-	v.Go(func() {
+	v.spawn(func() {
 		v.Sleep(3 * time.Millisecond)
 		v.Notify()
 	})
-	v.Run()
+	v.run()
 	if !waiterWoke || !notified {
 		t.Fatalf("woke=%v notified=%v, want notified wake", waiterWoke, notified)
 	}
@@ -110,10 +110,10 @@ func TestVirtualNotifyWakesBeforeTimeout(t *testing.T) {
 func TestVirtualWaitNotifyTimeout(t *testing.T) {
 	v := NewVirtual()
 	var notified bool
-	v.Go(func() {
+	v.spawn(func() {
 		notified = v.WaitNotify(v.Epoch(), 7*time.Millisecond)
 	})
-	v.Run()
+	v.run()
 	if notified {
 		t.Fatal("no Notify was issued; wait must time out")
 	}
@@ -125,12 +125,12 @@ func TestVirtualWaitNotifyTimeout(t *testing.T) {
 func TestVirtualStaleEpochReturnsImmediately(t *testing.T) {
 	v := NewVirtual()
 	var notified bool
-	v.Go(func() {
+	v.spawn(func() {
 		epoch := v.Epoch()
 		v.Notify()
 		notified = v.WaitNotify(epoch, -1) // d<0: would deadlock if lost
 	})
-	v.Run()
+	v.run()
 	if !notified {
 		t.Fatal("stale epoch must report notified without blocking")
 	}
@@ -139,7 +139,7 @@ func TestVirtualStaleEpochReturnsImmediately(t *testing.T) {
 func TestVirtualAfterFuncTimer(t *testing.T) {
 	v := NewVirtual()
 	var fired []time.Duration
-	v.Go(func() {
+	v.spawn(func() {
 		stopped := v.AfterFunc(5*time.Millisecond, func() {
 			fired = append(fired, v.Elapsed())
 		})
@@ -161,7 +161,7 @@ func TestVirtualAfterFuncTimer(t *testing.T) {
 		}
 		v.Sleep(5 * time.Millisecond)
 	})
-	v.Run()
+	v.run()
 	if fmt.Sprint(fired) != fmt.Sprint([]time.Duration{8 * time.Millisecond, 21 * time.Millisecond}) {
 		t.Fatalf("timer firings = %v", fired)
 	}
@@ -174,23 +174,23 @@ func TestVirtualDeadlockPanics(t *testing.T) {
 		}
 	}()
 	v := NewVirtual()
-	v.Go(func() { v.WaitNotify(v.Epoch(), -1) })
-	v.Run()
+	v.spawn(func() { v.WaitNotify(v.Epoch(), -1) })
+	v.run()
 }
 
 func TestVirtualActorsSpawnActors(t *testing.T) {
 	v := NewVirtual()
 	var count atomic.Int32
-	v.Go(func() {
+	v.spawn(func() {
 		v.Sleep(time.Millisecond)
 		for i := 0; i < 3; i++ {
-			v.Go(func() {
+			v.spawn(func() {
 				v.Sleep(time.Millisecond)
 				count.Add(1)
 			})
 		}
 	})
-	v.Run()
+	v.run()
 	if count.Load() != 3 {
 		t.Fatalf("nested actors ran %d times, want 3", count.Load())
 	}
@@ -249,8 +249,8 @@ func TestVirtualDeadlockDumpsEventLog(t *testing.T) {
 	}()
 	v := NewVirtual()
 	v.SetEventLog(fixedEventLog{actor: "stalled-sender", tail: "recent: retransmit@1ms"})
-	v.GoNamed("stalled-sender", func() { v.WaitNotify(v.Epoch(), -1) })
-	v.Run()
+	v.spawnNamed("stalled-sender", func() { v.WaitNotify(v.Epoch(), -1) })
+	v.run()
 }
 
 func TestVirtualResetDetachesEventLog(t *testing.T) {
@@ -265,9 +265,9 @@ func TestVirtualResetDetachesEventLog(t *testing.T) {
 	}()
 	v := NewVirtual()
 	v.SetEventLog(fixedEventLog{actor: "stalled-sender", tail: "recent: retransmit@1ms"})
-	v.Go(func() {})
-	v.Run()
-	v.Reset()
-	v.GoNamed("stalled-sender", func() { v.WaitNotify(v.Epoch(), -1) })
-	v.Run()
+	v.spawn(func() {})
+	v.run()
+	v.reset()
+	v.spawnNamed("stalled-sender", func() { v.WaitNotify(v.Epoch(), -1) })
+	v.run()
 }

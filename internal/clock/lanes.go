@@ -59,10 +59,10 @@ func (l *Lanes) lease() *Virtual {
 // the original diagnostic — e.g. a virtual-deadlock report — under a
 // cascading secondary panic.
 func (l *Lanes) release(v *Virtual) {
-	if !v.Idle() {
+	if !v.idle() {
 		return
 	}
-	v.Reset()
+	v.reset()
 	l.mu.Lock()
 	l.idle = append(l.idle, v)
 	l.mu.Unlock()
@@ -89,7 +89,7 @@ func (l *Lanes) Run(n int, cell func(v *Virtual, i int)) {
 		defer l.release(v)
 		for i := 0; i < n; i++ {
 			if i > 0 {
-				v.Reset()
+				v.reset()
 			}
 			l.runCell(v, i, cell)
 		}
@@ -109,7 +109,7 @@ func (l *Lanes) Run(n int, cell func(v *Virtual, i int)) {
 					return
 				}
 				if !first {
-					v.Reset()
+					v.reset()
 				}
 				l.runCell(v, i, cell)
 			}
@@ -127,13 +127,6 @@ func (l *Lanes) runCell(v *Virtual, i int, cell func(v *Virtual, i int)) {
 	l.Probe.CellStart(i, v.NowNanos())
 	cell(v, i)
 	l.Probe.CellFinish(i, v.NowNanos())
-}
-
-// RunLanes is the convenience form of Lanes.Run for one-off sweeps:
-// run n cells across `workers` pooled virtual clocks (<= 0 =
-// GOMAXPROCS).
-func RunLanes(workers, n int, cell func(v *Virtual, i int)) {
-	(&Lanes{Workers: workers}).Run(n, cell)
 }
 
 // CellSeed derives the deterministic per-cell seed for cell i of a

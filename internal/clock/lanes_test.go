@@ -18,7 +18,7 @@ func laneCell(v *Virtual, seed int64) string {
 	var trace []string
 	for i := 0; i < 3; i++ {
 		i := i
-		v.GoNamed(fmt.Sprintf("cell-actor%d", i), func() {
+		v.spawnNamed(fmt.Sprintf("cell-actor%d", i), func() {
 			for s := 0; s < 4; s++ {
 				d := time.Duration(rng.Int63n(int64(time.Millisecond)))
 				v.Sleep(d)
@@ -30,7 +30,7 @@ func laneCell(v *Virtual, seed int64) string {
 			}
 		})
 	}
-	v.Run()
+	v.run()
 	return strings.Join(trace, ",")
 }
 
@@ -39,7 +39,7 @@ func laneCell(v *Virtual, seed int64) string {
 func TestVirtualResetReuseIdenticalOutput(t *testing.T) {
 	v := NewVirtual()
 	first := laneCell(v, 42)
-	v.Reset()
+	v.reset()
 	second := laneCell(v, 42)
 	fresh := laneCell(NewVirtual(), 42)
 	if first != second {
@@ -48,7 +48,7 @@ func TestVirtualResetReuseIdenticalOutput(t *testing.T) {
 	if first != fresh {
 		t.Fatalf("pooled engine diverged from a fresh engine:\n%s\n%s", first, fresh)
 	}
-	v.Reset()
+	v.reset()
 	if other := laneCell(v, 43); other == first {
 		t.Fatal("different seeds produced identical traces — cell not actually seeded")
 	}
@@ -58,15 +58,15 @@ func TestVirtualResetReuseIdenticalOutput(t *testing.T) {
 // starts from the exact initial state.
 func TestVirtualResetRewindsClockState(t *testing.T) {
 	v := NewVirtual()
-	v.Go(func() {
+	v.spawn(func() {
 		v.Sleep(5 * time.Millisecond)
 		v.Notify()
 	})
-	v.Run()
+	v.run()
 	if v.Elapsed() == 0 || v.Epoch() == 0 {
 		t.Fatal("run did not advance time/epoch")
 	}
-	v.Reset()
+	v.reset()
 	if v.Elapsed() != 0 || v.Epoch() != 0 {
 		t.Fatalf("Reset left elapsed=%v epoch=%d", v.Elapsed(), v.Epoch())
 	}
@@ -77,7 +77,7 @@ func TestRunLanesDeterministicAcrossWorkers(t *testing.T) {
 	const cells = 12
 	render := func(workers int) string {
 		out := make([]string, cells)
-		RunLanes(workers, cells, func(v *Virtual, i int) {
+		(&Lanes{Workers: workers}).Run(cells, func(v *Virtual, i int) {
 			out[i] = laneCell(v, CellSeed(7, i))
 		})
 		return strings.Join(out, "\n")
@@ -142,9 +142,9 @@ func TestVirtualDeadlockDiagnosticNamesActors(t *testing.T) {
 		}
 	}()
 	v := NewVirtual()
-	v.GoNamed("rx-loop", func() { v.WaitNotify(v.Epoch(), -1) })
-	v.Go(func() { v.WaitNotify(v.Epoch(), -1) }) // anonymous: actor-N fallback
-	v.Run()
+	v.spawnNamed("rx-loop", func() { v.WaitNotify(v.Epoch(), -1) })
+	v.spawn(func() { v.WaitNotify(v.Epoch(), -1) }) // anonymous: actor-N fallback
+	v.run()
 }
 
 // BenchmarkVirtualHandoff measures the baton cost: two actors
@@ -171,9 +171,9 @@ func BenchmarkVirtualHandoff(b *testing.B) {
 			}
 		}
 	}
-	v.Go(actor(0))
-	v.Go(actor(1))
-	v.Run()
+	v.spawn(actor(0))
+	v.spawn(actor(1))
+	v.run()
 }
 
 // BenchmarkVirtualSleepChurn measures the timer-wake path: one actor
@@ -182,12 +182,12 @@ func BenchmarkVirtualHandoff(b *testing.B) {
 func BenchmarkVirtualSleepChurn(b *testing.B) {
 	v := NewVirtual()
 	b.ReportAllocs()
-	v.Go(func() {
+	v.spawn(func() {
 		for i := 0; i < b.N; i++ {
 			v.Sleep(time.Microsecond)
 		}
 	})
-	v.Run()
+	v.run()
 }
 
 // BenchmarkLanesSweep is the multi-lane scaling probe: GOMAXPROCS
@@ -196,7 +196,7 @@ func BenchmarkLanesSweep(b *testing.B) {
 	bench := func(b *testing.B, workers int) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			RunLanes(workers, 16, func(v *Virtual, i int) {
+			(&Lanes{Workers: workers}).Run(16, func(v *Virtual, i int) {
 				laneCell(v, CellSeed(42, i))
 			})
 		}

@@ -15,7 +15,7 @@ import (
 // # Execution model
 //
 // Goroutines participating in a virtual-time simulation register as
-// actors via Go. A scheduler loop (Run, driven by the goroutine that
+// actors (Join, JoinNamed). A scheduler loop (run, driven by the goroutine that
 // built the simulation) enforces strict serialization: exactly one
 // actor executes at a time, and virtual time advances — by firing the
 // next engine event — only when every actor is parked in a clock wait
@@ -48,17 +48,17 @@ import (
 //   - A parking actor hands the baton directly to the next ready
 //     actor: one cond signal per switch. The scheduler goroutine wakes
 //     only when no actor is runnable (to fire engine events) — the
-//     park-self/grant-next switch no longer round-trips through Run.
+//     park-self/grant-next switch no longer round-trips through run.
 //   - An engine event costs no lock at all (next section).
 //
 // # The baton is the lock
 //
 // At every instant exactly one goroutine may touch the simulation: the
 // baton holder. That is the running actor; or, while every actor is
-// parked, the scheduler goroutine inside Run, firing engine events and
-// their callbacks; or, with no Run active, the one goroutine that
-// builds the simulation and calls Run. The baton changes hands only
-// under mu (park, grant, an actor finishing, Run waking up), and that
+// parked, the scheduler goroutine inside run, firing engine events and
+// their callbacks; or, with no run active, the one goroutine that
+// builds the simulation and calls run. The baton changes hands only
+// under mu (park, grant, an actor finishing, run waking up), and that
 // lock hand-over is the happens-before edge that orders everything the
 // previous holder did before everything the next one does — which is
 // what lets go test -race check the rule.
@@ -66,10 +66,10 @@ import (
 // So state that only baton holders touch needs no lock of its own, and
 // none is taken:
 //
-//   - the engine: RunAfter, RunAfterLane, AfterFunc and a Timer's Stop
-//     and Reset schedule and cancel without mu, and Run fires events
+//   - the engine: runAfter, RunAfterLane, AfterFunc and a Timer's Stop
+//     and Reset schedule and cancel without mu, and run fires events
 //     back to back without it, re-taking mu only when an event made an
-//     actor runnable (a wake-up, a Notify, a Go) or the queue ran dry;
+//     actor runnable (a wake-up, a Notify, a spawn) or the queue ran dry;
 //   - the AfterFunc timer pool;
 //   - everything the stack builds on a virtual clock and drives from
 //     actors and callbacks: a netem.Queue, a fabric.Direction and its
@@ -86,35 +86,35 @@ import (
 //
 // These calls are therefore legal only from the baton holder. A plain
 // goroutine that wants to schedule on a running Virtual must become an
-// actor (Go) first.
+// actor first.
 //
 // What mu still guards is the hand-over state itself — the actor table,
 // the ready FIFO, the WaitNotify waiter list, current, running, the
 // event log — and with it the calls that are safe from any goroutine
-// while Run is active: Go and GoNamed, CurrentActorName, SetEventLog,
-// Idle. Now, NowNanos, Elapsed and Epoch are atomic reads and safe
+// while run is active: spawn and spawnNamed, CurrentActorName, SetEventLog,
+// idle. Now, NowNanos, Elapsed and Epoch are atomic reads and safe
 // anywhere. Sleep, WaitNotify and Notify are baton-holder calls that
 // take mu because they hand the baton over or edit the lists above.
 //
 // # Reuse
 //
-// Reset rewinds a finished clock (no live actors) to its initial
+// reset rewinds a finished clock (no live actors) to its initial
 // state — virtual time zero, notification epoch zero, no pending
 // events — while keeping the engine slab, the actor pool and the
 // timer pool, so one Virtual can run an entire sweep of independent
 // cells without reallocating its machinery. Outstanding Timer handles
-// are invalidated by Reset and must not be used afterwards.
+// are invalidated by reset and must not be used afterwards.
 //
 // # Deadlock
 //
 // If every actor is blocked without a time bound and no engine event
-// is pending, no wakeup can ever arrive; Run panics with a diagnostic
-// — including per-actor labels (see GoNamed) and the pending-timer
+// is pending, no wakeup can ever arrive; run panics with a diagnostic
+// — including per-actor labels (see spawnNamed) and the pending-timer
 // count — rather than hanging, turning a protocol bug into a test
 // failure.
 type Virtual struct {
 	mu       sync.Mutex
-	rootCond sync.Cond // Run waits here until no actor is runnable
+	rootCond sync.Cond // run waits here until no actor is runnable
 	eng      *simnet.Engine
 	base     time.Time
 	gen      atomic.Uint64 // notification epoch
@@ -122,9 +122,9 @@ type Virtual struct {
 	actors   int           // registered and not yet finished
 	current  *actor        // actor holding the baton (nil: scheduler owns it)
 	running  bool
-	// runnable is raised whenever an actor joins the ready FIFO. Run
+	// runnable is raised whenever an actor joins the ready FIFO. run
 	// polls it between engine events instead of taking mu to look at
-	// the FIFO; it is atomic because Go may ready an actor from a
+	// the FIFO; it is atomic because spawn may ready an actor from a
 	// goroutine that does not hold the baton.
 	runnable atomic.Bool
 
@@ -367,15 +367,15 @@ func (v *Virtual) allocActorLocked(name string) *actor {
 	return a
 }
 
-// Go implements Clock: fn becomes an actor, initially ready. Run
+// spawn implements Clock: fn becomes an actor, initially ready. run
 // returns once every actor has finished.
-func (v *Virtual) Go(fn func()) { v.GoNamed("", fn) }
+func (v *Virtual) spawn(fn func()) { v.spawnNamed("", fn) }
 
-// GoNamed registers fn as an actor labelled name. The label appears in
+// spawnNamed registers fn as an actor labelled name. The label appears in
 // the all-blocked deadlock diagnostic, which is what makes multi-actor
 // (and multi-lane) stalls attributable to a protocol role instead of
 // an anonymous goroutine.
-func (v *Virtual) GoNamed(name string, fn func()) {
+func (v *Virtual) spawnNamed(name string, fn func()) {
 	v.mu.Lock()
 	a := v.allocActorLocked(name)
 	v.actors++
@@ -414,13 +414,13 @@ func (v *Virtual) finishActor(a *actor) {
 	v.mu.Unlock()
 }
 
-// Run drives the simulation: it grants the baton to ready actors and,
+// run drives the simulation: it grants the baton to ready actors and,
 // when all actors are blocked, advances virtual time by firing engine
-// events. It returns when every actor has finished. Only one Run may
-// be active at a time; actors may keep spawning more actors with Go
-// while it runs. Between actor switches Run mostly sleeps: parking
+// events. It returns when every actor has finished. Only one run may
+// be active at a time; actors may keep spawning more actors with spawn
+// while it runs. Between actor switches run mostly sleeps: parking
 // actors grant the baton to their successor directly.
-func (v *Virtual) Run() {
+func (v *Virtual) run() {
 	v.mu.Lock()
 	if v.running {
 		v.mu.Unlock()
@@ -442,7 +442,7 @@ func (v *Virtual) Run() {
 		// Every actor is parked and none is ready: the scheduler holds
 		// the baton. Fire events back to back without mu until one of
 		// them makes an actor runnable (its callback woke a sleeper,
-		// called Notify or Go) — that actor must run before the next
+		// called Notify or spawn) — that actor must run before the next
 		// event does — or the queue runs dry.
 		v.runnable.Store(false)
 		v.mu.Unlock()
@@ -495,7 +495,7 @@ func (v *Virtual) deadlockLocked() string {
 		v.nowLocked(), v.actors, v.eng.Pending(), strings.Join(names, ", "))
 }
 
-// Sleep implements Clock: parks the actor until a timer event at
+// Sleep parks the calling actor until a timer event at
 // now+d. Notify does not cut a Sleep short.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
@@ -564,11 +564,11 @@ func (v *Virtual) removeWaiterLocked(a *actor) {
 	a.waiting = false
 }
 
-// RunAfter schedules fn to run once after d on the scheduler
+// runAfter schedules fn to run once after d on the scheduler
 // goroutine, without a cancellable handle: one pooled engine slot, no
 // Timer allocation. It is the cheap path packet pipelines use for
 // fire-and-forget deliveries (see clock.After).
-func (v *Virtual) RunAfter(d time.Duration, fn func()) {
+func (v *Virtual) runAfter(d time.Duration, fn func()) {
 	v.eng.After(max(0, d.Seconds()), fn)
 }
 
@@ -588,7 +588,7 @@ func (v *Virtual) NewEventLane() int {
 	return ln
 }
 
-// RunAfterLane is RunAfter through the monotone FIFO lane ln (see
+// RunAfterLane is runAfter through the monotone FIFO lane ln (see
 // NewEventLane).
 func (v *Virtual) RunAfterLane(ln int, d time.Duration, fn func()) {
 	v.eng.AfterLane(int32(ln), max(0, d.Seconds()), fn)
@@ -645,24 +645,24 @@ func (t *virtualTimer) Reset(d time.Duration) bool {
 	return active
 }
 
-// Idle reports whether the clock is quiescent — no live actors, no
-// active Run — i.e. the state in which Reset is legal. Lanes uses it
+// idle reports whether the clock is quiescent — no live actors, no
+// active run — i.e. the state in which Reset is legal. Lanes uses it
 // to drop an engine whose cell panicked mid-run instead of cascading
 // a second panic out of the deferred release.
-func (v *Virtual) Idle() bool {
+func (v *Virtual) idle() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return !v.running && v.actors == 0 && v.current == nil
 }
 
-// Reset rewinds a finished clock for reuse: virtual time and the
+// reset rewinds a finished clock for reuse: virtual time and the
 // notification epoch return to zero and every pending engine event is
 // discarded, while the engine slab, actor pool and timer pool are
 // retained. A cell run on a Reset clock is bit-identical to the same
 // cell on a fresh clock (see Lanes). Reset panics if actors are still
-// live or a Run is active; Timer handles from before the Reset are
+// live or a run is active; Timer handles from before the Reset are
 // invalidated and must not be touched again.
-func (v *Virtual) Reset() {
+func (v *Virtual) reset() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.running || v.actors != 0 || v.current != nil {
@@ -687,16 +687,16 @@ type NamedFunc struct {
 }
 
 // Join runs fns to completion on the clock: registered actors plus a
-// scheduler Run on a Virtual clock, plain goroutines plus a WaitGroup
+// scheduler run on a Virtual clock, plain goroutines plus a WaitGroup
 // otherwise. It is the bridge test harnesses and experiments use to
 // run one scenario on either backend. On a Virtual clock only one
-// Join (or Run) may be active at a time.
+// Join (or run) may be active at a time.
 func Join(c Clock, fns ...func()) {
 	if v, ok := c.(*Virtual); ok {
 		for _, fn := range fns {
-			v.Go(fn)
+			v.spawn(fn)
 		}
-		v.Run()
+		v.run()
 		return
 	}
 	joinReal(c, fns...)
@@ -709,9 +709,9 @@ func Join(c Clock, fns ...func()) {
 func JoinNamed(c Clock, fns ...NamedFunc) {
 	if v, ok := c.(*Virtual); ok {
 		for _, nf := range fns {
-			v.GoNamed(nf.Name, nf.Fn)
+			v.spawnNamed(nf.Name, nf.Fn)
 		}
-		v.Run()
+		v.run()
 		return
 	}
 	plain := make([]func(), len(fns))
@@ -726,7 +726,7 @@ func joinReal(c Clock, fns ...func()) {
 	for _, fn := range fns {
 		wg.Add(1)
 		fn := fn
-		c.Go(func() {
+		c.spawn(func() {
 			defer wg.Done()
 			fn()
 		})

@@ -79,7 +79,7 @@ func TestCollectiveLanesDeterministic(t *testing.T) {
 	const cells = 6
 	render := func(workers int) string {
 		out := make([]string, cells)
-		clock.RunLanes(workers, cells, func(v *clock.Virtual, i int) {
+		(&clock.Lanes{Workers: workers}).Run(cells, func(v *clock.Virtual, i int) {
 			out[i] = collectiveCell(t, v, i)
 		})
 		return strings.Join(out, "\n")

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"sdrrdma/internal/model"
-	"sdrrdma/internal/stats"
 )
 
 // Ring describes a ring Allreduce deployment.
@@ -29,11 +28,11 @@ type Ring struct {
 	Scheme model.Scheme
 }
 
-// Stages returns the number of sequential rounds, 2N−2.
-func (r Ring) Stages() int { return 2*r.N - 2 }
+// stages returns the number of sequential rounds, 2N−2.
+func (r Ring) stages() int { return 2*r.N - 2 }
 
-// StageBytes returns the per-stage message size, BufferBytes/N.
-func (r Ring) StageBytes() int64 {
+// stageBytes returns the per-stage message size, BufferBytes/N.
+func (r Ring) stageBytes() int64 {
 	b := r.BufferBytes / int64(r.N)
 	if b < 1 {
 		b = 1
@@ -41,7 +40,7 @@ func (r Ring) StageBytes() int64 {
 	return b
 }
 
-// Sample draws one Allreduce completion-time sample by simulating the
+// sample draws one Allreduce completion-time sample by simulating the
 // schedule recurrence of Appendix C:
 //
 //	T(i, r) = max(T(i−1, r−1), T(i, r−1)) + t(i, r−1)
@@ -49,15 +48,15 @@ func (r Ring) StageBytes() int64 {
 // with per-stage durations t sampled i.i.d. from the reliability
 // scheme's completion-time distribution, and returns
 // max_i T(i, 2N−2).
-func (r Ring) Sample(rng *rand.Rand) float64 {
+func (r Ring) sample(rng *rand.Rand) float64 {
 	if r.N < 2 {
 		panic(fmt.Sprintf("collective: ring needs >=2 datacenters, got %d", r.N))
 	}
-	stageBytes := r.StageBytes()
+	stageBytes := r.stageBytes()
 	n := r.N
 	cur := make([]float64, n)
 	next := make([]float64, n)
-	for round := 0; round < r.Stages(); round++ {
+	for round := 0; round < r.stages(); round++ {
 		for i := 0; i < n; i++ {
 			pred := cur[(i-1+n)%n]
 			start := cur[i]
@@ -82,24 +81,7 @@ func (r Ring) SampleN(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.Sample(rng)
+		out[i] = r.sample(rng)
 	}
 	return out
-}
-
-// Summarize runs the Monte-Carlo model and summarizes the results.
-func (r Ring) Summarize(n int, seed int64) stats.Summary {
-	return stats.Summarize(r.SampleN(n, seed))
-}
-
-// LowerBound returns Appendix C's analytic bound on the expected
-// Allreduce completion time:
-//
-//	E[T_allreduce] ≥ (2N−2)·(C + µ_X)
-//
-// where C + µ_X is the expected per-stage Write completion time
-// (lossless cost plus expected reliability delay). meanStage is
-// typically the scheme's analytic or sampled mean for StageBytes.
-func (r Ring) LowerBound(meanStage float64) float64 {
-	return float64(r.Stages()) * meanStage
 }

@@ -26,28 +26,25 @@ func TestRingDeterministicSchedule(t *testing.T) {
 	// (2N-2)·d — the Appendix C bound is tight for deterministic t.
 	for _, n := range []int{2, 4, 8} {
 		r := Ring{N: n, BufferBytes: 128 << 20, Scheme: constScheme{d: 3.5}}
-		got := r.Sample(rand.New(rand.NewSource(1)))
+		got := r.sample(rand.New(rand.NewSource(1)))
 		want := float64(2*n-2) * 3.5
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("N=%d: ring time %g, want %g", n, got, want)
-		}
-		if lb := r.LowerBound(3.5); math.Abs(lb-want) > 1e-9 {
-			t.Fatalf("N=%d: lower bound %g, want %g", n, lb, want)
 		}
 	}
 }
 
 func TestRingStageGeometry(t *testing.T) {
 	r := Ring{N: 4, BufferBytes: 128 << 20, Scheme: constScheme{1}}
-	if r.Stages() != 6 {
-		t.Fatalf("Stages = %d, want 6", r.Stages())
+	if r.stages() != 6 {
+		t.Fatalf("Stages = %d, want 6", r.stages())
 	}
-	if r.StageBytes() != 32<<20 {
-		t.Fatalf("StageBytes = %d, want 32 MiB", r.StageBytes())
+	if r.stageBytes() != 32<<20 {
+		t.Fatalf("StageBytes = %d, want 32 MiB", r.stageBytes())
 	}
 	tiny := Ring{N: 4, BufferBytes: 2, Scheme: constScheme{1}}
-	if tiny.StageBytes() != 1 {
-		t.Fatalf("StageBytes floor = %d, want 1", tiny.StageBytes())
+	if tiny.stageBytes() != 1 {
+		t.Fatalf("StageBytes floor = %d, want 1", tiny.stageBytes())
 	}
 }
 
@@ -57,7 +54,7 @@ func TestRingPanicsOnBadN(t *testing.T) {
 			t.Fatal("N=1 ring did not panic")
 		}
 	}()
-	Ring{N: 1, BufferBytes: 1 << 20, Scheme: constScheme{1}}.Sample(rand.New(rand.NewSource(1)))
+	Ring{N: 1, BufferBytes: 1 << 20, Scheme: constScheme{1}}.sample(rand.New(rand.NewSource(1)))
 }
 
 // Appendix C: the Monte-Carlo mean must respect the analytic lower
@@ -67,7 +64,7 @@ func TestRingRespectsLowerBound(t *testing.T) {
 	sr := model.NewSRRTO(ch)
 	r := Ring{N: 4, BufferBytes: 128 << 20, Scheme: sr}
 	mean := stats.Mean(r.SampleN(800, 5))
-	lb := r.LowerBound(sr.MeanCompletion(r.StageBytes()))
+	lb := float64(r.stages()) * sr.MeanCompletion(r.stageBytes())
 	if mean < lb*0.98 { // 2% sampling tolerance
 		t.Fatalf("ring mean %g below analytic lower bound %g", mean, lb)
 	}
@@ -133,6 +130,6 @@ func BenchmarkRingSample4DC(b *testing.B) {
 	r := Ring{N: 4, BufferBytes: 128 << 20, Scheme: model.NewSRRTO(ch)}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
-		r.Sample(rng)
+		r.sample(rng)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"sdrrdma/internal/model"
-	"sdrrdma/internal/stats"
 )
 
 // Tree models stage-based tree collectives (§5.3: "Our analysis
@@ -34,12 +33,12 @@ func (t Tree) Rounds() int {
 	return r
 }
 
-// Sample draws one broadcast completion time: the finish time of the
+// sample draws one broadcast completion time: the finish time of the
 // last node to receive the buffer. Each edge transfer is an
 // independent draw from the scheme's completion-time distribution;
 // node completion respects the binomial schedule (a node can only
 // forward after it has received).
-func (t Tree) Sample(rng *rand.Rand) float64 {
+func (t Tree) sample(rng *rand.Rand) float64 {
 	if t.N < 2 {
 		panic(fmt.Sprintf("collective: tree needs >=2 datacenters, got %d", t.N))
 	}
@@ -79,19 +78,7 @@ func (t Tree) SampleN(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = t.Sample(rng)
+		out[i] = t.sample(rng)
 	}
 	return out
-}
-
-// Summarize runs the Monte-Carlo model and summarizes.
-func (t Tree) Summarize(n int, seed int64) stats.Summary {
-	return stats.Summarize(t.SampleN(n, seed))
-}
-
-// LowerBound applies the Appendix C argument to the tree's critical
-// path: ⌈log2 N⌉ dependent stages each costing at least the expected
-// per-stage Write time.
-func (t Tree) LowerBound(meanStage float64) float64 {
-	return float64(t.Rounds()) * meanStage
 }

@@ -24,13 +24,10 @@ func TestTreeDeterministic(t *testing.T) {
 	// constant stage duration: completion = rounds · d exactly
 	for _, n := range []int{2, 4, 8, 16} {
 		tr := Tree{N: n, BufferBytes: 1 << 20, Scheme: constScheme{d: 2.0}}
-		got := tr.Sample(rand.New(rand.NewSource(1)))
+		got := tr.sample(rand.New(rand.NewSource(1)))
 		want := float64(tr.Rounds()) * 2.0
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("N=%d: tree time %g, want %g", n, got, want)
-		}
-		if lb := tr.LowerBound(2.0); math.Abs(lb-want) > 1e-9 {
-			t.Fatalf("N=%d: lower bound %g, want %g", n, lb, want)
 		}
 	}
 }
@@ -39,7 +36,7 @@ func TestTreeAllNodesReached(t *testing.T) {
 	// N not a power of two exercises the partial last round.
 	for _, n := range []int{3, 5, 6, 7, 9, 13} {
 		tr := Tree{N: n, BufferBytes: 1 << 20, Scheme: constScheme{d: 1.0}}
-		got := tr.Sample(rand.New(rand.NewSource(2)))
+		got := tr.sample(rand.New(rand.NewSource(2)))
 		if got <= 0 || got > float64(tr.Rounds())+1e-9 {
 			t.Fatalf("N=%d: completion %g outside (0, rounds]", n, got)
 		}
@@ -51,7 +48,7 @@ func TestTreeRespectsLowerBound(t *testing.T) {
 	sr := model.NewSRRTO(ch)
 	tr := Tree{N: 8, BufferBytes: 128 << 20, Scheme: sr}
 	mean := stats.Mean(tr.SampleN(600, 5))
-	lb := tr.LowerBound(sr.MeanCompletion(tr.BufferBytes))
+	lb := float64(tr.Rounds()) * sr.MeanCompletion(tr.BufferBytes)
 	if mean < lb*0.98 {
 		t.Fatalf("tree mean %g below lower bound %g", mean, lb)
 	}
@@ -82,7 +79,7 @@ func TestRingVsTreeCrossover(t *testing.T) {
 	run := func(buf int64) (ringT, treeT float64) {
 		ring := Ring{N: 8, BufferBytes: buf, Scheme: sr}
 		tree := Tree{N: 8, BufferBytes: buf, Scheme: sr}
-		return ring.Sample(rng), tree.Sample(rng)
+		return ring.sample(rng), tree.sample(rng)
 	}
 	ringBig, treeBig := run(64 << 30) // injection-dominated
 	if ringBig >= treeBig {
@@ -100,5 +97,5 @@ func TestTreePanicsOnBadN(t *testing.T) {
 			t.Fatal("N=1 tree did not panic")
 		}
 	}()
-	Tree{N: 1, BufferBytes: 1, Scheme: constScheme{1}}.Sample(rand.New(rand.NewSource(1)))
+	Tree{N: 1, BufferBytes: 1, Scheme: constScheme{1}}.sample(rand.New(rand.NewSource(1)))
 }

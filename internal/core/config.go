@@ -86,8 +86,8 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// validate reports configuration errors.
+func (c Config) validate() error {
 	switch {
 	case c.MTU <= 0:
 		return fmt.Errorf("sdr: MTU %d <= 0", c.MTU)
@@ -106,19 +106,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sdr: need at least one generation")
 	case c.Channels < 1:
 		return fmt.Errorf("sdr: need at least one channel")
-	case c.MaxPackets() > 1<<uint(c.PktOffsetBits):
+	case c.maxPackets() > 1<<uint(c.PktOffsetBits):
 		return fmt.Errorf("sdr: max message %d B needs %d packets, exceeding %d offset bits",
-			c.MaxMsgBytes, c.MaxPackets(), c.PktOffsetBits)
+			c.MaxMsgBytes, c.maxPackets(), c.PktOffsetBits)
 	}
 	return nil
 }
 
-// Slots returns the number of in-flight message descriptors per QP,
+// slots returns the number of in-flight message descriptors per QP,
 // 2^MsgIDBits (1024 for the default split).
-func (c Config) Slots() int { return 1 << uint(c.MsgIDBits) }
+func (c Config) slots() int { return 1 << uint(c.MsgIDBits) }
 
-// MaxPackets returns the packet count of a maximum-size message.
-func (c Config) MaxPackets() int { return (c.MaxMsgBytes + c.MTU - 1) / c.MTU }
+// maxPackets returns the packet count of a maximum-size message.
+func (c Config) maxPackets() int { return (c.MaxMsgBytes + c.MTU - 1) / c.MTU }
 
 // PacketsPerChunk returns the bitmap resolution in packets.
 func (c Config) PacketsPerChunk() int { return c.ChunkBytes / c.MTU }

@@ -28,7 +28,7 @@ type Context struct {
 	nullMR *nicsim.NullMR
 
 	// Session-scoped MR tracking (see SetMRTracking): with tracking on,
-	// every RegMR key is recorded so ResetLeaseMRs can deregister the
+	// every RegMR key is recorded so resetLeaseMRs can deregister the
 	// batch when a pooled deployment's lease is released.
 	trackMu  sync.Mutex
 	trackMRs bool
@@ -38,7 +38,7 @@ type Context struct {
 // NewContext allocates a context on dev.
 func NewContext(dev *nicsim.Device, cfg Config) (*Context, error) {
 	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	clk := clock.Or(cfg.Clock)
@@ -119,7 +119,7 @@ func (c *Context) RegMR(buf []byte) *nicsim.MR {
 // SetMRTracking toggles session-scoped MR tracking. The session fabric
 // enables it on pooled deployments: registrations a flow makes during
 // its lease (staging buffers, parity scratch) are deregistered by
-// ResetLeaseMRs on release instead of accumulating in the device's
+// resetLeaseMRs on release instead of accumulating in the device's
 // memory table across thousands of leases.
 func (c *Context) SetMRTracking(on bool) {
 	c.trackMu.Lock()
@@ -127,9 +127,9 @@ func (c *Context) SetMRTracking(on bool) {
 	c.trackMu.Unlock()
 }
 
-// ResetLeaseMRs deregisters every registration recorded since the last
+// resetLeaseMRs deregisters every registration recorded since the last
 // reset. MRs handed out during the lease are invalid afterwards.
-func (c *Context) ResetLeaseMRs() {
+func (c *Context) resetLeaseMRs() {
 	c.trackMu.Lock()
 	for _, key := range c.leaseMRs {
 		c.dev.DeregMR(key)
@@ -138,16 +138,6 @@ func (c *Context) ResetLeaseMRs() {
 	c.trackMu.Unlock()
 }
 
-// Close stops the DPA workers. QPs created from this context must not
+// close stops the DPA workers. QPs created from this context must not
 // be used afterwards.
-func (c *Context) Close() { c.pool.Stop() }
-
-// NullDiscarded reports how many late-packet payload bytes the NULL
-// memory key absorbed (§3.3.2 stage 1) — useful in tests and ablation
-// benches.
-func (c *Context) NullDiscarded() uint64 { return c.nullMR.Discarded.Load() }
-
-func (c *Context) String() string {
-	return fmt.Sprintf("sdr.Context(dev=%s mtu=%d chunk=%d slots=%d gens=%d chans=%d)",
-		c.dev.Name(), c.cfg.MTU, c.cfg.ChunkBytes, c.cfg.Slots(), c.cfg.Generations, c.cfg.Channels)
-}
+func (c *Context) close() { c.pool.Stop() }

@@ -43,7 +43,7 @@ func TestAlternativeImmSplit(t *testing.T) {
 		t.Fatalf("imm = %#x, want %#x (2-bit fragments × 16 packets)", imm, userImm)
 	}
 	// slots shrink to 256 with 8-bit message IDs
-	if got := cfg.WithDefaults().Slots(); got != 256 {
+	if got := cfg.WithDefaults().slots(); got != 256 {
 		t.Fatalf("Slots = %d, want 256", got)
 	}
 }
@@ -99,7 +99,7 @@ func TestCombinedImpairmentsStress(t *testing.T) {
 	p := newTestPair(t, cfg, impair, fabric.Config{})
 	mr := p.B.Ctx.RegMR(make([]byte, 64<<10))
 	const msgs = 40 // 5 full slot wraps through all generations
-	vc.Go(func() {
+	clock.Join(vc, func() {
 		for i := 0; i < msgs; i++ {
 			size := 4<<10 + (i%4)*8<<10
 			h, err := p.B.QP.RecvPost(mr, 0, size)
@@ -136,7 +136,6 @@ func TestCombinedImpairmentsStress(t *testing.T) {
 			}
 		}
 	})
-	vc.Run()
 	if p.B.QP.Stats().Duplicates == 0 {
 		t.Fatal("stress run produced no duplicates despite 5% duplication")
 	}
@@ -157,8 +156,8 @@ func TestTwoQPsIndependent(t *testing.T) {
 	if err := qpB2.Connect(p.Link.BA, oob2, false, qpA2.Info()); err != nil {
 		t.Fatal(err)
 	}
-	defer qpA2.Close()
-	defer qpB2.Close()
+	defer qpA2.close()
+	defer qpB2.close()
 
 	mr1 := p.B.Ctx.RegMR(make([]byte, 8<<10))
 	mr2 := p.B.Ctx.RegMR(make([]byte, 8<<10))
@@ -191,12 +190,12 @@ func TestTwoQPsIndependent(t *testing.T) {
 func TestUnconnectedQP(t *testing.T) {
 	p := newTestPair(t, smallCfg(), fabric.Config{}, fabric.Config{})
 	lone := p.A.Ctx.NewQP()
-	defer lone.Close()
-	if _, err := lone.SendStreamStart(4096, 0); err != ErrNotConnected {
+	defer lone.close()
+	if _, err := lone.SendStreamStart(4096, 0); err != errNotConnected {
 		t.Fatalf("SendStreamStart on unconnected QP: %v", err)
 	}
 	mr := p.A.Ctx.RegMR(make([]byte, 4096))
-	if _, err := lone.RecvPost(mr, 0, 4096); err != ErrNotConnected {
+	if _, err := lone.RecvPost(mr, 0, 4096); err != errNotConnected {
 		t.Fatalf("RecvPost on unconnected QP: %v", err)
 	}
 }
@@ -266,7 +265,7 @@ func TestStreamContinueOffsetOverflowRejected(t *testing.T) {
 	}
 }
 
-// QP.Reset retires only the receives the lease left live, not every
+// QP.reset retires only the receives the lease left live, not every
 // root entry. The observable contract is unchanged: after Reset every
 // slot of every generation absorbs a write into the NULL key, and no
 // write reaches a buffer the lease had posted — across wraparound (more
@@ -280,7 +279,7 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 	}
 	p := newTestPair(t, cfg, fabric.Config{}, fabric.Config{})
 	qp := p.B.QP
-	slots := cfg.Slots()
+	slots := cfg.slots()
 	recvBuf := make([]byte, slots*cfg.MaxMsgBytes)
 	mr := p.B.Ctx.RegMR(recvBuf)
 	payload := bytes.Repeat([]byte{0x5A}, cfg.MTU)
@@ -288,7 +287,7 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 	checkAllRetired := func(label string) {
 		t.Helper()
 		clear(recvBuf)
-		before := p.B.Ctx.NullDiscarded()
+		before := p.B.Ctx.nullMR.Discarded.Load()
 		for g := 0; g < cfg.Generations; g++ {
 			for s := 0; s < slots; s++ {
 				if err := qp.rootMRs[g].DMAWrite(uint64(s)*uint64(cfg.MaxMsgBytes), payload); err != nil {
@@ -296,7 +295,7 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 				}
 			}
 		}
-		if got, want := p.B.Ctx.NullDiscarded()-before, uint64(cfg.Generations*slots*cfg.MTU); got != want {
+		if got, want := p.B.Ctx.nullMR.Discarded.Load()-before, uint64(cfg.Generations*slots*cfg.MTU); got != want {
 			t.Fatalf("%s: NULL key absorbed %d B, want %d", label, got, want)
 		}
 		for i, b := range recvBuf {
@@ -320,7 +319,7 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 
 	// Lease 1: k < slots receives, all left live.
 	post(3)
-	qp.Reset()
+	qp.reset()
 	checkAllRetired("lease 1")
 
 	// Lease 2 starts at seq 3: fill the table past the generation
@@ -342,7 +341,7 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 	if live != slots {
 		t.Fatalf("lease 2 left %d live slots, want %d", live, slots)
 	}
-	qp.Reset()
+	qp.reset()
 	checkAllRetired("lease 2")
 	for i := range qp.slots {
 		if qp.slots[i].handle.Load() != nil {
@@ -352,7 +351,7 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 
 	// Lease 3: nothing posted — Reset must be a no-op that keeps all
 	// slots retired and the table postable.
-	qp.Reset()
+	qp.reset()
 	checkAllRetired("lease 3")
 	for _, h := range post(slots) {
 		if err := h.Complete(); err != nil {

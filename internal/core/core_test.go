@@ -76,8 +76,8 @@ func TestOneShotTransfer(t *testing.T) {
 	if !sh.Poll() {
 		t.Fatal("send not complete after SendPost")
 	}
-	if sh.Packets() != 10 {
-		t.Fatalf("packets = %d, want 10", sh.Packets())
+	if sh.packets != 10 {
+		t.Fatalf("packets = %d, want 10", sh.packets)
 	}
 	waitDone(t, h, time.Second)
 	if !bytes.Equal(recvBuf[:10000], data) {
@@ -93,7 +93,7 @@ func TestOneShotTransfer(t *testing.T) {
 	if err := h.Complete(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Complete(); !errors.Is(err, ErrAlreadyCompleted) {
+	if err := h.Complete(); !errors.Is(err, errAlreadyCompleted) {
 		t.Fatalf("double Complete: %v", err)
 	}
 }
@@ -206,7 +206,7 @@ func TestPartialCompletionAndStreamRepair(t *testing.T) {
 	if !bytes.Equal(recvBuf[:size], data) {
 		t.Fatal("payload corrupted after repair")
 	}
-	if err := stream.Continue(0, data[:1024]); !errors.Is(err, ErrStreamEnded) {
+	if err := stream.Continue(0, data[:1024]); !errors.Is(err, errStreamEnded) {
 		t.Fatalf("Continue after End: %v", err)
 	}
 }
@@ -317,7 +317,7 @@ func TestLatePacketAfterEarlyCompletion(t *testing.T) {
 			t.Fatal("late packet corrupted a retired buffer — NULL key failed")
 		}
 	}
-	if p.B.Ctx.NullDiscarded() == 0 {
+	if p.B.Ctx.nullMR.Discarded.Load() == 0 {
 		t.Fatal("late payload not absorbed by NULL key")
 	}
 	if p.B.QP.Stats().LateDiscarded == 0 {
@@ -425,7 +425,7 @@ func TestSizeMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := p.A.QP.SendPost(make([]byte, 4096), 0)
-	if !errors.Is(err, ErrSizeMismatch) {
+	if !errors.Is(err, errSizeMismatch) {
 		t.Fatalf("oversized send: %v, want ErrSizeMismatch", err)
 	}
 }
@@ -433,10 +433,10 @@ func TestSizeMismatchRejected(t *testing.T) {
 func TestRecvValidation(t *testing.T) {
 	p := newTestPair(t, smallCfg(), fabric.Config{}, fabric.Config{})
 	mr := p.B.Ctx.RegMR(make([]byte, 4096))
-	if _, err := p.B.QP.RecvPost(mr, 0, 1<<21); !errors.Is(err, ErrMsgTooLarge) {
+	if _, err := p.B.QP.RecvPost(mr, 0, 1<<21); !errors.Is(err, errMsgTooLarge) {
 		t.Fatalf("oversized recv: %v", err)
 	}
-	if _, err := p.B.QP.RecvPost(mr, 0, 0); !errors.Is(err, ErrMsgTooLarge) {
+	if _, err := p.B.QP.RecvPost(mr, 0, 0); !errors.Is(err, errMsgTooLarge) {
 		t.Fatalf("zero recv: %v", err)
 	}
 	if _, err := p.B.QP.RecvPost(mr, 4000, 4096); err == nil {
@@ -479,7 +479,7 @@ func TestImmShortMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Imm(); !errors.Is(err, ErrImmNotReady) {
+	if _, err := h.Imm(); !errors.Is(err, errImmNotReady) {
 		t.Fatalf("Imm before any packet: %v", err)
 	}
 	const userImm = 0xABCD1234
@@ -583,11 +583,11 @@ func TestConfigValidation(t *testing.T) {
 		{MTU: 1024, ChunkBytes: 1024, MaxMsgBytes: 1 << 20, MsgIDBits: 20, PktOffsetBits: 8, UserImmBits: 4}, // offset bits too small
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, c)
 		}
 	}
-	if err := (Config{}).WithDefaults().Validate(); err != nil {
+	if err := (Config{}).WithDefaults().validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 }

@@ -109,19 +109,19 @@ func (p *Pair) Bind(link *fabric.Link, oob *fabric.OOB) error {
 	return nil
 }
 
-// Reset reverts both endpoints' per-session state (see QP.Reset) and
+// Reset reverts both endpoints' per-session state (see QP.reset) and
 // deregisters session-scoped MRs, readying the pair for another Bind.
 func (p *Pair) Reset() {
-	p.A.QP.Reset()
-	p.B.QP.Reset()
-	p.A.Ctx.ResetLeaseMRs()
-	p.B.Ctx.ResetLeaseMRs()
+	p.A.QP.reset()
+	p.B.QP.reset()
+	p.A.Ctx.resetLeaseMRs()
+	p.B.Ctx.resetLeaseMRs()
 }
 
 // Close tears both endpoints down.
 func (p *Pair) Close() {
-	p.A.QP.Close()
-	p.B.QP.Close()
-	p.A.Ctx.Close()
-	p.B.Ctx.Close()
+	p.A.QP.close()
+	p.B.QP.close()
+	p.A.Ctx.close()
+	p.B.Ctx.close()
 }

@@ -20,24 +20,24 @@ var (
 	// uncompleted receive (1024 in-flight descriptors for the default
 	// 10-bit message ID, §3.2.4).
 	ErrRecvQueueFull = errors.New("sdr: receive slot busy — complete earlier receives first")
-	// ErrMsgTooLarge means the message exceeds the per-slot maximum.
-	ErrMsgTooLarge = errors.New("sdr: message exceeds MaxMsgBytes")
-	// ErrSizeMismatch means a send does not fit the size announced by
+	// errMsgTooLarge means the message exceeds the per-slot maximum.
+	errMsgTooLarge = errors.New("sdr: message exceeds MaxMsgBytes")
+	// errSizeMismatch means a send does not fit the size announced by
 	// the matching receive's CTS (order-based matching contract,
 	// §3.1.3).
-	ErrSizeMismatch = errors.New("sdr: send larger than matched receive buffer")
-	// ErrImmNotReady means the user immediate cannot be reconstructed
+	errSizeMismatch = errors.New("sdr: send larger than matched receive buffer")
+	// errImmNotReady means the user immediate cannot be reconstructed
 	// yet (not all fragments arrived, §3.2.4).
-	ErrImmNotReady = errors.New("sdr: user immediate not yet reconstructable")
-	// ErrAlreadyCompleted means the receive handle was completed.
-	ErrAlreadyCompleted = errors.New("sdr: receive already completed")
-	// ErrStreamEnded means Continue was called after End.
-	ErrStreamEnded = errors.New("sdr: send stream already ended")
-	// ErrNotConnected means the QP has not been connected.
-	ErrNotConnected = errors.New("sdr: QP not connected")
-	// ErrOffsetUnaligned means a streaming send targeted an offset
+	errImmNotReady = errors.New("sdr: user immediate not yet reconstructable")
+	// errAlreadyCompleted means the receive handle was completed.
+	errAlreadyCompleted = errors.New("sdr: receive already completed")
+	// errStreamEnded means Continue was called after End.
+	errStreamEnded = errors.New("sdr: send stream already ended")
+	// errNotConnected means the QP has not been connected.
+	errNotConnected = errors.New("sdr: QP not connected")
+	// errOffsetUnaligned means a streaming send targeted an offset
 	// that is not MTU-aligned.
-	ErrOffsetUnaligned = errors.New("sdr: stream offset must be MTU-aligned")
+	errOffsetUnaligned = errors.New("sdr: stream offset must be MTU-aligned")
 	// ErrQPAborted means the QP was cancelled via Abort while an
 	// operation was blocked or about to block; the recorded cause is
 	// attached to the chain. Sticky until Reset.
@@ -161,9 +161,9 @@ func (qp *QP) Abort(cause error) {
 	}
 }
 
-// AbortErr returns the typed abort error (ErrQPAborted wrapping the
+// abortErr returns the typed abort error (ErrQPAborted wrapping the
 // recorded cause), or nil if the QP has not been aborted.
-func (qp *QP) AbortErr() error {
+func (qp *QP) abortErr() error {
 	p := qp.abortCause.Load()
 	if p == nil {
 		return nil
@@ -206,13 +206,13 @@ func (c *Context) NewQP() *QP {
 		cfg:     cfg,
 		ic:      newImmCodec(cfg),
 		rootMRs: make([]*nicsim.IndirectMR, cfg.Generations),
-		slots:   make([]recvSlot, cfg.Slots()),
+		slots:   make([]recvSlot, cfg.slots()),
 		ctsSize: make(map[uint64]uint64),
 	}
 	qp.chQPs = make([][]*nicsim.UCQP, cfg.Generations)
 	qp.chCQs = make([][]*nicsim.CQ, cfg.Generations)
 	for g := 0; g < cfg.Generations; g++ {
-		qp.rootMRs[g] = c.dev.AllocIndirectMR(cfg.Slots(), uint64(cfg.MaxMsgBytes))
+		qp.rootMRs[g] = c.dev.AllocIndirectMR(cfg.slots(), uint64(cfg.MaxMsgBytes))
 		qp.chQPs[g] = make([]*nicsim.UCQP, cfg.Channels)
 		qp.chCQs[g] = make([]*nicsim.CQ, cfg.Channels)
 		for ch := 0; ch < cfg.Channels; ch++ {
@@ -306,7 +306,7 @@ func (qp *QP) Stats() Stats {
 	}
 }
 
-// Reset prepares the QP for a new session lease on the same hardware:
+// reset prepares the QP for a new session lease on the same hardware:
 // outstanding receives are force-retired, pending CTS matches are
 // dropped, the late sink is cleared, the channel QPs abandon any
 // half-delivered message, and the counters zero.
@@ -323,7 +323,7 @@ func (qp *QP) Stats() Stats {
 // a previous lease — late retransmissions, delayed CTS or control
 // datagrams — lands in NULL-retired slots or unmatched routing tables
 // instead of colliding with the next session's operations.
-func (qp *QP) Reset() {
+func (qp *QP) reset() {
 	qp.SetLateSink(nil)
 	qp.abortCause.Store(nil)
 	qp.recvMu.Lock()
@@ -358,9 +358,9 @@ func (qp *QP) Reset() {
 	qp.ctx.dev.ResetCounters()
 }
 
-// Close detaches the QP's channel queue pairs from the device. The
-// context's DPA workers are stopped by Context.Close.
-func (qp *QP) Close() {
+// close detaches the QP's channel queue pairs from the device. The
+// context's DPA workers are stopped by Context.close.
+func (qp *QP) close() {
 	for g := range qp.chQPs {
 		for ch := range qp.chQPs[g] {
 			qp.ctx.dev.DestroyQP(qp.chQPs[g][ch].QPN())
@@ -372,12 +372,12 @@ func (qp *QP) Close() {
 // genFor returns the generation of message sequence number seq: slots
 // cycle through generations as message IDs wrap (§3.3.2).
 func (qp *QP) genFor(seq uint64) uint32 {
-	return uint32(seq / uint64(qp.cfg.Slots()) % uint64(qp.cfg.Generations))
+	return uint32(seq / uint64(qp.cfg.slots()) % uint64(qp.cfg.Generations))
 }
 
 // slotFor returns the message slot (= wire message ID) for seq.
 func (qp *QP) slotFor(seq uint64) int {
-	return int(seq % uint64(qp.cfg.Slots()))
+	return int(seq % uint64(qp.cfg.slots()))
 }
 
 // --- CTS control messages -------------------------------------------------
@@ -449,7 +449,7 @@ func (qp *QP) waitCTS(seq uint64, timeout time.Duration) (uint64, error) {
 	}
 	for {
 		epoch := clk.Epoch()
-		if err := qp.AbortErr(); err != nil {
+		if err := qp.abortErr(); err != nil {
 			return 0, err
 		}
 		qp.sendMu.Lock()

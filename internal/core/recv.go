@@ -27,7 +27,6 @@ type RecvHandle struct {
 
 	mr     *nicsim.MR
 	offset uint64
-	size   int
 
 	npackets int
 	msg      *bitmap.Message
@@ -52,10 +51,10 @@ type RecvHandle struct {
 // posted buffer. Posting sends a clear-to-send to the peer.
 func (qp *QP) RecvPost(mr *nicsim.MR, offset uint64, size int) (*RecvHandle, error) {
 	if !qp.connected.Load() {
-		return nil, ErrNotConnected
+		return nil, errNotConnected
 	}
 	if size <= 0 || size > qp.cfg.MaxMsgBytes {
-		return nil, fmt.Errorf("%w: %d bytes (max %d)", ErrMsgTooLarge, size, qp.cfg.MaxMsgBytes)
+		return nil, fmt.Errorf("%w: %d bytes (max %d)", errMsgTooLarge, size, qp.cfg.MaxMsgBytes)
 	}
 	// Overflow-safe range check: offset+size can wrap uint64 for
 	// offsets near 2^64 and falsely admit an out-of-bounds receive.
@@ -81,7 +80,6 @@ func (qp *QP) RecvPost(mr *nicsim.MR, offset uint64, size int) (*RecvHandle, err
 		gen:      gen,
 		mr:       mr,
 		offset:   offset,
-		size:     size,
 		npackets: (size + qp.cfg.MTU - 1) / qp.cfg.MTU,
 	}
 	h.msg = bitmap.NewMessage(h.npackets, qp.cfg.PacketsPerChunk())
@@ -117,9 +115,6 @@ func (h *RecvHandle) Slot() int { return h.slot }
 // Gen returns the receive's delivery generation.
 func (h *RecvHandle) Gen() uint32 { return h.gen }
 
-// Size returns the posted buffer size in bytes.
-func (h *RecvHandle) Size() int { return h.size }
-
 // NumChunks returns the number of bitmap chunks in the message.
 func (h *RecvHandle) NumChunks() int { return h.msg.NumChunks() }
 
@@ -136,14 +131,14 @@ func (h *RecvHandle) MarkedPackets() uint64 { return h.markedPkts.Load() }
 func (h *RecvHandle) DuplicatePackets() uint64 { return h.dupPkts.Load() }
 
 // Imm reconstructs the 32-bit user immediate from the per-packet
-// fragments (Table 1: recv_imm_get). It returns ErrImmNotReady until
+// fragments (Table 1: recv_imm_get). It returns errImmNotReady until
 // either all fragment positions have been observed or the message is
 // fully delivered (shorter messages cannot carry every fragment; the
 // missing bits read as zero).
 func (h *RecvHandle) Imm() (uint32, error) {
 	frags := h.qp.cfg.immFragments()
 	if frags == 0 {
-		return 0, fmt.Errorf("%w: immediate split reserves no user bits", ErrImmNotReady)
+		return 0, fmt.Errorf("%w: immediate split reserves no user bits", errImmNotReady)
 	}
 	need := frags
 	if h.npackets < frags {
@@ -151,10 +146,10 @@ func (h *RecvHandle) Imm() (uint32, error) {
 	}
 	full := uint32(1)<<uint(need) - 1
 	if h.immSeen.Load()&full != full {
-		return 0, ErrImmNotReady
+		return 0, errImmNotReady
 	}
 	if h.npackets < frags && !h.Done() {
-		return 0, ErrImmNotReady
+		return 0, errImmNotReady
 	}
 	return h.immVal.Load(), nil
 }
@@ -165,7 +160,7 @@ func (h *RecvHandle) Imm() (uint32, error) {
 // next wraparound posting.
 func (h *RecvHandle) Complete() error {
 	if !h.completed.CompareAndSwap(false, true) {
-		return ErrAlreadyCompleted
+		return errAlreadyCompleted
 	}
 	qp := h.qp
 	s := &qp.slots[h.slot]

@@ -39,10 +39,10 @@ func (qp *QP) SendStreamStart(size int, userImm uint32) (*SendStream, error) {
 // Abort interrupts the wait in either mode with ErrQPAborted.
 func (qp *QP) SendStreamStartTimeout(size int, userImm uint32, timeout time.Duration) (*SendStream, error) {
 	if !qp.connected.Load() {
-		return nil, ErrNotConnected
+		return nil, errNotConnected
 	}
 	if size <= 0 || size > qp.cfg.MaxMsgBytes {
-		return nil, fmt.Errorf("%w: %d bytes (max %d)", ErrMsgTooLarge, size, qp.cfg.MaxMsgBytes)
+		return nil, fmt.Errorf("%w: %d bytes (max %d)", errMsgTooLarge, size, qp.cfg.MaxMsgBytes)
 	}
 	qp.sendMu.Lock()
 	seq := qp.sendSeq
@@ -55,7 +55,7 @@ func (qp *QP) SendStreamStartTimeout(size int, userImm uint32, timeout time.Dura
 	}
 	if uint64(size) > matched {
 		return nil, fmt.Errorf("%w: send %d B, receive posted %d B (seq %d)",
-			ErrSizeMismatch, size, matched, seq)
+			errSizeMismatch, size, matched, seq)
 	}
 	return &SendStream{
 		qp:      qp,
@@ -76,18 +76,18 @@ func (s *SendStream) Seq() uint64 { return s.seq }
 func (s *SendStream) Continue(offset int, data []byte) error {
 	qp := s.qp
 	if offset%qp.cfg.MTU != 0 {
-		return fmt.Errorf("%w: offset %d, MTU %d", ErrOffsetUnaligned, offset, qp.cfg.MTU)
+		return fmt.Errorf("%w: offset %d, MTU %d", errOffsetUnaligned, offset, qp.cfg.MTU)
 	}
 	// Overflow-safe: a negative offset is MTU-aligned too, and
 	// offset+len(data) can wrap int for offsets near MaxInt.
 	if offset < 0 || offset > s.size || len(data) > s.size-offset {
 		return fmt.Errorf("%w: [%d,+%d) beyond announced size %d",
-			ErrSizeMismatch, offset, len(data), s.size)
+			errSizeMismatch, offset, len(data), s.size)
 	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
-		return ErrStreamEnded
+		return errStreamEnded
 	}
 	s.inject(offset, data)
 	s.mu.Unlock()
@@ -132,15 +132,15 @@ func (s *SendStream) End() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ended {
-		return ErrStreamEnded
+		return errStreamEnded
 	}
 	s.ended = true
 	return nil
 }
 
-// Injected returns how many packets the stream has put on the wire
+// injectedPackets returns how many packets the stream has put on the wire
 // (including retransmissions).
-func (s *SendStream) Injected() int {
+func (s *SendStream) injectedPackets() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.injected
@@ -148,20 +148,13 @@ func (s *SendStream) Injected() int {
 
 // SendHandle tracks a one-shot send (Table 1: send_post/send_poll).
 type SendHandle struct {
-	seq     uint64
 	packets int
 }
-
-// Seq returns the message sequence number of the send.
-func (h *SendHandle) Seq() uint64 { return h.seq }
 
 // Poll reports whether injection finished (Table 1: send_poll). The
 // simulator injects synchronously, so a returned handle is always
 // complete; the API mirrors the asynchronous hardware contract.
 func (h *SendHandle) Poll() bool { return true }
-
-// Packets returns how many packets the send injected.
-func (h *SendHandle) Packets() int { return h.packets }
 
 // SendPost performs a one-shot send of data as the next matched
 // message (Table 1: send_post): efficient path for large contiguous
@@ -183,5 +176,5 @@ func (qp *QP) SendPostTimeout(data []byte, userImm uint32, timeout time.Duration
 	if err := stream.End(); err != nil {
 		return nil, err
 	}
-	return &SendHandle{seq: stream.seq, packets: stream.Injected()}, nil
+	return &SendHandle{packets: stream.injectedPackets()}, nil
 }

@@ -111,13 +111,6 @@ func (p *Pool) SpawnBatch(cq *nicsim.CQ, handler BatchHandler) *Worker {
 	return w
 }
 
-// Workers returns the current worker count.
-func (p *Pool) Workers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.workers)
-}
-
 // Processed sums completions handled across all workers.
 func (p *Pool) Processed() uint64 {
 	p.mu.Lock()

@@ -61,8 +61,8 @@ func TestPoolCounters(t *testing.T) {
 			cqs[i] = nicsim.NewCQ(256, false)
 			pool.SpawnBatch(cqs[i], func([]nicsim.CQE) {})
 		}
-		if pool.Workers() != 4 {
-			t.Fatalf("Workers = %d", pool.Workers())
+		if len(pool.workers) != 4 {
+			t.Fatalf("workers = %d", len(pool.workers))
 		}
 		for i, cq := range cqs {
 			for j := 0; j <= i; j++ {
@@ -77,8 +77,8 @@ func TestPoolCounters(t *testing.T) {
 			// Stop clears the worker list; Processed sums live workers.
 			t.Fatalf("Processed after Stop = %d, want 0 (workers detached)", got)
 		}
-		if pool.Workers() != 0 {
-			t.Fatalf("Workers after Stop = %d", pool.Workers())
+		if len(pool.workers) != 0 {
+			t.Fatalf("workers after Stop = %d", len(pool.workers))
 		}
 	})
 }

@@ -45,14 +45,12 @@ type Code interface {
 	// be allocated buffers) and the presence mask. Present shards are
 	// left untouched.
 	Reconstruct(shards [][]byte, present []bool) error
-	// Name identifies the scheme ("xor" or "mds").
-	Name() string
 }
 
-// ErrUnrecoverable is returned by Reconstruct when too many shards were
+// errUnrecoverable is returned by Reconstruct when too many shards were
 // lost for the code to recover — the SDR reliability layer reacts by
 // falling back to Selective Repeat for the submessage (§4.1.2).
-var ErrUnrecoverable = errors.New("ec: too many shards lost to reconstruct")
+var errUnrecoverable = errors.New("ec: too many shards lost to reconstruct")
 
 func checkShardGeometry(data, parity [][]byte, k, m int) (int, error) {
 	if len(data) != k || len(parity) != m {
@@ -90,9 +88,8 @@ func NewXOR(k, m int) (*XORCode, error) {
 	return &XORCode{k: k, m: m}, nil
 }
 
-func (c *XORCode) K() int       { return c.k }
-func (c *XORCode) M() int       { return c.m }
-func (c *XORCode) Name() string { return "xor" }
+func (c *XORCode) K() int { return c.k }
+func (c *XORCode) M() int { return c.m }
 
 // Encode computes parity[i] = XOR of data[j] for j mod m == i. Above
 // the parallel threshold byte ranges are sharded across the package
@@ -159,7 +156,7 @@ func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 		return fmt.Errorf("ec: XOR Reconstruct wants %d shards", c.k+c.m)
 	}
 	if !c.CanRecover(present) {
-		return ErrUnrecoverable
+		return errUnrecoverable
 	}
 	var repairs []int // data block to repair, one per damaged group
 	for g := 0; g < c.m; g++ {
@@ -249,9 +246,8 @@ func NewRS(k, m int) (*RSCode, error) {
 	return c, nil
 }
 
-func (c *RSCode) K() int       { return c.k }
-func (c *RSCode) M() int       { return c.m }
-func (c *RSCode) Name() string { return "mds" }
+func (c *RSCode) K() int { return c.k }
+func (c *RSCode) M() int { return c.m }
 
 // Encode computes the m parity shards — the GF(2^8) product of the
 // parity rows of enc with the data columns, 8 rows per pass over the
@@ -292,7 +288,7 @@ func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
 		return fmt.Errorf("ec: RS Reconstruct wants %d shards", c.k+c.m)
 	}
 	if !c.CanRecover(present) {
-		return ErrUnrecoverable
+		return errUnrecoverable
 	}
 	s := c.scratch.Get().(*decodeScratch)
 	defer c.scratch.Put(s)

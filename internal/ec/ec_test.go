@@ -52,7 +52,7 @@ func roundTrip(t *testing.T, c Code, lose []int, size int, wantErr bool) {
 		orig[i] = append([]byte(nil), data[i]...)
 	}
 	if err := c.Encode(data, parity); err != nil {
-		t.Fatalf("%s Encode: %v", c.Name(), err)
+		t.Fatalf("%T Encode: %v", c, err)
 	}
 	shards := append(append([][]byte{}, data...), parity...)
 	present := make([]bool, k+m)
@@ -67,17 +67,17 @@ func roundTrip(t *testing.T, c Code, lose []int, size int, wantErr bool) {
 	}
 	err := c.Reconstruct(shards, present)
 	if wantErr {
-		if err != ErrUnrecoverable {
-			t.Fatalf("%s lose=%v: err=%v, want ErrUnrecoverable", c.Name(), lose, err)
+		if err != errUnrecoverable {
+			t.Fatalf("%T lose=%v: err=%v, want ErrUnrecoverable", c, lose, err)
 		}
 		return
 	}
 	if err != nil {
-		t.Fatalf("%s Reconstruct(lose=%v): %v", c.Name(), lose, err)
+		t.Fatalf("%T Reconstruct(lose=%v): %v", c, lose, err)
 	}
 	for i := 0; i < k; i++ {
 		if !bytes.Equal(shards[i], orig[i]) {
-			t.Fatalf("%s lose=%v: data shard %d corrupted after reconstruct", c.Name(), lose, i)
+			t.Fatalf("%T lose=%v: data shard %d corrupted after reconstruct", c, lose, i)
 		}
 	}
 }
@@ -350,18 +350,18 @@ func testParallelEncodeMatchesSerial(t *testing.T) {
 			parallel := makeShards(rng, c.M(), size)
 			withParallelism(1, func() {
 				if err := c.Encode(data, serial); err != nil {
-					t.Fatalf("%s serial encode: %v", c.Name(), err)
+					t.Fatalf("%T serial encode: %v", c, err)
 				}
 			})
 			withParallelism(8, func() {
 				if err := c.Encode(data, parallel); err != nil {
-					t.Fatalf("%s parallel encode: %v", c.Name(), err)
+					t.Fatalf("%T parallel encode: %v", c, err)
 				}
 			})
 			for i := range serial {
 				if !bytes.Equal(serial[i], parallel[i]) {
-					t.Fatalf("%s size=%d: parity row %d differs between serial and parallel encode",
-						c.Name(), size, i)
+					t.Fatalf("%T size=%d: parity row %d differs between serial and parallel encode",
+						c, size, i)
 				}
 			}
 		}
@@ -415,7 +415,7 @@ func testParallelReconstructMatchesSerial(t *testing.T) {
 			}
 			withParallelism(workers, func() {
 				if err := c.Reconstruct(shards, present); err != nil {
-					t.Fatalf("%s workers=%d: %v", c.Name(), workers, err)
+					t.Fatalf("%T workers=%d: %v", c, workers, err)
 				}
 			})
 			return shards
@@ -424,12 +424,12 @@ func testParallelReconstructMatchesSerial(t *testing.T) {
 		parallel := run(8)
 		for i := range serial {
 			if !bytes.Equal(serial[i], parallel[i]) {
-				t.Fatalf("%s: shard %d differs between serial and parallel reconstruct", c.Name(), i)
+				t.Fatalf("%T: shard %d differs between serial and parallel reconstruct", c, i)
 			}
 		}
 		for i := 0; i < k; i++ {
 			if !bytes.Equal(serial[i], data[i]) {
-				t.Fatalf("%s: shard %d not recovered correctly", c.Name(), i)
+				t.Fatalf("%T: shard %d not recovered correctly", c, i)
 			}
 		}
 	}

@@ -10,16 +10,16 @@ import (
 )
 
 func init() {
-	registry["ablation-gen"] = AblationGenerations
-	registry["ablation-rto"] = AblationRTO
-	registry["ablation-chunk"] = AblationChunkModel
+	registry["ablation-gen"] = ablationGenerations
+	registry["ablation-rto"] = ablationRTO
+	registry["ablation-chunk"] = ablationChunkModel
 }
 
-// AblationGenerations measures the functional-stack cost of the
+// ablationGenerations measures the functional-stack cost of the
 // late-packet generation mechanism (§3.3.2): more generations mean
 // more internal QPs and root-mkey tables per SDR QP. The paper argues
 // their sequential use keeps the overhead negligible.
-func AblationGenerations(o Options) (*Result, error) {
+func ablationGenerations(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Ablation: generations",
 		Title:  "Throughput vs generation count (1 MiB messages, 8 workers)",
@@ -50,11 +50,11 @@ func AblationGenerations(o Options) (*Result, error) {
 	return res, nil
 }
 
-// AblationRTO sweeps the SR retransmission-timeout factor (§4.1.1's
+// ablationRTO sweeps the SR retransmission-timeout factor (§4.1.1's
 // RTO = RTT + α·RTT): too small risks spurious retransmits on real
 // networks; in the model, completion time grows linearly with the
 // exposed timeout.
-func AblationRTO(o Options) (*Result, error) {
+func ablationRTO(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Ablation: SR RTO factor",
 		Title:  "SR completion vs RTO factor (128 MiB, P=1e-4)",
@@ -80,11 +80,11 @@ func AblationRTO(o Options) (*Result, error) {
 	return res, nil
 }
 
-// AblationChunkModel sweeps the bitmap chunk size in the model: larger
+// ablationChunkModel sweeps the bitmap chunk size in the model: larger
 // chunks raise the effective chunk-drop probability
 // (P_chunk = 1-(1-p)^N, Fig 15) and coarsen SR retransmission units,
 // trading PCIe traffic against drop-detection resolution (§3.1.1).
-func AblationChunkModel(o Options) (*Result, error) {
+func ablationChunkModel(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Ablation: bitmap chunk size (model)",
 		Title:  "SR completion vs chunk size (128 MiB, per-packet P=1e-4)",

@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	registry["adaptive-functional"] = AdaptiveFunctional
+	registry["adaptive-functional"] = adaptiveFunctional
 }
 
 // adaptiveBandwidthBps is the per-direction line rate of every diamond
@@ -236,7 +236,7 @@ func runAdaptiveRC(topo *netem.Topology, clk clock.Clock, src, dst, size int, se
 	return elapsed, link.AB.Tx.Load(), err
 }
 
-// AdaptiveFunctional runs the adaptive mid-flight reliability figure:
+// adaptiveFunctional runs the adaptive mid-flight reliability figure:
 // one transfer per scheme through the identical four-regime fault
 // program (clean → burst loss → flap+reroute → recovery) on the
 // diamond topology. The adaptive scheme starts on the SR rung,
@@ -246,7 +246,7 @@ func runAdaptiveRC(topo *netem.Topology, clk clock.Clock, src, dst, size int, se
 // adaptive transfer strictly beating all of them on completion time.
 // On the default virtual clock the whole figure is a deterministic
 // function of the seed for any sweep worker count.
-func AdaptiveFunctional(o Options) (*Result, error) {
+func adaptiveFunctional(o Options) (*Result, error) {
 	// Segments stay fine-grained (4 chunks = 256 KiB) so the window
 	// covers the 2.5 MB BDP while adaptation lag — plans freeze when a
 	// segment is posted, window segments ahead of the head — stays a

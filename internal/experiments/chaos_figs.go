@@ -8,10 +8,10 @@ import (
 )
 
 func init() {
-	registry["chaos-functional"] = ChaosFunctional
+	registry["chaos-functional"] = chaosFunctional
 }
 
-// ChaosFunctional is the survivability figure of the robustness suite:
+// chaosFunctional is the survivability figure of the robustness suite:
 // it runs the deterministic chaos corpus (internal/chaos) — composed
 // link flaps, blackholes, burst-loss episodes, RTT drift, control-
 // plane drop/duplication/corruption, receiver crashes and session
@@ -20,8 +20,8 @@ func init() {
 // abort / dead-peer errors, quarantined leases, pool reuses, and
 // invariant violations (always zero on a healthy build; a non-zero
 // count prints the triggering fault programs in the notes).
-func ChaosFunctional(opts Options) (*Result, error) {
-	opts = opts.WithDefaults()
+func chaosFunctional(opts Options) (*Result, error) {
+	opts = opts.withDefaults()
 	const scenarios = 100
 	rep := chaos.Run(uint64(opts.Seed), scenarios, opts.SweepWorkers)
 

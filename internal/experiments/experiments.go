@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (§5). Each Fig* function returns a Result whose
-// rows mirror the series the paper plots; the cmd/sdr-experiments
-// binary prints them, and each Result's notes record the paper's
-// value next to the measured one.
+// paper's evaluation (§5). Run(id) looks a figure up in the registry
+// and returns a Result whose rows mirror the series the paper plots;
+// the cmd/sdr-experiments binary prints them, and each Result's notes
+// record the paper's value next to the measured one.
 //
 // Figures 2, 3 and 9–13 use the model path (the paper produced them
 // with its Python framework, §5.1.1); Figures 14–16 run the real Go
@@ -97,8 +97,8 @@ type Options struct {
 	Trace *telemetry.Trace
 }
 
-// WithDefaults fills zero fields.
-func (o Options) WithDefaults() Options {
+// withDefaults fills zero fields.
+func (o Options) withDefaults() Options {
 	if o.Samples == 0 {
 		o.Samples = 1000
 	}
@@ -124,21 +124,21 @@ func (o Options) clockLabel() string {
 
 // registry maps figure IDs to their runners.
 var registry = map[string]func(Options) (*Result, error){
-	"2":   Fig2,
-	"3a":  Fig3a,
-	"3b":  Fig3b,
-	"3c":  Fig3c,
-	"9":   Fig9,
-	"10a": Fig10a,
-	"10b": Fig10b,
-	"10c": Fig10c,
-	"10d": Fig10d,
-	"11":  Fig11,
-	"12":  Fig12,
-	"13":  Fig13,
-	"14":  Fig14,
-	"15":  Fig15,
-	"16":  Fig16,
+	"2":   fig2,
+	"3a":  fig3a,
+	"3b":  fig3b,
+	"3c":  fig3c,
+	"9":   fig9,
+	"10a": fig10a,
+	"10b": fig10b,
+	"10c": fig10c,
+	"10d": fig10d,
+	"11":  fig11,
+	"12":  fig12,
+	"13":  fig13,
+	"14":  fig14,
+	"15":  fig15,
+	"16":  fig16,
 }
 
 // List returns the available experiment IDs in order.
@@ -157,7 +157,7 @@ func Run(id string, opts Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, List())
 	}
-	return fn(opts.WithDefaults())
+	return fn(opts.withDefaults())
 }
 
 // sizeLabel formats byte counts the way the paper's axes do.

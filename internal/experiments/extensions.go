@@ -11,9 +11,9 @@ import (
 )
 
 func init() {
-	registry["des-validate"] = DESValidation
-	registry["tree"] = TreeCollective
-	registry["gbn"] = GBNBaseline
+	registry["des-validate"] = desValidation
+	registry["tree"] = treeCollective
+	registry["gbn"] = gbnBaseline
 }
 
 // desChannel64K uses 64 KiB chunks to keep DES event counts low.
@@ -24,11 +24,11 @@ func desChannel64K(pdrop float64) wan.Params {
 	}
 }
 
-// DESValidation cross-checks three estimates of the SR completion
+// desValidation cross-checks three estimates of the SR completion
 // time: the Appendix A closed form, the paper-style stochastic
 // sampler, and the packet-level discrete-event simulation (which
 // additionally models retransmission serialization and ACK delay).
-func DESValidation(o Options) (*Result, error) {
+func desValidation(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "DES validation",
 		Title:  "SR 128 MiB: closed form vs stochastic model vs discrete-event sim",
@@ -81,10 +81,10 @@ func DESValidation(o Options) (*Result, error) {
 	return res, nil
 }
 
-// GBNBaseline quantifies §4's justification for Selective Repeat: the
+// gbnBaseline quantifies §4's justification for Selective Repeat: the
 // commodity Go-Back-N transport loses a full outstanding window per
 // drop on a high-BDP path.
-func GBNBaseline(o Options) (*Result, error) {
+func gbnBaseline(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "GBN baseline",
 		Title:  "Go-Back-N vs SR vs EC, 128 MiB (DES, 64 KiB chunks)",
@@ -135,10 +135,10 @@ func GBNBaseline(o Options) (*Result, error) {
 	return res, nil
 }
 
-// TreeCollective extends Fig 13's analysis to binomial-tree broadcast
+// treeCollective extends Fig 13's analysis to binomial-tree broadcast
 // (§5.3: the schedule-dependency argument generalizes to tree
 // algorithms).
-func TreeCollective(o Options) (*Result, error) {
+func treeCollective(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Tree collective",
 		Title:  "p99.9 binomial-tree broadcast speedup, MDS EC over SR RTO (128 MiB)",

@@ -18,7 +18,7 @@ import (
 )
 
 func init() {
-	registry["wan-functional"] = WANFunctional
+	registry["wan-functional"] = wanFunctional
 }
 
 // measureEncodeGbps measures one-core encode throughput of code over a
@@ -439,7 +439,7 @@ func runRCWrite(clk clock.Clock, rc *nicsim.RCPair, devB *nicsim.Device, size in
 	return elapsed, nil
 }
 
-// WANFunctional runs the §5.1-style WAN scenarios on the real
+// wanFunctional runs the §5.1-style WAN scenarios on the real
 // functional stack instead of the model: SR RTO, SR NACK, EC and the
 // RC Go-Back-N baseline at the paper's 25 ms RTT and 400 Gbit/s, each
 // as an actual packet-level transfer with DMA into real buffers. On
@@ -447,7 +447,7 @@ func runRCWrite(clk clock.Clock, rc *nicsim.RCPair, devB *nicsim.Device, size in
 // fixed seed and finishes in milliseconds of wall time; Options.
 // RealClock runs the identical scenarios against the wall clock (the
 // before/after the README quotes).
-func WANFunctional(o Options) (*Result, error) {
+func wanFunctional(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "WAN functional", // Title set below, after quick-mode sizing
 		Header: []string{"scheme", "P_drop", "completion [ms]", "packets", "overhead"},
@@ -544,9 +544,9 @@ func WANFunctional(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig14: SDR throughput vs message size (16 in-flight Writes, 64 KiB
+// fig14: SDR throughput vs message size (16 in-flight Writes, 64 KiB
 // chunks) against the RC baseline, plus DPA-worker scaling.
-func Fig14(o Options) (*Result, error) {
+func fig14(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Fig 14",
 		Title:  "SDR throughput (16 in-flight, 64 KiB chunks) and worker scaling",
@@ -610,10 +610,10 @@ func Fig14(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig15: packet rate vs bitmap chunk size with 64-byte transport
+// fig15: packet rate vs bitmap chunk size with 64-byte transport
 // writes (per-packet DPA load is payload-independent), annotated with
 // the theoretical chunk drop probability at P_drop = 1e-5.
-func Fig15(o Options) (*Result, error) {
+func fig15(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Fig 15",
 		Title:  "Packet rate vs bitmap chunk size (64 B writes, 16 workers)",
@@ -645,10 +645,10 @@ func Fig15(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig16: packet-rate scaling vs receive worker count with 64-byte
+// fig16: packet-rate scaling vs receive worker count with 64-byte
 // writes, against the paper's next-generation line-rate requirements
 // (4 KiB MTU: 400G≈12, 800G≈24, 1600G≈49, 3200G≈98 Mpkts/s).
-func Fig16(o Options) (*Result, error) {
+func fig16(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Fig 16",
 		Title:  "Packet rate vs receive DPA workers (64 B writes)",

@@ -25,9 +25,9 @@ func paperChannel(pdrop float64) wan.Params {
 	}
 }
 
-// Fig2 reproduces the Lugano–Lausanne iperf3 UDP campaign: per-payload
+// fig2 reproduces the Lugano–Lausanne iperf3 UDP campaign: per-payload
 // drop-rate distribution over 200 trials (§2.1, Fig 2).
-func Fig2(o Options) (*Result, error) {
+func fig2(o Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(o.Seed))
 	campaign := wan.DefaultISPCampaign()
 	payloads := []int{1024, 2048, 4096, 8192}
@@ -37,7 +37,7 @@ func Fig2(o Options) (*Result, error) {
 		Header: []string{"payload", "p5", "p25", "median", "p75", "p95", "max"},
 		Notes: []string{
 			"paper: 1 KiB spans ~1e-4..1e-2; 8 KiB spans ~1e-3..>1e-1; spread ≈3 orders of magnitude",
-			"substitution: congested-ISP trial model (see DESIGN.md)",
+			"substitution: congested-ISP trial model (see README.md, \"Fig 2: the congested-ISP trial model\")",
 		},
 	}
 	results := campaign.RunCampaign(rng, payloads, 200)
@@ -59,8 +59,8 @@ func meanSlowdown(s model.Scheme, ch wan.Params, size int64, n int, seed int64) 
 	return stats.Mean(model.Sample(s, size, n, seed)) / model.LosslessTime(ch, size)
 }
 
-// Fig3a: mean slowdown vs Write size at P=1e-5, 25 ms RTT, 400 Gbit/s.
-func Fig3a(o Options) (*Result, error) {
+// fig3a: mean slowdown vs Write size at P=1e-5, 25 ms RTT, 400 Gbit/s.
+func fig3a(o Options) (*Result, error) {
 	ch := paperChannel(1e-5)
 	sr := model.NewSRRTO(ch)
 	mds := model.NewMDS(ch)
@@ -85,8 +85,8 @@ func Fig3a(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig3b: mean slowdown vs one-way distance for an 8 GiB Write, P=1e-5.
-func Fig3b(o Options) (*Result, error) {
+// fig3b: mean slowdown vs one-way distance for an 8 GiB Write, P=1e-5.
+func fig3b(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Fig 3b",
 		Title:  "Mean slowdown vs one-way distance (8 GiB, P=1e-5, 400 Gbit/s)",
@@ -114,8 +114,8 @@ func Fig3b(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig3c: mean slowdown vs drop rate for a 128 MiB Write at 3750 km.
-func Fig3c(o Options) (*Result, error) {
+// fig3c: mean slowdown vs drop rate for a 128 MiB Write at 3750 km.
+func fig3c(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Fig 3c",
 		Title:  "Mean slowdown vs drop rate (128 MiB, 3750 km, 400 Gbit/s)",
@@ -139,8 +139,8 @@ func Fig3c(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig9: EC-over-SR mean speedup heatmap, message size × drop rate.
-func Fig9(o Options) (*Result, error) {
+// fig9: EC-over-SR mean speedup heatmap, message size × drop rate.
+func fig9(o Options) (*Result, error) {
 	drops := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 	sizes := []int64{8 << 30, 1 << 30, 128 << 20, 16 << 20, 2 << 20, 256 << 10, 32 << 10}
 	header := []string{"size \\ P_drop"}
@@ -172,8 +172,8 @@ func Fig9(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig10a: mean and p99.9 completion vs Write size at P=1e-5.
-func Fig10a(o Options) (*Result, error) {
+// fig10a: mean and p99.9 completion vs Write size at P=1e-5.
+func fig10a(o Options) (*Result, error) {
 	ch := paperChannel(1e-5)
 	schemes := []model.Scheme{model.NewSRRTO(ch), model.NewSRNACK(ch), model.NewMDS(ch)}
 	header := []string{"write size"}
@@ -203,10 +203,10 @@ func Fig10a(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig10b: EC behaviour across drop rates for a 128 MiB Write —
+// fig10b: EC behaviour across drop rates for a 128 MiB Write —
 // completion time and fallback probability (parity becomes
 // ineffective at very high drop rates).
-func Fig10b(o Options) (*Result, error) {
+func fig10b(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Fig 10b",
 		Title:  "MDS EC(32,8), 128 MiB: completion and fallback vs drop rate",
@@ -234,9 +234,9 @@ func Fig10b(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig10c: SR RTO vs SR NACK for 128 MiB across drop rates — the
+// fig10c: SR RTO vs SR NACK for 128 MiB across drop rates — the
 // RTT-scale penalty per chunk drop that NACK cannot remove.
-func Fig10c(o Options) (*Result, error) {
+func fig10c(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "Fig 10c",
 		Title:  "SR RTO vs SR NACK, 128 MiB: RTO exposure vs drop rate",
@@ -263,8 +263,8 @@ func Fig10c(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig10d: MDS data:parity splits for 128 MiB across drop rates.
-func Fig10d(o Options) (*Result, error) {
+// fig10d: MDS data:parity splits for 128 MiB across drop rates.
+func fig10d(o Options) (*Result, error) {
 	splits := []struct{ k, m int }{{64, 8}, {32, 8}, {16, 8}, {8, 8}}
 	header := []string{"P_drop"}
 	for _, s := range splits {
@@ -296,11 +296,11 @@ func Fig10d(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig11 combines the encoding-throughput comparison (real CPU
+// fig11 combines the encoding-throughput comparison (real CPU
 // measurement of this repo's codecs, stand-ins for ISA-L and the
 // AVX-512 XOR kernel; the note names the gf256 kernel body the host
 // ran) with the fallback-onset analysis.
-func Fig11(o Options) (*Result, error) {
+func fig11(o Options) (*Result, error) {
 	const (
 		chunk = 64 << 10
 		k, m  = 32, 8
@@ -353,9 +353,9 @@ func Fig11(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig12: distance × bandwidth grid for a 128 MiB Write at P=1e-5,
+// fig12: distance × bandwidth grid for a 128 MiB Write at P=1e-5,
 // times normalized by the lossless Write (the paper's heatmap).
-func Fig12(o Options) (*Result, error) {
+func fig12(o Options) (*Result, error) {
 	distances := []float64{75, 750, 3000, 6000}
 	bws := []float64{100e9, 400e9, 800e9, 1600e9}
 	header := []string{"distance \\ BW"}
@@ -387,10 +387,10 @@ func Fig12(o Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig13: p99.9 ring-Allreduce speedup of MDS EC over SR RTO. Left
+// fig13: p99.9 ring-Allreduce speedup of MDS EC over SR RTO. Left
 // panel: 128 MiB buffer, varying datacenter count; right panel: 4
 // datacenters, varying buffer size.
-func Fig13(o Options) (*Result, error) {
+func fig13(o Options) (*Result, error) {
 	drops := []float64{1e-4, 1e-3, 1e-2}
 	speedup := func(n int, buf int64, p float64, seed int64) float64 {
 		ch := paperChannel(p)

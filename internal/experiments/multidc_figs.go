@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	registry["multidc-functional"] = MultiDCFunctional
+	registry["multidc-functional"] = multiDCFunctional
 }
 
 // multidcClock adapts the sweep-provided clock for a scenario: on the
@@ -288,14 +288,14 @@ func runMultiDCDumbbell(clk clock.Clock, scheme string, relCfg reliability.Confi
 	return st, nil
 }
 
-// MultiDCFunctional runs the real SDR reliability stack across
+// multiDCFunctional runs the real SDR reliability stack across
 // emulated multi-datacenter topologies — a bursty-loss ring allreduce,
 // a binomial broadcast over a physical tree, and two tenants fighting
 // over a finite dumbbell bottleneck — on either clock backend. On the
 // default virtual clock the whole figure is a deterministic function
 // of the seed and runs at simulation speed; -clock real pays the
 // genuine WAN latencies.
-func MultiDCFunctional(o Options) (*Result, error) {
+func multiDCFunctional(o Options) (*Result, error) {
 	// Full fidelity: 4-DC ring with 4 MiB vectors, 6-DC tree pushing
 	// 2 MiB, dumbbell flows of 4 MiB. Quick mode (tests, Samples < 500)
 	// shrinks every dimension.

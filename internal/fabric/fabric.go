@@ -129,9 +129,9 @@ func newParams(dst nicsim.Deliverer, cfg Config) *params {
 	return p
 }
 
-// NewDirection builds a standalone direction toward dst (links are
+// newDirection builds a standalone direction toward dst (links are
 // made of two).
-func NewDirection(dst *nicsim.Device, cfg Config) *Direction {
+func newDirection(dst *nicsim.Device, cfg Config) *Direction {
 	return NewDirectionTo(dst, cfg)
 }
 
@@ -414,15 +414,7 @@ type Link struct {
 
 // NewLink wires device a to device b with per-direction configs.
 func NewLink(a, b *nicsim.Device, ab, ba Config) *Link {
-	return &Link{AB: NewDirection(b, ab), BA: NewDirection(a, ba)}
-}
-
-// Symmetric builds a link with the same impairments both ways (the
-// reverse direction gets Seed+1 so the two loss streams differ).
-func Symmetric(a, b *nicsim.Device, cfg Config) *Link {
-	cfgBA := cfg
-	cfgBA.Seed = cfg.Seed + 1
-	return NewLink(a, b, cfg, cfgBA)
+	return &Link{AB: newDirection(b, ab), BA: newDirection(a, ba)}
 }
 
 // OOB is the reliable, ordered out-of-band channel applications use

@@ -58,7 +58,7 @@ func waitCount(t *testing.T, c *countingQP, want uint64, timeout time.Duration) 
 func TestLosslessDirectionDeliversAll(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	c, qpn := registerCounter(dev)
-	dir := NewDirection(dev, Config{})
+	dir := newDirection(dev, Config{})
 	sendN(dir, qpn, 1000)
 	waitCount(t, c, 1000, time.Second)
 	if dir.Tx.Load() != 1000 || dir.Dropped.Load() != 0 {
@@ -69,7 +69,7 @@ func TestLosslessDirectionDeliversAll(t *testing.T) {
 func TestDropRate(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	_, qpn := registerCounter(dev)
-	dir := NewDirection(dev, Config{DropProb: 0.3, Seed: 1})
+	dir := newDirection(dev, Config{DropProb: 0.3, Seed: 1})
 	const n = 20000
 	sendN(dir, qpn, n)
 	rate := float64(dir.Dropped.Load()) / n
@@ -81,7 +81,7 @@ func TestDropRate(t *testing.T) {
 func TestDuplication(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	c, qpn := registerCounter(dev)
-	dir := NewDirection(dev, Config{DuplicateProb: 1.0, Seed: 2})
+	dir := newDirection(dev, Config{DuplicateProb: 1.0, Seed: 2})
 	sendN(dir, qpn, 100)
 	waitCount(t, c, 200, time.Second)
 	if dir.Duplicated.Load() != 100 {
@@ -92,7 +92,7 @@ func TestDuplication(t *testing.T) {
 func TestLatencyDelays(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	c, qpn := registerCounter(dev)
-	dir := NewDirection(dev, Config{Latency: 20 * time.Millisecond})
+	dir := newDirection(dev, Config{Latency: 20 * time.Millisecond})
 	start := time.Now()
 	sendN(dir, qpn, 1)
 	waitCount(t, c, 1, time.Second)
@@ -104,7 +104,7 @@ func TestLatencyDelays(t *testing.T) {
 func TestInterceptorDropAndHold(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	c, qpn := registerCounter(dev)
-	dir := NewDirection(dev, Config{})
+	dir := newDirection(dev, Config{})
 	i := 0
 	dir.SetInterceptor(func(p *nicsim.Packet) Verdict {
 		i++
@@ -203,7 +203,7 @@ func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 	run := func() []string {
 		vc := clock.NewVirtual()
 		ts := newTraceSink(vc)
-		dir := NewDirection(ts.dev, Config{
+		dir := newDirection(ts.dev, Config{
 			Latency:       5 * time.Millisecond,
 			DropProb:      0.2,
 			DuplicateProb: 0.1,
@@ -212,7 +212,7 @@ func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 			Seed:          9,
 			Clock:         vc,
 		})
-		vc.Go(func() {
+		clock.Join(vc, func() {
 			for i := 0; i < 400; i++ {
 				dir.Send(&nicsim.Packet{Opcode: nicsim.OpSend, DstQPN: ts.qpn,
 					Imm: uint32(i), HasImm: true, First: true, Last: true,
@@ -221,7 +221,6 @@ func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 			}
 			vc.Sleep(50 * time.Millisecond) // let stragglers land
 		})
-		vc.Run()
 		if dir.Dropped.Load() == 0 || dir.Duplicated.Load() == 0 {
 			t.Fatalf("impairments idle: dropped=%d duplicated=%d",
 				dir.Dropped.Load(), dir.Duplicated.Load())
@@ -246,7 +245,7 @@ func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 func TestInterceptorHoldReleaseVirtual(t *testing.T) {
 	vc := clock.NewVirtual()
 	ts := newTraceSink(vc)
-	dir := NewDirection(ts.dev, Config{Latency: time.Millisecond, Clock: vc})
+	dir := newDirection(ts.dev, Config{Latency: time.Millisecond, Clock: vc})
 	held := 0
 	dir.SetInterceptor(func(p *nicsim.Packet) Verdict {
 		if p.Imm == 1 && held == 0 {
@@ -255,7 +254,7 @@ func TestInterceptorHoldReleaseVirtual(t *testing.T) {
 		}
 		return Pass
 	})
-	vc.Go(func() {
+	clock.Join(vc, func() {
 		for i := 0; i < 3; i++ {
 			dir.Send(&nicsim.Packet{Opcode: nicsim.OpSend, DstQPN: ts.qpn,
 				Imm: uint32(i), HasImm: true, First: true, Last: true})
@@ -265,7 +264,6 @@ func TestInterceptorHoldReleaseVirtual(t *testing.T) {
 			t.Errorf("ReleaseHeld = %d, want 1", n)
 		}
 	})
-	vc.Run()
 	want := []string{"1ms:0", "1ms:2", "30ms:1"}
 	if fmt.Sprint(ts.rows) != fmt.Sprint(want) {
 		t.Fatalf("trace = %v, want %v", ts.rows, want)
@@ -282,12 +280,12 @@ func TestBandwidthSerializationVirtual(t *testing.T) {
 	ts := newTraceSink(vc)
 	// 1000 B frames (936 payload + 64 header) at 1 Mbit/s: 8 ms of
 	// wire time each, plus 10 ms propagation.
-	dir := NewDirection(ts.dev, Config{
+	dir := newDirection(ts.dev, Config{
 		Latency:      10 * time.Millisecond,
 		BandwidthBps: 1e6,
 		Clock:        vc,
 	})
-	vc.Go(func() {
+	clock.Join(vc, func() {
 		payload := make([]byte, 936)
 		for i := 0; i < 2; i++ {
 			dir.Send(&nicsim.Packet{Opcode: nicsim.OpSend, DstQPN: ts.qpn,
@@ -296,7 +294,6 @@ func TestBandwidthSerializationVirtual(t *testing.T) {
 		}
 		vc.Sleep(100 * time.Millisecond)
 	})
-	vc.Run()
 	want := []string{"18ms:0", "26ms:1"}
 	if fmt.Sprint(ts.rows) != fmt.Sprint(want) {
 		t.Fatalf("trace = %v, want %v", ts.rows, want)
@@ -338,7 +335,7 @@ func TestOOBFIFOVirtual(t *testing.T) {
 	vc := clock.NewVirtual()
 	oob := NewOOB(vc, 3*time.Millisecond)
 	var got []byte
-	vc.Go(func() {
+	clock.Join(vc, func() {
 		oob.SendToB([]byte{0}) // in flight before the handler exists
 		vc.Sleep(10 * time.Millisecond)
 		oob.HandleB(func(msg []byte) { got = append(got, msg[0]) })
@@ -347,17 +344,8 @@ func TestOOBFIFOVirtual(t *testing.T) {
 		}
 		vc.Sleep(10 * time.Millisecond)
 	})
-	vc.Run()
 	if fmt.Sprint(got) != fmt.Sprint([]byte{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("OOB virtual order = %v", got)
-	}
-}
-
-func TestSymmetricLinkSeeds(t *testing.T) {
-	a, b := nicsim.NewDevice("a"), nicsim.NewDevice("b")
-	l := Symmetric(a, b, Config{DropProb: 0.5, Seed: 42})
-	if l.AB.params.Load().cfg.Seed == l.BA.params.Load().cfg.Seed {
-		t.Fatal("symmetric link directions share a seed")
 	}
 }
 

@@ -52,15 +52,15 @@ var (
 )
 
 // initSIMDTables fills simdCoef where a SIMD tier can run. It is called
-// once the log/exp tables Mul needs are built.
+// once the log/exp tables mul needs are built.
 func initSIMDTables() {
 	for c := 0; c < 256 && active != portable; c++ {
 		nib, mat := simdCoef[avx2][c*32:], simdCoef[gfni][c*8:]
 		for x := 0; x < 16; x++ {
-			nib[x], nib[16+x] = Mul(byte(c), byte(x)), Mul(byte(c), byte(x<<4))
+			nib[x], nib[16+x] = mul(byte(c), byte(x)), mul(byte(c), byte(x<<4))
 		}
 		for j := 0; j < 8; j++ {
-			for i, p := 0, Mul(byte(c), 1<<j); i < 8; i++ {
+			for i, p := 0, mul(byte(c), 1<<j); i < 8; i++ {
 				mat[7-i] |= p >> i & 1 << j
 			}
 		}
@@ -115,7 +115,7 @@ func (t *RowTables) Set(coef [][]byte) {
 		for b := 0; b < 8; b++ {
 			var base uint64
 			for i, row := range coef[g:min(g+fusedRows, t.rows)] {
-				base |= uint64(Mul(row[j], 1<<b)) << (8 * i)
+				base |= uint64(mul(row[j], 1<<b)) << (8 * i)
 			}
 			for x := 0; x < 1<<b; x++ {
 				tab[1<<b|x] = tab[x] ^ base

@@ -56,13 +56,13 @@ func TestKernelDetection(t *testing.T) {
 	}
 }
 
-// mulRowsScalar is the Mul-by-Mul reference for RowTables.MulRows.
+// mulRowsScalar is the mul-by-mul reference for RowTables.MulRows.
 func mulRowsScalar(coef, out, in [][]byte, lo, hi int) {
 	for i, row := range coef {
 		for p := lo; p < hi; p++ {
 			var s byte
 			for j, c := range row {
-				s ^= Mul(c, in[j][p])
+				s ^= mul(c, in[j][p])
 			}
 			out[i][p] = s
 		}

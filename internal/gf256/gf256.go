@@ -19,11 +19,11 @@ import (
 	"encoding/binary"
 )
 
-// Polynomial is the primitive reduction polynomial of the field.
-const Polynomial = 0x11D
+// polynomial is the primitive reduction polynomial of the field.
+const polynomial = 0x11D
 
 var (
-	expTable [512]byte // exp[i] = α^i, doubled to skip the mod-255 in Mul
+	expTable [512]byte // exp[i] = α^i, doubled to skip the mod-255 in mul
 	logTable [256]byte // log[x] = i s.t. α^i = x, log[0] unused
 )
 
@@ -34,7 +34,7 @@ func init() {
 		logTable[x] = byte(i)
 		x <<= 1
 		if x&0x100 != 0 {
-			x ^= Polynomial
+			x ^= polynomial
 		}
 	}
 	for i := 255; i < 512; i++ {
@@ -42,43 +42,29 @@ func init() {
 	}
 }
 
-// Add returns a+b in GF(2^8) (carry-less, same as subtraction).
-func Add(a, b byte) byte { return a ^ b }
-
-// Mul returns a·b in GF(2^8).
-func Mul(a, b byte) byte {
+// mul returns a·b in GF(2^8).
+func mul(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
 	}
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Div returns a/b in GF(2^8). Div panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])-int(logTable[b])+255]
-}
-
-// Inv returns the multiplicative inverse of a. Inv panics on zero.
-func Inv(a byte) byte {
+// inverse returns the multiplicative inverse of a; it panics on zero.
+func inverse(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
 	return expTable[255-int(logTable[a])]
 }
 
-// Exp returns α^n for n >= 0.
-func Exp(n int) byte { return expTable[n%255] }
+// exp returns α^n for n >= 0.
+func exp(n int) byte { return expTable[n%255] }
 
-// MulSlice sets dst[i] = c·src[i]; dst and src must have equal length
+// mulSlice sets dst[i] = c·src[i]; dst and src must have equal length
 // and may be the same slice. It scales matrix rows, which are short, so
 // it is the plain byte loop.
-func MulSlice(c byte, dst, src []byte) {
+func mulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
 	}
@@ -148,7 +134,7 @@ func init() {
 	for c := 0; c < 256; c++ {
 		var row [256]byte
 		for x := 0; x < 256; x++ {
-			row[x] = Mul(byte(c), byte(x))
+			row[x] = mul(byte(c), byte(x))
 		}
 		mulTables[c] = &row
 	}

@@ -16,29 +16,20 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]byte, rows*cols)}
 }
 
-// At returns element (r, c).
-func (m *Matrix) At(r, c int) byte { return m.Data[r*m.Cols+c] }
+// at returns element (r, c).
+func (m *Matrix) at(r, c int) byte { return m.Data[r*m.Cols+c] }
 
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v byte) { m.Data[r*m.Cols+c] = v }
+// set assigns element (r, c).
+func (m *Matrix) set(r, c int, v byte) { m.Data[r*m.Cols+c] = v }
 
 // Row returns a view of row r.
 func (m *Matrix) Row(r int) []byte { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
+// clone returns a deep copy.
+func (m *Matrix) clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Vandermonde returns the rows×cols matrix with entry (r,c) = α^(r·c).
@@ -49,7 +40,7 @@ func Vandermonde(rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			m.Set(r, c, Exp(r*c%255))
+			m.set(r, c, exp(r*c%255))
 		}
 	}
 	return m
@@ -64,7 +55,7 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	out := NewMatrix(m.Rows, other.Cols)
 	for r := 0; r < m.Rows; r++ {
 		for i := 0; i < m.Cols; i++ {
-			a := m.At(r, i)
+			a := m.at(r, i)
 			if a == 0 {
 				continue
 			}
@@ -90,7 +81,7 @@ func (m *Matrix) Invert() (*Matrix, error) {
 		return nil, fmt.Errorf("gf256: cannot invert non-square %dx%d matrix", m.Rows, m.Cols)
 	}
 	inv := NewMatrix(m.Rows, m.Rows)
-	if err := m.Clone().InvertInto(inv); err != nil {
+	if err := m.clone().InvertInto(inv); err != nil {
 		return nil, err
 	}
 	return inv, nil
@@ -106,13 +97,13 @@ func (m *Matrix) InvertInto(inv *Matrix) error {
 	}
 	clear(inv.Data)
 	for i := 0; i < n; i++ {
-		inv.Set(i, i, 1)
+		inv.set(i, i, 1)
 	}
 	for col := 0; col < n; col++ {
 		// find pivot
 		pivot := -1
 		for r := col; r < n; r++ {
-			if work.At(r, col) != 0 {
+			if work.at(r, col) != 0 {
 				pivot = r
 				break
 			}
@@ -125,17 +116,17 @@ func (m *Matrix) InvertInto(inv *Matrix) error {
 			swapRows(inv, pivot, col)
 		}
 		// scale pivot row to 1
-		if pv := work.At(col, col); pv != 1 {
-			scale := Inv(pv)
-			MulSlice(scale, work.Row(col), work.Row(col))
-			MulSlice(scale, inv.Row(col), inv.Row(col))
+		if pv := work.at(col, col); pv != 1 {
+			scale := inverse(pv)
+			mulSlice(scale, work.Row(col), work.Row(col))
+			mulSlice(scale, inv.Row(col), inv.Row(col))
 		}
 		// eliminate the column everywhere else
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
-			if f := work.At(r, col); f != 0 {
+			if f := work.at(r, col); f != 0 {
 				MulAddSlice(f, work.Row(r), work.Row(col))
 				MulAddSlice(f, inv.Row(r), inv.Row(col))
 			}

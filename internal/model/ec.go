@@ -60,17 +60,17 @@ func (e EC) Name() string {
 	return fmt.Sprintf("%s EC(%d,%d)", tag, e.K, e.M)
 }
 
-// SubmessageSuccessProb returns P_EC(k, m): the probability one data
+// submessageSuccessProb returns P_EC(k, m): the probability one data
 // submessage is recoverable (Appendix B).
-func (e EC) SubmessageSuccessProb() float64 {
+func (e EC) submessageSuccessProb() float64 {
 	if e.Scheme == "xor" {
 		return ec.XORSuccessProb(e.K, e.M, e.Ch.PDrop)
 	}
 	return ec.MDSSuccessProb(e.K, e.M, e.Ch.PDrop)
 }
 
-// Submessages returns L = ⌈M_chunks/k⌉ for a message of msgBytes.
-func (e EC) Submessages(msgBytes int64) int64 {
+// submessages returns L = ⌈M_chunks/k⌉ for a message of msgBytes.
+func (e EC) submessages(msgBytes int64) int64 {
 	m := int64(e.Ch.ChunksIn(msgBytes))
 	return (m + int64(e.K) - 1) / int64(e.K)
 }
@@ -78,15 +78,15 @@ func (e EC) Submessages(msgBytes int64) int64 {
 // FallbackProb returns P_fallback = 1 − P_EC^L, the probability that
 // at least one data submessage fails to decode (§4.2.3).
 func (e EC) FallbackProb(msgBytes int64) float64 {
-	l := e.Submessages(msgBytes)
-	pOK := e.SubmessageSuccessProb()
+	l := e.submessages(msgBytes)
+	pOK := e.submessageSuccessProb()
 	return 1 - math.Pow(pOK, float64(l))
 }
 
 // wireChunks returns the total chunks injected: data + parity.
 func (e EC) wireChunks(msgBytes int64) int64 {
 	m := int64(e.Ch.ChunksIn(msgBytes))
-	return m + e.Submessages(msgBytes)*int64(e.M)
+	return m + e.submessages(msgBytes)*int64(e.M)
 }
 
 // injectionTime returns the time to push data + parity into the
@@ -122,8 +122,8 @@ func (e EC) fallbackSR() SR {
 // its own final-ACK RTT — in expectation this matches the paper's
 // three-term lower bound with T_SR(0) = RTT.
 func (e EC) SampleCompletion(rng *rand.Rand, msgBytes int64) float64 {
-	l := e.Submessages(msgBytes)
-	pFail := 1 - e.SubmessageSuccessProb()
+	l := e.submessages(msgBytes)
+	pFail := 1 - e.submessageSuccessProb()
 	tInj := e.injectionTime(msgBytes)
 	failed := sampleBinomial(rng, l, pFail)
 	if failed == 0 {
@@ -133,43 +133,6 @@ func (e EC) SampleCompletion(rng *rand.Rand, msgBytes int64) float64 {
 	if beta == 0 {
 		beta = 1
 	}
-	srTime := e.fallbackSR().SampleCompletionChunks(rng, failed*int64(e.K))
+	srTime := e.fallbackSR().sampleCompletionChunks(rng, failed*int64(e.K))
 	return tInj + beta*e.Ch.RTT() + srTime
-}
-
-// MeanCompletionLowerBound returns the paper's analytical lower bound
-// on E[T_EC(M)] (§4.2.3), with the success-path acknowledgment RTT
-// included so that SR and EC are normalized identically:
-//
-//	E[T_EC] ≥ (M + ⌈M/R⌉)·T_INJ
-//	        + (1 − P_fb)·RTT
-//	        + P_fb·(β·RTT + E[T_SR(E[failures]·k)])
-func (e EC) MeanCompletionLowerBound(msgBytes int64) float64 {
-	l := e.Submessages(msgBytes)
-	pOK := e.SubmessageSuccessProb()
-	pFb := 1 - math.Pow(pOK, float64(l))
-	beta := e.Beta
-	if beta == 0 {
-		beta = 1
-	}
-	t := e.injectionTime(msgBytes)
-	t += (1 - pFb) * e.Ch.RTT()
-	if pFb > 0 {
-		expFail := float64(l) * (1 - pOK)
-		condFail := expFail / pFb // E[failures | at least one]
-		if condFail < 1 {
-			condFail = 1
-		}
-		srMean := e.fallbackSR().MeanCompletionChunks(int64(condFail * float64(e.K)))
-		t += pFb * (beta*e.Ch.RTT() + srMean)
-	}
-	return t
-}
-
-// BandwidthInflation returns the parity overhead factor
-// (M + ⌈M/R⌉)/M ≈ 1 + m/k, the EC scheme's cost on "large" messages
-// (§5.2.2: 20% for (32, 8)).
-func (e EC) BandwidthInflation(msgBytes int64) float64 {
-	m := float64(e.Ch.ChunksIn(msgBytes))
-	return float64(e.wireChunks(msgBytes)) / m
 }

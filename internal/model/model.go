@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/rand"
 
-	"sdrrdma/internal/stats"
 	"sdrrdma/internal/wan"
 )
 
@@ -45,23 +44,6 @@ func Sample(s Scheme, msgBytes int64, n int, seed int64) []float64 {
 		out[i] = s.SampleCompletion(rng, msgBytes)
 	}
 	return out
-}
-
-// Slowdowns converts completion-time samples to slowdown factors
-// against the lossless baseline.
-func Slowdowns(samples []float64, ch wan.Params, msgBytes int64) []float64 {
-	base := LosslessTime(ch, msgBytes)
-	out := make([]float64, len(samples))
-	for i, t := range samples {
-		out[i] = t / base
-	}
-	return out
-}
-
-// SummarizeScheme runs the stochastic model n times and returns the
-// completion-time summary (mean, p99.9, ...).
-func SummarizeScheme(s Scheme, msgBytes int64, n int, seed int64) stats.Summary {
-	return stats.Summarize(Sample(s, msgBytes, n, seed))
 }
 
 // --- random variate helpers ------------------------------------------------

@@ -38,12 +38,12 @@ func (s SR) Name() string {
 	return fmt.Sprintf("SR RTO(%g RTT)", s.RTOFactor)
 }
 
-// RTO returns the per-chunk retransmission timeout in seconds.
-func (s SR) RTO() float64 { return s.RTOFactor * s.Ch.RTT() }
+// rto returns the per-chunk retransmission timeout in seconds.
+func (s SR) rto() float64 { return s.RTOFactor * s.Ch.RTT() }
 
 // SampleCompletion implements Scheme for a message of msgBytes.
 func (s SR) SampleCompletion(rng *rand.Rand, msgBytes int64) float64 {
-	return s.SampleCompletionChunks(rng, int64(s.Ch.ChunksIn(msgBytes)))
+	return s.sampleCompletionChunks(rng, int64(s.Ch.ChunksIn(msgBytes)))
 }
 
 // exactSampleThreshold bounds the per-chunk sampling loop; above it the
@@ -51,11 +51,11 @@ func (s SR) SampleCompletion(rng *rand.Rand, msgBytes int64) float64 {
 // messages (2^29 chunks) cheap to sample.
 const exactSampleThreshold = 4096
 
-// SampleCompletionChunks draws one completion-time sample for a
+// sampleCompletionChunks draws one completion-time sample for a
 // message of m chunks. Chunks with Y_i = 1 finish at t_start(i), whose
 // maximum is t_start(M); for large m only the Binomial(m, P) chunks
 // whose first transmission dropped need individual sampling.
-func (s SR) SampleCompletionChunks(rng *rand.Rand, m int64) float64 {
+func (s SR) sampleCompletionChunks(rng *rand.Rand, m int64) float64 {
 	if m <= 0 {
 		return s.Ch.RTT()
 	}
@@ -63,7 +63,7 @@ func (s SR) SampleCompletionChunks(rng *rand.Rand, m int64) float64 {
 	p := s.Ch.PDrop
 	maxX := float64(m) * tinj // chunk M delivered first try
 	if p > 0 {
-		overhead := s.RTO() + tinj
+		overhead := s.rto() + tinj
 		if m <= exactSampleThreshold {
 			for i := int64(1); i <= m; i++ {
 				if rng.Float64() < p {
@@ -99,11 +99,11 @@ func (s SR) SampleCompletionChunks(rng *rand.Rand, m int64) float64 {
 // j = ⌈(q − t_start(i))/O⌉ are grouped, so each abscissa costs
 // O(levels) instead of O(M).
 func (s SR) MeanCompletion(msgBytes int64) float64 {
-	return s.MeanCompletionChunks(int64(s.Ch.ChunksIn(msgBytes)))
+	return s.meanCompletionChunks(int64(s.Ch.ChunksIn(msgBytes)))
 }
 
-// MeanCompletionChunks is MeanCompletion for an explicit chunk count.
-func (s SR) MeanCompletionChunks(m int64) float64 {
+// meanCompletionChunks is MeanCompletion for an explicit chunk count.
+func (s SR) meanCompletionChunks(m int64) float64 {
 	if m <= 0 {
 		return s.Ch.RTT()
 	}
@@ -113,7 +113,7 @@ func (s SR) MeanCompletionChunks(m int64) float64 {
 	if p <= 0 {
 		return tM + s.Ch.RTT()
 	}
-	overhead := s.RTO() + tinj
+	overhead := s.rto() + tinj
 
 	// Midpoint quadrature; the survival function is monotone
 	// non-increasing, so the absolute error is bounded by step/2

@@ -34,7 +34,7 @@ func leased(psn uint32, payload []byte) *nicsim.Packet {
 // BENCH_protosim.json.
 func BenchmarkNetemQueue(b *testing.B) {
 	clk := clock.NewVirtual()
-	loss, err := LossSpec{P: 0.01, BurstLen: 8}.Build()
+	loss, err := LossSpec{P: 0.01, BurstLen: 8}.build()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func BenchmarkNetemQueueECN(b *testing.B) {
 // foreground packet. Tracked in BENCH_protosim.json.
 func BenchmarkNetemCrossTraffic(b *testing.B) {
 	clk := clock.NewVirtual()
-	loss, err := LossSpec{P: 0.005}.Build()
+	loss, err := LossSpec{P: 0.005}.build()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -73,8 +73,8 @@ type Schedule struct {
 // finite reports a usable float: not NaN, not ±Inf.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// Validate checks the schedule against t without mutating anything.
-func (s Schedule) Validate(t *Topology) error {
+// validate checks the schedule against t without mutating anything.
+func (s Schedule) validate(t *Topology) error {
 	if s.Horizon <= 0 {
 		return fmt.Errorf("netem: schedule horizon %v <= 0", s.Horizon)
 	}
@@ -93,7 +93,7 @@ func (s Schedule) Validate(t *Topology) error {
 			return fmt.Errorf("netem: event[%d] at %v outside horizon [0,%v]", i, ev.At, s.Horizon)
 		}
 		if ev.Loss != nil {
-			if err := ev.Loss.Validate(); err != nil {
+			if err := ev.Loss.validate(); err != nil {
 				return fmt.Errorf("netem: event[%d]: %w", i, err)
 			}
 		}
@@ -140,7 +140,7 @@ func (s Schedule) Validate(t *Topology) error {
 // counted in the returned Applied's Errors — the scheduler cannot
 // return them to a caller that moved on long ago.
 func (s Schedule) Apply(t *Topology) (*Applied, error) {
-	if err := s.Validate(t); err != nil {
+	if err := s.validate(t); err != nil {
 		return nil, err
 	}
 	clk := t.Clock()
@@ -153,7 +153,7 @@ func (s Schedule) Apply(t *Topology) (*Applied, error) {
 				ap.count(e.SetLoss(*ev.Loss))
 			}
 			if ev.BandwidthBps > 0 {
-				ap.count(e.SetBandwidth(ev.BandwidthBps))
+				ap.count(e.setBandwidth(ev.BandwidthBps))
 			}
 			if ev.DistanceKm > 0 {
 				ap.count(e.SetDistance(ev.DistanceKm))
@@ -177,7 +177,7 @@ func (s Schedule) Apply(t *Topology) (*Applied, error) {
 	}
 	for _, d := range s.Drifts {
 		e := t.Edges()[d.Edge]
-		base := e.DistanceKm()
+		base := e.distanceKm()
 		steps := int(d.Duration / d.Step)
 		for i := 1; i <= steps; i++ {
 			dt := time.Duration(i) * d.Step

@@ -44,7 +44,7 @@ func TestScheduleValidateFailFast(t *testing.T) {
 		Flaps:   []Flap{{Edge: 1, Down: 20 * time.Millisecond, Up: 40 * time.Millisecond}},
 		Drifts:  []Drift{{Edge: 2, Start: 0, Duration: h / 2, RateKmPerSec: 50, Step: 10 * time.Millisecond}},
 	}
-	if err := ok.Validate(topo); err != nil {
+	if err := ok.validate(topo); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 	bad := []struct {
@@ -67,7 +67,7 @@ func TestScheduleValidateFailFast(t *testing.T) {
 		{"drift zero step", Schedule{Horizon: h, Drifts: []Drift{{Edge: 0, Duration: h / 4, RateKmPerSec: 5}}}},
 	}
 	for _, tc := range bad {
-		if err := tc.s.Validate(topo); err == nil {
+		if err := tc.s.validate(topo); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 		if _, err := tc.s.Apply(topo); err == nil {
@@ -96,11 +96,11 @@ func TestScheduleEventsFireAtVirtualTimes(t *testing.T) {
 		if got := e.Cfg.BandwidthBps; got != 1e9 {
 			t.Errorf("bandwidth %g at t=15ms, want 1e9", got)
 		}
-		if got := e.DistanceKm(); got != 300 {
+		if got := e.distanceKm(); got != 300 {
 			t.Errorf("distance %g km at t=15ms, want still 300", got)
 		}
 		clk.Sleep(10 * time.Millisecond)
-		if got := e.DistanceKm(); got != 1200 {
+		if got := e.distanceKm(); got != 1200 {
 			t.Errorf("distance %g km at t=25ms, want 1200", got)
 		}
 	})
@@ -124,12 +124,12 @@ func TestScheduleDriftWalksDistance(t *testing.T) {
 	}
 	clock.Join(clk, func() {
 		clk.Sleep(25 * time.Millisecond)
-		if got := e.DistanceKm(); got != 302 {
+		if got := e.distanceKm(); got != 302 {
 			t.Errorf("distance %g km mid-drift, want 302", got)
 		}
 		clk.Sleep(75 * time.Millisecond)
 	})
-	if got := e.DistanceKm(); got != 305 {
+	if got := e.distanceKm(); got != 305 {
 		t.Fatalf("distance %g km after drift, want 305", got)
 	}
 	if fired := ap.Fired.Load(); fired != 5 {
@@ -190,7 +190,7 @@ func TestEdgeFlapFailsClosed(t *testing.T) {
 	topo, s, d, primary := diamond(t, clk, testEdge(), 1)
 	// With the primary's first edge down, routes avoid it.
 	primary[0].SetDown(true)
-	hops, err := topo.Route(s, d)
+	hops, err := topo.route(s, d)
 	if err != nil {
 		t.Fatalf("no route around flapped edge: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestEdgeFlapFailsClosed(t *testing.T) {
 		t.Fatalf("buffered packet not discarded at departure: LinkDownDrops = %d, want 2", got)
 	}
 	primary[0].SetDown(false)
-	if _, err := topo.Route(s, d); err != nil {
+	if _, err := topo.route(s, d); err != nil {
 		t.Fatalf("restored edge still unroutable: %v", err)
 	}
 }
@@ -233,12 +233,12 @@ func TestPathRerouteAndBlackhole(t *testing.T) {
 	clk := clock.NewVirtual()
 	topo, s, d, primary := diamond(t, clk, testEdge(), 1)
 	rec := &recorder{clk: clk}
-	p, err := topo.NewPath(s, d, rec)
+	p, err := topo.newPath(s, d, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Hops()) != 2 || p.Hops()[0].Edge != primary[0] {
-		t.Fatalf("fresh path not on primary: %v", p.Hops())
+	if len(p.hops) != 2 || p.hops[0].Edge != primary[0] {
+		t.Fatalf("fresh path not on primary: %v", p.hops)
 	}
 	clock.Join(clk, func() {
 		p.Send(pkt(0, 512))
@@ -275,7 +275,7 @@ func TestPathRerouteAndBlackhole(t *testing.T) {
 		t.Fatalf("PathReroutes aggregate %d, want 3", topo.PathReroutes())
 	}
 	topo.removePaths(p)
-	if topo.NumPaths() != 0 {
+	if len(topo.paths) != 0 {
 		t.Fatal("path not unregistered")
 	}
 }
@@ -316,7 +316,7 @@ func TestFlapRerouteInFlightTransfer(t *testing.T) {
 		t.Fatal("no in-flight packets were caught by the flap — flap fired after the transfer?")
 	}
 	flow.Close()
-	if topo.NumPaths() != 0 {
+	if len(topo.paths) != 0 {
 		t.Fatal("closed flow leaked paths")
 	}
 	if err := topo.ClosePools(); err != nil {
@@ -358,7 +358,7 @@ func TestFlapDuringECDecode(t *testing.T) {
 		t.Fatal("no in-flight shards were caught by the flap — flap fired after the transfer?")
 	}
 	flow.Close()
-	if topo.NumPaths() != 0 {
+	if len(topo.paths) != 0 {
 		t.Fatal("closed flow leaked paths")
 	}
 	if err := topo.ClosePools(); err != nil {
@@ -402,7 +402,7 @@ func TestDoubleFlapTransfer(t *testing.T) {
 		t.Fatalf("PathReroutes = %d, want >= 3 (down, up, down again)", got)
 	}
 	flow.Close()
-	if topo.NumPaths() != 0 {
+	if len(topo.paths) != 0 {
 		t.Fatal("closed flow leaked paths")
 	}
 	if err := topo.ClosePools(); err != nil {

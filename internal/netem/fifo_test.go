@@ -113,7 +113,7 @@ func TestCrossTrafficSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool (the nicsim envelope pool) drops items at random under -race")
 	}
 	clk := clock.NewVirtual()
-	loss, err := LossSpec{P: 0.005}.Build()
+	loss, err := LossSpec{P: 0.005}.build()
 	if err != nil {
 		t.Fatal(err)
 	}

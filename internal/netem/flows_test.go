@@ -174,8 +174,8 @@ func TestNewFlowChurnSteadyStateAllocs(t *testing.T) {
 	if allocs > 3 || bytes > 256 {
 		t.Fatalf("flow churn allocates %.2f objects / %.0f B per flow, want <= 3 / <= 256", allocs, bytes)
 	}
-	if built, leased := d.PoolStats(); built != 1 || leased != 0 || d.NumPaths() != 0 {
-		t.Fatalf("built=%d leased=%d paths=%d after churn, want 1/0/0", built, leased, d.NumPaths())
+	if built, leased := d.PoolStats(); built != 1 || leased != 0 || len(d.paths) != 0 {
+		t.Fatalf("built=%d leased=%d paths=%d after churn, want 1/0/0", built, leased, len(d.paths))
 	}
 	if err := d.ClosePools(); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,8 @@
 //
 // Edges are dynamic: queues support ECN/RED-style congestion marking
 // (MarkThresholdBytes), and every edge's loss process, bandwidth and
-// distance can be re-pointed mid-run (SetLoss, SetBandwidth,
-// SetDistance) or driven by a declarative Schedule — timed events,
+// distance can be re-pointed mid-run (SetLoss, SetDistance) or
+// driven by a declarative Schedule — timed events,
 // link flaps that fail the queue closed and reroute every registered
 // Path over the surviving edges, and LEO-style distance drift — all
 // executed behind the virtual clock so fault programs are exactly
@@ -50,8 +50,8 @@ type LossSpec struct {
 	BurstLen float64
 }
 
-// Validate reports specification errors without building anything.
-func (s LossSpec) Validate() error {
+// validate reports specification errors without building anything.
+func (s LossSpec) validate() error {
 	if s.P == 0 && s.BurstLen == 0 {
 		return nil // lossless
 	}
@@ -67,10 +67,10 @@ func (s LossSpec) Validate() error {
 	return nil
 }
 
-// Build returns a fresh loss model for one queue direction, or nil
+// build returns a fresh loss model for one queue direction, or nil
 // for a lossless spec.
-func (s LossSpec) Build() (wan.LossModel, error) {
-	if err := s.Validate(); err != nil {
+func (s LossSpec) build() (wan.LossModel, error) {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	switch {
@@ -80,17 +80,5 @@ func (s LossSpec) Build() (wan.LossModel, error) {
 		return wan.NewGilbertElliott(s.P, s.BurstLen)
 	default:
 		return wan.IIDLoss{P: s.P}, nil
-	}
-}
-
-// Name labels the spec for experiment output.
-func (s LossSpec) Name() string {
-	switch {
-	case s.P == 0:
-		return "lossless"
-	case s.BurstLen > 1:
-		return fmt.Sprintf("ge(%g,burst=%g)", s.P, s.BurstLen)
-	default:
-		return fmt.Sprintf("iid(%g)", s.P)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"sdrrdma/internal/telemetry"
 )
 
-// Path is a re-routable delivery chain between two datacenters: the
+// path is a re-routable delivery chain between two datacenters: the
 // indirection NewFlow injects in front of its port chains so an
 // in-flight transfer survives a link flap. Packets entering the path
 // traverse whatever route the last reroute computed; when an edge goes
@@ -19,7 +19,7 @@ import (
 // late or duplicated and are absorbed by the NULL-retired slots and
 // re-ACK machinery, the same discipline stale-lease traffic follows —
 // or die in the downed queue itself, which fails closed.
-type Path struct {
+type path struct {
 	t        *Topology
 	from, to int
 	dst      nicsim.Deliverer
@@ -31,7 +31,7 @@ type Path struct {
 	// resolves to the identical route does not disturb the chain. reg is
 	// 1 + the path's index in the topology's registry (0 while
 	// unregistered). Both are accessed only under the topology's pathMu.
-	hops []Hop
+	hops []hop
 	reg  int
 
 	// Blackholed counts packets dropped because no route existed;
@@ -42,14 +42,14 @@ type Path struct {
 
 type pathHead struct{ d nicsim.Deliverer }
 
-// NewPath builds a re-routable path from→to terminating at dst and
+// newPath builds a re-routable path from→to terminating at dst and
 // registers it for ReroutePaths. A route must exist at creation time.
-func (t *Topology) NewPath(from, to int, dst nicsim.Deliverer) (*Path, error) {
-	hops, err := t.Route(from, to)
+func (t *Topology) newPath(from, to int, dst nicsim.Deliverer) (*path, error) {
+	hops, err := t.route(from, to)
 	if err != nil {
 		return nil, err
 	}
-	p := &Path{t: t}
+	p := &path{t: t}
 	t.addPath(p, from, to, dst, hops)
 	return p, nil
 }
@@ -61,21 +61,21 @@ func (t *Topology) NewPath(from, to int, dst nicsim.Deliverer) (*Path, error) {
 // injected packets are countable. It also returns the route's
 // propagation RTT.
 func (t *Topology) NewLink(from, to int, devA, devB nicsim.Deliverer) (*fabric.Link, time.Duration, error) {
-	route, err := t.Route(from, to)
+	route, err := t.route(from, to)
 	if err != nil {
 		return nil, 0, err
 	}
-	pAB, err := t.NewPath(from, to, devB)
+	pAB, err := t.newPath(from, to, devB)
 	if err != nil {
 		return nil, 0, err
 	}
-	pBA, err := t.NewPath(to, from, devA)
+	pBA, err := t.newPath(to, from, devA)
 	if err != nil {
 		return nil, 0, err
 	}
 	cfg := fabric.Config{Clock: t.clk}
 	link := &fabric.Link{AB: fabric.NewDirectionTo(pAB, cfg), BA: fabric.NewDirectionTo(pBA, cfg)}
-	return link, 2 * PathDelay(route), nil
+	return link, 2 * pathDelay(route), nil
 }
 
 // addPath points p — a fresh path, or a retired one of a closed flow —
@@ -83,7 +83,7 @@ func (t *Topology) NewLink(from, to int, devA, devB nicsim.Deliverer) (*fabric.L
 // registers it. A path re-pointed along the route and to the
 // destination it last served keeps its port chain: flow churn between
 // one pair of datacenters on a pooled deployment builds nothing.
-func (t *Topology) addPath(p *Path, from, to int, dst nicsim.Deliverer, hops []Hop) {
+func (t *Topology) addPath(p *path, from, to int, dst nicsim.Deliverer, hops []hop) {
 	t.pathMu.Lock()
 	if p.dst != dst || !sameRoute(hops, p.hops) {
 		p.head.Store(&pathHead{d: chain(hops, dst)})
@@ -97,11 +97,11 @@ func (t *Topology) addPath(p *Path, from, to int, dst nicsim.Deliverer, hops []H
 }
 
 // Send implements nicsim.Wire.
-func (p *Path) Send(pkt *nicsim.Packet) { p.Deliver(pkt) }
+func (p *path) Send(pkt *nicsim.Packet) { p.Deliver(pkt) }
 
 // Deliver implements nicsim.Deliverer: forward along the current
 // route, or blackhole when none exists.
-func (p *Path) Deliver(pkt *nicsim.Packet) {
+func (p *path) Deliver(pkt *nicsim.Packet) {
 	h := p.head.Load()
 	if h == nil || h.d == nil {
 		p.Blackholed.Add(1)
@@ -111,16 +111,9 @@ func (p *Path) Deliver(pkt *nicsim.Packet) {
 	h.d.Deliver(pkt)
 }
 
-// Hops returns the path's current route (nil while blackholed).
-func (p *Path) Hops() []Hop {
-	p.t.pathMu.Lock()
-	defer p.t.pathMu.Unlock()
-	return p.hops
-}
-
 // sameRoute reports whether two hop sequences traverse the same edges
 // in the same directions.
-func sameRoute(a, b []Hop) bool {
+func sameRoute(a, b []hop) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -134,8 +127,8 @@ func sameRoute(a, b []Hop) bool {
 
 // reroute recomputes the path's route and re-points the head if it
 // changed. Caller holds t.pathMu.
-func (p *Path) reroute() {
-	hops, err := p.t.Route(p.from, p.to)
+func (p *path) reroute() {
+	hops, err := p.t.route(p.from, p.to)
 	if err != nil {
 		if p.hops == nil {
 			return // already blackholed
@@ -169,7 +162,7 @@ func (t *Topology) ReroutePaths() {
 
 // removePaths unregisters paths when their flow closes: the last
 // registered path takes the freed registry slot.
-func (t *Topology) removePaths(paths ...*Path) {
+func (t *Topology) removePaths(paths ...*path) {
 	t.pathMu.Lock()
 	for _, p := range paths {
 		if p.reg == 0 {
@@ -199,13 +192,5 @@ func (t *Topology) PathReroutes() uint64 {
 	return n
 }
 
-// NumPaths reports the registered re-routable paths (leak check for
-// flow churn tests).
-func (t *Topology) NumPaths() int {
-	t.pathMu.Lock()
-	defer t.pathMu.Unlock()
-	return len(t.paths)
-}
-
-var _ nicsim.Wire = (*Path)(nil)
-var _ nicsim.Deliverer = (*Path)(nil)
+var _ nicsim.Wire = (*path)(nil)
+var _ nicsim.Deliverer = (*path)(nil)

@@ -17,32 +17,21 @@ import (
 type DropReason int
 
 const (
-	// TailDrop: the finite buffer was full on arrival — the ISP
+	// tailDrop: the finite buffer was full on arrival — the ISP
 	// congestion signature of §2.1. Tail drops are inherently bursty:
 	// while the buffer stays full every arriving packet is lost, so
 	// consecutive wire packets (and therefore packets of the same
 	// bitmap chunk) cluster into one loss event.
-	TailDrop DropReason = iota
-	// ChannelLoss: the configured loss model dropped the packet on the
+	tailDrop DropReason = iota
+	// channelLoss: the configured loss model dropped the packet on the
 	// wire after it left the buffer.
-	ChannelLoss
-	// LinkDown: the link was administratively down — a flap event. The
+	channelLoss
+	// linkDown: the link was administratively down — a flap event. The
 	// queue fails closed: arrivals while down are refused, and packets
 	// already buffered when the link drops are discarded at departure
 	// instead of being delivered over a dead wire.
-	LinkDown
+	linkDown
 )
-
-func (r DropReason) String() string {
-	switch r {
-	case TailDrop:
-		return "tail-drop"
-	case LinkDown:
-		return "link-down"
-	default:
-		return "channel-loss"
-	}
-}
 
 // QueueConfig describes one direction of an emulated hop.
 type QueueConfig struct {
@@ -74,8 +63,8 @@ type QueueConfig struct {
 	Clock clock.Clock
 }
 
-// Validate reports configuration errors.
-func (c QueueConfig) Validate() error {
+// validate reports configuration errors.
+func (c QueueConfig) validate() error {
 	switch {
 	case c.BandwidthBps <= 0:
 		return fmt.Errorf("netem: queue bandwidth %g <= 0", c.BandwidthBps)
@@ -209,7 +198,7 @@ func (q *Queue) unlock() {
 
 // NewQueue builds a queue direction.
 func NewQueue(cfg QueueConfig) (*Queue, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	q := &Queue{
@@ -233,11 +222,11 @@ func (q *Queue) SetDropHook(fn func(pkt *nicsim.Packet, reason DropReason, dst n
 	q.unlock()
 }
 
-// SetTelemetry attaches a flight-recorder sink: every admission and
+// setTelemetry attaches a flight-recorder sink: every admission and
 // departure reports buffer occupancy (which a Recorder folds into a
 // queue-depth series), and drops and ECN marks become instant events
 // on track. A nil sink detaches — the default, zero-overhead state.
-func (q *Queue) SetTelemetry(sink telemetry.Sink, track int32) {
+func (q *Queue) setTelemetry(sink telemetry.Sink, track int32) {
 	q.lock()
 	q.sink, q.track = sink, track
 	q.unlock()
@@ -252,34 +241,22 @@ func (q *Queue) probe(sink telemetry.Sink, track int32, kind telemetry.EventKind
 	sink.Event(clock.NowNanos(q.clk), kind, track, a0, a1, 0, 0)
 }
 
-// Drops returns the total packets lost at this queue.
-func (q *Queue) Drops() uint64 {
-	return q.TailDrops.Load() + q.ChannelDrops.Load() + q.LinkDownDrops.Load()
-}
-
-// SetDown flaps the link direction. While down the queue fails closed:
+// setDown flaps the link direction. While down the queue fails closed:
 // new arrivals are refused and already-buffered packets are discarded
 // at their departure instant — nothing crosses a dead wire. Bringing
 // the link back up resumes normal service; in-flight propagation
 // (packets that already left the queue) is unaffected, exactly like a
 // real fiber cut that strands photons already past the break.
-func (q *Queue) SetDown(down bool) {
+func (q *Queue) setDown(down bool) {
 	q.lock()
 	q.down = down
 	q.unlock()
 }
 
-// Down reports whether the direction is administratively down.
-func (q *Queue) Down() bool {
-	q.lock()
-	defer q.unlock()
-	return q.down
-}
-
-// SetBandwidth changes the line rate. It applies to transmissions
+// setBandwidth changes the line rate. It applies to transmissions
 // started after the call; the head-of-line packet finishes at its
 // already-scheduled departure time.
-func (q *Queue) SetBandwidth(bps float64) error {
+func (q *Queue) setBandwidth(bps float64) error {
 	if bps <= 0 {
 		return fmt.Errorf("netem: queue bandwidth %g <= 0", bps)
 	}
@@ -289,9 +266,9 @@ func (q *Queue) SetBandwidth(bps float64) error {
 	return nil
 }
 
-// SetLatency changes the propagation delay applied to packets leaving
+// setLatency changes the propagation delay applied to packets leaving
 // the queue after the call — the mechanism behind LEO-style RTT drift.
-func (q *Queue) SetLatency(d time.Duration) error {
+func (q *Queue) setLatency(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("netem: queue latency %v < 0", d)
 	}
@@ -301,11 +278,11 @@ func (q *Queue) SetLatency(d time.Duration) error {
 	return nil
 }
 
-// SetLoss swaps the wire loss process (nil = lossless). The queue's
+// setLoss swaps the wire loss process (nil = lossless). The queue's
 // random stream is deliberately kept: draws continue from where the
 // previous process left off, so a scheduled loss change stays
 // deterministic per seed regardless of when it fires.
-func (q *Queue) SetLoss(p wan.LossModel) {
+func (q *Queue) setLoss(p wan.LossModel) {
 	q.lock()
 	q.cfg.Loss = p
 	q.unlock()
@@ -354,7 +331,7 @@ func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		q.LinkDownDrops.Add(1)
 		q.probe(sink, track, telemetry.EvLinkDownDrop, 0, int64(size))
 		if hook != nil {
-			hook(pkt, LinkDown, dst)
+			hook(pkt, linkDown, dst)
 		} else {
 			nicsim.ReleasePacket(pkt)
 		}
@@ -367,7 +344,7 @@ func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		q.TailDrops.Add(1)
 		q.probe(sink, track, telemetry.EvTailDrop, int64(used), int64(size))
 		if hook != nil {
-			hook(pkt, TailDrop, dst)
+			hook(pkt, tailDrop, dst)
 		} else {
 			nicsim.ReleasePacket(pkt)
 		}
@@ -443,7 +420,7 @@ func (q *Queue) depart() {
 		q.LinkDownDrops.Add(1)
 		q.probe(sink, track, telemetry.EvLinkDownDrop, int64(used), int64(head.size))
 		if hook != nil {
-			hook(head.pkt, LinkDown, head.dst)
+			hook(head.pkt, linkDown, head.dst)
 		} else {
 			nicsim.ReleasePacket(head.pkt)
 		}
@@ -453,7 +430,7 @@ func (q *Queue) depart() {
 		q.ChannelDrops.Add(1)
 		q.probe(sink, track, telemetry.EvChannelDrop, int64(used), int64(head.size))
 		if hook != nil {
-			hook(head.pkt, ChannelLoss, head.dst)
+			hook(head.pkt, channelLoss, head.dst)
 		} else {
 			nicsim.ReleasePacket(head.pkt)
 		}

@@ -81,7 +81,7 @@ func TestQueueTailDrop(t *testing.T) {
 	}
 	var droppedPSN []uint32
 	q.SetDropHook(func(p *nicsim.Packet, reason DropReason, _ nicsim.Deliverer) {
-		if reason != TailDrop {
+		if reason != tailDrop {
 			t.Errorf("unexpected drop reason %v", reason)
 		}
 		droppedPSN = append(droppedPSN, p.PSN)
@@ -180,10 +180,10 @@ func TestQueueConfigValidation(t *testing.T) {
 func TestLossSpecValidation(t *testing.T) {
 	good := []LossSpec{{}, {P: 0.1}, {P: 1e-3, BurstLen: 8}, {P: 0.5, BurstLen: 1}}
 	for _, s := range good {
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Fatalf("spec %+v rejected: %v", s, err)
 		}
-		if _, err := s.Build(); err != nil {
+		if _, err := s.build(); err != nil {
 			t.Fatalf("spec %+v build failed: %v", s, err)
 		}
 	}
@@ -195,17 +195,17 @@ func TestLossSpecValidation(t *testing.T) {
 		{P: 0, BurstLen: 8}, // burst channel needs a positive rate
 	}
 	for _, s := range bad {
-		if err := s.Validate(); err == nil {
+		if err := s.validate(); err == nil {
 			t.Fatalf("spec %+v accepted", s)
 		}
-		if _, err := s.Build(); err == nil {
+		if _, err := s.build(); err == nil {
 			t.Fatalf("spec %+v built", s)
 		}
 	}
 	// Fresh stateful instance per Build.
 	s := LossSpec{P: 0.5, BurstLen: 4}
-	a, _ := s.Build()
-	b, _ := s.Build()
+	a, _ := s.build()
+	b, _ := s.build()
 	if a == b {
 		t.Fatal("Build returned a shared loss process")
 	}
@@ -255,7 +255,7 @@ func TestQueueBurstLossChunkMasking(t *testing.T) {
 	)
 	run := func(spec LossSpec) (*chunkStats, *Queue) {
 		clk := clock.NewVirtual()
-		loss, err := spec.Build()
+		loss, err := spec.build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestQueueTailDropChunkMasking(t *testing.T) {
 func TestQueueDeterminism(t *testing.T) {
 	run := func() string {
 		clk := clock.NewVirtual()
-		loss, err := LossSpec{P: 0.05, BurstLen: 4}.Build()
+		loss, err := LossSpec{P: 0.05, BurstLen: 4}.build()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,10 +46,11 @@ func (c EdgeConfig) delay() time.Duration {
 // across the edge funnels through these queues, so finite buffers are
 // contended between tenants.
 //
-// Edges are mutable after build: SetLoss/SetBandwidth/SetDistance
-// re-parameterize both directions (the dynamic-network fault layer
-// schedules them at virtual times), and SetDown flaps the link, which
-// fails both queues closed and makes Route skip the edge.
+// Edges are mutable after build: SetLoss/SetDistance (and a
+// Schedule's bandwidth events) re-parameterize both directions (the
+// dynamic-network fault layer schedules them at virtual times), and
+// SetDown flaps the link, which fails both queues closed and makes
+// route skip the edge.
 type Edge struct {
 	// From and To are the node indices the edge connects.
 	From, To int
@@ -66,28 +67,28 @@ type Edge struct {
 // built from spec. Each queue keeps its random stream, so a scheduled
 // loss change stays deterministic per seed.
 func (e *Edge) SetLoss(spec LossSpec) error {
-	fwd, err := spec.Build()
+	fwd, err := spec.build()
 	if err != nil {
 		return err
 	}
-	rev, err := spec.Build()
+	rev, err := spec.build()
 	if err != nil {
 		return err
 	}
-	e.Fwd.SetLoss(fwd)
-	e.Rev.SetLoss(rev)
+	e.Fwd.setLoss(fwd)
+	e.Rev.setLoss(rev)
 	e.mu.Lock()
 	e.Cfg.Loss = spec
 	e.mu.Unlock()
 	return nil
 }
 
-// SetBandwidth changes both directions' line rate.
-func (e *Edge) SetBandwidth(bps float64) error {
-	if err := e.Fwd.SetBandwidth(bps); err != nil {
+// setBandwidth changes both directions' line rate.
+func (e *Edge) setBandwidth(bps float64) error {
+	if err := e.Fwd.setBandwidth(bps); err != nil {
 		return err
 	}
-	if err := e.Rev.SetBandwidth(bps); err != nil {
+	if err := e.Rev.setBandwidth(bps); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -104,10 +105,10 @@ func (e *Edge) SetDistance(km float64) error {
 		return fmt.Errorf("netem: edge distance %g km < 0", km)
 	}
 	d := EdgeConfig{DistanceKm: km}.delay()
-	if err := e.Fwd.SetLatency(d); err != nil {
+	if err := e.Fwd.setLatency(d); err != nil {
 		return err
 	}
-	if err := e.Rev.SetLatency(d); err != nil {
+	if err := e.Rev.setLatency(d); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -116,35 +117,32 @@ func (e *Edge) SetDistance(km float64) error {
 	return nil
 }
 
-// DistanceKm returns the current cable distance.
-func (e *Edge) DistanceKm() float64 {
+// distanceKm returns the current cable distance.
+func (e *Edge) distanceKm() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.Cfg.DistanceKm
 }
 
-// SetDown flaps the edge: both queue directions fail closed and Route
+// SetDown flaps the edge: both queue directions fail closed and route
 // stops considering the edge until it comes back up. Callers that hold
 // live Paths should follow with Topology.ReroutePaths so in-flight
 // transfers re-point around the failure.
 func (e *Edge) SetDown(down bool) {
 	e.down.Store(down)
-	e.Fwd.SetDown(down)
-	e.Rev.SetDown(down)
+	e.Fwd.setDown(down)
+	e.Rev.setDown(down)
 }
 
-// Down reports whether the edge is administratively down.
-func (e *Edge) Down() bool { return e.down.Load() }
-
-// Hop is one step of a route: an edge plus the traversal direction.
-type Hop struct {
+// hop is one step of a route: an edge plus the traversal direction.
+type hop struct {
 	Edge *Edge
 	// Forward: traversing From→To (through Edge.Fwd).
 	Forward bool
 }
 
-// Queue returns the queue this hop transits.
-func (h Hop) Queue() *Queue {
+// queue returns the queue this hop transits.
+func (h hop) queue() *Queue {
 	if h.Forward {
 		return h.Edge.Fwd
 	}
@@ -153,7 +151,7 @@ func (h Hop) Queue() *Queue {
 
 // Topology is a named multi-datacenter graph on one clock. Build one
 // with New + AddNode/AddEdge or with the shape constructors (Ring,
-// Tree, FullMesh, Dumbbell), then wire reliable flows over it with
+// Tree, Dumbbell), then wire reliable flows over it with
 // NewFlow.
 type Topology struct {
 	// Name labels the scenario in experiment output.
@@ -172,12 +170,12 @@ type Topology struct {
 	// adj[n] lists (edge index) incident to node n, in insertion
 	// order — which makes BFS routes deterministic.
 	adj map[int][]int
-	// routeVia and routeQueue are Route's search scratch and routeLast
+	// routeVia and routeQueue are route's search scratch and routeLast
 	// the last route it resolved per (from, to); guarded by routeMu.
 	routeMu    sync.Mutex
 	routeVia   []int
 	routeQueue []int
-	routeLast  map[[2]int][]Hop
+	routeLast  map[[2]int][]hop
 
 	// pools leases flow deployments, one pool per distinct SDR config:
 	// a closed flow's devices, QPs and control planes are reset and
@@ -186,10 +184,10 @@ type Topology struct {
 	poolMu sync.Mutex
 	pools  map[core.Config]*session.Pool
 
-	// paths are the live re-routable delivery chains (see Path);
+	// paths are the live re-routable delivery chains (see path);
 	// ReroutePaths re-points them after edge state changes.
 	pathMu sync.Mutex
-	paths  []*Path
+	paths  []*path
 	// wires holds, per pooled flow deployment, the paths its flows run
 	// through (see flowWires). Guarded by pathMu.
 	wires map[*session.Deployment]*flowWires
@@ -217,12 +215,6 @@ func (t *Topology) AddNode(name string) int {
 	return len(t.nodes) - 1
 }
 
-// NumNodes returns the datacenter count.
-func (t *Topology) NumNodes() int { return len(t.nodes) }
-
-// NodeName returns the name of node i.
-func (t *Topology) NodeName(i int) string { return t.nodes[i] }
-
 // Edges returns the built edges (shared, do not mutate).
 func (t *Topology) Edges() []*Edge { return t.edges }
 
@@ -239,7 +231,7 @@ func (t *Topology) AddEdge(from, to int, cfg EdgeConfig) (*Edge, error) {
 	}
 	idx := len(t.edges)
 	build := func(dirSeed int64) (*Queue, error) {
-		loss, err := cfg.Loss.Build()
+		loss, err := cfg.Loss.build()
 		if err != nil {
 			return nil, fmt.Errorf("netem: edge %s–%s: %w", t.nodes[from], t.nodes[to], err)
 		}
@@ -268,13 +260,13 @@ func (t *Topology) AddEdge(from, to int, cfg EdgeConfig) (*Edge, error) {
 	return e, nil
 }
 
-// Route returns a shortest hop sequence from→to (BFS over hop count;
+// route returns a shortest hop sequence from→to (BFS over hop count;
 // ties broken by edge insertion order, so routes are deterministic).
 // The search runs on scratch the topology keeps, and a route that comes
 // out as it did the last time from→to was resolved is returned as that
 // same slice, so resolving a stable route allocates nothing. The result
 // is therefore shared with other callers: do not modify it.
-func (t *Topology) Route(from, to int) ([]Hop, error) {
+func (t *Topology) route(from, to int) ([]hop, error) {
 	if from == to {
 		return nil, fmt.Errorf("netem: route from node %d to itself", from)
 	}
@@ -314,30 +306,30 @@ func (t *Topology) Route(from, to int) ([]Hop, error) {
 	for n := to; n != from; depth++ {
 		e := t.edges[via[n]-1]
 		n = e.From + e.To - n
-		if i := len(last) - 1 - depth; same && (i < 0 || last[i] != Hop{Edge: e, Forward: e.From == n}) {
+		if i := len(last) - 1 - depth; same && (i < 0 || last[i] != hop{Edge: e, Forward: e.From == n}) {
 			same = false
 		}
 	}
 	if same && depth == len(last) {
 		return last, nil
 	}
-	hops := make([]Hop, depth)
+	hops := make([]hop, depth)
 	for n, i := to, depth-1; n != from; i-- {
 		e := t.edges[via[n]-1]
 		prev := e.From + e.To - n
-		hops[i] = Hop{Edge: e, Forward: e.From == prev}
+		hops[i] = hop{Edge: e, Forward: e.From == prev}
 		n = prev
 	}
 	if t.routeLast == nil {
-		t.routeLast = map[[2]int][]Hop{}
+		t.routeLast = map[[2]int][]hop{}
 	}
 	t.routeLast[[2]int{from, to}] = hops
 	return hops, nil
 }
 
-// PathDelay returns the one-way propagation delay along hops
+// pathDelay returns the one-way propagation delay along hops
 // (excluding serialization and queueing).
-func PathDelay(hops []Hop) time.Duration {
+func pathDelay(hops []hop) time.Duration {
 	var d time.Duration
 	for _, h := range hops {
 		d += h.Edge.Cfg.delay()
@@ -396,8 +388,8 @@ func (t *Topology) SetTelemetry(rec *telemetry.Recorder) {
 		t.sink = nil
 		t.telMu.Unlock()
 		for _, e := range t.edges {
-			e.Fwd.SetTelemetry(nil, 0)
-			e.Rev.SetTelemetry(nil, 0)
+			e.Fwd.setTelemetry(nil, 0)
+			e.Rev.setTelemetry(nil, 0)
 		}
 		t.poolMu.Lock()
 		for _, p := range t.pools {
@@ -419,7 +411,7 @@ func (t *Topology) SetTelemetry(rec *telemetry.Recorder) {
 		}{{e.Fwd, "/fwd"}, {e.Rev, "/rev"}} {
 			track := rec.Track(name + dir.suffix)
 			rec.FoldQueueDepth(track, name+dir.suffix+" qdepth")
-			dir.q.SetTelemetry(rec, track)
+			dir.q.setTelemetry(rec, track)
 			rec.RegisterCounter(name+dir.suffix+" enqueued", &dir.q.Enqueued)
 			rec.RegisterCounter(name+dir.suffix+" delivered", &dir.q.Delivered)
 			rec.RegisterCounter(name+dir.suffix+" taildrops", &dir.q.TailDrops)
@@ -453,20 +445,20 @@ func (t *Topology) probeDyn(kind telemetry.EventKind, a0, a1 int64) {
 // chain threads a delivery path through the hops' queues back to
 // front, ending at dst: the returned Deliverer is the first hop's
 // ingress port.
-func chain(hops []Hop, dst nicsim.Deliverer) nicsim.Deliverer {
+func chain(hops []hop, dst nicsim.Deliverer) nicsim.Deliverer {
 	d := dst
 	for i := len(hops) - 1; i >= 0; i-- {
-		d = hops[i].Queue().Port(d)
+		d = hops[i].queue().Port(d)
 	}
 	return d
 }
 
 // reverseHops returns the return path of a route: same edges, opposite
 // order and direction.
-func reverseHops(hops []Hop) []Hop {
-	rev := make([]Hop, len(hops))
+func reverseHops(hops []hop) []hop {
+	rev := make([]hop, len(hops))
 	for i, h := range hops {
-		rev[len(hops)-1-i] = Hop{Edge: h.Edge, Forward: !h.Forward}
+		rev[len(hops)-1-i] = hop{Edge: h.Edge, Forward: !h.Forward}
 	}
 	return rev
 }
@@ -549,15 +541,15 @@ func (t *Topology) ClosePools() error {
 // Closing the returned session resets and returns all of it, so flow
 // churn costs a rebind, not a rebuild.
 func (t *Topology) NewFlow(from, to int, coreCfg core.Config, relCfg reliability.Config) (*reliability.Session, error) {
-	fwd, err := t.Route(from, to)
+	fwd, err := t.route(from, to)
 	if err != nil {
 		return nil, err
 	}
-	rev, err := t.Route(to, from)
+	rev, err := t.route(to, from)
 	if err != nil {
 		return nil, err
 	}
-	oneWay := PathDelay(fwd)
+	oneWay := pathDelay(fwd)
 	coreCfg.Clock = t.clk
 	if relCfg.RTT == 0 && oneWay > 0 {
 		relCfg.RTT = 2 * oneWay
@@ -596,7 +588,7 @@ func (t *Topology) NewFlow(from, to int, coreCfg core.Config, relCfg reliability
 // re-ACK of the previous lease — ends at that deployment's own devices,
 // whose reset state absorbs it, never at another tenant's.
 type flowWires struct {
-	pAB, pBA *Path
+	pAB, pBA *path
 	// Closing the flow retires its paths from the reroute registry
 	// before the deployment goes back to the pool; quarantining does
 	// the same but retires the deployment from circulation entirely.
@@ -609,7 +601,7 @@ func (t *Topology) wiresFor(dep *session.Deployment) *flowWires {
 	defer t.pathMu.Unlock()
 	w := t.wires[dep]
 	if w == nil {
-		w = &flowWires{pAB: &Path{t: t}, pBA: &Path{t: t}}
+		w = &flowWires{pAB: &path{t: t}, pBA: &path{t: t}}
 		w.releaseFn = func() {
 			t.removePaths(w.pAB, w.pBA)
 			dep.Release()
@@ -666,25 +658,6 @@ func Tree(clk clock.Clock, n int, cfg EdgeConfig, seed int64) (*Topology, error)
 	for i := 1; i < n; i++ {
 		if _, err := t.AddEdge((i-1)/2, i, cfg); err != nil {
 			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// FullMesh links every datacenter pair directly.
-func FullMesh(clk clock.Clock, n int, cfg EdgeConfig, seed int64) (*Topology, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("netem: mesh needs >= 2 nodes, got %d", n)
-	}
-	t := New(fmt.Sprintf("mesh-%d", n), clk, seed)
-	for i := 0; i < n; i++ {
-		t.AddNode(fmt.Sprintf("dc%d", i))
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if _, err := t.AddEdge(i, j, cfg); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return t, nil

@@ -23,19 +23,19 @@ func TestRingRoutes(t *testing.T) {
 	if got := len(topo.Edges()); got != 4 {
 		t.Fatalf("ring-4 has %d edges, want 4", got)
 	}
-	hops, err := topo.Route(0, 1)
+	hops, err := topo.route(0, 1)
 	if err != nil || len(hops) != 1 || !hops[0].Forward {
 		t.Fatalf("route 0→1 = %v (err %v), want one forward hop", hops, err)
 	}
-	hops, err = topo.Route(0, 3)
+	hops, err = topo.route(0, 3)
 	if err != nil || len(hops) != 1 || hops[0].Forward {
 		t.Fatalf("route 0→3 = %v (err %v), want one reverse hop (edge 3–0)", hops, err)
 	}
-	hops, err = topo.Route(0, 2)
+	hops, err = topo.route(0, 2)
 	if err != nil || len(hops) != 2 {
 		t.Fatalf("route 0→2 = %d hops (err %v), want 2", len(hops), err)
 	}
-	if d := PathDelay(hops); d != 2*time.Millisecond {
+	if d := pathDelay(hops); d != 2*time.Millisecond {
 		t.Fatalf("0→2 delay %v, want 2ms (2 × 300 km)", d)
 	}
 }
@@ -48,7 +48,7 @@ func TestRingTwoNodes(t *testing.T) {
 	if got := len(topo.Edges()); got != 1 {
 		t.Fatalf("ring-2 has %d edges, want 1 (no parallel duplicate)", got)
 	}
-	if _, err := topo.Route(1, 0); err != nil {
+	if _, err := topo.route(1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -62,13 +62,18 @@ func TestTreeAndMeshShapes(t *testing.T) {
 		t.Fatalf("tree-7 has %d edges, want 6", got)
 	}
 	// leaf 3 → leaf 6 crosses the root: 3→1→0→2→6.
-	hops, err := tree.Route(3, 6)
+	hops, err := tree.route(3, 6)
 	if err != nil || len(hops) != 4 {
 		t.Fatalf("tree route 3→6 = %d hops (err %v), want 4", len(hops), err)
 	}
-	mesh, err := FullMesh(clock.NewVirtual(), 5, testEdge(), 1)
-	if err != nil {
-		t.Fatal(err)
+	mesh := New("mesh-5", clock.NewVirtual(), 1)
+	for i := 0; i < 5; i++ {
+		mesh.AddNode(fmt.Sprintf("dc%d", i))
+		for j := 0; j < i; j++ {
+			if _, err := mesh.AddEdge(j, i, testEdge()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if got := len(mesh.Edges()); got != 10 {
 		t.Fatalf("mesh-5 has %d edges, want 10", got)
@@ -78,7 +83,7 @@ func TestTreeAndMeshShapes(t *testing.T) {
 			if i == j {
 				continue
 			}
-			hops, err := mesh.Route(i, j)
+			hops, err := mesh.route(i, j)
 			if err != nil || len(hops) != 1 {
 				t.Fatalf("mesh route %d→%d = %d hops (err %v), want 1", i, j, len(hops), err)
 			}
@@ -95,14 +100,14 @@ func TestDumbbellLayout(t *testing.T) {
 		t.Fatalf("leaves %d/%d, want 3/3", len(d.Left), len(d.Right))
 	}
 	for i := range d.Left {
-		hops, err := d.Route(d.Left[i], d.Right[i])
+		hops, err := d.route(d.Left[i], d.Right[i])
 		if err != nil || len(hops) != 3 {
 			t.Fatalf("flow %d route = %d hops (err %v), want 3", i, len(hops), err)
 		}
 		if hops[1].Edge != d.Bottleneck {
 			t.Fatalf("flow %d does not cross the bottleneck", i)
 		}
-		if hops[1].Queue() != d.Bottleneck.Fwd {
+		if hops[1].queue() != d.Bottleneck.Fwd {
 			t.Fatalf("flow %d uses the wrong bottleneck direction", i)
 		}
 	}
@@ -124,10 +129,10 @@ func TestTopologyValidation(t *testing.T) {
 		t.Fatal("invalid loss spec accepted — netem configs must fail fast")
 	}
 	c := topo.AddNode("c") // isolated
-	if _, err := topo.Route(a, c); err == nil {
+	if _, err := topo.route(a, c); err == nil {
 		t.Fatal("route to disconnected node accepted")
 	}
-	if _, err := topo.Route(a, a); err == nil {
+	if _, err := topo.route(a, a); err == nil {
 		t.Fatal("self-route accepted")
 	}
 }

@@ -123,7 +123,7 @@ func (d *Device) ResetCounters() {
 func (d *Device) dmaWrite(key uint32, offset uint64, data []byte) error {
 	target, ok := d.mem.lookup(key)
 	if !ok {
-		return fmt.Errorf("%w: unknown rkey %d on %s", ErrMkeyViolation, key, d.name)
+		return fmt.Errorf("%w: unknown rkey %d on %s", errMkeyViolation, key, d.name)
 	}
 	return target.DMAWrite(offset, data)
 }

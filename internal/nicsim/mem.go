@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// ErrMkeyViolation is returned when a DMA write misses its target:
+// errMkeyViolation is returned when a DMA write misses its target:
 // unknown key, out-of-bounds offset, or an unpopulated indirect entry.
-var ErrMkeyViolation = errors.New("nicsim: memory key violation")
+var errMkeyViolation = errors.New("nicsim: memory key violation")
 
 // MemoryTarget is anything a remote Write can land in.
 type MemoryTarget interface {
@@ -17,8 +17,6 @@ type MemoryTarget interface {
 	// concurrent writes to disjoint ranges (the NIC writes packets from
 	// multiple channels in parallel).
 	DMAWrite(offset uint64, data []byte) error
-	// Span returns the addressable byte range.
-	Span() uint64
 }
 
 // MR is a registered memory region backed by a user buffer.
@@ -35,7 +33,7 @@ func (m *MR) Key() uint32 { return m.key }
 // is the zero-copy property).
 func (m *MR) Bytes() []byte { return m.buf }
 
-// Span implements MemoryTarget.
+// Span returns the addressable byte range.
 func (m *MR) Span() uint64 { return uint64(len(m.buf)) }
 
 // DMAWrite implements MemoryTarget. The bounds check is overflow-safe:
@@ -44,7 +42,7 @@ func (m *MR) DMAWrite(offset uint64, data []byte) error {
 	span := uint64(len(m.buf))
 	if offset > span || uint64(len(data)) > span-offset {
 		return fmt.Errorf("%w: write [%d,+%d) beyond MR of %d bytes",
-			ErrMkeyViolation, offset, len(data), len(m.buf))
+			errMkeyViolation, offset, len(data), len(m.buf))
 	}
 	copy(m.buf[offset:], data)
 	return nil
@@ -57,12 +55,6 @@ type NullMR struct {
 	// Discarded counts bytes dropped, for observability in tests.
 	Discarded atomic.Uint64
 }
-
-// Key returns the null region's key.
-func (n *NullMR) Key() uint32 { return n.key }
-
-// Span implements MemoryTarget: the null key accepts any offset.
-func (n *NullMR) Span() uint64 { return ^uint64(0) }
 
 // DMAWrite implements MemoryTarget by discarding the payload.
 func (n *NullMR) DMAWrite(_ uint64, data []byte) error {
@@ -99,9 +91,6 @@ type indirectEntry struct {
 
 // Key returns the root key.
 func (ix *IndirectMR) Key() uint32 { return ix.key }
-
-// Span implements MemoryTarget.
-func (ix *IndirectMR) Span() uint64 { return ix.entryBytes * uint64(len(ix.entries)) }
 
 // SetEntry points slot i at target (with a base offset inside it).
 // Passing nil clears the slot, making writes fail loudly — SDR instead
@@ -156,14 +145,14 @@ func (ix *IndirectMR) DMAWrite(offset uint64, data []byte) error {
 	inner := offset % ix.entryBytes
 	if idx >= uint64(len(ix.entries)) {
 		return fmt.Errorf("%w: indirect offset %d beyond %d entries",
-			ErrMkeyViolation, offset, len(ix.entries))
+			errMkeyViolation, offset, len(ix.entries))
 	}
 	if uint64(len(data)) > ix.entryBytes-inner { // inner < entryBytes, no wrap
-		return fmt.Errorf("%w: write crosses indirect entry boundary", ErrMkeyViolation)
+		return fmt.Errorf("%w: write crosses indirect entry boundary", errMkeyViolation)
 	}
 	e := ix.entries[idx].Load()
 	if e == nil {
-		return fmt.Errorf("%w: indirect entry %d not populated", ErrMkeyViolation, idx)
+		return fmt.Errorf("%w: indirect entry %d not populated", errMkeyViolation, idx)
 	}
 	return e.target.DMAWrite(e.base+inner, data)
 }

@@ -377,7 +377,7 @@ func TestMemTableDeregisteredKeyNeverResolves(t *testing.T) {
 		}
 	}
 	for _, key := range dead {
-		if err := d.dmaWrite(key, 0, []byte{1}); !errors.Is(err, ErrMkeyViolation) {
+		if err := d.dmaWrite(key, 0, []byte{1}); !errors.Is(err, errMkeyViolation) {
 			t.Fatalf("write through deregistered key %#x: %v", key, err)
 		}
 	}

@@ -11,10 +11,7 @@
 // the registered target buffer exactly as the DMA engine would.
 package nicsim
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Opcode enumerates wire packet types.
 type Opcode uint8
@@ -27,28 +24,11 @@ const (
 	OpWriteImm
 	// OpSend is a two-sided UD send.
 	OpSend
-	// OpAck is an RC acknowledgment (cumulative PSN).
-	OpAck
-	// OpNak is an RC negative acknowledgment requesting Go-Back-N.
-	OpNak
+	// opAck is an RC acknowledgment (cumulative PSN).
+	opAck
+	// opNak is an RC negative acknowledgment requesting Go-Back-N.
+	opNak
 )
-
-func (o Opcode) String() string {
-	switch o {
-	case OpWrite:
-		return "WRITE"
-	case OpWriteImm:
-		return "WRITE_IMM"
-	case OpSend:
-		return "SEND"
-	case OpAck:
-		return "ACK"
-	case OpNak:
-		return "NAK"
-	default:
-		return fmt.Sprintf("OP(%d)", uint8(o))
-	}
-}
 
 // HeaderBytes approximates the per-packet wire overhead (Ethernet +
 // IP/UDP + BTH/RETH + ICRC of a RoCEv2 frame) charged by fabrics that
@@ -162,8 +142,8 @@ type CQEOpcode uint8
 const (
 	// CQERecvWriteImm signals an inbound RDMA Write-with-immediate.
 	CQERecvWriteImm CQEOpcode = iota
-	// CQERecv signals an inbound UD send landed in a posted buffer.
-	CQERecv
-	// CQESend signals a locally posted operation finished injecting.
-	CQESend
+	// cqeRecv signals an inbound UD send landed in a posted buffer.
+	cqeRecv
+	// cqeSend signals a locally posted operation finished injecting.
+	cqeSend
 )

@@ -209,9 +209,9 @@ func (qp *RCQP) onTimeout() {
 // recvPacket handles data, ACK and NAK packets.
 func (qp *RCQP) recvPacket(pkt *Packet) {
 	switch pkt.Opcode {
-	case OpAck:
+	case opAck:
 		qp.handleAck(pkt.PSN)
-	case OpNak:
+	case opNak:
 		qp.handleNak(pkt.PSN)
 	case OpWriteImm, OpWrite:
 		qp.handleData(pkt)
@@ -250,7 +250,7 @@ func (qp *RCQP) handleAck(cum uint32) {
 	}
 	if qp.sendCQ != nil {
 		for _, wrid := range completed {
-			qp.sendCQ.Push(CQE{QPN: qp.qpn, Opcode: CQESend, WRID: wrid})
+			qp.sendCQ.Push(CQE{QPN: qp.qpn, Opcode: cqeSend, WRID: wrid})
 		}
 	}
 }
@@ -321,20 +321,20 @@ func (qp *RCQP) handleData(pkt *Packet) {
 			qp.recvCQ.Push(*cqe)
 		}
 		if ackNow {
-			qp.wire.Send(&Packet{Opcode: OpAck, SrcQPN: qp.qpn, DstQPN: pkt.SrcQPN, PSN: ePSN})
+			qp.wire.Send(&Packet{Opcode: opAck, SrcQPN: qp.qpn, DstQPN: pkt.SrcQPN, PSN: ePSN})
 		}
 	case pkt.PSN > qp.ePSN:
 		// gap: drop and NAK the expected PSN
 		ePSN := qp.ePSN
 		qp.rxMu.Unlock()
 		qp.NaksSent.Add(1)
-		qp.wire.Send(&Packet{Opcode: OpNak, SrcQPN: qp.qpn, DstQPN: pkt.SrcQPN, PSN: ePSN})
+		qp.wire.Send(&Packet{Opcode: opNak, SrcQPN: qp.qpn, DstQPN: pkt.SrcQPN, PSN: ePSN})
 	default:
 		// duplicate from a Go-Back-N resend: re-ack so the sender
 		// advances
 		ePSN := qp.ePSN
 		qp.rxMu.Unlock()
-		qp.wire.Send(&Packet{Opcode: OpAck, SrcQPN: qp.qpn, DstQPN: pkt.SrcQPN, PSN: ePSN})
+		qp.wire.Send(&Packet{Opcode: opAck, SrcQPN: qp.qpn, DstQPN: pkt.SrcQPN, PSN: ePSN})
 	}
 }
 

@@ -97,11 +97,6 @@ func (qp *UCQP) WriteImm(rkey uint32, offset uint64, payload []byte, imm uint32,
 	return qp.write(rkey, offset, payload, imm, true, wrid)
 }
 
-// Write posts an RDMA Write without immediate (no receive-side CQE).
-func (qp *UCQP) Write(rkey uint32, offset uint64, payload []byte, wrid uint64) int {
-	return qp.write(rkey, offset, payload, 0, false, wrid)
-}
-
 func (qp *UCQP) write(rkey uint32, offset uint64, payload []byte, imm uint32, hasImm bool, wrid uint64) int {
 	if qp.wire == nil {
 		panic(fmt.Sprintf("nicsim: QP %d not connected", qp.qpn))
@@ -143,7 +138,7 @@ func (qp *UCQP) write(rkey uint32, offset uint64, payload []byte, imm uint32, ha
 		qp.wire.Send(pkt)
 	}
 	if qp.sendCQ != nil {
-		qp.sendCQ.Push(CQE{QPN: qp.qpn, Opcode: CQESend, WRID: wrid})
+		qp.sendCQ.Push(CQE{QPN: qp.qpn, Opcode: cqeSend, WRID: wrid})
 	}
 	return n
 }

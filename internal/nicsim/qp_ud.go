@@ -115,7 +115,7 @@ func (qp *UDQP) recvPacket(pkt *Packet) {
 	n := copy(wr.buf, pkt.Payload)
 	qp.recvCQ.Push(CQE{
 		QPN:     qp.qpn,
-		Opcode:  CQERecv,
+		Opcode:  cqeRecv,
 		Imm:     pkt.Imm,
 		HasImm:  pkt.HasImm,
 		ByteLen: uint32(n),

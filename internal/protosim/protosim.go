@@ -79,14 +79,14 @@ type Config struct {
 	// divergent configuration — e.g. Go-Back-N whose window timer
 	// expires before a chunk can even serialize, resending forever —
 	// would otherwise loop in virtual time without ever draining the
-	// queue; the budget turns that into ErrEventBudget. Zero derives a
+	// queue; the budget turns that into errEventBudget. Zero derives a
 	// generous default from the chunk count (far above what any
 	// converging run uses).
 	MaxEvents int64
 }
 
-// WithDefaults fills zero fields.
-func (c Config) WithDefaults() Config {
+// withDefaults fills zero fields.
+func (c Config) withDefaults() Config {
 	c.Ch = c.Ch.WithDefaults()
 	if c.Scheme == "" {
 		c.Scheme = "sr"
@@ -109,10 +109,10 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// ErrEventBudget is wrapped by errors reported when a sample exhausts
+// errEventBudget is wrapped by errors reported when a sample exhausts
 // its event budget — the diagnosable form of a divergent configuration
 // that would otherwise simulate forever.
-var ErrEventBudget = errors.New("protosim: event budget exhausted")
+var errEventBudget = errors.New("protosim: event budget exhausted")
 
 // eventBudget returns the effective per-sample event cap.
 func eventBudget(cfg Config, nchunks int) int64 {
@@ -150,32 +150,13 @@ func validate(cfg Config) error {
 	return nil
 }
 
-// Simulate returns one sample of the sender-side completion time for a
-// message of msgBytes, in seconds of virtual time. Completion is
-// reported by an explicit done flag, so a legitimate completion at
-// virtual time 0 (degenerate zero-latency configs) is not confused
-// with "never finished"; if the event queue drains without the
-// transfer completing, Simulate returns +Inf. A config whose event
-// queue never drains — e.g. Go-Back-N with RTO < T_inj, whose window
-// timer keeps firing and resending before the first chunk finishes
-// serializing — is rejected up front by the config sanity check when
-// the divergence is predictable, and otherwise stopped by the
-// per-sample event budget with an error wrapping ErrEventBudget.
-func Simulate(cfg Config, rng *rand.Rand, msgBytes int64) (float64, error) {
-	cfg = cfg.WithDefaults()
-	if err := validate(cfg); err != nil {
-		return 0, err
-	}
-	return newRunner().simulate(cfg, rng, msgBytes)
-}
-
 // Sample draws n completion times with a deterministic seed. The
 // campaign fans out across GOMAXPROCS workers, each owning a reusable
 // engine; sample i always draws from its own rng seeded by a splitmix64
 // mix of (seed, i), so the returned slice is bit-identical regardless
 // of core count or work distribution.
 func Sample(cfg Config, msgBytes int64, n int, seed int64) ([]float64, error) {
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
@@ -243,10 +224,21 @@ func newRunner() *runner {
 	return r
 }
 
-// simulate runs one sample. cfg must already be defaulted and
-// validated (Simulate and Sample both do this once, not per sample);
-// each scheme's run() leaves the engine Reset, so samples chain with
-// no per-sample prologue.
+// simulate runs one sample: the sender-side completion time for a
+// message of msgBytes, in seconds of virtual time. Completion is
+// reported by an explicit done flag, so a legitimate completion at
+// virtual time 0 (degenerate zero-latency configs) is not confused
+// with "never finished"; if the event queue drains without the
+// transfer completing, simulate returns +Inf. A config whose event
+// queue never drains — e.g. Go-Back-N with RTO < T_inj, whose window
+// timer keeps firing and resending before the first chunk finishes
+// serializing — is rejected up front by the config sanity check when
+// the divergence is predictable, and otherwise stopped by the
+// per-sample event budget with an error wrapping errEventBudget.
+//
+// cfg must already be defaulted and validated (Sample does this once,
+// not per sample); each scheme's run() leaves the engine Reset, so
+// samples chain with no per-sample prologue.
 func (r *runner) simulate(cfg Config, rng *rand.Rand, msgBytes int64) (float64, error) {
 	nchunks := cfg.Ch.ChunksIn(msgBytes)
 	switch cfg.Scheme {
@@ -271,7 +263,7 @@ func drive(eng *simnet.Engine, done *bool, budget int64, scheme string) error {
 			now, pending := eng.Now(), eng.Pending()
 			eng.Reset()
 			return fmt.Errorf("%w: %s fired %d events without completing (t=%.3gs, %d events still queued) — likely divergent (e.g. RTO below injection time)",
-				ErrEventBudget, scheme, steps, now, pending)
+				errEventBudget, scheme, steps, now, pending)
 		}
 	}
 	eng.Reset() // drop post-completion backstops without draining them

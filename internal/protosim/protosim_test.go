@@ -22,11 +22,21 @@ func desChannel(pdrop float64) wan.Params {
 	}
 }
 
+// simulate draws one sample on a fresh runner — the reference the
+// reused-runner Sample path is compared against.
+func simulate(cfg Config, rng *rand.Rand, msgBytes int64) (float64, error) {
+	cfg = cfg.withDefaults()
+	if err := validate(cfg); err != nil {
+		return 0, err
+	}
+	return newRunner().simulate(cfg, rng, msgBytes)
+}
+
 func TestLosslessSR(t *testing.T) {
 	cfg := Config{Ch: desChannel(0), Scheme: "sr"}
 	rng := rand.New(rand.NewSource(1))
 	const size = 128 << 20
-	got, err := Simulate(cfg, rng, size)
+	got, err := simulate(cfg, rng, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +134,7 @@ func TestECLosslessPaysParity(t *testing.T) {
 	cfg := Config{Ch: ch, Scheme: "ec"}
 	rng := rand.New(rand.NewSource(2))
 	const size = 128 << 20
-	got, err := Simulate(cfg, rng, size)
+	got, err := simulate(cfg, rng, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +171,10 @@ func TestAckLossRecovery(t *testing.T) {
 }
 
 func TestUnknownScheme(t *testing.T) {
-	if _, err := Simulate(Config{Ch: desChannel(0), Scheme: "bogus"}, rand.New(rand.NewSource(1)), 1<<20); err == nil {
+	if _, err := simulate(Config{Ch: desChannel(0), Scheme: "bogus"}, rand.New(rand.NewSource(1)), 1<<20); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	if _, err := Simulate(Config{Ch: desChannel(0), Scheme: "ec", Code: "bogus"}, rand.New(rand.NewSource(1)), 1<<20); err == nil {
+	if _, err := simulate(Config{Ch: desChannel(0), Scheme: "ec", Code: "bogus"}, rand.New(rand.NewSource(1)), 1<<20); err == nil {
 		t.Fatal("unknown code accepted")
 	}
 }
@@ -176,12 +186,12 @@ func TestGBNDivergentRTORejected(t *testing.T) {
 	// 64 KiB chunks on a 1 Gbit/s, 1 km link: T_inj ≈ 524 µs while
 	// 3·RTT ≈ 20 µs — the window timer can never be outrun.
 	ch := wan.Params{BandwidthBps: 1e9, DistanceKm: 1, MTUBytes: 4096, ChunkBytes: 64 << 10}
-	if _, err := Simulate(Config{Ch: ch, Scheme: "gbn"}, rand.New(rand.NewSource(1)), 1<<20); err == nil {
+	if _, err := simulate(Config{Ch: ch, Scheme: "gbn"}, rand.New(rand.NewSource(1)), 1<<20); err == nil {
 		t.Fatal("divergent GBN config accepted")
 	}
 	// The same channel is fine for SR: its per-chunk RTO arms at
 	// serialization completion, not at send time.
-	if _, err := Simulate(Config{Ch: ch, Scheme: "sr"}, rand.New(rand.NewSource(1)), 1<<20); err != nil {
+	if _, err := simulate(Config{Ch: ch, Scheme: "sr"}, rand.New(rand.NewSource(1)), 1<<20); err != nil {
 		t.Fatalf("SR rejected on a channel that only breaks GBN: %v", err)
 	}
 	// A Sample campaign must report the same config error.
@@ -196,23 +206,23 @@ func TestGBNDivergentRTORejected(t *testing.T) {
 func TestEventBudgetExhaustion(t *testing.T) {
 	cfg := Config{Ch: desChannel(1e-3), Scheme: "sr", MaxEvents: 50}
 	rng := rand.New(rand.NewSource(1))
-	_, err := Simulate(cfg, rng, 128<<20)
-	if !errors.Is(err, ErrEventBudget) {
+	_, err := simulate(cfg, rng, 128<<20)
+	if !errors.Is(err, errEventBudget) {
 		t.Fatalf("err = %v, want ErrEventBudget", err)
 	}
 	// Sample: the budget error must surface, not hang the campaign.
-	if _, err := Sample(cfg, 128<<20, 4, 1); !errors.Is(err, ErrEventBudget) {
+	if _, err := Sample(cfg, 128<<20, 4, 1); !errors.Is(err, errEventBudget) {
 		t.Fatalf("Sample err = %v, want ErrEventBudget", err)
 	}
 	// A runner that hit the budget must still be able to run a
 	// well-budgeted sample afterwards (engine Reset on the error path).
 	r := newRunner()
-	if _, err := r.simulate(cfg.WithDefaults(), rng, 128<<20); !errors.Is(err, ErrEventBudget) {
+	if _, err := r.simulate(cfg.withDefaults(), rng, 128<<20); !errors.Is(err, errEventBudget) {
 		t.Fatalf("first run err = %v, want ErrEventBudget", err)
 	}
 	ok := cfg
 	ok.MaxEvents = 0
-	v, err := r.simulate(ok.WithDefaults(), rng, 1<<20)
+	v, err := r.simulate(ok.withDefaults(), rng, 1<<20)
 	if err != nil || math.IsInf(v, 1) {
 		t.Fatalf("runner unusable after budget hit: v=%g err=%v", v, err)
 	}
@@ -222,7 +232,7 @@ func BenchmarkDESSR128MiB(b *testing.B) {
 	cfg := Config{Ch: desChannel(1e-3), Scheme: "sr"}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(cfg, rng, 128<<20); err != nil {
+		if _, err := simulate(cfg, rng, 128<<20); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,7 +242,7 @@ func BenchmarkDESGBN128MiB(b *testing.B) {
 	cfg := Config{Ch: desChannel(1e-3), Scheme: "gbn"}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(cfg, rng, 128<<20); err != nil {
+		if _, err := simulate(cfg, rng, 128<<20); err != nil {
 			b.Fatal(err)
 		}
 	}

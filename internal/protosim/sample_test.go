@@ -51,7 +51,7 @@ func TestRunnerReuseMatchesFreshSimulate(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
-				want, err := Simulate(cfg, rand.New(rand.NewSource(sampleSeed(7, i))), size)
+				want, err := simulate(cfg, rand.New(rand.NewSource(sampleSeed(7, i))), size)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +95,7 @@ func TestZeroTimeCompletionNotSentinel(t *testing.T) {
 		ch.DistanceKm = 1e-323
 		ch.BandwidthBps = math.Inf(1) // zero injection time
 		cfg := Config{Ch: ch, Scheme: scheme}
-		got, err := Simulate(cfg, rand.New(rand.NewSource(1)), 1)
+		got, err := simulate(cfg, rand.New(rand.NewSource(1)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

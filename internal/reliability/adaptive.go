@@ -50,13 +50,6 @@ const (
 	SchemeEC
 )
 
-func (s Scheme) String() string {
-	if s == SchemeSR {
-		return "sr"
-	}
-	return "ec"
-}
-
 // Mode is one rung of the adaptive ladder: a scheme plus its EC split.
 type Mode struct {
 	Scheme Scheme
@@ -135,8 +128,8 @@ func (c AdaptorConfig) WithDefaults() AdaptorConfig {
 	return c
 }
 
-// Validate reports configuration errors.
-func (c AdaptorConfig) Validate() error {
+// validate reports configuration errors.
+func (c AdaptorConfig) validate() error {
 	switch {
 	case c.SegmentChunks <= 0:
 		return fmt.Errorf("reliability: adaptor segment %d chunks <= 0", c.SegmentChunks)
@@ -169,9 +162,9 @@ func (c AdaptorConfig) Validate() error {
 	return nil
 }
 
-// SegStats is what the receiver observed over one completed segment —
+// segStats is what the receiver observed over one completed segment —
 // the adaptor's only input.
-type SegStats struct {
+type segStats struct {
 	// Seg is the segment index; Mode the scheme it ran under.
 	Seg  int
 	Mode Mode
@@ -188,7 +181,7 @@ type SegStats struct {
 // lossSignal condenses the stats into the scalar the hysteresis
 // thresholds compare against: the wire-loss fraction the segment
 // experienced.
-func (s SegStats) lossSignal() float64 {
+func (s segStats) lossSignal() float64 {
 	var sig float64
 	if s.Arrived > 0 {
 		sig = float64(s.Dups) / float64(s.Arrived)
@@ -203,7 +196,7 @@ func (s SegStats) lossSignal() float64 {
 
 // markFrac is the fraction of arrived packets that carried the ECN
 // congestion-experienced bit.
-func (s SegStats) markFrac() float64 {
+func (s segStats) markFrac() float64 {
 	if s.Arrived == 0 {
 		return 0
 	}
@@ -231,7 +224,7 @@ type Adaptor struct {
 // starting at Ladder[0].
 func NewAdaptor(cfg AdaptorConfig) (*Adaptor, error) {
 	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &Adaptor{cfg: cfg, dwell: cfg.MinDwell}, nil
@@ -240,20 +233,20 @@ func NewAdaptor(cfg AdaptorConfig) (*Adaptor, error) {
 // Config returns the adaptor's configuration (defaults applied).
 func (a *Adaptor) Config() AdaptorConfig { return a.cfg }
 
-// Mode returns the mode the next posted segment should run under.
-func (a *Adaptor) Mode() Mode { return a.cfg.Ladder[a.idx] }
+// mode returns the mode the next posted segment should run under.
+func (a *Adaptor) mode() Mode { return a.cfg.Ladder[a.idx] }
 
-// Rung returns the current ladder index.
-func (a *Adaptor) Rung() int { return a.idx }
+// rung returns the current ladder index.
+func (a *Adaptor) rung() int { return a.idx }
 
 // Switches returns the ladder moves taken so far (shared; do not
 // mutate).
 func (a *Adaptor) Switches() []Switch { return a.switches }
 
-// Observe feeds one completed segment's stats into the controller,
+// observe feeds one completed segment's stats into the controller,
 // possibly moving the ladder one rung. Hysteresis (EnterLoss/ExitLoss)
 // and the MinDwell floor keep a flapping signal from thrashing.
-func (a *Adaptor) Observe(s SegStats) {
+func (a *Adaptor) observe(s segStats) {
 	a.observed++
 	a.dwell++
 	if a.dwell < a.cfg.MinDwell {
@@ -301,7 +294,7 @@ func segmentation(acfg AdaptorConfig, chunkBytes, total int) ecGeometry {
 }
 
 // segParityBytes is the per-segment parity region size: each segment
-// is one submessage (Validate pins K = SegmentChunks), so the region
+// is one submessage (validate pins K = SegmentChunks), so the region
 // holds the M chunks of the ladder's most protective rung.
 func segParityBytes(acfg AdaptorConfig, chunkBytes int) int {
 	maxM := 0
@@ -342,7 +335,7 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
 	acfg = acfg.WithDefaults()
-	if err := acfg.Validate(); err != nil {
+	if err := acfg.validate(); err != nil {
 		return err
 	}
 	cfg := e.Cfg
@@ -408,7 +401,7 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 		plan(i, mode)
 	}
 
-	rto := cfg.RTO()
+	rto := cfg.rto()
 	deadline := clk.Now().Add(cfg.GlobalTimeout)
 	completed := 0
 	for {
@@ -499,7 +492,7 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 		}
 		if now.After(deadline) {
 			return fmt.Errorf("%w: adaptive write %d B, %d/%d segments done",
-				ErrGlobalTimeout, len(data), completed, g.L)
+				errGlobalTimeout, len(data), completed, g.L)
 		}
 		e.noteInflight(outstanding)
 		clk.WaitNotify(epoch, cfg.PollInterval)
@@ -541,9 +534,9 @@ func (s *adaptiveSegRecv) packets() uint64 {
 }
 
 // stats condenses what the receiver observed over the completed segment.
-func (s *adaptiveSegRecv) stats() SegStats {
+func (s *adaptiveSegRecv) stats() segStats {
 	sub := s.subs[0]
-	st := SegStats{
+	st := segStats{
 		Seg:         s.idx,
 		Mode:        s.mode,
 		Arrived:     s.packets(),
@@ -605,7 +598,7 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 	postAhead := func() error {
 		for ; posted < g.L && posted < head+acfg.Window; posted++ {
 			i := posted
-			mode := ad.Mode()
+			mode := ad.mode()
 			if i == 0 {
 				mode = acfg.Ladder[0]
 			}
@@ -625,7 +618,7 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 			// injection estimate, or it NACKs data that is still queued
 			// behind its predecessors. Once packets arrive, the progress
 			// gate in tick re-arms the timer from observed deliveries.
-			s.nextNack = clk.Now().Add(cfg.FTO() + cfg.RTO())
+			s.nextNack = clk.Now().Add(cfg.fto() + cfg.rto())
 			if i == 0 {
 				planID = planBit | s.opID()
 			} else {
@@ -643,14 +636,14 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 	finalize := func(s *adaptiveSegRecv) {
 		s.finish()
 		stats := s.stats()
-		before := ad.Rung()
-		ad.Observe(stats)
+		before := ad.rung()
+		ad.observe(stats)
 		e.noteGoodput(int64(s.size))
 		if e.tel.sink != nil {
 			lossPPM := int64(stats.lossSignal() * 1e6)
 			markPPM := int64(stats.markFrac() * 1e6)
 			e.probe(telemetry.EvSegStats, int64(s.idx), lossPPM, markPPM, int64(before))
-			if after := ad.Rung(); after != before {
+			if after := ad.rung(); after != before {
 				e.probe(telemetry.EvLadderSwitch, int64(s.idx), int64(before), int64(after), lossPPM)
 			}
 		}
@@ -719,7 +712,7 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 		now := clk.Now()
 		if now.After(deadline) {
 			return fail(fmt.Errorf("%w: adaptive receive %d B, %d/%d segments",
-				ErrGlobalTimeout, size, head, g.L))
+				errGlobalTimeout, size, head, g.L))
 		}
 		if !now.Before(nextAck) {
 			for i := head; i < posted; i++ {

@@ -15,7 +15,7 @@ func testAdaptorCfg() AdaptorConfig {
 }
 
 func TestAdaptorConfigValidate(t *testing.T) {
-	if err := testAdaptorCfg().Validate(); err != nil {
+	if err := testAdaptorCfg().validate(); err != nil {
 		t.Fatalf("defaults invalid: %v", err)
 	}
 	bad := []AdaptorConfig{
@@ -37,7 +37,7 @@ func TestAdaptorConfigValidate(t *testing.T) {
 		if c.MinDwell < 0 {
 			cfg.MinDwell = c.MinDwell
 		}
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -45,15 +45,15 @@ func TestAdaptorConfigValidate(t *testing.T) {
 	// segment is exactly one submessage.
 	c := testAdaptorCfg()
 	c.Ladder = []Mode{{Scheme: SchemeSR}, {Scheme: SchemeEC, K: 8, M: 2}}
-	if err := c.Validate(); err == nil {
+	if err := c.validate(); err == nil {
 		t.Error("ladder with K != SegmentChunks accepted")
 	}
 }
 
-// statsFor builds SegStats producing the given loss signal and mark
+// statsFor builds segStats producing the given loss signal and mark
 // fraction under 1000 arrived packets.
-func statsFor(seg int, m Mode, loss, marks float64) SegStats {
-	return SegStats{
+func statsFor(seg int, m Mode, loss, marks float64) segStats {
+	return segStats{
 		Seg: seg, Mode: m,
 		Arrived: 1000, Dups: uint64(1000 * loss), Marked: uint64(1000 * marks),
 		DataChunks: 0,
@@ -65,14 +65,14 @@ func TestAdaptorEscalatesOnLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ad.Mode().Scheme != SchemeSR {
-		t.Fatalf("fresh adaptor not at ladder[0]: %v", ad.Mode())
+	if ad.mode().Scheme != SchemeSR {
+		t.Fatalf("fresh adaptor not at ladder[0]: %v", ad.mode())
 	}
-	for seg := 0; ad.Rung() == 0 && seg < 10; seg++ {
-		ad.Observe(statsFor(seg, ad.Mode(), 0.10, 0))
+	for seg := 0; ad.rung() == 0 && seg < 10; seg++ {
+		ad.observe(statsFor(seg, ad.mode(), 0.10, 0))
 	}
-	if ad.Rung() != 1 {
-		t.Fatalf("rung %d after sustained loss, want 1", ad.Rung())
+	if ad.rung() != 1 {
+		t.Fatalf("rung %d after sustained loss, want 1", ad.rung())
 	}
 }
 
@@ -83,22 +83,22 @@ func TestAdaptorHysteresisHoldsBetweenThresholds(t *testing.T) {
 	}
 	// Drive to rung 1, then feed a signal between Exit and Enter: the
 	// adaptor must hold, not thrash back.
-	for seg := 0; ad.Rung() == 0; seg++ {
-		ad.Observe(statsFor(seg, ad.Mode(), 0.10, 0))
+	for seg := 0; ad.rung() == 0; seg++ {
+		ad.observe(statsFor(seg, ad.mode(), 0.10, 0))
 	}
 	mid := (ad.cfg.EnterLoss + ad.cfg.ExitLoss) / 2
 	for seg := 100; seg < 110; seg++ {
-		ad.Observe(statsFor(seg, ad.Mode(), mid, 0))
+		ad.observe(statsFor(seg, ad.mode(), mid, 0))
 	}
-	if ad.Rung() != 1 {
-		t.Fatalf("rung %d under mid-band signal, want steady 1", ad.Rung())
+	if ad.rung() != 1 {
+		t.Fatalf("rung %d under mid-band signal, want steady 1", ad.rung())
 	}
 	// Clean signal de-escalates back.
-	for seg := 200; ad.Rung() > 0 && seg < 210; seg++ {
-		ad.Observe(statsFor(seg, ad.Mode(), 0, 0))
+	for seg := 200; ad.rung() > 0 && seg < 210; seg++ {
+		ad.observe(statsFor(seg, ad.mode(), 0, 0))
 	}
-	if ad.Rung() != 0 {
-		t.Fatalf("rung %d after clean signal, want 0", ad.Rung())
+	if ad.rung() != 0 {
+		t.Fatalf("rung %d after clean signal, want 0", ad.rung())
 	}
 }
 
@@ -116,7 +116,7 @@ func TestAdaptorDwellFloor(t *testing.T) {
 		if seg%2 == 0 {
 			loss = 0.2
 		}
-		ad.Observe(statsFor(seg, ad.Mode(), loss, 0))
+		ad.observe(statsFor(seg, ad.mode(), loss, 0))
 	}
 	if n := len(ad.Switches()); n > 10 {
 		t.Fatalf("%d switches over 30 observations with dwell 3", n)
@@ -133,16 +133,16 @@ func TestAdaptorCongestionDeescalates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seg := 0; ad.Rung() == 0; seg++ {
-		ad.Observe(statsFor(seg, ad.Mode(), 0.10, 0))
+	for seg := 0; ad.rung() == 0; seg++ {
+		ad.observe(statsFor(seg, ad.mode(), 0.10, 0))
 	}
 	// Heavy loss WITH marks: congestion — the adaptor must shed parity
 	// (de-escalate), not pile it on.
-	for seg := 100; ad.Rung() > 0 && seg < 110; seg++ {
-		ad.Observe(statsFor(seg, ad.Mode(), 0.10, 0.5))
+	for seg := 100; ad.rung() > 0 && seg < 110; seg++ {
+		ad.observe(statsFor(seg, ad.mode(), 0.10, 0.5))
 	}
-	if ad.Rung() != 0 {
-		t.Fatalf("rung %d under marked congestion, want 0", ad.Rung())
+	if ad.rung() != 0 {
+		t.Fatalf("rung %d under marked congestion, want 0", ad.rung())
 	}
 }
 
@@ -157,7 +157,7 @@ func TestAdaptiveLossless(t *testing.T) {
 func TestAdaptiveUnderLoss(t *testing.T) {
 	s, _ := newVirtualSession(t, testRelCfg(), 0.05, 22)
 	ad := runTransfer(t, s, 1<<20, 4, "adaptive").Adaptor()
-	if ad.Rung() == 0 && len(ad.Switches()) == 0 {
+	if ad.rung() == 0 && len(ad.Switches()) == 0 {
 		t.Log("note: 5% loss produced no escalation (signal below threshold)")
 	}
 }

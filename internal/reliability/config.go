@@ -37,7 +37,9 @@
 // own Join) runs a message's sender and receiver and returns their
 // Outcome. Harnesses that loop over messages themselves call
 // tr.Write(data) and tr.Receive(mr, off, size, slot). The six Endpoint
-// loops stay exported as the primitives the value dispatches to.
+// loops the value dispatches to (WriteSR/EC/Adaptive, ReceiveSR/EC/
+// Adaptive) are exported because benchmark/rep.go, which no PR but a
+// [benchmark] one may edit, calls them (ROADMAP item 5b).
 package reliability
 
 import (
@@ -92,10 +94,10 @@ func (c Config) WithDefaults() Config {
 		c.AckInterval = c.RTT / 4
 	}
 	if c.Linger == 0 {
-		c.Linger = c.RTO()
+		c.Linger = c.rto()
 	}
 	if c.GlobalTimeout == 0 {
-		c.GlobalTimeout = 100 * c.RTO()
+		c.GlobalTimeout = 100 * c.rto()
 	}
 	if c.K == 0 {
 		c.K = 32
@@ -112,7 +114,7 @@ func (c Config) WithDefaults() Config {
 // Validate rejects configurations that cannot make progress, mirroring
 // wan.NewGilbertElliott's fail-fast stance: a GlobalTimeout at
 // or below 2·RTT expires before a single request/response round trip
-// can complete, so every transfer would die with ErrGlobalTimeout no
+// can complete, so every transfer would die with errGlobalTimeout no
 // matter how healthy the network is. Call after WithDefaults.
 func (c Config) Validate() error {
 	if c.RTT < 0 {
@@ -125,20 +127,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// RTO returns the Selective Repeat retransmission timeout
+// rto returns the Selective Repeat retransmission timeout
 // RTT + Alpha·RTT.
-func (c Config) RTO() time.Duration {
+func (c Config) rto() time.Duration {
 	return time.Duration(float64(c.RTT) * (1 + c.Alpha))
 }
 
-// FTO returns the EC fallback timeout (§4.1.2): a loose injection
+// fto returns the EC fallback timeout (§4.1.2): a loose injection
 // estimate of RTT/2 plus half the SR slack, RTT·Alpha/2.
-func (c Config) FTO() time.Duration {
+func (c Config) fto() time.Duration {
 	return c.RTT/2 + time.Duration(float64(c.RTT)*(c.Alpha/2))
 }
 
-// NewCode instantiates the configured erasure code.
-func (c Config) NewCode() (ec.Code, error) {
+// newCode instantiates the configured erasure code.
+func (c Config) newCode() (ec.Code, error) {
 	switch c.Code {
 	case "mds":
 		return ec.NewRS(c.K, c.M)

@@ -91,7 +91,7 @@ func (e *Endpoint) WriteEC(data []byte) error {
 			return seg.end()
 		}
 		if clk.Now().After(deadline) {
-			return fmt.Errorf("%w: EC write %d B", ErrGlobalTimeout, len(data))
+			return fmt.Errorf("%w: EC write %d B", errGlobalTimeout, len(data))
 		}
 		clk.WaitNotify(epoch, cfg.PollInterval)
 	}
@@ -122,7 +122,7 @@ func (e *Endpoint) ReceiveEC(mr *nicsim.MR, offset uint64, size int, scratch *ni
 	}
 
 	start := clk.Now()
-	nextNack := start.Add(cfg.FTO()) // FTO armed at posting (§4.1.2)
+	nextNack := start.Add(cfg.fto()) // FTO armed at posting (§4.1.2)
 	deadline := start.Add(cfg.GlobalTimeout)
 	for {
 		// Snapshot BEFORE probing recoverability: submessage
@@ -140,11 +140,11 @@ func (e *Endpoint) ReceiveEC(mr *nicsim.MR, offset uint64, size int, scratch *ni
 		now := clk.Now()
 		if now.After(deadline) {
 			seg.abandon()
-			return fmt.Errorf("%w: EC receive %d B", ErrGlobalTimeout, size)
+			return fmt.Errorf("%w: EC receive %d B", errGlobalTimeout, size)
 		}
 		if now.After(nextNack) {
 			seg.nack()
-			nextNack = now.Add(cfg.RTO())
+			nextNack = now.Add(cfg.rto())
 		}
 		clk.WaitNotify(epoch, cfg.PollInterval)
 	}

@@ -98,7 +98,7 @@ func runSwallowedLinger(t *testing.T, noReAck bool, burst int) (sendErr error) {
 // a denser, longer linger.
 func TestSwallowedLingerStrandsSenderWithoutReAck(t *testing.T) {
 	err := runSwallowedLinger(t, true, 1<<30) // burst outlives everything
-	if !errors.Is(err, ErrGlobalTimeout) {
+	if !errors.Is(err, errGlobalTimeout) {
 		t.Fatalf("sender error = %v, want ErrGlobalTimeout (the pre-fix stall)", err)
 	}
 }

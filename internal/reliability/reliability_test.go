@@ -295,7 +295,7 @@ func TestGlobalTimeout(t *testing.T) {
 	out := newTransfer(t, s, "sr", 16<<10).Drive("test", pattern(16<<10, 1))
 	timedOut := 0
 	for _, err := range []error{out.SendErr, out.RecvErr} {
-		if errors.Is(err, ErrGlobalTimeout) {
+		if errors.Is(err, errGlobalTimeout) {
 			timedOut++
 		}
 	}
@@ -349,12 +349,12 @@ func TestControlCodecRoundTrip(t *testing.T) {
 
 func TestFTOAndRTOValues(t *testing.T) {
 	cfg := Config{RTT: 10 * time.Millisecond}.WithDefaults()
-	if cfg.RTO() != 30*time.Millisecond {
-		t.Fatalf("RTO = %v, want 30ms (RTT + 2·RTT)", cfg.RTO())
+	if cfg.rto() != 30*time.Millisecond {
+		t.Fatalf("RTO = %v, want 30ms (RTT + 2·RTT)", cfg.rto())
 	}
 	// FTO = RTT/2 + RTT·α/2
-	if cfg.FTO() != 15*time.Millisecond {
-		t.Fatalf("FTO = %v, want 15ms", cfg.FTO())
+	if cfg.fto() != 15*time.Millisecond {
+		t.Fatalf("FTO = %v, want 15ms", cfg.fto())
 	}
 }
 
@@ -367,7 +367,8 @@ func TestReceiveErrorReleasesPostedSlots(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			vc := clock.NewVirtual()
 			coreCfg := testCoreCfg(vc)
-			coreCfg.MsgIDBits = 2 // 4 slots
+			const slots = 4
+			coreCfg.MsgIDBits = 2 // 1<<2 = 4 slots
 			coreCfg.PktOffsetBits = 26
 			lat := time.Millisecond
 			fab := fabric.Config{Latency: lat}
@@ -376,7 +377,6 @@ func TestReceiveErrorReleasesPostedSlots(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			slots := coreCfg.Slots()
 
 			// ec: 3 submessages of the (4,2) code want 6 slots;
 			// adaptive: 6 plain segments want the whole 6-segment window.

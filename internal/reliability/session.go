@@ -124,12 +124,12 @@ func (s *Session) teardown() {
 }
 
 // SetTelemetry attaches both endpoints to a flight recorder: nameA and
-// nameB become their track names (see Endpoint.SetTelemetry). Pass a
+// nameB become their track names (see Endpoint.setTelemetry). Pass a
 // nil recorder to detach — pooled deployments do this implicitly on
 // the next lease, since endpoints are rebound per Bind.
 func (s *Session) SetTelemetry(rec *telemetry.Recorder, nameA, nameB string) {
-	s.A.SetTelemetry(rec, nameA)
-	s.B.SetTelemetry(rec, nameB)
+	s.A.setTelemetry(rec, nameA)
+	s.B.setTelemetry(rec, nameB)
 }
 
 // Close finishes any background receive retires (their slots retire

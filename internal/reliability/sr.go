@@ -11,10 +11,10 @@ import (
 	"sdrrdma/internal/telemetry"
 )
 
-// ErrGlobalTimeout is returned when an operation exceeds
+// errGlobalTimeout is returned when an operation exceeds
 // Config.GlobalTimeout (§4.1.2's deadlock guard). It matches
 // errors.Is(err, ErrTimeout) — the typed taxonomy in abort.go.
-var ErrGlobalTimeout = fmt.Errorf("%w: global timeout exceeded", ErrTimeout)
+var errGlobalTimeout = fmt.Errorf("%w: global timeout exceeded", ErrTimeout)
 
 // Endpoint is one side of a reliable connection: the SDR data path
 // plus the lossy control path. Operations on a single endpoint are
@@ -51,7 +51,7 @@ type Endpoint struct {
 	// Retransmits counts chunk resends (all causes), NacksSent the
 	// EC-mode NACK control messages, LateReAcks the re-ACK answers to
 	// late retransmissions. They count whether or not a telemetry
-	// recorder is attached; SetTelemetry registers them on one. They are
+	// recorder is attached; setTelemetry registers them on one. They are
 	// pointers because a recorder keeps what it registered: a lease that
 	// attached one leaves its counters to it, and the next lease counts
 	// on fresh ones (see rebind).
@@ -82,13 +82,13 @@ type endpointTel struct {
 	inflight *telemetry.Series
 }
 
-// SetTelemetry attaches the endpoint to a flight recorder under the
+// setTelemetry attaches the endpoint to a flight recorder under the
 // given track name (e.g. "flow0/A"): retransmits, NACKs, late re-ACKs
 // and adaptive ladder decisions become instant events; received-bytes
 // goodput and sender in-flight chunks feed bucketed series; the
 // unified counters register on rec. Call before starting operations;
 // pass nil to detach.
-func (e *Endpoint) SetTelemetry(rec *telemetry.Recorder, name string) {
+func (e *Endpoint) setTelemetry(rec *telemetry.Recorder, name string) {
 	if rec == nil {
 		e.tel = endpointTel{}
 		return
@@ -176,7 +176,7 @@ func (e *Endpoint) codeFor(k, m int) (ec.Code, error) {
 	}
 	c := e.Cfg
 	c.K, c.M = k, m
-	code, err := c.NewCode()
+	code, err := c.newCode()
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +286,7 @@ func (e *Endpoint) WriteSR(data []byte) error {
 	}
 
 	now := clk.Now()
-	rto := cfg.RTO()
+	rto := cfg.rto()
 	nackDelay := cfg.RTT // NACK-mode hole resend delay (§5.1.1: 1 RTT)
 	deadline := now.Add(cfg.GlobalTimeout)
 	for {
@@ -306,7 +306,7 @@ func (e *Endpoint) WriteSR(data []byte) error {
 		now = clk.Now()
 		if now.After(deadline) {
 			return fmt.Errorf("%w: SR write %d B, %d/%d chunks acked",
-				ErrGlobalTimeout, len(data), seg.acked, g.nchunks)
+				errGlobalTimeout, len(data), seg.acked, g.nchunks)
 		}
 		if cfg.NACK && progressed {
 			// Fast retransmit: a hole is an unacked chunk below the
@@ -379,7 +379,7 @@ func (e *Endpoint) ReceiveSR(mr *nicsim.MR, offset uint64, size int) error {
 		if now.After(deadline) {
 			seg.abandon()
 			return fmt.Errorf("%w: SR receive %d B, %d/%d chunks",
-				ErrGlobalTimeout, size, h.Bitmap().Count(), h.NumChunks())
+				errGlobalTimeout, size, h.Bitmap().Count(), h.NumChunks())
 		}
 		if !now.Before(nextAck) {
 			ack := seg.ackMsg(false)

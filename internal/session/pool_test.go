@@ -284,9 +284,9 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	runLeaseTransfer(t, vc, s, 64<<10)
 	s.Close()
 	s.Close() // must absorb, not panic or corrupt the free list
-	if built, leased, quarantined := pool.Health(); built != 1 || leased != 0 || quarantined != 0 {
-		t.Fatalf("health after double close: built=%d leased=%d quarantined=%d, want 1/0/0",
-			built, leased, quarantined)
+	if built, leased := pool.Stats(); built != 1 || leased != 0 || pool.Quarantined.Load() != 0 {
+		t.Fatalf("after double close: built=%d leased=%d quarantined=%d, want 1/0/0",
+			built, leased, pool.Quarantined.Load())
 	}
 	// The deployment returned exactly once: the next lease reuses it.
 	s2, err := pool.LeaseLinkedOn(vc, poolRelCfg(), fab, fab, time.Millisecond)
@@ -327,12 +327,9 @@ func TestQuarantineRetiresLease(t *testing.T) {
 	}
 	s.Quarantine()
 	s.Close() // mutually exclusive with Quarantine: must be a no-op
-	if built, leased, quarantined := pool.Health(); built != 1 || leased != 0 || quarantined != 1 {
-		t.Fatalf("health after quarantine: built=%d leased=%d quarantined=%d, want 1/0/1",
-			built, leased, quarantined)
-	}
-	if got := pool.Quarantined.Load(); got != 1 {
-		t.Fatalf("Quarantined counter %d, want 1", got)
+	if built, leased := pool.Stats(); built != 1 || leased != 0 || pool.Quarantined.Load() != 1 {
+		t.Fatalf("after quarantine: built=%d leased=%d quarantined=%d, want 1/0/1",
+			built, leased, pool.Quarantined.Load())
 	}
 	// The quarantined deployment must not be re-leased: the next
 	// Acquire cold-builds, and the fresh lease runs clean.
@@ -342,7 +339,7 @@ func TestQuarantineRetiresLease(t *testing.T) {
 	}
 	runLeaseTransfer(t, vc, s2, 64<<10)
 	s2.Close()
-	if built, leased, _ := pool.Health(); built != 2 || leased != 0 {
+	if built, leased := pool.Stats(); built != 2 || leased != 0 {
 		t.Fatalf("after follow-up: built=%d leased=%d, want 2/0 (cold build, returned)", built, leased)
 	}
 }

@@ -250,7 +250,7 @@ func (d *Deployment) DevB() *nicsim.Device { return d.pair.B.Dev }
 // data path is the deployment's pooled link — AB delivering into toB
 // under impairments ab, BA into toA under ba — and its pooled OOB
 // channel of oobLatency, all on the deployment's current clock (see
-// Rehome). toB and toA are the heads of the lease's delivery chains,
+// rehome). toB and toA are the heads of the lease's delivery chains,
 // which must end at DevB and DevA; nil means the device itself, a
 // standalone link. The QPs connect over the link and
 // reliability.NewSessionOver starts the session on the retained
@@ -349,7 +349,7 @@ func (d *Deployment) teardown() {
 	d.pair.Close()
 }
 
-// Rehome moves the deployment's clock domain — both SDR contexts, and
+// rehome moves the deployment's clock domain — both SDR contexts, and
 // with them the QPs and control planes — onto clk (nil = shared real
 // clock). It is the mechanism that lets a pool built on one template
 // clock serve sweep lanes running their own virtual engines:
@@ -357,9 +357,9 @@ func (d *Deployment) teardown() {
 // per-lease reset already erases everything output-visible, so a
 // re-homed lease behaves exactly like a cold build on clk. clk must be
 // of the template clock's kind — a deployment's delivery mode was fixed
-// by it at build time — or Rehome fails with core.ErrClockKind and
+// by it at build time — or rehome fails with core.ErrClockKind and
 // moves nothing. Only call between leases.
-func (d *Deployment) Rehome(clk clock.Clock) error {
+func (d *Deployment) rehome(clk clock.Clock) error {
 	if err := d.pair.A.Ctx.SetClock(clk); err != nil {
 		return err
 	}
@@ -412,7 +412,7 @@ func (p *Pool) LeaseLinked(relCfg reliability.Config, ab, ba fabric.Config, oobL
 // state (PSNs, message seqs, control opIDs) is timing-transparent and
 // every counter resets per lease, so cells stay byte-identical per
 // seed no matter which deployment they draw. A clk of the other kind
-// than the pool's Core.Clock fails with core.ErrClockKind (see Rehome).
+// than the pool's Core.Clock fails with core.ErrClockKind (see rehome).
 func (p *Pool) LeaseLinkedOn(clk clock.Clock, relCfg reliability.Config, ab, ba fabric.Config, oobLatency time.Duration) (*reliability.Session, error) {
 	d, err := p.Acquire()
 	if err != nil {
@@ -421,7 +421,7 @@ func (p *Pool) LeaseLinkedOn(clk clock.Clock, relCfg reliability.Config, ab, ba 
 	if clk == nil {
 		clk = p.cfg.Core.Clock
 	}
-	if err := d.Rehome(clk); err != nil {
+	if err := d.rehome(clk); err != nil {
 		d.release()
 		return nil, err
 	}
@@ -440,16 +440,6 @@ func (p *Pool) Stats() (built, leased int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.built, p.leased
-}
-
-// Health is Stats plus the quarantine count — the pool's failure
-// ledger. built - quarantined deployments remain in circulation;
-// quarantined ones were retired after a failure rather than risking a
-// poisoned re-lease.
-func (p *Pool) Health() (built, leased, quarantined int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.built, p.leased, p.quarantined
 }
 
 // Close tears down every free deployment and marks the pool closed

@@ -28,7 +28,7 @@ func BenchmarkSimnetEvents(b *testing.B) {
 	b.ResetTimer()
 	h.n = b.N
 	e.Schedule(e.Now(), 0, 0, 0)
-	e.Run()
+	e.run()
 }
 
 // BenchmarkSimnetHeapChurn stresses the index heap with a deep queue:

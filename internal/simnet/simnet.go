@@ -40,7 +40,7 @@
 // Callers that want zero allocations end to end schedule typed events
 // through Schedule/ScheduleAfter, which carry (kind, a, b) int32
 // payloads dispatched to the engine's Handler — no closure capture at
-// all. The closure API (At/After) remains for tests and callers off
+// all. The closure API (After) remains for tests and callers off
 // the hot path.
 //
 // Reset rewinds the clock and discards pending events while keeping
@@ -207,9 +207,9 @@ func (e *Engine) alloc(at float64) int32 {
 	return idx
 }
 
-// At schedules fn at absolute virtual time at. Scheduling in the past
+// at schedules fn at absolute virtual time at. Scheduling in the past
 // panics: it would silently corrupt causality.
-func (e *Engine) At(at float64, fn Event) Timer {
+func (e *Engine) at(at float64, fn Event) Timer {
 	idx := e.alloc(at)
 	s := &e.slots[idx]
 	s.fn = fn
@@ -219,7 +219,7 @@ func (e *Engine) At(at float64, fn Event) Timer {
 
 // After schedules fn delay seconds from now.
 func (e *Engine) After(delay float64, fn Event) Timer {
-	return e.At(e.now+delay, fn)
+	return e.at(e.now+delay, fn)
 }
 
 // Schedule schedules a typed (kind, a, b) event at absolute virtual
@@ -280,17 +280,17 @@ func (e *Engine) ScheduleLaneAfter(ln int32, delay float64, kind, a, b int32) Ti
 	return e.ScheduleLane(ln, e.now+delay, kind, a, b)
 }
 
-// AtLane is ScheduleLane for closure events: O(1) on the monotone FIFO
+// atLane is ScheduleLane for closure events: O(1) on the monotone FIFO
 // lane, with the same transparent heap fallback when at would violate
 // lane monotonicity. It lets closure-based callers with now+const
 // schedules (per-packet wire deliveries) skip the heap too.
-func (e *Engine) AtLane(ln int32, at float64, fn Event) Timer {
+func (e *Engine) atLane(ln int32, at float64, fn Event) Timer {
 	if int(ln) >= len(e.lanes) {
 		e.Lanes(int(ln) + 1)
 	}
 	l := &e.lanes[ln]
 	if at < l.lastAt {
-		return e.At(at, fn)
+		return e.at(at, fn)
 	}
 	idx := e.alloc(at)
 	s := &e.slots[idx]
@@ -302,7 +302,7 @@ func (e *Engine) AtLane(ln int32, at float64, fn Event) Timer {
 
 // AfterLane schedules a closure lane event delay seconds from now.
 func (e *Engine) AfterLane(ln int32, delay float64, fn Event) Timer {
-	return e.AtLane(ln, e.now+delay, fn)
+	return e.atLane(ln, e.now+delay, fn)
 }
 
 // release returns a popped slot to the free list, bumping its
@@ -386,25 +386,9 @@ func (e *Engine) fire(idx int32, src int) {
 	}
 }
 
-// Run drains the event queue completely.
-func (e *Engine) Run() {
+// run drains the event queue completely.
+func (e *Engine) run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil processes events with timestamps <= deadline, advancing the
-// clock to exactly deadline afterwards.
-func (e *Engine) RunUntil(deadline float64) {
-	for {
-		idx, src := e.peek()
-		if idx < 0 || e.slots[idx].at > deadline {
-			break
-		}
-		e.fire(idx, src)
-	}
-	if e.now < deadline {
-		e.now = deadline
-		e.nowBits.Store(math.Float64bits(deadline))
 	}
 }
 

@@ -13,7 +13,7 @@ func TestOrderingAndClock(t *testing.T) {
 	e.After(3, func() { order = append(order, 3) })
 	e.After(1, func() { order = append(order, 1) })
 	e.After(2, func() { order = append(order, 2) })
-	e.Run()
+	e.run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order = %v", order)
 	}
@@ -27,9 +27,9 @@ func TestSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		e.at(5, func() { order = append(order, i) })
 	}
-	e.Run()
+	e.run()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events fired out of scheduling order: %v", order)
@@ -43,7 +43,7 @@ func TestCancel(t *testing.T) {
 	tm := e.After(1, func() { fired = true })
 	tm.Cancel()
 	tm.Cancel() // double-cancel is a no-op
-	e.Run()
+	e.run()
 	if fired {
 		t.Fatal("cancelled timer fired")
 	}
@@ -62,7 +62,7 @@ func TestNestedScheduling(t *testing.T) {
 			e.After(1, func() { times = append(times, e.Now()) })
 		})
 	})
-	e.Run()
+	e.run()
 	want := []float64{1, 2, 3}
 	for i := range want {
 		if times[i] != want[i] {
@@ -71,35 +71,16 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func() { count++ })
-	}
-	e.RunUntil(5.5)
-	if count != 5 {
-		t.Fatalf("events fired by 5.5 = %d, want 5", count)
-	}
-	if e.Now() != 5.5 {
-		t.Fatalf("clock = %g, want 5.5", e.Now())
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("total events = %d", count)
-	}
-}
-
 func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
 	e.After(2, func() {})
-	e.Run()
+	e.run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(1, func() {})
+	e.at(1, func() {})
 }
 
 // recorder collects typed events for handler-dispatch tests.
@@ -117,7 +98,7 @@ func TestTypedEventDispatch(t *testing.T) {
 	e.SetHandler(r)
 	e.Schedule(2, 1, 10, 20)
 	e.ScheduleAfter(1, 2, 30, 40)
-	e.Run()
+	e.run()
 	want := [][3]int32{{2, 30, 40}, {1, 10, 20}}
 	if len(r.events) != len(want) {
 		t.Fatalf("events = %v", r.events)
@@ -142,14 +123,14 @@ func TestCancelThenReuseGeneration(t *testing.T) {
 	t1.Cancel()
 	// Drain: the cancelled slot pops off the heap and returns to the
 	// free list with a bumped generation.
-	e.Run()
+	e.run()
 	// The recycled slot now backs a different event.
 	t2 := e.After(1, func() { fired += 10 })
 	if t1.idx != t2.idx {
 		t.Fatalf("free list did not recycle slot %d (got %d)", t1.idx, t2.idx)
 	}
 	t1.Cancel() // stale handle: must be a no-op on the new occupant
-	e.Run()
+	e.run()
 	if fired != 10 {
 		t.Fatalf("fired = %d, want 10 (stale cancel hit the recycled slot)", fired)
 	}
@@ -167,7 +148,7 @@ func TestCancelWhilePending(t *testing.T) {
 		t.Fatalf("Pending = %d after cancel, want 1", e.Pending())
 	}
 	e.After(3, func() { order = append(order, 3) })
-	e.Run()
+	e.run()
 	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
 		t.Fatalf("order = %v, want [2 3]", order)
 	}
@@ -190,9 +171,9 @@ func TestResetReuse(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		e.At(float64(i), func() { order = append(order, i) })
+		e.at(float64(i), func() { order = append(order, i) })
 	}
-	e.Run()
+	e.run()
 	if fired != 0 {
 		t.Fatalf("events from before Reset fired (fired=%d)", fired)
 	}
@@ -221,18 +202,18 @@ func TestSameTimeFIFOAfterChurn(t *testing.T) {
 				tm.Cancel()
 			}
 		}
-		e.Run()
+		e.run()
 		e.Reset()
 	}
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		tm := e.At(5, func() { order = append(order, i) })
+		tm := e.at(5, func() { order = append(order, i) })
 		if i%3 == 0 {
 			tm.Cancel()
 		}
 	}
-	e.Run()
+	e.run()
 	want := 0
 	for i := 0; i < 100; i++ {
 		if i%3 == 0 {
@@ -257,7 +238,7 @@ func TestLaneHeapMergeOrdering(t *testing.T) {
 	e.ScheduleLane(1, 3, 2, 0, 0) // seq 2: same instant as seq 0, fires after
 	e.Schedule(3, 3, 0, 0)        // seq 3: same instant, heap, fires last
 	e.ScheduleLane(0, 5, 4, 0, 0) // seq 4
-	e.Run()
+	e.run()
 	want := []int32{1, 0, 2, 3, 4}
 	if len(r.events) != len(want) {
 		t.Fatalf("events = %v", r.events)
@@ -279,7 +260,7 @@ func TestLaneNonMonotoneFallback(t *testing.T) {
 	e.ScheduleLane(0, 10, 0, 0, 0)
 	e.ScheduleLane(0, 4, 1, 0, 0) // violates lane monotonicity
 	e.ScheduleLane(0, 12, 2, 0, 0)
-	e.Run()
+	e.run()
 	want := []int32{1, 0, 2}
 	for i, kind := range want {
 		if r.events[i][0] != kind {
@@ -301,7 +282,7 @@ func TestLaneCancelAndReset(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d after lane cancel, want 1", e.Pending())
 	}
-	e.Run()
+	e.run()
 	if len(r.events) != 1 || r.events[0][0] != 1 {
 		t.Fatalf("events = %v, want only kind 1", r.events)
 	}
@@ -311,7 +292,7 @@ func TestLaneCancelAndReset(t *testing.T) {
 		t.Fatalf("after Reset: pending=%d now=%g", e.Pending(), e.Now())
 	}
 	e.ScheduleLane(0, 1, 3, 0, 0) // lane must be reusable post-Reset
-	e.Run()
+	e.run()
 	if last := r.events[len(r.events)-1][0]; last != 3 {
 		t.Fatalf("post-Reset lane event kind = %d, want 3", last)
 	}
@@ -342,7 +323,7 @@ func TestLaneStandingLoadStaysBounded(t *testing.T) {
 	if c := cap(e.lanes[0].ring); c > 4*standing {
 		t.Fatalf("lane storage grew to %d entries for a standing depth of %d", c, standing)
 	}
-	e.Run()
+	e.run()
 	if len(r.events) != standing+rounds {
 		t.Fatalf("fired %d of %d", len(r.events), standing+rounds)
 	}
@@ -365,9 +346,9 @@ func TestMonotoneFiringProperty(t *testing.T) {
 		for i := range delays {
 			delays[i] = rng.Float64() * 100
 			d := delays[i]
-			e.At(d, func() { fired = append(fired, d) })
+			e.at(d, func() { fired = append(fired, d) })
 		}
-		e.Run()
+		e.run()
 		if len(fired) != n {
 			return false
 		}

@@ -68,12 +68,6 @@ func (s *Sketch) Add(v int64) {
 	s.count++
 }
 
-// Count returns how many observations were recorded.
-func (s *Sketch) Count() uint64 { return s.count }
-
-// Max returns the largest observation (0 when empty).
-func (s *Sketch) Max() int64 { return s.max }
-
 // Quantile returns the value at quantile q in [0, 1] — the smallest
 // bucket whose cumulative count reaches q·count, reported as the
 // bucket's lower bound (so Quantile never over-states a tail). Returns
@@ -102,11 +96,4 @@ func (s *Sketch) Quantile(q float64) int64 {
 		}
 	}
 	return s.max
-}
-
-// Reset rewinds the sketch for reuse without releasing its memory.
-func (s *Sketch) Reset() {
-	s.count = 0
-	s.max = 0
-	clear(s.buckets[:])
 }

@@ -1,11 +1,10 @@
 // Package stats provides the small statistical toolkit used by the
 // SDR-RDMA model framework and the experiment harnesses: means,
-// percentiles (including the paper's p99.9 tail metric), histograms and
-// confidence intervals over completion-time samples.
+// percentiles (including the paper's p99.9 tail metric) and a
+// fixed-memory quantile sketch over completion-time samples.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -39,10 +38,10 @@ func Summarize(samples []float64) Summary {
 		N:    len(sorted),
 		Min:  sorted[0],
 		Max:  sorted[len(sorted)-1],
-		P50:  Percentile(sorted, 50),
-		P90:  Percentile(sorted, 90),
-		P99:  Percentile(sorted, 99),
-		P999: Percentile(sorted, 99.9),
+		P50:  percentile(sorted, 50),
+		P90:  percentile(sorted, 90),
+		P99:  percentile(sorted, 99),
+		P999: percentile(sorted, 99.9),
 	}
 	s.Mean = Mean(sorted)
 	s.Std = stddev(sorted, s.Mean)
@@ -74,11 +73,11 @@ func stddev(samples []float64, mean float64) float64 {
 	return math.Sqrt(ss / float64(len(samples)-1))
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) of an
+// percentile returns the p-th percentile (0 < p <= 100) of an
 // ascending-sorted sample set using linear interpolation between closest
 // ranks, matching numpy.percentile's default behaviour so results line
 // up with the paper's Python framework.
-func Percentile(sorted []float64, p float64) float64 {
+func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		panic("stats: Percentile on empty sample set")
 	}
@@ -106,70 +105,5 @@ func Percentile(sorted []float64, p float64) float64 {
 func PercentileUnsorted(samples []float64, p float64) float64 {
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
-	return Percentile(sorted, p)
-}
-
-// Histogram is a fixed-bin linear histogram used by the Fig 2 harness to
-// report drop-rate distributions over measurement trials.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g) x%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	switch {
-	case v < h.Lo:
-		h.under++
-	case v >= h.Hi:
-		h.over++
-	default:
-		idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if idx == len(h.Counts) { // guard against FP edge at v≈Hi
-			idx--
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of observations recorded, including
-// out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations that fell into bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// GeoMean returns the geometric mean of positive samples; zero and
-// negative entries are skipped. Useful for summarizing speedup grids
-// such as Fig 9.
-func GeoMean(samples []float64) float64 {
-	logSum, n := 0.0, 0
-	for _, v := range samples {
-		if v > 0 {
-			logSum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
+	return percentile(sorted, p)
 }

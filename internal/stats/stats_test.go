@@ -40,11 +40,11 @@ func TestPercentileInterpolation(t *testing.T) {
 		{0, 10}, {100, 40}, {50, 25}, {25, 17.5},
 	}
 	for _, c := range cases {
-		if got := Percentile(sorted, c.p); math.Abs(got-c.want) > 1e-12 {
+		if got := percentile(sorted, c.p); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("P%g = %g, want %g", c.p, got, c.want)
 		}
 	}
-	if got := Percentile([]float64{7}, 99.9); got != 7 {
+	if got := percentile([]float64{7}, 99.9); got != 7 {
 		t.Fatalf("single-sample percentile = %g", got)
 	}
 }
@@ -81,7 +81,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		sort.Float64s(samples)
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 7 {
-			v := Percentile(samples, p)
+			v := percentile(samples, p)
 			if v < prev-1e-9 || v < samples[0]-1e-9 || v > samples[n-1]+1e-9 {
 				return false
 			}
@@ -91,47 +91,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.under != 1 || h.over != 2 {
-		t.Fatalf("under=%d over=%d", h.under, h.over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if got := h.Fraction(0); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("Fraction(0) = %g", got)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram accepted")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("GeoMean = %g, want 4", got)
-	}
-	// zeros and negatives skipped
-	if got := GeoMean([]float64{0, -3, 2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("GeoMean with junk = %g, want 4", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Fatalf("GeoMean(nil) = %g", got)
 	}
 }
 

@@ -26,9 +26,6 @@ type Trace struct {
 // name; it becomes part of each cell's process name in Perfetto).
 func NewTrace(label string) *Trace { return &Trace{label: label} }
 
-// Label returns the trace label.
-func (t *Trace) Label() string { return t.label }
-
 // Cell returns cell i's recorder, creating it (labelled "cell-i") on
 // first use. Safe from concurrent sweep workers; distinct cells get
 // distinct recorders, so within-cell recording stays uncontended.
@@ -44,19 +41,12 @@ func (t *Trace) Cell(i int) *Recorder {
 	return t.cells[i]
 }
 
-// NumCells returns how many cell slots exist.
-func (t *Trace) NumCells() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.cells)
-}
-
 // CellStart implements clock.CellProbe: stamp the cell's time origin
 // and record the start event.
 func (t *Trace) CellStart(cell int, nowNanos int64) {
 	r := t.Cell(cell)
-	r.SetBase(nowNanos)
-	r.Event(nowNanos, EvCellStart, r.Track("lane"), int64(cell), 0, 0, 0)
+	r.setBase(nowNanos)
+	r.Event(nowNanos, evCellStart, r.Track("lane"), int64(cell), 0, 0, 0)
 }
 
 // CellFinish implements clock.CellProbe.
@@ -66,7 +56,7 @@ func (t *Trace) CellFinish(cell int, nowNanos int64) {
 	base := r.base
 	r.span = nowNanos - base
 	r.mu.Unlock()
-	r.Event(nowNanos, EvCellFinish, r.Track("lane"), int64(cell), nowNanos-base, 0, 0)
+	r.Event(nowNanos, evCellFinish, r.Track("lane"), int64(cell), nowNanos-base, 0, 0)
 }
 
 // kindArgs names each kind's int64 arguments for the Chrome trace
@@ -88,8 +78,8 @@ var kindArgs = [kindCount][4]string{
 	EvColdBuild:    {"built"},
 	EvLease:        {"leased"},
 	EvRelease:      {"leased"},
-	EvCellStart:    {"cell"},
-	EvCellFinish:   {"cell", "elapsed_ns"},
+	evCellStart:    {"cell"},
+	evCellFinish:   {"cell", "elapsed_ns"},
 	EvTransfer:     {"bytes", "dur_ns"},
 	EvQuarantine:   {"quarantined"},
 }

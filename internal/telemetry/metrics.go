@@ -57,9 +57,6 @@ type Series struct {
 // memory without bound.
 const maxSeriesBuckets = 1 << 21
 
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
 // Add accumulates delta into the bucket containing at (SeriesSum), or
 // folds it as a candidate maximum (SeriesMax).
 func (s *Series) Add(at, delta int64) { s.observe(at, delta) }
@@ -72,7 +69,7 @@ func (s *Series) observe(at, v int64) {
 	s.mu.Lock()
 	if !s.baseSet {
 		// The recorder had no time origin when this series was created
-		// (events before SetBase): anchor on the first observation so a
+		// (events before setBase): anchor on the first observation so a
 		// Unix-epoch timestamp can't index trillions of buckets.
 		s.base, s.baseSet = at, true
 	}
@@ -101,19 +98,6 @@ func (s *Series) observe(at, v int64) {
 	}
 	s.mu.Unlock()
 }
-
-// Samples copies out the bucketed values (index i covers virtual time
-// [base+i·bucket, base+(i+1)·bucket)).
-func (s *Series) Samples() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, len(s.vals))
-	copy(out, s.vals)
-	return out
-}
-
-// Bucket returns the series bucket width in nanos.
-func (s *Series) Bucket() int64 { return s.bucket }
 
 func (s *Series) reset() {
 	s.mu.Lock()

@@ -101,10 +101,10 @@ const (
 	// EvRelease: a session released its deployment to the pool. a0 =
 	// deployments still leased.
 	EvRelease
-	// EvCellStart / EvCellFinish: a sweep cell began / finished on a
+	// evCellStart / evCellFinish: a sweep cell began / finished on a
 	// clock lane. a0 = cell index; finish a1 = virtual nanos elapsed.
-	EvCellStart
-	EvCellFinish
+	evCellStart
+	evCellFinish
 	// EvTransfer: one message-level transfer completed. a0 = bytes,
 	// a1 = duration nanos.
 	EvTransfer
@@ -159,8 +159,8 @@ var kindNames = [...]string{
 	EvLease:        "lease",
 	EvRebind:       "rebind",
 	EvRelease:      "release",
-	EvCellStart:    "cell-start",
-	EvCellFinish:   "cell-finish",
+	evCellStart:    "cell-start",
+	evCellFinish:   "cell-finish",
 	EvTransfer:     "transfer",
 	EvAbort:        "abort",
 	EvQuarantine:   "quarantine",
@@ -243,29 +243,22 @@ type counterEntry struct {
 	c    *Counter
 }
 
-// DefaultMaxEvents bounds a recorder's event slab; past it, events are
+// defaultMaxEvents bounds a recorder's event slab; past it, events are
 // counted as dropped (reported in the summary — never silently).
-const DefaultMaxEvents = 1 << 20
+const defaultMaxEvents = 1 << 20
 
-// DefaultBucket is the default Series bucket width.
-const DefaultBucket = time.Millisecond
+// defaultBucket is the default Series bucket width.
+const defaultBucket = time.Millisecond
 
 // NewRecorder returns an empty recorder labelled label.
 func NewRecorder(label string) *Recorder {
 	return &Recorder{
 		label:     label,
-		maxEvents: DefaultMaxEvents,
-		bucket:    int64(DefaultBucket),
+		maxEvents: defaultMaxEvents,
+		bucket:    int64(defaultBucket),
 		trackIx:   map[string]int32{},
 		actorIx:   map[string]int32{},
 	}
-}
-
-// Label returns the recorder's cell label.
-func (r *Recorder) Label() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.label
 }
 
 // SetLabel renames the cell (figures label cells by scheme after the
@@ -276,10 +269,10 @@ func (r *Recorder) SetLabel(label string) {
 	r.mu.Unlock()
 }
 
-// SetBase fixes the cell's virtual time origin. The first caller wins;
+// setBase fixes the cell's virtual time origin. The first caller wins;
 // attach helpers call it with their clock's current NowNanos, which at
 // cell-build time is the virtual epoch.
-func (r *Recorder) SetBase(nanos int64) {
+func (r *Recorder) setBase(nanos int64) {
 	r.mu.Lock()
 	if !r.baseSet {
 		r.base, r.baseSet = nanos, true
@@ -287,21 +280,11 @@ func (r *Recorder) SetBase(nanos int64) {
 	r.mu.Unlock()
 }
 
-// Base returns the cell's time origin (0 until SetBase).
+// Base returns the cell's time origin (0 until setBase).
 func (r *Recorder) Base() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.base
-}
-
-// SetBucket overrides the bucket width used by series created after
-// the call (default 1ms).
-func (r *Recorder) SetBucket(d time.Duration) {
-	r.mu.Lock()
-	if d > 0 {
-		r.bucket = int64(d)
-	}
-	r.mu.Unlock()
 }
 
 // SetActorSource wires the actor-attribution callback (typically
@@ -432,23 +415,6 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
 	return out
-}
-
-// EventCount returns how many events of kind were recorded (kindCount
-// = all kinds).
-func (r *Recorder) EventCount(kind EventKind) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if kind == kindCount {
-		return len(r.events)
-	}
-	n := 0
-	for i := range r.events {
-		if r.events[i].Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // ActorTail implements clock.EventLog: the last max recorded events

@@ -33,16 +33,13 @@ func TestDisabledProbeAllocs(t *testing.T) {
 
 func TestRecorderEventsAndCounters(t *testing.T) {
 	r := NewRecorder("cell")
-	r.SetBase(1_000_000)
+	r.setBase(1_000_000)
 	tr := r.Track("edge/fwd")
 	if tr2 := r.Track("edge/fwd"); tr2 != tr {
 		t.Fatalf("Track re-intern: got %d, want %d", tr2, tr)
 	}
 	r.Event(1_500_000, EvTailDrop, tr, 7, 4096, 0, 0)
 	r.Event(2_000_000, EvRetransmit, tr, 12, CauseRTO, 0, 0)
-	if got := r.EventCount(EvTailDrop); got != 1 {
-		t.Fatalf("EvTailDrop count = %d, want 1", got)
-	}
 	evs := r.Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
@@ -62,17 +59,17 @@ func TestRecorderEventsAndCounters(t *testing.T) {
 
 func TestQueueDepthFoldsIntoSeries(t *testing.T) {
 	r := NewRecorder("cell")
-	r.SetBase(0)
+	r.setBase(0)
 	tr := r.Track("edge/fwd")
 	s := r.FoldQueueDepth(tr, "edge/fwd qdepth")
 	// Per-packet occupancy probes must fold, not fill the event slab.
 	for i := int64(0); i < 100; i++ {
 		r.Event(i*10_000, EvEnqueue, tr, i%7, 0, 0, 0)
 	}
-	if got := r.EventCount(kindCount); got != 0 {
+	if got := len(r.Events()); got != 0 {
 		t.Fatalf("enqueue events leaked into the slab: %d", got)
 	}
-	samples := s.Samples()
+	samples := s.vals
 	if len(samples) != 1 {
 		t.Fatalf("100 sub-millisecond observations want 1 bucket, got %d", len(samples))
 	}
@@ -83,21 +80,20 @@ func TestQueueDepthFoldsIntoSeries(t *testing.T) {
 
 func TestSeriesModes(t *testing.T) {
 	r := NewRecorder("cell")
-	r.SetBase(0)
-	r.SetBucket(time.Millisecond)
+	r.setBase(0)
 	tr := r.Track("flow")
 	sum := r.NewSeries("goodput", tr, SeriesSum)
 	sum.Add(100_000, 10)
 	sum.Add(900_000, 5)
 	sum.Add(1_200_000, 7)
-	if got := sum.Samples(); len(got) != 2 || got[0] != 15 || got[1] != 7 {
+	if got := sum.vals; len(got) != 2 || got[0] != 15 || got[1] != 7 {
 		t.Fatalf("SeriesSum samples = %v, want [15 7]", got)
 	}
 	maxs := r.NewSeries("inflight", tr, SeriesMax)
 	maxs.ObserveMax(100_000, 3)
 	maxs.ObserveMax(200_000, 9)
 	maxs.ObserveMax(300_000, 4)
-	if got := maxs.Samples(); len(got) != 1 || got[0] != 9 {
+	if got := maxs.vals; len(got) != 1 || got[0] != 9 {
 		t.Fatalf("SeriesMax samples = %v, want [9]", got)
 	}
 }
@@ -113,14 +109,14 @@ func TestSeriesLazyAnchor(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	s.Add(epoch, 10)
 	s.Add(epoch+500_000, 5)
-	if got := s.Samples(); len(got) != 1 || got[0] != 15 {
+	if got := s.vals; len(got) != 1 || got[0] != 15 {
 		t.Fatalf("lazy-anchored samples = %v, want [15]", got)
 	}
 }
 
 func TestActorAttributionAndTail(t *testing.T) {
 	r := NewRecorder("cell")
-	r.SetBase(0)
+	r.setBase(0)
 	tr := r.Track("flow")
 	current := "send-actor"
 	r.SetActorSource(func() string { return current })
@@ -199,7 +195,7 @@ func TestWriteChromeParses(t *testing.T) {
 
 func TestRecorderReset(t *testing.T) {
 	r := NewRecorder("cell")
-	r.SetBase(5)
+	r.setBase(5)
 	tr := r.Track("edge")
 	s := r.FoldQueueDepth(tr, "qdepth")
 	var c Counter
@@ -208,21 +204,21 @@ func TestRecorderReset(t *testing.T) {
 	r.Event(1_000_000, EvTailDrop, tr, 1, 1, 0, 0)
 	r.Event(1_000_001, EvEnqueue, tr, 1, 0, 0, 0)
 	r.Reset()
-	if got := r.EventCount(kindCount); got != 0 {
+	if got := len(r.Events()); got != 0 {
 		t.Fatalf("events after Reset = %d", got)
 	}
-	if got := s.Samples(); len(got) != 0 {
+	if got := s.vals; len(got) != 0 {
 		t.Fatalf("series samples after Reset = %v", got)
 	}
 	// The recorder must be reusable: a fresh lease re-registers.
-	r.SetBase(7)
+	r.setBase(7)
 	tr2 := r.Track("edge")
 	if tr2 != 0 {
 		t.Fatalf("track ids should restart after Reset, got %d", tr2)
 	}
 	r.Event(2_000_000, EvLease, tr2, 1, 0, 0, 0)
-	if got := r.EventCount(EvLease); got != 1 {
-		t.Fatalf("post-Reset lease events = %d, want 1", got)
+	if evs := r.Events(); len(evs) != 1 || evs[0].Kind != EvLease {
+		t.Fatalf("post-Reset events = %+v, want one lease", evs)
 	}
 }
 
@@ -239,7 +235,7 @@ func BenchmarkTelemetryProbeDisabled(b *testing.B) {
 
 func BenchmarkTelemetryProbeEnabled(b *testing.B) {
 	r := NewRecorder("bench")
-	r.SetBase(0)
+	r.setBase(0)
 	tr := r.Track("edge")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -258,7 +254,7 @@ func BenchmarkTelemetryProbeEnabled(b *testing.B) {
 
 func BenchmarkTelemetryDepthFold(b *testing.B) {
 	r := NewRecorder("bench")
-	r.SetBase(0)
+	r.setBase(0)
 	tr := r.Track("edge")
 	r.FoldQueueDepth(tr, "qdepth")
 	b.ReportAllocs()

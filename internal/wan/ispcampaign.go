@@ -49,9 +49,9 @@ func DefaultISPCampaign() ISPCampaign {
 	}
 }
 
-// FramesPerPayload returns the number of Ethernet frames a UDP payload
+// framesPerPayload returns the number of Ethernet frames a UDP payload
 // of the given size occupies.
-func (c ISPCampaign) FramesPerPayload(payloadBytes int) int {
+func (c ISPCampaign) framesPerPayload(payloadBytes int) int {
 	f := (payloadBytes + c.FrameMTUBytes - 1) / c.FrameMTUBytes
 	if f < 1 {
 		f = 1
@@ -59,11 +59,11 @@ func (c ISPCampaign) FramesPerPayload(payloadBytes int) int {
 	return f
 }
 
-// TrialDropProb samples one trial's payload drop probability for the
+// trialDropProb samples one trial's payload drop probability for the
 // given payload size.
-func (c ISPCampaign) TrialDropProb(rng *rand.Rand, payloadBytes int) float64 {
+func (c ISPCampaign) trialDropProb(rng *rand.Rand, payloadBytes int) float64 {
 	level := math.Exp(rng.NormFloat64() * c.SigmaLog) // log-normal, median 1
-	frames := float64(c.FramesPerPayload(payloadBytes))
+	frames := float64(c.framesPerPayload(payloadBytes))
 	pFrame := c.MedianFrameLoss * level * math.Pow(frames, c.BurstExponent)
 	if pFrame > 1 {
 		pFrame = 1
@@ -71,11 +71,11 @@ func (c ISPCampaign) TrialDropProb(rng *rand.Rand, payloadBytes int) float64 {
 	return 1 - math.Pow(1-pFrame, frames)
 }
 
-// RunTrial simulates one 15-second iperf3 trial and returns the
+// runTrial simulates one 15-second iperf3 trial and returns the
 // measured drop fraction (with binomial measurement noise, like the
 // real counters).
-func (c ISPCampaign) RunTrial(rng *rand.Rand, payloadBytes int) float64 {
-	p := c.TrialDropProb(rng, payloadBytes)
+func (c ISPCampaign) runTrial(rng *rand.Rand, payloadBytes int) float64 {
+	p := c.trialDropProb(rng, payloadBytes)
 	// Binomial sampling via normal approximation for large counts,
 	// exact for small ones.
 	n := c.PacketsPerTrial
@@ -106,7 +106,7 @@ func (c ISPCampaign) RunCampaign(rng *rand.Rand, payloadSizes []int, trials int)
 	for _, sz := range payloadSizes {
 		samples := make([]float64, trials)
 		for i := range samples {
-			samples[i] = c.RunTrial(rng, sz)
+			samples[i] = c.runTrial(rng, sz)
 		}
 		out[sz] = samples
 	}

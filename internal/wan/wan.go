@@ -76,18 +76,10 @@ func (p Params) Validate() error {
 // RTT returns the round-trip propagation time in seconds.
 func (p Params) RTT() float64 { return 2 * p.DistanceKm * PropagationSecPerKm }
 
-// OneWayDelay returns the one-way propagation time in seconds.
-func (p Params) OneWayDelay() float64 { return p.DistanceKm * PropagationSecPerKm }
-
 // ChunkInjectionTime returns T_INJ: the serialization time of one chunk
 // at line rate (§4.2.1).
 func (p Params) ChunkInjectionTime() float64 {
 	return float64(p.ChunkBytes) * 8 / p.BandwidthBps
-}
-
-// InjectionTime returns the serialization time of n bytes at line rate.
-func (p Params) InjectionTime(nbytes int64) float64 {
-	return float64(nbytes) * 8 / p.BandwidthBps
 }
 
 // BDPBytes returns the bandwidth-delay product in bytes, the quantity
@@ -105,9 +97,6 @@ func (p Params) ChunksIn(bytes int64) int {
 	return int(c)
 }
 
-// PacketsPerChunk returns the bitmap resolution N in packets.
-func (p Params) PacketsPerChunk() int { return p.ChunkBytes / p.MTUBytes }
-
 // ChunkDropProb converts a per-packet (MTU) drop probability into the
 // per-chunk drop probability P_chunk = 1-(1-p)^N observed by the
 // reliability layer (Fig 15).
@@ -121,8 +110,6 @@ func ChunkDropProb(pPacket float64, packetsPerChunk int) float64 {
 type LossModel interface {
 	// Drop reports whether the next unit is lost.
 	Drop(rng *rand.Rand) bool
-	// Name identifies the model for experiment output.
-	Name() string
 }
 
 // IIDLoss drops each unit independently with probability P, the
@@ -130,7 +117,6 @@ type LossModel interface {
 type IIDLoss struct{ P float64 }
 
 func (l IIDLoss) Drop(rng *rand.Rand) bool { return rng.Float64() < l.P }
-func (l IIDLoss) Name() string             { return fmt.Sprintf("iid(%g)", l.P) }
 
 // GilbertElliott is the classic two-state burst-loss channel: a Good
 // state with loss PGood and a Bad state with loss PBad, switching with
@@ -200,5 +186,3 @@ func (g *GilbertElliott) Drop(rng *rand.Rand) bool {
 	}
 	return rng.Float64() < p
 }
-
-func (g *GilbertElliott) Name() string { return "gilbert-elliott" }

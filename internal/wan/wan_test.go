@@ -65,9 +65,6 @@ func TestChunksIn(t *testing.T) {
 			t.Fatalf("ChunksIn(%d) = %d, want %d", c.bytes, got, c.want)
 		}
 	}
-	if got := p.PacketsPerChunk(); got != 16 {
-		t.Fatalf("PacketsPerChunk = %d, want 16", got)
-	}
 }
 
 func TestChunkDropProb(t *testing.T) {
@@ -162,7 +159,7 @@ func TestFramesPerPayload(t *testing.T) {
 	for _, tc := range []struct{ bytes, want int }{
 		{1, 1}, {1500, 1}, {1501, 2}, {8192, 6}, {0, 1},
 	} {
-		if got := c.FramesPerPayload(tc.bytes); got != tc.want {
+		if got := c.framesPerPayload(tc.bytes); got != tc.want {
 			t.Fatalf("FramesPerPayload(%d) = %d, want %d", tc.bytes, got, tc.want)
 		}
 	}
