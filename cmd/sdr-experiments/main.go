@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,33 +22,39 @@ import (
 	"sdrrdma/internal/telemetry"
 )
 
-func main() {
-	fig := flag.String("fig", "", "figure ID ("+strings.Join(experiments.List(), ", ")+") or 'all'")
-	samples := flag.Int("samples", 1000, "stochastic model samples per point")
-	tailSamples := flag.Int("tail-samples", 10000, "samples for p99.9 points")
-	seed := flag.Int64("seed", 42, "deterministic RNG seed")
-	duration := flag.Float64("duration", 1.0, "seconds per functional throughput point")
-	clockMode := flag.String("clock", "virtual",
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli runs the command on args, printing to stdout and stderr, and
+// returns the exit status: 2 for a usage error, 1 for a failed figure.
+func cli(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("sdr-experiments", flag.ExitOnError)
+	flags.SetOutput(stderr)
+	fig := flags.String("fig", "", "figure ID ("+strings.Join(experiments.List(), ", ")+") or 'all'")
+	samples := flags.Int("samples", 1000, "stochastic model samples per point")
+	tailSamples := flags.Int("tail-samples", 10000, "samples for p99.9 points")
+	seed := flags.Int64("seed", 42, "deterministic RNG seed")
+	duration := flags.Float64("duration", 1.0, "seconds per functional throughput point")
+	clockMode := flags.String("clock", "virtual",
 		"clock for the functional figures (wan-functional, multidc-functional): 'virtual' (deterministic, simulation speed) or 'real' (wall clock)")
-	sweepWorkers := flag.Int("sweep-workers", 0,
+	sweepWorkers := flags.Int("sweep-workers", 0,
 		"virtual sweep lanes for the functional figures: 0 = GOMAXPROCS, 1 = serial; output is byte-identical either way")
-	tracePath := flag.String("trace", "",
+	tracePath := flags.String("trace", "",
 		"flight-record the run into this file as Chrome trace-event JSON (open in Perfetto); single figure only")
-	flag.Parse()
+	flags.Parse(args)
 
 	if *clockMode != "virtual" && *clockMode != "real" {
-		fmt.Fprintf(os.Stderr, "sdr-experiments: unknown -clock %q (want virtual or real)\n", *clockMode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "sdr-experiments: unknown -clock %q (want virtual or real)\n", *clockMode)
+		return 2
 	}
 
 	if *fig == "" {
-		fmt.Fprintln(os.Stderr, "usage: sdr-experiments -fig <id|all>")
-		fmt.Fprintln(os.Stderr, "figures:", strings.Join(experiments.List(), ", "))
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: sdr-experiments -fig <id|all>")
+		fmt.Fprintln(stderr, "figures:", strings.Join(experiments.List(), ", "))
+		return 2
 	}
 	if *tracePath != "" && *fig == "all" {
-		fmt.Fprintln(os.Stderr, "sdr-experiments: -trace records one figure at a time (pick a -fig)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "sdr-experiments: -trace records one figure at a time (pick a -fig)")
+		return 2
 	}
 	opts := experiments.Options{
 		Samples:      *samples,
@@ -67,17 +74,18 @@ func main() {
 	for _, id := range ids {
 		res, err := experiments.Run(id, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdr-experiments: figure %s: %v\n", id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "sdr-experiments: figure %s: %v\n", id, err)
+			return 1
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(stdout, res.Format())
 	}
 	if opts.Trace != nil {
 		if err := opts.Trace.WriteChromeFile(*tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "sdr-experiments: writing trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "sdr-experiments: writing trace: %v\n", err)
+			return 1
 		}
-		fmt.Print(opts.Trace.Summary())
-		fmt.Printf("trace written to %s (load it in https://ui.perfetto.dev)\n", *tracePath)
+		fmt.Fprint(stdout, opts.Trace.Summary())
+		fmt.Fprintf(stdout, "trace written to %s (load it in https://ui.perfetto.dev)\n", *tracePath)
 	}
+	return 0
 }

@@ -15,32 +15,39 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"sdrrdma/internal/telemetry"
 )
 
-func main() {
-	scheme := flag.String("scheme", "sr", "reliability scheme: sr | sr-nack | ec | adaptive")
-	clk := flag.String("clock", "virtual", "clock backend: virtual (deterministic DES) | real (wall clock)")
-	size := flag.Int("size", 4<<20, "message size [bytes]")
-	msgs := flag.Int("msgs", 32, "messages to transfer")
-	window := flag.Int("window", 4, "receive-region rotation depth")
-	mtu := flag.Int("mtu", 4096, "MTU [bytes]")
-	chunk := flag.Int("chunk", 64<<10, "bitmap chunk size [bytes]")
-	channels := flag.Int("channels", 4, "SDR channels (receive DPA workers)")
-	rtt := flag.Duration("rtt", time.Millisecond, "emulated round-trip time")
-	bw := flag.Float64("bw", 100e9, "per-direction line rate [bit/s]")
-	drop := flag.Float64("drop", 0, "per-packet drop probability")
-	seed := flag.Int64("seed", 1, "random seed (loss draws, payloads, cross traffic)")
-	crossBps := flag.Float64("cross-bps", 0, "background cross-traffic load sharing the bottleneck [bit/s] (0 = dedicated link)")
-	crossPoisson := flag.Bool("cross-poisson", false, "Poisson cross-traffic arrivals (default CBR)")
-	crossBuf := flag.Int("cross-buffer", 4<<20, "shared bottleneck buffer [bytes] (contended mode)")
-	verify := flag.Bool("verify", true, "verify received bytes and chain a digest (virtual clock only)")
-	tracePath := flag.String("trace", "",
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli runs the command on args, printing to stdout and stderr, and
+// returns the exit status: 1 when the run fails.
+func cli(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("sdr-perftest", flag.ExitOnError)
+	flags.SetOutput(stderr)
+	scheme := flags.String("scheme", "sr", "reliability scheme: sr | sr-nack | ec | adaptive")
+	clk := flags.String("clock", "virtual", "clock backend: virtual (deterministic DES) | real (wall clock)")
+	size := flags.Int("size", 4<<20, "message size [bytes]")
+	msgs := flags.Int("msgs", 32, "messages to transfer")
+	window := flags.Int("window", 4, "receive-region rotation depth")
+	mtu := flags.Int("mtu", 4096, "MTU [bytes]")
+	chunk := flags.Int("chunk", 64<<10, "bitmap chunk size [bytes]")
+	channels := flags.Int("channels", 4, "SDR channels (receive DPA workers)")
+	rtt := flags.Duration("rtt", time.Millisecond, "emulated round-trip time")
+	bw := flags.Float64("bw", 100e9, "per-direction line rate [bit/s]")
+	drop := flags.Float64("drop", 0, "per-packet drop probability")
+	seed := flags.Int64("seed", 1, "random seed (loss draws, payloads, cross traffic)")
+	crossBps := flags.Float64("cross-bps", 0, "background cross-traffic load sharing the bottleneck [bit/s] (0 = dedicated link)")
+	crossPoisson := flags.Bool("cross-poisson", false, "Poisson cross-traffic arrivals (default CBR)")
+	crossBuf := flags.Int("cross-buffer", 4<<20, "shared bottleneck buffer [bytes] (contended mode)")
+	verify := flags.Bool("verify", true, "verify received bytes and chain a digest (virtual clock only)")
+	tracePath := flags.String("trace", "",
 		"flight-record the run into this file as Chrome trace-event JSON (open in Perfetto)")
-	flag.Parse()
+	flags.Parse(args)
 
 	opts := Options{
 		Scheme: *scheme, Clock: *clk,
@@ -55,22 +62,23 @@ func main() {
 	}
 	res, err := Run(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sdr-perftest:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "sdr-perftest:", err)
+		return 1
 	}
-	fmt.Printf("transferred %d messages × %d B through the %s session (%s clock)\n",
+	fmt.Fprintf(stdout, "transferred %d messages × %d B through the %s session (%s clock)\n",
 		res.Msgs, res.Bytes/int64(res.Msgs), res.Scheme, *clk)
-	fmt.Println(res)
-	fmt.Printf("data pkts recv: %d   duplicates: %d   cores: %d\n",
+	fmt.Fprintln(stdout, res)
+	fmt.Fprintf(stdout, "data pkts recv: %d   duplicates: %d   cores: %d\n",
 		res.DataPktsRecv, res.Duplicates, res.Cores)
-	fmt.Printf("per-transfer completion: p50 %v  p99 %v  p99.9 %v\n",
+	fmt.Fprintf(stdout, "per-transfer completion: p50 %v  p99 %v  p99.9 %v\n",
 		res.P50, res.P99, res.P999)
 	if opts.Trace != nil {
 		if err := opts.Trace.WriteChromeFile(*tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "sdr-perftest: writing trace:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "sdr-perftest: writing trace:", err)
+			return 1
 		}
-		fmt.Print(opts.Trace.Summary())
-		fmt.Printf("trace written to %s (load it in https://ui.perfetto.dev)\n", *tracePath)
+		fmt.Fprint(stdout, opts.Trace.Summary())
+		fmt.Fprintf(stdout, "trace written to %s (load it in https://ui.perfetto.dev)\n", *tracePath)
 	}
+	return 0
 }
