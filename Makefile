@@ -117,7 +117,9 @@ api-unused:
 # sdr-experiments and sdr-perftest from `git archive $(PARENT)` and from
 # this tree, then cmp the four functional figures and every simulated
 # field + digest of the perftest runs (wall-clock columns stripped).
-# Not part of `make ci` — it needs a parent to compare against.
+# Not part of `make ci` — it needs a parent to compare against; the same
+# nine outputs are pinned without one by testdata/identity.txt, which
+# TestIdentityFigures and TestIdentityPerftest check in `go test ./...`.
 IDENTITY_PERF = "-scheme sr" "-scheme sr-nack" "-scheme ec" "-scheme adaptive" \
 	"-scheme adaptive -cross-bps 5e10 -cross-poisson"
 identity:

@@ -56,8 +56,10 @@ type Clock interface {
 	// Since returns Now().Sub(t).
 	Since(t time.Time) time.Duration
 	// AfterFunc schedules fn to run after d. Under the virtual clock
-	// fn executes on the scheduler goroutine while all actors are
-	// blocked, so it is serialized with every other callback and actor.
+	// fn executes while all actors are blocked, on the goroutine of the
+	// actor that parked last, so it is serialized with every other
+	// callback and actor — and must not call runtime.Goexit
+	// (t.FailNow): that ends the run with a panic.
 	AfterFunc(d time.Duration, fn func()) Timer
 	// spawn starts fn on this clock: a plain goroutine under Real, a
 	// registered actor under Virtual (Virtual.run returns once every
@@ -113,7 +115,7 @@ func Or(c Clock) Clock {
 }
 
 // oneShot is the optional cheap fire-and-forget scheduling interface
-// (implemented by Virtual.RunAfter): schedule fn after d with no
+// (implemented by Virtual.runAfter): schedule fn after d with no
 // cancellable handle and no Timer allocation.
 type oneShot interface {
 	runAfter(d time.Duration, fn func())

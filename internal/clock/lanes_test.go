@@ -178,7 +178,8 @@ func BenchmarkVirtualHandoff(b *testing.B) {
 
 // BenchmarkVirtualSleepChurn measures the timer-wake path: one actor
 // sleeping in a tight loop (engine lane push + typed wake per
-// iteration, no closures).
+// iteration, no closures). The sleeper fires its own wake-up and keeps
+// the baton, so no iteration switches goroutines.
 func BenchmarkVirtualSleepChurn(b *testing.B) {
 	v := NewVirtual()
 	b.ReportAllocs()

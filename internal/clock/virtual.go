@@ -15,13 +15,18 @@ import (
 // # Execution model
 //
 // Goroutines participating in a virtual-time simulation register as
-// actors (Join, JoinNamed). A scheduler loop (run, driven by the goroutine that
-// built the simulation) enforces strict serialization: exactly one
-// actor executes at a time, and virtual time advances — by firing the
-// next engine event — only when every actor is parked in a clock wait
-// (Sleep or WaitNotify). Timer callbacks (AfterFunc, fabric
-// deliveries, RC retransmissions) run on the scheduler goroutine
-// between actor slices, so they are serialized with the actors too.
+// actors (Join, JoinNamed). Exactly one actor executes at a time, and
+// virtual time advances — by firing the next engine event — only when
+// every actor is parked in a clock wait (Sleep or WaitNotify). There is
+// no scheduler goroutine in between: the actor that parks last, finding
+// no other actor ready, fires the engine events itself, on its own
+// goroutine, until one of them readies an actor, and hands the baton to
+// that actor — or keeps it, when the actor readied is itself. Timer
+// callbacks (AfterFunc, fabric deliveries, RC retransmissions) thus run
+// on whichever actor's goroutine parked last, between actor slices, and
+// are serialized with the actors too. The goroutine that calls Join
+// (run) only grants the first actor and waits for the end of the run,
+// an all-blocked deadlock, or a callback panic to re-raise.
 //
 // Because the engine fires events in deterministic (time, seq) order
 // and ready actors resume in FIFO wake order, an entire simulation —
@@ -46,20 +51,23 @@ import (
 //     per-wait closure — and ride each actor's monotone engine lane,
 //     so the common wait is an O(1) ring push instead of a heap sift.
 //   - A parking actor hands the baton directly to the next ready
-//     actor: one cond signal per switch. The scheduler goroutine wakes
-//     only when no actor is runnable (to fire engine events) — the
-//     park-self/grant-next switch no longer round-trips through run.
+//     actor: one cond signal per switch. With none ready it drives the
+//     engine itself, so a wait whose own wake-up comes next (a lone
+//     sleeper, a sender pacing itself) costs no goroutine switch at
+//     all, and any other wait costs exactly one — never a round trip
+//     through a scheduler goroutine.
 //   - An engine event costs no lock at all (next section).
 //
 // # The baton is the lock
 //
 // At every instant exactly one goroutine may touch the simulation: the
 // baton holder. That is the running actor; or, while every actor is
-// parked, the scheduler goroutine inside run, firing engine events and
-// their callbacks; or, with no run active, the one goroutine that
-// builds the simulation and calls run. The baton changes hands only
-// under mu (park, grant, an actor finishing, run waking up), and that
-// lock hand-over is the happens-before edge that orders everything the
+// parked, the driving actor — the one that parked (or finished) last —
+// firing engine events and their callbacks with current nil; or, with
+// no run active, the one goroutine that builds the simulation and calls
+// run. The baton changes hands only under mu (park, grant, an actor
+// finishing, a drive starting or ending, run waking up), and that lock
+// hand-over is the happens-before edge that orders everything the
 // previous holder did before everything the next one does — which is
 // what lets go test -race check the rule.
 //
@@ -67,7 +75,7 @@ import (
 // none is taken:
 //
 //   - the engine: runAfter, RunAfterLane, AfterFunc and a Timer's Stop
-//     and Reset schedule and cancel without mu, and run fires events
+//     and Reset schedule and cancel without mu, and a drive fires events
 //     back to back without it, re-taking mu only when an event made an
 //     actor runnable (a wake-up, a Notify, a spawn) or the queue ran dry;
 //   - the AfterFunc timer pool;
@@ -89,11 +97,11 @@ import (
 // actor first.
 //
 // What mu still guards is the hand-over state itself — the actor table,
-// the ready FIFO, the WaitNotify waiter list, current, running, the
-// event log — and with it the calls that are safe from any goroutine
-// while run is active: spawn and spawnNamed, CurrentActorName, SetEventLog,
-// idle. Now, NowNanos, Elapsed and Epoch are atomic reads and safe
-// anywhere. Sleep, WaitNotify and Notify are baton-holder calls that
+// the ready FIFO, the WaitNotify waiter list, current, running,
+// driving, fault, switches, the event log — and with it the calls that
+// are safe from any goroutine while run is active: spawn and
+// spawnNamed, CurrentActorName, SetEventLog, idle. Now, NowNanos,
+// Elapsed and Epoch are atomic reads and safe anywhere. Sleep, WaitNotify and Notify are baton-holder calls that
 // take mu because they hand the baton over or edit the lists above.
 //
 // # Reuse
@@ -111,21 +119,27 @@ import (
 // is pending, no wakeup can ever arrive; run panics with a diagnostic
 // — including per-actor labels (see spawnNamed) and the pending-timer
 // count — rather than hanging, turning a protocol bug into a test
-// failure.
+// failure. A callback that panics on a driving actor's goroutine
+// surfaces the same way, from run on the Join goroutine with its own
+// value; one that calls runtime.Goexit (t.FailNow) makes run panic with
+// a diagnostic saying so.
 type Virtual struct {
 	mu       sync.Mutex
-	rootCond sync.Cond // run waits here until no actor is runnable
+	rootCond sync.Cond // run waits here for the end of the run, a stall or a fault
 	eng      *simnet.Engine
 	base     time.Time
 	gen      atomic.Uint64 // notification epoch
 	laneSeq  int           // next NewEventLane id
 	actors   int           // registered and not yet finished
-	current  *actor        // actor holding the baton (nil: scheduler owns it)
+	current  *actor        // actor holding the baton (nil: a driver or run has it)
 	running  bool
-	// runnable is raised whenever an actor joins the ready FIFO. run
-	// polls it between engine events instead of taking mu to look at
-	// the FIFO; it is atomic because spawn may ready an actor from a
-	// goroutine that does not hold the baton.
+	driving  bool // a parked or finishing actor is firing engine events
+	fault    any  // what a driving actor hands run to re-raise
+	switches int  // baton grants that woke another goroutine (tests read it)
+	// runnable is raised whenever an actor joins the ready FIFO. The
+	// driving actor polls it between engine events instead of taking
+	// mu to look at the FIFO; it is atomic because spawn may ready an
+	// actor from a goroutine that does not hold the baton.
 	runnable atomic.Bool
 
 	// ready is an intrusive FIFO of runnable actors.
@@ -163,8 +177,8 @@ func (v *Virtual) SetEventLog(l EventLog) {
 }
 
 // CurrentActorName returns the label of the actor holding the baton,
-// or "" when the scheduler goroutine (engine callbacks, timer
-// callbacks) or an unnamed actor is running. Telemetry recorders use
+// or "" while engine and timer callbacks run (whichever goroutine
+// drives them) or an unnamed actor is running. Telemetry recorders use
 // it as their actor-attribution source; it deliberately returns ""
 // rather than a synthesized name for unnamed actors so the enabled
 // probe path stays allocation free.
@@ -211,9 +225,9 @@ func NewVirtual() *Virtual {
 }
 
 // HandleEvent dispatches typed engine events (actor wakeups). It runs
-// on the scheduler goroutine with v.mu released (engine callbacks are
-// invoked outside the lock); readying the actor edits the ready FIFO,
-// so it takes mu.
+// on the driving actor's goroutine with v.mu released (engine
+// callbacks are invoked outside the lock); readying the actor edits the
+// ready FIFO, so it takes mu.
 func (v *Virtual) HandleEvent(kind, a, _ int32) {
 	if kind != evWake {
 		return
@@ -313,24 +327,75 @@ func (v *Virtual) grantLocked(a *actor) {
 	a.cond.Signal()
 }
 
-// park blocks the calling actor until it is granted the baton again.
-// The baton is handed directly to the next ready actor — one signal
-// per switch — and only falls back to the scheduler goroutine when no
-// actor is runnable (so it can fire engine events). v.mu must be
+// park blocks the calling actor until it is granted the baton again
+// (see handOff). When its own wake-up is the next thing to happen it
+// keeps the baton and returns without a goroutine switch. v.mu must be
 // held; it is held again on return.
 func (v *Virtual) park(a *actor) {
 	a.parked = true
 	v.current = nil
-	if n := v.popReadyLocked(); n != nil {
-		v.grantLocked(n)
-	} else {
-		v.rootCond.Signal()
-	}
+	v.handOff(a)
 	for !a.granted {
 		a.cond.Wait()
 	}
 	a.granted = false
 	a.parked = false
+}
+
+// handOff passes the baton on from self, the actor parking (nil: an
+// actor finishing, or run). The head of the ready FIFO gets it; when
+// none is ready, the caller first drives the engine until an event
+// readies one — unless no actor is left, so that the last one to
+// finish fires nothing and pending events stay queued for the next
+// run. With no actor ready after that, the baton goes back to run.
+// v.mu must be held.
+func (v *Virtual) handOff(self *actor) {
+	if v.readyHead == nil && v.actors > 0 {
+		v.drive()
+	}
+	n := v.popReadyLocked()
+	if n == nil {
+		v.rootCond.Signal()
+		return
+	}
+	if n != self {
+		v.switches++
+	}
+	v.grantLocked(n)
+}
+
+// drive fires engine events on the calling goroutine, back to back
+// with mu released and current nil, until one makes an actor runnable
+// (its callback woke a sleeper, called Notify or spawn, or a goroutine
+// outside the simulation spawned) — that actor must run before the
+// next event does — or the queue runs dry. A callback that panics or
+// calls runtime.Goexit ends the drive: the fault is handed to run,
+// which re-raises it on the Join goroutine, and the calling goroutine
+// blocks for good. v.mu must be held; it is held again on return.
+func (v *Virtual) drive() {
+	v.runnable.Store(false)
+	v.driving = true
+	v.mu.Unlock()
+	ok := false
+	defer func() {
+		if ok {
+			return
+		}
+		fault := recover()
+		if fault == nil {
+			fault = "clock: an engine callback called runtime.Goexit (t.FailNow, t.Fatal?) on a driving actor's goroutine; report failures from clock callbacks with t.Error"
+		}
+		v.mu.Lock()
+		v.fault = fault
+		v.rootCond.Signal()
+		v.mu.Unlock()
+		select {}
+	}()
+	for !v.runnable.Load() && v.eng.Step() {
+	}
+	ok = true
+	v.mu.Lock()
+	v.driving = false
 }
 
 // currentActor returns the running actor, panicking when the caller is
@@ -339,7 +404,7 @@ func (v *Virtual) park(a *actor) {
 func (v *Virtual) currentActor(op string) *actor {
 	a := v.current
 	if a == nil {
-		panic("clock: Virtual." + op + " called outside an actor goroutine (use Clock.Go)")
+		panic("clock: Virtual." + op + " called outside an actor goroutine (start it with clock.Join or clock.JoinNamed)")
 	}
 	return a
 }
@@ -399,6 +464,7 @@ func (v *Virtual) runActor(a *actor, fn func()) {
 	fn()
 }
 
+// finishActor retires a and hands the baton on.
 func (v *Virtual) finishActor(a *actor) {
 	v.mu.Lock()
 	v.actors--
@@ -406,60 +472,42 @@ func (v *Virtual) finishActor(a *actor) {
 	a.inUse = false
 	a.name = ""
 	v.freeActor = append(v.freeActor, a)
-	if n := v.popReadyLocked(); n != nil {
-		v.grantLocked(n)
-	} else {
-		v.rootCond.Signal()
-	}
+	v.handOff(nil)
 	v.mu.Unlock()
 }
 
-// run drives the simulation: it grants the baton to ready actors and,
-// when all actors are blocked, advances virtual time by firing engine
-// events. It returns when every actor has finished. Only one run may
-// be active at a time; actors may keep spawning more actors with spawn
-// while it runs. Between actor switches run mostly sleeps: parking
-// actors grant the baton to their successor directly.
+// run grants the baton to the first ready actor, then waits while the
+// actors pass it among themselves and drive the engine (see handOff).
+// It takes the baton back when every actor has finished, and returns;
+// when a drive ran the queue dry with every actor blocked, and panics
+// with the all-blocked diagnostic; or when a driving actor hands it a
+// callback's fault, and re-raises that on the Join goroutine. Only one
+// run may be active at a time; actors may keep spawning more actors
+// with spawn while it runs.
 func (v *Virtual) run() {
 	v.mu.Lock()
 	if v.running {
 		v.mu.Unlock()
-		panic("clock: Virtual.Run reentered")
+		panic("clock: clock.Join reentered: one Join (or JoinNamed) at a time per Virtual")
 	}
 	v.running = true
-	for {
-		if v.current != nil {
+	for v.fault == nil && v.actors > 0 {
+		switch {
+		case v.current != nil || v.driving:
 			v.rootCond.Wait()
-			continue
-		}
-		if a := v.popReadyLocked(); a != nil {
-			v.grantLocked(a)
-			continue
-		}
-		if v.actors == 0 {
-			break
-		}
-		// Every actor is parked and none is ready: the scheduler holds
-		// the baton. Fire events back to back without mu until one of
-		// them makes an actor runnable (its callback woke a sleeper,
-		// called Notify or spawn) — that actor must run before the next
-		// event does — or the queue runs dry.
-		v.runnable.Store(false)
-		v.mu.Unlock()
-		progressed := true
-		for progressed && !v.runnable.Load() {
-			progressed = v.eng.Step()
-		}
-		v.mu.Lock()
-		if !progressed && v.readyHead == nil && v.current == nil {
-			diag := v.deadlockLocked()
-			v.running = false
-			v.mu.Unlock()
-			panic(diag)
+		case v.readyHead != nil:
+			v.handOff(nil)
+		default:
+			v.fault = v.deadlockLocked()
 		}
 	}
+	fault := v.fault
+	v.fault = nil
 	v.running = false
 	v.mu.Unlock()
+	if fault != nil {
+		panic(fault)
+	}
 }
 
 // deadlockLocked renders the all-blocked diagnostic: when, how many
@@ -564,8 +612,8 @@ func (v *Virtual) removeWaiterLocked(a *actor) {
 	a.waiting = false
 }
 
-// runAfter schedules fn to run once after d on the scheduler
-// goroutine, without a cancellable handle: one pooled engine slot, no
+// runAfter schedules fn to run once after d, as an engine callback,
+// without a cancellable handle: one pooled engine slot, no
 // Timer allocation. It is the cheap path packet pipelines use for
 // fire-and-forget deliveries (see clock.After).
 func (v *Virtual) runAfter(d time.Duration, fn func()) {
@@ -605,8 +653,9 @@ type virtualTimer struct {
 	t    simnet.Timer
 }
 
-// AfterFunc implements Clock. fn runs on the scheduler goroutine while
-// every actor is parked, serialized with actors and other callbacks.
+// AfterFunc implements Clock. fn runs while every actor is parked, on
+// the goroutine of the actor driving the engine (see drive), serialized
+// with actors and other callbacks.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	t := v.allocTimer()
 	t.fn = fn
@@ -627,7 +676,8 @@ func (v *Virtual) allocTimer() *virtualTimer {
 	return t
 }
 
-// doFire runs on the scheduler goroutine (engine callback).
+// doFire is the engine callback; it runs on the driving actor's
+// goroutine.
 func (t *virtualTimer) doFire() { t.fn() }
 
 // Stop implements Timer.

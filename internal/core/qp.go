@@ -178,8 +178,9 @@ func (qp *QP) abortErr() error {
 // SetLateSink registers fn (nil clears) to be called for every late
 // data packet discarded by the generation / active-slot check — a
 // retransmission that arrived after the receive retired. fn runs on
-// the packet-delivery path (the scheduler goroutine under a virtual
-// clock, a fabric timer goroutine otherwise) and must not block.
+// the packet-delivery path (the driving actor's goroutine under a
+// virtual clock, a fabric timer goroutine otherwise) and must not
+// block.
 func (qp *QP) SetLateSink(fn func(slot int, gen uint32)) {
 	qp.lateMu.Lock()
 	qp.lateSink = fn

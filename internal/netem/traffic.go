@@ -116,8 +116,9 @@ func (g *TrafficGen) gap() time.Duration {
 	return time.Duration(g.rng.ExpFloat64() * float64(g.mean))
 }
 
-// tick runs on the clock's timer goroutine (the scheduler goroutine
-// under a virtual clock), emits one packet and schedules the next.
+// tick runs as a clock callback (on a timer goroutine under a real
+// clock, on the driving actor's goroutine under a virtual one), emits
+// one packet and schedules the next.
 func (g *TrafficGen) tick() {
 	if g.stopped.Load() {
 		return

@@ -26,7 +26,7 @@ var errGlobalTimeout = fmt.Errorf("%w: global timeout exceeded", ErrTimeout)
 // discrete virtual time when the session was built on a
 // clock.Virtual (in which case WriteSR/ReceiveSR and the EC
 // equivalents must run in actor goroutines, via clock.Join or
-// Virtual.Go).
+// clock.JoinNamed).
 type Endpoint struct {
 	QP   *core.QP
 	CP   *ControlPlane

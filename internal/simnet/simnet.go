@@ -139,8 +139,8 @@ func SplitMix64(seed int64, i int) int64 {
 
 // Now returns the current virtual time in seconds. It reads the
 // atomic mirror, so it is safe from any goroutine — in particular from
-// virtual-clock actors sampling time while the scheduler goroutine is
-// parked — without taking a lock.
+// a virtual-clock actor sampling time while another goroutine holds
+// the engine — without taking a lock.
 func (e *Engine) Now() float64 { return math.Float64frombits(e.nowBits.Load()) }
 
 // SetHandler installs the receiver for typed events. It must be set
