@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
 	"sdrrdma/internal/clock"
 	"sdrrdma/internal/core"
@@ -34,6 +35,39 @@ func funcRelCfg() reliability.Config {
 		Linger:        4 * time.Millisecond,
 		GlobalTimeout: 60 * time.Second,
 		K:             4, M: 2, Code: "mds",
+	}
+}
+
+// ctrlRecvTraffic is reliability's recvTraffic: the most control
+// receive buffers outstanding at once this session, and the
+// receiver-not-ready drops.
+//
+//go:linkname ctrlRecvTraffic sdrrdma/internal/reliability.recvTraffic
+func ctrlRecvTraffic(cp *reliability.ControlPlane) (hwm int32, rnrDrops uint64)
+
+// checkCtrlTraffic checks every link's control receive ring against the
+// traffic it carried: no datagram found the ring empty, and on a
+// virtual clock, whose CQ sink reposts inside the delivery event, no
+// more than one buffer was outstanding at once. A real clock's
+// watermark depends on how deliveries overlap, so it is only logged.
+func checkCtrlTraffic(t *testing.T, sessions []*reliability.Session) {
+	t.Helper()
+	var most int32
+	for i, s := range sessions {
+		for side, cp := range []*reliability.ControlPlane{s.A.CP, s.B.CP} {
+			hwm, rnr := ctrlRecvTraffic(cp)
+			if rnr != 0 {
+				t.Errorf("link %d side %c: %d control datagrams found no receive buffer", i, "AB"[side], rnr)
+			}
+			most = max(most, hwm)
+		}
+	}
+	if sessions[0].Pair.A.Ctx.Clock().IsVirtual() {
+		if most > 1 {
+			t.Errorf("%d control buffers outstanding at once on a virtual clock, want ≤ 1", most)
+		}
+	} else {
+		t.Logf("at most %d control buffers outstanding on any link", most)
 	}
 }
 
@@ -73,6 +107,7 @@ func runFunctionalAllreduce(t *testing.T, clk clock.Clock, n, vlen int, loss flo
 			t.Fatalf("allreduce[%d] = %g, want %g", j, got[j], want[j])
 		}
 	}
+	checkCtrlTraffic(t, ring.Sessions())
 }
 
 // skipUnderRace documents why the real-clock smokes step aside for
@@ -245,6 +280,7 @@ func runFunctionalBroadcast(t *testing.T, clk clock.Clock, n, size int, loss flo
 			t.Fatalf("node %d received wrong data", i)
 		}
 	}
+	checkCtrlTraffic(t, tree.Sessions())
 }
 
 func TestFunctionalBroadcastSRLossless(t *testing.T) {

@@ -270,6 +270,87 @@ func TestUDSendRecv(t *testing.T) {
 	}
 }
 
+// The posted-receive list is a FIFO ring. A consumer that reposts
+// each buffer as its datagram lands — the reliability control plane's
+// CQ sink — cycles through it without allocating, and buffers land in
+// the order they were posted.
+func TestUDRecvRingRepostAllocsNothing(t *testing.T) {
+	const ring = 16
+	cq := NewCQ(64, false)
+	qp := NewUDQP(NewDevice("d"), 64, cq)
+	pkt := &Packet{Opcode: OpSend, Payload: []byte("ping")}
+
+	qp.recvPacket(pkt) // no recv posted: RNR drop
+	if qp.RNRDrops.Load() != 1 {
+		t.Fatalf("RNRDrops = %d, want 1", qp.RNRDrops.Load())
+	}
+	bufs := make([][]byte, ring)
+	for i := range bufs {
+		bufs[i] = make([]byte, 64)
+		qp.PostRecv(bufs[i], uint64(i))
+	}
+	var landed, misordered uint64
+	cq.SetSink(func(cqes []CQE) {
+		for _, c := range cqes {
+			if c.WRID != landed%ring || c.ByteLen != 4 {
+				misordered++
+			}
+			landed++
+			qp.PostRecv(bufs[c.WRID], c.WRID)
+		}
+	}, true)
+	allocs := testing.AllocsPerRun(4, func() {
+		for range 3 * ring {
+			qp.recvPacket(pkt)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("land + repost allocates %.1f per %d datagrams, want 0", allocs, 3*ring)
+	}
+	if want := uint64(5 * 3 * ring); landed != want || misordered != 0 || qp.RNRDrops.Load() != 1 {
+		t.Fatalf("landed %d (want %d), %d out of post order, RNRDrops %d (want 1)",
+			landed, want, misordered, qp.RNRDrops.Load())
+	}
+	for i, b := range bufs {
+		if !bytes.Equal(b[:4], []byte("ping")) {
+			t.Fatalf("buffer %d never filled", i)
+		}
+	}
+}
+
+// Growing the ring while its head has wrapped keeps post order.
+func TestUDRecvRingGrowsInPostOrder(t *testing.T) {
+	cq := NewCQ(256, false)
+	qp := NewUDQP(NewDevice("d"), 64, cq)
+	pkt := &Packet{Opcode: OpSend, Payload: []byte("x")}
+	buf := make([]byte, 8)
+	next := uint64(0)
+	post := func(n int) {
+		for range n {
+			qp.PostRecv(buf, next)
+			next++
+		}
+	}
+	post(12)
+	for range 10 {
+		qp.recvPacket(pkt)
+	}
+	post(40) // wraps the 16-entry ring, then grows it twice
+	for range 42 {
+		qp.recvPacket(pkt)
+	}
+	qp.recvPacket(pkt) // ring empty again: RNR drop
+	cqes := drainCQ(cq)
+	if len(cqes) != 52 || qp.RNRDrops.Load() != 1 {
+		t.Fatalf("%d CQEs, RNRDrops %d; want 52, 1", len(cqes), qp.RNRDrops.Load())
+	}
+	for i, c := range cqes {
+		if c.WRID != uint64(i) {
+			t.Fatalf("landing %d took WRID %d: not post order", i, c.WRID)
+		}
+	}
+}
+
 func TestDeviceUnknownQP(t *testing.T) {
 	dev := NewDevice("d")
 	dev.Deliver(&Packet{DstQPN: 999})

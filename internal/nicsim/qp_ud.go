@@ -19,8 +19,14 @@ type UDQP struct {
 	sendMu  sync.Mutex
 	sendPSN uint32
 
-	recvMu   sync.Mutex
-	recvRing []udRecvWR
+	// recvRing holds the posted receives as a FIFO ring: recvHead is
+	// the oldest, recvCount how many are posted. Its length is a power
+	// of two that doubles only when a post finds it full, so a consumer
+	// that reposts each buffer as it lands never allocates.
+	recvMu    sync.Mutex
+	recvRing  []udRecvWR
+	recvHead  int
+	recvCount int
 
 	recvCQ *CQ
 
@@ -59,7 +65,14 @@ func (qp *UDQP) ResetCounters() { qp.RNRDrops.Store(0) }
 // PostRecv queues a receive buffer. Buffers are consumed in FIFO order.
 func (qp *UDQP) PostRecv(buf []byte, wrid uint64) {
 	qp.recvMu.Lock()
-	qp.recvRing = append(qp.recvRing, udRecvWR{buf: buf, wrid: wrid})
+	if qp.recvCount == len(qp.recvRing) {
+		grown := make([]udRecvWR, max(16, 2*len(qp.recvRing)))
+		n := copy(grown, qp.recvRing[qp.recvHead:])
+		copy(grown[n:], qp.recvRing[:qp.recvHead])
+		qp.recvRing, qp.recvHead = grown, 0
+	}
+	qp.recvRing[(qp.recvHead+qp.recvCount)&(len(qp.recvRing)-1)] = udRecvWR{buf: buf, wrid: wrid}
+	qp.recvCount++
 	qp.recvMu.Unlock()
 }
 
@@ -103,13 +116,15 @@ func (qp *UDQP) recvPacket(pkt *Packet) {
 		return
 	}
 	qp.recvMu.Lock()
-	if len(qp.recvRing) == 0 {
+	if qp.recvCount == 0 {
 		qp.recvMu.Unlock()
 		qp.RNRDrops.Add(1)
 		return
 	}
-	wr := qp.recvRing[0]
-	qp.recvRing = qp.recvRing[1:]
+	wr := qp.recvRing[qp.recvHead]
+	qp.recvRing[qp.recvHead] = udRecvWR{}
+	qp.recvHead = (qp.recvHead + 1) & (len(qp.recvRing) - 1)
+	qp.recvCount--
 	qp.recvMu.Unlock()
 
 	n := copy(wr.buf, pkt.Payload)

@@ -8,13 +8,15 @@ import (
 	"sdrrdma/internal/telemetry"
 )
 
-// Adaptive mid-flight reliability (ROADMAP item 3): instead of fixing
-// SR or EC for the whole connection, the transfer is cut into segments
-// of SegmentChunks chunks and each segment runs the scheme a
-// per-session Adaptor picked from the signals of already-completed
-// segments — duplicate arrivals (retransmission ≈ wire loss), missing
-// data chunks recovered from parity (erasure rate), and ECN marks
-// (congestion, which parity would worsen rather than mask).
+// Adaptive mid-flight reliability (README, "Adaptive reliability under
+// faults"; its policy is ROADMAP's "The adaptive policy, measured
+// against the oracle"): instead of fixing SR or EC for the whole
+// connection, the transfer is cut into segments of SegmentChunks chunks
+// and each segment runs the scheme a per-session Adaptor picked from
+// the signals of already-completed segments — duplicate arrivals
+// (retransmission ≈ wire loss), missing data chunks recovered from
+// parity (erasure rate), and ECN marks (congestion, which parity would
+// worsen rather than mask).
 //
 // The decision is receiver-driven: every adaptation signal already
 // lives on the receiver (bitmaps, duplicate counters, the Marked bit

@@ -70,6 +70,12 @@ type ControlPlane struct {
 	bufs    [][]byte
 	stopped bool
 
+	// outstanding counts receive buffers whose datagram is being
+	// handled — landed and not yet reposted; recvHWM is its high-water
+	// mark this session, the traffic the receive ring is sized to (see
+	// recvTraffic).
+	outstanding, recvHWM atomic.Int32
+
 	// sendMu serializes senders over encBuf, the reused wire-encoding
 	// scratch. UDQP.Send copies the payload into the packet's own
 	// pooled storage, so the scratch is free for reuse the moment Send
@@ -114,11 +120,14 @@ func (cp *ControlPlane) SetFault(fn CtrlFault) {
 }
 
 // newControlPlane creates the control endpoint of ctx's side, detached:
-// attach gives it a wire and a peer. nbufs sizes the receive slab
-// (<= 0 selects the default of 1024 buffers; topologies hosting
-// hundreds of concurrent deployments size it down to keep memory
-// bounded).
-func newControlPlane(ctx *core.Context, nbufs int) *ControlPlane {
+// attach gives it a wire and a peer.
+func newControlPlane(ctx *core.Context) *ControlPlane {
+	// The receive ring: handleCQEs reposts each buffer inside the
+	// delivery call that filled it, so a virtual clock never has more
+	// than one outstanding and a real clock, whose deliveries overlap on
+	// different goroutines, a few. 16 leaves headroom on both and costs
+	// one 64 KiB slab at a 4 KiB MTU.
+	const nbufs = 16
 	mtu := ctx.Config().MTU
 	cq := nicsim.NewCQ(4096, false)
 	cp := &ControlPlane{
@@ -128,15 +137,9 @@ func newControlPlane(ctx *core.Context, nbufs int) *ControlPlane {
 		mtu:      mtu,
 		handlers: make(map[uint64]chan ctrlMsg),
 	}
-	// Keep a pool of receive buffers posted, carved from one slab (a
-	// control plane per session side makes per-buffer allocations the
-	// dominant construction cost of a multi-session sweep otherwise).
-	if nbufs <= 0 {
-		nbufs = 1024
-	}
 	slab := make([]byte, nbufs*mtu)
 	cp.bufs = make([][]byte, nbufs)
-	for i := 0; i < nbufs; i++ {
+	for i := range nbufs {
 		buf := slab[i*mtu : (i+1)*mtu : (i+1)*mtu]
 		cp.bufs[i] = buf
 		cp.ud.PostRecv(buf, uint64(i))
@@ -147,7 +150,7 @@ func newControlPlane(ctx *core.Context, nbufs int) *ControlPlane {
 
 // attach points the control plane at wire and at peer's control QP and
 // drops all per-operation routing state — the start of every session,
-// the first on a deployment like any later lease. The receive slab
+// the first on a deployment like any later lease. The receive ring
 // stays posted and the UD QPN is stable across sessions; control
 // datagrams still in flight from a previous lease route to unregistered
 // opIDs and are dropped.
@@ -158,6 +161,7 @@ func (cp *ControlPlane) attach(wire nicsim.Wire, peer *ControlPlane) {
 	cp.mu.Unlock()
 	cp.fault.Store(nil)
 	cp.ud.ResetCounters()
+	cp.recvHWM.Store(0)
 	cp.ud.Attach(wire)
 	cp.peer = peer.ud.QPN()
 }
@@ -203,10 +207,14 @@ func (cp *ControlPlane) unregister(opID uint64) {
 // reposts the buffer, routes the message and wakes clock waiters.
 func (cp *ControlPlane) handleCQEs(cqes []nicsim.CQE) {
 	for _, cqe := range cqes {
+		n := cp.outstanding.Add(1)
+		for h := cp.recvHWM.Load(); n > h && !cp.recvHWM.CompareAndSwap(h, n); h = cp.recvHWM.Load() {
+		}
 		buf := cp.bufs[cqe.WRID%uint64(len(cp.bufs))]
 		msg, err := decodeCtrl(buf[:cqe.ByteLen])
 		// Repost the buffer immediately (UD consumes one per datagram).
 		cp.ud.PostRecv(buf, cqe.WRID)
+		cp.outstanding.Add(-1)
 		if err != nil {
 			continue // malformed control packets are dropped
 		}
@@ -227,6 +235,14 @@ func (cp *ControlPlane) handleCQEs(cqes []nicsim.CQE) {
 			cp.ctx.Clock().Notify()
 		}
 	}
+}
+
+// recvTraffic reports the most receive buffers cp has had outstanding
+// at once this session and its receiver-not-ready drops — what the
+// ring must cover. Tests check it; the chaos and collective tests reach
+// it by go:linkname.
+func recvTraffic(cp *ControlPlane) (hwm int32, rnrDrops uint64) {
+	return cp.recvHWM.Load(), cp.ud.RNRDrops.Load()
 }
 
 // send transmits a control message (unreliably), applying any

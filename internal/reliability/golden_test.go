@@ -130,6 +130,7 @@ func runGolden(t *testing.T, c goldenCase) goldenTuple {
 	// Let the last background linger run out so its re-sends and any
 	// late re-ACK are counted.
 	clock.Join(vc, func() { vc.Sleep(relCfg.Linger + 2*relCfg.AckInterval) })
+	checkCtrlTraffic(t, s)
 	switches := 0
 	if ad := tr.Adaptor(); ad != nil {
 		switches = len(ad.Switches())

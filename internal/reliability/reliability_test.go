@@ -279,6 +279,30 @@ func TestRealClockSmoke(t *testing.T) {
 	if !bytes.Equal(out.Buf, data) {
 		t.Fatal("sr: data corrupted on the real clock")
 	}
+	checkCtrlTraffic(t, s)
+}
+
+// checkCtrlTraffic checks the control receive ring against the traffic
+// s's control planes saw: no datagram found the ring empty and, on a
+// virtual clock, whose CQ sink reposts inside the delivery event, no
+// more than one buffer was ever outstanding. On a real clock the
+// watermark depends on how deliveries overlap on goroutines, so it is
+// only logged.
+func checkCtrlTraffic(t *testing.T, s *Session) {
+	t.Helper()
+	virtual := s.Pair.A.Ctx.Clock().IsVirtual()
+	for side, cp := range []*ControlPlane{s.A.CP, s.B.CP} {
+		hwm, rnr := recvTraffic(cp)
+		if rnr != 0 {
+			t.Errorf("side %c: %d control datagrams found no receive buffer", "AB"[side], rnr)
+		}
+		if virtual && hwm > 1 {
+			t.Errorf("side %c: %d control buffers outstanding at once on a virtual clock, want ≤ 1", "AB"[side], hwm)
+		}
+		if !virtual {
+			t.Logf("side %c: at most %d control buffers outstanding", "AB"[side], hwm)
+		}
+	}
 }
 
 func TestGlobalTimeout(t *testing.T) {

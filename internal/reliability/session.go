@@ -50,19 +50,19 @@ func NewSession(coreCfg core.Config, relCfg Config, ab, ba fabric.Config, oobLat
 // link directions, so ACK/NACK traffic crosses the same impaired path
 // as the data (§4.1).
 func NewSessionOn(pair *core.Pair, relCfg Config) *Session {
-	a, b := NewEndpoints(pair, 0)
+	a, b := NewEndpoints(pair)
 	return NewSessionOver(pair, a, b, relCfg)
 }
 
 // NewEndpoints builds the reliability half of a deployment on pair: per
-// side a detached control plane, with ctrlRecvBufs receive buffers (0 =
-// the default 1024), and the endpoint that owns it — everything that
-// outlives a session: receive slabs, operation scratch, code cache.
+// side a detached control plane, with its posted receive ring, and the
+// endpoint that owns it — everything that outlives a session: receive
+// rings, operation scratch, code cache.
 // NewSessionOver starts a session on them; a pooled deployment keeps
 // them and starts one per lease.
-func NewEndpoints(pair *core.Pair, ctrlRecvBufs int) (a, b *Endpoint) {
+func NewEndpoints(pair *core.Pair) (a, b *Endpoint) {
 	side := func(s *core.Endpoint) *Endpoint {
-		e := &Endpoint{QP: s.QP, CP: newControlPlane(s.Ctx, ctrlRecvBufs)}
+		e := &Endpoint{QP: s.QP, CP: newControlPlane(s.Ctx)}
 		e.lateFn = e.handleLate
 		return e
 	}

@@ -121,6 +121,7 @@ func TestDriveRealClockLeavesBufferAlone(t *testing.T) {
 		if !out.BytesOK() {
 			t.Errorf("%s: BytesOK compared on a real clock", scheme)
 		}
+		checkCtrlTraffic(t, s)
 		s.Close()
 	}
 }

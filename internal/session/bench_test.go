@@ -1,6 +1,7 @@
 package session_test
 
 import (
+	"runtime"
 	"testing"
 
 	"sdrrdma/internal/clock"
@@ -95,5 +96,39 @@ func TestLeasedRebindAllocRatio(t *testing.T) {
 	t.Logf("allocs/session: cold=%.0f leased=%.0f (ratio %.1fx)", cold, leased, cold/leased)
 	if leased*10 > cold {
 		t.Fatalf("leased rebind allocates %.0f/session vs %.0f cold — less than the required 10x reduction", leased, cold)
+	}
+}
+
+// TestDeploymentFootprint pins the live memory of a pooled deployment,
+// the figure that bounds how many concurrent flows one process can
+// host (4096 at 256 KiB each is 1 GiB). It builds 64 virtual-clock
+// deployments of the flow_churn shape — 64 KiB messages, otherwise the
+// churn deployment — and keeps them all leased while it measures.
+func TestDeploymentFootprint(t *testing.T) {
+	const kept, budget = 64, 256 << 10
+	cfg := churnCoreCfg(clock.NewVirtual())
+	cfg.MaxMsgBytes = 64 << 10
+	pool, err := session.NewPool(session.Config{Core: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	live := make([]*session.Deployment, kept)
+	for i := range live {
+		if live[i], err = pool.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / kept
+	runtime.KeepAlive(live)
+	t.Logf("live heap per deployment: %d KiB", per>>10)
+	if per > budget {
+		t.Fatalf("a live deployment holds %d KiB, want ≤ %d KiB", per>>10, budget>>10)
 	}
 }

@@ -226,7 +226,7 @@ func TestPoolRequiresClock(t *testing.T) {
 func TestConcurrentLeaseChurnRaces(t *testing.T) {
 	clk := clock.NewReal()
 	cfg := poolCoreCfg(clk)
-	pool, err := session.NewPool(session.Config{Core: cfg, CtrlRecvBufs: 64})
+	pool, err := session.NewPool(session.Config{Core: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package session implements the elastic session fabric: a pool of
 // fully built reliability deployments — devices, SDR contexts and QPs,
-// control planes with their posted receive slabs — leased to
+// control planes with their posted receive rings — leased to
 // individual flows and reset on release, the way clock.Lanes leases
 // virtual engines to sweep cells.
 //
@@ -15,7 +15,7 @@
 // per lease.
 //
 // Construction is the expensive half: per-channel CQ rings, the
-// root-key retire pass, DPA workers, the control planes' receive slabs,
+// root-key retire pass, DPA workers, the control planes' receive rings,
 // the reliability endpoints with their re-ACK rings and operation
 // scratch. A lease costs what the lease touches — reconnecting the QPs
 // over the deployment's own link and OOB envelopes, re-attaching the
@@ -92,11 +92,6 @@ type Config struct {
 	// with. Core.Clock must be set: the pool's deployments all run on
 	// it, and pooling across clocks would leak state between runs.
 	Core core.Config
-	// CtrlRecvBufs overrides the per-side control-plane receive-buffer
-	// count (0 = the ControlPlane default of 1024). Topologies hosting
-	// hundreds of concurrent deployments size the slab down to keep
-	// memory bounded.
-	CtrlRecvBufs int
 	// Name prefixes pooled device names (diagnostics only; defaults to
 	// "session").
 	Name string
@@ -233,7 +228,7 @@ func (p *Pool) build(idx int) (*Deployment, error) {
 	pair.A.Ctx.SetMRTracking(true)
 	pair.B.Ctx.SetMRTracking(true)
 	d := &Deployment{pool: p, pair: pair}
-	d.epA, d.epB = reliability.NewEndpoints(pair, p.cfg.CtrlRecvBufs)
+	d.epA, d.epB = reliability.NewEndpoints(pair)
 	d.releaseFn = d.release
 	d.quarantineFn = d.quarantineLeased
 	return d, nil
