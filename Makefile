@@ -115,13 +115,12 @@ api-unused:
 
 # Behaviour-preservation check against a parent revision: build
 # sdr-experiments and sdr-perftest from `git archive $(PARENT)` and from
-# this tree, then cmp the four functional figures and every simulated
-# field + digest of the perftest runs (wall-clock columns stripped).
-# Not part of `make ci` — it needs a parent to compare against; the same
-# nine outputs are pinned without one by testdata/identity.txt, which
-# TestIdentityFigures and TestIdentityPerftest check in `go test ./...`.
-IDENTITY_PERF = "-scheme sr" "-scheme sr-nack" "-scheme ec" "-scheme adaptive" \
-	"-scheme adaptive -cross-bps 5e10 -cross-poisson"
+# this tree, then run every command testdata/identity.txt lists on both
+# and cmp the outputs (the perftest reports with their wall-clock
+# columns stripped). Not part of `make ci` — it needs a parent to
+# compare against; the same outputs are pinned without one by the
+# hashes in that file, which TestIdentityFigures and
+# TestIdentityPerftest check in `go test ./...`.
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir $$tmp/parent; \
@@ -131,13 +130,10 @@ identity:
 		$(GO) build -o $$tmp/head-$$c ./cmd/$$c; \
 	done; \
 	strip='s/ +[0-9.]+ ms wall//; s/ +[0-9]+ pkts\/s(\/core)?//g'; \
-	for fig in wan multidc adaptive chaos; do \
-		for side in parent head; do $$tmp/$$side-sdr-experiments -fig $$fig-functional -seed 42 > $$tmp/$$side.out; done; \
-		cmp $$tmp/parent.out $$tmp/head.out; echo "identical: -fig $$fig-functional -seed 42"; \
-	done; \
-	for args in $(IDENTITY_PERF); do \
-		for side in parent head; do $$tmp/$$side-sdr-perftest $$args -drop 0.01 -seed 1 | sed -E "$$strip" > $$tmp/$$side.out; done; \
-		cmp $$tmp/parent.out $$tmp/head.out; echo "identical: sdr-perftest $$args -drop 0.01 -seed 1"; \
+	grep -v '^#' testdata/identity.txt | while read -r _ cmd args; do \
+		filter=; [ $$cmd != sdr-perftest ] || filter="$$strip"; \
+		for side in parent head; do $$tmp/$$side-$$cmd $$args < /dev/null | sed -E "$$filter" > $$tmp/$$side.out; done; \
+		cmp $$tmp/parent.out $$tmp/head.out; echo "identical: $$cmd $$args"; \
 	done
 
 # Thousand-flow smoke: the elastic session fabric must sustain 1000

@@ -1,12 +1,14 @@
 // Command sdr-experiments regenerates the paper's evaluation figures
-// (§5). Each figure prints the same rows/series the paper plots, with
-// the paper's reading of it as a note; README.md records
-// paper-vs-measured for the functional figures.
+// (§5) and their ablations and extensions. Each figure prints the same
+// rows/series the paper plots, with the paper's reading of it as a
+// note. Run without -fig it prints the figure table (id, level, paper
+// figure, title), which README.md's figure section holds verbatim.
 //
 // Usage:
 //
+//	sdr-experiments                    # list the figures
 //	sdr-experiments -fig 3a            # one figure
-//	sdr-experiments -fig all           # everything (slow)
+//	sdr-experiments -fig all           # everything, in paper order (slow)
 //	sdr-experiments -fig 9 -samples 5000 -seed 7
 //	sdr-experiments -fig 14 -duration 2.0
 package main
@@ -17,6 +19,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"text/tabwriter"
 
 	"sdrrdma/internal/experiments"
 	"sdrrdma/internal/telemetry"
@@ -27,9 +30,14 @@ func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 // cli runs the command on args, printing to stdout and stderr, and
 // returns the exit status: 2 for a usage error, 1 for a failed figure.
 func cli(args []string, stdout, stderr io.Writer) int {
+	figures := experiments.List()
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f[0]
+	}
 	flags := flag.NewFlagSet("sdr-experiments", flag.ExitOnError)
 	flags.SetOutput(stderr)
-	fig := flags.String("fig", "", "figure ID ("+strings.Join(experiments.List(), ", ")+") or 'all'")
+	fig := flags.String("fig", "", "figure ID ("+strings.Join(ids, ", ")+") or 'all'")
 	samples := flags.Int("samples", 1000, "stochastic model samples per point")
 	tailSamples := flags.Int("tail-samples", 10000, "samples for p99.9 points")
 	seed := flags.Int64("seed", 42, "deterministic RNG seed")
@@ -37,7 +45,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	clockMode := flags.String("clock", "virtual",
 		"clock for the functional figures (wan-functional, multidc-functional): 'virtual' (deterministic, simulation speed) or 'real' (wall clock)")
 	sweepWorkers := flags.Int("sweep-workers", 0,
-		"virtual sweep lanes for the functional figures: 0 = GOMAXPROCS, 1 = serial; output is byte-identical either way")
+		"sweep lanes for the model figures and the virtual-clock functional figures: 0 = GOMAXPROCS, 1 = serial; output is byte-identical either way")
 	tracePath := flags.String("trace", "",
 		"flight-record the run into this file as Chrome trace-event JSON (open in Perfetto); single figure only")
 	flags.Parse(args)
@@ -49,7 +57,12 @@ func cli(args []string, stdout, stderr io.Writer) int {
 
 	if *fig == "" {
 		fmt.Fprintln(stderr, "usage: sdr-experiments -fig <id|all>")
-		fmt.Fprintln(stderr, "figures:", strings.Join(experiments.List(), ", "))
+		tw := tabwriter.NewWriter(stderr, 0, 0, 2, ' ', 0)
+		fmt.Fprintln(tw, "id\tlevel\tpaper\ttitle")
+		for _, f := range figures {
+			fmt.Fprintln(tw, strings.Join(f, "\t"))
+		}
+		tw.Flush()
 		return 2
 	}
 	if *tracePath != "" && *fig == "all" {
@@ -67,9 +80,8 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	if *tracePath != "" {
 		opts.Trace = telemetry.NewTrace(*fig)
 	}
-	ids := []string{*fig}
-	if *fig == "all" {
-		ids = experiments.List()
+	if *fig != "all" {
+		ids = []string{*fig}
 	}
 	for _, id := range ids {
 		res, err := experiments.Run(id, opts)

@@ -9,34 +9,72 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"sdrrdma/internal/experiments"
 )
 
-// TestIdentityFigures pins the four functional figures byte for byte:
-// the SHA-256 of each one's output at seed 42 must appear in
-// testdata/identity.txt. A change that keeps behaviour passes it with
-// the file untouched; one meant to alter behaviour replaces the lines
-// this test prints and says so.
+// TestIdentityFigures pins every figure whose output is a pure function
+// of its options: each sdr-experiments line of testdata/identity.txt
+// holds the SHA-256 of that command's output, which this test
+// recomputes in process. Every figure of the table has a line except
+// the wall-timed ones, which must have none. A change that keeps
+// behaviour passes it with the file untouched; one meant to alter
+// behaviour replaces the lines this test prints and says so.
 func TestIdentityFigures(t *testing.T) {
 	file, err := os.ReadFile("../../testdata/identity.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded := strings.Split(string(file), "\n")
+	pinned := map[string]bool{}
 	var fresh, changed []string
-	for _, fig := range []string{"wan", "multidc", "adaptive", "chaos"} {
-		args := []string{"-fig", fig + "-functional", "-seed", "42"}
+	for _, line := range strings.Split(string(file), "\n") {
+		fields := strings.Fields(line)
+		if strings.HasPrefix(line, "#") || len(fields) < 2 || fields[1] != "sdr-experiments" {
+			continue
+		}
+		args := fields[2:]
+		i := slices.Index(args, "-fig")
+		if i < 0 || i+1 == len(args) {
+			t.Fatalf("identity line names no figure: %s", line)
+		}
+		pinned[args[i+1]] = true
 		var out bytes.Buffer
 		if code := cli(args, &out, io.Discard); code != 0 {
 			t.Fatalf("%v: exit %d", args, code)
 		}
-		line := fmt.Sprintf("%x  sdr-experiments %s", sha256.Sum256(out.Bytes()), strings.Join(args, " "))
-		fresh = append(fresh, line)
-		if !slices.Contains(recorded, line) {
+		got := fmt.Sprintf("%x  sdr-experiments %s", sha256.Sum256(out.Bytes()), strings.Join(args, " "))
+		fresh = append(fresh, got)
+		if got != line {
 			changed = append(changed, strings.Join(args, " "))
+		}
+	}
+	for _, fig := range experiments.List() {
+		id, wall := fig[0], fig[1] == "wall"
+		if wall && pinned[id] {
+			t.Errorf("figure %s is wall-timed, so testdata/identity.txt cannot pin it", id)
+		}
+		if !wall && !pinned[id] {
+			t.Errorf("figure %s has no line in testdata/identity.txt", id)
 		}
 	}
 	if len(changed) > 0 {
 		t.Errorf("output changed for %s; if that is intended, the sdr-experiments lines of testdata/identity.txt become:\n%s",
 			strings.Join(changed, ", "), strings.Join(fresh, "\n"))
+	}
+}
+
+// TestReadmeFigureListing holds README.md's figure section to the
+// listing sdr-experiments prints without -fig, byte for byte.
+func TestReadmeFigureListing(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listing bytes.Buffer
+	if code := cli(nil, io.Discard, &listing); code != 2 {
+		t.Fatalf("sdr-experiments without -fig: exit %d, want 2", code)
+	}
+	if !bytes.Contains(readme, []byte("```\n$ go run ./cmd/sdr-experiments\n"+listing.String()+"```\n")) {
+		t.Errorf("README.md's figure listing is stale; the block under \"Regenerating the paper's figures\" becomes:\n```\n$ go run ./cmd/sdr-experiments\n%s```", listing.String())
 	}
 }

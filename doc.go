@@ -44,7 +44,7 @@
 // tuned to roughly a tenth of an allocation per packet — see the
 // "Line-rate perftest" README section).
 //
-// See README.md for a tour and the paper-vs-measured tables.
+// See README.md for a tour, including the figure table.
 // Benchmarks in bench_test.go regenerate each figure, and
 // surface_test.go holds the exported surface to the used one: an
 // exported identifier under internal/ needs a product caller in another

@@ -12,10 +12,6 @@ import (
 	"sdrrdma/internal/telemetry"
 )
 
-func init() {
-	registry["adaptive-functional"] = adaptiveFunctional
-}
-
 // adaptiveBandwidthBps is the per-direction line rate of every diamond
 // edge: 2 Gbit/s makes the bandwidth-delay product (2.5 MB at the
 // 10 ms primary RTT) ten adaptation segments deep, so round trips are
@@ -95,9 +91,9 @@ type adaptiveStats struct {
 	trajectory string // adaptive rung trace; "-" for static schemes
 }
 
-func (s adaptiveStats) row(scheme string, idealPkts uint64) []string {
+// row renders every column after the scheme.
+func (s adaptiveStats) row(idealPkts uint64) []string {
 	return []string{
-		scheme,
 		fmt.Sprintf("%.3f", float64(s.completion)/float64(time.Millisecond)),
 		fmt.Sprintf("%d", s.packets),
 		fmt.Sprintf("%.3fx", float64(s.packets)/float64(idealPkts)),
@@ -244,9 +240,7 @@ func runAdaptiveRC(topo *netem.Topology, clk clock.Clock, src, dst, size int, se
 // reroute, and de-escalates in recovery; each static scheme pays its
 // characteristic cost in exactly one regime and the figure shows the
 // adaptive transfer strictly beating all of them on completion time.
-// On the default virtual clock the whole figure is a deterministic
-// function of the seed for any sweep worker count.
-func adaptiveFunctional(o Options) (*Result, error) {
+func adaptiveFunctional(o Options) (sweep, error) {
 	// Segments stay fine-grained (4 chunks = 256 KiB) so the window
 	// covers the 2.5 MB BDP while adaptation lag — plans freeze when a
 	// segment is posted, window segments ahead of the head — stays a
@@ -268,41 +262,36 @@ func adaptiveFunctional(o Options) (*Result, error) {
 	}
 	acfg = acfg.WithDefaults()
 	ser := time.Duration(float64(size) * 8 / adaptiveBandwidthBps * float64(time.Second))
-	res := &Result{
-		Name: "Adaptive functional",
-		Title: fmt.Sprintf("Mid-flight adaptive reliability through a dynamic-fault regime sweep (%s transfers, %s clock)",
-			sizeLabel(int64(size)), o.clockLabel()),
-		Header: []string{"scheme", "completion [ms]", "packets", "overhead", "wire-drop", "down-drop", "marked", "reroutes", "trajectory"},
-		Notes: []string{
-			"diamond topology: 1500 km primary (10 ms RTT) + 2500 km backup, 2 Gbit/s edges, packet-level runs of the real Go stack",
+	schemes := []string{"adaptive", "sr", "sr-nack", "ec", "rc-gbn"}
+	idealPkts := uint64((size + 4095) / 4096)
+	return sweep{
+		labels: labelsOf(schemes, func(s string) string { return s }),
+		title:  fmt.Sprintf(" (%s transfers, %s clock)", sizeLabel(int64(size)), o.clockLabel()),
+		notes: []string{
 			fmt.Sprintf("fault program: clean [0,%v) | GE burst p=0.25/len16 on the long-haul hop [%v,%v) | primary flap + path reroute [%v,%v) with LEO drift on the backup | recovery",
 				ser/4, ser/4, ser*3/5, ser*4/5, ser*23/25),
 			fmt.Sprintf("adaptive: %d-chunk segments, window %d, ladder %s — receiver-driven plans, switches at segment boundaries only",
 				acfg.SegmentChunks, acfg.Window, ladderLabel(acfg.Ladder)),
 			"overhead is injected/ideal data packets; statics pay their characteristic regime cost (sr: RTO stalls, sr-nack: burst retransmit rounds, ec: parity in the clean phases, rc-gbn: go-back-N restarts)",
 		},
-	}
-	schemes := []string{"adaptive", "sr", "sr-nack", "ec", "rc-gbn"}
-	idealPkts := uint64((size + 4095) / 4096)
-	var err error
-	res.Rows, err = sweepRows(o, len(schemes), func(clk clock.Clock, i int) ([]string, error) {
-		var rec *telemetry.Recorder
-		if o.Trace != nil {
-			rec = o.Trace.Cell(i)
-		}
-		st, err := runAdaptiveScenario(multidcClock(o, clk), schemes[i], size, acfg, clock.CellSeed(o.Seed, i), rec)
-		if err != nil {
-			return nil, fmt.Errorf("adaptive-functional %s: %w", schemes[i], err)
-		}
-		return st.row(schemes[i], idealPkts), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if o.Trace != nil {
-		res.Notes = append(res.Notes, adaptiveTimeline(o.Trace.Cell(0), acfg)...)
-	}
-	return res, nil
+		cell: func(clk clock.Clock, r, _ int) ([]string, error) {
+			var rec *telemetry.Recorder
+			if o.Trace != nil {
+				rec = o.Trace.Cell(r)
+			}
+			st, err := runAdaptiveScenario(multidcClock(o, clk), schemes[r], size, acfg, clock.CellSeed(o.Seed, r), rec)
+			if err != nil {
+				return nil, fmt.Errorf("adaptive-functional %s: %w", schemes[r], err)
+			}
+			return st.row(idealPkts), nil
+		},
+		done: func() []string {
+			if o.Trace == nil {
+				return nil
+			}
+			return adaptiveTimeline(o.Trace.Cell(0), acfg)
+		},
+	}, nil
 }
 
 // adaptiveTimeline renders the adaptive cell's flight record as a

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sdrrdma/internal/chaos"
+	"sdrrdma/internal/clock"
 )
-
-func init() {
-	registry["chaos-functional"] = chaosFunctional
-}
 
 // chaosFunctional is the survivability figure of the robustness suite:
 // it runs the deterministic chaos corpus (internal/chaos) — composed
@@ -19,81 +17,72 @@ func init() {
 // how transfers ended: byte-verified completion, typed timeout /
 // abort / dead-peer errors, quarantined leases, pool reuses, and
 // invariant violations (always zero on a healthy build; a non-zero
-// count prints the triggering fault programs in the notes).
-func chaosFunctional(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+// count prints the triggering fault programs in the notes). The corpus
+// runs on chaos's own workers before the cells, which only format it.
+func chaosFunctional(o Options) (sweep, error) {
 	const scenarios = 100
-	rep := chaos.Run(uint64(opts.Seed), scenarios, opts.SweepWorkers)
+	rep := chaos.Run(uint64(o.Seed), scenarios, o.SweepWorkers)
 
-	type row struct {
+	type tally struct {
 		n, ok, timeout, aborted, peerDead, untyped int
 		reused, quarantined                        int
 		violations                                 int
 	}
-	per := map[string]*row{}
-	for _, s := range chaos.Schemes {
-		per[s] = &row{}
-	}
-	count := func(r *row, class string) {
-		switch {
-		case class == "ok":
-			r.ok++
-		case class == "timeout":
-			r.timeout++
-		case class == "aborted":
-			r.aborted++
-		case class == "peer-dead":
-			r.peerDead++
-		default:
-			r.untyped++
-		}
-	}
-	for _, o := range rep.Outcomes {
-		r := per[o.Program.Scheme]
-		if r == nil {
+	per := make([]tally, len(chaos.Schemes))
+	for _, out := range rep.Outcomes {
+		i := slices.Index(chaos.Schemes, out.Program.Scheme)
+		if i < 0 {
 			continue
 		}
-		r.n++
+		t := &per[i]
+		t.n++
 		// A transfer survives iff both sides completed; otherwise the
 		// sender's classification names the failure (falling back to
 		// the receiver's when the sender finished clean).
-		class := o.Send
+		class := out.Send
 		if class == "ok" {
-			class = o.Recv
+			class = out.Recv
 		}
-		count(r, class)
-		switch o.FollowUp {
+		switch class {
+		case "ok":
+			t.ok++
+		case "timeout":
+			t.timeout++
+		case "aborted":
+			t.aborted++
+		case "peer-dead":
+			t.peerDead++
+		default:
+			t.untyped++
+		}
+		switch out.FollowUp {
 		case "ok-reused":
-			r.reused++
+			t.reused++
 		case "ok-cold":
-			r.quarantined++
+			t.quarantined++
 		}
-		r.violations += len(o.Violations)
+		t.violations += len(out.Violations)
 	}
 
-	res := &Result{
-		Name:  "chaos-functional",
-		Title: fmt.Sprintf("failure-semantics survivability, %d fault programs (seed %d)", scenarios, opts.Seed),
-		Header: []string{"scheme", "scenarios", "completed", "timeout", "aborted",
-			"peer-dead", "untyped", "reused", "quarantined", "violations"},
-	}
-	for _, s := range chaos.Schemes {
-		r := per[s]
-		res.Rows = append(res.Rows, []string{
-			s, fmt.Sprint(r.n), fmt.Sprint(r.ok), fmt.Sprint(r.timeout),
-			fmt.Sprint(r.aborted), fmt.Sprint(r.peerDead), fmt.Sprint(r.untyped),
-			fmt.Sprint(r.reused), fmt.Sprint(r.quarantined), fmt.Sprint(r.violations),
-		})
-	}
-	res.Notes = append(res.Notes,
-		"every non-completed transfer returned a typed error (ErrTimeout/ErrAborted/ErrPeerDead) within the bound",
-		"reused = lease returned to the session pool and re-leased clean; quarantined = lease retired, cold build verified")
+	var notes []string
 	if n := rep.NumViolations(); n > 0 {
-		res.Notes = append(res.Notes, fmt.Sprintf("%d INVARIANT VIOLATION(S):", n))
-		for _, o := range rep.Counterexamples() {
-			res.Notes = append(res.Notes, fmt.Sprintf("  scenario %d [%s]: %s",
-				o.Index, o.Program, strings.Join(o.Violations, "; ")))
+		notes = append(notes, fmt.Sprintf("%d INVARIANT VIOLATION(S):", n))
+		for _, out := range rep.Counterexamples() {
+			notes = append(notes, fmt.Sprintf("  scenario %d [%s]: %s",
+				out.Index, out.Program, strings.Join(out.Violations, "; ")))
 		}
 	}
-	return res, nil
+	return sweep{
+		labels: labelsOf(chaos.Schemes, func(s string) string { return s }),
+		title:  fmt.Sprintf(", %d fault programs (seed %d)", scenarios, o.Seed),
+		notes:  notes,
+		cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+			t := per[r]
+			return []string{
+				fmt.Sprint(t.n), fmt.Sprint(t.ok), fmt.Sprint(t.timeout),
+				fmt.Sprint(t.aborted), fmt.Sprint(t.peerDead), fmt.Sprint(t.untyped),
+				fmt.Sprint(t.reused), fmt.Sprint(t.quarantined), fmt.Sprint(t.violations),
+			}, nil
+		},
+	}, nil
 }

@@ -47,8 +47,8 @@ func TestAllFiguresProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("functional figures are slow in -short mode")
 	}
-	for _, id := range List() {
-		id := id
+	for _, fig := range List() {
+		id := fig[0]
 		t.Run("fig"+id, func(t *testing.T) { runFig(t, id) })
 	}
 }
@@ -174,7 +174,7 @@ func TestWANFunctionalDeterministic(t *testing.T) {
 }
 
 // The same scenarios must also run to completion on the real clock
-// (the wall-clock before/after path the README quotes).
+// (the wall-clock path -clock real runs).
 func TestWANFunctionalRealClock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-clock WAN figures wait out genuine RTTs")

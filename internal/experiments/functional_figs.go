@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"sdrrdma/internal/clock"
@@ -16,10 +16,6 @@ import (
 	"sdrrdma/internal/session"
 	"sdrrdma/internal/wan"
 )
-
-func init() {
-	registry["wan-functional"] = wanFunctional
-}
 
 // measureEncodeGbps measures one-core encode throughput of code over a
 // 32-shard submessage of chunkBytes chunks, in Gbit/s of data encoded.
@@ -278,66 +274,6 @@ func wanPattern(n int, seed byte) []byte {
 	return data
 }
 
-// runSweep executes n independent scenario cells. On the default
-// virtual path the cells fan across clock.Lanes — every cell is a
-// self-contained deterministic simulation on a pooled engine, so the
-// figure is byte-identical for any worker count (Options.SweepWorkers)
-// and any GOMAXPROCS. The real-clock path stays serial: wall-clock
-// scenarios on one shared machine would contend for CPU and distort
-// each other's timings.
-func runSweep(o Options, n int, cell func(clk clock.Clock, i int)) {
-	if o.RealClock {
-		for i := 0; i < n; i++ {
-			if o.Trace != nil {
-				o.Trace.CellStart(i, clock.NowNanos(clock.Realtime()))
-			}
-			cell(clock.Realtime(), i)
-			if o.Trace != nil {
-				o.Trace.CellFinish(i, clock.NowNanos(clock.Realtime()))
-			}
-		}
-		return
-	}
-	l := clock.Lanes{Workers: o.SweepWorkers}
-	if o.Trace != nil {
-		l.Probe = o.Trace
-	}
-	l.Run(n, func(v *clock.Virtual, i int) {
-		if o.Trace != nil {
-			// The cell's recorder rides the engine for the cell's
-			// lifetime: protocol actors are attributed by name, and the
-			// all-blocked deadlock report dumps each actor's last events.
-			rec := o.Trace.Cell(i)
-			rec.SetActorSource(v.CurrentActorName)
-			v.SetEventLog(rec)
-		}
-		cell(v, i)
-	})
-}
-
-// sweepRows runs n cells through runSweep and collects one table row
-// per cell. It fails fast: cells that start after a failure are
-// skipped, and the error returned is the lowest-numbered failed cell's.
-func sweepRows(o Options, n int, cell func(clk clock.Clock, i int) ([]string, error)) ([][]string, error) {
-	rows := make([][]string, n)
-	errs := make([]error, n)
-	var failed atomic.Bool
-	runSweep(o, n, func(clk clock.Clock, i int) {
-		if failed.Load() {
-			return
-		}
-		if rows[i], errs[i] = cell(clk, i); errs[i] != nil {
-			failed.Store(true)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
 // wanCoreCfg is the WAN deployment shape every wan-functional cell
 // shares (the pool key: one deployment build serves the whole sweep).
 func wanCoreCfg(clk clock.Clock) core.Config {
@@ -442,20 +378,8 @@ func runRCWrite(clk clock.Clock, rc *nicsim.RCPair, devB *nicsim.Device, size in
 // wanFunctional runs the §5.1-style WAN scenarios on the real
 // functional stack instead of the model: SR RTO, SR NACK, EC and the
 // RC Go-Back-N baseline at the paper's 25 ms RTT and 400 Gbit/s, each
-// as an actual packet-level transfer with DMA into real buffers. On
-// the default virtual clock the whole sweep is deterministic for a
-// fixed seed and finishes in milliseconds of wall time; Options.
-// RealClock runs the identical scenarios against the wall clock (the
-// before/after the README quotes).
-func wanFunctional(o Options) (*Result, error) {
-	res := &Result{
-		Name:   "WAN functional", // Title set below, after quick-mode sizing
-		Header: []string{"scheme", "P_drop", "completion [ms]", "packets", "overhead"},
-		Notes: []string{
-			"packet-level runs of the real Go stack (DMA into user buffers) — not the closed-form model",
-			"completion is sender-side; overhead is injected/ideal data packets (EC ideal includes parity)",
-		},
-	}
+// as an actual packet-level transfer with DMA into real buffers.
+func wanFunctional(o Options) (sweep, error) {
 	// Full fidelity (cmd/sdr-experiments default): 8 MiB transfers,
 	// loss up to the 1e-2 red region. Quick mode (tests, benches with
 	// Samples < 500) shrinks the message and the sweep.
@@ -473,19 +397,15 @@ func wanFunctional(o Options) (*Result, error) {
 		// keep the wall-clock baseline run to the civilized loss rates.
 		rcDrops = []float64{0, 1e-4}
 	}
-	res.Title = fmt.Sprintf("Functional SDR stack at 25 ms RTT, 400 Gbit/s, %s transfers (%s clock)",
-		sizeLabel(int64(size)), o.clockLabel())
-	res.Notes = append(res.Notes, fmt.Sprintf(
-		"rc-gbn runs windowed (%d outstanding packets + one GBN restart per loss event, the ASIC pacing behaviour) — without it the P>=1e-2 red region injects tens of millions of packets (the §2.2 pathology; protosim's gbn figure sweeps the unwindowed variant in the chunk-level DES); sweep capped at P=%.0e",
-		wanRCWindow, rcDrops[len(rcDrops)-1]))
-	// Flatten the (scheme, drop) grid into independent sweep cells;
-	// each cell draws its seed with the splitmix64 mix, so the figure
-	// does not depend on which lane (or how many) computes it.
+	// One cell per (scheme, drop); each cell draws its seed with the
+	// splitmix64 mix, so the figure does not depend on which lane (or
+	// how many) computes it.
 	type wanCell struct {
 		scheme string
 		drop   float64
 	}
 	var cells []wanCell
+	var labels [][]string
 	for _, scheme := range []string{"sr", "sr-nack", "ec", "rc-gbn"} {
 		schemeDrops := drops
 		if scheme == "rc-gbn" {
@@ -493,6 +413,7 @@ func wanFunctional(o Options) (*Result, error) {
 		}
 		for _, drop := range schemeDrops {
 			cells = append(cells, wanCell{scheme: scheme, drop: drop})
+			labels = append(labels, []string{scheme, pLabel(drop)})
 		}
 	}
 	// One session pool serves every SDR cell of the sweep: deployments
@@ -509,178 +430,127 @@ func wanFunctional(o Options) (*Result, error) {
 		Core: wanCoreCfg(template), Name: "wan-functional",
 	})
 	if err != nil {
-		return nil, err
+		return sweep{}, err
 	}
-	defer pool.Close()
 	idealData := uint64((size + 4095) / 4096)
-	res.Rows, err = sweepRows(o, len(cells), func(clk clock.Clock, i int) ([]string, error) {
-		c := cells[i]
-		seed := clock.CellSeed(o.Seed, i)
-		var r wanResult
-		var err error
-		if c.scheme == "rc-gbn" {
-			r, err = runWANRC(clk, c.drop, size, seed)
-		} else {
-			r, err = runWANReliability(pool, clk, c.scheme, c.drop, size, seed)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wan-functional %s @%g: %w", c.scheme, c.drop, err)
-		}
-		ideal := idealData
-		if c.scheme == "ec" {
-			ideal = idealData + idealData/4 // + m/k = 8/32 parity
-		}
-		return []string{
-			c.scheme,
-			fmt.Sprintf("%.0e", c.drop),
-			fmt.Sprintf("%.3f", float64(r.completion)/float64(time.Millisecond)),
-			fmt.Sprintf("%d", r.packets),
-			fmt.Sprintf("%.3fx", float64(r.packets)/float64(ideal)),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return sweep{
+		labels: labels,
+		title:  fmt.Sprintf(", %s transfers (%s clock)", sizeLabel(int64(size)), o.clockLabel()),
+		notes: []string{fmt.Sprintf(
+			"rc-gbn runs windowed (%d outstanding packets + one GBN restart per loss event, the ASIC pacing behaviour) — without it the P>=1e-2 red region injects tens of millions of packets (the §2.2 pathology; protosim's gbn figure sweeps the unwindowed variant in the chunk-level DES); sweep capped at P=%.0e",
+			wanRCWindow, rcDrops[len(rcDrops)-1])},
+		done: func() []string { pool.Close(); return nil },
+		cell: func(clk clock.Clock, r, _ int) ([]string, error) {
+			c := cells[r]
+			seed := clock.CellSeed(o.Seed, r)
+			var res wanResult
+			var err error
+			if c.scheme == "rc-gbn" {
+				res, err = runWANRC(clk, c.drop, size, seed)
+			} else {
+				res, err = runWANReliability(pool, clk, c.scheme, c.drop, size, seed)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("wan-functional %s @%g: %w", c.scheme, c.drop, err)
+			}
+			ideal := idealData
+			if c.scheme == "ec" {
+				ideal = idealData + idealData/4 // + m/k = 8/32 parity
+			}
+			return []string{
+				fmt.Sprintf("%.3f", float64(res.completion)/float64(time.Millisecond)),
+				fmt.Sprintf("%d", res.packets),
+				fmt.Sprintf("%.3fx", float64(res.packets)/float64(ideal)),
+			}, nil
+		},
+	}, nil
 }
 
 // fig14: SDR throughput vs message size (16 in-flight Writes, 64 KiB
 // chunks) against the RC baseline, plus DPA-worker scaling.
-func fig14(o Options) (*Result, error) {
-	res := &Result{
-		Name:   "Fig 14",
-		Title:  "SDR throughput (16 in-flight, 64 KiB chunks) and worker scaling",
-		Header: []string{"config", "Gbit/s", "Mpkts/s", "msgs"},
-		Notes: []string{
-			fmt.Sprintf("functional Go pipeline on %d CPUs — shapes comparable, absolute rates are not 400G silicon", runtime.NumCPU()),
-			"paper: SDR saturates 400G from 512 KiB; smaller messages lose to receive-repost overhead; RC Writes lead below 512 KiB",
-		},
-	}
+func fig14(o Options) (sweep, error) {
 	cfgFor := func(channels int) core.Config {
 		return core.Config{
 			MTU: 4096, ChunkBytes: 64 << 10, MaxMsgBytes: 16 << 20,
 			Generations: 1, Channels: channels, CQDepth: 1 << 14,
 		}
 	}
+	var labels [][]string
+	var runs []func() (throughputResult, error)
+	add := func(label string, seconds float64, run func(msgs int) (throughputResult, error)) {
+		labels = append(labels, []string{label})
+		runs = append(runs, func() (throughputResult, error) { return measure(run, seconds) })
+	}
 	// Left panel: message-size sweep at 16 workers.
 	for _, size := range []int{64 << 10, 256 << 10, 1 << 20, 4 << 20} {
-		run := func(msgs int) (throughputResult, error) {
+		add("SDR "+sizeLabel(int64(size)), o.DurationSec, func(msgs int) (throughputResult, error) {
 			return runThroughput(cfgFor(16), size, msgs, 16, 2)
-		}
-		r, err := measure(run, o.DurationSec)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, []string{
-			"SDR " + sizeLabel(int64(size)),
-			fmt.Sprintf("%.2f", r.gbps()), fmt.Sprintf("%.3f", r.mpps()),
-			fmt.Sprintf("%d", r.msgs),
 		})
 	}
 	// RC baseline at a small and a large size.
 	for _, size := range []int{64 << 10, 4 << 20} {
-		run := func(msgs int) (throughputResult, error) {
+		add("RC "+sizeLabel(int64(size)), o.DurationSec, func(msgs int) (throughputResult, error) {
 			return runRCBaseline(4096, size, msgs, 16)
-		}
-		r, err := measure(run, o.DurationSec)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, []string{
-			"RC " + sizeLabel(int64(size)),
-			fmt.Sprintf("%.2f", r.gbps()), fmt.Sprintf("%.3f", r.mpps()),
-			fmt.Sprintf("%d", r.msgs),
 		})
 	}
 	// Right panel: worker scaling at 4 MiB messages.
 	for _, workers := range []int{1, 2, 4, 8, 16} {
-		run := func(msgs int) (throughputResult, error) {
+		add(fmt.Sprintf("SDR 4 MiB, %d workers", workers), o.DurationSec/2, func(msgs int) (throughputResult, error) {
 			return runThroughput(cfgFor(workers), 4<<20, msgs, 8, 2)
-		}
-		r, err := measure(run, o.DurationSec/2)
+		})
+	}
+	return sweep{labels: labels, cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+		res, err := runs[r]()
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("SDR 4 MiB, %d workers", workers),
-			fmt.Sprintf("%.2f", r.gbps()), fmt.Sprintf("%.3f", r.mpps()),
-			fmt.Sprintf("%d", r.msgs),
-		})
-	}
-	return res, nil
+		return []string{fmt.Sprintf("%.2f", res.gbps()), fmt.Sprintf("%.3f", res.mpps()), fmt.Sprintf("%d", res.msgs)}, nil
+	}}, nil
 }
 
 // fig15: packet rate vs bitmap chunk size with 64-byte transport
 // writes (per-packet DPA load is payload-independent), annotated with
 // the theoretical chunk drop probability at P_drop = 1e-5.
-func fig15(o Options) (*Result, error) {
-	res := &Result{
-		Name:   "Fig 15",
-		Title:  "Packet rate vs bitmap chunk size (64 B writes, 16 workers)",
-		Header: []string{"chunk [MTUs]", "Mpkts/s", "P_chunk@1e-5"},
-		Notes: []string{
-			fmt.Sprintf("functional Go pipeline on %d CPUs", runtime.NumCPU()),
-			"paper: rate is flat across chunk sizes (workers process completions, not payloads) while P_chunk grows as 1-(1-p)^N — the bitmap resolution is free at line rate",
-		},
-	}
+func fig15(o Options) (sweep, error) {
 	const pktsPerMsg = 2048
-	for _, chunkPkts := range []int{1, 2, 4, 8, 16, 32, 64} {
+	chunks := []int{1, 2, 4, 8, 16, 32, 64}
+	return sweep{labels: labelsOf(chunks, strconv.Itoa), cell: func(_ clock.Clock, r, _ int) ([]string, error) {
 		cfg := core.Config{
-			MTU: 64, ChunkBytes: 64 * chunkPkts, MaxMsgBytes: 64 * pktsPerMsg,
+			MTU: 64, ChunkBytes: 64 * chunks[r], MaxMsgBytes: 64 * pktsPerMsg,
 			Generations: 1, Channels: 16, CQDepth: 1 << 14,
 		}
-		run := func(msgs int) (throughputResult, error) {
+		res, err := measure(func(msgs int) (throughputResult, error) {
 			return runThroughput(cfg, 64*pktsPerMsg, msgs, 16, 2)
-		}
-		r, err := measure(run, o.DurationSec/2)
+		}, o.DurationSec/2)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", chunkPkts),
-			fmt.Sprintf("%.3f", r.mpps()),
-			fmt.Sprintf("%.1e", wan.ChunkDropProb(1e-5, chunkPkts)),
-		})
-	}
-	return res, nil
+		return []string{fmt.Sprintf("%.3f", res.mpps()), fmt.Sprintf("%.1e", wan.ChunkDropProb(1e-5, chunks[r]))}, nil
+	}}, nil
 }
 
 // fig16: packet-rate scaling vs receive worker count with 64-byte
 // writes, against the paper's next-generation line-rate requirements
 // (4 KiB MTU: 400G≈12, 800G≈24, 1600G≈49, 3200G≈98 Mpkts/s).
-func fig16(o Options) (*Result, error) {
-	res := &Result{
-		Name:   "Fig 16",
-		Title:  "Packet rate vs receive DPA workers (64 B writes)",
-		Header: []string{"workers", "Mpkts/s", "scaling vs 1 worker"},
-		Notes: []string{
-			fmt.Sprintf("functional Go pipeline on %d CPUs — scaling saturates at the host core count; BlueField-3 has 256 DPA threads", runtime.NumCPU()),
-			"paper line-rate targets at 4 KiB MTU: 400G=12, 800G=24, 1600G=49, 3200G=98 Mpkts/s; DPA scales near-linearly 4→128 threads",
-		},
-	}
+func fig16(o Options) (sweep, error) {
 	const pktsPerMsg = 2048
-	var base float64
-	for _, workers := range []int{1, 2, 4, 8, 16, 32} {
+	workers := []int{1, 2, 4, 8, 16, 32}
+	var base float64 // the first row's rate: wall cells run in row order
+	return sweep{labels: labelsOf(workers, strconv.Itoa), cell: func(_ clock.Clock, r, _ int) ([]string, error) {
 		cfg := core.Config{
 			MTU: 64, ChunkBytes: 64 * 16, MaxMsgBytes: 64 * pktsPerMsg,
-			Generations: 1, Channels: workers, CQDepth: 1 << 14,
+			Generations: 1, Channels: workers[r], CQDepth: 1 << 14,
 		}
-		run := func(msgs int) (throughputResult, error) {
+		res, err := measure(func(msgs int) (throughputResult, error) {
 			return runThroughput(cfg, 64*pktsPerMsg, msgs, 16, 4)
-		}
-		r, err := measure(run, o.DurationSec/2)
+		}, o.DurationSec/2)
 		if err != nil {
 			return nil, err
 		}
-		mpps := r.mpps()
+		mpps := res.mpps()
 		if base == 0 {
 			base = mpps
 		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", workers),
-			fmt.Sprintf("%.3f", mpps),
-			fmt.Sprintf("%.2fx", mpps/base),
-		})
-	}
-	return res, nil
+		return []string{fmt.Sprintf("%.3f", mpps), fmt.Sprintf("%.2fx", mpps/base)}, nil
+	}}, nil
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"sdrrdma/internal/clock"
 	"sdrrdma/internal/collective"
 	"sdrrdma/internal/ec"
-	"sdrrdma/internal/gf256"
 	"sdrrdma/internal/model"
 	"sdrrdma/internal/stats"
 	"sdrrdma/internal/wan"
@@ -26,31 +26,22 @@ func paperChannel(pdrop float64) wan.Params {
 }
 
 // fig2 reproduces the Lugano–Lausanne iperf3 UDP campaign: per-payload
-// drop-rate distribution over 200 trials (§2.1, Fig 2).
-func fig2(o Options) (*Result, error) {
-	rng := rand.New(rand.NewSource(o.Seed))
-	campaign := wan.DefaultISPCampaign()
+// drop-rate distribution over 200 trials (§2.1, Fig 2). The campaign
+// draws every payload from one generator, so it runs before the cells,
+// which only read its percentiles.
+func fig2(o Options) (sweep, error) {
 	payloads := []int{1024, 2048, 4096, 8192}
-	res := &Result{
-		Name:   "Fig 2",
-		Title:  "UDP payload drop rate between two DC sites (200 trials/size)",
-		Header: []string{"payload", "p5", "p25", "median", "p75", "p95", "max"},
-		Notes: []string{
-			"paper: 1 KiB spans ~1e-4..1e-2; 8 KiB spans ~1e-3..>1e-1; spread ≈3 orders of magnitude",
-			"substitution: congested-ISP trial model (see README.md, \"Fig 2: the congested-ISP trial model\")",
+	results := wan.DefaultISPCampaign().RunCampaign(rand.New(rand.NewSource(o.Seed)), payloads, 200)
+	return sweep{
+		labels: labelsOf(payloads, func(p int) string { return sizeLabel(int64(p)) }),
+		cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+			var pcs []string
+			for _, q := range []float64{5, 25, 50, 75, 95, 100} {
+				pcs = append(pcs, fmt.Sprintf("%.2e", stats.PercentileUnsorted(results[payloads[r]], q)))
+			}
+			return pcs, nil
 		},
-	}
-	results := campaign.RunCampaign(rng, payloads, 200)
-	for _, p := range payloads {
-		samples := results[p]
-		pc := func(q float64) string {
-			return fmt.Sprintf("%.2e", stats.PercentileUnsorted(samples, q))
-		}
-		res.Rows = append(res.Rows, []string{
-			sizeLabel(int64(p)), pc(5), pc(25), pc(50), pc(75), pc(95), pc(100),
-		})
-	}
-	return res, nil
+	}, nil
 }
 
 // meanSlowdown runs the stochastic model and normalizes by the
@@ -59,387 +50,203 @@ func meanSlowdown(s model.Scheme, ch wan.Params, size int64, n int, seed int64) 
 	return stats.Mean(model.Sample(s, size, n, seed)) / model.LosslessTime(ch, size)
 }
 
-// fig3a: mean slowdown vs Write size at P=1e-5, 25 ms RTT, 400 Gbit/s.
-func fig3a(o Options) (*Result, error) {
-	ch := paperChannel(1e-5)
-	sr := model.NewSRRTO(ch)
-	mds := model.NewMDS(ch)
-	res := &Result{
-		Name:   "Fig 3a",
-		Title:  "Mean slowdown vs Write size (P=1e-5, 3750 km, 400 Gbit/s)",
-		Header: []string{"write size", "SR RTO(3 RTT)", "MDS EC(32,8)"},
-		Notes: []string{
-			"paper: SR peaks ~2.5x near the size where one drop is likely (~1/P packets); EC stays near its 1.25x parity floor; SR wins above ~32 GiB",
-		},
+// srVsMDS is the mean slowdown of SR RTO and of MDS EC(32,8) on ch, each
+// sampled from its own seed and rendered with format.
+func srVsMDS(ch wan.Params, size int64, n int, srSeed, ecSeed int64, format string) []string {
+	return []string{
+		fmt.Sprintf(format, meanSlowdown(model.NewSRRTO(ch), ch, size, n, srSeed)),
+		fmt.Sprintf(format, meanSlowdown(model.NewMDS(ch), ch, size, n, ecSeed)),
 	}
+}
+
+// fig3a: mean slowdown vs Write size at P=1e-5, 25 ms RTT, 400 Gbit/s.
+func fig3a(o Options) (sweep, error) {
 	sizes := []int64{128 << 10, 2 << 20, 32 << 20, 128 << 20, 512 << 20, 2 << 30, 8 << 30, 32 << 30, 128 << 30, 2 << 40}
-	res.Rows = make([][]string, len(sizes))
-	parallelFor(len(sizes), func(i int) {
-		size := sizes[i]
-		res.Rows[i] = []string{
-			sizeLabel(size),
-			fmt.Sprintf("%.2f", meanSlowdown(sr, ch, size, o.Samples, o.Seed)),
-			fmt.Sprintf("%.2f", meanSlowdown(mds, ch, size, o.Samples, o.Seed+1)),
-		}
-	})
-	return res, nil
+	return sweep{labels: labelsOf(sizes, sizeLabel), cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+		return srVsMDS(paperChannel(1e-5), sizes[r], o.Samples, o.Seed, o.Seed+1, "%.2f"), nil
+	}}, nil
 }
 
 // fig3b: mean slowdown vs one-way distance for an 8 GiB Write, P=1e-5.
-func fig3b(o Options) (*Result, error) {
-	res := &Result{
-		Name:   "Fig 3b",
-		Title:  "Mean slowdown vs one-way distance (8 GiB, P=1e-5, 400 Gbit/s)",
-		Header: []string{"distance", "RTT", "SR RTO(3 RTT)", "MDS EC(32,8)"},
-		Notes: []string{
-			"paper: SR wins while the message is 'large' vs BDP; EC overtakes as distance grows and the RTT penalty of retransmission is exposed",
-		},
-	}
-	const size = 8 << 30
+func fig3b(o Options) (sweep, error) {
 	kms := []float64{75, 750, 1500, 3000, 4500, 6000}
-	res.Rows = make([][]string, len(kms))
-	parallelFor(len(kms), func(i int) {
-		km := kms[i]
+	channel := func(km float64) wan.Params {
 		ch := paperChannel(1e-5)
 		ch.DistanceKm = km
-		sr := model.NewSRRTO(ch)
-		mds := model.NewMDS(ch)
-		res.Rows[i] = []string{
-			fmt.Sprintf("%.0f km", km),
-			fmt.Sprintf("%.1f ms", ch.RTT()*1e3),
-			fmt.Sprintf("%.3f", meanSlowdown(sr, ch, size, o.Samples, o.Seed)),
-			fmt.Sprintf("%.3f", meanSlowdown(mds, ch, size, o.Samples, o.Seed+1)),
-		}
-	})
-	return res, nil
+		return ch
+	}
+	var labels [][]string
+	for _, km := range kms {
+		labels = append(labels, []string{fmt.Sprintf("%.0f km", km), fmt.Sprintf("%.1f ms", channel(km).RTT()*1e3)})
+	}
+	return sweep{labels: labels, cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+		return srVsMDS(channel(kms[r]), 8<<30, o.Samples, o.Seed, o.Seed+1, "%.3f"), nil
+	}}, nil
 }
 
 // fig3c: mean slowdown vs drop rate for a 128 MiB Write at 3750 km.
-func fig3c(o Options) (*Result, error) {
-	res := &Result{
-		Name:   "Fig 3c",
-		Title:  "Mean slowdown vs drop rate (128 MiB, 3750 km, 400 Gbit/s)",
-		Header: []string{"P_drop", "SR RTO(3 RTT)", "MDS EC(32,8)"},
-		Notes: []string{
-			"paper: SR climbs from ~3x to ~10x as packets need multiple retransmission rounds (+1/+2/+3 RTO); EC stays near 1.25x until parity is overwhelmed",
-		},
-	}
-	const size = 128 << 20
+func fig3c(o Options) (sweep, error) {
 	drops := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2}
-	res.Rows = make([][]string, len(drops))
-	parallelFor(len(drops), func(i int) {
-		p := drops[i]
-		ch := paperChannel(p)
-		res.Rows[i] = []string{
-			fmt.Sprintf("%.0e", p),
-			fmt.Sprintf("%.2f", meanSlowdown(model.NewSRRTO(ch), ch, size, o.Samples, o.Seed)),
-			fmt.Sprintf("%.2f", meanSlowdown(model.NewMDS(ch), ch, size, o.Samples, o.Seed+1)),
-		}
-	})
-	return res, nil
+	return sweep{labels: labelsOf(drops, pLabel), cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+		return srVsMDS(paperChannel(drops[r]), 128<<20, o.Samples, o.Seed, o.Seed+1, "%.2f"), nil
+	}}, nil
 }
 
-// fig9: EC-over-SR mean speedup heatmap, message size × drop rate.
-func fig9(o Options) (*Result, error) {
+// fig9: EC-over-SR mean speedup heatmap, message size × drop rate; one
+// cell per heatmap square.
+func fig9(o Options) (sweep, error) {
 	drops := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 	sizes := []int64{8 << 30, 1 << 30, 128 << 20, 16 << 20, 2 << 20, 256 << 10, 32 << 10}
-	header := []string{"size \\ P_drop"}
-	for _, p := range drops {
-		header = append(header, fmt.Sprintf("%.0e", p))
-	}
-	res := &Result{
-		Name:   "Fig 9",
-		Title:  "EC(32,8) speedup over SR RTO (400 Gbit/s, 25 ms RTT); >1 = EC wins",
-		Header: header,
-		Notes: []string{
-			"paper: red region (EC wins) spans ~128 KiB–1 GiB × 1e-6–1e-2; SR wins for multi-GiB messages at low drop; both ≈equal for tiny messages",
-		},
-	}
-	res.Rows = make([][]string, len(sizes))
-	for r, size := range sizes {
-		res.Rows[r] = make([]string, 1+len(drops))
-		res.Rows[r][0] = sizeLabel(size)
-	}
-	// one unit per heatmap cell: size × drop rate
-	parallelFor(len(sizes)*len(drops), func(cell int) {
-		r, i := cell/len(drops), cell%len(drops)
-		size, p := sizes[r], drops[i]
-		ch := paperChannel(p)
-		sr := stats.Mean(model.Sample(model.NewSRRTO(ch), size, o.Samples, o.Seed+int64(i)))
-		ecT := stats.Mean(model.Sample(model.NewMDS(ch), size, o.Samples, o.Seed+100+int64(i)))
-		res.Rows[r][1+i] = fmt.Sprintf("%.2f", sr/ecT)
-	})
-	return res, nil
+	return sweep{labels: labelsOf(sizes, sizeLabel), cols: len(drops), cell: func(_ clock.Clock, r, c int) ([]string, error) {
+		ch := paperChannel(drops[c])
+		sr := stats.Mean(model.Sample(model.NewSRRTO(ch), sizes[r], o.Samples, o.Seed+int64(c)))
+		ecT := stats.Mean(model.Sample(model.NewMDS(ch), sizes[r], o.Samples, o.Seed+100+int64(c)))
+		return []string{fmt.Sprintf("%.2f", sr/ecT)}, nil
+	}}, nil
 }
 
-// fig10a: mean and p99.9 completion vs Write size at P=1e-5.
-func fig10a(o Options) (*Result, error) {
+// fig10a: mean and p99.9 completion vs Write size at P=1e-5; one cell
+// per size and scheme.
+func fig10a(o Options) (sweep, error) {
 	ch := paperChannel(1e-5)
 	schemes := []model.Scheme{model.NewSRRTO(ch), model.NewSRNACK(ch), model.NewMDS(ch)}
-	header := []string{"write size"}
-	for _, s := range schemes {
-		header = append(header, s.Name()+" mean [ms]", s.Name()+" p99.9 [ms]")
-	}
-	res := &Result{
-		Name:   "Fig 10a",
-		Title:  "Completion time vs Write size (P=1e-5)",
-		Header: header,
-		Notes: []string{
-			"paper: SR's RTO is fully exposed below the BDP; NACK recovers ~4x of the gap; EC tracks the lossless baseline + parity",
-		},
-	}
 	sizes := []int64{8 << 20, 32 << 20, 128 << 20, 512 << 20, 2 << 30, 8 << 30}
-	res.Rows = make([][]string, len(sizes))
-	for r, size := range sizes {
-		res.Rows[r] = make([]string, 1+2*len(schemes))
-		res.Rows[r][0] = sizeLabel(size)
-	}
-	parallelFor(len(sizes)*len(schemes), func(cell int) {
-		r, i := cell/len(schemes), cell%len(schemes)
-		sum := stats.Summarize(model.Sample(schemes[i], sizes[r], o.TailSamples, o.Seed+int64(i)))
-		res.Rows[r][1+2*i] = fmt.Sprintf("%.2f", sum.Mean*1e3)
-		res.Rows[r][2+2*i] = fmt.Sprintf("%.2f", sum.P999*1e3)
-	})
-	return res, nil
+	return sweep{labels: labelsOf(sizes, sizeLabel), cols: len(schemes), cell: func(_ clock.Clock, r, c int) ([]string, error) {
+		sum := stats.Summarize(model.Sample(schemes[c], sizes[r], o.TailSamples, o.Seed+int64(c)))
+		return []string{fmt.Sprintf("%.2f", sum.Mean*1e3), fmt.Sprintf("%.2f", sum.P999*1e3)}, nil
+	}}, nil
 }
 
 // fig10b: EC behaviour across drop rates for a 128 MiB Write —
 // completion time and fallback probability (parity becomes
 // ineffective at very high drop rates).
-func fig10b(o Options) (*Result, error) {
-	res := &Result{
-		Name:   "Fig 10b",
-		Title:  "MDS EC(32,8), 128 MiB: completion and fallback vs drop rate",
-		Header: []string{"P_drop", "mean [ms]", "p99.9 [ms]", "P(fallback)", "slowdown"},
-		Notes: []string{
-			"paper: EC holds its parity floor until drops overwhelm the code, then wastes parity bandwidth and falls back to SR",
-		},
-	}
+func fig10b(o Options) (sweep, error) {
 	const size = 128 << 20
 	drops := []float64{1e-6, 1e-4, 1e-3, 1e-2, 3e-2, 1e-1}
-	res.Rows = make([][]string, len(drops))
-	parallelFor(len(drops), func(i int) {
-		p := drops[i]
-		ch := paperChannel(p)
+	return sweep{labels: labelsOf(drops, pLabel), cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+		ch := paperChannel(drops[r])
 		e := model.NewMDS(ch)
 		sum := stats.Summarize(model.Sample(e, size, o.TailSamples, o.Seed))
-		res.Rows[i] = []string{
-			fmt.Sprintf("%.0e", p),
+		return []string{
 			fmt.Sprintf("%.2f", sum.Mean*1e3),
 			fmt.Sprintf("%.2f", sum.P999*1e3),
 			fmt.Sprintf("%.3g", e.FallbackProb(size)),
 			fmt.Sprintf("%.2f", sum.Mean/model.LosslessTime(ch, size)),
-		}
-	})
-	return res, nil
+		}, nil
+	}}, nil
 }
 
 // fig10c: SR RTO vs SR NACK for 128 MiB across drop rates — the
 // RTT-scale penalty per chunk drop that NACK cannot remove.
-func fig10c(o Options) (*Result, error) {
-	res := &Result{
-		Name:   "Fig 10c",
-		Title:  "SR RTO vs SR NACK, 128 MiB: RTO exposure vs drop rate",
-		Header: []string{"P_drop", "RTO mean [ms]", "RTO p99.9 [ms]", "NACK mean [ms]", "NACK p99.9 [ms]", "NACK gain"},
-		Notes: []string{
-			"paper: NACK improves up to ~4x but every drop still costs ≥1 RTT (+1/+2 RTO annotations)",
-		},
-	}
+func fig10c(o Options) (sweep, error) {
 	const size = 128 << 20
 	drops := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2}
-	res.Rows = make([][]string, len(drops))
-	parallelFor(len(drops), func(i int) {
-		p := drops[i]
-		ch := paperChannel(p)
+	return sweep{labels: labelsOf(drops, pLabel), cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+		ch := paperChannel(drops[r])
 		rto := stats.Summarize(model.Sample(model.NewSRRTO(ch), size, o.TailSamples, o.Seed))
 		nack := stats.Summarize(model.Sample(model.NewSRNACK(ch), size, o.TailSamples, o.Seed+1))
-		res.Rows[i] = []string{
-			fmt.Sprintf("%.0e", p),
+		return []string{
 			fmt.Sprintf("%.2f", rto.Mean*1e3), fmt.Sprintf("%.2f", rto.P999*1e3),
 			fmt.Sprintf("%.2f", nack.Mean*1e3), fmt.Sprintf("%.2f", nack.P999*1e3),
 			fmt.Sprintf("%.2fx", rto.Mean/nack.Mean),
-		}
-	})
-	return res, nil
+		}, nil
+	}}, nil
 }
 
-// fig10d: MDS data:parity splits for 128 MiB across drop rates.
-func fig10d(o Options) (*Result, error) {
+// fig10d: MDS data:parity splits for 128 MiB across drop rates; one
+// cell per drop rate and split.
+func fig10d(o Options) (sweep, error) {
 	splits := []struct{ k, m int }{{64, 8}, {32, 8}, {16, 8}, {8, 8}}
-	header := []string{"P_drop"}
-	for _, s := range splits {
-		header = append(header, fmt.Sprintf("EC(%d,%d) mean [ms]", s.k, s.m))
-	}
-	res := &Result{
-		Name:   "Fig 10d",
-		Title:  "MDS split sweep, 128 MiB: protection vs bandwidth inflation",
-		Header: header,
-		Notes: []string{
-			"paper: lower data:parity ratios survive higher drop rates at more bandwidth; (32,8) is the balanced choice (≤20% inflation, tolerates >1e-2)",
-		},
-	}
-	const size = 128 << 20
 	drops := []float64{1e-5, 1e-3, 1e-2, 3e-2, 1e-1}
-	res.Rows = make([][]string, len(drops))
-	for r, p := range drops {
-		res.Rows[r] = make([]string, 1+len(splits))
-		res.Rows[r][0] = fmt.Sprintf("%.0e", p)
-	}
-	parallelFor(len(drops)*len(splits), func(cell int) {
-		r, i := cell/len(splits), cell%len(splits)
-		p, s := drops[r], splits[i]
-		ch := paperChannel(p)
-		e := model.EC{Ch: ch, K: s.k, M: s.m, Scheme: "mds", Beta: 1, FallbackRTOFactor: 3}
-		mean := stats.Mean(model.Sample(e, size, o.Samples, o.Seed+int64(i)))
-		res.Rows[r][1+i] = fmt.Sprintf("%.2f", mean*1e3)
-	})
-	return res, nil
+	return sweep{labels: labelsOf(drops, pLabel), cols: len(splits), cell: func(_ clock.Clock, r, c int) ([]string, error) {
+		e := model.EC{Ch: paperChannel(drops[r]), K: splits[c].k, M: splits[c].m, Scheme: "mds", Beta: 1, FallbackRTOFactor: 3}
+		return []string{fmt.Sprintf("%.2f", stats.Mean(model.Sample(e, 128<<20, o.Samples, o.Seed+int64(c)))*1e3)}, nil
+	}}, nil
 }
 
 // fig11 combines the encoding-throughput comparison (real CPU
 // measurement of this repo's codecs, stand-ins for ISA-L and the
 // AVX-512 XOR kernel; the note names the gf256 kernel body the host
 // ran) with the fallback-onset analysis.
-func fig11(o Options) (*Result, error) {
+func fig11(o Options) (sweep, error) {
 	const (
 		chunk = 64 << 10
 		k, m  = 32, 8
+		L     = 64 // 128 MiB / (32 × 64 KiB)
 	)
 	rs, err := ec.NewRS(k, m)
 	if err != nil {
-		return nil, err
+		return sweep{}, err
 	}
 	xor, err := ec.NewXOR(k, m)
 	if err != nil {
-		return nil, err
+		return sweep{}, err
 	}
-	res := &Result{
-		Name:  "Fig 11",
-		Title: "MDS vs XOR EC(32,8), 64 KiB chunks, 128 MiB buffer",
-		Header: []string{"code", "encode [Gbit/s/core]", "cores to hide 400G",
-			"fallback@1e-3", "fallback@1e-2"},
-		Notes: []string{
-			"paper: XOR hides encoding with ~4 cores, MDS needs ~2x more; XOR falls back to SR at ~1e-3 chunk drop while MDS holds past 1e-2",
-			"single-core encode throughput measured on this machine's CPU, MDS through the " + gf256.Kernel() + " kernel of internal/gf256 (shape-comparable; the paper used AVX-512/ISA-L on Xeon 8580); the runtime encoder additionally shards across cores",
-		},
-	}
-	const L = 64 // 128 MiB / (32 × 64 KiB)
-	fallback := func(f func(int, int, float64) float64, p float64) float64 {
-		s := f(k, m, p)
-		pow := 1.0
-		for i := 0; i < L; i++ {
-			pow *= s
-		}
-		return 1 - pow
-	}
-	for _, c := range []struct {
-		name string
+	codes := []struct {
 		code ec.Code
 		prob func(int, int, float64) float64
-	}{
-		{"MDS (RS)", rs, ec.MDSSuccessProb},
-		{"XOR", xor, ec.XORSuccessProb},
-	} {
+	}{{rs, ec.MDSSuccessProb}, {xor, ec.XORSuccessProb}}
+	return sweep{labels: [][]string{{"MDS (RS)"}, {"XOR"}}, cell: func(_ clock.Clock, r, _ int) ([]string, error) {
+		c := codes[r]
+		fallback := func(p float64) float64 {
+			s := c.prob(k, m, p)
+			pow := 1.0
+			for i := 0; i < L; i++ {
+				pow *= s
+			}
+			return 1 - pow
+		}
 		gbps := measureEncodeGbps(c.code, chunk, o.DurationSec)
-		cores := 400.0 / gbps
-		res.Rows = append(res.Rows, []string{
-			c.name,
+		return []string{
 			fmt.Sprintf("%.1f", gbps),
-			fmt.Sprintf("%.1f", cores),
-			fmt.Sprintf("%.3g", fallback(c.prob, 1e-3)),
-			fmt.Sprintf("%.3g", fallback(c.prob, 1e-2)),
-		})
-	}
-	return res, nil
+			fmt.Sprintf("%.1f", 400.0/gbps),
+			fmt.Sprintf("%.3g", fallback(1e-3)),
+			fmt.Sprintf("%.3g", fallback(1e-2)),
+		}, nil
+	}}, nil
 }
 
 // fig12: distance × bandwidth grid for a 128 MiB Write at P=1e-5,
-// times normalized by the lossless Write (the paper's heatmap).
-func fig12(o Options) (*Result, error) {
+// times normalized by the lossless Write (the paper's heatmap); one
+// cell per distance and bandwidth.
+func fig12(o Options) (sweep, error) {
 	distances := []float64{75, 750, 3000, 6000}
 	bws := []float64{100e9, 400e9, 800e9, 1600e9}
-	header := []string{"distance \\ BW"}
-	for _, bw := range bws {
-		header = append(header, fmt.Sprintf("%.0fG SR", bw/1e9), fmt.Sprintf("%.0fG EC", bw/1e9))
-	}
-	res := &Result{
-		Name:   "Fig 12",
-		Title:  "Normalized 128 MiB Write completion (P=1e-5): distance × bandwidth",
-		Header: header,
-		Notes: []string{
-			"paper: RTT impact on SR grows with both distance and bandwidth (BDP); at short distance T_inj dominates and the schemes converge",
-		},
-	}
-	const size = 128 << 20
-	res.Rows = make([][]string, len(distances))
-	for r, km := range distances {
-		res.Rows[r] = make([]string, 1+2*len(bws))
-		res.Rows[r][0] = fmt.Sprintf("%.0f km", km)
-	}
-	parallelFor(len(distances)*len(bws), func(cell int) {
-		r, i := cell/len(bws), cell%len(bws)
+	km := func(d float64) string { return fmt.Sprintf("%.0f km", d) }
+	return sweep{labels: labelsOf(distances, km), cols: len(bws), cell: func(_ clock.Clock, r, c int) ([]string, error) {
 		ch := paperChannel(1e-5)
 		ch.DistanceKm = distances[r]
-		ch.BandwidthBps = bws[i]
-		res.Rows[r][1+2*i] = fmt.Sprintf("%.2f", meanSlowdown(model.NewSRRTO(ch), ch, size, o.Samples, o.Seed+int64(i)))
-		res.Rows[r][2+2*i] = fmt.Sprintf("%.2f", meanSlowdown(model.NewMDS(ch), ch, size, o.Samples, o.Seed+50+int64(i)))
-	})
-	return res, nil
+		ch.BandwidthBps = bws[c]
+		return srVsMDS(ch, 128<<20, o.Samples, o.Seed+int64(c), o.Seed+50+int64(c), "%.2f"), nil
+	}}, nil
 }
 
 // fig13: p99.9 ring-Allreduce speedup of MDS EC over SR RTO. Left
 // panel: 128 MiB buffer, varying datacenter count; right panel: 4
-// datacenters, varying buffer size.
-func fig13(o Options) (*Result, error) {
+// datacenters, varying buffer size. One cell per row and drop rate.
+func fig13(o Options) (sweep, error) {
 	drops := []float64{1e-4, 1e-3, 1e-2}
-	speedup := func(n int, buf int64, p float64, seed int64) float64 {
-		ch := paperChannel(p)
-		srRing := collective.Ring{N: n, BufferBytes: buf, Scheme: model.NewSRRTO(ch)}
-		ecRing := collective.Ring{N: n, BufferBytes: buf, Scheme: model.NewMDS(ch)}
-		nsamp := o.TailSamples / 4
-		if nsamp < 500 {
-			nsamp = 500
-		}
-		sr := stats.Summarize(srRing.SampleN(nsamp, seed)).P999
-		ecv := stats.Summarize(ecRing.SampleN(nsamp, seed+1)).P999
-		return sr / ecv
-	}
-	header := []string{"config"}
-	for _, p := range drops {
-		header = append(header, fmt.Sprintf("P=%.0e", p))
-	}
-	res := &Result{
-		Name:   "Fig 13",
-		Title:  "p99.9 ring-Allreduce speedup, MDS EC(32,8) over SR RTO",
-		Header: header,
-		Notes: []string{
-			"paper: speedup grows with drop rate from ~3x to >6x; gains persist across DC counts and buffer sizes (2N-2 stages compound per-stage costs)",
-		},
-	}
-	// left panel: 128 MiB buffer across DC counts; right panel: 4 DCs
-	// across buffer sizes. One parallel unit per (row, drop) cell.
 	type rowCfg struct {
-		label    string
 		n        int
 		buf      int64
 		seedBase int64
 	}
 	var rows []rowCfg
+	var labels [][]string
 	for _, n := range []int{2, 4, 8} {
-		rows = append(rows, rowCfg{fmt.Sprintf("%d DCs, 128 MiB", n), n, 128 << 20, o.Seed})
+		rows = append(rows, rowCfg{n, 128 << 20, o.Seed})
+		labels = append(labels, []string{fmt.Sprintf("%d DCs, 128 MiB", n)})
 	}
 	for _, buf := range []int64{32 << 20, 128 << 20, 512 << 20} {
-		rows = append(rows, rowCfg{fmt.Sprintf("4 DCs, %s", sizeLabel(buf)), 4, buf, o.Seed + 10})
+		rows = append(rows, rowCfg{4, buf, o.Seed + 10})
+		labels = append(labels, []string{fmt.Sprintf("4 DCs, %s", sizeLabel(buf))})
 	}
-	res.Rows = make([][]string, len(rows))
-	for r, rc := range rows {
-		res.Rows[r] = make([]string, 1+len(drops))
-		res.Rows[r][0] = rc.label
-	}
-	parallelFor(len(rows)*len(drops), func(cell int) {
-		r, i := cell/len(drops), cell%len(drops)
-		rc := rows[r]
-		res.Rows[r][1+i] = fmt.Sprintf("%.2f", speedup(rc.n, rc.buf, drops[i], rc.seedBase+int64(i)))
-	})
-	return res, nil
+	nsamp := max(o.TailSamples/4, 500)
+	return sweep{labels: labels, cols: len(drops), cell: func(_ clock.Clock, r, c int) ([]string, error) {
+		rc, ch := rows[r], paperChannel(drops[c])
+		seed := rc.seedBase + int64(c)
+		sr := stats.Summarize(collective.Ring{N: rc.n, BufferBytes: rc.buf, Scheme: model.NewSRRTO(ch)}.SampleN(nsamp, seed)).P999
+		ecv := stats.Summarize(collective.Ring{N: rc.n, BufferBytes: rc.buf, Scheme: model.NewMDS(ch)}.SampleN(nsamp, seed+1)).P999
+		return []string{fmt.Sprintf("%.2f", sr/ecv)}, nil
+	}}, nil
 }

@@ -16,7 +16,7 @@ func benchMultiDC(b *testing.B, real bool) {
 	// BenchmarkMultiDCSweepSerial/Parallel.
 	opts := Options{Samples: 100, TailSamples: 100, Seed: 42, DurationSec: 0.1, RealClock: real, SweepWorkers: 1}
 	for i := 0; i < b.N; i++ {
-		if _, err := multiDCFunctional(opts); err != nil {
+		if _, err := Run("multidc-functional", opts); err != nil {
 			b.Fatal(err)
 		}
 	}

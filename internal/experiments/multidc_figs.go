@@ -14,10 +14,6 @@ import (
 	"sdrrdma/internal/reliability"
 )
 
-func init() {
-	registry["multidc-functional"] = multiDCFunctional
-}
-
 // multidcClock adapts the sweep-provided clock for a scenario: on the
 // real-clock path every scenario gets its own Real instance so notify
 // domains stay per-deployment; the virtual path uses the lane's pooled
@@ -115,13 +111,13 @@ type multidcStats struct {
 	meanDrops  float64
 }
 
-func (s multidcStats) row(scenario, scheme string) []string {
+// row renders every column after the scenario and the scheme.
+func (s multidcStats) row() []string {
 	masked := "-"
 	if s.lostChunks > 0 {
 		masked = fmt.Sprintf("%.2f", s.meanDrops)
 	}
 	return []string{
-		scenario, scheme,
 		fmt.Sprintf("%.3f", float64(s.completion)/float64(time.Millisecond)),
 		fmt.Sprintf("%d", s.packets),
 		fmt.Sprintf("%d", s.tail),
@@ -291,11 +287,9 @@ func runMultiDCDumbbell(clk clock.Clock, scheme string, relCfg reliability.Confi
 // multiDCFunctional runs the real SDR reliability stack across
 // emulated multi-datacenter topologies — a bursty-loss ring allreduce,
 // a binomial broadcast over a physical tree, and two tenants fighting
-// over a finite dumbbell bottleneck — on either clock backend. On the
-// default virtual clock the whole figure is a deterministic function
-// of the seed and runs at simulation speed; -clock real pays the
-// genuine WAN latencies.
-func multiDCFunctional(o Options) (*Result, error) {
+// over a finite dumbbell bottleneck — on either clock backend; -clock
+// real pays the genuine WAN latencies.
+func multiDCFunctional(o Options) (sweep, error) {
 	// Full fidelity: 4-DC ring with 4 MiB vectors, 6-DC tree pushing
 	// 2 MiB, dumbbell flows of 4 MiB. Quick mode (tests, Samples < 500)
 	// shrinks every dimension.
@@ -307,66 +301,53 @@ func multiDCFunctional(o Options) (*Result, error) {
 		treeN, treeBytes = 4, 512<<10
 		dumbbellBytes = 1 << 20
 	}
-	res := &Result{
-		Name: "Multi-DC functional",
-		Title: fmt.Sprintf("SDR reliability across emulated multi-datacenter topologies (%s clock)",
-			o.clockLabel()),
-		Header: []string{"scenario", "scheme", "completion [ms]", "packets", "tail-drop", "wire-drop", "drops/lost chunk"},
-		Notes: []string{
-			"packet-level runs of the real Go stack over internal/netem finite-buffer queues — every flow shares edge buffers with its neighbours",
+	// The scenario × scheme grid flattens into independent cells, each
+	// with its own topology, sessions and splitmix64 seed.
+	type dcCell struct {
+		kind, scheme string
+	}
+	var cells []dcCell
+	var labels [][]string
+	for _, sc := range []struct{ kind, label string }{
+		{"ring", fmt.Sprintf("ring-%d", ringN)}, {"tree", fmt.Sprintf("tree-%d", treeN)}, {"dumbbell", "dumbbell"},
+	} {
+		for _, scheme := range []string{"sr-nack", "ec"} {
+			cells = append(cells, dcCell{kind: sc.kind, scheme: scheme})
+			labels = append(labels, []string{sc.label, scheme})
+		}
+	}
+	return sweep{
+		labels: labels,
+		title:  fmt.Sprintf(" (%s clock)", o.clockLabel()),
+		notes: []string{
 			fmt.Sprintf("ring-%d: 3000 km 50G edges, Gilbert–Elliott wire loss (p=0.05, burst 8), %s allreduce", ringN, sizeLabel(int64(ringVlen*8))),
 			fmt.Sprintf("tree-%d: binomial broadcast of %s over a physical binary tree (logical edges share physical links)", treeN, sizeLabel(int64(treeBytes))),
 			fmt.Sprintf("dumbbell: 2×%s concurrent transfers, 100G access links into one 80G/512 KiB-buffer bottleneck — loss is pure tail drop", sizeLabel(int64(dumbbellBytes))),
 			"drops/lost chunk > 1 is §3.1.1's burst masking observed at the chunk level: the bitmap absorbs consecutive drops as a single chunk retransmission",
 		},
-	}
-	// The scenario × scheme grid flattens into independent sweep cells
-	// (own topology, sessions and splitmix64 seed each) fanned across
-	// clock.Lanes — the multi-DC figure scales across cores exactly
-	// like the WAN sweep, with byte-identical output for any worker
-	// count.
-	type dcCell struct {
-		kind, scheme string
-	}
-	var cells []dcCell
-	for _, kind := range []string{"ring", "tree", "dumbbell"} {
-		for _, scheme := range []string{"sr-nack", "ec"} {
-			cells = append(cells, dcCell{kind: kind, scheme: scheme})
-		}
-	}
-	var err error
-	res.Rows, err = sweepRows(o, len(cells), func(clk clock.Clock, i int) ([]string, error) {
-		c := cells[i]
-		seed := clock.CellSeed(o.Seed, i)
-		sclk := multidcClock(o, clk)
-		// RTT stays zero: netem derives it per flow from the route's
-		// propagation delay.
-		relCfg, err := reliability.Config{K: 4, M: 2}.ForScheme(c.scheme)
-		if err != nil {
-			return nil, err
-		}
-		var (
-			st       multidcStats
-			scenario string
-		)
-		switch c.kind {
-		case "ring":
-			scenario = fmt.Sprintf("ring-%d", ringN)
-			st, err = runMultiDCRing(sclk, c.scheme, relCfg, ringN, ringVlen, seed)
-		case "tree":
-			scenario = fmt.Sprintf("tree-%d", treeN)
-			st, err = runMultiDCTree(sclk, c.scheme, relCfg, treeN, treeBytes, seed)
-		default:
-			scenario = "dumbbell"
-			st, err = runMultiDCDumbbell(sclk, c.scheme, relCfg, dumbbellBytes, seed)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("multidc %s %s: %w", c.kind, c.scheme, err)
-		}
-		return st.row(scenario, c.scheme), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+		cell: func(clk clock.Clock, r, _ int) ([]string, error) {
+			c := cells[r]
+			seed := clock.CellSeed(o.Seed, r)
+			sclk := multidcClock(o, clk)
+			// RTT stays zero: netem derives it per flow from the route's
+			// propagation delay.
+			relCfg, err := reliability.Config{K: 4, M: 2}.ForScheme(c.scheme)
+			if err != nil {
+				return nil, err
+			}
+			var st multidcStats
+			switch c.kind {
+			case "ring":
+				st, err = runMultiDCRing(sclk, c.scheme, relCfg, ringN, ringVlen, seed)
+			case "tree":
+				st, err = runMultiDCTree(sclk, c.scheme, relCfg, treeN, treeBytes, seed)
+			default:
+				st, err = runMultiDCDumbbell(sclk, c.scheme, relCfg, dumbbellBytes, seed)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("multidc %s %s: %w", c.kind, c.scheme, err)
+			}
+			return st.row(), nil
+		},
+	}, nil
 }

@@ -44,38 +44,45 @@ func sweepDeterminism(t *testing.T, id string) {
 	}
 }
 
-// sweepRows returns rows in cell order; after a failure it skips the
-// cells that have not started and reports the lowest-numbered failed
-// cell, whatever else failed alongside it.
+// sweepRows assembles rows in cell order, labels first; after a failure
+// it skips the cells that have not started and reports the
+// lowest-numbered failed cell, whatever else failed alongside it. The
+// cell-running levels are checked alike.
 func TestSweepRowsFailsFast(t *testing.T) {
 	var ran atomic.Int32
-	cell := func(failing ...int) func(clock.Clock, int) ([]string, error) {
-		return func(_ clock.Clock, i int) ([]string, error) {
-			ran.Add(1)
-			if slices.Contains(failing, i) {
-				return nil, fmt.Errorf("cell %d", i)
+	grid := func(failing ...int) sweep {
+		return sweep{
+			labels: [][]string{{"a"}, {"b"}, {"c"}, {"d"}},
+			cols:   2,
+			cell: func(_ clock.Clock, r, c int) ([]string, error) {
+				ran.Add(1)
+				if i := 2*r + c; slices.Contains(failing, i) {
+					return nil, fmt.Errorf("cell %d", i)
+				}
+				return []string{fmt.Sprint(r, c)}, nil
+			},
+		}
+	}
+	for _, l := range []level{levelModel, levelFunctional, levelWall} {
+		for _, workers := range []int{1, 4} {
+			rows, err := sweepRows(Options{SweepWorkers: workers}, l, grid())
+			if err != nil || len(rows) != 4 || !slices.Equal(rows[3], []string{"d", "3 0", "3 1"}) {
+				t.Fatalf("%s workers=%d clean sweep: rows=%v err=%v", l, workers, rows, err)
 			}
-			return []string{fmt.Sprint(i)}, nil
 		}
-	}
-	for _, workers := range []int{1, 4} {
-		rows, err := sweepRows(Options{SweepWorkers: workers}, 8, cell())
-		if err != nil || len(rows) != 8 || rows[7][0] != "7" {
-			t.Fatalf("workers=%d clean sweep: rows=%v err=%v", workers, rows, err)
+		ran.Store(0)
+		rows, err := sweepRows(Options{SweepWorkers: 1}, l, grid(2, 5))
+		if rows != nil || err == nil || err.Error() != "cell 2" {
+			t.Fatalf("%s serial failing sweep: rows=%v err=%v, want cell 2's error", l, rows, err)
 		}
-	}
-	ran.Store(0)
-	rows, err := sweepRows(Options{SweepWorkers: 1}, 8, cell(2, 5))
-	if rows != nil || err == nil || err.Error() != "cell 2" {
-		t.Fatalf("serial failing sweep: rows=%v err=%v, want cell 2's error", rows, err)
-	}
-	if got := ran.Load(); got != 3 {
-		t.Fatalf("%d cells ran, want 3 (cells after the failure skipped)", got)
-	}
-	// On several lanes which cells start before the first failure is
-	// scheduling; that the sweep fails with no rows is not.
-	if rows, err := sweepRows(Options{SweepWorkers: 4}, 8, cell(2, 5)); rows != nil || err == nil {
-		t.Fatalf("parallel failing sweep: rows=%v err=%v", rows, err)
+		if got := ran.Load(); got != 3 {
+			t.Fatalf("%s: %d cells ran, want 3 (cells after the failure skipped)", l, got)
+		}
+		// On several lanes which cells start before the first failure is
+		// scheduling; that the sweep fails with no rows is not.
+		if rows, err := sweepRows(Options{SweepWorkers: 4}, l, grid(2, 5)); rows != nil || err == nil {
+			t.Fatalf("%s parallel failing sweep: rows=%v err=%v", l, rows, err)
+		}
 	}
 }
 
@@ -88,7 +95,7 @@ func TestMultiDCSweepParallelMatchesSerial(t *testing.T) {
 }
 
 // benchSweep times one figure's reduced sweep at a fixed lane count —
-// the serial-vs-parallel pair the README quotes. On a multi-core host
+// the serial-vs-parallel pair make bench-par compares. On a multi-core host
 // the parallel variant approaches cells/min(cells, cores) of the
 // serial wall-clock; the cells share nothing but the lane pool.
 func benchSweep(b *testing.B, id string, workers int) {
