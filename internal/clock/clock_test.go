@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 func TestRealNotifyWakesWaiter(t *testing.T) {
@@ -165,6 +166,39 @@ func TestVirtualAfterFuncTimer(t *testing.T) {
 	if fmt.Sprint(fired) != fmt.Sprint([]time.Duration{8 * time.Millisecond, 21 * time.Millisecond}) {
 		t.Fatalf("timer firings = %v", fired)
 	}
+}
+
+// TestVirtualDroppedTimerIsCollected: a timer that fired, or was
+// stopped, and that its holder dropped is garbage while the clock lives
+// on, and so is what its closure captured (reliability's retire timer
+// holds a segment's handles and final ACK).
+func TestVirtualDroppedTimerIsCollected(t *testing.T) {
+	v := NewVirtual()
+	var timers []weak.Pointer[virtualTimer]
+	var payloads []weak.Pointer[[4096]byte]
+	fired := 0
+	Join(v, func() {
+		for i := 0; i < 2; i++ {
+			payload := new([4096]byte)
+			tm := v.AfterFunc(time.Millisecond, func() { fired += len(payload) })
+			if i == 1 {
+				tm.Stop()
+			}
+			timers = append(timers, weak.Make(tm.(*virtualTimer)))
+			payloads = append(payloads, weak.Make(payload))
+		}
+		v.Sleep(2 * time.Millisecond)
+	})
+	if fired != 4096 {
+		t.Fatalf("the fired timer's callback ran for %d bytes, want 4096", fired)
+	}
+	runtime.GC()
+	for i := range timers {
+		if timers[i].Value() != nil || payloads[i].Value() != nil {
+			t.Errorf("timer %d (stopped: %v) or its closure outlived its holder on a live clock", i, i == 1)
+		}
+	}
+	runtime.KeepAlive(v)
 }
 
 func TestVirtualDeadlockPanics(t *testing.T) {

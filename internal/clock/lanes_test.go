@@ -9,8 +9,8 @@ import (
 )
 
 // laneCell runs one deterministic mini-simulation on v: three named
-// actors interleaving rng-drawn sleeps, AfterFunc timers (exercising
-// the timer pool) and a notify handshake, returning the full execution
+// actors interleaving rng-drawn sleeps, AfterFunc timers (some still
+// pending at Reset) and a notify handshake, returning the full execution
 // trace. Two runs with the same seed must produce identical traces —
 // on a fresh clock, on a Reset clock, and on any lane of a sweep.
 func laneCell(v *Virtual, seed int64) string {

@@ -151,9 +151,6 @@ type Virtual struct {
 	slab      []*actor // every actor ever registered (index = actor.id)
 	freeActor []*actor // finished actors available for reuse
 
-	timerPool []*virtualTimer // AfterFunc timers reclaimed by Reset
-	timerLive []*virtualTimer // timers handed out since the last Reset
-
 	// eventLog, when set, annotates the all-blocked deadlock
 	// diagnostic with each actor's recent telemetry (see SetEventLog).
 	eventLog EventLog
@@ -642,43 +639,24 @@ func (v *Virtual) RunAfterLane(ln int, d time.Duration, fn func()) {
 	v.eng.AfterLane(int32(ln), max(0, d.Seconds()), fn)
 }
 
-// virtualTimer implements Timer on the engine. The objects are pooled:
-// Reset (on the Virtual) reclaims every timer handed out since the
-// previous Reset, so sweep cells reusing one clock do not reallocate
-// timer state.
+// virtualTimer implements Timer on the engine. The clock keeps no
+// reference to it: once it has fired or been stopped, the engine slot
+// has dropped fn, so a timer its holder dropped is garbage, closure and
+// all.
 type virtualTimer struct {
-	v    *Virtual
-	fn   func()
-	fire func() // bound once; engine slots store it without allocating
-	t    simnet.Timer
+	v  *Virtual
+	fn func()
+	t  simnet.Timer
 }
 
 // AfterFunc implements Clock. fn runs while every actor is parked, on
 // the goroutine of the actor driving the engine (see drive), serialized
 // with actors and other callbacks.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
-	t := v.allocTimer()
-	t.fn = fn
-	t.t = v.eng.After(max(0, d.Seconds()), t.fire)
+	t := &virtualTimer{v: v, fn: fn}
+	t.t = v.eng.After(max(0, d.Seconds()), fn)
 	return t
 }
-
-func (v *Virtual) allocTimer() *virtualTimer {
-	var t *virtualTimer
-	if n := len(v.timerPool); n > 0 {
-		t = v.timerPool[n-1]
-		v.timerPool = v.timerPool[:n-1]
-	} else {
-		t = &virtualTimer{v: v}
-		t.fire = t.doFire
-	}
-	v.timerLive = append(v.timerLive, t)
-	return t
-}
-
-// doFire is the engine callback; it runs on the driving actor's
-// goroutine.
-func (t *virtualTimer) doFire() { t.fn() }
 
 // Stop implements Timer.
 func (t *virtualTimer) Stop() bool {
@@ -691,7 +669,7 @@ func (t *virtualTimer) Stop() bool {
 func (t *virtualTimer) Reset(d time.Duration) bool {
 	active := t.t.Active()
 	t.t.Cancel()
-	t.t = t.v.eng.After(max(0, d.Seconds()), t.fire)
+	t.t = t.v.eng.After(max(0, d.Seconds()), t.fn)
 	return active
 }
 
@@ -707,11 +685,11 @@ func (v *Virtual) idle() bool {
 
 // reset rewinds a finished clock for reuse: virtual time and the
 // notification epoch return to zero and every pending engine event is
-// discarded, while the engine slab, actor pool and timer pool are
-// retained. A cell run on a Reset clock is bit-identical to the same
-// cell on a fresh clock (see Lanes). Reset panics if actors are still
-// live or a run is active; Timer handles from before the Reset are
-// invalidated and must not be touched again.
+// discarded, while the engine slab and actor pool are retained. A cell
+// run on a Reset clock is bit-identical to the same cell on a fresh
+// clock (see Lanes). Reset panics if actors are still live or a run is
+// active; Timer handles from before the Reset are invalidated and must
+// not be touched again.
 func (v *Virtual) reset() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -722,11 +700,6 @@ func (v *Virtual) reset() {
 	v.gen.Store(0)
 	v.readyHead, v.readyTail = nil, nil
 	v.waitHead, v.waitTail = nil, nil
-	for _, t := range v.timerLive {
-		t.fn = nil // don't pin the retired cell's closures until reuse
-		v.timerPool = append(v.timerPool, t)
-	}
-	v.timerLive = v.timerLive[:0]
 	v.eventLog = nil // the next cell attaches its own recorder
 }
 

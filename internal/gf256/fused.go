@@ -3,7 +3,7 @@ package gf256
 import "encoding/binary"
 
 // fusedRows is the number of output rows one pass of the fused kernel
-// produces: one byte lane of a uint64 (portable body) or one ymm
+// produces: one byte lane of a uint64 (portable body) or one ymm or zmm
 // accumulator (assembly bodies) per row.
 const fusedRows = 8
 
@@ -20,20 +20,22 @@ const (
 	portable tier = iota // the Go body in this file; every architecture
 	avx2                 // amd64: VPSHUFB against two 16-entry nibble tables per coefficient
 	gfni                 // amd64: VGF2P8AFFINEQB against one 8×8 bit matrix per coefficient (VEX, ymm)
+	gfni512              // amd64: gfni's matrices at zmm width, two columns per VPTERNLOGQ (EVEX, AVX-512F)
 )
 
 // active is the tier Set packs tables for, chosen once from CPUID.
 // Nothing but tests assigns it again: they run portable..active.
 var active = detect()
 
-// Kernel names the body shard bytes go through on this host: "gfni",
-// "avx2" or "portable".
-func Kernel() string { return [...]string{"portable", "avx2", "gfni"}[active] }
+// Kernel names the body shard bytes go through on this host:
+// "gfni512", "gfni", "avx2" or "portable".
+func Kernel() string { return [...]string{"portable", "avx2", "gfni", "gfni512"}[active] }
 
 const (
-	// simdBlock is the bytes one ymm register holds: the assembly
-	// bodies load and store whole blocks only.
+	// simdBlock and zmmBlock are the bytes one ymm and one zmm register
+	// hold: the assembly bodies load and store whole blocks only.
 	simdBlock = 32
+	zmmBlock  = 64
 	// simdCallBytes bounds the input one assembly call reads. Assembly
 	// cannot be preempted, so this bounds what a call adds to a GC
 	// stop-the-world (≈ 10–20 µs at the measured GB/s).
@@ -43,12 +45,13 @@ const (
 // simdCoef[k] holds, for SIMD tier k, one entry of simdEntry[k] bytes
 // per coefficient c, so Set copies entries instead of multiplying.
 // avx2: c·x for x = 0..15, then c·(x<<4) — the product of an input byte
-// is the XOR of one lookup per nibble. gfni: the matrix of the
+// is the XOR of one lookup per nibble. gfni, gfni512: the matrix of the
 // GF(2)-linear map x ↦ c·x, byte 7-i holding the input bits that feed
 // output bit i, as VGF2P8AFFINEQB reads it.
 var (
-	simdEntry = [...]int{avx2: 32, gfni: 8}
-	simdCoef  = [...][]byte{avx2: make([]byte, 256*32), gfni: make([]byte, 256*8)}
+	gfniMatrices = make([]byte, 256*8)
+	simdEntry    = [...]int{avx2: 32, gfni: 8, gfni512: 8}
+	simdCoef     = [...][]byte{avx2: make([]byte, 256*32), gfni: gfniMatrices, gfni512: gfniMatrices}
 )
 
 // initSIMDTables fills simdCoef where a SIMD tier can run. It is called
@@ -69,10 +72,10 @@ func initSIMDTables() {
 
 // RowTables is an r×n coefficient matrix in the form the fused kernel
 // consumes: per group of up to 8 rows and per input column j, what the
-// active tier needs to turn one input byte (portable) or one 32-byte
-// block (avx2, gfni) of column j into its contribution to all 8 output
-// rows, so a matrix–vector product reads its inputs once per 8 rows
-// instead of once per row. The zero value is ready for Set.
+// active tier needs to turn one input byte (portable) or one block
+// (SIMD tiers) of column j into its contribution to all 8 output rows,
+// so a matrix–vector product reads its inputs once per 8 rows instead
+// of once per row. The zero value is ready for Set.
 type RowTables struct {
 	rows, cols int
 	// tier is the form Set packed; MulRows dispatches on it, so tables
@@ -82,7 +85,7 @@ type RowTables struct {
 	// whose entry x packs the group's products coef[i][j]·x into the
 	// byte lanes of one word.
 	tabs [][256]uint64
-	// avx2, gfni: group g, column j, row i at simd[((g*cols+j)*8+i)*entry:],
+	// SIMD tiers: group g, column j, row i at simd[((g*cols+j)*8+i)*entry:],
 	// rows past the last of a short group zero; and the coefficients
 	// themselves, row-major, for ranges shorter than one block.
 	simd, coef []byte
@@ -185,19 +188,31 @@ func (t *RowTables) MulRows(out, in [][]byte, lo, hi int) {
 	default:
 		// One bounded assembly call per sub-range and group. A tail
 		// shorter than a block joins the sub-range before it, so every
-		// call holds a whole block for its overlapped final store.
+		// call holds a whole block for its overlapped final store. A
+		// range shorter than a zmm block takes the ymm GFNI body.
+		body, block := t.tier, simdBlock
+		if body == gfni512 {
+			if hi-lo >= zmmBlock {
+				block = zmmBlock
+			} else {
+				body = gfni
+			}
+		}
 		stride := t.cols * fusedRows * simdEntry[t.tier]
-		span := max(simdBlock, simdCallBytes/t.cols&^(simdBlock-1))
+		span := max(block, simdCallBytes/t.cols&^(block-1))
 		for p := lo; p < hi; {
 			q := p + span
-			if hi-q < simdBlock {
+			if hi-q < block {
 				q = hi
 			}
 			for g := 0; g < t.rows; g += fusedRows {
 				tab, o := &t.simd[g/fusedRows*stride], out[g:min(g+fusedRows, t.rows)]
-				if t.tier == gfni {
+				switch body {
+				case gfni512:
+					mulGroupGFNI512(tab, o, in, p, q)
+				case gfni:
 					mulGroupGFNI(tab, o, in, p, q)
-				} else {
+				default:
 					mulGroupAVX2(tab, o, in, p, q)
 				}
 			}
@@ -208,7 +223,7 @@ func (t *RowTables) MulRows(out, in [][]byte, lo, hi int) {
 
 // mulGroup is MulRows for one group of ≤ 8 rows with column tables
 // tabs: the portable body, and the reference the assembly bodies
-// (mulGroupAVX2, mulGroupGFNI) are tested against.
+// (mulGroupAVX2, mulGroupGFNI, mulGroupGFNI512) are tested against.
 func mulGroup(tabs [][256]uint64, out, in [][]byte, lo, hi int) {
 	var acc [fusedBlock]uint64
 	for ; lo < hi; lo += fusedBlock {

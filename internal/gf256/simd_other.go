@@ -6,5 +6,6 @@ package gf256
 func detect() tier { return portable }
 
 // Never called: Set packs SIMD tables only for a tier detect returned.
-func mulGroupAVX2(tab *byte, out, in [][]byte, lo, hi int) { panic("gf256: no AVX2 body") }
-func mulGroupGFNI(tab *byte, out, in [][]byte, lo, hi int) { panic("gf256: no GFNI body") }
+func mulGroupAVX2(tab *byte, out, in [][]byte, lo, hi int)    { panic("gf256: no AVX2 body") }
+func mulGroupGFNI(tab *byte, out, in [][]byte, lo, hi int)    { panic("gf256: no GFNI body") }
+func mulGroupGFNI512(tab *byte, out, in [][]byte, lo, hi int) { panic("gf256: no GFNI512 body") }
