@@ -14,7 +14,7 @@ RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/clock/ ./internal/fabric/ ./internal/core/ ./internal/reliability/ \
 	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/
 
-.PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc api api-unused identity smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden smoke-examples
+.PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc api api-unused identity bench-sim smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden smoke-examples
 
 ci: vet build race test smoke-golden smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-examples
 
@@ -135,6 +135,33 @@ identity:
 		for side in parent head; do $$tmp/$$side-$$cmd $$args < /dev/null | sed -E "$$filter" > $$tmp/$$side.out; done; \
 		cmp $$tmp/parent.out $$tmp/head.out; echo "identical: $$cmd $$args"; \
 	done
+
+# Simulated-metric preservation against a parent revision: build the
+# repo benchmark from `git archive $(PARENT)` and from this tree, run
+# each of its five workloads at seeds 1-3 for 1 s of timed reps on both,
+# and compare the failed count, sim_goodput_gbps and
+# sim_completion_rtts_p50 of the result lines digit for digit (the host
+# metrics are left out: they are timings). Prints one `identical:` line
+# per workload and seed, stops at the first difference. ≈ 4 min, so it
+# stays out of `make ci`; TMPDIR is honoured.
+BENCH_WORKLOADS = sr_clean wan_sr_nack wan_ec contended_adaptive flow_churn
+
+bench-sim:
+	@test -n "$(PARENT)" || { echo "usage: make bench-sim PARENT=<rev>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir $$tmp/parent; \
+	git archive $(PARENT) | tar -x -C $$tmp/parent; \
+	(cd $$tmp/parent && $(GO) build -o $$tmp/parent-bench ./benchmark); \
+	$(GO) build -o $$tmp/head-bench ./benchmark; \
+	sim='s/.*"failed":([0-9]+),.*"sim_completion_rtts_p50":\{"value":([^,]+),.*"sim_goodput_gbps":\{"value":([^,]+),.*/failed \1  sim_goodput_gbps \3  sim_completion_rtts_p50 \2/p'; \
+	for w in $(BENCH_WORKLOADS); do for seed in 1 2 3; do \
+		for side in parent head; do \
+			$$tmp/$$side-bench -workload $$w -seed $$seed -seconds 1 < /dev/null | sed -nE "$$sim" > $$tmp/$$side.out; \
+			test -s $$tmp/$$side.out || { echo "$$side: no result line for $$w seed $$seed"; exit 1; }; \
+		done; \
+		cmp -s $$tmp/parent.out $$tmp/head.out || { echo "differ: $$w seed $$seed"; \
+			echo "  parent: $$(cat $$tmp/parent.out)"; echo "  head:   $$(cat $$tmp/head.out)"; exit 1; }; \
+		echo "identical: $$w seed $$seed  $$(cat $$tmp/head.out)"; \
+	done; done
 
 # Thousand-flow smoke: the elastic session fabric must sustain 1000
 # sequential + 100 concurrent dumbbell flows from its deployment pool.

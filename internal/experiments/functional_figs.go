@@ -17,16 +17,25 @@ import (
 	"sdrrdma/internal/wan"
 )
 
-// measureEncodeGbps measures one-core encode throughput of code over a
-// 32-shard submessage of chunkBytes chunks, in Gbit/s of data encoded.
-// The encoder's worker-pool dispatch is forced serial for the duration
-// so the per-core number stays honest regardless of GOMAXPROCS (the
-// parallel encoder's scaling need not be linear, so dividing an
+// encodeRound is the length of one code's turn in measureEncodeGbps:
+// short enough that most turns fit between two preemptions of a busy
+// host, long enough for several encodes of a 2 MiB submessage.
+const encodeRound = time.Millisecond
+
+// measureEncodeGbps measures the one-core encode throughput of codes of
+// one (k, m) split over a submessage of chunkBytes chunks, in Gbit/s of
+// data encoded. The codes take turns in encodeRound rounds, durationSec/2
+// per code in all, and each keeps its best round: a stretch in which the
+// host preempts the measurement then costs a code a few rounds instead
+// of its whole figure, so it cannot invert the codes' order. The
+// encoder's worker-pool dispatch is forced serial for the
+// duration so the per-core number stays honest regardless of GOMAXPROCS
+// (the parallel encoder's scaling need not be linear, so dividing an
 // aggregate rate by the core count would misstate it).
-func measureEncodeGbps(c ec.Code, chunkBytes int, durationSec float64) float64 {
+func measureEncodeGbps(codes []ec.Code, chunkBytes int, durationSec float64) ([]float64, error) {
 	defer ec.ForceParallelism(1)()
-	data := make([][]byte, c.K())
-	parity := make([][]byte, c.M())
+	data := make([][]byte, codes[0].K())
+	parity := make([][]byte, codes[0].M())
 	for i := range data {
 		data[i] = make([]byte, chunkBytes)
 		for j := range data[i] {
@@ -36,20 +45,24 @@ func measureEncodeGbps(c ec.Code, chunkBytes int, durationSec float64) float64 {
 	for i := range parity {
 		parity[i] = make([]byte, chunkBytes)
 	}
-	// warmup
-	_ = c.Encode(data, parity)
-	deadline := time.Now().Add(time.Duration(durationSec * float64(time.Second) / 2))
-	iters := 0
-	start := time.Now()
-	for time.Now().Before(deadline) {
-		if err := c.Encode(data, parity); err != nil {
-			return 0
-		}
-		iters++
+	for _, c := range codes {
+		_ = c.Encode(data, parity) // warmup
 	}
-	elapsed := time.Since(start).Seconds()
-	bits := float64(iters) * float64(c.K()*chunkBytes) * 8
-	return bits / elapsed / 1e9
+	rounds := max(1, int(durationSec/2/encodeRound.Seconds()))
+	bits := float64(len(data)*chunkBytes) * 8
+	best := make([]float64, len(codes))
+	for range rounds {
+		for i, c := range codes {
+			iters, start := 0, time.Now()
+			for deadline := start.Add(encodeRound); time.Now().Before(deadline); iters++ {
+				if err := c.Encode(data, parity); err != nil {
+					return nil, err
+				}
+			}
+			best[i] = max(best[i], float64(iters)*bits/time.Since(start).Seconds()/1e9)
+		}
+	}
+	return best, nil
 }
 
 // throughputResult captures one fixed-message-count run of the real

@@ -74,7 +74,7 @@ func startErr(op string, err error) error {
 	return fmt.Errorf("reliability: %s: %w", op, err)
 }
 
-// aborted is stored on the Endpoint (sr.go) — alias here for doc
+// aborted is stored on the Endpoint (endpoint.go) — alias here for doc
 // proximity: the pointer holds the first Abort cause.
 type abortState = atomic.Pointer[error]
 

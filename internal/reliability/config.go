@@ -9,19 +9,23 @@
 //     traverse the same lossy fabric and can be dropped, so the
 //     protocols must tolerate ACK loss.
 //
-// All three schemes are policy loops over one mechanism, the segment
-// (segment.go): start/inject, ACK application, chunk resend, the RTO
+// Every scheme runs on one mechanism, the segment (segment.go):
+// start/inject, ACK application, chunk resend, hole repair, the RTO
 // sweep, the EC shard view with encode and in-place recover, SACK and
 // NACK construction, the final ACK with its background linger
-// (retire.go) and the clean-up on error exits each exist once.
+// (retire.go) and the clean-up on error exits each exist once. And
+// every scheme runs through one engine (engine.go): one send loop and
+// one receive loop following a ladder of rungs. A static scheme is a
+// one-rung ladder — one segment spanning the message, whose rung
+// carries the scheme's timing policy as data (Mode.static).
 //
-// The adaptive layer (Adaptor, WriteAdaptive/ReceiveAdaptive) makes
-// the scheme choice itself dynamic: one transfer is split into
-// segments, the receiver observes per-segment loss, duplicate and ECN
-// signals and plans each upcoming segment's rung on an SR↔EC ladder
-// (with hysteresis and a dwell floor), and the sender follows the
-// plans mid-flight — the "software-defined" half of the paper's
-// title, exercised against the netem fault programs.
+// The adaptive ladder (Adaptor) makes the scheme choice itself
+// dynamic: one transfer is split into segments, the receiver observes
+// per-segment loss, duplicate and ECN signals and plans each upcoming
+// segment's rung on an SR↔EC ladder (with hysteresis and a dwell
+// floor), and the sender follows the plans mid-flight — the
+// "software-defined" half of the paper's title, exercised against the
+// netem fault programs.
 //
 // A harness chooses a scheme by name and holds it as one value
 // (transfer.go):
@@ -31,15 +35,16 @@
 //	tr, err := s.NewTransfer(scheme, AdaptorConfig{}, maxMsgBytes, 1)
 //	err = tr.Drive("flow", data).Err()                     // one verified message
 //
-// NewTransfer is the only place that maps "sr", "sr-nack", "ec" or
-// "adaptive" to a loop pair, sizes and registers the receiver's parity
+// NewTransfer is the only place that turns "sr", "sr-nack", "ec" or
+// "adaptive" into a ladder, sizes and registers the receiver's parity
 // scratch and owns the Adaptor; Drive (or Actors, under the caller's
 // own Join) runs a message's sender and receiver and returns their
 // Outcome. Harnesses that loop over messages themselves call
-// tr.Write(data) and tr.Receive(mr, off, size, slot). The six Endpoint
-// loops the value dispatches to (WriteSR/EC/Adaptive, ReceiveSR/EC/
-// Adaptive) are exported because benchmark/rep.go, which no PR but a
-// [benchmark] one may edit, calls them (ROADMAP item 5b).
+// tr.Write(data) and tr.Receive(mr, off, size, slot), which call the
+// engine directly. The six Endpoint methods WriteSR/EC/Adaptive and
+// ReceiveSR/EC/Adaptive are one-line calls into the engine, exported
+// only because benchmark/rep.go, which no PR but a [benchmark] one may
+// edit, calls them (ROADMAP item 5b).
 package reliability
 
 import (
@@ -56,11 +61,12 @@ type Config struct {
 	// Alpha sets RTO = RTT + Alpha·RTT (§4.1.1; the paper's "SR RTO"
 	// scenario uses Alpha = 2, i.e. RTO = 3·RTT).
 	Alpha float64
-	// NACK enables receiver-driven fast retransmission: holes behind
-	// the selective-ACK frontier are resent after ~1 RTT instead of a
-	// full RTO (§5.1.1's "SR NACK" scenario).
+	// NACK enables fast retransmission on the static SR rung: holes
+	// behind the selective-ACK frontier are resent after ~1 RTT instead
+	// of a full RTO (§5.1.1's "SR NACK" scenario).
 	NACK bool
-	// PollInterval is the receiver's bitmap polling cadence.
+	// PollInterval is the sender's wake cadence, and the static EC
+	// receiver's bitmap polling cadence.
 	PollInterval time.Duration
 	// AckInterval is the receiver's ACK transmission cadence.
 	AckInterval time.Duration

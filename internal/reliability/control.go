@@ -30,7 +30,7 @@ type ctrlMsg struct {
 	// data-chunk list.
 	nackSubmsgs []ecNackEntry
 	// Plan fields: the receiver's scheme decision for adaptive segment
-	// planSeg (see adaptive.go).
+	// planSeg (see engine.go).
 	planSeg    uint32
 	planScheme byte
 	planK      uint16

@@ -7,7 +7,6 @@ import (
 	"sdrrdma/internal/clock"
 	"sdrrdma/internal/core"
 	"sdrrdma/internal/ec"
-	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/telemetry"
 )
 
@@ -24,8 +23,8 @@ var errGlobalTimeout = fmt.Errorf("%w: global timeout exceeded", ErrTimeout)
 // All waiting — RTO deadlines, poll cadences, ACK linger — goes
 // through the deployment's clock.Clock: real time by default,
 // discrete virtual time when the session was built on a
-// clock.Virtual (in which case WriteSR/ReceiveSR and the EC
-// equivalents must run in actor goroutines, via clock.Join or
+// clock.Virtual (in which case Transfer.Write/Receive and the engine
+// loops under them must run in actor goroutines, via clock.Join or
 // clock.JoinNamed).
 type Endpoint struct {
 	QP   *core.QP
@@ -137,11 +136,10 @@ func (e *Endpoint) noteGoodput(bytes int64) {
 // parity slabs are only aliased by the wire until the message
 // completes, which the operation awaits before returning).
 type opScratch struct {
-	srChunks    []chunkState
-	streams     []*core.SendStream
-	sendSegs    []sendSeg
-	subs        []ecRecvState
-	recvSegs    []adaptiveSegRecv
+	// send and recv are the engine loops' per-message state, with their
+	// segment tables (engine.go).
+	send        sendOp
+	recv        recvOp
 	shards      [][]byte
 	present     []bool
 	missBuf     []int
@@ -262,134 +260,3 @@ func (e *Endpoint) rebind(cfg Config) {
 
 // clock returns the deployment clock.
 func (e *Endpoint) clock() clock.Clock { return e.QP.Clock() }
-
-// WriteSR reliably writes data using Selective Repeat (§4.1.1): one
-// plain segment spanning the message — streaming SDR send for the
-// initial injection, per-chunk RTO retransmission, cumulative+selective
-// ACKs from the receiver — and, in NACK mode, fast retransmission of
-// holes behind the ACK frontier after ~1 RTT.
-func (e *Endpoint) WriteSR(data []byte) error {
-	e.opMu.Lock()
-	defer e.opMu.Unlock()
-	cfg := e.Cfg
-	clk := e.clock()
-
-	g := plainGeometry(len(data), e.QP.Config().ChunkBytes)
-	seg := sendSeg{
-		e: e, data: data, g: g,
-		streams: scratchSlice(&e.scr.streams, 1),
-		chunks:  scratchSlice(&e.scr.srChunks, g.nchunks),
-	}
-	defer seg.end()
-	if err := seg.start(); err != nil {
-		return err
-	}
-
-	now := clk.Now()
-	rto := cfg.rto()
-	nackDelay := cfg.RTT // NACK-mode hole resend delay (§5.1.1: 1 RTT)
-	deadline := now.Add(cfg.GlobalTimeout)
-	for {
-		// Snapshot BEFORE draining: an ACK that lands after the drain
-		// wakes the wait below immediately (no lost wakeup).
-		epoch := clk.Epoch()
-		if err := e.abortErr(); err != nil {
-			return fmt.Errorf("SR write %d B: %w", len(data), err)
-		}
-		progressed, err := seg.pump()
-		if err != nil {
-			return err
-		}
-		if seg.done {
-			return seg.end()
-		}
-		now = clk.Now()
-		if now.After(deadline) {
-			return fmt.Errorf("%w: SR write %d B, %d/%d chunks acked",
-				errGlobalTimeout, len(data), seg.acked, g.nchunks)
-		}
-		if cfg.NACK && progressed {
-			// Fast retransmit: a hole is an unacked chunk below the
-			// highest acked chunk — the receiver has seen past it, so
-			// it was dropped, not merely in flight. Age-gated: on a
-			// dedicated link one RTT bounds the in-flight ambiguity.
-			for c, frontier := 0, seg.highestAcked(); c < frontier; c++ {
-				if ch := seg.chunks[c]; !ch.acked && now.Sub(ch.lastSent) >= nackDelay {
-					if err := seg.resend(0, c, telemetry.CauseHole); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		// Per-chunk RTO retransmission, checked on every wake.
-		if err := seg.sweepRTO(now, rto); err != nil {
-			return err
-		}
-		e.noteInflight(g.nchunks - seg.acked)
-		clk.WaitNotify(epoch, cfg.PollInterval)
-	}
-}
-
-// ReceiveSR receives one reliable SR Write into mr[offset:offset+size]:
-// one plain segment. It polls the SDR chunk bitmap (§3.1.1) and reports
-// progress through cumulative+selective ACKs every AckInterval until
-// the message completes.
-func (e *Endpoint) ReceiveSR(mr *nicsim.MR, offset uint64, size int) error {
-	e.opMu.Lock()
-	defer e.opMu.Unlock()
-	cfg := e.Cfg
-	clk := e.clock()
-
-	chunkBytes := e.QP.Config().ChunkBytes
-	seg := recvSeg{
-		e: e, idx: -1, g: plainGeometry(size, chunkBytes),
-		mr: mr, base: offset, size: size,
-		subs: scratchSlice(&e.scr.subs, 1),
-	}
-	if err := seg.post(); err != nil {
-		return fmt.Errorf("reliability: SR receive: %w", err)
-	}
-	h := seg.subs[0].dataH
-
-	// goodput is fed from the cumulative frontier's byte watermark, so
-	// the series integrates to exactly the message size.
-	lastCumBytes := int64(0)
-	feedGoodput := func(cumChunks int) {
-		b := min(int64(cumChunks)*int64(chunkBytes), int64(size))
-		e.noteGoodput(b - lastCumBytes)
-		lastCumBytes = b
-	}
-
-	start := clk.Now()
-	deadline := start.Add(cfg.GlobalTimeout)
-	nextAck := start.Add(cfg.AckInterval)
-	for {
-		// Snapshot BEFORE the completion check: the delivery that
-		// completes the message notifies the clock, so the wait below
-		// cannot sleep past it.
-		epoch := clk.Epoch()
-		if seg.recoverAll() {
-			break
-		}
-		if err := e.abortErr(); err != nil {
-			seg.abandon()
-			return fmt.Errorf("SR receive %d B: %w", size, err)
-		}
-		now := clk.Now()
-		if now.After(deadline) {
-			seg.abandon()
-			return fmt.Errorf("%w: SR receive %d B, %d/%d chunks",
-				errGlobalTimeout, size, h.Bitmap().Count(), h.NumChunks())
-		}
-		if !now.Before(nextAck) {
-			ack := seg.ackMsg(false)
-			feedGoodput(int(ack.cumAck))
-			e.CP.send(ack)
-			nextAck = now.Add(cfg.AckInterval)
-		}
-		clk.WaitNotify(epoch, nextAck.Sub(now))
-	}
-	feedGoodput(h.NumChunks())
-	seg.finish()
-	return nil
-}

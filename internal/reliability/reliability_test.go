@@ -305,26 +305,64 @@ func checkCtrlTraffic(t *testing.T, s *Session) {
 	}
 }
 
+// Every scheme gives up at GlobalTimeout when its data is black-holed:
+// one side returns an error matching ErrTimeout and the other returns
+// too (a side left waiting would be a virtual deadlock). Following
+// transfers on the same session must then succeed, and they need both
+// of the QP's two receive slots at once — ec's one message posts a data
+// and a parity submessage, adaptive's two segments, and an SR message's
+// slot is still lingering (Config.Linger) when the second one posts —
+// so they fail had the timed-out receive kept a slot.
 func TestGlobalTimeout(t *testing.T) {
-	cfg := testRelCfg()
-	cfg.GlobalTimeout = 50 * time.Millisecond
-	s, _ := newVirtualSession(t, cfg, 0, 15)
-	// Black-hole all data packets: the operation must abort, not hang.
-	s.Pair.Link.AB.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
-		if pkt.Opcode == nicsim.OpWriteImm {
-			return fabric.Drop
-		}
-		return fabric.Pass
-	})
-	out := newTransfer(t, s, "sr", 16<<10).Drive("test", pattern(16<<10, 1))
-	timedOut := 0
-	for _, err := range []error{out.SendErr, out.RecvErr} {
-		if errors.Is(err, errGlobalTimeout) {
-			timedOut++
-		}
-	}
-	if timedOut == 0 {
-		t.Fatal("no side reported ErrGlobalTimeout")
+	for _, tc := range []struct {
+		scheme     string
+		size, msgs int
+	}{
+		{"sr", 16 << 10, 2},
+		{"sr-nack", 16 << 10, 2},
+		{"ec", 16 << 10, 1},        // 4 chunks: one (4,2) submessage
+		{"adaptive", 128 << 10, 1}, // two 16-chunk segments
+	} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			relCfg, err := testRelCfg().ForScheme(tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			relCfg.GlobalTimeout = 50 * time.Millisecond
+			coreCfg := testCoreCfg(clock.NewVirtual())
+			coreCfg.MsgIDBits, coreCfg.PktOffsetBits = 1, 27 // 1<<1 = 2 slots
+			lat := 2 * time.Millisecond
+			s, err := NewSession(coreCfg, relCfg,
+				fabric.Config{Latency: lat, Seed: 15}, fabric.Config{Latency: lat, Seed: 1015}, lat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			tr := newTransfer(t, s, tc.scheme, tc.size)
+			s.Pair.Link.AB.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
+				if pkt.Opcode == nicsim.OpWriteImm {
+					return fabric.Drop
+				}
+				return fabric.Pass
+			})
+			out := tr.Drive("timeout", pattern(tc.size, 1))
+			timedOut := 0
+			for _, err := range []error{out.SendErr, out.RecvErr} {
+				switch {
+				case errors.Is(err, ErrTimeout):
+					timedOut++
+				case err != nil:
+					t.Errorf("failure outside the typed taxonomy: %v", err)
+				}
+			}
+			if timedOut == 0 {
+				t.Fatal("no side reported ErrTimeout")
+			}
+			s.Pair.Link.AB.SetInterceptor(nil)
+			for i := 0; i < tc.msgs; i++ {
+				driveMsg(t, tr, pattern(tc.size, byte(2+i)))
+			}
+		})
 	}
 }
 

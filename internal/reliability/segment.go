@@ -18,13 +18,36 @@ import (
 // one parity submessage per data submessage. The plain (Selective
 // Repeat) segment is the degenerate geometry L = 1, m = 0.
 //
-// The three schemes are policies over it (§4.1: reliability is software
-// written against the partial-completion bitmap): static SR is one
-// plain segment spanning the message, static EC one coded segment of L
-// submessages, adaptive a window of single-submessage segments plus the
-// plan stream. What stays in their loops is what differs between them:
-// when a hole is repaired, when a NACK goes out, the ACK cadence and
-// the windowing.
+// Every scheme is a ladder of rungs run by one engine over it
+// (engine.go; §4.1: reliability is software written against the
+// partial-completion bitmap): static SR and SR-NACK are one rung whose
+// plain segment spans the message, static EC one rung whose coded
+// segment holds all L submessages of the message, adaptive a window of
+// single-submessage segments on the Adaptor's ladder plus the plan
+// stream. What a rung carries besides its geometry is its timing
+// policy (Mode.static): when a hole is repaired (repairHoles), when a
+// NACK goes out and how often the receiver wakes.
+
+// ecGeometry captures how a byte range decomposes into erasure-coded
+// submessages (§4.1.2): L data submessages of k chunks (the tail
+// submessage may have fewer real chunks and is padded with virtual
+// zero chunks so the (k, m) code applies uniformly), each paired with
+// a parity submessage of m chunks.
+type ecGeometry struct {
+	chunkBytes int
+	k, m       int
+	nchunks    int // real data chunks
+	L          int // submessages
+}
+
+func newECGeometry(size, chunkBytes, k, m int) ecGeometry {
+	nchunks := (size + chunkBytes - 1) / chunkBytes
+	l := (nchunks + k - 1) / k
+	if l == 0 {
+		l = 1
+	}
+	return ecGeometry{chunkBytes: chunkBytes, k: k, m: m, nchunks: nchunks, L: l}
+}
 
 // plainGeometry is the geometry of a segment without parity: one
 // submessage holding every chunk.
@@ -32,6 +55,24 @@ func plainGeometry(size, chunkBytes int) ecGeometry {
 	nchunks := (size + chunkBytes - 1) / chunkBytes
 	return newECGeometry(size, chunkBytes, max(nchunks, 1), 0)
 }
+
+// realChunks returns how many real data chunks submessage i holds.
+func (g ecGeometry) realChunks(i int) int {
+	return max(0, min(g.k, g.nchunks-i*g.k))
+}
+
+// subOffset returns the byte offset of data submessage i within the
+// range.
+func (g ecGeometry) subOffset(i int) int { return i * g.k * g.chunkBytes }
+
+// subBytes returns the real byte size of data submessage i within a
+// range of total bytes.
+func (g ecGeometry) subBytes(i, total int) int {
+	return min(g.subOffset(i+1), total) - g.subOffset(i)
+}
+
+// parityBytes is the wire size of each parity submessage.
+func (g ecGeometry) parityBytes() int { return g.m * g.chunkBytes }
 
 // chunkState tracks one chunk on the sender.
 type chunkState struct {
@@ -46,13 +87,16 @@ type chunkState struct {
 }
 
 // sendSeg is the sender half of a segment. The caller fills e, data, g,
-// sub0, streams (g.L entries) and chunks (g.nchunks entries), then
-// calls start.
+// static, sub0, streams (g.L entries) and chunks (g.nchunks entries),
+// then calls start.
 type sendSeg struct {
 	e    *Endpoint
 	data []byte
 	g    ecGeometry
-	code ec.Code // the (g.k, g.m) code; nil on a plain segment
+	// static is the rung's timing policy (Mode.static), read by
+	// repairHoles.
+	static bool
+	code   ec.Code // the (g.k, g.m) code; nil on a plain segment
 	// sub0 is the message-wide index of the segment's first submessage,
 	// the coordinate telemetry and error text report.
 	sub0    int
@@ -68,6 +112,8 @@ type sendSeg struct {
 	// done is set by apply: every chunk acknowledged (plain) or the
 	// receiver's positive ACK arrived (coded).
 	done bool
+	// progressed says the last pump applied a control message.
+	progressed bool
 }
 
 // start opens the segment and performs the initial injection, in the
@@ -150,20 +196,21 @@ func (scr *opScratch) shardView(g ecGeometry, i int, sub, parity []byte) (shards
 	return shards, tailChunk
 }
 
-// pump applies every queued control message of the segment and reports
-// whether any arrived.
-func (s *sendSeg) pump() (progressed bool, err error) {
-	for {
-		select {
-		case m := <-s.acks:
-			progressed = true
-			if err := s.apply(m); err != nil {
-				return progressed, err
-			}
-		default:
-			return progressed, nil
+// pump applies every queued control message of the segment, noting in
+// progressed whether any arrived, and ends the segment once they have
+// completed it.
+func (s *sendSeg) pump() error {
+	s.progressed = false
+	for len(s.acks) > 0 { // this goroutine is the only receiver
+		s.progressed = true
+		if err := s.apply(<-s.acks); err != nil {
+			return err
 		}
 	}
+	if s.done {
+		return s.end()
+	}
+	return nil
 }
 
 // apply folds one control message into the segment's state. Messages of
@@ -237,6 +284,57 @@ func (s *sendSeg) resend(sub, c int, cause int64) error {
 	return s.streams[sub].Continue(c*cb, s.data[lo:hi])
 }
 
+// repairHoles resends the unacknowledged chunks of a plain segment that
+// ACK evidence shows lost, under the rung's policy; later says a later
+// segment has acknowledged something.
+//
+// A static rung repairs only in NACK mode (Config.NACK, §5.1.1's "SR
+// NACK"), on the wake an ACK arrived: a hole is an unacked chunk below
+// the highest acked chunk — the receiver has seen past it, so it was
+// dropped, not merely in flight. It is age-gated: on a dedicated link
+// one RTT bounds the in-flight ambiguity.
+//
+// An adaptive rung needs no age gate. First transmissions are injected
+// strictly in segment order, so ack evidence from a later segment proves
+// every chunk of this one crossed the network once — and had a chunk
+// survived, its own SACK would be in the same drained batch (the
+// receiver SACKs every posted segment each ack interval). A hole in the
+// snapshot is therefore loss, not data in flight; age-gating against a
+// fixed RTT underestimates queueing delay and turns every standing
+// queue into spurious retransmissions. Each chunk is repaired once; the
+// RTO sweep covers a repair that is itself lost.
+func (s *sendSeg) repairHoles(now time.Time, later bool) error {
+	if s.static {
+		if !s.e.Cfg.NACK || !s.progressed {
+			return nil
+		}
+		for c, frontier := 0, s.highestAcked(); c < frontier; c++ {
+			if ch := s.chunks[c]; !ch.acked && now.Sub(ch.lastSent) >= s.e.Cfg.RTT {
+				if err := s.resend(0, c, telemetry.CauseHole); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	// Evidence frontier: every chunk below the segment's own highest
+	// acked chunk is provably lost — or the whole segment is, when a
+	// later segment has acked anything.
+	limit := len(s.chunks)
+	if !later {
+		limit = s.highestAcked()
+	}
+	for c := 0; c < limit; c++ {
+		if ch := &s.chunks[c]; !ch.acked && !ch.repaired {
+			ch.repaired = true
+			if err := s.resend(0, c, telemetry.CauseHole); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // sweepRTO re-injects every unacknowledged chunk whose retransmission
 // timeout has expired. The deadline backs off exponentially per attempt
 // with a deterministic jitter (retryRTO), so a dead stretch of network
@@ -288,8 +386,8 @@ type ecRecvState struct {
 // fills everything but the recovery outputs, then calls post.
 type recvSeg struct {
 	e *Endpoint
-	// idx is the adaptive segment index telemetry reports; -1 on the
-	// static schemes.
+	// idx is the segment's index in its message, which telemetry
+	// reports.
 	idx     int
 	g       ecGeometry
 	code    ec.Code // the (g.k, g.m) code; nil on a plain segment

@@ -9,9 +9,9 @@ import (
 	"sdrrdma/internal/nicsim"
 )
 
-// checkScheme rejects names Transfer has no loop pair for. "sr" and
-// "sr-nack" share the SR loops; what separates them is Config.NACK,
-// which must be set before the session exists (ForScheme).
+// checkScheme rejects names Transfer has no ladder for. "sr" and
+// "sr-nack" share one rung; what separates them is Config.NACK, which
+// must be set before the session exists (ForScheme).
 func checkScheme(scheme string) error {
 	switch scheme {
 	case "sr", "sr-nack", "ec", "adaptive":
@@ -21,21 +21,26 @@ func checkScheme(scheme string) error {
 }
 
 // ForScheme returns c with the one field a scheme name decides set:
-// NACK, on for "sr-nack" only (WriteSR is its only reader). Everything
-// else a scheme needs is bound by Session.NewTransfer.
+// NACK, on for "sr-nack" only (the static SR rung's hole repair is its
+// only reader). Everything else a scheme needs is bound by
+// Session.NewTransfer.
 func (c Config) ForScheme(scheme string) (Config, error) {
 	c.NACK = scheme == "sr-nack"
 	return c, checkScheme(scheme)
 }
 
 // Transfer is a reliability scheme bound to a session's A→B direction:
-// the loop pair the name selects, the receiver's parity scratch sized
-// from the scheme's geometry, and — for "adaptive" — the Adaptor that
-// persists across the session's messages. Write and Receive are the two
-// per-side calls; Actors and Drive run them as one verified message.
+// the ladder the name selects for the engine, the receiver's parity
+// scratch sized from its geometry, and — for "adaptive" — the Adaptor
+// that persists across the session's messages. Write and Receive are
+// the two per-side calls; Actors and Drive run them as one verified
+// message.
 type Transfer struct {
-	s       *Session
-	scheme  string // validated by checkScheme
+	s      *Session
+	scheme string // validated by checkScheme
+	// ladder is what the engine runs: a static scheme's one-rung ladder
+	// or the Adaptor's.
+	ladder  AdaptorConfig
 	ad      *Adaptor
 	scratch []*nicsim.MR // one parity region per rotation slot; none for SR
 }
@@ -51,23 +56,20 @@ func (s *Session) NewTransfer(scheme string, acfg AdaptorConfig, maxMsgBytes, sl
 	if err := checkScheme(scheme); err != nil {
 		return nil, err
 	}
-	t := &Transfer{s: s, scheme: scheme}
-	chunk := s.B.QP.Config().ChunkBytes
-	var scratchBytes int
+	t := &Transfer{s: s, scheme: scheme, ladder: srLadder}
 	switch scheme {
 	case "ec":
-		scratchBytes = s.B.Cfg.ECScratchBytes(chunk, maxMsgBytes)
+		t.ladder = s.B.Cfg.ecLadder()
 	case "adaptive":
 		var err error
 		if t.ad, err = NewAdaptor(acfg); err != nil {
 			return nil, err
 		}
-		scratchBytes = AdaptiveScratchBytes(acfg, chunk, maxMsgBytes)
-	default:
-		return t, nil // SR stages no parity
+		t.ladder = t.ad.cfg
 	}
-	for i := 0; i < slots; i++ {
-		t.scratch = append(t.scratch, s.Pair.B.Ctx.RegMR(make([]byte, scratchBytes)))
+	n := scratchBytes(t.ladder, s.B.QP.Config().ChunkBytes, maxMsgBytes)
+	for i := 0; i < slots && n > 0; i++ {
+		t.scratch = append(t.scratch, s.Pair.B.Ctx.RegMR(make([]byte, n)))
 	}
 	return t, nil
 }
@@ -77,26 +79,16 @@ func (s *Session) NewTransfer(scheme string, acfg AdaptorConfig, maxMsgBytes, sl
 func (t *Transfer) Adaptor() *Adaptor { return t.ad }
 
 // Write reliably writes data from the session's A side.
-func (t *Transfer) Write(data []byte) error {
-	switch t.scheme {
-	case "ec":
-		return t.s.A.WriteEC(data)
-	case "adaptive":
-		return t.s.A.WriteAdaptive(t.ad.cfg, data)
-	}
-	return t.s.A.WriteSR(data)
-}
+func (t *Transfer) Write(data []byte) error { return t.s.A.write(t.ladder, data) }
 
 // Receive receives one Write into mr[off:off+size] on the session's B
 // side, staging parity in scratch region slot.
 func (t *Transfer) Receive(mr *nicsim.MR, off uint64, size, slot int) error {
-	switch t.scheme {
-	case "ec":
-		return t.s.B.ReceiveEC(mr, off, size, t.scratch[slot])
-	case "adaptive":
-		return t.s.B.ReceiveAdaptive(t.ad, mr, off, size, t.scratch[slot])
+	var scratch *nicsim.MR
+	if t.scratch != nil {
+		scratch = t.scratch[slot]
 	}
-	return t.s.B.ReceiveSR(mr, off, size)
+	return t.s.B.receive(t.ladder, t.ad, mr, off, size, scratch)
 }
 
 // Outcome is what one driven message produced. The actors from

@@ -33,7 +33,7 @@ func poolRelCfg() reliability.Config {
 }
 
 // driveSR moves data A→B over s through the shared verified-transfer
-// driver, on the SR loops (NACK mode per the session's config).
+// driver, on the static SR rung (NACK mode per the session's config).
 func driveSR(s *reliability.Session, data []byte) error {
 	tr, err := s.NewTransfer("sr", reliability.AdaptorConfig{}, len(data), 1)
 	if err != nil {
