@@ -39,7 +39,7 @@ test:
 
 # Kernel micro-benchmarks: gf256 word kernels and the fused multi-row
 # kernel (BenchmarkMulRows* and BenchmarkRowTablesSet* once per tier the
-# host can run), EC serial-vs-parallel encode, bitmap polling — the hot
+# host can run), EC encode and reconstruct, bitmap polling — the hot
 # paths tracked by the bench trajectory.
 bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkXORSlice|BenchmarkMulAddSlice|BenchmarkMulRows|BenchmarkRowTablesSet' ./internal/gf256/

@@ -100,7 +100,7 @@ func TestKillSessionTypedAbort(t *testing.T) {
 		Seed: 7, Index: 1, Scheme: schemeSRNACK, Size: 256 << 10,
 		Faults: []Fault{{Kind: faultKillSession, At: 2 * time.Millisecond}},
 	}
-	o := runProgram(p)
+	o := runProgram(clock.NewVirtual(), p)
 	if len(o.Violations) != 0 {
 		t.Fatalf("violations: %v", o.Violations)
 	}
@@ -120,7 +120,7 @@ func TestLinkDeathTimesOut(t *testing.T) {
 		Seed: 7, Index: 0, Scheme: schemeSR, Size: 256 << 10,
 		Faults: []Fault{{Kind: faultLinkDeath, At: time.Millisecond}},
 	}
-	o := runProgram(p)
+	o := runProgram(clock.NewVirtual(), p)
 	if len(o.Violations) != 0 {
 		t.Fatalf("violations: %v", o.Violations)
 	}
@@ -143,7 +143,7 @@ func TestCrashRecvSenderSurvives(t *testing.T) {
 		Seed: 7, Index: 2, Scheme: schemeEC, Size: 256 << 10,
 		Faults: []Fault{{Kind: faultCrashRecv, At: 1 * time.Millisecond}},
 	}
-	o := runProgram(p)
+	o := runProgram(clock.NewVirtual(), p)
 	if len(o.Violations) != 0 {
 		t.Fatalf("violations: %v", o.Violations)
 	}
@@ -210,7 +210,7 @@ func TestPanickingSideIsUntypedViolation(t *testing.T) {
 func TestCleanProgramCompletes(t *testing.T) {
 	for _, scheme := range Schemes {
 		p := Program{Seed: 7, Index: 3, Scheme: scheme, Size: 64 << 10}
-		o := runProgram(p)
+		o := runProgram(clock.NewVirtual(), p)
 		if len(o.Violations) != 0 {
 			t.Fatalf("%s: violations: %v", scheme, o.Violations)
 		}
@@ -268,7 +268,7 @@ func TestShrinkOnRealInvariants(t *testing.T) {
 	// property my bisection chases"). The flap of the backup arm is
 	// irrelevant; shrink must drop it.
 	failing := func(q Program) bool {
-		o := runProgram(q)
+		o := runProgram(clock.NewVirtual(), q)
 		return o.Send != "ok" || o.Recv != "ok"
 	}
 	m := shrink(p, failing)
@@ -280,7 +280,7 @@ func TestShrinkOnRealInvariants(t *testing.T) {
 func BenchmarkChaosScenario(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o := runProgram(generate(smokeSeed, i%50))
+		o := runProgram(clock.NewVirtual(), generate(smokeSeed, i%50))
 		if len(o.Violations) != 0 {
 			b.Fatalf("scenario %d: %v", i%50, o.Violations)
 		}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdrrdma/internal/clock"
@@ -238,11 +236,11 @@ func transfer(clk *clock.Virtual, flow *reliability.Session, scheme string, size
 	return out
 }
 
-// runProgram executes one scenario on a fresh virtual clock and
+// runProgram executes one scenario on clk, fresh or freshly reset, and
 // checks every invariant. A virtual-clock deadlock (or any other
-// panic) is recovered into the outcome as a counterexample — the
-// poisoned engine is simply discarded, never reused.
-func runProgram(p Program) (o Outcome) {
+// panic) is recovered into the outcome as a counterexample; clock.Lanes
+// then discards the poisoned engine instead of reusing it.
+func runProgram(clk *clock.Virtual, p Program) (o Outcome) {
 	o = Outcome{Index: p.Index, Program: p, Send: "-", Recv: "-", FollowUp: "skipped"}
 	defer func() {
 		if r := recover(); r != nil {
@@ -250,7 +248,6 @@ func runProgram(p Program) (o Outcome) {
 			o.viol("virtual clock deadlocked: %v", r)
 		}
 	}()
-	clk := clock.NewVirtual()
 	if p.Scheme == schemeRCGBN {
 		runRC(clk, p, &o)
 	} else {
@@ -466,30 +463,14 @@ func (r *Report) Counterexamples() []Outcome {
 	return bad
 }
 
-// Run generates and executes n scenarios of seed's corpus across
-// `workers` goroutines (≤ 0 means serial). Scenarios are claimed from
-// an atomic counter; results land at their own index, so the report
-// is identical for every worker count.
+// Run generates and executes n scenarios of seed's corpus as the cells
+// of a clock.Lanes sweep over `workers` lanes (≤ 0 means GOMAXPROCS).
+// Results land at their own index, so the report is identical for
+// every worker count.
 func Run(seed uint64, n, workers int) *Report {
-	if workers <= 0 {
-		workers = 1
-	}
 	outs := make([]Outcome, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				outs[i] = runProgram(generate(seed, i))
-			}
-		}()
-	}
-	wg.Wait()
+	(&clock.Lanes{Workers: workers}).Run(n, func(v *clock.Virtual, i int) {
+		outs[i] = runProgram(v, generate(seed, i))
+	})
 	return &Report{Seed: seed, Outcomes: outs}
 }

@@ -231,15 +231,9 @@ func (r *Real) WaitNotify(epoch uint64, d time.Duration) bool {
 		notified = r.gen != epoch
 		r.mu.Unlock()
 	}
-	if !t.Stop() {
-		// A fired-but-unread timer must be drained before reuse, or the
-		// next wait on this pooled timer would wake instantly on the
-		// stale tick.
-		select {
-		case <-t.C:
-		default:
-		}
-	}
+	// Since Go 1.23 Stop leaves no fired-but-unread tick in t.C, so the
+	// next wait on this pooled timer cannot wake on a stale one.
+	t.Stop()
 	wnTimers.Put(t)
 	return notified
 }

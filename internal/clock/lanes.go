@@ -54,10 +54,8 @@ func (l *Lanes) lease() *Virtual {
 }
 
 // release returns an engine to the pool, Reset and ready for the next
-// cell. An engine whose cell panicked mid-run (live actors, active
-// Run) is dropped instead: resetting it would panic again and bury
-// the original diagnostic — e.g. a virtual-deadlock report — under a
-// cascading secondary panic.
+// cell. An engine its cell left non-idle is dropped instead (see
+// renew).
 func (l *Lanes) release(v *Virtual) {
 	if !v.idle() {
 		return
@@ -66,6 +64,20 @@ func (l *Lanes) release(v *Virtual) {
 	l.mu.Lock()
 	l.idle = append(l.idle, v)
 	l.mu.Unlock()
+}
+
+// renew readies a worker's engine for its next cell: v itself, Reset,
+// or a fresh engine when the last cell left v with live actors or an
+// active Run — a cell that panicked mid-run, or one that recovered a
+// virtual deadlock and left its blocked actors parked on v for good.
+// Resetting such an engine would panic and bury the cell's own outcome
+// or diagnostic under a secondary panic.
+func renew(v *Virtual) *Virtual {
+	if !v.idle() {
+		return NewVirtual()
+	}
+	v.reset()
+	return v
 }
 
 // Run executes cell(v, i) for every i in [0, n) across the configured
@@ -81,38 +93,32 @@ func (l *Lanes) Run(n int, cell func(v *Virtual, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
+	workers = min(workers, n)
+	var next atomic.Int64
+	lane := func() {
 		v := l.lease()
-		defer l.release(v)
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				v.reset()
+		defer func() { l.release(v) }()
+		for first := true; ; first = false {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if !first {
+				v = renew(v)
 			}
 			l.runCell(v, i, cell)
 		}
+	}
+	if workers == 1 {
+		lane() // on the caller's goroutine
 		return
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v := l.lease()
-			defer l.release(v)
-			for first := true; ; first = false {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if !first {
-					v.reset()
-				}
-				l.runCell(v, i, cell)
-			}
+			lane()
 		}()
 	}
 	wg.Wait()

@@ -106,6 +106,28 @@ func TestLanesPoolReuseAcrossRuns(t *testing.T) {
 	}
 }
 
+// A cell that recovers a virtual deadlock leaves its blocked actor
+// parked on its engine for good: the lane must give the next cell a
+// fresh engine instead of panicking in Reset.
+func TestLanesRenewEngineAfterRecoveredDeadlock(t *testing.T) {
+	out := make([]string, 2)
+	(&Lanes{Workers: 1}).Run(2, func(v *Virtual, i int) {
+		if i == 1 {
+			out[1] = laneCell(v, 7)
+			return
+		}
+		defer func() { out[0] = fmt.Sprint(recover()) }()
+		v.spawnNamed("stuck", func() { v.WaitNotify(v.Epoch(), -1) })
+		v.run()
+	})
+	if !strings.Contains(out[0], "virtual deadlock") {
+		t.Fatalf("cell 0 recovered %q, want the deadlock diagnostic", out[0])
+	}
+	if want := laneCell(NewVirtual(), 7); out[1] != want {
+		t.Fatalf("cell 1 after the deadlocked cell diverged from a fresh engine:\n%s\n%s", out[1], want)
+	}
+}
+
 // CellSeed must match protosim's sample-seed derivation discipline:
 // stable, and decorrelated across neighbouring cells.
 func TestCellSeedStableAndDistinct(t *testing.T) {

@@ -10,12 +10,14 @@
 //     k+m total, the stand-in for Intel ISA-L used in Fig 11 — with
 //     ISA-L's kernel shape where the CPU allows: shard bytes go through
 //     gf256.RowTables.MulRows, a GFNI or AVX2 assembly body on amd64
-//     and portable Go elsewhere (gf256.Kernel says which), all three
+//     and portable Go elsewhere (gf256.Kernel says which), all of them
 //     producing the same parity.
 //
-// Both operate on equal-length byte shards, matching SDR chunks. XOR
-// shard bytes go through gf256.XORSlice, the standard library's SIMD
-// XOR.
+// Both operate on equal-length byte shards, matching SDR chunks, and
+// work through whole shards on the caller's goroutine; Fig 11 derives
+// the cores that hide encoding behind injection from that single-core
+// rate. XOR shard bytes go through gf256.XORSlice, the standard
+// library's SIMD XOR.
 package ec
 
 import (
@@ -52,23 +54,23 @@ type Code interface {
 // falling back to Selective Repeat for the submessage (§4.1.2).
 var errUnrecoverable = errors.New("ec: too many shards lost to reconstruct")
 
-func checkShardGeometry(data, parity [][]byte, k, m int) (int, error) {
+func checkShardGeometry(data, parity [][]byte, k, m int) error {
 	if len(data) != k || len(parity) != m {
-		return 0, fmt.Errorf("ec: got %d data + %d parity shards, want %d + %d",
+		return fmt.Errorf("ec: got %d data + %d parity shards, want %d + %d",
 			len(data), len(parity), k, m)
 	}
 	size := len(data[0])
 	for _, group := range [2][][]byte{data, parity} {
 		for _, s := range group {
 			if len(s) != size {
-				return 0, fmt.Errorf("ec: shard size mismatch: %d vs %d", len(s), size)
+				return fmt.Errorf("ec: shard size mismatch: %d vs %d", len(s), size)
 			}
 		}
 	}
 	if size == 0 {
-		return 0, errors.New("ec: empty shards")
+		return errors.New("ec: empty shards")
 	}
-	return size, nil
+	return nil
 }
 
 // --- XOR code -----------------------------------------------------------
@@ -91,31 +93,18 @@ func NewXOR(k, m int) (*XORCode, error) {
 func (c *XORCode) K() int { return c.k }
 func (c *XORCode) M() int { return c.m }
 
-// Encode computes parity[i] = XOR of data[j] for j mod m == i. Above
-// the parallel threshold byte ranges are sharded across the package
-// worker pool; the output is identical to the serial path.
+// Encode computes parity[i] = XOR of data[j] for j mod m == i.
 func (c *XORCode) Encode(data, parity [][]byte) error {
-	size, err := checkShardGeometry(data, parity, c.k, c.m)
-	if err != nil {
+	if err := checkShardGeometry(data, parity, c.k, c.m); err != nil {
 		return err
 	}
-	if useParallel(size) {
-		forEachRange(size, func(lo, hi int) { c.encodeRange(data, parity, lo, hi) })
-	} else {
-		c.encodeRange(data, parity, 0, size)
-	}
-	return nil
-}
-
-// encodeRange computes bytes [lo,hi) of every parity row.
-func (c *XORCode) encodeRange(data, parity [][]byte, lo, hi int) {
 	for i, p := range parity {
-		p = p[lo:hi]
-		copy(p, data[i][lo:hi])
+		copy(p, data[i])
 		for j := i + c.m; j < c.k; j += c.m {
-			gf256.XORSlice(p, data[j][lo:hi])
+			gf256.XORSlice(p, data[j])
 		}
 	}
+	return nil
 }
 
 // groupLoss counts missing blocks per modulo group; group g holds data
@@ -148,9 +137,8 @@ func (c *XORCode) CanRecover(present []bool) bool {
 	return true
 }
 
-// Reconstruct repairs at most one missing data block per modulo group.
-// Byte ranges decode independently, so large shards are repaired across
-// the worker pool.
+// Reconstruct repairs at most one missing data block per modulo group
+// from its group's parity and surviving data blocks.
 func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 	if len(shards) != c.k+c.m || len(present) != c.k+c.m {
 		return fmt.Errorf("ec: XOR Reconstruct wants %d shards", c.k+c.m)
@@ -158,42 +146,21 @@ func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 	if !c.CanRecover(present) {
 		return errUnrecoverable
 	}
-	var repairs []int // data block to repair, one per damaged group
-	for g := 0; g < c.m; g++ {
+	for missing := 0; missing < c.k; missing++ {
+		if present[missing] {
+			continue
+		}
+		g := missing % c.m
+		out := shards[missing]
+		copy(out, shards[c.k+g]) // start from parity
 		for j := g; j < c.k; j += c.m {
-			if !present[j] {
-				repairs = append(repairs, j)
-				break
+			if j != missing {
+				gf256.XORSlice(out, shards[j])
 			}
 		}
-	}
-	if len(repairs) == 0 {
-		return nil // no data loss (maybe only parity lost)
-	}
-	if size := len(shards[repairs[0]]); useParallel(size) {
-		forEachRange(size, func(lo, hi int) { c.repairRange(shards, repairs, lo, hi) })
-	} else {
-		c.repairRange(shards, repairs, 0, size)
-	}
-	for _, missing := range repairs {
 		present[missing] = true
 	}
 	return nil
-}
-
-// repairRange rebuilds bytes [lo,hi) of each missing data block from
-// its group's parity and surviving data blocks.
-func (c *XORCode) repairRange(shards [][]byte, repairs []int, lo, hi int) {
-	for _, missing := range repairs {
-		g := missing % c.m
-		out := shards[missing][lo:hi]
-		copy(out, shards[c.k+g][lo:hi]) // start from parity
-		for j := g; j < c.k; j += c.m {
-			if j != missing {
-				gf256.XORSlice(out, shards[j][lo:hi])
-			}
-		}
-	}
 }
 
 // --- Reed–Solomon (MDS) code ---------------------------------------------
@@ -251,18 +218,12 @@ func (c *RSCode) M() int { return c.m }
 
 // Encode computes the m parity shards — the GF(2^8) product of the
 // parity rows of enc with the data columns, 8 rows per pass over the
-// data. Above the parallel threshold byte ranges are sharded across
-// the package worker pool; the output is identical to the serial path.
+// data.
 func (c *RSCode) Encode(data, parity [][]byte) error {
-	size, err := checkShardGeometry(data, parity, c.k, c.m)
-	if err != nil {
+	if err := checkShardGeometry(data, parity, c.k, c.m); err != nil {
 		return err
 	}
-	if useParallel(size) {
-		forEachRange(size, func(lo, hi int) { c.encTabs.MulRows(parity, data, lo, hi) })
-	} else {
-		c.encTabs.MulRows(parity, data, 0, size)
-	}
+	c.encTabs.MulRows(parity, data)
 	return nil
 }
 
@@ -314,11 +275,7 @@ func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
 		return fmt.Errorf("ec: decode matrix singular: %w", err)
 	}
 	s.tabs.Set(s.rows)
-	if size := len(s.out[0]); useParallel(size) {
-		forEachRange(size, func(lo, hi int) { s.tabs.MulRows(s.out, s.avail, lo, hi) })
-	} else {
-		s.tabs.MulRows(s.out, s.avail, 0, size)
-	}
+	s.tabs.MulRows(s.out, s.avail)
 	for j := 0; j < c.k; j++ {
 		present[j] = true
 	}

@@ -325,118 +325,69 @@ func TestFig11FallbackOnsetShape(t *testing.T) {
 	}
 }
 
-// withParallelism runs fn with the dispatch decision forced to n
-// workers, restoring the default afterwards. It lets single-core CI
-// exercise (and race-test) the sharded path.
-func withParallelism(n int, fn func()) {
-	defer ForceParallelism(n)()
+// onPortable runs fn on the portable gf256 body, the reference every
+// assembly body is compared with. Build codes inside fn.
+func onPortable(fn func()) {
+	best := gfTier
+	defer func() { gfTier = best }()
+	gfTier = 0
 	fn()
 }
 
-// TestParallelEncodeMatchesSerial locks in the acceptance criterion
-// that the sharded encoder produces byte-identical parity to the
-// serial path, for both codes, at sizes above the parallel threshold
-// (including a non-segment-aligned one).
-func TestParallelEncodeMatchesSerial(t *testing.T) {
-	forEachKernel(t, testParallelEncodeMatchesSerial)
-}
+// diffCodes builds the codes the differential tests run, the paper's
+// RS(32,8) and XOR(32,8) and two small ones, for the tier in force.
+func diffCodes() []Code { return []Code{mustRS(32, 8), mustXOR(32, 8), mustRS(8, 4), mustXOR(8, 2)} }
 
-func testParallelEncodeMatchesSerial(t *testing.T) {
+// TestEncodeMatchesPortable encodes one 64 KiB chunk, one that ends off
+// every block boundary and one long enough for several bounded kernel
+// calls per shard on every body, and compares each parity byte with
+// the portable body's.
+func TestEncodeMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, c := range []Code{mustRS(32, 8), mustXOR(32, 8), mustRS(8, 4), mustXOR(8, 2)} {
-		for _, size := range []int{64 << 10, 64<<10 + 24, 192 << 10} {
-			data := makeShards(rng, c.K(), size)
-			serial := makeShards(rng, c.M(), size)
-			parallel := makeShards(rng, c.M(), size)
-			withParallelism(1, func() {
-				if err := c.Encode(data, serial); err != nil {
-					t.Fatalf("%T serial encode: %v", c, err)
+	sizes := []int{64 << 10, 64<<10 + 24, 192 << 10}
+	var data, want [][][]byte // per code and size
+	onPortable(func() {
+		for _, c := range diffCodes() {
+			for _, size := range sizes {
+				d, p := makeShards(rng, c.K(), size), makeShards(rng, c.M(), size)
+				if err := c.Encode(d, p); err != nil {
+					t.Fatalf("%T portable encode: %v", c, err)
 				}
-			})
-			withParallelism(8, func() {
-				if err := c.Encode(data, parallel); err != nil {
-					t.Fatalf("%T parallel encode: %v", c, err)
-				}
-			})
-			for i := range serial {
-				if !bytes.Equal(serial[i], parallel[i]) {
-					t.Fatalf("%T size=%d: parity row %d differs between serial and parallel encode",
-						c, size, i)
-				}
+				data, want = append(data, d), append(want, p)
 			}
 		}
-	}
+	})
+	forEachKernel(t, func(t *testing.T) {
+		i := 0
+		for _, c := range diffCodes() {
+			for _, size := range sizes {
+				got := makeShards(rng, c.M(), size)
+				if err := c.Encode(data[i], got); err != nil {
+					t.Fatalf("%T encode: %v", c, err)
+				}
+				for r := range got {
+					if !bytes.Equal(got[r], want[i][r]) {
+						t.Fatalf("%T size=%d: parity row %d differs from the portable body's", c, size, r)
+					}
+				}
+				i++
+			}
+		}
+	})
 }
 
-// TestParallelReconstructMatchesSerial does the same for the decoder:
-// repair the same loss pattern on serial and sharded paths and compare
-// every recovered byte.
-func TestParallelReconstructMatchesSerial(t *testing.T) {
-	forEachKernel(t, testParallelReconstructMatchesSerial)
+// TestReconstructLargeShards repairs RS and XOR loss patterns, parity
+// among the lost, on shards of 96 KiB + 8 on every body.
+func TestReconstructLargeShards(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		const size = 96<<10 + 8
+		roundTrip(t, mustRS(32, 8), []int{0, 5, 17, 31, 33}, size, false)
+		roundTrip(t, mustXOR(32, 8), []int{3, 12, 21, 38}, size, false)
+	})
 }
 
-func testParallelReconstructMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const size = 96<<10 + 8
-	for _, tc := range []struct {
-		code Code
-		lose []int
-	}{
-		{mustRS(32, 8), []int{0, 5, 17, 31, 33}},
-		{mustXOR(32, 8), []int{3, 12, 21, 38}},
-	} {
-		c := tc.code
-		k, m := c.K(), c.M()
-		data := makeShards(rng, k, size)
-		parity := makeShards(rng, m, size)
-		withParallelism(1, func() {
-			if err := c.Encode(data, parity); err != nil {
-				t.Fatal(err)
-			}
-		})
-		run := func(workers int) [][]byte {
-			shards := make([][]byte, k+m)
-			present := make([]bool, k+m)
-			for i := range shards {
-				var src []byte
-				if i < k {
-					src = data[i]
-				} else {
-					src = parity[i-k]
-				}
-				shards[i] = append([]byte(nil), src...)
-				present[i] = true
-			}
-			for _, l := range tc.lose {
-				present[l] = false
-				for b := range shards[l] {
-					shards[l][b] = 0xEE
-				}
-			}
-			withParallelism(workers, func() {
-				if err := c.Reconstruct(shards, present); err != nil {
-					t.Fatalf("%T workers=%d: %v", c, workers, err)
-				}
-			})
-			return shards
-		}
-		serial := run(1)
-		parallel := run(8)
-		for i := range serial {
-			if !bytes.Equal(serial[i], parallel[i]) {
-				t.Fatalf("%T: shard %d differs between serial and parallel reconstruct", c, i)
-			}
-		}
-		for i := 0; i < k; i++ {
-			if !bytes.Equal(serial[i], data[i]) {
-				t.Fatalf("%T: shard %d not recovered correctly", c, i)
-			}
-		}
-	}
-}
-
-// TestConcurrentEncodes drives many Encode calls through the shared
-// pool at once — the WriteEC pattern when several endpoints encode
+// TestConcurrentEncodes drives many Encode calls on one shared RSCode at
+// once — the WriteEC pattern when several endpoints encode
 // simultaneously — under the race detector.
 func TestConcurrentEncodes(t *testing.T) {
 	c := mustRS(16, 4)
@@ -448,37 +399,31 @@ func TestConcurrentEncodes(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(g)))
 		datas[g] = makeShards(rng, c.K(), size)
 		wants[g] = makeShards(rng, c.M(), size)
-	}
-	withParallelism(1, func() {
-		for g := range datas {
-			if err := c.Encode(datas[g], wants[g]); err != nil {
-				t.Fatal(err)
-			}
+		if err := c.Encode(datas[g], wants[g]); err != nil {
+			t.Fatal(err)
 		}
-	})
-	withParallelism(4, func() {
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				parity := makeShards(rand.New(rand.NewSource(int64(g)+100)), c.M(), size)
-				for iter := 0; iter < 4; iter++ {
-					if err := c.Encode(datas[g], parity); err != nil {
-						t.Error(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			parity := makeShards(rand.New(rand.NewSource(int64(g)+100)), c.M(), size)
+			for iter := 0; iter < 4; iter++ {
+				if err := c.Encode(datas[g], parity); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range parity {
+					if !bytes.Equal(parity[i], wants[g][i]) {
+						t.Errorf("concurrent encode diverged (goroutine %d)", g)
 						return
 					}
-					for i := range parity {
-						if !bytes.Equal(parity[i], wants[g][i]) {
-							t.Errorf("concurrent encode diverged (goroutine %d)", g)
-							return
-						}
-					}
 				}
-			}(g)
-		}
-		wg.Wait()
-	})
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestConcurrentReconstructs is the decode twin: one shared RSCode
@@ -488,51 +433,47 @@ func TestConcurrentReconstructs(t *testing.T) {
 	c := mustRS(16, 4)
 	const size = 32 << 10
 	const goroutines = 8
-	for _, workers := range []int{1, 4} {
-		withParallelism(workers, func() {
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(g)))
-					data := makeShards(rng, c.K(), size)
-					parity := makeShards(rng, c.M(), size)
-					if err := c.Encode(data, parity); err != nil {
-						t.Error(err)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			data := makeShards(rng, c.K(), size)
+			parity := makeShards(rng, c.M(), size)
+			if err := c.Encode(data, parity); err != nil {
+				t.Error(err)
+				return
+			}
+			shards := append(append([][]byte{}, data...), parity...)
+			for iter := 0; iter < 4; iter++ {
+				present := make([]bool, len(shards))
+				for i := range present {
+					present[i] = true
+				}
+				lose := rng.Perm(len(shards))[:1+(g+iter)%c.M()]
+				want := map[int][]byte{}
+				for _, l := range lose {
+					present[l] = false
+					if l < c.K() {
+						want[l] = append([]byte(nil), shards[l]...)
+						clear(shards[l])
+					}
+				}
+				if err := c.Reconstruct(shards, present); err != nil {
+					t.Error(err)
+					return
+				}
+				for l, w := range want {
+					if !bytes.Equal(shards[l], w) {
+						t.Errorf("concurrent reconstruct diverged (goroutine %d, shard %d)", g, l)
 						return
 					}
-					shards := append(append([][]byte{}, data...), parity...)
-					for iter := 0; iter < 4; iter++ {
-						present := make([]bool, len(shards))
-						for i := range present {
-							present[i] = true
-						}
-						lose := rng.Perm(len(shards))[:1+(g+iter)%c.M()]
-						want := map[int][]byte{}
-						for _, l := range lose {
-							present[l] = false
-							if l < c.K() {
-								want[l] = append([]byte(nil), shards[l]...)
-								clear(shards[l])
-							}
-						}
-						if err := c.Reconstruct(shards, present); err != nil {
-							t.Error(err)
-							return
-						}
-						for l, w := range want {
-							if !bytes.Equal(shards[l], w) {
-								t.Errorf("concurrent reconstruct diverged (goroutine %d, shard %d)", g, l)
-								return
-							}
-						}
-					}
-				}(g)
+				}
 			}
-			wg.Wait()
-		})
+		}(g)
 	}
+	wg.Wait()
 }
 
 // TestRSParityGolden pins the RS(32,8) parity bytes of a fixed pattern
@@ -586,7 +527,7 @@ func TestRSRowGroups(t *testing.T) {
 
 // TestReconstructUndersizedShard hands Reconstruct a buffer for a lost
 // shard that is shorter than the shards it is rebuilt from. Reconstruct
-// does not compare shard lengths, so gf256.MulRows' range check is what
+// does not compare shard lengths, so gf256.MulRows' length check is what
 // stands between that caller bug and the assembly kernels writing past
 // the buffer: it must fail loudly with nothing written, on every body.
 func TestReconstructUndersizedShard(t *testing.T) {
@@ -621,13 +562,12 @@ func TestReconstructUndersizedShard(t *testing.T) {
 	})
 }
 
-// TestRSAllocs holds the serial hot calls to their allocation budget:
-// Encode allocates nothing, Reconstruct recycles its decode workspace.
+// TestRSAllocs holds the hot calls to their allocation budget: Encode
+// allocates nothing, Reconstruct recycles its decode workspace.
 func TestRSAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	defer ForceParallelism(1)()
 	c := mustRS(32, 8)
 	rng := rand.New(rand.NewSource(3))
 	data, parity := makeShards(rng, 32, 4096), makeShards(rng, 8, 4096)
@@ -670,32 +610,6 @@ func benchEncode(b *testing.B, c Code, chunk int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkRSEncodeSerial / BenchmarkRSEncodeParallel (and the XOR
-// pair) expose the serial-vs-sharded encode throughput the acceptance
-// criteria track; on a multi-core machine the parallel variant should
-// be ≥2x. The serial variants force the seed single-goroutine path.
-func benchEncodeWorkers(b *testing.B, c Code, chunk, workers int) {
-	withParallelism(workers, func() {
-		benchEncode(b, c, chunk)
-	})
-}
-
-func BenchmarkRSEncodeSerial32x8_256KiB(b *testing.B) {
-	benchEncodeWorkers(b, mustRS(32, 8), 256<<10, 1)
-}
-
-func BenchmarkRSEncodeParallel32x8_256KiB(b *testing.B) {
-	benchEncodeWorkers(b, mustRS(32, 8), 256<<10, 0)
-}
-
-func BenchmarkXOREncodeSerial32x8_256KiB(b *testing.B) {
-	benchEncodeWorkers(b, mustXOR(32, 8), 256<<10, 1)
-}
-
-func BenchmarkXOREncodeParallel32x8_256KiB(b *testing.B) {
-	benchEncodeWorkers(b, mustXOR(32, 8), 256<<10, 0)
 }
 
 func BenchmarkRSReconstruct32x8_64KiB(b *testing.B) {

@@ -18,7 +18,8 @@ import (
 // abort / dead-peer errors, quarantined leases, pool reuses, and
 // invariant violations (always zero on a healthy build; a non-zero
 // count prints the triggering fault programs in the notes). The corpus
-// runs on chaos's own workers before the cells, which only format it.
+// runs as its own clock.Lanes sweep before the cells, which only format
+// it.
 func chaosFunctional(o Options) (sweep, error) {
 	const scenarios = 100
 	rep := chaos.Run(uint64(o.Seed), scenarios, o.SweepWorkers)

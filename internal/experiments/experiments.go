@@ -242,7 +242,7 @@ var figures = []figure{
 		header: []string{"code", "encode [Gbit/s/core]", "cores to hide 400G", "fallback@1e-3", "fallback@1e-2"},
 		notes: []string{
 			"paper: XOR hides encoding with ~4 cores, MDS needs ~2x more; XOR falls back to SR at ~1e-3 chunk drop while MDS holds past 1e-2",
-			"single-core encode throughput measured on this machine's CPU, MDS through the " + gf256.Kernel() + " kernel of internal/gf256 (shape-comparable; the paper used AVX-512/ISA-L on Xeon 8580); the runtime encoder additionally shards across cores",
+			"single-core encode throughput measured on this machine's CPU, MDS through the " + gf256.Kernel() + " kernel of internal/gf256 (shape-comparable; the paper used AVX-512/ISA-L on Xeon 8580)",
 		}},
 	{id: "12", paper: "Fig 12", level: levelModel, cells: fig12,
 		name: "Fig 12", title: "Normalized 128 MiB Write completion (P=1e-5): distance × bandwidth",

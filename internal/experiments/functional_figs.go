@@ -27,13 +27,9 @@ const encodeRound = time.Millisecond
 // data encoded. The codes take turns in encodeRound rounds, durationSec/2
 // per code in all, and each keeps its best round: a stretch in which the
 // host preempts the measurement then costs a code a few rounds instead
-// of its whole figure, so it cannot invert the codes' order. The
-// encoder's worker-pool dispatch is forced serial for the
-// duration so the per-core number stays honest regardless of GOMAXPROCS
-// (the parallel encoder's scaling need not be linear, so dividing an
-// aggregate rate by the core count would misstate it).
+// of its whole figure, so it cannot invert the codes' order. Encode
+// runs on the calling goroutine, so the rate is one core's.
 func measureEncodeGbps(codes []ec.Code, chunkBytes int, durationSec float64) ([]float64, error) {
-	defer ec.ForceParallelism(1)()
 	data := make([][]byte, codes[0].K())
 	parity := make([][]byte, codes[0].M())
 	for i := range data {

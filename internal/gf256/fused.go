@@ -87,7 +87,7 @@ type RowTables struct {
 	tabs [][256]uint64
 	// SIMD tiers: group g, column j, row i at simd[((g*cols+j)*8+i)*entry:],
 	// rows past the last of a short group zero; and the coefficients
-	// themselves, row-major, for ranges shorter than one block.
+	// themselves, row-major, for shards shorter than one block.
 	simd, coef []byte
 }
 
@@ -151,48 +151,49 @@ func (t *RowTables) setSIMD(coef [][]byte, groups int) {
 	}
 }
 
-// MulRows sets out[i][p] = Σ_j coef[i][j]·in[j][p] for p in [lo,hi):
-// bytes [lo,hi) of all r output rows, in one pass over the n inputs per
-// 8 rows. Outputs are overwritten and must not alias inputs. MulRows
-// panics, before writing anything, unless 0 ≤ lo ≤ hi ≤ len(s) for
-// every input and output s: the assembly bodies check no bounds, so
-// this is the only guard between a short shard and a write past it.
-func (t *RowTables) MulRows(out, in [][]byte, lo, hi int) {
+// MulRows sets out[i][p] = Σ_j coef[i][j]·in[j][p] for every byte p of
+// the r output rows, in one pass over the n inputs per 8 rows. Outputs
+// are overwritten and must not alias inputs. MulRows panics, before
+// writing anything, unless every input and output has the same length:
+// the assembly bodies check no bounds, so this is the only guard
+// between a short shard and a write past it.
+func (t *RowTables) MulRows(out, in [][]byte) {
 	if len(out) != t.rows || len(out) > 0 && len(in) != t.cols {
 		panic("gf256: MulRows shape mismatch")
 	}
-	if lo < 0 || lo > hi {
-		panic("gf256: MulRows range inverted")
+	if len(out) == 0 {
+		return
 	}
+	size := len(out[0])
 	for _, shards := range [2][][]byte{in, out} {
 		for _, s := range shards {
-			if hi > len(s) {
-				panic("gf256: MulRows shard shorter than range")
+			if len(s) != size {
+				panic("gf256: MulRows shard length mismatch")
 			}
 		}
 	}
 	switch {
 	case t.tier == portable:
 		for g := 0; g < t.rows; g += fusedRows {
-			mulGroup(t.tabs[g/fusedRows*t.cols:][:t.cols], out[g:min(g+fusedRows, t.rows)], in, lo, hi)
+			mulGroup(t.tabs[g/fusedRows*t.cols:][:t.cols], out[g:min(g+fusedRows, t.rows)], in, size)
 		}
-	case hi-lo < simdBlock || t.cols == 0:
+	case size < simdBlock || t.cols == 0:
 		// No block fits (or nothing to sum), and the SIMD tiers carry no
 		// byte-wise tables: the matrix algebra's row operation instead.
 		for i, o := range out {
-			clear(o[lo:hi])
+			clear(o)
 			for j, s := range in {
-				MulAddSlice(t.coef[i*t.cols+j], o[lo:hi], s[lo:hi])
+				MulAddSlice(t.coef[i*t.cols+j], o, s)
 			}
 		}
 	default:
 		// One bounded assembly call per sub-range and group. A tail
 		// shorter than a block joins the sub-range before it, so every
-		// call holds a whole block for its overlapped final store. A
-		// range shorter than a zmm block takes the ymm GFNI body.
+		// call holds a whole block for its overlapped final store. Shards
+		// shorter than a zmm block take the ymm GFNI body.
 		body, block := t.tier, simdBlock
 		if body == gfni512 {
-			if hi-lo >= zmmBlock {
+			if size >= zmmBlock {
 				block = zmmBlock
 			} else {
 				body = gfni
@@ -200,10 +201,10 @@ func (t *RowTables) MulRows(out, in [][]byte, lo, hi int) {
 		}
 		stride := t.cols * fusedRows * simdEntry[t.tier]
 		span := max(block, simdCallBytes/t.cols&^(block-1))
-		for p := lo; p < hi; {
+		for p := 0; p < size; {
 			q := p + span
-			if hi-q < block {
-				q = hi
+			if size-q < block {
+				q = size
 			}
 			for g := 0; g < t.rows; g += fusedRows {
 				tab, o := &t.simd[g/fusedRows*stride], out[g:min(g+fusedRows, t.rows)]
@@ -224,10 +225,10 @@ func (t *RowTables) MulRows(out, in [][]byte, lo, hi int) {
 // mulGroup is MulRows for one group of ≤ 8 rows with column tables
 // tabs: the portable body, and the reference the assembly bodies
 // (mulGroupAVX2, mulGroupGFNI, mulGroupGFNI512) are tested against.
-func mulGroup(tabs [][256]uint64, out, in [][]byte, lo, hi int) {
+func mulGroup(tabs [][256]uint64, out, in [][]byte, size int) {
 	var acc [fusedBlock]uint64
-	for ; lo < hi; lo += fusedBlock {
-		a := acc[:min(hi-lo, fusedBlock)]
+	for lo := 0; lo < size; lo += fusedBlock {
+		a := acc[:min(size-lo, fusedBlock)]
 		clear(a)
 		j := 0
 		for ; j+4 <= len(in); j += 4 {

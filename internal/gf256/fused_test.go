@@ -59,9 +59,9 @@ func TestKernelDetection(t *testing.T) {
 }
 
 // mulRowsScalar is the mul-by-mul reference for RowTables.MulRows.
-func mulRowsScalar(coef, out, in [][]byte, lo, hi int) {
+func mulRowsScalar(coef, out, in [][]byte) {
 	for i, row := range coef {
-		for p := lo; p < hi; p++ {
+		for p := range out[i] {
 			var s byte
 			for j, c := range row {
 				s ^= mul(c, in[j][p])
@@ -69,6 +69,16 @@ func mulRowsScalar(coef, out, in [][]byte, lo, hi int) {
 			out[i][p] = s
 		}
 	}
+}
+
+// views returns rows[i][lo:hi] for every row, capacity capped at hi, so
+// a kernel handed the views can reach nothing outside [lo,hi) in bounds.
+func views(rows [][]byte, lo, hi int) [][]byte {
+	out := make([][]byte, len(rows))
+	for i, r := range rows {
+		out[i] = r[lo:hi:hi]
+	}
+	return out
 }
 
 func cloneRows(rows [][]byte) [][]byte {
@@ -91,9 +101,10 @@ func randRows(rng *rand.Rand, rows, n int) [][]byte {
 // TestMulRowsMatchesScalar checks the fused kernel against the scalar
 // reference for every row count of one pass (1..8) and some spanning
 // several, at lengths straddling the word, two zmm blocks, the
-// accumulator block and a 64 KiB chunk, over a sub-range so bytes
-// outside [lo,hi) must stay untouched. The odd column count runs the
-// zmm body's column pairs and its single-column remainder.
+// accumulator block and a 64 KiB chunk, on views of a sub-range of
+// every shard, so bytes outside the views must stay untouched. The odd
+// column count runs the zmm body's column pairs and its single-column
+// remainder.
 func TestMulRowsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 19} {
@@ -108,12 +119,12 @@ func TestMulRowsMatchesScalar(t *testing.T) {
 				lo, hi = 3, n-5
 			}
 			want := cloneRows(orig)
-			mulRowsScalar(coef, want, in, lo, hi)
+			mulRowsScalar(coef, views(want, lo, hi), views(in, lo, hi))
 			eachTier(func(tier string) {
 				got := cloneRows(orig)
 				var tabs RowTables
 				tabs.Set(coef)
-				tabs.MulRows(got, in, lo, hi)
+				tabs.MulRows(views(got, lo, hi), views(in, lo, hi))
 				for i := range want {
 					if !bytes.Equal(got[i], want[i]) {
 						t.Fatalf("%s rows=%d n=%d: output row %d diverges from scalar reference", tier, rows, n, i)
@@ -146,8 +157,8 @@ func TestMulRowsUnalignedViews(t *testing.T) {
 				got[i] = outBack[i][off : off+n]
 				want[i] = make([]byte, n)
 			}
-			tabs.MulRows(got, in, 0, n)
-			mulRowsScalar(coef, want, in, 0, n)
+			tabs.MulRows(got, in)
+			mulRowsScalar(coef, want, in)
 			for i := range got {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Fatalf("offset %d: row %d diverges", off, i)
@@ -171,8 +182,8 @@ func TestRowTablesReuse(t *testing.T) {
 			coef, in := randRows(rng, rows, cols), randRows(rng, cols, 100)
 			got, want := randRows(rng, rows, 100), randRows(rng, rows, 100)
 			tabs.Set(coef)
-			tabs.MulRows(got, in, 0, 100)
-			mulRowsScalar(coef, want, in, 0, 100)
+			tabs.MulRows(got, in)
+			mulRowsScalar(coef, want, in)
 			for i := range want {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Fatalf("shape %v: row %d diverges after reuse", shape, i)
@@ -183,9 +194,9 @@ func TestRowTablesReuse(t *testing.T) {
 }
 
 // TestMulRowsShapePanics pins the only guard in front of the assembly:
-// a wrong shard count, a shard shorter than hi or an inverted range
-// panics with the package's message on every tier, before a byte is
-// written.
+// a wrong shard count, or a shard shorter or longer than the first
+// output, panics with the package's message on every tier, before a
+// byte is written.
 func TestMulRowsShapePanics(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		var tabs RowTables
@@ -198,17 +209,18 @@ func TestMulRowsShapePanics(t *testing.T) {
 			}
 			return s
 		}
-		for name, tc := range map[string]struct {
-			out, in [][]byte
-			lo, hi  int
-		}{
-			"one output short of the rows": {make([][]byte, 1), make([][]byte, 2), 0, 0},
-			"one input beyond the columns": {make([][]byte, 2), make([][]byte, 3), 0, 0},
-			"short input":                  {shards(2, -1), shards(2, 1), 0, n},
-			"short output":                 {shards(2, 1), shards(2, -1), 0, n},
-			"short output, last block":     {shards(2, 0), shards(2, -1), n - 40, n},
-			"inverted range":               {shards(2, -1), shards(2, -1), 40, 39},
-			"negative lo":                  {shards(2, -1), shards(2, -1), -1, n},
+		long := shards(2, -1)
+		long[1] = append(long[1], 0)
+		lastBlock := views(shards(2, -1), n-40, n)
+		lastBlock[1] = lastBlock[1][:39]
+		for name, tc := range map[string]struct{ out, in [][]byte }{
+			"one output short of the rows": {make([][]byte, 1), make([][]byte, 2)},
+			"one input beyond the columns": {make([][]byte, 2), make([][]byte, 3)},
+			"short input":                  {shards(2, -1), shards(2, 1)},
+			"long input":                   {shards(2, -1), long},
+			"short output":                 {shards(2, 1), shards(2, -1)},
+			"short first output":           {shards(2, 0), shards(2, -1)},
+			"short output, last block":     {lastBlock, views(shards(2, -1), n-40, n)},
 		} {
 			before := cloneRows(tc.out)
 			func() {
@@ -217,7 +229,7 @@ func TestMulRowsShapePanics(t *testing.T) {
 						t.Fatalf("%s: recovered %q, want a gf256: panic", name, msg)
 					}
 				}()
-				tabs.MulRows(tc.out, tc.in, tc.lo, tc.hi)
+				tabs.MulRows(tc.out, tc.in)
 			}()
 			for i, o := range tc.out {
 				if !bytes.Equal(o, before[i]) {
@@ -229,9 +241,9 @@ func TestMulRowsShapePanics(t *testing.T) {
 }
 
 // FuzzMulRows compares every tier with the scalar reference on shard
-// views at arbitrary offsets of larger arrays, over arbitrary
-// sub-ranges, with 64 guard bytes either side of every output; no byte
-// outside [lo,hi) of an output and no byte of an input may change. The
+// views of arbitrary sub-ranges [lo,hi) of n bytes at arbitrary offsets
+// of larger arrays, with 64 guard bytes either side of every output; no
+// byte outside an output's view and no byte of an input may change. The
 // seed corpus, which plain `go test` runs, covers 1–19 rows, 1–40
 // columns, view offsets 0–63 and the lengths around the assembly's ymm
 // and zmm blocks, the per-call sub-range and a 64 KiB chunk.
@@ -253,29 +265,28 @@ func FuzzMulRows(f *testing.F) {
 		const guard = 64
 		rng := rand.New(rand.NewSource(seed))
 		coef := randRows(rng, int(rows), int(cols))
-		// Shard j is a view at offset off+j of its backing array, so the
-		// shards of one call are not mutually aligned either.
-		view := func(back []byte, j int) []byte { return back[guard+int(off)+j:][:n:n] }
+		// Shard j is bytes [lo,hi) of n at offset off+j of its backing
+		// array, so the shards of one call are not mutually aligned either.
 		inBack := randRows(rng, int(cols), 2*guard+int(off)+int(cols)+n)
 		outBack := randRows(rng, int(rows), 2*guard+int(off)+int(rows)+n)
-		views := func(backs [][]byte) [][]byte {
+		shards := func(backs [][]byte) [][]byte {
 			v := make([][]byte, len(backs))
 			for j, back := range backs {
-				v[j] = view(back, j)
+				v[j] = back[guard+int(off)+j:][lo:hi:hi]
 			}
 			return v
 		}
-		in, inOrig := views(inBack), cloneRows(inBack)
+		in, inOrig := shards(inBack), cloneRows(inBack)
 		want := cloneRows(outBack)
-		mulRowsScalar(coef, views(want), in, lo, hi)
+		mulRowsScalar(coef, shards(want), in)
 		eachTier(func(tier string) {
 			got := cloneRows(outBack)
 			var tabs RowTables
 			tabs.Set(coef)
-			tabs.MulRows(views(got), in, lo, hi)
+			tabs.MulRows(shards(got), in)
 			for i := range got {
 				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("%s: output row %d (array of %d B, view at %d) differs from the scalar reference inside or outside [%d,%d)",
+					t.Fatalf("%s: output row %d (array of %d B, view at %d) differs from the scalar reference inside or outside [%d,%d) of it",
 						tier, i, len(got[i]), guard+int(off)+i, lo, hi)
 				}
 			}
@@ -318,7 +329,7 @@ func benchMulRows(b *testing.B, rows int) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tabs.MulRows(out, in, 0, n)
+				tabs.MulRows(out, in)
 			}
 		})
 	})

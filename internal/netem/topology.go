@@ -214,8 +214,7 @@ func (t *Topology) Edges() []*Edge { return t.edges }
 
 // AddEdge builds the two queue directions of a link between existing
 // nodes and registers it. Each direction gets a fresh loss process and
-// a distinct seed, so the two loss streams differ (as fabric.Symmetric
-// does for single links).
+// a distinct seed, so the two loss streams differ.
 func (t *Topology) AddEdge(from, to int, cfg EdgeConfig) (*Edge, error) {
 	if from < 0 || from >= len(t.nodes) || to < 0 || to >= len(t.nodes) {
 		return nil, fmt.Errorf("netem: edge %d–%d outside %d nodes", from, to, len(t.nodes))

@@ -129,7 +129,8 @@ func newControlPlane(ctx *core.Context) *ControlPlane {
 	// one 64 KiB slab at a 4 KiB MTU.
 	const nbufs = 16
 	mtu := ctx.Config().MTU
-	cq := nicsim.NewCQ(4096, false)
+	// Sink-mode queues never buffer, so their depth is immaterial.
+	cq := nicsim.NewCQ(1, true)
 	cp := &ControlPlane{
 		ud:       nicsim.NewUDQP(ctx.Device(), mtu, cq),
 		cq:       cq,
