@@ -1,7 +1,10 @@
 package netem
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
@@ -345,6 +348,81 @@ func TestQueueTailDropChunkMasking(t *testing.T) {
 	}
 	if lost := st.lostChunks(); lost == chunks {
 		t.Fatalf("every chunk lost — buffer too small to show masking")
+	}
+}
+
+// digestSink is a terminal Deliverer folding each arrival's PSN,
+// virtual arrival time and ECN mark into an FNV-1a digest.
+type digestSink struct {
+	clk *clock.Virtual
+	h   hash.Hash64
+	n   int
+}
+
+func (d *digestSink) Deliver(p *nicsim.Packet) {
+	var b [13]byte
+	binary.LittleEndian.PutUint32(b[0:], p.PSN)
+	binary.LittleEndian.PutUint64(b[4:], uint64(d.clk.Elapsed()))
+	if p.Marked {
+		b[12] = 1
+	}
+	d.h.Write(b[:])
+	d.n++
+}
+
+// One flow and a Poisson TrafficGen share a queue with every loss
+// class live at once: a buffer small enough to tail-drop, an ECN
+// threshold, 0.5 % i.i.d. wire loss and a flap mid-run. The flow's
+// deliveries (PSN, arrival ns, Marked) and the queue's counters are
+// pinned: a change to how background traffic crosses the queue must
+// leave every literal untouched.
+func TestSharedQueueGolden(t *testing.T) {
+	clk := clock.NewVirtual()
+	loss, err := LossSpec{P: 0.005}.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 10 Gbit/s line offered 6 Gbit/s of flow in 40-packet bursts and
+	// 3 Gbit/s of cross traffic: a burst crosses the mark threshold and
+	// the tail of some bursts finds the buffer full.
+	q, err := NewQueue(QueueConfig{
+		BandwidthBps: 10e9, BufferBytes: 64 << 10, MarkThresholdBytes: 32 << 10,
+		Latency: 100 * time.Microsecond, Loss: loss, Seed: 3, Clock: clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewTrafficGen(TrafficConfig{Bps: 3e9, PacketBytes: 4096, Poisson: true, Seed: 5, Clock: clk}, q.Port(&counter{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow := &digestSink{clk: clk, h: fnv.New64a()}
+	port := q.Port(flow)
+	const pkts = 4000
+	gen.Start()
+	clock.Join(clk, func() {
+		for i := 0; i < pkts; i++ {
+			if i == 2020 {
+				q.setDown(true)
+			}
+			if i == 2210 {
+				q.setDown(false)
+			}
+			port.Send(pkt(uint32(i), 1500-nicsim.HeaderBytes))
+			if i%40 == 39 {
+				clk.Sleep(80 * time.Microsecond)
+			}
+		}
+		gen.Stop()
+		clk.Sleep(10 * time.Millisecond)
+	})
+	got := fmt.Sprintf("flow=%d digest=%016x enq=%d tail=%d chan=%d down=%d delivered=%d marked=%d hwm=%d sent=%d",
+		flow.n, flow.h.Sum64(), q.Enqueued.Load(), q.TailDrops.Load(), q.ChannelDrops.Load(),
+		q.LinkDownDrops.Load(), q.Delivered.Load(), q.Marked.Load(), q.HighWatermark(), gen.Sent())
+	t.Log(got)
+	const want = "flow=3717 digest=5ba76d323f35a9b8 enq=4453 tail=73 chan=20 down=247 delivered=4413 marked=2206 hwm=65460 sent=753"
+	if got != want {
+		t.Fatalf("shared queue diverged:\n got  %s\n want %s", got, want)
 	}
 }
 
