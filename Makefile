@@ -210,15 +210,18 @@ smoke-golden:
 	$(GO) test -count=1 -run 'TestReliabilityGoldenTuples' -v ./internal/reliability/
 	$(GO) test -count=1 -run 'TestPerftestCrossSchemeDigest' -v ./cmd/sdr-perftest/
 
-# Repo-benchmark smoke: 2-second runs of two workloads of the declared
-# benchmark (BENCHMARK.json) — wan_ec, EC(32,8) encode + reconstruct
-# under 1% loss, and flow_churn, 2000 leases of one pooled dumbbell
-# deployment. Each exits non-zero if the verification rep receives a
-# wrong byte or any timed rep's simulated tuple diverges from it, so the
-# lease path's behaviour is checked on every `make ci`.
+# Repo-benchmark smoke: 2-second runs of three workloads of the
+# declared benchmark (BENCHMARK.json) — wan_ec, EC(32,8) encode +
+# reconstruct under 1% loss; flow_churn, 2000 leases of one pooled
+# dumbbell deployment; and contended_adaptive, the adaptive ladder on a
+# netem bottleneck shared with Poisson cross traffic. Each exits
+# non-zero if the verification rep receives a wrong byte or any timed
+# rep's simulated tuple diverges from it, so the lease path and the
+# shared queue are checked on every `make ci`.
 smoke-bench:
 	bash benchmark/run.sh --workload wan_ec --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload flow_churn --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload contended_adaptive --seed 1 --seconds 2 --trace 0
 
 # Examples smoke: the four shipped examples build, run and exit 0, and
 # the two that run the lossy functional stack — on a virtual clock, so

@@ -12,7 +12,6 @@ import (
 	"sdrrdma/internal/core"
 	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/netem"
-	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/reliability"
 	"sdrrdma/internal/stats"
 	"sdrrdma/internal/telemetry"
@@ -156,12 +155,6 @@ func (r Result) String() string {
 	return s
 }
 
-// drain is the cross-traffic sink: a terminal Deliverer that discards,
-// returning the generator's pooled envelope like any terminal stage.
-type drain struct{}
-
-func (drain) Deliver(p *nicsim.Packet) { nicsim.ReleasePacket(p) }
-
 // Run executes one perftest measurement.
 func Run(o Options) (Result, error) {
 	o = o.withDefaults()
@@ -230,7 +223,7 @@ func Run(o Options) (Result, error) {
 		gen, err = netem.NewTrafficGen(netem.TrafficConfig{
 			Bps: o.CrossBps, PacketBytes: o.MTU,
 			Poisson: o.CrossPoisson, Seed: o.Seed + 7777, Clock: clk,
-		}, edge.Fwd.Port(drain{}))
+		}, edge.Fwd.Port(nil))
 		if err != nil {
 			sess.Close()
 			return Result{}, err

@@ -10,20 +10,33 @@ import (
 	"sdrrdma/internal/reliability"
 )
 
-// counter is a minimal terminal Deliverer: it ends the packet's life,
-// so it returns the envelope to the nicsim pool like a device does.
-type counter struct{ n int }
+// counter is a minimal terminal Deliverer that keeps what it is handed
+// for reuse. As the queue's drop hook it takes dropped packets back too,
+// so allocs/op is the queue's and not the harness's.
+type counter struct {
+	n    int
+	free []*nicsim.Packet
+}
 
 func (c *counter) Deliver(p *nicsim.Packet) {
 	c.n++
-	nicsim.ReleasePacket(p)
+	c.free = append(c.free, p)
 }
 
-// leased builds the benchmark's packet on a pooled envelope, as the
-// nicsim QPs do, so allocs/op is the queue's and not the harness's.
-func leased(psn uint32, payload []byte) *nicsim.Packet {
-	p := nicsim.LeasePacket()
-	p.Opcode, p.PSN, p.Payload = nicsim.OpWriteImm, psn, payload
+func (c *counter) dropped(p *nicsim.Packet, _ DropReason, _ nicsim.Deliverer) {
+	c.free = append(c.free, p)
+}
+
+// packet builds the benchmark's next packet, on a recycled envelope
+// once the pipeline is full.
+func (c *counter) packet(psn uint32, payload []byte) *nicsim.Packet {
+	var p *nicsim.Packet
+	if k := len(c.free); k > 0 {
+		p, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		p = new(nicsim.Packet)
+	}
+	*p = nicsim.Packet{Opcode: nicsim.OpWriteImm, PSN: psn, Payload: payload}
 	return p
 }
 
@@ -50,13 +63,14 @@ func BenchmarkNetemQueue(b *testing.B) {
 		b.Fatal(err)
 	}
 	sink := &counter{}
+	q.SetDropHook(sink.dropped)
 	port := q.Port(sink)
 	payload := make([]byte, 4096-nicsim.HeaderBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	clock.Join(clk, func() {
 		for i := 0; i < b.N; i++ {
-			port.Send(leased(uint32(i), payload))
+			port.Send(sink.packet(uint32(i), payload))
 			if i%128 == 127 {
 				// Let the buffer drain so the benchmark measures the
 				// steady pipeline, not tail-drop of an ever-full queue.
@@ -90,13 +104,14 @@ func BenchmarkNetemQueueECN(b *testing.B) {
 		b.Fatal(err)
 	}
 	sink := &counter{}
+	q.SetDropHook(sink.dropped)
 	port := q.Port(sink)
 	payload := make([]byte, 4096-nicsim.HeaderBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	clock.Join(clk, func() {
 		for i := 0; i < b.N; i++ {
-			port.Send(leased(uint32(i), payload))
+			port.Send(sink.packet(uint32(i), payload))
 			if i%128 == 127 {
 				clk.Sleep(20 * time.Microsecond)
 			}
@@ -116,11 +131,12 @@ func BenchmarkNetemQueueECN(b *testing.B) {
 
 // BenchmarkNetemCrossTraffic measures one background packet end to
 // end: a Poisson TrafficGen offering half the line rate to a
-// bottleneck Queue whose port ends in a releasing sink — emission
-// timer, enqueue, departure event, loss draw, propagation event,
-// delivery. ns/op and allocs/op are per cross packet; the contended
-// perftest and benchmark workloads pay this about six times per
-// foreground packet. Tracked in BENCH_protosim.json.
+// bottleneck Queue — emission timer, admission, departure event, loss
+// draw, delivered count. A background packet ends at the queue, so
+// there is no envelope, propagation event or sink. ns/op and allocs/op
+// are per cross packet; the contended perftest and benchmark workloads
+// pay this about six times per foreground packet. Tracked in
+// BENCH_protosim.json.
 func BenchmarkNetemCrossTraffic(b *testing.B) {
 	clk := clock.NewVirtual()
 	loss, err := LossSpec{P: 0.005}.build()
@@ -139,10 +155,9 @@ func BenchmarkNetemCrossTraffic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sink := &counter{}
 	gen, err := NewTrafficGen(TrafficConfig{
 		Bps: 50e9, PacketBytes: 4096, Poisson: true, Seed: 2, Clock: clk,
-	}, q.Port(sink))
+	}, q.Port(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,8 +169,8 @@ func BenchmarkNetemCrossTraffic(b *testing.B) {
 	clock.Join(clk, func() { clk.Sleep(time.Duration(b.N) * gap) })
 	gen.Stop()
 	b.StopTimer()
-	if b.N >= 128 && (sink.n == 0 || gen.Sent() < uint64(b.N)/2) {
-		b.Fatalf("sent %d, delivered %d of ~%d", gen.Sent(), sink.n, b.N)
+	if delivered := q.Delivered.Load(); b.N >= 128 && (delivered == 0 || gen.Sent() < uint64(b.N)/2) {
+		b.Fatalf("sent %d, delivered %d of ~%d", gen.Sent(), delivered, b.N)
 	}
 }
 

@@ -144,6 +144,9 @@ type Queue struct {
 	Marked        telemetry.Counter
 }
 
+// queued is one buffered entry: a flow packet bound for dst, or — pkt
+// nil — a background packet of a TrafficGen, which is only the buffer
+// occupancy and serialization time of size wire bytes.
 type queued struct {
 	pkt  *nicsim.Packet
 	dst  nicsim.Deliverer
@@ -212,10 +215,11 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 }
 
 // SetDropHook installs fn, called (outside the queue lock) for every
-// dropped packet. dst is the packet's egress destination — the only
-// reliable flow discriminator at a shared queue, since QPNs are
+// dropped flow packet. dst is the packet's egress destination — the
+// only reliable flow discriminator at a shared queue, since QPNs are
 // per-device and collide across tenants. Experiments use the hook to
-// map drops onto bitmap chunks.
+// map drops onto bitmap chunks. Background drops (TrafficGen) reach
+// the counters and telemetry probes, never the hook.
 func (q *Queue) SetDropHook(fn func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)) {
 	q.lock()
 	q.onDrop = fn
@@ -298,7 +302,9 @@ func (q *Queue) HighWatermark() int {
 // Port returns this queue's ingress for one flow: packets sent (or
 // delivered) to the port traverse the shared queue and, on survival,
 // continue to dst. A Port is both a nicsim.Wire and a
-// nicsim.Deliverer, so multi-hop paths chain ports back to front.
+// nicsim.Deliverer, so multi-hop paths chain ports back to front. A
+// TrafficGen aimed at a port uses only its queue: background packets
+// end there, so dst may be nil.
 func (q *Queue) Port(dst nicsim.Deliverer) *Port { return &Port{q: q, dst: dst} }
 
 // Port is one flow's ingress into a shared Queue.
@@ -308,10 +314,10 @@ type Port struct {
 }
 
 // Send implements nicsim.Wire.
-func (p *Port) Send(pkt *nicsim.Packet) { p.q.enqueue(pkt, p.dst) }
+func (p *Port) Send(pkt *nicsim.Packet) { p.q.admit(pkt, p.dst, wireBytes(pkt)) }
 
 // Deliver implements nicsim.Deliverer (for mid-path hops).
-func (p *Port) Deliver(pkt *nicsim.Packet) { p.q.enqueue(pkt, p.dst) }
+func (p *Port) Deliver(pkt *nicsim.Packet) { p.q.admit(pkt, p.dst, wireBytes(pkt)) }
 
 // wireBytes is the buffer/serialization footprint of one packet.
 func wireBytes(pkt *nicsim.Packet) int { return len(pkt.Payload) + nicsim.HeaderBytes }
@@ -321,46 +327,38 @@ func (q *Queue) txTime(size int) time.Duration {
 	return time.Duration(float64(size) * 8 / q.cfg.BandwidthBps * float64(time.Second))
 }
 
-func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
+// admit offers one arrival of size wire bytes to the buffer: the flow
+// packet pkt bound for dst, or a background entry when pkt is nil.
+func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer, size int) {
 	q.lock()
-	size := wireBytes(pkt)
 	sink, track := q.sink, q.track
+	e := queued{pkt: pkt, dst: dst, size: size}
 	if q.down {
 		hook := q.onDrop
 		q.unlock()
-		q.LinkDownDrops.Add(1)
-		q.probe(sink, track, telemetry.EvLinkDownDrop, 0, int64(size))
-		if hook != nil {
-			hook(pkt, linkDown, dst)
-		} else {
-			nicsim.ReleasePacket(pkt)
-		}
+		q.drop(e, linkDown, hook, sink, track, 0)
 		return
 	}
 	if q.cfg.BufferBytes > 0 && q.used+size > q.cfg.BufferBytes {
 		hook := q.onDrop
 		used := q.used
 		q.unlock()
-		q.TailDrops.Add(1)
-		q.probe(sink, track, telemetry.EvTailDrop, int64(used), int64(size))
-		if hook != nil {
-			hook(pkt, tailDrop, dst)
-		} else {
-			nicsim.ReleasePacket(pkt)
-		}
+		q.drop(e, tailDrop, hook, sink, track, used)
 		return
 	}
-	q.fifo.push(queued{pkt: pkt, dst: dst, size: size})
+	q.fifo.push(e)
 	q.used += size
 	if q.used > q.high {
 		q.high = q.used
 	}
 	marked := false
-	if t := q.cfg.MarkThresholdBytes; t > 0 && q.used >= t && !pkt.Marked {
+	if t := q.cfg.MarkThresholdBytes; t > 0 && q.used >= t && (pkt == nil || !pkt.Marked) {
 		// RED-style congestion-experienced marking: occupancy crossed
 		// the threshold, so the packet carries the signal instead of
 		// waiting for tail drop to announce congestion the hard way.
-		pkt.Marked = true
+		if pkt != nil {
+			pkt.Marked = true
+		}
 		q.Marked.Add(1)
 		marked = true
 	}
@@ -388,7 +386,8 @@ func (q *Queue) enqueue(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 
 // depart completes the head-of-line transmission: the packet leaves
 // the buffer, faces the wire loss process, and (on survival)
-// propagates to its destination. The next packet, if any, starts
+// propagates to its destination — or, a background entry, is counted
+// delivered and forgotten. The next packet, if any, starts
 // transmitting immediately.
 func (q *Queue) depart() {
 	q.lock()
@@ -415,27 +414,43 @@ func (q *Queue) depart() {
 		q.unlock()
 	}
 	q.probe(sink, track, telemetry.EvDepart, int64(used), 0)
-	if down {
+	switch {
+	case down:
 		// Fail closed: the link flapped while this packet was buffered.
-		q.LinkDownDrops.Add(1)
-		q.probe(sink, track, telemetry.EvLinkDownDrop, int64(used), int64(head.size))
-		if hook != nil {
-			hook(head.pkt, linkDown, head.dst)
-		} else {
-			nicsim.ReleasePacket(head.pkt)
+		q.drop(head, linkDown, hook, sink, track, used)
+	case dropped:
+		q.drop(head, channelLoss, hook, sink, track, used)
+	default:
+		q.Delivered.Add(1)
+		if head.pkt != nil {
+			q.pool.DeliverAfter(q.clk, latency, head.dst, head.pkt)
 		}
-		return
 	}
-	if dropped {
+}
+
+// drop ends a discarded entry: it counts the loss under reason, reports
+// it to the telemetry sink with the buffer occupancy used, and hands a
+// flow packet to the drop hook, or back to the envelope pool when none
+// is installed. A background entry has no packet, so its drop stops at
+// the counters and probes.
+func (q *Queue) drop(e queued, reason DropReason, hook func(*nicsim.Packet, DropReason, nicsim.Deliverer), sink telemetry.Sink, track int32, used int) {
+	kind := telemetry.EvTailDrop
+	switch reason {
+	case tailDrop:
+		q.TailDrops.Add(1)
+	case channelLoss:
 		q.ChannelDrops.Add(1)
-		q.probe(sink, track, telemetry.EvChannelDrop, int64(used), int64(head.size))
-		if hook != nil {
-			hook(head.pkt, channelLoss, head.dst)
-		} else {
-			nicsim.ReleasePacket(head.pkt)
-		}
-		return
+		kind = telemetry.EvChannelDrop
+	case linkDown:
+		q.LinkDownDrops.Add(1)
+		kind = telemetry.EvLinkDownDrop
 	}
-	q.Delivered.Add(1)
-	q.pool.DeliverAfter(q.clk, latency, head.dst, head.pkt)
+	q.probe(sink, track, kind, int64(used), int64(e.size))
+	switch {
+	case e.pkt == nil:
+	case hook != nil:
+		hook(e.pkt, reason, e.dst)
+	default:
+		nicsim.ReleasePacket(e.pkt)
+	}
 }

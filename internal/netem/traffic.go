@@ -31,37 +31,37 @@ type TrafficConfig struct {
 }
 
 // TrafficGen is a background cross-traffic source: an open-loop
-// Poisson or CBR packet process feeding a Deliverer — typically a
-// netem Queue port, so foreground flows contend with it for the same
-// finite buffer and serialization budget. It models the "other
-// tenants" of a shared bottleneck without the cost of full protocol
-// endpoints.
+// Poisson or CBR packet process feeding a netem Queue, so foreground
+// flows contend with it for the same finite buffer and serialization
+// budget. It models the "other tenants" of a shared bottleneck without
+// the cost of full protocol endpoints.
 //
 // The generator is open-loop by design: it never backs off, so tail
 // drops under overload land on whoever loses the buffer race, exactly
-// like unmanaged datacenter cross-traffic. All packets share one
-// read-only payload and ride envelopes leased from the nicsim packet
-// pool: a destination chain that ends in nicsim.ReleasePacket (the
-// queue's own drop paths, a releasing sink) recycles them, so the
-// steady-state source allocates nothing; a sink that keeps or forgets
-// the packet costs one envelope per packet.
+// like unmanaged datacenter cross-traffic. A background packet is only
+// queue occupancy: it is admitted as size wire bytes with no envelope
+// and no destination, draws from the queue's loss process and counts
+// in every queue counter and telemetry probe like a flow packet, and
+// ends at the queue — counted delivered or dropped, never handed to a
+// drop hook or a Deliverer. So it costs two clock events (emission and
+// departure) and no allocation.
 type TrafficGen struct {
-	cfg     TrafficConfig
-	clk     clock.Clock
-	dst     nicsim.Deliverer
-	rng     *rand.Rand
-	payload []byte
-	mean    time.Duration // mean inter-arrival gap
+	cfg  TrafficConfig
+	clk  clock.Clock
+	q    *Queue
+	size int // wire bytes of one packet
+	rng  *rand.Rand
+	mean time.Duration // mean inter-arrival gap
 
 	timer   clock.Timer
 	stopped atomic.Bool
 	sent    telemetry.Counter
 }
 
-// NewTrafficGen builds a generator aimed at dst. Start begins
-// emission; the first packet departs one inter-arrival gap after
-// Start, not immediately.
-func NewTrafficGen(cfg TrafficConfig, dst nicsim.Deliverer) (*TrafficGen, error) {
+// NewTrafficGen builds a generator feeding port's queue; the port's
+// destination is never called. Start begins emission; the first packet
+// arrives one inter-arrival gap after Start, not immediately.
+func NewTrafficGen(cfg TrafficConfig, port *Port) (*TrafficGen, error) {
 	if cfg.Bps <= 0 {
 		return nil, fmt.Errorf("netem: traffic Bps must be positive, got %v", cfg.Bps)
 	}
@@ -71,21 +71,21 @@ func NewTrafficGen(cfg TrafficConfig, dst nicsim.Deliverer) (*TrafficGen, error)
 	if cfg.PacketBytes < 0 {
 		return nil, fmt.Errorf("netem: traffic PacketBytes must be positive, got %d", cfg.PacketBytes)
 	}
-	if dst == nil {
-		return nil, fmt.Errorf("netem: traffic generator needs a destination")
+	if port == nil {
+		return nil, fmt.Errorf("netem: traffic generator needs a queue port")
 	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Realtime()
 	}
-	wireBits := float64(cfg.PacketBytes+nicsim.HeaderBytes) * 8
+	size := cfg.PacketBytes + nicsim.HeaderBytes
 	return &TrafficGen{
-		cfg:     cfg,
-		clk:     clk,
-		dst:     dst,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		payload: make([]byte, cfg.PacketBytes),
-		mean:    time.Duration(wireBits / cfg.Bps * float64(time.Second)),
+		cfg:  cfg,
+		clk:  clk,
+		q:    port.q,
+		size: size,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		mean: time.Duration(float64(size) * 8 / cfg.Bps * float64(time.Second)),
 	}, nil
 }
 
@@ -98,7 +98,9 @@ func (g *TrafficGen) Start() {
 }
 
 // Stop halts emission. Safe to call more than once; a tick already
-// in flight may still deliver one final packet.
+// in flight may still admit one final packet. Packets already in the
+// queue stay there and depart or drop as usual: counted and probed,
+// never handed to the queue's drop hook.
 func (g *TrafficGen) Stop() {
 	g.stopped.Store(true)
 	if g.timer != nil {
@@ -117,16 +119,14 @@ func (g *TrafficGen) gap() time.Duration {
 }
 
 // tick runs as a clock callback (on a timer goroutine under a real
-// clock, on the driving actor's goroutine under a virtual one), emits
-// one packet and schedules the next.
+// clock, on the driving actor's goroutine under a virtual one), admits
+// one background packet and schedules the next.
 func (g *TrafficGen) tick() {
 	if g.stopped.Load() {
 		return
 	}
 	g.sent.Add(1)
-	pkt := nicsim.LeasePacket()
-	pkt.Opcode, pkt.Payload = nicsim.OpWrite, g.payload
-	g.dst.Deliver(pkt)
+	g.q.admit(nil, nil, g.size)
 	if g.stopped.Load() {
 		return
 	}

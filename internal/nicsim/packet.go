@@ -17,8 +17,8 @@ import "sync"
 type Opcode uint8
 
 const (
-	// OpWrite is an RDMA Write fragment without immediate.
-	OpWrite Opcode = iota
+	// opWrite is an RDMA Write fragment without immediate.
+	opWrite Opcode = iota
 	// OpWriteImm is an RDMA Write fragment; the immediate is delivered
 	// with the CQE of the last fragment.
 	OpWriteImm
@@ -76,12 +76,11 @@ type Packet struct {
 // that is the single largest per-packet allocation in the stack.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// LeasePacket leases a cleared pooled envelope (buf storage retained):
-// the QPs' per-fragment send path, and packet sources outside the
-// device (netem cross traffic). Whichever stage ends the packet's life
-// returns it with ReleasePacket; a lease that is never released is
-// ordinary garbage.
-func LeasePacket() *Packet {
+// leasePacket leases a cleared pooled envelope (buf storage retained)
+// for the QPs' per-fragment send path. Whichever stage ends the
+// packet's life returns it with ReleasePacket; a lease that is never
+// released is ordinary garbage.
+func leasePacket() *Packet {
 	p := packetPool.Get().(*Packet)
 	p.pooled = true
 	return p

@@ -213,7 +213,7 @@ func (qp *RCQP) recvPacket(pkt *Packet) {
 		qp.handleAck(pkt.PSN)
 	case opNak:
 		qp.handleNak(pkt.PSN)
-	case OpWriteImm, OpWrite:
+	case OpWriteImm, opWrite:
 		qp.handleData(pkt)
 	}
 }

@@ -110,7 +110,7 @@ func (qp *UCQP) write(rkey uint32, offset uint64, payload []byte, imm uint32, ha
 	if n == 0 {
 		n = 1 // zero-length write still occupies one packet
 	}
-	op := OpWrite
+	op := opWrite
 	if hasImm {
 		op = OpWriteImm
 	}
@@ -120,7 +120,7 @@ func (qp *UCQP) write(rkey uint32, offset uint64, payload []byte, imm uint32, ha
 		if hi > len(payload) {
 			hi = len(payload)
 		}
-		pkt := LeasePacket()
+		pkt := leasePacket()
 		pkt.Opcode = op
 		pkt.SrcQPN = qp.qpn
 		pkt.DstQPN = qp.peer
@@ -145,7 +145,7 @@ func (qp *UCQP) write(rkey uint32, offset uint64, payload []byte, imm uint32, ha
 
 // recvPacket implements the UC receive state machine.
 func (qp *UCQP) recvPacket(pkt *Packet) {
-	if pkt.Opcode != OpWrite && pkt.Opcode != OpWriteImm {
+	if pkt.Opcode != opWrite && pkt.Opcode != OpWriteImm {
 		return // UC ignores foreign opcodes
 	}
 	if !qp.dev.serial {

@@ -91,7 +91,7 @@ func (qp *UDQP) Send(dstQPN uint32, payload []byte, imm uint32, hasImm bool) err
 	// Copy the payload into the envelope's pool-retained storage: the
 	// datagram owns its bytes from here, so callers may reuse their
 	// encode scratch immediately (the posted-and-forget verbs contract).
-	pkt := LeasePacket()
+	pkt := leasePacket()
 	if cap(pkt.buf) < len(payload) {
 		pkt.buf = make([]byte, len(payload))
 	}

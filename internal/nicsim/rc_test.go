@@ -188,7 +188,7 @@ type orderedLossyWire struct {
 func (w *orderedLossyWire) Send(pkt *Packet) {
 	// Single-threaded by construction: every Send happens inside a
 	// virtual-clock actor or engine callback.
-	if pkt.Opcode == OpWriteImm || pkt.Opcode == OpWrite {
+	if pkt.Opcode == OpWriteImm || pkt.Opcode == opWrite {
 		w.sends++
 		if w.every > 0 && w.sends%w.every == 0 {
 			w.drops++
