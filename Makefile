@@ -204,11 +204,14 @@ smoke-chaos:
 # Golden-behaviour smoke: the per-scheme simulated tuples pinned across
 # commits (virtual elapsed, packets, retransmits, NACKs, late re-ACKs,
 # ladder switches, receive-buffer hash) and the cross-scheme perftest
-# digest. A refactor of the reliability layer must pass with the
-# recorded literals untouched.
+# digest, plus the two shared-queue goldens (a flow under Poisson and
+# under CBR cross traffic). A refactor of the reliability layer or of
+# how netem settles background traffic must pass with the recorded
+# literals untouched.
 smoke-golden:
 	$(GO) test -count=1 -run 'TestReliabilityGoldenTuples' -v ./internal/reliability/
 	$(GO) test -count=1 -run 'TestPerftestCrossSchemeDigest' -v ./cmd/sdr-perftest/
+	$(GO) test -count=1 -run 'TestSharedQueueGolden|TestSharedQueueCBRGolden' -v ./internal/netem/
 
 # Repo-benchmark smoke: 2-second runs of three workloads of the
 # declared benchmark (BENCHMARK.json) — wan_ec, EC(32,8) encode +

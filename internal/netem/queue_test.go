@@ -426,6 +426,82 @@ func TestSharedQueueGolden(t *testing.T) {
 	}
 }
 
+// waiting reports whether an entry behind the head of q's buffer is a
+// background one, and whether a flow packet waits directly behind one.
+func waiting(q *Queue) (background, flowBehind bool) {
+	for i := 1; i < q.fifo.n; i++ {
+		e := q.fifo.buf[(q.fifo.head+i)&(len(q.fifo.buf)-1)]
+		prev := q.fifo.buf[(q.fifo.head+i-1)&(len(q.fifo.buf)-1)]
+		background = background || e.pkt == nil
+		flowBehind = flowBehind || (e.pkt != nil && prev.pkt == nil)
+	}
+	return background, flowBehind
+}
+
+// TestSharedQueueGolden with constant-bit-rate cross traffic: fixed
+// gaps and fixed serialization times put background arrivals and
+// departures on recurring instants. The generator starts while a flow
+// burst is still queued, and the line rate halves and recovers mid-run
+// while background entries, and flow packets behind them, wait behind
+// the head — so entries that have not started transmitting change
+// their finish instants. Deliveries and counters are pinned like the
+// Poisson golden's.
+func TestSharedQueueCBRGolden(t *testing.T) {
+	clk := clock.NewVirtual()
+	loss, err := LossSpec{P: 0.005}.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQueue(QueueConfig{
+		BandwidthBps: 10e9, BufferBytes: 64 << 10, MarkThresholdBytes: 32 << 10,
+		Latency: 100 * time.Microsecond, Loss: loss, Seed: 3, Clock: clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1500-byte wire packets: a 4 µs gap at 3 Gbit/s, 1.2 µs on the wire.
+	gen, err := NewTrafficGen(TrafficConfig{Bps: 3e9, PacketBytes: 1500 - nicsim.HeaderBytes, Seed: 5, Clock: clk}, q.Port(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow := &digestSink{clk: clk, h: fnv.New64a()}
+	port := q.Port(flow)
+	const pkts = 4000
+	// Flow bursts of 40 every 60 µs (8 Gbit/s) plus the cross traffic
+	// oversubscribe the line, so a backlog stands.
+	clock.Join(clk, func() {
+		for i := 0; i < pkts; i++ {
+			switch i {
+			case 20:
+				if q.fifo.n == 0 {
+					t.Error("generator started on an idle queue")
+				}
+				gen.Start()
+			case 1500, 2500:
+				q.HighWatermark() // settles the buffer before it is inspected
+				if bg, fl := waiting(q); !bg || !fl {
+					t.Errorf("packet %d: rate change with background waiting %v, a flow packet behind it %v", i, bg, fl)
+				}
+				q.setBandwidth(map[int]float64{1500: 5e9, 2500: 10e9}[i])
+			}
+			port.Send(pkt(uint32(i), 1500-nicsim.HeaderBytes))
+			if i%40 == 39 {
+				clk.Sleep(60 * time.Microsecond)
+			}
+		}
+		gen.Stop()
+		clk.Sleep(10 * time.Millisecond)
+	})
+	got := fmt.Sprintf("flow=%d digest=%016x enq=%d tail=%d chan=%d down=%d delivered=%d marked=%d hwm=%d sent=%d",
+		flow.n, flow.h.Sum64(), q.Enqueued.Load(), q.TailDrops.Load(), q.ChannelDrops.Load(),
+		q.LinkDownDrops.Load(), q.Delivered.Load(), q.Marked.Load(), q.HighWatermark(), gen.Sent())
+	t.Log(got)
+	const want = "flow=2925 digest=6942f9267dfddbe3 enq=4383 tail=1117 chan=20 down=0 delivered=4363 marked=2949 hwm=64500 sent=1500"
+	if got != want {
+		t.Fatalf("shared queue diverged:\n got  %s\n want %s", got, want)
+	}
+}
+
 // Identical configuration and seed replay the identical drop trace.
 func TestQueueDeterminism(t *testing.T) {
 	run := func() string {
