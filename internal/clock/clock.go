@@ -65,6 +65,9 @@ type Clock interface {
 	// registered actor under Virtual (Virtual.run returns once every
 	// actor has finished).
 	spawn(fn func())
+	// instant returns the current time in seconds on the clock's
+	// scheduling timeline (see Instant).
+	instant() float64
 	// Epoch snapshots the notification counter. Take the snapshot
 	// BEFORE checking the condition you are about to wait on.
 	Epoch() uint64
@@ -86,13 +89,14 @@ type Clock interface {
 // Real implements Clock on the wall clock. The zero value is NOT
 // usable; use NewReal or the shared Realtime instance.
 type Real struct {
-	mu  sync.Mutex
-	gen uint64
-	ch  chan struct{} // closed and rotated on every Notify
+	mu   sync.Mutex
+	gen  uint64
+	ch   chan struct{} // closed and rotated on every Notify
+	base time.Time     // instant zero of the scheduling timeline
 }
 
 // NewReal returns a wall-clock Clock.
-func NewReal() *Real { return &Real{ch: make(chan struct{})} }
+func NewReal() *Real { return &Real{ch: make(chan struct{}), base: time.Now()} }
 
 // realtime is the shared default instance. A single shared instance
 // matters: components of one deployment default independently, and a
@@ -115,10 +119,11 @@ func Or(c Clock) Clock {
 }
 
 // oneShot is the optional cheap fire-and-forget scheduling interface
-// (implemented by Virtual.runAfter): schedule fn after d with no
-// cancellable handle and no Timer allocation.
+// (implemented by Virtual): schedule fn after d, or at an instant, with
+// no cancellable handle and no Timer allocation.
 type oneShot interface {
 	runAfter(d time.Duration, fn func())
+	runAt(at float64, fn func())
 }
 
 // After schedules fn to run once after d. Callers that never Stop or
@@ -132,6 +137,26 @@ func After(c Clock, d time.Duration, fn func()) {
 		return
 	}
 	c.AfterFunc(d, fn)
+}
+
+// Instant returns c's current time in seconds on its scheduling
+// timeline: a Virtual's engine time, or the time since a Real clock was
+// built. Instant plus d.Seconds() is exactly the instant After(c, d, fn)
+// schedules fn at, so a caller can work out a chain of future event
+// instants, each its predecessor plus a duration, and schedule any of
+// them later with At, bit for bit where After would have put it.
+func Instant(c Clock) float64 { return c.instant() }
+
+// At schedules fn to run once at instant at on c's timeline (see
+// Instant); an instant already past runs fn as soon as possible. Like
+// After it returns no handle: on a Virtual clock it is one pooled
+// engine slot, on a Real clock an AfterFunc that never fires before at.
+func At(c Clock, at float64, fn func()) {
+	if o, ok := c.(oneShot); ok {
+		o.runAt(at, fn)
+		return
+	}
+	c.AfterFunc(time.Duration((at-c.instant())*float64(time.Second))+1, fn)
 }
 
 // NanoClock is the optional integer-time fast path for per-packet
@@ -188,6 +213,9 @@ func (r *Real) AfterFunc(d time.Duration, fn func()) Timer {
 
 // spawn implements Clock.
 func (r *Real) spawn(fn func()) { go fn() }
+
+// instant implements Clock.
+func (r *Real) instant() float64 { return time.Since(r.base).Seconds() }
 
 // Epoch implements Clock.
 func (r *Real) Epoch() uint64 {

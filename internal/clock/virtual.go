@@ -259,6 +259,10 @@ func (v *Virtual) nowLocked() time.Time {
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
+// instant implements Clock: the engine's time, which After and At
+// schedule on.
+func (v *Virtual) instant() float64 { return v.eng.Now() }
+
 // Elapsed returns the virtual time consumed since construction (or the
 // last Reset).
 func (v *Virtual) Elapsed() time.Duration { return v.Now().Sub(v.base) }
@@ -615,6 +619,11 @@ func (v *Virtual) removeWaiterLocked(a *actor) {
 // fire-and-forget deliveries (see clock.After).
 func (v *Virtual) runAfter(d time.Duration, fn func()) {
 	v.eng.After(max(0, d.Seconds()), fn)
+}
+
+// runAt is runAfter at an absolute engine instant (see clock.At).
+func (v *Virtual) runAt(at float64, fn func()) {
+	v.eng.At(max(at, v.eng.Now()), fn)
 }
 
 // NewEventLane allocates a monotone FIFO scheduling lane on the

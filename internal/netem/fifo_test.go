@@ -16,7 +16,7 @@ func TestFifoOrderAcrossGrowthAndWrap(t *testing.T) {
 	next, want := 0, 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			f.push(queued{size: next})
+			*f.push() = queued{size: next}
 			next++
 		}
 	}
@@ -104,9 +104,10 @@ func TestQueueFIFOOrderAndNoPinnedPackets(t *testing.T) {
 
 // Steady-state cross traffic — Poisson TrafficGen into a bottleneck
 // Queue on a virtual clock — must not allocate per packet: a
-// background packet is a bare buffer entry, the FIFO is a ring, the
-// engine lane compacts instead of regrowing, and the emission and
-// departure events reuse engine slots. No sync.Pool is on the path, so
+// background packet is a bare buffer entry that settle replays from
+// the generator's schedule, with no clock event, and the FIFO is a
+// ring. Each measured run sleeps through 2 ms of arrivals and then
+// reads Sent, which settles them all. No sync.Pool is on the path, so
 // the bound holds under -race too. This set-up measured 1.0 allocation
 // per packet before the ring and the pooled envelope.
 func TestCrossTrafficSteadyStateAllocs(t *testing.T) {
@@ -130,8 +131,11 @@ func TestCrossTrafficSteadyStateAllocs(t *testing.T) {
 	}
 	gen.Start()
 	defer gen.Stop()
-	run := func() { clock.Join(clk, func() { clk.Sleep(2 * time.Millisecond) }) }
-	run() // warm-up: ring, lane and slab reach their standing size
+	run := func() {
+		clock.Join(clk, func() { clk.Sleep(2 * time.Millisecond) })
+		gen.Sent()
+	}
+	run() // warm-up: the ring reaches its standing size
 	run()
 	before := gen.Sent()
 	allocs := testing.AllocsPerRun(5, run)

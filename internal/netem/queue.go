@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -94,6 +95,26 @@ func (c QueueConfig) validate() error {
 // bottleneck reproduce multi-tenant tail-drop bursts no single-link
 // model shows.
 //
+// Background traffic (TrafficGen) costs no clock event. A generator's
+// arrivals are a schedule drawn from its own RNG, and a line-rate FIFO
+// fixes each entry's finish instant when it is admitted, so the queue
+// replays the schedule on demand. Before anything reads or changes the
+// queue — a flow admission or departure, setDown, setBandwidth,
+// setLoss, setTelemetry, HighWatermark, a Topology drop sum, a
+// generator's Start, Stop or Sent — settle admits every background
+// arrival and departs every background head-of-line entry whose instant
+// is not after now, in instant order (a departure first when the two
+// coincide). Each replayed packet takes the tail-drop test, ECN mark,
+// loss draw, counters and probes of its own instant, so a flow sees
+// the same buffer, and the loss process the same draws, as if every
+// background packet had been an event. Flow packets keep their events:
+// one that joins an idle line, or queues directly behind another flow
+// packet, departs on an event chained from its predecessor's departure;
+// one that queues behind a background entry departs on an event
+// scheduled at admission, at its finish instant. The exported counters
+// are exact after a settling call, or once the event a generator's Stop
+// leaves at the last background finish has fired.
+//
 // Locking follows the clock the queue was built on. On a real clock
 // enqueues, departures (timer goroutines) and the setters race, and mu
 // guards every field below it. On a virtual clock every caller runs
@@ -110,19 +131,31 @@ type Queue struct {
 	rng  *rand.Rand
 	fifo fifo
 	used int  // buffered wire bytes
-	busy bool // head-of-line transmission in progress
 	high int  // buffer occupancy high-watermark
 	down bool // link administratively down (flap)
+	// gens are the running generators whose arrivals settle replays.
+	gens []*TrafficGen
+	// stale counts flow departure events a rate change left armed at
+	// instants their entries no longer finish at (see setBandwidth).
+	stale int
+	// order numbers the background events settle replays in the order
+	// their clock events would have been scheduled, which is how the
+	// engine breaks ties between events at one instant; headOrder is
+	// the number of a background head's departure (see settle).
+	order, headOrder uint64
+	// epochNs is the NowNanos stamp of instant zero on the clock's
+	// timeline: a settled event at instant t is stamped epochNs + t.
+	epochNs int64
 
 	onDrop func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)
 
-	// departFn is the bound head-of-line departure callback (created
-	// once in NewQueue) and pool the shared envelope machinery for
-	// propagation-delayed deliveries: together they make the per-packet
-	// store-and-forward path schedule its clock events without
-	// allocating closures.
-	departFn func()
-	pool     fabric.DeliveryPool
+	// departFn and settleFn are the bound flow-departure and settling
+	// callbacks (created once in NewQueue) and pool the shared envelope
+	// machinery for propagation-delayed deliveries: together they make
+	// the per-packet store-and-forward path schedule its clock events
+	// without allocating closures.
+	departFn, settleFn func()
+	pool               fabric.DeliveryPool
 
 	// sink, when non-nil, receives per-packet telemetry events
 	// (enqueue/depart occupancy samples, the three drop classes, ECN
@@ -151,6 +184,10 @@ type queued struct {
 	pkt  *nicsim.Packet
 	dst  nicsim.Deliverer
 	size int
+	// fin is the instant (clock.Instant's timeline) its transmission
+	// ends: its predecessor's fin, or its arrival on an idle line, plus
+	// its serialization time.
+	fin float64
 }
 
 // fifo is the queue's packet buffer: a power-of-two ring that doubles
@@ -162,15 +199,17 @@ type fifo struct {
 	head, n int
 }
 
-func (f *fifo) push(e queued) {
+// push appends an entry and returns it, zeroed, for the caller to fill
+// in place.
+func (f *fifo) push() *queued {
 	if f.n == len(f.buf) {
 		grown := make([]queued, max(8, 2*len(f.buf)))
 		k := copy(grown, f.buf[f.head:])
 		copy(grown[k:], f.buf[:f.head])
 		f.buf, f.head = grown, 0
 	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = e
 	f.n++
+	return f.at(f.n - 1)
 }
 
 // pop removes and returns the oldest entry; the fifo must not be empty.
@@ -184,6 +223,9 @@ func (f *fifo) pop() queued {
 
 // front returns the oldest entry without removing it.
 func (f *fifo) front() *queued { return &f.buf[f.head] }
+
+// at returns the i-th oldest entry (0 is the front).
+func (f *fifo) at(i int) *queued { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
 
 // lock and unlock guard the queue's state on a real clock and are
 // no-ops under the virtual clock's baton.
@@ -210,7 +252,8 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	q.serial = q.clk.IsVirtual()
-	q.departFn = q.depart
+	q.departFn, q.settleFn = q.depart, q.settleEvent
+	q.epochNs = clock.NowNanos(q.clk) - int64(clock.Instant(q.clk)*float64(time.Second))
 	return q, nil
 }
 
@@ -232,6 +275,7 @@ func (q *Queue) SetDropHook(fn func(pkt *nicsim.Packet, reason DropReason, dst n
 // on track. A nil sink detaches — the default, zero-overhead state.
 func (q *Queue) setTelemetry(sink telemetry.Sink, track int32) {
 	q.lock()
+	q.catchUp()
 	q.sink, q.track = sink, track
 	q.unlock()
 }
@@ -253,20 +297,34 @@ func (q *Queue) probe(sink telemetry.Sink, track int32, kind telemetry.EventKind
 // real fiber cut that strands photons already past the break.
 func (q *Queue) setDown(down bool) {
 	q.lock()
+	q.catchUp()
 	q.down = down
 	q.unlock()
 }
 
 // setBandwidth changes the line rate. It applies to transmissions
 // started after the call; the head-of-line packet finishes at its
-// already-scheduled departure time.
+// already-scheduled departure time. So every entry behind the head
+// gets its finish instant re-derived, and a flow packet behind a
+// background entry has its departure re-armed; the event armed before
+// stays behind, stale, and depart skips it.
 func (q *Queue) setBandwidth(bps float64) error {
 	if bps <= 0 {
 		return fmt.Errorf("netem: queue bandwidth %g <= 0", bps)
 	}
 	q.lock()
+	defer q.unlock()
+	q.catchUp()
 	q.cfg.BandwidthBps = bps
-	q.unlock()
+	for i := 1; i < q.fifo.n; i++ {
+		prev, e := q.fifo.at(i-1), q.fifo.at(i)
+		fin := prev.fin + q.txTime(e.size).Seconds()
+		if e.pkt != nil && prev.pkt == nil && fin != e.fin {
+			clock.At(q.clk, fin, q.departFn)
+			q.stale++
+		}
+		e.fin = fin
+	}
 	return nil
 }
 
@@ -288,6 +346,7 @@ func (q *Queue) setLatency(d time.Duration) error {
 // deterministic per seed regardless of when it fires.
 func (q *Queue) setLoss(p wan.LossModel) {
 	q.lock()
+	q.catchUp()
 	q.cfg.Loss = p
 	q.unlock()
 }
@@ -296,7 +355,24 @@ func (q *Queue) setLoss(p wan.LossModel) {
 func (q *Queue) HighWatermark() int {
 	q.lock()
 	defer q.unlock()
+	q.catchUp()
 	return q.high
+}
+
+// settleRead settles the queue for a read at the current instant (see
+// settle).
+func (q *Queue) settleRead() {
+	q.lock()
+	q.catchUp()
+	q.unlock()
+}
+
+// settleEvent is the clock event a generator's Stop leaves at the last
+// background finish: it settles up to and including its own instant.
+func (q *Queue) settleEvent() {
+	q.lock()
+	q.settle(clock.Instant(q.clk), math.MaxUint64)
+	q.unlock()
 }
 
 // Port returns this queue's ingress for one flow: packets sent (or
@@ -314,10 +390,10 @@ type Port struct {
 }
 
 // Send implements nicsim.Wire.
-func (p *Port) Send(pkt *nicsim.Packet) { p.q.admit(pkt, p.dst, wireBytes(pkt)) }
+func (p *Port) Send(pkt *nicsim.Packet) { p.q.admit(pkt, p.dst) }
 
 // Deliver implements nicsim.Deliverer (for mid-path hops).
-func (p *Port) Deliver(pkt *nicsim.Packet) { p.q.admit(pkt, p.dst, wireBytes(pkt)) }
+func (p *Port) Deliver(pkt *nicsim.Packet) { p.q.admit(pkt, p.dst) }
 
 // wireBytes is the buffer/serialization footprint of one packet.
 func wireBytes(pkt *nicsim.Packet) int { return len(pkt.Payload) + nicsim.HeaderBytes }
@@ -327,47 +403,55 @@ func (q *Queue) txTime(size int) time.Duration {
 	return time.Duration(float64(size) * 8 / q.cfg.BandwidthBps * float64(time.Second))
 }
 
-// admit offers one arrival of size wire bytes to the buffer: the flow
-// packet pkt bound for dst, or a background entry when pkt is nil.
-func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer, size int) {
+// admit offers the flow packet pkt, bound for dst, to the buffer.
+func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
+	size := wireBytes(pkt)
 	q.lock()
+	q.catchUp()
 	sink, track := q.sink, q.track
-	e := queued{pkt: pkt, dst: dst, size: size}
 	if q.down {
 		hook := q.onDrop
 		q.unlock()
-		q.drop(e, linkDown, hook, sink, track, 0)
+		q.drop(queued{pkt: pkt, dst: dst, size: size}, linkDown, hook, sink, track, 0)
 		return
 	}
 	if q.cfg.BufferBytes > 0 && q.used+size > q.cfg.BufferBytes {
 		hook := q.onDrop
 		used := q.used
 		q.unlock()
-		q.drop(e, tailDrop, hook, sink, track, used)
+		q.drop(queued{pkt: pkt, dst: dst, size: size}, tailDrop, hook, sink, track, used)
 		return
 	}
-	q.fifo.push(e)
+	idle := q.fifo.n == 0
+	behindBackground := false
+	var fin float64
+	if idle {
+		fin = clock.Instant(q.clk)
+	} else {
+		prev := q.fifo.at(q.fifo.n - 1)
+		fin = prev.fin
+		behindBackground = prev.pkt == nil
+	}
+	fin += q.txTime(size).Seconds()
+	e := q.fifo.push()
+	e.pkt, e.dst, e.size, e.fin = pkt, dst, size, fin
+	if idle {
+		q.started()
+	}
 	q.used += size
 	if q.used > q.high {
 		q.high = q.used
 	}
 	marked := false
-	if t := q.cfg.MarkThresholdBytes; t > 0 && q.used >= t && (pkt == nil || !pkt.Marked) {
+	if t := q.cfg.MarkThresholdBytes; t > 0 && q.used >= t && !pkt.Marked {
 		// RED-style congestion-experienced marking: occupancy crossed
 		// the threshold, so the packet carries the signal instead of
 		// waiting for tail drop to announce congestion the hard way.
-		if pkt != nil {
-			pkt.Marked = true
-		}
+		pkt.Marked = true
 		q.Marked.Add(1)
 		marked = true
 	}
-	start := !q.busy
-	if start {
-		q.busy = true
-	}
 	used := q.used
-	d := q.txTime(size)
 	q.unlock()
 	q.Enqueued.Add(1)
 	if sink != nil {
@@ -377,27 +461,41 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer, size int) {
 			sink.Event(at, telemetry.EvECNMark, track, int64(used), 0, 0, 0)
 		}
 	}
-	if start {
+	if idle || behindBackground {
 		// Idle line: this packet goes head-of-line now and departs
-		// after its own transmission time.
-		clock.After(q.clk, d, q.departFn)
+		// after its own transmission time. Behind a background entry,
+		// which departs without an event, nothing can chain this
+		// departure: schedule it now, at its finish.
+		clock.At(q.clk, fin, q.departFn)
 	}
 }
 
-// depart completes the head-of-line transmission: the packet leaves
-// the buffer, faces the wire loss process, and (on survival)
-// propagates to its destination — or, a background entry, is counted
-// delivered and forgotten. The next packet, if any, starts
-// transmitting immediately.
+// depart completes a flow packet's transmission at the head of the
+// line: the packet leaves the buffer, faces the wire loss process, and
+// (on survival) propagates to its destination. A flow packet directly
+// behind it starts transmitting immediately, on an event chained from
+// this one.
 func (q *Queue) depart() {
 	q.lock()
-	if q.fifo.n == 0 {
-		// Cannot happen: busy is only set with a queued head.
-		q.busy = false
+	if q.pending() {
+		// Up to this departure: the background events before its
+		// instant, then those at it whose events would have been
+		// scheduled before its own.
+		now := clock.Instant(q.clk)
+		q.settle(now, 0)
+		if h := q.fifo.front(); q.fifo.n > 0 && h.pkt != nil && h.fin == now {
+			q.settle(now, q.headOrder)
+		}
+	}
+	if q.fifo.n == 0 || q.fifo.front().pkt == nil || (q.stale > 0 && q.fifo.front().fin > clock.Instant(q.clk)) {
+		// A departure armed before a rate change moved its entry's
+		// finish: the event re-armed for the new instant departs it.
+		q.stale = max(0, q.stale-1)
 		q.unlock()
 		return
 	}
 	head := q.fifo.pop()
+	q.started()
 	q.used -= head.size
 	down := q.down
 	dropped := !down && q.cfg.Loss != nil && q.cfg.Loss.Drop(q.rng)
@@ -405,12 +503,11 @@ func (q *Queue) depart() {
 	hook := q.onDrop
 	sink, track := q.sink, q.track
 	used := q.used
-	if q.fifo.n > 0 {
-		d := q.txTime(q.fifo.front().size)
+	if q.fifo.n > 0 && q.fifo.front().pkt != nil {
+		fin := q.fifo.front().fin
 		q.unlock()
-		clock.After(q.clk, d, q.departFn)
+		clock.At(q.clk, fin, q.departFn)
 	} else {
-		q.busy = false
 		q.unlock()
 	}
 	q.probe(sink, track, telemetry.EvDepart, int64(used), 0)
@@ -422,35 +519,190 @@ func (q *Queue) depart() {
 		q.drop(head, channelLoss, hook, sink, track, used)
 	default:
 		q.Delivered.Add(1)
-		if head.pkt != nil {
-			q.pool.DeliverAfter(q.clk, latency, head.dst, head.pkt)
-		}
+		q.pool.DeliverAfter(q.clk, latency, head.dst, head.pkt)
 	}
 }
 
-// drop ends a discarded entry: it counts the loss under reason, reports
-// it to the telemetry sink with the buffer occupancy used, and hands a
-// flow packet to the drop hook, or back to the envelope pool when none
-// is installed. A background entry has no packet, so its drop stops at
-// the counters and probes.
+// drop ends a discarded flow packet: it counts the loss under reason,
+// reports it to the telemetry sink with the buffer occupancy used, and
+// hands the packet to the drop hook, or back to the envelope pool when
+// none is installed.
 func (q *Queue) drop(e queued, reason DropReason, hook func(*nicsim.Packet, DropReason, nicsim.Deliverer), sink telemetry.Sink, track int32, used int) {
-	kind := telemetry.EvTailDrop
-	switch reason {
-	case tailDrop:
-		q.TailDrops.Add(1)
-	case channelLoss:
-		q.ChannelDrops.Add(1)
-		kind = telemetry.EvChannelDrop
-	case linkDown:
-		q.LinkDownDrops.Add(1)
-		kind = telemetry.EvLinkDownDrop
-	}
-	q.probe(sink, track, kind, int64(used), int64(e.size))
-	switch {
-	case e.pkt == nil:
-	case hook != nil:
+	q.probe(sink, track, q.count(reason), int64(used), int64(e.size))
+	if hook != nil {
 		hook(e.pkt, reason, e.dst)
-	default:
+	} else {
 		nicsim.ReleasePacket(e.pkt)
 	}
+}
+
+// count adds one loss of class reason to its counter and returns the
+// class's telemetry event kind.
+func (q *Queue) count(reason DropReason) telemetry.EventKind {
+	switch reason {
+	case channelLoss:
+		q.ChannelDrops.Add(1)
+		return telemetry.EvChannelDrop
+	case linkDown:
+		q.LinkDownDrops.Add(1)
+		return telemetry.EvLinkDownDrop
+	}
+	q.TailDrops.Add(1)
+	return telemetry.EvTailDrop
+}
+
+// settle replays the background schedule up to (until, last): every
+// arrival of a running generator, and every departure of a background
+// entry at the head of the line, whose instant is before until, or at
+// it with an order number (below) not above last. A flow
+// packet at the head stops the departures: it leaves on its own event.
+// Each replayed packet takes the tail-drop test, ECN mark, loss draw,
+// counters and probes of its instant. The caller holds the lock.
+//
+// Replayed events run in the order their clock events would have: by
+// instant, then — like the engine — by when they would have been
+// scheduled. An arrival's event was scheduled at the arrival before
+// it, a departure's when its entry started transmitting; the order
+// counter stamps each as settle (or a flow departure) gets there.
+//
+// The order counter also stamps a flow packet's departure when its
+// event is scheduled — or, behind a background entry, when that entry
+// leaves, as its event was scheduled before background traffic was
+// settled — so a flow departure settles the background events at its
+// own instant that its event would have followed. An admission, setter
+// or read settles only up to before its instant (last 0): it runs on
+// an event scheduled long before — an actor's wake, a propagation
+// delay, a dynamics schedule — or after the engine stopped.
+func (q *Queue) settle(until float64, last uint64) {
+	var t tally
+	for {
+		var g *TrafficGen
+		at, order := math.Inf(1), uint64(0)
+		for _, c := range q.gens {
+			if c.next < at || (c.next == at && c.order < order) {
+				g, at, order = c, c.next, c.order
+			}
+		}
+		if q.fifo.n > 0 {
+			h := q.fifo.front()
+			if h.pkt == nil && due(h.fin, q.headOrder, until, last) && (h.fin < at || (h.fin == at && q.headOrder < order)) {
+				q.departBackground(&t)
+				continue
+			}
+		}
+		if g == nil || !due(at, order, until, last) {
+			break
+		}
+		q.arriveBackground(at, g.size, &t)
+		g.sent++
+		g.next, g.order = at+g.gap().Seconds(), q.stamp()
+	}
+	q.Enqueued.Add(t.enqueued)
+	q.Delivered.Add(t.delivered)
+	q.Marked.Add(t.marked)
+}
+
+// due reports whether the event (at, order) comes no later than
+// (until, last).
+func due(at float64, order uint64, until float64, last uint64) bool {
+	return at < until || (at == until && order <= last)
+}
+
+// stamp returns the next number of the order counter.
+func (q *Queue) stamp() uint64 {
+	q.order++
+	return q.order
+}
+
+// started stamps the departure of the entry that has just reached the
+// head of the line (see settle).
+func (q *Queue) started() {
+	if q.fifo.n > 0 {
+		q.headOrder = q.stamp()
+	}
+}
+
+// pending reports whether settle may have work: a running generator,
+// or a background entry at the head of the line. On a queue no
+// generator feeds it costs two loads.
+func (q *Queue) pending() bool {
+	return len(q.gens) > 0 || (q.fifo.n > 0 && q.fifo.front().pkt == nil)
+}
+
+// catchUp settles the queue up to, not including, the current instant:
+// the first step of every admission, setter and read (see settle).
+func (q *Queue) catchUp() {
+	if q.pending() {
+		q.settle(clock.Instant(q.clk), 0)
+	}
+}
+
+// tally batches the counts of one settle call, so a replay pays one
+// atomic add per counter instead of one per packet.
+type tally struct{ enqueued, delivered, marked uint64 }
+
+// arriveBackground offers one background packet of size wire bytes to
+// the buffer at instant at.
+func (q *Queue) arriveBackground(at float64, size int, t *tally) {
+	if q.down {
+		q.bgProbe(at, q.count(linkDown), 0, int64(size))
+		return
+	}
+	if q.cfg.BufferBytes > 0 && q.used+size > q.cfg.BufferBytes {
+		q.bgProbe(at, q.count(tailDrop), int64(q.used), int64(size))
+		return
+	}
+	fin := at
+	if q.fifo.n > 0 {
+		fin = q.fifo.at(q.fifo.n - 1).fin
+	}
+	e := q.fifo.push()
+	e.size, e.fin = size, fin+q.txTime(size).Seconds()
+	if q.fifo.n == 1 {
+		q.started()
+	}
+	q.used += size
+	if q.used > q.high {
+		q.high = q.used
+	}
+	t.enqueued++
+	q.bgProbe(at, telemetry.EvEnqueue, int64(q.used), 0)
+	if m := q.cfg.MarkThresholdBytes; m > 0 && q.used >= m {
+		t.marked++
+		q.bgProbe(at, telemetry.EvECNMark, int64(q.used), 0)
+	}
+}
+
+// departBackground ends the background entry at the head of the line
+// at its finish instant.
+func (q *Queue) departBackground(t *tally) {
+	head := q.fifo.pop()
+	q.started()
+	q.used -= head.size
+	dropped := !q.down && q.cfg.Loss != nil && q.cfg.Loss.Drop(q.rng)
+	q.bgProbe(head.fin, telemetry.EvDepart, int64(q.used), 0)
+	switch {
+	case q.down:
+		q.bgProbe(head.fin, q.count(linkDown), int64(q.used), int64(head.size))
+	case dropped:
+		q.bgProbe(head.fin, q.count(channelLoss), int64(q.used), int64(head.size))
+	default:
+		t.delivered++
+	}
+}
+
+// bgProbe emits one background event stamped at instant at. A
+// background packet acts for no actor, so a sink that attributes events
+// to the running actor gets it as a background event, even when a
+// flow's admission settles it.
+func (q *Queue) bgProbe(at float64, kind telemetry.EventKind, a0, a1 int64) {
+	if q.sink == nil {
+		return
+	}
+	ns := q.epochNs + int64(at*float64(time.Second))
+	if b, ok := q.sink.(telemetry.BackgroundSink); ok {
+		b.BackgroundEvent(ns, kind, q.track, a0, a1, 0, 0)
+		return
+	}
+	q.sink.Event(ns, kind, q.track, a0, a1, 0, 0)
 }

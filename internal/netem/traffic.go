@@ -3,12 +3,11 @@ package netem
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"sdrrdma/internal/clock"
 	"sdrrdma/internal/nicsim"
-	"sdrrdma/internal/telemetry"
 )
 
 // TrafficConfig shapes one background traffic source.
@@ -26,7 +25,8 @@ type TrafficConfig struct {
 	// Seed feeds the arrival-process RNG, so a contended scenario is
 	// deterministic per seed on the virtual clock.
 	Seed int64
-	// Clock drives the emission timers (nil = shared real clock).
+	// Clock is the queue's clock, on whose timeline the arrivals fall
+	// (nil = the queue's clock; any other clock is an error).
 	Clock clock.Clock
 }
 
@@ -43,19 +43,27 @@ type TrafficConfig struct {
 // and no destination, draws from the queue's loss process and counts
 // in every queue counter and telemetry probe like a flow packet, and
 // ends at the queue — counted delivered or dropped, never handed to a
-// drop hook or a Deliverer. So it costs two clock events (emission and
-// departure) and no allocation.
+// drop hook or a Deliverer.
+//
+// Nor is it a clock event. A running generator is an arrival schedule
+// — each arrival one gap (drawn from the generator's own RNG) after the
+// last — that the queue settles whenever something reads or changes it
+// (see Queue), so a background packet costs no engine event and no
+// allocation, on either clock, and its arrivals keep the configured
+// rate however late a real clock's timers fire. The queue's lock
+// guards the schedule.
 type TrafficGen struct {
 	cfg  TrafficConfig
-	clk  clock.Clock
 	q    *Queue
 	size int // wire bytes of one packet
 	rng  *rand.Rand
 	mean time.Duration // mean inter-arrival gap
 
-	timer   clock.Timer
-	stopped atomic.Bool
-	sent    telemetry.Counter
+	// next is the instant of the next arrival while running, order its
+	// number on the queue's order counter (see Queue.settle).
+	next  float64
+	order uint64
+	sent  uint64
 }
 
 // NewTrafficGen builds a generator feeding port's queue; the port's
@@ -74,14 +82,12 @@ func NewTrafficGen(cfg TrafficConfig, port *Port) (*TrafficGen, error) {
 	if port == nil {
 		return nil, fmt.Errorf("netem: traffic generator needs a queue port")
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.Realtime()
+	if cfg.Clock != nil && cfg.Clock != port.q.clk {
+		return nil, fmt.Errorf("netem: traffic generator clock is not its queue's")
 	}
 	size := cfg.PacketBytes + nicsim.HeaderBytes
 	return &TrafficGen{
 		cfg:  cfg,
-		clk:  clk,
 		q:    port.q,
 		size: size,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
@@ -89,46 +95,59 @@ func NewTrafficGen(cfg TrafficConfig, port *Port) (*TrafficGen, error) {
 	}, nil
 }
 
-// Start schedules the first emission. Under a virtual clock the
-// timer chain runs as engine events: emissions interleave
-// deterministically with foreground traffic, and pending emissions
-// are simply discarded when the simulation's actors finish.
+// Start begins emission: the first arrival falls one gap after now.
+// Starting a running generator does nothing.
 func (g *TrafficGen) Start() {
-	g.timer = g.clk.AfterFunc(g.gap(), g.tick)
+	q := g.q
+	q.lock()
+	defer q.unlock()
+	now := clock.Instant(q.clk)
+	q.settle(now, 0)
+	if slices.Contains(q.gens, g) {
+		return
+	}
+	g.next, g.order = now+g.gap().Seconds(), q.stamp()
+	q.gens = append(q.gens, g)
 }
 
-// Stop halts emission. Safe to call more than once; a tick already
-// in flight may still admit one final packet. Packets already in the
-// queue stay there and depart or drop as usual: counted and probed,
-// never handed to the queue's drop hook.
+// Stop halts emission; arrivals up to now are settled first. Safe to
+// call more than once. Packets already in the queue stay there and
+// depart or drop as usual: counted and probed, never handed to the
+// queue's drop hook. When the newest entry is a background one, Stop
+// leaves one clock event at its finish instant, so the residue is
+// counted if the clock runs on.
 func (g *TrafficGen) Stop() {
-	g.stopped.Store(true)
-	if g.timer != nil {
-		g.timer.Stop()
+	q := g.q
+	q.lock()
+	q.catchUp()
+	if i := slices.Index(q.gens, g); i >= 0 {
+		q.gens = slices.Delete(q.gens, i, i+1)
+	}
+	residue := q.fifo.n > 0 && q.fifo.at(q.fifo.n-1).pkt == nil
+	var last float64
+	if residue {
+		last = q.fifo.at(q.fifo.n - 1).fin
+	}
+	q.unlock()
+	if residue {
+		clock.At(q.clk, last, q.settleFn)
 	}
 }
 
-// Sent returns the number of packets emitted so far.
-func (g *TrafficGen) Sent() uint64 { return g.sent.Load() }
+// Sent settles the queue and returns the number of packets emitted so
+// far.
+func (g *TrafficGen) Sent() uint64 {
+	q := g.q
+	q.lock()
+	defer q.unlock()
+	q.catchUp()
+	return g.sent
+}
 
+// gap draws the next inter-arrival gap.
 func (g *TrafficGen) gap() time.Duration {
 	if !g.cfg.Poisson {
 		return g.mean
 	}
 	return time.Duration(g.rng.ExpFloat64() * float64(g.mean))
-}
-
-// tick runs as a clock callback (on a timer goroutine under a real
-// clock, on the driving actor's goroutine under a virtual one), admits
-// one background packet and schedules the next.
-func (g *TrafficGen) tick() {
-	if g.stopped.Load() {
-		return
-	}
-	g.sent.Add(1)
-	g.q.admit(nil, nil, g.size)
-	if g.stopped.Load() {
-		return
-	}
-	g.timer.Reset(g.gap())
 }

@@ -207,9 +207,9 @@ func (e *Engine) alloc(at float64) int32 {
 	return idx
 }
 
-// at schedules fn at absolute virtual time at. Scheduling in the past
+// At schedules fn at absolute virtual time at. Scheduling in the past
 // panics: it would silently corrupt causality.
-func (e *Engine) at(at float64, fn Event) Timer {
+func (e *Engine) At(at float64, fn Event) Timer {
 	idx := e.alloc(at)
 	s := &e.slots[idx]
 	s.fn = fn
@@ -219,7 +219,7 @@ func (e *Engine) at(at float64, fn Event) Timer {
 
 // After schedules fn delay seconds from now.
 func (e *Engine) After(delay float64, fn Event) Timer {
-	return e.at(e.now+delay, fn)
+	return e.At(e.now+delay, fn)
 }
 
 // Schedule schedules a typed (kind, a, b) event at absolute virtual
@@ -290,7 +290,7 @@ func (e *Engine) atLane(ln int32, at float64, fn Event) Timer {
 	}
 	l := &e.lanes[ln]
 	if at < l.lastAt {
-		return e.at(at, fn)
+		return e.At(at, fn)
 	}
 	idx := e.alloc(at)
 	s := &e.slots[idx]

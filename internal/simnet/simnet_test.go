@@ -27,7 +27,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.at(5, func() { order = append(order, i) })
+		e.At(5, func() { order = append(order, i) })
 	}
 	e.run()
 	for i, v := range order {
@@ -80,7 +80,7 @@ func TestPastSchedulingPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.at(1, func() {})
+	e.At(1, func() {})
 }
 
 // recorder collects typed events for handler-dispatch tests.
@@ -171,7 +171,7 @@ func TestResetReuse(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		e.at(float64(i), func() { order = append(order, i) })
+		e.At(float64(i), func() { order = append(order, i) })
 	}
 	e.run()
 	if fired != 0 {
@@ -208,7 +208,7 @@ func TestSameTimeFIFOAfterChurn(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		tm := e.at(5, func() { order = append(order, i) })
+		tm := e.At(5, func() { order = append(order, i) })
 		if i%3 == 0 {
 			tm.Cancel()
 		}
@@ -346,7 +346,7 @@ func TestMonotoneFiringProperty(t *testing.T) {
 		for i := range delays {
 			delays[i] = rng.Float64() * 100
 			d := delays[i]
-			e.at(d, func() { fired = append(fired, d) })
+			e.At(d, func() { fired = append(fired, d) })
 		}
 		e.run()
 		if len(fired) != n {

@@ -188,6 +188,15 @@ type Sink interface {
 	Event(at int64, kind EventKind, track int32, a0, a1, a2, a3 int64)
 }
 
+// BackgroundSink is the optional Sink extension for probes that fire
+// on behalf of no actor even when an actor's call runs them: a netem
+// queue replaying background packets inside a flow's admission.
+// Recorder implements it by recording the event unattributed; a Sink
+// without it receives such events through Event.
+type BackgroundSink interface {
+	BackgroundEvent(at int64, kind EventKind, track int32, a0, a1, a2, a3 int64)
+}
+
 // Nop is the explicit no-op Sink.
 type Nop struct{}
 
@@ -359,9 +368,21 @@ func (r *Recorder) FoldQueueDepth(track int32, name string) *Series {
 	return s
 }
 
-// Event implements Sink: record one probe firing. EvEnqueue/EvDepart
-// on a folded track update the depth series and skip the slab.
+// Event implements Sink: record one probe firing, attributed to the
+// actor the actor source names. EvEnqueue/EvDepart on a folded track
+// update the depth series and skip the slab.
 func (r *Recorder) Event(at int64, kind EventKind, track int32, a0, a1, a2, a3 int64) {
+	r.event(at, kind, track, r.actorSrc, a0, a1, a2, a3)
+}
+
+// BackgroundEvent implements BackgroundSink: Event with no actor.
+func (r *Recorder) BackgroundEvent(at int64, kind EventKind, track int32, a0, a1, a2, a3 int64) {
+	r.event(at, kind, track, nil, a0, a1, a2, a3)
+}
+
+// event records one probe firing attributed to the actor src names
+// (nil: none).
+func (r *Recorder) event(at int64, kind EventKind, track int32, src func() string, a0, a1, a2, a3 int64) {
 	if kind == EvEnqueue || kind == EvDepart {
 		r.mu.Lock()
 		if int(track) < len(r.depthFold) {
@@ -378,7 +399,7 @@ func (r *Recorder) Event(at int64, kind EventKind, track int32, a0, a1, a2, a3 i
 	// the consistent order (clock lock, then recorder lock) on both
 	// paths is what keeps the real-clock case deadlock free.
 	actorName := ""
-	if src := r.actorSrc; src != nil {
+	if src != nil {
 		actorName = src()
 	}
 	r.mu.Lock()
