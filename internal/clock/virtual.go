@@ -74,17 +74,20 @@ import (
 // So state that only baton holders touch needs no lock of its own, and
 // none is taken:
 //
-//   - the engine: runAfter, RunAfterLane, AfterFunc and a Timer's Stop
-//     and Reset schedule and cancel without mu, and a drive fires events
-//     back to back without it, re-taking mu only when an event made an
-//     actor runnable (a wake-up, a Notify, a spawn) or the queue ran dry;
+//   - the engine: runAfter, runAt, RunAfterLane, AfterFunc and a Timer's
+//     Stop and Reset schedule and cancel without mu, and a drive fires
+//     events back to back without it, re-taking mu only when an event
+//     made an actor runnable (a wake-up, a Notify, a spawn) or the queue
+//     ran dry;
 //   - the AfterFunc timer pool;
 //   - everything the stack builds on a virtual clock and drives from
-//     actors and callbacks: a netem.Queue, a fabric.Direction and its
-//     DeliveryPool, a serial nicsim.Device, a synchronous dpa.Pool, a
-//     CQ's serial sink. Each decides once, from IsVirtual, where its
-//     clock is bound, to leave its own mutex alone — the first three in
-//     their constructors; for the device, the DPA pool and the channel
+//     actors and callbacks: a netem.Queue — with the arrival schedules
+//     of the netem.TrafficGens feeding it, which any baton holder that
+//     reads or changes the queue settles, on its own goroutine — a
+//     fabric.Direction and its DeliveryPool, a serial nicsim.Device, a
+//     synchronous dpa.Pool, a CQ's serial sink. Each decides once, from
+//     IsVirtual, where its clock is bound, to leave its own mutex
+//     alone — the first three in their constructors; for the device, the DPA pool and the channel
 //     CQs core.NewContext decides, the one in-tree caller of
 //     Device.SetSerial and Pool.SetSynchronous (they stay methods only
 //     because benchmark/drives.go sets them for its isolated layer

@@ -129,14 +129,15 @@ func BenchmarkNetemQueueECN(b *testing.B) {
 	}
 }
 
-// BenchmarkNetemCrossTraffic measures one background packet end to
-// end: a Poisson TrafficGen offering half the line rate to a
-// bottleneck Queue — emission timer, admission, departure event, loss
-// draw, delivered count. A background packet ends at the queue, so
-// there is no envelope, propagation event or sink. ns/op and allocs/op
-// are per cross packet; the contended perftest and benchmark workloads
-// pay this about six times per foreground packet. Tracked in
-// BENCH_protosim.json.
+// BenchmarkNetemCrossTraffic measures the settlement of one background
+// packet: a Poisson TrafficGen offering half the line rate to a
+// bottleneck Queue while an actor sleeps through b.N mean gaps. The
+// sleep is one engine event; no background packet is one. Stop then
+// settles them all — each an arrival draw, admission, departure, loss
+// draw and delivered count, with no envelope, propagation event or
+// sink. ns/op and allocs/op are per cross packet; the contended
+// perftest and benchmark workloads pay this about six times per
+// foreground packet. Tracked in BENCH_protosim.json.
 func BenchmarkNetemCrossTraffic(b *testing.B) {
 	clk := clock.NewVirtual()
 	loss, err := LossSpec{P: 0.005}.build()

@@ -98,22 +98,22 @@ func (c QueueConfig) validate() error {
 // Background traffic (TrafficGen) costs no clock event. A generator's
 // arrivals are a schedule drawn from its own RNG, and a line-rate FIFO
 // fixes each entry's finish instant when it is admitted, so the queue
-// replays the schedule on demand. Before anything reads or changes the
-// queue — a flow admission or departure, setDown, setBandwidth,
-// setLoss, setTelemetry, HighWatermark, a Topology drop sum, a
-// generator's Start, Stop or Sent — settle admits every background
-// arrival and departs every background head-of-line entry whose instant
-// is not after now, in instant order (a departure first when the two
-// coincide). Each replayed packet takes the tail-drop test, ECN mark,
-// loss draw, counters and probes of its own instant, so a flow sees
-// the same buffer, and the loss process the same draws, as if every
-// background packet had been an event. Flow packets keep their events:
-// one that joins an idle line, or queues directly behind another flow
-// packet, departs on an event chained from its predecessor's departure;
-// one that queues behind a background entry departs on an event
-// scheduled at admission, at its finish instant. The exported counters
-// are exact after a settling call, or once the event a generator's Stop
-// leaves at the last background finish has fired.
+// replays the schedule on demand (settle). Before anything reads or
+// changes the queue — a flow admission or departure, setDown,
+// setBandwidth, setLoss, setTelemetry, HighWatermark, a Topology drop
+// sum, a generator's Start, Stop or Sent — it admits every background
+// arrival and departs every background head-of-line entry that is due,
+// in the order their clock events would have fired. Each replayed
+// packet takes the tail-drop test, ECN mark, loss draw, counters and
+// probes of its own instant, so a flow sees the same buffer, and the
+// loss process the same draws, as if every background packet had been
+// an event. Flow packets keep their events: one that joins an idle
+// line, or queues directly behind another flow packet, departs on an
+// event chained from its predecessor's departure; one that queues
+// behind a background entry departs on an event scheduled at
+// admission, at its finish instant. The exported counters are exact
+// after a settling call, or once the event a generator's Stop leaves
+// at the last background finish has fired.
 //
 // Locking follows the clock the queue was built on. On a real clock
 // enqueues, departures (timer goroutines) and the setters race, and mu
@@ -135,9 +135,12 @@ type Queue struct {
 	down bool // link administratively down (flap)
 	// gens are the running generators whose arrivals settle replays.
 	gens []*TrafficGen
-	// stale counts flow departure events a rate change left armed at
-	// instants their entries no longer finish at (see setBandwidth).
-	stale int
+	// late holds flow packets that settle took off the line at their
+	// finish while their departure events were still pending — which
+	// only a real clock's late timers leave behind — so background
+	// traffic behind them is not held up. Their events draw their loss
+	// and deliver them.
+	late fifo
 	// order numbers the background events settle replays in the order
 	// their clock events would have been scheduled, which is how the
 	// engine breaks ties between events at one instant; headOrder is
@@ -146,6 +149,9 @@ type Queue struct {
 	// epochNs is the NowNanos stamp of instant zero on the clock's
 	// timeline: a settled event at instant t is stamped epochNs + t.
 	epochNs int64
+	// txSize and txSec cache the last serialization time (see txTime).
+	txSize int
+	txSec  float64
 
 	onDrop func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)
 
@@ -307,7 +313,7 @@ func (q *Queue) setDown(down bool) {
 // already-scheduled departure time. So every entry behind the head
 // gets its finish instant re-derived, and a flow packet behind a
 // background entry has its departure re-armed; the event armed before
-// stays behind, stale, and depart skips it.
+// finds nothing due and does nothing (see depart).
 func (q *Queue) setBandwidth(bps float64) error {
 	if bps <= 0 {
 		return fmt.Errorf("netem: queue bandwidth %g <= 0", bps)
@@ -316,12 +322,12 @@ func (q *Queue) setBandwidth(bps float64) error {
 	defer q.unlock()
 	q.catchUp()
 	q.cfg.BandwidthBps = bps
+	q.txSize = 0
 	for i := 1; i < q.fifo.n; i++ {
 		prev, e := q.fifo.at(i-1), q.fifo.at(i)
-		fin := prev.fin + q.txTime(e.size).Seconds()
+		fin := prev.fin + q.txTime(e.size)
 		if e.pkt != nil && prev.pkt == nil && fin != e.fin {
 			clock.At(q.clk, fin, q.departFn)
-			q.stale++
 		}
 		e.fin = fin
 	}
@@ -398,9 +404,19 @@ func (p *Port) Deliver(pkt *nicsim.Packet) { p.q.admit(pkt, p.dst) }
 // wireBytes is the buffer/serialization footprint of one packet.
 func wireBytes(pkt *nicsim.Packet) int { return len(pkt.Payload) + nicsim.HeaderBytes }
 
-// txTime is the serialization time of size wire bytes at line rate.
-func (q *Queue) txTime(size int) time.Duration {
-	return time.Duration(float64(size) * 8 / q.cfg.BandwidthBps * float64(time.Second))
+// txTime is the serialization time of size wire bytes at line rate, in
+// seconds: the nanosecond Duration the clock would schedule after,
+// converted as the engine converts it, so finish instants are the sums
+// it would have formed. The last size's value is kept, as a flow's
+// packets, like a generator's, share one size; recomputing it on every
+// admission put a chain of float divisions in front of the next
+// atomic counter.
+func (q *Queue) txTime(size int) float64 {
+	if size != q.txSize {
+		d := time.Duration(float64(size) * 8 / q.cfg.BandwidthBps * float64(time.Second))
+		q.txSize, q.txSec = size, d.Seconds()
+	}
+	return q.txSec
 }
 
 // admit offers the flow packet pkt, bound for dst, to the buffer.
@@ -432,7 +448,7 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		fin = prev.fin
 		behindBackground = prev.pkt == nil
 	}
-	fin += q.txTime(size).Seconds()
+	fin += q.txTime(size)
 	e := q.fifo.push()
 	e.pkt, e.dst, e.size, e.fin = pkt, dst, size, fin
 	if idle {
@@ -470,46 +486,42 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	}
 }
 
-// depart completes a flow packet's transmission at the head of the
-// line: the packet leaves the buffer, faces the wire loss process, and
-// (on survival) propagates to its destination. A flow packet directly
-// behind it starts transmitting immediately, on an event chained from
-// this one.
+// depart completes a flow packet's transmission: the packet leaves
+// the buffer, faces the wire loss process, and (on survival)
+// propagates to its destination. A flow packet directly behind it
+// starts transmitting immediately, on an event chained from this one.
+// An event that finds no flow packet due — one armed before a rate
+// change moved its packet's finish, or whose packet another event
+// already took — does nothing.
 func (q *Queue) depart() {
 	q.lock()
+	now := clock.Instant(q.clk)
 	if q.pending() {
 		// Up to this departure: the background events before its
 		// instant, then those at it whose events would have been
 		// scheduled before its own.
-		now := clock.Instant(q.clk)
 		q.settle(now, 0)
-		if h := q.fifo.front(); q.fifo.n > 0 && h.pkt != nil && h.fin == now {
-			q.settle(now, q.headOrder)
+		if q.fifo.n > 0 && q.fifo.front().pkt != nil && q.fifo.front().fin == now {
+			q.settle(now, q.headOrder-1)
 		}
 	}
-	if q.fifo.n == 0 || q.fifo.front().pkt == nil || (q.stale > 0 && q.fifo.front().fin > clock.Instant(q.clk)) {
-		// A departure armed before a rate change moved its entry's
-		// finish: the event re-armed for the new instant departs it.
-		q.stale = max(0, q.stale-1)
+	var head queued
+	switch {
+	case q.late.n > 0:
+		head = q.late.pop()
+	case q.fifo.n > 0 && q.fifo.front().pkt != nil && q.fifo.front().fin <= now:
+		head = q.leave()
+	default:
 		q.unlock()
 		return
 	}
-	head := q.fifo.pop()
-	q.started()
-	q.used -= head.size
 	down := q.down
 	dropped := !down && q.cfg.Loss != nil && q.cfg.Loss.Drop(q.rng)
 	latency := q.cfg.Latency
 	hook := q.onDrop
 	sink, track := q.sink, q.track
 	used := q.used
-	if q.fifo.n > 0 && q.fifo.front().pkt != nil {
-		fin := q.fifo.front().fin
-		q.unlock()
-		clock.At(q.clk, fin, q.departFn)
-	} else {
-		q.unlock()
-	}
+	q.unlock()
 	q.probe(sink, track, telemetry.EvDepart, int64(used), 0)
 	switch {
 	case down:
@@ -521,6 +533,18 @@ func (q *Queue) depart() {
 		q.Delivered.Add(1)
 		q.pool.DeliverAfter(q.clk, latency, head.dst, head.pkt)
 	}
+}
+
+// leave takes the flow packet at the head of the line off it, and
+// schedules the departure of a flow packet that starts behind it.
+func (q *Queue) leave() queued {
+	head := q.fifo.pop()
+	q.started()
+	q.used -= head.size
+	if q.fifo.n > 0 && q.fifo.front().pkt != nil {
+		clock.At(q.clk, q.fifo.front().fin, q.departFn)
+	}
+	return head
 }
 
 // drop ends a discarded flow packet: it counts the loss under reason,
@@ -585,8 +609,12 @@ func (q *Queue) settle(until float64, last uint64) {
 		}
 		if q.fifo.n > 0 {
 			h := q.fifo.front()
-			if h.pkt == nil && due(h.fin, q.headOrder, until, last) && (h.fin < at || (h.fin == at && q.headOrder < order)) {
-				q.departBackground(&t)
+			if due(h.fin, q.headOrder, until, last) && (h.fin < at || (h.fin == at && q.headOrder < order)) {
+				if h.pkt == nil {
+					q.departBackground(&t)
+				} else {
+					*q.late.push() = q.leave()
+				}
 				continue
 			}
 		}
@@ -657,7 +685,7 @@ func (q *Queue) arriveBackground(at float64, size int, t *tally) {
 		fin = q.fifo.at(q.fifo.n - 1).fin
 	}
 	e := q.fifo.push()
-	e.size, e.fin = size, fin+q.txTime(size).Seconds()
+	e.size, e.fin = size, fin+q.txTime(size)
 	if q.fifo.n == 1 {
 		q.started()
 	}

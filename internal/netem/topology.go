@@ -330,8 +330,18 @@ func pathDelay(hops []hop) time.Duration {
 	return d
 }
 
+// settle brings every queue's background traffic up to now, so the
+// counters the sums below read are exact (see Queue).
+func (t *Topology) settle() {
+	for _, e := range t.edges {
+		e.Fwd.settleRead()
+		e.Rev.settleRead()
+	}
+}
+
 // TailDrops sums buffer-overflow drops across every queue.
 func (t *Topology) TailDrops() uint64 {
+	t.settle()
 	var n uint64
 	for _, e := range t.edges {
 		n += e.Fwd.TailDrops.Load() + e.Rev.TailDrops.Load()
@@ -341,6 +351,7 @@ func (t *Topology) TailDrops() uint64 {
 
 // ChannelDrops sums wire loss-process drops across every queue.
 func (t *Topology) ChannelDrops() uint64 {
+	t.settle()
 	var n uint64
 	for _, e := range t.edges {
 		n += e.Fwd.ChannelDrops.Load() + e.Rev.ChannelDrops.Load()
@@ -350,6 +361,7 @@ func (t *Topology) ChannelDrops() uint64 {
 
 // LinkDownDrops sums flap-failure drops across every queue.
 func (t *Topology) LinkDownDrops() uint64 {
+	t.settle()
 	var n uint64
 	for _, e := range t.edges {
 		n += e.Fwd.LinkDownDrops.Load() + e.Rev.LinkDownDrops.Load()
@@ -359,6 +371,7 @@ func (t *Topology) LinkDownDrops() uint64 {
 
 // MarkedPackets sums ECN-marked departures across every queue.
 func (t *Topology) MarkedPackets() uint64 {
+	t.settle()
 	var n uint64
 	for _, e := range t.edges {
 		n += e.Fwd.Marked.Load() + e.Rev.Marked.Load()
