@@ -305,3 +305,32 @@ func TestVirtualResetDetachesEventLog(t *testing.T) {
 	v.spawnNamed("stalled-sender", func() { v.WaitNotify(v.Epoch(), -1) })
 	v.run()
 }
+
+// An instant worked out as Instant + d.Seconds() is, bit for bit, where
+// After(d) fires; an instant already past fires at once.
+func TestAtMatchesAfter(t *testing.T) {
+	v := NewVirtual()
+	var after, at []float64
+	Join(v, func() {
+		v.Sleep(3 * time.Millisecond)
+		d := 1234567 * time.Nanosecond
+		After(v, d, func() { after = append(after, Instant(v)) })
+		At(v, Instant(v)+d.Seconds(), func() { at = append(at, Instant(v)) })
+		At(v, Instant(v)-1, func() { at = append(at, Instant(v)) })
+		v.Sleep(time.Second)
+	})
+	if len(after) != 1 || len(at) != 2 || at[0] != (3*time.Millisecond).Seconds() || at[1] != after[0] {
+		t.Fatalf("After fired at %v, At at %v", after, at)
+	}
+}
+
+// On a real clock At never fires before its instant.
+func TestRealAtNotEarly(t *testing.T) {
+	r := NewReal()
+	want := Instant(r) + 0.002
+	got := make(chan float64, 1)
+	At(r, want, func() { got <- Instant(r) })
+	if g := <-got; g < want {
+		t.Fatalf("fired at %v, before %v", g, want)
+	}
+}

@@ -133,8 +133,10 @@ type Queue struct {
 	used int  // buffered wire bytes
 	high int  // buffer occupancy high-watermark
 	down bool // link administratively down (flap)
-	// gens are the running generators whose arrivals settle replays.
+	// gens are the running generators whose arrivals settle replays;
+	// fed records that one ever ran here (see depart).
 	gens []*TrafficGen
+	fed  bool
 	// late holds flow packets that settle took off the line at their
 	// finish while their departure events were still pending — which
 	// only a real clock's late timers leave behind — so background
@@ -492,14 +494,17 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 // starts transmitting immediately, on an event chained from this one.
 // An event that finds no flow packet due — one armed before a rate
 // change moved its packet's finish, or whose packet another event
-// already took — does nothing.
+// already took — does nothing. Only background traffic leaves such
+// events behind, so a queue no generator ever fed takes the head
+// without reading the clock, as it always did.
 func (q *Queue) depart() {
 	q.lock()
-	now := clock.Instant(q.clk)
-	if q.pending() {
+	now := math.Inf(1)
+	if q.fed {
 		// Up to this departure: the background events before its
 		// instant, then those at it whose events would have been
 		// scheduled before its own.
+		now = clock.Instant(q.clk)
 		q.settle(now, 0)
 		if q.fifo.n > 0 && q.fifo.front().pkt != nil && q.fifo.front().fin == now {
 			q.settle(now, q.headOrder-1)
@@ -650,20 +655,18 @@ func (q *Queue) started() {
 	}
 }
 
-// pending reports whether settle may have work: a running generator,
-// or a background entry at the head of the line. On a queue no
-// generator feeds it costs two loads.
-func (q *Queue) pending() bool {
-	return len(q.gens) > 0 || (q.fifo.n > 0 && q.fifo.front().pkt == nil)
-}
-
 // catchUp settles the queue up to, not including, the current instant:
-// the first step of every admission, setter and read (see settle).
+// the first step of every admission, setter and read (see settle). On a
+// queue no generator ever fed there is nothing to settle, and it costs
+// one load.
 func (q *Queue) catchUp() {
-	if q.pending() {
-		q.settle(clock.Instant(q.clk), 0)
+	if q.fed {
+		q.settleBefore()
 	}
 }
+
+// settleBefore is catchUp's slow path, out of line so catchUp inlines.
+func (q *Queue) settleBefore() { q.settle(clock.Instant(q.clk), 0) }
 
 // tally batches the counts of one settle call, so a replay pays one
 // atomic add per counter instead of one per packet.

@@ -108,6 +108,7 @@ func (g *TrafficGen) Start() {
 	}
 	g.next, g.order = now+g.gap().Seconds(), q.stamp()
 	q.gens = append(q.gens, g)
+	q.fed = true
 }
 
 // Stop halts emission; arrivals up to now are settled first. Safe to

@@ -134,6 +134,11 @@ func TestActorAttributionAndTail(t *testing.T) {
 	if got := r.ActorTail("absent", 8); got != "" {
 		t.Fatalf("unknown actor tail = %q, want empty", got)
 	}
+	// A background event fired inside an actor's call names no actor.
+	r.BackgroundEvent(3_000_000, EvTailDrop, tr, 0, 4096, 0, 0)
+	if evs := r.Events(); evs[len(evs)-1].Actor != -1 {
+		t.Fatalf("background event attributed to actor %d", evs[len(evs)-1].Actor)
+	}
 }
 
 func TestWriteChromeParses(t *testing.T) {
