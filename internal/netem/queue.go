@@ -146,7 +146,7 @@ type Queue struct {
 	// order numbers the background events settle replays in the order
 	// their clock events would have been scheduled, which is how the
 	// engine breaks ties between events at one instant; headOrder is
-	// the number of a background head's departure (see settle).
+	// the number of the head-of-line entry's departure (see settle).
 	order, headOrder uint64
 	// epochNs is the NowNanos stamp of instant zero on the clock's
 	// timeline: a settled event at instant t is stamped epochNs + t.
