@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sdrrdma/internal/telemetry"
@@ -32,6 +34,19 @@ func benchmarkPerftest(b *testing.B, scheme string) {
 func BenchmarkPerftestSR(b *testing.B)       { benchmarkPerftest(b, "sr") }
 func BenchmarkPerftestEC(b *testing.B)       { benchmarkPerftest(b, "ec") }
 func BenchmarkPerftestAdaptive(b *testing.B) { benchmarkPerftest(b, "adaptive") }
+
+// The loss rate is checked once, before the dedicated/contended split,
+// so both modes reject the same values; NaN is among them.
+func TestPerftestRejectsDropRate(t *testing.T) {
+	for _, cross := range []float64{0, 1e9} {
+		for _, drop := range []float64{-0.5, 1, 1.5, math.NaN()} {
+			_, err := Run(Options{Scheme: "sr", Size: 64 << 10, Msgs: 1, Drop: drop, CrossBps: cross})
+			if err == nil || !strings.Contains(err.Error(), "outside [0,1)") {
+				t.Errorf("cross %g, drop %g: err = %v", cross, drop, err)
+			}
+		}
+	}
+}
 
 // TestPerftestSchemes smokes every scheme (plus the contended mode)
 // through a small windowed run with content verification on.

@@ -158,6 +158,9 @@ func (r Result) String() string {
 // Run executes one perftest measurement.
 func Run(o Options) (Result, error) {
 	o = o.withDefaults()
+	if !(o.Drop >= 0 && o.Drop < 1) { // NaN fails both
+		return Result{}, fmt.Errorf("perftest: loss rate %g outside [0,1)", o.Drop)
+	}
 	relCfg, err := reliability.Config{RTT: o.RTT, K: 32, M: 8}.ForScheme(o.Scheme)
 	if err != nil {
 		return Result{}, fmt.Errorf("perftest: %w", err)

@@ -76,11 +76,11 @@ func TestNoUserImmBits(t *testing.T) {
 	}
 }
 
-// Everything at once: loss + reordering + duplication + latency on
-// both directions, many sequential messages through slot wraparound —
-// on the virtual clock, where delayed and duplicated deliveries are
-// discrete events serialized with the test body instead of timer
-// goroutines racing the verification reads (racy by design before).
+// Everything at once: reordering + duplication + latency, many
+// sequential messages through slot wraparound — on the virtual clock,
+// where late and duplicated deliveries are discrete events serialized
+// with the test body instead of timer goroutines racing the
+// verification reads (racy by design before).
 func TestCombinedImpairmentsStress(t *testing.T) {
 	vc := clock.NewVirtual()
 	cfg := Config{
@@ -89,14 +89,7 @@ func TestCombinedImpairmentsStress(t *testing.T) {
 		Generations: 4, Channels: 4,
 		Clock: vc,
 	}
-	impair := fabric.Config{
-		Latency:       200 * time.Microsecond,
-		DuplicateProb: 0.05,
-		ReorderProb:   0.2,
-		ReorderExtra:  time.Millisecond,
-		Seed:          31,
-	}
-	p := newTestPair(t, cfg, impair, fabric.Config{})
+	p, f := newScriptedPair(t, cfg, fabric.Config{Latency: 200 * time.Microsecond}, 20, 5, 1200*time.Microsecond)
 	mr := p.B.Ctx.RegMR(make([]byte, 64<<10))
 	const msgs = 40 // 5 full slot wraps through all generations
 	clock.Join(vc, func() {
@@ -113,18 +106,10 @@ func TestCombinedImpairmentsStress(t *testing.T) {
 				t.Errorf("msg %d: %v", i, err)
 				return
 			}
-			deadline := vc.Now().Add(5 * time.Second)
-			for {
-				epoch := vc.Epoch()
-				if h.Done() {
-					break
-				}
-				if vc.Now().After(deadline) {
-					t.Errorf("msg %d incomplete: %d/%d chunks",
-						i, h.Bitmap().Count(), h.NumChunks())
-					return
-				}
-				vc.WaitNotify(epoch, 10*time.Millisecond)
+			if !waitVirtual(vc, h, 5*time.Second) {
+				t.Errorf("msg %d incomplete: %d/%d chunks",
+					i, h.Bitmap().Count(), h.NumChunks())
+				return
 			}
 			if !bytes.Equal(mr.Bytes()[:size], data) {
 				t.Errorf("msg %d corrupted", i)
@@ -138,6 +123,11 @@ func TestCombinedImpairmentsStress(t *testing.T) {
 	})
 	if p.B.QP.Stats().Duplicates == 0 {
 		t.Fatal("stress run produced no duplicates despite 5% duplication")
+	}
+	sent := int(p.A.QP.Stats().PacketsSent)
+	if f.dups == 0 || f.delivered != sent+f.dups || f.released != f.holds || f.inversions == 0 {
+		t.Fatalf("sent %d, duplicated %d, landed %d, held %d, released %d, inversions %d",
+			sent, f.dups, f.delivered, f.holds, f.released, f.inversions)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"sdrrdma/internal/clock"
 	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/nicsim"
 )
@@ -35,6 +36,74 @@ func newTestPair(t *testing.T, cfg Config, ab, ba fabric.Config) *Pair {
 	}
 	t.Cleanup(p.Close)
 	return p
+}
+
+// faults scripts duplication and lateness on a pair's A→B data packets
+// and records what it injected and what landed at B.
+type faults struct {
+	dups, holds, released int
+	// delivered counts packets landed at B; inversions the ones that
+	// landed after a packet their sending QP numbered later.
+	delivered, inversions int
+	top                   map[uint32]uint32 // highest PSN landed per sending QP
+	dst                   nicsim.Deliverer
+}
+
+func (f *faults) Deliver(pkt *nicsim.Packet) {
+	f.delivered++
+	if top, ok := f.top[pkt.SrcQPN]; ok && pkt.PSN < top {
+		f.inversions++
+	} else {
+		f.top[pkt.SrcQPN] = pkt.PSN
+	}
+	f.dst.Deliver(pkt)
+}
+
+// newScriptedPair builds a pair on the virtual clock cfg.Clock whose
+// A→B direction runs ab, duplicates every dupEvery-th data packet and
+// holds every holdEvery-th one for late (0 disables either), and
+// delivers through the returned recorder.
+func newScriptedPair(t *testing.T, cfg Config, ab fabric.Config, dupEvery, holdEvery int, late time.Duration) (*Pair, *faults) {
+	t.Helper()
+	p := newTestPair(t, cfg, fabric.Config{}, fabric.Config{})
+	f := &faults{top: map[uint32]uint32{}, dst: p.B.Dev}
+	dir := p.Link.AB
+	ab.Clock = cfg.Clock
+	dir.Reconfigure(f, ab)
+	n := 0
+	dir.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
+		if pkt.Opcode != nicsim.OpWriteImm {
+			return fabric.Pass
+		}
+		n++
+		switch {
+		case dupEvery > 0 && n%dupEvery == 0:
+			f.dups++
+			return fabric.Duplicate
+		case holdEvery > 0 && n%holdEvery == 0:
+			f.holds++
+			clock.After(cfg.Clock, late, func() { f.released += dir.ReleaseHeld() })
+			return fabric.Hold
+		}
+		return fabric.Pass
+	})
+	return p, f
+}
+
+// waitVirtual parks the calling actor until h completes or timeout of
+// virtual time passes, and reports whether h completed.
+func waitVirtual(vc *clock.Virtual, h *RecvHandle, timeout time.Duration) bool {
+	deadline := vc.Now().Add(timeout)
+	for {
+		epoch := vc.Epoch()
+		if h.Done() {
+			return true
+		}
+		if vc.Now().After(deadline) {
+			return false
+		}
+		vc.WaitNotify(epoch, 10*time.Millisecond)
+	}
 }
 
 func waitDone(t *testing.T, h *RecvHandle, timeout time.Duration) {
@@ -212,57 +281,77 @@ func TestPartialCompletionAndStreamRepair(t *testing.T) {
 }
 
 // Reordering at the fabric must not lose any per-packet write (§3.2.1's
-// motivation for one write-with-immediate per packet).
+// motivation for one write-with-immediate per packet): every third data
+// packet lands 2 ms late, behind packets sent after it.
 func TestReorderingRobustness(t *testing.T) {
+	vc := clock.NewVirtual()
 	cfg := smallCfg()
-	p := newTestPair(t, cfg, fabric.Config{
-		Latency:      200 * time.Microsecond,
-		ReorderProb:  0.3,
-		ReorderExtra: 2 * time.Millisecond,
-		Seed:         7,
-	}, fabric.Config{})
+	cfg.Clock = vc
+	p, f := newScriptedPair(t, cfg, fabric.Config{Latency: 200 * time.Microsecond}, 0, 3, 2200*time.Microsecond)
 
 	recvBuf := make([]byte, 256<<10)
 	mr := p.B.Ctx.RegMR(recvBuf)
 	const size = 200 << 10
-	h, err := p.B.QP.RecvPost(mr, 0, size)
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := make([]byte, size)
 	fillPattern(data, 31)
-	if _, err := p.A.QP.SendPost(data, 7); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, h, 5*time.Second)
+	clock.Join(vc, func() {
+		h, err := p.B.QP.RecvPost(mr, 0, size)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := p.A.QP.SendPost(data, 7); err != nil {
+			t.Error(err)
+			return
+		}
+		if !waitVirtual(vc, h, 5*time.Second) {
+			t.Errorf("receive incomplete: %d/%d chunks", h.Bitmap().Count(), h.NumChunks())
+		}
+	})
 	if !bytes.Equal(recvBuf[:size], data) {
 		t.Fatal("payload corrupted under reordering")
 	}
 	if got := p.B.QP.Stats().LateDiscarded; got != 0 {
 		t.Fatalf("reordered packets discarded: %d", got)
 	}
+	if f.holds == 0 || f.released != f.holds || f.inversions == 0 {
+		t.Fatalf("held %d, released %d, delivery inversions %d", f.holds, f.released, f.inversions)
+	}
 }
 
-// Wire duplication must be absorbed by the packet bitmap.
+// Wire duplication must be absorbed by the packet bitmap: every other
+// data packet arrives twice.
 func TestDuplicationRobustness(t *testing.T) {
-	p := newTestPair(t, smallCfg(), fabric.Config{DuplicateProb: 0.5, Seed: 3}, fabric.Config{})
+	vc := clock.NewVirtual()
+	cfg := smallCfg()
+	cfg.Clock = vc
+	p, f := newScriptedPair(t, cfg, fabric.Config{}, 2, 0, 0)
 	recvBuf := make([]byte, 64<<10)
 	mr := p.B.Ctx.RegMR(recvBuf)
-	h, err := p.B.QP.RecvPost(mr, 0, 32<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := make([]byte, 32<<10)
 	fillPattern(data, 5)
-	if _, err := p.A.QP.SendPost(data, 1); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, h, time.Second)
+	clock.Join(vc, func() {
+		h, err := p.B.QP.RecvPost(mr, 0, 32<<10)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := p.A.QP.SendPost(data, 1); err != nil {
+			t.Error(err)
+			return
+		}
+		if !waitVirtual(vc, h, time.Second) {
+			t.Errorf("receive incomplete: %d/%d chunks", h.Bitmap().Count(), h.NumChunks())
+		}
+	})
 	if !bytes.Equal(recvBuf[:32<<10], data) {
 		t.Fatal("payload corrupted under duplication")
 	}
-	if p.B.QP.Stats().Duplicates == 0 {
-		t.Fatal("no duplicates recorded despite 50% duplication")
+	if f.dups != 16 || f.delivered != 32+16 {
+		t.Fatalf("duplicated %d of 32 packets, %d landed", f.dups, f.delivered)
+	}
+	if got := p.B.QP.Stats().Duplicates; got != uint64(f.dups) {
+		t.Fatalf("bitmap recorded %d duplicates, wire carried %d", got, f.dups)
 	}
 }
 

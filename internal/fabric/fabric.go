@@ -1,10 +1,11 @@
 // Package fabric is the in-process wire connecting simulated NIC
-// devices. Each direction of a link applies a configurable impairment
-// pipeline — drop, duplication, latency, jitter-induced reordering,
-// optional bandwidth serialization — before delivering packets to the
-// peer device, standing in for the long-haul ISP channel of §2.1. Test
-// hooks can intercept individual packets (drop the Nth, hold one and
-// release it later) to exercise SDR's late-packet protection (§3.3).
+// devices. Each direction of a link applies an impairment pipeline —
+// i.i.d. loss, latency, optional bandwidth serialization — before
+// delivering packets to the peer device, standing in for the long-haul
+// ISP channel of §2.1. Faults on named packets are scripted, not drawn:
+// an Interceptor drops the Nth packet, duplicates it, or holds it for a
+// later ReleaseHeld, which is how tests exercise SDR's late-packet
+// protection (§3.3).
 //
 // All timed behaviour goes through a clock.Clock: with the default
 // real clock, delayed deliveries ride time.AfterFunc exactly as
@@ -34,9 +35,14 @@ const (
 	// Hold parks the packet until ReleaseHeld is called — the "late
 	// packet" generator.
 	Hold
+	// Duplicate sends the packet and a deep copy of it, each through
+	// the rest of the pipeline as its own packet: its own wire slot and
+	// its own loss draw.
+	Duplicate
 )
 
-// Interceptor inspects each packet before the statistical impairments.
+// Interceptor inspects each packet before the loss, latency and
+// serialization stages.
 type Interceptor func(pkt *nicsim.Packet) Verdict
 
 // Config describes one direction of a link.
@@ -53,13 +59,7 @@ type Config struct {
 	BandwidthBps float64
 	// DropProb drops packets i.i.d.
 	DropProb float64
-	// DuplicateProb delivers a deep copy of the packet twice.
-	DuplicateProb float64
-	// ReorderProb delays a packet by ReorderExtra, letting later
-	// packets overtake it.
-	ReorderProb  float64
-	ReorderExtra time.Duration
-	// Seed makes the impairments reproducible.
+	// Seed makes the loss draws reproducible.
 	Seed int64
 	// Clock supplies delivery timing; nil uses the shared real clock.
 	Clock clock.Clock
@@ -102,12 +102,10 @@ type Direction struct {
 	// path allocates nothing (netem queues share the same machinery).
 	pool DeliveryPool
 
-	// Tx counts packets offered to the wire; Dropped, Duplicated and
-	// HeldCount are impairment statistics.
-	Tx         atomic.Uint64
-	Dropped    atomic.Uint64
-	Duplicated atomic.Uint64
-	HeldCount  atomic.Uint64
+	// Tx counts packets offered to the wire, Dropped the ones lost to
+	// a Drop verdict or a loss draw.
+	Tx      atomic.Uint64
+	Dropped atomic.Uint64
 }
 
 // params is one immutable parameterization of a Direction.
@@ -127,12 +125,6 @@ func newParams(dst nicsim.Deliverer, cfg Config) *params {
 	p.nano, _ = p.clk.(clock.NanoClock)
 	p.serial = p.clk.IsVirtual()
 	return p
-}
-
-// newDirection builds a standalone direction toward dst (links are
-// made of two).
-func newDirection(dst *nicsim.Device, cfg Config) *Direction {
-	return NewDirectionTo(dst, cfg)
 }
 
 // NewDirectionTo builds a direction toward an arbitrary delivery stage
@@ -168,8 +160,6 @@ func (d *Direction) Reconfigure(dst nicsim.Deliverer, cfg Config) {
 	d.icpt.Store(nil)
 	d.Tx.Store(0)
 	d.Dropped.Store(0)
-	d.Duplicated.Store(0)
-	d.HeldCount.Store(0)
 }
 
 // SetInterceptor installs (or clears, with nil) the packet hook.
@@ -194,45 +184,37 @@ func (d *Direction) Send(pkt *nicsim.Packet) {
 			d.heldMu.Lock()
 			d.held = append(d.held, pkt.Clone())
 			d.heldMu.Unlock()
-			d.HeldCount.Add(1)
 			nicsim.ReleasePacket(pkt)
 			return
+		case Duplicate:
+			// Clone before the first transmit: at zero delay it delivers
+			// synchronously and recycles a pooled packet.
+			dup := pkt.Clone()
+			d.transmit(pkt)
+			pkt = dup
 		}
 	}
+	d.transmit(pkt)
+}
+
+// transmit runs pkt through the loss, serialization and latency stages.
+func (d *Direction) transmit(pkt *nicsim.Packet) {
 	p := d.params.Load()
 	cfg := &p.cfg
-	var dup bool
-	var extra, serDelay, dupSerDelay time.Duration
-	needRNG := cfg.DropProb > 0 || cfg.DuplicateProb > 0 || cfg.ReorderProb > 0
-	if needRNG || cfg.BandwidthBps > 0 {
+	var serDelay time.Duration
+	if cfg.DropProb > 0 || cfg.BandwidthBps > 0 {
 		if !p.serial {
 			d.rmu.Lock()
 		}
-		var tx time.Duration
 		if cfg.BandwidthBps > 0 {
 			// The sender uplink serializes every offered packet —
 			// including ones the downstream ISP channel will drop — so
 			// wire time is booked before the loss draw.
 			bits := float64(len(pkt.Payload)+nicsim.HeaderBytes) * 8
-			tx = time.Duration(bits / cfg.BandwidthBps * float64(time.Second))
+			tx := time.Duration(bits / cfg.BandwidthBps * float64(time.Second))
 			serDelay = d.occupyLocked(p, tx)
 		}
-		dropped := false
-		if needRNG {
-			rng := d.drawsLocked()
-			dropped = cfg.DropProb > 0 && rng.Float64() < cfg.DropProb
-			if !dropped {
-				dup = cfg.DuplicateProb > 0 && rng.Float64() < cfg.DuplicateProb
-				if cfg.ReorderProb > 0 && rng.Float64() < cfg.ReorderProb {
-					extra = cfg.ReorderExtra
-				}
-			}
-		}
-		if dup && cfg.BandwidthBps > 0 {
-			// The duplicate serializes separately, one transmission
-			// time behind its original.
-			dupSerDelay = d.occupyLocked(p, tx)
-		}
+		dropped := cfg.DropProb > 0 && d.drawsLocked().Float64() < cfg.DropProb
 		if !p.serial {
 			d.rmu.Unlock()
 		}
@@ -242,17 +224,7 @@ func (d *Direction) Send(pkt *nicsim.Packet) {
 			return
 		}
 	}
-	// Clone the duplicate before the first delivery: at zero delay the
-	// first deliver runs synchronously and recycles a pooled envelope.
-	var dupPkt *nicsim.Packet
-	if dup {
-		dupPkt = pkt.Clone()
-	}
-	d.pool.DeliverAfter(p.clk, cfg.Latency+extra+serDelay, p.dst, pkt)
-	if dup {
-		d.Duplicated.Add(1)
-		d.pool.DeliverAfter(p.clk, cfg.Latency+extra+dupSerDelay, p.dst, dupPkt)
-	}
+	d.pool.DeliverAfter(p.clk, cfg.Latency+serDelay, p.dst, pkt)
 }
 
 // drawsLocked returns the draw stream, first putting it on the
@@ -318,8 +290,11 @@ type DeliveryPool struct {
 	// allocated on first use. A direction's deliveries fire in
 	// nondecreasing time order (fixed latency plus monotone
 	// serialization booking), so they ride an O(1) engine lane instead
-	// of the event heap; reorder extras simply fall back to the heap
-	// inside the lane push. Virtual clocks only, so baton-guarded.
+	// of the event heap; a delivery that would run earlier than the
+	// lane's last one — a direction re-leased with a shorter latency, a
+	// netem queue whose propagation delay drifted down — falls back to
+	// the heap inside the lane push. Virtual clocks only, so
+	// baton-guarded.
 	lane    int
 	laneClk clock.Clock
 }
@@ -414,7 +389,7 @@ type Link struct {
 
 // NewLink wires device a to device b with per-direction configs.
 func NewLink(a, b *nicsim.Device, ab, ba Config) *Link {
-	return &Link{AB: newDirection(b, ab), BA: newDirection(a, ba)}
+	return &Link{AB: NewDirectionTo(b, ab), BA: NewDirectionTo(a, ba)}
 }
 
 // OOB is the reliable, ordered out-of-band channel applications use

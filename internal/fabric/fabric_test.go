@@ -58,7 +58,7 @@ func waitCount(t *testing.T, c *countingQP, want uint64, timeout time.Duration) 
 func TestLosslessDirectionDeliversAll(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	c, qpn := registerCounter(dev)
-	dir := newDirection(dev, Config{})
+	dir := NewDirectionTo(dev, Config{})
 	sendN(dir, qpn, 1000)
 	waitCount(t, c, 1000, time.Second)
 	if dir.Tx.Load() != 1000 || dir.Dropped.Load() != 0 {
@@ -69,7 +69,7 @@ func TestLosslessDirectionDeliversAll(t *testing.T) {
 func TestDropRate(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	_, qpn := registerCounter(dev)
-	dir := newDirection(dev, Config{DropProb: 0.3, Seed: 1})
+	dir := NewDirectionTo(dev, Config{DropProb: 0.3, Seed: 1})
 	const n = 20000
 	sendN(dir, qpn, n)
 	rate := float64(dir.Dropped.Load()) / n
@@ -81,18 +81,23 @@ func TestDropRate(t *testing.T) {
 func TestDuplication(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	c, qpn := registerCounter(dev)
-	dir := newDirection(dev, Config{DuplicateProb: 1.0, Seed: 2})
+	dir := NewDirectionTo(dev, Config{})
+	dups := 0
+	dir.SetInterceptor(func(*nicsim.Packet) Verdict {
+		dups++
+		return Duplicate
+	})
 	sendN(dir, qpn, 100)
 	waitCount(t, c, 200, time.Second)
-	if dir.Duplicated.Load() != 100 {
-		t.Fatalf("Duplicated = %d", dir.Duplicated.Load())
+	if dups != 100 || dir.Tx.Load() != 100 {
+		t.Fatalf("duplicated %d, Tx %d", dups, dir.Tx.Load())
 	}
 }
 
 func TestLatencyDelays(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	c, qpn := registerCounter(dev)
-	dir := newDirection(dev, Config{Latency: 20 * time.Millisecond})
+	dir := NewDirectionTo(dev, Config{Latency: 20 * time.Millisecond})
 	start := time.Now()
 	sendN(dir, qpn, 1)
 	waitCount(t, c, 1, time.Second)
@@ -104,7 +109,7 @@ func TestLatencyDelays(t *testing.T) {
 func TestInterceptorDropAndHold(t *testing.T) {
 	dev := nicsim.NewDevice("dst")
 	c, qpn := registerCounter(dev)
-	dir := newDirection(dev, Config{})
+	dir := NewDirectionTo(dev, Config{})
 	i := 0
 	dir.SetInterceptor(func(p *nicsim.Packet) Verdict {
 		i++
@@ -119,8 +124,8 @@ func TestInterceptorDropAndHold(t *testing.T) {
 	})
 	sendN(dir, qpn, 3)
 	waitCount(t, c, 1, time.Second) // only the third passed
-	if dir.Dropped.Load() != 1 || dir.HeldCount.Load() != 1 {
-		t.Fatalf("Dropped=%d Held=%d", dir.Dropped.Load(), dir.HeldCount.Load())
+	if dir.Dropped.Load() != 1 {
+		t.Fatalf("Dropped=%d", dir.Dropped.Load())
 	}
 	if n := dir.ReleaseHeld(); n != 1 {
 		t.Fatalf("ReleaseHeld = %d", n)
@@ -196,21 +201,31 @@ func newTraceSink(vc *clock.Virtual) *traceSink {
 	return ts
 }
 
-// Sends through drop+duplicate+reorder impairments on the virtual
-// clock must yield the exact same delivery trace — instants and order —
-// for a fixed seed, on every run and GOMAXPROCS setting.
+// Sends through loss plus scripted duplication and late release on the
+// virtual clock must yield the exact same delivery trace — instants and
+// order — for a fixed seed, on every run and GOMAXPROCS setting.
 func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 	run := func() []string {
 		vc := clock.NewVirtual()
 		ts := newTraceSink(vc)
-		dir := newDirection(ts.dev, Config{
-			Latency:       5 * time.Millisecond,
-			DropProb:      0.2,
-			DuplicateProb: 0.1,
-			ReorderProb:   0.3,
-			ReorderExtra:  7 * time.Millisecond,
-			Seed:          9,
-			Clock:         vc,
+		dir := NewDirectionTo(ts.dev, Config{
+			Latency:  5 * time.Millisecond,
+			DropProb: 0.2,
+			Seed:     9,
+			Clock:    vc,
+		})
+		dups, released := 0, 0
+		dir.SetInterceptor(func(p *nicsim.Packet) Verdict {
+			switch {
+			case p.Imm%10 == 3:
+				dups++
+				return Duplicate
+			case p.Imm%100 == 7:
+				// 7 ms late: the packets sent in the next 2 ms overtake it.
+				clock.After(vc, 12*time.Millisecond, func() { released += dir.ReleaseHeld() })
+				return Hold
+			}
+			return Pass
 		})
 		clock.Join(vc, func() {
 			for i := 0; i < 400; i++ {
@@ -221,9 +236,9 @@ func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 			}
 			vc.Sleep(50 * time.Millisecond) // let stragglers land
 		})
-		if dir.Dropped.Load() == 0 || dir.Duplicated.Load() == 0 {
-			t.Fatalf("impairments idle: dropped=%d duplicated=%d",
-				dir.Dropped.Load(), dir.Duplicated.Load())
+		if dir.Dropped.Load() == 0 || dups != 40 || released != 4 {
+			t.Fatalf("impairments idle: dropped=%d duplicated=%d released=%d",
+				dir.Dropped.Load(), dups, released)
 		}
 		return ts.rows
 	}
@@ -245,7 +260,7 @@ func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 func TestInterceptorHoldReleaseVirtual(t *testing.T) {
 	vc := clock.NewVirtual()
 	ts := newTraceSink(vc)
-	dir := newDirection(ts.dev, Config{Latency: time.Millisecond, Clock: vc})
+	dir := NewDirectionTo(ts.dev, Config{Latency: time.Millisecond, Clock: vc})
 	held := 0
 	dir.SetInterceptor(func(p *nicsim.Packet) Verdict {
 		if p.Imm == 1 && held == 0 {
@@ -268,9 +283,6 @@ func TestInterceptorHoldReleaseVirtual(t *testing.T) {
 	if fmt.Sprint(ts.rows) != fmt.Sprint(want) {
 		t.Fatalf("trace = %v, want %v", ts.rows, want)
 	}
-	if dir.HeldCount.Load() != 1 {
-		t.Fatalf("HeldCount = %d", dir.HeldCount.Load())
-	}
 }
 
 // Bandwidth serialization on the virtual clock is exact: each packet
@@ -280,7 +292,7 @@ func TestBandwidthSerializationVirtual(t *testing.T) {
 	ts := newTraceSink(vc)
 	// 1000 B frames (936 payload + 64 header) at 1 Mbit/s: 8 ms of
 	// wire time each, plus 10 ms propagation.
-	dir := newDirection(ts.dev, Config{
+	dir := NewDirectionTo(ts.dev, Config{
 		Latency:      10 * time.Millisecond,
 		BandwidthBps: 1e6,
 		Clock:        vc,
@@ -297,6 +309,42 @@ func TestBandwidthSerializationVirtual(t *testing.T) {
 	want := []string{"18ms:0", "26ms:1"}
 	if fmt.Sprint(ts.rows) != fmt.Sprint(want) {
 		t.Fatalf("trace = %v, want %v", ts.rows, want)
+	}
+}
+
+// A Duplicate verdict sends two packets down the pipeline: the copy
+// books its own wire slot, one transmission time behind the original,
+// and takes its own loss draw. 1000 B frames at 1 Mbit/s are 8 ms of
+// wire time each, plus 10 ms propagation, so the eight copies of four
+// packets own the slots ending at 18, 26, …, 74 ms; a dropped copy
+// leaves its slot empty.
+func TestDuplicateVerdictOwnSlotAndLossDraw(t *testing.T) {
+	vc := clock.NewVirtual()
+	ts := newTraceSink(vc)
+	dir := NewDirectionTo(ts.dev, Config{
+		Latency:      10 * time.Millisecond,
+		BandwidthBps: 1e6,
+		DropProb:     0.4,
+		Seed:         11,
+		Clock:        vc,
+	})
+	dir.SetInterceptor(func(*nicsim.Packet) Verdict { return Duplicate })
+	clock.Join(vc, func() {
+		payload := make([]byte, 936)
+		for i := 0; i < 4; i++ {
+			dir.Send(&nicsim.Packet{Opcode: nicsim.OpSend, DstQPN: ts.qpn,
+				Imm: uint32(i), HasImm: true, First: true, Last: true,
+				Payload: payload})
+		}
+		vc.Sleep(100 * time.Millisecond)
+	})
+	// Seed 11 drops packet 0's original and packet 2's copy.
+	want := []string{"26ms:0", "34ms:1", "42ms:1", "50ms:2", "66ms:3", "74ms:3"}
+	if fmt.Sprint(ts.rows) != fmt.Sprint(want) {
+		t.Fatalf("trace = %v, want %v", ts.rows, want)
+	}
+	if dir.Tx.Load() != 4 || dir.Dropped.Load() != 2 {
+		t.Fatalf("Tx=%d Dropped=%d", dir.Tx.Load(), dir.Dropped.Load())
 	}
 }
 

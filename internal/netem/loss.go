@@ -58,10 +58,10 @@ func (s LossSpec) validate() error {
 	if s.BurstLen > 1 {
 		return wan.ValidateGilbertElliott(s.P, s.BurstLen)
 	}
-	if s.P < 0 || s.P >= 1 {
+	if !(s.P >= 0 && s.P < 1) { // NaN fails both
 		return fmt.Errorf("netem: loss rate %g outside [0,1)", s.P)
 	}
-	if s.BurstLen < 0 {
+	if !(s.BurstLen >= 0) {
 		return fmt.Errorf("netem: burst length %g < 0", s.BurstLen)
 	}
 	return nil

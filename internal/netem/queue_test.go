@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -196,6 +197,9 @@ func TestLossSpecValidation(t *testing.T) {
 		{P: 1.5, BurstLen: 8},
 		{P: 0.1, BurstLen: -2},
 		{P: 0, BurstLen: 8}, // burst channel needs a positive rate
+		{P: math.NaN()},
+		{P: math.NaN(), BurstLen: 8},
+		{P: 0.1, BurstLen: math.NaN()},
 	}
 	for _, s := range bad {
 		if err := s.validate(); err == nil {

@@ -146,30 +146,69 @@ func TestSRNACKFasterThanRTO(t *testing.T) {
 	}
 }
 
+// arrivals forwards packets to dst and counts delivery inversions:
+// packets that land after one their sending QP numbered later.
+type arrivals struct {
+	dst        nicsim.Deliverer
+	top        map[uint32]uint32 // highest PSN landed per sending QP
+	inversions int
+}
+
+func (a *arrivals) Deliver(pkt *nicsim.Packet) {
+	if top, ok := a.top[pkt.SrcQPN]; ok && pkt.PSN < top {
+		a.inversions++
+	} else {
+		a.top[pkt.SrcQPN] = pkt.PSN
+	}
+	a.dst.Deliver(pkt)
+}
+
 // The virtual clock makes the whole functional stack a deterministic
 // function of (config, seed): two runs — even under different
 // GOMAXPROCS — must produce bit-identical completion times and packet
-// counters.
+// counters, here under loss on both directions plus scripted
+// duplication and late delivery of A→B data packets.
 func TestVirtualDeterminism(t *testing.T) {
 	trace := func() string {
 		cfg := testRelCfg()
 		cfg.NACK = true
 		vc := clock.NewVirtual()
 		lat := 2 * time.Millisecond
-		s, err := NewSession(testCoreCfg(vc), cfg,
-			fabric.Config{Latency: lat, DropProb: 0.1, DuplicateProb: 0.02,
-				ReorderProb: 0.05, ReorderExtra: 3 * time.Millisecond, Seed: 77},
+		ab := fabric.Config{Latency: lat, DropProb: 0.1, Seed: 77, Clock: vc}
+		s, err := NewSession(testCoreCfg(vc), cfg, ab,
 			fabric.Config{Latency: lat, DropProb: 0.1, Seed: 1077},
 			lat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		rec := &arrivals{dst: s.Pair.B.Dev, top: map[uint32]uint32{}}
+		dir := s.Pair.Link.AB
+		dir.Reconfigure(rec, ab)
+		n, dups := 0, 0
+		dir.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
+			if pkt.Opcode != nicsim.OpWriteImm {
+				return fabric.Pass
+			}
+			n++
+			switch {
+			case n%50 == 0:
+				dups++
+				return fabric.Duplicate
+			case n%20 == 0:
+				clock.After(vc, lat+3*time.Millisecond, func() { dir.ReleaseHeld() })
+				return fabric.Hold
+			}
+			return fabric.Pass
+		})
 		runTransfer(t, s, 96<<10, 9, "sr")
+		if dups == 0 || rec.inversions == 0 {
+			t.Fatalf("scripted faults idle: duplicated %d, delivery inversions %d", dups, rec.inversions)
+		}
 		st := s.Pair.A.QP.Stats()
-		return fmt.Sprintf("t=%v sent=%d recv=%d late=%d dup=%d",
+		return fmt.Sprintf("t=%v sent=%d recv=%d late=%d dup=%d wire dups=%d inversions=%d",
 			vc.Elapsed(), st.PacketsSent, s.Pair.B.QP.Stats().PacketsReceived,
-			s.Pair.B.QP.Stats().LateDiscarded, s.Pair.B.QP.Stats().Duplicates)
+			s.Pair.B.QP.Stats().LateDiscarded, s.Pair.B.QP.Stats().Duplicates, dups, rec.inversions)
 	}
 	first := trace()
 	prev := runtime.GOMAXPROCS(1)

@@ -61,7 +61,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("wan: bandwidth %g <= 0", p.BandwidthBps)
 	case p.DistanceKm < 0:
 		return fmt.Errorf("wan: distance %g < 0", p.DistanceKm)
-	case p.PDrop < 0 || p.PDrop >= 1:
+	case !(p.PDrop >= 0 && p.PDrop < 1): // NaN fails both
 		return fmt.Errorf("wan: PDrop %g outside [0,1)", p.PDrop)
 	case p.MTUBytes <= 0:
 		return fmt.Errorf("wan: MTU %d <= 0", p.MTUBytes)

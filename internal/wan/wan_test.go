@@ -41,6 +41,8 @@ func TestValidate(t *testing.T) {
 		{BandwidthBps: -1, DistanceKm: 1, MTUBytes: 4096, ChunkBytes: 4096},
 		{BandwidthBps: 1e9, DistanceKm: -1, MTUBytes: 4096, ChunkBytes: 4096},
 		{BandwidthBps: 1e9, DistanceKm: 1, PDrop: 1.0, MTUBytes: 4096, ChunkBytes: 4096},
+		{BandwidthBps: 1e9, DistanceKm: 1, PDrop: -0.1, MTUBytes: 4096, ChunkBytes: 4096},
+		{BandwidthBps: 1e9, DistanceKm: 1, PDrop: math.NaN(), MTUBytes: 4096, ChunkBytes: 4096},
 		{BandwidthBps: 1e9, DistanceKm: 1, MTUBytes: 0, ChunkBytes: 4096},
 		{BandwidthBps: 1e9, DistanceKm: 1, MTUBytes: 4096, ChunkBytes: 1024},
 		{BandwidthBps: 1e9, DistanceKm: 1, MTUBytes: 4096, ChunkBytes: 6000},
