@@ -197,9 +197,11 @@ smoke-trace:
 # Chaos smoke: 50 fixed-seed fault programs across all five schemes —
 # every transfer completes byte-verified or fails with a typed error
 # inside the bound, no virtual-clock deadlocks, no poisoned pool
-# leases; the report is byte-identical across sweep-worker counts.
+# leases; the report is byte-identical across sweep-worker counts; and
+# a 300-program corpus (135 with control-plane faults) renders to its
+# pinned SHA-256.
 smoke-chaos:
-	$(GO) test -count=1 -run 'TestChaosSmoke|TestChaosWorkerDeterminism' -v ./internal/chaos/
+	$(GO) test -count=1 -run 'TestChaosSmoke|TestChaosWorkerDeterminism|TestChaosCorpusGolden' -v ./internal/chaos/
 
 # Golden-behaviour smoke: the per-scheme simulated tuples pinned across
 # commits (virtual elapsed, packets, retransmits, NACKs, late re-ACKs,

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -89,6 +90,37 @@ func TestChaosWorkerDeterminism(t *testing.T) {
 	parallel := Run(smokeSeed, 15, 4)
 	if s, p := fmt.Sprintf("%+v", serial), fmt.Sprintf("%+v", parallel); s != p {
 		t.Fatalf("report differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
+	}
+}
+
+// chaosCorpusGolden is the SHA-256 of the rendered outcomes of
+// Run(1234, 300, 0): 300 programs, 135 of them with control-plane
+// faults — a wider net than the chaos-functional identity line's 100
+// programs of seed 42.
+const chaosCorpusGolden = "5d34301ae8dffd9319492b2d6c8266ac3c4339cc9e3b95256dc24c540c248de4"
+
+// TestChaosCorpusGolden pins every outcome of a 300-program corpus,
+// violations included. A change that claims to keep chaos's behaviour
+// must pass with the literal untouched; a change meant to alter it
+// re-records the literal and says why.
+func TestChaosCorpusGolden(t *testing.T) {
+	rep := Run(1234, 300, 0)
+	h := sha256.New()
+	ctrl := 0
+	for _, o := range rep.Outcomes {
+		fmt.Fprintf(h, "%+v\n", o)
+		for _, f := range o.Program.Faults {
+			if f.Kind == faultCtrlDrop || f.Kind == faultCtrlDup || f.Kind == faultCtrlCorrupt {
+				ctrl++
+				break
+			}
+		}
+	}
+	if ctrl != 135 {
+		t.Errorf("%d programs carry control-plane faults, want 135", ctrl)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != chaosCorpusGolden {
+		t.Fatalf("chaos corpus digest %s, want %s", got, chaosCorpusGolden)
 	}
 }
 
