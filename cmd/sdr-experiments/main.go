@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -52,6 +53,12 @@ func cli(args []string, stdout, stderr io.Writer) int {
 
 	if *clockMode != "virtual" && *clockMode != "real" {
 		fmt.Fprintf(stderr, "sdr-experiments: unknown -clock %q (want virtual or real)\n", *clockMode)
+		return 2
+	}
+	// Zero means "the default"; NaN fails both duration comparisons.
+	if *samples < 0 || *tailSamples < 0 || !(*duration >= 0 && *duration < math.Inf(1)) {
+		fmt.Fprintf(stderr, "sdr-experiments: -samples %d, -tail-samples %d, -duration %g: want counts >= 0 and a finite duration >= 0 (0 = default)\n",
+			*samples, *tailSamples, *duration)
 		return 2
 	}
 

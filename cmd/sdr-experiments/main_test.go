@@ -78,3 +78,26 @@ func TestReadmeFigureListing(t *testing.T) {
 		t.Errorf("README.md's figure listing is stale; the block under \"Regenerating the paper's figures\" becomes:\n```\n$ go run ./cmd/sdr-experiments\n%s```", listing.String())
 	}
 }
+
+// Negative sample counts and a negative, NaN or infinite duration are
+// usage errors, refused with exit 2 before any figure runs, the way a
+// bad -clock is; zero keeps meaning "the default".
+func TestRejectsBadCounts(t *testing.T) {
+	for _, args := range []string{
+		"-fig 3a -samples -5",
+		"-fig 3a -tail-samples -1",
+		"-fig 3a -duration -1",
+		"-fig 3a -duration NaN",
+		"-fig 3a -duration +Inf",
+		"-fig 3a -clock wall",
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := cli(strings.Fields(args), &stdout, &stderr); code != 2 || stderr.Len() == 0 || stdout.Len() != 0 {
+			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit 2 and a message", args, code, stderr.String(), stdout.String())
+		}
+	}
+	var out bytes.Buffer
+	if code := cli(strings.Fields("-fig 3a -samples 0 -tail-samples 0 -duration 0"), &out, io.Discard); code != 0 || out.Len() == 0 {
+		t.Fatalf("zero counts (the defaults): exit %d, %d B of output", code, out.Len())
+	}
+}

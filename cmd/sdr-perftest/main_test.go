@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -35,16 +34,37 @@ func BenchmarkPerftestSR(b *testing.B)       { benchmarkPerftest(b, "sr") }
 func BenchmarkPerftestEC(b *testing.B)       { benchmarkPerftest(b, "ec") }
 func BenchmarkPerftestAdaptive(b *testing.B) { benchmarkPerftest(b, "adaptive") }
 
-// The loss rate is checked once, before the dedicated/contended split,
-// so both modes reject the same values; NaN is among them.
-func TestPerftestRejectsDropRate(t *testing.T) {
-	for _, cross := range []float64{0, 1e9} {
-		for _, drop := range []float64{-0.5, 1, 1.5, math.NaN()} {
-			_, err := Run(Options{Scheme: "sr", Size: 64 << 10, Msgs: 1, Drop: drop, CrossBps: cross})
-			if err == nil || !strings.Contains(err.Error(), "outside [0,1)") {
-				t.Errorf("cross %g, drop %g: err = %v", cross, drop, err)
-			}
+// Bad sizes and rates are refused before anything is built, in both
+// modes, with exit status 1 and a message: never a panic, a negative
+// message count or a silently different link. The checks run once,
+// before the dedicated/contended split.
+func TestPerftestRejectsBadOptions(t *testing.T) {
+	check := func(args, want string) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		code := cli(strings.Fields("-size 65536 -msgs 1 "+args), &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), want) || stdout.Len() != 0 {
+			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit 1 and %q", args, code, stderr.String(), stdout.String(), want)
 		}
+	}
+	bad := []struct{ args, want string }{
+		{"-drop -0.5", "outside [0,1)"},
+		{"-drop 1", "outside [0,1)"},
+		{"-drop 1.5", "outside [0,1)"},
+		{"-drop NaN", "outside [0,1)"},
+		{"-msgs -3", "message count -3"},
+		{"-window -1", "window -1"},
+		{"-bw -5", "line rate -5"},
+		{"-bw NaN", "line rate NaN"},
+		{"-bw +Inf", "line rate +Inf"},
+	}
+	for _, mode := range []string{"", " -cross-bps 1e9"} {
+		for _, c := range bad {
+			check(c.args+mode, c.want)
+		}
+	}
+	for _, cross := range []string{"-1", "NaN", "+Inf"} {
+		check("-cross-bps "+cross, "cross-traffic load "+cross)
 	}
 }
 

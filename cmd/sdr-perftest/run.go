@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -158,8 +159,18 @@ func (r Result) String() string {
 // Run executes one perftest measurement.
 func Run(o Options) (Result, error) {
 	o = o.withDefaults()
-	if !(o.Drop >= 0 && o.Drop < 1) { // NaN fails both
+	// withDefaults has replaced every zero; NaN fails every comparison.
+	switch {
+	case !(o.Drop >= 0 && o.Drop < 1):
 		return Result{}, fmt.Errorf("perftest: loss rate %g outside [0,1)", o.Drop)
+	case o.Msgs < 0:
+		return Result{}, fmt.Errorf("perftest: message count %d < 0", o.Msgs)
+	case o.Window < 0:
+		return Result{}, fmt.Errorf("perftest: window %d < 0", o.Window)
+	case !(o.BandwidthBps > 0 && o.BandwidthBps < math.Inf(1)):
+		return Result{}, fmt.Errorf("perftest: line rate %g bit/s is not a positive finite rate", o.BandwidthBps)
+	case !(o.CrossBps >= 0 && o.CrossBps < math.Inf(1)):
+		return Result{}, fmt.Errorf("perftest: cross-traffic load %g bit/s is not a finite rate >= 0", o.CrossBps)
 	}
 	relCfg, err := reliability.Config{RTT: o.RTT, K: 32, M: 8}.ForScheme(o.Scheme)
 	if err != nil {

@@ -29,8 +29,9 @@ import (
 )
 
 // FaultKind enumerates the injectable fault classes. Link-level kinds
-// compile to a netem.Schedule; endpoint kinds act on the control
-// planes and endpoints of the flow under test.
+// compile to a netem.Schedule; endpoint kinds act on the flow under
+// test — control-plane faults as interceptors on its link directions,
+// crashes and kills on its endpoints.
 type FaultKind uint8
 
 const (
@@ -48,15 +49,15 @@ const (
 	// faultDrift recedes one edge at a constant rate for Dur — the
 	// LEO-style RTT drift ramp.
 	faultDrift
-	// faultCtrlDrop drops Pct percent of one side's control-plane
+	// faultControlDrop drops Pct percent of one side's control-plane
 	// packets (ACKs/NACKs) while active.
-	faultCtrlDrop
-	// faultCtrlDup duplicates Pct percent of one side's control-plane
+	faultControlDrop
+	// faultControlDup duplicates Pct percent of one side's control-plane
 	// packets while active.
-	faultCtrlDup
-	// faultCtrlCorrupt flips a byte in Pct percent of one side's
+	faultControlDup
+	// faultControlCorrupt flips a byte in Pct percent of one side's
 	// control-plane packets; the CRC32-C trailer must catch every one.
-	faultCtrlCorrupt
+	faultControlCorrupt
 	// faultCrashRecv aborts the receiver endpoint at At — a crashed
 	// peer from the sender's point of view.
 	faultCrashRecv
@@ -81,7 +82,7 @@ func (k FaultKind) String() string {
 
 // endpoint reports whether the fault acts on the flow endpoints
 // rather than compiling into the netem schedule.
-func (k FaultKind) endpoint() bool { return k >= faultCtrlDrop }
+func (k FaultKind) endpoint() bool { return k >= faultControlDrop }
 
 // Fault is one injected failure. The fields are overloaded per kind:
 // Edge indexes the diamond's edges for link faults and selects the
@@ -102,7 +103,7 @@ func (f Fault) String() string {
 	switch f.Kind {
 	case faultCrashRecv, faultKillSession:
 		fmt.Fprintf(&b, "@%v", f.At)
-	case faultCtrlDrop, faultCtrlDup, faultCtrlCorrupt:
+	case faultControlDrop, faultControlDup, faultControlCorrupt:
 		side := "A"
 		if f.Edge != 0 {
 			side = "B"
@@ -250,7 +251,7 @@ func generate(seed uint64, i int) Program {
 		case faultDrift:
 			f.Edge = r.intn(4)
 			f.Pct = 1 + r.intn(5) // ×1000 km/s rate scale
-		case faultCtrlDrop, faultCtrlDup, faultCtrlCorrupt:
+		case faultControlDrop, faultControlDup, faultControlCorrupt:
 			f.Edge = r.intn(2) // side selector
 			f.Pct = 10 + r.intn(60)
 		case faultCrashRecv, faultKillSession:

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"sdrrdma/internal/clock"
+	"sdrrdma/internal/fabric"
+	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/reliability"
 )
 
@@ -110,7 +112,7 @@ func TestChaosCorpusGolden(t *testing.T) {
 	for _, o := range rep.Outcomes {
 		fmt.Fprintf(h, "%+v\n", o)
 		for _, f := range o.Program.Faults {
-			if f.Kind == faultCtrlDrop || f.Kind == faultCtrlDup || f.Kind == faultCtrlCorrupt {
+			if f.Kind == faultControlDrop || f.Kind == faultControlDup || f.Kind == faultControlCorrupt {
 				ctrl++
 				break
 			}
@@ -188,7 +190,8 @@ func TestCrashRecvSenderSurvives(t *testing.T) {
 }
 
 // TestPanickingSideIsUntypedViolation pins the per-side panic guard: a
-// side that panics (here the receiver, inside its first control send)
+// side that panics (here the receiver, inside its first control send,
+// from the interceptor on the link direction that send leaves by)
 // is recovered into an UNTYPED(panic: …) classification and an
 // invariant-1 violation, the other side still unwinds typed, and the
 // run goes on — the lease is quarantined and the follow-up flow on the
@@ -211,12 +214,12 @@ func TestPanickingSideIsUntypedViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := false
-	flow.B.CP.SetFault(func([]byte) reliability.CtrlFaultAction {
-		if !fired {
+	flow.Pair.Link.BA.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
+		if !fired && pkt.Opcode == nicsim.OpSend {
 			fired = true
 			panic("boom")
 		}
-		return reliability.CtrlPass
+		return fabric.Pass
 	})
 	o := Outcome{Program: p}
 	judgeFlow(clk, topo, dial, flow, p, &o)

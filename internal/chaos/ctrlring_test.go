@@ -36,8 +36,8 @@ func TestCtrlRecvRingUnderChaos(t *testing.T) {
 		}
 		progs = append(progs, Program{Seed: smokeSeed, Index: 100 + i, Scheme: scheme, Size: 256 << 10,
 			Faults: []Fault{
-				{Kind: faultCtrlDup, Edge: 0, Dur: horizon, Pct: 70},
-				{Kind: faultCtrlDup, Edge: 1, Dur: horizon, Pct: 70},
+				{Kind: faultControlDup, Edge: 0, Dur: horizon, Pct: 70},
+				{Kind: faultControlDup, Edge: 1, Dur: horizon, Pct: 70},
 				{Kind: faultBurstLoss, Edge: 1, At: time.Millisecond, Dur: 20 * time.Millisecond, Pct: 20},
 			}})
 	}

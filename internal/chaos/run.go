@@ -9,6 +9,7 @@ import (
 
 	"sdrrdma/internal/clock"
 	"sdrrdma/internal/core"
+	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/netem"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/reliability"
@@ -95,16 +96,18 @@ func compile(p Program) (netem.Schedule, []Fault) {
 	return sched, eps
 }
 
-// installEndpointFaults arms crash/kill timers and installs the
-// composite control-plane fault closures. Per-packet decisions hash a
-// stateless (stream, packet#) coin, so a retransmission storm cannot
-// shift the draws of a later fault window.
+// installEndpointFaults arms crash/kill timers and installs each
+// side's control-plane faults as an interceptor on the link direction
+// its control packets leave by: side A's on Link.AB, side B's on
+// Link.BA. Data packets pass untouched; per-control-packet decisions
+// hash a stateless (stream, packet#) coin, so a retransmission storm
+// cannot shift the draws of a later fault window.
 func installEndpointFaults(clk *clock.Virtual, flow *reliability.Session, p Program, eps []Fault) {
 	t0 := clk.Now()
 	var sides [2][]Fault
 	for _, f := range eps {
 		switch f.Kind {
-		case faultCtrlDrop, faultCtrlDup, faultCtrlCorrupt:
+		case faultControlDrop, faultControlDup, faultControlCorrupt:
 			sides[f.Edge&1] = append(sides[f.Edge&1], f)
 		case faultCrashRecv:
 			clock.After(clk, f.At, func() { flow.B.Abort(errInjectedCrash) })
@@ -116,14 +119,13 @@ func installEndpointFaults(clk *clock.Virtual, flow *reliability.Session, p Prog
 		if len(faults) == 0 {
 			continue
 		}
-		cp := flow.A.CP
-		if s == 1 {
-			cp = flow.B.CP
-		}
+		dir := [2]*fabric.Direction{flow.Pair.Link.AB, flow.Pair.Link.BA}[s]
 		stream := p.Seed ^ uint64(p.Index)<<20 ^ uint64(s+1)<<52
-		faults := faults
 		var n uint64
-		cp.SetFault(func(payload []byte) reliability.CtrlFaultAction {
+		dir.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
+			if pkt.Opcode != nicsim.OpSend {
+				return fabric.Pass // data; only control rides UD sends
+			}
 			now := clk.Since(t0)
 			n++
 			for fi, f := range faults {
@@ -134,18 +136,16 @@ func installEndpointFaults(clk *clock.Virtual, flow *reliability.Session, p Prog
 					continue
 				}
 				switch f.Kind {
-				case faultCtrlDrop:
-					return reliability.CtrlDrop
-				case faultCtrlDup:
-					return reliability.CtrlDup
+				case faultControlDrop:
+					return fabric.Drop
+				case faultControlDup:
+					return fabric.Duplicate
 				default: // corrupt: the CRC32-C trailer must catch it
-					if len(payload) > 0 {
-						payload[len(payload)/2] ^= 0x5a
-					}
-					return reliability.CtrlPass
+					pkt.Payload[len(pkt.Payload)/2] ^= 0x5a
+					return fabric.Pass
 				}
 			}
-			return reliability.CtrlPass
+			return fabric.Pass
 		})
 	}
 }

@@ -42,7 +42,10 @@ const (
 )
 
 // Interceptor inspects each packet before the loss, latency and
-// serialization stages.
+// serialization stages. It may rewrite a UD datagram's payload in
+// place to model corruption (the datagram owns its bytes; a Duplicate
+// copies them after the rewrite). A UC data packet's payload aliases
+// the sender's buffer, so rewriting it corrupts the source.
 type Interceptor func(pkt *nicsim.Packet) Verdict
 
 // Config describes one direction of a link.

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"sdrrdma/internal/clock"
+	"sdrrdma/internal/fabric"
+	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/reliability"
 )
 
@@ -76,6 +78,50 @@ func TestDumbbellThousandSequentialFlows(t *testing.T) {
 	}
 	if err := d.ClosePools(); err != nil {
 		t.Fatalf("ClosePools: %v", err)
+	}
+}
+
+// A lease's interceptors end with it: chaos arms its control-plane
+// faults on a flow's link directions and trusts the next lease of the
+// same deployment to run clean. Interceptors that drop every control
+// packet, left armed at Close, must never see a packet of the next
+// flow, and that flow's transfer must complete.
+func TestReleasedFlowLeavesNoInterceptor(t *testing.T) {
+	clk := clock.NewVirtual()
+	d := smokeDumbbell(t, clk, 1)
+	s1, err := d.NewFlow(d.Left[0], d.Right[0], flowCoreCfg(), flowRelCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	dropControl := func(pkt *nicsim.Packet) fabric.Verdict {
+		calls++
+		if pkt.Opcode == nicsim.OpSend {
+			return fabric.Drop
+		}
+		return fabric.Pass
+	}
+	s1.Pair.Link.AB.SetInterceptor(dropControl)
+	s1.Pair.Link.BA.SetInterceptor(dropControl)
+	s1.Close()
+
+	s2, err := d.NewFlow(d.Left[0], d.Right[0], flowCoreCfg(), flowRelCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Pair.Link != s1.Pair.Link {
+		t.Fatal("the second flow did not re-lease the first one's deployment")
+	}
+	runSmokeTransfer(t, s2, 64<<10, 0x5a)
+	if calls != 0 {
+		t.Fatalf("the released lease's interceptor saw %d packets of the next flow", calls)
+	}
+	s2.Close()
+	if built, leased := d.PoolStats(); built != 1 || leased != 0 {
+		t.Fatalf("built=%d leased=%d, want 1/0", built, leased)
+	}
+	if err := d.ClosePools(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -82,41 +82,6 @@ type ControlPlane struct {
 	// returns — no per-message encode allocation on the ACK path.
 	sendMu sync.Mutex
 	encBuf []byte
-
-	// fault, when set, intercepts every outbound control payload (see
-	// SetFault) — the chaos harness's control-plane drop / duplicate /
-	// corrupt injection point.
-	fault atomic.Pointer[CtrlFault]
-}
-
-// CtrlFaultAction is a CtrlFault's verdict on one outbound payload.
-type CtrlFaultAction int
-
-const (
-	// CtrlPass transmits the payload normally.
-	CtrlPass CtrlFaultAction = iota
-	// CtrlDrop discards the payload (control is lossy by contract).
-	CtrlDrop
-	// CtrlDup transmits the payload twice.
-	CtrlDup
-)
-
-// CtrlFault inspects one encoded outbound control payload and decides
-// its fate. It may mutate the payload in place to model corruption —
-// the CRC trailer has already been appended, so a mutated packet fails
-// checksum validation at the receiver and is dropped like wire loss.
-// Runs under the control plane's send lock; must not block.
-type CtrlFault func(payload []byte) CtrlFaultAction
-
-// SetFault registers fn (nil clears) on the outbound control path.
-// Every new session clears it, so a pooled deployment never carries an
-// old lease's fault injection into the next one.
-func (cp *ControlPlane) SetFault(fn CtrlFault) {
-	if fn == nil {
-		cp.fault.Store(nil)
-		return
-	}
-	cp.fault.Store(&fn)
 }
 
 // newControlPlane creates the control endpoint of ctx's side, detached:
@@ -160,7 +125,6 @@ func (cp *ControlPlane) attach(wire nicsim.Wire, peer *ControlPlane) {
 	clear(cp.handlers)
 	cp.stopped = false
 	cp.mu.Unlock()
-	cp.fault.Store(nil)
 	cp.ud.ResetCounters()
 	cp.recvHWM.Store(0)
 	cp.ud.Attach(wire)
@@ -246,8 +210,7 @@ func recvTraffic(cp *ControlPlane) (hwm int32, rnrDrops uint64) {
 	return cp.recvHWM.Load(), cp.ud.RNRDrops.Load()
 }
 
-// send transmits a control message (unreliably), applying any
-// registered fault injection first.
+// send transmits a control message (unreliably).
 func (cp *ControlPlane) send(m ctrlMsg) error {
 	cp.sendMu.Lock()
 	defer cp.sendMu.Unlock()
@@ -256,16 +219,6 @@ func (cp *ControlPlane) send(m ctrlMsg) error {
 		return err
 	}
 	cp.encBuf = payload[:0]
-	if f := cp.fault.Load(); f != nil {
-		switch (*f)(payload) {
-		case CtrlDrop:
-			return nil
-		case CtrlDup:
-			if err := cp.ud.Send(cp.peer, payload, 0, false); err != nil {
-				return err
-			}
-		}
-	}
 	return cp.ud.Send(cp.peer, payload, 0, false)
 }
 
@@ -285,10 +238,6 @@ func (cp *ControlPlane) send(m ctrlMsg) error {
 const ctrlCRCLen = 4
 
 var ctrlCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-func encodeCtrl(m ctrlMsg, mtu int) ([]byte, error) {
-	return encodeCtrlInto(make([]byte, 0, 64), m, mtu)
-}
 
 // encodeCtrlInto appends the encoding of m to buf (typically a reused
 // scratch slice), seals it with the CRC trailer, and returns the

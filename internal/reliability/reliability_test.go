@@ -416,7 +416,7 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, m := range msgs {
-		enc, err := encodeCtrl(m, 4096)
+		enc, err := encodeCtrlInto(nil, m, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,17 +47,12 @@ var surfaceAllow = map[string]string{
 	"internal/core.SendHandle.Poll": "sdr.h send_poll (Table 1); the simulator injects synchronously, so only TestTable1APISurface polls",
 
 	// Fault-injection and inspection seams other packages' tests need.
-	"internal/fabric.Direction.SetInterceptor": "fault injection: core and reliability tests script drops, duplicates and late packets by packet ordinal",
-	"internal/fabric.Direction.ReleaseHeld":    "fault injection: releases the packets an interceptor held (late-packet and wraparound tests in core, reack tests in reliability)",
-	"internal/fabric.Pass":                     "fault injection: Interceptor verdict",
-	"internal/fabric.Drop":                     "fault injection: Interceptor verdict",
-	"internal/fabric.Hold":                     "fault injection: Interceptor verdict",
-	"internal/fabric.Duplicate":                "fault injection: Interceptor verdict",
-	"internal/nicsim.OpSend":                   "fault injection: fabric and reliability tests forge UD control packets",
-	"internal/nicsim.Device.NumMRs":            "inspection: session and collective tests watch the memory table for leaked registrations",
-	"internal/core.ErrClockKind":               "inspection: session tests check a cross-kind re-home is refused with this error",
-	"internal/core.ErrRecvQueueFull":           "inspection: reliability tests check a failed receive surfaces this error and releases its slots",
-	"internal/telemetry.Trace.WriteChrome":     "inspection: sdr-perftest and experiments tests export the trace to a buffer, not a file",
+	"internal/fabric.Direction.ReleaseHeld": "fault injection: releases the packets an interceptor held (late-packet and wraparound tests in core, reack tests in reliability)",
+	"internal/fabric.Hold":                  "fault injection: Interceptor verdict",
+	"internal/nicsim.Device.NumMRs":         "inspection: session and collective tests watch the memory table for leaked registrations",
+	"internal/core.ErrClockKind":            "inspection: session tests check a cross-kind re-home is refused with this error",
+	"internal/core.ErrRecvQueueFull":        "inspection: reliability tests check a failed receive surfaces this error and releases its slots",
+	"internal/telemetry.Trace.WriteChrome":  "inspection: sdr-perftest and experiments tests export the trace to a buffer, not a file",
 }
 
 const surfaceAllowMax = 25
