@@ -10,9 +10,12 @@ GO ?= go
 # and its real-clock smokes skip themselves under the race detector
 # (retransmit DMA vs staging reads is the documented motivating
 # hazard — the lossy coverage runs on the virtual harness).
+# nicsim (the lock-free QP, memory-key and CQ tables) and dpa (the
+# CQ-draining workers) run their own concurrent tests.
 RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/clock/ ./internal/fabric/ ./internal/core/ ./internal/reliability/ \
-	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/
+	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/ \
+	./internal/nicsim/ ./internal/dpa/
 
 .PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc api api-unused identity bench-sim smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden smoke-examples
 

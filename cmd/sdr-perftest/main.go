@@ -40,7 +40,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	rtt := flags.Duration("rtt", time.Millisecond, "emulated round-trip time")
 	bw := flags.Float64("bw", 100e9, "per-direction line rate [bit/s]")
 	drop := flags.Float64("drop", 0, "per-packet drop probability")
-	seed := flags.Int64("seed", 1, "random seed (loss draws, payloads, cross traffic)")
+	seed := flags.Int64("seed", 1, "random seed (loss draws, payloads, cross traffic); 0 runs seed 1")
 	crossBps := flags.Float64("cross-bps", 0, "background cross-traffic load sharing the bottleneck [bit/s] (0 = dedicated link)")
 	crossPoisson := flags.Bool("cross-poisson", false, "Poisson cross-traffic arrivals (default CBR)")
 	crossBuf := flags.Int("cross-buffer", 4<<20, "shared bottleneck buffer [bytes] (contended mode)")
@@ -48,6 +48,22 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	tracePath := flags.String("trace", "",
 		"flight-record the run into this file as Chrome trace-event JSON (open in Perfetto)")
 	flags.Parse(args)
+	// Run reads a zero as "use the default", and each of these flags
+	// has a non-zero default, so a zero here is the user's: refuse it
+	// instead of silently running the default.
+	for _, f := range []struct {
+		name string
+		zero bool
+	}{
+		{"size", *size == 0}, {"msgs", *msgs == 0}, {"window", *window == 0},
+		{"mtu", *mtu == 0}, {"chunk", *chunk == 0}, {"channels", *channels == 0},
+		{"rtt", *rtt == 0}, {"bw", *bw == 0}, {"cross-buffer", *crossBuf == 0},
+	} {
+		if f.zero {
+			fmt.Fprintf(stderr, "sdr-perftest: -%s 0: must be non-zero\n", f.name)
+			return 1
+		}
+	}
 
 	opts := Options{
 		Scheme: *scheme, Clock: *clk,

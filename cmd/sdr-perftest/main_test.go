@@ -66,6 +66,11 @@ func TestPerftestRejectsBadOptions(t *testing.T) {
 	for _, cross := range []string{"-1", "NaN", "+Inf"} {
 		check("-cross-bps "+cross, "cross-traffic load "+cross)
 	}
+	// Every one of these flags has a non-zero default, so a zero can
+	// only be the user's, and it must not silently run the default.
+	for _, name := range []string{"size", "msgs", "window", "mtu", "chunk", "channels", "rtt", "bw", "cross-buffer"} {
+		check("-"+name+" 0", "-"+name+" 0: must be non-zero")
+	}
 }
 
 // TestPerftestSchemes smokes every scheme (plus the contended mode)

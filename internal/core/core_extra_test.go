@@ -256,8 +256,9 @@ func TestStreamContinueOffsetOverflowRejected(t *testing.T) {
 }
 
 // QP.reset retires only the receives the lease left live, not every
-// root entry. The observable contract is unchanged: after Reset every
-// slot of every generation absorbs a write into the NULL key, and no
+// root entry. The observable contract is unchanged: on a fresh QP and
+// after every Reset each slot of every generation absorbs a write into
+// the NULL key, and no
 // write reaches a buffer the lease had posted — across wraparound (more
 // postings than slots in one lease), across generations, and on a
 // second lease that starts mid-table.
@@ -306,6 +307,9 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 		}
 		return hs
 	}
+
+	// A fresh QP starts with every slot of both generations retired.
+	checkAllRetired("fresh")
 
 	// Lease 1: k < slots receives, all left live.
 	post(3)

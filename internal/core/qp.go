@@ -213,7 +213,9 @@ func (c *Context) NewQP() *QP {
 	qp.chQPs = make([][]*nicsim.UCQP, cfg.Generations)
 	qp.chCQs = make([][]*nicsim.CQ, cfg.Generations)
 	for g := 0; g < cfg.Generations; g++ {
-		qp.rootMRs[g] = c.dev.AllocIndirectMR(cfg.slots(), uint64(cfg.MaxMsgBytes))
+		// Every slot starts retired: an unset entry is the NULL key,
+		// where late packets land.
+		qp.rootMRs[g] = c.dev.AllocIndirectMR(cfg.slots(), uint64(cfg.MaxMsgBytes), c.nullMR)
 		qp.chQPs[g] = make([]*nicsim.UCQP, cfg.Channels)
 		qp.chCQs[g] = make([]*nicsim.CQ, cfg.Channels)
 		for ch := 0; ch < cfg.Channels; ch++ {
@@ -223,11 +225,6 @@ func (c *Context) NewQP() *QP {
 			gen := uint32(g)
 			c.pool.SpawnBatch(cq, func(cqes []nicsim.CQE) { qp.backendHandleBatch(gen, cqes) })
 		}
-	}
-	// All slots of every generation start retired: late packets land
-	// in the NULL key.
-	for g := 0; g < cfg.Generations; g++ {
-		qp.rootMRs[g].Fill(c.nullMR, 0)
 	}
 	qp.info = qp.buildInfo()
 	qp.ctsIn = qp.deliverCTS
@@ -336,7 +333,7 @@ func (qp *QP) reset() {
 		s := &qp.slots[qp.slotFor(seq)]
 		if h := s.handle.Load(); h != nil {
 			h.completed.Store(true)
-			qp.rootMRs[h.gen].SetEntry(h.slot, qp.ctx.nullMR, 0)
+			qp.rootMRs[h.gen].SetEntry(h.slot, nil, 0)
 			s.handle.Store(nil)
 		}
 	}

@@ -155,16 +155,16 @@ func (h *RecvHandle) Imm() (uint32, error) {
 }
 
 // Complete retires the receive (Table 1: recv_complete): the root
-// memory-key entry is redirected to the NULL key so late packets are
-// absorbed (§3.3.2 stage 1), and the slot becomes available for the
-// next wraparound posting.
+// memory-key entry is cleared, which points it back at the NULL key so
+// late packets are absorbed (§3.3.2 stage 1), and the slot becomes
+// available for the next wraparound posting.
 func (h *RecvHandle) Complete() error {
 	if !h.completed.CompareAndSwap(false, true) {
 		return errAlreadyCompleted
 	}
 	qp := h.qp
 	s := &qp.slots[h.slot]
-	qp.rootMRs[h.gen].SetEntry(h.slot, qp.ctx.nullMR, 0)
+	qp.rootMRs[h.gen].SetEntry(h.slot, nil, 0)
 	s.handle.Store(nil)
 	return nil
 }

@@ -57,7 +57,8 @@ type QueueConfig struct {
 	// Must be < BufferBytes when both are set — a threshold at or above
 	// the buffer can never fire (tail drop wins first).
 	MarkThresholdBytes int
-	// Seed drives the loss draws.
+	// Seed drives the loss draws. The source is seeded on the first
+	// draw, so a lossless queue never builds one.
 	Seed int64
 	// Clock supplies departure and propagation timing; nil uses the
 	// shared real clock.
@@ -127,7 +128,8 @@ type Queue struct {
 	// serial: built on a virtual clock, mu is never taken.
 	serial bool
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// rng is the loss draw stream, nil until the first draw (see seeded).
 	rng  *rand.Rand
 	fifo fifo
 	used int  // buffered wire bytes
@@ -257,12 +259,24 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 	q := &Queue{
 		cfg: cfg,
 		clk: clock.Or(cfg.Clock),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	q.serial = q.clk.IsVirtual()
 	q.departFn, q.settleFn = q.depart, q.settleEvent
 	q.epochNs = clock.NowNanos(q.clk) - int64(clock.Instant(q.clk)*float64(time.Second))
 	return q, nil
+}
+
+// seeded returns *rng, first building it from seed if it is nil — how
+// a queue's loss draws and a generator's Poisson gaps seed on first
+// use. Seeding a math/rand source costs ~13 µs and 5 KB, and most
+// queues of a topology are lossless; the stream drawn is the one an
+// eagerly seeded source would give. Caller holds the queue's lock (or
+// the baton).
+func seeded(rng **rand.Rand, seed int64) *rand.Rand {
+	if *rng == nil {
+		*rng = rand.New(rand.NewSource(seed))
+	}
+	return *rng
 }
 
 // SetDropHook installs fn, called (outside the queue lock) for every
@@ -521,7 +535,7 @@ func (q *Queue) depart() {
 		return
 	}
 	down := q.down
-	dropped := !down && q.cfg.Loss != nil && q.cfg.Loss.Drop(q.rng)
+	dropped := !down && q.cfg.Loss != nil && q.cfg.Loss.Drop(seeded(&q.rng, q.cfg.Seed))
 	latency := q.cfg.Latency
 	hook := q.onDrop
 	sink, track := q.sink, q.track
@@ -710,7 +724,7 @@ func (q *Queue) departBackground(t *tally) {
 	head := q.fifo.pop()
 	q.started()
 	q.used -= head.size
-	dropped := !q.down && q.cfg.Loss != nil && q.cfg.Loss.Drop(q.rng)
+	dropped := !q.down && q.cfg.Loss != nil && q.cfg.Loss.Drop(seeded(&q.rng, q.cfg.Seed))
 	q.bgProbe(head.fin, telemetry.EvDepart, int64(q.used), 0)
 	switch {
 	case q.down:

@@ -23,7 +23,8 @@ type TrafficConfig struct {
 	// (mean matching Bps); false emits a constant bit rate.
 	Poisson bool
 	// Seed feeds the arrival-process RNG, so a contended scenario is
-	// deterministic per seed on the virtual clock.
+	// deterministic per seed on the virtual clock. The source is seeded
+	// on the first Poisson gap; a CBR generator never builds one.
 	Seed int64
 	// Clock is the queue's clock, on whose timeline the arrivals fall
 	// (nil = the queue's clock; any other clock is an error).
@@ -56,6 +57,7 @@ type TrafficGen struct {
 	cfg  TrafficConfig
 	q    *Queue
 	size int // wire bytes of one packet
+	// rng draws the Poisson gaps, nil until the first (see seeded).
 	rng  *rand.Rand
 	mean time.Duration // mean inter-arrival gap
 
@@ -90,7 +92,6 @@ func NewTrafficGen(cfg TrafficConfig, port *Port) (*TrafficGen, error) {
 		cfg:  cfg,
 		q:    port.q,
 		size: size,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		mean: time.Duration(float64(size) * 8 / cfg.Bps * float64(time.Second)),
 	}, nil
 }
@@ -150,5 +151,5 @@ func (g *TrafficGen) gap() time.Duration {
 	if !g.cfg.Poisson {
 		return g.mean
 	}
-	return time.Duration(g.rng.ExpFloat64() * float64(g.mean))
+	return time.Duration(seeded(&g.rng, g.cfg.Seed).ExpFloat64() * float64(g.mean))
 }

@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -33,12 +34,15 @@ type Device struct {
 	name string
 	mem  *memTable
 	mu   sync.Mutex // serializes QP table writers
-	// qps is a copy-on-write slice indexed by QPN (QPNs are handed out
-	// sequentially from 1, slot 0 unused). Delivery reads it with one
-	// atomic load — no lock on the per-packet path; QP create/destroy
-	// publishes a fresh copy.
-	qps     atomic.Pointer[[]packetSink]
-	nextQPN uint32
+	// qps is the QP table indexed by QPN (a new QP's QPN is the table's
+	// length, from 1, slot 0 unused). Delivery reads it with one
+	// atomic load — no lock on the per-packet path. A create appends in
+	// place, doubling the backing array when it is full, and publishes
+	// the longer header: the new slot lies past the length of every
+	// header already published, so no reader can index it before the
+	// store. A destroy, which changes a slot readers can see, publishes
+	// a fresh copy.
+	qps atomic.Pointer[[]packetSink]
 	// RxPackets counts packets delivered to this device.
 	RxPackets atomic.Uint64
 	// RxDropNoQP counts packets addressed to unknown QPs.
@@ -55,7 +59,7 @@ type Device struct {
 
 // NewDevice creates a NIC simulator instance.
 func NewDevice(name string) *Device {
-	d := &Device{name: name, mem: newMemTable(), nextQPN: 1}
+	d := &Device{name: name, mem: newMemTable()}
 	empty := make([]packetSink, 1)
 	d.qps.Store(&empty)
 	return d
@@ -92,12 +96,15 @@ func (d *Device) AllocNullMR() *NullMR {
 }
 
 // AllocIndirectMR allocates a zero-based indirect (root) memory key
-// with entries slots of entryBytes each (§3.2.2).
-func (d *Device) AllocIndirectMR(entries int, entryBytes uint64) *IndirectMR {
+// with entries slots of entryBytes each (§3.2.2). Every entry starts
+// unset: a write to an unset entry lands in unset at its within-entry
+// offset (SDR passes its NULL key), or fails with a key violation when
+// unset is nil.
+func (d *Device) AllocIndirectMR(entries int, entryBytes uint64, unset MemoryTarget) *IndirectMR {
 	if entries <= 0 || entryBytes == 0 {
 		panic("nicsim: invalid indirect MR geometry")
 	}
-	ix := &IndirectMR{entryBytes: entryBytes,
+	ix := &IndirectMR{entryBytes: entryBytes, unset: unset,
 		entries: make([]atomic.Pointer[indirectEntry], entries)}
 	d.mem.register(&ix.registration, ix)
 	return ix
@@ -131,17 +138,10 @@ func (d *Device) dmaWrite(key uint32, offset uint64, data []byte) error {
 func (d *Device) addQP(sink packetSink) uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	qpn := d.nextQPN
-	d.nextQPN++
-	old := *d.qps.Load()
-	next := make([]packetSink, len(old))
-	copy(next, old)
-	for uint32(len(next)) <= qpn {
-		next = append(next, nil)
-	}
-	next[qpn] = sink
+	qps := *d.qps.Load()
+	next := append(qps, sink)
 	d.qps.Store(&next)
-	return qpn
+	return uint32(len(qps))
 }
 
 // DestroyQP removes a queue pair; packets addressed to it are dropped.
@@ -152,8 +152,7 @@ func (d *Device) DestroyQP(qpn uint32) {
 	if qpn >= uint32(len(old)) {
 		return
 	}
-	next := make([]packetSink, len(old))
-	copy(next, old)
+	next := slices.Clone(old)
 	next[qpn] = nil
 	d.qps.Store(&next)
 }

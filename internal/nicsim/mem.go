@@ -65,19 +65,23 @@ func (n *NullMR) DMAWrite(_ uint64, data []byte) error {
 // IndirectMR is the zero-based root memory key of §3.2.2: a table of
 // entries, each spanning entryBytes, that forwards writes to other
 // memory targets. Message i of an SDR QP occupies the offset range
-// [i·M, i·M + M).
+// [i·M, i·M + M). An entry that was never set, or was cleared, forwards
+// to the unset target chosen at allocation: SDR passes its NULL key, so
+// every slot starts retired (§3.3.2) without a store per entry, and
+// retiring a slot is clearing it.
 type IndirectMR struct {
 	registration
 	entryBytes uint64
 	entries    []atomic.Pointer[indirectEntry]
+	// unset receives writes to unset entries at their within-entry
+	// offset; nil makes them fail loudly.
+	unset MemoryTarget
 	// recent caches the two most recently used distinct entries; mru
 	// is the index of the newer. Entry values are immutable once
 	// published, so repeated stores share one object instead of
-	// allocating per slot: the retire-to-NULL storm that points every
-	// slot at the same (NullMR, 0) pair on QP construction, and the
-	// steady alternation of a posted buffer and the NULL key that
-	// recv_post / recv_complete put a slot through, where a one-entry
-	// cache would miss both ways. Racing stores can only cost a miss.
+	// allocating per slot: a receive that reposts the same buffer, or
+	// two that alternate, stores the cached entry. Racing stores can
+	// only cost a miss.
 	recent [2]atomic.Pointer[indirectEntry]
 	mru    atomic.Uint32
 }
@@ -93,8 +97,9 @@ type indirectEntry struct {
 func (ix *IndirectMR) Key() uint32 { return ix.key }
 
 // SetEntry points slot i at target (with a base offset inside it).
-// Passing nil clears the slot, making writes fail loudly — SDR instead
-// points retired slots at the NULL key so late packets are absorbed.
+// Passing nil clears the slot: writes to it go to the unset target
+// again — the NULL key for an SDR QP, which is how a retired slot
+// absorbs late packets.
 func (ix *IndirectMR) SetEntry(i int, target MemoryTarget, base uint64) {
 	if i < 0 || i >= len(ix.entries) {
 		panic(fmt.Sprintf("nicsim: indirect entry %d out of range [0,%d)", i, len(ix.entries)))
@@ -122,23 +127,6 @@ func (ix *IndirectMR) entryFor(target MemoryTarget, base uint64) *indirectEntry 
 	return e
 }
 
-// Fill points every entry at target — the bulk form of SetEntry, used
-// on QP construction to start all slots retired. All entries share one
-// immutable entry object, so a Fill is len(entries) pointer stores and
-// at most one allocation.
-func (ix *IndirectMR) Fill(target MemoryTarget, base uint64) {
-	if target == nil {
-		for i := range ix.entries {
-			ix.entries[i].Store(nil)
-		}
-		return
-	}
-	e := ix.entryFor(target, base)
-	for i := range ix.entries {
-		ix.entries[i].Store(e)
-	}
-}
-
 // DMAWrite implements MemoryTarget with offset translation.
 func (ix *IndirectMR) DMAWrite(offset uint64, data []byte) error {
 	idx := offset / ix.entryBytes
@@ -152,7 +140,10 @@ func (ix *IndirectMR) DMAWrite(offset uint64, data []byte) error {
 	}
 	e := ix.entries[idx].Load()
 	if e == nil {
-		return fmt.Errorf("%w: indirect entry %d not populated", errMkeyViolation, idx)
+		if ix.unset == nil {
+			return fmt.Errorf("%w: indirect entry %d not populated", errMkeyViolation, idx)
+		}
+		return ix.unset.DMAWrite(inner, data)
 	}
 	return e.target.DMAWrite(e.base+inner, data)
 }

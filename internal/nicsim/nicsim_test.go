@@ -88,7 +88,7 @@ func TestIndirectMRTranslation(t *testing.T) {
 	bufA := make([]byte, 64)
 	bufB := make([]byte, 64)
 	mrA, mrB := dev.RegMR(bufA), dev.RegMR(bufB)
-	ix := dev.AllocIndirectMR(4, 64)
+	ix := dev.AllocIndirectMR(4, 64, nil)
 
 	ix.SetEntry(0, mrA, 0)
 	ix.SetEntry(2, mrB, 16) // message 2 lands 16 bytes into bufB
@@ -116,6 +116,51 @@ func TestIndirectMRTranslation(t *testing.T) {
 	// crossing an entry boundary
 	if err := ix.DMAWrite(60, []byte("12345678")); err == nil {
 		t.Fatal("write crossing entry boundary succeeded")
+	}
+}
+
+// TestIndirectMRUnsetTarget: with an unset target, a write to an entry
+// that was never set and one to an entry cleared with SetEntry(i, nil)
+// both land in that target, at their within-entry offset, and a set
+// entry still goes to its own target.
+func TestIndirectMRUnsetTarget(t *testing.T) {
+	dev := NewDevice("d")
+	unset := make([]byte, 64)
+	unsetMR := dev.RegMR(unset)
+	buf := make([]byte, 64)
+	mr := dev.RegMR(buf)
+	ix := dev.AllocIndirectMR(4, 64, unsetMR)
+
+	if err := ix.DMAWrite(3*64+8, []byte("never")); err != nil {
+		t.Fatalf("never-set entry: %v", err)
+	}
+	if !bytes.Equal(unset[8:13], []byte("never")) {
+		t.Fatalf("never-set entry write missed the unset target: %q", unset[:16])
+	}
+	ix.SetEntry(1, mr, 0)
+	if err := ix.DMAWrite(1*64+4, []byte("set")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf[4:7], []byte("set")) || !bytes.Equal(unset[4:7], make([]byte, 3)) {
+		t.Fatal("set entry write did not land in its own target only")
+	}
+	ix.SetEntry(1, nil, 0)
+	if err := ix.DMAWrite(1*64+20, []byte("cleared")); err != nil {
+		t.Fatalf("cleared entry: %v", err)
+	}
+	if !bytes.Equal(unset[20:27], []byte("cleared")) || !bytes.Equal(buf[20:27], make([]byte, 7)) {
+		t.Fatal("cleared entry write did not land in the unset target")
+	}
+
+	null := dev.AllocNullMR()
+	nix := dev.AllocIndirectMR(2, 64, null)
+	for i, off := range []uint64{0, 64 + 32} {
+		if err := nix.DMAWrite(off, make([]byte, 32)); err != nil {
+			t.Fatalf("write %d into NULL-backed table: %v", i, err)
+		}
+	}
+	if got := null.Discarded.Load(); got != 64 {
+		t.Fatalf("NULL key absorbed %d B, want 64", got)
 	}
 }
 
@@ -539,5 +584,62 @@ func TestMemTableConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	if n := d.NumMRs(); n != 1 {
 		t.Fatalf("%d registrations left, want the resident one", n)
+	}
+}
+
+// The QP table grows in place while packets are delivered: one
+// goroutine keeps writing to an existing QP of a real (non-serial)
+// device while another creates QPs on the same device, pushing the
+// table through several doublings, and destroys every other one. Every
+// write must complete, every new QP must get the next QPN, and the
+// table must end up holding exactly the QPs left alive. Run under
+// -race.
+func TestQPTableGrowsUnderDelivery(t *testing.T) {
+	_, devB, qpA, qpB, cqB, _, _ := ucPair(t, 64)
+	mr := devB.RegMR(make([]byte, 64))
+
+	const writes, creates = 2000, 300
+	created := make([]*UCQP, creates)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range created {
+			qp := NewUCQP(devB, 64, NewCQ(4, false), nil)
+			if want := qpB.QPN() + uint32(i) + 1; qp.QPN() != want {
+				t.Errorf("QP %d got QPN %d, want %d", i, qp.QPN(), want)
+				return
+			}
+			created[i] = qp
+			if i%2 == 1 {
+				devB.DestroyQP(qp.QPN())
+			}
+		}
+	}()
+	for i := 0; i < writes; i++ {
+		qpA.WriteImm(mr.Key(), 0, []byte("payload"), uint32(i), uint64(i))
+		if cqes := drainCQ(cqB); len(cqes) != 1 || cqes[0].Imm != uint32(i) {
+			t.Fatalf("write %d to the existing QP: CQEs %+v", i, cqes)
+		}
+	}
+	wg.Wait()
+	qps := *devB.qps.Load()
+	if want := int(qpB.QPN()) + creates + 1; len(qps) != want {
+		t.Fatalf("table length %d, want %d", len(qps), want)
+	}
+	for i, qp := range created {
+		if qp == nil {
+			t.FailNow() // the creator already reported why
+		}
+		want := packetSink(qp)
+		if i%2 == 1 {
+			want = nil
+		}
+		if got := qps[qp.QPN()]; got != want {
+			t.Fatalf("slot %d holds %v, want %v", qp.QPN(), got, want)
+		}
+	}
+	if got := devB.RxDropNoQP.Load(); got != 0 {
+		t.Fatalf("%d packets missed the table", got)
 	}
 }
