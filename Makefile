@@ -54,8 +54,9 @@ bench: bench-kernels
 	$(GO) test -run xxx -bench . -benchtime 0.2x .
 
 # Machine-readable benchmark trajectory: event-engine + simulator
-# micro-benchmarks, the DES-backed figure benchmarks, and the WAN
-# functional-stack wall-clock pair (virtual vs real clock), emitted as
+# micro-benchmarks, the DES-backed figure benchmarks, the WAN
+# functional-stack wall-clock pair (virtual vs real clock), and the
+# completion-time model's SR sampler and ring recurrence, emitted as
 # op -> {ns/op, allocs/op, ...} JSON so per-PR performance is diffable.
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkSimnet' -benchmem ./internal/simnet/ > bench-json.tmp
@@ -73,6 +74,8 @@ bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkPerftestSR|BenchmarkPerftestEC|BenchmarkPerftestAdaptive' -benchtime 5x -benchmem ./cmd/sdr-perftest/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkTelemetryProbe|BenchmarkTelemetryDepthFold' -benchmem ./internal/telemetry/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkChaosScenario' -benchtime 3x -benchmem ./internal/chaos/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkSRSample$$' -benchmem ./internal/model/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkRingSample4DC' -benchmem ./internal/collective/ >> bench-json.tmp
 	$(GO) run ./cmd/benchjson < bench-json.tmp > BENCH_protosim.json
 	rm -f bench-json.tmp
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -38,6 +40,33 @@ func TestSmallRunRecommends(t *testing.T) {
 	for _, want := range []string{"(1024 chunks)", "SR RTO", "SR NACK", "MDS EC", "XOR EC", "recommended reliability scheme for this deployment: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// Drop rates up to just below 1 — wan.Params.Validate accepts any
+// P_drop < 1 — sample without a panic, and every number printed is
+// finite and positive: exact sampling caps neither retransmission
+// rounds nor levels.
+func TestHighDropRatesPrintFiniteTimes(t *testing.T) {
+	for _, pdrop := range []string{"0.9", "0.999999"} {
+		var stdout, stderr bytes.Buffer
+		if code := cli([]string{"-size", "1MiB", "-pdrop", pdrop, "-samples", "200"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-pdrop %s: exit %d: %s", pdrop, code, stderr.String())
+		}
+		numbers := 0
+		for _, field := range strings.Fields(stdout.String()) {
+			v, err := strconv.ParseFloat(strings.Trim(field, "(),x"), 64)
+			if err != nil {
+				continue
+			}
+			numbers++
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Errorf("-pdrop %s: printed %q:\n%s", pdrop, field, stdout.String())
+			}
+		}
+		if numbers < 4+4*3 { // channel and message lines, then three columns per scheme
+			t.Errorf("-pdrop %s: only %d numbers printed:\n%s", pdrop, numbers, stdout.String())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -133,6 +134,11 @@ func TestFig13SpeedupsGrow(t *testing.T) {
 		if hi <= lo {
 			t.Fatalf("Fig 13 row %q: speedup not increasing (%.2f → %.2f)", res.Rows[i][0], lo, hi)
 		}
+	}
+	// "4 DCs, 128 MiB" closes the left panel and opens the right one's
+	// middle: one configuration, one set of values.
+	if left, right := res.Rows[1], res.Rows[4]; !slices.Equal(left, right) || left[0] != "4 DCs, 128 MiB" {
+		t.Fatalf("Fig 13's shared row differs between panels: %q vs %q", left, right)
 	}
 }
 

@@ -224,28 +224,27 @@ func fig12(o Options) (sweep, error) {
 
 // fig13: p99.9 ring-Allreduce speedup of MDS EC over SR RTO. Left
 // panel: 128 MiB buffer, varying datacenter count; right panel: 4
-// datacenters, varying buffer size. One cell per row and drop rate.
+// datacenters, varying buffer size. One cell per row and drop rate,
+// seeded from its configuration, so the row both panels share ("4 DCs,
+// 128 MiB") prints the same values in each.
 func fig13(o Options) (sweep, error) {
 	drops := []float64{1e-4, 1e-3, 1e-2}
 	type rowCfg struct {
-		n        int
-		buf      int64
-		seedBase int64
+		n   int
+		buf int64
 	}
 	var rows []rowCfg
-	var labels [][]string
 	for _, n := range []int{2, 4, 8} {
-		rows = append(rows, rowCfg{n, 128 << 20, o.Seed})
-		labels = append(labels, []string{fmt.Sprintf("%d DCs, 128 MiB", n)})
+		rows = append(rows, rowCfg{n, 128 << 20})
 	}
 	for _, buf := range []int64{32 << 20, 128 << 20, 512 << 20} {
-		rows = append(rows, rowCfg{4, buf, o.Seed + 10})
-		labels = append(labels, []string{fmt.Sprintf("4 DCs, %s", sizeLabel(buf))})
+		rows = append(rows, rowCfg{4, buf})
 	}
+	label := func(rc rowCfg) string { return fmt.Sprintf("%d DCs, %s", rc.n, sizeLabel(rc.buf)) }
 	nsamp := max(o.TailSamples/4, 500)
-	return sweep{labels: labels, cols: len(drops), cell: func(_ clock.Clock, r, c int) ([]string, error) {
+	return sweep{labels: labelsOf(rows, label), cols: len(drops), cell: func(_ clock.Clock, r, c int) ([]string, error) {
 		rc, ch := rows[r], paperChannel(drops[c])
-		seed := rc.seedBase + int64(c)
+		seed := o.Seed + int64(rc.n)*1_000_000 + (rc.buf>>20)*10 + 2*int64(c)
 		sr := stats.Summarize(collective.Ring{N: rc.n, BufferBytes: rc.buf, Scheme: model.NewSRRTO(ch)}.SampleN(nsamp, seed)).P999
 		ecv := stats.Summarize(collective.Ring{N: rc.n, BufferBytes: rc.buf, Scheme: model.NewMDS(ch)}.SampleN(nsamp, seed+1)).P999
 		return []string{fmt.Sprintf("%.2f", sr/ecv)}, nil

@@ -112,8 +112,8 @@ func (e EC) fallbackSR() SR {
 	return SR{Ch: e.Ch, RTOFactor: f}
 }
 
-// SampleCompletion implements Scheme: one stochastic draw of the EC
-// Write completion time.
+// SampleCompletion implements Scheme: one exact stochastic draw of the
+// EC Write completion time.
 //
 // Success path: all L submessages decode; completion =
 // injection + RTT (first-chunk propagation + positive ACK return).
@@ -125,7 +125,7 @@ func (e EC) SampleCompletion(rng *rand.Rand, msgBytes int64) float64 {
 	l := e.submessages(msgBytes)
 	pFail := 1 - e.submessageSuccessProb()
 	tInj := e.injectionTime(msgBytes)
-	failed := sampleBinomial(rng, l, pFail)
+	failed := binomial(rng, l, pFail)
 	if failed == 0 {
 		return tInj + e.Ch.RTT()
 	}

@@ -7,10 +7,13 @@
 // used to produce Figures 3 and 9–13. Time is in seconds; message
 // sizes in bytes; the loss unit is the bitmap chunk, with P_drop
 // i.i.d. per chunk (§4.2.1).
+//
+// Sampling is exact at every message size and drop rate: no draw
+// falls back on a Poisson or normal approximation, and no chunk count
+// or retransmission level is capped.
 package model
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -48,79 +51,33 @@ func Sample(s Scheme, msgBytes int64, n int, seed int64) []float64 {
 
 // --- random variate helpers ------------------------------------------------
 
-// sampleBinomial draws from Binomial(n, p) using the cheapest adequate
-// method: exact Bernoulli summation for small n, Poisson approximation
-// when p is tiny (the paper's regime, p down to 1e-8 over up to 2^29
-// chunks), and a clamped normal approximation for large means.
-func sampleBinomial(rng *rand.Rand, n int64, p float64) int64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	mean := float64(n) * p
-	switch {
-	case n <= 4096:
-		var k int64
-		for i := int64(0); i < n; i++ {
-			if rng.Float64() < p {
-				k++
-			}
-		}
-		return k
-	case p < 0.01 && mean < 1e6:
-		// Binomial → Poisson for small p; error O(p) per event.
-		return samplePoisson(rng, mean)
-	default:
-		variance := mean * (1 - p)
-		k := int64(mean + rng.NormFloat64()*math.Sqrt(variance) + 0.5)
-		if k < 0 {
-			k = 0
-		}
-		if k > n {
-			k = n
-		}
-		return k
-	}
+// geomSkip draws the run length G, with P(G ≥ g) = q^g, of trials
+// that each go one way with probability q = e^logq before the first
+// goes the other: ⌊E / −ln q⌋ for a standard exponential E, which
+// costs no log. The result is a float64 so that a q near 1 cannot
+// overflow an integer.
+func geomSkip(rng *rand.Rand, logq float64) float64 {
+	return math.Floor(rng.ExpFloat64() / -logq)
 }
 
-// samplePoisson draws from Poisson(lambda) via inversion for small
-// lambda and normal approximation for large lambda.
-func samplePoisson(rng *rand.Rand, lambda float64) int64 {
-	if lambda <= 0 {
+// binomial draws Binomial(n, p) by skipping from one success to the
+// next: one draw per success.
+func binomial(rng *rand.Rand, n int64, p float64) (k int64) {
+	if p <= 0 {
 		return 0
 	}
-	if lambda > 500 {
-		k := int64(lambda + rng.NormFloat64()*math.Sqrt(lambda) + 0.5)
-		if k < 0 {
-			k = 0
-		}
-		return k
-	}
-	// Knuth inversion in log space to avoid underflow.
-	l := math.Exp(-lambda)
-	k := int64(0)
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
+	skip := math.Log1p(-p)
+	for i := geomSkip(rng, skip); i < float64(n); i += 1 + geomSkip(rng, skip) {
 		k++
 	}
+	return k
 }
 
-// sampleGeometricExtra returns the number of transmissions needed for
-// success (>= 1) for a unit that fails with probability p per attempt:
-// the paper's Y_i ~ Geom(1-p).
-func sampleGeometricExtra(rng *rand.Rand, p float64) int {
-	y := 1
-	for rng.Float64() < p {
-		y++
-		if y > 1<<20 {
-			panic(fmt.Sprintf("model: geometric sample diverged at p=%g", p))
-		}
+// log1mexp returns log(1 − e^x) for x < 0 without cancellation at
+// either end.
+func log1mexp(x float64) float64 {
+	if x > -math.Ln2 {
+		return math.Log(-math.Expm1(x))
 	}
-	return y
+	return math.Log1p(-math.Exp(x))
 }

@@ -1,8 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sdrrdma/internal/stats"
@@ -260,49 +262,191 @@ func TestEncodeThroughputStall(t *testing.T) {
 	}
 }
 
-func TestSampleBinomialMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	cases := []struct {
-		n int64
-		p float64
+// refSampleChunks is the per-chunk Bernoulli loop the record walk
+// replaced, kept as its reference: one draw per chunk and one more per
+// extra transmission, O(M) per sample.
+func refSampleChunks(s SR, rng *rand.Rand, m int64) float64 {
+	tinj, p := s.Ch.ChunkInjectionTime(), s.Ch.PDrop
+	overhead := s.rto() + tinj
+	maxX := float64(m) * tinj
+	for i := int64(1); i <= m; i++ {
+		if rng.Float64() < p {
+			y := 2
+			for rng.Float64() < p {
+				y++
+			}
+			maxX = max(maxX, float64(i)*tinj+overhead*float64(y-1))
+		}
+	}
+	return maxX + s.Ch.RTT()
+}
+
+// ksReject reports whether a two-sample Kolmogorov–Smirnov test rejects
+// at α = 0.01 that a and b come from one distribution, with the
+// statistic D = sup |F_a − F_b|. Tied values step both empirical CDFs
+// at once, which keeps the asymptotic critical value conservative for
+// the atoms of max_i X_i.
+func ksReject(a, b []float64) (bool, float64) {
+	a, b = slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))
+	na, nb := float64(len(a)), float64(len(b))
+	d := 0.0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		x := min(a[i], b[j])
+		for ; i < len(a) && a[i] == x; i++ {
+		}
+		for ; j < len(b) && b[j] == x; j++ {
+		}
+		d = max(d, math.Abs(float64(i)/na-float64(j)/nb))
+	}
+	return d > 1.628*math.Sqrt((na+nb)/(na*nb)), d
+}
+
+// multiLevelChannel is a 10 Gbit/s, 75 km link: 4096 chunks take
+// 13.4 ms to inject against a 2.25 ms RTO, so one threshold finds the
+// chunks spread over several retransmission levels.
+func multiLevelChannel(pdrop float64) wan.Params {
+	return wan.Params{BandwidthBps: 10e9, DistanceKm: 75, PDrop: pdrop, MTUBytes: 4096, ChunkBytes: 4096}
+}
+
+// The record walk draws from the same law as the per-chunk loop, for
+// SR RTO and SR NACK, from a single chunk to thousands, at 0.5 to 460
+// expected drops, and with the chunks spread over one or many
+// retransmission levels.
+func TestSRSamplerMatchesPerChunkLoop(t *testing.T) {
+	points := []struct {
+		ch wan.Params
+		m  int64
 	}{
-		{100, 0.3},      // exact path
-		{1 << 20, 1e-5}, // Poisson path
-		{1 << 20, 0.3},  // normal path
+		{fig3Channel(0.5), 1},
+		{fig3Channel(0.3), 100},
+		{fig3Channel(1e-3), 4096},
+		{fig3Channel(0.03), 4096},
+		{fig3Channel(0.1), 2048},
+		{fig3Channel(0.9), 512},
+		{multiLevelChannel(2e-3), 4096},
+		{multiLevelChannel(0.05), 4096},
 	}
-	for _, c := range cases {
-		const draws = 20000
-		sum := 0.0
-		for i := 0; i < draws; i++ {
-			sum += float64(sampleBinomial(rng, c.n, c.p))
+	for _, pt := range points {
+		for _, s := range []SR{NewSRRTO(pt.ch), NewSRNACK(pt.ch)} {
+			const n = 2000
+			rng, ref := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6))
+			got, want := make([]float64, n), make([]float64, n)
+			for i := range got {
+				got[i] = s.sampleCompletionChunks(rng, pt.m)
+				want[i] = refSampleChunks(s, ref, pt.m)
+			}
+			if reject, d := ksReject(got, want); reject {
+				t.Errorf("%s, M=%d, P=%g, RTT %.2f ms: KS D = %.4f rejects the per-chunk law",
+					s.Name(), pt.m, pt.ch.PDrop, pt.ch.RTT()*1e3, d)
+			}
 		}
-		mean := sum / draws
-		want := float64(c.n) * c.p
-		tol := 4 * math.Sqrt(want*(1-c.p)/draws) // ±4 standard errors
-		if math.Abs(mean-want) > tol+1e-9 {
-			t.Errorf("Binomial(%d, %g) sample mean %g, want %g ± %g", c.n, c.p, mean, want, tol)
-		}
-	}
-	if got := sampleBinomial(rng, 100, 0); got != 0 {
-		t.Errorf("Binomial(100, 0) = %d", got)
-	}
-	if got := sampleBinomial(rng, 100, 1); got != 100 {
-		t.Errorf("Binomial(100, 1) = %d", got)
 	}
 }
 
-func TestGeometricExtraMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const p = 0.25
-	sum := 0.0
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		sum += float64(sampleGeometricExtra(rng, p))
+// The sampled tail matches the survival function computed chunk by
+// chunk, P(max_i X_i ≥ x) = 1 − ∏_i (1 − P^⌈(x − t_start(i))/O⌉), down
+// to the 10⁻³ tail, where p99.9 lives and the KS test is blind; and so
+// does the level-grouped survival MeanCompletion integrates. The
+// thresholds sit just below sampled values, so none falls on an atom.
+func TestSRTailMatchesChunkwiseSurvival(t *testing.T) {
+	exact := func(s SR, m int64, x float64) float64 {
+		tinj, o := s.Ch.ChunkInjectionTime(), s.rto()+s.Ch.ChunkInjectionTime()
+		logF := 0.0
+		for i := int64(1); i <= m; i++ {
+			logF += math.Log1p(-math.Pow(s.Ch.PDrop, math.Ceil((x-float64(i)*tinj)/o)))
+		}
+		return -math.Expm1(logF)
 	}
-	mean := sum / draws
-	want := 1 / (1 - p) // E[Geom(1-p)] = 1/(1-p)
-	if math.Abs(mean-want) > 0.01 {
-		t.Fatalf("geometric mean = %g, want %g", mean, want)
+	for _, pt := range []struct {
+		s SR
+		m int64
+	}{
+		{NewSRRTO(fig3Channel(0.9)), 1},
+		{NewSRRTO(fig3Channel(0.9)), 512},
+		{NewSRRTO(fig3Channel(1e-3)), 4096},
+		{NewSRNACK(multiLevelChannel(0.05)), 4096},
+	} {
+		const n = 40000
+		samples := make([]float64, n)
+		rng := rand.New(rand.NewSource(10))
+		for i := range samples {
+			samples[i] = pt.s.sampleCompletionChunks(rng, pt.m) - pt.s.Ch.RTT()
+		}
+		slices.Sort(samples)
+		tinj := pt.s.Ch.ChunkInjectionTime()
+		for _, v := range []float64{0.3, 0.03, 0.003, 1e-3} {
+			x := samples[n-int(v*n)] - tinj*1e-6
+			sx := exact(pt.s, pt.m, x)
+			if tM := float64(pt.m) * tinj; x > tM {
+				if got := pt.s.tail(pt.m).survival(x - tM); math.Abs(got-sx) > 1e-9*sx {
+					t.Errorf("%s, M=%d, P=%g: survival(%.9g s) = %.12g, chunk by chunk %.12g",
+						pt.s.Name(), pt.m, pt.s.Ch.PDrop, x, got, sx)
+				}
+			}
+			first, _ := slices.BinarySearch(samples, x)
+			got, want := float64(n-first), n*sx
+			if math.Abs(got-want) > 4*math.Sqrt(want)+1 {
+				t.Errorf("%s, M=%d, P=%g: %g of %d samples reach %.9g s, want %.1f",
+					pt.s.Name(), pt.m, pt.s.Ch.PDrop, got, n, x, want)
+			}
+		}
+	}
+}
+
+// EC's failed-submessage count is Binomial(L, P_fail) drawn by skips;
+// it matches one Bernoulli draw per submessage.
+func TestBinomialMatchesBernoulli(t *testing.T) {
+	for _, c := range []struct {
+		n int64
+		p float64
+	}{{1024, 1e-3}, {64, 0.3}, {512, 0.9}, {8, 1}} {
+		const draws = 5000
+		rng, ref := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(8))
+		got, want := make([]float64, draws), make([]float64, draws)
+		for i := range got {
+			got[i] = float64(binomial(rng, c.n, c.p))
+			for range c.n {
+				if ref.Float64() < c.p {
+					want[i]++
+				}
+			}
+		}
+		if reject, d := ksReject(got, want); reject {
+			t.Errorf("Binomial(%d, %g): KS D = %.4f rejects the Bernoulli law", c.n, c.p, d)
+		}
+	}
+}
+
+// The sample mean agrees with MeanCompletion's quadrature at every
+// size, 2^29 chunks included, and at drop rates where the retransmission
+// tail runs to hundreds of RTOs.
+func TestSampleMeanMatchesMeanCompletion(t *testing.T) {
+	longHaul := func(p float64) wan.Params { // 64 MiB = 1024 chunks of 64 KiB
+		return wan.Params{BandwidthBps: 100e9, DistanceKm: 1000, PDrop: p, MTUBytes: 4096, ChunkBytes: 64 << 10}
+	}
+	cases := []struct {
+		ch      wan.Params
+		size    int64
+		samples int
+		tol     float64
+	}{
+		{fig3Channel(1e-5), 4096 << 16, 40000, 0.01},
+		{fig3Channel(1e-4), 4096 << 16, 20000, 0.01},
+		{fig3Channel(1e-5), 4096 << 20, 20000, 0.01},
+		{fig3Channel(1e-3), 4096 << 20, 5000, 0.01},
+		{fig3Channel(1e-5), 4096 << 29, 1000, 0.01},
+		{longHaul(0.5), 64 << 20, 20000, 0.005},
+		{longHaul(0.9), 64 << 20, 20000, 0.005},
+		{longHaul(0.99), 64 << 20, 20000, 0.005},
+	}
+	for _, c := range cases {
+		s := NewSRRTO(c.ch)
+		mean := stats.Mean(Sample(s, c.size, c.samples, 9))
+		analytic := s.MeanCompletion(c.size)
+		if rel := math.Abs(mean-analytic) / analytic; rel > c.tol {
+			t.Errorf("P=%g, %d chunks: sample mean %.6g vs MeanCompletion %.6g (%.2f%% off, want ≤ %.1f%%)",
+				c.ch.PDrop, c.ch.ChunksIn(c.size), mean, analytic, rel*100, c.tol*100)
+		}
 	}
 }
 
@@ -326,5 +470,23 @@ func BenchmarkECSample128MiB(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		e.SampleCompletion(rng, 128<<20)
+	}
+}
+
+// BenchmarkSRSample times one SR RTO sample from 4096 to 2^29 chunks
+// (the paper's 2 TiB), at 3.3 to 5369 expected drops; 32768 chunks at
+// 1e-4 is ablation-rto's 128 MiB.
+func BenchmarkSRSample(b *testing.B) {
+	for _, pt := range []struct {
+		m int64
+		p float64
+	}{{4096, 1e-3}, {4096, 0.1}, {32768, 1e-4}, {32768, 1e-2}, {1 << 21, 1e-5}, {1 << 21, 1e-4}, {1 << 29, 1e-5}} {
+		s := NewSRRTO(fig3Channel(pt.p))
+		b.Run(fmt.Sprintf("m=%d,p=%g", pt.m, pt.p), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < b.N; i++ {
+				s.sampleCompletionChunks(rng, pt.m)
+			}
+		})
 	}
 }

@@ -46,43 +46,27 @@ func (s SR) SampleCompletion(rng *rand.Rand, msgBytes int64) float64 {
 	return s.sampleCompletionChunks(rng, int64(s.Ch.ChunksIn(msgBytes)))
 }
 
-// exactSampleThreshold bounds the per-chunk sampling loop; above it the
-// dropped-chunk subset is sampled directly, which is what makes 2-TiB
-// messages (2^29 chunks) cheap to sample.
-const exactSampleThreshold = 4096
-
 // sampleCompletionChunks draws one completion-time sample for a
-// message of m chunks. Chunks with Y_i = 1 finish at t_start(i), whose
-// maximum is t_start(M); for large m only the Binomial(m, P) chunks
-// whose first transmission dropped need individual sampling.
+// message of m chunks, exactly and without visiting every chunk.
+// Scanning from chunk M down, only a record — a chunk with more extra
+// transmissions k = Y_i − 1 than every later chunk — can hold
+// max_i X_i. Past a record at k, the next one is the first chunk with
+// Y_i − 1 > k, which each chunk is with probability q = P^{k+1}, so it
+// lies a Geom(1 − q) skip away; its own k is k + 1 + Geom(P). A sample
+// costs a few draws per record, and a message of M chunks holds
+// O(log M) records in expectation, whatever the drop rate.
 func (s SR) sampleCompletionChunks(rng *rand.Rand, m int64) float64 {
-	if m <= 0 {
-		return s.Ch.RTT()
-	}
-	tinj := s.Ch.ChunkInjectionTime()
-	p := s.Ch.PDrop
-	maxX := float64(m) * tinj // chunk M delivered first try
-	if p > 0 {
-		overhead := s.rto() + tinj
-		if m <= exactSampleThreshold {
-			for i := int64(1); i <= m; i++ {
-				if rng.Float64() < p {
-					y := 1 + sampleGeometricExtra(rng, p) // Y_i | Y_i >= 2
-					if x := float64(i)*tinj + overhead*float64(y-1); x > maxX {
-						maxX = x
-					}
-				}
-			}
-		} else {
-			dropped := sampleBinomial(rng, m, p)
-			for j := int64(0); j < dropped; j++ {
-				i := rng.Int63n(m) + 1
-				y := 1 + sampleGeometricExtra(rng, p)
-				if x := float64(i)*tinj + overhead*float64(y-1); x > maxX {
-					maxX = x
-				}
-			}
+	tinj, p := s.Ch.ChunkInjectionTime(), s.Ch.PDrop
+	o := s.rto() + tinj
+	maxX, k, q := 0.0, -1.0, 1.0
+	for c := float64(m); c >= 1; c -= 1 + geomSkip(rng, math.Log1p(-q)) {
+		k, q = k+1, q*p
+		if rng.Float64() < p {
+			logp := math.Log(p)
+			k += 1 + geomSkip(rng, logp)
+			q = math.Exp((k + 1) * logp)
 		}
+		maxX = max(maxX, c*tinj+o*k)
 	}
 	return maxX + s.Ch.RTT()
 }
@@ -94,10 +78,7 @@ func (s SR) sampleCompletionChunks(rng *rand.Rand, m int64) float64 {
 //	E[max X_i] = ∫_0^∞ P(max X_i ≥ q) dq
 //	           = t_start(M) + ∫_{t_M}^∞ P(max X_i ≥ q) dq,
 //
-// evaluated by midpoint quadrature over the monotone survival
-// function. Chunks sharing the same retransmission level
-// j = ⌈(q − t_start(i))/O⌉ are grouped, so each abscissa costs
-// O(levels) instead of O(M).
+// evaluated by midpoint quadrature over the survival function.
 func (s SR) MeanCompletion(msgBytes int64) float64 {
 	return s.meanCompletionChunks(int64(s.Ch.ChunksIn(msgBytes)))
 }
@@ -107,21 +88,19 @@ func (s SR) meanCompletionChunks(m int64) float64 {
 	if m <= 0 {
 		return s.Ch.RTT()
 	}
-	p := s.Ch.PDrop
-	tinj := s.Ch.ChunkInjectionTime()
-	tM := float64(m) * tinj
-	if p <= 0 {
+	t := s.tail(m)
+	tM := t.m * t.tinj
+	if s.Ch.PDrop <= 0 {
 		return tM + s.Ch.RTT()
 	}
-	overhead := s.rto() + tinj
-
-	// Midpoint quadrature; the survival function is monotone
-	// non-increasing, so the absolute error is bounded by step/2
-	// regardless of how many t_start breakpoints a step straddles.
-	step := overhead / 8192
+	// The survival function is monotone non-increasing, so each step's
+	// error is bounded by the step times the survival's drop across it.
+	// The step is O/8192 over the first 80·O and then grows with the
+	// distance, which keeps the error of the tail relative to its mean.
 	integral := 0.0
-	for q := tM + step/2; q < tM+overhead*80; q += step {
-		surv := survivalMax(q, m, tinj, overhead, p)
+	for a, step := 0.0, t.o/8192; ; a += step {
+		step = max(step, (a-80*t.o)/4096)
+		surv := t.survival(a + step/2)
 		integral += surv * step
 		if surv < 1e-12 {
 			break
@@ -130,30 +109,53 @@ func (s SR) meanCompletionChunks(m int64) float64 {
 	return tM + integral + s.Ch.RTT()
 }
 
-// survivalMax returns P(max_i X_i ≥ q) for q > t_start(M).
+// tail is the law of max_i X_i for a message of m chunks (Appendix A).
+// Chunk M − d reaches t_start(M) + s only through
+// j = ⌈(s + d·T_INJ)/O⌉ retransmissions, which happen with probability
+// P^j, so for s > 0
 //
-// P(X_i ≥ q) = p^j with j = ⌈(q − i·tinj)/O⌉ (Appendix A), so chunks
-// fall into level groups: level j covers the i-range
-// (q − j·O)/tinj ≤ i < (q − (j−1)·O)/tinj, clamped to [1, M].
-func survivalMax(q float64, m int64, tinj, overhead, p float64) float64 {
-	logProd := 0.0
-	pj := 1.0
-	for j := 1; ; j++ {
-		pj *= p
-		if pj < 1e-18 {
-			break
-		}
-		lo := int64(math.Ceil((q - float64(j)*overhead) / tinj))
-		hi := int64(math.Ceil((q-float64(j-1)*overhead)/tinj)) - 1
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > m {
-			hi = m
-		}
-		if hi >= lo {
-			logProd += float64(hi-lo+1) * math.Log1p(-pj)
-		}
+//	P(max_i X_i ≥ t_start(M) + s) = 1 − ∏_j (1 − P^j)^{n_j(s)}
+//
+// with n_j(s) the chunks at retransmission level j. Only the levels
+// that hold chunks are visited, up to top: the levels above it hold
+// less than 2^-60 of survival.
+type tail struct {
+	m, tinj, o, logp, top float64
+	lq                    []float64 // log(1 − P^j) for j ≤ 1024: read, not recomputed, at every quadrature step
+}
+
+func (s SR) tail(m int64) *tail {
+	t := &tail{m: float64(m), tinj: s.Ch.ChunkInjectionTime(), logp: math.Log(s.Ch.PDrop)}
+	t.o = s.rto() + t.tinj
+	t.top = math.Floor((math.Log(0x1p-60) - math.Log(t.m)) / t.logp)
+	for j := 1.0; j <= min(t.top, 1024); j++ {
+		t.lq = append(t.lq, log1mexp(j*t.logp))
 	}
-	return 1 - math.Exp(logProd)
+	return t
+}
+
+// logq returns log(1 − P^j), the log-probability that a chunk stays
+// below retransmission level j.
+func (t *tail) logq(j float64) float64 {
+	if int(j) <= len(t.lq) {
+		return t.lq[int(j)-1]
+	}
+	return log1mexp(j * t.logp)
+}
+
+// below returns how many chunks sit at retransmission level ≤ j at s:
+// those with d ≤ (j·O − s)/T_INJ.
+func (t *tail) below(j, s float64) float64 {
+	return max(0, min(t.m, math.Floor((j*t.o-s)/t.tinj)+1))
+}
+
+// survival returns P(max_i X_i ≥ t_start(M) + s) for s > 0.
+func (t *tail) survival(s float64) float64 {
+	logF, n := 0.0, 0.0
+	for j := max(1, math.Ceil(s/t.o)); n < t.m && j <= t.top; j++ {
+		nj := t.below(j, s)
+		logF += (nj - n) * t.logq(j)
+		n = nj
+	}
+	return 1 - math.Exp(logF)
 }
