@@ -113,9 +113,10 @@ api:
 
 # Who calls what: the exported-surface census (surface_test.go) with its
 # per-class listing — identifiers whose only outside caller is
-# benchmark/, types exported through a signature, struct fields and
-# interface methods (listed, not gated), the allow-listed ones. The
-# gate itself runs with `go test ./...`.
+# benchmark/, types exported through a signature, struct fields by
+# writer class (product, tests only, none), interface methods (listed,
+# not gated), the allow-listed ones. The gate itself runs with
+# `go test ./...`.
 api-unused:
 	$(GO) test -count=1 -run TestExportedSurface -v .
 

@@ -66,6 +66,9 @@ func TestPerftestRejectsBadOptions(t *testing.T) {
 	for _, cross := range []string{"-1", "NaN", "+Inf"} {
 		check("-cross-bps "+cross, "cross-traffic load "+cross)
 	}
+	// A finite load too high to pace — its mean packet gap truncates to
+	// 0 ns — is refused when the generator is built, not run forever.
+	check("-cross-bps 1e14", "under 1 ns apart")
 	// Every one of these flags has a non-zero default, so a zero can
 	// only be the user's, and it must not silently run the default.
 	for _, name := range []string{"size", "msgs", "window", "mtu", "chunk", "channels", "rtt", "bw", "cross-buffer"} {

@@ -80,10 +80,6 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
 
-// endpoint reports whether the fault acts on the flow endpoints
-// rather than compiling into the netem schedule.
-func (k FaultKind) endpoint() bool { return k >= faultControlDrop }
-
 // Fault is one injected failure. The fields are overloaded per kind:
 // Edge indexes the diamond's edges for link faults and selects the
 // side (0 = A/sender, 1 = B/receiver) for control-plane faults; Pct is

@@ -49,7 +49,7 @@ func TestGenerateRCGBNLinkFaultsOnly(t *testing.T) {
 			continue
 		}
 		for _, f := range p.Faults {
-			if f.Kind.endpoint() {
+			if f.Kind >= faultControlDrop { // the endpoint kinds
 				t.Fatalf("scenario %d (rc-gbn) carries endpoint fault %s", i, f.Kind)
 			}
 		}

@@ -80,10 +80,9 @@ func compile(p Program) (netem.Schedule, []Fault) {
 			}
 		case faultBurstLoss:
 			on := netem.LossSpec{P: float64(f.Pct) / 100, BurstLen: 4}
-			off := netem.LossSpec{}
 			sched.Events = append(sched.Events,
-				netem.Event{At: f.At, Edge: f.Edge, Loss: &on},
-				netem.Event{At: f.At + f.Dur, Edge: f.Edge, Loss: &off})
+				netem.Event{At: f.At, Edge: f.Edge, Loss: on},
+				netem.Event{At: f.At + f.Dur, Edge: f.Edge}) // zero Loss: lossless again
 		case faultDrift:
 			sched.Drifts = append(sched.Drifts, netem.Drift{
 				Edge: f.Edge, Start: f.At, Duration: f.Dur,

@@ -144,13 +144,14 @@ func (c Config) DecodeImm(imm uint32) (msgID, pktOff uint32, frag uint8) {
 
 // immCodec packs (message ID, packet offset, user-imm fragment) into
 // the 32-bit transport immediate: msgID in the high bits, the fragment
-// in the low bits (§3.2.4).
+// in the low bits (§3.2.4). The message ID takes whatever the other two
+// leave, so only their widths are kept.
 type immCodec struct {
-	msgBits, offBits, immBits uint
+	offBits, immBits uint
 }
 
 func newImmCodec(c Config) immCodec {
-	return immCodec{uint(c.MsgIDBits), uint(c.PktOffsetBits), uint(c.UserImmBits)}
+	return immCodec{uint(c.PktOffsetBits), uint(c.UserImmBits)}
 }
 
 func (ic immCodec) encode(msgID, pktOff uint32, frag uint8) uint32 {

@@ -682,14 +682,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestImmCodecRoundTrip(t *testing.T) {
-	codecs := []immCodec{
-		newImmCodec(Config{MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4}),
-		newImmCodec(Config{MsgIDBits: 8, PktOffsetBits: 22, UserImmBits: 2}),
-		newImmCodec(Config{MsgIDBits: 1, PktOffsetBits: 27, UserImmBits: 4}),
+	cfgs := []Config{
+		{MsgIDBits: 10, PktOffsetBits: 18, UserImmBits: 4},
+		{MsgIDBits: 8, PktOffsetBits: 22, UserImmBits: 2},
+		{MsgIDBits: 1, PktOffsetBits: 27, UserImmBits: 4},
 	}
 	check := func(msgRaw, offRaw uint32, fragRaw uint8) bool {
-		for _, ic := range codecs {
-			msg := msgRaw & (1<<ic.msgBits - 1)
+		for _, c := range cfgs {
+			ic := newImmCodec(c)
+			msg := msgRaw & (1<<c.MsgIDBits - 1)
 			off := offRaw & (1<<ic.offBits - 1)
 			frag := fragRaw & (1<<ic.immBits - 1)
 			gm, go_, gf := ic.decode(ic.encode(msg, off, frag))

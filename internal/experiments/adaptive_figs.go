@@ -70,8 +70,8 @@ func adaptiveSchedule(ser time.Duration) netem.Schedule {
 	return netem.Schedule{
 		Horizon: 20 * ser,
 		Events: []netem.Event{
-			{At: ser / 4, Edge: 1, Loss: &netem.LossSpec{P: 0.25, BurstLen: 16}},
-			{At: ser * 3 / 5, Edge: 1, Loss: &netem.LossSpec{}},
+			{At: ser / 4, Edge: 1, Loss: netem.LossSpec{P: 0.25, BurstLen: 16}},
+			{At: ser * 3 / 5, Edge: 1}, // zero Loss: lossless again
 		},
 		Flaps: []netem.Flap{{Edge: 0, Down: ser * 4 / 5, Up: ser * 23 / 25}},
 		Drifts: []netem.Drift{{

@@ -31,7 +31,7 @@ func paperChannel(pdrop float64) wan.Params {
 // which only read its percentiles.
 func fig2(o Options) (sweep, error) {
 	payloads := []int{1024, 2048, 4096, 8192}
-	results := wan.DefaultISPCampaign().RunCampaign(rand.New(rand.NewSource(o.Seed)), payloads, 200)
+	results := wan.RunISPCampaign(rand.New(rand.NewSource(o.Seed)), payloads, 200)
 	return sweep{
 		labels: labelsOf(payloads, func(p int) string { return sizeLabel(int64(p)) }),
 		cell: func(_ clock.Clock, r, _ int) ([]string, error) {
@@ -159,7 +159,7 @@ func fig10d(o Options) (sweep, error) {
 	splits := []struct{ k, m int }{{64, 8}, {32, 8}, {16, 8}, {8, 8}}
 	drops := []float64{1e-5, 1e-3, 1e-2, 3e-2, 1e-1}
 	return sweep{labels: labelsOf(drops, pLabel), cols: len(splits), cell: func(_ clock.Clock, r, c int) ([]string, error) {
-		e := model.EC{Ch: paperChannel(drops[r]), K: splits[c].k, M: splits[c].m, Scheme: "mds", Beta: 1, FallbackRTOFactor: 3}
+		e := model.EC{Ch: paperChannel(drops[r]), K: splits[c].k, M: splits[c].m, Scheme: "mds"}
 		return []string{fmt.Sprintf("%.2f", stats.Mean(model.Sample(e, 128<<20, o.Samples, o.Seed+int64(c)))*1e3)}, nil
 	}}, nil
 }

@@ -16,7 +16,8 @@ import (
 // so (M + ⌈M/R⌉) chunks enter the channel. The receiver recovers
 // in-place if every submessage decodes; otherwise it NACKs the failed
 // submessages at the fallback timeout FTO and the sender repairs them
-// with Selective Repeat.
+// with Selective Repeat. Encoding is fully overlapped with injection
+// (§4.2.3's assumption).
 type EC struct {
 	Ch wan.Params
 	// K and M are the data and parity chunks per submessage.
@@ -24,31 +25,28 @@ type EC struct {
 	// Scheme selects the code: "mds" (Reed–Solomon-class, any m losses)
 	// or "xor" (modulo-group code, one loss per group).
 	Scheme string
-	// Beta is the FTO slack coefficient β in
-	// FTO = (M + ⌈M/R⌉)·T_INJ + β·RTT (§4.2.3). The paper halves the
-	// SR buffering coefficient: β = 0.5·α = 1 for α = 2.
-	Beta float64
-	// FallbackRTOFactor parameterizes the SR used to repair failed
-	// submessages (default 3, the SR RTO scenario).
-	FallbackRTOFactor float64
-	// EncodeBps, when non-zero, caps the parity-computation rate. If
-	// the encoder cannot keep up with the line rate the injection
-	// pipeline stalls behind it (Fig 11's "cores needed to hide
-	// encoding"). Zero means fully overlapped encoding (§4.2.3's
-	// assumption).
-	EncodeBps float64
 }
+
+// The fallback constants every EC shares. ecBeta is the FTO slack
+// coefficient β in FTO = (M + ⌈M/R⌉)·T_INJ + β·RTT (§4.2.3): the paper
+// halves the SR buffering coefficient, β = 0.5·α = 1 for α = 2.
+// ecFallbackRTOFactor parameterizes the SR that repairs failed
+// submessages (the SR RTO scenario).
+const (
+	ecBeta              = 1
+	ecFallbackRTOFactor = 3
+)
 
 // NewMDS returns the paper's balanced MDS EC(32, 8) configuration over
 // the channel (§5.2.1: tolerates drop rates above 1e-2 with ≤20%
 // bandwidth inflation).
 func NewMDS(chp wan.Params) EC {
-	return EC{Ch: chp.WithDefaults(), K: 32, M: 8, Scheme: "mds", Beta: 1, FallbackRTOFactor: 3}
+	return EC{Ch: chp.WithDefaults(), K: 32, M: 8, Scheme: "mds"}
 }
 
 // NewXOR returns the XOR-coded variant with the same (32, 8) split.
 func NewXOR(chp wan.Params) EC {
-	return EC{Ch: chp.WithDefaults(), K: 32, M: 8, Scheme: "xor", Beta: 1, FallbackRTOFactor: 3}
+	return EC{Ch: chp.WithDefaults(), K: 32, M: 8, Scheme: "xor"}
 }
 
 // Name implements Scheme.
@@ -90,26 +88,15 @@ func (e EC) wireChunks(msgBytes int64) int64 {
 }
 
 // injectionTime returns the time to push data + parity into the
-// channel, stretched if the encoder cannot sustain line rate.
+// channel.
 func (e EC) injectionTime(msgBytes int64) float64 {
-	t := float64(e.wireChunks(msgBytes)) * e.Ch.ChunkInjectionTime()
-	if e.EncodeBps > 0 {
-		tEncode := float64(msgBytes) * 8 / e.EncodeBps
-		if tEncode > t {
-			t = tEncode
-		}
-	}
-	return t
+	return float64(e.wireChunks(msgBytes)) * e.Ch.ChunkInjectionTime()
 }
 
 // fallbackSR returns the SR instance used to repair failed
 // submessages.
 func (e EC) fallbackSR() SR {
-	f := e.FallbackRTOFactor
-	if f == 0 {
-		f = 3
-	}
-	return SR{Ch: e.Ch, RTOFactor: f}
+	return SR{Ch: e.Ch, RTOFactor: ecFallbackRTOFactor}
 }
 
 // SampleCompletion implements Scheme: one exact stochastic draw of the
@@ -129,10 +116,6 @@ func (e EC) SampleCompletion(rng *rand.Rand, msgBytes int64) float64 {
 	if failed == 0 {
 		return tInj + e.Ch.RTT()
 	}
-	beta := e.Beta
-	if beta == 0 {
-		beta = 1
-	}
 	srTime := e.fallbackSR().sampleCompletionChunks(rng, failed*int64(e.K))
-	return tInj + beta*e.Ch.RTT() + srTime
+	return tInj + ecBeta*e.Ch.RTT() + srTime
 }

@@ -248,20 +248,6 @@ func TestHeadlineSpeedups(t *testing.T) {
 	}
 }
 
-func TestEncodeThroughputStall(t *testing.T) {
-	ch := fig3Channel(0)
-	fast := NewMDS(ch)
-	slow := NewMDS(ch)
-	slow.EncodeBps = 50e9 // encoder 8× slower than the 400G line
-	size := int64(128 << 20)
-	rng := rand.New(rand.NewSource(1))
-	tf := fast.SampleCompletion(rng, size)
-	ts := slow.SampleCompletion(rng, size)
-	if ts <= tf {
-		t.Fatalf("stalled encoder (%g) not slower than overlapped (%g)", ts, tf)
-	}
-}
-
 // refSampleChunks is the per-chunk Bernoulli loop the record walk
 // replaced, kept as its reference: one draw per chunk and one more per
 // extra transmission, O(M) per sample.

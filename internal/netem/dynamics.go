@@ -10,24 +10,17 @@ import (
 	"sdrrdma/internal/telemetry"
 )
 
-// Event is one scheduled edge re-parameterization: at virtual time At
-// (relative to Apply), the named edge's non-zero fields take effect.
-// Zero-valued fields leave the corresponding parameter unchanged, so
-// one event can change loss alone, bandwidth alone, or several at
-// once.
+// Event is one scheduled loss change: at virtual time At (relative to
+// Apply), the named edge's wire loss process becomes Loss in both
+// directions.
 type Event struct {
 	// At is the application instant, relative to Schedule.Apply.
 	At time.Duration
 	// Edge indexes Topology.Edges().
 	Edge int
-	// Loss, when non-nil, replaces the edge's wire loss process (the
-	// zero LossSpec turns loss off).
-	Loss *LossSpec
-	// BandwidthBps, when > 0, replaces the line rate.
-	BandwidthBps float64
-	// DistanceKm, when > 0, moves the edge (re-deriving propagation
-	// delay with the §2.1 calibration).
-	DistanceKm float64
+	// Loss is the edge's new loss process; the zero LossSpec turns
+	// loss off.
+	Loss LossSpec
 }
 
 // Flap takes an edge down at Down and restores it at Up (both relative
@@ -48,9 +41,9 @@ type Flap struct {
 type Drift struct {
 	Edge            int
 	Start, Duration time.Duration
-	// RateKmPerSec is the recession rate (> 0; an approaching pass is
-	// modeled by scheduling Events with decreasing DistanceKm, keeping
-	// validation of the common case strict).
+	// RateKmPerSec is the recession rate (> 0: a schedule drifts an
+	// edge away only; an approaching pass is Edge.SetDistance called
+	// on the caller's own timers).
 	RateKmPerSec float64
 	// Step is the re-derivation cadence.
 	Step time.Duration
@@ -92,16 +85,8 @@ func (s Schedule) validate(t *Topology) error {
 		if ev.At < 0 || ev.At > s.Horizon {
 			return fmt.Errorf("netem: event[%d] at %v outside horizon [0,%v]", i, ev.At, s.Horizon)
 		}
-		if ev.Loss != nil {
-			if err := ev.Loss.validate(); err != nil {
-				return fmt.Errorf("netem: event[%d]: %w", i, err)
-			}
-		}
-		if !finite(ev.BandwidthBps) || ev.BandwidthBps < 0 {
-			return fmt.Errorf("netem: event[%d] bandwidth %g invalid", i, ev.BandwidthBps)
-		}
-		if !finite(ev.DistanceKm) || ev.DistanceKm < 0 {
-			return fmt.Errorf("netem: event[%d] distance %g km invalid", i, ev.DistanceKm)
+		if err := ev.Loss.validate(); err != nil {
+			return fmt.Errorf("netem: event[%d]: %w", i, err)
 		}
 	}
 	for i, f := range s.Flaps {
@@ -148,17 +133,7 @@ func (s Schedule) Apply(t *Topology) (*Applied, error) {
 	for _, ev := range s.Events {
 		ev := ev
 		e := t.Edges()[ev.Edge]
-		clock.After(clk, ev.At, func() {
-			if ev.Loss != nil {
-				ap.count(e.SetLoss(*ev.Loss))
-			}
-			if ev.BandwidthBps > 0 {
-				ap.count(e.setBandwidth(ev.BandwidthBps))
-			}
-			if ev.DistanceKm > 0 {
-				ap.count(e.SetDistance(ev.DistanceKm))
-			}
-		})
+		clock.After(clk, ev.At, func() { ap.count(e.SetLoss(ev.Loss)) })
 	}
 	for _, f := range s.Flaps {
 		f := f

@@ -40,7 +40,7 @@ func TestScheduleValidateFailFast(t *testing.T) {
 	h := 100 * time.Millisecond
 	ok := Schedule{
 		Horizon: h,
-		Events:  []Event{{At: 10 * time.Millisecond, Edge: 0, BandwidthBps: 1e9}},
+		Events:  []Event{{At: 10 * time.Millisecond, Edge: 0, Loss: LossSpec{P: 0.01}}},
 		Flaps:   []Flap{{Edge: 1, Down: 20 * time.Millisecond, Up: 40 * time.Millisecond}},
 		Drifts:  []Drift{{Edge: 2, Start: 0, Duration: h / 2, RateKmPerSec: 50, Step: 10 * time.Millisecond}},
 	}
@@ -54,9 +54,8 @@ func TestScheduleValidateFailFast(t *testing.T) {
 		{"zero horizon", Schedule{}},
 		{"event edge out of range", Schedule{Horizon: h, Events: []Event{{Edge: 99}}}},
 		{"event past horizon", Schedule{Horizon: h, Events: []Event{{At: 2 * h, Edge: 0}}}},
-		{"event bad loss", Schedule{Horizon: h, Events: []Event{{Edge: 0, Loss: &LossSpec{P: 1.5}}}}},
-		{"event NaN bandwidth", Schedule{Horizon: h, Events: []Event{{Edge: 0, BandwidthBps: math.NaN()}}}},
-		{"event negative distance", Schedule{Horizon: h, Events: []Event{{Edge: 0, DistanceKm: -1}}}},
+		{"event bad loss", Schedule{Horizon: h, Events: []Event{{Edge: 0, Loss: LossSpec{P: 1.5}}}}},
+		{"event NaN loss", Schedule{Horizon: h, Events: []Event{{Edge: 0, Loss: LossSpec{P: math.NaN()}}}}},
 		{"flap inverted window", Schedule{Horizon: h, Flaps: []Flap{{Edge: 0, Down: 20 * time.Millisecond, Up: 10 * time.Millisecond}}}},
 		{"flap negative down", Schedule{Horizon: h, Flaps: []Flap{{Edge: 0, Down: -time.Millisecond, Up: time.Millisecond}}}},
 		{"flap past horizon", Schedule{Horizon: h, Flaps: []Flap{{Edge: 0, Down: 0, Up: 2 * h}}}},
@@ -83,8 +82,8 @@ func TestScheduleEventsFireAtVirtualTimes(t *testing.T) {
 	sched := Schedule{
 		Horizon: 100 * time.Millisecond,
 		Events: []Event{
-			{At: 10 * time.Millisecond, Edge: 0, BandwidthBps: 1e9},
-			{At: 20 * time.Millisecond, Edge: 0, DistanceKm: 1200, Loss: &LossSpec{P: 0.25, BurstLen: 4}},
+			{At: 10 * time.Millisecond, Edge: 0, Loss: LossSpec{P: 0.25, BurstLen: 4}},
+			{At: 20 * time.Millisecond, Edge: 0},
 		},
 	}
 	ap, err := sched.Apply(topo)
@@ -92,20 +91,21 @@ func TestScheduleEventsFireAtVirtualTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Join(clk, func() {
-		clk.Sleep(15 * time.Millisecond)
-		if got := e.Cfg.BandwidthBps; got != 1e9 {
-			t.Errorf("bandwidth %g at t=15ms, want 1e9", got)
-		}
-		if got := e.distanceKm(); got != 300 {
-			t.Errorf("distance %g km at t=15ms, want still 300", got)
+		clk.Sleep(5 * time.Millisecond)
+		if got := e.Cfg.Loss; got != (LossSpec{}) || e.Fwd.cfg.Loss != nil {
+			t.Errorf("loss %+v at t=5ms, want still lossless", got)
 		}
 		clk.Sleep(10 * time.Millisecond)
-		if got := e.distanceKm(); got != 1200 {
-			t.Errorf("distance %g km at t=25ms, want 1200", got)
+		if got := e.Cfg.Loss; got != (LossSpec{P: 0.25, BurstLen: 4}) || e.Fwd.cfg.Loss == nil || e.Rev.cfg.Loss == nil {
+			t.Errorf("loss %+v at t=15ms, want the burst spec on both directions", got)
+		}
+		clk.Sleep(10 * time.Millisecond)
+		if got := e.Cfg.Loss; got != (LossSpec{}) || e.Fwd.cfg.Loss != nil {
+			t.Errorf("loss %+v at t=25ms, want lossless again", got)
 		}
 	})
-	if fired, errs := ap.Fired.Load(), ap.Errors.Load(); fired != 3 || errs != 0 {
-		t.Fatalf("applied fired=%d errors=%d, want 3/0", fired, errs)
+	if fired, errs := ap.Fired.Load(), ap.Errors.Load(); fired != 2 || errs != 0 {
+		t.Fatalf("applied fired=%d errors=%d, want 2/0", fired, errs)
 	}
 }
 

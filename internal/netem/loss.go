@@ -4,8 +4,9 @@
 // behaviour), pluggable loss processes unifying the fabric's i.i.d.
 // drops with internal/wan's Gilbert–Elliott burst channel, and a
 // topology builder that wires N simulated datacenters into named
-// graphs — ring, tree, full mesh, dumbbell with a shared bottleneck —
-// with per-edge distance/bandwidth/buffer/loss parameters.
+// graphs — ring, tree, dumbbell with a shared bottleneck, or any graph
+// AddEdge draws — with per-edge distance/bandwidth/buffer/loss
+// parameters.
 //
 // Where internal/fabric models a single impaired point-to-point wire
 // (uplink serialization, i.i.d. loss), netem models the path: every
@@ -19,13 +20,13 @@
 // wall exactly like the fabric does.
 //
 // Edges are dynamic: queues support ECN/RED-style congestion marking
-// (MarkThresholdBytes), and every edge's loss process, bandwidth and
-// distance can be re-pointed mid-run (SetLoss, SetDistance) or
-// driven by a declarative Schedule — timed events,
-// link flaps that fail the queue closed and reroute every registered
-// Path over the surviving edges, and LEO-style distance drift — all
-// executed behind the virtual clock so fault programs are exactly
-// reproducible.
+// (MarkThresholdBytes), and every edge's loss process and distance can
+// be re-pointed mid-run (SetLoss, SetDistance) or driven by a
+// declarative Schedule — timed loss changes, link flaps that fail the
+// queue closed and reroute every registered Path over the surviving
+// edges, and LEO-style distance drift — all executed behind the
+// virtual clock so fault programs are exactly reproducible. An edge's
+// line rate is fixed when it is built.
 package netem
 
 import (

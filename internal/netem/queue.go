@@ -68,8 +68,8 @@ type QueueConfig struct {
 // validate reports configuration errors.
 func (c QueueConfig) validate() error {
 	switch {
-	case c.BandwidthBps <= 0:
-		return fmt.Errorf("netem: queue bandwidth %g <= 0", c.BandwidthBps)
+	case !finite(c.BandwidthBps) || c.BandwidthBps <= 0:
+		return fmt.Errorf("netem: queue bandwidth %g is not finite and > 0", c.BandwidthBps)
 	case c.BufferBytes < 0:
 		return fmt.Errorf("netem: queue buffer %d < 0", c.BufferBytes)
 	case c.Latency < 0:
@@ -101,7 +101,7 @@ func (c QueueConfig) validate() error {
 // fixes each entry's finish instant when it is admitted, so the queue
 // replays the schedule on demand (settle). Before anything reads or
 // changes the queue — a flow admission or departure, setDown,
-// setBandwidth, setLoss, setTelemetry, HighWatermark, a Topology drop
+// setLoss, setTelemetry, HighWatermark, a Topology drop
 // sum, a generator's Start, Stop or Sent — it admits every background
 // arrival and departs every background head-of-line entry that is due,
 // in the order their clock events would have fired. Each replayed
@@ -324,32 +324,6 @@ func (q *Queue) setDown(down bool) {
 	q.unlock()
 }
 
-// setBandwidth changes the line rate. It applies to transmissions
-// started after the call; the head-of-line packet finishes at its
-// already-scheduled departure time. So every entry behind the head
-// gets its finish instant re-derived, and a flow packet behind a
-// background entry has its departure re-armed; the event armed before
-// finds nothing due and does nothing (see depart).
-func (q *Queue) setBandwidth(bps float64) error {
-	if bps <= 0 {
-		return fmt.Errorf("netem: queue bandwidth %g <= 0", bps)
-	}
-	q.lock()
-	defer q.unlock()
-	q.catchUp()
-	q.cfg.BandwidthBps = bps
-	q.txSize = 0
-	for i := 1; i < q.fifo.n; i++ {
-		prev, e := q.fifo.at(i-1), q.fifo.at(i)
-		fin := prev.fin + q.txTime(e.size)
-		if e.pkt != nil && prev.pkt == nil && fin != e.fin {
-			clock.At(q.clk, fin, q.departFn)
-		}
-		e.fin = fin
-	}
-	return nil
-}
-
 // setLatency changes the propagation delay applied to packets leaving
 // the queue after the call — the mechanism behind LEO-style RTT drift.
 func (q *Queue) setLatency(d time.Duration) error {
@@ -506,10 +480,9 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 // the buffer, faces the wire loss process, and (on survival)
 // propagates to its destination. A flow packet directly behind it
 // starts transmitting immediately, on an event chained from this one.
-// An event that finds no flow packet due — one armed before a rate
-// change moved its packet's finish, or whose packet another event
-// already took — does nothing. Only background traffic leaves such
-// events behind, so a queue no generator ever fed takes the head
+// An event that finds no flow packet due — one whose packet another
+// event already took — does nothing. Only background traffic leaves
+// such events behind, so a queue no generator ever fed takes the head
 // without reading the clock, as it always did.
 func (q *Queue) depart() {
 	q.lock()

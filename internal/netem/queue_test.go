@@ -172,6 +172,8 @@ func TestQueueConfigValidation(t *testing.T) {
 	for _, cfg := range []QueueConfig{
 		{BandwidthBps: 0},
 		{BandwidthBps: -1e9},
+		{BandwidthBps: math.NaN()},
+		{BandwidthBps: math.Inf(1)},
 		{BandwidthBps: 1e9, BufferBytes: -1},
 		{BandwidthBps: 1e9, Latency: -time.Second},
 	} {

@@ -46,11 +46,11 @@ func (c EdgeConfig) delay() time.Duration {
 // across the edge funnels through these queues, so finite buffers are
 // contended between tenants.
 //
-// Edges are mutable after build: SetLoss/SetDistance (and a
-// Schedule's bandwidth events) re-parameterize both directions (the
-// dynamic-network fault layer schedules them at virtual times), and
-// SetDown flaps the link, which fails both queues closed and makes
-// route skip the edge.
+// Edges are mutable after build: SetLoss/SetDistance re-parameterize
+// both directions (the dynamic-network fault layer schedules them at
+// virtual times), and SetDown flaps the link, which fails both queues
+// closed and makes route skip the edge. The line rate is fixed at
+// build.
 type Edge struct {
 	// From and To are the node indices the edge connects.
 	From, To int
@@ -83,26 +83,12 @@ func (e *Edge) SetLoss(spec LossSpec) error {
 	return nil
 }
 
-// setBandwidth changes both directions' line rate.
-func (e *Edge) setBandwidth(bps float64) error {
-	if err := e.Fwd.setBandwidth(bps); err != nil {
-		return err
-	}
-	if err := e.Rev.setBandwidth(bps); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.Cfg.BandwidthBps = bps
-	e.mu.Unlock()
-	return nil
-}
-
 // SetDistance moves the edge to km cable kilometers: both directions'
 // propagation delay is re-derived with the §2.1 calibration — the
 // mechanism behind LEO-style RTT drift schedules.
 func (e *Edge) SetDistance(km float64) error {
-	if km < 0 {
-		return fmt.Errorf("netem: edge distance %g km < 0", km)
+	if err := checkDistance(km); err != nil {
+		return err
 	}
 	d := EdgeConfig{DistanceKm: km}.delay()
 	if err := e.Fwd.setLatency(d); err != nil {
@@ -114,6 +100,14 @@ func (e *Edge) SetDistance(km float64) error {
 	e.mu.Lock()
 	e.Cfg.DistanceKm = km
 	e.mu.Unlock()
+	return nil
+}
+
+// checkDistance rejects a cable distance that is not finite and >= 0.
+func checkDistance(km float64) error {
+	if !finite(km) || km < 0 {
+		return fmt.Errorf("netem: edge distance %g km is not finite and >= 0", km)
+	}
 	return nil
 }
 
@@ -221,6 +215,9 @@ func (t *Topology) AddEdge(from, to int, cfg EdgeConfig) (*Edge, error) {
 	}
 	if from == to {
 		return nil, fmt.Errorf("netem: self-edge on node %d", from)
+	}
+	if err := checkDistance(cfg.DistanceKm); err != nil {
+		return nil, err
 	}
 	idx := len(t.edges)
 	build := func(dirSeed int64) (*Queue, error) {
@@ -457,16 +454,6 @@ func chain(hops []hop, dst nicsim.Deliverer) nicsim.Deliverer {
 		d = hops[i].queue().Port(d)
 	}
 	return d
-}
-
-// reverseHops returns the return path of a route: same edges, opposite
-// order and direction.
-func reverseHops(hops []hop) []hop {
-	rev := make([]hop, len(hops))
-	for i, h := range hops {
-		rev[len(hops)-1-i] = hop{Edge: h.Edge, Forward: !h.Forward}
-	}
-	return rev
 }
 
 // flowPool returns (building on first use) the deployment pool for one

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -134,6 +135,42 @@ func TestTopologyValidation(t *testing.T) {
 	}
 	if _, err := topo.route(a, a); err == nil {
 		t.Fatal("self-route accepted")
+	}
+}
+
+// Edge rates and distances must be finite: a NaN passes a bare `<= 0`
+// or `< 0` check, and time.Duration(NaN) is implementation-defined in
+// Go. (Queue rates: TestQueueConfigValidation.)
+func TestFiniteRatesAndDistances(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	topo := New("finite", clock.NewVirtual(), 1)
+	a, b := topo.AddNode("a"), topo.AddNode("b")
+	edge, err := topo.AddEdge(a, b, testEdge())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"edge bandwidth NaN", func() error { _, err := topo.AddEdge(a, b, EdgeConfig{BandwidthBps: nan}); return err }()},
+		{"edge bandwidth +Inf", func() error { _, err := topo.AddEdge(a, b, EdgeConfig{BandwidthBps: inf}); return err }()},
+		{"edge distance NaN", func() error { _, err := topo.AddEdge(a, b, EdgeConfig{DistanceKm: nan, BandwidthBps: 1e9}); return err }()},
+		{"edge distance +Inf", func() error { _, err := topo.AddEdge(a, b, EdgeConfig{DistanceKm: inf, BandwidthBps: 1e9}); return err }()},
+		{"edge distance -1", func() error { _, err := topo.AddEdge(a, b, EdgeConfig{DistanceKm: -1, BandwidthBps: 1e9}); return err }()},
+		{"SetDistance NaN", edge.SetDistance(nan)},
+		{"SetDistance +Inf", edge.SetDistance(inf)},
+		{"SetDistance -1", edge.SetDistance(-1)},
+	} {
+		if c.err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	if n := len(topo.Edges()); n != 1 {
+		t.Errorf("%d edges after the refused builds, want 1", n)
+	}
+	if got := edge.distanceKm(); got != testEdge().DistanceKm {
+		t.Errorf("distance %g km after refused moves, want %g", got, testEdge().DistanceKm)
 	}
 }
 

@@ -70,10 +70,13 @@ type TrafficGen struct {
 
 // NewTrafficGen builds a generator feeding port's queue; the port's
 // destination is never called. Start begins emission; the first packet
-// arrives one inter-arrival gap after Start, not immediately.
+// arrives one inter-arrival gap after Start, not immediately. A load
+// whose mean gap is under a nanosecond is refused: the gap would
+// truncate to zero, and the queue would replay arrivals at one instant
+// forever.
 func NewTrafficGen(cfg TrafficConfig, port *Port) (*TrafficGen, error) {
-	if cfg.Bps <= 0 {
-		return nil, fmt.Errorf("netem: traffic Bps must be positive, got %v", cfg.Bps)
+	if !finite(cfg.Bps) || cfg.Bps <= 0 {
+		return nil, fmt.Errorf("netem: traffic Bps must be finite and positive, got %v", cfg.Bps)
 	}
 	if cfg.PacketBytes == 0 {
 		cfg.PacketBytes = 1024
@@ -88,12 +91,11 @@ func NewTrafficGen(cfg TrafficConfig, port *Port) (*TrafficGen, error) {
 		return nil, fmt.Errorf("netem: traffic generator clock is not its queue's")
 	}
 	size := cfg.PacketBytes + nicsim.HeaderBytes
-	return &TrafficGen{
-		cfg:  cfg,
-		q:    port.q,
-		size: size,
-		mean: time.Duration(float64(size) * 8 / cfg.Bps * float64(time.Second)),
-	}, nil
+	mean := time.Duration(float64(size) * 8 / cfg.Bps * float64(time.Second))
+	if mean < time.Nanosecond {
+		return nil, fmt.Errorf("netem: traffic Bps %v puts %d-byte packets under 1 ns apart", cfg.Bps, size)
+	}
+	return &TrafficGen{cfg: cfg, q: port.q, size: size, mean: mean}, nil
 }
 
 // Start begins emission: the first arrival falls one gap after now.

@@ -35,6 +35,26 @@ func TestSleepingJoinDefersCrossTraffic(t *testing.T) {
 	}
 }
 
+// A load whose mean gap truncates to 0 ns, and a non-finite one, are
+// refused: the queue would replay arrivals at one instant forever.
+func TestTrafficGenRejectsUnpaceableLoad(t *testing.T) {
+	q, err := NewQueue(QueueConfig{BandwidthBps: 100e9, Clock: clock.NewVirtual()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, poisson := range []bool{false, true} {
+		for _, bps := range []float64{1e14, math.NaN(), math.Inf(1)} {
+			if _, err := NewTrafficGen(TrafficConfig{Bps: bps, PacketBytes: 4096, Poisson: poisson}, q.Port(nil)); err == nil {
+				t.Errorf("Bps %v (Poisson %v) accepted", bps, poisson)
+			}
+		}
+	}
+	// 1e12 bit/s still leaves 4160-byte packets 33 ns apart.
+	if _, err := NewTrafficGen(TrafficConfig{Bps: 1e12, PacketBytes: 4096}, q.Port(nil)); err != nil {
+		t.Errorf("Bps 1e12 refused: %v", err)
+	}
+}
+
 // countSink is a terminal Deliverer safe for a real clock's timer
 // goroutines.
 type countSink struct{ n atomic.Int64 }

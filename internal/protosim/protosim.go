@@ -30,7 +30,7 @@
 //   - EC recoverability is tracked incrementally: per-submessage
 //     missing-data and delivered-parity counters plus a global
 //     remaining-unrecoverable count replace the former all-submessage
-//     rescan (and per-call group-loss allocation) on every delivery.
+//     rescan on every delivery.
 //   - Dead timers (per-chunk RTO backstops disarmed by ACKs or by a
 //     submessage becoming recoverable, GBN's window timer at
 //     completion) are cancelled in O(1) instead of draining through
@@ -61,50 +61,28 @@ import (
 type Config struct {
 	// Ch supplies bandwidth, RTT and the per-chunk drop probability.
 	Ch wan.Params
-	// Scheme is "sr", "sr-nack", "gbn" or "ec".
+	// Scheme is "sr", "sr-nack", "gbn" or "ec" (the MDS EC(ecK, ecM)
+	// code with an SR fallback).
 	Scheme string
-	// RTOFactor sets RTO = RTOFactor·RTT (default 3; sr-nack uses the
-	// NACK path for recovery and keeps RTO as a backstop).
-	RTOFactor float64
 	// AckLossProb drops acknowledgments (and NACKs) independently —
 	// the control path rides the same lossy channel (§4.1).
 	AckLossProb float64
-	// K, M and Code configure the erasure code for "ec"
-	// (default 32, 8, "mds").
-	K, M int
-	Code string
-	// Beta is the EC fallback-timeout slack (§4.2.3; default 1).
-	Beta float64
-	// MaxEvents bounds the engine events one sample may fire. A
-	// divergent configuration — e.g. Go-Back-N whose window timer
-	// expires before a chunk can even serialize, resending forever —
-	// would otherwise loop in virtual time without ever draining the
-	// queue; the budget turns that into errEventBudget. Zero derives a
-	// generous default from the chunk count (far above what any
-	// converging run uses).
-	MaxEvents int64
 }
+
+// The protocol constants every simulation shares: RTO = rtoFactor·RTT
+// (sr-nack uses the NACK path for recovery and keeps the RTO as a
+// backstop), and "ec" runs the paper's MDS EC(32, 8) (§5.2.1), whose
+// receiver recovers a submessage once any k of its k+m chunks arrive.
+const (
+	rtoFactor = 3
+	ecK, ecM  = 32, 8
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	c.Ch = c.Ch.WithDefaults()
 	if c.Scheme == "" {
 		c.Scheme = "sr"
-	}
-	if c.RTOFactor == 0 {
-		c.RTOFactor = 3
-	}
-	if c.K == 0 {
-		c.K = 32
-	}
-	if c.M == 0 {
-		c.M = 8
-	}
-	if c.Code == "" {
-		c.Code = "mds"
-	}
-	if c.Beta == 0 {
-		c.Beta = 1
 	}
 	return c
 }
@@ -114,18 +92,17 @@ func (c Config) withDefaults() Config {
 // that would otherwise simulate forever.
 var errEventBudget = errors.New("protosim: event budget exhausted")
 
-// eventBudget returns the effective per-sample event cap.
-func eventBudget(cfg Config, nchunks int) int64 {
-	if cfg.MaxEvents > 0 {
-		return cfg.MaxEvents
-	}
-	// ~5 events per chunk per delivery round, and heavy-loss GBN can
-	// resend its window per drop: 10k·chunks (plus slack for tiny
-	// messages) is orders of magnitude above any converging campaign.
-	return 100_000 + 10_000*int64(nchunks)
-}
+// eventBudget bounds the engine events one sample of nchunks chunks may
+// fire. A divergent configuration — e.g. Go-Back-N whose window timer
+// expires before a chunk can even serialize, resending forever — would
+// otherwise loop in virtual time without ever draining the queue; the
+// budget turns that into errEventBudget. ~5 events per chunk per
+// delivery round, and heavy-loss GBN can resend its window per drop:
+// 10k·chunks (plus slack for tiny messages) is orders of magnitude
+// above any converging campaign.
+func eventBudget(nchunks int) int64 { return 100_000 + 10_000*int64(nchunks) }
 
-// validate rejects unknown schemes/codes and configurations known to
+// validate rejects unknown schemes and configurations known to
 // diverge. cfg must already have defaults applied.
 func validate(cfg Config) error {
 	switch cfg.Scheme {
@@ -135,15 +112,12 @@ func validate(cfg Config) error {
 		// window timer expires before a chunk finishes serializing, the
 		// sender restarts the window forever and never completes. Catch
 		// it at config time instead of burning the event budget.
-		if rto := cfg.RTOFactor * cfg.Ch.RTT(); rto <= cfg.Ch.ChunkInjectionTime() {
+		if rto := rtoFactor * cfg.Ch.RTT(); rto <= cfg.Ch.ChunkInjectionTime() {
 			return fmt.Errorf(
-				"protosim: gbn diverges: RTO %.3gs (RTOFactor %g · RTT %.3gs) ≤ chunk injection time %.3gs — raise RTOFactor, shrink chunks or widen the link",
-				rto, cfg.RTOFactor, cfg.Ch.RTT(), cfg.Ch.ChunkInjectionTime())
+				"protosim: gbn diverges: RTO %.3gs (%d · RTT %.3gs) ≤ chunk injection time %.3gs — shrink chunks or widen the link",
+				rto, rtoFactor, cfg.Ch.RTT(), cfg.Ch.ChunkInjectionTime())
 		}
 	case "ec":
-		if cfg.Code != "mds" && cfg.Code != "xor" {
-			return fmt.Errorf("protosim: unknown code %q", cfg.Code)
-		}
 	default:
 		return fmt.Errorf("protosim: unknown scheme %q", cfg.Scheme)
 	}
@@ -371,7 +345,7 @@ func (s *srSim) run(eng *simnet.Engine, cfg Config, rng *rand.Rand, nchunks int,
 	s.eng, s.rng, s.nack, s.nchunks = eng, rng, nack, nchunks
 	s.link = link{eng: eng, tinj: cfg.Ch.ChunkInjectionTime()}
 	s.half = cfg.Ch.RTT() / 2
-	s.rto = cfg.RTOFactor * cfg.Ch.RTT()
+	s.rto = rtoFactor * cfg.Ch.RTT()
 	s.pdrop = cfg.Ch.PDrop
 	s.ackLoss = cfg.AckLossProb
 	s.delivered = reuseBitmap(s.delivered, nchunks)
@@ -393,7 +367,7 @@ func (s *srSim) run(eng *simnet.Engine, cfg Config, rng *rand.Rand, nchunks int,
 	if nack {
 		scheme = "sr-nack"
 	}
-	if err := drive(eng, &s.done, eventBudget(cfg, nchunks), scheme); err != nil {
+	if err := drive(eng, &s.done, eventBudget(nchunks), scheme); err != nil {
 		return 0, err
 	}
 	if !s.done {
@@ -533,7 +507,7 @@ func (s *gbnSim) run(eng *simnet.Engine, cfg Config, rng *rand.Rand, nchunks int
 	s.eng, s.rng, s.nchunks = eng, rng, nchunks
 	s.link = link{eng: eng, tinj: cfg.Ch.ChunkInjectionTime()}
 	s.half = cfg.Ch.RTT() / 2
-	s.rto = cfg.RTOFactor * cfg.Ch.RTT()
+	s.rto = rtoFactor * cfg.Ch.RTT()
 	s.pdrop = cfg.Ch.PDrop
 	s.ackLoss = cfg.AckLossProb
 	s.expected, s.base, s.sent = 0, 0, 0
@@ -546,7 +520,7 @@ func (s *gbnSim) run(eng *simnet.Engine, cfg Config, rng *rand.Rand, nchunks int
 	eng.SetHandler(s)
 	s.pump()
 	s.armTimer()
-	if err := drive(eng, &s.done, eventBudget(cfg, nchunks), "gbn"); err != nil {
+	if err := drive(eng, &s.done, eventBudget(nchunks), "gbn"); err != nil {
 		return 0, err
 	}
 	if !s.done {
@@ -632,11 +606,10 @@ const (
 // per-data-chunk SR backstop as fallback.
 //
 // Recoverability is tracked incrementally in O(1) per delivery:
-// missing[sub] and parityOK[sub] counters (plus per-modulo-group loss
-// counters for the XOR code) feed a monotone recovered[sub] flag and a
-// global remaining-unrecoverable-submessage count, replacing the
-// former scan of every submessage — with a fresh group-loss allocation
-// per call — on every delivery.
+// missing[sub] and parityOK[sub] counters feed a monotone
+// recovered[sub] flag and a global remaining-unrecoverable-submessage
+// count, replacing the former scan of every submessage on every
+// delivery.
 type ecSim struct {
 	eng  *simnet.Engine
 	rng  *rand.Rand
@@ -645,16 +618,11 @@ type ecSim struct {
 	half, rto      float64
 	pdrop, ackLoss float64
 
-	nchunks, k, m int
-	nsubs         int
-	mds           bool
+	nchunks, nsubs int
 
 	dataOK    *bitmap.Bitmap // delivered data chunks, global index
 	parityOK  []int32        // delivered parity count per submessage
 	missing   []int32        // missing data chunks per submessage
-	groupLoss []int32        // XOR: per (sub, j mod m) missing count
-	need      []int32        // XOR: groups with exactly one loss
-	over2     []int32        // XOR: groups with ≥2 losses (unrecoverable)
 	recovered []bool
 	unrecov   int // submessages not yet recoverable
 	rtoTimer  []simnet.Timer
@@ -666,9 +634,9 @@ type ecSim struct {
 // realChunks returns the number of data chunks in submessage sub (the
 // last submessage may be short).
 func (s *ecSim) realChunks(sub int) int {
-	real := s.nchunks - sub*s.k
-	if real > s.k {
-		real = s.k
+	real := s.nchunks - sub*ecK
+	if real > ecK {
+		real = ecK
 	}
 	return real
 }
@@ -677,52 +645,31 @@ func (s *ecSim) run(eng *simnet.Engine, cfg Config, rng *rand.Rand, nchunks int)
 	s.eng, s.rng, s.nchunks = eng, rng, nchunks
 	s.link = link{eng: eng, tinj: cfg.Ch.ChunkInjectionTime()}
 	s.half = cfg.Ch.RTT() / 2
-	s.rto = cfg.RTOFactor * cfg.Ch.RTT()
+	s.rto = rtoFactor * cfg.Ch.RTT()
 	s.pdrop = cfg.Ch.PDrop
 	s.ackLoss = cfg.AckLossProb
-	s.k, s.m = cfg.K, cfg.M
-	s.mds = cfg.Code == "mds"
-	s.nsubs = (nchunks + s.k - 1) / s.k
+	s.nsubs = (nchunks + ecK - 1) / ecK
 	s.dataOK = reuseBitmap(s.dataOK, nchunks)
 	s.parityOK = reuse(s.parityOK, s.nsubs)
 	s.missing = reuse(s.missing, s.nsubs)
 	s.recovered = reuse(s.recovered, s.nsubs)
 	s.rtoTimer = reuse(s.rtoTimer, nchunks)
 	s.unrecov = s.nsubs
-	if !s.mds {
-		s.groupLoss = reuse(s.groupLoss, s.nsubs*s.m)
-		s.need = reuse(s.need, s.nsubs)
-		s.over2 = reuse(s.over2, s.nsubs)
-	}
 	for sub := 0; sub < s.nsubs; sub++ {
-		real := s.realChunks(sub)
-		s.missing[sub] = int32(real)
-		if !s.mds {
-			for j := 0; j < real; j++ {
-				s.groupLoss[sub*s.m+j%s.m]++
-			}
-			for g := 0; g < s.m; g++ {
-				switch gl := s.groupLoss[sub*s.m+g]; {
-				case gl == 1:
-					s.need[sub]++
-				case gl >= 2:
-					s.over2[sub]++
-				}
-			}
-		}
+		s.missing[sub] = int32(s.realChunks(sub))
 	}
 	s.done, s.doneAt = false, 0
 
 	eng.SetHandler(s)
 	for sub := 0; sub < s.nsubs; sub++ {
 		for j := 0; j < s.realChunks(sub); j++ {
-			s.link.transmit(ecDataTx, int32(sub*s.k+j), 0)
+			s.link.transmit(ecDataTx, int32(sub*ecK+j), 0)
 		}
-		for j := 0; j < s.m; j++ {
+		for j := 0; j < ecM; j++ {
 			s.link.transmit(ecParityTx, int32(sub), 0)
 		}
 	}
-	if err := drive(eng, &s.done, eventBudget(cfg, nchunks), "ec"); err != nil {
+	if err := drive(eng, &s.done, eventBudget(nchunks), "ec"); err != nil {
 		return 0, err
 	}
 	if !s.done {
@@ -747,19 +694,8 @@ func (s *ecSim) HandleEvent(kind, a, b int32) {
 	case ecDataDeliver:
 		if s.dataOK.Set(int(a)) {
 			s.rtoTimer[a].Cancel()
-			sub := int(a) / s.k
+			sub := int(a) / ecK
 			s.missing[sub]--
-			if !s.mds {
-				gl := &s.groupLoss[sub*s.m+(int(a)%s.k)%s.m]
-				*gl--
-				switch *gl {
-				case 0:
-					s.need[sub]--
-				case 1:
-					s.over2[sub]--
-					s.need[sub]++
-				}
-			}
 			s.checkRecovered(sub)
 		}
 	case ecParityTx:
@@ -771,7 +707,7 @@ func (s *ecSim) HandleEvent(kind, a, b int32) {
 		s.parityOK[a]++
 		s.checkRecovered(int(a))
 	case ecRTO:
-		if !s.dataOK.Test(int(a)) && !s.recovered[int(a)/s.k] {
+		if !s.dataOK.Test(int(a)) && !s.recovered[int(a)/ecK] {
 			s.link.transmit(ecDataTx, a, 0)
 		}
 	case ecAckSend:
@@ -783,28 +719,17 @@ func (s *ecSim) HandleEvent(kind, a, b int32) {
 
 // checkRecovered re-evaluates submessage sub after a delivery. All
 // counter transitions are monotone toward recoverability, so the O(1)
-// threshold test here is exact.
-//
-// For the XOR code, group-level recoverability is approximated by the
-// uniform-assignment condition: each parity repairs one loss in its
-// modulo group, so every group must have ≤1 loss and enough parity
-// must have arrived overall.
+// threshold test here is exact: an MDS submessage decodes once its
+// delivered parity covers its missing data.
 func (s *ecSim) checkRecovered(sub int) {
-	if s.recovered[sub] {
-		return
-	}
-	if s.mds {
-		if s.missing[sub] > s.parityOK[sub] {
-			return
-		}
-	} else if s.over2[sub] != 0 || s.parityOK[sub] < s.need[sub] {
+	if s.recovered[sub] || s.missing[sub] > s.parityOK[sub] {
 		return
 	}
 	s.recovered[sub] = true
 	// The submessage's losses decode in place: its outstanding SR
 	// backstops are dead weight — disarm them instead of letting them
 	// drain through the heap.
-	lo, hi := sub*s.k, sub*s.k+s.realChunks(sub)
+	lo, hi := sub*ecK, sub*ecK+s.realChunks(sub)
 	for c := lo; c < hi; c++ {
 		if !s.dataOK.Test(c) {
 			s.rtoTimer[c].Cancel()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sdrrdma/internal/model"
+	"sdrrdma/internal/simnet"
 	"sdrrdma/internal/stats"
 	"sdrrdma/internal/wan"
 )
@@ -174,9 +175,6 @@ func TestUnknownScheme(t *testing.T) {
 	if _, err := simulate(Config{Ch: desChannel(0), Scheme: "bogus"}, rand.New(rand.NewSource(1)), 1<<20); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	if _, err := simulate(Config{Ch: desChannel(0), Scheme: "ec", Code: "bogus"}, rand.New(rand.NewSource(1)), 1<<20); err == nil {
-		t.Fatal("unknown code accepted")
-	}
 }
 
 // GBN with RTO below the chunk serialization time restarts its window
@@ -200,31 +198,39 @@ func TestGBNDivergentRTORejected(t *testing.T) {
 	}
 }
 
+// rearm is a handler that never lets the queue drain: every event
+// schedules the next one.
+type rearm struct{ eng *simnet.Engine }
+
+func (h rearm) HandleEvent(kind, a, b int32) { h.eng.ScheduleAfter(1e-6, kind, a, b) }
+
 // The event budget is the backstop for divergence the sanity check
 // cannot predict: exhausting it must return a diagnosable error, not
 // hang, and must leave the runner reusable.
 func TestEventBudgetExhaustion(t *testing.T) {
-	cfg := Config{Ch: desChannel(1e-3), Scheme: "sr", MaxEvents: 50}
-	rng := rand.New(rand.NewSource(1))
-	_, err := simulate(cfg, rng, 128<<20)
-	if !errors.Is(err, errEventBudget) {
-		t.Fatalf("err = %v, want ErrEventBudget", err)
-	}
-	// Sample: the budget error must surface, not hang the campaign.
-	if _, err := Sample(cfg, 128<<20, 4, 1); !errors.Is(err, errEventBudget) {
-		t.Fatalf("Sample err = %v, want ErrEventBudget", err)
-	}
-	// A runner that hit the budget must still be able to run a
-	// well-budgeted sample afterwards (engine Reset on the error path).
+	// drive stops a queue that never drains at its budget and resets
+	// the engine, so the runner can run a sample afterwards.
 	r := newRunner()
-	if _, err := r.simulate(cfg.withDefaults(), rng, 128<<20); !errors.Is(err, errEventBudget) {
-		t.Fatalf("first run err = %v, want ErrEventBudget", err)
+	r.eng.SetHandler(rearm{r.eng})
+	r.eng.ScheduleAfter(0, 0, 0, 0)
+	var done bool
+	if err := drive(r.eng, &done, 50, "sr"); !errors.Is(err, errEventBudget) {
+		t.Fatalf("drive err = %v, want errEventBudget", err)
 	}
-	ok := cfg
-	ok.MaxEvents = 0
-	v, err := r.simulate(ok.withDefaults(), rng, 1<<20)
+	if n := r.eng.Pending(); n != 0 {
+		t.Fatalf("%d events still queued after the budget error", n)
+	}
+	cfg := Config{Ch: desChannel(1e-3), Scheme: "sr"}.withDefaults()
+	v, err := r.simulate(cfg, rand.New(rand.NewSource(1)), 1<<20)
 	if err != nil || math.IsInf(v, 1) {
 		t.Fatalf("runner unusable after budget hit: v=%g err=%v", v, err)
+	}
+	// Sample: a chunk that is all but certain to be lost on every
+	// transmission resends until the derived budget runs out, and the
+	// campaign reports the error instead of hanging.
+	lost := Config{Ch: desChannel(1 - 1e-9), Scheme: "sr"}
+	if _, err := Sample(lost, 1, 4, 1); !errors.Is(err, errEventBudget) {
+		t.Fatalf("Sample err = %v, want errEventBudget", err)
 	}
 }
 

@@ -41,24 +41,19 @@ func TestRunnerReuseMatchesFreshSimulate(t *testing.T) {
 	const size = 16 << 20
 	const n = 16
 	for _, scheme := range []string{"sr", "sr-nack", "gbn", "ec"} {
-		for _, code := range []string{"mds", "xor"} {
-			if scheme != "ec" && code == "xor" {
-				continue
-			}
-			cfg := Config{Ch: desChannel(1e-2), Scheme: scheme, Code: code, AckLossProb: 0.02}
-			got, err := Sample(cfg, size, n, 7)
+		cfg := Config{Ch: desChannel(1e-2), Scheme: scheme, AckLossProb: 0.02}
+		got, err := Sample(cfg, size, n, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			want, err := simulate(cfg, rand.New(rand.NewSource(sampleSeed(7, i))), size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				want, err := simulate(cfg, rand.New(rand.NewSource(sampleSeed(7, i))), size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[i] != want {
-					t.Fatalf("%s/%s sample %d: reused runner %g != fresh simulator %g",
-						scheme, code, i, got[i], want)
-				}
+			if got[i] != want {
+				t.Fatalf("%s sample %d: reused runner %g != fresh simulator %g",
+					scheme, i, got[i], want)
 			}
 		}
 	}
@@ -67,7 +62,7 @@ func TestRunnerReuseMatchesFreshSimulate(t *testing.T) {
 // Calling Sample twice with one seed must reproduce exactly (the
 // engine slab, bitmaps and pools are recycled in between).
 func TestSampleRepeatable(t *testing.T) {
-	cfg := Config{Ch: desChannel(1e-3), Scheme: "ec", Code: "xor"}
+	cfg := Config{Ch: desChannel(1e-3), Scheme: "ec"}
 	a, err := Sample(cfg, 32<<20, 40, 9)
 	if err != nil {
 		t.Fatal(err)

@@ -386,12 +386,6 @@ func (e *Engine) fire(idx int32, src int) {
 	}
 }
 
-// run drains the event queue completely.
-func (e *Engine) run() {
-	for e.Step() {
-	}
-}
-
 // Pending returns the number of live scheduled events. O(1): cancelled
 // events are discounted at cancel time.
 func (e *Engine) Pending() int { return e.live }

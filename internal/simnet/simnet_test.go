@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// run drains the event queue completely.
+func (e *Engine) run() {
+	for e.Step() {
+	}
+}
+
 func TestOrderingAndClock(t *testing.T) {
 	e := New()
 	var order []int

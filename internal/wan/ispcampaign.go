@@ -5,13 +5,14 @@ import (
 	"math/rand"
 )
 
-// ISPCampaign reproduces the Figure 2 measurement methodology: iperf3
-// UDP flows between two datacenter sites over a public-ISP optical
-// link, 200 trials of 15 seconds per payload size, collected over
-// days. The paper observed (a) up to three orders of magnitude spread
-// in drop rate across trials at fixed payload size and (b) drop rates
-// growing with payload size — both attributed to switch-buffer
-// congestion on the ISP side.
+// RunISPCampaign reproduces the Figure 2 measurement methodology:
+// iperf3 UDP flows between two datacenter sites over a public-ISP
+// optical link, trials trials of 15 seconds per payload size, collected
+// over days. It returns the per-size drop-rate samples. The paper
+// observed (a) up to three orders of magnitude spread in drop rate
+// across trials at fixed payload size and (b) drop rates growing with
+// payload size — both attributed to switch-buffer congestion on the ISP
+// side.
 //
 // Substitution (no ISP link available): each trial samples a
 // congestion level from a heavy-tailed log-normal process — the
@@ -22,37 +23,39 @@ import (
 // back-to-back frame trains are clipped together by shallow ISP
 // buffers. The calibration below reproduces Fig 2's envelope:
 // 1 KiB ∈ [1e-4, 1e-2], 8 KiB ∈ [1e-3, >1e-1].
-type ISPCampaign struct {
-	// FrameMTUBytes is the on-wire Ethernet MTU (1500 default).
-	FrameMTUBytes int
-	// MedianFrameLoss is the median per-frame drop probability across
-	// trials (congestion level 1).
-	MedianFrameLoss float64
-	// SigmaLog is the log-stddev of the per-trial congestion level;
-	// 1.15 gives the paper's ±2-orders-of-magnitude trial spread.
-	SigmaLog float64
-	// BurstExponent captures the extra penalty of longer frame trains:
-	// effective per-frame loss = level·median·frames^BurstExponent.
-	BurstExponent float64
-	// PacketsPerTrial is the number of UDP payloads per 15 s trial.
-	PacketsPerTrial int
+func RunISPCampaign(rng *rand.Rand, payloadSizes []int, trials int) map[int][]float64 {
+	out := make(map[int][]float64, len(payloadSizes))
+	for _, sz := range payloadSizes {
+		samples := make([]float64, trials)
+		for i := range samples {
+			samples[i] = runTrial(rng, sz)
+		}
+		out[sz] = samples
+	}
+	return out
 }
 
-// DefaultISPCampaign returns the calibration used for Fig 2.
-func DefaultISPCampaign() ISPCampaign {
-	return ISPCampaign{
-		FrameMTUBytes:   1500,
-		MedianFrameLoss: 7e-4,
-		SigmaLog:        1.15,
-		BurstExponent:   0.45,
-		PacketsPerTrial: 100000,
-	}
-}
+// The Fig 2 calibration.
+const (
+	// frameMTUBytes is the on-wire Ethernet MTU.
+	frameMTUBytes = 1500
+	// medianFrameLoss is the median per-frame drop probability across
+	// trials (congestion level 1).
+	medianFrameLoss = 7e-4
+	// sigmaLog is the log-stddev of the per-trial congestion level;
+	// 1.15 gives the paper's ±2-orders-of-magnitude trial spread.
+	sigmaLog = 1.15
+	// burstExponent captures the extra penalty of longer frame trains:
+	// effective per-frame loss = level·median·frames^burstExponent.
+	burstExponent = 0.45
+	// packetsPerTrial is the number of UDP payloads per 15 s trial.
+	packetsPerTrial = 100000
+)
 
 // framesPerPayload returns the number of Ethernet frames a UDP payload
 // of the given size occupies.
-func (c ISPCampaign) framesPerPayload(payloadBytes int) int {
-	f := (payloadBytes + c.FrameMTUBytes - 1) / c.FrameMTUBytes
+func framesPerPayload(payloadBytes int) int {
+	f := (payloadBytes + frameMTUBytes - 1) / frameMTUBytes
 	if f < 1 {
 		f = 1
 	}
@@ -61,10 +64,10 @@ func (c ISPCampaign) framesPerPayload(payloadBytes int) int {
 
 // trialDropProb samples one trial's payload drop probability for the
 // given payload size.
-func (c ISPCampaign) trialDropProb(rng *rand.Rand, payloadBytes int) float64 {
-	level := math.Exp(rng.NormFloat64() * c.SigmaLog) // log-normal, median 1
-	frames := float64(c.framesPerPayload(payloadBytes))
-	pFrame := c.MedianFrameLoss * level * math.Pow(frames, c.BurstExponent)
+func trialDropProb(rng *rand.Rand, payloadBytes int) float64 {
+	level := math.Exp(rng.NormFloat64() * sigmaLog) // log-normal, median 1
+	frames := float64(framesPerPayload(payloadBytes))
+	pFrame := medianFrameLoss * level * math.Pow(frames, burstExponent)
 	if pFrame > 1 {
 		pFrame = 1
 	}
@@ -74,14 +77,11 @@ func (c ISPCampaign) trialDropProb(rng *rand.Rand, payloadBytes int) float64 {
 // runTrial simulates one 15-second iperf3 trial and returns the
 // measured drop fraction (with binomial measurement noise, like the
 // real counters).
-func (c ISPCampaign) runTrial(rng *rand.Rand, payloadBytes int) float64 {
-	p := c.trialDropProb(rng, payloadBytes)
+func runTrial(rng *rand.Rand, payloadBytes int) float64 {
+	p := trialDropProb(rng, payloadBytes)
 	// Binomial sampling via normal approximation for large counts,
 	// exact for small ones.
-	n := c.PacketsPerTrial
-	if n <= 0 {
-		n = 100000
-	}
+	n := packetsPerTrial
 	mean := p * float64(n)
 	if mean > 50 && float64(n)-mean > 50 {
 		drops := mean + rng.NormFloat64()*math.Sqrt(mean*(1-p))
@@ -97,18 +97,4 @@ func (c ISPCampaign) runTrial(rng *rand.Rand, payloadBytes int) float64 {
 		}
 	}
 	return float64(drops) / float64(n)
-}
-
-// RunCampaign runs trials trials for each payload size and returns the
-// per-size drop-rate samples.
-func (c ISPCampaign) RunCampaign(rng *rand.Rand, payloadSizes []int, trials int) map[int][]float64 {
-	out := make(map[int][]float64, len(payloadSizes))
-	for _, sz := range payloadSizes {
-		samples := make([]float64, trials)
-		for i := range samples {
-			samples[i] = c.runTrial(rng, sz)
-		}
-		out[sz] = samples
-	}
-	return out
 }

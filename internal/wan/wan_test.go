@@ -135,8 +135,7 @@ func TestGilbertElliottStationaryRateAndBursts(t *testing.T) {
 // over ≥2 orders of magnitude across trials.
 func TestISPCampaignShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := DefaultISPCampaign()
-	res := c.RunCampaign(rng, []int{1024, 2048, 4096, 8192}, 200)
+	res := RunISPCampaign(rng, []int{1024, 2048, 4096, 8192}, 200)
 
 	med := func(sz int) float64 { return stats.PercentileUnsorted(res[sz], 50) }
 	// monotone in payload size
@@ -157,11 +156,10 @@ func TestISPCampaignShape(t *testing.T) {
 }
 
 func TestFramesPerPayload(t *testing.T) {
-	c := DefaultISPCampaign()
 	for _, tc := range []struct{ bytes, want int }{
 		{1, 1}, {1500, 1}, {1501, 2}, {8192, 6}, {0, 1},
 	} {
-		if got := c.framesPerPayload(tc.bytes); got != tc.want {
+		if got := framesPerPayload(tc.bytes); got != tc.want {
 			t.Fatalf("FramesPerPayload(%d) = %d, want %d", tc.bytes, got, tc.want)
 		}
 	}

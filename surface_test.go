@@ -1,7 +1,9 @@
 // The exported-surface census: every exported identifier declared in a
 // non-test file under internal/ must have a product caller in another
 // directory (cmd/, examples/ and benchmark/ count), or sit in the
-// reasoned allow-list below. `make api-unused` prints the full listing.
+// reasoned allow-list below; and every exported struct field that a
+// test writes must be written by a product file too, or sit in the
+// field allow-list. `make api-unused` prints the full listing.
 package sdrrdma_test
 
 import (
@@ -57,6 +59,20 @@ var surfaceAllow = map[string]string{
 
 const surfaceAllowMax = 25
 
+// fieldAllow is the reasoned allow-list of the knob census: exported
+// struct fields that tests write and no product file does, kept anyway.
+// An entry that stops being needed fails the test.
+var fieldAllow = map[string]string{
+	"internal/protosim.Config.AckLossProb": "all three simulators draw rng.Float64() against it even at 0, so deleting it re-records every DES figure; ROADMAP item 14 turns it into a wan.LossModel with the same draws",
+}
+
+// Who writes a field: bit flags over every composite literal (keyed or
+// positional), assignment, op-assignment and inc/dec that targets it.
+const (
+	writeTest    = 1 << iota // a _test.go file
+	writeProduct             // any other file, benchmark/ included
+)
+
 // Reference strength, weakest first. A reference is judged from the
 // referenced identifier's own directory.
 const (
@@ -84,10 +100,11 @@ type surfaceDecl struct {
 	viaSig bool // a type made P only by a P identifier's signature or field
 }
 
-// gated reports whether the census fails on the declaration: funcs,
-// methods on exported types, types, vars and consts are; struct fields
-// (the knob census is a separate job) and interface methods (they must
-// be exported for another package to implement them) are listed only.
+// gated reports whether the census fails on the declaration for want
+// of a product caller: funcs, methods on exported types, types, vars
+// and consts are; struct fields (gated by who writes them instead, see
+// testOnlyWrite) and interface methods (they must be exported for
+// another package to implement them) are not.
 func (d *surfaceDecl) gated() bool { return d.kind != "field" && d.kind != "imethod" }
 
 type surfaceDir struct {
@@ -104,6 +121,9 @@ type surfaceCensus struct {
 	pkgs  map[string]*types.Package         // product variant, by import path
 	refs  map[token.Pos]map[surfaceRef]bool // by declaration position
 	decls []*surfaceDecl
+	// writes holds the writeTest/writeProduct flags of every struct
+	// field written anywhere, by the field's declaration position.
+	writes map[token.Pos]int
 	// Named interfaces declared anywhere in the repo and named types
 	// declared in a product unit, for the implements rule.
 	ifaces, named []*types.Named
@@ -133,7 +153,11 @@ func (c *surfaceCensus) Import(path string) (*types.Package, error) {
 // testsOnly set, uses in the unit's non-test files are skipped: the
 // product variant of the same directory already recorded them.
 func (c *surfaceCensus) check(path string, d *surfaceDir, files []*ast.File, testsOnly bool) *types.Package {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{
 		Importer: c,
 		Error:    func(err error) { c.t.Errorf("type-check %s: %v", path, err) },
@@ -154,6 +178,11 @@ func (c *surfaceCensus) check(path string, d *surfaceDir, files []*ast.File, tes
 		}
 		set[surfaceRef{d.rel, test}] = true
 	}
+	for _, f := range files {
+		if test := c.isTestFile(f.Pos()); test || !testsOnly {
+			c.recordWrites(f, info, test)
+		}
+	}
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -171,6 +200,61 @@ func (c *surfaceCensus) check(path string, d *surfaceDir, files []*ast.File, tes
 		}
 	}
 	return pkg
+}
+
+// recordWrites flags every struct field f writes: the fields a keyed
+// or positional composite literal sets, and a field selected on the
+// left of an assignment, op-assignment or inc/dec.
+func (c *surfaceCensus) recordWrites(f *ast.File, info *types.Info, test bool) {
+	flag := writeProduct
+	if test {
+		flag = writeTest
+	}
+	mark := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			c.writes[v.Pos()] |= flag
+		}
+	}
+	target := func(lhs ast.Expr) {
+		if se, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+			if sel := info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+				mark(sel.Obj())
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						mark(info.Uses[key])
+					}
+				} else if i < st.NumFields() {
+					mark(st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		}
+		return true
+	})
+}
+
+// testOnlyWrite reports whether d is a field that a test writes and no
+// product file does — a knob only tests turn.
+func (c *surfaceCensus) testOnlyWrite(d *surfaceDecl) bool {
+	return d.kind == "field" && c.writes[d.obj.Pos()] == writeTest
 }
 
 func (c *surfaceCensus) isTestFile(pos token.Pos) bool {
@@ -441,18 +525,19 @@ func (c *surfaceCensus) propagateTypes() {
 	}
 }
 
-func TestExportedSurface(t *testing.T) {
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
+// runCensus parses and type-checks the module rooted at root, records
+// every reference and field write, and collects the exported
+// declarations of its internal/ packages, sorted by name. It returns
+// the census and the package directories, sorted.
+func runCensus(t *testing.T, root string) (*surfaceCensus, []string) {
 	fset := token.NewFileSet()
 	c := &surfaceCensus{
 		t: t, root: root, fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		dirs: map[string]*surfaceDir{},
-		pkgs: map[string]*types.Package{},
-		refs: map[token.Pos]map[surfaceRef]bool{},
+		std:    importer.ForCompiler(fset, "source", nil),
+		dirs:   map[string]*surfaceDir{},
+		pkgs:   map[string]*types.Package{},
+		refs:   map[token.Pos]map[surfaceRef]bool{},
+		writes: map[token.Pos]int{},
 	}
 	c.load()
 
@@ -484,15 +569,41 @@ func TestExportedSurface(t *testing.T) {
 	}
 	c.linkInterfaceRefs()
 	c.propagateTypes()
-
 	slices.SortFunc(c.decls, func(a, b *surfaceDecl) int { return strings.Compare(a.name, b.name) })
+	return c, rels
+}
+
+// fieldWriters names the writer class of a field for the listing.
+func (c *surfaceCensus) fieldWriters(d *surfaceDecl) string {
+	switch w := c.writes[d.obj.Pos()]; {
+	case w&writeProduct != 0:
+		return "product"
+	case w != 0:
+		return "tests only"
+	}
+	return "none"
+}
+
+func TestExportedSurface(t *testing.T) {
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, rels := runCensus(t, root)
+
 	byClass := map[string][]string{}
 	perPkg := map[string]int{}
 	used := map[string]bool{}
+	usedField := map[string]bool{}
 	for _, d := range c.decls {
 		cl := c.class(d)
 		label := refNames[cl]
 		switch {
+		case d.kind == "field":
+			label = "field, written by " + c.fieldWriters(d)
+			if _, ok := fieldAllow[d.name]; ok && c.testOnlyWrite(d) {
+				label = "allow-listed: " + label
+			}
 		case !d.gated():
 			label = d.kind + " (listed, not gated): " + label
 		case cl == refP && c.benchmarkOnly(d):
@@ -503,6 +614,16 @@ func TestExportedSurface(t *testing.T) {
 			label = "allow-listed: " + label
 		}
 		byClass[label] = append(byClass[label], fmt.Sprintf("%s (%s)", d.name, d.kind))
+		if c.testOnlyWrite(d) {
+			if reason, ok := fieldAllow[d.name]; ok {
+				usedField[d.name] = true
+				if strings.TrimSpace(reason) == "" {
+					t.Errorf("field allow-list entry %s has no reason", d.name)
+				}
+				continue
+			}
+			t.Errorf("field %s: written by tests and by no product file — a knob no deployment sets", d.name)
+		}
 		if !d.gated() {
 			continue
 		}
@@ -526,6 +647,11 @@ func TestExportedSurface(t *testing.T) {
 			t.Errorf("allow-list entry %s is stale: the identifier is gone or has a product caller", name)
 		}
 	}
+	for name := range fieldAllow {
+		if !usedField[name] {
+			t.Errorf("field allow-list entry %s is stale: the field is gone or a product file writes it", name)
+		}
+	}
 	if len(surfaceAllow) > surfaceAllowMax {
 		t.Errorf("allow-list holds %d entries, at most %d", len(surfaceAllow), surfaceAllowMax)
 	}
@@ -543,5 +669,61 @@ func TestExportedSurface(t *testing.T) {
 			}
 		}
 		t.Logf("exported funcs + methods + types per package (`make api` counts the same, less methods with an unnamed receiver):\n%s%6d total", b.String(), total)
+	}
+}
+
+// The knob census on a synthetic module: of three fields, only the one
+// its test writes and no product code does is flagged — not the one a
+// product constructor sets, nor the atomic counter that both sides
+// change through methods only.
+func TestFieldCensusFlagsTestOnlyWrites(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "internal", "knobs")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		"knobs.go": `package knobs
+
+import "sync/atomic"
+
+type Config struct {
+	TestOnly int
+	Product  int
+	Hits     atomic.Int64
+}
+
+func New() *Config { return &Config{Product: 1} }
+
+func (c *Config) Touch() { c.Hits.Add(1) }
+`,
+		"knobs_test.go": `package knobs
+
+func use() {
+	c := New()
+	c.TestOnly = 2
+	c.Product++
+	c.Hits.Store(3)
+	_ = &Config{TestOnly: 4}
+}
+`,
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, _ := runCensus(t, root)
+	var flagged, fields []string
+	for _, d := range c.decls {
+		if d.kind == "field" {
+			fields = append(fields, d.name+": "+c.fieldWriters(d))
+			if c.testOnlyWrite(d) {
+				flagged = append(flagged, d.name)
+			}
+		}
+	}
+	if want := []string{"internal/knobs.Config.TestOnly"}; !slices.Equal(flagged, want) {
+		t.Errorf("flagged %v, want %v (writers: %v)", flagged, want, fields)
 	}
 }
