@@ -11,11 +11,13 @@ GO ?= go
 # (retransmit DMA vs staging reads is the documented motivating
 # hazard — the lossy coverage runs on the virtual harness).
 # nicsim (the lock-free QP, memory-key and CQ tables) and dpa (the
-# CQ-draining workers) run their own concurrent tests.
+# CQ-draining workers) run their own concurrent tests. telemetry's
+# Recorder takes its own lock for real-clock probes, and every netem
+# queue calls its Sink.
 RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/clock/ ./internal/fabric/ ./internal/core/ ./internal/reliability/ \
 	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/ \
-	./internal/nicsim/ ./internal/dpa/
+	./internal/nicsim/ ./internal/dpa/ ./internal/telemetry/
 
 .PHONY: ci vet build test race bench bench-kernels bench-json bench-par loc api api-unused identity bench-sim smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-golden smoke-examples
 

@@ -69,6 +69,8 @@ func TestPerftestRejectsBadOptions(t *testing.T) {
 	// A finite load too high to pace — its mean packet gap truncates to
 	// 0 ns — is refused when the generator is built, not run forever.
 	check("-cross-bps 1e14", "under 1 ns apart")
+	// Regions × size past the int range is refused, not wrapped.
+	check("-size 4611686018427387904 -msgs 4 -window 4", "overflow the receive buffer")
 	// Every one of these flags has a non-zero default, so a zero can
 	// only be the user's, and it must not silently run the default.
 	for _, name := range []string{"size", "msgs", "window", "mtu", "chunk", "channels", "rtt", "bw", "cross-buffer"} {
@@ -234,6 +236,30 @@ func TestPerftestWindowRotation(t *testing.T) {
 		if res.Msgs != 8 {
 			t.Fatalf("window %d: short run: %+v", w, res)
 		}
+	}
+}
+
+// A window wider than the message count touches only Msgs regions, so
+// it runs exactly as a window of Msgs and allocates for those alone
+// (100 000 regions of 64 KiB would be ≈ 13 GB of staging).
+func TestPerftestWindowBeyondMessages(t *testing.T) {
+	run := func(window int) (Result, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(Options{Scheme: "sr-nack", Size: 64 << 10, Msgs: 2, Window: window, Drop: 0.01, Seed: 3, Verify: true})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("window %d: %v", window, err)
+		}
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	want, _ := run(2)
+	got, alloc := run(100000)
+	if alloc > 64<<20 {
+		t.Errorf("window 100000 allocated %d B", alloc)
+	}
+	if got.Digest != want.Digest || got.SimElapsed != want.SimElapsed || got.DataPktsRecv != want.DataPktsRecv {
+		t.Errorf("window 100000 ran as %+v, window 2 as %+v", got, want)
 	}
 }
 

@@ -159,6 +159,9 @@ func (r Result) String() string {
 // Run executes one perftest measurement.
 func Run(o Options) (Result, error) {
 	o = o.withDefaults()
+	// Message i uses region i%Window, so only the first min(Window, Msgs)
+	// regions are ever touched: size the buffers and scratch from that.
+	regions := min(o.Window, o.Msgs)
 	// withDefaults has replaced every zero; NaN fails every comparison.
 	switch {
 	case !(o.Drop >= 0 && o.Drop < 1):
@@ -167,6 +170,8 @@ func Run(o Options) (Result, error) {
 		return Result{}, fmt.Errorf("perftest: message count %d < 0", o.Msgs)
 	case o.Window < 0:
 		return Result{}, fmt.Errorf("perftest: window %d < 0", o.Window)
+	case o.Size > 0 && regions > math.MaxInt/o.Size:
+		return Result{}, fmt.Errorf("perftest: %d regions of %d B overflow the receive buffer", regions, o.Size)
 	case !(o.BandwidthBps > 0 && o.BandwidthBps < math.Inf(1)):
 		return Result{}, fmt.Errorf("perftest: line rate %g bit/s is not a positive finite rate", o.BandwidthBps)
 	case !(o.CrossBps >= 0 && o.CrossBps < math.Inf(1)):
@@ -192,7 +197,7 @@ func Run(o Options) (Result, error) {
 		// Start the cell before any telemetry attaches: CellStart fixes
 		// the recorder's time origin, which every series created below
 		// inherits.
-		o.Trace.CellStart(0, clock.NowNanos(clk))
+		o.Trace.CellStart(0, clk.NowNanos())
 		if v, ok := clk.(*clock.Virtual); ok {
 			rec.SetActorSource(v.CurrentActorName)
 			v.SetEventLog(rec)
@@ -264,18 +269,18 @@ func Run(o Options) (Result, error) {
 		}
 	}()
 
-	// Send staging: Window distinct pre-filled payloads, message i
-	// sends payload i%Window. Receive staging: one MR of Window·Size,
-	// message i lands at region i%Window. All large buffers come from
+	// Send staging: one pre-filled payload per region, message i sends
+	// payload i%regions. Receive staging: one MR of regions·Size,
+	// message i lands at region i%regions. All large buffers come from
 	// the run-to-run staging pool so back-to-back invocations (the
 	// benchmark loop) don't push GC cycles into the measured window.
-	sendBufs := make([][]byte, o.Window)
+	sendBufs := make([][]byte, regions)
 	for w := range sendBufs {
 		sendBufs[w] = getBuf(o.Size)
 		fillPattern(sendBufs[w], o.Seed, w)
 		defer putBuf(sendBufs[w])
 	}
-	recvBuf := getBuf(o.Window * o.Size)
+	recvBuf := getBuf(regions * o.Size)
 	for i := range recvBuf {
 		recvBuf[i] = 0 // stale pool content must not satisfy verification
 	}
@@ -283,7 +288,7 @@ func Run(o Options) (Result, error) {
 	mr := sess.Pair.B.Ctx.RegMR(recvBuf)
 
 	// The scheme's parity scratch rotates with the receive regions.
-	tr, err := sess.NewTransfer(o.Scheme, reliability.AdaptorConfig{}, o.Size, o.Window)
+	tr, err := sess.NewTransfer(o.Scheme, reliability.AdaptorConfig{}, o.Size, regions)
 	if err != nil {
 		return Result{}, err
 	}
@@ -305,7 +310,7 @@ func Run(o Options) (Result, error) {
 	clock.JoinNamed(clk,
 		clock.NamedFunc{Name: "perftest-send", Fn: func() {
 			for i := 0; i < o.Msgs; i++ {
-				if sendErr = tr.Write(sendBufs[i%o.Window]); sendErr != nil {
+				if sendErr = tr.Write(sendBufs[i%regions]); sendErr != nil {
 					sendErr = fmt.Errorf("msg %d: %w", i, sendErr)
 					return
 				}
@@ -313,7 +318,7 @@ func Run(o Options) (Result, error) {
 		}},
 		clock.NamedFunc{Name: "perftest-recv", Fn: func() {
 			for i := 0; i < o.Msgs; i++ {
-				w := i % o.Window
+				w := i % regions
 				off := uint64(w * o.Size)
 				t0 := clk.Now()
 				if recvErr = tr.Receive(mr, off, o.Size, w); recvErr != nil {
@@ -323,7 +328,7 @@ func Run(o Options) (Result, error) {
 				dur := clk.Since(t0)
 				completions.Add(dur.Nanoseconds())
 				if rec != nil {
-					rec.Event(clock.NowNanos(clk), telemetry.EvTransfer,
+					rec.Event(clk.NowNanos(), telemetry.EvTransfer,
 						transferTrack, int64(o.Size), dur.Nanoseconds(), 0, 0)
 				}
 				if verify {
@@ -342,7 +347,7 @@ func Run(o Options) (Result, error) {
 	simElapsed := clk.Since(startSim)
 	wallElapsed := time.Since(startWall) - verifyWall
 	if rec != nil {
-		o.Trace.CellFinish(0, clock.NowNanos(clk))
+		o.Trace.CellFinish(0, clk.NowNanos())
 	}
 	if gen != nil {
 		gen.Stop()

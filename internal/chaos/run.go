@@ -109,9 +109,9 @@ func installEndpointFaults(clk *clock.Virtual, flow *reliability.Session, p Prog
 		case faultControlDrop, faultControlDup, faultControlCorrupt:
 			sides[f.Edge&1] = append(sides[f.Edge&1], f)
 		case faultCrashRecv:
-			clock.After(clk, f.At, func() { flow.B.Abort(errInjectedCrash) })
+			clk.After(f.At, func() { flow.B.Abort(errInjectedCrash) })
 		case faultKillSession:
-			clock.After(clk, f.At, func() { flow.Abort(errInjectedKill) })
+			clk.After(f.At, func() { flow.Abort(errInjectedKill) })
 		}
 	}
 	for s, faults := range sides {

@@ -4,9 +4,10 @@
 // reliability layers' poll/linger loops — takes a Clock instead, so the
 // same protocol code runs in two modes:
 //
-//   - Real (the default everywhere a Clock is left nil): time.Now,
-//     time.Sleep and time.AfterFunc. Examples, cmd/sdr-perftest and the
-//     throughput experiments behave exactly as before.
+//   - Real (NewReal, and the shared Realtime that every Clock left nil
+//     defaults to): time.Now, time.Sleep and time.AfterFunc. Examples,
+//     cmd/sdr-perftest and the throughput experiments behave exactly as
+//     before.
 //   - Virtual: a discrete-event clock backed by the internal/simnet
 //     engine. Time advances only when every registered actor is
 //     blocked in a clock wait, so a 25 ms-RTT WAN transfer completes in
@@ -24,6 +25,13 @@
 // backends call Notify when a message completes or a control message
 // arrives, which under the virtual clock is what lets completion times
 // be exact rather than quantized to a poll interval.
+//
+// Every capability a layer needs is a method of Clock, and both clocks
+// implement all of them: integer-nanosecond time (NowNanos), handle-less
+// one-shot scheduling (After, At on the Instant timeline) and monotone
+// per-caller event lanes (NewEventLane, RunAfterLane), which a real
+// clock implements with plain timers. So protocol code calls the one
+// interface and keeps no second path for either clock.
 package clock
 
 import (
@@ -42,7 +50,7 @@ type Timer interface {
 
 // Clock is the time source and scheduler abstraction.
 //
-// Real clocks are safe for arbitrary goroutines. On a Virtual clock,
+// A real clock is safe for arbitrary goroutines. On a Virtual clock,
 // the blocking operations (Virtual.Sleep, WaitNotify) must be called
 // from an actor goroutine (see Join); Now, Notify, AfterFunc and Epoch may
 // additionally be called from timer callbacks and, before Join, from the
@@ -55,19 +63,54 @@ type Clock interface {
 	Now() time.Time
 	// Since returns Now().Sub(t).
 	Since(t time.Time) time.Duration
+	// NowNanos returns the current time as integer nanoseconds past the
+	// Unix epoch, without building a time.Time: serializing wires book
+	// wire time with it once per packet, and telemetry probes stamp
+	// events with it, so virtual and real clocks land in one timebase.
+	// A real clock counts its monotonic reading since construction on
+	// top of the wall time it was built at, so NowNanos never runs
+	// backwards there either.
+	NowNanos() int64
 	// AfterFunc schedules fn to run after d. Under the virtual clock
 	// fn executes while all actors are blocked, on the goroutine of the
 	// actor that parked last, so it is serialized with every other
 	// callback and actor — and must not call runtime.Goexit
 	// (t.FailNow): that ends the run with a panic.
 	AfterFunc(d time.Duration, fn func()) Timer
-	// spawn starts fn on this clock: a plain goroutine under Real, a
-	// registered actor under Virtual (Virtual.run returns once every
-	// actor has finished).
+	// After schedules fn to run once after d, with no handle to stop
+	// it. Callers that never Stop or Reset the timer — per-packet
+	// deliveries, queue departures, scripted faults — use it instead of
+	// AfterFunc: on a Virtual clock it is one pooled engine slot and no
+	// Timer object.
+	After(d time.Duration, fn func())
+	// Instant returns the current time in seconds on the clock's
+	// scheduling timeline: a Virtual's engine time, or the time since a
+	// real clock was built. Instant plus d.Seconds() is exactly the
+	// instant After(d, fn) schedules fn at, so a caller can work out a
+	// chain of future event instants, each its predecessor plus a
+	// duration, and schedule any of them later with At, bit for bit
+	// where After would have put it.
+	Instant() float64
+	// At schedules fn to run once at instant at on the clock's timeline
+	// (see Instant); an instant already past runs fn as soon as
+	// possible. Like After it returns no handle, and on a real clock
+	// fn never runs before at.
+	At(at float64, fn func())
+	// NewEventLane allocates a monotone FIFO scheduling lane and
+	// returns its id, for RunAfterLane.
+	NewEventLane() int
+	// RunAfterLane is After through lane ln. A caller whose closures
+	// fire in nondecreasing time order per lane — a wire direction
+	// delivering back-to-back packets — schedules in O(1) ring pushes
+	// on a Virtual clock instead of O(log n) heap sifts, the dominant
+	// engine cost at line rate; a push that would run backwards in time
+	// falls back to the heap, so ordering is exact either way. A real
+	// clock has no lanes: it ignores ln.
+	RunAfterLane(ln int, d time.Duration, fn func())
+	// spawn starts fn on this clock: a plain goroutine on a real
+	// clock, a registered actor under Virtual (Virtual.run returns once
+	// every actor has finished).
 	spawn(fn func())
-	// instant returns the current time in seconds on the clock's
-	// scheduling timeline (see Instant).
-	instant() float64
 	// Epoch snapshots the notification counter. Take the snapshot
 	// BEFORE checking the condition you are about to wait on.
 	Epoch() uint64
@@ -86,17 +129,21 @@ type Clock interface {
 	IsVirtual() bool
 }
 
-// Real implements Clock on the wall clock. The zero value is NOT
-// usable; use NewReal or the shared Realtime instance.
-type Real struct {
+// wall implements Clock on the wall clock; NewReal builds one.
+type wall struct {
 	mu   sync.Mutex
 	gen  uint64
 	ch   chan struct{} // closed and rotated on every Notify
 	base time.Time     // instant zero of the scheduling timeline
+	// baseNs is base in Unix nanoseconds, the origin of NowNanos.
+	baseNs int64
 }
 
-// NewReal returns a wall-clock Clock.
-func NewReal() *Real { return &Real{ch: make(chan struct{}), base: time.Now()} }
+// NewReal returns a wall-clock Clock with its own notification domain.
+func NewReal() Clock {
+	now := time.Now()
+	return &wall{ch: make(chan struct{}), base: now, baseNs: now.UnixNano()}
+}
 
 // realtime is the shared default instance. A single shared instance
 // matters: components of one deployment default independently, and a
@@ -107,7 +154,7 @@ var realtime = NewReal()
 
 // Realtime returns the shared wall-clock Clock that nil Clock fields
 // throughout the stack default to.
-func Realtime() *Real { return realtime }
+func Realtime() Clock { return realtime }
 
 // Or returns c, or the shared real clock when c is nil — the
 // nil-defaulting rule every layer applies.
@@ -118,87 +165,11 @@ func Or(c Clock) Clock {
 	return c
 }
 
-// oneShot is the optional cheap fire-and-forget scheduling interface
-// (implemented by Virtual): schedule fn after d, or at an instant, with
-// no cancellable handle and no Timer allocation.
-type oneShot interface {
-	runAfter(d time.Duration, fn func())
-	runAt(at float64, fn func())
-}
-
-// After schedules fn to run once after d. Callers that never Stop or
-// Reset the timer — per-packet deliveries, queue departures — should
-// prefer this over AfterFunc: on a Virtual clock it is one pooled
-// engine slot (no Timer object per event), on a Real clock it falls
-// back to AfterFunc.
-func After(c Clock, d time.Duration, fn func()) {
-	if o, ok := c.(oneShot); ok {
-		o.runAfter(d, fn)
-		return
-	}
-	c.AfterFunc(d, fn)
-}
-
-// Instant returns c's current time in seconds on its scheduling
-// timeline: a Virtual's engine time, or the time since a Real clock was
-// built. Instant plus d.Seconds() is exactly the instant After(c, d, fn)
-// schedules fn at, so a caller can work out a chain of future event
-// instants, each its predecessor plus a duration, and schedule any of
-// them later with At, bit for bit where After would have put it.
-func Instant(c Clock) float64 { return c.instant() }
-
-// At schedules fn to run once at instant at on c's timeline (see
-// Instant); an instant already past runs fn as soon as possible. Like
-// After it returns no handle: on a Virtual clock it is one pooled
-// engine slot, on a Real clock an AfterFunc that never fires before at.
-func At(c Clock, at float64, fn func()) {
-	if o, ok := c.(oneShot); ok {
-		o.runAt(at, fn)
-		return
-	}
-	c.AfterFunc(time.Duration((at-c.instant())*float64(time.Second))+1, fn)
-}
-
-// NanoClock is the optional integer-time fast path for per-packet
-// bookkeeping (implemented by Virtual): NowNanos returns the current
-// time as nanoseconds past an arbitrary fixed epoch, skipping the
-// wall/monotonic bookkeeping a time.Time construction pays. Serializing
-// wires read the clock once per packet to book transmission time, so
-// at line rate this arithmetic is hot. Real deliberately does not
-// implement it — its time.Time path carries the monotonic reading that
-// integer wall nanoseconds would lose.
-type NanoClock interface {
-	NowNanos() int64
-}
-
-// NowNanos returns c's current time in the integer-nanosecond domain:
-// the NanoClock fast path when c implements it, Now().UnixNano()
-// otherwise. Telemetry probes stamp events through it so virtual and
-// real clocks land in one comparable timebase.
-func NowNanos(c Clock) int64 {
-	if nc, ok := c.(NanoClock); ok {
-		return nc.NowNanos()
-	}
-	return c.Now().UnixNano()
-}
-
-// LaneScheduler is the optional monotone FIFO scheduling interface
-// (implemented by Virtual): a caller whose one-shot closures fire in
-// nondecreasing time order per lane — a wire direction delivering
-// back-to-back packets — allocates a lane once and schedules in O(1)
-// ring pushes instead of O(log n) heap sifts, the dominant engine cost
-// at line rate. Ordering is exact either way: a push that would run
-// backwards in time transparently falls back to the heap.
-type LaneScheduler interface {
-	NewEventLane() int
-	RunAfterLane(lane int, d time.Duration, fn func())
-}
-
 // Now implements Clock.
-func (r *Real) Now() time.Time { return time.Now() }
+func (r *wall) Now() time.Time { return time.Now() }
 
 // Since implements Clock.
-func (r *Real) Since(t time.Time) time.Duration { return time.Since(t) }
+func (r *wall) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // realTimer adapts *time.Timer.
 type realTimer struct{ t *time.Timer }
@@ -207,31 +178,51 @@ func (t realTimer) Stop() bool                 { return t.t.Stop() }
 func (t realTimer) Reset(d time.Duration) bool { return t.t.Reset(d) }
 
 // AfterFunc implements Clock.
-func (r *Real) AfterFunc(d time.Duration, fn func()) Timer {
+func (r *wall) AfterFunc(d time.Duration, fn func()) Timer {
 	return realTimer{time.AfterFunc(d, fn)}
 }
 
 // spawn implements Clock.
-func (r *Real) spawn(fn func()) { go fn() }
+func (r *wall) spawn(fn func()) { go fn() }
 
-// instant implements Clock.
-func (r *Real) instant() float64 { return time.Since(r.base).Seconds() }
+// NowNanos implements Clock: the Unix time at construction plus the
+// monotonic time since.
+func (r *wall) NowNanos() int64 { return r.baseNs + int64(time.Since(r.base)) }
+
+// After implements Clock.
+func (r *wall) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
+
+// Instant implements Clock.
+func (r *wall) Instant() float64 { return time.Since(r.base).Seconds() }
+
+// At implements Clock. The extra nanosecond keeps a rounded-down delay
+// from firing fn before at.
+func (r *wall) At(at float64, fn func()) {
+	time.AfterFunc(time.Duration((at-r.Instant())*float64(time.Second))+1, fn)
+}
+
+// NewEventLane implements Clock. A real clock has no lanes; every id
+// is 0.
+func (r *wall) NewEventLane() int { return 0 }
+
+// RunAfterLane implements Clock: After, ignoring the lane.
+func (r *wall) RunAfterLane(_ int, d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 
 // Epoch implements Clock.
-func (r *Real) Epoch() uint64 {
+func (r *wall) Epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.gen
 }
 
-// wnTimers recycles the bounded-wait timers of Real.WaitNotify. The
+// wnTimers recycles the bounded-wait timers of wall.WaitNotify. The
 // reliability loops take this path on every poll tick, so per-wait
 // timer allocation shows up directly in steady-state allocs/session;
 // pooling keeps the hot wait path allocation-free.
 var wnTimers sync.Pool
 
 // WaitNotify implements Clock.
-func (r *Real) WaitNotify(epoch uint64, d time.Duration) bool {
+func (r *wall) WaitNotify(epoch uint64, d time.Duration) bool {
 	r.mu.Lock()
 	if r.gen != epoch {
 		r.mu.Unlock()
@@ -267,7 +258,7 @@ func (r *Real) WaitNotify(epoch uint64, d time.Duration) bool {
 }
 
 // Notify implements Clock.
-func (r *Real) Notify() {
+func (r *wall) Notify() {
 	r.mu.Lock()
 	r.gen++
 	close(r.ch)
@@ -276,4 +267,4 @@ func (r *Real) Notify() {
 }
 
 // IsVirtual implements Clock.
-func (r *Real) IsVirtual() bool { return false }
+func (r *wall) IsVirtual() bool { return false }

@@ -314,9 +314,9 @@ func TestAtMatchesAfter(t *testing.T) {
 	Join(v, func() {
 		v.Sleep(3 * time.Millisecond)
 		d := 1234567 * time.Nanosecond
-		After(v, d, func() { after = append(after, Instant(v)) })
-		At(v, Instant(v)+d.Seconds(), func() { at = append(at, Instant(v)) })
-		At(v, Instant(v)-1, func() { at = append(at, Instant(v)) })
+		v.After(d, func() { after = append(after, v.Instant()) })
+		v.At(v.Instant()+d.Seconds(), func() { at = append(at, v.Instant()) })
+		v.At(v.Instant()-1, func() { at = append(at, v.Instant()) })
 		v.Sleep(time.Second)
 	})
 	if len(after) != 1 || len(at) != 2 || at[0] != (3*time.Millisecond).Seconds() || at[1] != after[0] {
@@ -327,10 +327,28 @@ func TestAtMatchesAfter(t *testing.T) {
 // On a real clock At never fires before its instant.
 func TestRealAtNotEarly(t *testing.T) {
 	r := NewReal()
-	want := Instant(r) + 0.002
+	want := r.Instant() + 0.002
 	got := make(chan float64, 1)
-	At(r, want, func() { got <- Instant(r) })
+	r.At(want, func() { got <- r.Instant() })
 	if g := <-got; g < want {
 		t.Fatalf("fired at %v, before %v", g, want)
+	}
+}
+
+// A real clock's NowNanos never runs backwards and stays on the Unix
+// timeline.
+func TestRealNowNanos(t *testing.T) {
+	r := NewReal()
+	prev := r.NowNanos()
+	for range 10000 {
+		now := r.NowNanos()
+		if now < prev {
+			t.Fatalf("NowNanos went back from %d to %d", prev, now)
+		}
+		prev = now
+	}
+	time.Sleep(2 * time.Millisecond)
+	if skew := time.Duration(r.NowNanos() - time.Now().UnixNano()); skew.Abs() > 100*time.Millisecond {
+		t.Fatalf("NowNanos is %v off the wall clock", skew)
 	}
 }

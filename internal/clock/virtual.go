@@ -74,7 +74,7 @@ import (
 // So state that only baton holders touch needs no lock of its own, and
 // none is taken:
 //
-//   - the engine: runAfter, runAt, RunAfterLane, AfterFunc and a Timer's
+//   - the engine: After, At, RunAfterLane, AfterFunc and a Timer's
 //     Stop and Reset schedule and cancel without mu, and a drive fires
 //     events back to back without it, re-taking mu only when an event
 //     made an actor runnable (a wake-up, a Notify, a spawn) or the queue
@@ -104,8 +104,9 @@ import (
 // driving, fault, switches, the event log — and with it the calls that
 // are safe from any goroutine while run is active: spawn and
 // spawnNamed, CurrentActorName, SetEventLog, idle. Now, NowNanos,
-// Elapsed and Epoch are atomic reads and safe anywhere. Sleep, WaitNotify and Notify are baton-holder calls that
-// take mu because they hand the baton over or edit the lists above.
+// Instant, Elapsed and Epoch are atomic reads and safe anywhere. Sleep,
+// WaitNotify and Notify are baton-holder calls that take mu because
+// they hand the baton over or edit the lists above.
 //
 // # Reuse
 //
@@ -245,12 +246,9 @@ func (v *Virtual) Now() time.Time {
 	return v.base.Add(time.Duration(v.eng.Now() * float64(time.Second)))
 }
 
-// NowNanos implements clock.NanoClock: the current virtual time as
-// nanoseconds past the Unix epoch, matching Now() exactly (same
-// truncation of the engine's float offset) while skipping time.Time
-// construction — the per-packet serialization booking in the fabric
-// reads the clock once per packet, and at line rate the integer path
-// is measurably cheaper.
+// NowNanos implements Clock: the current virtual time as nanoseconds
+// past the Unix epoch, matching Now() exactly (same truncation of the
+// engine's float offset).
 func (v *Virtual) NowNanos() int64 {
 	return v.base.UnixNano() + int64(v.eng.Now()*float64(time.Second))
 }
@@ -262,9 +260,9 @@ func (v *Virtual) nowLocked() time.Time {
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// instant implements Clock: the engine's time, which After and At
+// Instant implements Clock: the engine's time, which After and At
 // schedule on.
-func (v *Virtual) instant() float64 { return v.eng.Now() }
+func (v *Virtual) Instant() float64 { return v.eng.Now() }
 
 // Elapsed returns the virtual time consumed since construction (or the
 // last Reset).
@@ -616,26 +614,19 @@ func (v *Virtual) removeWaiterLocked(a *actor) {
 	a.waiting = false
 }
 
-// runAfter schedules fn to run once after d, as an engine callback,
-// without a cancellable handle: one pooled engine slot, no
-// Timer allocation. It is the cheap path packet pipelines use for
-// fire-and-forget deliveries (see clock.After).
-func (v *Virtual) runAfter(d time.Duration, fn func()) {
+// After implements Clock: fn runs once after d as an engine callback,
+// in one pooled engine slot with no Timer allocation.
+func (v *Virtual) After(d time.Duration, fn func()) {
 	v.eng.After(max(0, d.Seconds()), fn)
 }
 
-// runAt is runAfter at an absolute engine instant (see clock.At).
-func (v *Virtual) runAt(at float64, fn func()) {
+// At implements Clock: After at an absolute engine instant.
+func (v *Virtual) At(at float64, fn func()) {
 	v.eng.At(max(at, v.eng.Now()), fn)
 }
 
-// NewEventLane allocates a monotone FIFO scheduling lane on the
-// clock's engine and returns its id. Callers whose one-shot closures
-// carry nondecreasing fire times per lane — a wire direction's
-// per-packet deliveries — schedule through RunAfterLane in O(1)
-// instead of sifting the event heap; a push that would run backwards
-// in time falls back to the heap, so ordering is always exact. Lane
-// ids stay valid across Reset.
+// NewEventLane implements Clock: a monotone FIFO lane on the clock's
+// engine. Lane ids stay valid across Reset.
 func (v *Virtual) NewEventLane() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -645,8 +636,8 @@ func (v *Virtual) NewEventLane() int {
 	return ln
 }
 
-// RunAfterLane is runAfter through the monotone FIFO lane ln (see
-// NewEventLane).
+// RunAfterLane implements Clock: After through the monotone FIFO lane
+// ln.
 func (v *Virtual) RunAfterLane(ln int, d time.Duration, fn func()) {
 	v.eng.AfterLane(int32(ln), max(0, d.Seconds()), fn)
 }
@@ -739,8 +730,8 @@ func Join(c Clock, fns ...func()) {
 
 // JoinNamed is Join with per-actor labels: on a Virtual clock each fn
 // becomes a named actor, so an all-blocked panic reports which
-// protocol roles were stuck instead of anonymous actor indices. Real
-// clocks ignore the labels.
+// protocol roles were stuck instead of anonymous actor indices. A real
+// clock ignores the labels.
 func JoinNamed(c Clock, fns ...NamedFunc) {
 	if v, ok := c.(*Virtual); ok {
 		for _, nf := range fns {

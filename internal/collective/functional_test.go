@@ -2,6 +2,7 @@ package collective
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -176,6 +177,33 @@ func TestFunctionalAllreduceVirtualDeterminism(t *testing.T) {
 	third := trace()
 	if first != second || first != third {
 		t.Fatalf("virtual collective diverged:\n%s\n%s\n%s", first, second, third)
+	}
+}
+
+// A link whose session aborts mid-run fails its receiver, and the
+// receiver's gate abort releases its own node's sender, which would
+// otherwise wait forever for a step that never arrives: Allreduce
+// returns the abort instead of stranding the Join in a virtual
+// deadlock. The nodes downstream give up at their GlobalTimeout.
+func TestFunctionalAllreduceAbortedLinkVirtual(t *testing.T) {
+	vc := clock.NewVirtual()
+	const n, vlen = 3, 3 * 1024
+	relCfg := funcRelCfg()
+	relCfg.GlobalTimeout = time.Second
+	ring, err := BuildFunctionalRing(n, funcCoreCfg(vc), relCfg,
+		fabric.Config{Latency: time.Millisecond, Seed: 42, Clock: vc}, time.Millisecond, vlen*8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.Close()
+	inputs := make([][]float64, n)
+	for i := range inputs {
+		inputs[i] = make([]float64, vlen)
+	}
+	vc.After(3*time.Millisecond, func() { ring.Sessions()[1].Abort(nil) })
+	_, err = ring.Allreduce(inputs, "sr")
+	if !errors.Is(err, reliability.ErrAborted) {
+		t.Fatalf("Allreduce with an aborted link returned %v, want ErrAborted", err)
 	}
 }
 

@@ -420,11 +420,11 @@ func runSweep(o Options, n int, cell func(clk clock.Clock, i int)) {
 	if o.RealClock {
 		for i := 0; i < n; i++ {
 			if o.Trace != nil {
-				o.Trace.CellStart(i, clock.NowNanos(clock.Realtime()))
+				o.Trace.CellStart(i, clock.Realtime().NowNanos())
 			}
 			cell(clock.Realtime(), i)
 			if o.Trace != nil {
-				o.Trace.CellFinish(i, clock.NowNanos(clock.Realtime()))
+				o.Trace.CellFinish(i, clock.Realtime().NowNanos())
 			}
 		}
 		return

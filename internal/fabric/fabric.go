@@ -90,12 +90,10 @@ type Direction struct {
 	rng    *rand.Rand
 	seeded bool
 
-	// freeAt is when the serializing wire next becomes idle (only used
-	// when BandwidthBps > 0). freeAtNanos is the same booking kept in
-	// integer nanoseconds on NanoClock clocks. The rng fields, freeAt
-	// and freeAtNanos are guarded by rmu on a real clock and by the
-	// scheduler baton on a virtual one (params.serial).
-	freeAt      time.Time
+	// freeAtNanos is when the serializing wire next becomes idle, in
+	// the clock's NowNanos domain (only used when BandwidthBps > 0).
+	// The rng fields and freeAtNanos are guarded by rmu on a real clock
+	// and by the scheduler baton on a virtual one (params.serial).
 	freeAtNanos int64
 
 	heldMu sync.Mutex
@@ -113,10 +111,9 @@ type Direction struct {
 
 // params is one immutable parameterization of a Direction.
 type params struct {
-	cfg  Config
-	dst  nicsim.Deliverer
-	clk  clock.Clock
-	nano clock.NanoClock // non-nil when clk exposes the integer fast path
+	cfg Config
+	dst nicsim.Deliverer
+	clk clock.Clock
 	// serial: clk is virtual, so every Send runs under the scheduler
 	// baton (see clock.Virtual, "The baton is the lock") and rmu is not
 	// taken.
@@ -124,10 +121,8 @@ type params struct {
 }
 
 func newParams(dst nicsim.Deliverer, cfg Config) *params {
-	p := &params{cfg: cfg, dst: dst, clk: clock.Or(cfg.Clock)}
-	p.nano, _ = p.clk.(clock.NanoClock)
-	p.serial = p.clk.IsVirtual()
-	return p
+	clk := clock.Or(cfg.Clock)
+	return &params{cfg: cfg, dst: dst, clk: clk, serial: clk.IsVirtual()}
 }
 
 // NewDirectionTo builds a direction toward an arbitrary delivery stage
@@ -154,7 +149,6 @@ func (d *Direction) Reconfigure(dst nicsim.Deliverer, cfg Config) {
 		d.params.Store(newParams(dst, cfg))
 	}
 	d.seeded = false
-	d.freeAt = time.Time{}
 	d.freeAtNanos = 0
 	d.rmu.Unlock()
 	d.heldMu.Lock()
@@ -215,7 +209,7 @@ func (d *Direction) transmit(pkt *nicsim.Packet) {
 			// wire time is booked before the loss draw.
 			bits := float64(len(pkt.Payload)+nicsim.HeaderBytes) * 8
 			tx := time.Duration(bits / cfg.BandwidthBps * float64(time.Second))
-			serDelay = d.occupyLocked(p, tx)
+			serDelay = d.occupyLocked(p.clk, tx)
 		}
 		dropped := cfg.DropProb > 0 && d.drawsLocked().Float64() < cfg.DropProb
 		if !p.serial {
@@ -251,40 +245,25 @@ func (d *Direction) drawsLocked() *rand.Rand {
 // occupyLocked books tx of wire time starting when the link is next
 // free and returns the queueing + transmission delay experienced
 // before propagation starts. Caller holds rmu (or the baton).
-func (d *Direction) occupyLocked(p *params, tx time.Duration) time.Duration {
-	if p.nano != nil {
-		// Integer fast path: identical arithmetic at nanosecond
-		// resolution, minus the per-packet time.Time construction.
-		now := p.nano.NowNanos()
-		start := d.freeAtNanos
-		if start < now {
-			start = now
-		}
-		d.freeAtNanos = start + int64(tx)
-		return time.Duration(d.freeAtNanos - now)
-	}
-	now := p.clk.Now()
-	start := d.freeAt
-	if start.Before(now) {
-		start = now
-	}
-	d.freeAt = start.Add(tx)
-	return d.freeAt.Sub(now)
+func (d *Direction) occupyLocked(clk clock.Clock, tx time.Duration) time.Duration {
+	now := clk.NowNanos()
+	d.freeAtNanos = max(d.freeAtNanos, now) + int64(tx)
+	return time.Duration(d.freeAtNanos - now)
 }
 
 // DeliveryPool schedules fire-and-forget clocked packet deliveries
 // through pooled envelopes whose run closures are bound once at
 // allocation: scheduling a delivery allocates neither a closure nor
-// (on a virtual clock, via clock.After) a Timer — per-packet wire
-// latency is pure engine-slot traffic. The zero value is ready to
+// (on a virtual clock, via Clock.RunAfterLane) a Timer — per-packet
+// wire latency is pure engine-slot traffic. The zero value is ready to
 // use; fabric Directions and netem Queues each embed one.
 //
 // The pool has no constructor — its clock arrives with every call — so
-// it decides how to guard its free list from that clock: a
-// LaneScheduler is a virtual clock, where every DeliverAfter and every
-// delivery runs under the scheduler baton (see clock.Virtual, "The
-// baton is the lock") and mu is never taken; on any other clock timer
-// goroutines race the senders and mu guards the list.
+// it decides how to guard its free list from that clock: on a virtual
+// clock every DeliverAfter and every delivery runs under the scheduler
+// baton (see clock.Virtual, "The baton is the lock") and mu is never
+// taken; on a real clock timer goroutines race the senders and mu
+// guards the list.
 type DeliveryPool struct {
 	mu   sync.Mutex
 	free *delivery
@@ -296,8 +275,8 @@ type DeliveryPool struct {
 	// of the event heap; a delivery that would run earlier than the
 	// lane's last one — a direction re-leased with a shorter latency, a
 	// netem queue whose propagation delay drifted down — falls back to
-	// the heap inside the lane push. Virtual clocks only, so
-	// baton-guarded.
+	// the heap inside the lane push. Kept on virtual clocks only, so
+	// baton-guarded; a real clock ignores the lane.
 	lane    int
 	laneClk clock.Clock
 }
@@ -309,17 +288,13 @@ func (p *DeliveryPool) DeliverAfter(clk clock.Clock, delay time.Duration, dst ni
 		dst.Deliver(pkt)
 		return
 	}
-	ls, serial := clk.(clock.LaneScheduler)
+	serial := clk.IsVirtual()
 	env := p.get(dst, pkt, serial)
-	if serial {
-		if p.laneClk != clk {
-			p.lane = ls.NewEventLane()
-			p.laneClk = clk
-		}
-		ls.RunAfterLane(p.lane, delay, env.run)
-		return
+	if serial && p.laneClk != clk {
+		p.lane = clk.NewEventLane()
+		p.laneClk = clk
 	}
-	clock.After(clk, delay, env.run)
+	clk.RunAfterLane(p.lane, delay, env.run)
 }
 
 // delivery is one pooled in-flight envelope.
@@ -499,7 +474,7 @@ func (o *OOB) send(e *oobEnd, msg []byte) {
 		o.drainLocked(e)
 	} else if !e.timerArmed && !e.dispatching {
 		e.timerArmed = true
-		clock.After(o.clk, o.latency, e.pump)
+		o.clk.After(o.latency, e.pump)
 	}
 	o.mu.Unlock()
 }
@@ -550,7 +525,7 @@ func (o *OOB) drainLocked(e *oobEnd) {
 				if delay < time.Nanosecond {
 					delay = time.Nanosecond
 				}
-				clock.After(o.clk, delay, e.pump)
+				o.clk.After(delay, e.pump)
 			}
 			return
 		}

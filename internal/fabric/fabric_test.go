@@ -222,7 +222,7 @@ func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 				return Duplicate
 			case p.Imm%100 == 7:
 				// 7 ms late: the packets sent in the next 2 ms overtake it.
-				clock.After(vc, 12*time.Millisecond, func() { released += dir.ReleaseHeld() })
+				vc.After(12*time.Millisecond, func() { released += dir.ReleaseHeld() })
 				return Hold
 			}
 			return Pass
@@ -309,6 +309,39 @@ func TestBandwidthSerializationVirtual(t *testing.T) {
 	want := []string{"18ms:0", "26ms:1"}
 	if fmt.Sprint(ts.rows) != fmt.Sprint(want) {
 		t.Fatalf("trace = %v, want %v", ts.rows, want)
+	}
+}
+
+// arrivalRecorder is a terminal Deliverer that reports each packet's
+// PSN and wall arrival time.
+type arrivalRecorder chan [2]int64
+
+func (r arrivalRecorder) Deliver(p *nicsim.Packet) {
+	r <- [2]int64{int64(p.PSN), time.Now().UnixNano()}
+	nicsim.ReleasePacket(p)
+}
+
+// On a real clock the wire books time through the same NowNanos path:
+// packet k of N back-to-back sends is delivered no earlier than the
+// propagation delay plus k transmission times after the first send.
+func TestBandwidthSerializationReal(t *testing.T) {
+	const n = 6
+	const latency = time.Millisecond
+	// 1000 B frames at 4 Mbit/s: 2 ms of wire time each.
+	const tx = 2 * time.Millisecond
+	got := make(arrivalRecorder, n)
+	dir := NewDirectionTo(got, Config{Latency: latency, BandwidthBps: 4e6, Clock: clock.NewReal()})
+	payload := make([]byte, 1000-nicsim.HeaderBytes)
+	start := time.Now().UnixNano()
+	for k := 1; k <= n; k++ {
+		dir.Send(&nicsim.Packet{Opcode: nicsim.OpSend, PSN: uint32(k), First: true, Last: true, Payload: payload})
+	}
+	for range n {
+		a := <-got
+		k, at := a[0], time.Duration(a[1]-start)
+		if want := latency + time.Duration(k)*tx; at < want {
+			t.Errorf("packet %d delivered %v after the first send, want >= %v", k, at, want)
+		}
 	}
 }
 

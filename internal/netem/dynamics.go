@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sdrrdma/internal/clock"
 	"sdrrdma/internal/telemetry"
 )
 
@@ -133,18 +132,18 @@ func (s Schedule) Apply(t *Topology) (*Applied, error) {
 	for _, ev := range s.Events {
 		ev := ev
 		e := t.Edges()[ev.Edge]
-		clock.After(clk, ev.At, func() { ap.count(e.SetLoss(ev.Loss)) })
+		clk.After(ev.At, func() { ap.count(e.SetLoss(ev.Loss)) })
 	}
 	for _, f := range s.Flaps {
 		f := f
 		e := t.Edges()[f.Edge]
-		clock.After(clk, f.Down, func() {
+		clk.After(f.Down, func() {
 			e.SetDown(true)
 			t.probeDyn(telemetry.EvLinkDown, int64(f.Edge), 0)
 			t.ReroutePaths()
 			ap.Flapped.Add(1)
 		})
-		clock.After(clk, f.Up, func() {
+		clk.After(f.Up, func() {
 			e.SetDown(false)
 			t.probeDyn(telemetry.EvLinkUp, int64(f.Edge), 0)
 			t.ReroutePaths()
@@ -157,7 +156,7 @@ func (s Schedule) Apply(t *Topology) (*Applied, error) {
 		for i := 1; i <= steps; i++ {
 			dt := time.Duration(i) * d.Step
 			km := base + d.RateKmPerSec*dt.Seconds()
-			clock.After(clk, d.Start+dt, func() {
+			clk.After(d.Start+dt, func() {
 				ap.count(e.SetDistance(km))
 			})
 		}

@@ -194,7 +194,7 @@ type queued struct {
 	pkt  *nicsim.Packet
 	dst  nicsim.Deliverer
 	size int
-	// fin is the instant (clock.Instant's timeline) its transmission
+	// fin is the instant (Clock.Instant's timeline) its transmission
 	// ends: its predecessor's fin, or its arrival on an idle line, plus
 	// its serialization time.
 	fin float64
@@ -262,7 +262,7 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 	}
 	q.serial = q.clk.IsVirtual()
 	q.departFn, q.settleFn = q.depart, q.settleEvent
-	q.epochNs = clock.NowNanos(q.clk) - int64(clock.Instant(q.clk)*float64(time.Second))
+	q.epochNs = q.clk.NowNanos() - int64(q.clk.Instant()*float64(time.Second))
 	return q, nil
 }
 
@@ -308,7 +308,7 @@ func (q *Queue) probe(sink telemetry.Sink, track int32, kind telemetry.EventKind
 	if sink == nil {
 		return
 	}
-	sink.Event(clock.NowNanos(q.clk), kind, track, a0, a1, 0, 0)
+	sink.Event(q.clk.NowNanos(), kind, track, a0, a1, 0, 0)
 }
 
 // setDown flaps the link direction. While down the queue fails closed:
@@ -367,7 +367,7 @@ func (q *Queue) settleRead() {
 // background finish: it settles up to and including its own instant.
 func (q *Queue) settleEvent() {
 	q.lock()
-	q.settle(clock.Instant(q.clk), math.MaxUint64)
+	q.settle(q.clk.Instant(), math.MaxUint64)
 	q.unlock()
 }
 
@@ -432,7 +432,7 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	behindBackground := false
 	var fin float64
 	if idle {
-		fin = clock.Instant(q.clk)
+		fin = q.clk.Instant()
 	} else {
 		prev := q.fifo.at(q.fifo.n - 1)
 		fin = prev.fin
@@ -461,7 +461,7 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	q.unlock()
 	q.Enqueued.Add(1)
 	if sink != nil {
-		at := clock.NowNanos(q.clk)
+		at := q.clk.NowNanos()
 		sink.Event(at, telemetry.EvEnqueue, track, int64(used), 0, 0, 0)
 		if marked {
 			sink.Event(at, telemetry.EvECNMark, track, int64(used), 0, 0, 0)
@@ -472,7 +472,7 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		// after its own transmission time. Behind a background entry,
 		// which departs without an event, nothing can chain this
 		// departure: schedule it now, at its finish.
-		clock.At(q.clk, fin, q.departFn)
+		q.clk.At(fin, q.departFn)
 	}
 }
 
@@ -491,7 +491,7 @@ func (q *Queue) depart() {
 		// Up to this departure: the background events before its
 		// instant, then those at it whose events would have been
 		// scheduled before its own.
-		now = clock.Instant(q.clk)
+		now = q.clk.Instant()
 		q.settle(now, 0)
 		if q.fifo.n > 0 && q.fifo.front().pkt != nil && q.fifo.front().fin == now {
 			q.settle(now, q.headOrder-1)
@@ -534,7 +534,7 @@ func (q *Queue) leave() queued {
 	q.started()
 	q.used -= head.size
 	if q.fifo.n > 0 && q.fifo.front().pkt != nil {
-		clock.At(q.clk, q.fifo.front().fin, q.departFn)
+		q.clk.At(q.fifo.front().fin, q.departFn)
 	}
 	return head
 }
@@ -653,7 +653,7 @@ func (q *Queue) catchUp() {
 }
 
 // settleBefore is catchUp's slow path, out of line so catchUp inlines.
-func (q *Queue) settleBefore() { q.settle(clock.Instant(q.clk), 0) }
+func (q *Queue) settleBefore() { q.settle(q.clk.Instant(), 0) }
 
 // tally batches the counts of one settle call, so a replay pays one
 // atomic add per counter instead of one per packet.
@@ -710,17 +710,11 @@ func (q *Queue) departBackground(t *tally) {
 }
 
 // bgProbe emits one background event stamped at instant at. A
-// background packet acts for no actor, so a sink that attributes events
-// to the running actor gets it as a background event, even when a
-// flow's admission settles it.
+// background packet acts for no actor, so it reaches the sink through
+// BackgroundEvent, even when a flow's admission settles it.
 func (q *Queue) bgProbe(at float64, kind telemetry.EventKind, a0, a1 int64) {
 	if q.sink == nil {
 		return
 	}
-	ns := q.epochNs + int64(at*float64(time.Second))
-	if b, ok := q.sink.(telemetry.BackgroundSink); ok {
-		b.BackgroundEvent(ns, kind, q.track, a0, a1, 0, 0)
-		return
-	}
-	q.sink.Event(ns, kind, q.track, a0, a1, 0, 0)
+	q.sink.BackgroundEvent(q.epochNs+int64(at*float64(time.Second)), kind, q.track, a0, a1, 0, 0)
 }

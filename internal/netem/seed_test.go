@@ -120,7 +120,7 @@ func TestLazySeedMatchesEagerReference(t *testing.T) {
 	if gen.rng != nil {
 		t.Fatal("construction seeded the generator's source")
 	}
-	start := clock.Instant(clk)
+	start := clk.Instant()
 	gen.Start()
 	clock.Join(clk, func() { clk.Sleep(10 * time.Millisecond) })
 	sent := gen.Sent()

@@ -440,7 +440,7 @@ func (t *Topology) probeDyn(kind telemetry.EventKind, a0, a1 int64) {
 	if sink == nil {
 		return
 	}
-	sink.Event(clock.NowNanos(t.clk), kind, track, a0, a1, 0, 0)
+	sink.Event(t.clk.NowNanos(), kind, track, a0, a1, 0, 0)
 }
 
 // --- flows ----------------------------------------------------------------

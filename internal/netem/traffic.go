@@ -104,7 +104,7 @@ func (g *TrafficGen) Start() {
 	q := g.q
 	q.lock()
 	defer q.unlock()
-	now := clock.Instant(q.clk)
+	now := q.clk.Instant()
 	q.settle(now, 0)
 	if slices.Contains(q.gens, g) {
 		return
@@ -134,7 +134,7 @@ func (g *TrafficGen) Stop() {
 	}
 	q.unlock()
 	if residue {
-		clock.At(q.clk, last, q.settleFn)
+		q.clk.At(last, q.settleFn)
 	}
 }
 

@@ -109,7 +109,7 @@ func (e *Endpoint) probe(kind telemetry.EventKind, a0, a1, a2, a3 int64) {
 	if e.tel.sink == nil {
 		return
 	}
-	e.tel.sink.Event(clock.NowNanos(e.clock()), kind, e.tel.track, a0, a1, a2, a3)
+	e.tel.sink.Event(e.clock().NowNanos(), kind, e.tel.track, a0, a1, a2, a3)
 }
 
 // noteInflight feeds the sender's outstanding-chunk series.
@@ -117,7 +117,7 @@ func (e *Endpoint) noteInflight(outstanding int) {
 	if e.tel.inflight == nil {
 		return
 	}
-	e.tel.inflight.ObserveMax(clock.NowNanos(e.clock()), int64(outstanding))
+	e.tel.inflight.ObserveMax(e.clock().NowNanos(), int64(outstanding))
 }
 
 // noteGoodput feeds received bytes into the goodput series.
@@ -125,7 +125,7 @@ func (e *Endpoint) noteGoodput(bytes int64) {
 	if e.tel.goodput == nil || bytes <= 0 {
 		return
 	}
-	e.tel.goodput.Add(clock.NowNanos(e.clock()), bytes)
+	e.tel.goodput.Add(e.clock().NowNanos(), bytes)
 }
 
 // opScratch is the endpoint's pooled chunk staging: every slice here

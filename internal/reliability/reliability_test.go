@@ -196,7 +196,7 @@ func TestVirtualDeterminism(t *testing.T) {
 				dups++
 				return fabric.Duplicate
 			case n%20 == 0:
-				clock.After(vc, lat+3*time.Millisecond, func() { dir.ReleaseHeld() })
+				vc.After(lat+3*time.Millisecond, func() { dir.ReleaseHeld() })
 				return fabric.Hold
 			}
 			return fabric.Pass

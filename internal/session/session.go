@@ -136,7 +136,7 @@ func (p *Pool) probe(sink telemetry.Sink, track int32, kind telemetry.EventKind,
 	if sink == nil {
 		return
 	}
-	sink.Event(clock.NowNanos(p.cfg.Core.Clock), kind, track, a0, 0, 0, 0)
+	sink.Event(p.cfg.Core.Clock.NowNanos(), kind, track, a0, 0, 0, 0)
 }
 
 // NewPool validates cfg and returns an empty pool; deployments are

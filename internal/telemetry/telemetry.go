@@ -186,14 +186,10 @@ type Event struct {
 // disabled path. Nop exists for callers that want a non-nil Sink.
 type Sink interface {
 	Event(at int64, kind EventKind, track int32, a0, a1, a2, a3 int64)
-}
-
-// BackgroundSink is the optional Sink extension for probes that fire
-// on behalf of no actor even when an actor's call runs them: a netem
-// queue replaying background packets inside a flow's admission.
-// Recorder implements it by recording the event unattributed; a Sink
-// without it receives such events through Event.
-type BackgroundSink interface {
+	// BackgroundEvent receives a probe that fires on behalf of no actor
+	// even when an actor's call runs it: a netem queue replaying
+	// background packets inside a flow's admission. Recorder records it
+	// unattributed.
 	BackgroundEvent(at int64, kind EventKind, track int32, a0, a1, a2, a3 int64)
 }
 
@@ -202,6 +198,9 @@ type Nop struct{}
 
 // Event implements Sink by discarding the event.
 func (Nop) Event(int64, EventKind, int32, int64, int64, int64, int64) {}
+
+// BackgroundEvent implements Sink by discarding the event.
+func (Nop) BackgroundEvent(int64, EventKind, int32, int64, int64, int64, int64) {}
 
 // Recorder is one cell's flight recorder and metrics registry: an
 // event slab, a track table, named counters and virtual-time series.
@@ -375,7 +374,7 @@ func (r *Recorder) Event(at int64, kind EventKind, track int32, a0, a1, a2, a3 i
 	r.event(at, kind, track, r.actorSrc, a0, a1, a2, a3)
 }
 
-// BackgroundEvent implements BackgroundSink: Event with no actor.
+// BackgroundEvent implements Sink: Event with no actor.
 func (r *Recorder) BackgroundEvent(at int64, kind EventKind, track int32, a0, a1, a2, a3 int64) {
 	r.event(at, kind, track, nil, a0, a1, a2, a3)
 }

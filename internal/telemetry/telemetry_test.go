@@ -3,9 +3,13 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"sdrrdma/internal/clock"
 )
 
 // The sink-nil guard every instrumented component uses (netem queues,
@@ -266,5 +270,76 @@ func BenchmarkTelemetryDepthFold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Event(int64(i), EvEnqueue, tr, int64(i&15), 0, 0, 0)
+	}
+}
+
+// twoCellTrace records a small two-cell trace on a virtual clock: cell
+// 0 spans 5 ms with drops, a retransmit and counters; cell 1 never
+// finishes and overflows a three-event cap.
+func twoCellTrace() *Trace {
+	tr := NewTrace("unit")
+	vc := clock.NewVirtual()
+	tr.CellStart(0, vc.NowNanos())
+	r := tr.Cell(0)
+	r.SetLabel("sr")
+	edge := r.Track("edge/fwd")
+	var drops, idle Counter
+	r.RegisterCounter("edge/fwd taildrops", &drops)
+	r.RegisterCounter("edge/fwd idle", &idle)
+	clock.Join(vc, func() {
+		vc.Sleep(time.Millisecond)
+		r.Event(vc.NowNanos(), EvTailDrop, edge, 3, 4096, 0, 0)
+		drops.Add(1)
+		vc.Sleep(time.Millisecond)
+		r.Event(vc.NowNanos(), EvTailDrop, edge, 4, 4096, 0, 0)
+		drops.Add(1)
+		r.Event(vc.NowNanos(), EvRetransmit, r.Track("sr/A"), 7, CauseRTO, 0, 0)
+		vc.Sleep(3 * time.Millisecond)
+	})
+	tr.CellFinish(0, vc.NowNanos())
+
+	c1 := tr.Cell(1)
+	c1.SetLabel("ec")
+	c1.maxEvents = 3
+	tr.CellStart(1, vc.NowNanos())
+	for i := range 4 {
+		c1.Event(vc.NowNanos(), EvNack, c1.Track("ec/B"), int64(i), 0, 0, 0)
+	}
+	return tr
+}
+
+func TestTraceSummary(t *testing.T) {
+	want := "trace unit: 2 cell(s)\n" +
+		"cell 0 [sr]: 5 event(s), 5ms virtual\n" +
+		"  events: tail-drop=2 retransmit=1 cell-start=1 cell-finish=1\n" +
+		"  counters: edge/fwd taildrops=2\n" +
+		"cell 1 [ec]: 3 event(s), 2 DROPPED past the 3-event cap\n" +
+		"  events: nack=2 cell-start=1\n"
+	if got := twoCellTrace().Summary(); got != want {
+		t.Fatalf("Summary:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// WriteChromeFile writes exactly what WriteChrome does, and reports a
+// path it cannot create.
+func TestWriteChromeFile(t *testing.T) {
+	tr := twoCellTrace()
+	var want bytes.Buffer
+	if err := tr.WriteChrome(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := tr.WriteChromeFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file holds %d B, WriteChrome wrote %d B", len(got), want.Len())
+	}
+	if err := tr.WriteChromeFile(filepath.Join(path, "under-a-file.json")); err == nil {
+		t.Fatal("WriteChromeFile under a regular file succeeded")
 	}
 }
