@@ -71,10 +71,35 @@ func TestPerftestRejectsBadOptions(t *testing.T) {
 	check("-cross-bps 1e14", "under 1 ns apart")
 	// Regions × size past the int range is refused, not wrapped.
 	check("-size 4611686018427387904 -msgs 4 -window 4", "overflow the receive buffer")
+	// An RTT under 8 ns derives a 0 ns poll cadence, which never let
+	// simulated time advance.
+	for _, rtt := range []string{"1ns", "7ns"} {
+		check("-rtt "+rtt, "PollInterval 0s <= 0")
+		check("-rtt "+rtt+" -cross-bps 1e9", "PollInterval 0s <= 0")
+	}
+	// A control message is one datagram: an MTU it cannot fit in is
+	// refused when the session is built (it panicked encoding an ACK).
+	check("-mtu 16 -chunk 16 -size 256", "below the 22 B minimum")
+	check("-mtu 21 -chunk 21 -size 210 -cross-bps 1e9", "below the 22 B minimum")
 	// Every one of these flags has a non-zero default, so a zero can
 	// only be the user's, and it must not silently run the default.
 	for _, name := range []string{"size", "msgs", "window", "mtu", "chunk", "channels", "rtt", "bw", "cross-buffer"} {
 		check("-"+name+" 0", "-"+name+" 0: must be non-zero")
+	}
+}
+
+// An EC receiver posts each parity submessage, M chunks, as a receive
+// of its own, so a message smaller than M·chunk must still run: it
+// failed "exceeds MaxMsgBytes" at every -size below 512 KiB.
+func TestPerftestECBelowParitySize(t *testing.T) {
+	for _, size := range []int{4096, 64 << 10} {
+		res, err := Run(Options{Scheme: "ec", Size: size, Msgs: 16, Drop: 0.01, Verify: true})
+		if err != nil {
+			t.Fatalf("-size %d: %v", size, err)
+		}
+		if res.Digest == 0 {
+			t.Fatalf("-size %d: verification produced no digest", size)
+		}
 	}
 }
 

@@ -204,8 +204,16 @@ func Run(o Options) (Result, error) {
 		}
 	}
 
+	// A receive slot must hold the largest receive the scheme posts: the
+	// message, or under EC a parity submessage of M chunks, which is the
+	// larger below M·Chunk. (An adaptive segment after the first exists
+	// only past SegmentChunks chunks, more than any rung's M.)
+	maxRecv := o.Size
+	if o.Scheme == "ec" {
+		maxRecv = max(o.Size, relCfg.M*o.Chunk)
+	}
 	coreCfg := core.Config{
-		MTU: o.MTU, ChunkBytes: o.Chunk, MaxMsgBytes: o.Size,
+		MTU: o.MTU, ChunkBytes: o.Chunk, MaxMsgBytes: maxRecv,
 		Generations: 2, Channels: o.Channels, CQDepth: 1 << 12,
 		Clock: clk,
 	}

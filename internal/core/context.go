@@ -97,9 +97,6 @@ func (c *Context) SetClock(clk clock.Clock) error {
 // Config returns the context configuration (with defaults applied).
 func (c *Context) Config() Config { return c.cfg }
 
-// Device returns the underlying NIC.
-func (c *Context) Device() *nicsim.Device { return c.dev }
-
 // Pool exposes the DPA worker pool (observability: processed packet
 // and PCIe-write counters).
 func (c *Context) Pool() *dpa.Pool { return c.pool }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -273,28 +274,6 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 	slots := cfg.slots()
 	recvBuf := make([]byte, slots*cfg.MaxMsgBytes)
 	mr := p.B.Ctx.RegMR(recvBuf)
-	payload := bytes.Repeat([]byte{0x5A}, cfg.MTU)
-
-	checkAllRetired := func(label string) {
-		t.Helper()
-		clear(recvBuf)
-		before := p.B.Ctx.nullMR.Discarded.Load()
-		for g := 0; g < cfg.Generations; g++ {
-			for s := 0; s < slots; s++ {
-				if err := qp.rootMRs[g].DMAWrite(uint64(s)*uint64(cfg.MaxMsgBytes), payload); err != nil {
-					t.Fatalf("%s: gen %d slot %d: %v", label, g, s, err)
-				}
-			}
-		}
-		if got, want := p.B.Ctx.nullMR.Discarded.Load()-before, uint64(cfg.Generations*slots*cfg.MTU); got != want {
-			t.Fatalf("%s: NULL key absorbed %d B, want %d", label, got, want)
-		}
-		for i, b := range recvBuf {
-			if b != 0 {
-				t.Fatalf("%s: write reached the lease's MR at byte %d", label, i)
-			}
-		}
-	}
 	post := func(n int) []*RecvHandle {
 		t.Helper()
 		hs := make([]*RecvHandle, n)
@@ -309,12 +288,12 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 	}
 
 	// A fresh QP starts with every slot of both generations retired.
-	checkAllRetired("fresh")
+	checkRetired(t, p, recvBuf, "fresh")
 
 	// Lease 1: k < slots receives, all left live.
 	post(3)
 	qp.reset()
-	checkAllRetired("lease 1")
+	checkRetired(t, p, recvBuf, "lease 1")
 
 	// Lease 2 starts at seq 3: fill the table past the generation
 	// boundary, complete the first wave, post a second wave into
@@ -327,8 +306,8 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 	}
 	post(slots - 2)
 	live := 0
-	for i := range qp.slots {
-		if qp.slots[i].handle.Load() != nil {
+	for i := range slots {
+		if qp.slots.Load(i) != nil {
 			live++
 		}
 	}
@@ -336,9 +315,9 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 		t.Fatalf("lease 2 left %d live slots, want %d", live, slots)
 	}
 	qp.reset()
-	checkAllRetired("lease 2")
-	for i := range qp.slots {
-		if qp.slots[i].handle.Load() != nil {
+	checkRetired(t, p, recvBuf, "lease 2")
+	for i := range slots {
+		if qp.slots.Load(i) != nil {
 			t.Fatalf("slot %d still holds a handle after Reset", i)
 		}
 	}
@@ -346,10 +325,191 @@ func TestResetRetiresEveryLiveSlot(t *testing.T) {
 	// Lease 3: nothing posted — Reset must be a no-op that keeps all
 	// slots retired and the table postable.
 	qp.reset()
-	checkAllRetired("lease 3")
+	checkRetired(t, p, recvBuf, "lease 3")
 	for _, h := range post(slots) {
 		if err := h.Complete(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// checkRetired fails t unless every slot of every generation of p's B
+// QP is retired: a write into each root entry lands in the NULL key,
+// and none reaches recvBuf, which it clears first.
+func checkRetired(t *testing.T, p *Pair, recvBuf []byte, label string) {
+	t.Helper()
+	qp, cfg := p.B.QP, p.B.QP.cfg
+	payload := bytes.Repeat([]byte{0x5A}, cfg.MTU)
+	clear(recvBuf)
+	before := p.B.Ctx.nullMR.Discarded.Load()
+	for g := range cfg.Generations {
+		for s := range cfg.slots() {
+			if err := qp.rootMRs[g].DMAWrite(uint64(s)*uint64(cfg.MaxMsgBytes), payload); err != nil {
+				t.Fatalf("%s: gen %d slot %d: %v", label, g, s, err)
+			}
+		}
+	}
+	if got, want := p.B.Ctx.nullMR.Discarded.Load()-before, uint64(cfg.Generations*cfg.slots()*cfg.MTU); got != want {
+		t.Fatalf("%s: NULL key absorbed %d B, want %d", label, got, want)
+	}
+	for i, b := range recvBuf {
+		if b != 0 {
+			t.Fatalf("%s: write reached the lease's MR at byte %d", label, i)
+		}
+	}
+}
+
+// The slot table and each root key hold storage only up to the highest
+// slot a receive has reached. A packet addressed to a slot no receive
+// ever reached lies past both, and must be absorbed exactly like one
+// for a slot whose receive retired: its payload lands in the NULL key,
+// the stage-2 check counts it late and the late sink sees its slot and
+// generation.
+func TestUnpostedSlotAbsorbedLikeRetired(t *testing.T) {
+	vc := clock.NewVirtual()
+	cfg := smallCfg()
+	cfg.Clock = vc
+	p := newTestPair(t, cfg, fabric.Config{}, fabric.Config{})
+	qp := p.B.QP
+	buf := make([]byte, cfg.MaxMsgBytes)
+	h, err := qp.RecvPost(p.B.Ctx.RegMR(buf), 0, cfg.MTU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Complete(); err != nil {
+		t.Fatal(err)
+	}
+	var late []int
+	qp.SetLateSink(func(slot int, gen uint32) { late = append(late, slot, int(gen)) })
+	payload := bytes.Repeat([]byte{0x5A}, cfg.MTU)
+	ic := newImmCodec(cfg)
+	type absorbed struct {
+		lateDiscarded, received, nullBytes uint64
+		sink                               []int
+	}
+	inject := func(slot int) absorbed {
+		t.Helper()
+		const gen = 0 // slot 0's: both tables hold storage for it
+		before, null := qp.Stats(), p.B.Ctx.nullMR.Discarded.Load()
+		late = nil
+		p.A.QP.chQPs[gen][0].WriteImm(p.A.QP.peer.RootKeys[gen],
+			uint64(slot)*uint64(cfg.MaxMsgBytes), payload, ic.encode(uint32(slot), 0, 0), 0)
+		clock.Join(vc, func() { vc.Sleep(time.Millisecond) })
+		after := qp.Stats()
+		return absorbed{after.LateDiscarded - before.LateDiscarded, after.PacketsReceived - before.PacketsReceived,
+			p.B.Ctx.nullMR.Discarded.Load() - null, late}
+	}
+	last := cfg.slots() - 1
+	retired, unposted := inject(0), inject(last)
+	for _, c := range []struct {
+		name string
+		got  absorbed
+		slot int
+	}{{"retired slot 0", retired, 0}, {"unposted slot", unposted, last}} {
+		if c.got.lateDiscarded != 1 || c.got.received != 0 || c.got.nullBytes != uint64(cfg.MTU) ||
+			len(c.got.sink) != 2 || c.got.sink[0] != c.slot || c.got.sink[1] != 0 {
+			t.Errorf("%s: late %d, received %d, NULL key %d B, late sink %v; want 1, 0, %d B, [%d 0]",
+				c.name, c.got.lateDiscarded, c.got.received, c.got.nullBytes, c.got.sink, cfg.MTU, c.slot)
+		}
+	}
+	for i, b := range buf {
+		if b != 0 {
+			t.Fatalf("an absorbed packet reached the retired buffer at byte %d", i)
+		}
+	}
+}
+
+// On a real clock the slot table and the root keys grow while other
+// goroutines use them: one goroutine posts receives, reaching every
+// slot for the first time in turn, while the fabric lands packets in
+// the live ones and another goroutine completes, and so retires, the
+// finished ones. Every message must arrive intact, and afterwards every
+// entry of every root key must be back on the NULL key — a clear lost
+// to a concurrent growth would leave a retired slot pointing at user
+// memory. A fresh pair per round, since each table grows only 6 times.
+// Run under -race.
+func TestTablesGrowUnderDelivery(t *testing.T) {
+	cfg := Config{
+		MTU: 1024, ChunkBytes: 1024, MaxMsgBytes: 4096,
+		MsgIDBits: 9, PktOffsetBits: 19, UserImmBits: 4,
+		Generations: 2, Channels: 2,
+	}
+	for range 8 {
+		growUnderDelivery(t, cfg)
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+func growUnderDelivery(t *testing.T, cfg Config) {
+	p := newTestPair(t, cfg, fabric.Config{}, fabric.Config{})
+	qp := p.B.QP
+	const msgs, window = 700, 24 // past one wrap of 512 slots, into generation 1
+	recvBuf := make([]byte, window*cfg.MaxMsgBytes)
+	mr := p.B.Ctx.RegMR(recvBuf)
+
+	posted := make(chan *RecvHandle, window)
+	free := make(chan int, window) // landing regions not in use
+	for r := range window {
+		free <- r
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // sender
+		defer wg.Done()
+		for i := range msgs {
+			data := make([]byte, cfg.MaxMsgBytes)
+			fillPattern(data, byte(i))
+			if _, err := p.A.QP.SendPostTimeout(data, 0, 10*time.Second); err != nil {
+				t.Errorf("send %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() { // poster
+		defer wg.Done()
+		defer close(posted)
+		for i := range msgs {
+			r := <-free
+			h, err := qp.RecvPost(mr, uint64(r*cfg.MaxMsgBytes), cfg.MaxMsgBytes)
+			if err != nil {
+				t.Errorf("post %d: %v", i, err)
+				return
+			}
+			posted <- h
+		}
+	}()
+	go func() { // completer
+		defer wg.Done()
+		want := make([]byte, cfg.MaxMsgBytes)
+		deadline := time.Now().Add(20 * time.Second)
+		for h := range posted {
+			for !h.Done() && time.Now().Before(deadline) {
+				time.Sleep(20 * time.Microsecond)
+			}
+			r := int(h.offset) / cfg.MaxMsgBytes
+			fillPattern(want, byte(h.Seq()))
+			if !h.Done() {
+				t.Errorf("receive %d incomplete", h.Seq())
+			} else if !bytes.Equal(recvBuf[h.offset:][:cfg.MaxMsgBytes], want) {
+				t.Errorf("receive %d corrupted", h.Seq())
+			}
+			if err := h.Complete(); err != nil {
+				t.Errorf("complete %d: %v", h.Seq(), err)
+			}
+			free <- r
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	checkRetired(t, p, recvBuf, "after the last Complete")
+	for s := range cfg.slots() {
+		if qp.slots.Load(s) != nil {
+			t.Fatalf("slot %d still holds a handle after its Complete", s)
 		}
 	}
 }

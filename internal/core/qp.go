@@ -106,7 +106,10 @@ type QP struct {
 	// leaseSeq is recvSeq at the last Reset: receives posted since then
 	// are the only ones that can still hold a slot.
 	leaseSeq uint64
-	slots    []recvSlot
+	// slots is the receive message table (§3.2.2), indexed by message
+	// ID: a slot's live handle, nil once it retires. Its storage, like
+	// each root key's, grows only as far as receives have been posted.
+	slots nicsim.Table[RecvHandle]
 
 	// sender state. CTS waiters block on the context clock's epoch
 	// notification (not a sync.Cond): under the virtual clock a
@@ -207,7 +210,6 @@ func (c *Context) NewQP() *QP {
 		cfg:     cfg,
 		ic:      newImmCodec(cfg),
 		rootMRs: make([]*nicsim.IndirectMR, cfg.Generations),
-		slots:   make([]recvSlot, cfg.slots()),
 		ctsSize: make(map[uint64]uint64),
 	}
 	qp.chQPs = make([][]*nicsim.UCQP, cfg.Generations)
@@ -326,15 +328,15 @@ func (qp *QP) reset() {
 	qp.abortCause.Store(nil)
 	qp.recvMu.Lock()
 	first := qp.leaseSeq
-	if n := uint64(len(qp.slots)); qp.recvSeq-first > n {
+	if n := uint64(qp.cfg.slots()); qp.recvSeq-first > n {
 		first = qp.recvSeq - n // older postings already gave their slot up
 	}
 	for seq := first; seq < qp.recvSeq; seq++ {
-		s := &qp.slots[qp.slotFor(seq)]
-		if h := s.handle.Load(); h != nil {
+		slot := qp.slotFor(seq)
+		if h := qp.slots.Load(slot); h != nil {
 			h.completed.Store(true)
-			qp.rootMRs[h.gen].SetEntry(h.slot, nil, 0)
-			s.handle.Store(nil)
+			qp.rootMRs[h.gen].SetEntry(slot, nil, 0)
+			qp.slots.Store(slot, nil)
 		}
 	}
 	qp.leaseSeq = qp.recvSeq
@@ -353,7 +355,8 @@ func (qp *QP) reset() {
 	qp.duplicates.Store(0)
 	qp.ctsSent.Store(0)
 	qp.ctsReceived.Store(0)
-	qp.ctx.dev.ResetCounters()
+	qp.ctx.dev.RxPackets.Store(0)
+	qp.ctx.dev.RxDropNoQP.Store(0)
 }
 
 // close detaches the QP's channel queue pairs from the device. The

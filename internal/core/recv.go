@@ -8,14 +8,6 @@ import (
 	"sdrrdma/internal/nicsim"
 )
 
-// recvSlot is one entry of the receive message table (§3.2.2). The
-// handle pointer doubles as the "active" flag; gen is the generation
-// expected to deliver packets for the slot.
-type recvSlot struct {
-	gen    atomic.Uint32
-	handle atomic.Pointer[RecvHandle]
-}
-
 // RecvHandle is a posted receive (Table 1: recv_post). The reliability
 // layer polls its chunk Bitmap to track partial completion and calls
 // Complete to retire the slot.
@@ -66,8 +58,7 @@ func (qp *QP) RecvPost(mr *nicsim.MR, offset uint64, size int) (*RecvHandle, err
 	qp.recvMu.Lock()
 	seq := qp.recvSeq
 	slot := qp.slotFor(seq)
-	s := &qp.slots[slot]
-	if s.handle.Load() != nil {
+	if qp.slots.Load(slot) != nil {
 		qp.recvMu.Unlock()
 		return nil, ErrRecvQueueFull
 	}
@@ -84,10 +75,9 @@ func (qp *QP) RecvPost(mr *nicsim.MR, offset uint64, size int) (*RecvHandle, err
 	}
 	h.msg = bitmap.NewMessage(h.npackets, qp.cfg.PacketsPerChunk())
 	// Populate the message table: root-mkey slot → user buffer, then
-	// raise the generation gate and announce the buffer.
-	s.gen.Store(gen)
+	// activate the slot and announce the buffer.
 	qp.rootMRs[gen].SetEntry(slot, mr, offset)
-	s.handle.Store(h)
+	qp.slots.Store(slot, h)
 	qp.recvMu.Unlock()
 
 	qp.ctsSent.Add(1)
@@ -163,9 +153,8 @@ func (h *RecvHandle) Complete() error {
 		return errAlreadyCompleted
 	}
 	qp := h.qp
-	s := &qp.slots[h.slot]
 	qp.rootMRs[h.gen].SetEntry(h.slot, nil, 0)
-	s.handle.Store(nil)
+	qp.slots.Store(h.slot, nil)
 	return nil
 }
 
@@ -189,24 +178,20 @@ func (qp *QP) backendHandleBatch(gen uint32, cqes []nicsim.CQE) {
 			continue
 		}
 		msgID, pktOff, frag := qp.ic.decode(cqe.Imm)
-		if int(msgID) >= len(qp.slots) {
-			qp.lateDiscarded.Add(1)
-			continue
-		}
 		var h *RecvHandle
 		if msgID == lastMsgID {
 			h = lastHandle // slot+generation already validated this drain
 		} else {
-			s := &qp.slots[msgID]
-			h = s.handle.Load()
+			h = qp.slots.Load(int(msgID))
 			// Stage-2 late protection: the slot must hold a live message
-			// of this worker's generation (§3.3.2). The packet is
-			// absorbed, but a registered late sink still observes it: a
-			// retransmission landing in a retired slot means the sender
-			// never saw the final ACK, and the reliability layer can
-			// re-ACK instead of letting it retry until its global
-			// timeout.
-			if h == nil || s.gen.Load() != gen || h.gen != gen {
+			// of this worker's generation (§3.3.2) — a slot never posted
+			// to, past the table's storage, reads empty like a retired
+			// one. The packet is absorbed, but a registered late sink
+			// still observes it: a retransmission landing in a retired
+			// slot means the sender never saw the final ACK, and the
+			// reliability layer can re-ACK instead of letting it retry
+			// until its global timeout.
+			if h == nil || h.gen != gen {
 				qp.lateDiscarded.Add(1)
 				qp.noteLate(int(msgID), gen)
 				continue

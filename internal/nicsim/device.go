@@ -99,13 +99,12 @@ func (d *Device) AllocNullMR() *NullMR {
 // with entries slots of entryBytes each (§3.2.2). Every entry starts
 // unset: a write to an unset entry lands in unset at its within-entry
 // offset (SDR passes its NULL key), or fails with a key violation when
-// unset is nil.
+// unset is nil. Entry storage is allocated as SetEntry reaches it.
 func (d *Device) AllocIndirectMR(entries int, entryBytes uint64, unset MemoryTarget) *IndirectMR {
 	if entries <= 0 || entryBytes == 0 {
 		panic("nicsim: invalid indirect MR geometry")
 	}
-	ix := &IndirectMR{entryBytes: entryBytes, unset: unset,
-		entries: make([]atomic.Pointer[indirectEntry], entries)}
+	ix := &IndirectMR{entryBytes: entryBytes, n: entries, unset: unset}
 	d.mem.register(&ix.registration, ix)
 	return ix
 }
@@ -117,13 +116,6 @@ func (d *Device) DeregMR(key uint32) { d.mem.deregister(key) }
 // observable pooled-deployment tests watch: session-scoped buffers
 // must not accumulate in the table across thousands of leases.
 func (d *Device) NumMRs() int { return d.mem.size() }
-
-// ResetCounters zeroes the device delivery counters for a new
-// measurement window (pooled deployments reset them per lease).
-func (d *Device) ResetCounters() {
-	d.RxPackets.Store(0)
-	d.RxDropNoQP.Store(0)
-}
 
 // dmaWrite resolves key and writes data — the RDMA engine's receive
 // data path.

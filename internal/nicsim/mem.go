@@ -68,11 +68,13 @@ func (n *NullMR) DMAWrite(_ uint64, data []byte) error {
 // [i·M, i·M + M). An entry that was never set, or was cleared, forwards
 // to the unset target chosen at allocation: SDR passes its NULL key, so
 // every slot starts retired (§3.3.2) without a store per entry, and
-// retiring a slot is clearing it.
+// retiring a slot is clearing it. The key spans n entries, but only
+// those up to the highest one ever set hold storage.
 type IndirectMR struct {
 	registration
 	entryBytes uint64
-	entries    []atomic.Pointer[indirectEntry]
+	n          int
+	entries    Table[indirectEntry]
 	// unset receives writes to unset entries at their within-entry
 	// offset; nil makes them fail loudly.
 	unset MemoryTarget
@@ -101,14 +103,14 @@ func (ix *IndirectMR) Key() uint32 { return ix.key }
 // again — the NULL key for an SDR QP, which is how a retired slot
 // absorbs late packets.
 func (ix *IndirectMR) SetEntry(i int, target MemoryTarget, base uint64) {
-	if i < 0 || i >= len(ix.entries) {
-		panic(fmt.Sprintf("nicsim: indirect entry %d out of range [0,%d)", i, len(ix.entries)))
+	if i < 0 || i >= ix.n {
+		panic(fmt.Sprintf("nicsim: indirect entry %d out of range [0,%d)", i, ix.n))
 	}
 	if target == nil {
-		ix.entries[i].Store(nil)
+		ix.entries.Store(i, nil)
 		return
 	}
-	ix.entries[i].Store(ix.entryFor(target, base))
+	ix.entries.Store(i, ix.entryFor(target, base))
 }
 
 // entryFor returns the shared entry object for (target, base), from the
@@ -131,14 +133,14 @@ func (ix *IndirectMR) entryFor(target MemoryTarget, base uint64) *indirectEntry 
 func (ix *IndirectMR) DMAWrite(offset uint64, data []byte) error {
 	idx := offset / ix.entryBytes
 	inner := offset % ix.entryBytes
-	if idx >= uint64(len(ix.entries)) {
+	if idx >= uint64(ix.n) {
 		return fmt.Errorf("%w: indirect offset %d beyond %d entries",
-			errMkeyViolation, offset, len(ix.entries))
+			errMkeyViolation, offset, ix.n)
 	}
 	if uint64(len(data)) > ix.entryBytes-inner { // inner < entryBytes, no wrap
 		return fmt.Errorf("%w: write crosses indirect entry boundary", errMkeyViolation)
 	}
-	e := ix.entries[idx].Load()
+	e := ix.entries.Load(int(idx))
 	if e == nil {
 		if ix.unset == nil {
 			return fmt.Errorf("%w: indirect entry %d not populated", errMkeyViolation, idx)
@@ -146,6 +148,56 @@ func (ix *IndirectMR) DMAWrite(offset uint64, data []byte) error {
 		return ix.unset.DMAWrite(inner, data)
 	}
 	return e.target.DMAWrite(e.base+inner, data)
+}
+
+// Table maps indices to *T: the storage shape of a table that has a
+// fixed logical size but should cost only the entries its traffic
+// touches — a device's memory keys, a root key's entries, an SDR QP's
+// message slots. A reader loads an entry lock-free with two atomic
+// loads, the storage and then its cell; an index past the storage
+// reads nil. Storage starts empty and doubles (from 8 cells) when a
+// non-nil value is stored past its end, and the longer copy is
+// published atomically. Every Store runs under the table's writer lock,
+// the one a growth copies the cells under, so no store — a clear
+// included — is lost to a concurrent growth. The zero Table is empty.
+type Table[T any] struct {
+	mu    sync.Mutex
+	cells atomic.Pointer[[]atomic.Pointer[T]]
+}
+
+// Load returns entry i, or nil when i lies past the storage.
+func (t *Table[T]) Load(i int) *T {
+	if c := t.cells.Load(); c != nil && uint(i) < uint(len(*c)) {
+		return (*c)[i].Load()
+	}
+	return nil
+}
+
+// Store sets entry i (i >= 0) to v, growing the storage when v is not
+// nil and i lies past it; a nil past the storage is already in place.
+func (t *Table[T]) Store(i int, v *T) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var cells []atomic.Pointer[T]
+	if c := t.cells.Load(); c != nil {
+		cells = *c
+	}
+	if i >= len(cells) {
+		if v == nil {
+			return
+		}
+		n := max(8, 2*len(cells))
+		for n <= i {
+			n *= 2
+		}
+		grown := make([]atomic.Pointer[T], n)
+		for j := range cells {
+			grown[j].Store(cells[j].Load())
+		}
+		cells = grown
+		t.cells.Store(&grown)
+	}
+	cells[i].Store(v)
 }
 
 // registration is one live entry of a device's memory table: the key
@@ -171,16 +223,14 @@ const (
 )
 
 // memTable is a device's key → target registry. The per-packet lookup
-// on the DMA path is lock-free: one atomic load of the table, a bounds
-// check, one atomic load of the slot and a key compare. Register and
-// deregister run under the writer lock in O(1) — a slot store plus
-// free-list bookkeeping, with the table copied only when it has to
-// double — so its footprint follows the peak of live registrations, not
-// how many there have ever been. Index 0 is never handed out (no valid
-// key is 0); first-time keys are 1, 2, 3, ….
+// on the DMA path is lock-free: a Table load and a key compare.
+// Register and deregister run under the writer lock in O(1) — a slot
+// store plus free-list bookkeeping — so its footprint follows the peak
+// of live registrations, not how many there have ever been. Index 0 is
+// never handed out (no valid key is 0); first-time keys are 1, 2, 3, ….
 type memTable struct {
 	mu    sync.Mutex
-	slots atomic.Pointer[[]atomic.Pointer[registration]]
+	slots Table[registration]
 	// gens[i] is the generation index i's next registration gets; free
 	// lists the deregistered indices that still have one. Writer-only.
 	gens []uint32
@@ -189,17 +239,13 @@ type memTable struct {
 }
 
 func newMemTable() *memTable {
-	t := &memTable{gens: make([]uint32, 1, 8)}
-	slots := make([]atomic.Pointer[registration], 8)
-	t.slots.Store(&slots)
-	return t
+	return &memTable{gens: make([]uint32, 1, 8)}
 }
 
 // register publishes r (embedded in target) under a fresh key.
 func (t *memTable) register(r *registration, target MemoryTarget) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	slots := *t.slots.Load()
 	var idx uint32
 	if n := len(t.free); n > 0 {
 		idx = t.free[n-1]
@@ -210,36 +256,24 @@ func (t *memTable) register(r *registration, target MemoryTarget) {
 			panic("nicsim: memory table full")
 		}
 		t.gens = append(t.gens, 0)
-		if int(idx) == len(slots) {
-			grown := make([]atomic.Pointer[registration], 2*len(slots))
-			for i := range slots {
-				grown[i].Store(slots[i].Load())
-			}
-			slots = grown
-			t.slots.Store(&grown)
-		}
 	}
 	r.key, r.target = t.gens[idx]<<memIndexBits|idx, target
-	slots[idx].Store(r)
+	t.slots.Store(int(idx), r)
 	t.live++
 }
 
 func (t *memTable) deregister(key uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	slots := *t.slots.Load()
-	idx := key & memIndexMask
-	if int(idx) >= len(slots) {
+	idx := int(key & memIndexMask)
+	if r := t.slots.Load(idx); r == nil || r.key != key {
 		return
 	}
-	if r := slots[idx].Load(); r == nil || r.key != key {
-		return
-	}
-	slots[idx].Store(nil)
+	t.slots.Store(idx, nil)
 	t.live--
 	if t.gens[idx] < memMaxGen {
 		t.gens[idx]++
-		t.free = append(t.free, idx)
+		t.free = append(t.free, uint32(idx))
 	}
 }
 
@@ -250,12 +284,7 @@ func (t *memTable) size() int {
 }
 
 func (t *memTable) lookup(key uint32) (MemoryTarget, bool) {
-	slots := *t.slots.Load()
-	idx := key & memIndexMask
-	if int(idx) >= len(slots) {
-		return nil, false
-	}
-	r := slots[idx].Load()
+	r := t.slots.Load(int(key & memIndexMask))
 	if r == nil || r.key != key {
 		return nil, false
 	}

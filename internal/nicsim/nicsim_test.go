@@ -123,6 +123,35 @@ func TestIndirectMRTranslation(t *testing.T) {
 // that was never set and one to an entry cleared with SetEntry(i, nil)
 // both land in that target, at their within-entry offset, and a set
 // entry still goes to its own target.
+// A Table's storage follows the highest entry ever set: it starts
+// empty, a nil stored past its end allocates nothing, growth doubles
+// and keeps every entry (cleared ones stay cleared), and every index
+// past the storage reads nil.
+func TestTableGrowsOnStore(t *testing.T) {
+	var tb Table[int]
+	vals := make([]int, 100)
+	tb.Store(50, nil)
+	if tb.cells.Load() != nil {
+		t.Fatal("storing nil past the end allocated storage")
+	}
+	for i := 0; i < len(vals); i += 3 {
+		tb.Store(i, &vals[i])
+	}
+	tb.Store(30, nil)
+	if n := len(*tb.cells.Load()); n != 128 {
+		t.Fatalf("storage of %d cells after a store at 99, want 128", n)
+	}
+	for i := 0; i < 2*len(vals); i++ {
+		var want *int
+		if i < len(vals) && i%3 == 0 && i != 30 {
+			want = &vals[i]
+		}
+		if got := tb.Load(i); got != want {
+			t.Fatalf("entry %d = %p, want %p", i, got, want)
+		}
+	}
+}
+
 func TestIndirectMRUnsetTarget(t *testing.T) {
 	dev := NewDevice("d")
 	unset := make([]byte, 64)
@@ -512,7 +541,7 @@ func TestMemTableDeregisteredKeyNeverResolves(t *testing.T) {
 	if used := len(d.mem.gens) - 1; used > peak+withdrawn {
 		t.Fatalf("table handed out %d slots for a peak of %d live registrations", used, peak)
 	}
-	if n := len(*d.mem.slots.Load()); n > 2*(peak+withdrawn+1) {
+	if n := len(*d.mem.slots.cells.Load()); n > 2*(peak+withdrawn+1) {
 		t.Fatalf("table holds %d slots for a peak of %d live registrations", n, peak)
 	}
 }

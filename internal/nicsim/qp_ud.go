@@ -59,9 +59,6 @@ func (qp *UDQP) QPN() uint32 { return qp.qpn }
 // plane sits in between leases.
 func (qp *UDQP) Attach(wire Wire) { qp.wire = wire }
 
-// ResetCounters zeroes the drop counter for a new measurement window.
-func (qp *UDQP) ResetCounters() { qp.RNRDrops.Store(0) }
-
 // PostRecv queues a receive buffer. Buffers are consumed in FIFO order.
 func (qp *UDQP) PostRecv(buf []byte, wrid uint64) {
 	qp.recvMu.Lock()

@@ -121,10 +121,18 @@ func (c Config) WithDefaults() Config {
 // wan.NewGilbertElliott's fail-fast stance: a GlobalTimeout at
 // or below 2·RTT expires before a single request/response round trip
 // can complete, so every transfer would die with errGlobalTimeout no
-// matter how healthy the network is. Call after WithDefaults.
+// matter how healthy the network is; and a poll or ACK cadence that is
+// not positive — WithDefaults derives RTT/8 and RTT/4, 0 for an RTT
+// under 8 ns — re-arms its timer at the same instant forever, so
+// simulated time never advances. Call after WithDefaults.
 func (c Config) Validate() error {
-	if c.RTT < 0 {
+	switch {
+	case c.RTT < 0:
 		return fmt.Errorf("reliability: RTT %v < 0", c.RTT)
+	case c.PollInterval <= 0:
+		return fmt.Errorf("reliability: PollInterval %v <= 0 (RTT %v)", c.PollInterval, c.RTT)
+	case c.AckInterval <= 0:
+		return fmt.Errorf("reliability: AckInterval %v <= 0 (RTT %v)", c.AckInterval, c.RTT)
 	}
 	if c.GlobalTimeout <= 2*c.RTT {
 		return fmt.Errorf("reliability: GlobalTimeout %v <= 2*RTT (%v) — no transfer can complete",

@@ -84,20 +84,28 @@ type ControlPlane struct {
 	encBuf []byte
 }
 
-// newControlPlane creates the control endpoint of ctx's side, detached:
+// newControlPlane creates the control endpoint of side, detached:
 // attach gives it a wire and a peer.
-func newControlPlane(ctx *core.Context) *ControlPlane {
+func newControlPlane(side *core.Endpoint) *ControlPlane {
+	ctx := side.Ctx
 	// The receive ring: handleCQEs reposts each buffer inside the
-	// delivery call that filled it, so a virtual clock never has more
-	// than one outstanding and a real clock, whose deliveries overlap on
-	// different goroutines, a few. 16 leaves headroom on both and costs
-	// one 64 KiB slab at a 4 KiB MTU.
-	const nbufs = 16
+	// delivery call that filled it, so a virtual clock, whose deliveries
+	// run one at a time, never has more than one outstanding (the golden,
+	// chaos and collective tests assert it), and a real clock, whose
+	// deliveries overlap on different goroutines, a few. A virtual ring
+	// of 2 leaves one spare; a real one keeps 16, a 64 KiB slab at a
+	// 4 KiB MTU. The clock kind is fixed at construction (a deployment
+	// is only re-homed within its kind), as it is for the CQ sink below.
+	virtual := ctx.Clock().IsVirtual()
+	nbufs := 16
+	if virtual {
+		nbufs = 2
+	}
 	mtu := ctx.Config().MTU
 	// Sink-mode queues never buffer, so their depth is immaterial.
 	cq := nicsim.NewCQ(1, true)
 	cp := &ControlPlane{
-		ud:       nicsim.NewUDQP(ctx.Device(), mtu, cq),
+		ud:       nicsim.NewUDQP(side.Dev, mtu, cq),
 		cq:       cq,
 		ctx:      ctx,
 		mtu:      mtu,
@@ -110,7 +118,7 @@ func newControlPlane(ctx *core.Context) *ControlPlane {
 		cp.bufs[i] = buf
 		cp.ud.PostRecv(buf, uint64(i))
 	}
-	cq.SetSink(cp.handleCQEs, ctx.Clock().IsVirtual())
+	cq.SetSink(cp.handleCQEs, virtual)
 	return cp
 }
 
@@ -125,7 +133,7 @@ func (cp *ControlPlane) attach(wire nicsim.Wire, peer *ControlPlane) {
 	clear(cp.handlers)
 	cp.stopped = false
 	cp.mu.Unlock()
-	cp.ud.ResetCounters()
+	cp.ud.RNRDrops.Store(0)
 	cp.recvHWM.Store(0)
 	cp.ud.Attach(wire)
 	cp.peer = peer.ud.QPN()
@@ -236,6 +244,12 @@ func (cp *ControlPlane) send(m ctrlMsg) error {
 // ctrlCRCLen is the checksum trailer size; every truncation budget
 // must leave room for it.
 const ctrlCRCLen = 4
+
+// minCtrlMTU is the smallest MTU every control message fits in: the
+// type and opID, the largest fixed-size body (a plan's 9 bytes; an SR
+// ACK's is 6 before its SACK bytes, which are truncated to fit) and the
+// trailer.
+const minCtrlMTU = 9 + 9 + ctrlCRCLen
 
 var ctrlCRCTable = crc32.MakeTable(crc32.Castagnoli)
 

@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -41,16 +42,25 @@ func NewSession(coreCfg core.Config, relCfg Config, ab, ba fabric.Config, oobLat
 	if err != nil {
 		return nil, err
 	}
-	return NewSessionOn(pair, relCfg), nil
+	a, b, err := NewEndpoints(pair)
+	if err != nil {
+		pair.Close()
+		return nil, err
+	}
+	return NewSessionOver(pair, a, b, relCfg), nil
 }
 
 // NewSessionOn layers the reliability deployment over an existing
 // pair — the hook netem topologies use after wiring a pair across
 // multi-hop queue paths. The control planes transmit on the pair's
 // link directions, so ACK/NACK traffic crosses the same impaired path
-// as the data (§4.1).
+// as the data (§4.1). It panics on a pair whose MTU NewEndpoints
+// refuses; NewSession returns that error instead.
 func NewSessionOn(pair *core.Pair, relCfg Config) *Session {
-	a, b := NewEndpoints(pair)
+	a, b, err := NewEndpoints(pair)
+	if err != nil {
+		panic(err)
+	}
 	return NewSessionOver(pair, a, b, relCfg)
 }
 
@@ -59,14 +69,18 @@ func NewSessionOn(pair *core.Pair, relCfg Config) *Session {
 // endpoint that owns it — everything that outlives a session: receive
 // rings, operation scratch, code cache.
 // NewSessionOver starts a session on them; a pooled deployment keeps
-// them and starts one per lease.
-func NewEndpoints(pair *core.Pair) (a, b *Endpoint) {
+// them and starts one per lease. A control message is one datagram, so
+// an MTU below minCtrlMTU is refused.
+func NewEndpoints(pair *core.Pair) (a, b *Endpoint, err error) {
+	if mtu := pair.A.Ctx.Config().MTU; mtu < minCtrlMTU {
+		return nil, nil, fmt.Errorf("reliability: MTU %d B is below the %d B minimum a control message needs", mtu, minCtrlMTU)
+	}
 	side := func(s *core.Endpoint) *Endpoint {
-		e := &Endpoint{QP: s.QP, CP: newControlPlane(s.Ctx)}
+		e := &Endpoint{QP: s.QP, CP: newControlPlane(s)}
 		e.lateFn = e.handleLate
 		return e
 	}
-	return side(pair.A), side(pair.B)
+	return side(pair.A), side(pair.B), nil
 }
 
 // NewSessionOver starts a session on pair with its endpoints a and b

@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +91,58 @@ func TestUnknownSchemeRejected(t *testing.T) {
 	}
 	if _, err := s.NewTransfer("adaptive", AdaptorConfig{Window: -1}, 4096, 1); err == nil {
 		t.Error("NewTransfer accepted an invalid adaptor config")
+	}
+}
+
+// A session that could not make progress is refused when it is built.
+// An RTT under 8 ns derives a poll cadence of 0, whose timer re-armed at
+// the same instant forever; an MTU below minCtrlMTU panicked encoding
+// the first ACK. At exactly minCtrlMTU every scheme moves its bytes.
+func TestSessionRejectsStallingConfig(t *testing.T) {
+	build := func(mtu int, rel Config) error {
+		cc := testCoreCfg(clock.NewVirtual())
+		cc.MTU, cc.ChunkBytes = mtu, 4*mtu
+		s, err := NewSession(cc, rel, fabric.Config{}, fabric.Config{}, 0)
+		if err == nil {
+			s.Close()
+		}
+		return err
+	}
+	for _, c := range []struct {
+		rel  Config
+		want string
+	}{
+		{Config{RTT: time.Nanosecond}, "PollInterval 0s <= 0"},
+		{Config{RTT: 7 * time.Nanosecond}, "PollInterval 0s <= 0"},
+		{Config{RTT: time.Millisecond, AckInterval: -time.Microsecond}, "AckInterval -1µs <= 0"},
+	} {
+		if err := build(1024, c.rel); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RTT %v: NewSession = %v, want an error containing %q", c.rel.RTT, err, c.want)
+		}
+	}
+	if err := build(minCtrlMTU-1, testRelCfg()); err == nil || !strings.Contains(err.Error(), "below the 22 B minimum") {
+		t.Errorf("MTU %d: NewSession = %v, want the minimum named", minCtrlMTU-1, err)
+	}
+	for _, scheme := range []string{"sr", "sr-nack", "ec", "adaptive"} {
+		rel, err := testRelCfg().ForScheme(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := testCoreCfg(clock.NewVirtual())
+		cc.MTU, cc.ChunkBytes = minCtrlMTU, 4*minCtrlMTU
+		s, err := NewSession(cc, rel,
+			fabric.Config{DropProb: 0.02, Seed: 5}, fabric.Config{DropProb: 0.02, Seed: 1005}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := s.NewTransfer(scheme, AdaptorConfig{}, 64*minCtrlMTU, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Drive("tiny-mtu", pattern(64*minCtrlMTU, 3)).Err(); err != nil {
+			t.Errorf("MTU %d, %s: %v", minCtrlMTU, scheme, err)
+		}
+		s.Close()
 	}
 }
 

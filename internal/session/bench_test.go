@@ -30,8 +30,14 @@ func churnCoreCfg(clk clock.Clock) core.Config {
 // by TestLeasedRebindAllocRatio below and tracked in BENCH_protosim.json
 // via these benchmarks.
 
-func BenchmarkSessionChurnCold(b *testing.B) {
-	clk := clock.NewReal()
+func BenchmarkSessionChurnCold(b *testing.B) { benchColdBuild(b, clock.NewReal()) }
+
+// BenchmarkSessionChurnColdVirtual is the cold build the repo
+// benchmark's setup_s times: on a virtual clock, whose control planes
+// post 2 receive buffers instead of 16.
+func BenchmarkSessionChurnColdVirtual(b *testing.B) { benchColdBuild(b, clock.NewVirtual()) }
+
+func benchColdBuild(b *testing.B, clk clock.Clock) {
 	cfg := churnCoreCfg(clk)
 	rel := poolRelCfg()
 	fabCfg := fabric.Config{Clock: clk}
@@ -101,11 +107,13 @@ func TestLeasedRebindAllocRatio(t *testing.T) {
 
 // TestDeploymentFootprint pins the live memory of a pooled deployment,
 // the figure that bounds how many concurrent flows one process can
-// host (4096 at 256 KiB each is 1 GiB). It builds 64 virtual-clock
+// host (4096 at 64 KiB each is 256 MiB). It builds 64 virtual-clock
 // deployments of the flow_churn shape — 64 KiB messages, otherwise the
-// churn deployment — and keeps them all leased while it measures.
+// churn deployment — and keeps them all leased while it measures. A
+// cold deployment holds no message-slot or root-key storage (RecvPost
+// grows it) and a 2-buffer control ring per side.
 func TestDeploymentFootprint(t *testing.T) {
-	const kept, budget = 64, 256 << 10
+	const kept, budget = 64, 64 << 10
 	cfg := churnCoreCfg(clock.NewVirtual())
 	cfg.MaxMsgBytes = 64 << 10
 	pool, err := session.NewPool(session.Config{Core: cfg})
@@ -131,4 +139,39 @@ func TestDeploymentFootprint(t *testing.T) {
 	if per > budget {
 		t.Fatalf("a live deployment holds %d KiB, want ≤ %d KiB", per>>10, budget>>10)
 	}
+}
+
+// A 20+8+4 immediate split is legal and gives every root key and QP
+// 2^20 message slots (§3.3.2), which cost 64 MiB per deployment when
+// their storage was allocated at build. Storage follows the slots
+// receives reach, so building such a deployment and moving a message
+// over it must stay far below that.
+func TestWideMessageIDFootprint(t *testing.T) {
+	const budget = 256 << 10
+	clk := clock.NewVirtual()
+	cfg := churnCoreCfg(clk)
+	cfg.MsgIDBits, cfg.PktOffsetBits, cfg.UserImmBits = 20, 8, 4
+	cfg.MaxMsgBytes = 64 << 10
+	data := make([]byte, 16<<10)
+	fabCfg := fabric.Config{Clock: clk}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := reliability.NewSession(cfg, poolRelCfg(), fabCfg, fabCfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := driveSR(s, data); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(s)
+	t.Logf("live heap of a 20+8+4 deployment after one message: %d KiB", live>>10)
+	if live > budget {
+		t.Fatalf("a 20+8+4 deployment holds %d KiB, want ≤ %d KiB", live>>10, budget>>10)
+	}
+	s.Close()
 }

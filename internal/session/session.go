@@ -228,7 +228,10 @@ func (p *Pool) build(idx int) (*Deployment, error) {
 	pair.A.Ctx.SetMRTracking(true)
 	pair.B.Ctx.SetMRTracking(true)
 	d := &Deployment{pool: p, pair: pair}
-	d.epA, d.epB = reliability.NewEndpoints(pair)
+	if d.epA, d.epB, err = reliability.NewEndpoints(pair); err != nil {
+		pair.Close()
+		return nil, fmt.Errorf("session: deployment %d: %w", idx, err)
+	}
 	d.releaseFn = d.release
 	d.quarantineFn = d.quarantineLeased
 	return d, nil
