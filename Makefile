@@ -224,15 +224,18 @@ smoke-golden:
 	$(GO) test -count=1 -run 'TestPerftestCrossSchemeDigest' -v ./cmd/sdr-perftest/
 	$(GO) test -count=1 -run 'TestSharedQueueGolden|TestSharedQueueCBRGolden' -v ./internal/netem/
 
-# Repo-benchmark smoke: 2-second runs of three workloads of the
-# declared benchmark (BENCHMARK.json) — wan_ec, EC(32,8) encode +
-# reconstruct under 1% loss; flow_churn, 2000 leases of one pooled
-# dumbbell deployment; and contended_adaptive, the adaptive ladder on a
-# netem bottleneck shared with Poisson cross traffic. Each exits
-# non-zero if the verification rep receives a wrong byte or any timed
-# rep's simulated tuple diverges from it, so the lease path and the
-# shared queue are checked on every `make ci`.
+# Repo-benchmark smoke: 2-second runs of four workloads of the
+# declared benchmark (BENCHMARK.json) — sr_clean, the lossless fast
+# path whose set-up (a cold virtual-clock deployment) every rep
+# rebuilds; wan_ec, EC(32,8) encode + reconstruct under 1% loss;
+# flow_churn, 2000 leases of one pooled dumbbell deployment; and
+# contended_adaptive, the adaptive ladder on a netem bottleneck shared
+# with Poisson cross traffic. Each exits non-zero if the verification
+# rep receives a wrong byte or any timed rep's simulated tuple diverges
+# from it, so the cold build, the lease path and the shared queue are
+# checked on every `make ci`.
 smoke-bench:
+	bash benchmark/run.sh --workload sr_clean --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload wan_ec --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload flow_churn --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload contended_adaptive --seed 1 --seconds 2 --trace 0

@@ -86,8 +86,10 @@ type QP struct {
 	cfg Config
 	ic  immCodec
 
-	chQPs [][]*nicsim.UCQP // [generation][channel]
-	chCQs [][]*nicsim.CQ
+	// chQPs[g][c] is generation g's channel c; the rows share one
+	// backing array. Their CQs belong to the context's DPA pool, which
+	// closes them.
+	chQPs [][]*nicsim.UCQP
 
 	// rootMRs[g] is generation g's root indirect memory key (§3.2.2,
 	// §3.3.2).
@@ -213,19 +215,19 @@ func (c *Context) NewQP() *QP {
 		ctsSize: make(map[uint64]uint64),
 	}
 	qp.chQPs = make([][]*nicsim.UCQP, cfg.Generations)
-	qp.chCQs = make([][]*nicsim.CQ, cfg.Generations)
-	for g := 0; g < cfg.Generations; g++ {
+	chans := make([]*nicsim.UCQP, cfg.Generations*cfg.Channels)
+	for g := range cfg.Generations {
 		// Every slot starts retired: an unset entry is the NULL key,
 		// where late packets land.
 		qp.rootMRs[g] = c.dev.AllocIndirectMR(cfg.slots(), uint64(cfg.MaxMsgBytes), c.nullMR)
-		qp.chQPs[g] = make([]*nicsim.UCQP, cfg.Channels)
-		qp.chCQs[g] = make([]*nicsim.CQ, cfg.Channels)
-		for ch := 0; ch < cfg.Channels; ch++ {
+		qp.chQPs[g] = chans[g*cfg.Channels : (g+1)*cfg.Channels : (g+1)*cfg.Channels]
+		// One handler per generation serves all of its channels' CQs.
+		gen := uint32(g)
+		handle := func(cqes []nicsim.CQE) { qp.backendHandleBatch(gen, cqes) }
+		for ch := range qp.chQPs[g] {
 			cq := nicsim.NewCQ(cfg.CQDepth, false)
-			qp.chCQs[g][ch] = cq
 			qp.chQPs[g][ch] = nicsim.NewUCQP(c.dev, cfg.MTU, cq, nil)
-			gen := uint32(g)
-			c.pool.SpawnBatch(cq, func(cqes []nicsim.CQE) { qp.backendHandleBatch(gen, cqes) })
+			c.pool.SpawnBatch(cq, handle)
 		}
 	}
 	qp.info = qp.buildInfo()
@@ -239,10 +241,11 @@ func (qp *QP) buildInfo() QPInfo {
 		info.RootKeys[g] = mr.Key()
 	}
 	info.ChannelQPNs = make([][]uint32, len(qp.chQPs))
-	for g := range qp.chQPs {
-		info.ChannelQPNs[g] = make([]uint32, len(qp.chQPs[g]))
-		for ch := range qp.chQPs[g] {
-			info.ChannelQPNs[g][ch] = qp.chQPs[g][ch].QPN()
+	qpns := make([]uint32, len(qp.chQPs)*qp.cfg.Channels)
+	for g, chans := range qp.chQPs {
+		info.ChannelQPNs[g] = qpns[g*len(chans) : (g+1)*len(chans) : (g+1)*len(chans)]
+		for ch, uc := range chans {
+			info.ChannelQPNs[g][ch] = uc.QPN()
 		}
 	}
 	return info
@@ -360,12 +363,11 @@ func (qp *QP) reset() {
 }
 
 // close detaches the QP's channel queue pairs from the device. The
-// context's DPA workers are stopped by Context.close.
+// context's DPA workers, stopped by Context.close, close their CQs.
 func (qp *QP) close() {
-	for g := range qp.chQPs {
-		for ch := range qp.chQPs[g] {
-			qp.ctx.dev.DestroyQP(qp.chQPs[g][ch].QPN())
-			qp.chCQs[g][ch].Close()
+	for _, chans := range qp.chQPs {
+		for _, uc := range chans {
+			qp.ctx.dev.DestroyQP(uc.QPN())
 		}
 	}
 }

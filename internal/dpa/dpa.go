@@ -24,24 +24,27 @@ import (
 // across workers (SDR's bitmap updates are atomic).
 type BatchHandler func(cqes []nicsim.CQE)
 
-// batchSize is how many CQEs a worker drains per poll, mirroring the
-// DPA's batch completion processing.
-const batchSize = 256
-
-// Worker is one emulated DPA hardware thread bound to a CQ.
+// Worker is one emulated DPA hardware thread bound to a CQ. In
+// synchronous mode the handler is the CQ's sink and the worker only
+// names the CQ: it has no goroutine to join and no counter of its own.
 type Worker struct {
 	cq      *nicsim.CQ
 	handler BatchHandler
-	done    chan struct{}
-	// Processed counts completions handled by this worker.
-	Processed atomic.Uint64
+	// done is closed when the poller goroutine returns; nil for a
+	// synchronous worker.
+	done chan struct{}
+	// processed counts completions the poller has handled.
+	processed atomic.Uint64
+	// next is the worker spawned before this one in the pool's list.
+	next *Worker
 }
 
 func (w *Worker) run() {
 	defer close(w.done)
-	// The drain buffer is reused across polls; PollInto grows it to the
-	// backlog once and then the loop is allocation-free.
-	buf := make([]nicsim.CQE, 0, batchSize)
+	// The drain buffer is reused across polls. It starts empty, so a
+	// poller that never sees a completion allocates none; PollInto grows
+	// it to the largest backlog, and then the loop is allocation-free.
+	var buf []nicsim.CQE
 	for {
 		buf = buf[:0]
 		n := w.cq.PollInto(&buf)
@@ -52,15 +55,26 @@ func (w *Worker) run() {
 			continue
 		}
 		w.handler(buf)
-		w.Processed.Add(uint64(n))
+		w.processed.Add(uint64(n))
 	}
+}
+
+// count returns how many completions the worker has handled: its own
+// count when it polls, its CQ's when the handler is the CQ's sink.
+func (w *Worker) count() uint64 {
+	if w.done == nil {
+		return w.cq.Handled.Load()
+	}
+	return w.processed.Load()
 }
 
 // Pool manages a set of workers, the DPA thread group serving one SDR
 // context.
 type Pool struct {
-	mu      sync.Mutex
-	workers []*Worker
+	mu sync.Mutex
+	// workers is the most recently spawned worker, the head of a list
+	// linked through Worker.next: spawning allocates the worker alone.
+	workers *Worker
 	sync    bool
 	// PCIeWrites counts host-memory updates performed by handlers
 	// (chunk-bitmap writes over PCIe, §3.4.2); handlers increment it.
@@ -71,14 +85,15 @@ type Pool struct {
 func NewPool() *Pool { return &Pool{} }
 
 // SetSynchronous selects the pool's delivery mode, the deployment's
-// clock kind: true (a virtual clock) makes every spawned worker the
-// CQ's inline sink, processing each completion in the producer's call —
-// packet processing must happen inside the delivery event, not on a
-// free-running goroutine the discrete-event scheduler cannot see — and
-// false (a real clock) gives each worker a poller goroutine. It is a
-// construction-time input: call it once, before the first SpawnBatch.
-// core.NewContext is the one in-tree caller; it stays a method because
-// benchmark/drives.go sets it for its isolated dpa drive.
+// clock kind: true (a virtual clock) makes every spawned worker's
+// handler the CQ's inline sink, processing each completion in the
+// producer's call — packet processing must happen inside the delivery
+// event, not on a free-running goroutine the discrete-event scheduler
+// cannot see — and false (a real clock) gives each worker a poller
+// goroutine. It is a construction-time input: call it once, before the
+// first SpawnBatch. core.NewContext is the one in-tree caller; it stays
+// a method because benchmark/drives.go sets it for its isolated dpa
+// drive.
 func (p *Pool) SetSynchronous(sync bool) {
 	p.mu.Lock()
 	p.sync = sync
@@ -89,25 +104,25 @@ func (p *Pool) SetSynchronous(sync bool) {
 // the batched-completion shape the line-rate data path uses. In
 // synchronous (sink) mode each delivery is a batch of one.
 func (p *Pool) SpawnBatch(cq *nicsim.CQ, handler BatchHandler) *Worker {
-	w := &Worker{cq: cq, handler: handler, done: make(chan struct{})}
+	w := &Worker{cq: cq}
 	p.mu.Lock()
-	p.workers = append(p.workers, w)
 	sync := p.sync
+	if !sync {
+		w.handler, w.done = handler, make(chan struct{})
+	}
+	w.next, p.workers = p.workers, w
 	p.mu.Unlock()
 	if !sync {
 		go w.run()
 		return w
 	}
-	close(w.done) // nothing to join at Stop time
-	// The CQ stages the CQE in its own scratch slot, so the sink is
-	// allocation-free end to end: no poller goroutine, no heap-boxed
-	// completion, just a direct call into the packet handler. Synchronous
-	// mode is the virtual-clock mode, where every producer runs under the
-	// scheduler baton, so the sink is a serial one.
-	cq.SetSink(func(cqes []nicsim.CQE) {
-		handler(cqes)
-		w.Processed.Add(uint64(len(cqes)))
-	}, true)
+	// The handler is the sink itself, and the CQ stages the CQE in its
+	// own scratch slot and counts it, so delivery is allocation-free end
+	// to end: no poller goroutine, no wrapper, no heap-boxed completion,
+	// just a direct call into the packet handler. Synchronous mode is the
+	// virtual-clock mode, where every producer runs under the scheduler
+	// baton, so the sink is a serial one.
+	cq.SetSink(handler, true)
 	return w
 }
 
@@ -116,22 +131,25 @@ func (p *Pool) Processed() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var total uint64
-	for _, w := range p.workers {
-		total += w.Processed.Load()
+	for w := p.workers; w != nil; w = w.next {
+		total += w.count()
 	}
 	return total
 }
 
-// Stop closes every worker's CQ and waits for the workers to drain.
+// Stop closes every worker's CQ and waits for the poller goroutines
+// to drain; with synchronous workers only, it returns at once.
 func (p *Pool) Stop() {
 	p.mu.Lock()
-	workers := append([]*Worker(nil), p.workers...)
+	workers := p.workers
 	p.workers = nil
 	p.mu.Unlock()
-	for _, w := range workers {
+	for w := workers; w != nil; w = w.next {
 		w.cq.Close()
 	}
-	for _, w := range workers {
-		<-w.done
+	for w := workers; w != nil; w = w.next {
+		if w.done != nil {
+			<-w.done
+		}
 	}
 }

@@ -3,6 +3,7 @@ package dpa
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sdrrdma/internal/nicsim"
 )
@@ -40,7 +41,7 @@ func TestWorkerProcessesAll(t *testing.T) {
 		if sync {
 			// Inline processing: everything is handled and counted by
 			// the time Push returns, before any Stop.
-			if got := w.Processed.Load(); got != 500 || sum.Load() != want {
+			if got := w.count(); got != 500 || sum.Load() != want {
 				t.Fatalf("before Stop: Processed = %d, sum = %d, want 500 / %d", got, sum.Load(), want)
 			}
 		}
@@ -48,10 +49,17 @@ func TestWorkerProcessesAll(t *testing.T) {
 		if got := sum.Load(); got != want {
 			t.Fatalf("handler sum = %d, want %d", got, want)
 		}
-		if w.Processed.Load() != 500 {
-			t.Fatalf("Processed = %d, want 500", w.Processed.Load())
+		if w.count() != 500 {
+			t.Fatalf("Processed = %d, want 500", w.count())
 		}
 	})
+}
+
+func countWorkers(pool *Pool) (n int) {
+	for w := pool.workers; w != nil; w = w.next {
+		n++
+	}
+	return n
 }
 
 func TestPoolCounters(t *testing.T) {
@@ -61,8 +69,8 @@ func TestPoolCounters(t *testing.T) {
 			cqs[i] = nicsim.NewCQ(256, false)
 			pool.SpawnBatch(cqs[i], func([]nicsim.CQE) {})
 		}
-		if len(pool.workers) != 4 {
-			t.Fatalf("workers = %d", len(pool.workers))
+		if n := countWorkers(pool); n != 4 {
+			t.Fatalf("workers = %d", n)
 		}
 		for i, cq := range cqs {
 			for j := 0; j <= i; j++ {
@@ -77,8 +85,8 @@ func TestPoolCounters(t *testing.T) {
 			// Stop clears the worker list; Processed sums live workers.
 			t.Fatalf("Processed after Stop = %d, want 0 (workers detached)", got)
 		}
-		if len(pool.workers) != 0 {
-			t.Fatalf("workers after Stop = %d", len(pool.workers))
+		if n := countWorkers(pool); n != 0 {
+			t.Fatalf("workers after Stop = %d", n)
 		}
 	})
 }
@@ -130,7 +138,58 @@ func TestSynchronousStopDropsLatePushes(t *testing.T) {
 	pool.Stop()
 	pool.Stop()
 	cq.Push(nicsim.CQE{})
-	if handled != 1 || w.Processed.Load() != 1 {
-		t.Fatalf("handled %d, Processed %d after a push behind Stop, want 1 / 1", handled, w.Processed.Load())
+	if handled != 1 || w.count() != 1 {
+		t.Fatalf("handled %d, Processed %d after a push behind Stop, want 1 / 1", handled, w.count())
 	}
+}
+
+// Stop joins a poller: it does not return while the worker's handler is
+// still inside a batch. A synchronous pool has no goroutine to join,
+// and its Stop returns at once. Run under -race.
+func TestStopJoinsPollersOnly(t *testing.T) {
+	stopped := func(pool *Pool) chan struct{} {
+		done := make(chan struct{})
+		go func() { pool.Stop(); close(done) }()
+		return done
+	}
+	t.Run("poller", func(t *testing.T) {
+		pool := NewPool()
+		cq := nicsim.NewCQ(16, false)
+		entered, release := make(chan struct{}), make(chan struct{})
+		handled := 0
+		pool.SpawnBatch(cq, func(cqes []nicsim.CQE) {
+			if handled == 0 {
+				close(entered)
+				<-release
+			}
+			handled += len(cqes)
+		})
+		cq.Push(nicsim.CQE{})
+		<-entered
+		done := stopped(pool)
+		select {
+		case <-done:
+			t.Fatal("Stop returned while the poller was inside a batch")
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Stop never returned after the batch did")
+		}
+		if handled != 1 {
+			t.Fatalf("handled %d completions, want 1", handled)
+		}
+	})
+	t.Run("synchronous", func(t *testing.T) {
+		pool := NewPool()
+		pool.SetSynchronous(true)
+		pool.SpawnBatch(nicsim.NewCQ(16, false), func([]nicsim.CQE) {})
+		select {
+		case <-stopped(pool):
+		case <-time.After(10 * time.Second):
+			t.Fatal("Stop of a synchronous pool never returned")
+		}
+	})
 }

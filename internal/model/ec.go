@@ -25,6 +25,19 @@ type EC struct {
 	// Scheme selects the code: "mds" (Reed–Solomon-class, any m losses)
 	// or "xor" (modulo-group code, one loss per group).
 	Scheme string
+	// success is P_EC as the constructors computed it, so that a sampler
+	// pays its log-gamma sum once, not on every draw.
+	success ecSuccess
+}
+
+// ecSuccess is P_EC together with the parameters it was computed from:
+// an EC built as a literal, or changed after construction, no longer
+// matches them and computes P_EC afresh on each draw.
+type ecSuccess struct {
+	k, m   int
+	pDrop  float64
+	scheme string
+	p      float64
 }
 
 // The fallback constants every EC shares. ecBeta is the FTO slack
@@ -41,12 +54,12 @@ const (
 // the channel (§5.2.1: tolerates drop rates above 1e-2 with ≤20%
 // bandwidth inflation).
 func NewMDS(chp wan.Params) EC {
-	return EC{Ch: chp.WithDefaults(), K: 32, M: 8, Scheme: "mds"}
+	return EC{Ch: chp.WithDefaults(), K: 32, M: 8, Scheme: "mds"}.withSuccessProb()
 }
 
 // NewXOR returns the XOR-coded variant with the same (32, 8) split.
 func NewXOR(chp wan.Params) EC {
-	return EC{Ch: chp.WithDefaults(), K: 32, M: 8, Scheme: "xor"}
+	return EC{Ch: chp.WithDefaults(), K: 32, M: 8, Scheme: "xor"}.withSuccessProb()
 }
 
 // Name implements Scheme.
@@ -58,9 +71,23 @@ func (e EC) Name() string {
 	return fmt.Sprintf("%s EC(%d,%d)", tag, e.K, e.M)
 }
 
+// withSuccessProb returns e with P_EC computed for its parameters.
+func (e EC) withSuccessProb() EC {
+	e.success = ecSuccess{k: e.K, m: e.M, pDrop: e.Ch.PDrop, scheme: e.Scheme}
+	e.success.p = e.computeSuccessProb()
+	return e
+}
+
 // submessageSuccessProb returns P_EC(k, m): the probability one data
 // submessage is recoverable (Appendix B).
 func (e EC) submessageSuccessProb() float64 {
+	if s := e.success; s.k == e.K && s.m == e.M && s.pDrop == e.Ch.PDrop && s.scheme == e.Scheme {
+		return s.p
+	}
+	return e.computeSuccessProb()
+}
+
+func (e EC) computeSuccessProb() float64 {
 	if e.Scheme == "xor" {
 		return ec.XORSuccessProb(e.K, e.M, e.Ch.PDrop)
 	}

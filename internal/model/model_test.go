@@ -105,6 +105,30 @@ func TestECSuccessPathTime(t *testing.T) {
 	}
 }
 
+// The constructors compute P_EC once; an EC that no longer matches the
+// parameters it was computed from — built as a literal, or changed after
+// construction — computes it afresh. Either way a draw sees the same
+// P_EC, so the samples are identical bit for bit.
+func TestECSuccessProbMemo(t *testing.T) {
+	ch := fig3Channel(1e-2)
+	const size, n, seed = 32 << 20, 200, 5
+	for _, built := range []EC{NewMDS(ch), NewXOR(ch)} {
+		literal := EC{Ch: built.Ch, K: built.K, M: built.M, Scheme: built.Scheme}
+		if got, want := built.submessageSuccessProb(), literal.computeSuccessProb(); got != want {
+			t.Fatalf("%s: memoized P_EC %v, computed %v", built.Name(), got, want)
+		}
+		if !slices.Equal(Sample(built, size, n, seed), Sample(literal, size, n, seed)) {
+			t.Fatalf("%s: samples differ from the literal's", built.Name())
+		}
+		changed := built
+		changed.K, changed.Ch.PDrop = 16, 3e-2
+		fresh := EC{Ch: changed.Ch, K: changed.K, M: changed.M, Scheme: changed.Scheme}
+		if got, want := changed.submessageSuccessProb(), fresh.computeSuccessProb(); got != want {
+			t.Fatalf("%s changed after construction: P_EC %v, want %v", built.Name(), got, want)
+		}
+	}
+}
+
 func TestECFallbackProbability(t *testing.T) {
 	e := NewMDS(fig3Channel(1e-5))
 	size := int64(128 << 20)

@@ -11,28 +11,34 @@ import (
 // (§3.4.1 maps each channel's CQ to its own worker).
 type CQ struct {
 	mu      sync.Mutex
-	nonFull *sync.Cond
+	nonFull sync.Cond // on mu
 	buf     []CQE
 	cap     int
 	head    int
 	count   int
-	closed  bool
 	// Dropped counts completions discarded because the CQ overflowed
 	// with Overrun semantics.
 	Dropped atomic.Uint64
+	// Handled counts completions the sink has returned from (see
+	// SetSink); a polled queue leaves it at zero.
+	Handled atomic.Uint64
 	// overrun selects behaviour on a full queue: true drops the new
 	// CQE (real CQ overrun), false blocks the producer.
 	overrun bool
-	hasData chan struct{} // 1-buffered wakeup signal for the poller
+	// wake is the poller's 1-buffered wakeup signal, made under mu by
+	// the first Wait that finds the queue empty: a sink-mode queue, which
+	// never has a poller, never makes one. Push and Close read it under
+	// mu, so a poller that parked before them is always woken.
+	wake chan struct{}
+	// state holds the cqSink and cqClosed flags, so the sink fast path
+	// in Push costs one atomic load. Written only under mu.
+	state atomic.Uint32
 	// sink, when set, consumes completions synchronously in the
 	// producer's call: Push invokes it instead of enqueueing. Virtual-
 	// clock deployments use it so packet processing happens inside the
 	// delivery event rather than on a free-running poller goroutine.
-	// Held in an atomic pointer so the sink fast path in Push costs two
-	// atomic loads instead of a mutex round-trip per completion.
-	sink atomic.Pointer[func([]CQE)]
-	// closedFlag mirrors closed for the lock-free sink path.
-	closedFlag atomic.Bool
+	// SetSink writes it once, before the cqSink flag publishes it.
+	sink func([]CQE)
 	// sinkBusy guards sinkScratch, the zero-allocation staging slot the
 	// sink fast path hands to the handler. A concurrent second producer
 	// (or a reentrant push from inside the handler) loses the CAS and
@@ -48,6 +54,12 @@ type CQ struct {
 	serialBusy bool
 }
 
+// The flags of CQ.state.
+const (
+	cqSink   = 1 << iota // a sink is installed
+	cqClosed             // Close has run: pushes are dropped
+)
+
 // NewCQ creates a completion queue with the given capacity. If overrun
 // is true, completions that arrive while the queue is full are counted
 // in Dropped and discarded, mimicking a real CQ overrun; otherwise the
@@ -59,10 +71,9 @@ func NewCQ(capacity int, overrun bool) *CQ {
 	// The ring itself is allocated lazily on the first buffered Push:
 	// sink-mode queues (every virtual-clock deployment) never buffer, so
 	// eagerly building CQDepth-sized rings per channel would be pure
-	// session-construction waste.
-	cq := &CQ{cap: capacity, overrun: overrun,
-		hasData: make(chan struct{}, 1)}
-	cq.nonFull = sync.NewCond(&cq.mu)
+	// session-construction waste; so would a poller's wakeup channel.
+	cq := &CQ{cap: capacity, overrun: overrun}
+	cq.nonFull.L = &cq.mu
 	return cq
 }
 
@@ -72,17 +83,20 @@ func NewCQ(capacity int, overrun bool) *CQ {
 // delivery as a one-element slice that is only valid for the duration
 // of the call: Push stages the CQE in a per-queue scratch slot instead
 // of heap-boxing it per completion. Install the sink before traffic
-// starts; it cannot be combined with concurrent Poll-based consumption.
+// starts, once; it cannot be combined with concurrent Poll-based
+// consumption. Handled counts each completion once fn returns.
 //
 // serial is the owner's clock kind, clk.IsVirtual(): on a virtual clock
 // every producer runs under the scheduler baton, one at a time, and the
 // scratch hand-off needs no atomic claim; on a real clock producers may
-// push concurrently and it does. The write to sinkSerial is published
-// by the atomic sink store, so producers that observe the sink observe
-// the mode.
+// push concurrently and it does. fn and serial are published by the
+// atomic store of the cqSink flag, so producers that observe the flag
+// observe both, and storing fn boxes nothing.
 func (q *CQ) SetSink(fn func([]CQE), serial bool) {
-	q.sinkSerial = serial
-	q.sink.Store(&fn)
+	q.mu.Lock()
+	q.sink, q.sinkSerial = fn, serial
+	q.state.Store(q.state.Load() | cqSink)
+	q.mu.Unlock()
 }
 
 // Push appends a completion (or hands it to the sink).
@@ -95,8 +109,8 @@ func (q *CQ) SetSink(fn func([]CQE), serial bool) {
 // one always-cached line, Push's flat time falls about 40-fold. Read its
 // profile share as part of the copy floor, not as a cost of its own.
 func (q *CQ) Push(e CQE) {
-	if fn := q.sink.Load(); fn != nil {
-		if q.closedFlag.Load() {
+	if s := q.state.Load(); s&cqSink != 0 {
+		if s&cqClosed != 0 {
 			return
 		}
 		switch {
@@ -104,25 +118,26 @@ func (q *CQ) Push(e CQE) {
 			if !q.serialBusy {
 				q.serialBusy = true
 				q.sinkScratch[0] = e
-				(*fn)(q.sinkScratch[:1])
+				q.sink(q.sinkScratch[:1])
 				q.serialBusy = false
 			} else {
-				(*fn)([]CQE{e})
+				q.sink([]CQE{e})
 			}
 		case q.sinkBusy.CompareAndSwap(false, true):
 			q.sinkScratch[0] = e
-			(*fn)(q.sinkScratch[:1])
+			q.sink(q.sinkScratch[:1])
 			q.sinkBusy.Store(false)
 		default:
-			(*fn)([]CQE{e})
+			q.sink([]CQE{e})
 		}
+		q.Handled.Add(1)
 		return
 	}
 	q.mu.Lock()
 	if q.buf == nil {
 		q.buf = make([]CQE, q.cap)
 	}
-	for q.count == len(q.buf) && !q.closed {
+	for q.count == len(q.buf) && !q.closed() {
 		if q.overrun {
 			q.mu.Unlock()
 			q.Dropped.Add(1)
@@ -130,16 +145,26 @@ func (q *CQ) Push(e CQE) {
 		}
 		q.nonFull.Wait()
 	}
-	if q.closed {
+	if q.closed() {
 		q.mu.Unlock()
 		return
 	}
 	q.buf[(q.head+q.count)%len(q.buf)] = e
 	q.count++
+	wake := q.wake
 	q.mu.Unlock()
+	signal(wake)
+}
+
+// closed reports whether Close has run. Caller holds mu.
+func (q *CQ) closed() bool { return q.state.Load()&cqClosed != 0 }
+
+// signal leaves a token in a poller's wakeup channel, if there is a
+// poller and no token is pending.
+func signal(wake chan struct{}) {
 	select {
-	case q.hasData <- struct{}{}:
-	default:
+	case wake <- struct{}{}:
+	default: // no poller yet (a nil channel), or a token is pending
 	}
 }
 
@@ -164,8 +189,9 @@ func (q *CQ) Poll(dst []CQE) int {
 }
 
 // PollInto drains every pending completion into *dst, growing the
-// caller's buffer as needed (its capacity is reused across drains), and
-// returns the number appended. One mutex round-trip amortizes over the
+// caller's buffer as needed — at least doubling it, so a buffer that
+// starts empty reaches the largest backlog in a few steps — and returns
+// the number appended; its capacity is reused across drains. One mutex round-trip amortizes over the
 // whole backlog, versus one per fixed-size Poll batch — the
 // ibv_poll_cq-with-large-batch idiom the DPA workers use.
 func (q *CQ) PollInto(dst *[]CQE) int {
@@ -177,7 +203,7 @@ func (q *CQ) PollInto(dst *[]CQE) int {
 	}
 	base := len(*dst)
 	if need := base + n; cap(*dst) < need {
-		grown := make([]CQE, base, need)
+		grown := make([]CQE, base, max(need, 2*cap(*dst)))
 		copy(grown, *dst)
 		*dst = grown
 	}
@@ -202,12 +228,16 @@ func (q *CQ) Wait() bool {
 			q.mu.Unlock()
 			return true
 		}
-		if q.closed {
+		if q.closed() {
 			q.mu.Unlock()
 			return false
 		}
+		if q.wake == nil {
+			q.wake = make(chan struct{}, 1)
+		}
+		wake := q.wake
 		q.mu.Unlock()
-		<-q.hasData
+		<-wake
 	}
 }
 
@@ -217,16 +247,13 @@ func (q *CQ) Wait() bool {
 // open channel is always safe.
 func (q *CQ) Close() {
 	q.mu.Lock()
-	if q.closed {
+	if q.closed() {
 		q.mu.Unlock()
 		return
 	}
-	q.closed = true
-	q.closedFlag.Store(true)
+	q.state.Store(q.state.Load() | cqClosed)
 	q.nonFull.Broadcast()
+	wake := q.wake
 	q.mu.Unlock()
-	select {
-	case q.hasData <- struct{}{}:
-	default:
-	}
+	signal(wake)
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 // claimPaths runs a sink test on the serial scratch claim (virtual
@@ -101,4 +102,80 @@ func TestCQSinkBypassesRingAndStopsAtClose(t *testing.T) {
 			t.Fatalf("delivered %d (want the 10 pushed before Close), Dropped %d", delivered, cq.Dropped.Load())
 		}
 	})
+}
+
+// A poller that parks in Wait before anything was pushed — its wait
+// makes the queue's wakeup channel — wakes on the first Push, and, on a
+// queue that never gets one, on Close. Run under -race.
+func TestCQWaitParkedBeforeFirstPush(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		wake  func(*CQ)
+		ready bool
+	}{
+		{"push", func(q *CQ) { q.Push(CQE{Imm: 7}) }, true},
+		{"close", (*CQ).Close, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cq := NewCQ(4, false)
+			woke := make(chan bool)
+			go func() { woke <- cq.Wait() }()
+			for parked := false; !parked; {
+				time.Sleep(time.Millisecond)
+				cq.mu.Lock()
+				parked = cq.wake != nil
+				cq.mu.Unlock()
+			}
+			tc.wake(cq)
+			select {
+			case ready := <-woke:
+				if ready != tc.ready {
+					t.Fatalf("Wait = %t, want %t", ready, tc.ready)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the parked poller never woke")
+			}
+		})
+	}
+}
+
+// A sink-mode queue never makes a wakeup channel: nothing polls it.
+func TestCQSinkMakesNoWakeChannel(t *testing.T) {
+	cq := NewCQ(4, false)
+	cq.SetSink(func([]CQE) {}, true)
+	cq.Push(CQE{})
+	cq.Close()
+	if cq.wake != nil || cq.Handled.Load() != 1 {
+		t.Fatalf("wake channel %v, Handled %d; want none and 1", cq.wake, cq.Handled.Load())
+	}
+}
+
+// PollInto appends the backlog in push order after what dst holds, and
+// a buffer too small for it at least doubles, so a drain buffer that
+// starts empty, as a DPA poller's does, reaches a backlog in a few steps.
+func TestCQPollIntoGrowsByDoubling(t *testing.T) {
+	cq := NewCQ(64, false)
+	push := func(from, to uint32) {
+		for i := from; i < to; i++ {
+			cq.Push(CQE{Imm: i})
+		}
+	}
+	var buf []CQE
+	push(0, 3)
+	if n := cq.PollInto(&buf); n != 3 || cap(buf) != 3 {
+		t.Fatalf("first drain: %d CQEs, capacity %d; want 3 and 3", n, cap(buf))
+	}
+	push(3, 7)
+	if n := cq.PollInto(&buf); n != 4 || cap(buf) != 7 {
+		t.Fatalf("second drain: %d CQEs, capacity %d; want 4 and the 7 needed", n, cap(buf))
+	}
+	push(7, 9)
+	if n := cq.PollInto(&buf); n != 2 || cap(buf) != 14 {
+		t.Fatalf("third drain: %d CQEs, capacity %d; want 2 and 14, double the 7 held", n, cap(buf))
+	}
+	for i, e := range buf {
+		if e.Imm != uint32(i) {
+			t.Fatalf("buf[%d].Imm = %d: the drains reordered or lost completions", i, e.Imm)
+		}
+	}
 }

@@ -2,8 +2,6 @@ package nicsim
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -29,20 +27,24 @@ type packetSink interface {
 	recvPacket(pkt *Packet)
 }
 
+// qpSlot is a QP's entry in its device's QP table: the QP itself as the
+// table's packetSink, and the QPN it answers to. Every QP type embeds
+// one, so entering a QP in the table allocates nothing.
+type qpSlot struct {
+	sink packetSink
+	qpn  uint32
+}
+
 // Device is one simulated NIC.
 type Device struct {
 	name string
-	mem  *memTable
-	mu   sync.Mutex // serializes QP table writers
-	// qps is the QP table indexed by QPN (a new QP's QPN is the table's
-	// length, from 1, slot 0 unused). Delivery reads it with one
-	// atomic load — no lock on the per-packet path. A create appends in
-	// place, doubling the backing array when it is full, and publishes
-	// the longer header: the new slot lies past the length of every
-	// header already published, so no reader can index it before the
-	// store. A destroy, which changes a slot readers can see, publishes
-	// a fresh copy.
-	qps atomic.Pointer[[]packetSink]
+	mem  memTable
+	// qps is the QP table indexed by QPN. Delivery reads it lock-free;
+	// a create stores the QP's own slot, allocating only when the table
+	// doubles, and a destroy clears the slot in place. lastQPN is the
+	// QPN handed out last: QPNs run from 1, and 0 is never a QP's.
+	qps     Table[qpSlot]
+	lastQPN atomic.Uint32
 	// RxPackets counts packets delivered to this device.
 	RxPackets atomic.Uint64
 	// RxDropNoQP counts packets addressed to unknown QPs.
@@ -59,10 +61,8 @@ type Device struct {
 
 // NewDevice creates a NIC simulator instance.
 func NewDevice(name string) *Device {
-	d := &Device{name: name, mem: newMemTable()}
-	empty := make([]packetSink, 1)
-	d.qps.Store(&empty)
-	return d
+	// Index 0 of the memory table is never handed out (no valid key is 0).
+	return &Device{name: name, mem: memTable{gens: make([]uint32, 1, 8)}}
 }
 
 // Name returns the device name.
@@ -127,43 +127,27 @@ func (d *Device) dmaWrite(key uint32, offset uint64, data []byte) error {
 	return target.DMAWrite(offset, data)
 }
 
-func (d *Device) addQP(sink packetSink) uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	qps := *d.qps.Load()
-	next := append(qps, sink)
-	d.qps.Store(&next)
-	return uint32(len(qps))
+// addQP enters sink, the QP that embeds slot, in the QP table under
+// the next QPN.
+func (d *Device) addQP(slot *qpSlot, sink packetSink) {
+	slot.sink, slot.qpn = sink, d.lastQPN.Add(1)
+	d.qps.Store(int(slot.qpn), slot)
 }
 
 // DestroyQP removes a queue pair; packets addressed to it are dropped.
-func (d *Device) DestroyQP(qpn uint32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := *d.qps.Load()
-	if qpn >= uint32(len(old)) {
-		return
-	}
-	next := slices.Clone(old)
-	next[qpn] = nil
-	d.qps.Store(&next)
-}
+func (d *Device) DestroyQP(qpn uint32) { d.qps.Store(int(qpn), nil) }
 
 // Deliver injects an inbound packet — called by the fabric. The device
 // is the terminal hop: once the QP's receive path returns (or the
 // packet misses every QP), a pooled envelope is recycled.
 func (d *Device) Deliver(pkt *Packet) {
 	d.RxPackets.Add(1)
-	qps := *d.qps.Load()
-	var sink packetSink
-	if n := pkt.DstQPN; n < uint32(len(qps)) {
-		sink = qps[n]
-	}
-	if sink == nil {
+	slot := d.qps.Load(int(pkt.DstQPN))
+	if slot == nil {
 		d.RxDropNoQP.Add(1)
 		pkt.release()
 		return
 	}
-	sink.recvPacket(pkt)
+	slot.sink.recvPacket(pkt)
 	pkt.release()
 }

@@ -152,8 +152,8 @@ func (ix *IndirectMR) DMAWrite(offset uint64, data []byte) error {
 
 // Table maps indices to *T: the storage shape of a table that has a
 // fixed logical size but should cost only the entries its traffic
-// touches — a device's memory keys, a root key's entries, an SDR QP's
-// message slots. A reader loads an entry lock-free with two atomic
+// touches — a device's memory keys and QPs, a root key's entries, an
+// SDR QP's message slots. A reader loads an entry lock-free with two atomic
 // loads, the storage and then its cell; an index past the storage
 // reads nil. Storage starts empty and doubles (from 8 cells) when a
 // non-nil value is stored past its end, and the longer copy is
@@ -236,10 +236,6 @@ type memTable struct {
 	gens []uint32
 	free []uint32
 	live int
-}
-
-func newMemTable() *memTable {
-	return &memTable{gens: make([]uint32, 1, 8)}
 }
 
 // register publishes r (embedded in target) under a fresh key.

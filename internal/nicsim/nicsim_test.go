@@ -652,9 +652,12 @@ func TestQPTableGrowsUnderDelivery(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	qps := *devB.qps.Load()
-	if want := int(qpB.QPN()) + creates + 1; len(qps) != want {
-		t.Fatalf("table length %d, want %d", len(qps), want)
+	last := qpB.QPN() + creates
+	if got := devB.lastQPN.Load(); got != last {
+		t.Fatalf("last QPN %d, want %d", got, last)
+	}
+	if slot := devB.qps.Load(int(last) + 1); slot != nil {
+		t.Fatalf("slot past the last QPN holds %v", slot.sink)
 	}
 	for i, qp := range created {
 		if qp == nil {
@@ -664,7 +667,11 @@ func TestQPTableGrowsUnderDelivery(t *testing.T) {
 		if i%2 == 1 {
 			want = nil
 		}
-		if got := qps[qp.QPN()]; got != want {
+		var got packetSink
+		if slot := devB.qps.Load(int(qp.QPN())); slot != nil {
+			got = slot.sink
+		}
+		if got != want {
 			t.Fatalf("slot %d holds %v, want %v", qp.QPN(), got, want)
 		}
 	}

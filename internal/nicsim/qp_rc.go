@@ -16,9 +16,9 @@ import (
 // compared against (Fig 14) and a reference point for why ASIC-fixed
 // reliability is a poor fit for long-haul links.
 type RCQP struct {
-	dev  *Device
-	clk  clock.Clock
-	qpn  uint32
+	dev *Device
+	clk clock.Clock
+	qpSlot
 	mtu  int
 	wire Wire
 	peer uint32
@@ -92,7 +92,7 @@ func NewRCQP(dev *Device, clk clock.Clock, mtu int, recvCQ, sendCQ *CQ, rto time
 	}
 	qp := &RCQP{dev: dev, clk: clock.Or(clk), mtu: mtu, recvCQ: recvCQ, sendCQ: sendCQ,
 		rto: rto, ackEvery: ackEvery, window: window}
-	qp.qpn = dev.addQP(qp)
+	dev.addQP(&qp.qpSlot, qp)
 	return qp
 }
 

@@ -16,8 +16,8 @@ import (
 // reordering, while multi-packet Writes are dropped wholesale on any
 // loss or reorder.
 type UCQP struct {
-	dev  *Device
-	qpn  uint32
+	dev *Device
+	qpSlot
 	mtu  int
 	wire Wire
 	peer uint32
@@ -61,7 +61,7 @@ func NewUCQP(dev *Device, mtu int, recvCQ, sendCQ *CQ) *UCQP {
 		panic("nicsim: UC QP requires a receive CQ")
 	}
 	qp := &UCQP{dev: dev, mtu: mtu, recvCQ: recvCQ, sendCQ: sendCQ}
-	qp.qpn = dev.addQP(qp)
+	dev.addQP(&qp.qpSlot, qp)
 	return qp
 }
 

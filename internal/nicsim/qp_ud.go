@@ -11,8 +11,8 @@ import (
 // path for ACK/NACK exchange (§4.1) — control packets can be lost just
 // like data. Payloads are limited to one MTU.
 type UDQP struct {
-	dev  *Device
-	qpn  uint32
+	dev *Device
+	qpSlot
 	mtu  int
 	wire Wire
 
@@ -46,7 +46,7 @@ func NewUDQP(dev *Device, mtu int, recvCQ *CQ) *UDQP {
 		panic("nicsim: UD QP requires a receive CQ")
 	}
 	qp := &UDQP{dev: dev, mtu: mtu, recvCQ: recvCQ}
-	qp.qpn = dev.addQP(qp)
+	dev.addQP(&qp.qpSlot, qp)
 	return qp
 }
 

@@ -66,8 +66,10 @@ type ControlPlane struct {
 	// idle holds the control streams of finished operations, drained,
 	// for the next register: a stream's 64-message buffer is 6 KB, more
 	// than everything else a short operation allocates.
-	idle    []chan ctrlMsg
-	bufs    [][]byte
+	idle []chan ctrlMsg
+	// ring is the receive ring's slab: buffer i, posted with WRID i, is
+	// ringBuf(i).
+	ring    []byte
 	stopped bool
 
 	// outstanding counts receive buffers whose datagram is being
@@ -111,15 +113,17 @@ func newControlPlane(side *core.Endpoint) *ControlPlane {
 		mtu:      mtu,
 		handlers: make(map[uint64]chan ctrlMsg),
 	}
-	slab := make([]byte, nbufs*mtu)
-	cp.bufs = make([][]byte, nbufs)
+	cp.ring = make([]byte, nbufs*mtu)
 	for i := range nbufs {
-		buf := slab[i*mtu : (i+1)*mtu : (i+1)*mtu]
-		cp.bufs[i] = buf
-		cp.ud.PostRecv(buf, uint64(i))
+		cp.ud.PostRecv(cp.ringBuf(i), uint64(i))
 	}
 	cq.SetSink(cp.handleCQEs, virtual)
 	return cp
+}
+
+// ringBuf returns receive buffer i of the ring.
+func (cp *ControlPlane) ringBuf(i int) []byte {
+	return cp.ring[i*cp.mtu : (i+1)*cp.mtu : (i+1)*cp.mtu]
 }
 
 // attach points the control plane at wire and at peer's control QP and
@@ -183,7 +187,7 @@ func (cp *ControlPlane) handleCQEs(cqes []nicsim.CQE) {
 		n := cp.outstanding.Add(1)
 		for h := cp.recvHWM.Load(); n > h && !cp.recvHWM.CompareAndSwap(h, n); h = cp.recvHWM.Load() {
 		}
-		buf := cp.bufs[cqe.WRID%uint64(len(cp.bufs))]
+		buf := cp.ringBuf(int(cqe.WRID % uint64(len(cp.ring)/cp.mtu)))
 		msg, err := decodeCtrl(buf[:cqe.ByteLen])
 		// Repost the buffer immediately (UD consumes one per datagram).
 		cp.ud.PostRecv(buf, cqe.WRID)

@@ -42,17 +42,20 @@ type retiredOp struct {
 // fresh copy of the operation's final ACK, so the sender completes
 // one round-trip after the burst clears instead of stalling until its
 // global timeout.
+//
+// The ring (≈ 10 KB) is allocated by the first retire: an endpoint that
+// only sends, like every sender side, never has one.
 type reackTable struct {
 	mu   sync.Mutex
 	next int // ring cursor
-	ops  [reackOps]retiredOp
+	ops  *[reackOps]retiredOp
 }
 
 // resetLocked forgets every retired operation, touching only the
 // entries in use (they run contiguously back from the cursor). The
 // slot lists keep their backing arrays. Caller holds t.mu.
 func (t *reackTable) resetLocked() {
-	for k := 1; k <= reackOps; k++ {
+	for k := 1; t.ops != nil && k <= reackOps; k++ {
 		op := &t.ops[(t.next-k+reackOps)%reackOps]
 		if !op.used {
 			break
@@ -67,6 +70,9 @@ func (t *reackTable) resetLocked() {
 func (e *Endpoint) rememberRetired(msg ctrlMsg, hs ...*core.RecvHandle) {
 	t := &e.reack
 	t.mu.Lock()
+	if t.ops == nil {
+		t.ops = new([reackOps]retiredOp)
+	}
 	op := &t.ops[t.next]
 	op.used = true
 	op.lastSent = time.Time{}
@@ -102,7 +108,7 @@ func (e *Endpoint) handleLate(slot int, gen uint32) {
 	// older op can still hold the same pair — the most recently
 	// retired op is the one the late packet belongs to.
 scan:
-	for k := 1; k <= reackOps; k++ {
+	for k := 1; t.ops != nil && k <= reackOps; k++ {
 		op := &t.ops[(t.next-k+reackOps)%reackOps]
 		if !op.used {
 			break // ring filled contiguously from t.next backwards

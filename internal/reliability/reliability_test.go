@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"sdrrdma/internal/core"
 	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/nicsim"
+	"sdrrdma/internal/telemetry"
 )
 
 // testCoreCfg: 1 KiB MTU, 4 KiB chunks — small messages exercise many
@@ -402,6 +404,75 @@ func TestGlobalTimeout(t *testing.T) {
 				driveMsg(t, tr, pattern(tc.size, byte(2+i)))
 			}
 		})
+	}
+}
+
+// retransmitLog is a telemetry sink that keeps the (chunk, cause) of
+// every EvRetransmit probe.
+type retransmitLog [][2]int64
+
+func (l *retransmitLog) Event(_ int64, kind telemetry.EventKind, _ int32, a0, a1, _, _ int64) {
+	if kind == telemetry.EvRetransmit {
+		*l = append(*l, [2]int64{a0, a1})
+	}
+}
+
+func (l *retransmitLog) BackgroundEvent(int64, telemetry.EventKind, int32, int64, int64, int64, int64) {
+}
+
+// A coded sender resends what an EC NACK names only where the entry
+// maps onto its geometry: an entry for a submessage index at L, or for a
+// chunk index at the submessage's real chunk count, is skipped without
+// a panic, and the one valid entry is resent once, with CauseNack.
+func TestECNackSkipsOutOfRangeEntries(t *testing.T) {
+	s, vc := newVirtualSession(t, testRelCfg(), 0, 1)
+	chunk := s.Pair.A.Ctx.Config().ChunkBytes
+	g := newECGeometry(3*chunk, chunk, 4, 2) // one submessage of 3 real chunks
+	if g.L != 1 || g.realChunks(0) != 3 {
+		t.Fatalf("geometry L %d, real chunks %d, want 1 and 3", g.L, g.realChunks(0))
+	}
+	data := pattern(3*chunk, 7)
+	var log retransmitLog
+	s.A.tel.sink = &log
+	var seg *sendSeg
+	var applyErr error
+	var sent uint64
+	clock.Join(vc, func() {
+		if _, err := s.B.QP.RecvPost(s.Pair.B.Ctx.RegMR(make([]byte, len(data))), 0, len(data)); err != nil {
+			applyErr = err
+			return
+		}
+		st, err := s.A.QP.SendStreamStart(len(data), 0)
+		if err != nil {
+			applyErr = err
+			return
+		}
+		seg = &sendSeg{e: s.A, data: data, g: g, streams: []*core.SendStream{st},
+			chunks: make([]chunkState, g.nchunks)}
+		before := s.A.QP.Stats().PacketsSent
+		applyErr = seg.apply(ctrlMsg{typ: msgECNack, nackSubmsgs: []ecNackEntry{
+			{submsg: uint32(g.L), missing: []uint32{0}},
+			{submsg: 0, missing: []uint32{uint32(g.realChunks(0))}},
+			{submsg: 0, missing: []uint32{1}},
+		}})
+		sent = s.A.QP.Stats().PacketsSent - before
+	})
+	if applyErr != nil {
+		t.Fatal(applyErr)
+	}
+	if want := (retransmitLog{{1, telemetry.CauseNack}}); !slices.Equal(log, want) {
+		t.Fatalf("retransmits (chunk, cause) %v, want %v", log, want)
+	}
+	if got := s.A.Retransmits.Load(); got != 1 {
+		t.Fatalf("Retransmits = %d, want 1", got)
+	}
+	if want := uint64(chunk / s.Pair.A.Ctx.Config().MTU); sent != want {
+		t.Fatalf("%d packets injected, want chunk 1's %d", sent, want)
+	}
+	for c, st := range seg.chunks {
+		if resent := !st.lastSent.IsZero(); resent != (c == 1) {
+			t.Fatalf("chunk %d resent = %t", c, resent)
+		}
 	}
 }
 

@@ -105,15 +105,53 @@ func TestLeasedRebindAllocRatio(t *testing.T) {
 	}
 }
 
+// TestColdBuildAllocs pins what a cold reliability.NewSession of the
+// churn shape allocates, build and Close together. A deployment of 2
+// generations × 4 channels per side costs three objects per channel —
+// its CQ, its UC QP and its DPA worker — and the rest per QP, context
+// and device, so a per-channel object creeping back shows as 16 more.
+// A real clock's poller adds at most three per channel, depending on how
+// it is scheduled: its done channel, its wakeup channel (made only if it
+// waits before Close) and a goroutine descriptor when the runtime has
+// no exited one to reuse (164–165 measured, 168–170 under -race). Its
+// drain buffer waits for a first completion.
+func TestColdBuildAllocs(t *testing.T) {
+	const virtual, channels = 132, 2 * 2 * 4
+	for _, tc := range []struct {
+		name string
+		clk  clock.Clock
+		max  float64
+	}{
+		{"virtual", clock.NewVirtual(), virtual},
+		{"real", clock.NewReal(), virtual + 3*channels},
+	} {
+		cfg := churnCoreCfg(tc.clk)
+		rel := poolRelCfg()
+		fabCfg := fabric.Config{Clock: tc.clk}
+		got := testing.AllocsPerRun(20, func() {
+			s, err := reliability.NewSession(cfg, rel, fabCfg, fabCfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+		})
+		t.Logf("%s clock: %.0f allocs per cold build", tc.name, got)
+		if got > tc.max {
+			t.Errorf("%s clock: a cold build allocates %.0f objects, want ≤ %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
 // TestDeploymentFootprint pins the live memory of a pooled deployment,
 // the figure that bounds how many concurrent flows one process can
-// host (4096 at 64 KiB each is 256 MiB). It builds 64 virtual-clock
+// host (4096 at 32 KiB each is 128 MiB). It builds 64 virtual-clock
 // deployments of the flow_churn shape — 64 KiB messages, otherwise the
 // churn deployment — and keeps them all leased while it measures. A
 // cold deployment holds no message-slot or root-key storage (RecvPost
-// grows it) and a 2-buffer control ring per side.
+// grows it), no re-ACK ring (the first retire makes it), no poller
+// goroutine machinery and a 2-buffer control ring per side.
 func TestDeploymentFootprint(t *testing.T) {
-	const kept, budget = 64, 64 << 10
+	const kept, budget = 64, 32 << 10
 	cfg := churnCoreCfg(clock.NewVirtual())
 	cfg.MaxMsgBytes = 64 << 10
 	pool, err := session.NewPool(session.Config{Core: cfg})
