@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -80,5 +82,18 @@ func TestAdaptiveTraceByteIdentical(t *testing.T) {
 				t.Fatalf("workers=%d GOMAXPROCS=%d: trace bytes diverged", workers, procs)
 			}
 		}
+	}
+}
+
+// The adaptive figure's trace is pinned by SHA-256: a change to how
+// netem settles its queues, or to what the stack probes, that claims to
+// keep the simulation must leave these bytes alone. Instants export in
+// timestamp order, so a probe settled after the fact lands where its
+// instant falls.
+func TestAdaptiveTraceGolden(t *testing.T) {
+	_, trace := renderTraced(t, 1)
+	const want = "797705424c2be985b4085a1c72f4ec642e7b0986b129d3d73d4893e72033ae60"
+	if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != want {
+		t.Fatalf("adaptive-functional trace SHA-256 = %s, want %s", got, want)
 	}
 }

@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -119,8 +121,9 @@ func writeTS(w *bufio.Writer, nanos int64) {
 // process (pid = cell index) whose threads are the cell's tracks;
 // drops, marks, retransmits, ladder switches, flaps and pool events
 // are instant events; series render as counter tracks; the cell span
-// is one complete event on the lane track. Cells, tracks and events
-// are emitted in recording order, so output bytes are a pure function
+// is one complete event on the lane track. Cells and tracks are
+// emitted in recording order and instants in timestamp order (stable,
+// so ties keep recording order), so output bytes are a pure function
 // of the per-cell simulations.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -164,8 +167,14 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 			writeTS(bw, r.span)
 			bw.WriteString(`,"args":{}}`)
 		}
-		for i := range r.events {
-			ev := &r.events[i]
+		// Instants in time order: a netem queue settles a departure
+		// after the fact, so its probe can follow later events of other
+		// tracks in the slab. The sort is stable, so events at one
+		// timestamp keep their recording order.
+		evs := slices.Clone(r.events)
+		slices.SortStableFunc(evs, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+		for i := range evs {
+			ev := &evs[i]
 			sep()
 			bw.WriteString(`{"name":"`)
 			bw.WriteString(ev.Kind.String())

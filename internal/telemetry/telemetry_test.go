@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -199,6 +200,49 @@ func TestWriteChromeParses(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("WriteChrome output differs across identical exports")
+	}
+}
+
+// Instants leave WriteChrome in timestamp order whatever order they
+// were recorded in — a queue settles a departure's probe after later
+// events of other tracks — and events at one timestamp keep their
+// recording order.
+func TestWriteChromeSortsInstantsStably(t *testing.T) {
+	tr := NewTrace("unit")
+	tr.CellStart(0, 0)
+	r := tr.Cell(0)
+	a, b := r.Track("a"), r.Track("b")
+	r.Event(3000, EvTailDrop, a, 1, 0, 0, 0)
+	r.BackgroundEvent(1000, EvChannelDrop, b, 0, 2, 0, 0)
+	r.Event(3000, EvTailDrop, b, 3, 0, 0, 0)
+	r.BackgroundEvent(2000, EvChannelDrop, a, 0, 4, 0, 0)
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string         `json:"ph"`
+			Ts   float64        `json:"ts"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "i" && e.Ts > 0 {
+			v, _ := e.Args["occ"].(float64)
+			w, _ := e.Args["bytes"].(float64)
+			got = append(got, v+w)
+		}
+	}
+	if want := []float64{2, 4, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("instants emitted as %v, want %v (by timestamp, ties in recording order)", got, want)
+	}
+	if evs := r.Events(); evs[1].At != 3000 || evs[2].At != 1000 {
+		t.Fatal("export reordered the recorder's own slab")
 	}
 }
 
