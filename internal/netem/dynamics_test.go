@@ -2,6 +2,8 @@ package netem
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -407,5 +409,87 @@ func TestDoubleFlapTransfer(t *testing.T) {
 	}
 	if err := topo.ClosePools(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// instantRecorder is a terminal Deliverer logging each packet's
+// arrival instant on the clock's scheduling timeline, by PSN.
+type instantRecorder struct {
+	clk   clock.Clock
+	mu    sync.Mutex
+	at    map[uint32]float64
+	order []uint32
+}
+
+func (r *instantRecorder) Deliver(pkt *nicsim.Packet) {
+	r.mu.Lock()
+	if r.at == nil {
+		r.at = map[uint32]float64{}
+	}
+	r.at[pkt.PSN] = r.clk.Instant()
+	r.order = append(r.order, pkt.PSN)
+	r.mu.Unlock()
+}
+
+// A distance change lands between the departures of packets buffered
+// behind each other: every packet arrives at its finish instant plus
+// the propagation delay in force at that instant. The first change
+// shortens the delay, so packets still buffered overtake ones already
+// on the wire; the second lengthens it again.
+func TestSetDistanceStraddlesBufferedPackets(t *testing.T) {
+	clk := clock.NewVirtual()
+	topo := New("line", clk, 1)
+	a, b := topo.AddNode("A"), topo.AddNode("B")
+	// 1000 wire bytes per millisecond; 900 km is 3 ms of propagation.
+	e, err := topo.AddEdge(a, b, EdgeConfig{DistanceKm: 900, BandwidthBps: 8e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &instantRecorder{clk: clk}
+	port := e.Fwd.Port(rec)
+	const n = 8
+	type change struct {
+		at time.Duration
+		km float64
+	}
+	changes := []change{{3500 * time.Microsecond, 150}, {5500 * time.Microsecond, 600}}
+	var fins [n]float64
+	clock.Join(clk, func() {
+		// The finish instants the queue forms: its line rate's
+		// serialization time, truncated to whole nanoseconds, added
+		// packet by packet to the instant the line went busy.
+		size, bps := 1000.0, 8e6
+		tx := time.Duration(size * 8 / bps * float64(time.Second)).Seconds()
+		fin := clk.Instant()
+		for i := range fins {
+			port.Send(pkt(uint32(i), 1000-nicsim.HeaderBytes))
+			fin += tx
+			fins[i] = fin
+		}
+		for _, c := range changes {
+			clk.Sleep(c.at - clk.Elapsed())
+			if err := e.SetDistance(c.km); err != nil {
+				t.Error(err)
+			}
+		}
+		clk.Sleep(20 * time.Millisecond)
+	})
+	if len(rec.order) != n {
+		t.Fatalf("delivered %d/%d packets", len(rec.order), n)
+	}
+	for i, fin := range fins {
+		km := 900.0
+		for _, c := range changes {
+			if fin > c.at.Seconds() {
+				km = c.km
+			}
+		}
+		want := fin + EdgeConfig{DistanceKm: km}.delay().Seconds()
+		if got := rec.at[uint32(i)]; got != want {
+			t.Errorf("packet %d (finish %.6f s) arrived at %.9f s, want %.9f s (%g km)", i, fin, got, want, km)
+		}
+	}
+	if want := []uint32{0, 3, 1, 4, 2, 5, 6, 7}; !slices.Equal(rec.order, want) {
+		t.Errorf("arrival order %v, want %v", rec.order, want)
 	}
 }
