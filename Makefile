@@ -195,11 +195,12 @@ smoke-perftest:
 
 # Flight-recorder smoke: the adaptive figure's trace is Perfetto-loadable
 # JSON carrying ladder switches, the flap and the tail-drops; trace and
-# figure bytes are identical across worker counts and GOMAXPROCS; a
+# figure bytes are identical across worker counts and GOMAXPROCS, and
+# the trace matches its pinned SHA-256; a
 # traced perftest emits per-transfer events and completion quantiles;
 # the disabled probe path allocates nothing.
 smoke-trace:
-	$(GO) test -count=1 -run 'TestAdaptiveTraceSmoke|TestAdaptiveTraceByteIdentical' -v ./internal/experiments/
+	$(GO) test -count=1 -run 'TestAdaptiveTraceSmoke|TestAdaptiveTraceByteIdentical|TestAdaptiveTraceGolden' -v ./internal/experiments/
 	$(GO) test -count=1 -run 'TestPerftestTraceAndQuantiles' -v ./cmd/sdr-perftest/
 	$(GO) test -count=1 -run 'TestDisabledProbeAllocs|TestWriteChromeParses' -v ./internal/telemetry/
 
@@ -217,7 +218,7 @@ smoke-chaos:
 # ladder switches, receive-buffer hash) and the cross-scheme perftest
 # digest, plus the two shared-queue goldens (a flow under Poisson and
 # under CBR cross traffic). A refactor of the reliability layer or of
-# how netem settles background traffic must pass with the recorded
+# how netem settles its queues must pass with the recorded
 # literals untouched.
 smoke-golden:
 	$(GO) test -count=1 -run 'TestReliabilityGoldenTuples' -v ./internal/reliability/
@@ -233,12 +234,26 @@ smoke-golden:
 # with Poisson cross traffic. Each exits non-zero if the verification
 # rep receives a wrong byte or any timed rep's simulated tuple diverges
 # from it, so the cold build, the lease path and the shared queue are
-# checked on every `make ci`.
+# checked on every `make ci`. The two workloads that cross netem must
+# also print the seed-1 verification rep below, digest and simulated
+# tuple as recorded while every netem departure was still a clock
+# event: a change to how the queues schedule that moves either line
+# moves the simulation, and fails here without a parent build.
+SMOKE_REP_flow_churn = verification rep: digest 92cc0a66d99574e5; simulated tuple: 18226.827999 ms, 45998 device rx pkts, 32000 data pkts, 0 duplicates
+SMOKE_REP_contended_adaptive = verification rep: digest 67b8b47fd14a4565; simulated tuple: 590.242937 ms, 155641 device rx pkts, 141956 data pkts, 10884 duplicates
+
 smoke-bench:
 	bash benchmark/run.sh --workload sr_clean --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload wan_ec --seed 1 --seconds 2 --trace 0
-	bash benchmark/run.sh --workload flow_churn --seed 1 --seconds 2 --trace 0
-	bash benchmark/run.sh --workload contended_adaptive --seed 1 --seconds 2 --trace 0
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for w in flow_churn contended_adaptive; do \
+		echo "bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0"; \
+		st=0; bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 > $$tmp/out || st=$$?; \
+		cat $$tmp/out; [ $$st = 0 ] || exit $$st; \
+		case $$w in flow_churn) want='$(SMOKE_REP_flow_churn)';; *) want='$(SMOKE_REP_contended_adaptive)';; esac; \
+		grep -qF "$$want" $$tmp/out || { echo "$$w: verification rep moved, want: $$want"; exit 1; }; \
+		echo "pinned: $$w $$want"; \
+	done
 
 # Examples smoke: the four shipped examples build, run and exit 0, and
 # the two that run the lossy functional stack — on a virtual clock, so

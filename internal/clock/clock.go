@@ -29,7 +29,7 @@
 // Every capability a layer needs is a method of Clock, and both clocks
 // implement all of them: integer-nanosecond time (NowNanos), handle-less
 // one-shot scheduling (After, At on the Instant timeline) and monotone
-// per-caller event lanes (NewEventLane, RunAfterLane), which a real
+// per-caller event lanes (NewEventLane, RunAtLane), which a real
 // clock implements with plain timers. So protocol code calls the one
 // interface and keeps no second path for either clock.
 package clock
@@ -97,16 +97,17 @@ type Clock interface {
 	// fn never runs before at.
 	At(at float64, fn func())
 	// NewEventLane allocates a monotone FIFO scheduling lane and
-	// returns its id, for RunAfterLane.
+	// returns its id, for RunAtLane.
 	NewEventLane() int
-	// RunAfterLane is After through lane ln. A caller whose closures
-	// fire in nondecreasing time order per lane — a wire direction
-	// delivering back-to-back packets — schedules in O(1) ring pushes
+	// RunAtLane is At through lane ln. A caller whose closures fire in
+	// nondecreasing time order per lane — a wire direction delivering
+	// back-to-back packets, a netem queue delivering each packet at its
+	// finish plus the propagation delay — schedules in O(1) ring pushes
 	// on a Virtual clock instead of O(log n) heap sifts, the dominant
 	// engine cost at line rate; a push that would run backwards in time
 	// falls back to the heap, so ordering is exact either way. A real
 	// clock has no lanes: it ignores ln.
-	RunAfterLane(ln int, d time.Duration, fn func())
+	RunAtLane(ln int, at float64, fn func())
 	// spawn starts fn on this clock: a plain goroutine on a real
 	// clock, a registered actor under Virtual (Virtual.run returns once
 	// every actor has finished).
@@ -205,8 +206,8 @@ func (r *wall) At(at float64, fn func()) {
 // is 0.
 func (r *wall) NewEventLane() int { return 0 }
 
-// RunAfterLane implements Clock: After, ignoring the lane.
-func (r *wall) RunAfterLane(_ int, d time.Duration, fn func()) { time.AfterFunc(d, fn) }
+// RunAtLane implements Clock: At, ignoring the lane.
+func (r *wall) RunAtLane(_ int, at float64, fn func()) { r.At(at, fn) }
 
 // Epoch implements Clock.
 func (r *wall) Epoch() uint64 {

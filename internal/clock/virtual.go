@@ -74,7 +74,7 @@ import (
 // So state that only baton holders touch needs no lock of its own, and
 // none is taken:
 //
-//   - the engine: After, At, RunAfterLane, AfterFunc and a Timer's
+//   - the engine: After, At, RunAtLane, AfterFunc and a Timer's
 //     Stop and Reset schedule and cancel without mu, and a drive fires
 //     events back to back without it, re-taking mu only when an event
 //     made an actor runnable (a wake-up, a Notify, a spawn) or the queue
@@ -84,7 +84,7 @@ import (
 //     actors and callbacks: a netem.Queue — with the arrival schedules
 //     of the netem.TrafficGens feeding it, which any baton holder that
 //     reads or changes the queue settles, on its own goroutine — a
-//     fabric.Direction and its DeliveryPool, a serial nicsim.Device, a
+//     fabric.Direction and its delivery pool, a serial nicsim.Device, a
 //     synchronous dpa.Pool, a CQ's serial sink. Each decides once, from
 //     IsVirtual, where its clock is bound, to leave its own mutex
 //     alone — the first three in their constructors; for the device,
@@ -636,10 +636,9 @@ func (v *Virtual) NewEventLane() int {
 	return ln
 }
 
-// RunAfterLane implements Clock: After through the monotone FIFO lane
-// ln.
-func (v *Virtual) RunAfterLane(ln int, d time.Duration, fn func()) {
-	v.eng.AfterLane(int32(ln), max(0, d.Seconds()), fn)
+// RunAtLane implements Clock: At through the monotone FIFO lane ln.
+func (v *Virtual) RunAtLane(ln int, at float64, fn func()) {
+	v.eng.AtLane(int32(ln), max(at, v.eng.Now()), fn)
 }
 
 // virtualTimer implements Timer on the engine. The clock keeps no

@@ -100,8 +100,8 @@ type Direction struct {
 	held   []*nicsim.Packet
 
 	// pool recycles the clocked-delivery envelopes so the per-packet
-	// path allocates nothing (netem queues share the same machinery).
-	pool DeliveryPool
+	// path allocates nothing.
+	pool deliveryPool
 
 	// Tx counts packets offered to the wire, Dropped the ones lost to
 	// a Drop verdict or a loss draw.
@@ -221,7 +221,7 @@ func (d *Direction) transmit(pkt *nicsim.Packet) {
 			return
 		}
 	}
-	d.pool.DeliverAfter(p.clk, cfg.Latency+serDelay, p.dst, pkt)
+	d.pool.deliverAfter(p.clk, cfg.Latency+serDelay, p.dst, pkt)
 }
 
 // drawsLocked returns the draw stream, first putting it on the
@@ -251,20 +251,21 @@ func (d *Direction) occupyLocked(clk clock.Clock, tx time.Duration) time.Duratio
 	return time.Duration(d.freeAtNanos - now)
 }
 
-// DeliveryPool schedules fire-and-forget clocked packet deliveries
+// deliveryPool schedules fire-and-forget clocked packet deliveries
 // through pooled envelopes whose run closures are bound once at
 // allocation: scheduling a delivery allocates neither a closure nor
-// (on a virtual clock, via Clock.RunAfterLane) a Timer — per-packet
-// wire latency is pure engine-slot traffic. The zero value is ready to
-// use; fabric Directions and netem Queues each embed one.
+// (on a virtual clock, via Clock.RunAtLane) a Timer — per-packet wire
+// latency is pure engine-slot traffic. The zero value is ready to use;
+// every Direction embeds one. (A netem Queue schedules its own
+// deliveries: each packet's is fixed when it is admitted.)
 //
 // The pool has no constructor — its clock arrives with every call — so
 // it decides how to guard its free list from that clock: on a virtual
-// clock every DeliverAfter and every delivery runs under the scheduler
+// clock every deliverAfter and every delivery runs under the scheduler
 // baton (see clock.Virtual, "The baton is the lock") and mu is never
 // taken; on a real clock timer goroutines race the senders and mu
 // guards the list.
-type DeliveryPool struct {
+type deliveryPool struct {
 	mu   sync.Mutex
 	free *delivery
 
@@ -273,17 +274,18 @@ type DeliveryPool struct {
 	// nondecreasing time order (fixed latency plus monotone
 	// serialization booking), so they ride an O(1) engine lane instead
 	// of the event heap; a delivery that would run earlier than the
-	// lane's last one — a direction re-leased with a shorter latency, a
-	// netem queue whose propagation delay drifted down — falls back to
-	// the heap inside the lane push. Kept on virtual clocks only, so
-	// baton-guarded; a real clock ignores the lane.
+	// lane's last one — a direction re-leased with a shorter latency —
+	// falls back to the heap inside the lane push. Kept on virtual
+	// clocks only, so baton-guarded; a real clock ignores the lane.
 	lane    int
 	laneClk clock.Clock
 }
 
-// DeliverAfter hands pkt to dst after delay on clk (immediately, in
-// the caller's goroutine, when delay <= 0).
-func (p *DeliveryPool) DeliverAfter(clk clock.Clock, delay time.Duration, dst nicsim.Deliverer, pkt *nicsim.Packet) {
+// deliverAfter hands pkt to dst after delay on clk (immediately, in
+// the caller's goroutine, when delay <= 0). The instant it schedules,
+// Instant plus delay in seconds, is the float the engine forms for
+// After(delay).
+func (p *deliveryPool) deliverAfter(clk clock.Clock, delay time.Duration, dst nicsim.Deliverer, pkt *nicsim.Packet) {
 	if delay <= 0 {
 		dst.Deliver(pkt)
 		return
@@ -294,12 +296,12 @@ func (p *DeliveryPool) DeliverAfter(clk clock.Clock, delay time.Duration, dst ni
 		p.lane = clk.NewEventLane()
 		p.laneClk = clk
 	}
-	clk.RunAfterLane(p.lane, delay, env.run)
+	clk.RunAtLane(p.lane, clk.Instant()+delay.Seconds(), env.run)
 }
 
 // delivery is one pooled in-flight envelope.
 type delivery struct {
-	pool   *DeliveryPool
+	pool   *deliveryPool
 	dst    nicsim.Deliverer
 	pkt    *nicsim.Packet
 	run    func() // == doRun, bound once
@@ -325,7 +327,7 @@ func (env *delivery) doRun() {
 	dst.Deliver(pkt)
 }
 
-func (p *DeliveryPool) get(dst nicsim.Deliverer, pkt *nicsim.Packet, serial bool) *delivery {
+func (p *deliveryPool) get(dst nicsim.Deliverer, pkt *nicsim.Packet, serial bool) *delivery {
 	if !serial {
 		p.mu.Lock()
 	}

@@ -41,9 +41,9 @@ func (c *counter) packet(psn uint32, payload []byte) *nicsim.Packet {
 }
 
 // BenchmarkNetemQueue measures the per-packet cost of the full queue
-// pipeline on the virtual clock — enqueue, head-of-line departure
-// event, burst-loss draw, propagation event, delivery — the hot path
-// every emulated hop charges per packet. Tracked in
+// pipeline on the virtual clock — enqueue, the departure settled in
+// place with its burst-loss draw, the one delivery event — the hot
+// path every emulated hop charges per packet. Tracked in
 // BENCH_protosim.json.
 func BenchmarkNetemQueue(b *testing.B) {
 	clk := clock.NewVirtual()

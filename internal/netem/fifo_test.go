@@ -61,7 +61,8 @@ func TestFifoOrderAcrossGrowthAndWrap(t *testing.T) {
 
 // Packets leave a queue in arrival order through growth and wrap, and
 // a drained queue pins none of them: every ring slot is cleared as it
-// is popped, not when the buffer next drains or regrows.
+// is popped, not when the buffer next drains or regrows, and a transit
+// drops its packet when its delivery fires.
 func TestQueueFIFOOrderAndNoPinnedPackets(t *testing.T) {
 	clk := clock.NewVirtual()
 	q, err := NewQueue(QueueConfig{BandwidthBps: 8e9, Latency: time.Microsecond, Clock: clk})
@@ -96,8 +97,13 @@ func TestQueueFIFOOrderAndNoPinnedPackets(t *testing.T) {
 		t.Fatalf("queue not drained or ring never grew: n %d cap %d", q.fifo.n, len(q.fifo.buf))
 	}
 	for i, e := range q.fifo.buf {
-		if e.pkt != nil || e.dst != nil {
+		if e.tr != nil {
 			t.Fatalf("drained queue still references a packet in slot %d", i)
+		}
+	}
+	for tr := q.free; tr != nil; tr = tr.next {
+		if tr.pkt != nil || tr.dst != nil {
+			t.Fatal("a recycled transit still references a packet")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -85,7 +86,7 @@ func (t *Topology) NewLink(from, to int, devA, devB nicsim.Deliverer) (*fabric.L
 // one pair of datacenters on a pooled deployment builds nothing.
 func (t *Topology) addPath(p *path, from, to int, dst nicsim.Deliverer, hops []hop) {
 	t.pathMu.Lock()
-	if p.dst != dst || !sameRoute(hops, p.hops) {
+	if p.dst != dst || !slices.Equal(hops, p.hops) {
 		p.head.Store(&pathHead{d: chain(hops, dst)})
 	}
 	p.from, p.to, p.dst, p.hops = from, to, dst, hops
@@ -111,20 +112,6 @@ func (p *path) Deliver(pkt *nicsim.Packet) {
 	h.d.Deliver(pkt)
 }
 
-// sameRoute reports whether two hop sequences traverse the same edges
-// in the same directions.
-func sameRoute(a, b []hop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Edge != b[i].Edge || a[i].Forward != b[i].Forward {
-			return false
-		}
-	}
-	return true
-}
-
 // reroute recomputes the path's route and re-points the head if it
 // changed. Caller holds t.pathMu.
 func (p *path) reroute() {
@@ -139,7 +126,7 @@ func (p *path) reroute() {
 		p.t.probeDyn(telemetry.EvReroute, 0, int64(p.from))
 		return
 	}
-	if sameRoute(hops, p.hops) {
+	if slices.Equal(hops, p.hops) { // the same edges in the same directions
 		return
 	}
 	p.hops = hops

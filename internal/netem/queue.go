@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sdrrdma/internal/clock"
-	"sdrrdma/internal/fabric"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/telemetry"
 	"sdrrdma/internal/wan"
@@ -60,8 +59,8 @@ type QueueConfig struct {
 	// Seed drives the loss draws. The source is seeded on the first
 	// draw, so a lossless queue never builds one.
 	Seed int64
-	// Clock supplies departure and propagation timing; nil uses the
-	// shared real clock.
+	// Clock supplies serialization and propagation timing; nil uses
+	// the shared real clock.
 	Clock clock.Clock
 }
 
@@ -96,28 +95,31 @@ func (c QueueConfig) validate() error {
 // bottleneck reproduce multi-tenant tail-drop bursts no single-link
 // model shows.
 //
-// Background traffic (TrafficGen) costs no clock event. A generator's
-// arrivals are a schedule drawn from its own RNG, and a line-rate FIFO
-// fixes each entry's finish instant when it is admitted, so the queue
-// replays the schedule on demand (settle). Before anything reads or
-// changes the queue — a flow admission or departure, setDown,
-// setLoss, setTelemetry, HighWatermark, a Topology drop
-// sum, a generator's Start, Stop or Sent — it admits every background
-// arrival and departs every background head-of-line entry that is due,
-// in the order their clock events would have fired. Each replayed
-// packet takes the tail-drop test, ECN mark, loss draw, counters and
-// probes of its own instant, so a flow sees the same buffer, and the
-// loss process the same draws, as if every background packet had been
-// an event. Flow packets keep their events: one that joins an idle
-// line, or queues directly behind another flow packet, departs on an
-// event chained from its predecessor's departure; one that queues
-// behind a background entry departs on an event scheduled at
-// admission, at its finish instant. The exported counters are exact
-// after a settling call, or once the event a generator's Stop leaves
-// at the last background finish has fired.
+// A line-rate FIFO fixes each entry's finish instant when it is
+// admitted, so no departure is a clock event. The queue replays them
+// on demand (settle), together with the arrivals of its background
+// traffic (TrafficGen), a schedule drawn from each generator's own
+// RNG. Before anything reads or changes the queue — a flow admission
+// or delivery, setDown, setLatency, setLoss, setTelemetry,
+// HighWatermark, a Topology drop sum, a generator's Start, Stop or
+// Sent — it admits every background arrival and departs every
+// head-of-line entry that is due, in the order their clock events
+// would have fired. Each replayed packet takes the tail-drop test, ECN
+// mark, loss draw, counters and probes of its own instant, so a flow
+// sees the same buffer, and the loss process the same draws, as if
+// every departure and background packet had been an event.
+//
+// A flow packet's hop costs one clock event: its delivery at its finish
+// plus the propagation delay, scheduled on the queue's event lane when
+// it is admitted (see transit). The delivery settles the queue up to
+// the packet's departure and hands the packet on if the loss process
+// and the link kept it. A background packet costs none. The exported
+// counters are exact after a settling call, or once the last delivery,
+// or the event a generator's Stop leaves at the last background
+// finish, has fired.
 //
 // Locking follows the clock the queue was built on. On a real clock
-// enqueues, departures (timer goroutines) and the setters race, and mu
+// enqueues, deliveries (timer goroutines) and the setters race, and mu
 // guards every field below it. On a virtual clock every caller runs
 // under the scheduler baton (see clock.Virtual, "The baton is the
 // lock"), so the queue takes no lock at all: the choice is made once,
@@ -135,18 +137,10 @@ type Queue struct {
 	used int  // buffered wire bytes
 	high int  // buffer occupancy high-watermark
 	down bool // link administratively down (flap)
-	// gens are the running generators whose arrivals settle replays;
-	// fed records that one ever ran here (see depart).
+	// gens are the running generators whose arrivals settle replays.
 	gens []*TrafficGen
-	fed  bool
-	// late holds flow packets that settle took off the line at their
-	// finish while their departure events were still pending — which
-	// only a real clock's late timers leave behind — so background
-	// traffic behind them is not held up. Their events draw their loss
-	// and deliver them.
-	late fifo
-	// order numbers the background events settle replays in the order
-	// their clock events would have been scheduled, which is how the
+	// order numbers the events settle replays in the order their
+	// clock events would have been scheduled, which is how the
 	// engine breaks ties between events at one instant; headOrder is
 	// the number of the head-of-line entry's departure (see settle).
 	order, headOrder uint64
@@ -159,13 +153,21 @@ type Queue struct {
 
 	onDrop func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)
 
-	// departFn and settleFn are the bound flow-departure and settling
-	// callbacks (created once in NewQueue) and pool the shared envelope
-	// machinery for propagation-delayed deliveries: together they make
-	// the per-packet store-and-forward path schedule its clock events
-	// without allocating closures.
-	departFn, settleFn func()
-	pool               fabric.DeliveryPool
+	// settleFn is the bound settling callback (created once in
+	// NewQueue). free lists the transits whose deliveries have fired,
+	// for reuse, so the per-packet path schedules its clock event
+	// without allocating; lane is the event lane they are scheduled on,
+	// allocated by the first admission (-1 until then), so a direction
+	// no packet crosses adds no lane for the engine to scan.
+	settleFn func()
+	free     *transit
+	lane     int
+	// On a real clock timers that expire together start their
+	// callbacks in no fixed order, so each delivery waits its turn:
+	// sent numbers the transits in admission order, handed counts the
+	// ones handed on, and turn (on mu) wakes the waiters.
+	sent, handed uint64
+	turn         sync.Cond
 
 	// sink, when non-nil, receives per-packet telemetry events
 	// (enqueue/depart occupancy samples, the three drop classes, ECN
@@ -187,17 +189,37 @@ type Queue struct {
 	Marked        telemetry.Counter
 }
 
-// queued is one buffered entry: a flow packet bound for dst, or — pkt
-// nil — a background packet of a TrafficGen, which is only the buffer
+// queued is one buffered entry: a flow packet in transit, or — tr nil
+// — a background packet of a TrafficGen, which is only the buffer
 // occupancy and serialization time of size wire bytes.
 type queued struct {
-	pkt  *nicsim.Packet
-	dst  nicsim.Deliverer
+	tr   *transit
 	size int
 	// fin is the instant (Clock.Instant's timeline) its transmission
 	// ends: its predecessor's fin, or its arrival on an idle line, plus
 	// its serialization time.
 	fin float64
+}
+
+// transit is one flow packet's passage through a queue. Admission
+// fixes the instant its transmission ends, and with it the instant it
+// reaches dst; its delivery there is the one clock event the hop costs.
+// Until settle takes it off the line a buffer entry references it.
+// Its event then hands the packet on, unless the departure dropped it,
+// and returns the transit to the queue's free list.
+type transit struct {
+	q   *Queue
+	pkt *nicsim.Packet // nil once its departure dropped it
+	dst nicsim.Deliverer
+	// at is the instant its delivery is scheduled at: its finish plus
+	// the propagation delay in force at that finish (see setLatency).
+	at float64
+	// gone: no buffer entry references it any more — settle departed
+	// it, or setLatency moved its delivery to a fresh transit.
+	gone   bool
+	ticket uint64 // its number in admission order (see Queue.turn)
+	run    func() // == deliver, bound once
+	next   *transit
 }
 
 // fifo is the queue's packet buffer: a power-of-two ring that doubles
@@ -257,11 +279,13 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 		return nil, err
 	}
 	q := &Queue{
-		cfg: cfg,
-		clk: clock.Or(cfg.Clock),
+		cfg:  cfg,
+		clk:  clock.Or(cfg.Clock),
+		lane: -1,
 	}
 	q.serial = q.clk.IsVirtual()
-	q.departFn, q.settleFn = q.depart, q.settleEvent
+	q.settleFn = q.settleEvent
+	q.turn.L = &q.mu
 	q.epochNs = q.clk.NowNanos() - int64(q.clk.Instant()*float64(time.Second))
 	return q, nil
 }
@@ -279,12 +303,15 @@ func seeded(rng **rand.Rand, seed int64) *rand.Rand {
 	return *rng
 }
 
-// SetDropHook installs fn, called (outside the queue lock) for every
-// dropped flow packet. dst is the packet's egress destination — the
-// only reliable flow discriminator at a shared queue, since QPNs are
-// per-device and collide across tenants. Experiments use the hook to
-// map drops onto bitmap chunks. Background drops (TrafficGen) reach
-// the counters and telemetry probes, never the hook.
+// SetDropHook installs fn, called for every dropped flow packet. dst
+// is the packet's egress destination — the only reliable flow
+// discriminator at a shared queue, since QPNs are per-device and
+// collide across tenants. Experiments use the hook to map drops onto
+// bitmap chunks. A packet refused at admission reaches fn outside the
+// queue's lock; one lost at its departure reaches it from settle,
+// which on a real clock holds the lock, so fn must not call back into
+// the queue. Background drops (TrafficGen) reach the counters and
+// telemetry probes, never the hook.
 func (q *Queue) SetDropHook(fn func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)) {
 	q.lock()
 	q.onDrop = fn
@@ -302,15 +329,6 @@ func (q *Queue) setTelemetry(sink telemetry.Sink, track int32) {
 	q.unlock()
 }
 
-// probe emits one event when a sink is attached. The nil check is the
-// entire disabled-path cost (see TestDisabledProbeAllocs).
-func (q *Queue) probe(sink telemetry.Sink, track int32, kind telemetry.EventKind, a0, a1 int64) {
-	if sink == nil {
-		return
-	}
-	sink.Event(q.clk.NowNanos(), kind, track, a0, a1, 0, 0)
-}
-
 // setDown flaps the link direction. While down the queue fails closed:
 // new arrivals are refused and already-buffered packets are discarded
 // at their departure instant — nothing crosses a dead wire. Bringing
@@ -326,12 +344,24 @@ func (q *Queue) setDown(down bool) {
 
 // setLatency changes the propagation delay applied to packets leaving
 // the queue after the call — the mechanism behind LEO-style RTT drift.
+// The packets still buffered had their deliveries scheduled with the
+// old delay when they were admitted: each moves to a fresh transit
+// scheduled with the new one, and the old transit's event only
+// recycles it.
 func (q *Queue) setLatency(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("netem: queue latency %v < 0", d)
 	}
 	q.lock()
+	q.catchUp()
 	q.cfg.Latency = d
+	for i := 0; i < q.fifo.n; i++ {
+		e := q.fifo.at(i)
+		if tr := e.tr; tr != nil && e.fin+d.Seconds() != tr.at {
+			e.tr = q.send(tr.pkt, tr.dst, e.fin+d.Seconds())
+			tr.pkt, tr.dst, tr.gone = nil, nil, true
+		}
+	}
 	q.unlock()
 	return nil
 }
@@ -415,32 +445,28 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	q.lock()
 	q.catchUp()
 	sink, track := q.sink, q.track
-	if q.down {
-		hook := q.onDrop
+	if q.down || q.cfg.BufferBytes > 0 && q.used+size > q.cfg.BufferBytes {
+		// Refused: the link is down, or the buffer is full.
+		reason, used, hook := tailDrop, q.used, q.onDrop
+		if q.down {
+			reason, used = linkDown, 0
+		}
 		q.unlock()
-		q.drop(queued{pkt: pkt, dst: dst, size: size}, linkDown, hook, sink, track, 0)
-		return
-	}
-	if q.cfg.BufferBytes > 0 && q.used+size > q.cfg.BufferBytes {
-		hook := q.onDrop
-		used := q.used
-		q.unlock()
-		q.drop(queued{pkt: pkt, dst: dst, size: size}, tailDrop, hook, sink, track, used)
+		kind := q.count(reason)
+		if sink != nil {
+			sink.Event(q.clk.NowNanos(), kind, track, int64(used), int64(size), 0, 0)
+		}
+		discard(hook, pkt, reason, dst)
 		return
 	}
 	idle := q.fifo.n == 0
-	behindBackground := false
-	var fin float64
-	if idle {
-		fin = q.clk.Instant()
-	} else {
-		prev := q.fifo.at(q.fifo.n - 1)
-		fin = prev.fin
-		behindBackground = prev.pkt == nil
+	fin := q.clk.Instant()
+	if !idle {
+		fin = q.fifo.at(q.fifo.n - 1).fin
 	}
 	fin += q.txTime(size)
 	e := q.fifo.push()
-	e.pkt, e.dst, e.size, e.fin = pkt, dst, size, fin
+	e.tr, e.size, e.fin = q.send(pkt, dst, fin+q.cfg.Latency.Seconds()), size, fin
 	if idle {
 		q.started()
 	}
@@ -467,88 +493,72 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 			sink.Event(at, telemetry.EvECNMark, track, int64(used), 0, 0, 0)
 		}
 	}
-	if idle || behindBackground {
-		// Idle line: this packet goes head-of-line now and departs
-		// after its own transmission time. Behind a background entry,
-		// which departs without an event, nothing can chain this
-		// departure: schedule it now, at its finish.
-		q.clk.At(fin, q.departFn)
-	}
 }
 
-// depart completes a flow packet's transmission: the packet leaves
-// the buffer, faces the wire loss process, and (on survival)
-// propagates to its destination. A flow packet directly behind it
-// starts transmitting immediately, on an event chained from this one.
-// An event that finds no flow packet due — one whose packet another
-// event already took — does nothing. Only background traffic leaves
-// such events behind, so a queue no generator ever fed takes the head
-// without reading the clock, as it always did.
-func (q *Queue) depart() {
+// send takes a transit off the free list, or builds one, for pkt bound
+// for dst, and schedules its delivery at instant at on the queue's
+// lane. Caller holds the lock.
+func (q *Queue) send(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *transit {
+	tr := q.free
+	if tr != nil {
+		q.free, tr.next = tr.next, nil
+	} else {
+		tr = &transit{q: q}
+		tr.run = tr.deliver
+	}
+	tr.pkt, tr.dst, tr.at = pkt, dst, at
+	tr.ticket, q.sent = q.sent, q.sent+1
+	if q.lane < 0 {
+		q.lane = q.clk.NewEventLane()
+	}
+	q.clk.RunAtLane(q.lane, at, tr.run)
+	return tr
+}
+
+// deliver is a transit's clock event. It settles the queue up to the
+// transit's departure: everything before its own instant and then,
+// when the delivery falls on the finish itself — a hop without latency
+// — the events at that instant ordered before the departure, which is
+// at the head of the line by then: the deliveries of one instant fire
+// in admission order. It recycles the transit and hands the packet on
+// if the departure kept it. On a real clock the instant read when the
+// timer fires can round a hair below the one it was set for, hence the
+// max, and deliveries take their turns in admission order.
+func (tr *transit) deliver() {
+	q := tr.q
 	q.lock()
-	now := math.Inf(1)
-	if q.fed {
-		// Up to this departure: the background events before its
-		// instant, then those at it whose events would have been
-		// scheduled before its own.
-		now = q.clk.Instant()
-		q.settle(now, 0)
-		if q.fifo.n > 0 && q.fifo.front().pkt != nil && q.fifo.front().fin == now {
-			q.settle(now, q.headOrder-1)
+	if !tr.gone {
+		until := max(q.clk.Instant(), tr.at)
+		q.settle(until, 0)
+		if !tr.gone {
+			q.settle(until, q.headOrder)
 		}
 	}
-	var head queued
-	switch {
-	case q.late.n > 0:
-		head = q.late.pop()
-	case q.fifo.n > 0 && q.fifo.front().pkt != nil && q.fifo.front().fin <= now:
-		head = q.leave()
-	default:
-		q.unlock()
-		return
+	pkt, dst, ticket := tr.pkt, tr.dst, tr.ticket
+	tr.pkt, tr.dst, tr.gone = nil, nil, false
+	q.free, tr.next = tr, q.free
+	for !q.serial && q.handed != ticket {
+		q.turn.Wait()
 	}
-	down := q.down
-	dropped := !down && q.cfg.Loss != nil && q.cfg.Loss.Drop(seeded(&q.rng, q.cfg.Seed))
-	latency := q.cfg.Latency
-	hook := q.onDrop
-	sink, track := q.sink, q.track
-	used := q.used
 	q.unlock()
-	q.probe(sink, track, telemetry.EvDepart, int64(used), 0)
-	switch {
-	case down:
-		// Fail closed: the link flapped while this packet was buffered.
-		q.drop(head, linkDown, hook, sink, track, used)
-	case dropped:
-		q.drop(head, channelLoss, hook, sink, track, used)
-	default:
-		q.Delivered.Add(1)
-		q.pool.DeliverAfter(q.clk, latency, head.dst, head.pkt)
+	if pkt != nil {
+		dst.Deliver(pkt)
+	}
+	if !q.serial {
+		q.mu.Lock()
+		q.handed++
+		q.turn.Broadcast()
+		q.mu.Unlock()
 	}
 }
 
-// leave takes the flow packet at the head of the line off it, and
-// schedules the departure of a flow packet that starts behind it.
-func (q *Queue) leave() queued {
-	head := q.fifo.pop()
-	q.started()
-	q.used -= head.size
-	if q.fifo.n > 0 && q.fifo.front().pkt != nil {
-		q.clk.At(q.fifo.front().fin, q.departFn)
-	}
-	return head
-}
-
-// drop ends a discarded flow packet: it counts the loss under reason,
-// reports it to the telemetry sink with the buffer occupancy used, and
-// hands the packet to the drop hook, or back to the envelope pool when
-// none is installed.
-func (q *Queue) drop(e queued, reason DropReason, hook func(*nicsim.Packet, DropReason, nicsim.Deliverer), sink telemetry.Sink, track int32, used int) {
-	q.probe(sink, track, q.count(reason), int64(used), int64(e.size))
+// discard hands a dropped flow packet to the drop hook, or back to the
+// envelope pool when none is installed.
+func discard(hook func(*nicsim.Packet, DropReason, nicsim.Deliverer), pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer) {
 	if hook != nil {
-		hook(e.pkt, reason, e.dst)
+		hook(pkt, reason, dst)
 	} else {
-		nicsim.ReleasePacket(e.pkt)
+		nicsim.ReleasePacket(pkt)
 	}
 }
 
@@ -567,28 +577,23 @@ func (q *Queue) count(reason DropReason) telemetry.EventKind {
 	return telemetry.EvTailDrop
 }
 
-// settle replays the background schedule up to (until, last): every
-// arrival of a running generator, and every departure of a background
-// entry at the head of the line, whose instant is before until, or at
-// it with an order number (below) not above last. A flow
-// packet at the head stops the departures: it leaves on its own event.
-// Each replayed packet takes the tail-drop test, ECN mark, loss draw,
-// counters and probes of its instant. The caller holds the lock.
+// settle replays the queue up to (until, last): every arrival of a
+// running generator, and every departure of the entry at the head of
+// the line, whose instant is before until, or at it with an order
+// number (below) not above last. Each replayed packet takes the
+// tail-drop test, ECN mark, loss draw, counters and probes of its
+// instant. The caller holds the lock.
 //
 // Replayed events run in the order their clock events would have: by
 // instant, then — like the engine — by when they would have been
 // scheduled. An arrival's event was scheduled at the arrival before
 // it, a departure's when its entry started transmitting; the order
-// counter stamps each as settle (or a flow departure) gets there.
-//
-// The order counter also stamps a flow packet's departure when its
-// event is scheduled — or, behind a background entry, when that entry
-// leaves, as its event was scheduled before background traffic was
-// settled — so a flow departure settles the background events at its
-// own instant that its event would have followed. An admission, setter
-// or read settles only up to before its instant (last 0): it runs on
-// an event scheduled long before — an actor's wake, a propagation
-// delay, a dynamics schedule — or after the engine stopped.
+// counter stamps each as settle (or an admission to an idle line) gets
+// there. An admission, setter or read settles only up to before its
+// instant (last 0): it runs on an event scheduled long before — an
+// actor's wake, a propagation delay, a dynamics schedule — or after
+// the engine stopped. So does a delivery, except on a hop without
+// latency, where it falls on its packet's own departure (see deliver).
 func (q *Queue) settle(until float64, last uint64) {
 	var t tally
 	for {
@@ -602,11 +607,7 @@ func (q *Queue) settle(until float64, last uint64) {
 		if q.fifo.n > 0 {
 			h := q.fifo.front()
 			if due(h.fin, q.headOrder, until, last) && (h.fin < at || (h.fin == at && q.headOrder < order)) {
-				if h.pkt == nil {
-					q.departBackground(&t)
-				} else {
-					*q.late.push() = q.leave()
-				}
+				q.departHead(&t)
 				continue
 			}
 		}
@@ -617,9 +618,15 @@ func (q *Queue) settle(until float64, last uint64) {
 		g.sent++
 		g.next, g.order = at+g.gap().Seconds(), q.stamp()
 	}
-	q.Enqueued.Add(t.enqueued)
-	q.Delivered.Add(t.delivered)
-	q.Marked.Add(t.marked)
+	if t.enqueued != 0 {
+		q.Enqueued.Add(t.enqueued)
+	}
+	if t.delivered != 0 {
+		q.Delivered.Add(t.delivered)
+	}
+	if t.marked != 0 {
+		q.Marked.Add(t.marked)
+	}
 }
 
 // due reports whether the event (at, order) comes no later than
@@ -643,11 +650,11 @@ func (q *Queue) started() {
 }
 
 // catchUp settles the queue up to, not including, the current instant:
-// the first step of every admission, setter and read (see settle). On a
-// queue no generator ever fed there is nothing to settle, and it costs
-// one load.
+// the first step of every admission, setter and read (see settle). On
+// an empty queue no generator feeds there is nothing to settle, and it
+// costs two loads.
 func (q *Queue) catchUp() {
-	if q.fed {
+	if q.fifo.n > 0 || len(q.gens) > 0 {
 		q.settleBefore()
 	}
 }
@@ -655,8 +662,9 @@ func (q *Queue) catchUp() {
 // settleBefore is catchUp's slow path, out of line so catchUp inlines.
 func (q *Queue) settleBefore() { q.settle(q.clk.Instant(), 0) }
 
-// tally batches the counts of one settle call, so a replay pays one
-// atomic add per counter instead of one per packet.
+// tally batches the counts of one settle call, so a replay pays at most
+// one atomic add per counter instead of one per packet, and none for a
+// count that stayed zero.
 type tally struct{ enqueued, delivered, marked uint64 }
 
 // arriveBackground offers one background packet of size wire bytes to
@@ -691,27 +699,39 @@ func (q *Queue) arriveBackground(at float64, size int, t *tally) {
 	}
 }
 
-// departBackground ends the background entry at the head of the line
-// at its finish instant.
-func (q *Queue) departBackground(t *tally) {
+// departHead ends the entry at the head of the line at its finish
+// instant: it leaves the buffer and faces the wire loss process, or
+// fails closed while the link is down. A flow packet that survives is
+// left to its transit's delivery; one that is dropped goes to the drop
+// hook now.
+func (q *Queue) departHead(t *tally) {
 	head := q.fifo.pop()
 	q.started()
 	q.used -= head.size
 	dropped := !q.down && q.cfg.Loss != nil && q.cfg.Loss.Drop(seeded(&q.rng, q.cfg.Seed))
 	q.bgProbe(head.fin, telemetry.EvDepart, int64(q.used), 0)
+	tr := head.tr
+	if tr != nil {
+		tr.gone = true
+	}
+	reason := channelLoss
 	switch {
 	case q.down:
-		q.bgProbe(head.fin, q.count(linkDown), int64(q.used), int64(head.size))
-	case dropped:
-		q.bgProbe(head.fin, q.count(channelLoss), int64(q.used), int64(head.size))
-	default:
+		reason = linkDown
+	case !dropped:
 		t.delivered++
+		return
+	}
+	q.bgProbe(head.fin, q.count(reason), int64(q.used), int64(head.size))
+	if tr != nil {
+		discard(q.onDrop, tr.pkt, reason, tr.dst)
+		tr.pkt, tr.dst = nil, nil
 	}
 }
 
-// bgProbe emits one background event stamped at instant at. A
-// background packet acts for no actor, so it reaches the sink through
-// BackgroundEvent, even when a flow's admission settles it.
+// bgProbe emits one event stamped at instant at on behalf of no actor:
+// a background packet's, or a departure's that settle replays, even
+// when a flow's admission or delivery settles it.
 func (q *Queue) bgProbe(at float64, kind telemetry.EventKind, a0, a1 int64) {
 	if q.sink == nil {
 		return

@@ -168,6 +168,129 @@ func TestQueueChaining(t *testing.T) {
 	}
 }
 
+// countingClock counts the clock events scheduled through it.
+type countingClock struct {
+	clock.Clock
+	n int
+}
+
+func (c *countingClock) After(d time.Duration, fn func()) { c.n++; c.Clock.After(d, fn) }
+func (c *countingClock) At(at float64, fn func())         { c.n++; c.Clock.At(at, fn) }
+func (c *countingClock) RunAtLane(ln int, at float64, fn func()) {
+	c.n++
+	c.Clock.RunAtLane(ln, at, fn)
+}
+func (c *countingClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
+	c.n++
+	return c.Clock.AfterFunc(d, fn)
+}
+
+// A flow packet's hop is one clock event, its delivery: crossing an
+// idle k-hop path schedules exactly k. (A departure event per hop on
+// top of it made 2k.)
+func TestFlowPacketHopIsOneClockEvent(t *testing.T) {
+	vc := clock.NewVirtual()
+	clk := &countingClock{Clock: vc}
+	const hops, packets = 3, 10
+	rec := &instantRecorder{clk: vc}
+	var dst nicsim.Deliverer = rec
+	for i := 0; i < hops; i++ {
+		q, err := NewQueue(QueueConfig{BandwidthBps: 8e6, Latency: time.Duration(i+1) * time.Millisecond, Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst = q.Port(dst)
+	}
+	ingress := dst.(*Port)
+	clock.Join(vc, func() {
+		for i := 0; i < packets; i++ {
+			ingress.Send(pkt(uint32(i), 1000-nicsim.HeaderBytes))
+			vc.Sleep(20 * time.Millisecond) // 3 × 1 ms on the wire + 6 ms of propagation
+		}
+	})
+	if len(rec.order) != packets {
+		t.Fatalf("delivered %d/%d packets", len(rec.order), packets)
+	}
+	if clk.n != hops*packets {
+		t.Fatalf("%d packets over %d idle hops scheduled %d clock events, want %d", packets, hops, clk.n, hops*packets)
+	}
+}
+
+// tap records each packet's arrival instant and passes it on.
+type tap struct {
+	instantRecorder
+	next nicsim.Deliverer
+}
+
+func (p *tap) Deliver(pkt *nicsim.Packet) {
+	p.instantRecorder.Deliver(pkt)
+	p.next.Deliver(pkt)
+}
+
+// A flow crosses a 2-hop path on a real clock: every packet arrives, in
+// order, and none before its finish at the last hop plus that hop's
+// latency. Timers that expire together start their callbacks in no
+// fixed order, so the order holds only because a queue hands packets
+// on in admission order. Finish instants are bounded from below by what
+// the test observes: the instant the burst started, and each packet's
+// arrival at the second hop.
+func TestRealClockFlowTwoHops(t *testing.T) {
+	clk := clock.NewReal()
+	const n = 12
+	size, bps := 1000.0, 4e6
+	lat1, lat2 := 3*time.Millisecond, time.Millisecond
+	mk := func(lat time.Duration) *Queue {
+		q, err := NewQueue(QueueConfig{BandwidthBps: bps, BufferBytes: 1 << 20, Latency: lat, Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	q1, q2 := mk(lat1), mk(lat2)
+	sink := &instantRecorder{clk: clk}
+	mid := &tap{instantRecorder: instantRecorder{clk: clk}, next: q2.Port(sink)}
+	ingress := q1.Port(mid)
+	t0 := clk.Instant()
+	for i := 0; i < n; i++ {
+		ingress.Send(pkt(uint32(i), int(size)-nicsim.HeaderBytes))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sink.mu.Lock()
+		got := len(sink.order)
+		sink.mu.Unlock()
+		if got == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d/%d packets arrived within 10 s", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	mid.mu.Lock()
+	defer mid.mu.Unlock()
+	tx := time.Duration(size * 8 / bps * float64(time.Second)).Seconds()
+	fin1, fin2 := t0, 0.0
+	for i := uint32(0); i < n; i++ {
+		if sink.order[i] != i {
+			t.Fatalf("arrival order %v: FIFO order broken", sink.order)
+		}
+		fin1 += tx
+		if at := mid.at[i]; at < fin1+lat1.Seconds() {
+			t.Errorf("packet %d reached hop 2 at %.6f s, before its hop-1 finish %.6f s plus latency", i, at, fin1)
+		}
+		fin2 = max(fin2, mid.at[i]) + tx
+		if at := sink.at[i]; at < fin2+lat2.Seconds() {
+			t.Errorf("packet %d arrived at %.6f s, before its hop-2 finish %.6f s plus latency", i, at, fin2)
+		}
+	}
+	if q1.Delivered.Load() != n || q2.Delivered.Load() != n {
+		t.Fatalf("Delivered = %d, %d, want %d each", q1.Delivered.Load(), q2.Delivered.Load(), n)
+	}
+}
+
 func TestQueueConfigValidation(t *testing.T) {
 	for _, cfg := range []QueueConfig{
 		{BandwidthBps: 0},

@@ -111,7 +111,6 @@ func (g *TrafficGen) Start() {
 	}
 	g.next, g.order = now+g.gap().Seconds(), q.stamp()
 	q.gens = append(q.gens, g)
-	q.fed = true
 }
 
 // Stop halts emission; arrivals up to now are settled first. Safe to
@@ -127,7 +126,7 @@ func (g *TrafficGen) Stop() {
 	if i := slices.Index(q.gens, g); i >= 0 {
 		q.gens = slices.Delete(q.gens, i, i+1)
 	}
-	residue := q.fifo.n > 0 && q.fifo.at(q.fifo.n-1).pkt == nil
+	residue := q.fifo.n > 0 && q.fifo.at(q.fifo.n-1).tr == nil
 	var last float64
 	if residue {
 		last = q.fifo.at(q.fifo.n - 1).fin

@@ -280,11 +280,11 @@ func (e *Engine) ScheduleLaneAfter(ln int32, delay float64, kind, a, b int32) Ti
 	return e.ScheduleLane(ln, e.now+delay, kind, a, b)
 }
 
-// atLane is ScheduleLane for closure events: O(1) on the monotone FIFO
+// AtLane is ScheduleLane for closure events: O(1) on the monotone FIFO
 // lane, with the same transparent heap fallback when at would violate
-// lane monotonicity. It lets closure-based callers with now+const
+// lane monotonicity. It lets closure-based callers with nondecreasing
 // schedules (per-packet wire deliveries) skip the heap too.
-func (e *Engine) atLane(ln int32, at float64, fn Event) Timer {
+func (e *Engine) AtLane(ln int32, at float64, fn Event) Timer {
 	if int(ln) >= len(e.lanes) {
 		e.Lanes(int(ln) + 1)
 	}
@@ -298,11 +298,6 @@ func (e *Engine) atLane(ln int32, at float64, fn Event) Timer {
 	l.lastAt = at
 	l.push(idx)
 	return Timer{e, idx, s.gen}
-}
-
-// AfterLane schedules a closure lane event delay seconds from now.
-func (e *Engine) AfterLane(ln int32, delay float64, fn Event) Timer {
-	return e.atLane(ln, e.now+delay, fn)
 }
 
 // release returns a popped slot to the free list, bumping its
