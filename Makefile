@@ -34,9 +34,13 @@ build:
 
 # experiments runs -short under race so the multi-lane sweep path
 # (parallel virtual cells + GOMAXPROCS determinism) is race-checked
-# without paying for the single-threaded model sweeps.
+# without paying for the single-threaded model sweeps. clock runs again
+# at GOMAXPROCS 1 and 4, so the coroutine hand-over and the shared
+# coroutine pool meet other Virtuals' goroutines (clock.Lanes sweeps)
+# on more than one thread.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -cpu 1,4 ./internal/clock/
 	$(GO) test -race -short ./internal/protosim/ ./internal/collective/ ./internal/experiments/
 
 test:

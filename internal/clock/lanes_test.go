@@ -172,8 +172,9 @@ func TestVirtualDeadlockDiagnosticNamesActors(t *testing.T) {
 // BenchmarkVirtualHandoff measures the baton cost: two actors
 // ping-ponging through Notify/WaitNotify, i.e. the park-self/
 // grant-next switch that dominates every functional-stack simulation.
-// Tracked in BENCH_protosim.json; the direct-handoff scheduler does
-// one cond signal per switch and allocates nothing.
+// Tracked in BENCH_protosim.json; a grant is two coroutine switches
+// (the parking actor to run, run to the next actor) and allocates
+// nothing.
 func BenchmarkVirtualHandoff(b *testing.B) {
 	v := NewVirtual()
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package clock
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,19 +15,22 @@ import (
 //
 // # Execution model
 //
-// Goroutines participating in a virtual-time simulation register as
-// actors (Join, JoinNamed). Exactly one actor executes at a time, and
-// virtual time advances — by firing the next engine event — only when
-// every actor is parked in a clock wait (Sleep or WaitNotify). There is
-// no scheduler goroutine in between: the actor that parks last, finding
-// no other actor ready, fires the engine events itself, on its own
-// goroutine, until one of them readies an actor, and hands the baton to
-// that actor — or keeps it, when the actor readied is itself. Timer
-// callbacks (AfterFunc, fabric deliveries, RC retransmissions) thus run
-// on whichever actor's goroutine parked last, between actor slices, and
-// are serialized with the actors too. The goroutine that calls Join
-// (run) only grants the first actor and waits for the end of the run,
-// an all-blocked deadlock, or a callback panic to re-raise.
+// Functions participating in a virtual-time simulation register as
+// actors (Join, JoinNamed). Each actor's body runs in a coroutine
+// (iter.Pull) that only run, on the goroutine that called Join,
+// resumes. Exactly one actor executes at a time, and virtual time
+// advances — by firing the next engine event — only when every actor is
+// parked in a clock wait (Sleep or WaitNotify). There is no scheduler
+// in between: the actor that parks (or finishes) last, finding no other
+// actor ready, fires the engine events itself, on its own stack, until
+// one of them readies an actor. It keeps the baton when the actor
+// readied is itself; otherwise it names that actor next and yields to
+// run, which resumes it. Timer callbacks (AfterFunc, fabric deliveries,
+// RC retransmissions) thus run on whichever actor's coroutine parked
+// last, between actor slices, and are serialized with the actors too.
+// run itself never fires an event: it resumes the actor named next (or
+// the head of the ready FIFO) until every actor has finished, the
+// queue ran dry with every actor blocked, or a callback faulted.
 //
 // Because the engine fires events in deterministic (time, seq) order
 // and ready actors resume in FIFO wake order, an entire simulation —
@@ -40,9 +44,12 @@ import (
 // free after warm-up:
 //
 //   - Actors live in a slab and are pooled: an actor finishing returns
-//     its (cond, links, lane) state to a free list, so a sweep reusing
-//     one clock across many cells (see Lanes) registers thousands of
-//     actors with a handful of allocations.
+//     its (links, lane) state to a free list, so a sweep reusing one
+//     clock across many cells (see Lanes) registers thousands of actors
+//     with a handful of allocations. Their coroutines are pooled too,
+//     process-wide: a finished body yields its coroutine back to run,
+//     which keeps up to maxIdleCoros idle for the next spawn, so a
+//     steady-state spawn allocates nothing and starts no goroutine.
 //   - The ready queue and the WaitNotify waiter list are intrusive
 //     linked lists threaded through the actor structs — no slice
 //     growth, no O(n) waiter-removal scans on timeout.
@@ -50,12 +57,12 @@ import (
 //     (kind, actor) engine events dispatched through HandleEvent — no
 //     per-wait closure — and ride each actor's monotone engine lane,
 //     so the common wait is an O(1) ring push instead of a heap sift.
-//   - A parking actor hands the baton directly to the next ready
-//     actor: one cond signal per switch. With none ready it drives the
-//     engine itself, so a wait whose own wake-up comes next (a lone
-//     sleeper, a sender pacing itself) costs no goroutine switch at
-//     all, and any other wait costs exactly one — never a round trip
-//     through a scheduler goroutine.
+//   - A parking actor hands the baton to the next ready actor through
+//     run: two coroutine switches (to run, then to the actor), with no
+//     goroutine wake-up and no OS scheduler in between. With none ready
+//     it drives the engine itself, so a wait whose own wake-up comes
+//     next (a lone sleeper, a sender pacing itself) costs no switch at
+//     all.
 //   - An engine event costs no lock at all (next section).
 //
 // # The baton is the lock
@@ -65,11 +72,12 @@ import (
 // parked, the driving actor — the one that parked (or finished) last —
 // firing engine events and their callbacks with current nil; or, with
 // no run active, the one goroutine that builds the simulation and calls
-// run. The baton changes hands only under mu (park, grant, an actor
-// finishing, a drive starting or ending, run waking up), and that lock
-// hand-over is the happens-before edge that orders everything the
-// previous holder did before everything the next one does — which is
-// what lets go test -race check the rule.
+// run. The baton changes hands only under mu (park, an actor finishing,
+// a drive starting or ending; an actor yields to run, and run resumes
+// the next one, with mu held), and that lock hand-over is the
+// happens-before edge that orders everything the previous holder did
+// before everything the next one does — which is what lets go test
+// -race check the rule.
 //
 // So state that only baton holders touch needs no lock of its own, and
 // none is taken:
@@ -100,8 +108,8 @@ import (
 // actor first.
 //
 // What mu still guards is the hand-over state itself — the actor table,
-// the ready FIFO, the WaitNotify waiter list, current, running,
-// driving, fault, switches, the event log — and with it the calls that
+// the ready FIFO, the WaitNotify waiter list, current, next, running,
+// fault, switches, the event log — and with it the calls that
 // are safe from any goroutine while run is active: spawn and
 // spawnNamed, CurrentActorName, SetEventLog, idle. Now, NowNanos,
 // Instant, Elapsed and Epoch are atomic reads and safe anywhere. Sleep,
@@ -123,23 +131,25 @@ import (
 // is pending, no wakeup can ever arrive; run panics with a diagnostic
 // — including per-actor labels (see spawnNamed) and the pending-timer
 // count — rather than hanging, turning a protocol bug into a test
-// failure. A callback that panics on a driving actor's goroutine
+// failure. A callback that panics on a driving actor's coroutine
 // surfaces the same way, from run on the Join goroutine with its own
 // value; one that calls runtime.Goexit (t.FailNow) makes run panic with
-// a diagnostic saying so.
+// a diagnostic saying so. An actor body's own panic or runtime.Goexit
+// comes out of run as iter.Pull passes it on: the same value panicked
+// again, or Goexit, on the Join goroutine. A faulted coroutine is
+// abandoned, never pooled.
 type Virtual struct {
 	mu       sync.Mutex
-	rootCond sync.Cond // run waits here for the end of the run, a stall or a fault
 	eng      *simnet.Engine
 	base     time.Time
 	gen      atomic.Uint64 // notification epoch
 	laneSeq  int           // next NewEventLane id
 	actors   int           // registered and not yet finished
 	current  *actor        // actor holding the baton (nil: a driver or run has it)
+	next     *actor        // actor a yielding coroutine hands the baton to
 	running  bool
-	driving  bool // a parked or finishing actor is firing engine events
-	fault    any  // what a driving actor hands run to re-raise
-	switches int  // baton grants that woke another goroutine (tests read it)
+	fault    any // what a driving actor hands run to re-raise
+	switches int // baton grants that resumed another coroutine (tests read it)
 	// runnable is raised whenever an actor joins the ready FIFO. The
 	// driving actor polls it between engine events instead of taking
 	// mu to look at the FIFO; it is atomic because spawn may ready an
@@ -178,8 +188,8 @@ func (v *Virtual) SetEventLog(l EventLog) {
 }
 
 // CurrentActorName returns the label of the actor holding the baton,
-// or "" while engine and timer callbacks run (whichever goroutine
-// drives them) or an unnamed actor is running. Telemetry recorders use
+// or "" while engine and timer callbacks run (whichever actor's
+// coroutine drives them) or an unnamed actor is running. Telemetry recorders use
 // it as their actor-attribution source; it deliberately returns ""
 // rather than a synthesized name for unnamed actors so the enabled
 // probe path stays allocation free.
@@ -196,18 +206,18 @@ func (v *Virtual) CurrentActorName() string {
 // event's a-payload is the actor's slab index.
 const evWake = 1
 
-// actor is one registered goroutine's scheduling state.
+// actor is one registered actor's scheduling state.
 type actor struct {
 	id       int32
-	lane     int32     // dedicated monotone engine lane for wake timers
-	cond     sync.Cond // tied to Virtual.mu
-	name     string    // optional label for deadlock diagnostics
-	inUse    bool      // registered and not yet finished
-	granted  bool      // baton handed over, actor may run
-	parked   bool      // inside a clock wait
-	queued   bool      // in the ready FIFO
-	waiting  bool      // on the WaitNotify waiter list
-	notified bool      // wake cause was Notify, not a timeout
+	lane     int32  // dedicated monotone engine lane for wake timers
+	fn       func() // body, until its coroutine starts it
+	co       *coro  // coroutine running the body (nil until first resumed)
+	name     string // optional label for deadlock diagnostics
+	inUse    bool   // registered and not yet finished
+	parked   bool   // inside a clock wait, or not yet started
+	queued   bool   // in the ready FIFO
+	waiting  bool   // on the WaitNotify waiter list
+	notified bool   // wake cause was Notify, not a timeout
 
 	nextReady          *actor // intrusive ready-FIFO link
 	nextWait, prevWait *actor // intrusive waiter-list links
@@ -220,13 +230,12 @@ func NewVirtual() *Virtual {
 		eng:  simnet.New(),
 		base: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC),
 	}
-	v.rootCond.L = &v.mu
 	v.eng.SetHandler(v)
 	return v
 }
 
 // HandleEvent dispatches typed engine events (actor wakeups). It runs
-// on the driving actor's goroutine with v.mu released (engine
+// on the driving actor's coroutine with v.mu released (engine
 // callbacks are invoked outside the lock); readying the actor edits the
 // ready FIFO, so it takes mu.
 func (v *Virtual) HandleEvent(kind, a, _ int32) {
@@ -293,7 +302,7 @@ func (v *Virtual) Notify() {
 
 // readyLocked moves a parked actor to the ready FIFO (idempotent).
 func (v *Virtual) readyLocked(a *actor) {
-	if !a.parked || a.queued || a.granted {
+	if !a.parked || a.queued {
 		return
 	}
 	a.queued = true
@@ -322,61 +331,47 @@ func (v *Virtual) popReadyLocked() *actor {
 	return a
 }
 
-// grantLocked hands the baton to a and signals it awake.
-func (v *Virtual) grantLocked(a *actor) {
-	a.granted = true
-	v.current = a
-	a.cond.Signal()
-}
-
-// park blocks the calling actor until it is granted the baton again
-// (see handOff). When its own wake-up is the next thing to happen it
-// keeps the baton and returns without a goroutine switch. v.mu must be
-// held; it is held again on return.
+// park blocks the calling actor until the baton comes back to it (see
+// handOff). When its own wake-up is the next thing to happen it keeps
+// the baton and returns without a switch; otherwise it names the next
+// actor and yields to run. v.mu must be held; it is held again on
+// return.
 func (v *Virtual) park(a *actor) {
 	a.parked = true
 	v.current = nil
-	v.handOff(a)
-	for !a.granted {
-		a.cond.Wait()
-	}
-	a.granted = false
-	a.parked = false
-}
-
-// handOff passes the baton on from self, the actor parking (nil: an
-// actor finishing, or run). The head of the ready FIFO gets it; when
-// none is ready, the caller first drives the engine until an event
-// readies one — unless no actor is left, so that the last one to
-// finish fires nothing and pending events stay queued for the next
-// run. With no actor ready after that, the baton goes back to run.
-// v.mu must be held.
-func (v *Virtual) handOff(self *actor) {
-	if v.readyHead == nil && v.actors > 0 {
-		v.drive()
-	}
-	n := v.popReadyLocked()
-	if n == nil {
-		v.rootCond.Signal()
+	n := v.handOff(a.co)
+	if n == a {
+		a.parked = false
+		v.current = a
 		return
 	}
-	if n != self {
-		v.switches++
-	}
-	v.grantLocked(n)
+	v.next = n
+	a.co.yield(false) // with mu held: run resumes n, and later a, holding it
 }
 
-// drive fires engine events on the calling goroutine, back to back
-// with mu released and current nil, until one makes an actor runnable
-// (its callback woke a sleeper, called Notify or spawn, or a goroutine
-// outside the simulation spawned) — that actor must run before the
-// next event does — or the queue runs dry. A callback that panics or
-// calls runtime.Goexit ends the drive: the fault is handed to run,
-// which re-raises it on the Join goroutine, and the calling goroutine
-// blocks for good. v.mu must be held; it is held again on return.
-func (v *Virtual) drive() {
+// handOff picks the actor the baton passes to from the coroutine co,
+// whose actor is parking or finishing: the head of the ready FIFO.
+// When none is ready co first drives the engine until an event readies
+// one — unless no actor is left, so that the last one to finish fires
+// nothing and pending events stay queued for the next run. nil means
+// none is ready even then. v.mu must be held.
+func (v *Virtual) handOff(co *coro) *actor {
+	if v.readyHead == nil && v.actors > 0 {
+		v.drive(co)
+	}
+	return v.popReadyLocked()
+}
+
+// drive fires engine events on co, back to back with mu released and
+// current nil, until one makes an actor runnable (its callback woke a
+// sleeper, called Notify or spawn, or a goroutine outside the
+// simulation spawned) — that actor must run before the next event
+// does — or the queue runs dry. A callback that panics or calls
+// runtime.Goexit ends the drive: co hands the fault to run, which
+// re-raises it on the Join goroutine and never resumes co. v.mu must be
+// held; it is held again on return.
+func (v *Virtual) drive(co *coro) {
 	v.runnable.Store(false)
-	v.driving = true
 	v.mu.Unlock()
 	ok := false
 	defer func() {
@@ -385,19 +380,16 @@ func (v *Virtual) drive() {
 		}
 		fault := recover()
 		if fault == nil {
-			fault = "clock: an engine callback called runtime.Goexit (t.FailNow, t.Fatal?) on a driving actor's goroutine; report failures from clock callbacks with t.Error"
+			fault = "clock: an engine callback called runtime.Goexit (t.FailNow, t.Fatal?) on a driving actor's coroutine; report failures from clock callbacks with t.Error"
 		}
 		v.mu.Lock()
 		v.fault = fault
-		v.rootCond.Signal()
-		v.mu.Unlock()
-		select {}
+		co.yield(false)
 	}()
 	for !v.runnable.Load() && v.eng.Step() {
 	}
 	ok = true
 	v.mu.Lock()
-	v.driving = false
 }
 
 // currentActor returns the running actor, panicking when the caller is
@@ -426,7 +418,6 @@ func (v *Virtual) allocActorLocked(name string) *actor {
 		a.lane = int32(v.laneSeq)
 		v.laneSeq++
 		v.eng.Lanes(v.laneSeq)
-		a.cond.L = &v.mu
 		v.slab = append(v.slab, a)
 	}
 	a.name = name
@@ -446,44 +437,87 @@ func (v *Virtual) spawnNamed(name string, fn func()) {
 	v.mu.Lock()
 	a := v.allocActorLocked(name)
 	v.actors++
+	a.fn = fn
 	a.parked = true // waiting for its first baton grant
 	v.readyLocked(a)
 	v.mu.Unlock()
-	go v.runActor(a, fn)
 }
 
-// runActor is the actor goroutine body: wait for the first grant, run
-// fn, then recycle the actor and hand the baton onward.
-func (v *Virtual) runActor(a *actor, fn func()) {
-	v.mu.Lock()
-	for !a.granted {
-		a.cond.Wait()
-	}
-	a.granted = false
-	a.parked = false
-	v.mu.Unlock()
-	defer v.finishActor(a)
-	fn()
-}
-
-// finishActor retires a and hands the baton on.
-func (v *Virtual) finishActor(a *actor) {
+// finishActor retires a, whose body co ran, and names the actor the
+// baton passes to next. It returns with v.mu held, for co to yield.
+func (v *Virtual) finishActor(a *actor, co *coro) {
 	v.mu.Lock()
 	v.actors--
 	v.current = nil
-	a.inUse = false
-	a.name = ""
+	a.inUse, a.name, a.fn, a.co = false, "", nil, nil
 	v.freeActor = append(v.freeActor, a)
-	v.handOff(nil)
-	v.mu.Unlock()
+	v.next = v.handOff(co)
 }
 
-// run grants the baton to the first ready actor, then waits while the
-// actors pass it among themselves and drive the engine (see handOff).
-// It takes the baton back when every actor has finished, and returns;
-// when a drive ran the queue dry with every actor blocked, and panics
-// with the all-blocked diagnostic; or when a driving actor hands it a
-// callback's fault, and re-raises that on the Join goroutine. Only one
+// maxIdleCoros bounds the process-wide pool of idle actor coroutines:
+// enough for the actors of the Joins that GOMAXPROCS Lanes workers run
+// at once, few enough that the goroutines parked in it cost little.
+const maxIdleCoros = 32
+
+// idleCoros is the coroutine pool every Virtual shares.
+var idleCoros = make(chan *coro, maxIdleCoros)
+
+// coro is a pooled actor coroutine. Each resume by run continues the
+// body of actor a on clock v until it parks (yields false), finishes
+// (yields true) or faults; a finished body's coroutine waits in the
+// pool for the next actor.
+type coro struct {
+	resume func() (bool, bool)
+	stop   func()
+	yield  func(bool) bool
+	v      *Virtual
+	a      *actor
+}
+
+// getCoro takes an idle coroutine, or starts one, to run actor a on v.
+func getCoro(v *Virtual, a *actor) *coro {
+	var c *coro
+	select {
+	case c = <-idleCoros:
+	default:
+		c = new(coro)
+		c.resume, c.stop = iter.Pull(c.loop)
+	}
+	c.v, c.a = v, a
+	return c
+}
+
+// putCoro returns a finished coroutine to the pool, or ends it when the
+// pool is full.
+func putCoro(c *coro) {
+	c.v, c.a = nil, nil
+	select {
+	case idleCoros <- c:
+	default:
+		c.stop()
+	}
+}
+
+// loop is the coroutine's body: one actor per pass, from its first
+// grant to its finish.
+func (c *coro) loop(yield func(bool) bool) {
+	c.yield = yield
+	for {
+		a := c.a
+		c.v.mu.Unlock() // run resumes coroutines holding it
+		a.fn()
+		c.v.finishActor(a, c)
+		if !yield(true) {
+			return
+		}
+	}
+}
+
+// run resumes the first ready actor, then whichever actor the last one
+// to yield named next (see handOff), until every actor has finished;
+// when a drive ran the queue dry with every actor blocked, it panics
+// with the all-blocked diagnostic, and when a driving actor hands it a
+// callback's fault, it re-raises that on the Join goroutine. Only one
 // run may be active at a time; actors may keep spawning more actors
 // with spawn while it runs.
 func (v *Virtual) run() {
@@ -493,23 +527,35 @@ func (v *Virtual) run() {
 		panic("clock: clock.Join reentered: one Join (or JoinNamed) at a time per Virtual")
 	}
 	v.running = true
+	defer func() { // also when resume passes on a body's panic or Goexit
+		v.mu.Lock()
+		fault := v.fault
+		v.fault, v.running = nil, false
+		v.mu.Unlock()
+		if fault != nil {
+			panic(fault)
+		}
+	}()
 	for v.fault == nil && v.actors > 0 {
-		switch {
-		case v.current != nil || v.driving:
-			v.rootCond.Wait()
-		case v.readyHead != nil:
-			v.handOff(nil)
-		default:
+		n := v.next
+		if n == nil { // the first grant, or an actor spawned from outside after a drive ran dry
+			n = v.popReadyLocked()
+		}
+		if n == nil {
 			v.fault = v.deadlockLocked()
+			break
+		}
+		v.next, v.current, n.parked = nil, n, false
+		v.switches++
+		if n.co == nil {
+			n.co = getCoro(v, n)
+		}
+		co := n.co
+		if finished, _ := co.resume(); finished { // mu held both ways
+			putCoro(co)
 		}
 	}
-	fault := v.fault
-	v.fault = nil
-	v.running = false
 	v.mu.Unlock()
-	if fault != nil {
-		panic(fault)
-	}
 }
 
 // deadlockLocked renders the all-blocked diagnostic: when, how many
@@ -652,7 +698,7 @@ type virtualTimer struct {
 }
 
 // AfterFunc implements Clock. fn runs while every actor is parked, on
-// the goroutine of the actor driving the engine (see drive), serialized
+// the coroutine of the actor driving the engine (see drive), serialized
 // with actors and other callbacks.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	t := &virtualTimer{v: v, fn: fn}

@@ -264,10 +264,18 @@ func (d *Direction) occupyLocked(clk clock.Clock, tx time.Duration) time.Duratio
 // clock every deliverAfter and every delivery runs under the scheduler
 // baton (see clock.Virtual, "The baton is the lock") and mu is never
 // taken; on a real clock timer goroutines race the senders and mu
-// guards the list.
+// guards the lists.
 type deliveryPool struct {
 	mu   sync.Mutex
 	free *delivery
+	// On a real clock timers that expire together start their
+	// callbacks in no fixed order, so deliveries are handed on in send
+	// order: head and tail link the envelopes in flight, oldest first,
+	// and the callback that finds the head fired hands on it and every
+	// fired envelope behind it. draining keeps that to one callback at
+	// a time; the others only mark their envelope fired and return.
+	head, tail *delivery
+	draining   bool
 
 	// lane is the pool's monotone FIFO scheduling lane on laneClk,
 	// allocated on first use. A direction's deliveries fire in
@@ -304,27 +312,41 @@ type delivery struct {
 	pool   *deliveryPool
 	dst    nicsim.Deliverer
 	pkt    *nicsim.Packet
-	run    func() // == doRun, bound once
-	next   *delivery
-	serial bool // scheduled on a virtual clock: recycle without mu
+	run    func()    // == doRun, bound once
+	next   *delivery // free-list link, or in-flight link on a real clock
+	serial bool      // scheduled on a virtual clock: recycle without mu
+	fired  bool      // its real-clock timer has fired
 }
 
+// doRun recycles each envelope before delivering its packet: the
+// delivery may synchronously trigger a response send through the same
+// pool, which can then reuse the slot.
 func (env *delivery) doRun() {
-	dst, pkt := env.dst, env.pkt
-	env.dst, env.pkt = nil, nil
-	// Recycle before delivering: the delivery may synchronously trigger
-	// a response send through the same pool, which can then reuse the
-	// slot.
 	p := env.pool
-	if !env.serial {
+	if env.serial {
+		dst, pkt := env.dst, env.pkt
+		env.dst, env.pkt = nil, nil
+		env.next, p.free = p.free, env
+		dst.Deliver(pkt)
+		return
+	}
+	p.mu.Lock()
+	env.fired = true
+	if p.draining {
+		p.mu.Unlock()
+		return
+	}
+	p.draining = true
+	for h := p.head; h != nil && h.fired; h = p.head {
+		dst, pkt := h.dst, h.pkt
+		h.dst, h.pkt, h.fired = nil, nil, false
+		p.head, h.next, p.free = h.next, p.free, h
+		p.mu.Unlock()
+		dst.Deliver(pkt)
 		p.mu.Lock()
 	}
-	env.next = p.free
-	p.free = env
-	if !env.serial {
-		p.mu.Unlock()
-	}
-	dst.Deliver(pkt)
+	p.draining = false
+	p.mu.Unlock()
 }
 
 func (p *deliveryPool) get(dst nicsim.Deliverer, pkt *nicsim.Packet, serial bool) *delivery {
@@ -335,15 +357,20 @@ func (p *deliveryPool) get(dst nicsim.Deliverer, pkt *nicsim.Packet, serial bool
 	if env != nil {
 		p.free = env.next
 		env.next = nil
-	}
-	if !serial {
-		p.mu.Unlock()
-	}
-	if env == nil {
+	} else {
 		env = &delivery{pool: p}
 		env.run = env.doRun
 	}
 	env.dst, env.pkt, env.serial = dst, pkt, serial
+	if !serial {
+		if p.head == nil {
+			p.head = env
+		} else {
+			p.tail.next = env
+		}
+		p.tail = env
+		p.mu.Unlock()
+	}
 	return env
 }
 

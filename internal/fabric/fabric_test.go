@@ -545,3 +545,22 @@ func TestLazySeedMatchesEagerReference(t *testing.T) {
 	fresh.Reconfigure(rec, lossy(12))
 	check(fresh, 12, "never-drawn lossless -> lossy")
 }
+
+// On a real clock each delivery is its own timer, and timers that
+// expire together start their callbacks in no fixed order; a direction
+// still hands a burst on in send order.
+func TestRealClockBurstArrivesInOrder(t *testing.T) {
+	const runs, n = 20, 32
+	for r := 0; r < runs; r++ {
+		got := make(arrivalRecorder, n)
+		dir := NewDirectionTo(got, Config{Latency: time.Millisecond, Clock: clock.NewReal()})
+		for k := 0; k < n; k++ {
+			dir.Send(&nicsim.Packet{Opcode: nicsim.OpSend, PSN: uint32(k), First: true, Last: true, Payload: []byte("x")})
+		}
+		for k := 0; k < n; k++ {
+			if a := <-got; a[0] != int64(k) {
+				t.Fatalf("run %d: packet %d arrived in place %d", r, a[0], k)
+			}
+		}
+	}
+}

@@ -156,11 +156,13 @@ type Queue struct {
 	// settleFn is the bound settling callback (created once in
 	// NewQueue). free lists the transits whose deliveries have fired,
 	// for reuse, so the per-packet path schedules its clock event
-	// without allocating; lane is the event lane they are scheduled on,
-	// allocated by the first admission (-1 until then), so a direction
-	// no packet crosses adds no lane for the engine to scan.
+	// without allocating, and made counts the transits the queue has
+	// allocated (see grow); lane is the event lane they are scheduled
+	// on, allocated by the first admission (-1 until then), so a
+	// direction no packet crosses adds no lane for the engine to scan.
 	settleFn func()
 	free     *transit
+	made     int
 	lane     int
 	// On a real clock timers that expire together start their
 	// callbacks in no fixed order, so each delivery waits its turn:
@@ -495,15 +497,16 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	}
 }
 
-// send takes a transit off the free list, or builds one, for pkt bound
-// for dst, and schedules its delivery at instant at on the queue's
-// lane. Caller holds the lock.
+// send takes a transit off the free list for pkt bound for dst, and
+// schedules its delivery at instant at on the queue's lane. Caller
+// holds the lock.
 func (q *Queue) send(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *transit {
+	if q.free == nil {
+		q.grow()
+	}
 	tr := q.free
-	if tr != nil {
-		q.free, tr.next = tr.next, nil
-	} else {
-		tr = &transit{q: q}
+	q.free, tr.next = tr.next, nil
+	if tr.run == nil {
 		tr.run = tr.deliver
 	}
 	tr.pkt, tr.dst, tr.at = pkt, dst, at
@@ -513,6 +516,20 @@ func (q *Queue) send(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *tran
 	}
 	q.clk.RunAtLane(q.lane, at, tr.run)
 	return tr
+}
+
+// grow puts a slab of fresh transits on the free list, as many as the
+// queue has made so far, at least 8 and at most 256: seven slab
+// allocations cover a backlog of 512 packets, and one more each 256
+// after that. Each transit's bound deliver is one allocation more,
+// made on its first use. Caller holds the lock.
+func (q *Queue) grow() {
+	slab := make([]transit, min(max(q.made, 8), 256))
+	q.made += len(slab)
+	for i := range slab {
+		tr := &slab[i]
+		tr.q, tr.next, q.free = q, q.free, tr
+	}
 }
 
 // deliver is a transit's clock event. It settles the queue up to the
