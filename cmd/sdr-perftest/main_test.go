@@ -370,3 +370,18 @@ func TestPerftestTraceAndQuantiles(t *testing.T) {
 		t.Fatal("trace bytes diverged across identical runs")
 	}
 }
+
+// TestPerftestDoneWrites pins, per scheme, how many duplicate packets
+// the receiving NIC DMA-wrote into a message that was already complete
+// in the lossy runs testdata/identity.txt lists.
+func TestPerftestDoneWrites(t *testing.T) {
+	for scheme, want := range map[string]uint64{"sr": 254, "sr-nack": 3237, "ec": 13, "adaptive": 285} {
+		res, err := Run(Options{Scheme: scheme, Drop: 0.01, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DoneWrites != want {
+			t.Errorf("%s: %d packets written into complete messages, want %d", scheme, res.DoneWrites, want)
+		}
+	}
+}

@@ -133,8 +133,9 @@ type Result struct {
 	// byte-identical runs produce identical digests. Zero when Verify
 	// is off.
 	Digest uint64
-	// Data-path counters from the receiving QP.
-	DataPktsRecv, Duplicates uint64
+	// Data-path counters from the receiving QP. DoneWrites counts the
+	// duplicates DMA-written into a message that was already complete.
+	DataPktsRecv, Duplicates, DoneWrites uint64
 	// Contended-mode telemetry (CrossBps > 0).
 	CrossSent, TailDrops, ECNMarked uint64
 	// Per-transfer completion-time quantiles (receiver-side, session
@@ -354,7 +355,14 @@ func Run(o Options) (Result, error) {
 	)
 	simElapsed := clk.Since(startSim)
 	wallElapsed := time.Since(startWall) - verifyWall
+	stats := sess.Pair.B.QP.Stats()
 	if rec != nil {
+		// The receiving QP's late-write count joins the summary's
+		// counters: the writes that landed in a buffer the receive had
+		// already handed back.
+		var done telemetry.Counter
+		done.Store(stats.DoneWrites)
+		rec.RegisterCounter(o.Scheme+"/B done_writes", &done)
 		o.Trace.CellFinish(0, clk.NowNanos())
 	}
 	if gen != nil {
@@ -382,8 +390,9 @@ func Run(o Options) (Result, error) {
 		HostPackets:    hostPackets,
 		HostPktsPerSec: float64(hostPackets) / wallElapsed.Seconds(),
 		Cores:          cores,
-		DataPktsRecv:   sess.Pair.B.QP.Stats().PacketsReceived,
-		Duplicates:     sess.Pair.B.QP.Stats().Duplicates,
+		DataPktsRecv:   stats.PacketsReceived,
+		Duplicates:     stats.Duplicates,
+		DoneWrites:     stats.DoneWrites,
 	}
 	res.HostPktsPerSecCore = res.HostPktsPerSec / float64(cores)
 	res.P50 = time.Duration(completions.Quantile(0.50))

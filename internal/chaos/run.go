@@ -160,6 +160,10 @@ type Outcome struct {
 	Send, Recv string
 	// Elapsed is the slower side's virtual transfer time.
 	Elapsed time.Duration
+	// DoneWrites counts the duplicate packets the receiving NIC
+	// DMA-wrote into an already complete message, up to the end of the
+	// fault program (core.Stats.DoneWrites).
+	DoneWrites uint64
 	// FollowUp records invariant 3: "ok-reused" (lease returned to the
 	// pool and re-leased clean), "ok-cold" (lease quarantined, fresh
 	// build ran clean), "n/a" (rc-gbn, unpooled), or a failure.
@@ -323,6 +327,7 @@ func judgeFlow(clk *clock.Virtual, topo *netem.Topology, dial func() (*reliabili
 		}
 	}
 	topo.ReroutePaths()
+	o.DoneWrites = flow.Pair.B.QP.Stats().DoneWrites
 
 	// Invariant 3: a clean transfer releases the lease back to the
 	// pool; a failed one explicitly quarantines it. Either way the

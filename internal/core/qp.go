@@ -73,6 +73,11 @@ type Stats struct {
 	LateDiscarded uint64
 	// Duplicates counts packets that hit an already-set bitmap bit.
 	Duplicates uint64
+	// DoneWrites counts the duplicates among them that were DMA-written
+	// into a receive whose bitmap was already complete: the payload
+	// landed in a buffer the reliability layer may already have handed
+	// back.
+	DoneWrites uint64
 	// CTSSent and CTSReceived count clear-to-send control messages.
 	CTSSent, CTSReceived uint64
 }
@@ -126,6 +131,7 @@ type QP struct {
 	packetsReceived atomic.Uint64
 	lateDiscarded   atomic.Uint64
 	duplicates      atomic.Uint64
+	doneWrites      atomic.Uint64
 	ctsSent         atomic.Uint64
 	ctsReceived     atomic.Uint64
 
@@ -304,6 +310,7 @@ func (qp *QP) Stats() Stats {
 		PacketsReceived: qp.packetsReceived.Load(),
 		LateDiscarded:   qp.lateDiscarded.Load(),
 		Duplicates:      qp.duplicates.Load(),
+		DoneWrites:      qp.doneWrites.Load(),
 		CTSSent:         qp.ctsSent.Load(),
 		CTSReceived:     qp.ctsReceived.Load(),
 	}
@@ -356,6 +363,7 @@ func (qp *QP) reset() {
 	qp.packetsReceived.Store(0)
 	qp.lateDiscarded.Store(0)
 	qp.duplicates.Store(0)
+	qp.doneWrites.Store(0)
 	qp.ctsSent.Store(0)
 	qp.ctsReceived.Store(0)
 	qp.ctx.dev.RxPackets.Store(0)

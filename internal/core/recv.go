@@ -168,7 +168,7 @@ func (h *RecvHandle) Complete() error {
 // consecutive completions of the same message (the steady-state shape:
 // a drain is a run of fragments of one in-flight message).
 func (qp *QP) backendHandleBatch(gen uint32, cqes []nicsim.CQE) {
-	var received, duplicates, pcieWrites uint64
+	var received, duplicates, doneWrites, pcieWrites uint64
 	notify := false
 	lastMsgID := uint32(0xffffffff)
 	var lastHandle *RecvHandle
@@ -224,6 +224,9 @@ func (qp *QP) backendHandleBatch(gen uint32, cqes []nicsim.CQE) {
 			// Retransmission overlap or wire duplication.
 			duplicates++
 			h.dupPkts.Add(1)
+			if h.msg.Complete() {
+				doneWrites++
+			}
 			continue
 		}
 		if chunkDone {
@@ -241,6 +244,7 @@ func (qp *QP) backendHandleBatch(gen uint32, cqes []nicsim.CQE) {
 	}
 	if duplicates > 0 {
 		qp.duplicates.Add(duplicates)
+		qp.doneWrites.Add(doneWrites)
 	}
 	if pcieWrites > 0 {
 		qp.ctx.pool.PCIeWrites.Add(pcieWrites)

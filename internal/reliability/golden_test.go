@@ -24,8 +24,11 @@ type goldenTuple struct {
 	Retransmits uint64
 	NacksSent   uint64
 	LateReAcks  uint64
-	Switches    int
-	RecvFNV     uint64 // FNV-1a over every received buffer, in order
+	// DoneWrites counts duplicate packets the receiving NIC DMA-wrote
+	// into a message that was already complete (core.Stats.DoneWrites).
+	DoneWrites uint64
+	Switches   int
+	RecvFNV    uint64 // FNV-1a over every received buffer, in order
 }
 
 // goldenCase is one pinned scenario: msgs sequential transfers of size
@@ -62,33 +65,33 @@ type goldenCase struct {
 func TestReliabilityGoldenTuples(t *testing.T) {
 	cases := []goldenCase{
 		{name: "sr/1", scheme: "sr", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 1,
-			want: goldenTuple{ElapsedNs: 54502641, PacketsSent: 0x2c4, CtrlSent: 0x36, Retransmits: 0x1e, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xc1077ac09622865}},
+			want: goldenTuple{ElapsedNs: 54502641, PacketsSent: 0x2c4, CtrlSent: 0x36, Retransmits: 0x1e, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x4, Switches: 0, RecvFNV: 0xc1077ac09622865}},
 		{name: "sr/2", scheme: "sr", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
-			want: goldenTuple{ElapsedNs: 80369267, PacketsSent: 0x2cc, CtrlSent: 0x50, Retransmits: 0x20, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x1706b97648427be5}},
+			want: goldenTuple{ElapsedNs: 80369267, PacketsSent: 0x2cc, CtrlSent: 0x50, Retransmits: 0x20, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x3, Switches: 0, RecvFNV: 0x1706b97648427be5}},
 		{name: "sr-nack/1", scheme: "sr-nack", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 1,
-			want: goldenTuple{ElapsedNs: 39267633, PacketsSent: 0x2fc, CtrlSent: 0x2a, Retransmits: 0x2c, NacksSent: 0x0, LateReAcks: 0x3, Switches: 0, RecvFNV: 0xc1077ac09622865}},
+			want: goldenTuple{ElapsedNs: 39267633, PacketsSent: 0x2fc, CtrlSent: 0x2a, Retransmits: 0x2c, NacksSent: 0x0, LateReAcks: 0x3, DoneWrites: 0x1, Switches: 0, RecvFNV: 0xc1077ac09622865}},
 		{name: "sr-nack/2", scheme: "sr-nack", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
-			want: goldenTuple{ElapsedNs: 44202353, PacketsSent: 0x35c, CtrlSent: 0x2e, Retransmits: 0x44, NacksSent: 0x0, LateReAcks: 0x2, Switches: 0, RecvFNV: 0x1706b97648427be5}},
+			want: goldenTuple{ElapsedNs: 44202353, PacketsSent: 0x35c, CtrlSent: 0x2e, Retransmits: 0x44, NacksSent: 0x0, LateReAcks: 0x2, DoneWrites: 0x24, Switches: 0, RecvFNV: 0x1706b97648427be5}},
 		// One submessage: 16 real chunks of a (16,4) code, partial tail.
 		{name: "ec-L1/1", scheme: "ec", k: 16, m: 4, size: 16*4096 - 1234, msgs: 3, drop: 0.03, seed: 1,
-			want: goldenTuple{ElapsedNs: 19343892, PacketsSent: 0xed, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x232ecd3cae7e85c2}},
+			want: goldenTuple{ElapsedNs: 19343892, PacketsSent: 0xed, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0x232ecd3cae7e85c2}},
 		{name: "ec-L1/2", scheme: "ec", k: 16, m: 4, size: 16*4096 - 1234, msgs: 3, drop: 0.03, seed: 2,
-			want: goldenTuple{ElapsedNs: 19186860, PacketsSent: 0xed, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xc2d42919fcbe2942}},
+			want: goldenTuple{ElapsedNs: 19186860, PacketsSent: 0xed, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0xc2d42919fcbe2942}},
 		// Four submessages of a (4,2) code; the tail submessage holds 3
 		// real chunks (one partial) plus one virtual zero chunk.
 		{name: "ec-L4/1", scheme: "ec", k: 4, m: 2, size: 60_000, msgs: 3, drop: 0.05, seed: 1,
-			want: goldenTuple{ElapsedNs: 19079580, PacketsSent: 0x111, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xd7d1ff6cc63361c5}},
+			want: goldenTuple{ElapsedNs: 19079580, PacketsSent: 0x111, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0xd7d1ff6cc63361c5}},
 		{name: "ec-L4/2", scheme: "ec", k: 4, m: 2, size: 60_000, msgs: 3, drop: 0.05, seed: 2,
-			want: goldenTuple{ElapsedNs: 27487536, PacketsSent: 0x119, CtrlSent: 0x19, Retransmits: 0x2, NacksSent: 0x1, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x878bace32cc1b585}},
+			want: goldenTuple{ElapsedNs: 27487536, PacketsSent: 0x119, CtrlSent: 0x19, Retransmits: 0x2, NacksSent: 0x1, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0x878bace32cc1b585}},
 		// Weak code under heavy loss: the NACK fallback must fire.
 		{name: "ec-weak/1", scheme: "ec", k: 4, m: 1, size: 100_000, msgs: 2, drop: 0.15, seed: 1,
-			want: goldenTuple{ElapsedNs: 36849996, PacketsSent: 0x166, CtrlSent: 0x13, Retransmits: 0x1b, NacksSent: 0x3, LateReAcks: 0x0, Switches: 0, RecvFNV: 0x6ed1b8d1a8807a5}},
+			want: goldenTuple{ElapsedNs: 36849996, PacketsSent: 0x166, CtrlSent: 0x13, Retransmits: 0x1b, NacksSent: 0x3, LateReAcks: 0x0, DoneWrites: 0xb, Switches: 0, RecvFNV: 0x6ed1b8d1a8807a5}},
 		{name: "ec-weak/2", scheme: "ec", k: 4, m: 1, size: 100_000, msgs: 2, drop: 0.15, seed: 2,
-			want: goldenTuple{ElapsedNs: 48344520, PacketsSent: 0x160, CtrlSent: 0x14, Retransmits: 0x19, NacksSent: 0x4, LateReAcks: 0x0, Switches: 0, RecvFNV: 0xbdb0d91cc63a52e5}},
+			want: goldenTuple{ElapsedNs: 48344520, PacketsSent: 0x160, CtrlSent: 0x14, Retransmits: 0x19, NacksSent: 0x4, LateReAcks: 0x0, DoneWrites: 0x8, Switches: 0, RecvFNV: 0xbdb0d91cc63a52e5}},
 		{name: "adaptive/1", scheme: "adaptive", size: 1<<20 + 777, msgs: 2, drop: 0.12, seed: 1,
-			want: goldenTuple{ElapsedNs: 123105811, PacketsSent: 0xd86, CtrlSent: 0x2a4, Retransmits: 0xb5, NacksSent: 0x15, LateReAcks: 0x0, Switches: 6, RecvFNV: 0x93a18232bcb77178}},
+			want: goldenTuple{ElapsedNs: 123105811, PacketsSent: 0xd86, CtrlSent: 0x2a4, Retransmits: 0xb5, NacksSent: 0x15, LateReAcks: 0x0, DoneWrites: 0x2a, Switches: 6, RecvFNV: 0x93a18232bcb77178}},
 		{name: "adaptive/2", scheme: "adaptive", size: 1<<20 + 777, msgs: 2, drop: 0.12, seed: 2,
-			want: goldenTuple{ElapsedNs: 116236024, PacketsSent: 0xeda, CtrlSent: 0x2ac, Retransmits: 0x10a, NacksSent: 0x1c, LateReAcks: 0x0, Switches: 6, RecvFNV: 0xd524e7e8d969a038}},
+			want: goldenTuple{ElapsedNs: 116236024, PacketsSent: 0xeda, CtrlSent: 0x2ac, Retransmits: 0x10a, NacksSent: 0x1c, LateReAcks: 0x0, DoneWrites: 0x7a, Switches: 6, RecvFNV: 0xd524e7e8d969a038}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -150,6 +153,7 @@ func runGolden(t *testing.T, c goldenCase) goldenTuple {
 		Retransmits: s.A.Retransmits.Load(),
 		NacksSent:   s.B.NacksSent.Load(),
 		LateReAcks:  s.B.LateReAcks.Load(),
+		DoneWrites:  s.Pair.B.QP.Stats().DoneWrites,
 		Switches:    switches,
 		RecvFNV:     sum.Sum64(),
 	}
