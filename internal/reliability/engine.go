@@ -181,7 +181,7 @@ func (op *sendOp) start() error {
 // Then it applies every open segment's queued control messages before
 // any repair, so repair sees one consistent ack snapshot (see
 // repairHoles), and repairs the plain segments; coded ones repair on
-// the receiver's NACK.
+// the receiver's NACK and probe once they have been silent too long.
 func (op *sendOp) step() (bool, error) {
 	e := op.e
 	if err := e.abortErr(); err != nil {
@@ -200,7 +200,7 @@ func (op *sendOp) step() (bool, error) {
 	for i := op.completed; i < op.started; i++ {
 		s := &op.segs[i]
 		if !s.done {
-			if err := s.pump(); err != nil {
+			if err := s.pump(now); err != nil {
 				return false, err
 			}
 		}
@@ -226,6 +226,11 @@ func (op *sendOp) step() (bool, error) {
 		}
 		outstanding += len(s.chunks) - s.acked
 		if s.g.m > 0 {
+			// Coded repair rides the receiver's NACKs; the probe pulls
+			// a lost final ACK out of its re-ACK table.
+			if err := s.probeRTO(now, e.Cfg.rto()); err != nil {
+				return false, err
+			}
 			continue
 		}
 		if err := s.repairHoles(now, i < maxAcked); err != nil {

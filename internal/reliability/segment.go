@@ -114,6 +114,9 @@ type sendSeg struct {
 	done bool
 	// progressed says the last pump applied a control message.
 	progressed bool
+	// active is the segment's last send or control arrival, from which
+	// a coded segment's RTO probe counts (probeRTO).
+	active time.Time
 }
 
 // start opens the segment and performs the initial injection, in the
@@ -163,6 +166,7 @@ func (s *sendSeg) start() error {
 			return startErr(fmt.Sprintf("submessage %d parity send", s.sub0+i), err)
 		}
 	}
+	s.active = e.clock().Now()
 	return nil
 }
 
@@ -199,10 +203,11 @@ func (scr *opScratch) shardView(g ecGeometry, i int, sub, parity []byte) (shards
 // pump applies every queued control message of the segment, noting in
 // progressed whether any arrived, and ends the segment once they have
 // completed it.
-func (s *sendSeg) pump() error {
+func (s *sendSeg) pump(now time.Time) error {
 	s.progressed = false
 	for len(s.acks) > 0 { // this goroutine is the only receiver
 		s.progressed = true
+		s.active = now
 		if err := s.apply(<-s.acks); err != nil {
 			return err
 		}
@@ -278,7 +283,8 @@ func (s *sendSeg) resend(sub, c int, cause int64) error {
 	chunk := sub*s.g.k + c
 	lo := chunk * cb
 	hi := min(lo+cb, len(s.data))
-	s.chunks[chunk].lastSent = s.e.clock().Now()
+	s.active = s.e.clock().Now()
+	s.chunks[chunk].lastSent = s.active
 	s.e.Retransmits.Add(1)
 	s.e.probe(telemetry.EvRetransmit, int64(c), cause, int64(s.sub0+sub), 0)
 	return s.streams[sub].Continue(c*cb, s.data[lo:hi])
@@ -353,6 +359,31 @@ func (s *sendSeg) sweepRTO(now time.Time, rto time.Duration) error {
 		}
 	}
 	return nil
+}
+
+// probeRTO is a coded segment's RTO. Its chunks are never acked one by
+// one, so a sweep would resend the whole segment; instead, once the
+// segment has been silent — nothing sent, no control message heard —
+// for a backed-off RTO, it resends the segment's last data chunk. A
+// receiver still missing data answers with its NACK; one that already
+// completed the segment absorbs the chunk on the NULL key and answers
+// from its re-ACK table (reack.go), which recovers a lost final ACK.
+// The first probe waits two RTOs, not one: a static EC receiver that
+// is still missing data NACKs every RTO, so a sender that resent on
+// one NACK hears the next an RTO later, and a probe then would race it.
+func (s *sendSeg) probeRTO(now time.Time, rto time.Duration) error {
+	last := len(s.chunks) - 1
+	if last < 0 {
+		return nil
+	}
+	ch := &s.chunks[last]
+	if now.Sub(s.active) < retryRTO(rto, ch.retries+1, s.opID<<16+uint64(last)) {
+		return nil
+	}
+	if ch.retries < maxBackoffShift {
+		ch.retries++
+	}
+	return s.resend(last/s.g.k, last%s.g.k, telemetry.CauseRTO)
 }
 
 // end closes the segment on the sender: its control stream unregisters
