@@ -7,9 +7,10 @@ GO ?= go
 # netem (queues/topologies) and collective (clocked ring/tree
 # harnesses) joined with the multi-datacenter emulation; collective
 # runs -short to skip its single-threaded Monte Carlo model sweeps,
-# and its real-clock smokes skip themselves under the race detector
-# (retransmit DMA vs staging reads is the documented motivating
-# hazard — the lossy coverage runs on the virtual harness).
+# and its real-clock smokes (lossless and 2 %-loss Allreduce, the
+# lossless broadcast) run under the race detector too: a receive
+# retires its slots before it returns, so no retransmission's DMA can
+# race the collective reading its staging buffer.
 # nicsim (the lock-free QP, memory-key and CQ tables) and dpa (the
 # CQ-draining workers) run their own concurrent tests. telemetry's
 # Recorder takes its own lock for real-clock probes, and every netem
@@ -72,7 +73,7 @@ bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkDESValidation|BenchmarkGBNBaseline' -benchtime 2x -benchmem . >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkVirtualHandoff|BenchmarkVirtualSleepChurn|BenchmarkRealWaitNotify' -benchmem ./internal/clock/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkSessionChurn' -benchmem ./internal/session/ >> bench-json.tmp
-	$(GO) test -run xxx -bench 'BenchmarkWANVirtual|BenchmarkWANReal' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkWANVirtual|BenchmarkWANReal|BenchmarkMultiDCReal' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkWANFunctionalSweep|BenchmarkMultiDCSweep|BenchmarkAdaptiveSweep' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkNetemQueue|BenchmarkNetemCrossTraffic|BenchmarkNetemFlowChurn' -benchmem ./internal/netem/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkFunctionalAllreduceVirtual' -benchtime 5x -benchmem ./internal/collective/ >> bench-json.tmp
@@ -240,11 +241,12 @@ smoke-golden:
 # from it, so the cold build, the lease path and the shared queue are
 # checked on every `make ci`. The two workloads that cross netem must
 # also print the seed-1 verification rep below, digest and simulated
-# tuple as recorded while every netem departure was still a clock
-# event: a change to how the queues schedule that moves either line
-# moves the simulation, and fails here without a parent build.
-SMOKE_REP_flow_churn = verification rep: digest 92cc0a66d99574e5; simulated tuple: 18226.827999 ms, 45998 device rx pkts, 32000 data pkts, 0 duplicates
-SMOKE_REP_contended_adaptive = verification rep: digest 67b8b47fd14a4565; simulated tuple: 590.242937 ms, 155641 device rx pkts, 141956 data pkts, 10884 duplicates
+# tuple as last recorded when receives began retiring their slots at
+# completion (no final-ACK re-sends, late duplicates absorbed): a
+# change to how the queues or the protocol schedule that moves either
+# line moves the simulation, and fails here without a parent build.
+SMOKE_REP_flow_churn = verification rep: digest 92cc0a66d99574e5; simulated tuple: 18226.827999 ms, 42000 device rx pkts, 32000 data pkts, 0 duplicates
+SMOKE_REP_contended_adaptive = verification rep: digest 67b8b47fd14a4565; simulated tuple: 593.893925 ms, 152437 device rx pkts, 138911 data pkts, 7839 duplicates
 
 smoke-bench:
 	bash benchmark/run.sh --workload sr_clean --seed 1 --seconds 2 --trace 0

@@ -44,7 +44,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	crossBps := flags.Float64("cross-bps", 0, "background cross-traffic load sharing the bottleneck [bit/s] (0 = dedicated link)")
 	crossPoisson := flags.Bool("cross-poisson", false, "Poisson cross-traffic arrivals (default CBR)")
 	crossBuf := flags.Int("cross-buffer", 4<<20, "shared bottleneck buffer [bytes] (contended mode)")
-	verify := flags.Bool("verify", true, "verify received bytes and chain a digest (virtual clock only)")
+	verify := flags.Bool("verify", true, "verify received bytes and chain a digest")
 	tracePath := flags.String("trace", "",
 		"flight-record the run into this file as Chrome trace-event JSON (open in Perfetto)")
 	flags.Parse(args)

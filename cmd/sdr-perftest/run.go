@@ -34,10 +34,11 @@ type Options struct {
 	// messages the run transfers.
 	Size, Msgs int
 	// Window is the receive-region rotation depth: message i lands at
-	// offset (i%Window)·Size of one large MR, so a lingering retired
-	// slot's late retransmissions can never scribble on a region that
-	// has already been re-posted. EC/adaptive scratch MRs rotate the
-	// same way.
+	// offset (i%Window)·Size of one large MR, and EC/adaptive scratch
+	// MRs rotate the same way. Rotation is not needed for safety — a
+	// receive retires its slots at completion, so no late
+	// retransmission writes a returned region — but it keeps the
+	// receive footprint of sdr_write_bw's window of buffers.
 	Window int
 	// MTU, Chunk and Channels shape the SDR deployment.
 	MTU, Chunk, Channels int
@@ -58,8 +59,8 @@ type Options struct {
 	CrossPoisson     bool
 	CrossBufferBytes int
 	// Verify enables receive-side content verification and digest
-	// chaining (virtual clock only; on the wall clock reading the
-	// buffer would race in-flight DMA).
+	// chaining, on either clock: a returned receive's region is the
+	// caller's until it is posted again.
 	Verify bool
 	// Trace, when set, flight-records the run into cell 0 of the
 	// trace: queue/reliability/session probes plus one EvTransfer per
@@ -302,7 +303,7 @@ func Run(o Options) (Result, error) {
 		return Result{}, err
 	}
 
-	verify := o.Verify && clk.IsVirtual()
+	verify := o.Verify
 	digest := fnv.New64a()
 	var sendErr, recvErr error
 	var completions stats.Sketch

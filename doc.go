@@ -10,8 +10,8 @@
 //     pairs, indirect and NULL memory keys, lossy long-haul wire,
 //     DPA worker emulation)
 //   - reliability: Selective Repeat and Erasure Coding layers built
-//     on the SDR bitmap, with background (asynchronous) final-ACK
-//     linger so completed receives leave the collective critical path
+//     on the SDR bitmap; a receive retires its slots at completion, so
+//     its buffer is the caller's the moment it returns
 //   - session: the elastic session fabric — pools of fully built
 //     reliability deployments leased and reset per flow, so
 //     thousand-flow multi-tenant topologies pay a rebind, not a

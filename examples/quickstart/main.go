@@ -57,12 +57,12 @@ func main() {
 	chunk := pair.B.Ctx.Config().ChunkBytes
 	for round := 1; !h.Done(); round++ {
 		time.Sleep(2 * time.Millisecond)
-		missing := h.Bitmap().Missing(nil, 0, h.NumChunks()) // recv_bitmap_get
+		missing := h.Bitmap().Missing(nil, 0, h.Bitmap().Len()) // recv_bitmap_get
 		if len(missing) == 0 {
 			continue
 		}
 		fmt.Printf("round %d: bitmap reports %d/%d chunks missing: %v\n",
-			round, len(missing), h.NumChunks(), missing)
+			round, len(missing), h.Bitmap().Len(), missing)
 		for _, c := range missing {
 			lo := c * chunk
 			hi := min(lo+chunk, size)

@@ -253,9 +253,6 @@ func NewMessage(totalPackets, packetsPerChunk int) *Message {
 	return m
 }
 
-// NumChunks returns the number of chunks in the message.
-func (m *Message) NumChunks() int { return m.Chunks.Len() }
-
 // MarkPacket records arrival of packet pkt and returns
 // (newlySet, chunkCompleted): newlySet is false for duplicate packets
 // (which are otherwise ignored); chunkCompleted is true exactly once

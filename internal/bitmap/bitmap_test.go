@@ -202,8 +202,8 @@ func TestConcurrentSet(t *testing.T) {
 
 func TestMessageGeometry(t *testing.T) {
 	m := NewMessage(33, 16) // 3 chunks: 16, 16, 1
-	if m.NumChunks() != 3 {
-		t.Fatalf("NumChunks = %d, want 3", m.NumChunks())
+	if m.Chunks.Len() != 3 {
+		t.Fatalf("chunks = %d, want 3", m.Chunks.Len())
 	}
 	// filling the short tail chunk completes it alone
 	fresh, done := m.MarkPacket(32)
@@ -260,7 +260,7 @@ func TestMessageArrivalOrderProperty(t *testing.T) {
 				completions++
 			}
 		}
-		return completions == m.NumChunks() && m.Complete()
+		return completions == m.Chunks.Len() && m.Complete()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -291,8 +291,8 @@ func TestMessageConcurrentMark(t *testing.T) {
 	for _, n := range completed {
 		total += n
 	}
-	if total != m.NumChunks() {
-		t.Fatalf("chunk completions = %d, want %d", total, m.NumChunks())
+	if total != m.Chunks.Len() {
+		t.Fatalf("chunk completions = %d, want %d", total, m.Chunks.Len())
 	}
 	if !m.Complete() {
 		t.Fatal("message incomplete after concurrent marking")
@@ -491,8 +491,8 @@ func TestMessageConcurrentMarkWithDuplicates(t *testing.T) {
 	if totalNew != pkts {
 		t.Fatalf("newlySet total = %d, want %d", totalNew, pkts)
 	}
-	if totalDone != m.NumChunks() {
-		t.Fatalf("chunkCompleted total = %d, want %d", totalDone, m.NumChunks())
+	if totalDone != m.Chunks.Len() {
+		t.Fatalf("chunkCompleted total = %d, want %d", totalDone, m.Chunks.Len())
 	}
 	if !m.Complete() || !m.Packets.Full() {
 		t.Fatal("message incomplete after concurrent duplicate-heavy delivery")

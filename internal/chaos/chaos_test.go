@@ -99,7 +99,7 @@ func TestChaosWorkerDeterminism(t *testing.T) {
 // Run(1234, 300, 0): 300 programs, 135 of them with control-plane
 // faults — a wider net than the chaos-functional identity line's 100
 // programs of seed 42.
-const chaosCorpusGolden = "5d34301ae8dffd9319492b2d6c8266ac3c4339cc9e3b95256dc24c540c248de4"
+const chaosCorpusGolden = "15f7e7b45f313255cbc0250b80105a919d498759396a1bd4f0f88e5480742f96"
 
 // TestChaosCorpusGolden pins every outcome of a 300-program corpus,
 // violations included. A change that claims to keep chaos's behaviour

@@ -1,7 +1,7 @@
 // Package clock abstracts time for the functional SDR stack. Every
 // layer that used to touch the wall clock directly — the fabric's
 // delayed deliveries, the RC QP's retransmission timeout, the
-// reliability layers' poll/linger loops — takes a Clock instead, so the
+// reliability layers' poll and RTO loops — takes a Clock instead, so the
 // same protocol code runs in two modes:
 //
 //   - Real (NewReal, and the shared Realtime that every Clock left nil

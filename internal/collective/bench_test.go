@@ -23,7 +23,6 @@ func BenchmarkFunctionalAllreduceVirtual(b *testing.B) {
 		NACK:          true,
 		PollInterval:  300 * time.Microsecond,
 		AckInterval:   600 * time.Microsecond,
-		Linger:        4 * time.Millisecond,
 		GlobalTimeout: 60 * time.Second,
 		K:             4, M: 2, Code: "mds",
 	}

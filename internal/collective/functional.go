@@ -258,11 +258,7 @@ func (r *FunctionalRing) Allreduce(inputs [][]float64, protocol string) ([]float
 				}
 				sendIdx, _, _ := ringStep(i, t, n)
 				// Fresh payload per step: in-flight copies of step t's
-				// packets (queued retransmits) alias this buffer, and a
-				// late duplicate may still DMA into the peer's staging
-				// during its ACK linger — reusing the buffer would make
-				// that duplicate deliver step t+1's bytes into step t's
-				// message.
+				// packets (queued retransmits) alias this buffer.
 				payload := make([]byte, segBytes)
 				for j := 0; j < seg; j++ {
 					binary.LittleEndian.PutUint64(payload[j*8:],

@@ -33,7 +33,6 @@ func funcRelCfg() reliability.Config {
 		Alpha:         2,
 		PollInterval:  300 * time.Microsecond,
 		AckInterval:   600 * time.Microsecond,
-		Linger:        4 * time.Millisecond,
 		GlobalTimeout: 60 * time.Second,
 		K:             4, M: 2, Code: "mds",
 	}
@@ -111,26 +110,20 @@ func runFunctionalAllreduce(t *testing.T, clk clock.Clock, n, vlen int, loss flo
 	checkCtrlTraffic(t, ring.Sessions())
 }
 
-// skipUnderRace documents why the real-clock smokes step aside for
-// `make race`: even lossless, a scheduler stall past the RTO triggers
-// an SR retransmit whose DMA lands in the staging buffer while the
-// collective copies it — exactly the in-flight-write hazard the
-// virtual clock exists to remove. Race coverage of the collectives
-// therefore runs the (serialized-by-construction) virtual harness;
-// the real-clock smokes still run under plain `go test`.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("real-clock smoke: retransmit DMA vs staging copy is the motivating hazard; race coverage uses the virtual harness")
-	}
+// The real-clock smokes run under `make race` too: a receive retires
+// its slots before it returns, so a retransmission still on the wire —
+// a scheduler stall past the RTO, or loss — can no longer write the
+// staging buffer the collective is reading.
+func TestFunctionalAllreduceSRLossless(t *testing.T) {
+	runFunctionalAllreduce(t, nil, 4, 4096, 0, "sr")
 }
 
-// Real-clock smoke stays lossless: with loss, in-flight retransmit
-// DMA races user buffers by design (the motivating hazard); the lossy
-// scenarios below run as deterministic virtual-clock simulations.
-func TestFunctionalAllreduceSRLossless(t *testing.T) {
-	skipUnderRace(t)
-	runFunctionalAllreduce(t, nil, 4, 4096, 0, "sr")
+// A 4-DC ring Allreduce at 2 % loss on the real clock, every element
+// checked, for the per-chunk and the coded scheme.
+func TestFunctionalAllreduceLossyReal(t *testing.T) {
+	for _, scheme := range []string{"sr", "ec"} {
+		runFunctionalAllreduce(t, nil, 4, 4096, 0.02, scheme)
+	}
 }
 
 func TestFunctionalAllreduceSRLossyVirtual(t *testing.T) {
@@ -312,7 +305,6 @@ func runFunctionalBroadcast(t *testing.T, clk clock.Clock, n, size int, loss flo
 }
 
 func TestFunctionalBroadcastSRLossless(t *testing.T) {
-	skipUnderRace(t)
 	runFunctionalBroadcast(t, nil, 4, 64<<10, 0, "sr")
 }
 

@@ -10,14 +10,14 @@ import (
 	"sdrrdma/internal/fabric"
 )
 
-// The receive retire (reliability/retire.go) keeps the final-ACK linger
-// off the collective critical path: with 2N−2 dependent stages, a
-// receive that blocked through its linger would serialize ~one full
-// linger window per stage (54.4 ms on this scenario when that mode
-// still existed). This regression test pins the ring-4 allreduce
+// A receive retires its slots at its completion instant and returns, so
+// nothing after completion sits on the collective critical path: with
+// 2N−2 dependent stages, a receive that waited out a final-ACK window
+// before returning would serialize one such window per stage (54.4 ms
+// on this scenario). This regression test pins the ring-4 allreduce
 // figure absolutely: the reduction must be element-identical to a
-// locally computed sum, and the virtual completion time must stay the
-// 30.0 ms-class value the background linger produces.
+// locally computed sum, and the virtual completion time must stay at
+// its 30.0 ms-class value.
 func TestRing4AllreduceAsyncRetireFigure(t *testing.T) {
 	vc := clock.NewVirtual()
 	ring, err := BuildFunctionalRing(4, funcCoreCfg(vc), funcRelCfg(),
@@ -52,7 +52,7 @@ func TestRing4AllreduceAsyncRetireFigure(t *testing.T) {
 		}
 	}
 	if elapsed, pinned := vc.Elapsed(), 30000001*time.Nanosecond; elapsed != pinned {
-		t.Fatalf("ring-4 allreduce completed at %v, want %v: a linger is back on the critical path "+
+		t.Fatalf("ring-4 allreduce completed at %v, want %v: a receive waits past its completion "+
 			"or the wire schedule changed", elapsed, pinned)
 	}
 }

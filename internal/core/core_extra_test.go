@@ -109,7 +109,7 @@ func TestCombinedImpairmentsStress(t *testing.T) {
 			}
 			if !waitVirtual(vc, h, 5*time.Second) {
 				t.Errorf("msg %d incomplete: %d/%d chunks",
-					i, h.Bitmap().Count(), h.NumChunks())
+					i, h.Bitmap().Count(), h.Bitmap().Len())
 				return
 			}
 			if !bytes.Equal(mr.Bytes()[:size], data) {

@@ -112,7 +112,7 @@ func waitDone(t *testing.T, h *RecvHandle, timeout time.Duration) {
 	for !h.Done() {
 		if time.Now().After(deadline) {
 			t.Fatalf("receive %d incomplete: %d/%d chunks",
-				h.Seq(), h.Bitmap().Count(), h.NumChunks())
+				h.Seq(), h.Bitmap().Count(), h.Bitmap().Len())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -133,8 +133,8 @@ func TestOneShotTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.NumChunks() != 3 {
-		t.Fatalf("NumChunks = %d, want 3", h.NumChunks())
+	if h.Bitmap().Len() != 3 {
+		t.Fatalf("chunks = %d, want 3", h.Bitmap().Len())
 	}
 	data := make([]byte, 10000)
 	fillPattern(data, 3)
@@ -305,7 +305,7 @@ func TestReorderingRobustness(t *testing.T) {
 			return
 		}
 		if !waitVirtual(vc, h, 5*time.Second) {
-			t.Errorf("receive incomplete: %d/%d chunks", h.Bitmap().Count(), h.NumChunks())
+			t.Errorf("receive incomplete: %d/%d chunks", h.Bitmap().Count(), h.Bitmap().Len())
 		}
 	})
 	if !bytes.Equal(recvBuf[:size], data) {
@@ -341,7 +341,7 @@ func TestDuplicationRobustness(t *testing.T) {
 			return
 		}
 		if !waitVirtual(vc, h, time.Second) {
-			t.Errorf("receive incomplete: %d/%d chunks", h.Bitmap().Count(), h.NumChunks())
+			t.Errorf("receive incomplete: %d/%d chunks", h.Bitmap().Count(), h.Bitmap().Len())
 		}
 	})
 	if !bytes.Equal(recvBuf[:32<<10], data) {

@@ -394,8 +394,8 @@ func (qp *QP) slotFor(seq uint64) int {
 // --- CTS control messages -------------------------------------------------
 
 // ctsMsgLen is seq(8) + size(8) + crc32c(4). The checksum covers the
-// first 16 bytes; a corrupted CTS is dropped like a lost one and the
-// receiver's linger/retry machinery re-announces it.
+// first 16 bytes; a corrupted CTS is dropped like a lost one, and a
+// sender waiting on it with a timeout fails with ErrCTSTimeout.
 const ctsMsgLen = 20
 
 // ctsCRCTable is the Castagnoli table shared with the reliability

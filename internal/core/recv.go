@@ -105,9 +105,6 @@ func (h *RecvHandle) Slot() int { return h.slot }
 // Gen returns the receive's delivery generation.
 func (h *RecvHandle) Gen() uint32 { return h.gen }
 
-// NumChunks returns the number of bitmap chunks in the message.
-func (h *RecvHandle) NumChunks() int { return h.msg.NumChunks() }
-
 // Done reports whether every chunk has arrived.
 func (h *RecvHandle) Done() bool { return h.msg.Complete() }
 
@@ -147,7 +144,9 @@ func (h *RecvHandle) Imm() (uint32, error) {
 // Complete retires the receive (Table 1: recv_complete): the root
 // memory-key entry is cleared, which points it back at the NULL key so
 // late packets are absorbed (§3.3.2 stage 1), and the slot becomes
-// available for the next wraparound posting.
+// available for the next wraparound posting. Once it returns no packet
+// writes the buffer any more: the generation's channel QPs are fenced,
+// so a DMA that resolved the entry before the re-point has finished.
 func (h *RecvHandle) Complete() error {
 	if !h.completed.CompareAndSwap(false, true) {
 		return errAlreadyCompleted
@@ -155,6 +154,9 @@ func (h *RecvHandle) Complete() error {
 	qp := h.qp
 	qp.rootMRs[h.gen].SetEntry(h.slot, nil, 0)
 	qp.slots.Store(h.slot, nil)
+	for _, ch := range qp.chQPs[h.gen] {
+		ch.Fence()
+	}
 	return nil
 }
 

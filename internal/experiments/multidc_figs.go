@@ -216,13 +216,9 @@ func runMultiDCTree(clk clock.Clock, scheme string, relCfg reliability.Config, n
 		return multidcStats{}, err
 	}
 	completion := clk.Since(start)
-	if clk.IsVirtual() {
-		// Content checks are race-free only under the virtual clock
-		// (reliability.Outcome.BytesOK's caveat: late retransmit DMA).
-		for i, buf := range out {
-			if !bytes.Equal(buf, data) {
-				return multidcStats{}, fmt.Errorf("broadcast: node %d corrupted", i)
-			}
+	for i, buf := range out {
+		if !bytes.Equal(buf, data) {
+			return multidcStats{}, fmt.Errorf("broadcast: node %d corrupted", i)
 		}
 	}
 	lost, mean := tally.stats()

@@ -92,7 +92,7 @@ func TestAdaptiveTraceByteIdentical(t *testing.T) {
 // instant falls.
 func TestAdaptiveTraceGolden(t *testing.T) {
 	_, trace := renderTraced(t, 1)
-	const want = "797705424c2be985b4085a1c72f4ec642e7b0986b129d3d73d4893e72033ae60"
+	const want = "36ddbb0adfadee6e9664a8e627594c6052c768a52fc5018b40a7036bca24b4d4"
 	if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != want {
 		t.Fatalf("adaptive-functional trace SHA-256 = %s, want %s", got, want)
 	}

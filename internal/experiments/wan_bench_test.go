@@ -11,8 +11,8 @@ import (
 // the virtual-clock migration (tracked in BENCH_protosim.json): the
 // identical WAN scenario — one reliable 8 MiB SR transfer at 25 ms RTT
 // and P_drop = 1e-2 through the full functional stack — measured on
-// each clock backend. The real clock pays the genuine RTTs, RTO waits
-// and ACK linger; the virtual clock pays only the CPU cost of the
+// each clock backend. The real clock pays the genuine RTTs and RTO
+// waits; the virtual clock pays only the CPU cost of the
 // packet events. A one-shot pool per iteration keeps the deployment's
 // cold build inside the measurement.
 func benchWANScenario(b *testing.B, newClock func() clock.Clock) {

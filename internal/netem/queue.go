@@ -165,11 +165,14 @@ type Queue struct {
 	made     int
 	lane     int
 	// On a real clock timers that expire together start their
-	// callbacks in no fixed order, so each delivery waits its turn:
-	// sent numbers the transits in admission order, handed counts the
-	// ones handed on, and turn (on mu) wakes the waiters.
-	sent, handed uint64
-	turn         sync.Cond
+	// callbacks in no fixed order, so deliveries are handed on in
+	// admission order: head and tail link the transits in flight,
+	// oldest first, and the callback that finds the head fired hands on
+	// it and every fired transit behind it. draining keeps that to one
+	// callback at a time; the others only mark their transit fired and
+	// return. A virtual clock fires them in order and skips the list.
+	head, tail *transit
+	draining   bool
 
 	// sink, when non-nil, receives per-packet telemetry events
 	// (enqueue/depart occupancy samples, the three drop classes, ECN
@@ -218,10 +221,12 @@ type transit struct {
 	at float64
 	// gone: no buffer entry references it any more — settle departed
 	// it, or setLatency moved its delivery to a fresh transit.
-	gone   bool
-	ticket uint64 // its number in admission order (see Queue.turn)
-	run    func() // == deliver, bound once
-	next   *transit
+	gone  bool
+	fired bool   // its real-clock event has fired (see Queue.head)
+	run   func() // == deliver, bound once
+	// next links the free list, or on a real clock the transits in
+	// flight.
+	next *transit
 }
 
 // fifo is the queue's packet buffer: a power-of-two ring that doubles
@@ -287,7 +292,6 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 	}
 	q.serial = q.clk.IsVirtual()
 	q.settleFn = q.settleEvent
-	q.turn.L = &q.mu
 	q.epochNs = q.clk.NowNanos() - int64(q.clk.Instant()*float64(time.Second))
 	return q, nil
 }
@@ -510,7 +514,14 @@ func (q *Queue) send(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *tran
 		tr.run = tr.deliver
 	}
 	tr.pkt, tr.dst, tr.at = pkt, dst, at
-	tr.ticket, q.sent = q.sent, q.sent+1
+	if !q.serial {
+		if q.head == nil {
+			q.head = tr
+		} else {
+			q.tail.next = tr
+		}
+		q.tail = tr
+	}
 	if q.lane < 0 {
 		q.lane = q.clk.NewEventLane()
 	}
@@ -540,7 +551,8 @@ func (q *Queue) grow() {
 // in admission order. It recycles the transit and hands the packet on
 // if the departure kept it. On a real clock the instant read when the
 // timer fires can round a hair below the one it was set for, hence the
-// max, and deliveries take their turns in admission order.
+// max, and deliveries are handed on in admission order (see
+// Queue.head).
 func (tr *transit) deliver() {
 	q := tr.q
 	q.lock()
@@ -551,22 +563,33 @@ func (tr *transit) deliver() {
 			q.settle(until, q.headOrder)
 		}
 	}
-	pkt, dst, ticket := tr.pkt, tr.dst, tr.ticket
-	tr.pkt, tr.dst, tr.gone = nil, nil, false
-	q.free, tr.next = tr, q.free
-	for !q.serial && q.handed != ticket {
-		q.turn.Wait()
+	if q.serial {
+		pkt, dst := tr.pkt, tr.dst
+		tr.pkt, tr.dst, tr.gone = nil, nil, false
+		q.free, tr.next = tr, q.free
+		if pkt != nil {
+			dst.Deliver(pkt)
+		}
+		return
 	}
-	q.unlock()
-	if pkt != nil {
-		dst.Deliver(pkt)
-	}
-	if !q.serial {
-		q.mu.Lock()
-		q.handed++
-		q.turn.Broadcast()
+	tr.fired = true
+	if q.draining {
 		q.mu.Unlock()
+		return
 	}
+	q.draining = true
+	for h := q.head; h != nil && h.fired; h = q.head {
+		pkt, dst := h.pkt, h.dst
+		h.pkt, h.dst, h.gone, h.fired = nil, nil, false, false
+		q.head, h.next, q.free = h.next, q.free, h
+		q.mu.Unlock()
+		if pkt != nil {
+			dst.Deliver(pkt)
+		}
+		q.mu.Lock()
+	}
+	q.draining = false
+	q.mu.Unlock()
 }
 
 // discard hands a dropped flow packet to the drop hook, or back to the

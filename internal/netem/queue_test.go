@@ -291,6 +291,51 @@ func TestRealClockFlowTwoHops(t *testing.T) {
 	}
 }
 
+// A 4000-packet burst crosses one real-clock queue complete and in
+// admission order. The deliveries hand on in order without waking each
+// other: the callback that finds the oldest in-flight packet due hands
+// on it and every due packet behind it, so the burst takes about its
+// 20 ms of latency; deliveries that woke each other per hand-off would
+// grow with the square of the packets in flight and take seconds.
+func TestRealClockBurstInOrder(t *testing.T) {
+	clk := clock.NewReal()
+	const n = 4000
+	q, err := NewQueue(QueueConfig{BandwidthBps: 100e9, Latency: 20 * time.Millisecond, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &instantRecorder{clk: clk}
+	port := q.Port(sink)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		port.Send(pkt(uint32(i), 1000))
+	}
+	for {
+		sink.mu.Lock()
+		got := len(sink.order)
+		sink.mu.Unlock()
+		if got == n {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d/%d packets arrived within 10 s", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	took := time.Since(start)
+	t.Logf("%d packets delivered in %v", n, took)
+	if took > 2*time.Second {
+		t.Errorf("the burst took %v: deliveries are waking each other", took)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for i, id := range sink.order {
+		if id != uint32(i) {
+			t.Fatalf("packet %d arrived in position %d: admission order broken", id, i)
+		}
+	}
+}
+
 func TestQueueConfigValidation(t *testing.T) {
 	for _, cfg := range []QueueConfig{
 		{BandwidthBps: 0},

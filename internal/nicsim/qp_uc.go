@@ -89,6 +89,19 @@ func (qp *UCQP) Reset() {
 	qp.DMAErrors.Store(0)
 }
 
+// Fence returns once every receive DMA the QP had started when it was
+// called has finished. Retiring a receive re-points its memory-key
+// entry first, so a packet that resolves the entry afterwards lands on
+// the NULL key; a DMA that resolved it before may still be copying,
+// and the fence waits it out. On a serial device nothing is ever in
+// flight and the fence is free.
+func (qp *UCQP) Fence() {
+	if !qp.dev.serial {
+		qp.rxMu.Lock()
+		qp.rxMu.Unlock()
+	}
+}
+
 // WriteImm posts an RDMA Write-with-immediate of payload to the
 // peer's (rkey, offset). The payload is fragmented at the MTU; the
 // immediate travels with the last fragment. Returns the number of

@@ -11,9 +11,13 @@
 //
 // Every scheme runs on one mechanism, the segment (segment.go):
 // start/inject, ACK application, chunk resend, hole repair, the RTO
-// sweep, the EC shard view with encode and in-place recover, SACK and
-// NACK construction, the final ACK with its background linger
-// (retire.go) and the clean-up on error exits each exist once. And
+// sweep and the coded probe, the EC shard view with encode and in-place
+// recover, SACK and NACK construction, the final ACK with the slots'
+// retirement and the clean-up on error exits each exist once. A
+// receive retires its slots at completion (§3.3.2), so a returned
+// receive's buffer is the caller's on either clock; a lost final ACK
+// is recovered by the sender's retransmission pulling it again from
+// the re-ACK table (reack.go). And
 // every scheme runs through one engine (engine.go): one send loop and
 // one receive loop following a ladder of rungs. A static scheme is a
 // one-rung ladder — one segment spanning the message, whose rung
@@ -70,10 +74,6 @@ type Config struct {
 	PollInterval time.Duration
 	// AckInterval is the receiver's ACK transmission cadence.
 	AckInterval time.Duration
-	// Linger is how long the receiver keeps re-sending its final ACK
-	// after completion, protecting against ACK loss before it retires
-	// the receive slot.
-	Linger time.Duration
 	// GlobalTimeout aborts an operation outright (§4.1.2's deadlock
 	// guard).
 	GlobalTimeout time.Duration
@@ -98,9 +98,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.AckInterval == 0 {
 		c.AckInterval = c.RTT / 4
-	}
-	if c.Linger == 0 {
-		c.Linger = c.rto()
 	}
 	if c.GlobalTimeout == 0 {
 		c.GlobalTimeout = 100 * c.rto()

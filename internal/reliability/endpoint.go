@@ -20,7 +20,7 @@ var errGlobalTimeout = fmt.Errorf("%w: global timeout exceeded", ErrTimeout)
 // serialized (matching the paper's sequential per-connection stages);
 // distinct endpoint pairs run concurrently.
 //
-// All waiting — RTO deadlines, poll cadences, ACK linger — goes
+// All waiting — RTO deadlines, poll and ACK cadences — goes
 // through the deployment's clock.Clock: real time by default,
 // discrete virtual time when the session was built on a
 // clock.Virtual (in which case Transfer.Write/Receive and the engine
@@ -35,11 +35,6 @@ type Endpoint struct {
 	// reack answers late retransmissions into retired receive slots
 	// with a copy of the slot's final ACK (see reack.go).
 	reack reackTable
-
-	// retires tracks receives whose final-ACK linger runs in the
-	// background (see retire.go); Session.Close joins them.
-	retMu   sync.Mutex
-	retires []*pendingRetire
 
 	// scr stages per-operation working state reused across the messages
 	// of a long-lived session (chunk tracking, EC shard tables, parity
@@ -235,11 +230,10 @@ func (s *opScratch) parityAlloc(n int) []byte {
 // behind is erased: the re-ACK ring (only the entries it used), the counters, the abort cause, the telemetry
 // attachment. The working storage stays — operation scratch and the
 // code cache, which every operation re-initialises before use, and the
-// ring's slot lists. Only call between leases: Session.Close has
-// flushed the retires and core.QP.Reset cleared the late sink. A
-// delivery that loaded the sink before that may still be inside
-// handleLate on a real clock, which is why the wipe runs under the
-// ring's lock.
+// ring's slot lists. Only call between leases, once core.QP.Reset has
+// cleared the late sink. A delivery that loaded the sink before that
+// may still be inside handleLate on a real clock, which is why the wipe
+// runs under the ring's lock.
 func (e *Endpoint) rebind(cfg Config) {
 	e.reack.mu.Lock()
 	defer e.reack.mu.Unlock()

@@ -177,7 +177,9 @@ func (op *sendOp) start() error {
 // step is one wake of the send loop; it reports whether the message is
 // done. It applies the receiver's plans and starts every segment whose
 // plan is known and whose receive is already posted: SendReady keeps
-// that non-blocking, so a stalled head segment can still be pumped.
+// that non-blocking, so a stalled head segment can still be pumped. It
+// starts none reackOps or more past the oldest segment not yet
+// completed, whose final ACK must stay in the receiver's re-ACK table.
 // Then it applies every open segment's queued control messages before
 // any repair, so repair sees one consistent ack snapshot (see
 // repairHoles), and repairs the plain segments; coded ones repair on
@@ -190,13 +192,13 @@ func (op *sendOp) step() (bool, error) {
 	for op.started < op.g.L && len(op.plans) > 0 { // with every segment started, plans are stale
 		op.applyPlan(<-op.plans)
 	}
-	for op.started < op.g.L && op.segs[op.started].g.k > 0 && e.QP.SendReady() {
+	for op.started < op.g.L && op.started-op.completed < reackOps && op.segs[op.started].g.k > 0 && e.QP.SendReady() {
 		if err := op.start(); err != nil {
 			return false, err
 		}
 	}
 	now := e.clock().Now()
-	maxAcked := -1 // the last segment holding any ack evidence
+	maxAcked, maxDone := -1, -1 // the last segments holding any ack evidence, and done
 	for i := op.completed; i < op.started; i++ {
 		s := &op.segs[i]
 		if !s.done {
@@ -206,6 +208,9 @@ func (op *sendOp) step() (bool, error) {
 		}
 		if s.done || s.acked > 0 {
 			maxAcked = i
+		}
+		if s.done {
+			maxDone = i
 		}
 	}
 	for op.completed < op.started && op.segs[op.completed].done {
@@ -228,7 +233,7 @@ func (op *sendOp) step() (bool, error) {
 		if s.g.m > 0 {
 			// Coded repair rides the receiver's NACKs; the probe pulls
 			// a lost final ACK out of its re-ACK table.
-			if err := s.probeRTO(now, e.Cfg.rto()); err != nil {
+			if err := s.probeRTO(now, e.Cfg.rto(), i < maxDone); err != nil {
 				return false, err
 			}
 			continue
@@ -330,7 +335,7 @@ func (s *postedSeg) stats() segStats {
 		Arrived:     s.packets(),
 		Dups:        sub.dataH.DuplicatePackets(),
 		Marked:      sub.dataH.MarkedPackets(),
-		DataChunks:  sub.dataH.NumChunks(),
+		DataChunks:  sub.dataH.Bitmap().Len(),
 		MissingData: s.missing,
 	}
 	if sub.parityH != nil {
@@ -391,7 +396,7 @@ func (op *recvOp) begin(e *Endpoint, acfg AdaptorConfig, ad *Adaptor, mr *nicsim
 // endpoint's next operation finds its slots free.
 func (op *recvOp) fail(err error) error {
 	for i := op.head; i < op.posted; i++ {
-		op.segs[i].abandon()
+		op.segs[i].retire()
 	}
 	return err
 }

@@ -43,55 +43,50 @@ type goldenCase struct {
 	msgs   int
 	drop   float64
 	seed   int64
-	// shortLinger cuts the final-ACK linger to two ACK intervals so
-	// random control loss swallows it whole now and then and the late
-	// re-ACK path joins the pinned schedule. SR only: an EC sender has
-	// no RTO, so nothing would ever pull the re-ACK out of the table.
-	shortLinger bool
-	want        goldenTuple
+	want   goldenTuple
 }
 
 // TestReliabilityGoldenTuples pins the simulated behaviour of every
 // scheme ACROSS COMMITS. TestVirtualDeterminism and the perftest
 // determinism tests only compare runs inside one process, so a refactor
-// that changes the wire schedule consistently passes them; these
-// literals were recorded on the pre-segment-mechanism code (PR 12), the
-// CtrlSent column on the hand-written static loops before they became
-// rungs of the one engine, and a behaviour-preserving change must leave
-// them untouched. The cases
-// are chosen so that NACK-mode hole repair, the RTO sweep with backoff,
-// in-place EC decode, the EC NACK fallback, a late re-ACK and adaptive
-// ladder switches all fire (see the non-zero columns).
+// that changes the wire schedule consistently passes them; a
+// behaviour-preserving change must leave these literals untouched. They
+// were last re-recorded when receives began retiring their slots at
+// completion: the receiver sends its final ACK once, so CtrlSent fell
+// and a lost final ACK now shows as late re-ACKs. The cases are chosen
+// so that NACK-mode hole repair, the RTO sweep with backoff, in-place
+// EC decode, the EC NACK fallback, late re-ACKs and adaptive ladder
+// switches all fire (see the non-zero columns).
 func TestReliabilityGoldenTuples(t *testing.T) {
 	cases := []goldenCase{
-		{name: "sr/1", scheme: "sr", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 1,
-			want: goldenTuple{ElapsedNs: 54502641, PacketsSent: 0x2c4, CtrlSent: 0x36, Retransmits: 0x1e, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x4, Switches: 0, RecvFNV: 0xc1077ac09622865}},
-		{name: "sr/2", scheme: "sr", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
-			want: goldenTuple{ElapsedNs: 80369267, PacketsSent: 0x2cc, CtrlSent: 0x50, Retransmits: 0x20, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x3, Switches: 0, RecvFNV: 0x1706b97648427be5}},
-		{name: "sr-nack/1", scheme: "sr-nack", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 1,
-			want: goldenTuple{ElapsedNs: 39267633, PacketsSent: 0x2fc, CtrlSent: 0x2a, Retransmits: 0x2c, NacksSent: 0x0, LateReAcks: 0x3, DoneWrites: 0x1, Switches: 0, RecvFNV: 0xc1077ac09622865}},
-		{name: "sr-nack/2", scheme: "sr-nack", shortLinger: true, size: 200_000, msgs: 3, drop: 0.05, seed: 2,
-			want: goldenTuple{ElapsedNs: 44202353, PacketsSent: 0x35c, CtrlSent: 0x2e, Retransmits: 0x44, NacksSent: 0x0, LateReAcks: 0x2, DoneWrites: 0x24, Switches: 0, RecvFNV: 0x1706b97648427be5}},
+		{name: "sr/1", scheme: "sr", size: 200_000, msgs: 3, drop: 0.05, seed: 1,
+			want: goldenTuple{ElapsedNs: 54502641, PacketsSent: 0x2c4, CtrlSent: 0x37, Retransmits: 0x1e, NacksSent: 0x0, LateReAcks: 0x4, DoneWrites: 0x0, Switches: 0, RecvFNV: 0xc1077ac09622865}},
+		{name: "sr/2", scheme: "sr", size: 200_000, msgs: 3, drop: 0.05, seed: 2,
+			want: goldenTuple{ElapsedNs: 80369267, PacketsSent: 0x2cc, CtrlSent: 0x50, Retransmits: 0x20, NacksSent: 0x0, LateReAcks: 0x3, DoneWrites: 0x0, Switches: 0, RecvFNV: 0x1706b97648427be5}},
+		{name: "sr-nack/1", scheme: "sr-nack", size: 200_000, msgs: 3, drop: 0.05, seed: 1,
+			want: goldenTuple{ElapsedNs: 39267633, PacketsSent: 0x2fc, CtrlSent: 0x43, Retransmits: 0x2c, NacksSent: 0x0, LateReAcks: 0x1f, DoneWrites: 0x0, Switches: 0, RecvFNV: 0xc1077ac09622865}},
+		{name: "sr-nack/2", scheme: "sr-nack", size: 200_000, msgs: 3, drop: 0.05, seed: 2,
+			want: goldenTuple{ElapsedNs: 44202354, PacketsSent: 0x334, CtrlSent: 0x50, Retransmits: 0x3a, NacksSent: 0x0, LateReAcks: 0x27, DoneWrites: 0x0, Switches: 0, RecvFNV: 0x1706b97648427be5}},
 		// One submessage: 16 real chunks of a (16,4) code, partial tail.
 		{name: "ec-L1/1", scheme: "ec", k: 16, m: 4, size: 16*4096 - 1234, msgs: 3, drop: 0.03, seed: 1,
-			want: goldenTuple{ElapsedNs: 19343892, PacketsSent: 0xed, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0x232ecd3cae7e85c2}},
+			want: goldenTuple{ElapsedNs: 19343892, PacketsSent: 0xed, CtrlSent: 0x3, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0x232ecd3cae7e85c2}},
 		{name: "ec-L1/2", scheme: "ec", k: 16, m: 4, size: 16*4096 - 1234, msgs: 3, drop: 0.03, seed: 2,
-			want: goldenTuple{ElapsedNs: 19186860, PacketsSent: 0xed, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0xc2d42919fcbe2942}},
+			want: goldenTuple{ElapsedNs: 19186860, PacketsSent: 0xed, CtrlSent: 0x3, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0xc2d42919fcbe2942}},
 		// Four submessages of a (4,2) code; the tail submessage holds 3
 		// real chunks (one partial) plus one virtual zero chunk.
 		{name: "ec-L4/1", scheme: "ec", k: 4, m: 2, size: 60_000, msgs: 3, drop: 0.05, seed: 1,
-			want: goldenTuple{ElapsedNs: 19079580, PacketsSent: 0x111, CtrlSent: 0x18, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0xd7d1ff6cc63361c5}},
+			want: goldenTuple{ElapsedNs: 19079580, PacketsSent: 0x111, CtrlSent: 0x17, Retransmits: 0x0, NacksSent: 0x0, LateReAcks: 0x14, DoneWrites: 0x0, Switches: 0, RecvFNV: 0xd7d1ff6cc63361c5}},
 		{name: "ec-L4/2", scheme: "ec", k: 4, m: 2, size: 60_000, msgs: 3, drop: 0.05, seed: 2,
-			want: goldenTuple{ElapsedNs: 27487536, PacketsSent: 0x119, CtrlSent: 0x19, Retransmits: 0x2, NacksSent: 0x1, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0x878bace32cc1b585}},
+			want: goldenTuple{ElapsedNs: 26487536, PacketsSent: 0x119, CtrlSent: 0x4, Retransmits: 0x2, NacksSent: 0x1, LateReAcks: 0x0, DoneWrites: 0x0, Switches: 0, RecvFNV: 0x878bace32cc1b585}},
 		// Weak code under heavy loss: the NACK fallback must fire.
 		{name: "ec-weak/1", scheme: "ec", k: 4, m: 1, size: 100_000, msgs: 2, drop: 0.15, seed: 1,
-			want: goldenTuple{ElapsedNs: 36849996, PacketsSent: 0x166, CtrlSent: 0x13, Retransmits: 0x1b, NacksSent: 0x3, LateReAcks: 0x0, DoneWrites: 0xb, Switches: 0, RecvFNV: 0x6ed1b8d1a8807a5}},
+			want: goldenTuple{ElapsedNs: 49349996, PacketsSent: 0x166, CtrlSent: 0x7, Retransmits: 0x1b, NacksSent: 0x4, LateReAcks: 0x1, DoneWrites: 0xa, Switches: 0, RecvFNV: 0x6ed1b8d1a8807a5}},
 		{name: "ec-weak/2", scheme: "ec", k: 4, m: 1, size: 100_000, msgs: 2, drop: 0.15, seed: 2,
-			want: goldenTuple{ElapsedNs: 48344520, PacketsSent: 0x160, CtrlSent: 0x14, Retransmits: 0x19, NacksSent: 0x4, LateReAcks: 0x0, DoneWrites: 0x8, Switches: 0, RecvFNV: 0xbdb0d91cc63a52e5}},
+			want: goldenTuple{ElapsedNs: 48344520, PacketsSent: 0x160, CtrlSent: 0x8, Retransmits: 0x19, NacksSent: 0x4, LateReAcks: 0x2, DoneWrites: 0x6, Switches: 0, RecvFNV: 0xbdb0d91cc63a52e5}},
 		{name: "adaptive/1", scheme: "adaptive", size: 1<<20 + 777, msgs: 2, drop: 0.12, seed: 1,
-			want: goldenTuple{ElapsedNs: 129350963, PacketsSent: 0xd76, CtrlSent: 0x2ac, Retransmits: 0xb1, NacksSent: 0x14, LateReAcks: 0x0, DoneWrites: 0x2c, Switches: 6, RecvFNV: 0x93a18232bcb77178}},
+			want: goldenTuple{ElapsedNs: 116132571, PacketsSent: 0xd97, CtrlSent: 0x1e1, Retransmits: 0xba, NacksSent: 0x13, LateReAcks: 0x25, DoneWrites: 0x22, Switches: 6, RecvFNV: 0x93a18232bcb77178}},
 		{name: "adaptive/2", scheme: "adaptive", size: 1<<20 + 777, msgs: 2, drop: 0.12, seed: 2,
-			want: goldenTuple{ElapsedNs: 116236024, PacketsSent: 0xeda, CtrlSent: 0x2ac, Retransmits: 0x10a, NacksSent: 0x1c, LateReAcks: 0x0, DoneWrites: 0x7a, Switches: 6, RecvFNV: 0xd524e7e8d969a038}},
+			want: goldenTuple{ElapsedNs: 129192939, PacketsSent: 0xef7, CtrlSent: 0x1ff, Retransmits: 0x112, NacksSent: 0x1d, LateReAcks: 0x46, DoneWrites: 0x45, Switches: 6, RecvFNV: 0xd524e7e8d969a038}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -114,9 +109,6 @@ func runGolden(t *testing.T, c goldenCase) goldenTuple {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.shortLinger {
-		relCfg.Linger = 2 * time.Millisecond
-	}
 	if c.k > 0 {
 		relCfg.K, relCfg.M = c.k, c.m
 	}
@@ -138,9 +130,6 @@ func runGolden(t *testing.T, c goldenCase) goldenTuple {
 		sum.Write(driveMsg(t, tr, pattern(c.size, byte(int(c.seed)*16+i))).Buf)
 	}
 	elapsed := vc.Elapsed()
-	// Let the last background linger run out so its re-sends and any
-	// late re-ACK are counted.
-	clock.Join(vc, func() { vc.Sleep(relCfg.Linger + 2*relCfg.AckInterval) })
 	checkCtrlTraffic(t, s)
 	switches := 0
 	if ad := tr.Adaptor(); ad != nil {

@@ -2,9 +2,7 @@ package reliability
 
 import (
 	"sync"
-	"time"
 
-	"sdrrdma/internal/core"
 	"sdrrdma/internal/telemetry"
 )
 
@@ -15,6 +13,17 @@ import (
 // itself. (slot, generation) pairs DO recur across enough operations
 // — every Slots()×Generations receives — which is why lookups scan
 // newest-first: the latest op owning a pair always wins.
+//
+// 64 entries suffice because an entry is needed only while its sender
+// may still retransmit, that is until the sender completes the
+// operation, and the receiver cannot retire 64 operations in that time.
+// It retires only segments whose data arrived, so only segments the
+// sender started. A sender starts a message only once the previous one
+// completed, and within a message it starts no segment reackOps or more
+// past the oldest one it has not completed (sendOp.step). A healthy
+// sender trails the receiver by about its posting window (Window
+// segments, 6 by default), so that cap binds only while an ACK is
+// missing.
 const reackOps = 64
 
 // slotGen identifies one retired receive slot: the pair late packets
@@ -27,21 +36,19 @@ type slotGen struct {
 // retiredOp remembers the final control message of one retired
 // operation and every receive slot it spanned.
 type retiredOp struct {
-	used     bool
-	lastSent time.Time
-	msg      ctrlMsg
-	slots    []slotGen // backing array reused as the ring recycles
+	used  bool
+	msg   ctrlMsg
+	slots []slotGen // backing array reused as the ring recycles
 }
 
-// reackTable is the receiver half of the late-data re-ACK protocol
-// fix (ROADMAP, PR 4 follow-on): when a burst on the lossy control
-// path swallows the receiver's entire final-ACK linger window, the
-// receiver retires its slots while the sender keeps retransmitting
-// into them. Those retransmissions are absorbed by the NULL key — but
-// the QP's late sink reports them, and the table answers each with a
-// fresh copy of the operation's final ACK, so the sender completes
-// one round-trip after the burst clears instead of stalling until its
-// global timeout.
+// reackTable is the receiver half of final-ACK recovery: a receive
+// sends its final ACK once and retires its slots at completion, so when
+// the lossy control path drops that ACK the sender keeps retransmitting
+// into retired slots. Those retransmissions are absorbed by the NULL
+// key — but the QP's late sink reports them, and the table answers
+// each with a fresh copy of the operation's final ACK, so the sender
+// completes one round-trip after a retransmission gets through instead
+// of stalling until its global timeout.
 //
 // The ring (≈ 10 KB) is allocated by the first retire: an endpoint that
 // only sends, like every sender side, never has one.
@@ -66,8 +73,8 @@ func (t *reackTable) resetLocked() {
 }
 
 // rememberRetired records one operation's final control message for
-// the given handles, just before their slots retire.
-func (e *Endpoint) rememberRetired(msg ctrlMsg, hs ...*core.RecvHandle) {
+// the receives of subs, just before their slots retire.
+func (e *Endpoint) rememberRetired(msg ctrlMsg, subs []ecRecvState) {
 	t := &e.reack
 	t.mu.Lock()
 	if t.ops == nil {
@@ -75,11 +82,13 @@ func (e *Endpoint) rememberRetired(msg ctrlMsg, hs ...*core.RecvHandle) {
 	}
 	op := &t.ops[t.next]
 	op.used = true
-	op.lastSent = time.Time{}
 	op.msg = msg
 	op.slots = op.slots[:0]
-	for _, h := range hs {
-		op.slots = append(op.slots, slotGen{slot: h.Slot(), gen: h.Gen()})
+	for _, s := range subs {
+		op.slots = append(op.slots, slotGen{slot: s.dataH.Slot(), gen: s.dataH.Gen()})
+		if s.parityH != nil {
+			op.slots = append(op.slots, slotGen{slot: s.parityH.Slot(), gen: s.parityH.Gen()})
+		}
 	}
 	t.next = (t.next + 1) % reackOps
 	t.mu.Unlock()
@@ -87,10 +96,13 @@ func (e *Endpoint) rememberRetired(msg ctrlMsg, hs ...*core.RecvHandle) {
 
 // handleLate is the QP late-sink callback: a data packet for
 // (slot, gen) was absorbed after retirement. Re-send the owning
-// operation's final ACK, rate-limited to one per AckInterval so a
-// burst of late retransmissions does not turn into an ACK storm. It
-// runs on the packet-delivery path and must not block (it only takes
-// its own table lock and transmits one unreliable datagram).
+// operation's final ACK. Every late packet is answered: a loss burst
+// on a sparse control path swallows consecutive datagrams, and a
+// retransmission wave then spends its own size on getting one answer
+// through. The answers cost one small datagram per retransmitted
+// packet, never more. It runs on the packet-delivery path and must not
+// block (it only takes its own table lock and transmits one unreliable
+// datagram).
 //
 // Everything it reads of the endpoint it reads under the table lock,
 // which rebind holds while it re-initialises the endpoint: on a real
@@ -99,7 +111,6 @@ func (e *Endpoint) rememberRetired(msg ctrlMsg, hs ...*core.RecvHandle) {
 // re-leased endpoint never answers with the previous lease's ACK.
 func (e *Endpoint) handleLate(slot int, gen uint32) {
 	t := &e.reack
-	now := e.clock().Now()
 	t.mu.Lock()
 	var msg ctrlMsg
 	found := false
@@ -114,16 +125,10 @@ scan:
 			break // ring filled contiguously from t.next backwards
 		}
 		for _, sg := range op.slots {
-			if sg.slot != slot || sg.gen != gen {
-				continue
+			if sg.slot == slot && sg.gen == gen {
+				msg, found = op.msg, true
+				break scan
 			}
-			if now.Sub(op.lastSent) < e.Cfg.AckInterval {
-				break scan // recently re-ACKed; let that one land first
-			}
-			op.lastSent = now
-			msg = op.msg
-			found = true
-			break scan
 		}
 	}
 	if found {

@@ -11,9 +11,8 @@ import (
 	"sdrrdma/internal/nicsim"
 )
 
-// newReackSession builds the lossless 2 ms-RTT virtual session both
-// re-ACK scenarios run on. Its linger is short — about four final ACKs —
-// so a pinned control-path burst can swallow it whole.
+// newReackSession builds the lossless 2 ms-RTT virtual session the
+// re-ACK scenarios run on.
 func newReackSession(t *testing.T) (*Session, *clock.Virtual, core.Config, Config) {
 	t.Helper()
 	clk := clock.NewVirtual()
@@ -26,7 +25,6 @@ func newReackSession(t *testing.T) (*Session, *clock.Virtual, core.Config, Confi
 		RTT:           2 * time.Millisecond,
 		PollInterval:  250 * time.Microsecond,
 		AckInterval:   500 * time.Microsecond,
-		Linger:        2 * time.Millisecond,
 		GlobalTimeout: 120 * time.Millisecond,
 		K:             4, M: 2,
 	}
@@ -39,87 +37,116 @@ func newReackSession(t *testing.T) (*Session, *clock.Virtual, core.Config, Confi
 	return s, clk, coreCfg, relCfg
 }
 
-// runSwallowedLinger reproduces the PR-4 netem pathology in isolation:
-// a loss burst on the control path swallows every final ACK of the
-// receiver's linger window (the interceptor drops the first
-// `burst` completion ACKs), the receiver retires the slot, and the
-// sender keeps RTO-retransmitting into it. With the late re-ACK the
-// sender completes once the burst clears; without it (the test unhooks
-// the receiver QP's late sink) it is stranded until GlobalTimeout — the
-// regression this test pins.
-func runSwallowedLinger(t *testing.T, noReAck bool, burst int) (sendErr error) {
-	t.Helper()
-	s, _, coreCfg, _ := newReackSession(t)
-	if noReAck {
-		s.Pair.B.QP.SetLateSink(nil)
-	}
-
-	const size = 16 * 4096 // 16 chunks
-	nchunks := size / coreCfg.ChunkBytes
-	// Drop the first `burst` completion ACKs (cumulative count == all
-	// chunks) on the receiver→sender control path: a Gilbert–Elliott
-	// bad-state episode pinned, deterministically, to exactly the ACKs
-	// whose loss used to strand the sender.
-	dropped := 0
+// dropCompletionAcks makes the receiver→sender control path drop the
+// first n completion ACKs of a message of nchunks chunks — an SR ACK
+// covering every chunk, or any EC positive ACK — and returns the count
+// it dropped: a loss burst pinned, deterministically, to exactly the
+// ACKs whose loss strands a sender. Only the receiver's final ACK and
+// its re-ACKs complete a message, so the burst swallows those.
+func dropCompletionAcks(s *Session, nchunks, n int) *int {
+	dropped := new(int)
 	s.Pair.Link.BA.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
 		if pkt.Opcode != nicsim.OpSend {
 			return fabric.Pass
 		}
 		m, err := decodeCtrl(pkt.Payload)
-		if err != nil || m.typ != msgSRAck || int(m.cumAck) < nchunks {
-			return fabric.Pass
-		}
-		if dropped < burst {
-			dropped++
+		final := err == nil && (m.typ == msgECAck || m.typ == msgSRAck && int(m.cumAck) >= nchunks)
+		if final && *dropped < n {
+			*dropped++
 			return fabric.Drop
 		}
 		return fabric.Pass
 	})
+	return dropped
+}
 
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i*13 + i>>8)
+// runLostFinalAck loses the receiver's final ACK and the next burst-1
+// re-ACKs of one scheme transfer. The receiver sends its final ACK
+// once and retires its slots at completion, so only the sender's
+// retransmissions — the SR RTO sweep, the coded segment's probe —
+// landing in the retired slots can pull the ACK again (reack.go).
+// Without the re-ACK (the test unhooks the receiver QP's late sink)
+// the sender is stranded until GlobalTimeout.
+func runLostFinalAck(t *testing.T, scheme string, noReAck bool, burst int) (sendErr error) {
+	t.Helper()
+	s, _, coreCfg, _ := newReackSession(t)
+	if noReAck {
+		s.Pair.B.QP.SetLateSink(nil)
 	}
-	out := newTransfer(t, s, "sr", size).Drive("linger", data)
+	const size = 16 * 4096 // 16 chunks
+	dropped := dropCompletionAcks(s, size/coreCfg.ChunkBytes, burst)
+	out := newTransfer(t, s, scheme, size).Drive("lost-ack", pattern(size, 3))
 	if out.RecvErr != nil {
-		t.Fatalf("receiver failed: %v", out.RecvErr)
+		t.Fatalf("%s: receiver failed: %v", scheme, out.RecvErr)
 	}
-	if dropped < 4 {
-		t.Fatalf("interceptor ate %d completion ACKs — burst never covered the linger window", dropped)
+	if *dropped == 0 {
+		t.Fatalf("%s: no final ACK was lost", scheme)
 	}
 	if !out.BytesOK() {
-		t.Fatal("received data corrupted")
+		t.Fatalf("%s: received data corrupted", scheme)
+	}
+	if !noReAck && s.B.LateReAcks.Load() < uint64(*dropped) {
+		t.Fatalf("%s: %d completion ACKs lost but only %d re-ACKs sent", scheme, *dropped, s.B.LateReAcks.Load())
 	}
 	return out.SendErr
 }
 
-// Without the re-ACK, the swallowed linger strands the sender until
-// its global timeout — the stall netem.NewFlow used to paper over with
-// a denser, longer linger.
-func TestSwallowedLingerStrandsSenderWithoutReAck(t *testing.T) {
-	err := runSwallowedLinger(t, true, 1<<30) // burst outlives everything
-	if !errors.Is(err, errGlobalTimeout) {
-		t.Fatalf("sender error = %v, want ErrGlobalTimeout (the pre-fix stall)", err)
+// Without the re-ACK, a lost final ACK strands the sender until its
+// global timeout: nothing else ever re-sends it.
+func TestLostFinalAckStrandsSenderWithoutReAck(t *testing.T) {
+	for _, scheme := range []string{"sr", "ec"} {
+		if err := runLostFinalAck(t, scheme, true, 1<<30); !errors.Is(err, errGlobalTimeout) {
+			t.Fatalf("%s: sender error = %v, want ErrGlobalTimeout", scheme, err)
+		}
 	}
 }
 
-// With the re-ACK (the default), the sender's first retransmission
-// after the burst clears pulls a fresh final ACK out of the retired
-// slot and the write completes.
-func TestLateReAckRescuesSwallowedLinger(t *testing.T) {
-	if err := runSwallowedLinger(t, false, 8); err != nil {
-		t.Fatalf("sender failed despite late re-ACK: %v", err)
+// With the re-ACK (the default), each retransmission after the burst
+// pulls a fresh final ACK out of the retired slots and the write
+// completes — for the coded scheme too, whose sender has no per-chunk
+// RTO and retransmits only by its probe. The burst outlasts the answers
+// to the coded message's own trailing parity (8 packets land after the
+// data completed it), so only the probe can end it.
+func TestLateReAckRescuesLostFinalAck(t *testing.T) {
+	for _, scheme := range []string{"sr", "ec"} {
+		if err := runLostFinalAck(t, scheme, false, 12); err != nil {
+			t.Fatalf("%s: sender failed despite late re-ACK: %v", scheme, err)
+		}
+	}
+}
+
+// An adaptive message of more segments than the receiver's posting
+// window loses the oldest segment's final ACK while the window is full.
+// The sender keeps starting later segments, and their ACKs prove the
+// oldest one's chunks lost; its repairs land in retired slots, and the
+// re-ACK table — which still holds the segment, because the sender
+// starts no segment reackOps past its oldest incomplete one — answers.
+func TestAdaptiveFullWindowLostOldestFinalAck(t *testing.T) {
+	s, _, coreCfg, _ := newReackSession(t)
+	acfg := testAdaptorCfg()
+	size := 8 * acfg.SegmentChunks * coreCfg.ChunkBytes // 8 segments, window 6
+	if size/(acfg.SegmentChunks*coreCfg.ChunkBytes) <= acfg.Window {
+		t.Fatal("the message does not fill the posting window")
+	}
+	// Segments complete in order, so the first completion ACK is the
+	// oldest segment's.
+	dropped := dropCompletionAcks(s, acfg.SegmentChunks, 1)
+	driveMsg(t, newTransfer(t, s, "adaptive", size), pattern(size, 5))
+	if *dropped != 1 {
+		t.Fatalf("dropped %d final ACKs, want 1", *dropped)
+	}
+	if s.B.LateReAcks.Load() == 0 {
+		t.Fatal("the sender completed without a re-ACK")
 	}
 }
 
 // A late data packet arriving in a retired EC slot must pull the
-// positive ACK back out of the re-ACK table. EC has no sender-side
-// RTO (fallback is NACK-driven), so the late packet is staged with a
-// fabric Hold: one chunk's packets are parked on the wire, parity
-// recovery completes the receive and retires every slot, and
+// positive ACK back out of the re-ACK table. The late packet is staged
+// with a fabric Hold: one chunk's packets are parked on the wire,
+// parity recovery completes the receive and retires every slot, and
 // releasing the held packets afterwards must re-emit msgECAck.
 func TestLateDataIntoRetiredECSlotReAcks(t *testing.T) {
-	s, clk, coreCfg, relCfg := newReackSession(t)
+	s, _, coreCfg, _ := newReackSession(t)
 
 	const size = 16 * 4096
 	// Hold the four MTU packets of the first data chunk; parity (m=2)
@@ -152,13 +179,9 @@ func TestLateDataIntoRetiredECSlotReAcks(t *testing.T) {
 	if held != pktsPerChunk {
 		t.Fatalf("held %d packets, want %d", held, pktsPerChunk)
 	}
-	// The receive returned at its completion instant; the final-ACK
-	// linger runs in the background (retire.go). Sleep out the linger
-	// on the virtual clock so the retire timers fire and the slots
-	// actually retire into the re-ACK table.
-	clock.Join(clk, func() { clk.Sleep(relCfg.Linger + 2*relCfg.AckInterval) })
-	// Every slot is retired now. The held packets arrive late; the
-	// first must trigger a fresh positive ACK from the re-ACK table.
+	// The receive retired every slot at its completion instant. The
+	// held packets arrive late; the first must trigger a fresh positive
+	// ACK from the re-ACK table.
 	before := ecAcks
 	if n := s.Pair.Link.AB.ReleaseHeld(); n != pktsPerChunk {
 		t.Fatalf("released %d packets, want %d", n, pktsPerChunk)

@@ -33,7 +33,6 @@ func testRelCfg() Config {
 		Alpha:         2,
 		PollInterval:  500 * time.Microsecond,
 		AckInterval:   time.Millisecond,
-		Linger:        8 * time.Millisecond,
 		GlobalTimeout: 30 * time.Second,
 		K:             4, M: 2, Code: "mds",
 	}
@@ -293,34 +292,46 @@ func TestSequentialTransfers(t *testing.T) {
 	}
 }
 
-// The default Real clock must keep working end to end: one SR
-// transfer over a short-latency link in wall-clock time. SR and
-// lossless on purpose: retransmissions under loss — and even lossless
-// EC, which may decode a chunk in place from parity before the
-// chunk's delayed data packet lands — leave DMA writes in flight when
-// both sides return, racing the verification read. That inherent
-// real-clock hazard is exactly what the virtual-clock tests above
-// eliminate, so EC and lossy coverage lives there.
+// The default Real clock must keep working end to end, under loss: a
+// transfer per scheme over a short-latency 3 %-loss link in wall-clock
+// time. The receiver compares the buffer the moment Receive returns,
+// while the sender may still be retransmitting: the receive retired its
+// slots, so no late DMA writes the buffer any more, and under -race a
+// write racing the read fails the test.
 func TestRealClockSmoke(t *testing.T) {
-	cfg := testRelCfg()
-	cfg.RTT = 2 * time.Millisecond
-	lat := time.Millisecond
-	s, err := NewSession(testCoreCfg(nil), cfg,
-		fabric.Config{Latency: lat, Seed: 21},
-		fabric.Config{Latency: lat, Seed: 1021},
-		lat)
-	if err != nil {
-		t.Fatal(err)
+	for i, scheme := range []string{"sr", "sr-nack", "ec"} {
+		cfg, err := testRelCfg().ForScheme(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.RTT = 2 * time.Millisecond
+		lat := time.Millisecond
+		seed := int64(21 + i)
+		s, err := NewSession(testCoreCfg(nil), cfg,
+			fabric.Config{Latency: lat, DropProb: 0.03, Seed: seed},
+			fabric.Config{Latency: lat, DropProb: 0.03, Seed: seed + 1000},
+			lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		data := pattern(64<<10, 40)
+		send, recv, out := newTransfer(t, s, scheme, len(data)).Actors("real", data)
+		intact := false
+		fn := recv.Fn
+		recv.Fn = func() {
+			fn()
+			intact = out.RecvErr == nil && out.BytesOK()
+		}
+		clock.JoinNamed(s.A.clock(), send, recv)
+		if out.SendErr != nil || out.RecvErr != nil {
+			t.Fatalf("%s: %v", scheme, out.Err())
+		}
+		if !intact {
+			t.Fatalf("%s: data corrupted on the real clock", scheme)
+		}
+		checkCtrlTraffic(t, s)
 	}
-	defer s.Close()
-	data := pattern(32<<10, 40)
-	out := driveMsg(t, newTransfer(t, s, "sr", len(data)), data)
-	// BytesOK does not compare on a real clock; lossless SR leaves no
-	// DMA in flight, so reading the buffer here is sound.
-	if !bytes.Equal(out.Buf, data) {
-		t.Fatal("sr: data corrupted on the real clock")
-	}
-	checkCtrlTraffic(t, s)
 }
 
 // checkCtrlTraffic checks the control receive ring against the traffic
@@ -350,10 +361,10 @@ func checkCtrlTraffic(t *testing.T, s *Session) {
 // one side returns an error matching ErrTimeout and the other returns
 // too (a side left waiting would be a virtual deadlock). Following
 // transfers on the same session must then succeed, and they need both
-// of the QP's two receive slots at once — ec's one message posts a data
-// and a parity submessage, adaptive's two segments, and an SR message's
-// slot is still lingering (Config.Linger) when the second one posts —
-// so they fail had the timed-out receive kept a slot.
+// of the QP's two receive slots — ec's one message posts a data and a
+// parity submessage, adaptive's two segments, and SR's second message
+// wraps around to the timed-out receive's slot — so they fail had the
+// timed-out receive kept a slot.
 func TestGlobalTimeout(t *testing.T) {
 	for _, tc := range []struct {
 		scheme     string

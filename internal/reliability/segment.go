@@ -94,7 +94,7 @@ type sendSeg struct {
 	data []byte
 	g    ecGeometry
 	// static is the rung's timing policy (Mode.static), read by
-	// repairHoles.
+	// repairHoles and probeRTO.
 	static bool
 	code   ec.Code // the (g.k, g.m) code; nil on a plain segment
 	// sub0 is the message-wide index of the segment's first submessage,
@@ -368,16 +368,29 @@ func (s *sendSeg) sweepRTO(now time.Time, rto time.Duration) error {
 // receiver still missing data answers with its NACK; one that already
 // completed the segment absorbs the chunk on the NULL key and answers
 // from its re-ACK table (reack.go), which recovers a lost final ACK.
-// The first probe waits two RTOs, not one: a static EC receiver that
-// is still missing data NACKs every RTO, so a sender that resent on
-// one NACK hears the next an RTO later, and a probe then would race it.
-func (s *sendSeg) probeRTO(now time.Time, rto time.Duration) error {
+// On a static rung the first probe waits two RTOs, not one: a static
+// EC receiver that is still missing data NACKs every RTO, so a sender
+// that resent on one NACK hears the next an RTO later, and a probe then
+// would race it. (An adaptive receiver NACKs every RTT.) later says a
+// later segment of the message is done. The receiver completes
+// segments in order, so this one's final ACK was lost, and the probe
+// goes out after two RTTs of silence instead, without backoff: one
+// round trip for the probe and its re-ACK, one of slack.
+func (s *sendSeg) probeRTO(now time.Time, rto time.Duration, later bool) error {
 	last := len(s.chunks) - 1
 	if last < 0 {
 		return nil
 	}
 	ch := &s.chunks[last]
-	if now.Sub(s.active) < retryRTO(rto, ch.retries+1, s.opID<<16+uint64(last)) {
+	wait := 2 * s.e.Cfg.RTT
+	if !later {
+		attempt := ch.retries
+		if s.static {
+			attempt++
+		}
+		wait = retryRTO(rto, attempt, s.opID<<16+uint64(last))
+	}
+	if now.Sub(s.active) < wait {
 		return nil
 	}
 	if ch.retries < maxBackoffShift {
@@ -449,7 +462,7 @@ func (r *recvSeg) post() error {
 	for i := range r.subs {
 		h, err := qp.RecvPost(r.mr, r.base+uint64(g.subOffset(i)), g.subBytes(i, r.size))
 		if err != nil {
-			r.abandon()
+			r.retire()
 			return fmt.Errorf("submessage %d data recv: %w", i, err)
 		}
 		r.subs[i].dataH = h
@@ -458,7 +471,7 @@ func (r *recvSeg) post() error {
 		}
 		h, err = qp.RecvPost(r.scratch, r.pbase+uint64(i*g.parityBytes()), g.parityBytes())
 		if err != nil {
-			r.abandon()
+			r.retire()
 			return fmt.Errorf("submessage %d parity recv: %w", i, err)
 		}
 		r.subs[i].parityH = h
@@ -466,17 +479,24 @@ func (r *recvSeg) post() error {
 	return nil
 }
 
-// abandon retires every posted receive of an unfinished segment (abort,
-// timeout and post-failure exits). Late packets are absorbed by the
-// NULL key.
-func (r *recvSeg) abandon() {
-	for _, s := range r.subs {
-		if s.dataH != nil {
-			s.dataH.Complete()
-		}
-		if s.parityH != nil {
-			s.parityH.Complete()
-		}
+// retire retires every posted receive of the segment: at completion
+// (finish) and on the abort, timeout and post-failure exits. Late
+// packets are absorbed by the NULL key, and once it returns the NIC
+// writes none of the segment's buffers any more (RecvHandle.Complete).
+func (r *recvSeg) retire() {
+	for i := range r.subs {
+		r.subs[i].retire()
+	}
+}
+
+// retire retires the submessage's receives; a receive already retired
+// is left alone.
+func (s *ecRecvState) retire() {
+	if s.dataH != nil {
+		s.dataH.Complete()
+	}
+	if s.parityH != nil {
+		s.parityH.Complete()
 	}
 }
 
@@ -531,6 +551,9 @@ func (r *recvSeg) tryRecover(i int) bool {
 	if !r.code.CanRecover(present) {
 		return false
 	}
+	// The decode writes the missing chunks in place, where a late copy
+	// of one could land concurrently: retire the submessage first.
+	s.retire()
 	sub := r.mr.Bytes()[int(r.base)+g.subOffset(i):][:g.subBytes(i, r.size)]
 	parity := r.scratch.Bytes()[int(r.pbase)+i*g.parityBytes():]
 	shards, tailChunk := scr.shardView(g, i, sub, parity)
@@ -554,7 +577,7 @@ func (r *recvSeg) tryRecover(i int) bool {
 // A progress ACK snapshots the bitmap into the endpoint's pooled buffer
 // (CP.send serializes the payload before returning, so the next
 // snapshot may overwrite it); the final one owns its snapshot, because
-// the linger and the re-ACK table keep re-sending it.
+// the re-ACK table keeps re-sending it.
 func (r *recvSeg) ackMsg(final bool) ctrlMsg {
 	if r.g.m > 0 {
 		return ctrlMsg{typ: msgECAck, opID: r.opID()}
@@ -597,16 +620,17 @@ func (r *recvSeg) nack() {
 	e.CP.send(ctrlMsg{typ: msgECNack, opID: r.opID(), nackSubmsgs: entries})
 }
 
-// finish completes a delivered segment: the final acknowledgement goes
-// out at the completion instant, and the linger — re-sending it so a
-// lost ACK cannot strand the sender — runs in the background
-// (retire.go), so the caller can post its next receive immediately.
-// The slots stay live until the linger elapses; once retired, late
-// retransmissions into any of them re-pull the final ACK (reack.go).
-// The whole segment is one re-ACK table entry, so even an L≫1 message
-// cannot evict its own slots.
+// finish completes a delivered segment at the completion instant: the
+// final acknowledgement goes out once, the re-ACK table remembers it,
+// and every slot retires (§3.3.2's recv_complete), so the buffer is the
+// caller's as soon as the receive returns, on either clock. A lost
+// final ACK leaves the sender retransmitting — the SR sweep, or a
+// coded segment's probe — into retired slots, and each such late packet
+// pulls the ACK again from the table (reack.go). The whole segment is
+// one table entry, so even an L≫1 message cannot evict its own slots.
 func (r *recvSeg) finish() {
 	final := r.ackMsg(true)
 	r.e.CP.send(final)
-	r.e.retire(final, r.subs)
+	r.e.rememberRetired(final, r.subs)
+	r.retire()
 }

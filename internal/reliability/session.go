@@ -114,16 +114,14 @@ func (s *Session) Abort(cause error) {
 	s.B.Abort(cause)
 }
 
-// Quarantine retires the session without trusting its state: pending
-// retires are flushed, then the pooled deployment is quarantined (not
-// re-leased) — or, unpooled, the deployment is torn down. Idempotent,
-// and mutually exclusive with Close: whichever runs first wins.
+// Quarantine retires the session without trusting its state: the
+// pooled deployment is quarantined (not re-leased) — or, unpooled, the
+// deployment is torn down. Idempotent, and mutually exclusive with
+// Close: whichever runs first wins.
 func (s *Session) Quarantine() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	s.A.flushRetires()
-	s.B.flushRetires()
 	if s.quarantine != nil {
 		s.quarantine()
 		return
@@ -146,17 +144,13 @@ func (s *Session) SetTelemetry(rec *telemetry.Recorder, nameA, nameB string) {
 	s.B.setTelemetry(rec, nameB)
 }
 
-// Close finishes any background receive retires (their slots retire
-// immediately, without waiting out the remaining linger), then either
-// releases the session's pooled deployment or tears the deployment
-// down. Idempotent: a second Close — e.g. an abort path racing a
-// deferred Close — is a no-op rather than a double release.
+// Close either releases the session's pooled deployment or tears the
+// deployment down. Idempotent: a second Close — e.g. an abort path
+// racing a deferred Close — is a no-op rather than a double release.
 func (s *Session) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	s.A.flushRetires()
-	s.B.flushRetires()
 	if s.release != nil {
 		s.release()
 		return

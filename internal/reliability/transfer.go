@@ -100,22 +100,17 @@ type Outcome struct {
 	// clock, measured from the Actors call (the Join's start instant on
 	// a virtual clock, where time only advances inside the Join).
 	SendDone, RecvDone time.Duration
-	// Buf is the receive buffer. On a real clock a retransmitted (or
-	// parity-decoded-then-superseded) chunk's DMA can still be in
-	// flight when both sides return, so reading Buf is sound only on a
-	// virtual clock or after a lossless SR transfer.
+	// Buf is the receive buffer. It is the caller's once the receiver
+	// has returned, on either clock: the receive retired its slots
+	// before returning, so no late retransmission writes it any more.
 	Buf []byte
 
-	scheme  string
-	data    []byte
-	virtual bool
+	scheme string
+	data   []byte
 }
 
-// BytesOK reports whether Buf holds the payload. It compares on a
-// virtual clock only and reports true without touching Buf on a real
-// one, where the read would itself be the race (see Buf); the same
-// scenarios are byte-verified on the virtual path.
-func (o *Outcome) BytesOK() bool { return !o.virtual || bytes.Equal(o.Buf, o.data) }
+// BytesOK reports whether Buf holds the payload.
+func (o *Outcome) BytesOK() bool { return bytes.Equal(o.Buf, o.data) }
 
 // Err returns the message's first failure: the sender's error, the
 // receiver's, or a payload mismatch after both returned clean.
@@ -139,7 +134,7 @@ func (o *Outcome) Err() error {
 // flight.
 func (t *Transfer) Actors(name string, data []byte) (send, recv clock.NamedFunc, out *Outcome) {
 	clk := t.s.A.clock()
-	out = &Outcome{Buf: make([]byte, len(data)), scheme: t.scheme, data: data, virtual: clk.IsVirtual()}
+	out = &Outcome{Buf: make([]byte, len(data)), scheme: t.scheme, data: data}
 	mr := t.s.Pair.B.Ctx.RegMR(out.Buf)
 	start := clk.Now()
 	send = clock.NamedFunc{Name: name + "/send", Fn: func() {

@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -146,35 +147,50 @@ func TestSessionRejectsStallingConfig(t *testing.T) {
 	}
 }
 
-// On a real clock under loss a retransmitted chunk's DMA can still be in
-// flight when both sides return, so the driver must not read the receive
-// buffer: under -race this test fails if Drive, Err or BytesOK does. SR
-// only — a coded receive's in-place decode races the late DMA inside the
-// stack itself, which is why lossy EC coverage lives on the virtual
-// clock.
-func TestDriveRealClockLeavesBufferAlone(t *testing.T) {
-	for _, scheme := range []string{"sr", "sr-nack"} {
+// A returned receive has handed its buffer back. The receiver clears
+// it the moment Receive returns, while its first two final ACKs are
+// lost, so the sender — every scheme keeps repairing until its own ACK
+// arrives — is still retransmitting into the message. Those late
+// packets are absorbed by the NULL key: the buffer stays clear, and no
+// packet is written into a complete message after the return.
+func TestReceiveReturnHandsBufferBack(t *testing.T) {
+	for _, scheme := range []string{"sr", "sr-nack", "ec", "adaptive"} {
 		relCfg, err := testRelCfg().ForScheme(scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		relCfg.RTT = 2 * time.Millisecond
-		lat := time.Millisecond
-		s, err := NewSession(testCoreCfg(clock.NewReal()), relCfg,
-			fabric.Config{Latency: lat, DropProb: 0.03, Seed: 33},
-			fabric.Config{Latency: lat, DropProb: 0.03, Seed: 1033},
-			lat)
-		if err != nil {
-			t.Fatal(err)
+		s, vc := newVirtualSession(t, relCfg, 0.05, 41)
+		const size = 150_000
+		finalChunks := (size + 4095) / 4096
+		if scheme == "adaptive" {
+			finalChunks = testAdaptorCfg().SegmentChunks
 		}
-		out := newTransfer(t, s, scheme, 64<<10).Drive("real", pattern(64<<10, 7))
-		if err := out.Err(); err != nil {
-			t.Errorf("%s: %v", scheme, err)
+		dropCompletionAcks(s, finalChunks, 2)
+		send, recv, out := newTransfer(t, s, scheme, size).Actors("handback", pattern(size, 9))
+		var doneWrites, late uint64
+		intact := false
+		fn := recv.Fn
+		recv.Fn = func() {
+			fn()
+			intact = out.BytesOK()
+			clear(out.Buf)
+			doneWrites, late = s.Pair.B.QP.Stats().DoneWrites, s.Pair.B.QP.Stats().LateDiscarded
 		}
-		if !out.BytesOK() {
-			t.Errorf("%s: BytesOK compared on a real clock", scheme)
+		clock.JoinNamed(vc, send, recv)
+		if out.SendErr != nil || out.RecvErr != nil || !intact {
+			t.Fatalf("%s: %v, intact %v", scheme, out.Err(), intact)
 		}
-		checkCtrlTraffic(t, s)
-		s.Close()
+		// Drain: every retransmission in flight lands.
+		clock.Join(vc, func() { vc.Sleep(10 * relCfg.WithDefaults().rto()) })
+		st := s.Pair.B.QP.Stats()
+		if st.LateDiscarded == late {
+			t.Errorf("%s: no packet arrived after the receive returned: the scenario does not exercise the hand-back", scheme)
+		}
+		if i := slices.IndexFunc(out.Buf, func(b byte) bool { return b != 0 }); i >= 0 {
+			t.Errorf("%s: byte %d written after the receive returned", scheme, i)
+		}
+		if st.DoneWrites != doneWrites {
+			t.Errorf("%s: %d packets written into complete messages after the receive returned", scheme, st.DoneWrites-doneWrites)
+		}
 	}
 }

@@ -37,9 +37,8 @@ func runSchemeTransfer(t *testing.T, vc *clock.Virtual, s *reliability.Session, 
 	// nanosecond more or less; a schedule that really differs moves by
 	// packet times, microseconds here.
 	dt := (vc.Elapsed() - start).Round(time.Microsecond)
-	// Let retransmission tails deliver and the background final-ACK
-	// linger run out, so the counters are final and the next lease of
-	// the deployment starts from an empty wire.
+	// Let retransmission tails deliver, so the counters are final and
+	// the next lease of the deployment starts from an empty wire.
 	clock.Join(vc, func() { vc.Sleep(50 * time.Millisecond) })
 	sum := fnv.New64a()
 	sum.Write(out.Buf)
@@ -64,9 +63,6 @@ func TestColdBuildFirstLeaseAndReLeaseEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A coded sender has no RTO: keep the final-ACK linger above
-			// it so control loss cannot swallow the whole linger.
-			relCfg.Linger = 8 * time.Millisecond
 			fabFor := func(vc *clock.Virtual, seed int64) fabric.Config {
 				return fabric.Config{Latency: time.Millisecond, BandwidthBps: 2e9, DropProb: 0.05, Seed: seed, Clock: vc}
 			}

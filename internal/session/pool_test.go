@@ -27,7 +27,6 @@ func poolRelCfg() reliability.Config {
 		RTT: 2 * time.Millisecond, Alpha: 2, NACK: true,
 		PollInterval: 250 * time.Microsecond,
 		AckInterval:  500 * time.Microsecond,
-		Linger:       2 * time.Millisecond,
 		K:            4, M: 2, Code: "mds",
 	}
 }
@@ -82,9 +81,8 @@ func TestLeaseAfterResetByteIdentical(t *testing.T) {
 		}
 		traces = append(traces, runLeaseTransfer(t, vc, s, 64<<10))
 		// Quiesce before releasing: let the tail of in-flight
-		// retransmissions deliver and the background final-ACK linger
-		// run out, so each lease starts from identical (empty) wire
-		// state. Traffic still in flight at release is covered by
+		// retransmissions deliver, so each lease starts from identical
+		// (empty) wire state. Traffic still in flight at release is covered by
 		// TestStaleTrafficAbsorbedAcrossLeases instead.
 		clock.Join(vc, func() { vc.Sleep(50 * time.Millisecond) })
 		s.Close()
