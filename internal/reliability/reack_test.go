@@ -190,3 +190,50 @@ func TestLateDataIntoRetiredECSlotReAcks(t *testing.T) {
 		t.Fatalf("late data into retired EC slot produced no re-ACK (%d before, %d after)", before, ecAcks)
 	}
 }
+
+// A coded submessage retires as soon as parity decodes it, before the
+// segment completes: the decode writes its missing chunks in place, so
+// on a real clock a late copy of one must not land concurrently. Here
+// submessage 0's first chunk is held on the wire, so parity decodes
+// submessage 0, while three of submessage 1's four data chunks are
+// lost, so the segment waits for the NACK repair. The held packets are
+// released in between and must land on the NULL key, not in the MR.
+func TestECDecodeRetiresSubmessageFirst(t *testing.T) {
+	s, clk, coreCfg, _ := newReackSession(t)
+	const size = 8 * 4096 // two (4,2) submessages
+	p := coreCfg.ChunkBytes / coreCfg.MTU
+	n := 0 // data and parity packets of the first injection, in wire order
+	s.Pair.Link.AB.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
+		if pkt.Opcode != nicsim.OpWriteImm {
+			return fabric.Pass
+		}
+		n++
+		switch {
+		case n <= p: // submessage 0, chunk 0
+			return fabric.Hold
+		case n > 6*p && n <= 9*p: // submessage 1, chunks 4–6 (after 4 data + 2 parity chunks)
+			return fabric.Drop
+		}
+		return fabric.Pass
+	})
+	send, recv, out := newTransfer(t, s, "ec", size).Actors("decode", pattern(size, 11))
+	released := 0
+	clock.JoinNamed(clk, send, recv, clock.NamedFunc{Name: "release", Fn: func() {
+		// Data lands from 2 ms (a CTS one way, then the data); the
+		// repair of submessage 1 from 5 ms (its NACK goes out at 3 ms).
+		clk.Sleep(3500 * time.Microsecond)
+		released = s.Pair.Link.AB.ReleaseHeld()
+	}})
+	if err := out.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if released != p {
+		t.Fatalf("released %d packets, want %d", released, p)
+	}
+	if late := s.Pair.B.QP.Stats().LateDiscarded; late != uint64(p) {
+		t.Fatalf("%d late packets absorbed, want the %d released into the decoded submessage", late, p)
+	}
+	if s.A.Retransmits.Load() == 0 {
+		t.Fatal("submessage 1 was never repaired: the segment did not outlive the decode")
+	}
+}
