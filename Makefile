@@ -25,10 +25,12 @@ RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 ci: vet build race test smoke-golden smoke-perftest smoke-trace smoke-chaos smoke-bench smoke-examples
 
 # The second line compiles the non-amd64 side of internal/gf256's file
-# split (the stubs behind the assembly kernels) and its only importer.
+# split (the stubs behind the assembly kernels) and its only importer;
+# the third fails when any file is not gofmt-clean, listing it.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/gf256/ ./internal/ec/
+	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 
 build:
 	$(GO) build ./...

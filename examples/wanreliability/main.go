@@ -25,12 +25,11 @@ import (
 func main() {
 	const size = 256 << 10
 	for _, scheme := range []string{"sr", "sr-nack", "ec"} {
-		// Alpha defaults to 2: RTO = 3·RTT, the paper's SR RTO scenario.
+		// Alpha defaults to 2: RTO = 3·RTT, the paper's SR RTO scenario;
+		// the poll and ACK cadences default to RTT/8 and RTT/4.
 		relCfg, err := reliability.Config{
-			RTT:          4 * time.Millisecond,
-			PollInterval: 500 * time.Microsecond,
-			AckInterval:  time.Millisecond,
-			K:            8, M: 2,
+			RTT: 4 * time.Millisecond,
+			K:   8, M: 2,
 		}.ForScheme(scheme)
 		if err != nil {
 			log.Fatal(err)

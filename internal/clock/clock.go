@@ -28,14 +28,15 @@
 //
 // Every capability a layer needs is a method of Clock, and both clocks
 // implement all of them: integer-nanosecond time (NowNanos), handle-less
-// one-shot scheduling (After, At on the Instant timeline) and monotone
-// per-caller event lanes (NewEventLane, RunAtLane), which a real
-// clock implements with plain timers. So protocol code calls the one
-// interface and keeps no second path for either clock.
+// one-shot scheduling (After, At on the Instant timeline) and per-caller
+// event lanes (NewEventLane, RunAtLane), which run their closures one at
+// a time in schedule order on either clock. So protocol code calls the
+// one interface and keeps no second path for either clock.
 package clock
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -96,17 +97,19 @@ type Clock interface {
 	// possible. Like After it returns no handle, and on a real clock
 	// fn never runs before at.
 	At(at float64, fn func())
-	// NewEventLane allocates a monotone FIFO scheduling lane and
-	// returns its id, for RunAtLane.
+	// NewEventLane allocates a FIFO scheduling lane and returns its
+	// id, for RunAtLane.
 	NewEventLane() int
-	// RunAtLane is At through lane ln. A caller whose closures fire in
-	// nondecreasing time order per lane — a wire direction delivering
+	// RunAtLane is At through lane ln. On both clocks the closures of
+	// one lane never overlap, and closures scheduled in nondecreasing
+	// time order run in that order — a wire direction delivering
 	// back-to-back packets, a netem queue delivering each packet at its
-	// finish plus the propagation delay — schedules in O(1) ring pushes
-	// on a Virtual clock instead of O(log n) heap sifts, the dominant
-	// engine cost at line rate; a push that would run backwards in time
-	// falls back to the heap, so ordering is exact either way. A real
-	// clock has no lanes: it ignores ln.
+	// finish plus the propagation delay. On a Virtual clock a lane push
+	// is an O(1) ring push instead of an O(log n) heap sift, the
+	// dominant engine cost at line rate, and a push that would run
+	// backwards in time falls back to the heap. A real clock keeps each
+	// lane's closures in one FIFO behind one timer (see wallLane), so a
+	// push with an earlier instant runs behind those already queued.
 	RunAtLane(ln int, at float64, fn func())
 	// spawn starts fn on this clock: a plain goroutine on a real
 	// clock, a registered actor under Virtual (Virtual.run returns once
@@ -138,12 +141,18 @@ type wall struct {
 	base time.Time     // instant zero of the scheduling timeline
 	// baseNs is base in Unix nanoseconds, the origin of NowNanos.
 	baseNs int64
+	// lanes are the event lanes by id. NewEventLane appends under mu
+	// and publishes the grown slice; an element once published is never
+	// written again, so RunAtLane indexes it without a lock.
+	lanes atomic.Pointer[[]*wallLane]
 }
 
 // NewReal returns a wall-clock Clock with its own notification domain.
 func NewReal() Clock {
 	now := time.Now()
-	return &wall{ch: make(chan struct{}), base: now, baseNs: now.UnixNano()}
+	r := &wall{ch: make(chan struct{}), base: now, baseNs: now.UnixNano()}
+	r.lanes.Store(new([]*wallLane))
+	return r
 }
 
 // realtime is the shared default instance. A single shared instance
@@ -202,12 +211,91 @@ func (r *wall) At(at float64, fn func()) {
 	time.AfterFunc(time.Duration((at-r.Instant())*float64(time.Second))+1, fn)
 }
 
-// NewEventLane implements Clock. A real clock has no lanes; every id
-// is 0.
-func (r *wall) NewEventLane() int { return 0 }
+// NewEventLane implements Clock.
+func (r *wall) NewEventLane() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lanes := append(*r.lanes.Load(), &wallLane{r: r})
+	r.lanes.Store(&lanes)
+	return len(lanes) - 1
+}
 
-// RunAtLane implements Clock: At, ignoring the lane.
-func (r *wall) RunAtLane(_ int, at float64, fn func()) { r.At(at, fn) }
+// RunAtLane implements Clock.
+func (r *wall) RunAtLane(ln int, at float64, fn func()) { (*r.lanes.Load())[ln].push(at, fn) }
+
+// wallLane is one event lane of a real clock: a FIFO of closures behind
+// one timer, armed for the oldest. The timer's drain runs every closure
+// that is due, oldest first and one at a time, then re-arms for the
+// next, so the closures of a lane never overlap and run in push order —
+// timers that expire together would start their callbacks in no fixed
+// order — and a lane costs one timer however many closures it holds.
+type wallLane struct {
+	r  *wall
+	mu sync.Mutex
+	// q[head:] are the pending closures, oldest first; a running one
+	// stays at the head until it returns. So a lane holding any has its
+	// timer armed or its drain running, and either picks up a closure
+	// pushed meanwhile.
+	q     []laneEvent
+	head  int
+	timer *time.Timer // runs drain, made by the first arm
+}
+
+type laneEvent struct {
+	at float64
+	fn func()
+}
+
+// push appends fn, due at instant at, and arms the timer if the lane
+// was empty — the new closure is then its oldest. Full storage whose
+// popped prefix is at least as long as the live part slides the live
+// part to the front instead of growing, as a simnet lane does, so a
+// lane under standing load never reallocates.
+func (l *wallLane) push(at float64, fn func()) {
+	l.mu.Lock()
+	if len(l.q) == cap(l.q) && 2*l.head >= len(l.q) {
+		l.q, l.head = l.q[:copy(l.q, l.q[l.head:])], 0
+	}
+	l.q = append(l.q, laneEvent{at, fn})
+	if len(l.q)-l.head == 1 {
+		l.arm(at)
+	}
+	l.mu.Unlock()
+}
+
+// arm sets the timer for instant at; the extra nanosecond is At's.
+// Caller holds mu.
+func (l *wallLane) arm(at float64) {
+	d := time.Duration((at-l.r.Instant())*float64(time.Second)) + 1
+	if l.timer == nil {
+		l.timer = time.AfterFunc(d, l.drain)
+	} else {
+		l.timer.Reset(d)
+	}
+}
+
+// drain is the lane's timer callback. It runs the due closures with mu
+// released, so a closure may push onto its own lane, then re-arms for
+// the oldest closure left. An emptied lane lets its storage go: the
+// clock keeps every lane it made, so an idle one holds no memory sized
+// by its last burst.
+func (l *wallLane) drain() {
+	l.mu.Lock()
+	for l.head < len(l.q) && l.q[l.head].at <= l.r.Instant() {
+		fn := l.q[l.head].fn
+		l.mu.Unlock()
+		fn()
+		l.mu.Lock()
+		l.q[l.head] = laneEvent{}
+		l.head++
+	}
+	if l.head < len(l.q) {
+		l.arm(l.q[l.head].at)
+	} else {
+		l.q, l.head = nil, 0
+	}
+	l.mu.Unlock()
+}
 
 // Epoch implements Clock.
 func (r *wall) Epoch() uint64 {

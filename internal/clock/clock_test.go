@@ -335,6 +335,44 @@ func TestRealAtNotEarly(t *testing.T) {
 	}
 }
 
+// A real clock's lane keeps the lane rule of a Virtual's: a
+// same-instant burst runs in schedule order, one closure at a time, and
+// a closure pushed with an earlier instant runs behind those already
+// queued; a closure that blocks on one lane does not hold up another.
+// Every check counts: a lane that waited on another would hang here
+// until the test binary's timeout.
+func TestRealLaneRunsInScheduleOrder(t *testing.T) {
+	r := NewReal()
+	ln, other := r.NewEventLane(), r.NewEventLane()
+	release := make(chan struct{})
+	r.RunAtLane(ln, r.Instant(), func() { <-release })
+	r.RunAtLane(other, r.Instant(), func() { close(release) })
+
+	const n = 64
+	var inside, overlaps atomic.Int32
+	got := make(chan int, n+1)
+	at := r.Instant() + 0.001
+	for k := 0; k < n; k++ {
+		r.RunAtLane(ln, at, func() {
+			if inside.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			runtime.Gosched()
+			got <- k
+			inside.Add(-1)
+		})
+	}
+	r.RunAtLane(ln, at-0.001, func() { got <- n })
+	for k := 0; k <= n; k++ {
+		if g := <-got; g != k {
+			t.Fatalf("closure %d ran in place %d", g, k)
+		}
+	}
+	if o := overlaps.Load(); o != 0 {
+		t.Fatalf("a closure of the lane started %d times while another ran", o)
+	}
+}
+
 // A real clock's NowNanos never runs backwards and stays on the Unix
 // timeline.
 func TestRealNowNanos(t *testing.T) {

@@ -303,7 +303,7 @@ func wanCoreCfg(clk clock.Clock) core.Config {
 // onto clk (which must be of the kind of the pool's template clock), so
 // sweep cells stop cold-building deployments and pay only the rebind.
 func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop float64, size int, seed int64) (wanResult, error) {
-	relCfg, err := reliability.Config{RTT: 2 * wanOneWay, K: 32, M: 8}.ForScheme(scheme)
+	relCfg, err := reliability.Config{RTT: 2 * wanOneWay}.ForScheme(scheme)
 	if err != nil {
 		return wanResult{}, err
 	}
@@ -376,8 +376,8 @@ func runRCWrite(clk clock.Clock, rc *nicsim.RCPair, devB *nicsim.Device, size in
 		rc.Wait(1, rtt, time.Time{})
 		elapsed = clk.Since(start)
 	})
-	// As reliability.Outcome.BytesOK: buffer reads are only race-free on
-	// the virtual clock (RC retransmissions may still be in flight here).
+	// Only a virtual clock reads the buffer: on a real one RC
+	// retransmissions may still be in flight, their DMA racing the read.
 	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
 		return 0, fmt.Errorf("rc-gbn: received data corrupted")
 	}

@@ -7,10 +7,11 @@
 // later ReleaseHeld, which is how tests exercise SDR's late-packet
 // protection (§3.3).
 //
-// All timed behaviour goes through a clock.Clock: with the default
-// real clock, delayed deliveries ride time.AfterFunc exactly as
-// before; with a clock.Virtual, they become discrete events on the
-// virtual timeline, so WAN-latency scenarios run at simulation speed
+// All timed behaviour goes through a clock.Clock: each direction's
+// delayed deliveries ride one event lane of it, which hands them on in
+// send order on either clock. With the default real clock they are due
+// on the wall clock; with a clock.Virtual they become discrete events on
+// the virtual timeline, so WAN-latency scenarios run at simulation speed
 // and a fixed seed reproduces the identical delivery trace.
 package fabric
 
@@ -253,38 +254,30 @@ func (d *Direction) occupyLocked(clk clock.Clock, tx time.Duration) time.Duratio
 
 // deliveryPool schedules fire-and-forget clocked packet deliveries
 // through pooled envelopes whose run closures are bound once at
-// allocation: scheduling a delivery allocates neither a closure nor
-// (on a virtual clock, via Clock.RunAtLane) a Timer — per-packet wire
-// latency is pure engine-slot traffic. The zero value is ready to use;
-// every Direction embeds one. (A netem Queue schedules its own
-// deliveries: each packet's is fixed when it is admitted.)
+// allocation: scheduling a delivery allocates neither a closure nor a
+// Timer — per-packet wire latency is pure lane traffic. The zero value
+// is ready to use; every Direction embeds one. (A netem Queue schedules
+// its own deliveries: each packet's is fixed when it is admitted.)
+//
+// A direction's deliveries fire in nondecreasing time order (fixed
+// latency plus monotone serialization booking), so they ride one event
+// lane of the clock (Clock.RunAtLane), which hands them on in that
+// order on either clock: an O(1) engine lane instead of the event heap
+// on a virtual clock, one timer per lane on a real one. lane is
+// allocated on laneClk by the first delivery on it. A delivery that
+// would run earlier than the lane's last one — a direction re-leased
+// with a shorter latency — falls back to the heap on a virtual clock
+// and waits its turn on a real one.
 //
 // The pool has no constructor — its clock arrives with every call — so
-// it decides how to guard its free list from that clock: on a virtual
-// clock every deliverAfter and every delivery runs under the scheduler
-// baton (see clock.Virtual, "The baton is the lock") and mu is never
-// taken; on a real clock timer goroutines race the senders and mu
-// guards the lists.
+// it decides how to guard its state from that clock: on a virtual clock
+// every deliverAfter and every delivery runs under the scheduler baton
+// (see clock.Virtual, "The baton is the lock") and mu is never taken;
+// on a real clock senders race the lane's drain and mu guards the free
+// list and the lane.
 type deliveryPool struct {
-	mu   sync.Mutex
-	free *delivery
-	// On a real clock timers that expire together start their
-	// callbacks in no fixed order, so deliveries are handed on in send
-	// order: head and tail link the envelopes in flight, oldest first,
-	// and the callback that finds the head fired hands on it and every
-	// fired envelope behind it. draining keeps that to one callback at
-	// a time; the others only mark their envelope fired and return.
-	head, tail *delivery
-	draining   bool
-
-	// lane is the pool's monotone FIFO scheduling lane on laneClk,
-	// allocated on first use. A direction's deliveries fire in
-	// nondecreasing time order (fixed latency plus monotone
-	// serialization booking), so they ride an O(1) engine lane instead
-	// of the event heap; a delivery that would run earlier than the
-	// lane's last one — a direction re-leased with a shorter latency —
-	// falls back to the heap inside the lane push. Kept on virtual
-	// clocks only, so baton-guarded; a real clock ignores the lane.
+	mu      sync.Mutex
+	free    *delivery
 	lane    int
 	laneClk clock.Clock
 }
@@ -292,64 +285,14 @@ type deliveryPool struct {
 // deliverAfter hands pkt to dst after delay on clk (immediately, in
 // the caller's goroutine, when delay <= 0). The instant it schedules,
 // Instant plus delay in seconds, is the float the engine forms for
-// After(delay).
+// After(delay); on a real clock it is formed and pushed under mu, so
+// concurrent senders push their instants in order.
 func (p *deliveryPool) deliverAfter(clk clock.Clock, delay time.Duration, dst nicsim.Deliverer, pkt *nicsim.Packet) {
 	if delay <= 0 {
 		dst.Deliver(pkt)
 		return
 	}
 	serial := clk.IsVirtual()
-	env := p.get(dst, pkt, serial)
-	if serial && p.laneClk != clk {
-		p.lane = clk.NewEventLane()
-		p.laneClk = clk
-	}
-	clk.RunAtLane(p.lane, clk.Instant()+delay.Seconds(), env.run)
-}
-
-// delivery is one pooled in-flight envelope.
-type delivery struct {
-	pool   *deliveryPool
-	dst    nicsim.Deliverer
-	pkt    *nicsim.Packet
-	run    func()    // == doRun, bound once
-	next   *delivery // free-list link, or in-flight link on a real clock
-	serial bool      // scheduled on a virtual clock: recycle without mu
-	fired  bool      // its real-clock timer has fired
-}
-
-// doRun recycles each envelope before delivering its packet: the
-// delivery may synchronously trigger a response send through the same
-// pool, which can then reuse the slot.
-func (env *delivery) doRun() {
-	p := env.pool
-	if env.serial {
-		dst, pkt := env.dst, env.pkt
-		env.dst, env.pkt = nil, nil
-		env.next, p.free = p.free, env
-		dst.Deliver(pkt)
-		return
-	}
-	p.mu.Lock()
-	env.fired = true
-	if p.draining {
-		p.mu.Unlock()
-		return
-	}
-	p.draining = true
-	for h := p.head; h != nil && h.fired; h = p.head {
-		dst, pkt := h.dst, h.pkt
-		h.dst, h.pkt, h.fired = nil, nil, false
-		p.head, h.next, p.free = h.next, p.free, h
-		p.mu.Unlock()
-		dst.Deliver(pkt)
-		p.mu.Lock()
-	}
-	p.draining = false
-	p.mu.Unlock()
-}
-
-func (p *deliveryPool) get(dst nicsim.Deliverer, pkt *nicsim.Packet, serial bool) *delivery {
 	if !serial {
 		p.mu.Lock()
 	}
@@ -362,16 +305,41 @@ func (p *deliveryPool) get(dst nicsim.Deliverer, pkt *nicsim.Packet, serial bool
 		env.run = env.doRun
 	}
 	env.dst, env.pkt, env.serial = dst, pkt, serial
+	if p.laneClk != clk {
+		p.lane = clk.NewEventLane()
+		p.laneClk = clk
+	}
+	clk.RunAtLane(p.lane, clk.Instant()+delay.Seconds(), env.run)
 	if !serial {
-		if p.head == nil {
-			p.head = env
-		} else {
-			p.tail.next = env
-		}
-		p.tail = env
 		p.mu.Unlock()
 	}
-	return env
+}
+
+// delivery is one pooled in-flight envelope.
+type delivery struct {
+	pool   *deliveryPool
+	dst    nicsim.Deliverer
+	pkt    *nicsim.Packet
+	run    func()    // == doRun, bound once
+	next   *delivery // free-list link
+	serial bool      // scheduled on a virtual clock: recycle without mu
+}
+
+// doRun recycles the envelope before delivering its packet: the
+// delivery may synchronously trigger a response send through the same
+// pool, which can then reuse the slot.
+func (env *delivery) doRun() {
+	p := env.pool
+	dst, pkt := env.dst, env.pkt
+	env.dst, env.pkt = nil, nil
+	if !env.serial {
+		p.mu.Lock()
+	}
+	env.next, p.free = p.free, env
+	if !env.serial {
+		p.mu.Unlock()
+	}
+	dst.Deliver(pkt)
 }
 
 // ReleaseHeld delivers every held packet immediately (late arrival)

@@ -104,7 +104,7 @@ func (c QueueConfig) validate() error {
 // HighWatermark, a Topology drop sum, a generator's Start, Stop or
 // Sent — it admits every background arrival and departs every
 // head-of-line entry that is due, in the order their clock events
-// would have fired. Each replayed packet takes the tail-drop test, ECN
+// would have run. Each replayed packet takes the tail-drop test, ECN
 // mark, loss draw, counters and probes of its own instant, so a flow
 // sees the same buffer, and the loss process the same draws, as if
 // every departure and background packet had been an event.
@@ -116,12 +116,12 @@ func (c QueueConfig) validate() error {
 // and the link kept it. A background packet costs none. The exported
 // counters are exact after a settling call, or once the last delivery,
 // or the event a generator's Stop leaves at the last background
-// finish, has fired.
+// finish, has run.
 //
 // Locking follows the clock the queue was built on. On a real clock
-// enqueues, deliveries (timer goroutines) and the setters race, and mu
-// guards every field below it. On a virtual clock every caller runs
-// under the scheduler baton (see clock.Virtual, "The baton is the
+// enqueues, deliveries (run by the lane's timer) and the setters race,
+// and mu guards every field below it. On a virtual clock every caller
+// runs under the scheduler baton (see clock.Virtual, "The baton is the
 // lock"), so the queue takes no lock at all: the choice is made once,
 // in NewQueue, from Clock.IsVirtual.
 type Queue struct {
@@ -154,7 +154,7 @@ type Queue struct {
 	onDrop func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)
 
 	// settleFn is the bound settling callback (created once in
-	// NewQueue). free lists the transits whose deliveries have fired,
+	// NewQueue). free lists the transits whose deliveries have run,
 	// for reuse, so the per-packet path schedules its clock event
 	// without allocating, and made counts the transits the queue has
 	// allocated (see grow); lane is the event lane they are scheduled
@@ -164,15 +164,6 @@ type Queue struct {
 	free     *transit
 	made     int
 	lane     int
-	// On a real clock timers that expire together start their
-	// callbacks in no fixed order, so deliveries are handed on in
-	// admission order: head and tail link the transits in flight,
-	// oldest first, and the callback that finds the head fired hands on
-	// it and every fired transit behind it. draining keeps that to one
-	// callback at a time; the others only mark their transit fired and
-	// return. A virtual clock fires them in order and skips the list.
-	head, tail *transit
-	draining   bool
 
 	// sink, when non-nil, receives per-packet telemetry events
 	// (enqueue/depart occupancy samples, the three drop classes, ECN
@@ -221,12 +212,9 @@ type transit struct {
 	at float64
 	// gone: no buffer entry references it any more — settle departed
 	// it, or setLatency moved its delivery to a fresh transit.
-	gone  bool
-	fired bool   // its real-clock event has fired (see Queue.head)
-	run   func() // == deliver, bound once
-	// next links the free list, or on a real clock the transits in
-	// flight.
-	next *transit
+	gone bool
+	run  func()   // == deliver, bound once
+	next *transit // free-list link
 }
 
 // fifo is the queue's packet buffer: a power-of-two ring that doubles
@@ -514,14 +502,6 @@ func (q *Queue) send(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *tran
 		tr.run = tr.deliver
 	}
 	tr.pkt, tr.dst, tr.at = pkt, dst, at
-	if !q.serial {
-		if q.head == nil {
-			q.head = tr
-		} else {
-			q.tail.next = tr
-		}
-		q.tail = tr
-	}
 	if q.lane < 0 {
 		q.lane = q.clk.NewEventLane()
 	}
@@ -549,47 +529,25 @@ func (q *Queue) grow() {
 // — the events at that instant ordered before the departure, which is
 // at the head of the line by then: the deliveries of one instant fire
 // in admission order. It recycles the transit and hands the packet on
-// if the departure kept it. On a real clock the instant read when the
-// timer fires can round a hair below the one it was set for, hence the
-// max, and deliveries are handed on in admission order (see
-// Queue.head).
+// if the departure kept it. The queue's lane hands the deliveries on in
+// admission order on either clock, none before its instant.
 func (tr *transit) deliver() {
 	q := tr.q
 	q.lock()
 	if !tr.gone {
-		until := max(q.clk.Instant(), tr.at)
+		until := q.clk.Instant()
 		q.settle(until, 0)
 		if !tr.gone {
 			q.settle(until, q.headOrder)
 		}
 	}
-	if q.serial {
-		pkt, dst := tr.pkt, tr.dst
-		tr.pkt, tr.dst, tr.gone = nil, nil, false
-		q.free, tr.next = tr, q.free
-		if pkt != nil {
-			dst.Deliver(pkt)
-		}
-		return
+	pkt, dst := tr.pkt, tr.dst
+	tr.pkt, tr.dst, tr.gone = nil, nil, false
+	q.free, tr.next = tr, q.free
+	q.unlock()
+	if pkt != nil {
+		dst.Deliver(pkt)
 	}
-	tr.fired = true
-	if q.draining {
-		q.mu.Unlock()
-		return
-	}
-	q.draining = true
-	for h := q.head; h != nil && h.fired; h = q.head {
-		pkt, dst := h.pkt, h.dst
-		h.pkt, h.dst, h.gone, h.fired = nil, nil, false, false
-		q.head, h.next, q.free = h.next, q.free, h
-		q.mu.Unlock()
-		if pkt != nil {
-			dst.Deliver(pkt)
-		}
-		q.mu.Lock()
-	}
-	q.draining = false
-	q.mu.Unlock()
 }
 
 // discard hands a dropped flow packet to the drop hook, or back to the
