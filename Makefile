@@ -73,7 +73,7 @@ bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkRSEncode32x8_64KiB|BenchmarkRSReconstruct32x8_64KiB|BenchmarkXOREncode32x8_64KiB' -benchmem ./internal/ec/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkCampaign|BenchmarkDES' -benchmem ./internal/protosim/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkDESValidation|BenchmarkGBNBaseline' -benchtime 2x -benchmem . >> bench-json.tmp
-	$(GO) test -run xxx -bench 'BenchmarkVirtualHandoff|BenchmarkVirtualSleepChurn|BenchmarkRealWaitNotify' -benchmem ./internal/clock/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkVirtualHandoff|BenchmarkVirtualSleepChurn|BenchmarkRealWaitNotify|BenchmarkLanesSweep' -benchmem ./internal/clock/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkSessionChurn' -benchmem ./internal/session/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkWANVirtual|BenchmarkWANReal|BenchmarkMultiDCReal' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkWANFunctionalSweep|BenchmarkMultiDCSweep|BenchmarkAdaptiveSweep' -benchtime 3x -benchmem ./internal/experiments/ >> bench-json.tmp

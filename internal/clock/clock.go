@@ -28,15 +28,14 @@
 //
 // Every capability a layer needs is a method of Clock, and both clocks
 // implement all of them: integer-nanosecond time (NowNanos), handle-less
-// one-shot scheduling (After, At on the Instant timeline) and per-caller
-// event lanes (NewEventLane, RunAtLane), which run their closures one at
+// one-shot scheduling (After, At on the Instant timeline) and event lanes
+// (RunAtLane on a Lane its caller owns), which run their closures one at
 // a time in schedule order on either clock. So protocol code calls the
 // one interface and keeps no second path for either clock.
 package clock
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -97,20 +96,20 @@ type Clock interface {
 	// possible. Like After it returns no handle, and on a real clock
 	// fn never runs before at.
 	At(at float64, fn func())
-	// NewEventLane allocates a FIFO scheduling lane and returns its
-	// id, for RunAtLane.
-	NewEventLane() int
-	// RunAtLane is At through lane ln. On both clocks the closures of
-	// one lane never overlap, and closures scheduled in nondecreasing
-	// time order run in that order — a wire direction delivering
-	// back-to-back packets, a netem queue delivering each packet at its
-	// finish plus the propagation delay. On a Virtual clock a lane push
-	// is an O(1) ring push instead of an O(log n) heap sift, the
-	// dominant engine cost at line rate, and a push that would run
-	// backwards in time falls back to the heap. A real clock keeps each
-	// lane's closures in one FIFO behind one timer (see wallLane), so a
-	// push with an earlier instant runs behind those already queued.
-	RunAtLane(ln int, at float64, fn func())
+	// RunAtLane is At through the lane l, which binds to this clock on
+	// first use (see Lane). On both clocks the closures of one lane
+	// never overlap, and closures scheduled in nondecreasing time order
+	// run in that order — a wire direction delivering back-to-back
+	// packets, a netem queue delivering each packet at its finish plus
+	// the propagation delay. On a Virtual clock a lane push is an O(1)
+	// ring push instead of an O(log n) heap sift, the dominant engine
+	// cost at line rate, and a push that would run backwards in time
+	// falls back to the heap. A real clock keeps each lane's closures in
+	// one FIFO behind one timer (see wallLane), so a push with an
+	// earlier instant runs behind those already queued. Calls on one
+	// Lane must not overlap: its owner serializes them, under its own
+	// lock on a real clock.
+	RunAtLane(l *Lane, at float64, fn func())
 	// spawn starts fn on this clock: a plain goroutine on a real
 	// clock, a registered actor under Virtual (Virtual.run returns once
 	// every actor has finished).
@@ -141,18 +140,30 @@ type wall struct {
 	base time.Time     // instant zero of the scheduling timeline
 	// baseNs is base in Unix nanoseconds, the origin of NowNanos.
 	baseNs int64
-	// lanes are the event lanes by id. NewEventLane appends under mu
-	// and publishes the grown slice; an element once published is never
-	// written again, so RunAtLane indexes it without a lock.
-	lanes atomic.Pointer[[]*wallLane]
+}
+
+// Lane is one owner's event lane, for Clock.RunAtLane. The owner — a
+// wire direction, a netem queue, a virtual clock's actor — embeds it
+// (the zero Lane is ready) and passes its address with every call, and
+// the lane binds to the clock it is used on:
+//
+//   - on a real clock, to a wallLane the Lane holds, so the lane is
+//     collected along with its owner;
+//   - on a Virtual, to an engine lane no other Lane holds in the clock's
+//     current run. It rebinds after a re-home to another clock or a
+//     Reset, and Reset hands engine lanes out again from 0, so a clock's
+//     engine lanes are bounded by the owners of one run.
+type Lane struct {
+	w   *wallLane // real-clock binding
+	v   *Virtual  // Virtual binding: the clock,
+	run uint64    // its run (Reset count) the binding belongs to,
+	id  int32     // and the engine lane
 }
 
 // NewReal returns a wall-clock Clock with its own notification domain.
 func NewReal() Clock {
 	now := time.Now()
-	r := &wall{ch: make(chan struct{}), base: now, baseNs: now.UnixNano()}
-	r.lanes.Store(new([]*wallLane))
-	return r
+	return &wall{ch: make(chan struct{}), base: now, baseNs: now.UnixNano()}
 }
 
 // realtime is the shared default instance. A single shared instance
@@ -211,17 +222,13 @@ func (r *wall) At(at float64, fn func()) {
 	time.AfterFunc(time.Duration((at-r.Instant())*float64(time.Second))+1, fn)
 }
 
-// NewEventLane implements Clock.
-func (r *wall) NewEventLane() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lanes := append(*r.lanes.Load(), &wallLane{r: r})
-	r.lanes.Store(&lanes)
-	return len(lanes) - 1
-}
-
 // RunAtLane implements Clock.
-func (r *wall) RunAtLane(ln int, at float64, fn func()) { (*r.lanes.Load())[ln].push(at, fn) }
+func (r *wall) RunAtLane(l *Lane, at float64, fn func()) {
+	if l.w == nil || l.w.r != r {
+		l.w = &wallLane{r: r}
+	}
+	l.w.push(at, fn)
+}
 
 // wallLane is one event lane of a real clock: a FIFO of closures behind
 // one timer, armed for the oldest. The timer's drain runs every closure
@@ -276,9 +283,8 @@ func (l *wallLane) arm(at float64) {
 
 // drain is the lane's timer callback. It runs the due closures with mu
 // released, so a closure may push onto its own lane, then re-arms for
-// the oldest closure left. An emptied lane lets its storage go: the
-// clock keeps every lane it made, so an idle one holds no memory sized
-// by its last burst.
+// the oldest closure left. An emptied lane lets its storage go, so an
+// idle owner holds no memory sized by its last burst.
 func (l *wallLane) drain() {
 	l.mu.Lock()
 	for l.head < len(l.q) && l.q[l.head].at <= l.r.Instant() {

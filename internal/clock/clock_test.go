@@ -343,7 +343,7 @@ func TestRealAtNotEarly(t *testing.T) {
 // until the test binary's timeout.
 func TestRealLaneRunsInScheduleOrder(t *testing.T) {
 	r := NewReal()
-	ln, other := r.NewEventLane(), r.NewEventLane()
+	ln, other := new(Lane), new(Lane)
 	release := make(chan struct{})
 	r.RunAtLane(ln, r.Instant(), func() { <-release })
 	r.RunAtLane(other, r.Instant(), func() { close(release) })

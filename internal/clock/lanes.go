@@ -18,6 +18,10 @@ import (
 // figures parallelize the way protosim.Sample does without giving up
 // reproducibility.
 //
+// Reset hands a Virtual's event lanes (see Lane) out again from 0, so
+// a worker's engine holds no more lanes than one cell binds, and a sweep
+// costs time linear in its cell count.
+//
 // A zero Lanes is ready to use; it may be reused across Run calls and
 // keeps its engines warm in between. Workers <= 0 means GOMAXPROCS.
 type Lanes struct {

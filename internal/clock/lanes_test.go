@@ -3,9 +3,11 @@ package clock
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 )
 
 // laneCell runs one deterministic mini-simulation on v: three named
@@ -214,17 +216,85 @@ func BenchmarkVirtualSleepChurn(b *testing.B) {
 	v.run()
 }
 
-// BenchmarkLanesSweep is the multi-lane scaling probe: GOMAXPROCS
-// lanes vs one lane over the same 16-cell bundle of mini-simulations.
-func BenchmarkLanesSweep(b *testing.B) {
-	bench := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for n := 0; n < b.N; n++ {
-			(&Lanes{Workers: workers}).Run(16, func(v *Virtual, i int) {
-				laneCell(v, CellSeed(42, i))
-			})
+// laneChurnCell is a cell that binds fresh lanes, as a sweep cell's
+// wires and queues do: an actor fires two events on each of lanes, then
+// sleeps past them. It returns the events that ran.
+func laneChurnCell(v *Virtual, lanes []Lane) (fired int) {
+	v.spawn(func() {
+		for k := range lanes {
+			for j := 1; j <= 2; j++ {
+				v.RunAtLane(&lanes[k], v.Instant()+float64(j)*1e-6, func() { fired++ })
+			}
 		}
+		v.Sleep(time.Millisecond)
+	})
+	v.run()
+	return fired
+}
+
+// A Virtual hands its engine lanes out again from 0 at every Reset, so
+// the engine of a sweep worker holds no more lanes than one cell binds,
+// however many cells it has run: each of 600 cells binds four fresh
+// Lanes and its sleeping actor's, and no lane of any cell, nor any
+// actor's, is bound past id 4.
+func TestLanesBoundPerRun(t *testing.T) {
+	const cells, perCell = 600, 4
+	var worst int32
+	var engines []*Virtual
+	(&Lanes{Workers: 1}).Run(cells, func(v *Virtual, i int) {
+		lanes := make([]Lane, perCell)
+		if n := laneChurnCell(v, lanes); n != 2*perCell {
+			t.Errorf("cell %d fired %d lane events, want %d", i, n, 2*perCell)
+		}
+		for k := range lanes {
+			worst = max(worst, lanes[k].id)
+		}
+		for _, a := range v.slab {
+			if a.lane.v == v && a.lane.run == v.runs {
+				worst = max(worst, a.lane.id)
+			}
+		}
+		if len(engines) == 0 || engines[len(engines)-1] != v {
+			engines = append(engines, v)
+		}
+	})
+	if worst >= perCell+1 {
+		t.Fatalf("an engine lane id reached %d after %d cells; one cell binds %d", worst, cells, perCell+1)
 	}
-	b.Run("serial", func(b *testing.B) { bench(b, 1) })
-	b.Run("parallel", func(b *testing.B) { bench(b, 0) })
+	if len(engines) != 1 {
+		t.Fatalf("the sweep ran on %d engines, want one reused engine", len(engines))
+	}
+}
+
+// A real clock holds no lane of its own: once its closures have run,
+// the wallLane of a dropped Lane is garbage, though the clock lives on.
+func TestRealLaneCollectedWithOwner(t *testing.T) {
+	r := NewReal()
+	l := new(Lane)
+	ran := make(chan struct{})
+	r.RunAtLane(l, r.Instant(), func() { close(ran) })
+	<-ran
+	w := weak.Make(l.w)
+	l = nil
+	// The drain may still be returning from the closure; give it time.
+	for i := 0; i < 100 && w.Value() != nil; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if w.Value() != nil {
+		t.Fatal("the real clock kept a dropped lane alive")
+	}
+	runtime.KeepAlive(r)
+}
+
+// BenchmarkLanesSweep runs b.N cells on one Lanes worker, each binding
+// four fresh Lanes (laneChurnCell). ns/op is per cell, so an engine
+// that kept the lanes of earlier cells — and scanned them all on every
+// event — shows as ns/op rising with b.N.
+func BenchmarkLanesSweep(b *testing.B) {
+	b.ReportAllocs()
+	(&Lanes{Workers: 1}).Run(b.N, func(v *Virtual, i int) {
+		var lanes [4]Lane
+		laneChurnCell(v, lanes[:])
+	})
 }

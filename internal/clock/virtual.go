@@ -53,10 +53,10 @@ import (
 //   - The ready queue and the WaitNotify waiter list are intrusive
 //     linked lists threaded through the actor structs — no slice
 //     growth, no O(n) waiter-removal scans on timeout.
-//   - Wake timers (Sleep deadlines, WaitNotify timeouts) are typed
-//     (kind, actor) engine events dispatched through HandleEvent — no
-//     per-wait closure — and ride each actor's monotone engine lane,
-//     so the common wait is an O(1) ring push instead of a heap sift.
+//   - Wake timers (Sleep deadlines, WaitNotify timeouts) run a wake
+//     closure bound once per actor — no per-wait closure — on the
+//     actor's own Lane, so the common wait is an O(1) ring push instead
+//     of a heap sift.
 //   - A parking actor hands the baton to the next ready actor through
 //     run: two coroutine switches (to run, then to the actor), with no
 //     goroutine wake-up and no OS scheduler in between. With none ready
@@ -120,9 +120,10 @@ import (
 //
 // reset rewinds a finished clock (no live actors) to its initial
 // state — virtual time zero, notification epoch zero, no pending
-// events — while keeping the engine slab, the actor pool and the
-// timer pool, so one Virtual can run an entire sweep of independent
-// cells without reallocating its machinery. Outstanding Timer handles
+// events, no engine lane bound (see Lane) — while keeping the engine
+// slab, the actor pool and the timer pool, so one Virtual can run an
+// entire sweep of independent cells without reallocating its machinery
+// or scanning lanes that earlier cells bound. Outstanding Timer handles
 // are invalidated by reset and must not be used afterwards.
 //
 // # Deadlock
@@ -143,7 +144,6 @@ type Virtual struct {
 	eng      *simnet.Engine
 	base     time.Time
 	gen      atomic.Uint64 // notification epoch
-	laneSeq  int           // next NewEventLane id
 	actors   int           // registered and not yet finished
 	current  *actor        // actor holding the baton (nil: a driver or run has it)
 	next     *actor        // actor a yielding coroutine hands the baton to
@@ -155,6 +155,12 @@ type Virtual struct {
 	// mu to look at the FIFO; it is atomic because spawn may ready an
 	// actor from a goroutine that does not hold the baton.
 	runnable atomic.Bool
+
+	// runs counts resets, and nextLane is the engine lane this run
+	// hands out next (see Lane); baton holders bind lanes, reset rewinds
+	// them.
+	runs     uint64
+	nextLane int32
 
 	// ready is an intrusive FIFO of runnable actors.
 	readyHead, readyTail *actor
@@ -202,14 +208,11 @@ func (v *Virtual) CurrentActorName() string {
 	return ""
 }
 
-// evWake is the typed engine event that readies a parked actor; the
-// event's a-payload is the actor's slab index.
-const evWake = 1
-
 // actor is one registered actor's scheduling state.
 type actor struct {
 	id       int32
-	lane     int32  // dedicated monotone engine lane for wake timers
+	lane     Lane   // where its wake timers ride
+	wake     func() // readies it; bound once, run by its wake timers
 	fn       func() // body, until its coroutine starts it
 	co       *coro  // coroutine running the body (nil until first resumed)
 	name     string // optional label for deadlock diagnostics
@@ -226,25 +229,10 @@ type actor struct {
 // NewVirtual creates a virtual clock at a fixed, wall-independent base
 // time (so runs are reproducible regardless of when they execute).
 func NewVirtual() *Virtual {
-	v := &Virtual{
+	return &Virtual{
 		eng:  simnet.New(),
 		base: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC),
 	}
-	v.eng.SetHandler(v)
-	return v
-}
-
-// HandleEvent dispatches typed engine events (actor wakeups). It runs
-// on the driving actor's coroutine with v.mu released (engine
-// callbacks are invoked outside the lock); readying the actor edits the
-// ready FIFO, so it takes mu.
-func (v *Virtual) HandleEvent(kind, a, _ int32) {
-	if kind != evWake {
-		return
-	}
-	v.mu.Lock()
-	v.readyLocked(v.slab[a])
-	v.mu.Unlock()
 }
 
 // Now implements Clock: base + virtual offset.
@@ -403,8 +391,10 @@ func (v *Virtual) currentActor(op string) *actor {
 	return a
 }
 
-// allocActorLocked takes an actor from the pool (or grows the slab)
-// and gives it a dedicated monotone engine lane for wake timers.
+// allocActorLocked takes an actor from the pool (or grows the slab,
+// binding the new actor's wake closure). The wake closure runs on the
+// driving actor's coroutine with v.mu released, and readying the actor
+// edits the ready FIFO, so it takes mu.
 func (v *Virtual) allocActorLocked(name string) *actor {
 	var a *actor
 	if n := len(v.freeActor); n > 0 {
@@ -412,12 +402,11 @@ func (v *Virtual) allocActorLocked(name string) *actor {
 		v.freeActor = v.freeActor[:n-1]
 	} else {
 		a = &actor{id: int32(len(v.slab))}
-		// Wake-timer lanes share the NewEventLane id space so an
-		// externally allocated delivery lane can never collide with an
-		// actor's lane.
-		a.lane = int32(v.laneSeq)
-		v.laneSeq++
-		v.eng.Lanes(v.laneSeq)
+		a.wake = func() {
+			v.mu.Lock()
+			v.readyLocked(a)
+			v.mu.Unlock()
+		}
 		v.slab = append(v.slab, a)
 	}
 	a.name = name
@@ -599,7 +588,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	}
 	v.mu.Lock()
 	a := v.currentActor("Sleep")
-	v.eng.ScheduleLaneAfter(a.lane, d.Seconds(), evWake, a.id, 0)
+	v.atLane(&a.lane, v.eng.Now()+d.Seconds(), a.wake)
 	v.park(a)
 	v.mu.Unlock()
 }
@@ -616,7 +605,7 @@ func (v *Virtual) WaitNotify(epoch uint64, d time.Duration) bool {
 	v.pushWaiterLocked(a)
 	var timeout simnet.Timer
 	if d >= 0 {
-		timeout = v.eng.ScheduleLaneAfter(a.lane, d.Seconds(), evWake, a.id, 0)
+		timeout = v.atLane(&a.lane, v.eng.Now()+d.Seconds(), a.wake)
 	}
 	v.park(a)
 	if a.notified {
@@ -671,20 +660,23 @@ func (v *Virtual) At(at float64, fn func()) {
 	v.eng.At(max(at, v.eng.Now()), fn)
 }
 
-// NewEventLane implements Clock: a monotone FIFO lane on the clock's
-// engine. Lane ids stay valid across Reset.
-func (v *Virtual) NewEventLane() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ln := v.laneSeq
-	v.laneSeq++
-	v.eng.Lanes(v.laneSeq)
-	return ln
+// RunAtLane implements Clock: At through l's monotone FIFO engine lane.
+func (v *Virtual) RunAtLane(l *Lane, at float64, fn func()) {
+	v.atLane(l, max(at, v.eng.Now()), fn)
 }
 
-// RunAtLane implements Clock: At through the monotone FIFO lane ln.
-func (v *Virtual) RunAtLane(ln int, at float64, fn func()) {
-	v.eng.AtLane(int32(ln), max(at, v.eng.Now()), fn)
+// atLane schedules fn at instant at on l's engine lane. A Lane bound to
+// another clock or an earlier run first binds to the next engine lane of
+// this run: a fresh one, or one an earlier run used, which Reset left
+// empty with its lastAt at 0 — as a new lane starts. The engine merges
+// lane heads and the heap by (at, seq), so which lane an owner holds
+// never changes the order events fire in.
+func (v *Virtual) atLane(l *Lane, at float64, fn func()) simnet.Timer {
+	if l.v != v || l.run != v.runs {
+		l.v, l.run, l.id = v, v.runs, v.nextLane
+		v.nextLane++
+	}
+	return v.eng.AtLane(l.id, at, fn)
 }
 
 // virtualTimer implements Timer on the engine. The clock keeps no
@@ -746,6 +738,8 @@ func (v *Virtual) reset() {
 	}
 	v.eng.Reset()
 	v.gen.Store(0)
+	v.runs++
+	v.nextLane = 0
 	v.readyHead, v.readyTail = nil, nil
 	v.waitHead, v.waitTail = nil, nil
 	v.eventLog = nil // the next cell attaches its own recorder

@@ -263,11 +263,11 @@ func (d *Direction) occupyLocked(clk clock.Clock, tx time.Duration) time.Duratio
 // latency plus monotone serialization booking), so they ride one event
 // lane of the clock (Clock.RunAtLane), which hands them on in that
 // order on either clock: an O(1) engine lane instead of the event heap
-// on a virtual clock, one timer per lane on a real one. lane is
-// allocated on laneClk by the first delivery on it. A delivery that
-// would run earlier than the lane's last one — a direction re-leased
-// with a shorter latency — falls back to the heap on a virtual clock
-// and waits its turn on a real one.
+// on a virtual clock, one timer per lane on a real one. The pool owns
+// the lane, which binds to whichever clock a delivery arrives with (see
+// clock.Lane). A delivery that would run earlier than the lane's last
+// one — a direction re-leased with a shorter latency — falls back to
+// the heap on a virtual clock and waits its turn on a real one.
 //
 // The pool has no constructor — its clock arrives with every call — so
 // it decides how to guard its state from that clock: on a virtual clock
@@ -276,10 +276,9 @@ func (d *Direction) occupyLocked(clk clock.Clock, tx time.Duration) time.Duratio
 // on a real clock senders race the lane's drain and mu guards the free
 // list and the lane.
 type deliveryPool struct {
-	mu      sync.Mutex
-	free    *delivery
-	lane    int
-	laneClk clock.Clock
+	mu   sync.Mutex
+	free *delivery
+	lane clock.Lane
 }
 
 // deliverAfter hands pkt to dst after delay on clk (immediately, in
@@ -305,11 +304,7 @@ func (p *deliveryPool) deliverAfter(clk clock.Clock, delay time.Duration, dst ni
 		env.run = env.doRun
 	}
 	env.dst, env.pkt, env.serial = dst, pkt, serial
-	if p.laneClk != clk {
-		p.lane = clk.NewEventLane()
-		p.laneClk = clk
-	}
-	clk.RunAtLane(p.lane, clk.Instant()+delay.Seconds(), env.run)
+	clk.RunAtLane(&p.lane, clk.Instant()+delay.Seconds(), env.run)
 	if !serial {
 		p.mu.Unlock()
 	}

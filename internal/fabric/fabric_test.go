@@ -546,9 +546,9 @@ func TestLazySeedMatchesEagerReference(t *testing.T) {
 	check(fresh, 12, "never-drawn lossless -> lossy")
 }
 
-// On a real clock each delivery is its own timer, and timers that
-// expire together start their callbacks in no fixed order; a direction
-// still hands a burst on in send order.
+// On a real clock timers that expire together start their callbacks in
+// no fixed order; a direction's deliveries ride its event lane, one
+// timer armed for the oldest, so it hands a burst on in send order.
 func TestRealClockBurstArrivesInOrder(t *testing.T) {
 	const runs, n = 20, 32
 	for r := 0; r < runs; r++ {

@@ -158,12 +158,12 @@ type Queue struct {
 	// for reuse, so the per-packet path schedules its clock event
 	// without allocating, and made counts the transits the queue has
 	// allocated (see grow); lane is the event lane they are scheduled
-	// on, allocated by the first admission (-1 until then), so a
-	// direction no packet crosses adds no lane for the engine to scan.
+	// on, bound by the first admission, so a direction no packet
+	// crosses adds no lane for the engine to scan.
 	settleFn func()
 	free     *transit
 	made     int
-	lane     int
+	lane     clock.Lane
 
 	// sink, when non-nil, receives per-packet telemetry events
 	// (enqueue/depart occupancy samples, the three drop classes, ECN
@@ -274,9 +274,8 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 		return nil, err
 	}
 	q := &Queue{
-		cfg:  cfg,
-		clk:  clock.Or(cfg.Clock),
-		lane: -1,
+		cfg: cfg,
+		clk: clock.Or(cfg.Clock),
 	}
 	q.serial = q.clk.IsVirtual()
 	q.settleFn = q.settleEvent
@@ -502,10 +501,7 @@ func (q *Queue) send(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *tran
 		tr.run = tr.deliver
 	}
 	tr.pkt, tr.dst, tr.at = pkt, dst, at
-	if q.lane < 0 {
-		q.lane = q.clk.NewEventLane()
-	}
-	q.clk.RunAtLane(q.lane, at, tr.run)
+	q.clk.RunAtLane(&q.lane, at, tr.run)
 	return tr
 }
 

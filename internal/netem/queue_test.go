@@ -176,9 +176,9 @@ type countingClock struct {
 
 func (c *countingClock) After(d time.Duration, fn func()) { c.n++; c.Clock.After(d, fn) }
 func (c *countingClock) At(at float64, fn func())         { c.n++; c.Clock.At(at, fn) }
-func (c *countingClock) RunAtLane(ln int, at float64, fn func()) {
+func (c *countingClock) RunAtLane(l *clock.Lane, at float64, fn func()) {
 	c.n++
-	c.Clock.RunAtLane(ln, at, fn)
+	c.Clock.RunAtLane(l, at, fn)
 }
 func (c *countingClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
 	c.n++
