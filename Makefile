@@ -70,7 +70,7 @@ bench: bench-kernels
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkSimnet' -benchmem ./internal/simnet/ > bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkMulRows32x8|BenchmarkMulRows32x5|BenchmarkRowTablesSet32x8' -benchmem ./internal/gf256/ >> bench-json.tmp
-	$(GO) test -run xxx -bench 'BenchmarkRSEncode32x8_64KiB|BenchmarkRSReconstruct32x8_64KiB|BenchmarkXOREncode32x8_64KiB' -benchmem ./internal/ec/ >> bench-json.tmp
+	$(GO) test -run xxx -bench 'BenchmarkRSEncode32x8_64KiB|BenchmarkRSReconstruct32x8_64KiB|BenchmarkRSReconstructSpans32x8_64KiB|BenchmarkXOREncode32x8_64KiB' -benchmem ./internal/ec/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkCampaign|BenchmarkDES' -benchmem ./internal/protosim/ >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkDESValidation|BenchmarkGBNBaseline' -benchtime 2x -benchmem . >> bench-json.tmp
 	$(GO) test -run xxx -bench 'BenchmarkVirtualHandoff|BenchmarkVirtualSleepChurn|BenchmarkRealWaitNotify|BenchmarkLanesSweep' -benchmem ./internal/clock/ >> bench-json.tmp

@@ -90,8 +90,11 @@ func (qp *QP) RecvPost(mr *nicsim.MR, offset uint64, size int) (*RecvHandle, err
 // receive buffer and is set once every packet of the chunk arrived.
 func (h *RecvHandle) Bitmap() *bitmap.Bitmap { return h.msg.Chunks }
 
-// PacketBitmap exposes the backend per-packet bitmap (diagnostics and
-// tests; real hardware keeps this in DPA memory, §3.4.2).
+// PacketBitmap exposes the backend per-packet bitmap: bit i is set once
+// packet i, bytes [i·MTU, (i+1)·MTU) of the receive buffer, has landed
+// (real hardware keeps it in DPA memory, §3.4.2). The reliability layer
+// counts arrivals with it and decodes only the packets a lost chunk is
+// missing.
 func (h *RecvHandle) PacketBitmap() *bitmap.Bitmap { return h.msg.Packets }
 
 // Seq returns the message sequence number of this receive.

@@ -13,17 +13,20 @@
 //     and portable Go elsewhere (gf256.Kernel says which), all of them
 //     producing the same parity.
 //
-// Both operate on equal-length byte shards, matching SDR chunks, and
-// work through whole shards on the caller's goroutine; Fig 11 derives
-// the cores that hide encoding behind injection from that single-core
-// rate. XOR shard bytes go through gf256.XORSlice, the standard
-// library's SIMD XOR.
+// Both operate on equal-length byte shards, matching SDR chunks, on the
+// caller's goroutine; Fig 11 derives the cores that hide encoding
+// behind injection from that single-core rate. Encode works through
+// whole shards; a decode rewrites only the byte spans it is given, so a
+// receiver that lost a few packets of a chunk rebuilds those packets'
+// bytes, not the chunk. XOR shard bytes go through gf256.XORSlice, the
+// standard library's SIMD XOR.
 package ec
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"sdrrdma/internal/gf256"
@@ -43,16 +46,66 @@ type Code interface {
 	// the presence mask over the k+m shards (data first, then parity).
 	CanRecover(present []bool) bool
 	// Reconstruct recovers the missing *data* shards in place, given
-	// shards (k data followed by m parity; missing entries must still
-	// be allocated buffers) and the presence mask. Present shards are
-	// left untouched.
+	// shards (k data followed by m parity, all the same length; missing
+	// entries must still be allocated buffers) and the presence mask:
+	// ReconstructSpans over whole shards, after which every data shard
+	// is marked present. Present shards are left untouched.
 	Reconstruct(shards [][]byte, present []bool) error
+	// ReconstructSpans writes the bytes of the missing data shards that
+	// lie in spans, each a half-open byte range [lo, hi) of every
+	// shard, and leaves every other byte, present shards and the mask
+	// untouched. Inside the spans it writes exactly what Reconstruct
+	// would. Spans may be empty, unsorted, adjacent or overlapping; an
+	// empty list writes nothing.
+	ReconstructSpans(shards [][]byte, present []bool, spans [][2]int) error
 }
 
 // errUnrecoverable is returned by Reconstruct when too many shards were
 // lost for the code to recover — the SDR reliability layer reacts by
 // falling back to Selective Repeat for the submessage (§4.1.2).
 var errUnrecoverable = errors.New("ec: too many shards lost to reconstruct")
+
+// checkSpans is the shape check of a decode: n shards of one length,
+// a mask of n entries and spans inside the shards. It runs before
+// anything is written, so a short buffer fails the call instead of
+// being written past.
+func checkSpans(shards [][]byte, present []bool, n int, spans [][2]int) error {
+	if len(shards) != n || len(present) != n {
+		return fmt.Errorf("ec: decode wants %d shards and presence flags, got %d and %d", n, len(shards), len(present))
+	}
+	size := len(shards[0])
+	for _, s := range shards {
+		if len(s) != size {
+			return fmt.Errorf("ec: shard size mismatch: %d vs %d", len(s), size)
+		}
+	}
+	for _, sp := range spans {
+		if sp[0] < 0 || sp[0] > sp[1] || sp[1] > size {
+			return fmt.Errorf("ec: span [%d,%d) outside %d-byte shards", sp[0], sp[1], size)
+		}
+	}
+	return nil
+}
+
+// whole is the one span of a whole-shard decode: every byte of shards
+// (checkSpans rejects an empty shard list).
+func whole(shards [][]byte) (w [1][2]int) {
+	if len(shards) > 0 {
+		w[0][1] = len(shards[0])
+	}
+	return w
+}
+
+// markData marks the k data shards present once a whole-shard decode
+// rebuilt them (err nil) and returns err.
+func markData(err error, present []bool, k int) error {
+	if err == nil {
+		for j := range present[:k] {
+			present[j] = true
+		}
+	}
+	return err
+}
 
 func checkShardGeometry(data, parity [][]byte, k, m int) error {
 	if len(data) != k || len(parity) != m {
@@ -140,8 +193,16 @@ func (c *XORCode) CanRecover(present []bool) bool {
 // Reconstruct repairs at most one missing data block per modulo group
 // from its group's parity and surviving data blocks.
 func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
-	if len(shards) != c.k+c.m || len(present) != c.k+c.m {
-		return fmt.Errorf("ec: XOR Reconstruct wants %d shards", c.k+c.m)
+	w := whole(shards)
+	return markData(c.ReconstructSpans(shards, present, w[:]), present, c.k)
+}
+
+// ReconstructSpans is Reconstruct restricted to spans: each missing
+// block's bytes in a span are its group's parity XOR the group's
+// surviving data blocks there.
+func (c *XORCode) ReconstructSpans(shards [][]byte, present []bool, spans [][2]int) error {
+	if err := checkSpans(shards, present, c.k+c.m, spans); err != nil {
+		return err
 	}
 	if !c.CanRecover(present) {
 		return errUnrecoverable
@@ -151,14 +212,15 @@ func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 			continue
 		}
 		g := missing % c.m
-		out := shards[missing]
-		copy(out, shards[c.k+g]) // start from parity
-		for j := g; j < c.k; j += c.m {
-			if j != missing {
-				gf256.XORSlice(out, shards[j])
+		for _, sp := range spans {
+			out := shards[missing][sp[0]:sp[1]]
+			copy(out, shards[c.k+g][sp[0]:sp[1]]) // start from parity
+			for j := g; j < c.k; j += c.m {
+				if j != missing {
+					gf256.XORSlice(out, shards[j][sp[0]:sp[1]])
+				}
 			}
 		}
-		present[missing] = true
 	}
 	return nil
 }
@@ -167,7 +229,7 @@ func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 
 // RSCode is a systematic Reed–Solomon code: any k of the k+m shards
 // reconstruct the data. One RSCode is safe for concurrent Encode and
-// Reconstruct calls.
+// decode calls.
 type RSCode struct {
 	k, m int
 	// enc is the (k+m)×k systematic encoding matrix: identity on top,
@@ -180,12 +242,15 @@ type RSCode struct {
 	scratch sync.Pool // of *decodeScratch
 }
 
-// decodeScratch is the workspace of one Reconstruct call.
+// decodeScratch is the workspace of one decode with e data shards
+// lost.
 type decodeScratch struct {
-	sub, inv  *gf256.Matrix   // rows of enc for the k shards used, and its inverse
-	tabs      gf256.RowTables // the decode rows, packed
-	avail     [][]byte        // the k shards used
-	rows, out [][]byte        // decode rows of the lost data shards, and those shards
+	read, lost []int           // the k shards read (present data, then e parity) and the lost data shards
+	mat        []byte          // the e×e system of the parity rows read over the lost columns, and its inverse after it
+	coef       []byte          // the e decode rows over the shards read, row-major
+	rows       [][]byte        // views of coef
+	tabs       gf256.RowTables // rows, packed
+	in, out    [][]byte        // the shards read and the lost shards, cut to one span
 }
 
 // NewRS builds an RS(k, m) code. k+m must not exceed 255: shard r is
@@ -206,10 +271,7 @@ func NewRS(k, m int) (*RSCode, error) {
 		rows[i] = c.enc.Row(k + i)
 	}
 	c.encTabs.Set(rows)
-	c.scratch.New = func() any {
-		return &decodeScratch{sub: gf256.NewMatrix(k, k), inv: gf256.NewMatrix(k, k),
-			avail: make([][]byte, 0, k)}
-	}
+	c.scratch.New = func() any { return new(decodeScratch) }
 	return c, nil
 }
 
@@ -241,45 +303,100 @@ func (c *RSCode) CanRecover(present []bool) bool {
 	return n >= c.k
 }
 
-// Reconstruct recovers missing data shards from any k present shards:
-// the rows of enc for those k shards are inverted, and the inverse's
-// rows for the lost shards are applied to the k shards, 8 per pass.
+// Reconstruct recovers missing data shards from any k present shards.
 func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
-	if len(shards) != c.k+c.m || len(present) != c.k+c.m {
-		return fmt.Errorf("ec: RS Reconstruct wants %d shards", c.k+c.m)
+	w := whole(shards)
+	return markData(c.ReconstructSpans(shards, present, w[:]), present, c.k)
+}
+
+// ReconstructSpans recovers the missing data shards' bytes in spans
+// from the first k present shards: the present data shards and e
+// parity shards, e the number of data shards lost. The code is
+// systematic, so the decode reduces to the e×e system A of those
+// parity rows over the lost columns: with P the same rows over the
+// present data columns,
+//
+//	lost = A⁻¹ · (parity read + P · present data)
+//
+// so one small inversion gives the e decode rows over the k shards
+// read, applied per span, 8 rows per pass. Every square submatrix of
+// an MDS code's parity rows is invertible, and the code determines the
+// lost bytes, so they are what inverting the k×k rows of enc for the
+// shards read would give.
+func (c *RSCode) ReconstructSpans(shards [][]byte, present []bool, spans [][2]int) error {
+	if err := checkSpans(shards, present, c.k+c.m, spans); err != nil {
+		return err
 	}
 	if !c.CanRecover(present) {
 		return errUnrecoverable
 	}
 	s := c.scratch.Get().(*decodeScratch)
 	defer c.scratch.Put(s)
-	s.rows, s.out = s.rows[:0], s.out[:0]
-	for j := 0; j < c.k; j++ {
-		if !present[j] {
-			s.rows = append(s.rows, s.inv.Row(j)) // a view: filled by InvertInto below
-			s.out = append(s.out, shards[j])
+	s.read, s.lost = s.read[:0], s.lost[:0]
+	for r := 0; len(s.read) < c.k; r++ {
+		if present[r] {
+			s.read = append(s.read, r)
+		} else if r < c.k {
+			s.lost = append(s.lost, r)
 		}
 	}
-	if len(s.out) == 0 {
+	if len(s.lost) == 0 || len(spans) == 0 {
 		return nil
 	}
-	s.avail = s.avail[:0]
-	for r := 0; len(s.avail) < c.k; r++ {
-		if present[r] {
-			copy(s.sub.Row(len(s.avail)), c.enc.Row(r))
-			s.avail = append(s.avail, shards[r])
-		}
+	if err := s.solve(c); err != nil {
+		return err
 	}
-	if err := s.sub.InvertInto(s.inv); err != nil {
-		// Cannot happen for an MDS matrix; report rather than panic.
-		return fmt.Errorf("ec: decode matrix singular: %w", err)
-	}
-	s.tabs.Set(s.rows)
-	s.tabs.MulRows(s.out, s.avail)
-	for j := 0; j < c.k; j++ {
-		present[j] = true
+	for _, sp := range spans {
+		s.in, s.out = cut(s.in, shards, s.read, sp), cut(s.out, shards, s.lost, sp)
+		s.tabs.MulRows(s.out, s.in)
 	}
 	return nil
+}
+
+// solve packs the decode rows of the lost shards over the shards read
+// into s.tabs.
+func (s *decodeScratch) solve(c *RSCode) error {
+	k, e := c.k, len(s.lost)
+	used := s.read[k-e:] // the parity rows read
+	s.mat = slices.Grow(s.mat[:0], 2*e*e)[:2*e*e]
+	sys := gf256.Matrix{Rows: e, Cols: e, Data: s.mat[:e*e]}
+	inv := gf256.Matrix{Rows: e, Cols: e, Data: s.mat[e*e:]}
+	for x, r := range used {
+		for y, j := range s.lost {
+			sys.Data[x*e+y] = c.enc.Row(r)[j]
+		}
+	}
+	if err := sys.InvertInto(&inv); err != nil {
+		// Cannot happen for an MDS code; report rather than panic.
+		return fmt.Errorf("ec: decode matrix singular: %w", err)
+	}
+	s.coef, s.rows = slices.Grow(s.coef[:0], e*k)[:e*k], s.rows[:0]
+	for y := range s.lost {
+		// A⁻¹'s row times the parity rows, over every data column, then
+		// kept at the present ones (read[x] ≥ x, so in place), then
+		// A⁻¹'s row itself for the parity read.
+		row := s.coef[y*k:][:k]
+		clear(row)
+		for x, r := range used {
+			gf256.MulAddSlice(inv.Row(y)[x], row, c.enc.Row(r))
+		}
+		for x, j := range s.read[:k-e] {
+			row[x] = row[j]
+		}
+		copy(row[k-e:], inv.Row(y))
+		s.rows = append(s.rows, row)
+	}
+	s.tabs.Set(s.rows)
+	return nil
+}
+
+// cut sets dst to bytes sp of shards[i] for each i in idx.
+func cut(dst, shards [][]byte, idx []int, sp [2]int) [][]byte {
+	dst = dst[:0]
+	for _, i := range idx {
+		dst = append(dst, shards[i][sp[0]:sp[1]])
+	}
+	return dst
 }
 
 // --- Appendix B success probabilities ------------------------------------

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -25,10 +26,16 @@ var gfTier uint8
 // can run. fn must build its codes itself: NewRS packs tables for the
 // tier in force.
 func forEachKernel(t *testing.T, fn func(t *testing.T)) {
+	eachKernel(func() { t.Run(gf256.Kernel(), fn) })
+}
+
+// eachKernel runs fn once per gf256 kernel body this host can run, with
+// that body in force.
+func eachKernel(fn func()) {
 	best := gfTier
 	defer func() { gfTier = best }()
 	for gfTier = 0; gfTier <= best; gfTier++ {
-		t.Run(gf256.Kernel(), fn)
+		fn()
 	}
 }
 
@@ -386,6 +393,187 @@ func TestReconstructLargeShards(t *testing.T) {
 	})
 }
 
+// lossPattern draws a presence mask c can recover from, with at least
+// one data shard lost: up to m shards for RS, at most one block per
+// modulo group for XOR.
+func lossPattern(c Code, rng *rand.Rand) []bool {
+	k, m := c.K(), c.M()
+	present := make([]bool, k+m)
+	for {
+		for i := range present {
+			present[i] = true
+		}
+		if _, xor := c.(*XORCode); xor {
+			for g := 0; g < m; g++ {
+				if rng.Intn(4) > 0 {
+					member := g + m*rng.Intn(k/m+1) // data g, g+m, …, then parity k+g
+					if member >= k {
+						member = k + g
+					}
+					present[member] = false
+				}
+			}
+		} else {
+			for n := 1 + rng.Intn(m); n > 0; n-- {
+				present[rng.Intn(k+m)] = false
+			}
+		}
+		if slices.Contains(present[:k], false) {
+			return present
+		}
+	}
+}
+
+func cloneShards(shards [][]byte) [][]byte {
+	out := make([][]byte, len(shards))
+	for i, s := range shards {
+		out[i] = append([]byte(nil), s...)
+	}
+	return out
+}
+
+// checkReconstructSpans encodes random size-byte shards, loses a
+// recoverable pattern whose lost buffers hold stale bytes, and decodes
+// once over whole shards and once over spans: inside the spans the
+// lost data shards must hold what the whole-shard decode wrote, the
+// original data, and every other byte and the mask must be untouched.
+func checkReconstructSpans(t *testing.T, c Code, size int, spans [][2]int, rng *rand.Rand) {
+	t.Helper()
+	k, m := c.K(), c.M()
+	data, parity := makeShards(rng, k, size), makeShards(rng, m, size)
+	if err := c.Encode(data, parity); err != nil {
+		t.Fatalf("%T encode: %v", c, err)
+	}
+	orig := cloneShards(data)
+	present := lossPattern(c, rng)
+	shards := append(append([][]byte{}, data...), parity...)
+	for j, p := range present {
+		if !p {
+			rng.Read(shards[j])
+		}
+	}
+	before, whole := cloneShards(shards), cloneShards(shards)
+	if err := c.Reconstruct(whole, slices.Clone(present)); err != nil {
+		t.Fatalf("%T Reconstruct: %v", c, err)
+	}
+	mask := slices.Clone(present)
+	if err := c.ReconstructSpans(shards, mask, spans); err != nil {
+		t.Fatalf("%T ReconstructSpans(%v): %v", c, spans, err)
+	}
+	if !slices.Equal(mask, present) {
+		t.Fatalf("%T ReconstructSpans changed the presence mask", c)
+	}
+	for j, want := range before {
+		if j < k && !present[j] {
+			if !bytes.Equal(whole[j], orig[j]) {
+				t.Fatalf("%T size=%d: whole-shard decode of shard %d is wrong", c, size, j)
+			}
+			for _, sp := range spans {
+				copy(want[sp[0]:sp[1]], whole[j][sp[0]:sp[1]])
+			}
+		}
+		if !bytes.Equal(shards[j], want) {
+			t.Fatalf("%T size=%d spans=%v: shard %d (lost=%v) differs from the whole-shard decode inside the spans or from its old bytes outside",
+				c, size, spans, j, !present[j])
+		}
+	}
+}
+
+// TestReconstructSpansMatchesWhole decodes RS and XOR loss patterns over
+// span lists a receiver can hand in — none, empty, shorter than a SIMD
+// block, unaligned, adjacent, overlapping and unsorted, whole — on
+// shards shorter than a block up to several bounded kernel calls long
+// (a call reads at most 4 KiB per shard of RS(32,8)), on every kernel
+// body.
+func TestReconstructSpansMatchesWhole(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for _, size := range []int{16, 31, 100, 4096, 3<<12 + 24} {
+			clip := func(spans ...[2]int) [][2]int {
+				for i, sp := range spans {
+					spans[i] = [2]int{min(sp[0], size), min(sp[1], size)}
+				}
+				return spans
+			}
+			cases := [][][2]int{
+				nil,
+				clip([2]int{7, 7}),
+				clip([2]int{3, 20}),
+				clip([2]int{5, 4001}),
+				clip([2]int{0, 33}, [2]int{33, 97}),
+				clip([2]int{50, 90}, [2]int{10, 60}),
+				clip([2]int{4096, 8192}, [2]int{1024, 2048}, [2]int{9000, 12312}),
+				clip([2]int{0, size}),
+			}
+			for _, spans := range cases {
+				for _, c := range diffCodes() {
+					checkReconstructSpans(t, c, size, spans, rng)
+				}
+			}
+		}
+	})
+}
+
+// TestReconstructSpansRejectsBadSpans: a span outside the shards, or
+// reversed, fails the call before any byte is written.
+func TestReconstructSpansRejectsBadSpans(t *testing.T) {
+	for _, c := range []Code{mustRS(8, 4), mustXOR(8, 2)} {
+		rng := rand.New(rand.NewSource(6))
+		shards := makeShards(rng, c.K()+c.M(), 64)
+		present := make([]bool, c.K()+c.M())
+		for i := range present {
+			present[i] = i != 1
+		}
+		before := cloneShards(shards)
+		for _, spans := range [][][2]int{{{0, 65}}, {{-1, 4}}, {{9, 8}}, {{0, 8}, {60, 70}}} {
+			if err := c.ReconstructSpans(shards, present, spans); err == nil {
+				t.Fatalf("%T accepted spans %v over 64-byte shards", c, spans)
+			}
+			for j := range shards {
+				if !bytes.Equal(shards[j], before[j]) {
+					t.Fatalf("%T wrote shard %d before rejecting spans %v", c, j, spans)
+				}
+			}
+		}
+	}
+}
+
+// FuzzReconstructSpans checks ReconstructSpans against whole-shard
+// Reconstruct on every kernel body: code picks one of diffCodes, the
+// shards are n bytes, and each two little-endian uint16s of cuts,
+// reduced mod n+1 and ordered, make one span.
+func FuzzReconstructSpans(f *testing.F) {
+	cuts := func(bounds ...uint16) []byte {
+		var b []byte
+		for _, x := range bounds {
+			b = append(b, byte(x), byte(x>>8))
+		}
+		return b
+	}
+	f.Add(uint8(0), 64<<10, cuts(4096, 8192, 20480, 24576), int64(1)) // whole packets
+	f.Add(uint8(1), 64<<10, cuts(), int64(2))                         // no spans
+	f.Add(uint8(2), 4097, cuts(3, 20), int64(3))                      // shorter than a SIMD block
+	f.Add(uint8(3), 1000, cuts(5, 333, 333, 901), int64(4))           // unaligned, adjacent
+	f.Add(uint8(0), 31, cuts(0, 31), int64(5))                        // shards shorter than a block
+	f.Add(uint8(2), 777, cuts(600, 100, 50, 700, 9, 9), int64(6))     // reversed, overlapping, empty
+	f.Fuzz(func(t *testing.T, code uint8, n int, cuts []byte, seed int64) {
+		if n <= 0 || n > 1<<17 || len(cuts) > 64 {
+			t.Skip()
+		}
+		var spans [][2]int
+		for i := 0; i+4 <= len(cuts); i += 4 {
+			a := int(cuts[i]) | int(cuts[i+1])<<8
+			b := int(cuts[i+2]) | int(cuts[i+3])<<8
+			a, b = a%(n+1), b%(n+1)
+			spans = append(spans, [2]int{min(a, b), max(a, b)})
+		}
+		eachKernel(func() {
+			c := diffCodes()[int(code)%4]
+			checkReconstructSpans(t, c, n, spans, rand.New(rand.NewSource(seed)))
+		})
+	})
+}
+
 // TestConcurrentEncodes drives many Encode calls on one shared RSCode at
 // once — the WriteEC pattern when several endpoints encode
 // simultaneously — under the race detector.
@@ -563,7 +751,8 @@ func TestReconstructUndersizedShard(t *testing.T) {
 }
 
 // TestRSAllocs holds the hot calls to their allocation budget: Encode
-// allocates nothing, Reconstruct recycles its decode workspace.
+// allocates nothing, Reconstruct and ReconstructSpans recycle their
+// decode workspace.
 func TestRSAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -584,6 +773,13 @@ func TestRSAllocs(t *testing.T) {
 	})
 	if n > 2 {
 		t.Fatalf("steady-state Reconstruct allocates %v times per call, want ≤ 2", n)
+	}
+	for i := range present {
+		present[i] = i != 3 && i != 17 && i != 35
+	}
+	spans := [][2]int{{0, 1024}, {2048, 3000}}
+	if n := testing.AllocsPerRun(20, func() { _ = c.ReconstructSpans(shards, present, spans) }); n > 1 {
+		t.Fatalf("steady-state ReconstructSpans allocates %v times per call, want ≤ 1", n)
 	}
 }
 
@@ -614,6 +810,38 @@ func benchEncode(b *testing.B, c Code, chunk int) {
 
 func BenchmarkRSReconstruct32x8_64KiB(b *testing.B) {
 	benchReconstruct(b, mustRS(32, 8))
+}
+
+// BenchmarkRSReconstructSpans32x8_64KiB is the decode shape the wan_ec
+// workload measures: 5 of 32 data chunks lost, each missing one packet,
+// at 4 distinct positions, so the decode rewrites 4 one-packet spans
+// (4 KiB at a 4 KiB MTU) of each lost chunk. Bytes are those the spans
+// read from the k shards.
+func BenchmarkRSReconstructSpans32x8_64KiB(b *testing.B) {
+	c := mustRS(32, 8)
+	rng := rand.New(rand.NewSource(1))
+	const chunk, mtu = 64 << 10, 4 << 10
+	data, parity := makeShards(rng, 32, chunk), makeShards(rng, 8, chunk)
+	if err := c.Encode(data, parity); err != nil {
+		b.Fatal(err)
+	}
+	shards := append(append([][]byte{}, data...), parity...)
+	present := make([]bool, 40)
+	for j := range present {
+		present[j] = !slices.Contains([]int{2, 9, 15, 22, 28}, j)
+	}
+	var spans [][2]int
+	for _, p := range []int{1, 5, 9, 14} {
+		spans = append(spans, [2]int{p * mtu, (p + 1) * mtu})
+	}
+	b.SetBytes(int64(32 * len(spans) * mtu))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.ReconstructSpans(shards, present, spans); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkXORReconstruct32x8_64KiB(b *testing.B) {

@@ -146,7 +146,7 @@ func TestMatrixInvertRoundTrip(t *testing.T) {
 		// random invertible matrix: retry until Invert succeeds
 		var m, inv *Matrix
 		for {
-			m = NewMatrix(n, n)
+			m = newMatrix(n, n)
 			rng.Read(m.Data)
 			var err error
 			inv, err = m.Invert()
@@ -164,7 +164,7 @@ func TestMatrixInvertRoundTrip(t *testing.T) {
 }
 
 func TestSingularMatrix(t *testing.T) {
-	m := NewMatrix(2, 2)
+	m := newMatrix(2, 2)
 	m.set(0, 0, 3)
 	m.set(0, 1, 5)
 	m.set(1, 0, 3)
@@ -187,7 +187,7 @@ func TestVandermondeSubmatricesInvertible(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		rows := rng.Perm(k + m)[:k]
-		sub := NewMatrix(k, k)
+		sub := newMatrix(k, k)
 		for i, r := range rows {
 			copy(sub.Row(i), enc.Row(r))
 		}
@@ -218,7 +218,7 @@ func TestMatrixShapePanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
+	newMatrix(2, 3).Mul(newMatrix(2, 3))
 }
 
 // TestWordKernelsMatchScalarAcrossSizes drives the word-parallel

@@ -8,8 +8,8 @@ type Matrix struct {
 	Data       []byte // len Rows*Cols
 }
 
-// NewMatrix allocates a zero matrix.
-func NewMatrix(rows, cols int) *Matrix {
+// newMatrix allocates a zero matrix.
+func newMatrix(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic("gf256: non-positive matrix dimensions")
 	}
@@ -27,7 +27,7 @@ func (m *Matrix) Row(r int) []byte { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // clone returns a deep copy.
 func (m *Matrix) clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
+	c := newMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
@@ -37,7 +37,7 @@ func (m *Matrix) clone() *Matrix {
 // evaluation points are linearly independent, the property that makes
 // the derived code MDS.
 func Vandermonde(rows, cols int) *Matrix {
-	m := NewMatrix(rows, cols)
+	m := newMatrix(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			m.set(r, c, exp(r*c%255))
@@ -52,7 +52,7 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 		panic(fmt.Sprintf("gf256: matrix shape mismatch %dx%d · %dx%d",
 			m.Rows, m.Cols, other.Rows, other.Cols))
 	}
-	out := NewMatrix(m.Rows, other.Cols)
+	out := newMatrix(m.Rows, other.Cols)
 	for r := 0; r < m.Rows; r++ {
 		for i := 0; i < m.Cols; i++ {
 			a := m.at(r, i)
@@ -67,7 +67,7 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 
 // SubMatrix returns rows [r0,r1) × cols [c0,c1) as a new matrix.
 func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
-	out := NewMatrix(r1-r0, c1-c0)
+	out := newMatrix(r1-r0, c1-c0)
 	for r := r0; r < r1; r++ {
 		copy(out.Row(r-r0), m.Row(r)[c0:c1])
 	}
@@ -80,7 +80,7 @@ func (m *Matrix) Invert() (*Matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("gf256: cannot invert non-square %dx%d matrix", m.Rows, m.Cols)
 	}
-	inv := NewMatrix(m.Rows, m.Rows)
+	inv := newMatrix(m.Rows, m.Rows)
 	if err := m.clone().InvertInto(inv); err != nil {
 		return nil, err
 	}

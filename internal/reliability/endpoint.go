@@ -137,6 +137,7 @@ type opScratch struct {
 	recv        recvOp
 	shards      [][]byte
 	present     []bool
+	spans       [][2]int // the byte ranges the last decode rewrote (lostSpans)
 	missBuf     []int
 	sackBuf     []byte
 	tailScratch []byte

@@ -256,6 +256,75 @@ func TestECRecoversWithoutFallback(t *testing.T) {
 	}
 }
 
+// A parity decode rewrites only the bytes of the packets that never
+// arrived. Each case drops chosen first-injection data packets of an
+// EC(8,4) transfer (4 KiB chunks of four 1 KiB packets) and checks,
+// for both codes, that parity alone delivers the bytes, that the
+// decode counted the lost chunks, and that the spans handed to it —
+// those of the last submessage decoded — are the union of the dropped
+// positions within a chunk.
+func TestECDecodeRewritesLostPacketsOnly(t *testing.T) {
+	const chunk = 4096
+	cases := []struct {
+		name    string
+		size    int
+		drop    [][2]int // (data submessage, packet within it)
+		missing int
+		spans   [][2]int
+	}{
+		// chunks 1, 4 and 6 lose their packets 0, 2 and 3: positions 2
+		// and 3 touch, so they merge into one span
+		{"a packet of each of 3 chunks", 8 * chunk, [][2]int{{0, 4}, {0, 18}, {0, 27}}, 3,
+			[][2]int{{0, 1024}, {2048, 4096}}},
+		{"a whole chunk", 8 * chunk, [][2]int{{0, 8}, {0, 9}, {0, 10}, {0, 11}}, 1,
+			[][2]int{{0, 4096}}},
+		// submessage 1 holds two chunks and a 1500-byte tail chunk of
+		// two packets, and loses the tail chunk's short second packet
+		{"the partial tail chunk of a short tail submessage", 10*chunk + 1500, [][2]int{{1, 9}}, 1,
+			[][2]int{{1024, 2048}}},
+	}
+	for _, code := range []string{"mds", "xor"} {
+		for _, tc := range cases {
+			t.Run(code+"/"+tc.name, func(t *testing.T) {
+				cfg := testRelCfg()
+				cfg.K, cfg.M, cfg.Code = 8, 4, code
+				s, _ := newVirtualSession(t, cfg, 0, 31)
+				coreCfg := s.Pair.A.QP.Config()
+				todo := map[[2]int]bool{}
+				for _, d := range tc.drop {
+					todo[d] = true
+				}
+				s.Pair.Link.AB.SetInterceptor(func(pkt *nicsim.Packet) fabric.Verdict {
+					if pkt.Opcode != nicsim.OpWriteImm {
+						return fabric.Pass
+					}
+					// A fresh QP posts data_i as message 2i and parity_i as 2i+1.
+					msg, off, _ := coreCfg.DecodeImm(pkt.Imm)
+					key := [2]int{int(msg / 2), int(off)}
+					if msg%2 == 0 && todo[key] {
+						delete(todo, key)
+						return fabric.Drop
+					}
+					return fabric.Pass
+				})
+				runTransfer(t, s, tc.size, 31, "ec")
+				if len(todo) != 0 {
+					t.Fatalf("packets %v never crossed the wire", todo)
+				}
+				if n := s.A.Retransmits.Load(); n != 0 {
+					t.Fatalf("%d retransmissions: parity did not cover the loss", n)
+				}
+				if got := s.B.scr.recv.segs[0].missing; got != tc.missing {
+					t.Fatalf("decode counted %d missing chunks, want %d", got, tc.missing)
+				}
+				if !slices.Equal(s.B.scr.spans, tc.spans) {
+					t.Fatalf("decode spans %v, want %v", s.B.scr.spans, tc.spans)
+				}
+			})
+		}
+	}
+}
+
 func TestECHeavyLossFallsBackAndRecovers(t *testing.T) {
 	cfg := testRelCfg()
 	cfg.K, cfg.M = 4, 1 // weak code: fallback guaranteed under 20% loss

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"sdrrdma/internal/bitmap"
 	"sdrrdma/internal/core"
 	"sdrrdma/internal/ec"
 	"sdrrdma/internal/nicsim"
@@ -552,24 +553,52 @@ func (r *recvSeg) tryRecover(i int) bool {
 		return false
 	}
 	// The decode writes the missing chunks in place, where a late copy
-	// of one could land concurrently: retire the submessage first.
+	// of one could land concurrently: retire the submessage first. Once
+	// retired, its packet bitmap no longer changes.
 	s.retire()
 	sub := r.mr.Bytes()[int(r.base)+g.subOffset(i):][:g.subBytes(i, r.size)]
 	parity := r.scratch.Bytes()[int(r.pbase)+i*g.parityBytes():]
 	shards, tailChunk := scr.shardView(g, i, sub, parity)
-	// Reconstruct marks repaired shards present, so note first whether
-	// the tail chunk is among the lost.
-	tailLost := tailChunk >= 0 && !present[tailChunk]
-	if err := r.code.Reconstruct(shards, present); err != nil {
+	cfg := r.e.QP.Config()
+	scr.spans = lostSpans(scr.spans[:0], s.dataH.PacketBitmap(), present[:real], cfg.PacketsPerChunk(), cfg.MTU)
+	if err := r.code.ReconstructSpans(shards, present, scr.spans); err != nil {
 		return false
 	}
-	if tailLost {
+	if tailChunk >= 0 && !present[tailChunk] {
 		// write back only the real bytes of the recovered tail
 		copy(sub[tailChunk*g.chunkBytes:], shards[tailChunk])
 	}
 	s.recovered = true
 	r.missing += real - arrived
 	return true
+}
+
+// lostSpans appends to dst the byte ranges, within a chunk of ppc
+// packets, that a decode of a submessage must rewrite: the positions of
+// the packets that never arrived in any lost data chunk (present[j]
+// false), merged where they touch. Arrived packets of a lost chunk hold their bytes
+// already, and the packets past the end of a short submessage do not
+// exist (pkts, its packet bitmap, has no bit for them). Every lost
+// chunk is rewritten over the same union, so the decode runs once per
+// span over all of them.
+func lostSpans(dst [][2]int, pkts *bitmap.Bitmap, present []bool, ppc, mtu int) [][2]int {
+	for q := 0; q < ppc; q++ {
+		lost := false
+		for j := 0; j < len(present) && !lost; j++ {
+			p := j*ppc + q
+			lost = !present[j] && p < pkts.Len() && !pkts.Test(p)
+		}
+		if !lost {
+			continue
+		}
+		lo, hi := q*mtu, (q+1)*mtu
+		if n := len(dst); n > 0 && dst[n-1][1] == lo {
+			dst[n-1][1] = hi
+		} else {
+			dst = append(dst, [2]int{lo, hi})
+		}
+	}
+	return dst
 }
 
 // ackMsg builds the segment's acknowledgement: the cumulative +
