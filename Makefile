@@ -40,10 +40,16 @@ build:
 # without paying for the single-threaded model sweeps. clock runs again
 # at GOMAXPROCS 1 and 4, so the coroutine hand-over and the shared
 # coroutine pool meet other Virtuals' goroutines (clock.Lanes sweeps)
-# on more than one thread.
+# on more than one thread. The five real-clock order tests run twenty
+# times more: the order they check holds only by how a lane hands its
+# closures on, which one run rarely puts under pressure (≈ 4 s on
+# 2 vCPUs once the first step has built the race binaries).
+REAL_ORDER_TESTS = TestRealClockBurstArrivesInOrder|TestOOBFIFOUnderLoadRealClock|TestRealClockBurstInOrder|TestRealClockFlowTwoHops|TestRealLaneRunsInScheduleOrder
+
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -cpu 1,4 ./internal/clock/
+	$(GO) test -race -count=20 -run '$(REAL_ORDER_TESTS)' ./internal/fabric/ ./internal/netem/ ./internal/clock/
 	$(GO) test -race -short ./internal/protosim/ ./internal/collective/ ./internal/experiments/
 
 test:

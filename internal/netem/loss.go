@@ -18,9 +18,13 @@
 // (§3.1.1). On a clock.Virtual the whole emulation is a deterministic
 // discrete-event simulation; on the real clock it runs against the
 // wall exactly like the fabric does, handing each queue's packets on
-// in the order it admitted them. Each hop costs a flow packet one
-// clock event, its delivery, scheduled when the queue admits it; the
-// departure is settled in place, and a background packet costs none.
+// in the order it admitted them. Each hop costs a flow packet at most
+// one clock event, its delivery, scheduled when the queue admits it;
+// the departure is settled in place, and a background packet costs
+// none. On a Topology path on the virtual clock a run of hops whose
+// queues each have one feeder costs one event in all: each hop admits
+// the packet into the next queue ahead, at its computed arrival
+// (cutthrough.go).
 //
 // Edges are dynamic: queues support ECN/RED-style congestion marking
 // (MarkThresholdBytes), and every edge's loss process and distance can

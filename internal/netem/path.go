@@ -94,6 +94,7 @@ func (t *Topology) addPath(p *path, from, to int, dst nicsim.Deliverer, hops []h
 	p.Reroutes.Store(0)
 	t.paths = append(t.paths, p)
 	p.reg = len(t.paths)
+	t.markFeeders()
 	t.pathMu.Unlock()
 }
 
@@ -144,6 +145,7 @@ func (t *Topology) ReroutePaths() {
 	for _, p := range t.paths {
 		p.reroute()
 	}
+	t.markFeeders()
 	t.pathMu.Unlock()
 }
 
@@ -162,6 +164,7 @@ func (t *Topology) removePaths(paths ...*path) {
 		t.paths = t.paths[:last]
 		p.reg = 0
 	}
+	t.markFeeders()
 	t.pathMu.Unlock()
 }
 

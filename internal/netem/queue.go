@@ -102,21 +102,25 @@ func (c QueueConfig) validate() error {
 // RNG. Before anything reads or changes the queue — a flow admission
 // or delivery, setDown, setLatency, setLoss, setTelemetry,
 // HighWatermark, a Topology drop sum, a generator's Start, Stop or
-// Sent — it admits every background arrival and departs every
+// Sent — it admits every background arrival, and every flow packet an
+// upstream queue admitted ahead (see forward), and departs every
 // head-of-line entry that is due, in the order their clock events
 // would have run. Each replayed packet takes the tail-drop test, ECN
 // mark, loss draw, counters and probes of its own instant, so a flow
 // sees the same buffer, and the loss process the same draws, as if
 // every departure and background packet had been an event.
 //
-// A flow packet's hop costs one clock event: its delivery at its finish
-// plus the propagation delay, scheduled on the queue's event lane when
-// it is admitted (see transit). The delivery settles the queue up to
-// the packet's departure and hands the packet on if the loss process
-// and the link kept it. A background packet costs none. The exported
-// counters are exact after a settling call, or once the last delivery,
-// or the event a generator's Stop leaves at the last background
-// finish, has run.
+// A flow packet's hop costs at most one clock event: its delivery at
+// its finish plus the propagation delay, scheduled on the queue's event
+// lane when it is admitted (see transit). The delivery settles the
+// queue up to the packet's departure and hands the packet on if the
+// loss process and the link kept it. On a Topology path a hop can cost
+// none: where the next queue has one feeder, the packet is admitted
+// there ahead, at its computed arrival, and only the last queue of such
+// a run schedules a delivery (see forward). A background packet costs
+// none. The exported counters are exact after a settling call, or once
+// the last delivery, or the event a generator's Stop leaves at the last
+// background finish, has run.
 //
 // Locking follows the clock the queue was built on. On a real clock
 // enqueues, deliveries (run by the lane's timer) and the setters race,
@@ -147,9 +151,29 @@ type Queue struct {
 	// epochNs is the NowNanos stamp of instant zero on the clock's
 	// timeline: a settled event at instant t is stamped epochNs + t.
 	epochNs int64
-	// txSize and txSec cache the last serialization time (see txTime).
+	// txSize and txSec cache the last serialization time (see txTime);
+	// latSec is cfg.Latency in seconds, the propagation delay every
+	// admission adds.
 	txSize int
 	txSec  float64
+	latSec float64
+
+	// feeder is the queue every live Topology path through this one
+	// comes from, nil when there is none or more than one (see
+	// Topology.markFeeders): the one queue that may admit packets here
+	// ahead. ahead counts the entries at the tail of the fifo admitted
+	// ahead whose arrival settle has not replayed yet, aheadBytes their
+	// wire bytes. cut entries at the head of the fifo, of cutBytes wire
+	// bytes, finish before the latest ahead arrival (see admitAhead).
+	// inbound counts the hop events under way to this queue's ports.
+	feeder            *Queue
+	ahead, aheadBytes int
+	cut, cutBytes     int
+	inbound           int
+	// marked is the feeder the markFeeders pass numbered markGen has
+	// found so far. Guarded by the topology's pathMu.
+	marked  *Queue
+	markGen uint64
 
 	onDrop func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)
 
@@ -195,14 +219,22 @@ type queued struct {
 	// ends: its predecessor's fin, or its arrival on an idle line, plus
 	// its serialization time.
 	fin float64
+	// arr is the arrival instant of an entry admitted ahead, while settle
+	// has not replayed it (see arriveAhead).
+	arr float64
 }
 
 // transit is one flow packet's passage through a queue. Admission
 // fixes the instant its transmission ends, and with it the instant it
-// reaches dst; its delivery there is the one clock event the hop costs.
-// Until settle takes it off the line a buffer entry references it.
-// Its event then hands the packet on, unless the departure dropped it,
-// and returns the transit to the queue's free list.
+// reaches dst; its delivery there is the one clock event the hop costs,
+// unless the transit is parked. Until settle takes it off the line a
+// buffer entry references it. Its event then hands the packet on,
+// unless the departure dropped it, and returns the transit to the
+// queue's free list.
+//
+// A parked transit schedules no event: dst's queue admitted the packet
+// ahead, and its entry there replays the arrival in the transit's
+// stead (see forward and arriveAhead), recycling it.
 type transit struct {
 	q   *Queue
 	pkt *nicsim.Packet // nil once its departure dropped it
@@ -211,8 +243,17 @@ type transit struct {
 	// the propagation delay in force at that finish (see setLatency).
 	at float64
 	// gone: no buffer entry references it any more — settle departed
-	// it, or setLatency moved its delivery to a fresh transit.
-	gone bool
+	// it, or setLatency or a take-back voided its delivery. parked: its
+	// delivery is no clock event (see above).
+	gone, parked bool
+	// into is the queue whose inbound count its event holds.
+	into *Queue
+	// up, while its entry was admitted ahead and the arrival is still to
+	// be replayed, is the feeder's transit that carries the packet here;
+	// mark records that the admission set the packet's ECN bit, which
+	// the replay counts.
+	up   *transit
+	mark bool
 	run  func()   // == deliver, bound once
 	next *transit // free-list link
 }
@@ -278,6 +319,7 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 		clk: clock.Or(cfg.Clock),
 	}
 	q.serial = q.clk.IsVirtual()
+	q.latSec = cfg.Latency.Seconds()
 	q.settleFn = q.settleEvent
 	q.epochNs = q.clk.NowNanos() - int64(q.clk.Instant()*float64(time.Second))
 	return q, nil
@@ -304,9 +346,12 @@ func seeded(rng **rand.Rand, seed int64) *rand.Rand {
 // queue's lock; one lost at its departure reaches it from settle,
 // which on a real clock holds the lock, so fn must not call back into
 // the queue. Background drops (TrafficGen) reach the counters and
-// telemetry probes, never the hook.
+// telemetry probes, never the hook. The queue settles before the hook
+// changes, so a drop due before the call reaches the hook it replaces.
 func (q *Queue) SetDropHook(fn func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)) {
 	q.lock()
+	q.catchUp()
+	q.unfuse()
 	q.onDrop = fn
 	q.unlock()
 }
@@ -318,6 +363,7 @@ func (q *Queue) SetDropHook(fn func(pkt *nicsim.Packet, reason DropReason, dst n
 func (q *Queue) setTelemetry(sink telemetry.Sink, track int32) {
 	q.lock()
 	q.catchUp()
+	q.unfuse()
 	q.sink, q.track = sink, track
 	q.unlock()
 }
@@ -331,6 +377,7 @@ func (q *Queue) setTelemetry(sink telemetry.Sink, track int32) {
 func (q *Queue) setDown(down bool) {
 	q.lock()
 	q.catchUp()
+	q.unfuse()
 	q.down = down
 	q.unlock()
 }
@@ -347,12 +394,13 @@ func (q *Queue) setLatency(d time.Duration) error {
 	}
 	q.lock()
 	q.catchUp()
-	q.cfg.Latency = d
+	q.unfuse()
+	q.cfg.Latency, q.latSec = d, d.Seconds()
 	for i := 0; i < q.fifo.n; i++ {
 		e := q.fifo.at(i)
-		if tr := e.tr; tr != nil && e.fin+d.Seconds() != tr.at {
-			e.tr = q.send(tr.pkt, tr.dst, e.fin+d.Seconds())
-			tr.pkt, tr.dst, tr.gone = nil, nil, true
+		if tr := e.tr; tr != nil && e.fin+q.latSec != tr.at {
+			e.tr = q.schedule(q.take(tr.pkt, tr.dst, e.fin+q.latSec))
+			tr.void()
 		}
 	}
 	q.unlock()
@@ -366,6 +414,7 @@ func (q *Queue) setLatency(d time.Duration) error {
 func (q *Queue) setLoss(p wan.LossModel) {
 	q.lock()
 	q.catchUp()
+	q.unfuse()
 	q.cfg.Loss = p
 	q.unlock()
 }
@@ -436,7 +485,16 @@ func (q *Queue) txTime(size int) float64 {
 func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	size := wireBytes(pkt)
 	q.lock()
-	q.catchUp()
+	now := q.clk.Instant()
+	if q.fifo.n > 0 || len(q.gens) > 0 {
+		q.settle(now, 0) // catchUp at the one instant admit reads
+	}
+	if q.ahead > 0 {
+		// An arrival no ahead admission counted on, such as a packet on
+		// a retired path's chain: the entries admitted ahead of it go
+		// back to ordinary hops.
+		q.takeBack()
+	}
 	sink, track := q.sink, q.track
 	if q.down || q.cfg.BufferBytes > 0 && q.used+size > q.cfg.BufferBytes {
 		// Refused: the link is down, or the buffer is full.
@@ -453,13 +511,18 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		return
 	}
 	idle := q.fifo.n == 0
-	fin := q.clk.Instant()
+	fin := now
 	if !idle {
 		fin = q.fifo.at(q.fifo.n - 1).fin
 	}
 	fin += q.txTime(size)
 	e := q.fifo.push()
-	e.tr, e.size, e.fin = q.send(pkt, dst, fin+q.cfg.Latency.Seconds()), size, fin
+	e.size, e.fin = size, fin
+	if p, ok := dst.(*Port); ok && p.q.feeder == q {
+		e.tr = q.forward(pkt, p, fin+q.latSec)
+	} else {
+		e.tr = q.schedule(q.take(pkt, dst, fin+q.latSec))
+	}
 	if idle {
 		q.started()
 	}
@@ -488,28 +551,63 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	}
 }
 
-// send takes a transit off the free list for pkt bound for dst, and
-// schedules its delivery at instant at on the queue's lane. Caller
-// holds the lock.
-func (q *Queue) send(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *transit {
+// take takes a transit off the free list for pkt, which reaches dst at
+// instant at. Caller holds the lock.
+func (q *Queue) take(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *transit {
 	if q.free == nil {
 		q.grow()
 	}
 	tr := q.free
-	q.free, tr.next = tr.next, nil
+	q.free = tr.next
+	tr.pkt, tr.dst, tr.at = pkt, dst, at
+	return tr
+}
+
+// schedule makes tr's delivery a clock event at its instant on the
+// queue's lane, and returns tr. On a virtual clock the event counts in
+// the inbound hops of the queue it delivers to, if that is a Port's.
+// Caller holds the lock.
+func (q *Queue) schedule(tr *transit) *transit {
 	if tr.run == nil {
 		tr.run = tr.deliver
 	}
-	tr.pkt, tr.dst, tr.at = pkt, dst, at
-	q.clk.RunAtLane(&q.lane, at, tr.run)
+	if q.serial {
+		if p, ok := tr.dst.(*Port); ok {
+			tr.into = p.q
+			p.q.inbound++
+		}
+	}
+	q.clk.RunAtLane(&q.lane, tr.at, tr.run)
 	return tr
+}
+
+// void makes tr's scheduled event only recycle it: its packet goes
+// elsewhere or nowhere.
+func (tr *transit) void() {
+	tr.release()
+	tr.pkt, tr.dst, tr.gone = nil, nil, true
+}
+
+// release gives back the inbound count tr's event holds, if any.
+func (tr *transit) release() {
+	if tr.into != nil {
+		tr.into.inbound--
+		tr.into = nil
+	}
+}
+
+// recycle returns a transit whose delivery has run, or been replayed,
+// to the free list. Caller holds the lock.
+func (q *Queue) recycle(tr *transit) {
+	tr.pkt, tr.dst, tr.gone = nil, nil, false
+	q.free, tr.next = tr, q.free
 }
 
 // grow puts a slab of fresh transits on the free list, as many as the
 // queue has made so far, at least 8 and at most 256: seven slab
 // allocations cover a backlog of 512 packets, and one more each 256
 // after that. Each transit's bound deliver is one allocation more,
-// made on its first use. Caller holds the lock.
+// made when it is first scheduled. Caller holds the lock.
 func (q *Queue) grow() {
 	slab := make([]transit, min(max(q.made, 8), 256))
 	q.made += len(slab)
@@ -530,19 +628,24 @@ func (q *Queue) grow() {
 func (tr *transit) deliver() {
 	q := tr.q
 	q.lock()
+	q.departTo(tr, q.clk.Instant())
+	pkt, dst := tr.pkt, tr.dst
+	tr.release()
+	q.recycle(tr)
+	q.unlock()
+	if pkt != nil {
+		dst.Deliver(pkt)
+	}
+}
+
+// departTo settles the queue up to tr's departure, for its delivery at
+// instant until (see deliver). Caller holds the lock.
+func (q *Queue) departTo(tr *transit, until float64) {
 	if !tr.gone {
-		until := q.clk.Instant()
 		q.settle(until, 0)
 		if !tr.gone {
 			q.settle(until, q.headOrder)
 		}
-	}
-	pkt, dst := tr.pkt, tr.dst
-	tr.pkt, tr.dst, tr.gone = nil, nil, false
-	q.free, tr.next = tr, q.free
-	q.unlock()
-	if pkt != nil {
-		dst.Deliver(pkt)
 	}
 }
 
@@ -574,9 +677,10 @@ func (q *Queue) count(reason DropReason) telemetry.EventKind {
 // settle replays the queue up to (until, last): every arrival of a
 // running generator, and every departure of the entry at the head of
 // the line, whose instant is before until, or at it with an order
-// number (below) not above last. Each replayed packet takes the
-// tail-drop test, ECN mark, loss draw, counters and probes of its
-// instant. The caller holds the lock.
+// number (below) not above last, and every arrival admitted ahead
+// whose instant is before until (see arriveAhead). Each replayed
+// packet takes the tail-drop test, ECN mark, loss draw, counters and
+// probes of its instant. The caller holds the lock.
 //
 // Replayed events run in the order their clock events would have: by
 // instant, then — like the engine — by when they would have been
@@ -597,6 +701,24 @@ func (q *Queue) settle(until float64, last uint64) {
 			if c.next < at || (c.next == at && c.order < order) {
 				g, at, order = c, c.next, c.order
 			}
+		}
+		if q.ahead > 0 {
+			// The next ahead arrival (see arriveAhead) runs before a
+			// departure at its own instant, as an admission settles
+			// only up to before its instant; no generator runs beside
+			// it.
+			e := q.fifo.at(q.fifo.n - q.ahead)
+			if q.fifo.n > q.ahead {
+				if h := q.fifo.front(); h.fin < e.arr && due(h.fin, q.headOrder, until, last) {
+					q.departHead(&t)
+					continue
+				}
+			}
+			if e.arr >= until {
+				break
+			}
+			q.arriveAhead(e, &t)
+			continue
 		}
 		if q.fifo.n > 0 {
 			h := q.fifo.front()
@@ -638,7 +760,7 @@ func (q *Queue) stamp() uint64 {
 // started stamps the departure of the entry that has just reached the
 // head of the line (see settle).
 func (q *Queue) started() {
-	if q.fifo.n > 0 {
+	if q.fifo.n > q.ahead {
 		q.headOrder = q.stamp()
 	}
 }
@@ -686,7 +808,9 @@ func (q *Queue) arriveBackground(at float64, size int, t *tally) {
 		q.high = q.used
 	}
 	t.enqueued++
-	q.bgProbe(at, telemetry.EvEnqueue, int64(q.used), 0)
+	if q.sink != nil {
+		q.bgProbe(at, telemetry.EvEnqueue, int64(q.used), 0)
+	}
 	if m := q.cfg.MarkThresholdBytes; m > 0 && q.used >= m {
 		t.marked++
 		q.bgProbe(at, telemetry.EvECNMark, int64(q.used), 0)
@@ -702,8 +826,14 @@ func (q *Queue) departHead(t *tally) {
 	head := q.fifo.pop()
 	q.started()
 	q.used -= head.size
+	if q.cut > 0 {
+		q.cut--
+		q.cutBytes -= head.size
+	}
 	dropped := !q.down && q.cfg.Loss != nil && q.cfg.Loss.Drop(seeded(&q.rng, q.cfg.Seed))
-	q.bgProbe(head.fin, telemetry.EvDepart, int64(q.used), 0)
+	if q.sink != nil {
+		q.bgProbe(head.fin, telemetry.EvDepart, int64(q.used), 0)
+	}
 	tr := head.tr
 	if tr != nil {
 		tr.gone = true
@@ -725,7 +855,8 @@ func (q *Queue) departHead(t *tally) {
 
 // bgProbe emits one event stamped at instant at on behalf of no actor:
 // a background packet's, or a departure's that settle replays, even
-// when a flow's admission or delivery settles it.
+// when a flow's admission or delivery settles it. It is too big to
+// inline, so the probes every packet passes test the sink first.
 func (q *Queue) bgProbe(at float64, kind telemetry.EventKind, a0, a1 int64) {
 	if q.sink == nil {
 		return

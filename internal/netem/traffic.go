@@ -109,6 +109,7 @@ func (g *TrafficGen) Start() {
 	if slices.Contains(q.gens, g) {
 		return
 	}
+	q.unfuse()
 	g.next, g.order = now+g.gap().Seconds(), q.stamp()
 	q.gens = append(q.gens, g)
 }
