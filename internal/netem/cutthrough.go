@@ -30,18 +30,18 @@ import "sdrrdma/internal/nicsim"
 // with none, a queue's own deliveries settle it at the instants its
 // arrivals fall on.
 
-// forward takes a transit for pkt, which reaches p at instant at, and
-// admits it ahead into p's queue, whose feeder q is, if this hop cuts
-// through; otherwise it schedules the transit's delivery. Caller holds
-// the lock.
-func (q *Queue) forward(pkt *nicsim.Packet, p *Port, at float64) *transit {
-	tr := q.take(pkt, p, at)
-	if q.cfg.Loss == nil && q.quiet() && p.q.admitAhead(pkt, p.dst, tr) {
+// forward takes a transit for pkt, which reaches dst at instant at,
+// and admits it ahead into dst's queue if this hop cuts through: dst is
+// a Port whose queue q feeds; otherwise it schedules the transit's
+// delivery. Caller holds the lock and has applied q's own admission to
+// pkt, its ECN mark included.
+func (q *Queue) forward(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *transit {
+	tr := q.take(pkt, dst, at)
+	if p, ok := dst.(*Port); ok && p.q.feeder == q && q.cfg.Loss == nil && q.quiet() && p.q.admitAhead(pkt, p.dst, tr) {
 		tr.parked = true
-	} else {
-		q.schedule(tr)
+		return tr
 	}
-	return tr
+	return q.schedule(tr)
 }
 
 // quiet reports whether the queue may take part in a cut-through hop:
@@ -85,11 +85,7 @@ func (q *Queue) admitAhead(pkt *nicsim.Packet, dst nicsim.Deliverer, up *transit
 	e.size, e.fin, e.arr = size, fin, arr
 	q.ahead++
 	q.aheadBytes += size
-	if p, ok := dst.(*Port); ok && p.q.feeder == q {
-		e.tr = q.forward(pkt, p, fin+q.latSec)
-	} else {
-		e.tr = q.schedule(q.take(pkt, dst, fin+q.latSec))
-	}
+	e.tr = q.forward(pkt, dst, fin+q.latSec)
 	e.tr.up, e.tr.mark = up, mark
 	return true
 }
@@ -175,36 +171,57 @@ func (q *Queue) takeBack() {
 	q.cut, q.cutBytes = 0, 0
 }
 
-// markFeeders sets each queue's feeder (see Queue) from the live
-// paths: the one queue before it on every path through it, or nil when
-// a path starts at it or two paths come from different queues. A queue
-// no live path crosses keeps its feeder, so the packets a closed flow
-// leaves in flight still cut through. A queue whose feeder changes
-// takes back what the old one admitted ahead. Only a virtual clock's
-// queues are marked. Caller holds pathMu.
-func (t *Topology) markFeeders() {
+// linkFeeders counts the hops of a path in the feeds of their queues,
+// n = 1 as the path goes live and n = -1 as it leaves, and updates
+// those queues' feeders (see Queue.feed). Only a virtual clock's queues
+// have feeders. Caller holds pathMu.
+func (t *Topology) linkFeeders(hops []hop, n int) {
 	if !t.clk.IsVirtual() {
 		return
 	}
-	t.markGen++
-	for _, p := range t.paths {
-		var prev *Queue
-		for _, h := range p.hops {
-			q := h.queue()
-			if q.markGen != t.markGen {
-				q.markGen, q.marked = t.markGen, prev
-			} else if q.marked != prev {
-				q.marked = nil
-			}
-			prev = q
+	var prev *Queue
+	for _, h := range hops {
+		q := h.queue()
+		q.feed(prev, n)
+		prev = q
+	}
+}
+
+// feed counts n more live path hops through the queue that come from
+// prev (n = -1: one fewer) and sets its feeder: the one queue before it
+// on every live path through it, nil when a path starts at it or two
+// come from different queues. A queue no live path crosses keeps its
+// feeder, so the packets a closed flow leaves in flight still cut
+// through. A queue whose feeder changes takes back what the old one
+// admitted ahead. Caller holds the topology's pathMu.
+func (q *Queue) feed(prev *Queue, n int) {
+	if prev == q.from || q.fromN == 0 {
+		q.from, q.fromN = prev, q.fromN+n
+	} else {
+		if q.more == nil {
+			q.more = map[*Queue]int{}
+		}
+		if c := q.more[prev] + n; c != 0 {
+			q.more[prev] = c
+		} else {
+			delete(q.more, prev)
 		}
 	}
-	for _, p := range t.paths {
-		for _, h := range p.hops {
-			if q := h.queue(); q.marked != q.feeder {
-				q.unfuseInto()
-				q.feeder = q.marked
-			}
+	if q.fromN == 0 {
+		for q.from, q.fromN = range q.more {
+			delete(q.more, q.from)
+			break
 		}
+	}
+	if q.fromN == 0 {
+		return
+	}
+	f := q.from
+	if len(q.more) > 0 {
+		f = nil
+	}
+	if f != q.feeder {
+		q.unfuseInto()
+		q.feeder = f
 	}
 }

@@ -100,9 +100,11 @@ func TestDumbbellFlowHopEventsPerPacket(t *testing.T) {
 // change runs; second starts flow 1, which crosses the bottleneck too,
 // at that instant instead. shows reports whether a run bears the
 // change's mark, so the case cannot pass by changing nothing.
+// accessMark, when set, is the access edges' ECN threshold.
 type cutCase struct {
 	name       string
 	bottleneck EdgeConfig
+	accessMark int
 	at         float64
 	change     func(d *DumbbellTopo)
 	second     bool
@@ -124,12 +126,35 @@ func lastDrops(kind int) func(cutRun) bool {
 	return func(r cutRun) bool { return drops(r.samples[len(r.samples)-1], kind) > 0 }
 }
 
-// cutRun is what a cutCase run leaves: each flow's arrivals, and the
-// counters of every queue, sampled through the topology's reads at
-// instants between the run's events and once at the end.
+// marks reports whether the final sample counts ECN marks on flow 0's
+// access queue and on the bottleneck it feeds.
+func marks(r cutRun) bool {
+	s := r.samples[len(r.samples)-1]
+	return s[5] > 0 && s[2*7+5] > 0
+}
+
+// markInstants is an instantRecorder that also logs which packets
+// arrive with the ECN bit set.
+type markInstants struct {
+	instantRecorder
+	marked []uint32
+}
+
+func (r *markInstants) Deliver(pkt *nicsim.Packet) {
+	if pkt.Marked {
+		r.marked = append(r.marked, pkt.PSN)
+	}
+	r.instantRecorder.Deliver(pkt)
+}
+
+// cutRun is what a cutCase run leaves: each flow's arrivals and the
+// ones among them that carry the ECN bit, and the counters of every
+// queue, sampled through the topology's reads at instants between the
+// run's events and once at the end.
 type cutRun struct {
 	order   [2][]uint32
 	at      [2]map[uint32]float64
+	marked  [2][]uint32
 	samples [][]uint64
 	// hops counts the hop events scheduled by the first sample, before
 	// any change.
@@ -143,7 +168,7 @@ func runCutCase(t *testing.T, c cutCase, fused bool) cutRun {
 	t.Helper()
 	vc := clock.NewVirtual()
 	clk := &laneCountingClock{countingClock: countingClock{Clock: vc}, hop: map[*clock.Lane]bool{}}
-	access := EdgeConfig{DistanceKm: 50, BandwidthBps: 10e9, BufferBytes: 1 << 20}
+	access := EdgeConfig{DistanceKm: 50, BandwidthBps: 10e9, BufferBytes: 1 << 20, MarkThresholdBytes: c.accessMark}
 	d, err := Dumbbell(clk, 2, access, c.bottleneck, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +177,7 @@ func runCutCase(t *testing.T, c cutCase, fused bool) cutRun {
 		clk.hop[&e.Fwd.lane], clk.hop[&e.Rev.lane] = true, true
 	}
 	var run cutRun
-	recs := [2]*instantRecorder{{clk: vc}, {clk: vc}}
+	recs := [2]*markInstants{{instantRecorder: instantRecorder{clk: vc}}, {instantRecorder: instantRecorder{clk: vc}}}
 	ingress := func(i int) nicsim.Deliverer {
 		if fused {
 			p, err := d.newPath(d.Left[i], d.Right[i], recs[i])
@@ -206,7 +231,7 @@ func runCutCase(t *testing.T, c cutCase, fused bool) cutRun {
 	clock.Join(vc, func() { vc.Sleep(50 * time.Millisecond) })
 	sample()
 	for i, r := range recs {
-		run.order[i], run.at[i] = r.order, r.at
+		run.order[i], run.at[i], run.marked[i] = r.order, r.at, r.marked
 	}
 	return run
 }
@@ -215,13 +240,18 @@ func runCutCase(t *testing.T, c cutCase, fused bool) cutRun {
 // and leaves every queue counter as, the same queues chained by hand
 // with Ports, which schedule one event per hop — through a flap, a
 // distance change, a loss change and a second flow joining mid-flight,
-// and through tail drops at a 5G bottleneck fed by a 10G access hop.
+// through tail drops at a 5G bottleneck fed by a 10G access hop, and
+// through a loss change while both of those hops mark ECN.
 func TestCutThroughMatchesPortChain(t *testing.T) {
 	// The bottleneck marks ECN past a quarter of its buffer, so packets
 	// admitted ahead carry marks when they are taken back.
 	bottleneck := EdgeConfig{DistanceKm: 800, BandwidthBps: 5e9, BufferBytes: 1 << 20, MarkThresholdBytes: 256 << 10}
 	small := bottleneck
 	small.BufferBytes, small.MarkThresholdBytes = 64<<10, 16<<10
+	// Deep enough that the access hop's backlog passes its threshold
+	// while the bottleneck still has room past its own.
+	deep := bottleneck
+	deep.BufferBytes = 4 << 20
 	for _, c := range []cutCase{
 		{name: "flap", bottleneck: bottleneck, at: 1.1e-3, change: func(d *DumbbellTopo) {
 			d.Bottleneck.SetDown(true)
@@ -243,6 +273,11 @@ func TestCutThroughMatchesPortChain(t *testing.T) {
 		{name: "second flow", bottleneck: bottleneck, at: 0.7e-3, second: true,
 			shows: func(r cutRun) bool { return len(r.order[1]) > 0 }},
 		{name: "tail drops", bottleneck: small, shows: lastDrops(2)},
+		{name: "marks on two hops", bottleneck: deep, accessMark: 512 << 10, at: 1.6e-3, change: func(d *DumbbellTopo) {
+			if err := d.Bottleneck.SetLoss(LossSpec{P: 0.05, BurstLen: 3}); err != nil {
+				t.Error(err)
+			}
+		}, shows: marks},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want, got := runCutCase(t, c, false), runCutCase(t, c, true)
@@ -250,6 +285,10 @@ func TestCutThroughMatchesPortChain(t *testing.T) {
 				if !slices.Equal(got.order[i], want.order[i]) || !maps.Equal(got.at[i], want.at[i]) {
 					t.Fatalf("flow %d: %d arrivals cut through, %d chained by hand, or at other instants",
 						i, len(got.order[i]), len(want.order[i]))
+				}
+				if !slices.Equal(got.marked[i], want.marked[i]) {
+					t.Fatalf("flow %d: %d arrivals marked cut through, %d chained by hand, or other ones",
+						i, len(got.marked[i]), len(want.marked[i]))
 				}
 			}
 			for k := range want.samples {
@@ -265,4 +304,47 @@ func TestCutThroughMatchesPortChain(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A queue's feeder follows the live paths through it: the one queue
+// before it on all of them, none while two come from different queues,
+// the remaining one when the other leaves, and the last one while no
+// path is live.
+func TestFeederFollowsLivePaths(t *testing.T) {
+	edge := EdgeConfig{DistanceKm: 50, BandwidthBps: 10e9, BufferBytes: 1 << 20}
+	d, err := Dumbbell(clock.NewVirtual(), 2, edge, edge, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bq := d.Bottleneck.Fwd
+	in := [2]*Queue{d.Edges()[1].Fwd, d.Edges()[3].Fwd}
+	open := func(i int) *path {
+		p, err := d.newPath(d.Left[i], d.Right[i], &instantRecorder{clk: d.Clock()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	check := func(step string, want *Queue) {
+		t.Helper()
+		if bq.feeder != want {
+			t.Fatalf("%s: the bottleneck's feeder is %p, want %p", step, bq.feeder, want)
+		}
+	}
+	p0 := open(0)
+	check("flow 0 open", in[0])
+	p1 := open(1)
+	check("flows 0 and 1 open", nil)
+	p0b := open(0)
+	check("flows 0, 0 and 1 open", nil)
+	d.removePaths(p1)
+	check("flow 1 closed", in[0])
+	d.removePaths(p0, p0b)
+	check("every flow closed", in[0])
+	p1 = open(1)
+	check("flow 1 reopened", in[1])
+	p0 = open(0)
+	d.removePaths(p1)
+	check("flow 0 reopened, flow 1 closed", in[0])
+	d.removePaths(p0)
 }

@@ -94,7 +94,7 @@ func (t *Topology) addPath(p *path, from, to int, dst nicsim.Deliverer, hops []h
 	p.Reroutes.Store(0)
 	t.paths = append(t.paths, p)
 	p.reg = len(t.paths)
-	t.markFeeders()
+	t.linkFeeders(hops, 1)
 	t.pathMu.Unlock()
 }
 
@@ -121,6 +121,7 @@ func (p *path) reroute() {
 		if p.hops == nil {
 			return // already blackholed
 		}
+		p.t.linkFeeders(p.hops, -1)
 		p.hops = nil
 		p.head.Store(&pathHead{})
 		p.Reroutes.Add(1)
@@ -130,6 +131,8 @@ func (p *path) reroute() {
 	if slices.Equal(hops, p.hops) { // the same edges in the same directions
 		return
 	}
+	p.t.linkFeeders(hops, 1)
+	p.t.linkFeeders(p.hops, -1)
 	p.hops = hops
 	p.head.Store(&pathHead{d: chain(hops, p.dst)})
 	p.Reroutes.Add(1)
@@ -145,7 +148,6 @@ func (t *Topology) ReroutePaths() {
 	for _, p := range t.paths {
 		p.reroute()
 	}
-	t.markFeeders()
 	t.pathMu.Unlock()
 }
 
@@ -163,8 +165,8 @@ func (t *Topology) removePaths(paths ...*path) {
 		t.paths[last] = nil
 		t.paths = t.paths[:last]
 		p.reg = 0
+		t.linkFeeders(p.hops, -1)
 	}
-	t.markFeeders()
 	t.pathMu.Unlock()
 }
 

@@ -160,7 +160,7 @@ type Queue struct {
 
 	// feeder is the queue every live Topology path through this one
 	// comes from, nil when there is none or more than one (see
-	// Topology.markFeeders): the one queue that may admit packets here
+	// Topology.linkFeeders): the one queue that may admit packets here
 	// ahead. ahead counts the entries at the tail of the fifo admitted
 	// ahead whose arrival settle has not replayed yet, aheadBytes their
 	// wire bytes. cut entries at the head of the fifo, of cutBytes wire
@@ -170,10 +170,14 @@ type Queue struct {
 	ahead, aheadBytes int
 	cut, cutBytes     int
 	inbound           int
-	// marked is the feeder the markFeeders pass numbered markGen has
-	// found so far. Guarded by the topology's pathMu.
-	marked  *Queue
-	markGen uint64
+	// from and more count the live path hops through the queue by the
+	// queue before it on the path, nil where the path starts here: from's
+	// in fromN, the others' in more, nil until a second queue feeds this
+	// one; fromN is 0 only when more is empty (see feed). Guarded by the
+	// topology's pathMu.
+	from  *Queue
+	fromN int
+	more  map[*Queue]int
 
 	onDrop func(pkt *nicsim.Packet, reason DropReason, dst nicsim.Deliverer)
 
@@ -485,10 +489,7 @@ func (q *Queue) txTime(size int) float64 {
 func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	size := wireBytes(pkt)
 	q.lock()
-	now := q.clk.Instant()
-	if q.fifo.n > 0 || len(q.gens) > 0 {
-		q.settle(now, 0) // catchUp at the one instant admit reads
-	}
+	q.catchUp()
 	if q.ahead > 0 {
 		// An arrival no ahead admission counted on, such as a packet on
 		// a retired path's chain: the entries admitted ahead of it go
@@ -511,18 +512,13 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		return
 	}
 	idle := q.fifo.n == 0
-	fin := now
+	fin := q.clk.Instant()
 	if !idle {
 		fin = q.fifo.at(q.fifo.n - 1).fin
 	}
 	fin += q.txTime(size)
 	e := q.fifo.push()
 	e.size, e.fin = size, fin
-	if p, ok := dst.(*Port); ok && p.q.feeder == q {
-		e.tr = q.forward(pkt, p, fin+q.latSec)
-	} else {
-		e.tr = q.schedule(q.take(pkt, dst, fin+q.latSec))
-	}
 	if idle {
 		q.started()
 	}
@@ -539,6 +535,9 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		q.Marked.Add(1)
 		marked = true
 	}
+	// The packet leaves marked or not, so a queue downstream that takes
+	// it ahead meets the bit the un-fused hop would have handed it.
+	e.tr = q.forward(pkt, dst, fin+q.latSec)
 	used := q.used
 	q.unlock()
 	q.Enqueued.Add(1)
@@ -628,7 +627,9 @@ func (q *Queue) grow() {
 func (tr *transit) deliver() {
 	q := tr.q
 	q.lock()
-	q.departTo(tr, q.clk.Instant())
+	if !tr.gone {
+		q.departTo(tr, q.clk.Instant())
+	}
 	pkt, dst := tr.pkt, tr.dst
 	tr.release()
 	q.recycle(tr)

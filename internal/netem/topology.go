@@ -176,8 +176,6 @@ type Topology struct {
 	// ReroutePaths re-points them after edge state changes.
 	pathMu sync.Mutex
 	paths  []*path
-	// markGen numbers the markFeeders passes (see Queue.markGen).
-	markGen uint64
 	// wires holds, per pooled flow deployment, the paths its flows run
 	// through (see flowWires). Guarded by pathMu.
 	wires map[*session.Deployment]*flowWires
