@@ -139,9 +139,11 @@ api-unused:
 # sdr-experiments and sdr-perftest from `git archive $(PARENT)` and from
 # this tree, then run every command testdata/identity.txt lists on both
 # and cmp the outputs (the perftest reports with their wall-clock
-# columns stripped). Not part of `make ci` — it needs a parent to
-# compare against; the same outputs are pinned without one by the
-# hashes in that file, which TestIdentityFigures and
+# columns stripped). Prints one `identical:` or `differ:` line per
+# command, runs every command, and exits non-zero if any differed, so a
+# re-record lists all it moved at once. Not part of `make ci` — it
+# needs a parent to compare against; the same outputs are pinned
+# without one by the hashes in that file, which TestIdentityFigures and
 # TestIdentityPerftest check in `go test ./...`.
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
@@ -155,16 +157,19 @@ identity:
 	grep -v '^#' testdata/identity.txt | while read -r _ cmd args; do \
 		filter=; [ $$cmd != sdr-perftest ] || filter="$$strip"; \
 		for side in parent head; do $$tmp/$$side-$$cmd $$args < /dev/null | sed -E "$$filter" > $$tmp/$$side.out; done; \
-		cmp $$tmp/parent.out $$tmp/head.out; echo "identical: $$cmd $$args"; \
-	done
+		if cmp -s $$tmp/parent.out $$tmp/head.out; then echo "identical: $$cmd $$args"; \
+		else echo "differ: $$cmd $$args" | tee -a $$tmp/differ; fi; \
+	done; \
+	test ! -e $$tmp/differ || { echo "$$(wc -l < $$tmp/differ) command(s) differ"; exit 1; }
 
 # Simulated-metric preservation against a parent revision: build the
 # repo benchmark from `git archive $(PARENT)` and from this tree, run
 # each of its five workloads at seeds 1-3 for 1 s of timed reps on both,
 # and compare the failed count, sim_goodput_gbps and
 # sim_completion_rtts_p50 of the result lines digit for digit (the host
-# metrics are left out: they are timings). Prints one `identical:` line
-# per workload and seed, stops at the first difference. ≈ 4 min, so it
+# metrics are left out: they are timings). Prints one `identical:` line,
+# or a `differ:` line with both sides' values, per workload and seed,
+# runs every row, and exits non-zero if any differed. ≈ 4 min, so it
 # stays out of `make ci`; TMPDIR is honoured.
 BENCH_WORKLOADS = sr_clean wan_sr_nack wan_ec contended_adaptive flow_churn
 
@@ -180,10 +185,11 @@ bench-sim:
 			$$tmp/$$side-bench -workload $$w -seed $$seed -seconds 1 < /dev/null | sed -nE "$$sim" > $$tmp/$$side.out; \
 			test -s $$tmp/$$side.out || { echo "$$side: no result line for $$w seed $$seed"; exit 1; }; \
 		done; \
-		cmp -s $$tmp/parent.out $$tmp/head.out || { echo "differ: $$w seed $$seed"; \
-			echo "  parent: $$(cat $$tmp/parent.out)"; echo "  head:   $$(cat $$tmp/head.out)"; exit 1; }; \
-		echo "identical: $$w seed $$seed  $$(cat $$tmp/head.out)"; \
-	done; done
+		if cmp -s $$tmp/parent.out $$tmp/head.out; then echo "identical: $$w seed $$seed  $$(cat $$tmp/head.out)"; \
+		else echo "differ: $$w seed $$seed" | tee -a $$tmp/differ; \
+			echo "  parent: $$(cat $$tmp/parent.out)"; echo "  head:   $$(cat $$tmp/head.out)"; fi; \
+	done; done; \
+	test ! -e $$tmp/differ || { echo "$$(wc -l < $$tmp/differ) row(s) differ"; exit 1; }
 
 # Thousand-flow smoke: the elastic session fabric must sustain 1000
 # sequential + 100 concurrent dumbbell flows from its deployment pool.
@@ -250,10 +256,12 @@ smoke-golden:
 # checked on every `make ci`. The two workloads that cross netem must
 # also print the seed-1 verification rep below, digest and simulated
 # tuple as last recorded when receives began retiring their slots at
-# completion (no final-ACK re-sends, late duplicates absorbed): a
-# change to how the queues or the protocol schedule that moves either
-# line moves the simulation, and fails here without a parent build.
-SMOKE_REP_flow_churn = verification rep: digest 92cc0a66d99574e5; simulated tuple: 18226.827999 ms, 42000 device rx pkts, 32000 data pkts, 0 duplicates
+# completion (no final-ACK re-sends, late duplicates absorbed), and for
+# flow_churn again when virtual time became integer nanoseconds (its
+# elapsed time lost the float base's 1 ns truncation): a change to how
+# the queues or the protocol schedule that moves either line moves the
+# simulation, and fails here without a parent build.
+SMOKE_REP_flow_churn = verification rep: digest 92cc0a66d99574e5; simulated tuple: 18226.828000 ms, 42000 device rx pkts, 32000 data pkts, 0 duplicates
 SMOKE_REP_contended_adaptive = verification rep: digest 67b8b47fd14a4565; simulated tuple: 593.893925 ms, 152437 device rx pkts, 138911 data pkts, 7839 duplicates
 
 smoke-bench:

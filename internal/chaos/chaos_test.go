@@ -99,7 +99,7 @@ func TestChaosWorkerDeterminism(t *testing.T) {
 // Run(1234, 300, 0): 300 programs, 135 of them with control-plane
 // faults — a wider net than the chaos-functional identity line's 100
 // programs of seed 42.
-const chaosCorpusGolden = "15f7e7b45f313255cbc0250b80105a919d498759396a1bd4f0f88e5480742f96"
+const chaosCorpusGolden = "a0fe31d467ee47213fd3972f8fbd17dfd7b3f3f704df3e0c3d05f7c2aa5d02ab"
 
 // TestChaosCorpusGolden pins every outcome of a 300-program corpus,
 // violations included. A change that claims to keep chaos's behaviour

@@ -109,9 +109,9 @@ func installEndpointFaults(clk *clock.Virtual, flow *reliability.Session, p Prog
 		case faultControlDrop, faultControlDup, faultControlCorrupt:
 			sides[f.Edge&1] = append(sides[f.Edge&1], f)
 		case faultCrashRecv:
-			clk.After(f.At, func() { flow.B.Abort(errInjectedCrash) })
+			clk.At(clk.NowNanos()+int64(f.At), func() { flow.B.Abort(errInjectedCrash) })
 		case faultKillSession:
-			clk.After(f.At, func() { flow.Abort(errInjectedKill) })
+			clk.At(clk.NowNanos()+int64(f.At), func() { flow.Abort(errInjectedKill) })
 		}
 	}
 	for s, faults := range sides {

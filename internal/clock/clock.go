@@ -27,11 +27,13 @@
 // be exact rather than quantized to a poll interval.
 //
 // Every capability a layer needs is a method of Clock, and both clocks
-// implement all of them: integer-nanosecond time (NowNanos), handle-less
-// one-shot scheduling (After, At on the Instant timeline) and event lanes
-// (RunAtLane on a Lane its caller owns), which run their closures one at
-// a time in schedule order on either clock. So protocol code calls the
-// one interface and keeps no second path for either clock.
+// implement all of them on one timeline, integer nanoseconds past the
+// Unix epoch: reading it (NowNanos), handle-less one-shot scheduling at
+// an instant on it (At) and event lanes (RunAtLane on a Lane its caller
+// owns), which run their closures one at a time in schedule order on
+// either clock. So protocol code calls the one interface, keeps no
+// second path for either clock, and books wire time in integers that
+// need no conversion.
 package clock
 
 import (
@@ -64,12 +66,14 @@ type Clock interface {
 	// Since returns Now().Sub(t).
 	Since(t time.Time) time.Duration
 	// NowNanos returns the current time as integer nanoseconds past the
-	// Unix epoch, without building a time.Time: serializing wires book
-	// wire time with it once per packet, and telemetry probes stamp
-	// events with it, so virtual and real clocks land in one timebase.
-	// A real clock counts its monotonic reading since construction on
-	// top of the wall time it was built at, so NowNanos never runs
-	// backwards there either.
+	// Unix epoch, without building a time.Time: the one timeline At and
+	// RunAtLane schedule on. Serializing wires book wire time on it once
+	// per packet, a chain of future event instants is each its
+	// predecessor plus a time.Duration, exactly, and telemetry probes
+	// stamp events with it, so virtual and real clocks land in one
+	// timebase. A real clock counts its monotonic reading since
+	// construction on top of the wall time it was built at, so NowNanos
+	// never runs backwards there either.
 	NowNanos() int64
 	// AfterFunc schedules fn to run after d. Under the virtual clock
 	// fn executes while all actors are blocked, on the goroutine of the
@@ -77,25 +81,14 @@ type Clock interface {
 	// callback and actor — and must not call runtime.Goexit
 	// (t.FailNow): that ends the run with a panic.
 	AfterFunc(d time.Duration, fn func()) Timer
-	// After schedules fn to run once after d, with no handle to stop
-	// it. Callers that never Stop or Reset the timer — per-packet
-	// deliveries, queue departures, scripted faults — use it instead of
-	// AfterFunc: on a Virtual clock it is one pooled engine slot and no
-	// Timer object.
-	After(d time.Duration, fn func())
-	// Instant returns the current time in seconds on the clock's
-	// scheduling timeline: a Virtual's engine time, or the time since a
-	// real clock was built. Instant plus d.Seconds() is exactly the
-	// instant After(d, fn) schedules fn at, so a caller can work out a
-	// chain of future event instants, each its predecessor plus a
-	// duration, and schedule any of them later with At, bit for bit
-	// where After would have put it.
-	Instant() float64
-	// At schedules fn to run once at instant at on the clock's timeline
-	// (see Instant); an instant already past runs fn as soon as
-	// possible. Like After it returns no handle, and on a real clock
-	// fn never runs before at.
-	At(at float64, fn func())
+	// At schedules fn to run once at instant at, in NowNanos's
+	// nanoseconds; an instant already past runs fn as soon as possible.
+	// It returns no handle: callers that never Stop or Reset the timer —
+	// scripted faults, a generator's last settle, the OOB's pump — use
+	// it instead of AfterFunc, and on a Virtual clock it is one pooled
+	// engine slot and no Timer object. At(NowNanos()+int64(d), fn) runs
+	// fn after d. On a real clock fn never runs before at.
+	At(at int64, fn func())
 	// RunAtLane is At through the lane l, which binds to this clock on
 	// first use (see Lane). On both clocks the closures of one lane
 	// never overlap, and closures scheduled in nondecreasing time order
@@ -109,7 +102,7 @@ type Clock interface {
 	// earlier instant runs behind those already queued. Calls on one
 	// Lane must not overlap: its owner serializes them, under its own
 	// lock on a real clock.
-	RunAtLane(l *Lane, at float64, fn func())
+	RunAtLane(l *Lane, at int64, fn func())
 	// spawn starts fn on this clock: a plain goroutine on a real
 	// clock, a registered actor under Virtual (Virtual.run returns once
 	// every actor has finished).
@@ -137,7 +130,7 @@ type wall struct {
 	mu   sync.Mutex
 	gen  uint64
 	ch   chan struct{} // closed and rotated on every Notify
-	base time.Time     // instant zero of the scheduling timeline
+	base time.Time     // construction time, with its monotonic reading
 	// baseNs is base in Unix nanoseconds, the origin of NowNanos.
 	baseNs int64
 }
@@ -210,20 +203,14 @@ func (r *wall) spawn(fn func()) { go fn() }
 // monotonic time since.
 func (r *wall) NowNanos() int64 { return r.baseNs + int64(time.Since(r.base)) }
 
-// After implements Clock.
-func (r *wall) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
-
-// Instant implements Clock.
-func (r *wall) Instant() float64 { return time.Since(r.base).Seconds() }
-
-// At implements Clock. The extra nanosecond keeps a rounded-down delay
-// from firing fn before at.
-func (r *wall) At(at float64, fn func()) {
-	time.AfterFunc(time.Duration((at-r.Instant())*float64(time.Second))+1, fn)
+// At implements Clock. A timer fires once the monotonic clock has
+// advanced by its whole delay, so fn sees NowNanos at or past at.
+func (r *wall) At(at int64, fn func()) {
+	time.AfterFunc(time.Duration(at-r.NowNanos()), fn)
 }
 
 // RunAtLane implements Clock.
-func (r *wall) RunAtLane(l *Lane, at float64, fn func()) {
+func (r *wall) RunAtLane(l *Lane, at int64, fn func()) {
 	if l.w == nil || l.w.r != r {
 		l.w = &wallLane{r: r}
 	}
@@ -249,7 +236,7 @@ type wallLane struct {
 }
 
 type laneEvent struct {
-	at float64
+	at int64
 	fn func()
 }
 
@@ -258,7 +245,7 @@ type laneEvent struct {
 // popped prefix is at least as long as the live part slides the live
 // part to the front instead of growing, as a simnet lane does, so a
 // lane under standing load never reallocates.
-func (l *wallLane) push(at float64, fn func()) {
+func (l *wallLane) push(at int64, fn func()) {
 	l.mu.Lock()
 	if len(l.q) == cap(l.q) && 2*l.head >= len(l.q) {
 		l.q, l.head = l.q[:copy(l.q, l.q[l.head:])], 0
@@ -270,10 +257,9 @@ func (l *wallLane) push(at float64, fn func()) {
 	l.mu.Unlock()
 }
 
-// arm sets the timer for instant at; the extra nanosecond is At's.
-// Caller holds mu.
-func (l *wallLane) arm(at float64) {
-	d := time.Duration((at-l.r.Instant())*float64(time.Second)) + 1
+// arm sets the timer for instant at, as At does. Caller holds mu.
+func (l *wallLane) arm(at int64) {
+	d := time.Duration(at - l.r.NowNanos())
 	if l.timer == nil {
 		l.timer = time.AfterFunc(d, l.drain)
 	} else {
@@ -287,7 +273,7 @@ func (l *wallLane) arm(at float64) {
 // idle owner holds no memory sized by its last burst.
 func (l *wallLane) drain() {
 	l.mu.Lock()
-	for l.head < len(l.q) && l.q[l.head].at <= l.r.Instant() {
+	for l.head < len(l.q) && l.q[l.head].at <= l.r.NowNanos() {
 		fn := l.q[l.head].fn
 		l.mu.Unlock()
 		fn()

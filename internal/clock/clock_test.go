@@ -3,6 +3,7 @@ package clock
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -306,32 +307,55 @@ func TestVirtualResetDetachesEventLog(t *testing.T) {
 	v.run()
 }
 
-// An instant worked out as Instant + d.Seconds() is, bit for bit, where
-// After(d) fires; an instant already past fires at once.
-func TestAtMatchesAfter(t *testing.T) {
+// The timeline is integer nanoseconds however long a run gets. At
+// offsets from 0 up to 10¹³ ns (≈ 2.8 virtual hours), four instants
+// 1 ns apart — through At, At, RunAtLane and a Sleep's wake — fire in
+// time order, each reading its own instant back from NowNanos exactly,
+// and an instant already past fires at once, at the current one.
+func TestIntegerTimeline(t *testing.T) {
 	v := NewVirtual()
-	var after, at []float64
+	base := v.NowNanos()
+	var lane Lane
+	var want, got []int64
+	record := func(at int64) func() {
+		want = append(want, at)
+		return func() { got = append(got, v.NowNanos()) }
+	}
+	offsets := 0
 	Join(v, func() {
-		v.Sleep(3 * time.Millisecond)
-		d := 1234567 * time.Nanosecond
-		v.After(d, func() { after = append(after, v.Instant()) })
-		v.At(v.Instant()+d.Seconds(), func() { at = append(at, v.Instant()) })
-		v.At(v.Instant()-1, func() { at = append(at, v.Instant()) })
-		v.Sleep(time.Second)
+		for off := int64(0); off <= 1e13; off = off + off/5 + 4 {
+			now, at := v.NowNanos(), base+off
+			v.At(now-1, record(now))
+			v.At(at, record(at))
+			v.At(at+1, record(at+1))
+			v.RunAtLane(&lane, at+2, record(at+2))
+			v.Sleep(time.Duration(at + 3 - now))
+			got = append(got, v.NowNanos())
+			want = append(want, at+3)
+			offsets++
+		}
 	})
-	if len(after) != 1 || len(at) != 2 || at[0] != (3*time.Millisecond).Seconds() || at[1] != after[0] {
-		t.Fatalf("After fired at %v, At at %v", after, at)
+	if last := want[len(want)-1] - base; offsets < 140 || last < 8e12 {
+		t.Fatalf("covered %d offsets up to %d ns", offsets, last)
+	}
+	if !slices.Equal(got, want) {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("event %d read NowNanos %d (offset %d), want %d", i, got[i], got[i]-base, want[i]-base)
+			}
+		}
+		t.Fatalf("%d events fired, want %d", len(got), len(want))
 	}
 }
 
 // On a real clock At never fires before its instant.
 func TestRealAtNotEarly(t *testing.T) {
 	r := NewReal()
-	want := r.Instant() + 0.002
-	got := make(chan float64, 1)
-	r.At(want, func() { got <- r.Instant() })
+	want := r.NowNanos() + int64(2*time.Millisecond)
+	got := make(chan int64, 1)
+	r.At(want, func() { got <- r.NowNanos() })
 	if g := <-got; g < want {
-		t.Fatalf("fired at %v, before %v", g, want)
+		t.Fatalf("fired at %d, before %d", g, want)
 	}
 }
 
@@ -345,13 +369,13 @@ func TestRealLaneRunsInScheduleOrder(t *testing.T) {
 	r := NewReal()
 	ln, other := new(Lane), new(Lane)
 	release := make(chan struct{})
-	r.RunAtLane(ln, r.Instant(), func() { <-release })
-	r.RunAtLane(other, r.Instant(), func() { close(release) })
+	r.RunAtLane(ln, r.NowNanos(), func() { <-release })
+	r.RunAtLane(other, r.NowNanos(), func() { close(release) })
 
 	const n = 64
 	var inside, overlaps atomic.Int32
 	got := make(chan int, n+1)
-	at := r.Instant() + 0.001
+	at := r.NowNanos() + int64(time.Millisecond)
 	for k := 0; k < n; k++ {
 		r.RunAtLane(ln, at, func() {
 			if inside.Add(1) > 1 {
@@ -362,7 +386,7 @@ func TestRealLaneRunsInScheduleOrder(t *testing.T) {
 			inside.Add(-1)
 		})
 	}
-	r.RunAtLane(ln, at-0.001, func() { got <- n })
+	r.RunAtLane(ln, at-int64(time.Millisecond), func() { got <- n })
 	for k := 0; k <= n; k++ {
 		if g := <-got; g != k {
 			t.Fatalf("closure %d ran in place %d", g, k)

@@ -223,7 +223,7 @@ func laneChurnCell(v *Virtual, lanes []Lane) (fired int) {
 	v.spawn(func() {
 		for k := range lanes {
 			for j := 1; j <= 2; j++ {
-				v.RunAtLane(&lanes[k], v.Instant()+float64(j)*1e-6, func() { fired++ })
+				v.RunAtLane(&lanes[k], v.NowNanos()+int64(j)*int64(time.Microsecond), func() { fired++ })
 			}
 		}
 		v.Sleep(time.Millisecond)
@@ -272,7 +272,7 @@ func TestRealLaneCollectedWithOwner(t *testing.T) {
 	r := NewReal()
 	l := new(Lane)
 	ran := make(chan struct{})
-	r.RunAtLane(l, r.Instant(), func() { close(ran) })
+	r.RunAtLane(l, r.NowNanos(), func() { close(ran) })
 	<-ran
 	w := weak.Make(l.w)
 	l = nil

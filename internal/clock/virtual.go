@@ -3,6 +3,7 @@ package clock
 import (
 	"fmt"
 	"iter"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,7 +83,7 @@ import (
 // So state that only baton holders touch needs no lock of its own, and
 // none is taken:
 //
-//   - the engine: After, At, RunAtLane, AfterFunc and a Timer's
+//   - the engine: At, RunAtLane, AfterFunc and a Timer's
 //     Stop and Reset schedule and cancel without mu, and a drive fires
 //     events back to back without it, re-taking mu only when an event
 //     made an actor runnable (a wake-up, a Notify, a spawn) or the queue
@@ -112,9 +113,23 @@ import (
 // fault, switches, the event log — and with it the calls that
 // are safe from any goroutine while run is active: spawn and
 // spawnNamed, CurrentActorName, SetEventLog, idle. Now, NowNanos,
-// Instant, Elapsed and Epoch are atomic reads and safe anywhere. Sleep,
+// Elapsed and Epoch are atomic reads and safe anywhere. Sleep,
 // WaitNotify and Notify are baton-holder calls that take mu because
 // they hand the baton over or edit the lists above.
+//
+// # Time
+//
+// The clock's timeline is NowNanos's: integer nanoseconds, an offset n
+// past the fixed base. The simnet engine, shared with the float-valued
+// protocol simulators, keys its slots by float64 seconds, so Virtual is
+// the one place that converts: it hands the engine float64(n)/1e9 for
+// every instant it schedules (key) and reads the engine's time back by
+// rounding to the nearest nanosecond (offset). Both conversions are
+// correctly rounded, so for n below 2⁵² ns (about 52 virtual days) the
+// round trip returns n exactly, the key of a later instant is never
+// smaller than an earlier one's, and instants 1 ns apart keep distinct
+// keys: the engine's (time, seq) order is the integer timeline's, and
+// no caller ever sees a float.
 //
 // # Reuse
 //
@@ -143,6 +158,7 @@ type Virtual struct {
 	mu       sync.Mutex
 	eng      *simnet.Engine
 	base     time.Time
+	baseNs   int64         // base in Unix nanoseconds
 	gen      atomic.Uint64 // notification epoch
 	actors   int           // registered and not yet finished
 	current  *actor        // actor holding the baton (nil: a driver or run has it)
@@ -229,41 +245,38 @@ type actor struct {
 // NewVirtual creates a virtual clock at a fixed, wall-independent base
 // time (so runs are reproducible regardless of when they execute).
 func NewVirtual() *Virtual {
-	return &Virtual{
-		eng:  simnet.New(),
-		base: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC),
-	}
+	base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	return &Virtual{eng: simnet.New(), base: base, baseNs: base.UnixNano()}
+}
+
+// offset is the virtual time consumed since construction (or the last
+// Reset), read back from the engine's key (see "Time" above). Engine.Now
+// is an atomic read and base is immutable while the clock runs, so the
+// hot per-packet timestamping path skips the clock mutex entirely.
+func (v *Virtual) offset() time.Duration {
+	return time.Duration(math.Round(v.eng.Now() * float64(time.Second)))
+}
+
+// key is the engine time of instant at (see "Time" above); an instant
+// already past is the engine's now, which is the key of the current
+// instant, as every engine time is the key of one.
+func (v *Virtual) key(at int64) float64 {
+	return max(float64(at-v.baseNs)/float64(time.Second), v.eng.Now())
 }
 
 // Now implements Clock: base + virtual offset.
-func (v *Virtual) Now() time.Time {
-	// Engine.Now is an atomic read and base is immutable while the
-	// clock runs, so the hot per-packet timestamping path (fabric
-	// serialization booking) skips the clock mutex entirely.
-	return v.base.Add(time.Duration(v.eng.Now() * float64(time.Second)))
-}
+func (v *Virtual) Now() time.Time { return v.base.Add(v.offset()) }
 
 // NowNanos implements Clock: the current virtual time as nanoseconds
-// past the Unix epoch, matching Now() exactly (same truncation of the
-// engine's float offset).
-func (v *Virtual) NowNanos() int64 {
-	return v.base.UnixNano() + int64(v.eng.Now()*float64(time.Second))
-}
-
-func (v *Virtual) nowLocked() time.Time {
-	return v.base.Add(time.Duration(v.eng.Now() * float64(time.Second)))
-}
+// past the Unix epoch, matching Now() exactly.
+func (v *Virtual) NowNanos() int64 { return v.baseNs + int64(v.offset()) }
 
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// Instant implements Clock: the engine's time, which After and At
-// schedule on.
-func (v *Virtual) Instant() float64 { return v.eng.Now() }
-
 // Elapsed returns the virtual time consumed since construction (or the
 // last Reset).
-func (v *Virtual) Elapsed() time.Duration { return v.Now().Sub(v.base) }
+func (v *Virtual) Elapsed() time.Duration { return v.offset() }
 
 // IsVirtual implements Clock.
 func (v *Virtual) IsVirtual() bool { return true }
@@ -577,7 +590,7 @@ func (v *Virtual) deadlockLocked() string {
 	}
 	return fmt.Sprintf(
 		"clock: virtual deadlock at %v: %d actor(s) blocked with no pending events (%d timer(s) pending): %s",
-		v.nowLocked(), v.actors, v.eng.Pending(), strings.Join(names, ", "))
+		v.Now(), v.actors, v.eng.Pending(), strings.Join(names, ", "))
 }
 
 // Sleep parks the calling actor until a timer event at
@@ -588,7 +601,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	}
 	v.mu.Lock()
 	a := v.currentActor("Sleep")
-	v.atLane(&a.lane, v.eng.Now()+d.Seconds(), a.wake)
+	v.atLane(&a.lane, v.NowNanos()+int64(d), a.wake)
 	v.park(a)
 	v.mu.Unlock()
 }
@@ -605,7 +618,7 @@ func (v *Virtual) WaitNotify(epoch uint64, d time.Duration) bool {
 	v.pushWaiterLocked(a)
 	var timeout simnet.Timer
 	if d >= 0 {
-		timeout = v.atLane(&a.lane, v.eng.Now()+d.Seconds(), a.wake)
+		timeout = v.atLane(&a.lane, v.NowNanos()+int64(d), a.wake)
 	}
 	v.park(a)
 	if a.notified {
@@ -649,21 +662,12 @@ func (v *Virtual) removeWaiterLocked(a *actor) {
 	a.waiting = false
 }
 
-// After implements Clock: fn runs once after d as an engine callback,
-// in one pooled engine slot with no Timer allocation.
-func (v *Virtual) After(d time.Duration, fn func()) {
-	v.eng.After(max(0, d.Seconds()), fn)
-}
-
-// At implements Clock: After at an absolute engine instant.
-func (v *Virtual) At(at float64, fn func()) {
-	v.eng.At(max(at, v.eng.Now()), fn)
-}
+// At implements Clock: fn runs once at instant at as an engine
+// callback, in one pooled engine slot with no Timer allocation.
+func (v *Virtual) At(at int64, fn func()) { v.eng.At(v.key(at), fn) }
 
 // RunAtLane implements Clock: At through l's monotone FIFO engine lane.
-func (v *Virtual) RunAtLane(l *Lane, at float64, fn func()) {
-	v.atLane(l, max(at, v.eng.Now()), fn)
-}
+func (v *Virtual) RunAtLane(l *Lane, at int64, fn func()) { v.atLane(l, at, fn) }
 
 // atLane schedules fn at instant at on l's engine lane. A Lane bound to
 // another clock or an earlier run first binds to the next engine lane of
@@ -671,12 +675,12 @@ func (v *Virtual) RunAtLane(l *Lane, at float64, fn func()) {
 // empty with its lastAt at 0 — as a new lane starts. The engine merges
 // lane heads and the heap by (at, seq), so which lane an owner holds
 // never changes the order events fire in.
-func (v *Virtual) atLane(l *Lane, at float64, fn func()) simnet.Timer {
+func (v *Virtual) atLane(l *Lane, at int64, fn func()) simnet.Timer {
 	if l.v != v || l.run != v.runs {
 		l.v, l.run, l.id = v, v.runs, v.nextLane
 		v.nextLane++
 	}
-	return v.eng.AtLane(l.id, at, fn)
+	return v.eng.AtLane(l.id, v.key(at), fn)
 }
 
 // virtualTimer implements Timer on the engine. The clock keeps no
@@ -694,7 +698,7 @@ type virtualTimer struct {
 // with actors and other callbacks.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	t := &virtualTimer{v: v, fn: fn}
-	t.t = v.eng.After(max(0, d.Seconds()), fn)
+	t.t = v.eng.At(v.key(v.NowNanos()+int64(d)), fn)
 	return t
 }
 
@@ -709,7 +713,7 @@ func (t *virtualTimer) Stop() bool {
 func (t *virtualTimer) Reset(d time.Duration) bool {
 	active := t.t.Active()
 	t.t.Cancel()
-	t.t = t.v.eng.After(max(0, d.Seconds()), t.fn)
+	t.t = t.v.eng.At(t.v.key(t.v.NowNanos()+int64(d)), t.fn)
 	return active
 }
 

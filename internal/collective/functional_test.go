@@ -193,7 +193,7 @@ func TestFunctionalAllreduceAbortedLinkVirtual(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = make([]float64, vlen)
 	}
-	vc.After(3*time.Millisecond, func() { ring.Sessions()[1].Abort(nil) })
+	vc.At(vc.NowNanos()+int64(3*time.Millisecond), func() { ring.Sessions()[1].Abort(nil) })
 	_, err = ring.Allreduce(inputs, "sr")
 	if !errors.Is(err, reliability.ErrAborted) {
 		t.Fatalf("Allreduce with an aborted link returned %v, want ErrAborted", err)

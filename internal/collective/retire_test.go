@@ -51,7 +51,7 @@ func TestRing4AllreduceAsyncRetireFigure(t *testing.T) {
 			t.Fatalf("reduction wrong at element %d: %g, want %g", j, got[j], want[j])
 		}
 	}
-	if elapsed, pinned := vc.Elapsed(), 30000001*time.Nanosecond; elapsed != pinned {
+	if elapsed, pinned := vc.Elapsed(), 30*time.Millisecond; elapsed != pinned {
 		t.Fatalf("ring-4 allreduce completed at %v, want %v: a receive waits past its completion "+
 			"or the wire schedule changed", elapsed, pinned)
 	}

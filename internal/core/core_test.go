@@ -82,7 +82,7 @@ func newScriptedPair(t *testing.T, cfg Config, ab fabric.Config, dupEvery, holdE
 			return fabric.Duplicate
 		case holdEvery > 0 && n%holdEvery == 0:
 			f.holds++
-			cfg.Clock.After(late, func() { f.released += dir.ReleaseHeld() })
+			cfg.Clock.At(cfg.Clock.NowNanos()+int64(late), func() { f.released += dir.ReleaseHeld() })
 			return fabric.Hold
 		}
 		return fabric.Pass

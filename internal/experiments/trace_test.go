@@ -92,7 +92,7 @@ func TestAdaptiveTraceByteIdentical(t *testing.T) {
 // instant falls.
 func TestAdaptiveTraceGolden(t *testing.T) {
 	_, trace := renderTraced(t, 1)
-	const want = "36ddbb0adfadee6e9664a8e627594c6052c768a52fc5018b40a7036bca24b4d4"
+	const want = "9fb75609b99cdd43221ad677b202f673b0db61474ab726f2288b9c5b786cb0a1"
 	if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != want {
 		t.Fatalf("adaptive-functional trace SHA-256 = %s, want %s", got, want)
 	}

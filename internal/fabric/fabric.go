@@ -208,6 +208,7 @@ func (d *Direction) transmit(pkt *nicsim.Packet) {
 			// The sender uplink serializes every offered packet —
 			// including ones the downstream ISP channel will drop — so
 			// wire time is booked before the loss draw.
+			// A configuration boundary: the line rate becomes a time.
 			bits := float64(len(pkt.Payload)+nicsim.HeaderBytes) * 8
 			tx := time.Duration(bits / cfg.BandwidthBps * float64(time.Second))
 			serDelay = d.occupyLocked(p.clk, tx)
@@ -282,9 +283,8 @@ type deliveryPool struct {
 }
 
 // deliverAfter hands pkt to dst after delay on clk (immediately, in
-// the caller's goroutine, when delay <= 0). The instant it schedules,
-// Instant plus delay in seconds, is the float the engine forms for
-// After(delay); on a real clock it is formed and pushed under mu, so
+// the caller's goroutine, when delay <= 0): at NowNanos plus delay, an
+// instant that on a real clock is read and pushed under mu, so
 // concurrent senders push their instants in order.
 func (p *deliveryPool) deliverAfter(clk clock.Clock, delay time.Duration, dst nicsim.Deliverer, pkt *nicsim.Packet) {
 	if delay <= 0 {
@@ -304,7 +304,7 @@ func (p *deliveryPool) deliverAfter(clk clock.Clock, delay time.Duration, dst ni
 		env.run = env.doRun
 	}
 	env.dst, env.pkt, env.serial = dst, pkt, serial
-	clk.RunAtLane(&p.lane, clk.Instant()+delay.Seconds(), env.run)
+	clk.RunAtLane(&p.lane, clk.NowNanos()+int64(delay), env.run)
 	if !serial {
 		p.mu.Unlock()
 	}
@@ -466,7 +466,7 @@ func (o *OOB) send(e *oobEnd, msg []byte) {
 		o.drainLocked(e)
 	} else if !e.timerArmed && !e.dispatching {
 		e.timerArmed = true
-		o.clk.After(o.latency, e.pump)
+		o.clk.At(o.clk.NowNanos()+int64(o.latency), e.pump)
 	}
 	o.mu.Unlock()
 }
@@ -517,7 +517,7 @@ func (o *OOB) drainLocked(e *oobEnd) {
 				if delay < time.Nanosecond {
 					delay = time.Nanosecond
 				}
-				o.clk.After(delay, e.pump)
+				o.clk.At(o.clk.NowNanos()+int64(delay), e.pump)
 			}
 			return
 		}

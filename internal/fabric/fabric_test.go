@@ -222,7 +222,7 @@ func TestVirtualImpairmentsDeterministicTrace(t *testing.T) {
 				return Duplicate
 			case p.Imm%100 == 7:
 				// 7 ms late: the packets sent in the next 2 ms overtake it.
-				vc.After(12*time.Millisecond, func() { released += dir.ReleaseHeld() })
+				vc.At(vc.NowNanos()+int64(12*time.Millisecond), func() { released += dir.ReleaseHeld() })
 				return Hold
 			}
 			return Pass

@@ -35,7 +35,7 @@ import "sdrrdma/internal/nicsim"
 // a Port whose queue q feeds; otherwise it schedules the transit's
 // delivery. Caller holds the lock and has applied q's own admission to
 // pkt, its ECN mark included.
-func (q *Queue) forward(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *transit {
+func (q *Queue) forward(pkt *nicsim.Packet, dst nicsim.Deliverer, at int64) *transit {
 	tr := q.take(pkt, dst, at)
 	if p, ok := dst.(*Port); ok && p.q.feeder == q && q.cfg.Loss == nil && q.quiet() && p.q.admitAhead(pkt, p.dst, tr) {
 		tr.parked = true
@@ -48,7 +48,7 @@ func (q *Queue) forward(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *t
 // a virtual clock, a propagation delay, the link up, and no generator,
 // drop hook or telemetry sink.
 func (q *Queue) quiet() bool {
-	return q.serial && q.latSec > 0 && !q.down && len(q.gens) == 0 && q.onDrop == nil && q.sink == nil
+	return q.serial && q.cfg.Latency > 0 && !q.down && len(q.gens) == 0 && q.onDrop == nil && q.sink == nil
 }
 
 // admitAhead admits pkt, bound for dst, into the queue at up.at, the
@@ -85,7 +85,7 @@ func (q *Queue) admitAhead(pkt *nicsim.Packet, dst nicsim.Deliverer, up *transit
 	e.size, e.fin, e.arr = size, fin, arr
 	q.ahead++
 	q.aheadBytes += size
-	e.tr = q.forward(pkt, dst, fin+q.latSec)
+	e.tr = q.forward(pkt, dst, fin+int64(q.cfg.Latency))
 	e.tr.up, e.tr.mark = up, mark
 	return true
 }

@@ -20,7 +20,7 @@ type laneCountingClock struct {
 	hops int
 }
 
-func (c *laneCountingClock) RunAtLane(l *clock.Lane, at float64, fn func()) {
+func (c *laneCountingClock) RunAtLane(l *clock.Lane, at int64, fn func()) {
 	if c.hop[l] {
 		c.hops++
 	}
@@ -105,7 +105,7 @@ type cutCase struct {
 	name       string
 	bottleneck EdgeConfig
 	accessMark int
-	at         float64
+	at         time.Duration
 	change     func(d *DumbbellTopo)
 	second     bool
 	shows      func(r cutRun) bool
@@ -153,7 +153,7 @@ func (r *markInstants) Deliver(pkt *nicsim.Packet) {
 // run's events and once at the end.
 type cutRun struct {
 	order   [2][]uint32
-	at      [2]map[uint32]float64
+	at      [2]map[uint32]int64
 	marked  [2][]uint32
 	samples [][]uint64
 	// hops counts the hop events scheduled by the first sample, before
@@ -195,11 +195,11 @@ func runCutCase(t *testing.T, c cutCase, fused bool) cutRun {
 	// Flow 0 sends bursts of 16 packets of 4000 wire bytes every 40 µs
 	// for 2 ms, more than the 5G bottleneck drains; flow 1 the same,
 	// offset by 7 µs, from the change on.
-	send := func(flow int, from float64) {
+	t0 := vc.NowNanos()
+	send := func(flow int, from time.Duration) {
 		in := ingress(flow)
 		for k := 0; k < 50; k++ {
-			at := from + float64(k)*40e-6
-			vc.At(at, func() {
+			vc.At(t0+int64(from+time.Duration(k)*40*time.Microsecond), func() {
 				for j := 0; j < 16; j++ {
 					in.Deliver(pkt(uint32(flow<<16|k*16+j), 4000-nicsim.HeaderBytes))
 				}
@@ -208,9 +208,9 @@ func runCutCase(t *testing.T, c cutCase, fused bool) cutRun {
 	}
 	send(0, 0)
 	if c.second {
-		vc.At(c.at, func() { send(1, c.at+7e-6) })
+		vc.At(t0+int64(c.at), func() { send(1, c.at+7*time.Microsecond) })
 	} else if c.change != nil {
-		vc.At(c.at, func() { c.change(d) })
+		vc.At(t0+int64(c.at), func() { c.change(d) })
 	}
 	sample := func() {
 		var s []uint64
@@ -226,7 +226,7 @@ func runCutCase(t *testing.T, c cutCase, fused bool) cutRun {
 		}
 	}
 	for k := 1; k <= 40; k++ {
-		vc.At(float64(k)*250e-6+3e-9, sample)
+		vc.At(t0+int64(time.Duration(k)*250*time.Microsecond+3), sample)
 	}
 	clock.Join(vc, func() { vc.Sleep(50 * time.Millisecond) })
 	sample()
@@ -253,11 +253,11 @@ func TestCutThroughMatchesPortChain(t *testing.T) {
 	deep := bottleneck
 	deep.BufferBytes = 4 << 20
 	for _, c := range []cutCase{
-		{name: "flap", bottleneck: bottleneck, at: 1.1e-3, change: func(d *DumbbellTopo) {
+		{name: "flap", bottleneck: bottleneck, at: 1100 * time.Microsecond, change: func(d *DumbbellTopo) {
 			d.Bottleneck.SetDown(true)
-			d.Clock().At(d.Clock().Instant()+300e-6, func() { d.Bottleneck.SetDown(false) })
+			d.Clock().At(d.Clock().NowNanos()+int64(300*time.Microsecond), func() { d.Bottleneck.SetDown(false) })
 		}, shows: lastDrops(4)},
-		{name: "distance", bottleneck: bottleneck, at: 1.3e-3, change: func(d *DumbbellTopo) {
+		{name: "distance", bottleneck: bottleneck, at: 1300 * time.Microsecond, change: func(d *DumbbellTopo) {
 			if err := d.Bottleneck.SetDistance(400); err != nil {
 				t.Error(err)
 			}
@@ -265,15 +265,15 @@ func TestCutThroughMatchesPortChain(t *testing.T) {
 				t.Error(err)
 			}
 		}, shows: func(r cutRun) bool { return !slices.IsSorted(r.order[0]) }},
-		{name: "loss", bottleneck: bottleneck, at: 0.9e-3, change: func(d *DumbbellTopo) {
+		{name: "loss", bottleneck: bottleneck, at: 900 * time.Microsecond, change: func(d *DumbbellTopo) {
 			if err := d.Bottleneck.SetLoss(LossSpec{P: 0.05, BurstLen: 3}); err != nil {
 				t.Error(err)
 			}
 		}, shows: lastDrops(3)},
-		{name: "second flow", bottleneck: bottleneck, at: 0.7e-3, second: true,
+		{name: "second flow", bottleneck: bottleneck, at: 700 * time.Microsecond, second: true,
 			shows: func(r cutRun) bool { return len(r.order[1]) > 0 }},
 		{name: "tail drops", bottleneck: small, shows: lastDrops(2)},
-		{name: "marks on two hops", bottleneck: deep, accessMark: 512 << 10, at: 1.6e-3, change: func(d *DumbbellTopo) {
+		{name: "marks on two hops", bottleneck: deep, accessMark: 512 << 10, at: 1600 * time.Microsecond, change: func(d *DumbbellTopo) {
 			if err := d.Bottleneck.SetLoss(LossSpec{P: 0.05, BurstLen: 3}); err != nil {
 				t.Error(err)
 			}

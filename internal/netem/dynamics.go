@@ -128,22 +128,23 @@ func (s Schedule) Apply(t *Topology) (*Applied, error) {
 		return nil, err
 	}
 	clk := t.Clock()
+	now := clk.NowNanos()
 	ap := &Applied{}
 	for _, ev := range s.Events {
 		ev := ev
 		e := t.Edges()[ev.Edge]
-		clk.After(ev.At, func() { ap.count(e.SetLoss(ev.Loss)) })
+		clk.At(now+int64(ev.At), func() { ap.count(e.SetLoss(ev.Loss)) })
 	}
 	for _, f := range s.Flaps {
 		f := f
 		e := t.Edges()[f.Edge]
-		clk.After(f.Down, func() {
+		clk.At(now+int64(f.Down), func() {
 			e.SetDown(true)
 			t.probeDyn(telemetry.EvLinkDown, int64(f.Edge), 0)
 			t.ReroutePaths()
 			ap.Flapped.Add(1)
 		})
-		clk.After(f.Up, func() {
+		clk.At(now+int64(f.Up), func() {
 			e.SetDown(false)
 			t.probeDyn(telemetry.EvLinkUp, int64(f.Edge), 0)
 			t.ReroutePaths()
@@ -155,8 +156,9 @@ func (s Schedule) Apply(t *Topology) (*Applied, error) {
 		steps := int(d.Duration / d.Step)
 		for i := 1; i <= steps; i++ {
 			dt := time.Duration(i) * d.Step
+			// A configuration boundary: the drift rate becomes a distance.
 			km := base + d.RateKmPerSec*dt.Seconds()
-			clk.After(d.Start+dt, func() {
+			clk.At(now+int64(d.Start+dt), func() {
 				ap.count(e.SetDistance(km))
 			})
 		}

@@ -417,16 +417,16 @@ func TestDoubleFlapTransfer(t *testing.T) {
 type instantRecorder struct {
 	clk   clock.Clock
 	mu    sync.Mutex
-	at    map[uint32]float64
+	at    map[uint32]int64
 	order []uint32
 }
 
 func (r *instantRecorder) Deliver(pkt *nicsim.Packet) {
 	r.mu.Lock()
 	if r.at == nil {
-		r.at = map[uint32]float64{}
+		r.at = map[uint32]int64{}
 	}
-	r.at[pkt.PSN] = r.clk.Instant()
+	r.at[pkt.PSN] = r.clk.NowNanos()
 	r.order = append(r.order, pkt.PSN)
 	r.mu.Unlock()
 }
@@ -453,14 +453,15 @@ func TestSetDistanceStraddlesBufferedPackets(t *testing.T) {
 		km float64
 	}
 	changes := []change{{3500 * time.Microsecond, 150}, {5500 * time.Microsecond, 600}}
-	var fins [n]float64
+	var fins [n]int64
+	start := clk.NowNanos()
 	clock.Join(clk, func() {
 		// The finish instants the queue forms: its line rate's
 		// serialization time, truncated to whole nanoseconds, added
 		// packet by packet to the instant the line went busy.
 		size, bps := 1000.0, 8e6
-		tx := time.Duration(size * 8 / bps * float64(time.Second)).Seconds()
-		fin := clk.Instant()
+		tx := int64(time.Duration(size * 8 / bps * float64(time.Second)))
+		fin := clk.NowNanos()
 		for i := range fins {
 			port.Send(pkt(uint32(i), 1000-nicsim.HeaderBytes))
 			fin += tx
@@ -480,13 +481,13 @@ func TestSetDistanceStraddlesBufferedPackets(t *testing.T) {
 	for i, fin := range fins {
 		km := 900.0
 		for _, c := range changes {
-			if fin > c.at.Seconds() {
+			if fin > start+int64(c.at) {
 				km = c.km
 			}
 		}
-		want := fin + EdgeConfig{DistanceKm: km}.delay().Seconds()
+		want := fin + int64(EdgeConfig{DistanceKm: km}.delay())
 		if got := rec.at[uint32(i)]; got != want {
-			t.Errorf("packet %d (finish %.6f s) arrived at %.9f s, want %.9f s (%g km)", i, fin, got, want, km)
+			t.Errorf("packet %d (finish %d ns) arrived at %d ns, want %d ns (%g km)", i, fin-start, got-start, want-start, km)
 		}
 	}
 	if want := []uint32{0, 3, 1, 4, 2, 5, 6, 7}; !slices.Equal(rec.order, want) {

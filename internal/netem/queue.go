@@ -148,15 +148,9 @@ type Queue struct {
 	// engine breaks ties between events at one instant; headOrder is
 	// the number of the head-of-line entry's departure (see settle).
 	order, headOrder uint64
-	// epochNs is the NowNanos stamp of instant zero on the clock's
-	// timeline: a settled event at instant t is stamped epochNs + t.
-	epochNs int64
-	// txSize and txSec cache the last serialization time (see txTime);
-	// latSec is cfg.Latency in seconds, the propagation delay every
-	// admission adds.
+	// txSize and tx cache the last serialization time (see txTime).
 	txSize int
-	txSec  float64
-	latSec float64
+	tx     int64
 
 	// feeder is the queue every live Topology path through this one
 	// comes from, nil when there is none or more than one (see
@@ -219,13 +213,13 @@ type Queue struct {
 type queued struct {
 	tr   *transit
 	size int
-	// fin is the instant (Clock.Instant's timeline) its transmission
+	// fin is the instant (Clock.NowNanos's timeline) its transmission
 	// ends: its predecessor's fin, or its arrival on an idle line, plus
 	// its serialization time.
-	fin float64
+	fin int64
 	// arr is the arrival instant of an entry admitted ahead, while settle
 	// has not replayed it (see arriveAhead).
-	arr float64
+	arr int64
 }
 
 // transit is one flow packet's passage through a queue. Admission
@@ -245,7 +239,7 @@ type transit struct {
 	dst nicsim.Deliverer
 	// at is the instant its delivery is scheduled at: its finish plus
 	// the propagation delay in force at that finish (see setLatency).
-	at float64
+	at int64
 	// gone: no buffer entry references it any more — settle departed
 	// it, or setLatency or a take-back voided its delivery. parked: its
 	// delivery is no clock event (see above).
@@ -323,9 +317,7 @@ func NewQueue(cfg QueueConfig) (*Queue, error) {
 		clk: clock.Or(cfg.Clock),
 	}
 	q.serial = q.clk.IsVirtual()
-	q.latSec = cfg.Latency.Seconds()
 	q.settleFn = q.settleEvent
-	q.epochNs = q.clk.NowNanos() - int64(q.clk.Instant()*float64(time.Second))
 	return q, nil
 }
 
@@ -399,11 +391,11 @@ func (q *Queue) setLatency(d time.Duration) error {
 	q.lock()
 	q.catchUp()
 	q.unfuse()
-	q.cfg.Latency, q.latSec = d, d.Seconds()
+	q.cfg.Latency = d
 	for i := 0; i < q.fifo.n; i++ {
 		e := q.fifo.at(i)
-		if tr := e.tr; tr != nil && e.fin+q.latSec != tr.at {
-			e.tr = q.schedule(q.take(tr.pkt, tr.dst, e.fin+q.latSec))
+		if tr := e.tr; tr != nil && e.fin+int64(d) != tr.at {
+			e.tr = q.schedule(q.take(tr.pkt, tr.dst, e.fin+int64(d)))
 			tr.void()
 		}
 	}
@@ -443,7 +435,7 @@ func (q *Queue) settleRead() {
 // background finish: it settles up to and including its own instant.
 func (q *Queue) settleEvent() {
 	q.lock()
-	q.settle(q.clk.Instant(), math.MaxUint64)
+	q.settle(q.clk.NowNanos(), math.MaxUint64)
 	q.unlock()
 }
 
@@ -471,18 +463,17 @@ func (p *Port) Deliver(pkt *nicsim.Packet) { p.q.admit(pkt, p.dst) }
 func wireBytes(pkt *nicsim.Packet) int { return len(pkt.Payload) + nicsim.HeaderBytes }
 
 // txTime is the serialization time of size wire bytes at line rate, in
-// seconds: the nanosecond Duration the clock would schedule after,
-// converted as the engine converts it, so finish instants are the sums
-// it would have formed. The last size's value is kept, as a flow's
-// packets, like a generator's, share one size; recomputing it on every
-// admission put a chain of float divisions in front of the next
+// nanoseconds, truncated once per size as a time.Duration is, so finish
+// instants are exact integer sums. The last size's value is kept, as a
+// flow's packets, like a generator's, share one size; recomputing it on
+// every admission put a chain of float divisions in front of the next
 // atomic counter.
-func (q *Queue) txTime(size int) float64 {
+func (q *Queue) txTime(size int) int64 {
 	if size != q.txSize {
-		d := time.Duration(float64(size) * 8 / q.cfg.BandwidthBps * float64(time.Second))
-		q.txSize, q.txSec = size, d.Seconds()
+		// A configuration boundary: the line rate becomes a time.
+		q.txSize, q.tx = size, int64(float64(size)*8/q.cfg.BandwidthBps*float64(time.Second))
 	}
-	return q.txSec
+	return q.tx
 }
 
 // admit offers the flow packet pkt, bound for dst, to the buffer.
@@ -512,7 +503,7 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 		return
 	}
 	idle := q.fifo.n == 0
-	fin := q.clk.Instant()
+	fin := q.clk.NowNanos()
 	if !idle {
 		fin = q.fifo.at(q.fifo.n - 1).fin
 	}
@@ -537,7 +528,7 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 	}
 	// The packet leaves marked or not, so a queue downstream that takes
 	// it ahead meets the bit the un-fused hop would have handed it.
-	e.tr = q.forward(pkt, dst, fin+q.latSec)
+	e.tr = q.forward(pkt, dst, fin+int64(q.cfg.Latency))
 	used := q.used
 	q.unlock()
 	q.Enqueued.Add(1)
@@ -552,7 +543,7 @@ func (q *Queue) admit(pkt *nicsim.Packet, dst nicsim.Deliverer) {
 
 // take takes a transit off the free list for pkt, which reaches dst at
 // instant at. Caller holds the lock.
-func (q *Queue) take(pkt *nicsim.Packet, dst nicsim.Deliverer, at float64) *transit {
+func (q *Queue) take(pkt *nicsim.Packet, dst nicsim.Deliverer, at int64) *transit {
 	if q.free == nil {
 		q.grow()
 	}
@@ -628,7 +619,7 @@ func (tr *transit) deliver() {
 	q := tr.q
 	q.lock()
 	if !tr.gone {
-		q.departTo(tr, q.clk.Instant())
+		q.departTo(tr, q.clk.NowNanos())
 	}
 	pkt, dst := tr.pkt, tr.dst
 	tr.release()
@@ -641,7 +632,7 @@ func (tr *transit) deliver() {
 
 // departTo settles the queue up to tr's departure, for its delivery at
 // instant until (see deliver). Caller holds the lock.
-func (q *Queue) departTo(tr *transit, until float64) {
+func (q *Queue) departTo(tr *transit, until int64) {
 	if !tr.gone {
 		q.settle(until, 0)
 		if !tr.gone {
@@ -693,14 +684,13 @@ func (q *Queue) count(reason DropReason) telemetry.EventKind {
 // actor's wake, a propagation delay, a dynamics schedule — or after
 // the engine stopped. So does a delivery, except on a hop without
 // latency, where it falls on its packet's own departure (see deliver).
-func (q *Queue) settle(until float64, last uint64) {
+func (q *Queue) settle(until int64, last uint64) {
 	var t tally
 	for {
 		var g *TrafficGen
-		at, order := math.Inf(1), uint64(0)
 		for _, c := range q.gens {
-			if c.next < at || (c.next == at && c.order < order) {
-				g, at, order = c, c.next, c.order
+			if g == nil || c.before(g.next, g.order) {
+				g = c
 			}
 		}
 		if q.ahead > 0 {
@@ -723,17 +713,17 @@ func (q *Queue) settle(until float64, last uint64) {
 		}
 		if q.fifo.n > 0 {
 			h := q.fifo.front()
-			if due(h.fin, q.headOrder, until, last) && (h.fin < at || (h.fin == at && q.headOrder < order)) {
+			if due(h.fin, q.headOrder, until, last) && (g == nil || !g.before(h.fin, q.headOrder)) {
 				q.departHead(&t)
 				continue
 			}
 		}
-		if g == nil || !due(at, order, until, last) {
+		if g == nil || !due(g.next, g.order, until, last) {
 			break
 		}
-		q.arriveBackground(at, g.size, &t)
+		q.arriveBackground(g.next, g.size, &t)
 		g.sent++
-		g.next, g.order = at+g.gap().Seconds(), q.stamp()
+		g.next, g.order = g.next+int64(g.gap()), q.stamp()
 	}
 	if t.enqueued != 0 {
 		q.Enqueued.Add(t.enqueued)
@@ -748,7 +738,7 @@ func (q *Queue) settle(until float64, last uint64) {
 
 // due reports whether the event (at, order) comes no later than
 // (until, last).
-func due(at float64, order uint64, until float64, last uint64) bool {
+func due(at int64, order uint64, until int64, last uint64) bool {
 	return at < until || (at == until && order <= last)
 }
 
@@ -777,7 +767,7 @@ func (q *Queue) catchUp() {
 }
 
 // settleBefore is catchUp's slow path, out of line so catchUp inlines.
-func (q *Queue) settleBefore() { q.settle(q.clk.Instant(), 0) }
+func (q *Queue) settleBefore() { q.settle(q.clk.NowNanos(), 0) }
 
 // tally batches the counts of one settle call, so a replay pays at most
 // one atomic add per counter instead of one per packet, and none for a
@@ -786,7 +776,7 @@ type tally struct{ enqueued, delivered, marked uint64 }
 
 // arriveBackground offers one background packet of size wire bytes to
 // the buffer at instant at.
-func (q *Queue) arriveBackground(at float64, size int, t *tally) {
+func (q *Queue) arriveBackground(at int64, size int, t *tally) {
 	if q.down {
 		q.bgProbe(at, q.count(linkDown), 0, int64(size))
 		return
@@ -858,9 +848,9 @@ func (q *Queue) departHead(t *tally) {
 // a background packet's, or a departure's that settle replays, even
 // when a flow's admission or delivery settles it. It is too big to
 // inline, so the probes every packet passes test the sink first.
-func (q *Queue) bgProbe(at float64, kind telemetry.EventKind, a0, a1 int64) {
+func (q *Queue) bgProbe(at int64, kind telemetry.EventKind, a0, a1 int64) {
 	if q.sink == nil {
 		return
 	}
-	q.sink.BackgroundEvent(q.epochNs+int64(at*float64(time.Second)), kind, q.track, a0, a1, 0, 0)
+	q.sink.BackgroundEvent(at, kind, q.track, a0, a1, 0, 0)
 }

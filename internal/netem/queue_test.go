@@ -174,9 +174,8 @@ type countingClock struct {
 	n int
 }
 
-func (c *countingClock) After(d time.Duration, fn func()) { c.n++; c.Clock.After(d, fn) }
-func (c *countingClock) At(at float64, fn func())         { c.n++; c.Clock.At(at, fn) }
-func (c *countingClock) RunAtLane(l *clock.Lane, at float64, fn func()) {
+func (c *countingClock) At(at int64, fn func()) { c.n++; c.Clock.At(at, fn) }
+func (c *countingClock) RunAtLane(l *clock.Lane, at int64, fn func()) {
 	c.n++
 	c.Clock.RunAtLane(l, at, fn)
 }
@@ -250,7 +249,7 @@ func TestRealClockFlowTwoHops(t *testing.T) {
 	sink := &instantRecorder{clk: clk}
 	mid := &tap{instantRecorder: instantRecorder{clk: clk}, next: q2.Port(sink)}
 	ingress := q1.Port(mid)
-	t0 := clk.Instant()
+	t0 := clk.NowNanos()
 	for i := 0; i < n; i++ {
 		ingress.Send(pkt(uint32(i), int(size)-nicsim.HeaderBytes))
 	}
@@ -271,19 +270,19 @@ func TestRealClockFlowTwoHops(t *testing.T) {
 	defer sink.mu.Unlock()
 	mid.mu.Lock()
 	defer mid.mu.Unlock()
-	tx := time.Duration(size * 8 / bps * float64(time.Second)).Seconds()
-	fin1, fin2 := t0, 0.0
+	tx := int64(time.Duration(size * 8 / bps * float64(time.Second)))
+	fin1, fin2 := t0, int64(0)
 	for i := uint32(0); i < n; i++ {
 		if sink.order[i] != i {
 			t.Fatalf("arrival order %v: FIFO order broken", sink.order)
 		}
 		fin1 += tx
-		if at := mid.at[i]; at < fin1+lat1.Seconds() {
-			t.Errorf("packet %d reached hop 2 at %.6f s, before its hop-1 finish %.6f s plus latency", i, at, fin1)
+		if at := mid.at[i]; at < fin1+int64(lat1) {
+			t.Errorf("packet %d reached hop 2 at %d ns, before its hop-1 finish %d ns plus latency", i, at-t0, fin1-t0)
 		}
 		fin2 = max(fin2, mid.at[i]) + tx
-		if at := sink.at[i]; at < fin2+lat2.Seconds() {
-			t.Errorf("packet %d arrived at %.6f s, before its hop-2 finish %.6f s plus latency", i, at, fin2)
+		if at := sink.at[i]; at < fin2+int64(lat2) {
+			t.Errorf("packet %d arrived at %d ns, before its hop-2 finish %d ns plus latency", i, at-t0, fin2-t0)
 		}
 	}
 	if q1.Delivered.Load() != n || q2.Delivered.Load() != n {
@@ -594,7 +593,7 @@ func TestSharedQueueGolden(t *testing.T) {
 		flow.n, flow.h.Sum64(), q.Enqueued.Load(), q.TailDrops.Load(), q.ChannelDrops.Load(),
 		q.LinkDownDrops.Load(), q.Delivered.Load(), q.Marked.Load(), q.HighWatermark(), gen.Sent())
 	t.Log(got)
-	const want = "flow=3717 digest=5ba76d323f35a9b8 enq=4453 tail=73 chan=20 down=247 delivered=4413 marked=2206 hwm=65460 sent=753"
+	const want = "flow=3717 digest=f3d36d9e837dfa83 enq=4453 tail=73 chan=20 down=247 delivered=4413 marked=2206 hwm=65460 sent=753"
 	if got != want {
 		t.Fatalf("shared queue diverged:\n got  %s\n want %s", got, want)
 	}
@@ -648,7 +647,7 @@ func TestSharedQueueCBRGolden(t *testing.T) {
 		flow.n, flow.h.Sum64(), q.Enqueued.Load(), q.TailDrops.Load(), q.ChannelDrops.Load(),
 		q.LinkDownDrops.Load(), q.Delivered.Load(), q.Marked.Load(), q.HighWatermark(), gen.Sent())
 	t.Log(got)
-	const want = "flow=3552 digest=6da1e5024e9a893a enq=5008 tail=492 chan=22 down=0 delivered=4986 marked=3097 hwm=64500 sent=1500"
+	const want = "flow=3589 digest=0252509519615e76 enq=5006 tail=493 chan=22 down=0 delivered=4984 marked=3096 hwm=64500 sent=1499"
 	if got != want {
 		t.Fatalf("shared queue diverged:\n got  %s\n want %s", got, want)
 	}

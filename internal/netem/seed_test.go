@@ -120,14 +120,14 @@ func TestLazySeedMatchesEagerReference(t *testing.T) {
 	if gen.rng != nil {
 		t.Fatal("construction seeded the generator's source")
 	}
-	start := clk.Instant()
+	start := clk.NowNanos()
 	gen.Start()
 	clock.Join(clk, func() { clk.Sleep(10 * time.Millisecond) })
 	sent := gen.Sent()
 	rng := rand.New(rand.NewSource(5))
 	next := start
 	for i := uint64(0); i <= sent; i++ {
-		next += time.Duration(rng.ExpFloat64() * float64(gen.mean)).Seconds()
+		next += int64(time.Duration(rng.ExpFloat64() * float64(gen.mean)))
 	}
 	if sent < 1000 || gen.next != next {
 		t.Fatalf("after %d arrivals the next falls at %v, eager reference %v", sent, gen.next, next)

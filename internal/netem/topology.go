@@ -36,7 +36,8 @@ type EdgeConfig struct {
 	Loss LossSpec
 }
 
-// delay returns the one-way propagation delay of the edge.
+// delay returns the one-way propagation delay of the edge: a
+// configuration boundary, where the distance becomes a time.
 func (c EdgeConfig) delay() time.Duration {
 	return time.Duration(c.DistanceKm * wan.PropagationSecPerKm * float64(time.Second))
 }

@@ -63,7 +63,7 @@ type TrafficGen struct {
 
 	// next is the instant of the next arrival while running, order its
 	// number on the queue's order counter (see Queue.settle).
-	next  float64
+	next  int64
 	order uint64
 	sent  uint64
 }
@@ -91,6 +91,7 @@ func NewTrafficGen(cfg TrafficConfig, port *Port) (*TrafficGen, error) {
 		return nil, fmt.Errorf("netem: traffic generator clock is not its queue's")
 	}
 	size := cfg.PacketBytes + nicsim.HeaderBytes
+	// A configuration boundary: the offered load becomes a time.
 	mean := time.Duration(float64(size) * 8 / cfg.Bps * float64(time.Second))
 	if mean < time.Nanosecond {
 		return nil, fmt.Errorf("netem: traffic Bps %v puts %d-byte packets under 1 ns apart", cfg.Bps, size)
@@ -104,13 +105,13 @@ func (g *TrafficGen) Start() {
 	q := g.q
 	q.lock()
 	defer q.unlock()
-	now := q.clk.Instant()
+	now := q.clk.NowNanos()
 	q.settle(now, 0)
 	if slices.Contains(q.gens, g) {
 		return
 	}
 	q.unfuse()
-	g.next, g.order = now+g.gap().Seconds(), q.stamp()
+	g.next, g.order = now+int64(g.gap()), q.stamp()
 	q.gens = append(q.gens, g)
 }
 
@@ -128,7 +129,7 @@ func (g *TrafficGen) Stop() {
 		q.gens = slices.Delete(q.gens, i, i+1)
 	}
 	residue := q.fifo.n > 0 && q.fifo.at(q.fifo.n-1).tr == nil
-	var last float64
+	var last int64
 	if residue {
 		last = q.fifo.at(q.fifo.n - 1).fin
 	}
@@ -146,6 +147,12 @@ func (g *TrafficGen) Sent() uint64 {
 	defer q.unlock()
 	q.catchUp()
 	return g.sent
+}
+
+// before reports whether g's next arrival (see Queue.settle) comes
+// before the event (at, order).
+func (g *TrafficGen) before(at int64, order uint64) bool {
+	return g.next < at || (g.next == at && g.order < order)
 }
 
 // gap draws the next inter-arrival gap.

@@ -114,15 +114,15 @@ func TestRealClockGeneratorOffersFullLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beforeStart := clk.Instant()
+	beforeStart := clk.NowNanos()
 	gen.Start()
-	afterStart := clk.Instant()
+	afterStart := clk.NowNanos()
 	time.Sleep(50 * time.Millisecond)
-	beforeStop := clk.Instant()
+	beforeStop := clk.NowNanos()
 	gen.Stop()
-	stopBy := min(gen.next, clk.Instant())
-	perSec := bps / ((payload + nicsim.HeaderBytes) * 8)
-	lo, hi := perSec*(beforeStop-afterStart)*0.98, perSec*(stopBy-beforeStart)*1.02
+	stopBy := min(gen.next, clk.NowNanos())
+	perNs := bps / ((payload + nicsim.HeaderBytes) * 8) / 1e9
+	lo, hi := perNs*float64(beforeStop-afterStart)*0.98, perNs*float64(stopBy-beforeStart)*1.02
 	got := float64(gen.Sent())
 	t.Logf("sent %.0f, want %.0f to %.0f", got, lo, hi)
 	if got < lo || got > hi {

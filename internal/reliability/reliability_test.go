@@ -197,7 +197,7 @@ func TestVirtualDeterminism(t *testing.T) {
 				dups++
 				return fabric.Duplicate
 			case n%20 == 0:
-				vc.After(lat+3*time.Millisecond, func() { dir.ReleaseHeld() })
+				vc.At(vc.NowNanos()+int64(lat+3*time.Millisecond), func() { dir.ReleaseHeld() })
 				return fabric.Hold
 			}
 			return fabric.Pass

@@ -40,8 +40,8 @@
 // Callers that want zero allocations end to end schedule typed events
 // through Schedule/ScheduleAfter, which carry (kind, a, b) int32
 // payloads dispatched to the engine's Handler — no closure capture at
-// all. The closure API (After) remains for tests and callers off
-// the hot path.
+// all. The closure API (At, AtLane) serves callers that bind their
+// closures once, as clock.Virtual does, and tests.
 //
 // Reset rewinds the clock and discards pending events while keeping
 // the slab, free list and heap storage, so one engine serves an entire
@@ -215,11 +215,6 @@ func (e *Engine) At(at float64, fn Event) Timer {
 	s.fn = fn
 	e.heapPush(idx)
 	return Timer{e, idx, s.gen}
-}
-
-// After schedules fn delay seconds from now.
-func (e *Engine) After(delay float64, fn Event) Timer {
-	return e.At(e.now+delay, fn)
 }
 
 // Schedule schedules a typed (kind, a, b) event at absolute virtual

@@ -16,9 +16,9 @@ func (e *Engine) run() {
 func TestOrderingAndClock(t *testing.T) {
 	e := New()
 	var order []int
-	e.After(3, func() { order = append(order, 3) })
-	e.After(1, func() { order = append(order, 1) })
-	e.After(2, func() { order = append(order, 2) })
+	e.At(e.Now()+3, func() { order = append(order, 3) })
+	e.At(e.Now()+1, func() { order = append(order, 1) })
+	e.At(e.Now()+2, func() { order = append(order, 2) })
 	e.run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order = %v", order)
@@ -46,7 +46,7 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := New()
 	fired := false
-	tm := e.After(1, func() { fired = true })
+	tm := e.At(e.Now()+1, func() { fired = true })
 	tm.Cancel()
 	tm.Cancel() // double-cancel is a no-op
 	e.run()
@@ -61,11 +61,11 @@ func TestCancel(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := New()
 	var times []float64
-	e.After(1, func() {
+	e.At(e.Now()+1, func() {
 		times = append(times, e.Now())
-		e.After(1, func() {
+		e.At(e.Now()+1, func() {
 			times = append(times, e.Now())
-			e.After(1, func() { times = append(times, e.Now()) })
+			e.At(e.Now()+1, func() { times = append(times, e.Now()) })
 		})
 	})
 	e.run()
@@ -79,7 +79,7 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.After(2, func() {})
+	e.At(e.Now()+2, func() {})
 	e.run()
 	defer func() {
 		if recover() == nil {
@@ -125,13 +125,13 @@ func TestTypedEventDispatch(t *testing.T) {
 func TestCancelThenReuseGeneration(t *testing.T) {
 	e := New()
 	fired := 0
-	t1 := e.After(1, func() { fired++ })
+	t1 := e.At(e.Now()+1, func() { fired++ })
 	t1.Cancel()
 	// Drain: the cancelled slot pops off the heap and returns to the
 	// free list with a bumped generation.
 	e.run()
 	// The recycled slot now backs a different event.
-	t2 := e.After(1, func() { fired += 10 })
+	t2 := e.At(e.Now()+1, func() { fired += 10 })
 	if t1.idx != t2.idx {
 		t.Fatalf("free list did not recycle slot %d (got %d)", t1.idx, t2.idx)
 	}
@@ -147,13 +147,13 @@ func TestCancelThenReuseGeneration(t *testing.T) {
 func TestCancelWhilePending(t *testing.T) {
 	e := New()
 	var order []int
-	tm := e.After(1, func() { order = append(order, 1) })
-	e.After(2, func() { order = append(order, 2) })
+	tm := e.At(e.Now()+1, func() { order = append(order, 1) })
+	e.At(e.Now()+2, func() { order = append(order, 2) })
 	tm.Cancel()
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d after cancel, want 1", e.Pending())
 	}
-	e.After(3, func() { order = append(order, 3) })
+	e.At(e.Now()+3, func() { order = append(order, 3) })
 	e.run()
 	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
 		t.Fatalf("order = %v, want [2 3]", order)
@@ -166,8 +166,8 @@ func TestCancelWhilePending(t *testing.T) {
 func TestResetReuse(t *testing.T) {
 	e := New()
 	fired := 0
-	e.After(5, func() { fired++ })
-	stale := e.After(7, func() { fired += 100 })
+	e.At(e.Now()+5, func() { fired++ })
+	stale := e.At(e.Now()+7, func() { fired += 100 })
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 {
 		t.Fatalf("after Reset: now=%g pending=%d", e.Now(), e.Pending())
@@ -203,7 +203,7 @@ func TestSameTimeFIFOAfterChurn(t *testing.T) {
 	// Churn the slab so the free list is non-trivial.
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 50; i++ {
-			tm := e.After(1, func() {})
+			tm := e.At(e.Now()+1, func() {})
 			if i%2 == 0 {
 				tm.Cancel()
 			}
